@@ -321,8 +321,8 @@ func clusterSuite(report *Report, quick bool, procs int) {
 
 	// CoordinatorResume: a durable run is crashed mid-stream (seeded kill,
 	// no restart budget), then the timed section restarts the coordinator
-	// from the ledger — manifest load, record replay, worker
-	// re-attachment, and step replay through to completion.
+	// from the ledger — manifest load, record replay, and the restart of
+	// every device from the recovered cut through to completion.
 	resumeRes := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()

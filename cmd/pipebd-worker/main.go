@@ -10,12 +10,12 @@
 //	pipebd-worker -listen 127.0.0.1:7710 -sessions 1    # one session, then exit
 //	pipebd-worker -listen 127.0.0.1:0 -backend parallel # parallel kernels
 //	pipebd-worker -listen 127.0.0.1:7710 -sessions 1 -rejoin
-//	  # fault-tolerant: a killed session does not consume the budget, so
-//	  # the worker stays up for the coordinator's re-placement (resume)
-//	  # session and exits only after serving one session to completion.
-//	  # The same flag covers a coordinator crash: when the coordinator is
-//	  # restarted from its ledger (pipebd -resume), the worker accepts the
-//	  # re-attachment session exactly like a re-placement
+//	  # fault-tolerant: a killed or superseded session does not consume
+//	  # the budget, so the worker stays up for the coordinator's restart
+//	  # (resume) session and exits only after serving one session to
+//	  # completion. The same flag covers a coordinator crash: a
+//	  # coordinator restarted from its ledger (pipebd -resume) re-places
+//	  # every device exactly as a live restart does
 //
 // The bound address is printed as "pipebd-worker: listening on ADDR" so
 // scripts can scrape the port when listening on :0.
@@ -37,7 +37,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"pipebd/internal/cluster"
 	"pipebd/internal/cluster/transport"
@@ -82,8 +81,6 @@ func newWorker(args []string, stdout io.Writer) (*workerApp, error) {
 	workers := fs.Int("workers", 0, "parallel-backend worker count (0: GOMAXPROCS)")
 	slowdown := fs.Int("slowdown", 1, "throttle this worker's compute by the given factor (sleep (N-1)x each kernel's duration) — a bit-identical straggler for exercising -repartition; 1 disables")
 	quiet := fs.Bool("quiet", false, "suppress per-session progress output")
-	peerTimeout := fs.Duration("peer-timeout", 5*time.Second, "ring mode: how long to hold a slot open for each expected inbound peer connection while the mesh forms")
-	meshTimeout := fs.Duration("mesh-timeout", 10*time.Second, "ring mode: overall deadline for establishing the full peer mesh")
 	traceDir := fs.String("trace-dir", "", "trace every session's spans locally and dump each completed session as a Chrome trace JSON file in this directory")
 	netStats := fs.Bool("net-stats", false, "print the peer data-plane byte/frame totals when the worker exits")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and a plain-text /metrics page on this address for the worker's lifetime")
@@ -132,13 +129,8 @@ func newWorker(args []string, stdout io.Writer) (*workerApp, error) {
 		peerMeter = transport.NewMeter(peerDial)
 		peerDial = peerMeter
 	}
-	if *peerTimeout <= 0 || *meshTimeout <= 0 {
-		lis.Close()
-		return nil, fmt.Errorf("-peer-timeout and -mesh-timeout must be positive (got %v, %v)", *peerTimeout, *meshTimeout)
-	}
 	cfg := cluster.WorkerConfig{Sessions: *sessions, Rejoin: *rejoin, Dial: peerDial,
-		TraceDir: *traceDir, Metrics: counters,
-		PeerTimeout: *peerTimeout, MeshTimeout: *meshTimeout}
+		TraceDir: *traceDir, Metrics: counters}
 	if *slowdown < 1 {
 		lis.Close()
 		return nil, fmt.Errorf("-slowdown must be >= 1, got %d", *slowdown)

@@ -32,8 +32,8 @@ type clusterOptions struct {
 	Topology string
 	Verify   bool // re-run in-process and require bit-identical results
 	Timeout  time.Duration
-	// MaxRestarts enables fault tolerance: up to this many dead workers
-	// are re-placed and replayed instead of failing the run.
+	// MaxRestarts enables fault tolerance: up to this many worker losses
+	// restart the run from its global cut instead of failing it.
 	MaxRestarts int
 	// Heartbeat asks workers for liveness beacons on this interval and
 	// declares one dead after 4 missed beats; 0 disables.

@@ -31,10 +31,11 @@
 // pipeline — and therefore to each other.
 //
 // -max-restarts N enables fault tolerance: when a worker connection dies
-// (or goes silent past -cluster-heartbeat), the coordinator re-places its
-// devices on a surviving or re-joined worker, restores their per-step
-// snapshots, and replays — the result stays bit-identical, which the
-// chaos flags prove by injecting seeded kills under -verify.
+// (or goes silent past -cluster-heartbeat), the coordinator supersedes
+// every session and restarts every device, on the re-joined or surviving
+// workers, from the newest step all of them had snapshotted and
+// accounted for — the result stays bit-identical, which the chaos flags
+// prove by injecting seeded kills under -verify.
 //
 // -retry-budget D adds a cheaper tier below restarts: a broken worker or
 // peer link first tries to reconnect (exponential backoff from
@@ -53,9 +54,9 @@
 //	# ... pipebd dies mid-run (crash, OOM, kill -9) ...
 //	pipebd -resume /tmp/run1 -verify
 //
-// The resumed run re-attaches the workers (start them with -rejoin so a
-// dropped session does not consume their budget), replays from the
-// persisted snapshots, and finishes bit-identical to an uninterrupted
+// The resumed run re-places every device on the workers (start them with
+// -rejoin so a dropped session does not consume their budget), replays
+// from the persisted cut, and finishes bit-identical to an uninterrupted
 // run. -snapshot-interval k trades snapshot traffic for replay length
 // (snapshot every k-th step); -snapshot-dedup ships one snapshot per
 // split group instead of one per member.
@@ -119,7 +120,7 @@ func main() {
 	clusterDPU := flag.Bool("cluster-dpu", true, "decoupled parameter update in cluster mode")
 	clusterTopology := flag.String("topology", "ring", "cluster data plane: ring (activations and all-reduce travel worker-to-worker; coordinator is control plane only) or hub (all traffic through the coordinator)")
 	clusterTimeout := flag.Duration("cluster-timeout", 10*time.Second, "per-worker join timeout in cluster mode")
-	maxRestarts := flag.Int("max-restarts", 0, "cluster mode: recover up to N dead workers by re-placing their devices and replaying from snapshots (0: a lost worker fails the run); with -resume, 0 reuses the manifest's budget and a negative value disables worker recovery")
+	maxRestarts := flag.Int("max-restarts", 0, "cluster mode: survive up to N lost workers by restarting every device from the newest commonly snapshotted step (0: a lost worker fails the run); with -resume, 0 reuses the manifest's budget and a negative value disables worker recovery")
 	clusterHeartbeat := flag.Duration("cluster-heartbeat", 0, "cluster mode: worker heartbeat interval; a worker silent for 4 intervals is declared dead (0: disable silence detection)")
 	retryBackoff := flag.Duration("retry-backoff", 10*time.Millisecond, "cluster mode: initial reconnect backoff of a -retry-budget link, doubling per attempt")
 	retryBudget := flag.Duration("retry-budget", 0, "cluster mode: transient-fault absorption — a broken worker or peer link reconnects with exponential backoff and replays its missed frames for up to this long before the failure escalates (0: links fail on first break, classic behavior)")

@@ -109,19 +109,18 @@
 // run still verifies bit-identical, and no restart is consumed.
 //
 // Tier 3, global cut (cluster.Config.MaxRestarts): a genuinely lost
-// worker costs a restart. Each device streams a post-step snapshot
-// (student parameters + optimizer velocities) to the coordinator, which
-// also retains undelivered inputs and completed gradient reductions.
-// When a worker's connection dies — or goes silent past the heartbeat
-// timeout — the coordinator re-places the lost devices on a surviving
-// or re-joined worker via a Resume frame, restores the snapshots over
-// the wire, and replays the affected steps; replayed work is a pure
-// function of the restored state, so the recovered run's losses and
-// trained weights stay bit-identical to a fault-free run. Ring runs
-// recover by a global-cut restart instead of surgical re-placement — a
-// lost worker strands its ring peers mid-collective, so every device
-// restarts from the newest commonly snapshotted, fully accounted step —
-// with the same bit-identity guarantee. transport.Chaos injects
+// worker costs a restart, and hub and ring restart the same way. Each
+// device streams a post-step snapshot (student parameters + optimizer
+// velocities) to the coordinator. When a worker's connection dies — or
+// goes silent past the heartbeat timeout — the attempt fails fast, every
+// session is superseded, and the attempt driver re-places every device
+// on the re-joined or surviving workers via Resume frames carrying the
+// state at the global cut: the newest commonly snapshotted, fully
+// accounted step. Nothing in flight is salvaged (a lost worker strands a
+// ring collective, and a half-assembled hub gather is no different);
+// replayed work is a pure function of the restored state and the re-fed
+// batches, so the recovered run's losses and trained weights stay
+// bit-identical to a fault-free run. transport.Chaos injects
 // deterministic, seeded fault schedules (connection kills, transient
 // flaps, healing or persistent partitions, latency spikes, delays,
 // truncated frames) to prove all three tiers, both in the test suites
@@ -129,8 +128,9 @@
 //
 // Snapshot traffic follows a policy (cluster.Config.Snapshot): interval k
 // snapshots every k-th step, and rank-0 dedup ships one snapshot per
-// split group instead of one per member, committed only once every
-// member's losses, output shards, and barrier arrivals are accounted for.
+// split group instead of one per member; a snapshotted step becomes the
+// cut only once every member's losses and barrier arrivals are accounted
+// for.
 //
 // # Durable runs
 //
@@ -138,13 +138,14 @@
 // run is durable (cluster.Config.LedgerDir, cmd/pipebd -ledger): the
 // internal/cluster/ledger package persists the run's manifest (plan,
 // model spec, hyperparameters, batches, seed weights) via atomic rename
-// and every piece of recovery state — snapshots, retained inputs, output
-// shards, gradient reductions, loss rows, barrier releases — to an
+// and what the global cut is computed from — snapshots, loss rows,
+// barrier releases, repartition cuts; nothing in flight — to an
 // append-only, CRC-framed record log. cluster.ResumeRun (cmd/pipebd
 // -resume) restarts a killed coordinator from that ledger: it replays
 // the log up to the last complete record (a tail torn by the kill is
-// truncated away), re-attaches every worker through the wire Resume
-// machinery, and finishes the run bit-identical to an uninterrupted one.
+// truncated away) to recover the cut, hands it to the same attempt
+// driver a live restart uses, and finishes the run bit-identical to an
+// uninterrupted one.
 // The ledger's durability tier is configurable (-fsync none, interval=N,
 // or always: page cache, bounded fdatasync, or sync-per-append), and
 // flags passed alongside -resume become checked expectations against the

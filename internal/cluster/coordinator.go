@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,31 +60,33 @@ type Config struct {
 	// match the workbench passed to Run.
 	Spec wire.ModelSpec
 	// JoinTimeout bounds how long the coordinator waits for each worker
-	// to come up (and, during recovery, how long one re-placement attempt
-	// may search for a live worker); <= 0 means 10 seconds.
+	// to come up (and, on a restart, how long each placement slot may
+	// search for a live worker); <= 0 means 10 seconds.
 	JoinTimeout time.Duration
-	// MaxRestarts bounds how many dead-worker recoveries the run may
+	// MaxRestarts bounds how many lost-worker restarts the run may
 	// perform: each time a worker connection dies (error or heartbeat
-	// timeout), the coordinator re-places its devices on a surviving or
-	// re-joined worker and replays from the per-device snapshots. 0
-	// disables worker-loss tolerance — a lost worker fails the run — and,
-	// unless LedgerDir makes the run durable, also turns off the snapshot
-	// traffic that recovery needs.
+	// timeout), the coordinator supersedes every session, rewinds every
+	// device to the global cut — the newest step every group has
+	// snapshotted and every device has accounted for — and re-places them
+	// on the re-joined or surviving workers. 0 disables worker-loss
+	// tolerance — a lost worker fails the run — and, unless LedgerDir makes
+	// the run durable, also turns off the snapshot traffic that recovery
+	// needs.
 	MaxRestarts int
 	// Snapshot tunes the recovery-snapshot traffic when fault tolerance
 	// is on (MaxRestarts > 0 or LedgerDir set): Interval k makes devices
-	// snapshot every k-th step (replay covers up to k steps instead of
-	// one), and Rank0Dedup ships one member snapshot per split group
+	// snapshot every k-th step (a restart replays up to k steps instead
+	// of one), and Rank0Dedup ships one member snapshot per split group
 	// instead of k bit-identical copies. The zero policy means "every
 	// step, every member" — exactly the pre-policy behavior. Configuring
 	// a non-zero policy without fault tolerance is an error.
 	Snapshot SnapshotPolicy
 	// LedgerDir, when set, makes the run durable: the coordinator
-	// persists its manifest and every piece of recovery state (snapshots,
-	// retained inputs, output shards, reductions, loss rows, barrier
-	// releases) to an on-disk ledger in this directory, so a killed
-	// coordinator can be restarted with ResumeRun and finish the run
-	// bit-identically. The directory must not already hold a run.
+	// persists its manifest and what the global cut is computed from
+	// (snapshots, loss rows, barrier releases, repartition cuts) to an
+	// on-disk ledger in this directory, so a killed coordinator can be
+	// restarted with ResumeRun and finish the run bit-identically. The
+	// directory must not already hold a run.
 	LedgerDir string
 	// LedgerMeta is an opaque note stored in the ledger manifest (e.g.
 	// the CLI invocation), for provenance only.
@@ -118,16 +119,16 @@ type Config struct {
 	// bit-identical). A link still down when the budget exhausts is
 	// reported instead of silently retried forever: a peer edge whose
 	// workers are all still alive is degraded to hub relay (ring runs,
-	// budget-free), anything else falls through to the existing
-	// restart machinery. BudgetMillis > 0 enables it; ring runs with
+	// budget-free), anything else falls through to a budget-counted
+	// restart. BudgetMillis > 0 enables it; ring runs with
 	// retry force fault tolerance on (degrades restart from the global
 	// cut). See wire.RetrySpec for the knobs.
 	Retry wire.RetrySpec
 	// Trace asks every worker session to record per-step span events and
 	// ship them to the coordinator at step boundaries (wire.KindSpans).
 	// Arriving batches are handed to TraceSink. Tracing never changes the
-	// run's trajectory; a ring restart re-records replayed steps, so the
-	// sink sees both attempts' spans in wall-clock order.
+	// run's trajectory; a restart re-records replayed steps, so the sink
+	// sees both attempts' spans in wall-clock order.
 	Trace bool
 	// TraceSink receives every span batch — the workers' device tracks
 	// and the coordinator's own "coordinator" track (ledger appends). It
@@ -135,8 +136,9 @@ type Config struct {
 	// use (obs.Collector.Add qualifies). Required when Trace is set.
 	TraceSink func(track string, spans []obs.Span)
 	// Metrics, when non-nil, receives the coordinator's operational
-	// counters: steps completed, snapshots installed, worker recoveries,
-	// ledger records/bytes. Independent of Trace.
+	// counters: steps completed, snapshots installed, worker recoveries
+	// ("recoveries": restarts consumed from MaxRestarts), ledger
+	// records/bytes. Independent of Trace.
 	Metrics *obs.Metrics
 	// Logf receives progress lines; nil is silent.
 	Logf func(format string, args ...any)
@@ -155,14 +157,13 @@ type Config struct {
 // engine.MergeGroupLosses), so a cluster run's trajectory is bit-identical
 // to engine.RunPipelined's.
 //
-// With MaxRestarts > 0 the hub is also the recovery authority: it retains
-// each device's latest post-step snapshot (parameters + optimizer
-// velocities), the inputs the device has not yet snapshotted past, and
-// the completed gradient reductions its group may still need. When a
-// worker dies, the hub re-places the lost devices on another worker via a
-// Resume frame and replays the affected steps; because every replayed
-// computation is a pure function of the restored state and the re-sent
-// inputs, the run's losses and trained weights remain bit-identical to a
+// With MaxRestarts > 0 the coordinator is also the recovery authority,
+// under one rule for every topology (see driver.go): it keeps each
+// group's post-step snapshots (parameters + optimizer velocities) back to
+// the global cut, and when a worker dies it supersedes every session and
+// restarts every device from that cut via Resume frames. Because every
+// replayed step is a pure function of the restored state and the re-fed
+// batches, the run's losses and trained weights remain bit-identical to a
 // fault-free run.
 type Coordinator struct {
 	net transport.Network
@@ -222,7 +223,6 @@ type peerConn struct {
 
 	lastHeard atomic.Int64 // unix nanos of the last inbound frame
 	hbLost    atomic.Bool  // set by the heartbeat monitor before it kills the conn
-	dead      bool         // guarded by run.mu; set once when the peer is retired
 }
 
 func (p *peerConn) touch() { p.lastHeard.Store(time.Now().UnixNano()) }
@@ -233,43 +233,24 @@ type devPlace struct {
 	j  int // rank within the group
 }
 
-// devState is the coordinator's per-device ledger: where the device lives
-// in the plan, the recovery state needed to re-place it, and the
-// high-water marks that let the hub tell a replayed frame from a fresh
-// one. Mutable fields are guarded by run.mu; place is immutable.
+// devState is the coordinator's per-device account: where the device
+// lives in the plan and the high-water marks of what it has reported.
+// Frames from one device arrive in step order on a single connection and
+// an attempt starts every device just past the cut, so "step <= seen" is
+// a duplicate — a protocol error — and the minimum of the loss and
+// barrier marks over all devices bounds the global cut. Mutable fields
+// are guarded by run.mu; place is immutable.
 type devState struct {
 	place devPlace
 
-	// Recovery state (maintained only when fault tolerance is on).
-	snapStep int              // last step covered by the snapshot; -1 = seed
-	params   []*tensor.Tensor // student params after snapStep
-	velocity []*tensor.Tensor // SGD momentum after snapStep
-	inputs   map[int][]byte   // retained input payloads for steps > snapStep
-
-	// Replay high-water marks. Frames from one device arrive in step
-	// order on a single connection, so "step <= seen" identifies a replay
-	// of work the hub already incorporated.
+	snapStep    int // last step the device snapshotted; -1 = none
 	outputSeen  int
 	lossSeen    int
 	barrierSeen int
-	stepGoSent  int // highest StepGo actually delivered to the device
 	done        bool
 }
 
-// pendingSnap is a rank-0 snapshot awaiting group-level commit: under
-// Rank0Dedup the parameters are authoritative for every member, but the
-// group's snapshot step may only advance once each member has accounted
-// for the covered steps (losses, relayed output shards, barrier
-// arrivals) — otherwise a member resumed from the committed step would
-// skip replaying work the hub never incorporated, leaving loss rows or
-// gathers permanently incomplete.
-type pendingSnap struct {
-	step     int
-	params   []*tensor.Tensor
-	velocity []*tensor.Tensor
-}
-
-// run is the mutable state of one cluster session.
+// run is the mutable state of one attempt.
 type run struct {
 	co       *Coordinator
 	plan     sched.Plan
@@ -282,10 +263,11 @@ type run struct {
 	runCfg   wire.RunConfig
 	ft       bool                // fault tolerance enabled (MaxRestarts > 0 or durable)
 	policy   wire.SnapshotPolicy // effective snapshot policy (zero when !ft)
-	seedSnap wire.Snapshot       // seed params, immutable; reused by every Resume
+	seedSnap wire.Snapshot       // the run's seed params, immutable; shared by every attempt
 	ringMode bool                // peer-to-peer data plane (Config.Topology == "ring")
-	epoch    int64               // ring attempt epoch, stamped into every Assign
+	epoch    int64               // attempt epoch, stamped into every Assign
 	repart   *repartitioner      // drive-loop repartition controller; nil when disabled
+	carry    *runCarry           // the cut this attempt started from; nil = attempt zero
 
 	// tracer/coTrack instrument the coordinator's own control-plane work
 	// (ledger appends) when Config.Trace is on; teardown drains the track
@@ -293,38 +275,31 @@ type run struct {
 	tracer  *obs.Tracer
 	coTrack *obs.Track
 
-	// Degraded peer edges (flattened pairs), installed by the ring driver
+	// Degraded peer edges (flattened pairs), installed by the driver
 	// before join and carried into every Assign; degradedGroups marks the
 	// groups with an internal degraded edge, whose gradient reductions
 	// fall back to the hub fold. Immutable once readers start.
 	degraded       []int
 	degradedGroups map[int]bool
 
-	mu             sync.Mutex
-	linkDowns      [][2]int               // peer edges reported down this attempt
-	led            *ledger.Ledger         // durable-run store; nil for in-memory-only runs
-	ledShared      bool                   // ledger owned by the ring driver, not this run's teardown
-	peerDir        []string               // ring: device rank → hosting worker address
-	histG          []map[int]histEntry    // ring+ft: [gi] step → restart state (group-identical)
-	peers          []*peerConn            // live worker sessions; dead ones are fully closed and dropped
-	byDev          map[int]*peerConn      // device rank → live peer (absent while dead)
-	devs           map[int]*devState      // device rank → ledger (map itself immutable)
-	groupParams    [][]*tensor.Tensor     // [gi] workbench student params, flattened
-	outputs        []map[int]*gather      // [gi] step → collected activation shards
-	grads          []map[int]*gatherLists // [gi] step → collected gradient lists
-	reduceCache    []map[int][]byte       // [gi] step → completed reduction payload
-	pend           [][]pendingSnap        // [gi] uncommitted rank-0 snapshots (Rank0Dedup only)
-	barrier        map[int]int            // step → devices arrived (no-DPU only)
-	stepGoThrough  int                    // highest step whose barrier released
-	losses         [][][]float64          // [gi][j*nb+bi][step]
-	g0done         map[int]int            // step → group-0 members that completed it
-	credits        chan struct{}
-	fedThrough     int   // highest batch step delivered to group 0
-	groupInThrough []int // [gi] highest input step ever delivered to the group
-	done           int
-	restarts       int
-	closed         bool // teardown ran; no new peers may attach
-	finished       chan struct{}
+	mu          sync.Mutex
+	linkDowns   [][2]int               // peer edges reported down this attempt
+	led         *ledger.Ledger         // durable-run store, owned by the driver; nil for in-memory runs
+	peerDir     []string               // ring: device rank → hosting worker address
+	histG       []map[int]histEntry    // ft: [gi] step → restart state (group-identical), back to the cut
+	peers       []*peerConn            // live worker sessions; dead ones are fully closed and dropped
+	byDev       map[int]*peerConn      // device rank → live peer (absent once dead)
+	devs        map[int]*devState      // device rank → account (map itself immutable)
+	groupParams [][]*tensor.Tensor     // [gi] workbench student params, flattened
+	outputs     []map[int]*gather      // [gi] step → collected activation shards
+	grads       []map[int]*gatherLists // [gi] step → collected gradient lists
+	barrier     map[int]int            // step → devices arrived (no-DPU only)
+	losses      [][][]float64          // [gi][j*nb+bi][step]
+	g0done      map[int]int            // step → group-0 members that completed it
+	credits     chan struct{}
+	done        int
+	closed      bool // teardown ran; stale readers must touch nothing
+	finished    chan struct{}
 
 	failOnce sync.Once
 	firstErr error
@@ -345,40 +320,21 @@ type gatherLists struct {
 // returns the loss trajectory; w's student parameters are updated with
 // the trained weights the group leaders send back. The run is
 // bit-equivalent to engine.RunPipelined(w, batches, ...) with the same
-// plan and hyperparameters — including runs that lose and recover
-// workers, when cfg.MaxRestarts allows it.
+// plan and hyperparameters — including runs that lose workers and restart
+// from the global cut, when cfg.MaxRestarts allows it.
 func (c *Coordinator) Run(w *distill.Workbench, batches []dataset.Batch, addrs []string) (engine.Result, error) {
-	if c.cfg.Topology == "ring" || c.cfg.Repartition.Enabled {
-		// Ring runs and repartition-enabled runs (either topology) go
-		// through the attempt driver: both may supersede a session and
-		// restart every device from a global cut.
-		return c.runDriven(w, batches, addrs)
-	}
-	r, err := c.newRun(w, batches, addrs)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	if c.cfg.LedgerDir != "" {
-		led, err := c.createLedger(r, batches, addrs)
-		if err != nil {
-			return engine.Result{}, err
-		}
-		r.led = led
-	}
-	defer r.teardown()
-	if err := r.join(addrs); err != nil {
-		return engine.Result{}, err
-	}
-	return c.execute(r)
+	d := &driver{c: c, w: w, batches: batches, addrs: addrs, seed: CaptureSnapshot(w)}
+	return d.drive()
 }
 
-// createLedger creates the run's durable store from its manifest state
-// and applies the configured fsync durability tier.
-func (c *Coordinator) createLedger(r *run, batches []dataset.Batch, addrs []string) (*ledger.Ledger, error) {
+// createLedger creates a fresh run's durable store — the manifest is the
+// first attempt's setup — and applies the configured fsync durability
+// tier.
+func (c *Coordinator) createLedger(r *run) (*ledger.Ledger, error) {
 	led, err := ledger.Create(c.cfg.LedgerDir, &ledger.Manifest{
 		Assign:      wire.Assign{Plan: r.plan, Spec: c.cfg.Spec, Run: r.runCfg, Snapshot: r.seedSnap},
-		Addrs:       addrs,
-		Batches:     batches,
+		Addrs:       r.addrs,
+		Batches:     r.batches,
 		MaxRestarts: c.cfg.MaxRestarts,
 		Meta:        c.cfg.LedgerMeta,
 	})
@@ -392,8 +348,8 @@ func (c *Coordinator) createLedger(r *run, batches []dataset.Batch, addrs []stri
 	return led, nil
 }
 
-// execute drives a prepared run (fresh or resumed) to completion: start
-// the readers, feeder, and monitor, wait for every device's Done, then
+// execute drives a joined attempt to completion: start the readers,
+// feeder, and monitor, wait for every device's Done, then
 // drain the sessions gracefully.
 func (c *Coordinator) execute(r *run) (engine.Result, error) {
 	r.start()
@@ -411,7 +367,9 @@ func (c *Coordinator) execute(r *run) (engine.Result, error) {
 	return r.result(), nil
 }
 
-func (c *Coordinator) newRun(w *distill.Workbench, batches []dataset.Batch, addrs []string) (*run, error) {
+// newRun validates the configuration and builds one attempt's state. seed
+// is the run's starting weights (see driver.seed).
+func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches []dataset.Batch, addrs []string) (*run, error) {
 	plan := c.cfg.Plan
 	nDev := 0
 	for _, g := range plan.Groups {
@@ -451,11 +409,11 @@ func (c *Coordinator) newRun(w *distill.Workbench, batches []dataset.Batch, addr
 			}
 		}
 	}
-	// Repartitioning implies fault tolerance: the planned cut restores
+	// Repartitioning implies fault tolerance: the planned cut restarts
 	// from the same snapshot history recovery uses. So does retry on a
 	// ring run: degrading a persistently severed peer edge to hub relay
-	// restarts the attempt from the global cut, which needs the same
-	// snapshot history (the degrade itself is budget-free).
+	// restarts the attempt from the global cut too (the degrade itself is
+	// budget-free).
 	ft := c.cfg.MaxRestarts > 0 || c.cfg.LedgerDir != "" || c.cfg.Repartition.Enabled ||
 		(c.cfg.Topology == "ring" && c.cfg.Retry.Enabled())
 	policy, err := effectivePolicy(c.cfg.Snapshot, ft)
@@ -466,30 +424,19 @@ func (c *Coordinator) newRun(w *distill.Workbench, batches []dataset.Batch, addr
 		co: c, plan: plan, nb: w.NumBlocks(), steps: len(batches), nDev: nDev,
 		byDev: make(map[int]*peerConn), devs: make(map[int]*devState),
 		workb: w, batches: batches, addrs: addrs,
-		ft:             ft,
-		policy:         policy,
-		ringMode:       c.cfg.Topology == "ring",
-		outputs:        make([]map[int]*gather, len(plan.Groups)),
-		grads:          make([]map[int]*gatherLists, len(plan.Groups)),
-		reduceCache:    make([]map[int][]byte, len(plan.Groups)),
-		pend:           make([][]pendingSnap, len(plan.Groups)),
-		barrier:        make(map[int]int),
-		stepGoThrough:  -1,
-		losses:         make([][][]float64, len(plan.Groups)),
-		g0done:         make(map[int]int),
-		credits:        make(chan struct{}, len(batches)+buffer),
-		fedThrough:     -1,
-		groupInThrough: make([]int, len(plan.Groups)),
-		finished:       make(chan struct{}),
-		failed:         make(chan struct{}),
+		ft:       ft,
+		policy:   policy,
+		ringMode: c.cfg.Topology == "ring",
+		outputs:  make([]map[int]*gather, len(plan.Groups)),
+		grads:    make([]map[int]*gatherLists, len(plan.Groups)),
+		barrier:  make(map[int]int),
+		losses:   make([][][]float64, len(plan.Groups)),
+		g0done:   make(map[int]int),
+		credits:  make(chan struct{}, len(batches)+buffer),
+		finished: make(chan struct{}),
+		failed:   make(chan struct{}),
 	}
-	for gi := range r.groupInThrough {
-		r.groupInThrough[gi] = -1
-	}
-	if (r.ringMode || c.cfg.Repartition.Enabled) && r.ft {
-		// Global-cut restart state: always needed in ring mode, and by
-		// hub runs that may repartition (a planned cut restarts every
-		// device, not just a lost one).
+	if r.ft {
 		r.histG = make([]map[int]histEntry, len(plan.Groups))
 		for gi := range r.histG {
 			r.histG[gi] = make(map[int]histEntry)
@@ -502,7 +449,7 @@ func (c *Coordinator) newRun(w *distill.Workbench, batches []dataset.Batch, addr
 		r.tracer = obs.NewTracer(true)
 		r.coTrack = r.tracer.NewTrack("coordinator")
 	}
-	r.seedSnap = CaptureSnapshot(w)
+	r.seedSnap = seed
 	r.runCfg = wire.RunConfig{DPU: c.cfg.DPU, LR: c.cfg.LR, Momentum: c.cfg.Momentum,
 		Buffer: c.cfg.Buffer, Steps: r.steps, Backend: c.cfg.Backend,
 		Snap:            policy,
@@ -523,7 +470,6 @@ func (c *Coordinator) newRun(w *distill.Workbench, batches []dataset.Batch, addr
 	for gi, g := range plan.Groups {
 		r.outputs[gi] = make(map[int]*gather)
 		r.grads[gi] = make(map[int]*gatherLists)
-		r.reduceCache[gi] = make(map[int][]byte)
 		r.losses[gi] = make([][]float64, len(g.Blocks)*g.Split())
 		for i := range r.losses[gi] {
 			r.losses[gi][i] = make([]float64, r.steps)
@@ -534,18 +480,8 @@ func (c *Coordinator) newRun(w *distill.Workbench, batches []dataset.Batch, addr
 			}
 		}
 		for j, d := range g.Devices {
-			ds := &devState{place: devPlace{gi: gi, j: j},
-				snapStep: -1, outputSeen: -1, lossSeen: -1, barrierSeen: -1, stepGoSent: -1}
-			if r.ft {
-				// Seed recovery state: a device that dies before its first
-				// snapshot resumes from the seed weights with zero momentum.
-				// The tensors are shared read-only across devices of the
-				// group — snapshots replace, never mutate, them.
-				ds.params = r.seedGroupParams(gi)
-				ds.velocity = zeroLike(ds.params)
-				ds.inputs = make(map[int][]byte)
-			}
-			r.devs[d] = ds
+			r.devs[d] = &devState{place: devPlace{gi: gi, j: j},
+				snapStep: -1, outputSeen: -1, lossSeen: -1, barrierSeen: -1}
 		}
 	}
 	for i := 0; i < buffer; i++ {
@@ -620,41 +556,21 @@ func (r *run) logRecord(rec *ledger.Record) {
 	}
 }
 
-// seedGroupParams returns the seed student parameters of a group,
-// flattened in the device's GradTensors order (blocks in group order,
-// params in declaration order), cloned from the immutable seed snapshot.
-func (r *run) seedGroupParams(gi int) []*tensor.Tensor {
-	var out []*tensor.Tensor
-	for _, b := range r.plan.Groups[gi].Blocks {
-		out = append(out, r.seedSnap.Student[b]...)
-	}
-	return out
-}
-
-func zeroLike(ts []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(ts))
-	for i, t := range ts {
-		out[i] = tensor.New(t.Shape()...)
-	}
-	return out
-}
-
 // join dials every worker (retrying while it comes up), performs the
 // hello handshake, and sends the session assignment.
-func (r *run) join(addrs []string) error {
-	placement := PlaceDevices(r.nDev, len(addrs))
+func (r *run) join() error {
+	placement := PlaceDevices(r.nDev, len(r.addrs))
 	if r.ringMode {
 		// Ring sessions need the placement directory before any worker can
 		// start dialing its peers.
-		peers := make([]string, r.nDev)
+		r.peerDir = make([]string, r.nDev)
 		for i, devs := range placement {
 			for _, d := range devs {
-				peers[d] = addrs[i]
+				r.peerDir[d] = r.addrs[i]
 			}
 		}
-		r.peerDir = peers
 	}
-	for i, addr := range addrs {
+	for i, addr := range r.addrs {
 		if len(placement[i]) == 0 {
 			r.co.logf("worker %s: no devices to place, skipping", addr)
 			continue
@@ -681,20 +597,27 @@ func (r *run) join(addrs []string) error {
 			conn.Close()
 			return fmt.Errorf("cluster: worker %s assign: %w", addr, err)
 		}
-		link, res := r.resumeControl(conn, addr, sid)
-		p := &peerConn{addr: addr, conn: link, res: res, out: newOutbox(link), devices: placement[i]}
-		p.touch()
-		r.peers = append(r.peers, p)
-		for _, d := range placement[i] {
-			r.byDev[d] = p
-		}
+		r.attach(conn, addr, placement[i], sid)
 		r.co.logf("worker %s joined, hosting devices %v", addr, placement[i])
 	}
 	return nil
 }
 
+// attach registers a freshly handshaken session (Assign or Resume already
+// sent) as the live host of its devices. Runs before start, while the
+// attempt is still single-threaded.
+func (r *run) attach(conn transport.Conn, addr string, devices []int, sid int64) {
+	link, res := r.resumeControl(conn, addr, sid)
+	p := &peerConn{addr: addr, conn: link, res: res, out: newOutbox(link), devices: devices}
+	p.touch()
+	r.peers = append(r.peers, p)
+	for _, d := range devices {
+		r.byDev[d] = p
+	}
+}
+
 func (r *run) dialJoin(addr string) (transport.Conn, time.Time, error) {
-	timeout := r.joinTimeout()
+	timeout := r.co.joinTimeout()
 	deadline := time.Now().Add(timeout)
 	for {
 		conn, err := r.net().Dial(addr)
@@ -708,8 +631,8 @@ func (r *run) dialJoin(addr string) (transport.Conn, time.Time, error) {
 	}
 }
 
-func (r *run) joinTimeout() time.Duration {
-	if t := r.co.cfg.JoinTimeout; t > 0 {
+func (c *Coordinator) joinTimeout() time.Duration {
+	if t := c.cfg.JoinTimeout; t > 0 {
 		return t
 	}
 	return 10 * time.Second
@@ -825,9 +748,9 @@ func (r *run) start() {
 
 // startReader consumes one peer's inbound frames until the connection
 // dies. A connection error during a live run is a worker death: it goes
-// through handlePeerFailure, which recovers (re-places the devices) when
-// the restart budget allows and fails the run otherwise. Protocol errors
-// are never recovered — they mean a bug, not a crash.
+// through handlePeerFailure, which fails the attempt with the typed error
+// the driver restarts from. Protocol errors are never recovered — they
+// mean a bug, not a crash.
 func (r *run) startReader(p *peerConn) {
 	go func() {
 		// A panic while handling a malformed-but-decodable frame must
@@ -958,21 +881,17 @@ func (r *run) prestageInputs(devices []int) []*tensor.Tensor {
 // feed streams the training batches to every member of the first group,
 // windowed by the pipeline depth: a new batch enters only when the
 // slowest group-0 member finishes an earlier step — the cluster analogue
-// of the in-process relay channel's backpressure. A resumed run picks up
-// after the highest step the previous coordinator already fed (steps
-// before it are re-sent from the retained inputs at attach time). Ring
-// runs prestage the whole schedule in each group-0 session's Assign
-// instead: the workers self-pace on the peer acks, and the coordinator's
-// steady-state traffic stays control-plane sized.
+// of the in-process relay channel's backpressure. A restarted attempt
+// feeds from the step after its cut. Ring runs prestage the whole
+// schedule in each group-0 session's Assign instead: the workers
+// self-pace on the peer acks, and the coordinator's steady-state traffic
+// stays control-plane sized.
 func (r *run) feed() {
 	if r.ringMode {
 		return
 	}
 	g0 := r.plan.Groups[0]
-	r.mu.Lock()
-	start := r.fedThrough + 1
-	r.mu.Unlock()
-	for s := start; s < r.steps; s++ {
+	for s := r.startStep(); s < r.steps; s++ {
 		select {
 		case <-r.credits:
 		case <-r.failed:
@@ -987,47 +906,10 @@ func (r *run) feed() {
 	}
 }
 
-// applyInputLocked retains one step's input payload for every listed
-// device whose snapshot has not covered the step yet, and advances the
-// per-group delivery high-water marks. It is the state mutation shared by
-// live delivery and ledger restore; it reports whether any device
-// retained the payload.
-func (r *run) applyInputLocked(devs []int, step int, payload []byte) bool {
-	retained := false
-	// Ring recovery restarts the whole pipeline at the global cut and
-	// re-feeds batches from there, so inputs are never retained (or
-	// persisted); the delivery marks still advance.
-	if r.ft && !r.ringMode {
-		for _, d := range devs {
-			ds := r.devs[d]
-			if step > ds.snapStep {
-				ds.inputs[step] = payload
-				retained = true
-			}
-		}
-	}
-	gi := r.devs[devs[0]].place.gi
-	if step > r.groupInThrough[gi] {
-		r.groupInThrough[gi] = step
-	}
-	if gi == 0 && step > r.fedThrough {
-		r.fedThrough = step
-	}
-	return retained
-}
-
-// sendGroupInputLocked delivers one step's input payload to every member
-// of a group: retain (fault tolerance), persist (durable runs), then
-// enqueue to each attached member. A device that is currently dead only
-// records — the retained payload is re-sent when the device is re-placed.
-// Callers hold r.mu and must deliver each device's inputs in increasing
-// step order. The retain→log→enqueue order is what makes a coordinator
-// crash at any point consistent: an input a worker ever saw is always
-// either persisted or covered by a later snapshot.
+// sendGroupInputLocked delivers one step's input payload to every
+// attached member of a group. Callers hold r.mu and deliver each device's
+// inputs in increasing step order.
 func (r *run) sendGroupInputLocked(devs []int, step int, payload []byte) {
-	if r.applyInputLocked(devs, step, payload) {
-		r.logRecord(ledger.Input(devs, step, payload))
-	}
 	for _, d := range devs {
 		if p := r.byDev[d]; p != nil {
 			p.out.Enqueue(&wire.Frame{Kind: wire.KindInput, Dev: int32(d), Step: int32(step), Payload: payload})
@@ -1044,7 +926,7 @@ func (r *run) fail(err error) {
 
 // onLinkDown records a worker's report that a peer link exhausted its
 // reconnect budget and fails the attempt immediately with the typed
-// worker-lost error: the ring driver then classifies the failure —
+// worker-lost error: the driver then classifies the failure —
 // degrade the edge to hub relay when every worker is still alive
 // (budget-free), or fall through to a budget-counted restart.
 func (r *run) onLinkDown(p *peerConn, from, to int) {
@@ -1060,44 +942,30 @@ func (r *run) onLinkDown(p *peerConn, from, to int) {
 	r.fail(workerLostError{cause: fmt.Errorf("peer link %d<->%d persistently down", from, to)})
 }
 
-// handlePeerFailure retires a dead peer and either re-places its devices
-// (within the restart budget) or fails the run. It runs on the dead
-// peer's reader goroutine; concurrent failures of different peers recover
-// independently.
+// handlePeerFailure retires a dead peer and fails the attempt with the
+// typed worker-lost error, which the driver turns into a restart of every
+// device from the global cut (budget permitting): the dead worker's
+// in-flight exchanges — a half-assembled gather, one side of a ring
+// collective — are abandoned with the attempt rather than replayed
+// one-sided. It runs once per peer, on the dead peer's reader goroutine.
 func (r *run) handlePeerFailure(p *peerConn, cause error) {
 	r.mu.Lock()
-	if p.dead || r.closed {
+	if r.closed {
 		r.mu.Unlock()
 		return
 	}
-	p.dead = true
-	r.retirePeerLocked(p)
+	for i, q := range r.peers {
+		if q == p {
+			r.peers = append(r.peers[:i], r.peers[i+1:]...)
+			break
+		}
+	}
 	allDone := true
 	for _, d := range p.devices {
+		delete(r.byDev, d)
 		if !r.devs[d].done {
 			allDone = false
 		}
-	}
-	if r.ringMode {
-		// Ring recovery is not surgical: the peers' in-flight exchanges
-		// with the dead worker cannot be replayed one-sided, so the whole
-		// attempt fails and the ring driver restarts it from the global
-		// cut (budget permitting). The typed error carries that intent.
-		r.mu.Unlock()
-		p.conn.Close()
-		p.out.Kill()
-		p.out.Close()
-		if allDone {
-			r.co.logf("worker %s dropped after finishing devices %v; no recovery needed", p.addr, p.devices)
-			return
-		}
-		r.fail(workerLostError{cause: cause})
-		return
-	}
-	canRecover := r.ft && r.restarts < r.co.cfg.MaxRestarts
-	if !allDone && canRecover {
-		r.restarts++
-		r.co.cfg.Metrics.Add("recoveries", 1)
 	}
 	r.mu.Unlock()
 
@@ -1112,177 +980,7 @@ func (r *run) handlePeerFailure(p *peerConn, cause error) {
 		r.co.logf("worker %s dropped after finishing devices %v; no recovery needed", p.addr, p.devices)
 		return
 	}
-	if !canRecover {
-		r.fail(cause)
-		return
-	}
-	r.co.logf("worker %s lost (%v); re-placing devices %v", p.addr, cause, p.devices)
-	if err := r.recoverPeer(p); err != nil {
-		r.fail(fmt.Errorf("cluster: recovering devices %v after %w: %v", p.devices, cause, err))
-	}
-}
-
-// retirePeerLocked removes p from the live set; its devices stay detached
-// until a replacement attaches.
-func (r *run) retirePeerLocked(p *peerConn) {
-	for i, q := range r.peers {
-		if q == p {
-			r.peers = append(r.peers[:i], r.peers[i+1:]...)
-			break
-		}
-	}
-	for _, d := range p.devices {
-		delete(r.byDev, d)
-	}
-}
-
-// recoverPeer re-places a dead peer's devices: it builds a Resume frame
-// from the per-device snapshots, finds a worker to host them — the dead
-// peer's own address first (a restarted worker re-joining), then the
-// other configured workers (which accept the extra session alongside
-// their own) — and attaches the new connection, re-sending every retained
-// input the restored devices need to replay.
-func (r *run) recoverPeer(p *peerConn) error {
-	sid := r.newSessionID()
-	resume := r.buildResume(p.devices, sid)
-	candidates := []string{p.addr}
-	for _, a := range r.addrs {
-		if a != p.addr {
-			candidates = append(candidates, a)
-		}
-	}
-	conn, addr, err := r.dialResume(candidates, resume)
-	if err != nil {
-		return err
-	}
-	np, ok := r.attachResumed(conn, addr, p.devices, sid)
-	if !ok {
-		return nil
-	}
-	r.startReader(np)
-	r.co.logf("devices %v re-placed on worker %s (restart %d of %d), replaying from per-device snapshots",
-		p.devices, addr, r.restartCount(), r.co.cfg.MaxRestarts)
-	return nil
-}
-
-// attachResumed registers a freshly handshaken Resume session and queues
-// the retained inputs its restored devices need to replay. It reports
-// false — after cleaning the connection up — when the run already closed.
-func (r *run) attachResumed(conn transport.Conn, addr string, devices []int, sid int64) (*peerConn, bool) {
-	link, res := r.resumeControl(conn, addr, sid)
-	np := &peerConn{addr: addr, conn: link, res: res, out: newOutbox(link), devices: devices}
-	np.touch()
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		conn.Close()
-		np.out.Kill()
-		np.out.Close()
-		return nil, false
-	}
-	r.peers = append(r.peers, np)
-	for _, d := range devices {
-		r.byDev[d] = np
-		ds := r.devs[d]
-		// The restored device consumed everything up to its snapshot;
-		// replay needs the retained inputs after it, in step order.
-		ds.stepGoSent = ds.snapStep
-		steps := make([]int, 0, len(ds.inputs))
-		for s := range ds.inputs {
-			steps = append(steps, s)
-		}
-		sort.Ints(steps)
-		for _, s := range steps {
-			np.out.Enqueue(&wire.Frame{Kind: wire.KindInput, Dev: int32(d), Step: int32(s), Payload: ds.inputs[s]})
-		}
-	}
-	r.mu.Unlock()
-	return np, true
-}
-
-func (r *run) restartCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.restarts
-}
-
-// buildResume encodes the Resume frame for a set of devices from their
-// current snapshots.
-func (r *run) buildResume(devices []int, sid int64) *wire.Frame {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	res := &wire.Resume{Assign: wire.Assign{Plan: r.plan, Spec: r.co.cfg.Spec,
-		Run: r.runCfg, Devices: devices, Snapshot: r.seedSnap,
-		Peers: r.peerDir, Epoch: r.epoch, Session: sid, Degraded: r.degraded,
-		Inputs: r.prestageInputs(devices)}}
-	for _, d := range devices {
-		ds := r.devs[d]
-		res.States = append(res.States, wire.DeviceState{
-			Dev: d, Step: ds.snapStep, Params: ds.params, Velocity: ds.velocity})
-	}
-	return wire.EncodeResume(res)
-}
-
-// dialResume finds a worker to host a Resume session, cycling through the
-// candidate addresses until one accepts and handshakes, bounded by the
-// join timeout.
-func (r *run) dialResume(candidates []string, resume *wire.Frame) (transport.Conn, string, error) {
-	deadline := time.Now().Add(r.joinTimeout())
-	for {
-		conn, addr, err := r.dialHandshake(candidates, deadline)
-		if err != nil {
-			return nil, "", err
-		}
-		if err := conn.Send(resume); err != nil {
-			conn.Close()
-			if time.Now().After(deadline) {
-				return nil, "", fmt.Errorf("no worker accepted the re-placement within %v (last error: %v)", r.joinTimeout(), err)
-			}
-			time.Sleep(50 * time.Millisecond)
-			continue
-		}
-		return conn, addr, nil
-	}
-}
-
-// dialHandshake finds a worker among the candidates that accepts a
-// connection and presents its hello, cycling until the deadline. The
-// caller owns the returned connection and sends the session's opening
-// frame (Assign or Resume) on it.
-func (r *run) dialHandshake(candidates []string, deadline time.Time) (transport.Conn, string, error) {
-	var lastErr error
-	for {
-		for _, addr := range candidates {
-			select {
-			case <-r.failed:
-				return nil, "", fmt.Errorf("cluster: run failed during placement")
-			case <-r.finished:
-				return nil, "", fmt.Errorf("cluster: run finished during placement")
-			default:
-			}
-			conn, err := r.net().Dial(addr)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			hello, err := recvDeadline(conn, deadline)
-			if err != nil {
-				conn.Close()
-				lastErr = err
-				continue
-			}
-			if hello.Kind != wire.KindHello {
-				conn.Close()
-				lastErr = fmt.Errorf("worker %s sent %v, want hello", addr, hello.Kind)
-				continue
-			}
-			return conn, addr, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, "", fmt.Errorf("no worker accepted the placement within %v (last error: %v)", r.joinTimeout(), lastErr)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	r.fail(workerLostError{cause: cause})
 }
 
 // teardown closes every session. After a failure the connections close
@@ -1295,9 +993,6 @@ func (r *run) teardown() {
 	r.mu.Lock()
 	r.closed = true
 	peers := append([]*peerConn(nil), r.peers...)
-	if r.led != nil && !r.ledShared {
-		r.led.Close()
-	}
 	r.mu.Unlock()
 	if r.coTrack != nil {
 		if spans := r.coTrack.Drain(); len(spans) > 0 {
@@ -1336,8 +1031,8 @@ func (r *run) teardown() {
 // Every state-mutating branch re-checks r.closed under r.mu and drops
 // the frame once teardown ran: reader goroutines can outlive their run
 // (teardown closes connections but does not join them), and some state —
-// the coordinator's workbench, the carried ring loss matrix — is shared
-// with the next ring attempt, which owns a different mutex. The closed
+// the coordinator's workbench, the carried loss matrix, the ledger — is shared
+// with the next attempt, which owns a different mutex. The closed
 // flag flips inside teardown's critical section on the driver goroutine,
 // so any write a reader commits before it is ordered before the next
 // attempt's reads, and any reader arriving after it observes closed and
@@ -1395,18 +1090,17 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 				return nil
 			}
 			if step <= ds.outputSeen {
-				return r.replayOnly(ds, "output", step) // already forwarded downstream
+				return duplicate(ds, "output", step)
 			}
 			ds.outputSeen = step
 			r.sendGroupInputLocked(r.plan.Groups[place.gi+1].Devices, step, f.Payload)
-			r.tryCommitLocked(place.gi)
 			return nil
 		}
 		t, err := wire.DecodeTensor(f)
 		if err != nil {
 			return err
 		}
-		return r.onOutput(ds, step, t, f.Payload)
+		return r.onOutput(ds, step, t)
 	case wire.KindGrads:
 		if r.ringMode && !r.degradedGroups[ds.place.gi] {
 			return fmt.Errorf("cluster: ring worker sent gradients to the hub (device %d step %d)", dev, step)
@@ -1415,9 +1109,9 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		return r.onGrads(dev, ds, step, lists)
+		return r.onGrads(ds, step, lists)
 	case wire.KindStepDone:
-		return r.onStepDone(dev, ds, step)
+		return r.onStepDone(ds, step)
 	case wire.KindLosses:
 		vals, err := wire.DecodeLosses(f)
 		if err != nil {
@@ -1468,7 +1162,7 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 			return nil
 		}
 		if ds.done {
-			return nil // replayed completion
+			return duplicate(ds, "done", step)
 		}
 		ds.done = true
 		r.done++
@@ -1481,55 +1175,34 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 	}
 }
 
-// replayOnly guards the duplicate-frame paths: with fault tolerance on, a
-// duplicate is a legitimate replay and is dropped; without it, no replay
-// can exist, so a duplicate is a protocol violation.
-func (r *run) replayOnly(ds *devState, what string, step int) error {
-	if r.ft {
-		return nil
-	}
+// duplicate is the protocol error for a frame the device already sent: an
+// attempt starts every device just past the cut, and the resumable links
+// replay exactly the frames a flap lost, so nothing legitimate repeats.
+func duplicate(ds *devState, what string, step int) error {
 	return fmt.Errorf("cluster: duplicate %s from group %d rank %d step %d", what, ds.place.gi, ds.place.j, step)
 }
 
 // onOutput collects a split group's boundary-activation shards (the
-// k == 1 case forwards payloads directly in handle). The shard is
-// persisted before it enters the gather — a member whose snapshot later
-// passes this step will never re-send it, so a restarted coordinator must
-// already hold it — and once every member's shard of the step arrived,
-// applyOutputLocked assembles the full batch in rank order and relays it
-// to each member of the next group.
-func (r *run) onOutput(ds *devState, step int, t *tensor.Tensor, payload []byte) error {
+// k == 1 case forwards payloads directly in handle); once every member's
+// shard of the step arrived, it assembles the full batch in rank order
+// and relays it to each member of the next group.
+func (r *run) onOutput(ds *devState, step int, t *tensor.Tensor) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil
 	}
 	if step <= ds.outputSeen {
-		return r.replayOnly(ds, "output", step)
+		return duplicate(ds, "output", step)
 	}
-	r.logRecord(ledger.Output(int(r.plan.Groups[ds.place.gi].Devices[ds.place.j]), step, payload))
-	if err := r.applyOutputLocked(ds, step, t); err != nil {
-		return err
-	}
-	r.tryCommitLocked(ds.place.gi)
-	return nil
-}
-
-// applyOutputLocked is the gather mutation shared by live shard arrivals
-// and ledger restore: record the member's shard and, when the step's
-// gather completes, assemble and forward the full batch downstream.
-func (r *run) applyOutputLocked(ds *devState, step int, t *tensor.Tensor) error {
-	place := ds.place
 	ds.outputSeen = step
+	place := ds.place
 	k := r.plan.Groups[place.gi].Split()
 	st := r.outputs[place.gi]
 	g := st[step]
 	if g == nil {
 		g = &gather{parts: make([]*tensor.Tensor, k)}
 		st[step] = g
-	}
-	if g.parts[place.j] != nil {
-		return fmt.Errorf("cluster: duplicate output from group %d rank %d step %d", place.gi, place.j, step)
 	}
 	g.parts[place.j] = t
 	g.have++
@@ -1555,10 +1228,8 @@ func (r *run) applyOutputLocked(ds *devState, step int, t *tensor.Tensor) error 
 // onGrads collects a split group's gradient lists and, once complete,
 // performs the deterministic all-reduce — sum over member ranks 0..k-1,
 // scale by 1/k, exactly the in-process evaluation order — and returns the
-// mean to every member. Completed reductions are cached (under fault
-// tolerance) until every member's snapshot passes the step, so a replayed
-// member re-requesting an old step gets the identical bytes back.
-func (r *run) onGrads(dev int, ds *devState, step int, lists []*tensor.Tensor) error {
+// mean to every member.
+func (r *run) onGrads(ds *devState, step int, lists []*tensor.Tensor) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -1569,14 +1240,6 @@ func (r *run) onGrads(dev int, ds *devState, step int, lists []*tensor.Tensor) e
 	if k == 1 {
 		return fmt.Errorf("cluster: gradient frame from unsplit group %d", place.gi)
 	}
-	if payload, ok := r.reduceCache[place.gi][step]; ok {
-		// Replay of an already-reduced step: answer from the cache.
-		if p := r.byDev[dev]; p != nil {
-			p.out.Enqueue(&wire.Frame{Kind: wire.KindGradsReduced,
-				Dev: int32(dev), Step: int32(step), Payload: payload})
-		}
-		return nil
-	}
 	st := r.grads[place.gi]
 	g := st[step]
 	if g == nil {
@@ -1584,9 +1247,7 @@ func (r *run) onGrads(dev int, ds *devState, step int, lists []*tensor.Tensor) e
 		st[step] = g
 	}
 	if g.parts[place.j] != nil {
-		// The member's pre-crash gradients are already in the gather; the
-		// replayed copy is bit-identical by construction.
-		return r.replayOnly(ds, "gradients", step)
+		return duplicate(ds, "gradients", step)
 	}
 	g.parts[place.j] = lists
 	g.have++
@@ -1617,14 +1278,6 @@ func (r *run) onGrads(dev int, ds *devState, step int, lists []*tensor.Tensor) e
 		reduced[pi] = sum
 	}
 	payload := wire.EncodeTensors(wire.KindGradsReduced, wire.NoDev, int32(step), reduced).Payload
-	if r.ft {
-		r.reduceCache[place.gi][step] = payload
-		// Persist before answering: a member that receives the reduction
-		// can snapshot past the step and never re-send its gradients, so a
-		// restarted coordinator must be able to answer the other members'
-		// replays from the persisted cache.
-		r.logRecord(ledger.Reduction(place.gi, step, payload))
-	}
 	for _, d := range r.plan.Groups[place.gi].Devices {
 		if p := r.byDev[d]; p != nil {
 			p.out.Enqueue(&wire.Frame{Kind: wire.KindGradsReduced,
@@ -1634,54 +1287,30 @@ func (r *run) onGrads(dev int, ds *devState, step int, lists []*tensor.Tensor) e
 	return nil
 }
 
-// onStepDone counts the global no-DPU barrier and releases it per device:
-// every device receives its own StepGo exactly once per step, tracked by
-// stepGoSent so replayed arrivals are re-answered (when the barrier
-// already released) without double-counting or double-delivery.
-func (r *run) onStepDone(dev int, ds *devState, step int) error {
+// onStepDone counts the global no-DPU barrier; the arrival that completes
+// a step persists the release and sends every device its StepGo.
+func (r *run) onStepDone(ds *devState, step int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil
 	}
 	if step <= ds.barrierSeen {
-		// Replayed arrival: the count already includes this device. If the
-		// barrier has released, re-answer the restored device directly.
-		if err := r.replayOnly(ds, "step-done", step); err != nil {
-			return err
-		}
-		if step <= r.stepGoThrough && ds.stepGoSent < step {
-			r.sendStepGoLocked(dev, ds, step)
-		}
-		return nil
+		return duplicate(ds, "step-done", step)
 	}
 	ds.barrierSeen = step
 	r.barrier[step]++
 	if r.barrier[step] == r.nDev {
 		delete(r.barrier, step)
-		r.stepGoThrough = step
-		// Only the release is persisted: an unreleased barrier means no
-		// device completed the step, so every device re-arrives on replay
-		// and the count rebuilds itself.
+		// Only the release is persisted: it implies every device's arrival,
+		// and an unreleased barrier means no device completed the step, so
+		// every device re-arrives after a restart.
 		r.logRecord(ledger.Barrier(step))
-		for d, dds := range r.devs {
-			if dds.stepGoSent < step {
-				r.sendStepGoLocked(d, dds, step)
-			}
+		for d, p := range r.byDev {
+			p.out.Enqueue(wire.Control(wire.KindStepGo, int32(d), int32(step)))
 		}
 	}
-	r.tryCommitLocked(ds.place.gi)
 	return nil
-}
-
-// sendStepGoLocked delivers one device's barrier release, if the device
-// is currently attached; a dead device's release is re-sent when its
-// replayed StepDone arrives after re-placement.
-func (r *run) sendStepGoLocked(dev int, ds *devState, step int) {
-	if p := r.byDev[dev]; p != nil {
-		p.out.Enqueue(wire.Control(wire.KindStepGo, int32(dev), int32(step)))
-		ds.stepGoSent = step
-	}
 }
 
 // onLosses records a member's per-block losses and releases a pipeline
@@ -1692,35 +1321,15 @@ func (r *run) onLosses(ds *devState, step int, vals []float64) error {
 	if r.closed {
 		return nil
 	}
-	place := ds.place
-	nbg := len(r.plan.Groups[place.gi].Blocks)
-	if len(vals) != nbg {
-		return fmt.Errorf("cluster: group %d rank %d reported %d losses, want %d", place.gi, place.j, len(vals), nbg)
-	}
-	if step < 0 || step >= r.steps {
-		return fmt.Errorf("cluster: loss report for step %d of %d", step, r.steps)
+	if err := r.checkLosses(ds, step, vals); err != nil {
+		return err
 	}
 	if step <= ds.lossSeen {
-		// A replayed step recomputes bit-identical losses; the matrix and
-		// the pipeline credit already account for them.
-		return r.replayOnly(ds, "losses", step)
+		return duplicate(ds, "losses", step)
 	}
-	r.logRecord(ledger.Losses(int(r.plan.Groups[place.gi].Devices[place.j]), step, vals))
-	r.applyLossesLocked(ds, step, vals)
-	r.tryCommitLocked(place.gi)
-	return nil
-}
-
-// applyLossesLocked is the loss-row mutation shared by live reports and
-// ledger restore: fill the matrix and release a pipeline credit when the
-// whole first group finishes a step.
-func (r *run) applyLossesLocked(ds *devState, step int, vals []float64) {
 	place := ds.place
-	nbg := len(r.plan.Groups[place.gi].Blocks)
-	ds.lossSeen = step
-	for bi, v := range vals {
-		r.losses[place.gi][place.j*nbg+bi][step] = v
-	}
+	r.logRecord(ledger.Losses(r.plan.Groups[place.gi].Devices[place.j], step, vals))
+	r.recordLossesLocked(ds, step, vals)
 	if place.gi == 0 {
 		r.g0done[step]++
 		if r.g0done[step] == r.plan.Groups[0].Split() {
@@ -1732,14 +1341,41 @@ func (r *run) applyLossesLocked(ds *devState, step int, vals []float64) {
 			}
 		}
 	}
+	return nil
 }
 
-// onSnapshot handles a device's post-step recovery state. Under the
-// per-member policy it installs directly; under Rank0Dedup the frame must
-// come from the group's rank 0 and only becomes the group's committed
-// snapshot once every member has accounted for the covered steps.
+func (r *run) checkLosses(ds *devState, step int, vals []float64) error {
+	if nbg := len(r.plan.Groups[ds.place.gi].Blocks); len(vals) != nbg {
+		return fmt.Errorf("cluster: group %d rank %d reported %d losses, want %d", ds.place.gi, ds.place.j, len(vals), nbg)
+	}
+	if step < 0 || step >= r.steps {
+		return fmt.Errorf("cluster: loss report for step %d of %d", step, r.steps)
+	}
+	return nil
+}
+
+// recordLossesLocked fills one device's loss row and advances its mark;
+// shared by live reports and ledger replay (a restarted coordinator
+// re-logs the rows it replays, bit-identically, so replay may see a step
+// twice).
+func (r *run) recordLossesLocked(ds *devState, step int, vals []float64) {
+	nbg := len(vals)
+	for bi, v := range vals {
+		r.losses[ds.place.gi][ds.place.j*nbg+bi][step] = v
+	}
+	if step > ds.lossSeen {
+		ds.lossSeen = step
+	}
+}
+
+// onSnapshot persists a device's post-step restart state and records it
+// in the group's history. Replicas are bit-identical after every step, so
+// under Rank0Dedup the one copy rank 0 ships stands for the whole group;
+// whether a snapshotted step can be the cut is decided by cutLocked from
+// every device's loss and barrier marks, never by the snapshot alone.
 func (r *run) onSnapshot(dev int, ds *devState, step int, params, velocity []*tensor.Tensor) error {
-	if err := r.checkSnapshotShapes(dev, ds.place.gi, params, velocity); err != nil {
+	gi := ds.place.gi
+	if err := r.checkSnapshotShapes(dev, gi, params, velocity); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -1748,38 +1384,19 @@ func (r *run) onSnapshot(dev int, ds *devState, step int, params, velocity []*te
 		return nil
 	}
 	if step <= ds.snapStep {
-		return r.replayOnly(ds, "snapshot", step)
+		return duplicate(ds, "snapshot", step)
 	}
+	if r.policy.Rank0Dedup && ds.place.j != 0 {
+		return fmt.Errorf("cluster: snapshot from rank %d of group %d under rank-0 dedup", ds.place.j, gi)
+	}
+	ds.snapStep = step
 	r.co.cfg.Metrics.Add("snapshots", 1)
-	if !r.policy.Rank0Dedup {
+	if r.policy.Rank0Dedup {
+		r.logRecord(ledger.GroupSnapshot(gi, step, params, velocity))
+	} else {
 		r.logRecord(ledger.DevSnapshot(dev, step, params, velocity))
-		r.applyDevSnapshotLocked(ds, step, params, velocity)
-		return nil
 	}
-	if ds.place.j != 0 {
-		return fmt.Errorf("cluster: snapshot from rank %d of group %d under rank-0 dedup", ds.place.j, ds.place.gi)
-	}
-	gi := ds.place.gi
-	// A re-placed rank 0 replays past its commit point and re-emits
-	// pending snapshots; replace rather than duplicate (bit-identical by
-	// the replica guarantee).
-	replaced := false
-	for i := range r.pend[gi] {
-		if r.pend[gi][i].step == step {
-			r.pend[gi][i] = pendingSnap{step: step, params: params, velocity: velocity}
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		r.pend[gi] = append(r.pend[gi], pendingSnap{step: step, params: params, velocity: velocity})
-	}
-	// The pending parameters are already valid ring-restart state for the
-	// whole group (bit-identical replicas): record them even though the
-	// group-level commit may later skip this step, or two groups whose
-	// commits skip different steps could lose every common cut candidate.
 	r.recordHistLocked(gi, step, params, velocity)
-	r.tryCommitLocked(gi)
 	return nil
 }
 
@@ -1798,119 +1415,8 @@ func (r *run) checkSnapshotShapes(dev, gi int, params, velocity []*tensor.Tensor
 	return nil
 }
 
-// applyDevSnapshotLocked installs one device's snapshot and prunes the
-// retention it obsoletes: inputs the device will never replay and
-// reductions no member of its group can re-request. Shared by live
-// per-member snapshots and ledger restore.
-func (r *run) applyDevSnapshotLocked(ds *devState, step int, params, velocity []*tensor.Tensor) {
-	ds.snapStep = step
-	ds.params = params
-	ds.velocity = velocity
-	for s := range ds.inputs {
-		if s <= step {
-			delete(ds.inputs, s)
-		}
-	}
-	r.recordHistLocked(ds.place.gi, step, params, velocity)
-	r.pruneReductionsLocked(ds.place.gi)
-}
-
-func (r *run) pruneReductionsLocked(gi int) {
-	if len(r.reduceCache[gi]) == 0 {
-		return
-	}
-	minSnap := r.steps
-	for _, d := range r.plan.Groups[gi].Devices {
-		if s := r.devs[d].snapStep; s < minSnap {
-			minSnap = s
-		}
-	}
-	for s := range r.reduceCache[gi] {
-		if s <= minSnap {
-			delete(r.reduceCache[gi], s)
-		}
-	}
-}
-
-// accountedLocked returns the highest step the device has fully accounted
-// for at the hub: its loss row is recorded and — where the protocol
-// demands it — its output shard was incorporated and its barrier arrival
-// counted. A group snapshot may only commit up to the minimum of its
-// members' accounted steps; anything further would let a resumed member
-// skip replaying work the hub never saw.
-func (r *run) accountedLocked(ds *devState) int {
-	a := ds.lossSeen
-	// Ring sessions forward activations peer-to-peer; the hub never sees
-	// an output shard, so the loss row (and barrier) are the whole account.
-	if !r.ringMode && ds.place.gi < len(r.plan.Groups)-1 && ds.outputSeen < a {
-		a = ds.outputSeen
-	}
-	if !r.co.cfg.DPU && ds.barrierSeen < a {
-		a = ds.barrierSeen
-	}
-	return a
-}
-
-// tryCommitLocked advances a group's committed snapshot to the newest
-// pending rank-0 snapshot every member has accounted for. No-op unless
-// rank-0 dedup is active and a pending snapshot exists.
-func (r *run) tryCommitLocked(gi int) {
-	if !r.policy.Rank0Dedup || len(r.pend[gi]) == 0 {
-		return
-	}
-	acct := r.steps
-	for _, d := range r.plan.Groups[gi].Devices {
-		if a := r.accountedLocked(r.devs[d]); a < acct {
-			acct = a
-		}
-	}
-	best := -1
-	for i, p := range r.pend[gi] {
-		if p.step <= acct && (best < 0 || p.step > r.pend[gi][best].step) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return
-	}
-	p := r.pend[gi][best]
-	r.logRecord(ledger.GroupSnapshot(gi, p.step, p.params, p.velocity))
-	r.applyGroupSnapshotLocked(gi, p.step, p.params, p.velocity)
-}
-
-// applyGroupSnapshotLocked commits one group-level snapshot: every member
-// adopts the (bit-identical) parameters, retained inputs and reductions
-// the commit obsoletes are pruned, and older pending snapshots drop.
-// Shared by live commits and ledger restore.
-func (r *run) applyGroupSnapshotLocked(gi, step int, params, velocity []*tensor.Tensor) {
-	for _, d := range r.plan.Groups[gi].Devices {
-		ds := r.devs[d]
-		if step <= ds.snapStep {
-			continue
-		}
-		ds.snapStep = step
-		ds.params = params
-		ds.velocity = velocity
-		for s := range ds.inputs {
-			if s <= step {
-				delete(ds.inputs, s)
-			}
-		}
-	}
-	r.recordHistLocked(gi, step, params, velocity)
-	r.pruneReductionsLocked(gi)
-	kept := r.pend[gi][:0]
-	for _, p := range r.pend[gi] {
-		if p.step > step {
-			kept = append(kept, p)
-		}
-	}
-	r.pend[gi] = kept
-}
-
 // onFinalParams installs a group leader's trained student parameters
-// into the coordinator's workbench. A replayed report re-installs the
-// identical values.
+// into the coordinator's workbench.
 func (r *run) onFinalParams(place devPlace, params []*tensor.Tensor) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -69,9 +68,6 @@ func TestRingCoordinatorKillResume(t *testing.T) {
 				})
 				if err != nil {
 					t.Fatalf("ring resume failed: %v\nlog:\n%s", err, logs())
-				}
-				if !strings.Contains(logs(), "ring restart of") {
-					t.Fatalf("resume did not take the ring restart path; log:\n%s", logs())
 				}
 				lossesBitIdentical(t, label, res, refRes[dpu])
 				weightsBitIdentical(t, label, w2, refs[dpu])

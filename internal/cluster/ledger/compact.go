@@ -10,53 +10,18 @@ import (
 )
 
 // Checkpoint builds a consolidated-prefix record.
-func Checkpoint(step int, children []*Record) *Record {
-	return &Record{Type: TypeCheckpoint, Step: step, Children: children}
+func Checkpoint(children []*Record) *Record {
+	return &Record{Type: TypeCheckpoint, Children: children}
 }
-
-// Marks builds an input high-water-marks record (groupInThrough per plan
-// group).
-func Marks(marks []int) *Record {
-	return &Record{Type: TypeMarks, Marks: marks}
-}
-
-// horizonMode selects how compactGeneration picks the restore horizon —
-// the oldest step whose snapshots a resume may still restart from.
-type horizonMode int
-
-const (
-	// horizonPerDevice is the hub's surgical-replay horizon: the minimum
-	// over devices of each device's newest snapshotted step. Each device
-	// is restored to its own latest snapshot independently.
-	horizonPerDevice horizonMode = iota
-	// horizonGlobalAccounted is the global-restart horizon: the newest
-	// step every group holds a snapshot for that is also fully accounted
-	// (loss rows from every device and, without DPU, the barrier
-	// release). Ring resumes — and the final generation of any
-	// repartitioned log — restart every device from this common cut.
-	horizonGlobalAccounted
-	// horizonGlobalAtCut is a superseded generation's horizon: the newest
-	// step at or below the recorded repartition cut that every group
-	// holds a snapshot for. It mirrors the resume's carry computation
-	// exactly — accounting does not apply, because the cut was already
-	// validated by the live repartition that recorded it.
-	horizonGlobalAtCut
-)
 
 // Compact rewrites a ledger's record log as one checkpoint record per
 // plan generation holding only what a resume still needs, closing the
 // "log grows unbounded with run length" debt. Within a generation it
 // keeps:
 //
-//   - snapshot records at or past the generation's restore horizon (see
-//     horizonMode: the hub keeps each device's latest, a global-restart
-//     generation keeps the history its cut may need);
-//   - input records still replayable by some receiving device (step past
-//     that device's newest snapshot), plus a marks record so the dropped
-//     ones cannot regress the coordinator's feed cursor;
-//   - output shards and reductions past their group's restore horizon
-//     (older ones can never be asked for again: a member restored from its
-//     snapshot never re-sends work at or before the snapshotted step);
+//   - snapshot records at or past the generation's restore horizon — the
+//     step the resume will restart every device from (see
+//     compactGeneration);
 //   - every loss row — the final Result needs the complete trajectory, and
 //     loss rows are tiny next to the tensor records compaction drops;
 //   - the newest barrier release.
@@ -67,10 +32,6 @@ const (
 // recorded re-plan in turn), and the output interleaves one checkpoint
 // per generation with the original repartition records — so the resume's
 // generation split sees exactly the structure it saw before compaction.
-// Repartitioned logs always resume through the attempt driver, which
-// restarts every device from a global cut rather than surgically
-// replaying hub state, so every generation of a multi-generation log
-// uses a global-cut horizon whatever the topology.
 //
 // Kept records preserve their original log order, so replaying a
 // checkpoint is replaying a valid (sub)history. Compact is an offline
@@ -104,19 +65,11 @@ func Compact(dir string) error {
 		}
 	}
 
-	multi := len(gens) > 1
 	plan := man.Assign.Plan
 	var out []byte
 	for _, gen := range gens {
-		mode, cut := horizonPerDevice, -1
-		switch {
-		case gen.repart != nil:
-			mode, cut = horizonGlobalAtCut, gen.repart.Step
-		case multi || man.Assign.Run.Topology == "ring":
-			mode = horizonGlobalAccounted
-		}
-		kept, horizon := compactGeneration(gen.recs, plan.Groups, man.Assign.Run.DPU, mode, cut)
-		payload, err := Checkpoint(horizon, kept).encode()
+		kept := compactGeneration(gen.recs, plan.Groups, man.Assign.Run.DPU, gen.repart)
+		payload, err := Checkpoint(kept).encode()
 		if err != nil {
 			return err
 		}
@@ -147,175 +100,93 @@ func Compact(dir string) error {
 }
 
 // compactGeneration filters one generation's records under its plan,
-// returning the kept records (original order, marks record last) and the
-// generation's restore horizon.
-func compactGeneration(recs []*Record, groups []sched.Group, dpu bool, mode horizonMode, cut int) ([]*Record, int) {
+// returning the kept records in their original order. Snapshots are kept
+// from the generation's restore horizon on: the newest step every group
+// holds a snapshot for, at or below a bound that mirrors the resume's own
+// cut computation. For the
+// final generation (repart nil) the bound is the accounted step — loss
+// rows from every device and, without DPU, the barrier release — because
+// the resume restarts every device from the accounted global cut. For a
+// superseded generation the bound is the recorded repartition cut itself;
+// accounting does not apply, the live repartition already validated it.
+// With no common step the horizon is -1: everything is kept and the
+// resume replays from the seed.
+func compactGeneration(recs []*Record, groups []sched.Group, dpu bool, repart *Record) []*Record {
 	groupOf := map[int]int{}
-	finalSnap := map[int]int{}
+	lossHi := map[int]int{}
 	for gi, g := range groups {
 		for _, d := range g.Devices {
 			groupOf[d] = gi
-			finalSnap[d] = -1
+			lossHi[d] = -1
 		}
 	}
-
-	// Pass 1: each device's newest snapshotted step, and the input marks.
-	marks := make([]int, len(groups))
-	for gi := range marks {
-		marks[gi] = -1
+	groupSnaps := make([]map[int]bool, len(groups))
+	for gi := range groupSnaps {
+		groupSnaps[gi] = map[int]bool{}
 	}
+	var lastBarrier *Record
 	for _, rec := range recs {
 		switch rec.Type {
 		case TypeDevSnapshot:
-			if rec.Step > finalSnap[rec.Dev] {
-				finalSnap[rec.Dev] = rec.Step
-			}
+			groupSnaps[groupOf[rec.Dev]][rec.Step] = true
 		case TypeGroupSnapshot:
-			for _, d := range groups[rec.Group].Devices {
-				if rec.Step > finalSnap[d] {
-					finalSnap[d] = rec.Step
-				}
+			groupSnaps[rec.Group][rec.Step] = true
+		case TypeLosses:
+			if rec.Step > lossHi[rec.Dev] {
+				lossHi[rec.Dev] = rec.Step
 			}
-		case TypeInput:
-			if len(rec.Devs) > 0 {
-				gi := groupOf[rec.Devs[0]]
-				if rec.Step > marks[gi] {
-					marks[gi] = rec.Step
-				}
-			}
-		case TypeMarks:
-			for gi, m := range rec.Marks {
-				if gi < len(marks) && m > marks[gi] {
-					marks[gi] = m
-				}
+		case TypeBarrier:
+			if lastBarrier == nil || rec.Step > lastBarrier.Step {
+				lastBarrier = rec
 			}
 		}
 	}
-	horizon := -1 << 30
-	for _, s := range finalSnap {
-		if horizon == -1<<30 || s < horizon {
-			horizon = s
-		}
-	}
-	if horizon == -1<<30 {
-		horizon = -1 // no devices: degenerate, keep everything
-	}
-	if mode != horizonPerDevice {
-		// Global restore horizon: the restart rewinds every device to one
-		// common cut, so the kept snapshots must include a step every
-		// group holds. The per-device minimum above could keep the
-		// groups' newest snapshots at *different* steps and drop their
-		// last common one, leaving the resume nothing to restart from
-		// short of the seed.
-		groupSnaps := make([]map[int]bool, len(groups))
-		for gi := range groupSnaps {
-			groupSnaps[gi] = map[int]bool{}
-		}
-		lossHi := map[int]int{}
-		for d := range groupOf {
-			lossHi[d] = -1
+	bound := -1
+	if repart != nil {
+		bound = repart.Step
+	} else if len(lossHi) > 0 {
+		bound = 1 << 30
+		for _, s := range lossHi {
+			if s < bound {
+				bound = s
+			}
 		}
 		barrierHi := -1
-		for _, rec := range recs {
-			switch rec.Type {
-			case TypeDevSnapshot:
-				groupSnaps[groupOf[rec.Dev]][rec.Step] = true
-			case TypeGroupSnapshot:
-				groupSnaps[rec.Group][rec.Step] = true
-			case TypeLosses:
-				if rec.Step > lossHi[rec.Dev] {
-					lossHi[rec.Dev] = rec.Step
-				}
-			case TypeBarrier:
-				if rec.Step > barrierHi {
-					barrierHi = rec.Step
-				}
-			}
+		if lastBarrier != nil {
+			barrierHi = lastBarrier.Step
 		}
-		start := cut
-		if mode == horizonGlobalAccounted {
-			acct := 1 << 30
-			for _, s := range lossHi {
-				if s < acct {
-					acct = s
-				}
-			}
-			if acct == 1<<30 {
-				acct = -1 // no devices
-			}
-			if !dpu && barrierHi < acct {
-				acct = barrierHi
-			}
-			start = acct
+		if !dpu && barrierHi < bound {
+			bound = barrierHi
 		}
-		horizon = -1 // no common step: keep everything, resume replays from the seed
-		for s := start; s >= 0; s-- {
-			all := true
-			for _, snaps := range groupSnaps {
-				if !snaps[s] {
-					all = false
-					break
-				}
-			}
-			if all {
-				horizon = s
+	}
+	horizon := -1
+	for s := bound; s >= 0; s-- {
+		all := true
+		for _, snaps := range groupSnaps {
+			if !snaps[s] {
+				all = false
 				break
 			}
 		}
-	}
-	groupHorizon := func(gi int) int {
-		h := -1 << 30
-		for _, d := range groups[gi].Devices {
-			if h == -1<<30 || finalSnap[d] < h {
-				h = finalSnap[d]
-			}
+		if all {
+			horizon = s
+			break
 		}
-		return h
 	}
 
-	// Pass 2: filter, preserving log order.
 	var kept []*Record
-	var lastBarrier *Record
 	for _, rec := range recs {
 		switch rec.Type {
 		case TypeDevSnapshot, TypeGroupSnapshot:
 			if rec.Step >= horizon {
 				kept = append(kept, rec)
 			}
-		case TypeInput:
-			replayable := false
-			for _, d := range rec.Devs {
-				if rec.Step > finalSnap[d] {
-					replayable = true
-					break
-				}
-			}
-			if replayable {
-				kept = append(kept, rec)
-			}
-		case TypeOutput:
-			if rec.Step > groupHorizon(groupOf[rec.Dev]) {
-				kept = append(kept, rec)
-			}
-		case TypeReduction:
-			if rec.Step > groupHorizon(rec.Group) {
-				kept = append(kept, rec)
-			}
 		case TypeLosses:
 			kept = append(kept, rec)
-		case TypeBarrier:
-			if lastBarrier == nil || rec.Step > lastBarrier.Step {
-				lastBarrier = rec
-			}
-		case TypeMarks:
-			// folded into marks above
 		}
 	}
 	if lastBarrier != nil {
 		kept = append(kept, lastBarrier)
 	}
-	// The marks record goes last so it sets the final cursor values even if
-	// a kept input record would land short of them.
-	kept = append(kept, Marks(marks))
-	return kept, horizon
+	return kept
 }

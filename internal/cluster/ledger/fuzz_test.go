@@ -26,6 +26,11 @@ func FuzzReplayLog(f *testing.F) {
 	f.Add([]byte{recMagic, 0xFF})   // unknown type
 	f.Add([]byte{})                 // empty log
 	f.Add([]byte{0x00, 0x01, 0x02}) // garbage
+	for _, t := range retiredTypes {
+		// A well-framed record of a kind version 2 retired, ahead of a valid
+		// one: replay must stop at it, not decode or skip it.
+		f.Add(append(frameRecord(t, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}), log...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, good := replayLog(data)
 		if good > len(data) || good < 0 {
@@ -50,6 +55,31 @@ func FuzzReplayLog(f *testing.F) {
 				len(rep2.Records), rep2.TornBytes, len(rep.Records))
 		}
 	})
+}
+
+// retiredTypes are the v1 record kinds version 2 dropped: input, output,
+// reduction and marks.
+var retiredTypes = []Type{3, 4, 5, 9}
+
+// TestRetiredRecordTypesStopReplay: bytes of a retired kind — however
+// well framed and checksummed — decode to an error and end the replay
+// there, exactly like any other unknown type; they never panic and are
+// never skipped over.
+func TestRetiredRecordTypesStopReplay(t *testing.T) {
+	valid := frameRecord(TypeBarrier, []byte{3, 0, 0, 0})
+	for _, typ := range retiredTypes {
+		payload := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+		if _, err := decodeRecord(typ, payload); err == nil {
+			t.Fatalf("retired record type %d still decodes", typ)
+		}
+		raw := append(append([]byte(nil), valid...), frameRecord(typ, payload)...)
+		raw = append(raw, valid...)
+		rep, good := replayLog(raw)
+		if len(rep.Records) != 1 || good != len(valid) || rep.TornBytes != len(raw)-len(valid) {
+			t.Fatalf("retired type %d: replayed %d records through byte %d (%d torn), want 1 record and a stop at %d",
+				typ, len(rep.Records), good, rep.TornBytes, len(valid))
+		}
+	}
 }
 
 // FuzzOpenManifest drives the manifest decoder with arbitrary bytes: it

@@ -1,10 +1,12 @@
 // Package ledger is the durable-run store of the cluster coordinator: a
 // versioned, crash-safe on-disk codec that persists everything a
 // restarted coordinator needs to resume a run bit-identically — the
-// immutable session setup in a manifest written via atomic rename, and
-// the mutable hub state (per-device snapshots, retained inputs, completed
-// gradient reductions, emitted loss rows, barrier releases) as an
-// append-only record log.
+// immutable session setup in a manifest written via atomic rename, and,
+// as an append-only record log, what the global restart cut is computed
+// from: post-step snapshots, emitted loss rows, barrier releases, and
+// repartition cuts. Nothing in flight is logged: a resume rewinds every
+// device to the newest step all groups snapshotted and all devices
+// accounted for, and everything after it is recomputed.
 //
 // Crash semantics: every record carries a CRC over its payload, so a
 // coordinator killed mid-append leaves at most one torn record at the
@@ -33,8 +35,11 @@ import (
 
 const (
 	// Version is the on-disk format version; manifests stamped with any
-	// other version are rejected by Open.
-	Version = 1
+	// other version are rejected by Open. Version 2 retired the record
+	// kinds only per-device surgical replay read (inputs, output shards,
+	// reductions, input marks), so a v1 directory fails with ErrVersion
+	// rather than replaying a log this code cannot interpret.
+	Version = 2
 
 	// ManifestName and LogName are the two files a ledger directory holds.
 	ManifestName = "MANIFEST"
@@ -140,61 +145,41 @@ type Manifest struct {
 	Meta        string
 }
 
-// Type identifies a record's kind in the log.
+// Type identifies a record's kind in the log. The values are part of the
+// on-disk format; 3, 4, 5 and 9 belonged to kinds retired in version 2
+// and are never reused.
 type Type uint8
 
 const (
-	// TypeDevSnapshot is one device's post-step recovery state (student
+	// TypeDevSnapshot is one device's post-step restart state (student
 	// parameters + optimizer velocities), emitted under the per-member
 	// snapshot policy.
-	TypeDevSnapshot Type = iota + 1
-	// TypeGroupSnapshot is a committed group-level snapshot under rank-0
-	// dedup: one parameter set standing in for every member of the group.
-	TypeGroupSnapshot
-	// TypeInput is an input payload delivered to (and retained for) a set
-	// of devices — the data batch for group 0, the assembled relay
-	// activation otherwise.
-	TypeInput
-	// TypeOutput is one split-group member's boundary-activation shard as
-	// received by the hub. Persisting shards individually is what keeps a
-	// half-assembled gather recoverable: a member that snapshotted past
-	// the step will never re-send its shard, so the restarted hub must
-	// already hold it.
-	TypeOutput
-	// TypeReduction is a completed intra-group gradient reduction.
-	TypeReduction
+	TypeDevSnapshot Type = 1
+	// TypeGroupSnapshot is a group-level snapshot under rank-0 dedup: one
+	// parameter set standing in for every member of the group.
+	TypeGroupSnapshot Type = 2
 	// TypeLosses is one device's per-block loss row for one step.
-	TypeLosses
+	TypeLosses Type = 6
 	// TypeBarrier marks a released no-DPU step barrier.
-	TypeBarrier
+	TypeBarrier Type = 7
 	// TypeCheckpoint is a consolidated prefix of the log written by
 	// Compact: its payload nests the records that still matter for resume
-	// (latest snapshots, still-replayable inputs/outputs/reductions, the
-	// complete loss trajectory, the high-water marks) so everything before
-	// it can be dropped.
-	TypeCheckpoint
-	// TypeMarks records the coordinator's input high-water marks
-	// (groupInThrough per plan group; the feed cursor is group 0's entry).
-	// It only appears inside checkpoints: dropping already-replayed input
-	// records would otherwise regress the marks on resume and make the
-	// coordinator re-feed batches the devices already consumed.
-	TypeMarks
+	// (the snapshots the cut may need, the complete loss trajectory, the
+	// newest barrier release) so everything before it can be dropped.
+	TypeCheckpoint Type = 8
 	// TypeRepartition marks a planned runtime placement change: the run
 	// was cut after Step and continued on the plan encoded in Payload
 	// (wire.EncodePlan). Records before it describe state under the
 	// manifest's (or the previous repartition's) plan; records after it
 	// describe state under the new plan, so resume replays the log in
 	// plan generations.
-	TypeRepartition
-	typeEnd // sentinel: all valid types are below this
+	TypeRepartition Type = 10
 )
 
 var typeNames = map[Type]string{
 	TypeDevSnapshot: "dev-snapshot", TypeGroupSnapshot: "group-snapshot",
-	TypeInput: "input", TypeOutput: "output", TypeReduction: "reduction",
 	TypeLosses: "losses", TypeBarrier: "barrier",
-	TypeCheckpoint: "checkpoint", TypeMarks: "marks",
-	TypeRepartition: "repartition",
+	TypeCheckpoint: "checkpoint", TypeRepartition: "repartition",
 }
 
 func (t Type) String() string {
@@ -208,17 +193,15 @@ func (t Type) String() string {
 // populated fields depend on Type; the rest are zero.
 type Record struct {
 	Type  Type
-	Dev   int   // TypeDevSnapshot, TypeOutput, TypeLosses
-	Group int   // TypeGroupSnapshot, TypeReduction
-	Step  int   // every type
-	Devs  []int // TypeInput: receiving device ranks
+	Dev   int // TypeDevSnapshot, TypeLosses
+	Group int // TypeGroupSnapshot
+	Step  int // every type but TypeCheckpoint
 
 	Params   []*tensor.Tensor // snapshots: student parameters
 	Velocity []*tensor.Tensor // snapshots: optimizer velocities
-	Payload  []byte           // TypeInput, TypeOutput, TypeReduction: encoded frame payload
+	Payload  []byte           // TypeRepartition: the encoded plan
 	Losses   []float64        // TypeLosses
 	Children []*Record        // TypeCheckpoint: the consolidated records
-	Marks    []int            // TypeMarks: groupInThrough per plan group
 }
 
 // DevSnapshot builds a per-member snapshot record.
@@ -226,26 +209,9 @@ func DevSnapshot(dev, step int, params, velocity []*tensor.Tensor) *Record {
 	return &Record{Type: TypeDevSnapshot, Dev: dev, Step: step, Params: params, Velocity: velocity}
 }
 
-// GroupSnapshot builds a committed group-level snapshot record.
+// GroupSnapshot builds a group-level snapshot record.
 func GroupSnapshot(group, step int, params, velocity []*tensor.Tensor) *Record {
 	return &Record{Type: TypeGroupSnapshot, Group: group, Step: step, Params: params, Velocity: velocity}
-}
-
-// Input builds a retained-input record for a set of devices (one record
-// per group delivery, not per device, so split groups do not multiply the
-// logged payload k-fold).
-func Input(devs []int, step int, payload []byte) *Record {
-	return &Record{Type: TypeInput, Devs: devs, Step: step, Payload: payload}
-}
-
-// Output builds a received-shard record for a split-group member.
-func Output(dev, step int, payload []byte) *Record {
-	return &Record{Type: TypeOutput, Dev: dev, Step: step, Payload: payload}
-}
-
-// Reduction builds a completed-reduction record.
-func Reduction(group, step int, payload []byte) *Record {
-	return &Record{Type: TypeReduction, Group: group, Step: step, Payload: payload}
 }
 
 // Losses builds a loss-row record.
@@ -277,18 +243,6 @@ func (rec *Record) encode() ([]byte, error) {
 		w.I32(int32(rec.Step))
 		w.Tensors(rec.Params)
 		w.Tensors(rec.Velocity)
-	case TypeInput:
-		w.I32s(rec.Devs)
-		w.I32(int32(rec.Step))
-		w.Blob(rec.Payload)
-	case TypeOutput:
-		w.I32(int32(rec.Dev))
-		w.I32(int32(rec.Step))
-		w.Blob(rec.Payload)
-	case TypeReduction:
-		w.I32(int32(rec.Group))
-		w.I32(int32(rec.Step))
-		w.Blob(rec.Payload)
 	case TypeLosses:
 		w.I32(int32(rec.Dev))
 		w.I32(int32(rec.Step))
@@ -307,8 +261,6 @@ func (rec *Record) encode() ([]byte, error) {
 			}
 			w.Blob(frameRecord(c.Type, payload))
 		}
-	case TypeMarks:
-		w.I32s(rec.Marks)
 	case TypeRepartition:
 		w.I32(int32(rec.Step))
 		w.Blob(rec.Payload)
@@ -335,18 +287,6 @@ func decodeRecord(t Type, payload []byte) (*Record, error) {
 		rec.Step = int(r.I32())
 		rec.Params = r.Tensors()
 		rec.Velocity = r.Tensors()
-	case TypeInput:
-		rec.Devs = r.I32s()
-		rec.Step = int(r.I32())
-		rec.Payload = r.Blob()
-	case TypeOutput:
-		rec.Dev = int(r.I32())
-		rec.Step = int(r.I32())
-		rec.Payload = r.Blob()
-	case TypeReduction:
-		rec.Group = int(r.I32())
-		rec.Step = int(r.I32())
-		rec.Payload = r.Blob()
 	case TypeLosses:
 		rec.Dev = int(r.I32())
 		rec.Step = int(r.I32())
@@ -369,8 +309,6 @@ func decodeRecord(t Type, payload []byte) (*Record, error) {
 			}
 			rec.Children = append(rec.Children, child)
 		}
-	case TypeMarks:
-		rec.Marks = r.I32s()
 	case TypeRepartition:
 		rec.Step = int(r.I32())
 		rec.Payload = r.Blob()
@@ -603,9 +541,6 @@ func parseRecord(raw []byte) (*Record, int) {
 		return nil, 0
 	}
 	t := Type(raw[1])
-	if t == 0 || t >= typeEnd {
-		return nil, 0
-	}
 	n := binary.LittleEndian.Uint32(raw[2:6])
 	if n > wire.MaxPayload || int(n) > len(raw)-recHeaderLen {
 		return nil, 0

@@ -105,7 +105,6 @@ func TestCompactRepartitionedLogMidGeneration(t *testing.T) {
 		// device 2's loss rows stop at step 0 (a superseded generation's
 		// horizon mirrors the carry, not the ring's loss accounting).
 		snap(t, rng, 0, 0), snap(t, rng, 1, 0), snap(t, rng, 2, 0),
-		Input([]int{0}, 0, []byte{1}), Input([]int{0}, 1, []byte{2}), Input([]int{0}, 2, []byte{3}),
 		Losses(0, 0, []float64{0.5, 0.4}), Losses(1, 0, []float64{0.3}), Losses(2, 0, []float64{0.2}),
 		snap(t, rng, 0, 1), snap(t, rng, 1, 1), snap(t, rng, 2, 1),
 		snap(t, rng, 0, 2),
@@ -153,15 +152,10 @@ func TestCompactRepartitionedLogMidGeneration(t *testing.T) {
 			}
 		case TypeLosses:
 			losses++
-		case TypeInput:
-			t.Fatal("superseded generation kept an input already covered by device snapshots")
 		}
 	}
 	if snaps != 4 || losses != 3 {
 		t.Fatalf("superseded generation kept %d snapshots and %d loss rows, want 4 and 3", snaps, losses)
-	}
-	if last := gen0.Children[len(gen0.Children)-1]; last.Type != TypeMarks || last.Marks[0] != 2 {
-		t.Fatalf("superseded generation's last child = %+v, want marks with group-0 cursor 2", last)
 	}
 	gen1 := rep.Records[2]
 	for _, c := range gen1.Children {
@@ -190,8 +184,8 @@ func TestCompactRepartitionedLogMidGeneration(t *testing.T) {
 // TestCompactRepartitionedLogAtCutBoundary: a coordinator killed right
 // after appending the repartition record leaves an empty final
 // generation; Compact must keep the superseded generation's snapshots at
-// the recorded cut itself and emit a degenerate (marks-only, seed-
-// horizon) checkpoint for the empty generation.
+// the recorded cut itself and emit an empty checkpoint for the empty
+// generation.
 func TestCompactRepartitionedLogAtCutBoundary(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
 	led := mustCreate(t, dir, unsplitManifest())
@@ -229,8 +223,8 @@ func TestCompactRepartitionedLogAtCutBoundary(t *testing.T) {
 		}
 	}
 	empty := rep.Records[2]
-	if len(empty.Children) != 1 || empty.Children[0].Type != TypeMarks {
-		t.Fatalf("empty final generation compacted to %+v, want a marks-only checkpoint", empty)
+	if len(empty.Children) != 0 {
+		t.Fatalf("empty final generation compacted to %+v, want an empty checkpoint", empty)
 	}
 }
 

@@ -175,7 +175,7 @@ type clusterLink struct {
 	// snapshot, when set, encodes the device's post-step recovery state
 	// (student params + optimizer velocities); FinishStep ships it to the
 	// coordinator after every step the session's snapshot policy covers,
-	// so a replacement device can replay from the latest covered step.
+	// so a restart can resume from the newest commonly covered step.
 	snapshot func(step int) *wire.Frame
 	snap     wire.SnapshotPolicy
 
@@ -271,7 +271,7 @@ func (l *clusterLink) StepBarrier(step int) {
 
 // FinishStep implements engine.StepFinisher: once the step's updates are
 // installed, the device's state is exactly "trained through step" — the
-// snapshot the coordinator needs to re-place this device bit-identically.
+// snapshot the coordinator needs to restart this device bit-identically.
 // The policy's interval gates emission: with interval k only every k-th
 // step ships, trading k-fold less snapshot traffic for up to k replayed
 // steps on recovery.

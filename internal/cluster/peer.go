@@ -35,13 +35,11 @@ import (
 // the link as established.
 
 const (
-	// defaultPeerAcceptTimeout bounds how long an accepted peer connection
-	// waits for the session hosting its target device to register, unless
-	// WorkerConfig.PeerTimeout overrides it.
-	defaultPeerAcceptTimeout = 5 * time.Second
-	// defaultMeshTimeout bounds a session's whole mesh-establishment
-	// phase, unless WorkerConfig.MeshTimeout overrides it.
-	defaultMeshTimeout = 10 * time.Second
+	// peerAcceptTimeout bounds how long an accepted peer connection waits
+	// for the session hosting its target device to register.
+	peerAcceptTimeout = 5 * time.Second
+	// meshTimeout bounds a session's whole mesh-establishment phase.
+	meshTimeout = 10 * time.Second
 )
 
 // peerEndpoint is one device's end of a worker-to-worker connection.

@@ -6,9 +6,9 @@ package cluster
 // the contiguous plan from those measurements (sched.Replan over a
 // profilegen.FromMeasured-shaped cost table), and — when the predicted
 // improvement clears a threshold for enough consecutive evaluations —
-// executes a planned global cut at a synchronous step boundary using the
-// exact snapshot + re-placement machinery the ring recovery path already
-// has, then resumes on the new placement.
+// executes a planned global cut at a synchronous step boundary through
+// the same attempt driver every recovery uses (driver.go), then resumes
+// on the new placement.
 //
 // The bit-identity contract survives because re-planning is restricted
 // to all-unsplit plans: each block's training trajectory is a pure
@@ -202,7 +202,7 @@ func (r *run) triggerRepartition(plan sched.Plan, eval sched.ReplanEval) {
 		r.mu.Unlock()
 		return
 	}
-	cut := r.ringCutLocked()
+	cut := r.cutLocked()
 	if cut < 0 || cut >= r.steps-1 {
 		r.mu.Unlock()
 		return // no committed boundary yet (or nothing left to rebalance); retry on the next batch
@@ -224,7 +224,7 @@ func (r *run) triggerRepartition(plan sched.Plan, eval sched.ReplanEval) {
 // cleanly at block boundaries (parameter counts from the workbench) and
 // each group's loss rows are exactly its blocks' rows; the remap moves
 // slices between groups without copying or recombining any tensor.
-func remapCarry(c *ringCarry, oldPlan, newPlan sched.Plan, w *distill.Workbench) *ringCarry {
+func remapCarry(c *runCarry, oldPlan, newPlan sched.Plan, w *distill.Workbench) *runCarry {
 	nb := w.NumBlocks()
 	paramsB := make([][]*tensor.Tensor, nb)
 	velB := make([][]*tensor.Tensor, nb)
@@ -241,7 +241,7 @@ func remapCarry(c *ringCarry, oldPlan, newPlan sched.Plan, w *distill.Workbench)
 			lossB[b] = c.losses[gi][bi]
 		}
 	}
-	out := &ringCarry{cut: c.cut,
+	out := &runCarry{cut: c.cut,
 		params:   make([][]*tensor.Tensor, len(newPlan.Groups)),
 		velocity: make([][]*tensor.Tensor, len(newPlan.Groups)),
 		losses:   make([][][]float64, len(newPlan.Groups))}

@@ -9,7 +9,6 @@ import (
 	"pipebd/internal/cluster/wire"
 	"pipebd/internal/distill"
 	"pipebd/internal/engine"
-	"pipebd/internal/tensor"
 )
 
 // ResumeConfig holds the operational knobs of a resumed run — everything
@@ -19,7 +18,8 @@ import (
 type ResumeConfig struct {
 	// Addrs overrides the manifest's worker addresses; nil reuses them.
 	Addrs []string
-	// JoinTimeout bounds each re-attachment attempt; <= 0 means 10s.
+	// JoinTimeout bounds each placement slot's search for a live worker;
+	// <= 0 means 10s.
 	JoinTimeout time.Duration
 	// MaxRestarts is the worker-loss budget of the resumed run; 0 reuses
 	// the manifest's budget, negative disables worker-loss recovery (the
@@ -38,9 +38,8 @@ type ResumeConfig struct {
 	Fsync ledger.SyncPolicy
 	// Repartition re-arms the runtime repartitioner for the resumed run.
 	// A ledger that already holds repartition records enables it
-	// implicitly regardless (the original run opted in, and the restore
-	// needs the repartition machinery either way); these knobs then tune
-	// the re-armed controller.
+	// implicitly regardless (the original run opted in); these knobs then
+	// tune the re-armed controller.
 	Repartition RepartitionConfig
 	// Expect, when non-nil, pins what the caller believes the ledger
 	// holds; any mismatch fails with a diagnostic before a single worker
@@ -112,14 +111,24 @@ func validateManifest(dir string, man *ledger.Manifest, exp *ResumeExpectation) 
 }
 
 // ResumeRun restarts a killed coordinator from its on-disk ledger: it
-// reloads the manifest, replays the record log into a fresh hub state,
-// rebuilds the coordinator's workbench from the model spec and seed
-// snapshot, re-attaches every worker through the wire Resume machinery
-// (each device restored to its last persisted snapshot), and drives the
-// run to completion. The returned losses and the returned workbench's
-// trained student weights are bit-identical to what the uninterrupted
-// run — and therefore the fault-free engine.RunPipelined — would have
-// produced, for any snapshot interval and with or without rank-0 dedup.
+// reloads the manifest, rebuilds the coordinator's workbench from the
+// model spec and seed snapshot, replays the record log to recover the
+// global cut the crashed coordinator had reached — the newest step every
+// group snapshotted and every device accounted for — and hands that cut
+// to the same attempt driver a live restart uses: every device is
+// re-placed on the still-running workers via wire Resume frames and the
+// run is driven to completion. The returned losses and the returned
+// workbench's trained student weights are bit-identical to what the
+// uninterrupted run — and therefore the fault-free engine.RunPipelined —
+// would have produced, for either topology, any snapshot interval, and
+// with or without rank-0 dedup.
+//
+// A repartitioned log replays generation by generation: each superseded
+// generation's records rebuild the snapshot history under *its* plan,
+// the carry at the recorded cut is remapped onto the next recorded plan
+// (block boundaries move between devices; no tensor is recombined), and
+// the final generation is driven to completion under the log's last
+// plan.
 //
 // The resumed run keeps appending to the same ledger, so a resume that is
 // itself killed can be resumed again.
@@ -128,22 +137,48 @@ func ResumeRun(net transport.Network, dir string, rc ResumeConfig) (engine.Resul
 	if err != nil {
 		return engine.Result{}, nil, err
 	}
-	if err := validateManifest(dir, man, rc.Expect); err != nil {
-		led.Close()
-		return engine.Result{}, nil, err
+	c, w, addrs, err := resumeSetup(net, dir, led, man, rc)
+	var restart *runCarry
+	var gens int
+	if err == nil {
+		restart, gens, err = c.replayLog(w, man, rep, addrs)
 	}
-	if err := led.SetSync(rc.Fsync); err != nil {
-		led.Close()
-		return engine.Result{}, nil, err
-	}
-	w, err := BuildWorkbench(man.Assign.Spec)
 	if err != nil {
 		led.Close()
 		return engine.Result{}, nil, err
 	}
-	if err := InstallSnapshot(w, man.Assign.Snapshot); err != nil {
-		led.Close()
+	topo := c.cfg.Topology
+	if topo == "" {
+		topo = "hub"
+	}
+	c.logf("ledger %s: restored %d records (%d torn bytes dropped, %d plan generation(s)); %s restart under plan %q from step %d",
+		dir, len(rep.Records), rep.TornBytes, gens, topo, c.cfg.Plan.Name, restart.cut+1)
+	d := &driver{c: c, w: w, batches: man.Batches, addrs: addrs, seed: man.Assign.Snapshot,
+		led: led, carry: restart}
+	res, err := d.drive()
+	if err != nil {
 		return engine.Result{}, nil, err
+	}
+	return res, w, nil
+}
+
+// resumeSetup validates the manifest against the caller's expectation and
+// rebuilds what ResumeRun drives with: the coordinator (configured from
+// the manifest plus the resume's operational knobs), the seed workbench,
+// and the worker addresses.
+func resumeSetup(net transport.Network, dir string, led *ledger.Ledger, man *ledger.Manifest, rc ResumeConfig) (*Coordinator, *distill.Workbench, []string, error) {
+	if err := validateManifest(dir, man, rc.Expect); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := led.SetSync(rc.Fsync); err != nil {
+		return nil, nil, nil, err
+	}
+	w, err := BuildWorkbench(man.Assign.Spec)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := InstallSnapshot(w, man.Assign.Snapshot); err != nil {
+		return nil, nil, nil, err
 	}
 	addrs := rc.Addrs
 	if len(addrs) == 0 {
@@ -167,7 +202,7 @@ func ResumeRun(net transport.Network, dir string, rc ResumeConfig) (engine.Resul
 		Spec:     man.Assign.Spec,
 		Snapshot: man.Assign.Run.Snap,
 		// LedgerDir marks the run durable for the fault-tolerance switch;
-		// the already-open ledger below is reused rather than re-created.
+		// the driver reuses the already-open ledger rather than creating one.
 		LedgerDir:         dir,
 		JoinTimeout:       rc.JoinTimeout,
 		MaxRestarts:       maxRestarts,
@@ -181,242 +216,79 @@ func ResumeRun(net transport.Network, dir string, rc ResumeConfig) (engine.Resul
 		cfg.HeartbeatInterval = time.Duration(man.Assign.Run.HeartbeatMillis) * time.Millisecond
 		cfg.HeartbeatTimeout = 4 * cfg.HeartbeatInterval
 	}
-	gens := splitGenerations(rep.Records)
-	if len(gens) > 1 {
-		// The log spans plan generations: the original run repartitioned,
-		// so the resumed run keeps the machinery (and the controller) armed
-		// whether or not the caller re-asked for it.
-		cfg.Repartition.Enabled = true
-	}
-	c := NewCoordinator(net, cfg)
-	if cfg.Topology == "ring" || cfg.Repartition.Enabled {
-		return c.resumeDriven(w, man, rep, gens, addrs, led, dir)
-	}
-	r, err := c.newRun(w, man.Batches, addrs)
-	if err != nil {
-		led.Close()
-		return engine.Result{}, nil, err
-	}
-	r.led = led
-	defer r.teardown()
-	if err := r.restore(rep); err != nil {
-		return engine.Result{}, nil, err
-	}
-	c.logf("ledger %s: restored %d records (%d torn bytes dropped); re-attaching %d worker(s)",
-		dir, len(rep.Records), rep.TornBytes, len(addrs))
-	if err := r.rejoinAll(); err != nil {
-		return engine.Result{}, nil, err
-	}
-	res, err := c.execute(r)
-	if err != nil {
-		return engine.Result{}, nil, err
-	}
-	return res, w, nil
+	return NewCoordinator(net, cfg), w, addrs, nil
 }
 
-// planGeneration is one contiguous slice of a ledger's record log that
-// replays under a single plan. A repartition record ends a generation:
-// it carries the cut step and the next generation's plan.
-type planGeneration struct {
-	recs   []*ledger.Record
-	repart *ledger.Record // the terminating cut; nil for the final generation
-}
-
-// splitGenerations partitions a replayed log at its repartition records.
-// A log with none is a single generation under the manifest's plan.
-// Compacted checkpoints never straddle a cut (Compact writes one
-// checkpoint per generation, with the repartition records between them at
-// the top level), so the split only looks at the top level.
-func splitGenerations(recs []*ledger.Record) []planGeneration {
-	gens := []planGeneration{{}}
-	for _, rec := range recs {
-		if rec.Type == ledger.TypeRepartition {
-			gens[len(gens)-1].repart = rec
-			gens = append(gens, planGeneration{})
-			continue
+// replayLog recovers the restart carry from a ledger's record log. Each
+// plan generation (the log splits at its repartition records; compacted
+// checkpoints never straddle one) is replayed into a detached scratch
+// run under its own plan: a superseded generation contributes the carry
+// at its recorded cut, remapped onto the next plan — which also becomes
+// c.cfg.Plan — and the final generation the accounted global cut, exactly
+// what a live attempt failing at that point would have captured. It also
+// reports how many generations the log spans.
+func (c *Coordinator) replayLog(w *distill.Workbench, man *ledger.Manifest, rep *ledger.Replay, addrs []string) (*runCarry, int, error) {
+	var carry *runCarry
+	recs := rep.Records
+	for gens := 1; ; gens++ {
+		n := 0
+		for n < len(recs) && recs[n].Type != ledger.TypeRepartition {
+			n++
 		}
-		gens[len(gens)-1].recs = append(gens[len(gens)-1].recs, rec)
-	}
-	return gens
-}
-
-// resumeDriven restores a killed attempt-driven coordinator (ring
-// topology, and any repartition-enabled hub run). The data plane state
-// these runs need is a global restart cut, not per-device surgical
-// replay, so the record log is replayed into scratch runs only to
-// recover that cut, and the attempt driver then re-places every device
-// against the still-running workers exactly as a live restart would —
-// same carry, same Resume frames, same bit-identical trajectory.
-//
-// A repartitioned log replays generation by generation: each superseded
-// generation's records rebuild the snapshot history under *its* plan,
-// the carry at the recorded cut is remapped onto the next recorded plan
-// (block boundaries move between devices; no tensor is recombined), and
-// the final generation is restored in full and driven to completion
-// under the log's last plan. The resumed run keeps appending to the
-// same ledger.
-func (c *Coordinator) resumeDriven(w *distill.Workbench, man *ledger.Manifest, rep *ledger.Replay,
-	gens []planGeneration, addrs []string, led *ledger.Ledger, dir string) (engine.Result, *distill.Workbench, error) {
-	defer led.Close()
-	var carry *ringCarry
-	for _, gen := range gens[:len(gens)-1] {
-		next, err := c.replayGeneration(w, man, gen, addrs, carry)
+		if n < len(recs) {
+			// The original run repartitioned, so the resumed run keeps the
+			// controller armed whether or not the caller re-asked for it.
+			c.cfg.Repartition.Enabled = true
+		}
+		scratch, err := c.newRun(w, man.Assign.Snapshot, man.Batches, addrs)
 		if err != nil {
-			return engine.Result{}, nil, err
+			return nil, 0, err
 		}
-		carry = next
+		scratch.installCarry(carry)
+		if err := scratch.replayRecords(recs[:n]); err != nil {
+			return nil, 0, err
+		}
+		if n == len(recs) {
+			return scratch.captureCarry(), gens, nil
+		}
+		cut := recs[n]
+		newPlan, err := wire.DecodePlan(cut.Payload)
+		if err != nil {
+			return nil, 0, fmt.Errorf("cluster: repartition record (cut after step %d): %w", cut.Step, err)
+		}
+		// The recorded step itself when every group's replayed history
+		// covers it, else the highest earlier covered step (a torn tail can
+		// lose snapshots the live cut held; replaying a few extra steps
+		// under the next plan is bit-identical anyway), else the seed.
+		carry = remapCarry(scratch.carryAt(cut.Step), c.cfg.Plan, newPlan, w)
+		c.cfg.Plan = newPlan
+		recs = recs[n+1:]
 	}
-	scratch, err := c.newRun(w, man.Batches, addrs)
-	if err != nil {
-		return engine.Result{}, nil, err
-	}
-	scratch.led = led
-	scratch.ledShared = true
-	scratch.installRingCarry(carry)
-	final := gens[len(gens)-1]
-	if err := scratch.restore(&ledger.Replay{Records: final.recs}); err != nil {
-		scratch.teardown()
-		return engine.Result{}, nil, err
-	}
-	restart := scratch.captureRingCarry()
-	scratch.teardown()
-	topo := c.cfg.Topology
-	if topo == "" {
-		topo = "hub"
-	}
-	c.logf("ledger %s: restored %d records (%d torn bytes dropped, %d plan generation(s)); %s restart of %d device(s) under plan %q from step %d",
-		dir, len(rep.Records), rep.TornBytes, len(gens), topo, scratch.nDev, c.cfg.Plan.Name, restart.cut+1)
-	res, err := c.driveRing(w, man.Batches, addrs, led, restart)
-	if err != nil {
-		return engine.Result{}, nil, err
-	}
-	return res, w, nil
 }
 
-// replayGeneration rebuilds a superseded generation's snapshot history in
-// a detached scratch run (no ledger: a closed generation must not append)
-// and returns the carry at its recorded cut, remapped onto the next
-// generation's plan. It mutates c.cfg.Plan to that plan, so subsequent
-// scratch runs — and the final drive — build under it.
-func (c *Coordinator) replayGeneration(w *distill.Workbench, man *ledger.Manifest,
-	gen planGeneration, addrs []string, carry *ringCarry) (*ringCarry, error) {
-	newPlan, err := wire.DecodePlan(gen.repart.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: repartition record (cut after step %d): %w", gen.repart.Step, err)
-	}
-	scratch, err := c.newRun(w, man.Batches, addrs)
-	if err != nil {
-		return nil, err
-	}
-	defer scratch.teardown()
-	scratch.installRingCarry(carry)
-	if err := scratch.replayRecords(gen.recs); err != nil {
-		return nil, err
-	}
-	next := scratch.carryAt(gen.repart.Step)
-	remapped := remapCarry(next, c.cfg.Plan, newPlan, w)
-	c.cfg.Plan = newPlan
-	return remapped, nil
-}
-
-// carryAt builds the restart carry for a recorded repartition cut: the
-// recorded step itself when every group's replayed history covers it,
-// else the highest earlier covered step (persistence can lag the live
-// cut — e.g. pending dedup snapshots are recorded in memory before their
-// group commit reaches the log — and replaying a few extra steps under
-// the next plan is bit-identical anyway), else the seed.
-func (r *run) carryAt(step int) *ringCarry {
+// carryAt builds the carry at the highest step at or below step that
+// every group's history covers (-1: the seed).
+func (r *run) carryAt(step int) *runCarry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := &ringCarry{cut: -1, losses: r.losses,
-		params:   make([][]*tensor.Tensor, len(r.plan.Groups)),
-		velocity: make([][]*tensor.Tensor, len(r.plan.Groups))}
-	for s := step; s >= 0 && c.cut < 0; s-- {
-		all := true
-		for _, h := range r.histG {
-			if _, ok := h[s]; !ok {
-				all = false
-				break
-			}
-		}
-		if all {
-			c.cut = s
-		}
-	}
-	if c.cut >= 0 {
-		for gi := range r.histG {
-			e := r.histG[gi][c.cut]
-			c.params[gi], c.velocity[gi] = e.params, e.velocity
-		}
-	}
-	return c
+	return r.carryLocked(r.coveredLocked(step))
 }
 
-// restore replays the ledger's records through the same state mutations
-// the live handlers use, reconstructing the hub exactly as it stood after
-// the last persisted record: committed snapshots, retained inputs,
-// half-assembled gathers, the reduction cache, the loss matrix, and the
-// replay high-water marks. It runs before any worker attaches, so sends
-// inside the shared helpers are naturally suppressed (no peer is mapped)
-// while forwards of gathers that completed unpersisted are re-logged.
-func (r *run) restore(rep *ledger.Replay) error {
-	if err := r.replayRecords(rep.Records); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// Marks with no record of their own:
-	// - Barrier arrivals are implied by releases: a released step was
-	//   reached by every device, an unreleased one by no completed device,
-	//   so every device re-arrives on replay.
-	// - An unsplit group's relayed outputs are implied by the inputs
-	//   forwarded to the next group (the payload is forwarded verbatim, so
-	//   no separate output record exists).
-	for _, ds := range r.devs {
-		if !r.co.cfg.DPU && r.stepGoThrough > ds.barrierSeen {
-			ds.barrierSeen = r.stepGoThrough
-		}
-	}
-	for gi, g := range r.plan.Groups[:len(r.plan.Groups)-1] {
-		if g.Split() != 1 {
-			continue
-		}
-		ds := r.devs[g.Devices[0]]
-		if t := r.groupInThrough[gi+1]; t > ds.outputSeen {
-			ds.outputSeen = t
-		}
-	}
-	// The credit window: restore released one credit per completed
-	// group-0 step; consume one for every step already fed so the
-	// in-flight count picks up where the crashed coordinator left off.
-	for s := 0; s <= r.fedThrough; s++ {
-		select {
-		case <-r.credits:
-		default:
-			// More completed than fed can only under-drain, never block.
-			return nil
-		}
-	}
-	return nil
-}
-
-// replayRecords replays one record slice through the live handlers' state
-// mutations — the record half of restore, shared with the generation
-// replays of a repartitioned log (which skip restore's implied-marks and
-// credit tails: a superseded generation only contributes its snapshot
-// history and loss rows).
+// replayRecords replays one generation's records through the same state
+// mutations the live handlers use: snapshots into the group history, loss
+// rows into the matrix, barrier releases into every device's mark.
 func (r *run) replayRecords(recs []*ledger.Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, rec := range recs {
-		if err := r.restoreRecordLocked(rec); err != nil {
+		if err := r.replayRecordLocked(rec); err != nil {
 			return fmt.Errorf("cluster: ledger record %d (%v): %w", i, rec.Type, err)
 		}
 	}
 	return nil
 }
 
-func (r *run) restoreRecordLocked(rec *ledger.Record) error {
+func (r *run) replayRecordLocked(rec *ledger.Record) error {
 	switch rec.Type {
 	case ledger.TypeDevSnapshot:
 		ds, ok := r.devs[rec.Dev]
@@ -426,9 +298,7 @@ func (r *run) restoreRecordLocked(rec *ledger.Record) error {
 		if err := r.checkSnapshotShapes(rec.Dev, ds.place.gi, rec.Params, rec.Velocity); err != nil {
 			return err
 		}
-		if rec.Step > ds.snapStep {
-			r.applyDevSnapshotLocked(ds, rec.Step, rec.Params, rec.Velocity)
-		}
+		r.recordHistLocked(ds.place.gi, rec.Step, rec.Params, rec.Velocity)
 	case ledger.TypeGroupSnapshot:
 		if rec.Group < 0 || rec.Group >= len(r.plan.Groups) {
 			return fmt.Errorf("unknown group %d", rec.Group)
@@ -436,114 +306,33 @@ func (r *run) restoreRecordLocked(rec *ledger.Record) error {
 		if err := r.checkSnapshotShapes(r.plan.Groups[rec.Group].Devices[0], rec.Group, rec.Params, rec.Velocity); err != nil {
 			return err
 		}
-		r.applyGroupSnapshotLocked(rec.Group, rec.Step, rec.Params, rec.Velocity)
-	case ledger.TypeInput:
-		if len(rec.Devs) == 0 {
-			return fmt.Errorf("input record without devices")
-		}
-		for _, d := range rec.Devs {
-			if _, ok := r.devs[d]; !ok {
-				return fmt.Errorf("unknown device %d", d)
-			}
-		}
-		r.applyInputLocked(rec.Devs, rec.Step, rec.Payload)
-	case ledger.TypeOutput:
-		ds, ok := r.devs[rec.Dev]
-		if !ok {
-			return fmt.Errorf("unknown device %d", rec.Dev)
-		}
-		if ds.place.gi >= len(r.plan.Groups)-1 || r.plan.Groups[ds.place.gi].Split() == 1 {
-			return fmt.Errorf("output record for device %d of a non-sharding group", rec.Dev)
-		}
-		if rec.Step <= ds.outputSeen {
-			return nil // duplicate across resume generations
-		}
-		t, err := wire.DecodeTensor(&wire.Frame{Kind: wire.KindOutput, Payload: rec.Payload})
-		if err != nil {
-			return err
-		}
-		return r.applyOutputLocked(ds, rec.Step, t)
-	case ledger.TypeReduction:
-		if rec.Group < 0 || rec.Group >= len(r.plan.Groups) {
-			return fmt.Errorf("unknown group %d", rec.Group)
-		}
-		r.reduceCache[rec.Group][rec.Step] = rec.Payload
+		r.recordHistLocked(rec.Group, rec.Step, rec.Params, rec.Velocity)
 	case ledger.TypeLosses:
 		ds, ok := r.devs[rec.Dev]
 		if !ok {
 			return fmt.Errorf("unknown device %d", rec.Dev)
 		}
-		if len(rec.Losses) != len(r.plan.Groups[ds.place.gi].Blocks) {
-			return fmt.Errorf("loss row has %d entries, group %d trains %d blocks",
-				len(rec.Losses), ds.place.gi, len(r.plan.Groups[ds.place.gi].Blocks))
+		if err := r.checkLosses(ds, rec.Step, rec.Losses); err != nil {
+			return err
 		}
-		if rec.Step < 0 || rec.Step >= r.steps {
-			return fmt.Errorf("loss step %d outside run of %d", rec.Step, r.steps)
-		}
-		if rec.Step > ds.lossSeen {
-			r.applyLossesLocked(ds, rec.Step, rec.Losses)
-		}
+		r.recordLossesLocked(ds, rec.Step, rec.Losses)
 	case ledger.TypeBarrier:
-		if rec.Step > r.stepGoThrough {
-			r.stepGoThrough = rec.Step
+		// A released step was reached by every device.
+		for _, ds := range r.devs {
+			if rec.Step > ds.barrierSeen {
+				ds.barrierSeen = rec.Step
+			}
 		}
 	case ledger.TypeCheckpoint:
 		// A compacted log: the children preserve their original order, so
 		// replaying them is replaying the valid sub-history Compact kept.
 		for _, child := range rec.Children {
-			if err := r.restoreRecordLocked(child); err != nil {
+			if err := r.replayRecordLocked(child); err != nil {
 				return err
-			}
-		}
-	case ledger.TypeMarks:
-		// Input high-water marks of the records Compact dropped: restore
-		// the feed cursors so those inputs are never re-fed.
-		if len(rec.Marks) > len(r.plan.Groups) {
-			return fmt.Errorf("marks record covers %d groups, plan has %d", len(rec.Marks), len(r.plan.Groups))
-		}
-		for gi, m := range rec.Marks {
-			if m > r.groupInThrough[gi] {
-				r.groupInThrough[gi] = m
-			}
-			if gi == 0 && m > r.fedThrough {
-				r.fedThrough = m
 			}
 		}
 	default:
 		return fmt.Errorf("unsupported record")
-	}
-	return nil
-}
-
-// rejoinAll re-attaches every worker of a resumed run: the original
-// contiguous placement is rebuilt and each worker receives a wire Resume
-// session restoring its devices to their persisted snapshots — the same
-// machinery a single dead worker's re-placement uses, applied to the
-// whole cluster at once. When a worker's own address no longer answers,
-// its devices fall back to any other configured worker.
-func (r *run) rejoinAll() error {
-	placement := PlaceDevices(r.nDev, len(r.addrs))
-	for i, addr := range r.addrs {
-		if len(placement[i]) == 0 {
-			r.co.logf("worker %s: no devices to place, skipping", addr)
-			continue
-		}
-		sid := r.newSessionID()
-		resume := r.buildResume(placement[i], sid)
-		candidates := []string{addr}
-		for _, a := range r.addrs {
-			if a != addr {
-				candidates = append(candidates, a)
-			}
-		}
-		conn, got, err := r.dialResume(candidates, resume)
-		if err != nil {
-			return fmt.Errorf("cluster: re-attaching devices %v: %w", placement[i], err)
-		}
-		if _, ok := r.attachResumed(conn, got, placement[i], sid); !ok {
-			return fmt.Errorf("cluster: run closed while re-attaching workers")
-		}
-		r.co.logf("devices %v re-attached to worker %s, replaying from the ledger", placement[i], got)
 	}
 	return nil
 }

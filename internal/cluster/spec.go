@@ -44,20 +44,11 @@
 // gradient, or input size, while both topologies stay bit-identical to
 // the in-process pipeline and to each other.
 //
-// Ring recovery is a global-cut restart rather than the hub's surgical
-// re-placement: a ring exchange is symmetric, so a lost worker strands
-// its peers mid-collective with no one to replay the other side. The
-// attempt fails fast and the driver restarts every device from the
-// newest step every group holds snapshot state for and every device has
-// accounted at the coordinator; replayed steps are pure functions of the
-// restored state, so the trajectory is unchanged. Durable ring runs
-// persist snapshots, losses, and barriers to the same ledger, and
-// ResumeRun restarts a killed ring coordinator from the persisted cut.
+// # Fault tolerance: one recovery model, the global cut
 //
-// # Snapshot/replay fault tolerance
-//
-// With Config.MaxRestarts > 0 a run survives worker loss. The protocol
-// adds three frames (wire codec v2):
+// With Config.MaxRestarts > 0 a run survives worker loss, under one rule
+// for both topologies (driver.go). The protocol adds three frames (wire
+// codec v2):
 //
 //   - Heartbeat: workers beacon on Config.HeartbeatInterval so the
 //     coordinator can declare a silent worker dead (HeartbeatTimeout),
@@ -65,46 +56,46 @@
 //   - Snapshot: after every step, each device ships the state that makes
 //     its next step a pure function — student parameters and SGD
 //     momentum, captured right after the update. The coordinator keeps
-//     the latest per device, plus the inputs the device has not
-//     snapshotted past and the completed gradient reductions its group
-//     may re-request.
-//   - Resume: on a death the coordinator re-places the lost devices —
-//     dialing the dead worker's address first (a restarted pipebd-worker
-//     -rejoin), then the surviving workers, which host the extra session
-//     concurrently — and sends an Assign extended with the per-device
-//     states. The worker rebuilds the replicas, restores them, and runs
-//     the same device loop from snapStep+1.
+//     each group's snapshots back to the global cut: the newest step
+//     every group holds a snapshot for and every device has accounted for
+//     (loss row recorded and, without DPU, barrier arrival counted).
+//   - Resume: on a death the attempt fails fast, every session is
+//     superseded, and the driver re-places every device — dialing each
+//     slot's own worker first (a restarted pipebd-worker -rejoin), then
+//     the survivors, which can host several sessions — with an Assign
+//     extended by the group's state at the cut. The worker rebuilds the
+//     replicas, restores them, and runs the same device loop from cut+1.
 //
-// Replayed frames (outputs, gradients, losses, barrier arrivals) are
-// deduplicated against per-device high-water marks, so the hub
-// incorporates each step's contribution exactly once; replayed all-reduce
-// requests are answered from the reduction cache byte-for-byte. The
-// result: a run that loses and recovers workers produces losses and
-// trained weights bit-identical to a fault-free run — pinned by the
-// recovery suite under a deterministic transport.Chaos fault schedule on
-// loopback and TCP, with and without DPU.
+// Nothing in flight is salvaged: a half-assembled gather or one side of a
+// ring collective dies with the attempt and is recomputed, because the
+// teacher relay makes every replayed step a pure function of the restored
+// state and the re-fed batches. A fresh attempt therefore never sees a
+// frame twice, and a duplicate is a protocol error. The result: a run that
+// loses workers produces losses and trained weights bit-identical to a
+// fault-free run — pinned by the recovery suites under a deterministic
+// transport.Chaos fault schedule on loopback and TCP, hub and ring, with
+// and without DPU.
 //
 // # Snapshot policy
 //
-// Config.Snapshot replaces the v2 all-or-nothing snapshot switch:
-// Interval k makes each device snapshot every k-th step (recovery then
-// replays up to k steps from the last covered one), and Rank0Dedup ships
-// one snapshot per split group — the members are bit-identical replicas —
-// committed at the hub only once every member's losses, output shards,
-// and barrier arrivals are accounted for, so a member resumed from the
-// committed step never skips work the hub still needs.
+// Config.Snapshot tunes the snapshot traffic: Interval k makes each
+// device snapshot every k-th step (a restart then replays up to k steps
+// from the last covered one), and Rank0Dedup ships one snapshot per split
+// group — the members are bit-identical replicas. Whether a snapshotted
+// step can be the cut is decided from every member's loss and barrier
+// marks, never by the snapshot alone.
 //
 // # Durable runs and coordinator restart
 //
-// With Config.LedgerDir the hub persists its entire recovery state — the
-// manifest (plan, spec, run config, batches, seed weights) plus every
-// snapshot, retained input, output shard, completed reduction, loss row,
-// and barrier release — to an internal/cluster/ledger store. ResumeRun
-// restarts a killed coordinator from that directory: it replays the
-// record log, re-attaches every worker via the same Resume machinery
-// single-worker recovery uses, and finishes the run with losses and
-// trained weights bit-identical to an uninterrupted run; the resumed run
-// keeps appending, so it can itself be killed and resumed again.
+// With Config.LedgerDir the coordinator persists the manifest (plan, spec,
+// run config, batches, seed weights) plus what the cut is computed from —
+// every snapshot, loss row, barrier release and repartition cut — to an
+// internal/cluster/ledger store. ResumeRun restarts a killed coordinator
+// from that directory: it replays the record log to recover the cut and
+// hands it to the same driver a live restart uses, finishing the run with
+// losses and trained weights bit-identical to an uninterrupted run; the
+// resumed run keeps appending, so it can itself be killed and resumed
+// again.
 package cluster
 
 import (

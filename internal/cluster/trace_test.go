@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
@@ -160,25 +159,28 @@ func TestWorkerTraceDirDump(t *testing.T) {
 	dir := t.TempDir()
 	metrics := obs.NewMetrics()
 	net := transport.NewLoopback()
-	addrs := startWorkers(t, net, 1, WorkerConfig{Sessions: 1, Dial: net,
+	lis, err := net.Listen("")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	worker := NewWorker(lis, WorkerConfig{Sessions: 1, Dial: net,
 		TraceDir: dir, Metrics: metrics})
+	served := make(chan error, 1)
+	go func() { served <- worker.Serve() }()
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	if _, err := Run(net, addrs, w, batches, Config{Plan: p, DPU: true,
+	_, runErr := Run(net, []string{worker.Addr()}, w, batches, Config{Plan: p, DPU: true,
 		LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec: TinySpec(distill.DefaultTinyConfig())}); err != nil {
-		t.Fatalf("run with worker-local tracing: %v", err)
+		Spec: TinySpec(distill.DefaultTinyConfig())})
+	worker.Close()
+	// Serve returns only after its one session did, and the session writes
+	// the dump before it returns — so the file is complete from here on.
+	if err := <-served; err != nil {
+		t.Fatalf("worker serve: %v", err)
 	}
-	// The worker writes the dump after the coordinator's drain, so the
-	// file lands shortly after Run returns.
-	var files []string
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		files, _ = filepath.Glob(filepath.Join(dir, "trace-*.json"))
-		if len(files) > 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	if runErr != nil {
+		t.Fatalf("run with worker-local tracing: %v", runErr)
 	}
+	files, _ := filepath.Glob(filepath.Join(dir, "trace-*.json"))
 	if len(files) != 1 {
 		t.Fatalf("want one trace dump in %s, got %v", dir, files)
 	}

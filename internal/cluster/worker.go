@@ -24,9 +24,10 @@ type WorkerConfig struct {
 	Sessions int
 	// Rejoin keeps failed sessions from counting toward Sessions: a
 	// worker whose session dies (coordinator crash, connection loss,
-	// chaos kill) stays up to accept the replacement — the "re-joined
-	// worker" half of the coordinator's recovery path. Without it every
-	// accepted session counts, successful or not.
+	// chaos kill) or is superseded (any restart ends every worker's
+	// session, not just the lost one's) stays up to accept the
+	// replacement. Without it every accepted session counts, successful
+	// or not.
 	Rejoin bool
 	// Dial is the network used to dial sibling workers for the peer data
 	// plane. Required for ring-topology sessions; hub sessions never dial
@@ -45,13 +46,6 @@ type WorkerConfig struct {
 	Metrics *obs.Metrics
 	// Logf receives progress lines; nil is silent.
 	Logf func(format string, args ...any)
-	// PeerTimeout bounds how long an accepted peer connection waits for
-	// the session hosting its target device to register; zero uses the
-	// 5s default.
-	PeerTimeout time.Duration
-	// MeshTimeout bounds a ring session's whole mesh-establishment phase;
-	// zero uses the 10s default.
-	MeshTimeout time.Duration
 	// Backend, when non-nil, overrides the compute backend for every
 	// device this worker hosts, taking precedence over the backend the
 	// Assign names. Used to model heterogeneous clusters — e.g. wrapping
@@ -71,9 +65,10 @@ type WorkerConfig struct {
 // returns each group leader's trained student parameters and drains back
 // to accepting the next session.
 //
-// Sessions are served concurrently: a surviving worker can host a dead
-// sibling's re-placed devices in a second session while its own original
-// session keeps running.
+// Sessions are served concurrently: after a restart a surviving worker
+// can host a dead sibling's devices in a second session beside its own,
+// and a superseded session may still be unwinding when its replacement
+// arrives.
 type Worker struct {
 	lis transport.Listener
 	cfg WorkerConfig
@@ -100,20 +95,6 @@ type hostKey struct {
 func NewWorker(lis transport.Listener, cfg WorkerConfig) *Worker {
 	return &Worker{lis: lis, cfg: cfg, hosts: make(map[hostKey]*mesh),
 		sessions: make(map[int64]*transport.Resumable)}
-}
-
-func (w *Worker) peerTimeout() time.Duration {
-	if w.cfg.PeerTimeout > 0 {
-		return w.cfg.PeerTimeout
-	}
-	return defaultPeerAcceptTimeout
-}
-
-func (w *Worker) meshTimeout() time.Duration {
-	if w.cfg.MeshTimeout > 0 {
-		return w.cfg.MeshTimeout
-	}
-	return defaultMeshTimeout
 }
 
 // Addr returns the listener's bound address.
@@ -274,7 +255,7 @@ func (w *Worker) acceptPeerConn(conn transport.Conn, first *wire.Frame) error {
 }
 
 func (w *Worker) awaitHost(epoch int64, dev int) (*mesh, error) {
-	deadline := time.Now().Add(w.peerTimeout())
+	deadline := time.Now().Add(peerAcceptTimeout)
 	for {
 		w.hostMu.Lock()
 		m := w.hosts[hostKey{epoch, dev}]
@@ -731,7 +712,7 @@ func (w *Worker) establishMesh(assign *wire.Assign, devices []*hostedDevice) (*m
 	// concurrently must each find the other's hosts already routable, or
 	// the dial phases could mutually time out.
 	w.registerHosts(assign.Epoch, devices, m)
-	deadline := time.Now().Add(w.meshTimeout())
+	deadline := time.Now().Add(meshTimeout)
 	for _, dl := range dials {
 		if _, err := m.dialPeer(w.cfg.Dial, dl.local, dl.remote, deadline); err != nil {
 			w.unregisterHosts(assign.Epoch, devices)

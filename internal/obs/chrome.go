@@ -89,16 +89,25 @@ func WriteChromeTrace(w io.Writer, order []string, byTrack map[string][]Span) er
 	return enc.Encode(trace)
 }
 
-// WriteChromeTraceFile writes the collector's contents to path.
+// WriteChromeTraceFile writes the collector's contents to path via a
+// sibling temp file and a rename, so a reader of path never observes a
+// half-written document.
 func WriteChromeTraceFile(path string, c *Collector) error {
 	order, byTrack := c.Tracks()
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := WriteChromeTrace(f, order, byTrack); err != nil {
-		f.Close()
-		return err
+	err = WriteChromeTrace(f, order, byTrack)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }

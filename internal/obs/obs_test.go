@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -126,6 +128,32 @@ func TestMeasuredAndRankStats(t *testing.T) {
 	}
 	if rs.Idle != 1 { // 3s epoch − 2s busy; the wait second is idle
 		t.Fatalf("idle = %v, want 1", rs.Idle)
+	}
+}
+
+// TestChromeTraceFileIsAtomic: the file writer lands the trace by rename,
+// so the directory holds exactly the finished document (no temp residue)
+// and an unwritable destination leaves nothing behind.
+func TestChromeTraceFileIsAtomic(t *testing.T) {
+	c := NewCollector()
+	c.Add("dev0", []Span{{Name: "teacher_fwd", Cat: sim.CatTeacherFwd, Start: 5e9, Dur: 1e6}})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.json")
+	if err := WriteChromeTraceFile(path, c); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(raw) {
+		t.Fatalf("trace file is not valid JSON: %q", raw)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("trace directory holds %d entries, want only the finished file", len(entries))
+	}
+	if err := WriteChromeTraceFile(filepath.Join(dir, "absent", "trace.json"), c); err == nil {
+		t.Fatal("write into a missing directory succeeded")
 	}
 }
 
