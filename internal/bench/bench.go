@@ -148,13 +148,34 @@ func Kernel(quick bool) []Case {
 
 // Conv returns the layer-level convolution benches: a conv3x3 forward
 // (fused im2col GEMM + bias) and a full forward+backward training step,
-// per backend.
+// per backend, plus the training step of the two other layers of the
+// depthwise-separable student — the depthwise conv3x3 and the ReLU — at
+// the benchmark's conv_inproc geometry. Those two run the same code on
+// every backend, so they are listed once, under "serial".
 func Conv(quick bool) []Case {
 	convBatch, convC, convHW := 8, 16, 28
+	dwBatch, dwC, dwHW := 16, 16, 16
 	if quick {
 		convBatch, convC, convHW = 2, 4, 8
+		dwBatch, dwC, dwHW = 2, 4, 8
 	}
-	var cases []Case
+	dw := nn.NewDWConv2d(rand.New(rand.NewSource(5)), dwC, 3, 1, 1, false)
+	relu := nn.NewReLU()
+	dwX := tensor.Rand(rand.New(rand.NewSource(6)), -1, 1, dwBatch, dwC, dwHW, dwHW)
+	dwGrad := tensor.Rand(rand.New(rand.NewSource(7)), -1, 1, dwBatch, dwC, dwHW, dwHW)
+	dwShape := fmt.Sprintf("%dx%dx%dx%d", dwBatch, dwC, dwHW, dwHW)
+	trainStep := func(l nn.Layer) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				l.Forward(dwX, true)
+				l.Backward(dwGrad)
+			}
+		}
+	}
+	cases := []Case{
+		{Name: "DWConvTrainStep/" + dwShape, Backend: "serial", Run: trainStep(dw)},
+		{Name: "ReLUTrainStep/" + dwShape, Backend: "serial", Run: trainStep(relu)},
+	}
 	for _, be := range backends() {
 		be := be
 		conv := nn.NewConv2d(rand.New(rand.NewSource(2)), convC, convC, 3, 1, 1, true)

@@ -84,8 +84,8 @@ func TestRingFlapAbsorbedBitEquivalence(t *testing.T) {
 					w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 					res, err := Run(coordNet, addrs, w, batches, Config{
 						Plan: p, DPU: dpu, LR: 0.05, Momentum: 0.9, Topology: "ring",
-						Spec:        TinySpec(distill.DefaultTinyConfig()),
-						Retry:       fastRetry(), Metrics: counters,
+						Spec:  TinySpec(distill.DefaultTinyConfig()),
+						Retry: fastRetry(), Metrics: counters,
 						JoinTimeout: 10 * time.Second, Logf: logf,
 					})
 					if err != nil {
@@ -133,8 +133,8 @@ func TestRingFlapTransformerAbsorbed(t *testing.T) {
 	w := distill.NewTransformerWorkbench(cfg)
 	res, err := Run(inner, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec:        TransformerSpec(cfg),
-		Retry:       fastRetry(), Metrics: counters,
+		Spec:  TransformerSpec(cfg),
+		Retry: fastRetry(), Metrics: counters,
 		JoinTimeout: 10 * time.Second, Logf: logf,
 	})
 	if err != nil {
@@ -186,8 +186,8 @@ func TestRingPersistentPartitionDegradesToHubRelay(t *testing.T) {
 			w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 			res, err := Run(inner, addrs, w, batches, Config{
 				Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
-				Spec:        TinySpec(distill.DefaultTinyConfig()),
-				Retry:       shortRetry(), Metrics: counters,
+				Spec:  TinySpec(distill.DefaultTinyConfig()),
+				Retry: shortRetry(), Metrics: counters,
 				JoinTimeout: 10 * time.Second, Logf: logf,
 			})
 			if err != nil {
@@ -234,8 +234,8 @@ func TestRingPersistentPartitionDegradesAllReduce(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(inner, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
-		Retry:       shortRetry(), Metrics: counters,
+		Spec:  TinySpec(distill.DefaultTinyConfig()),
+		Retry: shortRetry(), Metrics: counters,
 		JoinTimeout: 10 * time.Second, Logf: logf,
 	})
 	if err != nil {

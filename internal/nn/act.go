@@ -2,16 +2,23 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"pipebd/internal/tensor"
 )
 
 // ReLU is max(0, x). Cap < 0 disables the upper clamp; Cap = 6 yields the
 // ReLU6 used throughout MobileNet-family models.
+//
+// Elementwise, the output is 0 where v <= 0, Cap where a positive Cap is
+// set and v >= Cap, and v otherwise — so a NaN passes through to the
+// output — and the gradient passes exactly where 0 < v (< Cap), so a NaN
+// input blocks it.
 type ReLU struct {
 	Cap float32 // upper clamp; <= 0 means unbounded
 
-	mask []bool // true where the gradient passes through
+	mask []bool // true where the gradient passes through; nil when no training forward is cached
+	buf  []bool // backing store of mask, reused from step to step
 }
 
 // NewReLU returns an unbounded rectifier.
@@ -24,28 +31,39 @@ func NewReLU6() *ReLU { return &ReLU{Cap: 6} }
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
 	xd, od := x.Data(), out.Data()
-	var mask []bool
+	od = od[:len(xd)]
+	// An eval-mode forward invalidates any cached mask: a Backward after
+	// it would otherwise gate with state from a stale (possibly
+	// differently-shaped) batch.
+	r.mask = nil
 	if train {
-		mask = make([]bool, len(xd))
-	}
-	for i, v := range xd {
-		pass := v > 0 && (r.Cap <= 0 || v < r.Cap)
-		switch {
-		case v <= 0:
-			od[i] = 0
-		case r.Cap > 0 && v >= r.Cap:
-			od[i] = r.Cap
-		default:
-			od[i] = v
+		if cap(r.buf) < len(xd) {
+			r.buf = make([]bool, len(xd))
 		}
+		r.mask = r.buf[:len(xd)]
+	}
+	// The loop is branch-free in the data (activation signs are a coin
+	// flip, so a branch per element mispredicts half the time): the
+	// comparisons select between integer bit patterns, which compile to
+	// conditional moves; only the loop-invariant tests branch.
+	mask, hi, hiBits := r.mask, r.Cap, math.Float32bits(r.Cap)
+	for i, v := range xd {
+		b := math.Float32bits(v)
+		if v <= 0 {
+			b = 0
+		}
+		pass := v > 0
+		if hi > 0 {
+			if v >= hi {
+				b = hiBits
+			}
+			pass = pass && v < hi
+		}
+		od[i] = math.Float32frombits(b)
 		if train {
 			mask[i] = pass
 		}
 	}
-	// An eval-mode forward invalidates any cached mask: a Backward after
-	// it would otherwise gate with state from a stale (possibly
-	// differently-shaped) batch.
-	r.mask = mask
 	return out
 }
 
@@ -59,11 +77,13 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: ReLU.Backward grad has %d elements but cached mask has %d (stale forward?)", len(gd), len(r.mask)))
 	}
 	out := tensor.New(grad.Shape()...)
-	od := out.Data()
+	od := out.Data()[:len(gd)]
 	for i, pass := range r.mask {
-		if pass {
-			od[i] = gd[i]
+		b := math.Float32bits(gd[i])
+		if !pass {
+			b = 0
 		}
+		od[i] = math.Float32frombits(b)
 	}
 	return out
 }

@@ -93,6 +93,7 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if !c.ready {
 		panic("nn: Conv2d.Backward called before Forward(train=true)")
 	}
+	checkConvGrad("Conv2d", grad, c.inN, c.OutC, c.lastOutH, c.lastOutW)
 	be := backendOr(c.be)
 	ar := c.arena()
 	kk := c.InC * c.Kernel * c.Kernel
@@ -161,34 +162,7 @@ func (d *DWConv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh := tensor.ConvOutSize(h, d.Kernel, d.Stride, d.Pad)
 	ow := tensor.ConvOutSize(w, d.Kernel, d.Stride, d.Pad)
 	out := tensor.New(n, d.C, oh, ow)
-	xd, od, wd := x.Data(), out.Data(), d.Weight.Value.Data()
-	k := d.Kernel
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < d.C; ci++ {
-			inBase := (ni*d.C + ci) * h * w
-			outBase := (ni*d.C + ci) * oh * ow
-			wBase := ci * k * k
-			for oi := 0; oi < oh; oi++ {
-				for oj := 0; oj < ow; oj++ {
-					var s float32
-					for ki := 0; ki < k; ki++ {
-						ih := oi*d.Stride - d.Pad + ki
-						if ih < 0 || ih >= h {
-							continue
-						}
-						for kj := 0; kj < k; kj++ {
-							iw := oj*d.Stride - d.Pad + kj
-							if iw < 0 || iw >= w {
-								continue
-							}
-							s += xd[inBase+ih*w+iw] * wd[wBase+ki*k+kj]
-						}
-					}
-					od[outBase+oi*ow+oj] = s
-				}
-			}
-		}
-	}
+	tensor.DWConvForwardInto(out, d.Weight.Value, x, d.Stride, d.Pad)
 	if d.Bias != nil {
 		addChannelBias(out, d.Bias.Value)
 	}
@@ -205,41 +179,10 @@ func (d *DWConv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	x := d.lastInput
 	n, h, w := x.Shape()[0], x.Shape()[2], x.Shape()[3]
-	oh, ow := grad.Shape()[2], grad.Shape()[3]
+	checkConvGrad("DWConv2d", grad, n, d.C,
+		tensor.ConvOutSize(h, d.Kernel, d.Stride, d.Pad), tensor.ConvOutSize(w, d.Kernel, d.Stride, d.Pad))
 	dx := tensor.New(n, d.C, h, w)
-	xd, gd := x.Data(), grad.Data()
-	dxd, dwd := dx.Data(), d.Weight.Grad.Data()
-	wd := d.Weight.Value.Data()
-	k := d.Kernel
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < d.C; ci++ {
-			inBase := (ni*d.C + ci) * h * w
-			outBase := (ni*d.C + ci) * oh * ow
-			wBase := ci * k * k
-			for oi := 0; oi < oh; oi++ {
-				for oj := 0; oj < ow; oj++ {
-					g := gd[outBase+oi*ow+oj]
-					if g == 0 {
-						continue
-					}
-					for ki := 0; ki < k; ki++ {
-						ih := oi*d.Stride - d.Pad + ki
-						if ih < 0 || ih >= h {
-							continue
-						}
-						for kj := 0; kj < k; kj++ {
-							iw := oj*d.Stride - d.Pad + kj
-							if iw < 0 || iw >= w {
-								continue
-							}
-							dwd[wBase+ki*k+kj] += g * xd[inBase+ih*w+iw]
-							dxd[inBase+ih*w+iw] += g * wd[wBase+ki*k+kj]
-						}
-					}
-				}
-			}
-		}
-	}
+	tensor.DWConvBackwardInto(dx, d.Weight.Grad, grad, d.Weight.Value, x, d.Stride, d.Pad)
 	if d.Bias != nil {
 		accumulateChannelBiasGrad(d.Bias.Grad, grad)
 	}
@@ -252,6 +195,17 @@ func (d *DWConv2d) Params() []*Param {
 		return []*Param{d.Weight, d.Bias}
 	}
 	return []*Param{d.Weight}
+}
+
+// checkConvGrad panics unless grad is the [n,c,oh,ow] gradient of the
+// output the cached training forward produced. A mismatch would otherwise
+// mis-index the cached input silently or die on a bare index error.
+func checkConvGrad(layer string, grad *tensor.Tensor, n, c, oh, ow int) {
+	s := grad.Shape()
+	if len(s) != 4 || s[0] != n || s[1] != c || s[2] != oh || s[3] != ow {
+		panic(fmt.Sprintf("nn: %s.Backward grad shape %v but the cached forward produced [%d %d %d %d] (stale forward?)",
+			layer, s, n, c, oh, ow))
+	}
 }
 
 // flatToNCHW rearranges [C, N*OH*OW] (im2col result layout) to NCHW.

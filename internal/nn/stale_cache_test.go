@@ -143,3 +143,29 @@ func TestTransformerCachesLengthChecked(t *testing.T) {
 	e.Forward(ids, true)
 	mustPanic(t, "stale forward", func() { e.Backward(tensor.Rand(rng, -1, 1, 1, 3, 4)) })
 }
+
+// TestConvBackwardGradShapeChecked: Conv2d and DWConv2d used to read the
+// output geometry off the gradient they were handed, so a gradient that
+// did not match the cached training forward mis-indexed the cached input
+// silently (or died on a bare index error). Every dimension is checked now.
+func TestConvBackwardGradShapeChecked(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	layers := map[string]Layer{
+		"Conv2d":   NewConv2d(rng, 3, 3, 3, 1, 1, true),
+		"DWConv2d": NewDWConv2d(rng, 3, 3, 1, 1, true),
+	}
+	for name, l := range layers {
+		l.Forward(tensor.Rand(rng, -1, 1, 2, 3, 6, 6), true)
+		for _, bad := range [][]int{
+			{2, 3, 6, 5}, // narrower: used to mis-index silently
+			{2, 3, 7, 6}, // taller: used to index out of range
+			{1, 3, 6, 6}, // fewer images
+			{2, 4, 6, 6}, // more channels
+			{2, 3, 36},   // right size, wrong rank
+		} {
+			mustPanic(t, name+".Backward grad shape", func() { l.Backward(tensor.Rand(rng, -1, 1, bad...)) })
+		}
+		mustPanic(t, "stale forward", func() { l.Backward(tensor.Rand(rng, -1, 1, 2, 3, 3, 3)) })
+		l.Backward(tensor.Rand(rng, -1, 1, 2, 3, 6, 6)) // the matching gradient still runs
+	}
+}

@@ -8,6 +8,24 @@ func ConvOutSize(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
 }
 
+// tapRun returns the run [lo,hi) ⊆ [0,n) of positions p whose input
+// coordinate i0 + p*stride lies inside [0,size).
+func tapRun(i0, stride, size, n int) (lo, hi int) {
+	if i0 < 0 {
+		lo = (stride - 1 - i0) / stride
+	}
+	hi = n
+	if i0 >= size {
+		hi = 0
+	} else if end := (size-1-i0)/stride + 1; end < hi {
+		hi = end
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
+}
+
 // Im2Col unfolds an NCHW input into a matrix of shape
 // [C*KH*KW, N*OH*OW] so that a convolution becomes a single matrix
 // multiplication with a [Cout, C*KH*KW] weight matrix.
@@ -150,60 +168,61 @@ func checkConvGradWeight(out, gr, x *Tensor, kh, kw, stride, pad int) (g convGeo
 // straight from the NCHW input — the fused replacement for materializing
 // im2col output and re-packing it. Produces exactly the values
 // packBPanels would produce from a materialized column matrix.
+//
+// A panel is nrTile consecutive output positions, so it is one run of
+// columns per output row it touches (one run when ow is a multiple of
+// nrTile, as at the benchmark's widths 8 and 16; never more than nrTile).
+// For a run and a kernel column kj the positions whose input column lies
+// inside the image are again one run (tapRun), the same for every channel
+// and kernel row, so each tap row of the panel is a clipped contiguous
+// copy over a zeroed panel — no per-element bounds test anywhere.
 func im2colPackPanels(bp, xd []float32, g convGeom, pan0, pan1 int) {
 	K, S := g.colRows(), g.colCols()
+	chanSrc, chanDst := g.h*g.w, g.kh*g.kw*nrTile
 	for pan := pan0; pan < pan1; pan++ {
 		j0 := pan * nrTile
 		w := min(nrTile, S-j0)
 		dst := bp[pan*K*nrTile : (pan+1)*K*nrTile]
-		// Decode the panel's output positions once. A panel whose every
-		// position has its full kh×kw window inside the input (the vast
-		// majority away from the padded border) takes a check-free path.
-		var ni, ihBase, iwBase [nrTile]int
-		interior := true
-		for c := 0; c < w; c++ {
-			j := j0 + c
+		clear(dst) // padding taps and a partial panel's tail stay zero
+		for c0 := 0; c0 < w; {
+			j := j0 + c0
 			oj := j % g.ow
 			oi := (j / g.ow) % g.oh
-			ni[c] = j / (g.ow * g.oh)
-			ihBase[c] = oi*g.stride - g.pad
-			iwBase[c] = oj*g.stride - g.pad
-			if ihBase[c] < 0 || ihBase[c]+g.kh > g.h || iwBase[c] < 0 || iwBase[c]+g.kw > g.w {
-				interior = false
-			}
-		}
-		p := 0
-		var base [nrTile]int
-		for ci := 0; ci < g.c; ci++ {
-			for c := 0; c < w; c++ {
-				base[c] = ((ni[c]*g.c+ci)*g.h+ihBase[c])*g.w + iwBase[c]
-			}
-			for ki := 0; ki < g.kh; ki++ {
-				for kj := 0; kj < g.kw; kj++ {
-					d := dst[p*nrTile : (p+1)*nrTile]
-					if interior {
-						off := ki*g.w + kj
-						for c := 0; c < w; c++ {
-							d[c] = xd[base[c]+off]
-						}
-					} else {
-						for c := 0; c < w; c++ {
-							ih := ihBase[c] + ki
-							iw := iwBase[c] + kj
-							if ih < 0 || ih >= g.h || iw < 0 || iw >= g.w {
-								d[c] = 0
-								continue
-							}
-							d[c] = xd[base[c]+ki*g.w+kj]
-						}
+			ni := j / (g.ow * g.oh)
+			run := min(w-c0, g.ow-oj)
+			for kj := 0; kj < g.kw; kj++ {
+				iw0 := oj*g.stride - g.pad + kj
+				lo, hi := tapRun(iw0, g.stride, g.w, run)
+				if lo == hi {
+					continue
+				}
+				for ki := 0; ki < g.kh; ki++ {
+					ih := oi*g.stride - g.pad + ki
+					if ih < 0 || ih >= g.h {
+						continue
 					}
-					for c := w; c < nrTile; c++ {
-						d[c] = 0
+					src := (ni*g.c*g.h+ih)*g.w + iw0 + lo*g.stride
+					d := (ki*g.kw+kj)*nrTile + c0 + lo
+					for ci := 0; ci < g.c; ci++ {
+						gatherRun(dst[d:d+hi-lo], xd[src:], g.stride)
+						src += chanSrc
+						d += chanDst
 					}
-					p++
 				}
 			}
+			c0 += run
 		}
+	}
+}
+
+// gatherRun sets dst[i] = src[i*stride].
+func gatherRun(dst, src []float32, stride int) {
+	if stride == 1 {
+		copy(dst, src)
+		return
+	}
+	for i := range dst {
+		dst[i] = src[i*stride]
 	}
 }
 
@@ -211,53 +230,50 @@ func im2colPackPanels(bp, xd []float32, g convGeom, pan0, pan1 int) {
 // operand for the dW GEMM: panel row j is kernel tap j, element (p, c) is
 // the column-matrix value at (tap j0+c, output position p). Equivalent to
 // packBPanelsTB over a materialized column matrix.
+//
+// The panel is filled one output row (ow positions, ow*nrTile floats) at
+// a time: within it, tap c's valid positions are one run (tapRun, decoded
+// once per panel) read contiguously from the input row and written down
+// lane c of a zeroed block.
 func im2colPackPanelsT(bp, xd []float32, g convGeom, pan0, pan1 int) {
 	K, S := g.colRows(), g.colCols()
 	for pan := pan0; pan < pan1; pan++ {
 		j0 := pan * nrTile
 		w := min(nrTile, K-j0)
 		dst := bp[pan*S*nrTile : (pan+1)*S*nrTile]
-		// Decode the panel's kernel taps once; off[c] is each tap's flat
-		// offset from the window origin within one image.
-		var ci, ki, kj, off [nrTile]int
+		// Decode the panel's kernel taps once: ki is the tap's kernel row,
+		// off its input offset from (image, row ih, column 0) at the start
+		// of its run [lo,hi).
+		var ki, off, lo, hi [nrTile]int
 		for c := 0; c < w; c++ {
 			j := j0 + c
-			kj[c] = j % g.kw
+			kj := j % g.kw
 			ki[c] = (j / g.kw) % g.kh
-			ci[c] = j / (g.kw * g.kh)
-			off[c] = ci[c]*g.h*g.w + ki[c]*g.w + kj[c]
+			ci := j / (g.kw * g.kh)
+			lo[c], hi[c] = tapRun(kj-g.pad, g.stride, g.w, g.ow)
+			off[c] = ci*g.h*g.w + lo[c]*g.stride - g.pad + kj
 		}
-		// Walk output positions with running counters (ascending p). A
-		// position whose full window is interior needs no per-tap checks.
-		oj, oi, ni := 0, 0, 0
-		for p := 0; p < S; p++ {
-			d := dst[p*nrTile : (p+1)*nrTile]
-			ihB := oi*g.stride - g.pad
-			iwB := oj*g.stride - g.pad
-			if ihB >= 0 && ihB+g.kh <= g.h && iwB >= 0 && iwB+g.kw <= g.w {
-				base := ni*g.c*g.h*g.w + ihB*g.w + iwB
+		for ni := 0; ni < g.n; ni++ {
+			for oi := 0; oi < g.oh; oi++ {
+				p0 := (ni*g.oh + oi) * g.ow
+				block := dst[p0*nrTile : (p0+g.ow)*nrTile]
+				clear(block)
 				for c := 0; c < w; c++ {
-					d[c] = xd[base+off[c]]
-				}
-			} else {
-				for c := 0; c < w; c++ {
-					ih := ihB + ki[c]
-					iw := iwB + kj[c]
-					if ih < 0 || ih >= g.h || iw < 0 || iw >= g.w {
-						d[c] = 0
+					ih := oi*g.stride - g.pad + ki[c]
+					if ih < 0 || ih >= g.h || lo[c] == hi[c] {
 						continue
 					}
-					d[c] = xd[((ni*g.c+ci[c])*g.h+ih)*g.w+iw]
-				}
-			}
-			for c := w; c < nrTile; c++ {
-				d[c] = 0
-			}
-			if oj++; oj == g.ow {
-				oj = 0
-				if oi++; oi == g.oh {
-					oi = 0
-					ni++
+					src := xd[(ni*g.c*g.h+ih)*g.w+off[c]:]
+					d := block[lo[c]*nrTile+c:]
+					if g.stride == 1 {
+						for i, v := range src[:hi[c]-lo[c]] {
+							d[i*nrTile] = v
+						}
+						continue
+					}
+					for i := 0; i < hi[c]-lo[c]; i++ {
+						d[i*nrTile] = src[i*g.stride]
+					}
 				}
 			}
 		}
@@ -314,34 +330,29 @@ func convGradWeightDriver(pool *Pool, od, gd, xd []float32, g convGeom, m, k, n 
 
 // im2colRows fills output rows [lo,hi) of the column matrix. Each row is
 // owned by exactly one (channel, kernel-offset) triple, so row ranges are
-// disjoint and safe to fill in parallel.
+// disjoint and safe to fill in parallel. Within a row, every output row's
+// valid positions are the same run, copied in one piece.
 func im2colRows(od, xd []float32, n, c, h, w, kh, kw, oh, ow, stride, pad, lo, hi int) {
 	cols := n * oh * ow
 	for row := lo; row < hi; row++ {
 		kj := row % kw
 		ki := (row / kw) % kh
 		ci := row / (kw * kh)
-		base := row * cols
-		orow := od[base : base+cols]
-		for i := range orow {
-			orow[i] = 0
+		orow := od[row*cols : (row+1)*cols]
+		clear(orow)
+		l, r := tapRun(kj-pad, stride, w, ow)
+		if l == r {
+			continue
 		}
 		for ni := 0; ni < n; ni++ {
 			inBase := (ni*c + ci) * h * w
 			for oi := 0; oi < oh; oi++ {
 				ih := oi*stride - pad + ki
-				outBase := base + (ni*oh+oi)*ow
 				if ih < 0 || ih >= h {
 					continue // row already zeroed
 				}
-				inRow := inBase + ih*w
-				for oj := 0; oj < ow; oj++ {
-					iw := oj*stride - pad + kj
-					if iw < 0 || iw >= w {
-						continue
-					}
-					od[outBase+oj] = xd[inRow+iw]
-				}
+				outBase := (ni*oh + oi) * ow
+				gatherRun(orow[outBase+l:outBase+r], xd[inBase+ih*w+l*stride-pad+kj:], stride)
 			}
 		}
 	}
@@ -357,15 +368,16 @@ func col2imChannels(od, cd []float32, n, c, h, w, kh, kw, oh, ow, stride, pad, l
 	for ci := lo; ci < hi; ci++ {
 		for ni := 0; ni < n; ni++ {
 			base := (ni*c + ci) * h * w
-			blk := od[base : base+h*w]
-			for i := range blk {
-				blk[i] = 0
-			}
+			clear(od[base : base+h*w])
 		}
 		for ki := 0; ki < kh; ki++ {
 			for kj := 0; kj < kw; kj++ {
 				row := ((ci*kh)+ki)*kw + kj
 				rowBase := row * total
+				l, r := tapRun(kj-pad, stride, w, ow)
+				if l == r {
+					continue
+				}
 				for ni := 0; ni < n; ni++ {
 					outBase := (ni*c + ci) * h * w
 					for oi := 0; oi < oh; oi++ {
@@ -374,13 +386,17 @@ func col2imChannels(od, cd []float32, n, c, h, w, kh, kw, oh, ow, stride, pad, l
 							continue
 						}
 						colBase := rowBase + (ni*oh+oi)*ow
-						outRow := outBase + ih*w
-						for oj := 0; oj < ow; oj++ {
-							iw := oj*stride - pad + kj
-							if iw < 0 || iw >= w {
-								continue
+						src := cd[colBase+l : colBase+r]
+						dst := od[outBase+ih*w+l*stride-pad+kj:]
+						if stride == 1 {
+							dst = dst[:len(src)]
+							for i, v := range src {
+								dst[i] += v
 							}
-							od[outRow+iw] += cd[colBase+oj]
+							continue
+						}
+						for i, v := range src {
+							dst[i*stride] += v
 						}
 					}
 				}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -48,6 +49,28 @@ func TestConvOutSize(t *testing.T) {
 	for _, c := range cases {
 		if got := ConvOutSize(c.in, c.k, c.s, c.p); got != c.want {
 			t.Errorf("ConvOutSize(%d,%d,%d,%d) = %d, want %d", c.in, c.k, c.s, c.p, got, c.want)
+		}
+	}
+}
+
+// TestTapRun checks the run against its definition, position by position.
+func TestTapRun(t *testing.T) {
+	for _, stride := range []int{1, 2, 3} {
+		for size := 1; size <= 6; size++ {
+			for n := 0; n <= 7; n++ {
+				for i0 := -9; i0 <= 9; i0++ {
+					lo, hi := tapRun(i0, stride, size, n)
+					if lo < 0 || lo > hi || hi > n {
+						t.Fatalf("tapRun(%d,%d,%d,%d) = [%d,%d) outside [0,%d)", i0, stride, size, n, lo, hi, n)
+					}
+					for p := 0; p < n; p++ {
+						in := i0+p*stride >= 0 && i0+p*stride < size
+						if in != (p >= lo && p < hi) {
+							t.Fatalf("tapRun(%d,%d,%d,%d) = [%d,%d) wrong at %d", i0, stride, size, n, lo, hi, p)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -145,4 +168,100 @@ func TestCol2ImPanicsOnWrongShape(t *testing.T) {
 		}
 	}()
 	Col2Im(New(5, 5), 1, 1, 4, 4, 3, 3, 1, 1)
+}
+
+// TestFusedPackRowRunsMatchScalarOracle pins the run-based packers — the
+// forward panel pack, its transposed twin, and the materializing
+// im2colRows — to convGeom.at, the per-element definition they replaced,
+// on raw bits. The geometries put a panel exactly on one output row
+// (ow 8 and 16, the benchmark's widths, where the old interior fast path
+// was never taken with padding), across two rows (ow 5 and 17), across
+// two images, and into a partial last panel; pad 2 on a 3-wide image
+// clips a tap run on both ends; stride 2 takes the strided gather.
+// Destinations start as garbage, so a run that is not written or not
+// zeroed shows.
+func TestFusedPackRowRunsMatchScalarOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	type geo struct{ n, c, h, w, k, stride, pad int }
+	var geos []geo
+	for _, pad := range []int{0, 1, 2} {
+		for _, ow := range []int{5, 8, 16, 17} {
+			w := ow + 2 - 2*pad // k = 3, stride 1
+			geos = append(geos, geo{2, 3, w + 1, w, 3, 1, pad})
+		}
+		geos = append(geos, geo{2, 2, 9, 11, 3, 2, pad}, geo{3, 2, 6, 7, 5, 1, pad})
+	}
+	geos = append(geos, geo{2, 10, 8, 8, 1, 1, 0}) // 1×1: every run is the whole row
+	for _, ge := range geos {
+		x := New(ge.n, ge.c, ge.h, ge.w)
+		fillAdversarial(rng, x, ge.pad)
+		g := convGeom{n: ge.n, c: ge.c, h: ge.h, w: ge.w,
+			oh: ConvOutSize(ge.h, ge.k, ge.stride, ge.pad), ow: ConvOutSize(ge.w, ge.k, ge.stride, ge.pad),
+			kh: ge.k, kw: ge.k, stride: ge.stride, pad: ge.pad}
+		K, S := g.colRows(), g.colCols()
+		garbage := func(n int) []float32 {
+			d := make([]float32, n)
+			for i := range d {
+				d[i] = 7
+			}
+			return d
+		}
+		same := func(what string, i int, got, want float32) {
+			t.Helper()
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("%+v %s[%d] = %v (%#08x), want %v (%#08x)", ge, what, i, got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+		}
+
+		bp := garbage(packedBLen(K, S))
+		im2colPackPanels(bp, x.data, g, 0, panelsOf(S))
+		for i, got := range bp {
+			pan, p, c := i/(K*nrTile), i/nrTile%K, i%nrTile
+			want := float32(0) // the partial last panel's tail
+			if j := pan*nrTile + c; j < S {
+				want = g.at(x.data, p, j)
+			}
+			same("panel", i, got, want)
+		}
+
+		bpT := garbage(packedBLen(S, K))
+		im2colPackPanelsT(bpT, x.data, g, 0, panelsOf(K))
+		for i, got := range bpT {
+			pan, j, c := i/(S*nrTile), i/nrTile%S, i%nrTile
+			want := float32(0)
+			if p := pan*nrTile + c; p < K {
+				want = g.at(x.data, p, j)
+			}
+			same("transposed panel", i, got, want)
+		}
+
+		cols := garbage(K * S)
+		im2colRows(cols, x.data, g.n, g.c, g.h, g.w, g.kh, g.kw, g.oh, g.ow, g.stride, g.pad, 0, K)
+		for i, got := range cols {
+			same("column matrix", i, got, g.at(x.data, i/S, i%S))
+		}
+
+		// col2im: the fold must add each pixel's terms in the order of the
+		// per-element loop it replaced.
+		cd := Rand(rng, -1, 1, K, S).data
+		want := make([]float32, len(x.data))
+		for ci := 0; ci < g.c; ci++ {
+			for ki := 0; ki < g.kh; ki++ {
+				for kj := 0; kj < g.kw; kj++ {
+					for j := 0; j < S; j++ {
+						ni, oi, oj := j/(g.oh*g.ow), j/g.ow%g.oh, j%g.ow
+						ih, iw := oi*g.stride-g.pad+ki, oj*g.stride-g.pad+kj
+						if ih >= 0 && ih < g.h && iw >= 0 && iw < g.w {
+							want[((ni*g.c+ci)*g.h+ih)*g.w+iw] += cd[((ci*g.kh+ki)*g.kw+kj)*S+j]
+						}
+					}
+				}
+			}
+		}
+		got := garbage(len(x.data))
+		col2imChannels(got, cd, g.n, g.c, g.h, g.w, g.kh, g.kw, g.oh, g.ow, g.stride, g.pad, 0, g.c)
+		for i := range got {
+			same("col2im", i, got[i], want[i])
+		}
+	}
 }
