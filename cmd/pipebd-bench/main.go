@@ -5,7 +5,7 @@
 // for both the conv and transformer workloads, each on the serial and
 // parallel backends), plus the cluster's end-to-end latencies on loopback — a fault-free run,
 // the same run with one injected worker kill, a snapshot-interval sweep,
-// rank-0 dedup on versus off, a durable run persisting its ledger, a
+// a durable run persisting its ledger, a
 // full coordinator crash + ResumeRun cycle, hub-vs-ring topology traffic
 // attribution, a straggler pair (the same throttled-worker run with
 // dynamic repartitioning off and on — the -repartition headline), and a
@@ -262,8 +262,8 @@ func printCompare(w io.Writer, oldPath string, old, cur *Report) {
 
 // clusterSuite appends the cluster end-to-end latency benches: a
 // fault-free hybrid-plan run, worker-kill recovery, the snapshot-interval
-// sweep, rank-0 dedup on/off, a durable (ledger-persisting) run, and a
-// coordinator crash + resume cycle.
+// sweep, a durable (ledger-persisting) run, and a coordinator crash +
+// resume cycle.
 func clusterSuite(report *Report, quick bool, procs int) {
 	stepBatch := 16
 	clusterSteps := 6
@@ -300,17 +300,6 @@ func clusterSuite(report *Report, quick bool, procs int) {
 		o.snapEvery = every
 		clusterBench(fmt.Sprintf("ClusterSnapshotInterval/hybrid/%dsteps-batch%d-every-%d",
 			clusterSteps, stepBatch, every), o)
-	}
-
-	// Rank-0 dedup: the hybrid plan's first group is 2-way split, so
-	// dedup halves its snapshot traffic (k-fold for k-way groups) while
-	// the tail group is unaffected.
-	for _, dedup := range []bool{false, true} {
-		o := base
-		o.snapEvery = 1
-		o.dedup = dedup
-		clusterBench(fmt.Sprintf("ClusterSnapshotDedup/hybrid/%dsteps-batch%d-dedup-%v",
-			clusterSteps, stepBatch, dedup), o)
 	}
 
 	// ClusterDurableRun: the same fault-free run persisting every piece of
@@ -533,7 +522,6 @@ type clusterBenchOpts struct {
 	steps, batch int
 	kill         bool
 	snapEvery    int
-	dedup        bool
 	durable      bool
 	crash        bool // no restart budget: the kill fails the run
 }
@@ -567,7 +555,7 @@ func newClusterBenchRun(o clusterBenchOpts) *clusterBenchRun {
 			DPU: true, LR: 0.05, Momentum: 0.9,
 			Spec:        cluster.TinySpec(tiny),
 			MaxRestarts: 1, // snapshots on in every variant: deltas isolate the mechanism under test
-			Snapshot:    cluster.SnapshotPolicy{Interval: o.snapEvery, Rank0Dedup: o.dedup},
+			Snapshot:    cluster.SnapshotPolicy{Interval: o.snapEvery},
 		},
 	}
 	if o.crash {

@@ -42,9 +42,8 @@ type clusterOptions struct {
 	// under this directory so a killed pipebd can restart with -resume.
 	Ledger string
 	// SnapInterval is the snapshot interval k (0: every step when fault
-	// tolerance is on); SnapDedup ships one snapshot per split group.
+	// tolerance is on).
 	SnapInterval int
-	SnapDedup    bool
 	// ChaosKills injects this many seeded connection kills (derived from
 	// ChaosSeed) mid-run — the self-test for the recovery path, normally
 	// combined with -verify.
@@ -58,12 +57,11 @@ type clusterOptions struct {
 	// address stays unreachable for this duration, forcing the reconnect
 	// loop to back off until the partition heals.
 	ChaosPart time.Duration
-	// RetryBackoff/RetryBudget arm transient-fault absorption: broken
-	// worker and peer links reconnect with exponential backoff (initial
-	// RetryBackoff, doubling) and replay their missed frames for up to
-	// RetryBudget before the failure escalates to recovery or degrade.
-	RetryBackoff time.Duration
-	RetryBudget  time.Duration
+	// RetryBudget arms transient-fault absorption: broken worker and peer
+	// links reconnect with exponential backoff and replay their missed
+	// frames for up to RetryBudget before the failure escalates to
+	// recovery or degrade.
+	RetryBudget time.Duration
 	// TraceOut enables span tracing across the cluster and writes the
 	// collected timeline as Chrome trace-event JSON to this path, then
 	// prints the measured-vs-modeled utilization report.
@@ -91,8 +89,8 @@ func (o clusterOptions) validate() error {
 	if o.SnapInterval < 0 {
 		return fmt.Errorf("-snapshot-interval must be >= 0, got %d", o.SnapInterval)
 	}
-	if (o.SnapInterval > 0 || o.SnapDedup) && o.MaxRestarts <= 0 && o.Ledger == "" {
-		return fmt.Errorf("snapshot policy flags need -max-restarts or -ledger (snapshots exist for recovery)")
+	if o.SnapInterval > 0 && o.MaxRestarts <= 0 && o.Ledger == "" {
+		return fmt.Errorf("-snapshot-interval needs -max-restarts or -ledger (snapshots exist for recovery)")
 	}
 	// A kill beyond the restart budget means the run is expected to die.
 	// That is a configuration mistake — unless a ledger makes the death
@@ -137,10 +135,10 @@ func (o resumeOptions) validate() error {
 
 // clusterWorkload resolves the -cluster-model name into everything the
 // cluster run needs: the wire model spec workers rebuild the workbench
-// from, the deterministic data recipe ring workers regenerate batches
-// from, the local workbench constructor, and the cost-model workload the
-// trace report's modeled comparison uses. Both workbenches have four
-// blocks, so every named cluster plan applies to either model.
+// from, the deterministic data recipe first-group workers regenerate
+// batches from, the local workbench constructor, and the cost-model
+// workload the trace report's modeled comparison uses. Both workbenches
+// have four blocks, so every named cluster plan applies to either model.
 func clusterWorkload(name string, steps, batch int) (wire.ModelSpec, wire.DataSpec, func() *distill.Workbench, model.Workload, error) {
 	switch name {
 	case "", "tiny":
@@ -210,9 +208,9 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 	if err != nil {
 		return err
 	}
-	// The run's batches are exactly the recipe's evaluation, so ring
-	// workers load their training data locally instead of receiving it
-	// from the coordinator.
+	// The run's batches are exactly the recipe's evaluation, so the
+	// workers hosting the first group load their training data locally
+	// instead of receiving it from the coordinator.
 	batches, err := recipe.Batches()
 	if err != nil {
 		return err
@@ -224,14 +222,11 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 		Data:        recipe,
 		JoinTimeout: opts.Timeout,
 		MaxRestarts: opts.MaxRestarts,
-		Snapshot:    cluster.SnapshotPolicy{Interval: opts.SnapInterval, Rank0Dedup: opts.SnapDedup},
+		Snapshot:    cluster.SnapshotPolicy{Interval: opts.SnapInterval},
 		LedgerDir:   opts.Ledger,
 		Fsync:       opts.Fsync,
 		Repartition: opts.Repartition,
-		Retry: wire.RetrySpec{
-			BackoffMillis: int(opts.RetryBackoff / time.Millisecond),
-			BudgetMillis:  int(opts.RetryBudget / time.Millisecond),
-		},
+		Retry:       wire.RetrySpec{BudgetMillis: int(opts.RetryBudget / time.Millisecond)},
 		LedgerMeta: fmt.Sprintf("pipebd -cluster %s -cluster-plan %s -cluster-model %s -cluster-steps %d -cluster-batch %d",
 			strings.Join(opts.Workers, ","), opts.PlanName, spec.Name, opts.Steps, opts.Batch),
 		Logf: func(format string, args ...any) {
@@ -346,6 +341,9 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 	fmt.Fprintf(stdout, "pipebd: final per-block losses: %s\n", strings.Join(parts, " "))
 
 	if collect != nil {
+		// Worker-side drops are counted on the workers (their metrics and
+		// trace dumps); the coordinator's own track reports here.
+		collect.AddDropped(counters.Counter("spans_dropped").Load())
 		if err := writeTraceReport(stdout, opts.TraceOut, collect,
 			plan, opts.DPU, nDev, opts.Steps, opts.Batch, costWL); err != nil {
 			return err

@@ -25,10 +25,12 @@
 // -topology selects the cluster data plane. The default "ring" moves
 // forwarded activations and gradient all-reduces directly between the
 // workers over peer-to-peer connections, demoting the coordinator to a
-// control plane (placement, batch feed, loss collection, the step
-// barrier, snapshots); "hub" routes every tensor through the
-// coordinator. Both topologies are bit-identical to the in-process
-// pipeline — and therefore to each other.
+// control plane (placement, loss collection, the step barrier,
+// snapshots); "hub" routes every activation and gradient through the
+// coordinator. Under both, the first pipeline stage regenerates its
+// batches locally from the run's data recipe — no batch crosses a
+// connection — and both are bit-identical to the in-process pipeline,
+// and therefore to each other.
 //
 // -max-restarts N enables fault tolerance: when a worker connection dies
 // (or goes silent past -cluster-heartbeat), the coordinator supersedes
@@ -38,11 +40,11 @@
 // prove by injecting seeded kills under -verify.
 //
 // -retry-budget D adds a cheaper tier below restarts: a broken worker or
-// peer link first tries to reconnect (exponential backoff from
-// -retry-backoff) and replay its missed frames, absorbing transient
-// flaps without touching the restart budget; a peer link that stays down
-// past the budget while its workers remain alive is degraded to hub
-// relay through the coordinator instead of cutting the run. Self-test
+// peer link first tries to reconnect (exponential backoff from 10 ms)
+// and replay its missed frames, absorbing transient flaps without
+// touching the restart budget; a peer link that stays down past the
+// budget while its workers remain alive is degraded to hub relay through
+// the coordinator instead of cutting the run. Self-test
 // with -chaos-flaps N (seeded transient breaks) and -chaos-partition D
 // (a healing blackhole the reconnect loop must outlast) under -verify.
 //
@@ -55,11 +57,13 @@
 //	pipebd -resume /tmp/run1 -verify
 //
 // The resumed run re-places every device on the workers (start them with
-// -rejoin so a dropped session does not consume their budget), replays
-// from the persisted cut, and finishes bit-identical to an uninterrupted
-// run. -snapshot-interval k trades snapshot traffic for replay length
-// (snapshot every k-th step); -snapshot-dedup ships one snapshot per
-// split group instead of one per member.
+// -rejoin so a dropped session does not consume their budget) exactly as
+// a fresh run or a live restart does — one handshake and one session-open
+// frame per worker, carrying each device's state at the persisted cut —
+// and finishes bit-identical to an uninterrupted run. -snapshot-interval k
+// trades snapshot traffic for replay length (each group's rank-0 device
+// snapshots every k-th step; the other members of a split group are
+// bit-identical replicas and ship nothing).
 //
 // -compact-ledger DIR rewrites a ledger's append-only record log as one
 // checkpoint record per plan generation holding only what a resume still
@@ -122,16 +126,11 @@ func main() {
 	clusterTimeout := flag.Duration("cluster-timeout", 10*time.Second, "per-worker join timeout in cluster mode")
 	maxRestarts := flag.Int("max-restarts", 0, "cluster mode: survive up to N lost workers by restarting every device from the newest commonly snapshotted step (0: a lost worker fails the run); with -resume, 0 reuses the manifest's budget and a negative value disables worker recovery")
 	clusterHeartbeat := flag.Duration("cluster-heartbeat", 0, "cluster mode: worker heartbeat interval; a worker silent for 4 intervals is declared dead (0: disable silence detection)")
-	retryBackoff := flag.Duration("retry-backoff", 10*time.Millisecond, "cluster mode: initial reconnect backoff of a -retry-budget link, doubling per attempt")
-	retryBudget := flag.Duration("retry-budget", 0, "cluster mode: transient-fault absorption — a broken worker or peer link reconnects with exponential backoff and replays its missed frames for up to this long before the failure escalates (0: links fail on first break, classic behavior)")
+	retryBudget := flag.Duration("retry-budget", 0, "cluster mode: transient-fault absorption — a broken worker or peer link reconnects with exponential backoff (from 10 ms) and replays its missed frames for up to this long before the failure escalates (0: links fail on first break, classic behavior)")
 	ledgerDir := flag.String("ledger", "", "cluster mode: persist the coordinator's run state under this directory so a killed pipebd can restart with -resume")
-	snapInterval := flag.Int("snapshot-interval", 0, "cluster mode: device snapshot interval k — snapshot every k-th step (0: every step when fault tolerance is on)")
-	snapDedup := flag.Bool("snapshot-dedup", false, "cluster mode: ship one snapshot per split group (rank 0) instead of one per member")
+	snapInterval := flag.Int("snapshot-interval", 0, "cluster mode: snapshot interval k — each group's rank-0 device snapshots every k-th step (0: every step when fault tolerance is on)")
 	fsync := flag.String("fsync", "none", "ledger record-log durability tier: none (page cache only — survives process death), interval[:N] (fsync every N records, default 64), or always (fsync every record); needs -ledger or -resume")
 	repartition := flag.Bool("repartition", false, "cluster mode: rebalance the pipeline placement mid-run from measured span timings — when observed per-block step times predict a better contiguous split, cut at a step boundary and re-place (weights stay bit-identical; needs an all-unsplit plan such as tr or ir)")
-	repartitionThreshold := flag.Float64("repartition-threshold", 0.1, "minimum predicted relative step-time improvement before a repartition executes (0.1 = 10%)")
-	repartitionHysteresis := flag.Int("repartition-hysteresis", 3, "consecutive qualifying measurements required before a repartition executes")
-	repartitionWarmup := flag.Int("repartition-warmup", 3, "measured steps per device before repartition proposals are evaluated")
 	resumeDir := flag.String("resume", "", "restart a killed coordinator from this ledger directory (plan, model, batches, and workers come from the manifest; -cluster overrides the worker addresses; explicitly-set -cluster-plan/-topology/-cluster-steps become checked expectations against the manifest)")
 	compactDir := flag.String("compact-ledger", "", "rewrite this ledger directory's record log as one checkpoint per plan generation holding only what a resume still needs, then exit")
 	chaosKills := flag.Int("chaos-kills", 0, "cluster mode: inject N seeded worker-connection kills mid-run (self-test for -max-restarts; combine with -verify)")
@@ -189,12 +188,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
 		os.Exit(2)
 	}
-	repartCfg := cluster.RepartitionConfig{
-		Enabled:    *repartition,
-		Threshold:  *repartitionThreshold,
-		Hysteresis: *repartitionHysteresis,
-		Warmup:     *repartitionWarmup,
-	}
+	repartCfg := cluster.RepartitionConfig{Enabled: *repartition}
 	// Flags set explicitly on the command line, as opposed to resting at
 	// their defaults: a -resume alongside e.g. -cluster-plan tr means the
 	// user *expects* the ledger to hold that plan, and a silent mismatch
@@ -261,12 +255,10 @@ func main() {
 			Heartbeat:    *clusterHeartbeat,
 			Ledger:       *ledgerDir,
 			SnapInterval: *snapInterval,
-			SnapDedup:    *snapDedup,
 			ChaosKills:   *chaosKills,
 			ChaosSeed:    *chaosSeed,
 			ChaosFlaps:   *chaosFlaps,
 			ChaosPart:    *chaosPartition,
-			RetryBackoff: *retryBackoff,
 			RetryBudget:  *retryBudget,
 			TraceOut:     *traceOut,
 			NetStats:     *netStats,

@@ -30,7 +30,6 @@ func TestClusterOptionsValidate(t *testing.T) {
 		{"zero batch", func(o *clusterOptions) { o.Batch = 0 }, "positive"},
 		{"negative interval", func(o *clusterOptions) { o.MaxRestarts = 1; o.SnapInterval = -1 }, "snapshot-interval"},
 		{"policy without recovery", func(o *clusterOptions) { o.SnapInterval = 3 }, "max-restarts or -ledger"},
-		{"dedup without recovery", func(o *clusterOptions) { o.SnapDedup = true }, "max-restarts or -ledger"},
 		{"chaos beyond budget", func(o *clusterOptions) { o.ChaosKills = 2; o.MaxRestarts = 1 }, "chaos-kills"},
 	}
 	for _, c := range cases {
@@ -48,7 +47,7 @@ func TestClusterOptionsValidate(t *testing.T) {
 
 	// Policy flags become valid once a recovery mechanism is configured.
 	o := good
-	o.SnapInterval, o.SnapDedup, o.MaxRestarts = 3, true, 1
+	o.SnapInterval, o.MaxRestarts = 3, 1
 	if err := o.validate(); err != nil {
 		t.Fatalf("policy with -max-restarts rejected: %v", err)
 	}
@@ -110,8 +109,8 @@ func TestClusterCrashThenResumeEndToEnd(t *testing.T) {
 		Workers: addrs, PlanName: "hybrid", Steps: 6, Batch: 8, DPU: true,
 		Timeout:      10 * time.Second,
 		Ledger:       dir,
-		SnapInterval: 2, SnapDedup: true,
-		ChaosKills: 1, ChaosSeed: 7,
+		SnapInterval: 2,
+		ChaosKills:   1, ChaosSeed: 7,
 	})
 	if err == nil {
 		t.Fatalf("rigged cluster run finished; output:\n%s", out.String())

@@ -140,8 +140,8 @@ func writeTraceReport(stdout io.Writer, path string, collect *obs.Collector,
 	if err := obs.WriteChromeTraceFile(path, collect); err != nil {
 		return fmt.Errorf("writing trace: %w", err)
 	}
-	fmt.Fprintf(stdout, "pipebd: wrote Chrome trace (%d spans) to %s — load it in chrome://tracing or https://ui.perfetto.dev\n",
-		collect.SpanCount(), path)
+	fmt.Fprintf(stdout, "pipebd: wrote Chrome trace (%s) to %s — load it in chrome://tracing or https://ui.perfetto.dev\n",
+		collect, path)
 	order := make([]string, nDev)
 	for i := range order {
 		order[i] = fmt.Sprintf("dev%d", i)

@@ -71,28 +71,36 @@
 // engine.DeviceLink, and the wire codec carries floats bit-exactly, so a
 // cluster run reproduces RunPipelined's trajectory bit-for-bit.
 //
+// Every attempt of a run — the first, a restart, a resume — opens its
+// sessions the same way: one dial-and-hello handshake per placement slot,
+// then one Assign frame per session, which past the seed also carries each
+// hosted device's state at the cut. Only the first pipeline stage touches
+// a batch, and it reads it locally: regenerated from a deterministic
+// dataset recipe (cluster.Config.Data) or, without one, from the schedule
+// carried once in the Assign (bounded by wire.MaxPayload). No per-step
+// input frame exists.
+//
 // Two data-plane topologies ship (cluster.Config.Topology, cmd/pipebd
-// -topology). "hub" routes every tensor through the coordinator. "ring"
+// -topology). "hub" routes every activation and gradient through the
+// coordinator. "ring"
 // — the CLI default — has the workers dial each other from a
 // coordinator-distributed placement directory (epoch-guarded so stale
 // dials from a superseded attempt never join a fresh mesh): forwarded
 // activations travel stage-to-stage over peer links, and split groups
 // average gradients with a reduce-scatter + ring all-gather that folds
 // contributions in the hub's exact ascending-rank order. The
-// coordinator is demoted to a control plane — training inputs are
-// prestaged or regenerated worker-locally from a deterministic dataset
-// recipe, so its steady-state traffic no longer scales with activation,
-// gradient, or input size — and both topologies are bit-identical to
-// the in-process pipeline and to each other.
+// coordinator is demoted to a control plane — its steady-state traffic
+// no longer scales with activation, gradient, or input size — and both
+// topologies are bit-identical to the in-process pipeline and to each
+// other.
 //
 // # Fault tolerance
 //
 // Failures are handled in three tiers, each strictly cheaper than the
 // next, and every tier preserves bit-identity.
 //
-// Tier 1, absorb (cluster.Config.Retry, cmd/pipebd -retry-budget /
-// -retry-backoff): every control and peer connection is wrapped in a
-// resumable stream (transport.Resumable) — both sides count received
+// Tier 1, absorb (cluster.Config.Retry, cmd/pipebd -retry-budget):
+// every control and peer connection is wrapped in a resumable stream (transport.Resumable) — both sides count received
 // frames, the sender buffers its unacknowledged tail, and a broken link
 // redials with exponential backoff, re-handshakes on the peer's
 // high-water mark, and replays exactly the missed frames. Transient
@@ -110,15 +118,15 @@
 //
 // Tier 3, global cut (cluster.Config.MaxRestarts): a genuinely lost
 // worker costs a restart, and hub and ring restart the same way. Each
-// device streams a post-step snapshot (student parameters + optimizer
-// velocities) to the coordinator. When a worker's connection dies — or
-// goes silent past the heartbeat timeout — the attempt fails fast, every
-// session is superseded, and the attempt driver re-places every device
-// on the re-joined or surviving workers via Resume frames carrying the
-// state at the global cut: the newest commonly snapshotted, fully
+// group's rank-0 device streams a post-step snapshot (student parameters
+// + optimizer velocities) to the coordinator. When a worker's connection
+// dies — or goes silent past the heartbeat timeout — the attempt fails
+// fast, every session is superseded, and the attempt driver re-places
+// every device on the re-joined or surviving workers, the Assign carrying
+// the state at the global cut: the newest commonly snapshotted, fully
 // accounted step. Nothing in flight is salvaged (a lost worker strands a
 // ring collective, and a half-assembled hub gather is no different);
-// replayed work is a pure function of the restored state and the re-fed
+// replayed work is a pure function of the restored state and the
 // batches, so the recovered run's losses and trained weights stay
 // bit-identical to a fault-free run. transport.Chaos injects
 // deterministic, seeded fault schedules (connection kills, transient
@@ -126,9 +134,10 @@
 // truncated frames) to prove all three tiers, both in the test suites
 // and from the CLI (-chaos-kills, -chaos-flaps, -chaos-partition).
 //
-// Snapshot traffic follows a policy (cluster.Config.Snapshot): interval k
-// snapshots every k-th step, and rank-0 dedup ships one snapshot per
-// split group instead of one per member; a snapshotted step becomes the
+// Snapshot traffic is one snapshot per group — the members of a split
+// group are bit-identical replicas, so only rank 0 snapshots and a
+// snapshot from any other rank is a protocol error — every k-th step
+// (cluster.Config.Snapshot's interval); a snapshotted step becomes the
 // cut only once every member's losses and barrier arrivals are accounted
 // for.
 //

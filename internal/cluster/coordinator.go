@@ -21,7 +21,7 @@ import (
 )
 
 // SnapshotPolicy is the cluster-facing alias of the wire-level snapshot
-// policy: interval-k snapshots plus rank-0 dedup for split groups.
+// policy: interval-k snapshots from each group's rank-0 device.
 type SnapshotPolicy = wire.SnapshotPolicy
 
 // Config parameterizes a cluster run.
@@ -33,9 +33,6 @@ type Config struct {
 	DPU bool
 	// LR and Momentum configure each block's SGD optimizer.
 	LR, Momentum float32
-	// Buffer is the pipeline depth: how many batches may be in flight
-	// ahead of the slowest group-0 device; <= 0 means 2.
-	Buffer int
 	// Backend optionally names the tensor backend workers should use
 	// (bit-identical by contract, so purely a throughput knob).
 	Backend string
@@ -43,18 +40,19 @@ type Config struct {
 	// every activation and gradient through the coordinator; "ring" has
 	// the workers dial each other and exchange activations and gradient
 	// reductions peer-to-peer, demoting the coordinator to a control
-	// plane (placement, barriers, losses, snapshots; inputs are prestaged
-	// in the Assign or regenerated locally from Data). Both are
-	// bit-identical to the in-process engine.
+	// plane (placement, barriers, losses, snapshots). Under both, the
+	// first group reads its batches locally — no per-step input frame
+	// exists — and both are bit-identical to the in-process engine.
 	Topology string
-	// Data optionally hands ring workers a deterministic recipe for the
+	// Data optionally hands the workers a deterministic recipe for the
 	// run's batch schedule (wire.DataSpec; N > 0 enables it). Sessions
 	// hosting first-group devices then regenerate their inputs locally —
-	// distributed data loading — and the Assign carries no batch tensors,
-	// so the coordinator's connections see zero input bytes. The
-	// coordinator validates at run start that the recipe reproduces the
-	// batches passed to Run bit-exactly, keeping the bit-identity contract
-	// checkable. Ignored for hub runs.
+	// distributed data loading — and the coordinator's connections see
+	// zero input bytes. The coordinator validates at run start that the
+	// recipe reproduces the batches passed to Run bit-exactly, keeping the
+	// bit-identity contract checkable. Without a recipe those sessions'
+	// Assign carries the whole schedule in one frame, bounded by
+	// wire.MaxPayload; pass Data for anything larger.
 	Data wire.DataSpec
 	// Spec names the model the workers rebuild. Its architecture must
 	// match the workbench passed to Run.
@@ -74,12 +72,12 @@ type Config struct {
 	// needs.
 	MaxRestarts int
 	// Snapshot tunes the recovery-snapshot traffic when fault tolerance
-	// is on (MaxRestarts > 0 or LedgerDir set): Interval k makes devices
-	// snapshot every k-th step (a restart replays up to k steps instead
-	// of one), and Rank0Dedup ships one member snapshot per split group
-	// instead of k bit-identical copies. The zero policy means "every
-	// step, every member" — exactly the pre-policy behavior. Configuring
-	// a non-zero policy without fault tolerance is an error.
+	// is on (MaxRestarts > 0 or LedgerDir set): Interval k makes each
+	// group's rank-0 device snapshot every k-th step (a restart replays up
+	// to k steps instead of one); the members of a split group are
+	// bit-identical replicas, so one copy stands for the group. The zero
+	// policy means every step. Configuring a non-zero policy without fault
+	// tolerance is an error.
 	Snapshot SnapshotPolicy
 	// LedgerDir, when set, makes the run durable: the coordinator
 	// persists its manifest and what the global cut is computed from
@@ -138,19 +136,21 @@ type Config struct {
 	// Metrics, when non-nil, receives the coordinator's operational
 	// counters: steps completed, snapshots installed, worker recoveries
 	// ("recoveries": restarts consumed from MaxRestarts), ledger
-	// records/bytes. Independent of Trace.
+	// records/bytes, and — with Trace — the coordinator-track spans lost
+	// to a full buffer ("spans_dropped").
 	Metrics *obs.Metrics
 	// Logf receives progress lines; nil is silent.
 	Logf func(format string, args ...any)
 }
 
-// Coordinator drives a cluster run: it joins the workers, maps the plan's
-// devices onto them, broadcasts the model spec, seed parameters, and
-// batches, and acts as the hub for the session's data flow — assembling
-// teacher-relay activation shards and forwarding them downstream,
-// performing the rank-ordered intra-group gradient reduction, counting
-// the global no-DPU step barrier, accumulating per-block losses, and
-// installing the trained weights it receives back.
+// Coordinator drives a cluster run: it places the plan's devices on the
+// workers, opens each session with one Assign frame (model spec, seed
+// parameters, the first group's batch schedule or the recipe for it), and
+// acts as the hub for the session's data flow — assembling teacher-relay
+// activation shards and forwarding them downstream, performing the
+// rank-ordered intra-group gradient reduction, counting the global no-DPU
+// step barrier, accumulating per-block losses, and installing the trained
+// weights it receives back.
 //
 // Every reduction the hub performs uses the exact floating-point
 // evaluation order of the in-process engine (rank-ordered sums, merge via
@@ -161,10 +161,11 @@ type Config struct {
 // under one rule for every topology (see driver.go): it keeps each
 // group's post-step snapshots (parameters + optimizer velocities) back to
 // the global cut, and when a worker dies it supersedes every session and
-// restarts every device from that cut via Resume frames. Because every
-// replayed step is a pure function of the restored state and the re-fed
-// batches, the run's losses and trained weights remain bit-identical to a
-// fault-free run.
+// restarts every device from that cut — the same placement, with the
+// group's state at the cut riding in the Assign. Because every replayed
+// step is a pure function of the restored state and the batches, the
+// run's losses and trained weights remain bit-identical to a fault-free
+// run.
 type Coordinator struct {
 	net transport.Network
 	cfg Config
@@ -261,13 +262,12 @@ type run struct {
 	batches  []dataset.Batch
 	addrs    []string
 	runCfg   wire.RunConfig
-	ft       bool                // fault tolerance enabled (MaxRestarts > 0 or durable)
-	policy   wire.SnapshotPolicy // effective snapshot policy (zero when !ft)
-	seedSnap wire.Snapshot       // the run's seed params, immutable; shared by every attempt
-	ringMode bool                // peer-to-peer data plane (Config.Topology == "ring")
-	epoch    int64               // attempt epoch, stamped into every Assign
-	repart   *repartitioner      // drive-loop repartition controller; nil when disabled
-	carry    *runCarry           // the cut this attempt started from; nil = attempt zero
+	ft       bool           // fault tolerance enabled (MaxRestarts > 0 or durable)
+	seedSnap wire.Snapshot  // the run's seed params, immutable; shared by every attempt
+	ringMode bool           // peer-to-peer data plane (Config.Topology == "ring")
+	epoch    int64          // attempt epoch, stamped into every Assign
+	repart   *repartitioner // drive-loop repartition controller; nil when disabled
+	carry    *runCarry      // the cut this attempt started from; nil = attempt zero
 
 	// tracer/coTrack instrument the coordinator's own control-plane work
 	// (ledger appends) when Config.Trace is on; teardown drains the track
@@ -276,8 +276,8 @@ type run struct {
 	coTrack *obs.Track
 
 	// Degraded peer edges (flattened pairs), installed by the driver
-	// before join and carried into every Assign; degradedGroups marks the
-	// groups with an internal degraded edge, whose gradient reductions
+	// before placement and carried into every Assign; degradedGroups marks
+	// the groups with an internal degraded edge, whose gradient reductions
 	// fall back to the hub fold. Immutable once readers start.
 	degraded       []int
 	degradedGroups map[int]bool
@@ -285,7 +285,7 @@ type run struct {
 	mu          sync.Mutex
 	linkDowns   [][2]int               // peer edges reported down this attempt
 	led         *ledger.Ledger         // durable-run store, owned by the driver; nil for in-memory runs
-	peerDir     []string               // ring: device rank → hosting worker address
+	peerDir     []string               // device rank → hosting worker address
 	histG       []map[int]histEntry    // ft: [gi] step → restart state (group-identical), back to the cut
 	peers       []*peerConn            // live worker sessions; dead ones are fully closed and dropped
 	byDev       map[int]*peerConn      // device rank → live peer (absent once dead)
@@ -295,8 +295,6 @@ type run struct {
 	grads       []map[int]*gatherLists // [gi] step → collected gradient lists
 	barrier     map[int]int            // step → devices arrived (no-DPU only)
 	losses      [][][]float64          // [gi][j*nb+bi][step]
-	g0done      map[int]int            // step → group-0 members that completed it
-	credits     chan struct{}
 	done        int
 	closed      bool // teardown ran; stale readers must touch nothing
 	finished    chan struct{}
@@ -348,9 +346,9 @@ func (c *Coordinator) createLedger(r *run) (*ledger.Ledger, error) {
 	return led, nil
 }
 
-// execute drives a joined attempt to completion: start the readers,
-// feeder, and monitor, wait for every device's Done, then
-// drain the sessions gracefully.
+// execute drives a placed attempt to completion: start the readers and
+// monitor, wait for every device's Done, then drain the sessions
+// gracefully.
 func (c *Coordinator) execute(r *run) (engine.Result, error) {
 	r.start()
 	select {
@@ -397,10 +395,6 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches [
 	default:
 		return nil, fmt.Errorf("cluster: unknown topology %q (want \"hub\" or \"ring\")", c.cfg.Topology)
 	}
-	buffer := c.cfg.Buffer
-	if buffer <= 0 {
-		buffer = 2
-	}
 	if c.cfg.Repartition.Enabled {
 		for gi, g := range plan.Groups {
 			if g.Split() != 1 {
@@ -425,14 +419,11 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches [
 		byDev: make(map[int]*peerConn), devs: make(map[int]*devState),
 		workb: w, batches: batches, addrs: addrs,
 		ft:       ft,
-		policy:   policy,
 		ringMode: c.cfg.Topology == "ring",
 		outputs:  make([]map[int]*gather, len(plan.Groups)),
 		grads:    make([]map[int]*gatherLists, len(plan.Groups)),
 		barrier:  make(map[int]int),
 		losses:   make([][][]float64, len(plan.Groups)),
-		g0done:   make(map[int]int),
-		credits:  make(chan struct{}, len(batches)+buffer),
 		finished: make(chan struct{}),
 		failed:   make(chan struct{}),
 	}
@@ -451,7 +442,7 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches [
 	}
 	r.seedSnap = seed
 	r.runCfg = wire.RunConfig{DPU: c.cfg.DPU, LR: c.cfg.LR, Momentum: c.cfg.Momentum,
-		Buffer: c.cfg.Buffer, Steps: r.steps, Backend: c.cfg.Backend,
+		Steps: r.steps, Backend: c.cfg.Backend,
 		Snap:            policy,
 		HeartbeatMillis: int(c.cfg.HeartbeatInterval / time.Millisecond),
 		Topology:        c.cfg.Topology,
@@ -461,7 +452,7 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches [
 		// did not ask for a trace.
 		Trace: c.cfg.Trace || c.cfg.Repartition.Enabled,
 		Data:  c.cfg.Data}
-	if r.ringMode && c.cfg.Data.N > 0 {
+	if c.cfg.Data.N > 0 {
 		if err := validateDataRecipe(c.cfg.Data, batches); err != nil {
 			return nil, err
 		}
@@ -484,16 +475,13 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches [
 				snapStep: -1, outputSeen: -1, lossSeen: -1, barrierSeen: -1}
 		}
 	}
-	for i := 0; i < buffer; i++ {
-		r.credits <- struct{}{}
-	}
 	return r, nil
 }
 
 // setDegraded installs the driver's accumulated degraded peer edges:
 // flattened for the Assign, plus the set of groups whose internal edge
 // is degraded (their reductions come back to the hub). Called before
-// join, while the run is still single-threaded.
+// placement, while the run is still single-threaded.
 func (r *run) setDegraded(edges [][2]int) {
 	if len(edges) == 0 {
 		return
@@ -510,26 +498,21 @@ func (r *run) setDegraded(edges [][2]int) {
 
 // effectivePolicy resolves the configured snapshot policy against the
 // run's fault-tolerance mode: the zero policy defaults to every-step
-// per-member snapshots when recovery is possible and to no snapshots at
-// all otherwise, while an explicit policy without any recovery mechanism
+// snapshots when recovery is possible and to no snapshots at all
+// otherwise, while an explicit policy without any recovery mechanism
 // is a configuration error (pure wasted traffic).
 func effectivePolicy(p wire.SnapshotPolicy, ft bool) (wire.SnapshotPolicy, error) {
 	if p.Interval < 0 {
 		return wire.SnapshotPolicy{}, fmt.Errorf("cluster: snapshot interval must be >= 0, got %d", p.Interval)
 	}
 	if !ft {
-		if p.Interval > 0 || p.Rank0Dedup {
+		if p.Interval > 0 {
 			return wire.SnapshotPolicy{}, fmt.Errorf("cluster: snapshot policy %+v needs fault tolerance (MaxRestarts > 0 or LedgerDir)", p)
 		}
 		return wire.SnapshotPolicy{}, nil
 	}
 	if p.Interval == 0 {
 		p.Interval = 1
-	}
-	// The policy shipped to workers must satisfy the wire-level contract
-	// they re-validate on receipt.
-	if err := p.Validate(); err != nil {
-		return wire.SnapshotPolicy{}, err
 	}
 	return p, nil
 }
@@ -556,56 +539,9 @@ func (r *run) logRecord(rec *ledger.Record) {
 	}
 }
 
-// join dials every worker (retrying while it comes up), performs the
-// hello handshake, and sends the session assignment.
-func (r *run) join() error {
-	placement := PlaceDevices(r.nDev, len(r.addrs))
-	if r.ringMode {
-		// Ring sessions need the placement directory before any worker can
-		// start dialing its peers.
-		r.peerDir = make([]string, r.nDev)
-		for i, devs := range placement {
-			for _, d := range devs {
-				r.peerDir[d] = r.addrs[i]
-			}
-		}
-	}
-	for i, addr := range r.addrs {
-		if len(placement[i]) == 0 {
-			r.co.logf("worker %s: no devices to place, skipping", addr)
-			continue
-		}
-		conn, deadline, err := r.dialJoin(addr)
-		if err != nil {
-			return err
-		}
-		hello, err := recvDeadline(conn, deadline)
-		if err != nil {
-			conn.Close()
-			return fmt.Errorf("cluster: worker %s handshake: %w", addr, err)
-		}
-		if hello.Kind != wire.KindHello {
-			conn.Close()
-			return fmt.Errorf("cluster: worker %s sent %v, want hello", addr, hello.Kind)
-		}
-		sid := r.newSessionID()
-		assign := &wire.Assign{Plan: r.plan, Spec: r.co.cfg.Spec, Run: r.runCfg,
-			Devices: placement[i], Snapshot: r.seedSnap,
-			Peers: r.peerDir, Epoch: r.epoch, Session: sid, Degraded: r.degraded,
-			Inputs: r.prestageInputs(placement[i])}
-		if err := conn.Send(wire.EncodeAssign(assign)); err != nil {
-			conn.Close()
-			return fmt.Errorf("cluster: worker %s assign: %w", addr, err)
-		}
-		r.attach(conn, addr, placement[i], sid)
-		r.co.logf("worker %s joined, hosting devices %v", addr, placement[i])
-	}
-	return nil
-}
-
-// attach registers a freshly handshaken session (Assign or Resume already
-// sent) as the live host of its devices. Runs before start, while the
-// attempt is still single-threaded.
+// attach registers a freshly opened session (Assign already sent) as the
+// live host of its devices. Runs before start, while the attempt is still
+// single-threaded.
 func (r *run) attach(conn transport.Conn, addr string, devices []int, sid int64) {
 	link, res := r.resumeControl(conn, addr, sid)
 	p := &peerConn{addr: addr, conn: link, res: res, out: newOutbox(link), devices: devices}
@@ -613,21 +549,6 @@ func (r *run) attach(conn transport.Conn, addr string, devices []int, sid int64)
 	r.peers = append(r.peers, p)
 	for _, d := range devices {
 		r.byDev[d] = p
-	}
-}
-
-func (r *run) dialJoin(addr string) (transport.Conn, time.Time, error) {
-	timeout := r.co.joinTimeout()
-	deadline := time.Now().Add(timeout)
-	for {
-		conn, err := r.net().Dial(addr)
-		if err == nil {
-			return conn, deadline, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, deadline, fmt.Errorf("cluster: worker %s did not join within %v: %w", addr, timeout, err)
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }
 
@@ -666,6 +587,25 @@ func recvDeadline(conn transport.Conn, deadline time.Time) (*wire.Frame, error) 
 
 func (r *run) net() transport.Network { return r.co.net }
 
+// dialHello opens the one handshake every connection to a worker starts
+// with: dial, then the worker's Hello, bounded by the deadline. The caller
+// owns the returned connection.
+func dialHello(net transport.Network, addr string, deadline time.Time) (transport.Conn, error) {
+	conn, err := net.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	hello, err := recvDeadline(conn, deadline)
+	if err == nil && hello.Kind != wire.KindHello {
+		err = fmt.Errorf("worker %s sent %v, want hello", addr, hello.Kind)
+	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return conn, nil
+}
+
 // newSessionID returns a fresh control-session id when the retry policy
 // is on (zero otherwise — the Assign's zero Session disables resume on
 // the worker side too).
@@ -702,18 +642,12 @@ func (r *run) resumeControl(conn transport.Conn, addr string, sid int64) (transp
 // worker's Hello, then a SessionResume handshake carrying our receive
 // count; the echo carries the worker's, bounding the replay.
 func (r *run) redialControl(addr string, sid, recvd int64) (transport.Conn, int64, error) {
-	conn, err := r.net().Dial(addr)
+	deadline := time.Now().Add(retryPolicy(r.runCfg.Retry).Budget)
+	conn, err := dialHello(r.net(), addr, deadline)
 	if err != nil {
 		return nil, 0, err
 	}
-	deadline := time.Now().Add(retryPolicy(r.runCfg.Retry).Budget)
-	hello, err := recvDeadline(conn, deadline)
-	if err == nil && hello.Kind != wire.KindHello {
-		err = fmt.Errorf("worker %s sent %v, want hello", addr, hello.Kind)
-	}
-	if err == nil {
-		err = conn.Send(wire.EncodeSessionResume(wire.SessionResume{Session: sid, Recvd: recvd}))
-	}
+	err = conn.Send(wire.EncodeSessionResume(wire.SessionResume{Session: sid, Recvd: recvd}))
 	var sr wire.SessionResume
 	if err == nil {
 		var echo *wire.Frame
@@ -731,8 +665,8 @@ func (r *run) redialControl(addr string, sid, recvd int64) (transport.Conn, int6
 	return conn, sr.Recvd, nil
 }
 
-// start launches the per-peer readers, the group-0 batch feeder, and —
-// when configured — the heartbeat monitor.
+// start launches the per-peer readers and — when configured — the
+// heartbeat monitor.
 func (r *run) start() {
 	r.mu.Lock()
 	peers := append([]*peerConn(nil), r.peers...)
@@ -740,7 +674,6 @@ func (r *run) start() {
 	for _, p := range peers {
 		r.startReader(p)
 	}
-	go r.feed()
 	if r.co.cfg.HeartbeatTimeout > 0 {
 		go r.monitorHeartbeats()
 	}
@@ -824,7 +757,7 @@ func (r *run) monitorHeartbeats() {
 }
 
 // validateDataRecipe proves Config.Data regenerates the exact batches
-// passed to Run: ring workers source their inputs from the recipe, so a
+// passed to Run: first-group workers source their inputs from the recipe, so a
 // recipe that drifted from the real schedule would silently train on
 // different data. The comparison is bit-exact, same as every other
 // equivalence contract in this package.
@@ -850,64 +783,30 @@ func validateDataRecipe(ds wire.DataSpec, batches []dataset.Batch) error {
 	return nil
 }
 
-// prestageInputs returns the batch schedule a ring session's Assign
-// carries when the listed devices include a first-group member: the full
-// run's input tensors, so group-0 members source every step locally and
-// the coordinator sends no per-step input frames at all. Hub sessions,
-// ring sessions hosting only later groups, and runs with a Data recipe
-// (where workers regenerate the schedule themselves) get nothing.
-func (r *run) prestageInputs(devices []int) []*tensor.Tensor {
-	if !r.ringMode || r.runCfg.Data.N > 0 {
+// scheduleFor returns the batch schedule a session's Assign carries when
+// the listed devices include a first-group member: the full run's input
+// tensors, so group-0 members source every step locally and the
+// coordinator sends no per-step input frames at all. Sessions hosting only
+// later groups, and runs with a Data recipe (where workers regenerate the
+// schedule themselves) get nothing.
+func (r *run) scheduleFor(devices []int) []*tensor.Tensor {
+	if r.runCfg.Data.N > 0 {
 		return nil
 	}
-	hostsG0 := false
 	for _, d := range devices {
-		for _, gd := range r.plan.Groups[0].Devices {
-			if d == gd {
-				hostsG0 = true
+		if r.devs[d].place.gi == 0 {
+			xs := make([]*tensor.Tensor, len(r.batches))
+			for i, b := range r.batches {
+				xs[i] = b.X
 			}
+			return xs
 		}
 	}
-	if !hostsG0 {
-		return nil
-	}
-	xs := make([]*tensor.Tensor, len(r.batches))
-	for i, b := range r.batches {
-		xs[i] = b.X
-	}
-	return xs
+	return nil
 }
 
-// feed streams the training batches to every member of the first group,
-// windowed by the pipeline depth: a new batch enters only when the
-// slowest group-0 member finishes an earlier step — the cluster analogue
-// of the in-process relay channel's backpressure. A restarted attempt
-// feeds from the step after its cut. Ring runs prestage the whole
-// schedule in each group-0 session's Assign instead: the workers
-// self-pace on the peer acks, and the coordinator's steady-state traffic
-// stays control-plane sized.
-func (r *run) feed() {
-	if r.ringMode {
-		return
-	}
-	g0 := r.plan.Groups[0]
-	for s := r.startStep(); s < r.steps; s++ {
-		select {
-		case <-r.credits:
-		case <-r.failed:
-			return
-		case <-r.finished:
-			return
-		}
-		payload := wire.EncodeTensor(wire.KindInput, wire.NoDev, int32(s), r.batches[s].X).Payload
-		r.mu.Lock()
-		r.sendGroupInputLocked(g0.Devices, s, payload)
-		r.mu.Unlock()
-	}
-}
-
-// sendGroupInputLocked delivers one step's input payload to every
-// attached member of a group. Callers hold r.mu and deliver each device's
+// sendGroupInputLocked delivers one step's relayed-activation payload to
+// every attached member of a later group. Callers hold r.mu and deliver each device's
 // inputs in increasing step order.
 func (r *run) sendGroupInputLocked(devs []int, step int, payload []byte) {
 	for _, d := range devs {
@@ -998,6 +897,9 @@ func (r *run) teardown() {
 		if spans := r.coTrack.Drain(); len(spans) > 0 {
 			r.co.cfg.TraceSink(r.coTrack.Name(), spans)
 		}
+		// The track lives for one attempt and drains only here, so its
+		// drop count is this attempt's.
+		r.co.cfg.Metrics.Add("spans_dropped", r.coTrack.Dropped())
 	}
 	graceful := true
 	select {
@@ -1313,8 +1215,8 @@ func (r *run) onStepDone(ds *devState, step int) error {
 	return nil
 }
 
-// onLosses records a member's per-block losses and releases a pipeline
-// credit when the whole first group finishes a step.
+// onLosses records a member's per-block losses; the report that completes
+// a step for the whole first group counts it in steps_completed.
 func (r *run) onLosses(ds *devState, step int, vals []float64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1331,15 +1233,14 @@ func (r *run) onLosses(ds *devState, step int, vals []float64) error {
 	r.logRecord(ledger.Losses(r.plan.Groups[place.gi].Devices[place.j], step, vals))
 	r.recordLossesLocked(ds, step, vals)
 	if place.gi == 0 {
-		r.g0done[step]++
-		if r.g0done[step] == r.plan.Groups[0].Split() {
-			delete(r.g0done, step)
-			r.co.cfg.Metrics.Add("steps_completed", 1)
-			select {
-			case r.credits <- struct{}{}:
-			default:
+		// Devices report each step once, in order, so the step's last
+		// reporter is the one that finds every sibling at or past it.
+		for _, d := range r.plan.Groups[0].Devices {
+			if r.devs[d].lossSeen < step {
+				return nil
 			}
 		}
+		r.co.cfg.Metrics.Add("steps_completed", 1)
 	}
 	return nil
 }
@@ -1368,14 +1269,14 @@ func (r *run) recordLossesLocked(ds *devState, step int, vals []float64) {
 	}
 }
 
-// onSnapshot persists a device's post-step restart state and records it
-// in the group's history. Replicas are bit-identical after every step, so
-// under Rank0Dedup the one copy rank 0 ships stands for the whole group;
-// whether a snapshotted step can be the cut is decided by cutLocked from
-// every device's loss and barrier marks, never by the snapshot alone.
+// onSnapshot persists a group's post-step restart state and records it in
+// the group's history. Replicas are bit-identical after every step, so the
+// one copy rank 0 ships stands for the whole group; whether a snapshotted
+// step can be the cut is decided by cutLocked from every device's loss and
+// barrier marks, never by the snapshot alone.
 func (r *run) onSnapshot(dev int, ds *devState, step int, params, velocity []*tensor.Tensor) error {
 	gi := ds.place.gi
-	if err := r.checkSnapshotShapes(dev, gi, params, velocity); err != nil {
+	if err := r.checkSnapshot(dev, ds.place, params, velocity); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -1386,21 +1287,21 @@ func (r *run) onSnapshot(dev int, ds *devState, step int, params, velocity []*te
 	if step <= ds.snapStep {
 		return duplicate(ds, "snapshot", step)
 	}
-	if r.policy.Rank0Dedup && ds.place.j != 0 {
-		return fmt.Errorf("cluster: snapshot from rank %d of group %d under rank-0 dedup", ds.place.j, gi)
-	}
 	ds.snapStep = step
 	r.co.cfg.Metrics.Add("snapshots", 1)
-	if r.policy.Rank0Dedup {
-		r.logRecord(ledger.GroupSnapshot(gi, step, params, velocity))
-	} else {
-		r.logRecord(ledger.DevSnapshot(dev, step, params, velocity))
-	}
+	r.logRecord(ledger.DevSnapshot(dev, step, params, velocity))
 	r.recordHistLocked(gi, step, params, velocity)
 	return nil
 }
 
-func (r *run) checkSnapshotShapes(dev, gi int, params, velocity []*tensor.Tensor) error {
+// checkSnapshot validates a snapshot — a live frame or a replayed ledger
+// record — against the plan: only rank 0 of a group snapshots, and the
+// tensors must match what the group trains.
+func (r *run) checkSnapshot(dev int, place devPlace, params, velocity []*tensor.Tensor) error {
+	gi := place.gi
+	if place.j != 0 {
+		return fmt.Errorf("cluster: snapshot from device %d, rank %d of group %d (only rank 0 snapshots)", dev, place.j, gi)
+	}
 	expect := r.groupParams[gi]
 	if len(params) != len(expect) {
 		return fmt.Errorf("cluster: device %d snapshot has %d params, group %d trains %d",

@@ -3,20 +3,23 @@ package cluster
 // The attempt driver: the one execution, recovery and resume path of a
 // cluster run, whichever topology carries its tensors.
 //
-// A run is a sequence of attempts. Each attempt is a fresh set of sessions
-// (fresh epoch, fresh connections, fresh peer meshes under the ring)
-// started at a global cut: the highest step for which every group holds
-// snapshot parameters and every device's losses (and, without DPU, its
-// barrier arrival) are already accounted at the coordinator; -1 is the
-// seed. Anything that supersedes an attempt — a lost worker, a peer edge
-// degrading to hub relay, a planned repartition, a coordinator restarted
-// from its ledger — rewinds every device to that cut and starts the next
-// attempt there. The teacher relay makes each replayed step a pure
-// function of the restored state and the re-fed batches, so the
-// trajectory stays bit-identical to a fault-free run. One rule covers
-// every plan because it never asks which in-flight exchange a dead worker
-// left half-done: a ring collective cannot be replayed one-sided, and the
-// hub gains nothing from being the exception.
+// A run is a sequence of attempts, and every attempt starts the same way
+// (place): dial a worker for each placement slot, build the peer
+// directory from who answered, open each session with one Assign frame.
+// Each attempt is a fresh set of sessions (fresh epoch, fresh
+// connections, fresh peer meshes under the ring) started at a global cut:
+// the highest step for which every group holds snapshot parameters and
+// every device's losses (and, without DPU, its barrier arrival) are
+// already accounted at the coordinator; -1 is the seed, where attempt
+// zero starts with no restart states to install. Anything that supersedes
+// an attempt — a lost worker, a peer edge degrading to hub relay, a
+// planned repartition, a coordinator restarted from its ledger — rewinds
+// every device to that cut and starts the next attempt there. The teacher
+// relay makes each replayed step a pure function of the restored state
+// and the batches, so the trajectory stays bit-identical to a fault-free
+// run. One rule covers every plan because it never asks which in-flight
+// exchange a dead worker left half-done: a ring collective cannot be
+// replayed one-sided, and the hub gains nothing from being the exception.
 
 import (
 	"errors"
@@ -75,8 +78,9 @@ type driver struct {
 	led  *ledger.Ledger // durable-run store shared by every attempt; nil for in-memory runs
 	rp   *repartitioner // nil when repartitioning is off
 	// carry is where the next attempt starts. nil is attempt zero of a
-	// fresh run, which joins with Assign frames; any carry means sessions
-	// were superseded (restart or resume) and re-places with Resume frames.
+	// fresh run, which starts at the seed and waits for each slot's own
+	// worker; any carry means sessions were superseded (restart or resume),
+	// so a slot whose worker is gone may land on a survivor.
 	carry    *runCarry
 	degraded [][2]int // peer edges routed via hub relay, accumulated across attempts
 }
@@ -180,17 +184,12 @@ func mergeEdges(have, add [][2]int) [][2]int {
 // right after the hello; the worker logs them as failed sessions.
 func (c *Coordinator) workersAlive(addrs []string) bool {
 	for _, addr := range addrs {
-		conn, err := c.net.Dial(addr)
+		conn, err := dialHello(c.net, addr, time.Now().Add(c.joinTimeout()))
 		if err != nil {
-			c.logf("liveness probe: worker %s unreachable (%v); not degradable", addr, err)
-			return false
-		}
-		hello, err := recvDeadline(conn, time.Now().Add(c.joinTimeout()))
-		conn.Close()
-		if err != nil || hello.Kind != wire.KindHello {
 			c.logf("liveness probe: worker %s did not handshake (%v); not degradable", addr, err)
 			return false
 		}
+		conn.Close()
 	}
 	return true
 }
@@ -220,18 +219,13 @@ func (d *driver) attempt(epoch int64) (engine.Result, *runCarry, error) {
 	}
 	defer r.teardown()
 	r.installCarry(d.carry)
-	if d.carry != nil {
-		err = r.rejoin()
-	} else {
-		err = r.join()
+	var res engine.Result
+	if err = r.place(); err == nil {
+		res, err = c.execute(r)
 	}
 	if err != nil {
-		// Nothing ran: the next attempt (if the error is retryable) starts
-		// where this one was meant to.
-		return engine.Result{}, d.carry, err
-	}
-	res, err := c.execute(r)
-	if err != nil {
+		// When placement failed nothing ran, and the captured cut is the
+		// one this attempt was meant to start from.
 		return engine.Result{}, r.captureCarry(), err
 	}
 	return res, nil, nil
@@ -239,9 +233,9 @@ func (d *driver) attempt(epoch int64) (engine.Result, *runCarry, error) {
 
 // installCarry rewinds a fresh run's state to a previous attempt's global
 // cut: every device restarts at cut+1 with the carried group parameters,
-// the batch feed restarts there, and the loss matrix keeps the rows the
-// completed prefix already produced (replayed rows are rewritten
-// bit-identically). A nil carry is attempt zero.
+// and the loss matrix keeps the rows the completed prefix already
+// produced (replayed rows are rewritten bit-identically). A nil carry is
+// attempt zero.
 func (r *run) installCarry(c *runCarry) {
 	if c == nil {
 		return
@@ -261,14 +255,6 @@ func (r *run) installCarry(c *runCarry) {
 			r.histG[gi][c.cut] = histEntry{params: c.params[gi], velocity: c.velocity[gi]}
 		}
 	}
-}
-
-// startStep is the first step this attempt runs: just past its cut.
-func (r *run) startStep() int {
-	if r.carry == nil {
-		return 0
-	}
-	return r.carry.cut + 1
 }
 
 // captureCarry snapshots what a failed attempt proved: the global cut and
@@ -340,16 +326,15 @@ func (r *run) coveredLocked(from int) int {
 	return -1
 }
 
-// recordHistLocked stores one group's restart state for a step (first
-// writer wins; members are bit-identical) and drops entries the advancing
-// cut has obsoleted.
+// recordHistLocked stores one group's restart state for a step and drops
+// entries the advancing cut has obsoleted. A ledger replay can present a
+// step twice (a restart re-snapshots the steps it replays); the copies are
+// bit-identical, so the later one simply replaces the earlier.
 func (r *run) recordHistLocked(gi, step int, params, velocity []*tensor.Tensor) {
 	if r.histG == nil {
 		return
 	}
-	if _, ok := r.histG[gi][step]; !ok {
-		r.histG[gi][step] = histEntry{params: params, velocity: velocity}
-	}
+	r.histG[gi][step] = histEntry{params: params, velocity: velocity}
 	if cut := r.cutLocked(); cut > 0 {
 		for _, h := range r.histG {
 			for s := range h {
@@ -361,13 +346,16 @@ func (r *run) recordHistLocked(gi, step int, params, velocity []*tensor.Tensor) 
 	}
 }
 
-// rejoin re-places every device for a restart attempt: the superseded
-// attempt's sessions are gone (workers with Rejoin stay up to accept
-// replacements), so each placement slot is dialed fresh — its configured
-// worker first, the survivors as fallback. All connections are held open
-// until the actual placement is known, because every Resume must carry
-// the final peer directory before any ring worker starts dialing its mesh.
-func (r *run) rejoin() error {
+// place opens this attempt's sessions: each placement slot is dialed
+// fresh — its configured worker first and, on a restart, the others as
+// fallback (workers with Rejoin stay up to accept replacements and can
+// host several sessions). Attempt zero of a fresh run waits for the slot's
+// own worker alone: workers may still be starting, and a fallback would
+// put two slots on whichever came up first and leave the other process
+// waiting on its session budget forever. All connections are held open
+// until the actual placement is known, because every Assign must carry the
+// final peer directory before any ring worker starts dialing its mesh.
+func (r *run) place() error {
 	placement := PlaceDevices(r.nDev, len(r.addrs))
 	type held struct {
 		conn    transport.Conn
@@ -384,15 +372,18 @@ func (r *run) rejoin() error {
 	}
 	for i, addr := range r.addrs {
 		if len(placement[i]) == 0 {
+			r.co.logf("worker %s: no devices to place, skipping", addr)
 			continue
 		}
 		candidates := []string{addr}
-		for _, a := range r.addrs {
-			if a != addr {
-				candidates = append(candidates, a)
+		if r.carry != nil {
+			for _, a := range r.addrs {
+				if a != addr {
+					candidates = append(candidates, a)
+				}
 			}
 		}
-		conn, actual, err := r.dialHandshake(candidates, time.Now().Add(r.co.joinTimeout()))
+		conn, actual, err := r.dialWorker(candidates, time.Now().Add(r.co.joinTimeout()))
 		if err != nil {
 			return bail(err)
 		}
@@ -405,90 +396,56 @@ func (r *run) rejoin() error {
 		}
 	}
 	for _, h := range holds {
-		if err := h.conn.Send(r.buildResume(h.devices, h.sid)); err != nil {
-			// The worker died between handshake and resume: retryable, the
+		if err := h.conn.Send(r.sessionOpen(h.devices, h.sid)); err != nil {
+			// The worker died between handshake and assign: retryable, the
 			// next attempt re-places around it.
-			return bail(workerLostError{cause: fmt.Errorf("cluster: worker %s resume: %w", h.addr, err)})
+			return bail(workerLostError{cause: fmt.Errorf("cluster: worker %s assign: %w", h.addr, err)})
 		}
 	}
 	for _, h := range holds {
 		r.attach(h.conn, h.addr, h.devices, h.sid)
-		r.co.logf("worker %s hosting devices %v, restarting from step %d", h.addr, h.devices, r.startStep())
+		r.co.logf("worker %s hosting devices %v", h.addr, h.devices)
 	}
 	return nil
 }
 
-// buildResume encodes the Resume frame that restarts a set of devices
-// from this attempt's cut: the carried group parameters, or the seed
-// weights with zero momentum when the cut is the seed.
-func (r *run) buildResume(devices []int, sid int64) *wire.Frame {
-	res := &wire.Resume{Assign: wire.Assign{Plan: r.plan, Spec: r.co.cfg.Spec,
+// sessionOpen encodes the Assign that opens a session for a set of
+// devices. Past the seed it carries the group parameters at this attempt's
+// cut; at the seed there is nothing to restore — the Assign's snapshot and
+// a fresh optimizer are the state.
+func (r *run) sessionOpen(devices []int, sid int64) *wire.Frame {
+	a := &wire.Assign{Plan: r.plan, Spec: r.co.cfg.Spec,
 		Run: r.runCfg, Devices: devices, Snapshot: r.seedSnap,
 		Peers: r.peerDir, Epoch: r.epoch, Session: sid, Degraded: r.degraded,
-		Inputs: r.prestageInputs(devices)}}
-	for _, d := range devices {
-		gi := r.devs[d].place.gi
-		st := wire.DeviceState{Dev: d, Step: -1}
-		if c := r.carry; c != nil && c.cut >= 0 {
-			st.Step, st.Params, st.Velocity = c.cut, c.params[gi], c.velocity[gi]
-		} else {
-			st.Params = r.seedGroupParams(gi)
-			st.Velocity = zeroLike(st.Params)
+		Inputs: r.scheduleFor(devices)}
+	if c := r.carry; c != nil && c.cut >= 0 {
+		for _, d := range devices {
+			gi := r.devs[d].place.gi
+			a.States = append(a.States, wire.DeviceState{Dev: d, Step: c.cut,
+				Params: c.params[gi], Velocity: c.velocity[gi]})
 		}
-		res.States = append(res.States, st)
 	}
-	return wire.EncodeResume(res)
+	return wire.EncodeAssign(a)
 }
 
-// dialHandshake finds a worker among the candidates that accepts a
+// dialWorker finds a worker among the candidates that accepts a
 // connection and presents its hello, cycling until the deadline. The
-// caller owns the returned connection and sends the session's Resume on
+// caller owns the returned connection and sends the session's Assign on
 // it.
-func (r *run) dialHandshake(candidates []string, deadline time.Time) (transport.Conn, string, error) {
+func (r *run) dialWorker(candidates []string, deadline time.Time) (transport.Conn, string, error) {
 	var lastErr error
 	for {
 		for _, addr := range candidates {
-			conn, err := r.net().Dial(addr)
-			if err != nil {
-				lastErr = err
-				continue
+			conn, err := dialHello(r.net(), addr, deadline)
+			if err == nil {
+				return conn, addr, nil
 			}
-			hello, err := recvDeadline(conn, deadline)
-			if err != nil {
-				conn.Close()
-				lastErr = err
-				continue
-			}
-			if hello.Kind != wire.KindHello {
-				conn.Close()
-				lastErr = fmt.Errorf("worker %s sent %v, want hello", addr, hello.Kind)
-				continue
-			}
-			return conn, addr, nil
+			lastErr = err
 		}
 		if time.Now().After(deadline) {
-			return nil, "", fmt.Errorf("no worker accepted the placement within %v (last error: %v)", r.co.joinTimeout(), lastErr)
+			return nil, "", fmt.Errorf("cluster: no worker of %v accepted the placement within %v (last error: %v)",
+				candidates, r.co.joinTimeout(), lastErr)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-}
-
-// seedGroupParams returns the seed student parameters of a group,
-// flattened in the device's GradTensors order (blocks in group order,
-// params in declaration order); the tensors are the immutable seed
-// snapshot's own.
-func (r *run) seedGroupParams(gi int) []*tensor.Tensor {
-	var out []*tensor.Tensor
-	for _, b := range r.plan.Groups[gi].Blocks {
-		out = append(out, r.seedSnap.Student[b]...)
-	}
-	return out
-}
-
-func zeroLike(ts []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(ts))
-	for i, t := range ts {
-		out[i] = tensor.New(t.Shape()...)
-	}
-	return out
 }

@@ -111,11 +111,13 @@ func TestCoordinatorKillResume(t *testing.T) {
 	}
 }
 
-// TestCoordinatorKillResumeDedup runs the crash/resume cycle with rank-0
-// dedup on the split group, with and without the global step barrier
-// (DPU off exercises the barrier-arrival half of the commit accounting).
-// The loss matrix comparison doubles as the completeness check: a dropped
-// member loss row would diverge from the fault-free reference.
+// TestCoordinatorKillResumeDedup runs the crash/resume cycle around the
+// split group's one-snapshot-per-group accounting (rank 0 snapshots, every
+// member's loss and barrier marks gate the cut), with and without the
+// global step barrier (DPU off exercises the barrier-arrival half), killing
+// the split-group worker and the tail worker. The loss matrix comparison
+// doubles as the completeness check: a dropped member loss row would
+// diverge from the fault-free reference.
 func TestCoordinatorKillResumeDedup(t *testing.T) {
 	leakCheck(t)
 	batches := tinyBatches(stepsPerRun, 8)
@@ -140,7 +142,7 @@ func TestCoordinatorKillResumeDedup(t *testing.T) {
 					_, err := Run(chaos, addrs, w, batches, Config{
 						Plan: p, DPU: dpu, LR: 0.05, Momentum: 0.9,
 						Spec:        TinySpec(distill.DefaultTinyConfig()),
-						Snapshot:    SnapshotPolicy{Interval: interval, Rank0Dedup: true},
+						Snapshot:    SnapshotPolicy{Interval: interval},
 						LedgerDir:   dir,
 						JoinTimeout: 10 * time.Second,
 					})
@@ -275,7 +277,7 @@ func TestResumedRunSurvivesWorkerLoss(t *testing.T) {
 
 // TestSnapshotPolicyEdgeCases is the table-driven policy suite: interval
 // beyond the run length (resume replays everything from the seed),
-// interval 1, dedup defaults, and the validation errors.
+// interval 1, one snapshot per group, and the validation errors.
 func TestSnapshotPolicyEdgeCases(t *testing.T) {
 	t.Run("interval-longer-than-run", func(t *testing.T) {
 		leakCheck(t)
@@ -307,7 +309,7 @@ func TestSnapshotPolicyEdgeCases(t *testing.T) {
 		}
 		led.Close()
 		for _, rec := range rep.Records {
-			if rec.Type == ledger.TypeDevSnapshot || rec.Type == ledger.TypeGroupSnapshot {
+			if rec.Type == ledger.TypeDevSnapshot {
 				t.Fatalf("interval 100 still persisted a %v record", rec.Type)
 			}
 		}
@@ -337,15 +339,6 @@ func TestSnapshotPolicyEdgeCases(t *testing.T) {
 		if _, err := Run(net, []string{"x"}, w, batches, bad); err == nil || !strings.Contains(err.Error(), "fault tolerance") {
 			t.Fatalf("policy without fault tolerance accepted: %v", err)
 		}
-		bad = base
-		bad.MaxRestarts = 0
-		bad.Snapshot = SnapshotPolicy{Rank0Dedup: true}
-		if _, err := Run(net, []string{"x"}, w, batches, bad); err == nil {
-			t.Fatal("dedup without fault tolerance accepted")
-		}
-		if _, err := effectivePolicy(wire.SnapshotPolicy{Rank0Dedup: true}, true); err != nil {
-			t.Fatalf("dedup with default interval rejected: %v", err)
-		}
 		if p, _ := effectivePolicy(wire.SnapshotPolicy{}, true); p.Interval != 1 {
 			t.Fatalf("zero policy under fault tolerance resolved to %+v, want interval 1", p)
 		}
@@ -364,30 +357,30 @@ func TestSnapshotPolicyEdgeCases(t *testing.T) {
 		if _, err := Run(inner, addrs, w, batches, Config{
 			Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
 			Spec:      TinySpec(distill.DefaultTinyConfig()),
-			Snapshot:  SnapshotPolicy{Interval: 2, Rank0Dedup: true},
+			Snapshot:  SnapshotPolicy{Interval: 2},
 			LedgerDir: dir, JoinTimeout: 10 * time.Second,
 		}); err != nil {
-			t.Fatalf("durable dedup run failed: %v", err)
+			t.Fatalf("durable run failed: %v", err)
 		}
 		led, _, rep, err := ledger.Open(dir)
 		if err != nil {
 			t.Fatalf("ledger open: %v", err)
 		}
 		led.Close()
-		groups := map[int]bool{}
+		// hybridPlan: devices 0 and 2 are their groups' rank 0, device 1
+		// is the split group's replica and must ship nothing.
+		snaps := map[int]int{}
 		for _, rec := range rep.Records {
-			switch rec.Type {
-			case ledger.TypeDevSnapshot:
-				t.Fatal("rank-0 dedup still persisted a per-member snapshot")
-			case ledger.TypeGroupSnapshot:
-				groups[rec.Group] = true
-				if (rec.Step+1)%2 != 0 {
-					t.Fatalf("interval 2 committed a snapshot at step %d", rec.Step)
-				}
+			if rec.Type != ledger.TypeDevSnapshot {
+				continue
+			}
+			snaps[rec.Dev]++
+			if (rec.Step+1)%2 != 0 {
+				t.Fatalf("interval 2 committed a snapshot at step %d", rec.Step)
 			}
 		}
-		if !groups[0] || !groups[1] {
-			t.Fatalf("expected committed snapshots for both groups, got %v", groups)
+		if len(snaps) != 2 || snaps[0] != 2 || snaps[2] != 2 {
+			t.Fatalf("snapshot records per device = %v, want two each from devices 0 and 2 only", snaps)
 		}
 	})
 }
@@ -395,8 +388,9 @@ func TestSnapshotPolicyEdgeCases(t *testing.T) {
 // TestHubLedgerHoldsOnlyCutRecords pins what the single recovery model
 // costs on disk, on the benchmark's conv_hub_durable shape (hub, hybrid31,
 // 64 steps of batch 16, global barrier, a snapshot every step): the log
-// holds only what the global cut is computed from — snapshots, loss rows,
-// barrier releases — and stays under 8,000 bytes per step. Nothing in
+// holds only what the global cut is computed from — one snapshot per
+// group, a loss row per device, barrier releases — and stays under 4,000
+// bytes per step. Nothing in
 // flight (relayed inputs, output shards, reductions) is ever logged.
 func TestHubLedgerHoldsOnlyCutRecords(t *testing.T) {
 	leakCheck(t)
@@ -424,7 +418,7 @@ func TestHubLedgerHoldsOnlyCutRecords(t *testing.T) {
 		seen[rec.Type]++
 	}
 	want := map[ledger.Type]int{
-		ledger.TypeDevSnapshot: 3 * steps, ledger.TypeLosses: 3 * steps, ledger.TypeBarrier: steps}
+		ledger.TypeDevSnapshot: 2 * steps, ledger.TypeLosses: 3 * steps, ledger.TypeBarrier: steps}
 	for typ, n := range seen {
 		if want[typ] != n {
 			t.Fatalf("hub ledger holds %d %v records, want %d (all: %v)", n, typ, want[typ], seen)
@@ -437,8 +431,8 @@ func TestHubLedgerHoldsOnlyCutRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perStep := fi.Size() / steps; perStep >= 8000 {
-		t.Fatalf("hub ledger writes %d B/step, want < 8000", perStep)
+	if perStep := fi.Size() / steps; perStep >= 4000 {
+		t.Fatalf("hub ledger writes %d B/step, want < 4000", perStep)
 	}
 }
 

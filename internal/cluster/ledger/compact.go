@@ -129,8 +129,6 @@ func compactGeneration(recs []*Record, groups []sched.Group, dpu bool, repart *R
 		switch rec.Type {
 		case TypeDevSnapshot:
 			groupSnaps[groupOf[rec.Dev]][rec.Step] = true
-		case TypeGroupSnapshot:
-			groupSnaps[rec.Group][rec.Step] = true
 		case TypeLosses:
 			if rec.Step > lossHi[rec.Dev] {
 				lossHi[rec.Dev] = rec.Step
@@ -177,7 +175,7 @@ func compactGeneration(recs []*Record, groups []sched.Group, dpu bool, repart *R
 	var kept []*Record
 	for _, rec := range recs {
 		switch rec.Type {
-		case TypeDevSnapshot, TypeGroupSnapshot:
+		case TypeDevSnapshot:
 			if rec.Step >= horizon {
 				kept = append(kept, rec)
 			}

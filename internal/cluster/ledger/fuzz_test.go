@@ -27,8 +27,8 @@ func FuzzReplayLog(f *testing.F) {
 	f.Add([]byte{})                 // empty log
 	f.Add([]byte{0x00, 0x01, 0x02}) // garbage
 	for _, t := range retiredTypes {
-		// A well-framed record of a kind version 2 retired, ahead of a valid
-		// one: replay must stop at it, not decode or skip it.
+		// A well-framed record of a retired kind, ahead of a valid one:
+		// replay must stop at it, not decode or skip it.
 		f.Add(append(frameRecord(t, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}), log...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -57,9 +57,9 @@ func FuzzReplayLog(f *testing.F) {
 	})
 }
 
-// retiredTypes are the v1 record kinds version 2 dropped: input, output,
-// reduction and marks.
-var retiredTypes = []Type{3, 4, 5, 9}
+// retiredTypes are the record kinds later versions dropped: input, output,
+// reduction and marks (version 2) and the group snapshot (version 3).
+var retiredTypes = []Type{3, 4, 5, 9, 2}
 
 // TestRetiredRecordTypesStopReplay: bytes of a retired kind — however
 // well framed and checksummed — decode to an error and end the replay

@@ -38,8 +38,11 @@ const (
 	// other version are rejected by Open. Version 2 retired the record
 	// kinds only per-device surgical replay read (inputs, output shards,
 	// reductions, input marks), so a v1 directory fails with ErrVersion
-	// rather than replaying a log this code cannot interpret.
-	Version = 2
+	// rather than replaying a log this code cannot interpret. Version 3
+	// follows wire codec v9's Assign body (the manifest embeds one) and
+	// retired the group-snapshot record: only rank 0 of a group snapshots,
+	// so the dev-snapshot record is the one snapshot record.
+	Version = 3
 
 	// ManifestName and LogName are the two files a ledger directory holds.
 	ManifestName = "MANIFEST"
@@ -146,18 +149,15 @@ type Manifest struct {
 }
 
 // Type identifies a record's kind in the log. The values are part of the
-// on-disk format; 3, 4, 5 and 9 belonged to kinds retired in version 2
-// and are never reused.
+// on-disk format; 3, 4, 5 and 9 belonged to kinds retired in version 2, 2
+// (the group snapshot) to one retired in version 3, and none is ever
+// reused.
 type Type uint8
 
 const (
-	// TypeDevSnapshot is one device's post-step restart state (student
-	// parameters + optimizer velocities), emitted under the per-member
-	// snapshot policy.
+	// TypeDevSnapshot is a rank-0 device's post-step restart state (student
+	// parameters + optimizer velocities), standing for its whole group.
 	TypeDevSnapshot Type = 1
-	// TypeGroupSnapshot is a group-level snapshot under rank-0 dedup: one
-	// parameter set standing in for every member of the group.
-	TypeGroupSnapshot Type = 2
 	// TypeLosses is one device's per-block loss row for one step.
 	TypeLosses Type = 6
 	// TypeBarrier marks a released no-DPU step barrier.
@@ -177,8 +177,7 @@ const (
 )
 
 var typeNames = map[Type]string{
-	TypeDevSnapshot: "dev-snapshot", TypeGroupSnapshot: "group-snapshot",
-	TypeLosses: "losses", TypeBarrier: "barrier",
+	TypeDevSnapshot: "dev-snapshot", TypeLosses: "losses", TypeBarrier: "barrier",
 	TypeCheckpoint: "checkpoint", TypeRepartition: "repartition",
 }
 
@@ -192,26 +191,20 @@ func (t Type) String() string {
 // Record is one logged mutation of the coordinator's recovery state. The
 // populated fields depend on Type; the rest are zero.
 type Record struct {
-	Type  Type
-	Dev   int // TypeDevSnapshot, TypeLosses
-	Group int // TypeGroupSnapshot
-	Step  int // every type but TypeCheckpoint
+	Type Type
+	Dev  int // TypeDevSnapshot, TypeLosses
+	Step int // every type but TypeCheckpoint
 
-	Params   []*tensor.Tensor // snapshots: student parameters
-	Velocity []*tensor.Tensor // snapshots: optimizer velocities
+	Params   []*tensor.Tensor // TypeDevSnapshot: student parameters
+	Velocity []*tensor.Tensor // TypeDevSnapshot: optimizer velocities
 	Payload  []byte           // TypeRepartition: the encoded plan
 	Losses   []float64        // TypeLosses
 	Children []*Record        // TypeCheckpoint: the consolidated records
 }
 
-// DevSnapshot builds a per-member snapshot record.
+// DevSnapshot builds a snapshot record.
 func DevSnapshot(dev, step int, params, velocity []*tensor.Tensor) *Record {
 	return &Record{Type: TypeDevSnapshot, Dev: dev, Step: step, Params: params, Velocity: velocity}
-}
-
-// GroupSnapshot builds a group-level snapshot record.
-func GroupSnapshot(group, step int, params, velocity []*tensor.Tensor) *Record {
-	return &Record{Type: TypeGroupSnapshot, Group: group, Step: step, Params: params, Velocity: velocity}
 }
 
 // Losses builds a loss-row record.
@@ -235,11 +228,6 @@ func (rec *Record) encode() ([]byte, error) {
 	switch rec.Type {
 	case TypeDevSnapshot:
 		w.I32(int32(rec.Dev))
-		w.I32(int32(rec.Step))
-		w.Tensors(rec.Params)
-		w.Tensors(rec.Velocity)
-	case TypeGroupSnapshot:
-		w.I32(int32(rec.Group))
 		w.I32(int32(rec.Step))
 		w.Tensors(rec.Params)
 		w.Tensors(rec.Velocity)
@@ -282,11 +270,6 @@ func decodeRecord(t Type, payload []byte) (*Record, error) {
 		rec.Step = int(r.I32())
 		rec.Params = r.Tensors()
 		rec.Velocity = r.Tensors()
-	case TypeGroupSnapshot:
-		rec.Group = int(r.I32())
-		rec.Step = int(r.I32())
-		rec.Params = r.Tensors()
-		rec.Velocity = r.Tensors()
 	case TypeLosses:
 		rec.Dev = int(r.I32())
 		rec.Step = int(r.I32())
@@ -318,10 +301,8 @@ func decodeRecord(t Type, payload []byte) (*Record, error) {
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	if t == TypeDevSnapshot || t == TypeGroupSnapshot {
-		if len(rec.Params) != len(rec.Velocity) {
-			return nil, fmt.Errorf("ledger: %v record has %d params but %d velocities", t, len(rec.Params), len(rec.Velocity))
-		}
+	if t == TypeDevSnapshot && len(rec.Params) != len(rec.Velocity) {
+		return nil, fmt.Errorf("ledger: %v record has %d params but %d velocities", t, len(rec.Params), len(rec.Velocity))
 	}
 	return rec, nil
 }
@@ -649,7 +630,7 @@ func encodeManifest(m *Manifest) ([]byte, error) {
 	w.I32(int32(m.MaxRestarts))
 	w.U32(uint32(len(m.Batches)))
 	for _, b := range m.Batches {
-		w.Blob(wire.EncodeBatch(wire.NoDev, wire.NoStep, b).Payload)
+		w.Blob(wire.EncodeBatch(b))
 	}
 	w.String(m.Meta)
 	payload := w.Bytes()
@@ -704,7 +685,7 @@ func decodeManifest(raw []byte) (*Manifest, error) {
 		if r.Err() != nil {
 			break
 		}
-		b, err := wire.DecodeBatch(&wire.Frame{Kind: wire.KindBatch, Payload: blob})
+		b, err := wire.DecodeBatch(blob)
 		if err != nil {
 			return nil, fmt.Errorf("ledger: manifest batch %d: %w", i, err)
 		}

@@ -23,8 +23,8 @@ func sampleManifest() *Manifest {
 				{Devices: []int{2}, Blocks: []int{2, 3}},
 			}},
 			Spec: wire.ModelSpec{Name: "tiny", Seed: 42, Blocks: 4, Channels: 6, Height: 8, Width: 8},
-			Run: wire.RunConfig{DPU: true, LR: 0.05, Momentum: 0.9, Buffer: 2, Steps: 4,
-				Snap: wire.SnapshotPolicy{Interval: 2, Rank0Dedup: true}},
+			Run: wire.RunConfig{DPU: true, LR: 0.05, Momentum: 0.9, Steps: 4,
+				Snap: wire.SnapshotPolicy{Interval: 2}},
 			Snapshot: wire.Snapshot{
 				Teacher: [][]*tensor.Tensor{{tensor.Rand(rng, -1, 1, 2, 2)}, {}, {}, {}},
 				Student: [][]*tensor.Tensor{{tensor.Rand(rng, -1, 1, 3)}, {}, {}, {tensor.Rand(rng, -1, 1, 2)}},
@@ -46,7 +46,7 @@ func sampleRecords(rng *rand.Rand) []*Record {
 		DevSnapshot(2, 0,
 			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 3), tensor.Rand(rng, -1, 1, 2, 2)},
 			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 3), tensor.New(2, 2)}),
-		GroupSnapshot(0, 1,
+		DevSnapshot(0, 1,
 			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 4)},
 			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 4)}),
 		Losses(1, 1, []float64{0.25, -1.5}),
@@ -106,7 +106,7 @@ func TestManifestAndRecordRoundTrip(t *testing.T) {
 	}
 	for i, want := range recs {
 		r := rep.Records[i]
-		if r.Type != want.Type || r.Dev != want.Dev || r.Group != want.Group || r.Step != want.Step {
+		if r.Type != want.Type || r.Dev != want.Dev || r.Step != want.Step {
 			t.Fatalf("record %d header: %+v vs %+v", i, r, want)
 		}
 		if string(r.Payload) != string(want.Payload) {
@@ -250,9 +250,9 @@ func TestManifestErrors(t *testing.T) {
 		}
 	}
 
-	// Version skew, in both directions: a newer format, and the v1 format
-	// whose record log held kinds this version retired.
-	for _, v := range []byte{Version + 1, 1} {
+	// Version skew, in both directions: a newer format, and the v1 and v2
+	// formats whose record logs held kinds this version retired.
+	for _, v := range []byte{Version + 1, 1, 2} {
 		skew := append([]byte(nil), good...)
 		skew[4] = v
 		reset(skew)

@@ -80,9 +80,10 @@ func rebalancedPlan() sched.Plan {
 	}}
 }
 
+// snap is group gi's snapshot; under both plans group gi is device gi.
 func snap(t *testing.T, rng *rand.Rand, gi, step int) *Record {
 	t.Helper()
-	return GroupSnapshot(gi, step,
+	return DevSnapshot(gi, step,
 		[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 3)},
 		[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 3)})
 }
@@ -142,7 +143,7 @@ func TestCompactRepartitionedLogMidGeneration(t *testing.T) {
 	snaps, losses := 0, 0
 	for _, c := range gen0.Children {
 		switch c.Type {
-		case TypeGroupSnapshot:
+		case TypeDevSnapshot:
 			snaps++
 			// The horizon is the last common snapshot step at or below the
 			// cut — step 1 — so every step-0 snapshot is dropped and every
@@ -159,7 +160,7 @@ func TestCompactRepartitionedLogMidGeneration(t *testing.T) {
 	}
 	gen1 := rep.Records[2]
 	for _, c := range gen1.Children {
-		if c.Type == TypeGroupSnapshot && c.Step != 3 {
+		if c.Type == TypeDevSnapshot && c.Step != 3 {
 			t.Fatalf("final generation kept a step-%d snapshot, want only the step-3 horizon", c.Step)
 		}
 	}
@@ -218,7 +219,7 @@ func TestCompactRepartitionedLogAtCutBoundary(t *testing.T) {
 	for _, c := range gen0.Children {
 		// Every group snapshotted the cut step itself, so the horizon is
 		// the cut and the step-0 snapshots are dropped.
-		if (c.Type == TypeGroupSnapshot || c.Type == TypeDevSnapshot) && c.Step < 1 {
+		if c.Type == TypeDevSnapshot && c.Step < 1 {
 			t.Fatalf("kept a step-%d snapshot below the cut horizon", c.Step)
 		}
 	}

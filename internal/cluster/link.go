@@ -161,17 +161,24 @@ func (b *inbox) next(kind wire.Kind) (*wire.Frame, error) {
 }
 
 // clusterLink implements engine.DeviceLink over the worker's connection
-// to the coordinator: inputs, reduced gradients, and barrier releases
-// arrive through the device's inbox; outputs, raw gradients, losses, and
-// barrier arrivals leave through the shared outbox. The coordinator does
-// the routing (relay assembly, rank-ordered gradient reduction, barrier
-// counting) — see coordinator.go for the matching hub logic.
+// to the coordinator: relayed activations, reduced gradients, and barrier
+// releases arrive through the device's inbox (a first-group device reads
+// its batches from the session's local schedule instead); outputs, raw
+// gradients, losses, and barrier arrivals leave through the shared
+// outbox. The coordinator does the routing (relay assembly, rank-ordered
+// gradient reduction, barrier counting) — see coordinator.go for the
+// matching hub logic.
 type clusterLink struct {
-	dev       int32
-	lastGroup bool // the last group relays no output
-	dpu       bool
-	in        *inbox
-	out       *outbox
+	dev        int32
+	firstGroup bool // the first group reads inputs, the rest receive them
+	lastGroup  bool // the last group relays no output
+	dpu        bool
+	in         *inbox
+	out        *outbox
+	// inputs is the session's batch schedule (inputs[s] is step s's full
+	// batch), regenerated from the run's data recipe or carried in the
+	// Assign; set only on first-group devices.
+	inputs []*tensor.Tensor
 	// snapshot, when set, encodes the device's post-step recovery state
 	// (student params + optimizer velocities); FinishStep ships it to the
 	// coordinator after every step the session's snapshot policy covers,
@@ -183,10 +190,13 @@ type clusterLink struct {
 	// it at each step boundary so span batches travel with (not instead
 	// of) the session's regular traffic. shipSpans routes drained batches
 	// to the coordinator over KindSpans frames; sink receives them on the
-	// worker side (local trace dumps, worker metrics). Both may be active.
+	// worker side (local trace dumps, worker metrics) together with how
+	// many spans the track dropped since the previous flush. Both may be
+	// active.
 	trace     *obs.Track
 	shipSpans bool
-	sink      func(track string, spans []obs.Span)
+	sink      func(track string, spans []obs.Span, dropped int64)
+	dropped   int64 // the track's drop count as of the last flush
 }
 
 // flushSpans drains the device's span buffer and routes the batch to the
@@ -197,13 +207,15 @@ func (l *clusterLink) flushSpans() {
 		return
 	}
 	spans := l.trace.Drain()
-	if len(spans) == 0 {
+	dropped := l.trace.Dropped() - l.dropped
+	l.dropped += dropped
+	if len(spans) == 0 && dropped == 0 {
 		return
 	}
 	if l.sink != nil {
-		l.sink(l.trace.Name(), spans)
+		l.sink(l.trace.Name(), spans, dropped)
 	}
-	if l.shipSpans {
+	if l.shipSpans && len(spans) > 0 {
 		ws := make([]wire.Span, len(spans))
 		for i, s := range spans {
 			ws[i] = wire.Span{Name: s.Name, Cat: int32(s.Cat), Start: s.Start, Dur: s.Dur}
@@ -223,7 +235,18 @@ func (l *clusterLink) recv(kind wire.Kind, step int) *wire.Frame {
 	return f
 }
 
+// RecvInput returns the step's full-batch input. The first group reads the
+// batch from its local schedule: no wire traffic at all. Sharing one
+// tensor across co-hosted members is safe for the same reason the
+// in-process pipeline hands every device the same batch — members only
+// read their shard.
 func (l *clusterLink) RecvInput(step int) *tensor.Tensor {
+	if l.firstGroup {
+		if step >= len(l.inputs) {
+			sessionFail("cluster: dev %d asked for the input of step %d, schedule has %d", l.dev, step, len(l.inputs))
+		}
+		return l.inputs[step]
+	}
 	f := l.recv(wire.KindInput, step)
 	t, err := wire.DecodeTensor(f)
 	if err != nil {

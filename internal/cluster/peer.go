@@ -40,6 +40,9 @@ const (
 	peerAcceptTimeout = 5 * time.Second
 	// meshTimeout bounds a session's whole mesh-establishment phase.
 	meshTimeout = 10 * time.Second
+	// ackWindow is how many steps an activation sender may run ahead of
+	// the slowest downstream consumer's acks.
+	ackWindow = 2
 )
 
 // peerEndpoint is one device's end of a worker-to-worker connection.
@@ -218,7 +221,7 @@ func (m *mesh) dialPeer(net transport.Network, local, remote int, deadline time.
 			return nil, fmt.Errorf("cluster: peer link %d->%d to %s not established before deadline (last error: %v)",
 				local, remote, addr, lastErr)
 		}
-		conn, err := net.Dial(addr)
+		conn, err := dialHello(net, addr, deadline)
 		if err != nil {
 			lastErr = err
 			time.Sleep(10 * time.Millisecond)
@@ -236,13 +239,6 @@ func (m *mesh) dialPeer(net transport.Network, local, remote int, deadline time.
 }
 
 func (m *mesh) handshakePeer(conn transport.Conn, local, remote int, deadline time.Time) (*peerEndpoint, error) {
-	hello, err := recvDeadline(conn, deadline)
-	if err != nil {
-		return nil, err
-	}
-	if hello.Kind != wire.KindHello {
-		return nil, fmt.Errorf("worker sent %v, want hello", hello.Kind)
-	}
 	if err := conn.Send(wire.EncodePeerHello(wire.PeerHello{Epoch: m.epoch, From: local, To: remote})); err != nil {
 		return nil, err
 	}
@@ -288,19 +284,13 @@ func (m *mesh) handshakePeer(conn transport.Conn, local, remote int, deadline ti
 // received application frames; the echo carries the remote's count,
 // which bounds the replay to exactly the frames the break swallowed.
 func (m *mesh) redialPeer(addr string, local, remote int, recvd int64) (transport.Conn, int64, error) {
-	conn, err := m.net.Dial(addr)
+	deadline := time.Now().Add(m.retryPolicy().Budget)
+	conn, err := dialHello(m.net, addr, deadline)
 	if err != nil {
 		return nil, 0, err
 	}
-	deadline := time.Now().Add(m.retryPolicy().Budget)
-	hello, err := recvDeadline(conn, deadline)
-	if err == nil && hello.Kind != wire.KindHello {
-		err = fmt.Errorf("worker sent %v, want hello", hello.Kind)
-	}
-	if err == nil {
-		err = conn.Send(wire.EncodePeerHello(wire.PeerHello{
-			Epoch: m.epoch, From: local, To: remote, Resume: true, Recvd: recvd}))
-	}
+	err = conn.Send(wire.EncodePeerHello(wire.PeerHello{
+		Epoch: m.epoch, From: local, To: remote, Resume: true, Recvd: recvd}))
 	var h wire.PeerHello
 	if err == nil {
 		var echo *wire.Frame
@@ -422,12 +412,11 @@ type groupInfo struct{ devices []int }
 
 // ringLink implements engine.DeviceLink for ring topology: stage-to-stage
 // activations and the intra-group all-reduce travel over peer endpoints,
-// while the control plane — group-0 batch input, loss reports, the global
-// step barrier, and recovery snapshots — stays on the embedded
-// coordinator link.
+// while the control plane — loss reports, the global step barrier, and
+// recovery snapshots — and the first group's local batch schedule stay on
+// the embedded coordinator link.
 type ringLink struct {
 	*clusterLink
-	gi    int
 	rank  int
 	k     int
 	group []int // own group's device ranks in rank order
@@ -445,14 +434,8 @@ type ringLink struct {
 	relayIn   map[int][]*wire.Frame // stashed KindRelay frames by sender
 	relayAcks map[int][]*wire.Frame // stashed KindRelayAck frames by receiver
 
-	// inputs is the prestaged batch schedule from the Assign (inputs[s]
-	// is step s's full batch); set only on group-0 members, which source
-	// every input locally instead of receiving per-step frames.
-	inputs []*tensor.Tensor
-
-	// Activation-forward flow control: a sender may run at most window
+	// Activation-forward flow control: a sender may run at most ackWindow
 	// steps ahead of the slowest downstream consumer's acks.
-	window    int
 	nextAcked []int // per next-group member: highest acked step
 	ackInit   bool
 
@@ -537,17 +520,11 @@ func (l *ringLink) recvPeer(remote int, kind wire.Kind, step int) *wire.Frame {
 // RecvInput assembles the step's full-batch input from the previous
 // group's members (each sends its boundary-activation shard directly),
 // in ascending previous-rank order — byte-identical to the hub's
-// assembly — and acks each upstream endpoint. Group 0 reads the batch
-// from the schedule prestaged in its Assign: no wire traffic at all.
-// Sharing one tensor across co-hosted members is safe for the same
-// reason the in-process pipeline hands every device the same batch —
-// members only read their shard.
+// assembly — and acks each upstream endpoint. Group 0 has no upstream and
+// reads its local schedule like a hub device.
 func (l *ringLink) RecvInput(step int) *tensor.Tensor {
-	if l.gi == 0 {
-		if step >= len(l.inputs) {
-			sessionFail("cluster: dev %d asked for prestaged input of step %d, schedule has %d", l.dev, step, len(l.inputs))
-		}
-		return l.inputs[step]
+	if l.firstGroup {
+		return l.clusterLink.RecvInput(step)
 	}
 	parts := make([]*tensor.Tensor, len(l.prev))
 	for i, pd := range l.prev {
@@ -606,7 +583,7 @@ func (l *ringLink) SendOutput(step int, out *tensor.Tensor) {
 	// engine's send_output span so the report attributes it as wait time,
 	// not communication.
 	rg := l.trace.Begin(obs.CatWait, "peer_ack_wait")
-	target := step - l.window
+	target := step - ackWindow
 	for i, nd := range l.next {
 		for l.nextAcked[i] < target {
 			var f *wire.Frame

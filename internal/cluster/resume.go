@@ -116,12 +116,12 @@ func validateManifest(dir string, man *ledger.Manifest, exp *ResumeExpectation) 
 // global cut the crashed coordinator had reached — the newest step every
 // group snapshotted and every device accounted for — and hands that cut
 // to the same attempt driver a live restart uses: every device is
-// re-placed on the still-running workers via wire Resume frames and the
-// run is driven to completion. The returned losses and the returned
-// workbench's trained student weights are bit-identical to what the
-// uninterrupted run — and therefore the fault-free engine.RunPipelined —
-// would have produced, for either topology, any snapshot interval, and
-// with or without rank-0 dedup.
+// re-placed on the still-running workers, its state at the cut riding in
+// the Assign, and the run is driven to completion. The returned losses and
+// the returned workbench's trained student weights are bit-identical to
+// what the uninterrupted run — and therefore the fault-free
+// engine.RunPipelined — would have produced, for either topology and any
+// snapshot interval.
 //
 // A repartitioned log replays generation by generation: each superseded
 // generation's records rebuild the snapshot history under *its* plan,
@@ -196,7 +196,6 @@ func resumeSetup(net transport.Network, dir string, led *ledger.Ledger, man *led
 		DPU:      man.Assign.Run.DPU,
 		LR:       man.Assign.Run.LR,
 		Momentum: man.Assign.Run.Momentum,
-		Buffer:   man.Assign.Run.Buffer,
 		Backend:  man.Assign.Run.Backend,
 		Topology: man.Assign.Run.Topology,
 		Spec:     man.Assign.Spec,
@@ -295,18 +294,10 @@ func (r *run) replayRecordLocked(rec *ledger.Record) error {
 		if !ok {
 			return fmt.Errorf("unknown device %d", rec.Dev)
 		}
-		if err := r.checkSnapshotShapes(rec.Dev, ds.place.gi, rec.Params, rec.Velocity); err != nil {
+		if err := r.checkSnapshot(rec.Dev, ds.place, rec.Params, rec.Velocity); err != nil {
 			return err
 		}
 		r.recordHistLocked(ds.place.gi, rec.Step, rec.Params, rec.Velocity)
-	case ledger.TypeGroupSnapshot:
-		if rec.Group < 0 || rec.Group >= len(r.plan.Groups) {
-			return fmt.Errorf("unknown group %d", rec.Group)
-		}
-		if err := r.checkSnapshotShapes(r.plan.Groups[rec.Group].Devices[0], rec.Group, rec.Params, rec.Velocity); err != nil {
-			return err
-		}
-		r.recordHistLocked(rec.Group, rec.Step, rec.Params, rec.Velocity)
 	case ledger.TypeLosses:
 		ds, ok := r.devs[rec.Dev]
 		if !ok {

@@ -1,7 +1,8 @@
 // Package cluster executes the Pipe-BD pipelined schedule across worker
 // processes: a coordinator maps a sched.Plan's devices onto workers over
-// a pluggable transport, broadcasts the model spec, seed parameters, and
-// training batches, routes teacher-relay activations and intra-group
+// a pluggable transport, opens each worker's session with one Assign
+// frame (model spec, seed parameters, the first group's batch schedule or
+// the recipe for it), routes teacher-relay activations and intra-group
 // gradient all-reduce frames between pipeline stages, and streams back
 // per-block losses and the trained weights.
 //
@@ -13,10 +14,30 @@
 // modification to the mathematical formulation" claim across process
 // boundaries.
 //
+// # One way into a session
+//
+// Every attempt — the first, a restart after a lost worker, a degrade, a
+// repartition, a coordinator resumed from its ledger — places its devices
+// by the same loop (driver.go): dial a worker for each placement slot and
+// take its Hello, build the placement directory from who answered, send
+// each session one Assign. The Assign is the only session-open frame;
+// past the seed it also carries each hosted device's state at the cut.
+// The only input that differs between attempts is the candidate list: a
+// restart may land a slot on a surviving worker, a fresh run waits for
+// the slot's own.
+//
+// Only the first pipeline stage ever touches a batch, and under both
+// topologies it reads it locally: a session hosting first-group devices
+// regenerates the schedule from Config.Data's deterministic recipe
+// (wire.DataSpec) — bit-identically, validated against the run's actual
+// batches at start — or, without a recipe, takes the whole schedule from
+// its Assign (one frame, bounded by wire.MaxPayload; pass Config.Data for
+// anything larger). No per-step input frame exists.
+//
 // # Topologies: hub and peer-to-peer ring
 //
 // Config.Topology selects the data plane (wire codec v4). The default
-// "hub" routes every tensor through the coordinator. "ring" gives the
+// "hub" routes every activation and gradient through the coordinator. "ring" gives the
 // workers direct links: each session's Assign carries the run's
 // placement directory and a unique epoch, the workers dial each other
 // (higher-ranked device's host dials the lower's, a PeerHello echo pins
@@ -35,41 +56,39 @@
 //     vectors instead).
 //
 // The coordinator is demoted to a control plane — placement, loss
-// collection, the step barrier, snapshots. Even the training inputs
-// bypass it: a ring session hosting first-group devices gets the whole
-// batch schedule prestaged in its Assign, or, when Config.Data carries a
-// deterministic dataset recipe (wire.DataSpec), regenerates it locally,
-// bit-identically — validated against the run's actual batches at start.
-// Coordinator traffic therefore no longer scales with activation,
-// gradient, or input size, while both topologies stay bit-identical to
-// the in-process pipeline and to each other.
+// collection, the step barrier, snapshots. Coordinator traffic therefore
+// no longer scales with activation, gradient, or input size, while both
+// topologies stay bit-identical to the in-process pipeline and to each
+// other.
 //
 // # Fault tolerance: one recovery model, the global cut
 //
 // With Config.MaxRestarts > 0 a run survives worker loss, under one rule
-// for both topologies (driver.go). The protocol adds three frames (wire
+// for both topologies (driver.go). The protocol adds two frames (wire
 // codec v2):
 //
 //   - Heartbeat: workers beacon on Config.HeartbeatInterval so the
 //     coordinator can declare a silent worker dead (HeartbeatTimeout),
 //     not just one whose connection errors.
-//   - Snapshot: after every step, each device ships the state that makes
-//     its next step a pure function — student parameters and SGD
-//     momentum, captured right after the update. The coordinator keeps
-//     each group's snapshots back to the global cut: the newest step
-//     every group holds a snapshot for and every device has accounted for
-//     (loss row recorded and, without DPU, barrier arrival counted).
-//   - Resume: on a death the attempt fails fast, every session is
-//     superseded, and the driver re-places every device — dialing each
-//     slot's own worker first (a restarted pipebd-worker -rejoin), then
-//     the survivors, which can host several sessions — with an Assign
-//     extended by the group's state at the cut. The worker rebuilds the
-//     replicas, restores them, and runs the same device loop from cut+1.
+//   - Snapshot: after every step, each group's rank-0 device ships the
+//     state that makes the group's next step a pure function — student
+//     parameters and SGD momentum, captured right after the update. The
+//     coordinator keeps each group's snapshots back to the global cut:
+//     the newest step every group holds a snapshot for and every device
+//     has accounted for (loss row recorded and, without DPU, barrier
+//     arrival counted).
+//
+// On a death the attempt fails fast, every session is superseded, and the
+// driver re-places every device — dialing each slot's own worker first (a
+// restarted pipebd-worker -rejoin), then the survivors, which can host
+// several sessions — with the Assign carrying the group's state at the
+// cut. The worker rebuilds the replicas, restores them, and runs the same
+// device loop from cut+1.
 //
 // Nothing in flight is salvaged: a half-assembled gather or one side of a
 // ring collective dies with the attempt and is recomputed, because the
 // teacher relay makes every replayed step a pure function of the restored
-// state and the re-fed batches. A fresh attempt therefore never sees a
+// state and the batches. A fresh attempt therefore never sees a
 // frame twice, and a duplicate is a protocol error. The result: a run that
 // loses workers produces losses and trained weights bit-identical to a
 // fault-free run — pinned by the recovery suites under a deterministic
@@ -78,12 +97,13 @@
 //
 // # Snapshot policy
 //
-// Config.Snapshot tunes the snapshot traffic: Interval k makes each
-// device snapshot every k-th step (a restart then replays up to k steps
-// from the last covered one), and Rank0Dedup ships one snapshot per split
-// group — the members are bit-identical replicas. Whether a snapshotted
-// step can be the cut is decided from every member's loss and barrier
-// marks, never by the snapshot alone.
+// One snapshot per group: the members of a split group are bit-identical
+// replicas after every step, so only rank 0 encodes, ships and (in a
+// durable run) logs one, and a snapshot frame from any other rank is a
+// protocol error. Config.Snapshot tunes the traffic: Interval k snapshots
+// every k-th step (a restart then replays up to k steps from the last
+// covered one). Whether a snapshotted step can be the cut is decided from
+// every member's loss and barrier marks, never by the snapshot alone.
 //
 // # Durable runs and coordinator restart
 //

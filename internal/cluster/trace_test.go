@@ -214,6 +214,39 @@ func TestWorkerTraceDirDump(t *testing.T) {
 	}
 }
 
+// TestSpanLossIsCounted: a device track that overflows between two step
+// boundaries drops spans; the next flush must surface exactly that many in
+// the worker's spans_dropped counter and in the trace-dump collector's
+// summary line, once — and a flush with nothing new must add nothing.
+func TestSpanLossIsCounted(t *testing.T) {
+	metrics := obs.NewMetrics()
+	collect := obs.NewCollector()
+	worker := NewWorker(nil, WorkerConfig{Metrics: metrics})
+	track := obs.NewTracer(true).NewTrack("dev0")
+	link := &clusterLink{trace: track, sink: worker.spanSink(collect)}
+
+	track.Point(obs.CatWait, "kept")
+	link.flushSpans()
+	if got := metrics.Counter("spans_dropped").Load(); got != 0 {
+		t.Fatalf("spans_dropped = %d before any overflow", got)
+	}
+	for track.Dropped() < 7 {
+		track.Point(obs.CatWait, "flood")
+	}
+	link.flushSpans()
+	if got := metrics.Counter("spans_dropped").Load(); got != 7 {
+		t.Fatalf("spans_dropped = %d after dropping 7 spans", got)
+	}
+	if sum := collect.String(); !strings.Contains(sum, ", 7 dropped") {
+		t.Fatalf("collector summary %q does not report the 7 dropped spans", sum)
+	}
+	track.Point(obs.CatWait, "kept")
+	link.flushSpans()
+	if got := metrics.Counter("spans_dropped").Load(); got != 7 {
+		t.Fatalf("spans_dropped = %d after a flush with no new drops, want 7", got)
+	}
+}
+
 // TestMeterConcurrentRingTraffic (satellite): transport.Meter counters
 // must stay race-free and monotonic while the full peer mesh of a 3-way
 // split hammers them from many connections, and must never go backwards

@@ -15,7 +15,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(encodeSeed(EncodeAssign(&Assign{})))
 	f.Add(encodeSeed(Control(KindHeartbeat, NoDev, NoStep)))
 	f.Add(encodeSeed(EncodeDeviceSnapshot(1, 2, nil, nil)))
-	f.Add(encodeSeed(EncodeResume(&Resume{})))
+	f.Add(encodeSeed(EncodeAssign(sampleResume()))) // the session-open frame of a restart: n states
+	for _, retired := range retiredKinds {
+		f.Add(encodeSeed(&Frame{Kind: retired, Dev: NoDev, Step: NoStep}))
+	}
 	f.Add([]byte{Magic, Version, byte(KindInput), 0})
 	f.Add([]byte{Magic, 1, byte(KindHello), 0}) // version skew: old peer
 
@@ -42,9 +45,8 @@ func FuzzReadFrame(f *testing.F) {
 		_, _ = DecodeTensor(&Frame{Kind: KindInput, Payload: fr.Payload})
 		_, _ = DecodeTensors(&Frame{Kind: KindGrads, Payload: fr.Payload})
 		_, _ = DecodeLosses(&Frame{Kind: KindLosses, Payload: fr.Payload})
-		_, _ = DecodeBatch(&Frame{Kind: KindBatch, Payload: fr.Payload})
+		_, _ = DecodeBatch(fr.Payload)
 		_, _, _ = DecodeDeviceSnapshot(&Frame{Kind: KindSnapshot, Payload: fr.Payload})
-		_, _ = DecodeResume(&Frame{Kind: KindResume, Payload: fr.Payload})
 	})
 }
 

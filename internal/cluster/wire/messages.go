@@ -35,22 +35,16 @@ type ModelSpec struct {
 	Temp      float64
 }
 
-// SnapshotPolicy governs the recovery-snapshot traffic of a session. It
-// replaced the v2 codec's all-or-nothing Snapshots flag: the interval
-// trades snapshot bandwidth against replay length, and rank-0 dedup
-// exploits the engine's replica guarantee (all members of a split group
-// hold bit-identical parameters after every step) to ship one member
-// snapshot per group instead of k.
+// SnapshotPolicy governs the recovery-snapshot traffic of a session: the
+// interval trades snapshot bandwidth against replay length. Only rank 0 of
+// each group snapshots — the engine's replica guarantee (all members of a
+// split group hold bit-identical parameters after every step) makes one
+// copy stand for the group.
 type SnapshotPolicy struct {
-	// Interval asks each snapshotting device to emit its recovery state
+	// Interval asks each group's rank-0 device to emit its recovery state
 	// after every k-th step (steps k-1, 2k-1, ...). 0 disables snapshots;
 	// negative intervals are invalid.
 	Interval int
-	// Rank0Dedup restricts snapshot emission to each group's rank-0
-	// member. The coordinator commits the group snapshot only once every
-	// member has accounted for the covered steps (losses, relayed
-	// outputs, barrier arrivals), so replayed loss rows stay complete.
-	Rank0Dedup bool
 }
 
 // Enabled reports whether the policy asks for any snapshots at all.
@@ -67,9 +61,6 @@ func (p SnapshotPolicy) Validate() error {
 	if p.Interval < 0 {
 		return fmt.Errorf("wire: snapshot interval must be >= 0, got %d", p.Interval)
 	}
-	if p.Rank0Dedup && p.Interval == 0 {
-		return fmt.Errorf("wire: snapshot rank-0 dedup needs snapshots enabled (interval >= 1)")
-	}
 	return nil
 }
 
@@ -78,7 +69,6 @@ type RunConfig struct {
 	DPU      bool
 	LR       float32
 	Momentum float32
-	Buffer   int
 	Steps    int
 	Backend  string // tensor backend registry name; "" keeps the worker default
 	// Snap schedules the KindSnapshot frames that feed the coordinator's
@@ -93,11 +83,11 @@ type RunConfig struct {
 	// control plane: placement, barriers, losses, snapshots).
 	Topology string
 	// Data optionally describes the run's batch schedule as a
-	// deterministic recipe (N > 0 enables it): ring sessions hosting
+	// deterministic recipe (N > 0 enables it): sessions hosting
 	// first-group devices regenerate their batches locally instead of
-	// receiving input bytes from the coordinator — distributed data
-	// loading. The coordinator validates at run start that the recipe
-	// reproduces the actual batches bit-exactly.
+	// receiving them in the Assign — distributed data loading. The
+	// coordinator validates at run start that the recipe reproduces the
+	// actual batches bit-exactly.
 	Data DataSpec
 	// Trace asks the worker to record per-step span events on every
 	// hosted device and ship them to the coordinator as KindSpans frames
@@ -131,7 +121,7 @@ func (r RetrySpec) Enabled() bool { return r.BudgetMillis > 0 }
 // dataset.NewRandom(rand.NewSource(Seed), N, C, H, W, Classes), Kind
 // "tokens" (codec v7) regenerates dataset.NewTokens(rand.NewSource(Seed),
 // N, L, Vocab, Classes). Any process evaluating a recipe gets
-// bit-identical tensors, which is what lets ring workers source training
+// bit-identical tensors, which is what lets workers source training
 // inputs without moving them over any wire.
 type DataSpec struct {
 	Seed                int64
@@ -173,8 +163,9 @@ type Snapshot struct {
 	Student [][]*tensor.Tensor
 }
 
-// Assign is the session-setup message: everything a worker needs to host
-// its share of a plan's devices.
+// Assign is the session-open message of every attempt, fresh or
+// restarted: everything a worker needs to host its share of a plan's
+// devices.
 type Assign struct {
 	Plan    sched.Plan
 	Spec    ModelSpec
@@ -190,11 +181,11 @@ type Assign struct {
 	// coordinator generation) can never wire into a new mesh.
 	Epoch    int64
 	Snapshot Snapshot
-	// Inputs prestages the run's whole batch-input schedule (Inputs[s] is
-	// step s's full batch) on ring sessions hosting first-group devices,
-	// so the steady-state run needs no per-step input frames from the
-	// coordinator. Empty for hub sessions and for ring sessions hosting
-	// only later groups.
+	// Inputs carries the run's whole batch-input schedule (Inputs[s] is
+	// step s's full batch) to sessions hosting first-group devices, so the
+	// run needs no per-step input frames from the coordinator. Empty for
+	// sessions hosting only later groups and when Run.Data has the workers
+	// regenerate the schedule themselves.
 	Inputs []*tensor.Tensor
 	// Session identifies this control link for resume (codec v8): a
 	// redialed connection carrying KindSessionResume with this id
@@ -206,6 +197,10 @@ type Assign struct {
 	// the coordinator, and groups containing a degraded edge fall back to
 	// the hub gradient reduction. Empty in the fault-free case.
 	Degraded []int
+	// States restores the hosted devices before they run: empty when the
+	// attempt starts at the seed (Snapshot and a fresh optimizer are the
+	// whole state), otherwise exactly one entry per entry of Devices.
+	States []DeviceState
 }
 
 // DegradedEdges decodes the flattened Degraded list into pairs.
@@ -217,8 +212,7 @@ func (a *Assign) DegradedEdges() [][2]int {
 	return out
 }
 
-// writeAssignBody packs the Assign fields; shared by the Assign and
-// Resume frames so the two session-setup messages cannot drift apart.
+// writeAssignBody packs the Assign fields.
 func writeAssignBody(w *Writer, a *Assign) {
 	writePlan(w, a.Plan)
 	w.String(a.Spec.Name)
@@ -237,11 +231,9 @@ func writeAssignBody(w *Writer, a *Assign) {
 	w.Bool(a.Run.DPU)
 	w.F32(a.Run.LR)
 	w.F32(a.Run.Momentum)
-	w.I32(int32(a.Run.Buffer))
 	w.I32(int32(a.Run.Steps))
 	w.String(a.Run.Backend)
 	w.I32(int32(a.Run.Snap.Interval))
-	w.Bool(a.Run.Snap.Rank0Dedup)
 	w.I32(int32(a.Run.HeartbeatMillis))
 	w.String(a.Run.Topology)
 	w.I64(a.Run.Data.Seed)
@@ -269,6 +261,13 @@ func writeAssignBody(w *Writer, a *Assign) {
 	w.I32(int32(a.Run.Retry.BackoffMillis))
 	w.I32(int32(a.Run.Retry.BudgetMillis))
 	w.I32(int32(a.Run.Retry.AckEvery))
+	w.U32(uint32(len(a.States)))
+	for _, st := range a.States {
+		w.I32(int32(st.Dev))
+		w.I32(int32(st.Step))
+		w.Tensors(st.Params)
+		w.Tensors(st.Velocity)
+	}
 }
 
 // readAssignBody unpacks the Assign fields written by writeAssignBody.
@@ -291,11 +290,9 @@ func readAssignBody(r *Reader) (*Assign, error) {
 	a.Run.DPU = r.Bool()
 	a.Run.LR = r.F32()
 	a.Run.Momentum = r.F32()
-	a.Run.Buffer = int(r.I32())
 	a.Run.Steps = int(r.I32())
 	a.Run.Backend = r.String()
 	a.Run.Snap.Interval = int(r.I32())
-	a.Run.Snap.Rank0Dedup = r.Bool()
 	a.Run.HeartbeatMillis = int(r.I32())
 	a.Run.Topology = r.String()
 	a.Run.Data.Seed = r.I64()
@@ -331,12 +328,23 @@ func readAssignBody(r *Reader) (*Assign, error) {
 	if len(a.Degraded)%2 != 0 {
 		return nil, fmt.Errorf("wire: degraded edge list has odd length %d", len(a.Degraded))
 	}
+	n := r.count(r.U32(), 16) // dev + step + two counted tensor lists
+	for i := 0; i < n && r.Err() == nil; i++ {
+		st := DeviceState{Dev: int(r.I32()), Step: int(r.I32())}
+		st.Params = r.Tensors()
+		st.Velocity = r.Tensors()
+		if len(st.Params) != len(st.Velocity) {
+			return nil, fmt.Errorf("wire: restart state for device %d has %d params but %d velocities",
+				st.Dev, len(st.Params), len(st.Velocity))
+		}
+		a.States = append(a.States, st)
+	}
 	return a, r.Err()
 }
 
-// writePlan packs a sched.Plan; the single codec shared by the Assign /
-// Resume session setup, the Repartition announcement, and the ledger's
-// repartition record, so a plan round-trips identically everywhere.
+// writePlan packs a sched.Plan; the single codec shared by the Assign,
+// the Repartition announcement, and the ledger's repartition record, so a
+// plan round-trips identically everywhere.
 func writePlan(w *Writer, p sched.Plan) {
 	w.String(p.Name)
 	w.U32(uint32(len(p.Groups)))
@@ -400,7 +408,8 @@ func EncodeAssign(a *Assign) *Frame {
 	return &Frame{Kind: KindAssign, Dev: NoDev, Step: NoStep, Payload: w.Bytes()}
 }
 
-// DecodeAssign unpacks an Assign frame.
+// DecodeAssign unpacks an Assign frame, validating that restart states,
+// when present, match the assigned devices one-to-one.
 func DecodeAssign(f *Frame) (*Assign, error) {
 	if f.Kind != KindAssign {
 		return nil, fmt.Errorf("wire: expected %v frame, got %v", KindAssign, f.Kind)
@@ -413,14 +422,35 @@ func DecodeAssign(f *Frame) (*Assign, error) {
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
+	if len(a.States) == 0 {
+		return a, nil
+	}
+	restored := make(map[int]bool, len(a.Devices))
+	for _, d := range a.Devices {
+		restored[d] = false
+	}
+	for _, st := range a.States {
+		done, hosted := restored[st.Dev]
+		if !hosted {
+			return nil, fmt.Errorf("wire: assign has a restart state for device %d, which it does not host", st.Dev)
+		}
+		if done {
+			return nil, fmt.Errorf("wire: assign has duplicate restart state for device %d", st.Dev)
+		}
+		restored[st.Dev] = true
+	}
+	for d, done := range restored {
+		if !done {
+			return nil, fmt.Errorf("wire: assign is missing restart state for device %d", d)
+		}
+	}
 	return a, nil
 }
 
 // DeviceState is one device's recovery state: the step it completed last
 // and the student parameters plus optimizer velocities it held right
 // after that step's update (its GradTensors order: blocks in group order,
-// parameters in declaration order). Step -1 means the device never
-// finished a step and Params/Velocity hold the seed state.
+// parameters in declaration order).
 type DeviceState struct {
 	Dev      int
 	Step     int
@@ -449,73 +479,6 @@ func DecodeDeviceSnapshot(f *Frame) (params, velocity []*tensor.Tensor, err erro
 		return nil, nil, fmt.Errorf("wire: snapshot has %d params but %d velocities", len(params), len(velocity))
 	}
 	return params, velocity, nil
-}
-
-// Resume is the re-placement session-setup message: the full Assign a
-// fresh worker needs to rebuild the devices, plus the per-device states
-// to restore before replaying. States must cover every entry of
-// Assign.Devices exactly once.
-type Resume struct {
-	Assign
-	States []DeviceState
-}
-
-// EncodeResume packs a Resume into a frame.
-func EncodeResume(res *Resume) *Frame {
-	w := NewWriter()
-	writeAssignBody(w, &res.Assign)
-	w.U32(uint32(len(res.States)))
-	for _, st := range res.States {
-		w.I32(int32(st.Dev))
-		w.I32(int32(st.Step))
-		w.Tensors(st.Params)
-		w.Tensors(st.Velocity)
-	}
-	return &Frame{Kind: KindResume, Dev: NoDev, Step: NoStep, Payload: w.Bytes()}
-}
-
-// DecodeResume unpacks a Resume frame, validating that the states match
-// the assigned devices one-to-one.
-func DecodeResume(f *Frame) (*Resume, error) {
-	if f.Kind != KindResume {
-		return nil, fmt.Errorf("wire: expected %v frame, got %v", KindResume, f.Kind)
-	}
-	r := NewReader(f.Payload)
-	a, err := readAssignBody(r)
-	if err != nil {
-		return nil, err
-	}
-	res := &Resume{Assign: *a}
-	n := r.count(r.U32(), 16) // dev + step + two counted tensor lists
-	for i := 0; i < n && r.Err() == nil; i++ {
-		st := DeviceState{Dev: int(r.I32()), Step: int(r.I32())}
-		st.Params = r.Tensors()
-		st.Velocity = r.Tensors()
-		if len(st.Params) != len(st.Velocity) {
-			return nil, fmt.Errorf("wire: resume state for device %d has %d params but %d velocities",
-				st.Dev, len(st.Params), len(st.Velocity))
-		}
-		res.States = append(res.States, st)
-	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	if len(res.States) != len(res.Devices) {
-		return nil, fmt.Errorf("wire: resume carries %d states for %d devices", len(res.States), len(res.Devices))
-	}
-	byDev := make(map[int]bool, len(res.States))
-	for _, st := range res.States {
-		if byDev[st.Dev] {
-			return nil, fmt.Errorf("wire: resume has duplicate state for device %d", st.Dev)
-		}
-		byDev[st.Dev] = true
-	}
-	for _, d := range res.Devices {
-		if !byDev[d] {
-			return nil, fmt.Errorf("wire: resume is missing state for device %d", d)
-		}
-	}
-	return res, nil
 }
 
 func writeSnapshotHalf(w *Writer, blocks [][]*tensor.Tensor) {
@@ -590,21 +553,22 @@ func DecodeLosses(f *Frame) ([]float64, error) {
 	return v, nil
 }
 
-// EncodeBatch packs a dataset batch (input tensor plus labels). An empty
+// EncodeBatch packs a dataset batch (input tensor plus labels) into a
+// payload; the ledger manifest stores its batches this way. An empty
 // batch — no tensor, no labels — encodes and decodes cleanly.
-func EncodeBatch(dev, step int32, b dataset.Batch) *Frame {
+func EncodeBatch(b dataset.Batch) []byte {
 	w := NewWriter()
 	w.Bool(b.X != nil)
 	if b.X != nil {
 		w.Tensor(b.X)
 	}
 	w.I32s(b.Labels)
-	return &Frame{Kind: KindBatch, Dev: dev, Step: step, Payload: w.Bytes()}
+	return w.Bytes()
 }
 
-// DecodeBatch unpacks a batch frame.
-func DecodeBatch(f *Frame) (dataset.Batch, error) {
-	r := NewReader(f.Payload)
+// DecodeBatch unpacks a payload written by EncodeBatch.
+func DecodeBatch(payload []byte) (dataset.Batch, error) {
+	r := NewReader(payload)
 	var b dataset.Batch
 	if r.Bool() {
 		b.X = r.Tensor()

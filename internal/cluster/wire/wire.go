@@ -46,8 +46,13 @@ const (
 	// added the transient-fault absorption plane (RunConfig.Retry, the
 	// Assign session id and degraded-edge list, the PeerHello resume
 	// fields, and the LinkAck / SessionResume / LinkDown / Relay /
-	// RelayAck frames behind resumable links and hub-degraded routing).
-	Version = 8
+	// RelayAck frames behind resumable links and hub-degraded routing);
+	// version 9 made the session start one way: the Assign carries the
+	// optional per-device restart states the retired Resume frame held,
+	// RunConfig lost Buffer and the snapshot policy's rank-0 dedup flag
+	// (only rank 0 of a group snapshots), and the Resume and Batch kinds
+	// were retired.
+	Version = 9
 
 	headerLen = 16
 	// MaxPayload bounds a frame's payload so a corrupted or adversarial
@@ -66,8 +71,10 @@ const (
 	// KindHello is sent by a worker immediately after a coordinator
 	// connects, announcing the worker is ready for an Assign.
 	KindHello Kind = iota + 1
-	// KindAssign carries the session setup: plan, model spec, run
-	// config, hosted device ranks, and the seed parameter snapshot.
+	// KindAssign opens every session, fresh or restarted: plan, model
+	// spec, run config, hosted device ranks, the seed parameter snapshot,
+	// and — when the attempt starts past the seed — the per-device restart
+	// states to install before replaying.
 	KindAssign
 	// KindInput carries a device's full-batch input activation for one
 	// step (the data batch for group 0, the relayed teacher activation
@@ -98,9 +105,7 @@ const (
 	// KindDrain asks the worker to end the session; the worker returns
 	// to accepting coordinators (or exits, for bounded-session servers).
 	KindDrain
-	// KindBatch carries a full dataset batch (input tensor plus labels),
-	// for pipelines that also ship labels to the first group.
-	KindBatch
+	_ // 13 was the Batch kind, retired in version 9 (nothing ever sent one)
 	// KindHeartbeat is a liveness beacon a worker emits on an interval so
 	// the coordinator can declare it dead on silence (hang, partition)
 	// rather than only on a connection error.
@@ -109,11 +114,7 @@ const (
 	// step: the student parameters and optimizer velocities the device
 	// would need to replay the next step bit-identically.
 	KindSnapshot
-	// KindResume is the session-setup message of a re-placement: an Assign
-	// plus the per-device snapshots (and step counters) to restore, sent
-	// instead of KindAssign when a coordinator moves a dead worker's
-	// devices onto a surviving or re-joined worker.
-	KindResume
+	_ // 16 was the Resume kind, retired in version 9 (folded into KindAssign)
 	// KindPeerHello is the worker-to-worker handshake of the peer data
 	// plane: after dialing a peer worker, a session identifies the link it
 	// is establishing (run epoch, dialing device, target device). The
@@ -174,7 +175,6 @@ const (
 	// the payload names the acking receiver) — the hub-relayed twin of
 	// KindPeerAck.
 	KindRelayAck
-	kindEnd // sentinel: all valid kinds are below this
 )
 
 var kindNames = map[Kind]string{
@@ -182,8 +182,8 @@ var kindNames = map[Kind]string{
 	KindOutput: "output", KindGrads: "grads", KindGradsReduced: "grads-reduced",
 	KindStepDone: "step-done", KindStepGo: "step-go", KindLosses: "losses",
 	KindFinalParams: "final-params", KindDone: "done", KindDrain: "drain",
-	KindBatch: "batch", KindHeartbeat: "heartbeat", KindSnapshot: "snapshot",
-	KindResume: "resume", KindPeerHello: "peer-hello", KindPeerInput: "peer-input",
+	KindHeartbeat: "heartbeat", KindSnapshot: "snapshot",
+	KindPeerHello: "peer-hello", KindPeerInput: "peer-input",
 	KindRingSegment: "ring-segment", KindPeerAck: "peer-ack", KindSpans: "spans",
 	KindRepartition: "repartition", KindLinkAck: "link-ack",
 	KindSessionResume: "session-resume", KindLinkDown: "link-down",
@@ -256,7 +256,7 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		return nil, fmt.Errorf("%w: frame version %d, this codec speaks %d", ErrVersion, hdr[1], Version)
 	}
 	kind := Kind(hdr[2])
-	if kind == 0 || kind >= kindEnd {
+	if _, ok := kindNames[kind]; !ok {
 		return nil, fmt.Errorf("wire: unknown frame kind %d", hdr[2])
 	}
 	n := binary.LittleEndian.Uint32(hdr[12:16])

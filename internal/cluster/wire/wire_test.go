@@ -129,7 +129,7 @@ func TestLossesRoundTrip(t *testing.T) {
 func TestBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b := dataset.Batch{X: tensor.Rand(rng, -1, 1, 4, 3, 2, 2), Labels: []int{0, 3, 1, 2}}
-	got, err := DecodeBatch(roundTripFrame(t, EncodeBatch(0, 0, b)))
+	got, err := DecodeBatch(EncodeBatch(b))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -143,10 +143,10 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEmptyBatchRoundTrip: a batch with no tensor and no labels is legal
-// on the wire (e.g. a drained loader) and must not error or panic.
+// TestEmptyBatchRoundTrip: a batch with no tensor and no labels is a
+// legal payload (e.g. a drained loader) and must not error or panic.
 func TestEmptyBatchRoundTrip(t *testing.T) {
-	got, err := DecodeBatch(roundTripFrame(t, EncodeBatch(0, 0, dataset.Batch{})))
+	got, err := DecodeBatch(EncodeBatch(dataset.Batch{}))
 	if err != nil {
 		t.Fatalf("decode empty batch: %v", err)
 	}
@@ -164,8 +164,8 @@ func sampleAssign() *Assign {
 		}},
 		Spec: ModelSpec{Name: "transformer", Seed: 42, Blocks: 4, Channels: 6, Height: 8, Width: 8,
 			Heads: 2, FFTeacher: 32, FFStudent: 8, SeqLen: 6, Vocab: 16, Classes: 4, Temp: 2.5},
-		Run: RunConfig{DPU: true, LR: 0.05, Momentum: 0.9, Buffer: 2, Steps: 6, Backend: "serial",
-			Snap: SnapshotPolicy{Interval: 3, Rank0Dedup: true}, Topology: "ring", Trace: true,
+		Run: RunConfig{DPU: true, LR: 0.05, Momentum: 0.9, Steps: 6, Backend: "serial",
+			Snap: SnapshotPolicy{Interval: 3}, Topology: "ring", Trace: true,
 			Data: DataSpec{Seed: 11, N: 72, C: 3, H: 8, W: 8, Classes: 4, Batch: 12,
 				Kind: "tokens", L: 6, Vocab: 16}},
 		Devices: []int{0, 1},
@@ -227,6 +227,9 @@ func TestAssignRoundTrip(t *testing.T) {
 			t.Fatalf("prestaged input %d differs", i)
 		}
 	}
+	if len(got.States) != 0 {
+		t.Fatalf("an assign at the seed decoded %d restart states", len(got.States))
+	}
 }
 
 func TestDeviceSnapshotRoundTrip(t *testing.T) {
@@ -257,9 +260,11 @@ func TestDeviceSnapshotCountMismatchRejected(t *testing.T) {
 	}
 }
 
-func sampleResume() *Resume {
+// sampleResume is the session-open frame of a restart: sampleAssign plus
+// one restart state per hosted device.
+func sampleResume() *Assign {
 	rng := rand.New(rand.NewSource(6))
-	res := &Resume{Assign: *sampleAssign()}
+	res := sampleAssign()
 	for _, d := range res.Devices {
 		res.States = append(res.States, DeviceState{
 			Dev: d, Step: 3,
@@ -272,13 +277,12 @@ func sampleResume() *Resume {
 
 func TestResumeRoundTrip(t *testing.T) {
 	res := sampleResume()
-	res.States[0].Step = -1 // never finished a step: seed state
-	got, err := DecodeResume(roundTripFrame(t, EncodeResume(res)))
+	got, err := DecodeAssign(roundTripFrame(t, EncodeAssign(res)))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if got.Plan.Name != res.Plan.Name || got.Spec != res.Spec || got.Run != res.Run {
-		t.Fatalf("assign body mismatch: %+v", got.Assign)
+		t.Fatalf("assign body mismatch: %+v", got)
 	}
 	if len(got.States) != len(res.States) {
 		t.Fatalf("got %d states, want %d", len(got.States), len(res.States))
@@ -296,33 +300,54 @@ func TestResumeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResumeStateDeviceMismatchRejected: the decoder enforces the
-// one-state-per-assigned-device invariant so a worker never starts a
-// half-restored session.
+// TestResumeStateDeviceMismatchRejected: when an Assign carries restart
+// states at all, the decoder enforces the one-state-per-assigned-device
+// invariant so a worker never starts a half-restored session.
 func TestResumeStateDeviceMismatchRejected(t *testing.T) {
 	res := sampleResume()
 	res.States = res.States[:1]
-	if _, err := DecodeResume(roundTripFrame(t, EncodeResume(res))); err == nil {
+	if _, err := DecodeAssign(roundTripFrame(t, EncodeAssign(res))); err == nil {
 		t.Fatal("missing device state accepted")
 	}
 	res = sampleResume()
 	res.States[1].Dev = res.States[0].Dev
-	if _, err := DecodeResume(roundTripFrame(t, EncodeResume(res))); err == nil {
+	if _, err := DecodeAssign(roundTripFrame(t, EncodeAssign(res))); err == nil {
 		t.Fatal("duplicate device state accepted")
 	}
 	res = sampleResume()
 	res.States[1].Dev = 99
-	if _, err := DecodeResume(roundTripFrame(t, EncodeResume(res))); err == nil {
+	if _, err := DecodeAssign(roundTripFrame(t, EncodeAssign(res))); err == nil {
 		t.Fatal("state for unassigned device accepted")
 	}
 }
 
 func TestResumeTruncatedPayloadRejected(t *testing.T) {
-	f := EncodeResume(sampleResume())
+	f := EncodeAssign(sampleResume())
 	for n := 0; n < len(f.Payload); n += 7 {
-		if _, err := DecodeResume(&Frame{Kind: KindResume, Dev: NoDev, Step: NoStep, Payload: f.Payload[:n]}); err == nil {
-			t.Fatalf("Resume payload truncated to %d bytes decoded successfully", n)
+		if _, err := DecodeAssign(&Frame{Kind: KindAssign, Dev: NoDev, Step: NoStep, Payload: f.Payload[:n]}); err == nil {
+			t.Fatalf("assign payload truncated to %d bytes decoded successfully", n)
 		}
+	}
+}
+
+// retiredKinds are the kind bytes version 9 retired (Batch, Resume); their
+// numbers stay reserved.
+var retiredKinds = []Kind{13, 16}
+
+// TestRetiredKindsAreUnknown: a frame stamped with a retired kind byte —
+// a Resume from an un-upgraded coordinator that somehow shares our
+// version, a corrupted stream — is an unknown-kind error, never a frame a
+// session could act on, and the kinds around the gaps keep their numbers.
+func TestRetiredKindsAreUnknown(t *testing.T) {
+	for _, k := range retiredKinds {
+		_, err := ReadFrame(bytes.NewReader(encodeFrameBytes(t, &Frame{Kind: k, Dev: NoDev, Step: NoStep})))
+		if err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Fatalf("retired kind %d: got %v, want an unknown-kind error", k, err)
+		}
+	}
+	if KindDrain != 12 || KindHeartbeat != 14 || KindSnapshot != 15 || KindPeerHello != 17 {
+		t.Fatalf("kinds around the retired gaps moved: drain=%d heartbeat=%d snapshot=%d peer-hello=%d",
+			KindDrain, KindHeartbeat, KindSnapshot, KindPeerHello)
 	}
 }
 
@@ -474,10 +499,7 @@ func TestSnapshotPolicy(t *testing.T) {
 	if err := (SnapshotPolicy{Interval: -1}).Validate(); err == nil {
 		t.Fatal("negative interval validated")
 	}
-	if err := (SnapshotPolicy{Rank0Dedup: true}).Validate(); err == nil {
-		t.Fatal("dedup without snapshots validated")
-	}
-	if err := (SnapshotPolicy{Interval: 4, Rank0Dedup: true}).Validate(); err != nil {
+	if err := (SnapshotPolicy{Interval: 4}).Validate(); err != nil {
 		t.Fatalf("valid policy rejected: %v", err)
 	}
 }

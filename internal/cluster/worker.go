@@ -42,7 +42,8 @@ type WorkerConfig struct {
 	// Metrics, when non-nil, receives the worker's operational counters:
 	// sessions started/completed, device steps, snapshot frames shipped,
 	// and — when tracing is on — cumulative busy nanoseconds per span
-	// category ("busy_<category>_ns").
+	// category ("busy_<category>_ns") and the spans lost to a full track
+	// buffer ("spans_dropped").
 	Metrics *obs.Metrics
 	// Logf receives progress lines; nil is silent.
 	Logf func(format string, args ...any)
@@ -57,13 +58,12 @@ type WorkerConfig struct {
 
 // Worker hosts pipeline devices for a coordinator: it accepts a
 // connection, receives an Assign (plan, model spec, run config, hosted
-// device ranks, seed parameters) — or a Resume, which additionally
-// restores per-device snapshots and replays from their step counters —
-// rebuilds one workbench replica per hosted device, and drives each
-// through engine.RunMember — the same device loop the in-process pipeline
-// uses — over a transport-backed DeviceLink. After the last step it
-// returns each group leader's trained student parameters and drains back
-// to accepting the next session.
+// device ranks, seed parameters and — on a restart — the per-device states
+// to restore and replay from), rebuilds one workbench replica per hosted
+// device, and drives each through engine.RunMember — the same device loop
+// the in-process pipeline uses — over a transport-backed DeviceLink. After
+// the last step it returns each group leader's trained student parameters
+// and drains back to accepting the next session.
 //
 // Sessions are served concurrently: after a restart a surviving worker
 // can host a dead sibling's devices in a second session beside its own,
@@ -75,9 +75,11 @@ type Worker struct {
 
 	// hosts routes accepted peer connections to the session hosting the
 	// target device, keyed by run epoch so connections from a superseded
-	// attempt can never reach a fresh mesh.
-	hostMu sync.Mutex
-	hosts  map[hostKey]*mesh
+	// attempt can never reach a fresh mesh. hostCond wakes peer connections
+	// that arrived before their session registered.
+	hostMu   sync.Mutex
+	hostCond *sync.Cond
+	hosts    map[hostKey]*mesh
 
 	// sessions routes redialed control connections (KindSessionResume) to
 	// the live session's resumable link, keyed by the Assign's session id.
@@ -93,8 +95,10 @@ type hostKey struct {
 
 // NewWorker wraps a bound listener in a worker server.
 func NewWorker(lis transport.Listener, cfg WorkerConfig) *Worker {
-	return &Worker{lis: lis, cfg: cfg, hosts: make(map[hostKey]*mesh),
+	w := &Worker{lis: lis, cfg: cfg, hosts: make(map[hostKey]*mesh),
 		sessions: make(map[int64]*transport.Resumable)}
+	w.hostCond = sync.NewCond(&w.hostMu)
+	return w
 }
 
 // Addr returns the listener's bound address.
@@ -165,16 +169,16 @@ type hostedDevice struct {
 	member engine.Member
 	link   *clusterLink
 	ring   *ringLink // ring-topology wrapper; nil in hub sessions
-	start  int       // first step to run (snapStep+1 on resume, else 0)
+	start  int       // first step to run (restored step + 1, else 0)
 	blocks []int     // global block indices (for the final-params report)
 }
 
 // serveConn performs the shared accept handshake — a synchronous Hello,
-// then the first frame — and dispatches on it: Assign/Resume open a
-// coordinator session, PeerHello hands the raw connection to the session
-// hosting the target device. It reports whether the connection was a
-// session connection (which the caller closes and counts toward the
-// session budget; peer connections are owned by their mesh).
+// then the first frame — and dispatches on it: Assign opens a coordinator
+// session, PeerHello hands the raw connection to the session hosting the
+// target device. It reports whether the connection was a session
+// connection (which the caller closes and counts toward the session
+// budget; peer connections are owned by their mesh).
 func (w *Worker) serveConn(conn transport.Conn) (bool, error) {
 	// The Hello is sent synchronously: if this turns out to be a peer
 	// connection its outbox must be created by the owning session, and two
@@ -256,17 +260,22 @@ func (w *Worker) acceptPeerConn(conn transport.Conn, first *wire.Frame) error {
 
 func (w *Worker) awaitHost(epoch int64, dev int) (*mesh, error) {
 	deadline := time.Now().Add(peerAcceptTimeout)
-	for {
+	timer := time.AfterFunc(peerAcceptTimeout, func() {
 		w.hostMu.Lock()
-		m := w.hosts[hostKey{epoch, dev}]
+		w.hostCond.Broadcast()
 		w.hostMu.Unlock()
-		if m != nil {
+	})
+	defer timer.Stop()
+	w.hostMu.Lock()
+	defer w.hostMu.Unlock()
+	for {
+		if m := w.hosts[hostKey{epoch, dev}]; m != nil {
 			return m, nil
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("no session hosts device %d under epoch %d", dev, epoch)
 		}
-		time.Sleep(5 * time.Millisecond)
+		w.hostCond.Wait()
 	}
 }
 
@@ -275,6 +284,7 @@ func (w *Worker) registerHosts(epoch int64, devices []*hostedDevice, m *mesh) {
 	for _, d := range devices {
 		w.hosts[hostKey{epoch, int(d.rank)}] = m
 	}
+	w.hostCond.Broadcast()
 	w.hostMu.Unlock()
 }
 
@@ -287,25 +297,9 @@ func (w *Worker) unregisterHosts(epoch int64, devices []*hostedDevice) {
 }
 
 func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error) {
-	var assign *wire.Assign
-	var states map[int]wire.DeviceState
-	switch first.Kind {
-	case wire.KindAssign:
-		if assign, err = wire.DecodeAssign(first); err != nil {
-			return err
-		}
-	case wire.KindResume:
-		res, err := wire.DecodeResume(first)
-		if err != nil {
-			return err
-		}
-		assign = &res.Assign
-		states = make(map[int]wire.DeviceState, len(res.States))
-		for _, st := range res.States {
-			states[st.Dev] = st
-		}
-	default:
-		return fmt.Errorf("cluster: session opened with %v, want assign or resume", first.Kind)
+	assign, err := wire.DecodeAssign(first)
+	if err != nil {
+		return fmt.Errorf("cluster: opening session: %w", err)
 	}
 
 	// Transient-fault absorption: under a retry policy the control link
@@ -360,39 +354,29 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	// trace file once the session completes.
 	var tracer *obs.Tracer
 	var collect *obs.Collector
-	var sink func(track string, spans []obs.Span)
 	if assign.Run.Trace || w.cfg.TraceDir != "" {
 		tracer = obs.NewTracer(true)
 		if w.cfg.TraceDir != "" {
 			collect = obs.NewCollector()
 		}
-		sink = func(track string, spans []obs.Span) {
-			if collect != nil {
-				collect.Add(track, spans)
-			}
-			for _, s := range spans {
-				w.cfg.Metrics.Add("busy_"+obs.CategoryName(s.Cat)+"_ns", s.Dur)
-			}
-		}
 	}
 	w.cfg.Metrics.Add("sessions_started", 1)
 
-	devices, err := w.buildDevices(assign, out, tracer, sink)
+	devices, err := w.buildDevices(assign, out, tracer, w.spanSink(collect))
 	if err != nil {
 		return err
 	}
-	if states != nil {
-		for _, d := range devices {
-			st := states[int(d.rank)]
-			if err := installDeviceState(d, st); err != nil {
-				return err
-			}
-			d.start = st.Step + 1
+	// DecodeAssign guarantees the states, when present, name exactly the
+	// hosted devices.
+	for _, st := range assign.States {
+		d := findDevice(devices, int32(st.Dev))
+		if err := installDeviceState(d, st); err != nil {
+			return err
 		}
-		w.logf("resuming %d device(s) of plan %q from per-device snapshots", len(devices), assign.Plan.Name)
-	} else {
-		w.logf("assigned %d device(s) of plan %q: %s", len(devices), assign.Plan.Name, assign.Plan.Describe())
+		d.start = st.Step + 1
 	}
+	w.logf("assigned %d device(s) of plan %q, %d restored from the coordinator's cut: %s",
+		len(devices), assign.Plan.Name, len(assign.States), assign.Plan.Describe())
 
 	// Ring topology: establish the peer mesh before any device loop runs,
 	// and wrap each device's link so activations and gradient reductions
@@ -526,6 +510,24 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	return nil
 }
 
+// spanSink returns the worker-side consumer of a session's drained span
+// batches: the session's trace-dump collector (nil without TraceDir) and
+// the worker's metrics, which is also where span loss becomes visible.
+func (w *Worker) spanSink(collect *obs.Collector) func(track string, spans []obs.Span, dropped int64) {
+	return func(track string, spans []obs.Span, dropped int64) {
+		if collect != nil {
+			collect.Add(track, spans)
+			collect.AddDropped(dropped)
+		}
+		for _, s := range spans {
+			w.cfg.Metrics.Add("busy_"+obs.CategoryName(s.Cat)+"_ns", s.Dur)
+		}
+		if dropped > 0 {
+			w.cfg.Metrics.Add("spans_dropped", dropped)
+		}
+	}
+}
+
 // runDevice drives one hosted device's training loop (from its start
 // step, nonzero when resuming) and, for group leaders, reports the
 // trained student weights; replicas are bit-identical, so one copy
@@ -558,7 +560,7 @@ func runDevice(d *hostedDevice, steps int, out *outbox) (err error) {
 // attaches one span track per hosted device ("dev<rank>", matching the
 // in-process engine's naming); sink receives the drained batches on the
 // worker side.
-func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Tracer, sink func(string, []obs.Span)) ([]*hostedDevice, error) {
+func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Tracer, sink func(string, []obs.Span, int64)) ([]*hostedDevice, error) {
 	nDev := 0
 	for _, g := range assign.Plan.Groups {
 		nDev += g.Split()
@@ -566,9 +568,8 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 	if err := assign.Plan.Validate(nDev, len(assign.Snapshot.Student)); err != nil {
 		return nil, err
 	}
-	// Reject malformed session policies up front (e.g. a skewed or buggy
-	// coordinator asking for dedup with snapshots disabled) instead of
-	// silently hosting a session whose recovery contract cannot hold.
+	// Reject a malformed session policy up front instead of silently
+	// hosting a session whose recovery contract cannot hold.
 	if err := assign.Run.Snap.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: assign snapshot policy: %w", err)
 	}
@@ -584,6 +585,7 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 		backend = w.cfg.Backend
 	}
 	devices := make([]*hostedDevice, 0, len(assign.Devices))
+	var inputs []*tensor.Tensor // the first group's schedule, resolved once per session
 	for _, rank := range assign.Devices {
 		gi := assign.Plan.GroupOf(rank)
 		if gi < 0 {
@@ -620,9 +622,10 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 			member: engine.Member{Group: gi, Rank: j, GroupSize: group.Split(),
 				Pairs: pairs, Opts: opts},
 			link: &clusterLink{dev: int32(rank),
-				lastGroup: gi == len(assign.Plan.Groups)-1,
-				dpu:       assign.Run.DPU,
-				in:        newInbox(), out: out},
+				firstGroup: gi == 0,
+				lastGroup:  gi == len(assign.Plan.Groups)-1,
+				dpu:        assign.Run.DPU,
+				in:         newInbox(), out: out},
 			blocks: group.Blocks,
 		}
 		if tracer != nil {
@@ -631,14 +634,20 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 			d.link.sink = sink
 			d.member.Trace = d.link.trace
 		}
-		// Snapshot emission follows the session's policy: every member
-		// under the per-member policy, only each group's rank 0 under
-		// dedup (replicas are bit-identical after every step, so one copy
-		// carries the whole group); the interval gating lives in the
-		// link's FinishStep.
-		if assign.Run.Snap.Enabled() && (!assign.Run.Snap.Rank0Dedup || j == 0) {
+		// Only each group's rank 0 snapshots: replicas are bit-identical
+		// after every step, so one copy carries the whole group. The
+		// interval gating lives in the link's FinishStep.
+		if assign.Run.Snap.Enabled() && j == 0 {
 			d.link.snapshot = deviceSnapshotter(d)
 			d.link.snap = assign.Run.Snap
+		}
+		if gi == 0 {
+			if inputs == nil {
+				if inputs, err = group0Inputs(assign); err != nil {
+					return nil, err
+				}
+			}
+			d.link.inputs = inputs
 		}
 		devices = append(devices, d)
 	}
@@ -725,16 +734,6 @@ func (w *Worker) establishMesh(assign *wire.Assign, devices []*hostedDevice) (*m
 		m.close(false)
 		return nil, err
 	}
-	window := assign.Run.Buffer
-	if window <= 0 {
-		window = 2
-	}
-	g0Inputs, err := ringGroup0Inputs(assign, devices)
-	if err != nil {
-		w.unregisterHosts(assign.Epoch, devices)
-		m.close(false)
-		return nil, err
-	}
 	for _, d := range devices {
 		local := int(d.rank)
 		group, prev, next := peerSets(plan, local)
@@ -763,53 +762,36 @@ func (w *Worker) establishMesh(assign *wire.Assign, devices []*hostedDevice) (*m
 				}
 			}
 		}
-		d.ring = &ringLink{clusterLink: d.link, gi: d.member.Group,
+		d.ring = &ringLink{clusterLink: d.link,
 			rank: d.member.Rank, k: d.member.GroupSize,
-			group: group, prev: prev, next: next,
-			peers: peers, window: window,
+			group: group, prev: prev, next: next, peers: peers,
 			degraded: degSet, groupHub: groupHub}
-		if d.member.Group == 0 {
-			d.ring.inputs = g0Inputs
-		}
 	}
 	return m, nil
 }
 
-// ringGroup0Inputs resolves the batch schedule a ring session's
-// first-group members read from. With a Run.Data recipe the session
-// regenerates the dataset locally — bit-identical by the recipe's
-// determinism, and zero input bytes on any connection; otherwise it
-// uses the schedule prestaged in the Assign. Nil when the session hosts
-// no group-0 device. A session asked to run steps it has no batches for
-// can only deadlock later, so short schedules are rejected here.
-func ringGroup0Inputs(assign *wire.Assign, devices []*hostedDevice) ([]*tensor.Tensor, error) {
-	hostsG0 := false
-	for _, d := range devices {
-		if d.member.Group == 0 {
-			hostsG0 = true
-		}
-	}
-	if !hostsG0 {
-		return nil, nil
-	}
+// group0Inputs resolves the batch schedule a session's first-group
+// members read from. With a Run.Data recipe the session regenerates the
+// dataset locally — bit-identical by the recipe's determinism, and zero
+// input bytes on any connection; otherwise it uses the schedule carried
+// in the Assign. A session asked to run steps it has no batches for can
+// only fail later, so short schedules are rejected here.
+func group0Inputs(assign *wire.Assign) ([]*tensor.Tensor, error) {
+	xs := assign.Inputs
 	if ds := assign.Run.Data; ds.N > 0 {
 		batches, err := ds.Batches()
 		if err != nil {
 			return nil, err
 		}
-		if len(batches) < assign.Run.Steps {
-			return nil, fmt.Errorf("cluster: data recipe yields %d batches for %d steps", len(batches), assign.Run.Steps)
-		}
-		xs := make([]*tensor.Tensor, len(batches))
+		xs = make([]*tensor.Tensor, len(batches))
 		for i, b := range batches {
 			xs[i] = b.X
 		}
-		return xs, nil
 	}
-	if len(assign.Inputs) < assign.Run.Steps {
-		return nil, fmt.Errorf("cluster: ring assign prestages %d inputs for %d steps", len(assign.Inputs), assign.Run.Steps)
+	if len(xs) < assign.Run.Steps {
+		return nil, fmt.Errorf("cluster: session has %d input batches for %d steps", len(xs), assign.Run.Steps)
 	}
-	return assign.Inputs, nil
+	return xs, nil
 }
 
 // peerRemotes flattens peerSets into the remote device ranks one local
@@ -851,7 +833,7 @@ func deviceSnapshotter(d *hostedDevice) func(step int) *wire.Frame {
 	}
 }
 
-// installDeviceState restores a resumed device to its snapshot: student
+// installDeviceState restores a restarted device to its snapshot: student
 // parameters and optimizer velocities as they were right after the
 // snapshot's step.
 func installDeviceState(d *hostedDevice, st wire.DeviceState) error {
@@ -864,12 +846,12 @@ func installDeviceState(d *hostedDevice, st wire.DeviceState) error {
 		}
 	}
 	if len(st.Params) != len(params) {
-		return fmt.Errorf("cluster: resume state for device %d has %d params, replica has %d",
+		return fmt.Errorf("cluster: restart state for device %d has %d params, replica has %d",
 			d.rank, len(st.Params), len(params))
 	}
 	for i, p := range params {
 		if !st.Params[i].SameShape(p.Value) || !st.Velocity[i].SameShape(p.Value) {
-			return fmt.Errorf("cluster: resume state for device %d param %d shape %v/%v, want %v",
+			return fmt.Errorf("cluster: restart state for device %d param %d shape %v/%v, want %v",
 				d.rank, i, st.Params[i].Shape(), st.Velocity[i].Shape(), p.Value.Shape())
 		}
 		p.Value.CopyFrom(st.Params[i])

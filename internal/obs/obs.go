@@ -241,11 +241,14 @@ func (tk *Track) Dropped() int64 {
 
 // Collector accumulates span batches by track name — the coordinator
 // feeds it from workers' wire batches (and its own track), the CLI
-// exports it. Safe for concurrent Add.
+// exports it — plus the count of spans its feeders lost to
+// maxSpansPerTrack, so a truncated timeline says so. Safe for concurrent
+// use.
 type Collector struct {
-	mu     sync.Mutex
-	order  []string
-	tracks map[string][]Span
+	mu      sync.Mutex
+	order   []string
+	tracks  map[string][]Span
+	dropped int64
 }
 
 // NewCollector returns an empty collector.
@@ -266,6 +269,14 @@ func (c *Collector) Add(track string, spans []Span) {
 	c.mu.Unlock()
 }
 
+// AddDropped records that n spans never reached the collector because a
+// feeding track overflowed between drains.
+func (c *Collector) AddDropped(n int64) {
+	c.mu.Lock()
+	c.dropped += n
+	c.mu.Unlock()
+}
+
 // Tracks returns the collected spans keyed by track name, with track
 // names in first-seen order.
 func (c *Collector) Tracks() (names []string, byTrack map[string][]Span) {
@@ -279,17 +290,6 @@ func (c *Collector) Tracks() (names []string, byTrack map[string][]Span) {
 	return names, byTrack
 }
 
-// SpanCount returns the total number of collected spans.
-func (c *Collector) SpanCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, v := range c.tracks {
-		n += len(v)
-	}
-	return n
-}
-
 // String summarizes the collector for log lines.
 func (c *Collector) String() string {
 	c.mu.Lock()
@@ -298,5 +298,5 @@ func (c *Collector) String() string {
 	for _, v := range c.tracks {
 		n += len(v)
 	}
-	return fmt.Sprintf("%d spans on %d tracks", n, len(c.tracks))
+	return fmt.Sprintf("%d spans on %d tracks, %d dropped", n, len(c.tracks), c.dropped)
 }

@@ -162,8 +162,9 @@ func TestChromeTraceExport(t *testing.T) {
 	c.Add("dev0", []Span{{Name: "teacher_fwd", Cat: sim.CatTeacherFwd, Start: 5e9, Dur: 1e6}})
 	c.Add("dev1", []Span{{Name: "allreduce", Cat: sim.CatAllReduce, Start: 6e9, Dur: 2e6}})
 	c.Add("dev0", []Span{{Name: "barrier_wait", Cat: CatWait, Start: 7e9, Dur: 3e6}})
-	if c.SpanCount() != 3 {
-		t.Fatalf("span count = %d", c.SpanCount())
+	c.AddDropped(4)
+	if got := c.String(); got != "3 spans on 2 tracks, 4 dropped" {
+		t.Fatalf("collector summary = %q", got)
 	}
 	var buf bytes.Buffer
 	order, byTrack := c.Tracks()
