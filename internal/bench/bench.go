@@ -285,7 +285,7 @@ func Transformer(quick bool) []Case {
 			},
 		})
 		mha := nn.NewMultiHeadAttention(rand.New(rand.NewSource(7)), dim, heads)
-		mha.SetBackend(be)
+		nn.ApplyBackend(mha, be)
 		x := tensor.Rand(rand.New(rand.NewSource(8)), -1, 1, attnBatch, l, dim)
 		grad := tensor.Rand(rand.New(rand.NewSource(9)), -1, 1, attnBatch, l, dim)
 		cases = append(cases, Case{

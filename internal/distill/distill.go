@@ -24,15 +24,16 @@ import (
 
 // LossFunc computes a distillation loss between a student block output
 // and the frozen teacher's output, returning the loss and the gradient
-// with respect to the student output. Both MSE (the paper's L(Δoutput))
-// and KL-with-temperature (logit distillation) have this shape.
-type LossFunc func(studentOut, teacherOut *tensor.Tensor) (float64, *tensor.Tensor)
+// with respect to the student output, taken from ar (nil: plain
+// allocation). Both MSE (the paper's L(Δoutput)) and KL-with-temperature
+// (logit distillation) have this shape.
+type LossFunc func(ar *tensor.Arena, studentOut, teacherOut *tensor.Tensor) (float64, *tensor.Tensor)
 
 // KLLoss returns the temperature-scaled KL-divergence distillation loss
 // for a pair's logits: T²·KL(softmax(teacher/T) ‖ softmax(student/T)).
 func KLLoss(temp float64) LossFunc {
-	return func(studentOut, teacherOut *tensor.Tensor) (float64, *tensor.Tensor) {
-		return nn.KLDivLoss(studentOut, teacherOut, temp)
+	return func(ar *tensor.Arena, studentOut, teacherOut *tensor.Tensor) (float64, *tensor.Tensor) {
+		return nn.KLDivLoss(ar, studentOut, teacherOut, temp)
 	}
 }
 
@@ -64,20 +65,22 @@ func (p Pair) lossOf() LossFunc {
 // caller owns zeroing gradients and applying the optimizer step, so the
 // engine can schedule updates per Pipe-BD's decoupled parameter update.
 func Step(p Pair, x *tensor.Tensor) (teacherOut *tensor.Tensor, loss float64) {
-	return StepObserved(p, x, nil)
+	return StepObserved(p, x, nil, nil)
 }
 
 // StepObserved is Step with per-phase span tracing: the teacher forward,
 // the student forward (including the loss/gradient computation against
 // the teacher's output), and the student backward each get their own
-// span on tk. A nil (or disabled) track makes it exactly Step.
-func StepObserved(p Pair, x *tensor.Tensor, tk *obs.Track) (teacherOut *tensor.Tensor, loss float64) {
+// span on tk. A nil (or disabled) track makes it exactly Step. ar is the
+// arena the caller attached to the pair's blocks (nn.ApplyArena), or nil:
+// the loss gradient comes from it too.
+func StepObserved(p Pair, x *tensor.Tensor, tk *obs.Track, ar *tensor.Arena) (teacherOut *tensor.Tensor, loss float64) {
 	r := tk.Begin(sim.CatTeacherFwd, "teacher_fwd")
 	teacherOut = p.Teacher.Forward(x, false)
 	r.End()
 	r = tk.Begin(sim.CatStudentFwd, "student_fwd")
 	studentOut := p.Student.Forward(x, true)
-	loss, grad := p.lossOf()(studentOut, teacherOut)
+	loss, grad := p.lossOf()(ar, studentOut, teacherOut)
 	r.End()
 	r = tk.Begin(sim.CatStudentBwd, "student_bwd")
 	p.Student.Backward(grad)
@@ -144,7 +147,7 @@ func (w *Workbench) DistillLoss(x *tensor.Tensor) []float64 {
 	for i, p := range w.Pairs {
 		tOut := p.Teacher.Forward(x, false)
 		sOut := p.Student.Forward(x, false)
-		l, _ := p.lossOf()(sOut, tOut)
+		l, _ := p.lossOf()(nil, sOut, tOut)
 		losses[i] = l
 		x = tOut
 	}

@@ -84,19 +84,82 @@ func RunSequential(w *distill.Workbench, batches []dataset.Batch, lr, momentum f
 		opts[b] = nn.NewSGD(lr, momentum, 0)
 		res.Loss[b] = make([]float64, len(batches))
 	}
+	mem := newStepMemory(w.Pairs)
+	defer mem.release(w.Pairs)
 	for s, batch := range batches {
+		recycle(mem.carry)
 		x := batch.X
 		for b := 0; b < nb; b++ {
 			pair := w.Pairs[b]
 			params := pair.Student.Params()
 			nn.ZeroGrads(params)
-			tOut, loss := distill.Step(pair, x)
+			x, res.Loss[b][s] = mem.step(pair, x, nil)
 			opts[b].Step(params)
-			res.Loss[b][s] = loss
-			x = tOut
 		}
 	}
 	return res
+}
+
+// attachArena makes every block of pairs draw its tensors from ar; nil
+// detaches.
+func attachArena(pairs []distill.Pair, ar *tensor.Arena) {
+	for _, p := range pairs {
+		nn.ApplyArena(p.Teacher, ar)
+		nn.ApplyArena(p.Student, ar)
+	}
+}
+
+// stepMemory is where a step loop's tensors live. The teacher is frozen
+// and no gradient crosses a block boundary, so once a block's
+// distillation step returns, everything it computed is dead except the
+// teacher's output: block is reset before every block's step, and the
+// outputs (with a split group's batch shard) are copied into carry, which
+// is reset once per training step. What a loop holds at a time is one
+// block's working set, not the step's.
+type stepMemory struct{ block, carry *tensor.Arena }
+
+// arenas keeps the arenas of finished loops for the next one, as the
+// tensor package keeps its GEMM pack buffers: a process that trains run
+// after run (a worker restarting a session, an experiment sweep) sizes
+// them once. An arena holds the buffers of every shape it has served
+// until the pool drops it, two collections after its last use.
+var arenas = sync.Pool{New: func() any { return tensor.NewArena() }}
+
+// newStepMemory attaches a block arena to pairs; the loop releases it
+// when it returns.
+func newStepMemory(pairs []distill.Pair) stepMemory {
+	mem := stepMemory{block: arenas.Get().(*tensor.Arena), carry: arenas.Get().(*tensor.Arena)}
+	attachArena(pairs, mem.block)
+	return mem
+}
+
+// release detaches pairs, which allocate normally again, and hands the
+// arenas on.
+func (mem stepMemory) release(pairs []distill.Pair) {
+	attachArena(pairs, nil)
+	arenas.Put(mem.block)
+	arenas.Put(mem.carry)
+}
+
+// step runs one block's distillation step on x and returns the teacher's
+// output, valid until carry is next recycled, and the loss.
+func (mem stepMemory) step(p distill.Pair, x *tensor.Tensor, tk *obs.Track) (*tensor.Tensor, float64) {
+	recycle(mem.block)
+	tOut, loss := distill.StepObserved(p, x, tk, mem.block)
+	out := mem.carry.Get(tOut.Shape()...)
+	out.CopyFrom(tOut)
+	return out, loss
+}
+
+// poisonFreed, set by this package's tests only, fills every recycled
+// buffer with NaN.
+var poisonFreed bool
+
+func recycle(ar *tensor.Arena) {
+	ar.Reset()
+	if poisonFreed {
+		ar.Poison()
+	}
 }
 
 // barrier is a reusable cyclic barrier for n participants.
@@ -139,9 +202,11 @@ type groupRuntime struct {
 
 	sync *barrier // intra-group phases (assembly, all-reduce)
 
-	// members[j] holds member j's private replica of the group's pairs.
+	// members[j] holds member j's private replica of the group's pairs,
+	// grads[j] its flattened gradient list (Member.GradTensors).
 	members [][]distill.Pair
 	opts    [][]*nn.SGD
+	grads   [][]*tensor.Tensor
 
 	// assembleMu latches the lazy allocation of assembled. It is
 	// per-group state: independent groups — and independent concurrent
@@ -180,6 +245,7 @@ func RunPipelined(w *distill.Workbench, batches []dataset.Batch, cfg Config) Res
 		gr := &groupRuntime{Group: g, sync: newBarrier(g.Split())}
 		gr.members = make([][]distill.Pair, g.Split())
 		gr.opts = make([][]*nn.SGD, g.Split())
+		gr.grads = make([][]*tensor.Tensor, g.Split())
 		for j := 0; j < g.Split(); j++ {
 			src := w
 			if j > 0 {
@@ -196,6 +262,7 @@ func RunPipelined(w *distill.Workbench, batches []dataset.Batch, cfg Config) Res
 			}
 			gr.members[j] = pairs
 			gr.opts[j] = opts
+			gr.grads[j] = Member{Pairs: pairs}.GradTensors()
 		}
 		if gi > 0 {
 			gr.in = make(chan *tensor.Tensor, buffer)
@@ -295,36 +362,26 @@ func (gr *groupRuntime) assemblyOnce(shard *tensor.Tensor, k int) {
 // scales by 1/k, and installs the result into its own gradient tensors
 // after a barrier. All replicas therefore apply bit-identical updates.
 func averageGroupGradients(gr *groupRuntime, j int, scratch *tensor.Arena) {
-	k := gr.Split()
-	inv := 1 / float32(k)
-	nb := len(gr.Blocks)
+	inv := 1 / float32(gr.Split())
 	// Phase 1: compute averaged gradients into private buffers.
-	avg := make([][]*tensor.Tensor, nb)
-	for bi := 0; bi < nb; bi++ {
-		params := gr.members[j][bi].Student.Params()
-		avg[bi] = make([]*tensor.Tensor, len(params))
-		for pi := range params {
-			sum := scratch.GetZeroed(params[pi].Grad.Shape()...)
-			for r := 0; r < k; r++ {
-				tensor.AddInto(sum, gr.members[r][bi].Student.Params()[pi].Grad)
-			}
-			tensor.ScaleInPlace(sum, inv)
-			avg[bi][pi] = sum
+	avg := make([]*tensor.Tensor, len(gr.grads[j]))
+	for pi := range avg {
+		sum := scratch.GetZeroed(gr.grads[j][pi].Shape()...)
+		for _, grads := range gr.grads {
+			tensor.AddInto(sum, grads[pi])
 		}
+		tensor.ScaleInPlace(sum, inv)
+		avg[pi] = sum
 	}
 	gr.sync.Await() // everyone done reading raw gradients
-	// Phase 2: install, then recycle the buffers for the next step.
-	for bi := 0; bi < nb; bi++ {
-		params := gr.members[j][bi].Student.Params()
-		for pi := range params {
-			params[pi].Grad.CopyFrom(avg[bi][pi])
-		}
-		scratch.Release(avg[bi]...)
+	// Phase 2: install.
+	for pi, g := range gr.grads[j] {
+		g.CopyFrom(avg[pi])
 	}
 }
 
-// shardOf slices member j's contiguous batch shard (copying into arena
-// scratch, so members never alias the same backing array).
+// shardOf slices member j's contiguous batch shard (copying into the
+// member's arena, so members never alias the same backing array).
 func shardOf(full *tensor.Tensor, j, k int, scratch *tensor.Arena) *tensor.Tensor {
 	if k == 1 {
 		return full

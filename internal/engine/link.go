@@ -28,12 +28,15 @@ type DeviceLink interface {
 	// SendOutput relays the device's boundary activation for the step
 	// toward the next group (the member's shard when the group is split;
 	// links assemble shards in rank order). No-op for the last group.
+	// out belongs to the device loop's step memory and is valid only
+	// during the call: a link that delivers it later encodes or copies it
+	// before returning.
 	SendOutput(step int, out *tensor.Tensor)
 	// AllReduce replaces each gradient tensor's contents with the
 	// deterministic intra-group mean. Only called when the group has more
 	// than one member. grads is the member's flattened gradient list
-	// (blocks in group order, params in declaration order); scratch may be
-	// used for temporaries.
+	// (blocks in group order, params in declaration order); scratch is
+	// the device loop's arena, for temporaries that die with the step.
 	AllReduce(step int, grads []*tensor.Tensor, scratch *tensor.Arena)
 	// ReportLosses publishes the member's per-block losses for the step.
 	// The slice is reused between steps: implementations must copy.
@@ -97,10 +100,12 @@ func RunMember(m Member, steps int, link DeviceLink) {
 func RunMemberFrom(m Member, start, steps int, link DeviceLink) {
 	k := m.GroupSize
 	nb := len(m.Pairs)
-	// Every step reuses the same shapes, so this member's batch shard and
-	// all-reduce temporaries cycle through a private arena: steady-state
-	// steps allocate only the activations that cross device boundaries.
-	scratch := tensor.NewArena()
+	// Every step reuses the same shapes, so everything this device
+	// computes — batch shard, layer outputs, backward caches, gradients,
+	// all-reduce temporaries — cycles through private arenas:
+	// steady-state steps allocate only what the link brings in.
+	mem := newStepMemory(m.Pairs)
+	defer mem.release(m.Pairs)
 	losses := make([]float64, nb)
 	var grads []*tensor.Tensor
 	if k > 1 {
@@ -115,21 +120,19 @@ func RunMemberFrom(m Member, start, steps int, link DeviceLink) {
 	}
 	tk := m.Trace
 	for s := start; s < steps; s++ {
+		recycle(mem.carry)
 		// Receive the step's input: the data loader for the first group,
 		// the relayed teacher activation otherwise (lines 8-9).
 		r := tk.Begin(recvCat, recvName)
 		full := link.RecvInput(s)
 		r.End()
-		shard := shardOf(full, m.Rank, k, scratch)
-		x := shard
+		x := shardOf(full, m.Rank, k, mem.carry)
 		for bi := 0; bi < nb; bi++ {
 			pair := m.Pairs[bi]
 			nn.ZeroGrads(pair.Student.Params())
 			// Teacher forward (line 10), student forward/backward against
 			// the teacher activation (lines 12-13).
-			tOut, loss := distill.StepObserved(pair, x, tk)
-			losses[bi] = loss
-			x = tOut
+			x, losses[bi] = mem.step(pair, x, tk)
 		}
 
 		// Relay the boundary activation to the next device (line 11). The
@@ -143,12 +146,8 @@ func RunMemberFrom(m Member, start, steps int, link DeviceLink) {
 		// batch dimension (line 14).
 		if k > 1 {
 			r = tk.Begin(sim.CatAllReduce, "allreduce")
-			link.AllReduce(s, grads, scratch)
+			link.AllReduce(s, grads, mem.block)
 			r.End()
-			// The shard is a private copy (k > 1) and the first block's
-			// backward cache no longer needs it once the step's gradients
-			// are installed; recycle it for the next step.
-			scratch.Release(shard)
 		}
 
 		link.ReportLosses(s, losses)
@@ -200,7 +199,10 @@ func (l *memberLink) SendOutput(step int, out *tensor.Tensor) {
 		return
 	}
 	if gr.Split() == 1 {
-		gr.out <- out
+		// The consumer may be up to the relay depth behind, and out dies
+		// at this device's next step: hand over a copy the arena does not
+		// own.
+		gr.out <- out.Clone()
 		return
 	}
 	gr.assembleShard(out, l.j)

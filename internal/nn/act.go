@@ -17,6 +17,7 @@ import (
 type ReLU struct {
 	Cap float32 // upper clamp; <= 0 means unbounded
 
+	stepMem
 	mask []bool // true where the gradient passes through; nil when no training forward is cached
 	buf  []bool // backing store of mask, reused from step to step
 }
@@ -29,7 +30,7 @@ func NewReLU6() *ReLU { return &ReLU{Cap: 6} }
 
 // Forward clamps the input elementwise.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	out := r.ar.Get(x.Shape()...)
 	xd, od := x.Data(), out.Data()
 	od = od[:len(xd)]
 	// An eval-mode forward invalidates any cached mask: a Backward after
@@ -37,10 +38,9 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// differently-shaped) batch.
 	r.mask = nil
 	if train {
-		if cap(r.buf) < len(xd) {
-			r.buf = make([]bool, len(xd))
-		}
-		r.mask = r.buf[:len(xd)]
+		r.buf = reuse(r.buf, len(xd))
+		r.mask = r.buf
+		r.cached()
 	}
 	// The loop is branch-free in the data (activation signs are a coin
 	// flip, so a branch per element mispredicts half the time): the
@@ -72,11 +72,12 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.mask == nil {
 		panic("nn: ReLU.Backward called before Forward(train=true)")
 	}
+	r.checkCache("ReLU")
 	gd := grad.Data()
 	if len(r.mask) != len(gd) {
 		panic(fmt.Sprintf("nn: ReLU.Backward grad has %d elements but cached mask has %d (stale forward?)", len(gd), len(r.mask)))
 	}
-	out := tensor.New(grad.Shape()...)
+	out := r.ar.Get(grad.Shape()...)
 	od := out.Data()[:len(gd)]
 	for i, pass := range r.mask {
 		b := math.Float32bits(gd[i])

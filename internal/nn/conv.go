@@ -16,8 +16,8 @@ type Conv2d struct {
 	Weight                         *Param // [OutC, InC, K, K]
 	Bias                           *Param // [OutC], nil when disabled
 
-	be      tensor.Backend // nil: process default
-	scratch *tensor.Arena  // recycles GEMM temporaries across steps
+	be tensor.Backend // nil: process default
+	stepMem
 
 	// Backward cache. The fused conv GEMMs (ConvForwardInto /
 	// ConvGradWeightInto) gather kernel taps straight from the input, so
@@ -48,13 +48,6 @@ func NewConv2d(rng *rand.Rand, inC, outC, kernel, stride, pad int, bias bool) *C
 // restores the process default).
 func (c *Conv2d) SetBackend(be tensor.Backend) { c.be = be }
 
-func (c *Conv2d) arena() *tensor.Arena {
-	if c.scratch == nil {
-		c.scratch = tensor.NewArena()
-	}
-	return c.scratch
-}
-
 // Forward computes the convolution of an NCHW input.
 func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	shape := x.Shape()
@@ -66,19 +59,18 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	ow := tensor.ConvOutSize(w, c.Kernel, c.Stride, c.Pad)
 
 	be := backendOr(c.be)
-	ar := c.arena()
 	wm := c.Weight.Value.Reshape(c.OutC, c.InC*c.Kernel*c.Kernel)
-	flat := ar.Get(c.OutC, n*oh*ow)
+	flat := c.ar.Get(c.OutC, n*oh*ow)
 	be.ConvForwardInto(flat, wm, x, c.Kernel, c.Kernel, c.Stride, c.Pad) // [OutC, N*OH*OW]
 
-	out := flatToNCHW(flat, n, c.OutC, oh, ow)
-	ar.Release(flat) // copied into out; safe to recycle immediately
+	out := flatToNCHW(c.ar, flat, n, c.OutC, oh, ow)
 	if c.Bias != nil {
 		addChannelBias(out, c.Bias.Value)
 	}
 	if train {
 		c.lastInput = x
 		c.ready = true
+		c.cached()
 		c.inN, c.inH, c.inW = n, h, w
 		c.lastOutH, c.lastOutW = oh, ow
 	}
@@ -93,9 +85,9 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if !c.ready {
 		panic("nn: Conv2d.Backward called before Forward(train=true)")
 	}
+	c.checkCache("Conv2d")
 	checkConvGrad("Conv2d", grad, c.inN, c.OutC, c.lastOutH, c.lastOutW)
-	be := backendOr(c.be)
-	ar := c.arena()
+	be, ar := backendOr(c.be), c.ar
 	kk := c.InC * c.Kernel * c.Kernel
 	spatial := c.inN * c.lastOutH * c.lastOutW
 
@@ -116,9 +108,8 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	wm := c.Weight.Value.Reshape(c.OutC, kk)
 	dCols := ar.Get(kk, spatial)
 	be.MatMulTAInto(dCols, wm, dFlat)
-	dx := tensor.New(c.inN, c.InC, c.inH, c.inW)
+	dx := ar.Get(c.inN, c.InC, c.inH, c.inW)
 	be.Col2ImInto(dx, dCols, c.Kernel, c.Kernel, c.Stride, c.Pad)
-	ar.Release(dFlat, dW, dCols)
 	return dx
 }
 
@@ -137,6 +128,7 @@ type DWConv2d struct {
 	Weight                 *Param // [C, 1, K, K]
 	Bias                   *Param // [C], nil when disabled
 
+	stepMem
 	lastInput *tensor.Tensor
 }
 
@@ -161,13 +153,14 @@ func (d *DWConv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := shape[0], shape[2], shape[3]
 	oh := tensor.ConvOutSize(h, d.Kernel, d.Stride, d.Pad)
 	ow := tensor.ConvOutSize(w, d.Kernel, d.Stride, d.Pad)
-	out := tensor.New(n, d.C, oh, ow)
+	out := d.ar.Get(n, d.C, oh, ow)
 	tensor.DWConvForwardInto(out, d.Weight.Value, x, d.Stride, d.Pad)
 	if d.Bias != nil {
 		addChannelBias(out, d.Bias.Value)
 	}
 	if train {
 		d.lastInput = x
+		d.cached()
 	}
 	return out
 }
@@ -177,11 +170,12 @@ func (d *DWConv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastInput == nil {
 		panic("nn: DWConv2d.Backward called before Forward(train=true)")
 	}
+	d.checkCache("DWConv2d")
 	x := d.lastInput
 	n, h, w := x.Shape()[0], x.Shape()[2], x.Shape()[3]
 	checkConvGrad("DWConv2d", grad, n, d.C,
 		tensor.ConvOutSize(h, d.Kernel, d.Stride, d.Pad), tensor.ConvOutSize(w, d.Kernel, d.Stride, d.Pad))
-	dx := tensor.New(n, d.C, h, w)
+	dx := d.ar.Get(n, d.C, h, w)
 	tensor.DWConvBackwardInto(dx, d.Weight.Grad, grad, d.Weight.Value, x, d.Stride, d.Pad)
 	if d.Bias != nil {
 		accumulateChannelBiasGrad(d.Bias.Grad, grad)
@@ -209,8 +203,8 @@ func checkConvGrad(layer string, grad *tensor.Tensor, n, c, oh, ow int) {
 }
 
 // flatToNCHW rearranges [C, N*OH*OW] (im2col result layout) to NCHW.
-func flatToNCHW(flat *tensor.Tensor, n, c, oh, ow int) *tensor.Tensor {
-	out := tensor.New(n, c, oh, ow)
+func flatToNCHW(ar *tensor.Arena, flat *tensor.Tensor, n, c, oh, ow int) *tensor.Tensor {
+	out := ar.Get(n, c, oh, ow)
 	fd, od := flat.Data(), out.Data()
 	spatial := oh * ow
 	for ci := 0; ci < c; ci++ {
@@ -219,14 +213,6 @@ func flatToNCHW(flat *tensor.Tensor, n, c, oh, ow int) *tensor.Tensor {
 			copy(od[(ni*c+ci)*spatial:(ni*c+ci+1)*spatial], fd[rowBase+ni*spatial:rowBase+(ni+1)*spatial])
 		}
 	}
-	return out
-}
-
-// nchwToFlat rearranges NCHW to [C, N*OH*OW].
-func nchwToFlat(x *tensor.Tensor, c int) *tensor.Tensor {
-	n, oh, ow := x.Shape()[0], x.Shape()[2], x.Shape()[3]
-	out := tensor.New(c, n*oh*ow)
-	nchwToFlatInto(out, x, c)
 	return out
 }
 

@@ -250,15 +250,15 @@ func TestSoftmaxBackwardGradients(t *testing.T) {
 	for _, shape := range [][]int{{3, 5}, {2, 3, 4}, {2, 1}} {
 		x := tensor.Rand(rng, -2, 2, shape...)
 		w := tensor.Rand(rng, -1, 1, shape...)
-		probs := SoftmaxLastDim(x)
-		dx := SoftmaxBackwardLastDim(probs, w)
+		probs := SoftmaxLastDim(nil, x)
+		dx := SoftmaxBackwardLastDim(nil, probs, w)
 		const eps = 1e-2
 		const tol = 2e-2
 		for i := 0; i < x.Numel(); i++ {
 			probe := func(delta float32) float64 {
 				xp := x.Clone()
 				xp.Data()[i] += delta
-				out := SoftmaxLastDim(xp)
+				out := SoftmaxLastDim(nil, xp)
 				var s float64
 				for j, v := range out.Data() {
 					s += float64(v) * float64(w.Data()[j])
@@ -285,14 +285,14 @@ func TestKLDivLossGradients(t *testing.T) {
 		for _, shape := range [][]int{{3, 5}, {2, 1}} {
 			student := tensor.Rand(rng, -2, 2, shape...)
 			teacher := tensor.Rand(rng, -2, 2, shape...)
-			_, grad := KLDivLoss(student, teacher, temp)
+			_, grad := KLDivLoss(nil, student, teacher, temp)
 			const eps = 1e-2
 			const tol = 2e-2
 			for i := 0; i < student.Numel(); i++ {
 				probe := func(delta float32) float64 {
 					sp := student.Clone()
 					sp.Data()[i] += delta
-					loss, _ := KLDivLoss(sp, teacher, temp)
+					loss, _ := KLDivLoss(nil, sp, teacher, temp)
 					return loss
 				}
 				numeric := (probe(eps) - probe(-eps)) / (2 * eps)

@@ -16,8 +16,8 @@ type Linear struct {
 	Weight  *Param // [Out, In]
 	Bias    *Param // [Out], nil when disabled
 
-	be        tensor.Backend // nil: process default
-	scratch   *tensor.Arena  // recycles the dW temporary across steps
+	be tensor.Backend // nil: process default
+	stepMem
 	lastInput *tensor.Tensor
 }
 
@@ -43,9 +43,10 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(shape) != 2 || shape[1] != l.In {
 		panic(fmt.Sprintf("nn: Linear expects [N,%d], got %v", l.In, shape))
 	}
-	out := tensor.MatMulTBWith(backendOr(l.be), x, l.Weight.Value) // [N, Out]
+	n := shape[0]
+	out := l.ar.Get(n, l.Out)
+	backendOr(l.be).MatMulTBInto(out, x, l.Weight.Value)
 	if l.Bias != nil {
-		n := shape[0]
 		od, bd := out.Data(), l.Bias.Value.Data()
 		for i := 0; i < n; i++ {
 			row := od[i*l.Out : (i+1)*l.Out]
@@ -56,6 +57,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	if train {
 		l.lastInput = x
+		l.cached()
 	}
 	return out
 }
@@ -65,17 +67,13 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastInput == nil {
 		panic("nn: Linear.Backward called before Forward(train=true)")
 	}
-	be := backendOr(l.be)
-	if l.scratch == nil {
-		l.scratch = tensor.NewArena()
-	}
+	l.checkCache("Linear")
+	be, n := backendOr(l.be), grad.Shape()[0]
 	// dW = gradᵀ · x  -> [Out, In]
-	dW := l.scratch.Get(l.Out, l.In)
+	dW := l.ar.Get(l.Out, l.In)
 	be.MatMulTAInto(dW, grad, l.lastInput)
 	be.Axpy(l.Weight.Grad, 1, dW)
-	l.scratch.Release(dW)
 	if l.Bias != nil {
-		n := grad.Shape()[0]
 		gd, bd := grad.Data(), l.Bias.Grad.Data()
 		for i := 0; i < n; i++ {
 			row := gd[i*l.Out : (i+1)*l.Out]
@@ -85,7 +83,9 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dx = grad · W -> [N, In]
-	return tensor.MatMulWith(be, grad, l.Weight.Value)
+	dx := l.ar.Get(n, l.In)
+	be.MatMulInto(dx, grad, l.Weight.Value)
+	return dx
 }
 
 // Params returns weight (and bias when present).

@@ -10,13 +10,14 @@ import (
 // MSELoss returns the mean squared error between pred and target together
 // with the gradient with respect to pred. This is the per-block
 // distillation loss L(Δoutput) from the paper: the student output is
-// regressed onto the teacher's output activation.
-func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
+// regressed onto the teacher's output activation. Like every loss here it
+// takes the gradient tensor from ar (nil: plain allocation).
+func MSELoss(ar *tensor.Arena, pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	if !pred.SameShape(target) {
 		panic(fmt.Sprintf("nn: MSELoss shape mismatch %v vs %v", pred.Shape(), target.Shape()))
 	}
 	n := float64(pred.Numel())
-	grad := tensor.New(pred.Shape()...)
+	grad := ar.Get(pred.Shape()...)
 	pd, td, gd := pred.Data(), target.Data(), grad.Data()
 	var loss float64
 	for i := range pd {
@@ -35,7 +36,7 @@ func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 // and the 1/T logit scale leave one net factor of T). Teacher logits are
 // treated as constants. Softmax rows are max-subtracted with float64
 // accumulation, matching SoftmaxLastDim.
-func KLDivLoss(student, teacher *tensor.Tensor, temp float64) (float64, *tensor.Tensor) {
+func KLDivLoss(ar *tensor.Arena, student, teacher *tensor.Tensor, temp float64) (float64, *tensor.Tensor) {
 	if !student.SameShape(teacher) {
 		panic(fmt.Sprintf("nn: KLDivLoss shape mismatch %v vs %v", student.Shape(), teacher.Shape()))
 	}
@@ -45,7 +46,7 @@ func KLDivLoss(student, teacher *tensor.Tensor, temp float64) (float64, *tensor.
 	shape := student.Shape()
 	c := shape[len(shape)-1]
 	rows := student.Numel() / c
-	grad := tensor.New(shape...)
+	grad := ar.Get(shape...)
 	sd, td, gd := student.Data(), teacher.Data(), grad.Data()
 	invRows := 1 / float64(rows)
 	var loss float64
@@ -82,7 +83,7 @@ func KLDivLoss(student, teacher *tensor.Tensor, temp float64) (float64, *tensor.
 
 // SoftmaxCrossEntropy returns the mean cross-entropy of logits [N, C]
 // against integer labels, plus the gradient with respect to the logits.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+func SoftmaxCrossEntropy(ar *tensor.Arena, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	shape := logits.Shape()
 	if len(shape) != 2 {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy expects [N,C] logits, got %v", shape))
@@ -91,7 +92,7 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy got %d labels for batch %d", len(labels), n))
 	}
-	grad := tensor.New(n, c)
+	grad := ar.Get(n, c)
 	ld, gd := logits.Data(), grad.Data()
 	var loss float64
 	invN := 1 / float64(n)

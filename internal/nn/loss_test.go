@@ -11,7 +11,7 @@ import (
 
 func TestMSELossZeroAtTarget(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 2, 3}, 3)
-	loss, grad := MSELoss(x, x.Clone())
+	loss, grad := MSELoss(nil, x, x.Clone())
 	if loss != 0 {
 		t.Fatalf("MSE(x,x) = %v, want 0", loss)
 	}
@@ -25,7 +25,7 @@ func TestMSELossZeroAtTarget(t *testing.T) {
 func TestMSELossKnownValue(t *testing.T) {
 	p := tensor.FromSlice([]float32{1, 2}, 2)
 	q := tensor.FromSlice([]float32{3, 2}, 2)
-	loss, grad := MSELoss(p, q)
+	loss, grad := MSELoss(nil, p, q)
 	if math.Abs(loss-2) > 1e-9 { // ((1-3)² + 0)/2 = 2
 		t.Fatalf("MSE = %v, want 2", loss)
 	}
@@ -49,7 +49,7 @@ func TestMSELossNonNegativityProperty(t *testing.T) {
 		}
 		p := tensor.FromSlice(clean, len(clean))
 		q := tensor.New(len(clean))
-		loss, _ := MSELoss(p, q)
+		loss, _ := MSELoss(nil, p, q)
 		return loss >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -61,13 +61,13 @@ func TestMSELossGradientNumerically(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := tensor.Rand(rng, -2, 2, 6)
 	q := tensor.Rand(rng, -2, 2, 6)
-	_, grad := MSELoss(p, q)
+	_, grad := MSELoss(nil, p, q)
 	const eps = 1e-2
 	for i := 0; i < 6; i++ {
 		probe := func(d float32) float64 {
 			pp := p.Clone()
 			pp.Data()[i] += d
-			l, _ := MSELoss(pp, q)
+			l, _ := MSELoss(nil, pp, q)
 			return l
 		}
 		numeric := (probe(eps) - probe(-eps)) / (2 * eps)
@@ -79,7 +79,7 @@ func TestMSELossGradientNumerically(t *testing.T) {
 
 func TestSoftmaxCrossEntropyUniformLogits(t *testing.T) {
 	logits := tensor.New(2, 4) // all zeros -> uniform distribution
-	loss, _ := SoftmaxCrossEntropy(logits, []int{0, 3})
+	loss, _ := SoftmaxCrossEntropy(nil, logits, []int{0, 3})
 	want := math.Log(4)
 	if math.Abs(loss-want) > 1e-6 {
 		t.Fatalf("CE = %v, want ln(4) = %v", loss, want)
@@ -92,7 +92,7 @@ func TestSoftmaxCrossEntropyGradSumsToZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	logits := tensor.Rand(rng, -3, 3, 5, 7)
 	labels := []int{0, 1, 2, 3, 4}
-	_, grad := SoftmaxCrossEntropy(logits, labels)
+	_, grad := SoftmaxCrossEntropy(nil, logits, labels)
 	for r := 0; r < 5; r++ {
 		var s float64
 		for c := 0; c < 7; c++ {
@@ -108,13 +108,13 @@ func TestSoftmaxCrossEntropyGradientNumerically(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	logits := tensor.Rand(rng, -2, 2, 3, 4)
 	labels := []int{1, 3, 0}
-	_, grad := SoftmaxCrossEntropy(logits, labels)
+	_, grad := SoftmaxCrossEntropy(nil, logits, labels)
 	const eps = 1e-2
 	for i := 0; i < logits.Numel(); i++ {
 		probe := func(d float32) float64 {
 			lp := logits.Clone()
 			lp.Data()[i] += d
-			l, _ := SoftmaxCrossEntropy(lp, labels)
+			l, _ := SoftmaxCrossEntropy(nil, lp, labels)
 			return l
 		}
 		numeric := (probe(eps) - probe(-eps)) / (2 * eps)
@@ -130,7 +130,7 @@ func TestSoftmaxCrossEntropyPanicsOnBadLabel(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SoftmaxCrossEntropy(tensor.New(1, 3), []int{5})
+	SoftmaxCrossEntropy(nil, tensor.New(1, 3), []int{5})
 }
 
 func TestAccuracy(t *testing.T) {

@@ -27,6 +27,7 @@ type MixedOp struct {
 	be tensor.Backend // nil: process default
 
 	// Backward cache.
+	stepMem
 	weights    []float64        // softmax(alpha) of the last forward
 	branchOuts []*tensor.Tensor // per-branch outputs of the last forward
 }
@@ -78,7 +79,7 @@ func (m *MixedOp) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for i, b := range m.Branches {
 		y := b.Forward(x, train)
 		if out == nil {
-			out = tensor.New(y.Shape()...)
+			out = m.ar.GetZeroed(y.Shape()...)
 		} else if !y.SameShape(out) {
 			panic(fmt.Sprintf("nn: MixedOp branch %d output %v mismatches %v", i, y.Shape(), out.Shape()))
 		}
@@ -89,6 +90,7 @@ func (m *MixedOp) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	if train {
 		m.weights, m.branchOuts = weights, outs
+		m.cached()
 	}
 	return out
 }
@@ -100,6 +102,7 @@ func (m *MixedOp) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if m.branchOuts == nil {
 		panic("nn: MixedOp.Backward called before Forward(train=true)")
 	}
+	m.checkCache("MixedOp")
 	// Branch-output inner products with the incoming gradient.
 	s := make([]float64, len(m.Branches))
 	gd := grad.Data()
@@ -127,7 +130,7 @@ func (m *MixedOp) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	be := backendOr(m.be)
 	var dx *tensor.Tensor
 	for i, b := range m.Branches {
-		scaled := tensor.New(grad.Shape()...)
+		scaled := m.ar.Get(grad.Shape()...)
 		be.Scale(scaled, grad, float32(m.weights[i]))
 		d := b.Backward(scaled)
 		if dx == nil {

@@ -105,7 +105,7 @@ func TestMixedOpLearnsToPreferBetterBranch(t *testing.T) {
 	for step := 0; step < 60; step++ {
 		ZeroGrads([]*Param{m.Alpha})
 		y := m.Forward(x, true)
-		_, grad := MSELoss(y, want)
+		_, grad := MSELoss(nil, y, want)
 		m.Backward(grad)
 		// Architecture-only update (weights frozen), DARTS-style round.
 		opt.Step([]*Param{m.Alpha})

@@ -8,9 +8,22 @@
 // student block is a chain owned by exactly one device) and keeps the
 // backward pass deterministic, which the bit-equivalence experiments rely
 // on. A Layer must not be shared between goroutines during training.
+//
+// Lifetime. Every tensor a layer or loss allocates (outputs, gradients,
+// backward caches) comes from the arena attached with ApplyArena. With
+// none attached — the default — that is plain allocation and a returned
+// tensor lives until garbage-collected. Under an attached arena it is
+// valid until the arena's owner next calls Reset — the engine's step
+// loops do before every block's distillation step; whoever needs it
+// longer copies it, and a Backward whose training forward ran before that
+// Reset panics.
 package nn
 
-import "pipebd/internal/tensor"
+import (
+	"fmt"
+
+	"pipebd/internal/tensor"
+)
 
 // Param is a trainable tensor together with its gradient accumulator.
 type Param struct {
@@ -50,35 +63,89 @@ func ZeroGrads(params []*Param) {
 }
 
 // BackendUser is implemented by layers whose hot path runs on a
-// tensor.Backend (Linear, Conv2d, MixedOp). A nil backend means "use the
-// process default at call time".
+// tensor.Backend (Linear, Conv2d, MixedOp, Residual). A nil backend means
+// "use the process default at call time".
 type BackendUser interface {
 	SetBackend(be tensor.Backend)
 }
 
-// ApplyBackend routes l and every nested layer through be, recursing into
-// containers (Sequential, Residual, MixedOp branches). Layers that do not
-// use a backend are left untouched. Because all backends are bit-identical
-// by contract, ApplyBackend never changes results — only how fast the
-// host computes them.
-func ApplyBackend(l Layer, be tensor.Backend) {
+// ArenaUser is implemented by every layer that allocates tensors.
+type ArenaUser interface {
+	SetArena(ar *tensor.Arena)
+}
+
+// visit calls f on l and on every layer nested inside the package's
+// containers. Layer types it does not know are leaves.
+func visit(l Layer, f func(Layer)) {
+	f(l)
+	var nested []Layer
 	switch v := l.(type) {
 	case *Sequential:
-		for _, c := range v.Layers {
-			ApplyBackend(c, be)
-		}
+		nested = v.Layers
 	case *Residual:
-		ApplyBackend(v.Body, be)
+		nested = []Layer{v.Body}
 	case *MixedOp:
-		v.SetBackend(be)
-		for _, c := range v.Branches {
-			ApplyBackend(c, be)
-		}
-	default:
-		if u, ok := l.(BackendUser); ok {
+		nested = v.Branches
+	case *FeedForward:
+		nested = []Layer{v.W1, v.Act, v.W2}
+	case *MultiHeadAttention:
+		nested = []Layer{v.Wq, v.Wk, v.Wv, v.Wo}
+	}
+	for _, c := range nested {
+		visit(c, f)
+	}
+}
+
+// ApplyBackend routes l and every nested layer through be. Layers that do
+// not use a backend are left untouched. Because all backends are
+// bit-identical by contract, ApplyBackend never changes results — only
+// how fast the host computes them.
+func ApplyBackend(l Layer, be tensor.Backend) {
+	visit(l, func(c Layer) {
+		if u, ok := c.(BackendUser); ok {
 			u.SetBackend(be)
 		}
+	})
+}
+
+// ApplyArena makes l and every nested layer draw its tensors from ar (see
+// the package comment); nil detaches.
+func ApplyArena(l Layer, ar *tensor.Arena) {
+	visit(l, func(c Layer) {
+		if u, ok := c.(ArenaUser); ok {
+			u.SetArena(ar)
+		}
+	})
+}
+
+// stepMem is embedded by the layers that allocate: the arena their
+// tensors come from and the arena generation of their training cache.
+type stepMem struct {
+	ar  *tensor.Arena
+	gen uint64
+}
+
+// SetArena selects where the layer's tensors come from (nil: the heap).
+func (m *stepMem) SetArena(ar *tensor.Arena) { m.ar = ar }
+
+// cached records that a training forward's cache was just taken.
+func (m *stepMem) cached() { m.gen = m.ar.Generation() }
+
+// checkCache panics when the arena was reset (or swapped) since cached:
+// the cache is recycled memory.
+func (m *stepMem) checkCache(layer string) {
+	if g := m.ar.Generation(); g != m.gen {
+		panic(fmt.Sprintf("nn: %s.Backward in arena generation %d but its cache is from generation %d (stale forward?)", layer, g, m.gen))
 	}
+}
+
+// reuse returns buf with length n, reallocating only when it is too
+// small; the layers' non-tensor caches live from step to step through it.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // backendOr resolves a layer's configured backend, falling back to the

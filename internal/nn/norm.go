@@ -19,6 +19,7 @@ type BatchNorm2d struct {
 	RunningMean, RunningVar *tensor.Tensor // [C]
 
 	// Backward cache.
+	stepMem
 	xhat   *tensor.Tensor
 	invStd []float64
 }
@@ -45,15 +46,15 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := shape[0], shape[2], shape[3]
 	spatial := h * w
 	count := float64(n * spatial)
-	out := tensor.New(shape...)
+	out := b.ar.Get(shape...)
 	xd, od := x.Data(), out.Data()
 	gd, bd := b.Gamma.Value.Data(), b.Beta.Value.Data()
 
 	var xhat *tensor.Tensor
 	var invStds []float64
 	if train {
-		xhat = tensor.New(shape...)
-		invStds = make([]float64, b.C)
+		xhat = b.ar.Get(shape...)
+		invStds = reuse(b.invStd, b.C)
 	}
 
 	for ci := 0; ci < b.C; ci++ {
@@ -101,6 +102,7 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	if train {
 		b.xhat, b.invStd = xhat, invStds
+		b.cached()
 	}
 	return out
 }
@@ -110,10 +112,11 @@ func (b *BatchNorm2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if b.xhat == nil {
 		panic("nn: BatchNorm2d.Backward called before Forward(train=true)")
 	}
+	b.checkCache("BatchNorm2d")
 	shape := grad.Shape()
 	n, spatial := shape[0], shape[2]*shape[3]
 	count := float64(n * spatial)
-	out := tensor.New(shape...)
+	out := b.ar.Get(shape...)
 	gd := grad.Data()
 	xh := b.xhat.Data()
 	od := out.Data()

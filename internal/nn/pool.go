@@ -11,6 +11,7 @@ import (
 type MaxPool2d struct {
 	Kernel int
 
+	stepMem
 	argmax  []int // flat input index of each output element
 	inShape []int
 }
@@ -30,7 +31,7 @@ func (m *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: MaxPool2d input %dx%d not divisible by kernel %d", h, w, k))
 	}
 	oh, ow := h/k, w/k
-	out := tensor.New(n, c, oh, ow)
+	out := m.ar.Get(n, c, oh, ow)
 	xd, od := x.Data(), out.Data()
 	var argmax []int
 	if train {
@@ -63,6 +64,7 @@ func (m *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	if train {
 		m.argmax, m.inShape = argmax, shape
+		m.cached()
 	}
 	return out
 }
@@ -72,7 +74,8 @@ func (m *MaxPool2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if m.argmax == nil {
 		panic("nn: MaxPool2d.Backward called before Forward(train=true)")
 	}
-	out := tensor.New(m.inShape...)
+	m.checkCache("MaxPool2d")
+	out := m.ar.GetZeroed(m.inShape...)
 	od, gd := out.Data(), grad.Data()
 	for i, src := range m.argmax {
 		od[src] += gd[i]
@@ -85,6 +88,7 @@ func (m *MaxPool2d) Params() []*Param { return nil }
 
 // GlobalAvgPool2d averages each channel's spatial plane to [N, C, 1, 1].
 type GlobalAvgPool2d struct {
+	stepMem
 	inShape []int
 }
 
@@ -99,7 +103,7 @@ func (g *GlobalAvgPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, c, h, w := shape[0], shape[1], shape[2], shape[3]
 	spatial := h * w
-	out := tensor.New(n, c, 1, 1)
+	out := g.ar.Get(n, c, 1, 1)
 	xd, od := x.Data(), out.Data()
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
@@ -113,6 +117,7 @@ func (g *GlobalAvgPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	if train {
 		g.inShape = shape
+		g.cached()
 	}
 	return out
 }
@@ -122,9 +127,10 @@ func (g *GlobalAvgPool2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if g.inShape == nil {
 		panic("nn: GlobalAvgPool2d.Backward called before Forward(train=true)")
 	}
+	g.checkCache("GlobalAvgPool2d")
 	n, c, h, w := g.inShape[0], g.inShape[1], g.inShape[2], g.inShape[3]
 	spatial := h * w
-	out := tensor.New(g.inShape...)
+	out := g.ar.Get(g.inShape...)
 	od, gd := out.Data(), grad.Data()
 	inv := 1 / float32(spatial)
 	for ni := 0; ni < n; ni++ {
@@ -144,6 +150,7 @@ func (g *GlobalAvgPool2d) Params() []*Param { return nil }
 
 // Flatten reshapes NCHW to [N, C*H*W].
 type Flatten struct {
+	stepMem
 	inShape []int
 }
 
@@ -157,8 +164,11 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	rest := x.Numel() / n
 	if train {
 		f.inShape = shape
+		f.cached()
 	}
-	return x.Clone().Reshape(n, rest)
+	out := f.ar.Get(n, rest)
+	out.CopyFrom(x)
+	return out
 }
 
 // Backward restores the original shape.
@@ -166,7 +176,10 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if f.inShape == nil {
 		panic("nn: Flatten.Backward called before Forward(train=true)")
 	}
-	return grad.Clone().Reshape(f.inShape...)
+	f.checkCache("Flatten")
+	out := f.ar.Get(f.inShape...)
+	out.CopyFrom(grad)
+	return out
 }
 
 // Params returns nil; Flatten has no trainable parameters.

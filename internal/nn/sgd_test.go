@@ -102,7 +102,7 @@ func TestTrainingReducesLossEndToEnd(t *testing.T) {
 	for epoch := 0; epoch < 60; epoch++ {
 		ZeroGrads(params)
 		out := net.Forward(x, true)
-		loss, grad := SoftmaxCrossEntropy(out, labels)
+		loss, grad := SoftmaxCrossEntropy(nil, out, labels)
 		if firstLoss < 0 {
 			firstLoss = loss
 		}

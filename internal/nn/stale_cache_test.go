@@ -169,3 +169,91 @@ func TestConvBackwardGradShapeChecked(t *testing.T) {
 		l.Backward(tensor.Rand(rng, -1, 1, 2, 3, 6, 6)) // the matching gradient still runs
 	}
 }
+
+// TestBackwardAfterArenaResetPanics: under an attached arena a layer's
+// training cache (its input, xhat, probabilities, a shape slice) is arena
+// memory, recycled by the owner's Reset. A Backward in a later generation
+// must fail loudly, with the stale-forward wording, instead of reading
+// whatever the next step wrote there — and must run again after a fresh
+// training forward.
+func TestBackwardAfterArenaResetPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	image := func() *tensor.Tensor { return tensor.Rand(rng, -1, 1, 2, 3, 4, 4) }
+	hidden := func() *tensor.Tensor { return tensor.Rand(rng, -1, 1, 2, 3, 4) }
+	cases := []struct {
+		name  string
+		layer Layer
+		input func() *tensor.Tensor
+	}{
+		{"Conv2d", NewConv2d(rng, 3, 2, 3, 1, 1, true), image},
+		{"DWConv2d", NewDWConv2d(rng, 3, 3, 1, 1, true), image},
+		{"Linear", NewLinear(rng, 4, 3, true), func() *tensor.Tensor { return tensor.Rand(rng, -1, 1, 2, 4) }},
+		{"ReLU", NewReLU(), image},
+		{"BatchNorm2d", NewBatchNorm2d(3), image},
+		{"MaxPool2d", NewMaxPool2d(2), image},
+		{"GlobalAvgPool2d", NewGlobalAvgPool2d(), image},
+		{"Flatten", NewFlatten(), image},
+		{"LayerNorm", NewLayerNorm(4), hidden},
+		{"GELU", NewGELU(), hidden},
+		{"MultiHeadAttention", NewMultiHeadAttention(rng, 4, 2), hidden},
+		{"Embedding", NewEmbedding(rng, 5, 3, 4), func() *tensor.Tensor { return tensor.New(2, 3) }},
+		{"MixedOp", NewMixedOp(NewReLU(), NewReLU6()), image},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ar := tensor.NewArena()
+			ApplyArena(c.layer, ar)
+			x := c.input()
+			shape := append([]int(nil), c.layer.Forward(x, true).Shape()...)
+			ar.Reset()
+			mustPanic(t, c.name+".Backward in arena generation 1 but its cache is from generation 0 (stale forward?)",
+				func() { c.layer.Backward(tensor.New(shape...)) })
+			c.layer.Forward(x, true)
+			c.layer.Backward(tensor.New(shape...))
+
+			// Detached, the layer is garbage-collected again: outputs of two
+			// forwards do not share memory.
+			ApplyArena(c.layer, nil)
+			if a, b := c.layer.Forward(x, false), c.layer.Forward(x, false); &a.Data()[0] == &b.Data()[0] {
+				t.Fatal("a detached layer still recycles its outputs")
+			}
+		})
+	}
+}
+
+// TestApplyArenaReachesNestedLayers: one walk attaches every allocating
+// layer of a block, however nested, so a training step under an arena
+// draws nothing from the heap the second time round.
+func TestApplyArenaReachesNestedLayers(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	block := NewSequential(
+		NewEmbedding(rng, 16, 6, 8),
+		NewResidual(NewMultiHeadAttention(rng, 8, 2)),
+		NewLayerNorm(8),
+		NewResidual(NewFeedForward(rng, 8, 16)),
+		NewLayerNorm(8),
+		NewMeanPoolSeq(),
+		NewLinear(rng, 8, 4, true),
+	)
+	ar := tensor.NewArena()
+	ApplyArena(block, ar)
+	ids := tensor.New(4, 6)
+	step := func() (out *tensor.Tensor) {
+		ar.Reset()
+		out = block.Forward(ids, true)
+		block.Backward(out)
+		return out
+	}
+	first := step()
+	// Arena tensors come back in request order: were any layer detached,
+	// its fresh allocation would shift nothing here but the final output
+	// would not be the same recycled tensor.
+	if second := step(); second != first {
+		t.Fatal("the block's output was not recycled: some nested layer allocates outside the arena")
+	}
+	// What is left is not tensor storage: 8 Reshape headers with their
+	// shape slices and the closures of 6 batched-GEMM calls, 48 in all.
+	if got := testing.AllocsPerRun(5, func() { step() }); got > 60 {
+		t.Fatalf("a training step under an arena makes %v allocations, want the 48 of Reshape and the batched GEMM drivers", got)
+	}
+}

@@ -23,15 +23,18 @@ import (
 
 // SoftmaxLastDim returns softmax over the last dimension, max-subtracted
 // per row with float64 accumulation: the numerics every softmax consumer
-// in the package (attention, KL loss) shares.
-func SoftmaxLastDim(x *tensor.Tensor) *tensor.Tensor {
+// in the package (attention, KL loss) shares. Each exponential is
+// evaluated once and kept, in float64, for the normalization. The output
+// comes from ar (nil: plain allocation).
+func SoftmaxLastDim(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	shape := x.Shape()
 	if len(shape) == 0 {
 		panic("nn: SoftmaxLastDim on scalar tensor")
 	}
 	d := shape[len(shape)-1]
-	out := tensor.New(shape...)
+	out := ar.Get(shape...)
 	xd, od := x.Data(), out.Data()
+	exps := make([]float64, d)
 	for r := 0; r < len(xd); r += d {
 		row, orow := xd[r:r+d], od[r:r+d]
 		maxv := row[0]
@@ -41,12 +44,13 @@ func SoftmaxLastDim(x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - maxv))
+		for j, v := range row {
+			exps[j] = math.Exp(float64(v - maxv))
+			sum += exps[j]
 		}
 		inv := 1 / sum
-		for j, v := range row {
-			orow[j] = float32(math.Exp(float64(v-maxv)) * inv)
+		for j := range row {
+			orow[j] = float32(exps[j] * inv)
 		}
 	}
 	return out
@@ -55,13 +59,13 @@ func SoftmaxLastDim(x *tensor.Tensor) *tensor.Tensor {
 // SoftmaxBackwardLastDim propagates a gradient through SoftmaxLastDim:
 // dLogits = probs ⊙ (grad - Σ_j grad_j·probs_j) per row, the row dot in
 // float64.
-func SoftmaxBackwardLastDim(probs, grad *tensor.Tensor) *tensor.Tensor {
+func SoftmaxBackwardLastDim(ar *tensor.Arena, probs, grad *tensor.Tensor) *tensor.Tensor {
 	if !probs.SameShape(grad) {
 		panic(fmt.Sprintf("nn: SoftmaxBackwardLastDim shape mismatch %v vs %v", probs.Shape(), grad.Shape()))
 	}
 	shape := probs.Shape()
 	d := shape[len(shape)-1]
-	out := tensor.New(shape...)
+	out := ar.Get(shape...)
 	pd, gd, od := probs.Data(), grad.Data(), out.Data()
 	for r := 0; r < len(pd); r += d {
 		prow, grow, orow := pd[r:r+d], gd[r:r+d], od[r:r+d]
@@ -81,7 +85,9 @@ func SoftmaxBackwardLastDim(probs, grad *tensor.Tensor) *tensor.Tensor {
 // GELU is the tanh-approximated Gaussian error linear unit:
 // 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))).
 type GELU struct {
+	stepMem
 	lastX []float32 // cached pre-activation, train forwards only
+	tanh  []float64 // the forward's tanh per element, same lifetime
 }
 
 // NewGELU returns a GELU activation.
@@ -94,17 +100,22 @@ const (
 
 // Forward applies the activation elementwise.
 func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	out := g.ar.Get(x.Shape()...)
 	xd, od := x.Data(), out.Data()
+	if train {
+		g.lastX = append(g.lastX[:0], xd...)
+		g.tanh = reuse(g.tanh, len(xd))
+		g.cached()
+	} else {
+		g.lastX = nil
+	}
 	for i, v := range xd {
 		fv := float64(v)
 		t := math.Tanh(geluC * (fv + geluA*fv*fv*fv))
 		od[i] = float32(0.5 * fv * (1 + t))
-	}
-	if train {
-		g.lastX = append(g.lastX[:0], xd...)
-	} else {
-		g.lastX = nil
+		if train {
+			g.tanh[i] = t
+		}
 	}
 	return out
 }
@@ -114,16 +125,15 @@ func (g *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if g.lastX == nil {
 		panic("nn: GELU.Backward called before Forward(train=true)")
 	}
+	g.checkCache("GELU")
 	gd := grad.Data()
 	if len(g.lastX) != len(gd) {
 		panic(fmt.Sprintf("nn: GELU.Backward grad has %d elements but cache has %d (stale forward?)", len(gd), len(g.lastX)))
 	}
-	out := tensor.New(grad.Shape()...)
+	out := g.ar.Get(grad.Shape()...)
 	od := out.Data()
 	for i, v := range g.lastX {
-		fv := float64(v)
-		u := geluC * (fv + geluA*fv*fv*fv)
-		t := math.Tanh(u)
+		fv, t := float64(v), g.tanh[i]
 		du := geluC * (1 + 3*geluA*fv*fv)
 		d := 0.5*(1+t) + 0.5*fv*(1-t*t)*du
 		od[i] = float32(float64(gd[i]) * d)
@@ -144,8 +154,9 @@ type LayerNorm struct {
 	Gain *Param // [Dim]
 	Bias *Param // [Dim]
 
-	xhat   []float32 // cached normalized rows
-	invStd []float64 // cached per-row 1/√(var+eps)
+	stepMem
+	xhat   *tensor.Tensor // cached normalized rows; nil when no training forward is cached
+	invStd []float64      // cached per-row 1/√(var+eps)
 }
 
 // NewLayerNorm returns a LayerNorm with unit gain and zero bias.
@@ -167,14 +178,17 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	d := l.Dim
 	rows := x.Numel() / d
-	out := tensor.New(shape...)
+	out := l.ar.Get(shape...)
 	xd, od := x.Data(), out.Data()
 	gd, bd := l.Gain.Value.Data(), l.Bias.Value.Data()
+	// Eval forwards invalidate the cache (see the package guard note).
+	l.xhat = nil
 	var xhat []float32
-	var invStd []float64
 	if train {
-		xhat = make([]float32, len(xd))
-		invStd = make([]float64, rows)
+		l.xhat = l.ar.Get(shape...)
+		xhat = l.xhat.Data()
+		l.invStd = reuse(l.invStd, rows)
+		l.cached()
 	}
 	for r := 0; r < rows; r++ {
 		row := xd[r*d : (r+1)*d]
@@ -199,11 +213,9 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 		if train {
-			invStd[r] = s
+			l.invStd[r] = s
 		}
 	}
-	// Eval forwards invalidate the cache (see the package guard note).
-	l.xhat, l.invStd = xhat, invStd
 	return out
 }
 
@@ -213,19 +225,20 @@ func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.xhat == nil {
 		panic("nn: LayerNorm.Backward called before Forward(train=true)")
 	}
-	gd := grad.Data()
-	if len(l.xhat) != len(gd) {
-		panic(fmt.Sprintf("nn: LayerNorm.Backward grad has %d elements but cache has %d (stale forward?)", len(gd), len(l.xhat)))
+	l.checkCache("LayerNorm")
+	gd, xhat := grad.Data(), l.xhat.Data()
+	if len(xhat) != len(gd) {
+		panic(fmt.Sprintf("nn: LayerNorm.Backward grad has %d elements but cache has %d (stale forward?)", len(gd), len(xhat)))
 	}
 	d := l.Dim
 	rows := len(gd) / d
-	out := tensor.New(grad.Shape()...)
+	out := l.ar.Get(grad.Shape()...)
 	od := out.Data()
 	gaind := l.Gain.Value.Data()
 	dGain, dBias := l.Gain.Grad.Data(), l.Bias.Grad.Data()
 	for r := 0; r < rows; r++ {
 		grow := gd[r*d : (r+1)*d]
-		xrow := l.xhat[r*d : (r+1)*d]
+		xrow := xhat[r*d : (r+1)*d]
 		var meanDxhat, meanDxhatXhat float64
 		for j, g := range grow {
 			dxh := float64(g) * float64(gaind[j])
@@ -260,7 +273,9 @@ type Embedding struct {
 	Token              *Param // [Vocab, Dim]
 	Pos                *Param // [SeqLen, Dim]
 
+	stepMem
 	lastIDs []int // cached ids, train forwards only
+	idBuf   []int // backing store of lastIDs, reused from step to step
 }
 
 // NewEmbedding returns an Embedding with small uniform init.
@@ -279,12 +294,14 @@ func (e *Embedding) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Embedding expects [N,%d] token ids, got %v", e.SeqLen, shape))
 	}
 	n, l, d := shape[0], shape[1], e.Dim
-	out := tensor.New(n, l, d)
+	out := e.ar.Get(n, l, d)
 	xd, od := x.Data(), out.Data()
 	tok, pos := e.Token.Value.Data(), e.Pos.Value.Data()
 	var ids []int
 	if train {
-		ids = make([]int, len(xd))
+		e.idBuf = reuse(e.idBuf, len(xd))
+		ids = e.idBuf
+		e.cached()
 	}
 	for t, v := range xd {
 		id := int(v)
@@ -310,6 +327,7 @@ func (e *Embedding) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if e.lastIDs == nil {
 		panic("nn: Embedding.Backward called before Forward(train=true)")
 	}
+	e.checkCache("Embedding")
 	gd := grad.Data()
 	d := e.Dim
 	if len(gd) != len(e.lastIDs)*d {
@@ -325,7 +343,7 @@ func (e *Embedding) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			prow[j] += g
 		}
 	}
-	return tensor.New(len(e.lastIDs)/e.SeqLen, e.SeqLen)
+	return e.ar.GetZeroed(len(e.lastIDs)/e.SeqLen, e.SeqLen)
 }
 
 // Params returns the token and position tables.
@@ -350,12 +368,6 @@ func NewFeedForward(rng *rand.Rand, dim, hidden int) *FeedForward {
 		W2:  NewLinear(rng, hidden, dim, true),
 		Act: NewGELU(),
 	}
-}
-
-// SetBackend routes both projections through be.
-func (f *FeedForward) SetBackend(be tensor.Backend) {
-	f.W1.SetBackend(be)
-	f.W2.SetBackend(be)
 }
 
 // Forward applies the MLP per token.
@@ -396,6 +408,7 @@ type MultiHeadAttention struct {
 	Wq, Wk, Wv, Wo *Linear
 
 	be tensor.Backend // nil: process default
+	stepMem
 
 	// Training caches: per-head projections, attention probabilities, and
 	// the batch geometry, invalidated by eval forwards.
@@ -419,20 +432,15 @@ func NewMultiHeadAttention(rng *rand.Rand, dim, heads int) *MultiHeadAttention {
 	}
 }
 
-// SetBackend routes the projections and batched GEMMs through be.
-func (a *MultiHeadAttention) SetBackend(be tensor.Backend) {
-	a.be = be
-	a.Wq.SetBackend(be)
-	a.Wk.SetBackend(be)
-	a.Wv.SetBackend(be)
-	a.Wo.SetBackend(be)
-}
+// SetBackend routes the batched GEMMs through be. The projections are
+// configured separately; ApplyBackend sets all five.
+func (a *MultiHeadAttention) SetBackend(be tensor.Backend) { a.be = be }
 
 // splitHeads permutes [N·L, Dim] rows into [N·H, L, Dim/H] instances.
-func splitHeads(x *tensor.Tensor, n, l, heads int) *tensor.Tensor {
+func splitHeads(ar *tensor.Arena, x *tensor.Tensor, n, l, heads int) *tensor.Tensor {
 	d := x.Shape()[1]
 	dh := d / heads
-	out := tensor.New(n*heads, l, dh)
+	out := ar.Get(n*heads, l, dh)
 	xd, od := x.Data(), out.Data()
 	for s := 0; s < n; s++ {
 		for t := 0; t < l; t++ {
@@ -446,10 +454,10 @@ func splitHeads(x *tensor.Tensor, n, l, heads int) *tensor.Tensor {
 }
 
 // mergeHeads is the inverse permutation, back to [N·L, Dim] rows.
-func mergeHeads(x *tensor.Tensor, n, l, heads int) *tensor.Tensor {
+func mergeHeads(ar *tensor.Arena, x *tensor.Tensor, n, l, heads int) *tensor.Tensor {
 	dh := x.Shape()[2]
 	d := heads * dh
-	out := tensor.New(n*l, d)
+	out := ar.Get(n*l, d)
 	xd, od := x.Data(), out.Data()
 	for s := 0; s < n; s++ {
 		for t := 0; t < l; t++ {
@@ -469,22 +477,25 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 	if len(shape) != 3 || shape[2] != a.Dim {
 		panic(fmt.Sprintf("nn: MultiHeadAttention expects [N,L,%d], got %v", a.Dim, shape))
 	}
-	n, l := shape[0], shape[1]
-	be := backendOr(a.be)
+	n, l, g, dh := shape[0], shape[1], shape[0]*a.Heads, a.Dim/a.Heads
+	be, ar := backendOr(a.be), a.ar
 	x2 := x.Reshape(n*l, a.Dim)
-	qh := splitHeads(a.Wq.Forward(x2, train), n, l, a.Heads)
-	kh := splitHeads(a.Wk.Forward(x2, train), n, l, a.Heads)
-	vh := splitHeads(a.Wv.Forward(x2, train), n, l, a.Heads)
+	qh := splitHeads(ar, a.Wq.Forward(x2, train), n, l, a.Heads)
+	kh := splitHeads(ar, a.Wk.Forward(x2, train), n, l, a.Heads)
+	vh := splitHeads(ar, a.Wv.Forward(x2, train), n, l, a.Heads)
 
-	scores := tensor.MatMulTBBatchWith(be, qh, kh) // [N·H, L, L]
-	be.Scale(scores, scores, float32(1/math.Sqrt(float64(a.Dim/a.Heads))))
-	probs := SoftmaxLastDim(scores)
-	ctx := tensor.MatMulBatchWith(be, probs, vh) // [N·H, L, dh]
-	out := a.Wo.Forward(mergeHeads(ctx, n, l, a.Heads), train)
+	scores := ar.Get(g, l, l)
+	be.MatMulTBBatchInto(scores, qh, kh)
+	be.Scale(scores, scores, float32(1/math.Sqrt(float64(dh))))
+	probs := SoftmaxLastDim(ar, scores)
+	ctx := ar.Get(g, l, dh)
+	be.MatMulBatchInto(ctx, probs, vh)
+	out := a.Wo.Forward(mergeHeads(ar, ctx, n, l, a.Heads), train)
 
 	if train {
 		a.qh, a.kh, a.vh, a.probs = qh, kh, vh, probs
 		a.lastN, a.lastL = n, l
+		a.cached()
 	} else {
 		a.qh, a.kh, a.vh, a.probs = nil, nil, nil, nil
 	}
@@ -497,25 +508,28 @@ func (a *MultiHeadAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if a.probs == nil {
 		panic("nn: MultiHeadAttention.Backward called before Forward(train=true)")
 	}
-	n, l := a.lastN, a.lastL
+	a.checkCache("MultiHeadAttention")
+	n, l, g, dh := a.lastN, a.lastL, a.lastN*a.Heads, a.Dim/a.Heads
 	gd := grad.Data()
 	if len(gd) != n*l*a.Dim {
 		panic(fmt.Sprintf("nn: MultiHeadAttention.Backward grad has %d elements but cache expects %d (stale forward?)", len(gd), n*l*a.Dim))
 	}
-	be := backendOr(a.be)
+	be, ar := backendOr(a.be), a.ar
 	dCtx2 := a.Wo.Backward(grad.Reshape(n*l, a.Dim))
-	dCtx := splitHeads(dCtx2, n, l, a.Heads) // [N·H, L, dh]
+	dCtx := splitHeads(ar, dCtx2, n, l, a.Heads) // [N·H, L, dh]
 
-	dProbs := tensor.MatMulTBBatchWith(be, dCtx, a.vh) // [N·H, L, L]
-	dV := tensor.MatMulTABatchWith(be, a.probs, dCtx)  // probsᵀ·dCtx
-	dScores := SoftmaxBackwardLastDim(a.probs, dProbs)
-	be.Scale(dScores, dScores, float32(1/math.Sqrt(float64(a.Dim/a.Heads))))
-	dQ := tensor.MatMulBatchWith(be, dScores, a.kh) // [N·H, L, dh]
-	dK := tensor.MatMulTABatchWith(be, dScores, a.qh)
+	dProbs, dV := ar.Get(g, l, l), ar.Get(g, l, dh)
+	be.MatMulTBBatchInto(dProbs, dCtx, a.vh)
+	be.MatMulTABatchInto(dV, a.probs, dCtx) // probsᵀ·dCtx
+	dScores := SoftmaxBackwardLastDim(ar, a.probs, dProbs)
+	be.Scale(dScores, dScores, float32(1/math.Sqrt(float64(dh))))
+	dQ, dK := ar.Get(g, l, dh), ar.Get(g, l, dh)
+	be.MatMulBatchInto(dQ, dScores, a.kh)
+	be.MatMulTABatchInto(dK, dScores, a.qh)
 
-	dx := a.Wq.Backward(mergeHeads(dQ, n, l, a.Heads))
-	be.Add(dx, dx, a.Wk.Backward(mergeHeads(dK, n, l, a.Heads)))
-	be.Add(dx, dx, a.Wv.Backward(mergeHeads(dV, n, l, a.Heads)))
+	dx := a.Wq.Backward(mergeHeads(ar, dQ, n, l, a.Heads))
+	be.Add(dx, dx, a.Wk.Backward(mergeHeads(ar, dK, n, l, a.Heads)))
+	be.Add(dx, dx, a.Wv.Backward(mergeHeads(ar, dV, n, l, a.Heads)))
 	return dx.Reshape(n, l, a.Dim)
 }
 
@@ -531,6 +545,7 @@ func (a *MultiHeadAttention) Params() []*Param {
 // MeanPoolSeq averages [N, L, D] hidden states over the sequence
 // dimension, producing [N, D] features for a classifier head.
 type MeanPoolSeq struct {
+	stepMem
 	lastL int // cached sequence length, train forwards only
 }
 
@@ -544,7 +559,7 @@ func (p *MeanPoolSeq) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: MeanPoolSeq expects [N,L,D], got %v", shape))
 	}
 	n, l, d := shape[0], shape[1], shape[2]
-	out := tensor.New(n, d)
+	out := p.ar.GetZeroed(n, d)
 	xd, od := x.Data(), out.Data()
 	inv := 1 / float32(l)
 	for s := 0; s < n; s++ {
@@ -577,7 +592,7 @@ func (p *MeanPoolSeq) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: MeanPoolSeq.Backward expects [N,D] grad, got %v", shape))
 	}
 	n, d, l := shape[0], shape[1], p.lastL
-	out := tensor.New(n, l, d)
+	out := p.ar.Get(n, l, d)
 	gd, od := grad.Data(), out.Data()
 	inv := 1 / float32(l)
 	for s := 0; s < n; s++ {
@@ -602,6 +617,5 @@ var (
 	_ Layer       = (*FeedForward)(nil)
 	_ Layer       = (*MultiHeadAttention)(nil)
 	_ Layer       = (*MeanPoolSeq)(nil)
-	_ BackendUser = (*FeedForward)(nil)
 	_ BackendUser = (*MultiHeadAttention)(nil)
 )

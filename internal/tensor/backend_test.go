@@ -233,3 +233,74 @@ func TestArenaReuse(t *testing.T) {
 		t.Fatal("release after nil entry was dropped")
 	}
 }
+
+// TestArenaResetRecyclesTheStep: Reset takes back everything handed out
+// since the last one — released early or not — in request order, and
+// ticks the generation; a second Release of the same tensor is a bug the
+// arena reports.
+func TestArenaResetRecyclesTheStep(t *testing.T) {
+	ar := NewArena()
+	a, b, c := ar.Get(2, 3), ar.Get(3, 2), ar.Get(5)
+	ar.Release(a)
+	if g := ar.Generation(); g != 0 {
+		t.Fatalf("generation %d before any Reset", g)
+	}
+	ar.Reset()
+	if g := ar.Generation(); g != 1 {
+		t.Fatalf("generation %d after one Reset", g)
+	}
+	ar.Poison()
+	for _, v := range append(append(a.Data(), b.Data()...), c.Data()...) {
+		if v == v {
+			t.Fatal("Poison left a free buffer readable")
+		}
+	}
+	x, y, z := ar.Get(6), ar.GetZeroed(6), ar.Get(6)
+	if !(x == a && y == b || x == b && y == a) || z == a || z == b {
+		t.Fatal("Reset did not return both six-element tensors, each once")
+	}
+	for _, v := range y.Data() {
+		if v != 0 {
+			t.Fatal("GetZeroed returned a poisoned buffer")
+		}
+	}
+	if ar.Get(1, 5) != c {
+		t.Fatal("Reset did not return the five-element tensor")
+	}
+	ar.Release(x)
+	for name, f := range map[string]func(){
+		"second release":  func() { ar.Release(x) },
+		"foreign tensor":  func() { ar.Release(New(6)) },
+		"unknown size":    func() { ar.Release(New(7)) },
+		"after the reset": func() { ar.Reset(); ar.Release(y) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Release did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestNilArenaIsPlainAllocation: code written against an arena runs
+// unchanged with none attached.
+func TestNilArenaIsPlainAllocation(t *testing.T) {
+	var ar *Arena
+	a, b := ar.Get(2, 2), ar.GetZeroed(2, 2)
+	if a == b || &a.Data()[0] == &b.Data()[0] || a.Dim(1) != 2 {
+		t.Fatal("nil arena did not allocate fresh tensors")
+	}
+	for _, v := range a.Data() {
+		if v != 0 {
+			t.Fatal("nil arena Get is New: zero-filled")
+		}
+	}
+	ar.Release(a, nil)
+	ar.Reset()
+	if ar.Generation() != 0 || a.Data()[0] != 0 {
+		t.Fatal("Release and Reset must do nothing on a nil arena")
+	}
+}
