@@ -134,7 +134,7 @@ func BenchmarkNumericEquivalence(b *testing.B) {
 // dispatch rework learned to pack, the multi-head-attention training
 // step, and a pipelined transformer mini-epoch per backend. The
 // definitions live in the shared registry (internal/bench), so
-// cmd/pipebd-bench pins the same numbers in BENCH_PR9.json.
+// cmd/pipebd-bench reports the same numbers.
 func BenchmarkTransformerWorkload(b *testing.B) {
 	for _, c := range bench.Transformer(false) {
 		c := c
@@ -147,7 +147,7 @@ func BenchmarkTransformerWorkload(b *testing.B) {
 // run with one identical mid-run link break, once absorbed by
 // reconnect-and-replay and once recovered by restarting every device from
 // the cut. The definitions live in the shared registry so
-// cmd/pipebd-bench pins the same numbers in BENCH_PR10.json.
+// cmd/pipebd-bench reports the same numbers.
 func BenchmarkFaultRecovery(b *testing.B) {
 	for _, c := range bench.Recovery(false) {
 		c := c
@@ -158,7 +158,7 @@ func BenchmarkFaultRecovery(b *testing.B) {
 // BenchmarkTraceOverhead measures the observability layer's span
 // Begin/End pair, disabled (the default every hot path pays) and enabled
 // (what -trace-out opts into). The definition lives in the shared
-// registry so cmd/pipebd-bench pins the same numbers in BENCH_PR7.json.
+// registry so cmd/pipebd-bench reports the same numbers.
 func BenchmarkTraceOverhead(b *testing.B) {
 	for _, c := range bench.Trace() {
 		c := c

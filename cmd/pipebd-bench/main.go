@@ -11,21 +11,19 @@
 // dynamic repartitioning off and on — the -repartition headline), and a
 // fault-recovery pair (one identical mid-run link break absorbed by
 // resumable reconnect-and-replay versus recovered by a global restart —
-// the -retry-budget headline). The output file (committed as
-// BENCH_PR10.json, alongside the PR2–PR9 baselines) gives later PRs a
-// trajectory to compare against.
+// the -retry-budget headline). No report is committed: the repository's
+// benchmark of record is `go run ./benchmark`.
 //
 // Every record carries the GOMAXPROCS it ran under, and -procs sweeps the
-// registry suite across several values in one invocation (the committed
-// PR2/PR4 baselines were taken at GOMAXPROCS=1). -compare prints
+// registry suite across several values in one invocation. -compare prints
 // per-benchmark deltas against an older report so perf PRs don't eyeball
 // JSON.
 //
 // Usage:
 //
-//	pipebd-bench -out BENCH_PR5.json -procs 1,4    # full sizes, two widths
+//	pipebd-bench -out bench.json -procs 1,4        # full sizes, two widths
 //	pipebd-bench -out bench.json -quick            # small sizes for smoke tests
-//	pipebd-bench -quick -compare BENCH_PR4.json    # run, then print deltas
+//	pipebd-bench -quick -compare old.json          # run, then print deltas
 //	pipebd-bench -in new.json -compare old.json    # compare two existing files
 package main
 
@@ -81,7 +79,7 @@ type Record struct {
 	PeerBytesPerStep  float64 `json:"peer_bytes_per_step,omitempty"`
 }
 
-// Report is the file layout of BENCH_PR5.json.
+// Report is the layout of the output file.
 type Report struct {
 	GoMaxProcs int      `json:"go_max_procs"`
 	GoVersion  string   `json:"go_version"`
@@ -99,7 +97,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pipebd-bench", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	out := fs.String("out", "BENCH_PR10.json", "output JSON path (- for stdout)")
+	out := fs.String("out", "bench.json", "output JSON path (- for stdout)")
 	quick := fs.Bool("quick", false, "small problem sizes (smoke testing)")
 	procsFlag := fs.String("procs", "", "comma-separated GOMAXPROCS values to sweep the registry suite across (default: current)")
 	compare := fs.String("compare", "", "older report JSON to diff the produced (or -in) report against")

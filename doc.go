@@ -216,7 +216,6 @@
 // coordinator-resume, hub-vs-ring topology throughput (with per-role
 // coordinator/peer bytes-per-step), the straggler
 // static-vs-repartition latency pair, and the fault-recovery
-// absorb-vs-global-cut latency pair as JSON (BENCH_PR10.json;
-// BENCH_PR2–PR9.json are the prior baselines), and BenchmarkMatMul in
+// absorb-vs-global-cut latency pair as JSON, and BenchmarkMatMul in
 // internal/tensor compares the backends directly.
 package pipebd

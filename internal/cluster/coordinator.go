@@ -1099,28 +1099,21 @@ func (r *run) onOutput(ds *devState, step int, t *tensor.Tensor) error {
 	}
 	ds.outputSeen = step
 	place := ds.place
-	k := r.plan.Groups[place.gi].Split()
 	st := r.outputs[place.gi]
 	g := st[step]
 	if g == nil {
-		g = &gather{parts: make([]*tensor.Tensor, k)}
+		g = &gather{parts: make([]*tensor.Tensor, r.plan.Groups[place.gi].Split())}
 		st[step] = g
 	}
 	g.parts[place.j] = t
 	g.have++
-	if g.have < k {
+	if g.have < len(g.parts) {
 		return nil
 	}
 	delete(st, step)
-	shape := append([]int(nil), g.parts[0].Shape()...)
-	shape[0] *= k
-	full := tensor.New(shape...)
-	per := g.parts[0].Numel()
-	for j, part := range g.parts {
-		if part.Numel() != per {
-			return fmt.Errorf("cluster: group %d step %d shard sizes differ", place.gi, step)
-		}
-		copy(full.Data()[j*per:(j+1)*per], part.Data())
+	full, err := assembleShards(g.parts)
+	if err != nil {
+		return fmt.Errorf("cluster: group %d step %d: %w", place.gi, step, err)
 	}
 	payload := wire.EncodeTensor(wire.KindInput, wire.NoDev, int32(step), full).Payload
 	r.sendGroupInputLocked(r.plan.Groups[place.gi+1].Devices, step, payload)

@@ -40,6 +40,26 @@ func recoverSession(errp *error) {
 	}
 }
 
+// assembleShards concatenates a split group's boundary-activation shards
+// along dim 0 in rank order; a single shard is the batch. Hub (coordinator)
+// and ring (downstream device) both assemble here: identical bytes.
+func assembleShards(parts []*tensor.Tensor) (*tensor.Tensor, error) {
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	per := parts[0].Numel()
+	shape := append([]int(nil), parts[0].Shape()...)
+	shape[0] *= len(parts)
+	full := tensor.New(shape...)
+	for j, p := range parts {
+		if p.Numel() != per {
+			return nil, fmt.Errorf("shard sizes differ: rank %d has %d elements, rank 0 %d", j, p.Numel(), per)
+		}
+		copy(full.Data()[j*per:(j+1)*per], p.Data())
+	}
+	return full, nil
+}
+
 // outbox decouples frame production from the connection: Enqueue never
 // blocks (the queue is unbounded), a single writer goroutine drains it
 // into the conn, and the first send error sticks. This is what makes the

@@ -104,7 +104,6 @@ type mesh struct {
 	cond    *sync.Cond
 	eps     map[pairKey]*peerEndpoint
 	pending map[pairKey]bool // endpoints acceptPeer must still deliver
-	err     error
 	closed  bool
 	readers sync.WaitGroup
 }
@@ -539,18 +538,9 @@ func (l *ringLink) RecvInput(step int) *tensor.Tensor {
 		}
 		parts[i] = t
 	}
-	full := parts[0]
-	if len(parts) > 1 {
-		per := parts[0].Numel()
-		shape := append([]int(nil), parts[0].Shape()...)
-		shape[0] *= len(parts)
-		full = tensor.New(shape...)
-		for j, p := range parts {
-			if p.Numel() != per {
-				sessionFail("cluster: dev %d step %d upstream shard sizes differ", l.dev, step)
-			}
-			copy(full.Data()[j*per:(j+1)*per], p.Data())
-		}
+	full, err := assembleShards(parts)
+	if err != nil {
+		sessionFail("cluster: dev %d step %d upstream: %w", l.dev, step, err)
 	}
 	for _, pd := range l.prev {
 		if l.degraded[pd] {

@@ -11,6 +11,7 @@ import (
 	"pipebd/internal/distill"
 	"pipebd/internal/engine"
 	"pipebd/internal/sched"
+	"pipebd/internal/tensor"
 )
 
 // ringWorkers brings up n ring-capable workers (they dial siblings over
@@ -272,5 +273,32 @@ func TestRingRejectsMisconfiguration(t *testing.T) {
 	cfg.Topology = "ring"
 	if _, err := Run(net, addrs, w, batches, cfg); err == nil {
 		t.Fatal("ring session without worker dial network succeeded")
+	}
+}
+
+// TestAssembleShards: the one assembly hub and ring share concatenates in
+// rank order, passes a lone shard through and reports unequal shards
+// instead of copying past them.
+func TestAssembleShards(t *testing.T) {
+	a, b := tensor.New(2, 3), tensor.New(2, 3)
+	a.Fill(1)
+	b.Fill(2)
+	full, err := assembleShards([]*tensor.Tensor{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := full.Shape(); len(got) != 2 || got[0] != 4 || got[1] != 3 {
+		t.Fatalf("assembled shape %v, want [4 3]", got)
+	}
+	for i, v := range full.Data() {
+		if want := float32(1 + i/6); v != want {
+			t.Fatalf("element %d is %v, want %v: shards out of rank order", i, v, want)
+		}
+	}
+	if one, err := assembleShards([]*tensor.Tensor{a}); err != nil || one != a {
+		t.Fatal("a lone shard is the batch and must be returned as is")
+	}
+	if _, err := assembleShards([]*tensor.Tensor{a, tensor.New(1, 3)}); err == nil || !strings.Contains(err.Error(), "shard sizes differ") {
+		t.Fatalf("unequal shards: err = %v", err)
 	}
 }

@@ -170,7 +170,6 @@ type hostedDevice struct {
 	link   *clusterLink
 	ring   *ringLink // ring-topology wrapper; nil in hub sessions
 	start  int       // first step to run (restored step + 1, else 0)
-	blocks []int     // global block indices (for the final-params report)
 }
 
 // serveConn performs the shared accept handshake — a synchronous Hello,
@@ -626,7 +625,6 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 				lastGroup:  gi == len(assign.Plan.Groups)-1,
 				dpu:        assign.Run.DPU,
 				in:         newInbox(), out: out},
-			blocks: group.Blocks,
 		}
 		if tracer != nil {
 			d.link.trace = tracer.NewTrack(fmt.Sprintf("dev%d", rank))

@@ -84,8 +84,8 @@ func RunSequential(w *distill.Workbench, batches []dataset.Batch, lr, momentum f
 		opts[b] = nn.NewSGD(lr, momentum, 0)
 		res.Loss[b] = make([]float64, len(batches))
 	}
-	mem := newStepMemory(w.Pairs)
-	defer mem.release(w.Pairs)
+	mem, done := borrowStepMemory(w.Pairs)
+	defer done()
 	for s, batch := range batches {
 		recycle(mem.carry)
 		x := batch.X
@@ -118,27 +118,23 @@ func attachArena(pairs []distill.Pair, ar *tensor.Arena) {
 // block's working set, not the step's.
 type stepMemory struct{ block, carry *tensor.Arena }
 
-// arenas keeps the arenas of finished loops for the next one, as the
-// tensor package keeps its GEMM pack buffers: a process that trains run
-// after run (a worker restarting a session, an experiment sweep) sizes
-// them once. An arena holds the buffers of every shape it has served
-// until the pool drops it, two collections after its last use.
-var arenas = sync.Pool{New: func() any { return tensor.NewArena() }}
+// blockArenas and carryArenas lend every step loop its pair for the run
+// and keep them for the life of the process (see tensor.ArenaCache): a
+// worker restarting a session or an experiment sweep sizes them once. One
+// cache per role: a carry arena never grows to a block's working set.
+var blockArenas, carryArenas tensor.ArenaCache
 
-// newStepMemory attaches a block arena to pairs; the loop releases it
-// when it returns.
-func newStepMemory(pairs []distill.Pair) stepMemory {
-	mem := stepMemory{block: arenas.Get().(*tensor.Arena), carry: arenas.Get().(*tensor.Arena)}
+// borrowStepMemory lends a loop its arenas and makes pairs draw from the
+// block arena; done detaches pairs, which allocate normally again, and
+// hands the arenas back.
+func borrowStepMemory(pairs []distill.Pair) (mem stepMemory, done func()) {
+	mem = stepMemory{block: blockArenas.Get(), carry: carryArenas.Get()}
 	attachArena(pairs, mem.block)
-	return mem
-}
-
-// release detaches pairs, which allocate normally again, and hands the
-// arenas on.
-func (mem stepMemory) release(pairs []distill.Pair) {
-	attachArena(pairs, nil)
-	arenas.Put(mem.block)
-	arenas.Put(mem.carry)
+	return mem, func() {
+		attachArena(pairs, nil)
+		blockArenas.Put(mem.block)
+		carryArenas.Put(mem.carry)
+	}
 }
 
 // step runs one block's distillation step on x and returns the teacher's
@@ -288,9 +284,12 @@ func RunPipelined(w *distill.Workbench, batches []dataset.Batch, cfg Config) Res
 	var wg sync.WaitGroup
 	for gi, gr := range groups {
 		for j := 0; j < gr.Split(); j++ {
+			// In device order: a device meets the arenas it sized last run.
+			mem, done := borrowStepMemory(gr.members[j])
 			wg.Add(1)
 			go func(gi int, gr *groupRuntime, j int) {
 				defer wg.Done()
+				defer done()
 				m := Member{Group: gi, Rank: j, GroupSize: gr.Split(),
 					Pairs: gr.members[j], Opts: gr.opts[j]}
 				if cfg.Trace != nil {
@@ -298,7 +297,7 @@ func RunPipelined(w *distill.Workbench, batches []dataset.Batch, cfg Config) Res
 				}
 				link := &memberLink{gr: gr, j: j, batches: batches,
 					stepSync: stepSync, losses: losses[gi]}
-				RunMember(m, steps, link)
+				runMember(m, 0, steps, link, mem)
 			}(gi, gr, j)
 		}
 	}

@@ -98,14 +98,18 @@ func RunMember(m Member, steps int, link DeviceLink) {
 // after step start-1 resumes here and, fed the same inputs, reproduces
 // the remaining trajectory bit-identically.
 func RunMemberFrom(m Member, start, steps int, link DeviceLink) {
+	mem, done := borrowStepMemory(m.Pairs)
+	defer done()
+	runMember(m, start, steps, link, mem)
+}
+
+// runMember is the device loop. Every step reuses the same shapes, so
+// everything the device computes — batch shard, layer outputs, backward
+// caches, gradients, all-reduce temporaries — cycles through mem:
+// steady-state steps allocate only what the link brings in.
+func runMember(m Member, start, steps int, link DeviceLink, mem stepMemory) {
 	k := m.GroupSize
 	nb := len(m.Pairs)
-	// Every step reuses the same shapes, so everything this device
-	// computes — batch shard, layer outputs, backward caches, gradients,
-	// all-reduce temporaries — cycles through private arenas:
-	// steady-state steps allocate only what the link brings in.
-	mem := newStepMemory(m.Pairs)
-	defer mem.release(m.Pairs)
 	losses := make([]float64, nb)
 	var grads []*tensor.Tensor
 	if k > 1 {

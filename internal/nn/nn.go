@@ -16,7 +16,9 @@
 // valid until the arena's owner next calls Reset — the engine's step
 // loops do before every block's distillation step; whoever needs it
 // longer copies it, and a Backward whose training forward ran before that
-// Reset panics.
+// Reset panics. The memory itself stays with the arena for as long as the
+// arena lives; the engine's live as long as the process (see
+// tensor.ArenaCache).
 package nn
 
 import (

@@ -2,7 +2,8 @@ package tensor
 
 import (
 	"math"
-	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Arena recycles tensors of recurring shapes. Blockwise distillation
@@ -10,29 +11,28 @@ import (
 // step (layer outputs, backward caches, gradients, GEMM temporaries) is
 // read in the next, so a device loop draws all of it from arenas it
 // resets as it goes: after the first step, a step allocates nothing.
-// Reset also advances the generation, by which holders
-// of older tensors can tell that their memory was recycled. The GEMM pack
-// buffers instead pair each Get with a Release and never reset.
+// There is one lifetime rule: a tensor lives until the next Reset of its
+// arena, after which Get may hand its backing array to the next request
+// of equal element count (the generation tells holders of older tensors).
+// An arena never frees: it holds a buffer for every tensor of every shape
+// it served between two Resets.
 //
 // A nil *Arena is valid and means plain allocation: Get and GetZeroed are
-// New, Release and Reset do nothing, Generation stays 0. Code written
-// against an arena therefore has one path whether or not one is attached,
-// and tensors obtained through a nil arena live until garbage-collected.
-//
-// An Arena is not safe for concurrent use; each device goroutine owns its
-// own. A tensor must not be used once it was released or reset away: Get
-// may hand the same backing array to the next request of equal element
-// count.
+// New, Reset does nothing, Generation stays 0, so code written against an
+// arena has one path whether or not one is attached. An Arena is not safe
+// for concurrent use; each device goroutine owns its own.
 type Arena struct {
 	classes map[int]*sizeClass // keyed by element count
 	gen     uint64
+	lent    atomic.Bool // by an ArenaCache
 }
 
 // sizeClass holds every tensor of one element count the arena ever made:
-// bufs[:used] are handed out, bufs[used:] are free.
+// in arena generation gen bufs[:used] are handed out, later all are free.
 type sizeClass struct {
 	bufs []*Tensor
 	used int
+	gen  uint64
 }
 
 // NewArena returns an empty arena.
@@ -51,6 +51,9 @@ func (a *Arena) Get(shape ...int) *Tensor {
 		c = &sizeClass{}
 		a.classes[n] = c
 	}
+	if c.gen != a.gen {
+		c.gen, c.used = a.gen, 0
+	}
 	if c.used == len(c.bufs) {
 		c.bufs = append(c.bufs, New(shape...))
 	}
@@ -67,39 +70,12 @@ func (a *Arena) GetZeroed(shape ...int) *Tensor {
 	return t
 }
 
-// Release frees tensors ahead of the next Reset; nil entries are ignored.
-// A tensor not handed out since the last Reset (released twice, foreign)
-// panics.
-func (a *Arena) Release(ts ...*Tensor) {
-	if a == nil {
-		return
-	}
-	for _, t := range ts {
-		if t == nil {
-			continue
-		}
-		c, i := a.classes[len(t.data)], -1
-		if c != nil {
-			i = slices.Index(c.bufs[:c.used], t)
-		}
-		if i < 0 {
-			panic("tensor: Arena.Release of a tensor the arena has not handed out (double release?)")
-		}
-		c.used--
-		c.bufs[i], c.bufs[c.used] = c.bufs[c.used], t
-	}
-}
-
 // Reset frees every tensor handed out since the previous Reset and
 // advances the generation.
 func (a *Arena) Reset() {
-	if a == nil {
-		return
+	if a != nil {
+		a.gen++
 	}
-	for _, c := range a.classes {
-		c.used = 0
-	}
-	a.gen++
 }
 
 // Generation counts the Resets so far.
@@ -115,8 +91,70 @@ func (a *Arena) Generation() uint64 {
 func (a *Arena) Poison() {
 	nan := float32(math.NaN())
 	for _, c := range a.classes {
-		for _, t := range c.bufs[c.used:] {
+		free := c.bufs
+		if c.gen == a.gen {
+			free = c.bufs[c.used:]
+		}
+		for _, t := range free {
 			t.Fill(nan)
 		}
 	}
+}
+
+// arenaCacheCap arenas are kept by an ArenaCache; more are garbage.
+const arenaCacheCap = 32
+
+// ArenaCache lends arenas to borrowers that come and go — a kernel call, a
+// training run — so that the next one finds the buffers of the last. The
+// first arenaCacheCap arenas it makes stay strongly referenced for the
+// life of the process: no garbage collection frees a buffer (two empty a
+// bare sync.Pool, and the next borrower re-allocates megabytes); what
+// more borrowers at one moment make is garbage once handed back. So a
+// process retains at most the cap times the union of its borrowers'
+// shapes: a caching device allocator's trade. Safe for concurrent use.
+type ArenaCache struct {
+	mu    sync.Mutex
+	kept  []*Arena
+	front sync.Pool // between putLocal and getLocal only; collections empty it
+}
+
+// Get lends an arena, reset, until Put: the first free one in the order
+// made, so borrowers asking in a fixed order meet the arenas they sized.
+func (c *ArenaCache) Get() *Arena {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, a := range c.kept {
+		if a.lent.CompareAndSwap(false, true) {
+			return a
+		}
+	}
+	a := NewArena()
+	a.lent.Store(true)
+	if len(c.kept) < arenaCacheCap {
+		c.kept = append(c.kept, a)
+	}
+	return a
+}
+
+// Put resets a and ends the loan: no tensor from a may be used afterwards.
+func (c *ArenaCache) Put(a *Arena) {
+	a.Reset()
+	a.lent.Store(false)
+}
+
+// getLocal and putLocal are Get and Put for this package's kernels, which
+// borrow per call: a goroutine meets the arena its core last put back,
+// without taking mu (behind a bare lock arenas ping-pong between cores:
+// +1-9% conv wall). front may hold an arena Get has lent since, or one
+// beyond the cap: lent decides.
+func (c *ArenaCache) getLocal() *Arena {
+	if a, _ := c.front.Get().(*Arena); a != nil && a.lent.CompareAndSwap(false, true) {
+		return a
+	}
+	return c.Get()
+}
+
+func (c *ArenaCache) putLocal(a *Arena) {
+	c.Put(a)
+	c.front.Put(a)
 }

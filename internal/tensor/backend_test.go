@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -208,42 +210,46 @@ func TestParallelForConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestArenaReuse checks that released buffers are recycled (same backing
-// array) and that shape bookkeeping survives the round trip.
+// TestArenaReuse checks that a Get after a Reset returns the backing
+// array of the Get before it and that shape bookkeeping survives the
+// round trip.
 func TestArenaReuse(t *testing.T) {
 	ar := NewArena()
 	a := ar.Get(4, 6)
 	a.Fill(3)
-	ar.Release(a)
+	ar.Reset()
 	b := ar.Get(6, 4) // same element count, different shape
 	if &b.Data()[0] != &a.Data()[0] {
-		t.Fatal("arena did not recycle the released buffer")
+		t.Fatal("arena did not recycle the buffer after Reset")
 	}
 	if b.Dim(0) != 6 || b.Dim(1) != 4 {
 		t.Fatalf("recycled tensor has shape %v, want [6 4]", b.Shape())
 	}
 	z := ar.GetZeroed(6, 4)
+	if &z.Data()[0] == &b.Data()[0] {
+		t.Fatal("two tensors of one generation share a buffer")
+	}
 	for _, v := range z.Data() {
 		if v != 0 {
 			t.Fatal("GetZeroed returned dirty buffer")
 		}
 	}
-	ar.Release(nil, b) // nil entries must be ignored
-	if got := ar.Get(2, 12); &got.Data()[0] != &b.Data()[0] {
-		t.Fatal("release after nil entry was dropped")
-	}
 }
 
-// TestArenaResetRecyclesTheStep: Reset takes back everything handed out
-// since the last one — released early or not — in request order, and
-// ticks the generation; a second Release of the same tensor is a bug the
-// arena reports.
+// TestArenaResetRecyclesTheStep: Reset is the one way a tensor's life
+// ends. It takes back everything handed out since the last one, in
+// request order, and ticks the generation; Poison reaches exactly what
+// it freed.
 func TestArenaResetRecyclesTheStep(t *testing.T) {
 	ar := NewArena()
 	a, b, c := ar.Get(2, 3), ar.Get(3, 2), ar.Get(5)
-	ar.Release(a)
 	if g := ar.Generation(); g != 0 {
 		t.Fatalf("generation %d before any Reset", g)
+	}
+	a.Fill(1)
+	ar.Poison()
+	if a.Data()[0] != 1 {
+		t.Fatal("Poison reached a tensor still handed out")
 	}
 	ar.Reset()
 	if g := ar.Generation(); g != 1 {
@@ -256,8 +262,8 @@ func TestArenaResetRecyclesTheStep(t *testing.T) {
 		}
 	}
 	x, y, z := ar.Get(6), ar.GetZeroed(6), ar.Get(6)
-	if !(x == a && y == b || x == b && y == a) || z == a || z == b {
-		t.Fatal("Reset did not return both six-element tensors, each once")
+	if x != a || y != b || z == a || z == b {
+		t.Fatal("Reset did not return both six-element tensors, each once, in request order")
 	}
 	for _, v := range y.Data() {
 		if v != 0 {
@@ -267,21 +273,9 @@ func TestArenaResetRecyclesTheStep(t *testing.T) {
 	if ar.Get(1, 5) != c {
 		t.Fatal("Reset did not return the five-element tensor")
 	}
-	ar.Release(x)
-	for name, f := range map[string]func(){
-		"second release":  func() { ar.Release(x) },
-		"foreign tensor":  func() { ar.Release(New(6)) },
-		"unknown size":    func() { ar.Release(New(7)) },
-		"after the reset": func() { ar.Reset(); ar.Release(y) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Release did not panic", name)
-				}
-			}()
-			f()
-		}()
+	ar.Reset()
+	if ar.Generation() != 2 || ar.Get(3, 2) != a || ar.Get(5, 1) != c {
+		t.Fatal("a second Reset did not recycle the same backing arrays")
 	}
 }
 
@@ -298,9 +292,89 @@ func TestNilArenaIsPlainAllocation(t *testing.T) {
 			t.Fatal("nil arena Get is New: zero-filled")
 		}
 	}
-	ar.Release(a, nil)
 	ar.Reset()
 	if ar.Generation() != 0 || a.Data()[0] != 0 {
-		t.Fatal("Release and Reset must do nothing on a nil arena")
+		t.Fatal("Reset must do nothing on a nil arena")
+	}
+	if c := ar.Get(2, 2); c == a || c == b {
+		t.Fatal("a nil arena recycled a tensor")
+	}
+}
+
+// TestArenasSurviveCollections: what a kernel call borrows outlasts
+// garbage collections — a bare sync.Pool loses it to two of them — and
+// the cache that keeps it never keeps more than its cap.
+func TestArenasSurviveCollections(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// A packed GEMM (49 KB of B panels) and a conv whose m = 6 keeps it on
+	// the reference path (221 KB of materialized columns).
+	a, b, out := Randn(rng, 0, 1, 64, 96), Randn(rng, 0, 1, 96, 128), New(64, 128)
+	w, x, y := Randn(rng, 0, 1, 6, 27), Randn(rng, 0, 1, 8, 3, 16, 16), New(6, 8*16*16)
+	if !gemmShouldPack(64, 96, 128) || gemmShouldPack(6, 27, 8*16*16) {
+		t.Fatal("the shapes no longer select the packed and the reference path")
+	}
+	kernels := func() {
+		Serial{}.MatMulInto(out, a, b)
+		Serial{}.ConvForwardInto(y, w, x, 3, 3, 1, 1)
+	}
+	collect := func() {
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+	}
+	// Two rounds: the first call may be served by an arena other than the
+	// one a serial caller finds once the per-P front has been emptied.
+	for i := 0; i < 2; i++ {
+		kernels()
+		collect()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	kernels()
+	runtime.ReadMemStats(&m1)
+	// The front's own bookkeeping is re-made after a collection: a few KB.
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 16<<10 {
+		t.Errorf("two kernel calls after three collections allocated %d B: a pack buffer was dropped", got)
+	}
+
+	// More borrowers at once than the cap, each borrowing again and again
+	// as a kernel does, writing to what it borrowed (the race detector sees
+	// an arena lent twice) and holding its last loan until all have one.
+	var c ArenaCache
+	lent := make([]*Arena, arenaCacheCap+8)
+	var wg sync.WaitGroup
+	for i := range lent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				ar := c.getLocal()
+				ar.Get(16).Fill(float32(i))
+				c.putLocal(ar)
+			}
+			lent[i] = c.getLocal()
+			lent[i].Get(16)
+		}()
+	}
+	wg.Wait()
+	seen := map[*Arena]bool{}
+	for _, ar := range lent {
+		if seen[ar] {
+			t.Fatal("one arena lent to two borrowers at once")
+		}
+		seen[ar] = true
+		c.putLocal(ar)
+	}
+	if len(c.kept) != arenaCacheCap {
+		t.Fatalf("cache keeps %d arenas, cap %d", len(c.kept), arenaCacheCap)
+	}
+	collect()
+	for range arenaCacheCap {
+		if ar := c.getLocal(); !slices.Contains(c.kept, ar) || len(ar.classes[16].bufs) != 1 {
+			t.Fatal("a kept arena did not survive the collections with its buffer")
+		}
+	}
+	if len(c.kept) != arenaCacheCap {
+		t.Fatalf("cache keeps %d arenas after re-borrowing, cap %d", len(c.kept), arenaCacheCap)
 	}
 }

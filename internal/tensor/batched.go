@@ -144,9 +144,8 @@ func matMulBatchDriver(pool *Pool, od, ad, bd []float32, g, m, k, n int,
 
 	pans, tiles := panelsOf(n), tilesOf(m)
 	bpStride := packedBLen(k, n)
-	ar := getPackArena()
-	bpT := ar.Get(g * bpStride)
-	bp := bpT.data
+	ar := packArenas.getLocal()
+	bp := ar.Get(g * bpStride).data
 	packRange := func(lo, hi int) {
 		for f := lo; f < hi; {
 			q, pan0 := f/pans, f%pans
@@ -160,29 +159,24 @@ func matMulBatchDriver(pool *Pool, od, ad, bd []float32, g, m, k, n int,
 			q, t0 := f/tiles, f%tiles
 			cnt := min(tiles-t0, hi-f)
 			adq := ad[q*aStride : (q+1)*aStride]
-			gemmPackedTilesInto(od[q*oStride:(q+1)*oStride], m, k, n,
+			gemmPackedTiles(od[q*oStride:(q+1)*oStride], m, k, n,
 				bp[q*bpStride:(q+1)*bpStride], t0, t0+cnt, ap,
 				func(ap []float32, i0, rows, p0, p1 int) { packA(ap, adq, i0, rows, p0, p1) })
 			f += cnt
 		}
 	}
 	if pool == nil {
-		apT := ar.Get(kcBlock * mrTile)
 		packRange(0, g*pans)
-		tileRange(apT.data, 0, g*tiles)
-		ar.Release(apT)
+		tileRange(ar.Get(kcBlock*mrTile).data, 0, g*tiles)
 	} else {
 		pool.ParallelFor(g*pans, rowGrain(k*nrTile, elemGrainElems), packRange)
 		pool.ParallelFor(g*tiles, rowGrain(mrTile*k*n, gemmGrainFlops), func(lo, hi int) {
-			war := getPackArena()
-			apT := war.Get(kcBlock * mrTile)
-			tileRange(apT.data, lo, hi)
-			war.Release(apT)
-			putPackArena(war)
+			war := packArenas.getLocal()
+			tileRange(war.Get(kcBlock*mrTile).data, lo, hi)
+			packArenas.putLocal(war)
 		})
 	}
-	ar.Release(bpT)
-	putPackArena(ar)
+	packArenas.putLocal(ar)
 }
 
 func matMulBatchDriverPlain(pool *Pool, od, ad, bd []float32, g, m, k, n int) {

@@ -1,7 +1,5 @@
 package tensor
 
-import "sync"
-
 // Packed GEMM engine. The kernel family (MatMul, MatMulTA, MatMulTB and
 // the fused im2col GEMMs) is built from one register-blocked microkernel
 // operating on panel-packed operands:
@@ -52,12 +50,9 @@ const (
 )
 
 // packArenas recycles packing buffers across GEMM calls and goroutines:
-// each kernel invocation borrows an Arena (scratch tensors keyed by
-// element count, see arena.go), so steady-state GEMMs allocate nothing.
-var packArenas = sync.Pool{New: func() any { return NewArena() }}
-
-func getPackArena() *Arena  { return packArenas.Get().(*Arena) }
-func putPackArena(a *Arena) { packArenas.Put(a) }
+// each kernel invocation borrows an Arena (see arena.go) for the length of
+// the call, so steady-state GEMMs allocate nothing, collections or not.
+var packArenas ArenaCache
 
 // gemmShouldPack reports whether an m×k×n GEMM takes the packed path.
 // The decision depends only on the problem shape, never on the backend,
@@ -187,22 +182,11 @@ func microGeneric(od []float32, ldo int, ap, bp []float32, pc, rows, w int, accu
 // --- drivers -----------------------------------------------------------------
 
 // gemmPackedTiles computes output row tiles [t0, t1) of an m×n GEMM from
-// pre-packed B panels. packA fills the caller-provided strip with one A
-// tile per (row tile, kc block); partitioning by whole row tiles keeps
-// every output element's accumulation on a single goroutine.
-func gemmPackedTiles(od []float32, m, k, n int, bp []float32, t0, t1 int,
-	packA func(ap []float32, i0, rows, p0, p1 int)) {
-	ar := getPackArena()
-	apT := ar.Get(kcBlock * mrTile)
-	gemmPackedTilesInto(od, m, k, n, bp, t0, t1, apT.data, packA)
-	ar.Release(apT)
-	putPackArena(ar)
-}
-
-// gemmPackedTilesInto is gemmPackedTiles with a caller-provided A strip
-// (kcBlock*mrTile floats): batched drivers hoist the arena borrow once
-// per batch instead of once per instance.
-func gemmPackedTilesInto(od []float32, m, k, n int, bp []float32, t0, t1 int, ap []float32,
+// pre-packed B panels. packA fills ap, a caller-provided strip of
+// kcBlock*mrTile floats, with one A tile per (row tile, kc block);
+// partitioning by whole row tiles keeps every output element's
+// accumulation on a single goroutine.
+func gemmPackedTiles(od []float32, m, k, n int, bp []float32, t0, t1 int, ap []float32,
 	packA func(ap []float32, i0, rows, p0, p1 int)) {
 	pans := panelsOf(n)
 	for t := t0; t < t1; t++ {
@@ -235,22 +219,22 @@ func gemmPackedTilesInto(od []float32, m, k, n int, bp []float32, t0, t1 int, ap
 func gemmRun(pool *Pool, od []float32, m, k, n int,
 	packB func(bp []float32, pan0, pan1 int),
 	packA func(ap []float32, i0, rows, p0, p1 int)) {
-	ar := getPackArena()
-	bpT := ar.Get(packedBLen(k, n))
-	bp := bpT.data
+	ar := packArenas.getLocal()
+	bp := ar.Get(packedBLen(k, n)).data
 	pans := panelsOf(n)
 	tiles := tilesOf(m)
 	if pool == nil {
 		packB(bp, 0, pans)
-		gemmPackedTiles(od, m, k, n, bp, 0, tiles, packA)
+		gemmPackedTiles(od, m, k, n, bp, 0, tiles, ar.Get(kcBlock*mrTile).data, packA)
 	} else {
 		pool.ParallelFor(pans, rowGrain(k*nrTile, elemGrainElems), func(lo, hi int) {
 			packB(bp, lo, hi)
 		})
 		pool.ParallelFor(tiles, rowGrain(mrTile*k*n, gemmGrainFlops), func(lo, hi int) {
-			gemmPackedTiles(od, m, k, n, bp, lo, hi, packA)
+			war := packArenas.getLocal()
+			gemmPackedTiles(od, m, k, n, bp, lo, hi, war.Get(kcBlock*mrTile).data, packA)
+			packArenas.putLocal(war)
 		})
 	}
-	ar.Release(bpT)
-	putPackArena(ar)
+	packArenas.putLocal(ar)
 }

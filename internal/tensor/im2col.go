@@ -285,7 +285,7 @@ func im2colPackPanelsT(bp, xd []float32, g convGeom, pan0, pan1 int) {
 // recycled scratch and run the reference GEMM. Identical bits either way.
 func convForwardDriver(pool *Pool, od, wd, xd []float32, g convGeom, m, k, n int) {
 	if !gemmShouldPack(m, k, n) {
-		ar := getPackArena()
+		ar := packArenas.getLocal()
 		cols := ar.Get(k, n)
 		im2colRows(cols.data, xd, g.n, g.c, g.h, g.w, g.kh, g.kw, g.oh, g.ow, g.stride, g.pad, 0, k)
 		if pool == nil {
@@ -295,8 +295,7 @@ func convForwardDriver(pool *Pool, od, wd, xd []float32, g convGeom, m, k, n int
 				matMulRowsRef(od, wd, cols.data, k, n, lo, hi)
 			})
 		}
-		ar.Release(cols)
-		putPackArena(ar)
+		packArenas.putLocal(ar)
 		return
 	}
 	gemmRun(pool, od, m, k, n,
@@ -307,7 +306,7 @@ func convForwardDriver(pool *Pool, od, wd, xd []float32, g convGeom, m, k, n int
 // convGradWeightDriver computes out = grad·im2col(x)ᵀ, likewise fused.
 func convGradWeightDriver(pool *Pool, od, gd, xd []float32, g convGeom, m, k, n int) {
 	if !gemmShouldPack(m, k, n) {
-		ar := getPackArena()
+		ar := packArenas.getLocal()
 		cols := ar.Get(n, k) // [K, S]: the TB operand's natural layout
 		im2colRows(cols.data, xd, g.n, g.c, g.h, g.w, g.kh, g.kw, g.oh, g.ow, g.stride, g.pad, 0, n)
 		if pool == nil {
@@ -317,8 +316,7 @@ func convGradWeightDriver(pool *Pool, od, gd, xd []float32, g convGeom, m, k, n 
 				matMulTBRowsRef(od, gd, cols.data, k, n, lo, hi)
 			})
 		}
-		ar.Release(cols)
-		putPackArena(ar)
+		packArenas.putLocal(ar)
 		return
 	}
 	gemmRun(pool, od, m, k, n,
