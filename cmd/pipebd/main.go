@@ -97,6 +97,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -106,6 +107,59 @@ import (
 	"pipebd/internal/hw"
 	"pipebd/internal/tensor"
 )
+
+// clusterModeFlags are the flags only a cluster run reads; the value says
+// whether a -resume reads the flag too.
+var clusterModeFlags = map[string]bool{
+	"cluster-plan":      true,
+	"cluster-model":     true,
+	"cluster-steps":     true,
+	"topology":          true,
+	"cluster-timeout":   true,
+	"max-restarts":      true,
+	"cluster-heartbeat": true,
+	"fsync":             true,
+	"repartition":       true,
+	"verify":            true,
+	"cluster-batch":     false,
+	"cluster-dpu":       false,
+	"retry-budget":      false,
+	"ledger":            false,
+	"snapshot-interval": false,
+	"chaos-kills":       false,
+	"chaos-seed":        false,
+	"chaos-flaps":       false,
+	"chaos-partition":   false,
+	"trace-out":         false,
+	"net-stats":         false,
+	"debug-addr":        false,
+}
+
+// checkModeFlags rejects explicitly set cluster-mode flags in a mode that
+// would silently ignore them: experiment mode reads none of them, and a
+// -resume without -cluster only those marked in clusterModeFlags. The
+// error names every offending flag, in sorted order.
+func checkModeFlags(explicit map[string]bool, cluster, resume bool) error {
+	if cluster {
+		return nil
+	}
+	var stray []string
+	needs := "-cluster or -resume"
+	for name, resumeReads := range clusterModeFlags {
+		if !explicit[name] || resume && resumeReads {
+			continue
+		}
+		stray = append(stray, "-"+name)
+		if !resumeReads {
+			needs = "-cluster"
+		}
+	}
+	if len(stray) == 0 {
+		return nil
+	}
+	sort.Strings(stray)
+	return fmt.Errorf("%s: set without %s", strings.Join(stray, ", "), needs)
+}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: fig2|fig4|fig5|fig6|fig7|table1|table2|all")
@@ -160,28 +214,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *clusterAddrs == "" {
-		for flagName, set := range map[string]bool{
-			"-trace-out":  *traceOut != "",
-			"-net-stats":  *netStats,
-			"-debug-addr": *debugAddr != "",
-		} {
-			if set {
-				fmt.Fprintf(os.Stderr, "pipebd: %s requires -cluster\n", flagName)
-				os.Exit(2)
-			}
-		}
-	}
-	if *clusterAddrs == "" && *resumeDir == "" {
-		for flagName, set := range map[string]bool{
-			"-repartition": *repartition,
-			"-fsync":       *fsync != "none",
-		} {
-			if set {
-				fmt.Fprintf(os.Stderr, "pipebd: %s requires -cluster or -resume\n", flagName)
-				os.Exit(2)
-			}
-		}
+	// Flags set explicitly on the command line, as opposed to resting at
+	// their defaults: one the selected mode never reads is an error, and a
+	// -resume alongside e.g. -cluster-plan tr means the user *expects* the
+	// ledger to hold that plan — a silent mismatch would resume a different
+	// run than intended.
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	if err := checkModeFlags(explicit, *clusterAddrs != "", *resumeDir != ""); err != nil {
+		fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
+		os.Exit(2)
 	}
 	fsyncPolicy, err := ledger.ParseSyncPolicy(*fsync)
 	if err != nil {
@@ -189,12 +231,6 @@ func main() {
 		os.Exit(2)
 	}
 	repartCfg := cluster.RepartitionConfig{Enabled: *repartition}
-	// Flags set explicitly on the command line, as opposed to resting at
-	// their defaults: a -resume alongside e.g. -cluster-plan tr means the
-	// user *expects* the ledger to hold that plan, and a silent mismatch
-	// would resume a different run than intended.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	if *compactDir != "" {
 		if err := ledger.Compact(*compactDir); err != nil {

@@ -58,6 +58,61 @@ func TestClusterOptionsValidate(t *testing.T) {
 	}
 }
 
+// TestCheckModeFlags: a cluster-mode flag set in a mode that would ignore
+// it is an error naming every such flag in sorted order; -cluster accepts
+// them all, -resume those it reads.
+func TestCheckModeFlags(t *testing.T) {
+	set := func(names ...string) map[string]bool {
+		m := map[string]bool{}
+		for _, n := range names {
+			m[n] = true
+		}
+		return m
+	}
+	for name, resumeReads := range clusterModeFlags {
+		err := checkModeFlags(set(name, "exp"), false, false)
+		want := "-" + name + ": set without -cluster"
+		if resumeReads {
+			want += " or -resume"
+		}
+		if err == nil || err.Error() != want {
+			t.Errorf("-%s alone: got %v, want %q", name, err, want)
+		}
+		if err := checkModeFlags(set(name), true, false); err != nil {
+			t.Errorf("-%s with -cluster: %v", name, err)
+		}
+		if err := checkModeFlags(set(name), false, true); (err == nil) != resumeReads {
+			t.Errorf("-%s with -resume (which reads it: %v): got %v", name, resumeReads, err)
+		}
+	}
+	cases := []struct {
+		flags           []string
+		cluster, resume bool
+		want            string // "" for nil
+	}{
+		{[]string{"exp", "quick", "backend"}, false, false, ""},
+		{[]string{"verify", "max-restarts"}, false, false, "-max-restarts, -verify: set without -cluster or -resume"},
+		{[]string{"verify", "ledger", "max-restarts", "chaos-kills"}, false, false,
+			"-chaos-kills, -ledger, -max-restarts, -verify: set without -cluster"},
+		{[]string{"verify", "ledger", "max-restarts", "chaos-kills"}, true, false, ""},
+		{[]string{"verify", "ledger", "max-restarts", "chaos-kills"}, true, true, ""},
+		{[]string{"verify", "ledger", "max-restarts", "chaos-kills"}, false, true, "-chaos-kills, -ledger: set without -cluster"},
+		{[]string{"verify", "cluster-plan", "fsync"}, false, true, ""},
+	}
+	for _, c := range cases {
+		// Map iteration order differs between calls: the message must not.
+		for i := 0; i < 20; i++ {
+			got := ""
+			if err := checkModeFlags(set(c.flags...), c.cluster, c.resume); err != nil {
+				got = err.Error()
+			}
+			if got != c.want {
+				t.Fatalf("%v cluster=%v resume=%v: got %q, want %q", c.flags, c.cluster, c.resume, got, c.want)
+			}
+		}
+	}
+}
+
 // TestRunResumeBadLedgerDir: -resume against a missing or empty directory
 // must fail with a clean error, not hang dialing workers.
 func TestRunResumeBadLedgerDir(t *testing.T) {

@@ -195,7 +195,7 @@
 // snapshot writes, ledger appends) on per-goroutine tracks over the
 // sim.Category taxonomy. Tracing is off by default and near-free when
 // disabled — one nil check plus one atomic load per site, no allocation
-// — guarded by TestDisabledTracingOverhead and the TraceOverhead bench.
+// — guarded by TestDisabledTracingOverhead.
 // Cluster workers ship span batches to the coordinator at step
 // boundaries over a dedicated wire frame (codec v5) or dump locally
 // (pipebd-worker -trace-dir). Exports: Chrome trace-event JSON (pipebd
@@ -209,13 +209,8 @@
 // internal/testutil.
 //
 // See README.md for the quickstart and architecture inventory and
-// ROADMAP.md for open items. The benchmarks in bench_test.go regenerate
-// each table and figure under `go test -bench`; cmd/pipebd-bench captures
-// kernel (including the skinny batched attention GEMMs), pipeline-step
-// (conv and transformer), trace-overhead, cluster-recovery,
-// coordinator-resume, hub-vs-ring topology throughput (with per-role
-// coordinator/peer bytes-per-step), the straggler
-// static-vs-repartition latency pair, and the fault-recovery
-// absorb-vs-global-cut latency pair as JSON, and BenchmarkMatMul in
-// internal/tensor compares the backends directly.
+// ROADMAP.md for open items. The benchmark of record is
+// `go run ./benchmark`; kernel and layer benchmarks sit beside their code:
+//
+//	go test -run '^$' -bench . -benchtime 1x ./internal/tensor/ ./internal/nn/
 package pipebd

@@ -208,22 +208,51 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 }
 
-// BenchmarkConvTrainStep measures a full forward+backward step, the unit
-// of work runMember executes per block; arena reuse makes the steady
-// state allocation-light.
-func BenchmarkConvTrainStep(b *testing.B) {
+// benchTrainStep times a full forward+backward step of l, the unit of
+// work runMember executes per block, on an input (and an output gradient)
+// of the given shape.
+func benchTrainStep(b *testing.B, l Layer, shape ...int) {
+	x := tensor.Rand(rand.New(rand.NewSource(2)), -1, 1, shape...)
+	grad := tensor.Rand(rand.New(rand.NewSource(3)), -1, 1, shape...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Forward(x, true)
+		ZeroGrads(l.Params())
+		l.Backward(grad)
+	}
+}
+
+// benchTrainStepBackends runs benchTrainStep on a fresh layer per backend.
+func benchTrainStepBackends(b *testing.B, mk func() Layer, shape ...int) {
 	for _, name := range []string{"serial", "parallel"} {
 		be, _ := tensor.Lookup(name)
-		conv := NewConv2d(rand.New(rand.NewSource(1)), 32, 32, 3, 1, 1, true)
-		ApplyBackend(conv, be)
-		x := tensor.Rand(rand.New(rand.NewSource(2)), -1, 1, 8, 32, 14, 14)
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out := conv.Forward(x, true)
-				ZeroGrads(conv.Params())
-				conv.Backward(out)
-			}
-		})
+		l := mk()
+		ApplyBackend(l, be)
+		b.Run(name, func(b *testing.B) { benchTrainStep(b, l, shape...) })
 	}
+}
+
+func BenchmarkConvTrainStep(b *testing.B) {
+	benchTrainStepBackends(b, func() Layer {
+		return NewConv2d(rand.New(rand.NewSource(1)), 32, 32, 3, 1, 1, true)
+	}, 8, 32, 14, 14)
+}
+
+func BenchmarkAttentionTrainStep(b *testing.B) {
+	benchTrainStepBackends(b, func() Layer {
+		return NewMultiHeadAttention(rand.New(rand.NewSource(1)), 64, 4)
+	}, 16, 16, 64)
+}
+
+// BenchmarkDWConvTrainStep and BenchmarkReLUTrainStep time the depthwise
+// conv and the ReLU of the depthwise-separable student at the conv_inproc
+// geometry of `go run ./benchmark`. Both run the same code on every
+// backend, so they are timed once.
+func BenchmarkDWConvTrainStep(b *testing.B) {
+	benchTrainStep(b, NewDWConv2d(rand.New(rand.NewSource(1)), 16, 3, 1, 1, false), 16, 16, 16, 16)
+}
+
+func BenchmarkReLUTrainStep(b *testing.B) {
+	benchTrainStep(b, NewReLU(), 16, 16, 16, 16)
 }

@@ -1,33 +1,97 @@
 package tensor_test
 
-// Kernel benchmarks live in the shared registry (internal/bench) so this
-// harness and cmd/pipebd-bench measure identical definitions; this file
-// only adapts them to go test -bench. At GOMAXPROCS >= 4 the parallel
-// backend is expected to beat serial on the larger GEMMs; on a
-// single-core host the two collapse to the same packed kernels.
+// Kernel benchmarks for what `go run ./benchmark` does not time in
+// isolation: the GEMM-family sweep and the skinny batched attention
+// GEMMs, each on the serial and the parallel backend. The parallel
+// backend's pool is sized by GOMAXPROCS, so run them at the width to be
+// measured (GOMAXPROCS=4 go test -run '^$' -bench . ./internal/tensor/);
+// on a single-core host the two backends collapse to the same packed
+// kernels.
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
-	"pipebd/internal/bench"
+	"pipebd/internal/tensor"
 )
 
-func runCases(b *testing.B, cases []bench.Case) {
-	for _, c := range cases {
-		c := c
-		b.Run(fmt.Sprintf("%s/%s", c.Name, c.Backend), func(b *testing.B) {
-			if c.Bytes > 0 {
-				b.SetBytes(c.Bytes)
+// benchBackends runs op as one sub-benchmark per backend. macs, when
+// non-zero, is the multiply-accumulates of one call; throughput is
+// reported by the GEMM convention of 2·macs·4 bytes per call.
+func benchBackends(b *testing.B, shape string, macs int, op func(be tensor.Backend)) {
+	for _, name := range []string{"serial", "parallel"} {
+		be, _ := tensor.Lookup(name)
+		b.Run(shape+"/"+name, func(b *testing.B) {
+			b.SetBytes(int64(2 * macs * 4))
+			for i := 0; i < b.N; i++ {
+				op(be)
 			}
-			c.Run(b)
 		})
 	}
 }
 
-// BenchmarkKernels sweeps the GEMM-family kernels per backend.
-func BenchmarkKernels(b *testing.B) { runCases(b, bench.Kernel(testing.Short())) }
+// square returns two random n×n operands and an n×n destination.
+func square(n int) (dst, x, y *tensor.Tensor) {
+	rng := rand.New(rand.NewSource(1))
+	return tensor.New(n, n), tensor.Rand(rng, -1, 1, n, n), tensor.Rand(rng, -1, 1, n, n)
+}
 
-// BenchmarkConvLayers measures Conv2d forward and forward+backward via
-// the fused im2col GEMMs.
-func BenchmarkConvLayers(b *testing.B) { runCases(b, bench.Conv(testing.Short())) }
+func BenchmarkMatMul(b *testing.B) {
+	for _, n := range []int{128, 256, 512} {
+		dst, x, y := square(n)
+		benchBackends(b, fmt.Sprintf("%dx%dx%d", n, n, n), n*n*n, func(be tensor.Backend) {
+			be.MatMulInto(dst, x, y)
+		})
+	}
+}
+
+// BenchmarkMatMulTA and BenchmarkMatMulTB time the transposed variants
+// that dominate the Linear and Conv2d backward passes.
+func BenchmarkMatMulTA(b *testing.B) {
+	dst, x, y := square(256)
+	benchBackends(b, "256x256x256", 256*256*256, func(be tensor.Backend) {
+		be.MatMulTAInto(dst, x, y)
+	})
+}
+
+func BenchmarkMatMulTB(b *testing.B) {
+	dst, x, y := square(256)
+	benchBackends(b, "256x256x256", 256*256*256, func(be tensor.Backend) {
+		be.MatMulTBInto(dst, x, y)
+	})
+}
+
+func BenchmarkIm2Col(b *testing.B) {
+	const n, c, hw = 8, 32, 28
+	x := tensor.Rand(rand.New(rand.NewSource(3)), -1, 1, n, c, hw, hw)
+	out := tensor.New(c*3*3, n*hw*hw)
+	benchBackends(b, "8x32x28x28", 0, func(be tensor.Backend) {
+		be.Im2ColInto(out, x, 3, 3, 1, 1)
+	})
+}
+
+// The attention GEMMs are g = batch·heads instances of seq-len rows
+// each: the skinny shapes a per-instance m ≥ 8 dispatch floor would
+// strand on the reference path.
+const attnG, attnL, attnDh = 64, 16, 16
+
+func BenchmarkAttnScoresBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	q := tensor.Rand(rng, -1, 1, attnG, attnL, attnDh)
+	k := tensor.Rand(rng, -1, 1, attnG, attnL, attnDh)
+	scores := tensor.New(attnG, attnL, attnL)
+	benchBackends(b, "64x16x16", attnG*attnL*attnL*attnDh, func(be tensor.Backend) {
+		be.MatMulTBBatchInto(scores, q, k)
+	})
+}
+
+func BenchmarkAttnContextBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	probs := tensor.Rand(rng, 0, 1, attnG, attnL, attnL)
+	v := tensor.Rand(rng, -1, 1, attnG, attnL, attnDh)
+	ctx := tensor.New(attnG, attnL, attnDh)
+	benchBackends(b, "64x16x16x16", attnG*attnL*attnL*attnDh, func(be tensor.Backend) {
+		be.MatMulBatchInto(ctx, probs, v)
+	})
+}
