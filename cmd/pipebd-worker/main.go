@@ -78,7 +78,6 @@ func newWorker(args []string, stdout io.Writer) (*workerApp, error) {
 	sessions := fs.Int("sessions", 0, "coordinator sessions to serve before exiting (0: forever)")
 	rejoin := fs.Bool("rejoin", false, "only count successful sessions toward -sessions, so the worker survives dropped sessions and re-joins the coordinator's recovery")
 	backend := fs.String("backend", "", "process-default tensor backend: "+strings.Join(tensor.Backends(), "|")+" (coordinator may override per session)")
-	workers := fs.Int("workers", 0, "parallel-backend worker count (0: GOMAXPROCS)")
 	slowdown := fs.Int("slowdown", 1, "throttle this worker's compute by the given factor (sleep (N-1)x each kernel's duration) — a bit-identical straggler for exercising -repartition; 1 disables")
 	quiet := fs.Bool("quiet", false, "suppress per-session progress output")
 	traceDir := fs.String("trace-dir", "", "trace every session's spans locally and dump each completed session as a Chrome trace JSON file in this directory")
@@ -98,15 +97,7 @@ func newWorker(args []string, stdout io.Writer) (*workerApp, error) {
 	if *sessions < 0 {
 		return nil, fmt.Errorf("-sessions must be >= 0, got %d", *sessions)
 	}
-	if *workers < 0 {
-		return nil, fmt.Errorf("-workers must be >= 0, got %d", *workers)
-	}
-	if *workers > 0 && *backend != "" && *backend != "parallel" {
-		return nil, fmt.Errorf("-workers only applies to -backend parallel (got -backend %s)", *backend)
-	}
-	if *workers > 0 {
-		tensor.SetDefault(tensor.NewParallel(*workers))
-	} else if *backend != "" {
+	if *backend != "" {
 		be, ok := tensor.Lookup(*backend)
 		if !ok {
 			return nil, fmt.Errorf("unknown backend %q (want %s)", *backend, strings.Join(tensor.Backends(), " or "))
@@ -136,8 +127,8 @@ func newWorker(args []string, stdout io.Writer) (*workerApp, error) {
 		return nil, fmt.Errorf("-slowdown must be >= 1, got %d", *slowdown)
 	}
 	if *slowdown > 1 {
-		// Throttling wraps the process default (which -backend/-workers
-		// already set above) and overrides any per-session backend choice:
+		// Throttling wraps the process default (which -backend already
+		// set above) and overrides any per-session backend choice:
 		// this worker models a uniformly slower machine.
 		cfg.Backend = tensor.NewThrottled(tensor.Default(), *slowdown)
 		fmt.Fprintf(stdout, "pipebd-worker: compute throttled %dx (straggler mode)\n", *slowdown)

@@ -19,13 +19,12 @@ import (
 
 func TestNewWorkerFlagErrors(t *testing.T) {
 	cases := [][]string{
-		{"-listen"},                             // missing value
-		{"-sessions", "-1"},                     // negative sessions
-		{"-workers", "-2"},                      // negative pool
-		{"-workers", "4", "-backend", "serial"}, // pool without parallel backend
-		{"-backend", "cuda"},                    // unknown backend
-		{"extra-arg"},                           // positional junk
-		{"-listen", "notaport"},                 // unbindable address
+		{"-listen"},             // missing value
+		{"-sessions", "-1"},     // negative sessions
+		{"-workers", "4"},       // retired flag
+		{"-backend", "cuda"},    // unknown backend
+		{"extra-arg"},           // positional junk
+		{"-listen", "notaport"}, // unbindable address
 	}
 	for _, args := range cases {
 		if w, err := newWorker(args, &strings.Builder{}); err == nil {

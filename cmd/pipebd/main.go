@@ -8,8 +8,7 @@
 //	pipebd -exp all                  # everything
 //	pipebd -exp fig4 -system 2080ti  # alternative hardware
 //	pipebd -exp table2 -quick        # truncated epochs, skip accuracy proxy
-//	pipebd -exp table2 -backend parallel            # multi-core numeric engine
-//	pipebd -exp table2 -backend parallel -workers 8 # explicit pool size
+//	pipebd -exp table2 -backend parallel # multi-core numeric engine
 //
 // Cluster mode trains the numeric workbench across pipebd-worker
 // processes instead of running experiments:
@@ -87,7 +86,7 @@
 // The -backend flag selects the tensor compute backend for every numeric
 // (real float32 training) portion of the experiments: "serial" is the
 // single-threaded reference, "parallel" row-partitions GEMMs across a
-// bounded worker pool sized by GOMAXPROCS (override with -workers N).
+// bounded worker pool sized by GOMAXPROCS.
 // Backends are bit-identical by contract, so results never depend on the
 // choice — only wall-clock does.
 package main
@@ -169,7 +168,6 @@ func main() {
 	chart := flag.Bool("chart", false, "append ASCII charts to figure output")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	backend := flag.String("backend", "serial", "tensor compute backend: "+strings.Join(tensor.Backends(), "|"))
-	workers := flag.Int("workers", 0, "parallel-backend worker count (0: GOMAXPROCS)")
 	clusterAddrs := flag.String("cluster", "", "comma-separated pipebd-worker addresses; enables cluster training mode")
 	clusterPlanName := flag.String("cluster-plan", "hybrid", "cluster schedule: tr|tr3|hybrid|ir|dp3")
 	clusterModel := flag.String("cluster-model", "tiny", "cluster workload: tiny (conv compression workbench) or transformer (encoder blocks with KL logit distillation)")
@@ -197,17 +195,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "cluster mode: serve net/http/pprof and a plain-text /metrics page on this address for the duration of the run")
 	flag.Parse()
 
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "pipebd: -workers must be >= 0, got %d\n", *workers)
-		os.Exit(2)
-	}
-	if *workers > 0 && *backend != "parallel" {
-		fmt.Fprintf(os.Stderr, "pipebd: -workers only applies to -backend parallel (got -backend %s)\n", *backend)
-		os.Exit(2)
-	}
-	if *workers > 0 {
-		tensor.SetDefault(tensor.NewParallel(*workers))
-	} else if be, ok := tensor.Lookup(*backend); ok {
+	if be, ok := tensor.Lookup(*backend); ok {
 		tensor.SetDefault(be)
 	} else {
 		fmt.Fprintf(os.Stderr, "pipebd: unknown backend %q (want %s)\n", *backend, strings.Join(tensor.Backends(), " or "))

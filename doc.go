@@ -24,7 +24,7 @@
 // element's floating-point accumulation sequence intact — so the
 // engine's bit-equivalence guarantees hold on every backend, and backend
 // choice (tensor.SetDefault, engine.Config.Backend, or cmd/pipebd's
-// -backend/-workers flags) is purely a throughput knob. Each device loop
+// -backend flag) is purely a throughput knob. Each device loop
 // draws every layer output, backward cache and gradient from a private
 // tensor.Arena it resets before each block's step, so steps after the
 // first allocate nothing but the activation that crosses to the next

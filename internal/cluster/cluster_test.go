@@ -182,30 +182,6 @@ func TestClusterMatchesPipelinedAcrossPlans(t *testing.T) {
 	}
 }
 
-// TestClusterSupernetSpec runs the mini-NAS workbench through the
-// cluster: a different architecture (MixedOp students) exercising the
-// spec registry, with the same bit-equivalence requirement.
-func TestClusterSupernetSpec(t *testing.T) {
-	cfg := distill.DefaultSupernetConfig()
-	data := dataset.NewRandom(rand.New(rand.NewSource(9)), 4*8, 3, cfg.Height, cfg.Width, 4)
-	batches := data.Batches(8)
-	p := plan("supernet", g([]int{0, 1}, []int{0}), g([]int{2}, []int{1, 2}))
-
-	ref := distill.NewTinySupernetWorkbench(cfg)
-	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
-
-	net := transport.NewLoopback()
-	addrs := startWorkers(t, net, 2, WorkerConfig{Sessions: 1})
-	w := distill.NewTinySupernetWorkbench(cfg)
-	res, err := Run(net, addrs, w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Spec: SupernetSpec(cfg)})
-	if err != nil {
-		t.Fatalf("supernet cluster run: %v", err)
-	}
-	lossesBitIdentical(t, "supernet", res, refRes)
-	weightsBitIdentical(t, "supernet", w, ref)
-}
-
 // TestClusterSnapshotOverridesDrift: the coordinator's workbench weights
 // (not the spec's fresh initialization) are what the cluster trains —
 // verified by perturbing the coordinator's weights first.

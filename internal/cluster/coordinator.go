@@ -16,7 +16,6 @@ import (
 	"pipebd/internal/engine"
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
-	"pipebd/internal/sim"
 	"pipebd/internal/tensor"
 )
 
@@ -1037,18 +1036,14 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		spans := make([]obs.Span, len(b.Spans))
-		for i, s := range b.Spans {
-			spans[i] = obs.Span{Name: s.Name, Cat: sim.Category(s.Cat), Start: s.Start, Dur: s.Dur}
-		}
 		// Sink delivery and repartition aggregation happen here on the
 		// reader goroutine, outside r.mu — span batches never contend
 		// with the data plane.
 		if r.co.cfg.Trace {
-			r.co.cfg.TraceSink(b.Track, spans)
+			r.co.cfg.TraceSink(b.Track, b.Spans)
 		}
 		if r.repart != nil {
-			r.observeSpans(b.Track, spans)
+			r.observeSpans(b.Track, b.Spans)
 		}
 		return nil
 	case wire.KindFinalParams:

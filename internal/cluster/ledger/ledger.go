@@ -332,9 +332,6 @@ type Ledger struct {
 	unsynced int64 // records written since the last fsync
 }
 
-// Dir returns the ledger's directory.
-func (l *Ledger) Dir() string { return l.dir }
-
 // SetSync installs the record-log durability tier for subsequent Appends.
 // The default is SyncNone. Raising the tier mid-stream is safe: the next
 // qualifying Append (or Close) also covers every record written before
@@ -347,13 +344,6 @@ func (l *Ledger) SetSync(p SyncPolicy) error {
 	defer l.mu.Unlock()
 	l.sync = p
 	return nil
-}
-
-// Sync returns the ledger's current durability tier.
-func (l *Ledger) Sync() SyncPolicy {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sync
 }
 
 // Create initializes dir as a fresh ledger: it writes the manifest via

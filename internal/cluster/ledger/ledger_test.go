@@ -362,9 +362,6 @@ func TestSetSyncRejectsInvalid(t *testing.T) {
 	if err := led.SetSync(SyncPolicy{Mode: SyncAlways}); err != nil {
 		t.Fatalf("valid policy rejected: %v", err)
 	}
-	if got := led.Sync(); got.Mode != SyncAlways {
-		t.Fatalf("Sync() = %+v", got)
-	}
 }
 
 // TestTornTailRecoversOnSyncedLogs re-runs the byte-level torn-tail sweep

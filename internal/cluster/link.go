@@ -236,11 +236,7 @@ func (l *clusterLink) flushSpans() {
 		l.sink(l.trace.Name(), spans, dropped)
 	}
 	if l.shipSpans && len(spans) > 0 {
-		ws := make([]wire.Span, len(spans))
-		for i, s := range spans {
-			ws[i] = wire.Span{Name: s.Name, Cat: int32(s.Cat), Start: s.Start, Dur: s.Dur}
-		}
-		l.out.Enqueue(wire.EncodeSpans(wire.SpanBatch{Dev: l.dev, Track: l.trace.Name(), Spans: ws}))
+		l.out.Enqueue(wire.EncodeSpans(wire.SpanBatch{Dev: l.dev, Track: l.trace.Name(), Spans: spans}))
 	}
 }
 

@@ -3,8 +3,8 @@ package cluster
 // Measurement-driven dynamic repartitioning (the runtime half of ROADMAP
 // item 4's rebalancing): the coordinator folds the span batches workers
 // already ship (wire v5) into per-device measured step times, re-derives
-// the contiguous plan from those measurements (sched.Replan over a
-// profilegen.FromMeasured-shaped cost table), and — when the predicted
+// the contiguous plan from those measurements (sched.Replan over the
+// measured per-block costs), and — when the predicted
 // improvement clears a threshold for enough consecutive evaluations —
 // executes a planned global cut at a synchronous step boundary through
 // the same attempt driver every recovery uses (driver.go), then resumes

@@ -134,13 +134,6 @@ func TinySpec(cfg distill.TinyConfig) wire.ModelSpec {
 		Channels: cfg.Channels, Height: cfg.Height, Width: cfg.Width, Classes: cfg.Classes}
 }
 
-// SupernetSpec describes the mini-NAS workbench (MixedOp students) as a
-// wire model spec.
-func SupernetSpec(cfg distill.SupernetConfig) wire.ModelSpec {
-	return wire.ModelSpec{Name: "supernet", Seed: cfg.Seed, Blocks: cfg.Blocks,
-		Channels: cfg.Channels, Height: cfg.Height, Width: cfg.Width}
-}
-
 // TransformerSpec describes the transformer workbench (encoder-layer
 // blocks, KL logit distillation) as a wire model spec. The hidden width
 // rides the Channels field; the attention/MLP/sequence geometry uses the
@@ -162,10 +155,6 @@ func BuildWorkbench(spec wire.ModelSpec) (*distill.Workbench, error) {
 		return distill.NewTinyWorkbench(distill.TinyConfig{Seed: spec.Seed,
 			Blocks: spec.Blocks, Channels: spec.Channels, Height: spec.Height,
 			Width: spec.Width, Classes: spec.Classes}), nil
-	case "supernet":
-		return distill.NewTinySupernetWorkbench(distill.SupernetConfig{Seed: spec.Seed,
-			Blocks: spec.Blocks, Channels: spec.Channels, Height: spec.Height,
-			Width: spec.Width}), nil
 	case "transformer":
 		return distill.NewTransformerWorkbench(distill.TransformerConfig{Seed: spec.Seed,
 			Blocks: spec.Blocks, Dim: spec.Channels, Heads: spec.Heads,
@@ -173,7 +162,7 @@ func BuildWorkbench(spec wire.ModelSpec) (*distill.Workbench, error) {
 			SeqLen: spec.SeqLen, Vocab: spec.Vocab, Classes: spec.Classes,
 			Temp: spec.Temp}), nil
 	default:
-		return nil, fmt.Errorf("cluster: unknown model spec %q (want tiny, supernet, or transformer)", spec.Name)
+		return nil, fmt.Errorf("cluster: unknown model spec %q (want tiny or transformer)", spec.Name)
 	}
 }
 

@@ -225,13 +225,13 @@ func TestSpanLossIsCounted(t *testing.T) {
 	track := obs.NewTracer(true).NewTrack("dev0")
 	link := &clusterLink{trace: track, sink: worker.spanSink(collect)}
 
-	track.Point(obs.CatWait, "kept")
+	track.Begin(obs.CatWait, "kept").End()
 	link.flushSpans()
 	if got := metrics.Counter("spans_dropped").Load(); got != 0 {
 		t.Fatalf("spans_dropped = %d before any overflow", got)
 	}
 	for track.Dropped() < 7 {
-		track.Point(obs.CatWait, "flood")
+		track.Begin(obs.CatWait, "flood").End()
 	}
 	link.flushSpans()
 	if got := metrics.Counter("spans_dropped").Load(); got != 7 {
@@ -240,7 +240,7 @@ func TestSpanLossIsCounted(t *testing.T) {
 	if sum := collect.String(); !strings.Contains(sum, ", 7 dropped") {
 		t.Fatalf("collector summary %q does not report the 7 dropped spans", sum)
 	}
-	track.Point(obs.CatWait, "kept")
+	track.Begin(obs.CatWait, "kept").End()
 	link.flushSpans()
 	if got := metrics.Counter("spans_dropped").Load(); got != 7 {
 		t.Fatalf("spans_dropped = %d after a flush with no new drops, want 7", got)

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 
 	"pipebd/internal/dataset"
+	"pipebd/internal/obs"
 	"pipebd/internal/sched"
+	"pipebd/internal/sim"
 	"pipebd/internal/tensor"
 )
 
@@ -19,7 +21,7 @@ import (
 // geometry — attention heads, per-side MLP widths, sequence length,
 // vocabulary, and the KL temperature of the logit block.
 type ModelSpec struct {
-	Name     string // registry name, e.g. "tiny", "supernet", or "transformer"
+	Name     string // registry name, "tiny" or "transformer"
 	Seed     int64
 	Blocks   int
 	Channels int
@@ -390,15 +392,6 @@ func DecodePlan(b []byte) (sched.Plan, error) {
 // cut after step `cut` and restarts on plan p.
 func EncodeRepartition(cut int32, p sched.Plan) *Frame {
 	return &Frame{Kind: KindRepartition, Dev: NoDev, Step: cut, Payload: EncodePlan(p)}
-}
-
-// DecodeRepartition unpacks a Repartition frame's plan (the cut step is
-// the frame's Step field).
-func DecodeRepartition(f *Frame) (sched.Plan, error) {
-	if f.Kind != KindRepartition {
-		return sched.Plan{}, fmt.Errorf("wire: expected %v frame, got %v", KindRepartition, f.Kind)
-	}
-	return DecodePlan(f.Payload)
 }
 
 // EncodeAssign packs an Assign into a frame.
@@ -793,23 +786,14 @@ func DecodeRingSegment(f *Frame) (phase uint8, seg int, data []float32, err erro
 	return phase, seg, data, nil
 }
 
-// Span is one observability span event as it crosses the wire: a named
-// region, its category (the sim.Category taxonomy plus obs's runtime
-// extensions, as a raw int32 so the codec stays dependency-free), and
-// its wall-clock start/duration in nanoseconds since the Unix epoch.
-type Span struct {
-	Name  string
-	Cat   int32
-	Start int64
-	Dur   int64
-}
-
 // SpanBatch is a batch of spans from one worker-side track, shipped to
-// the coordinator at a step boundary.
+// the coordinator at a step boundary. A span crosses the wire as its
+// name, its category as an int32, and its wall-clock start and duration
+// in nanoseconds.
 type SpanBatch struct {
 	Dev   int32 // hosting device rank (NoDev for non-device tracks)
 	Track string
-	Spans []Span
+	Spans []obs.Span
 }
 
 // EncodeSpans packs a span batch.
@@ -819,7 +803,7 @@ func EncodeSpans(b SpanBatch) *Frame {
 	w.U32(uint32(len(b.Spans)))
 	for _, s := range b.Spans {
 		w.String(s.Name)
-		w.I32(s.Cat)
+		w.I32(int32(s.Cat))
 		w.I64(s.Start)
 		w.I64(s.Dur)
 	}
@@ -835,8 +819,8 @@ func DecodeSpans(f *Frame) (SpanBatch, error) {
 	b := SpanBatch{Dev: f.Dev, Track: r.String()}
 	n := r.count(r.U32(), 24) // name length + cat + start + dur
 	for i := 0; i < n && r.Err() == nil; i++ {
-		b.Spans = append(b.Spans, Span{
-			Name: r.String(), Cat: r.I32(), Start: r.I64(), Dur: r.I64(),
+		b.Spans = append(b.Spans, obs.Span{
+			Name: r.String(), Cat: sim.Category(r.I32()), Start: r.I64(), Dur: r.I64(),
 		})
 	}
 	if err := r.Close(); err != nil {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"pipebd/internal/sched"
@@ -51,20 +50,11 @@ func TestRepartitionFrameRoundTrip(t *testing.T) {
 	if got.Kind != KindRepartition || got.Step != 6 || got.Dev != NoDev {
 		t.Fatalf("frame header mismatch: %+v", got)
 	}
-	plan, err := DecodeRepartition(got)
+	plan, err := DecodePlan(got.Payload)
 	if err != nil {
-		t.Fatalf("DecodeRepartition: %v", err)
+		t.Fatalf("DecodePlan: %v", err)
 	}
 	if !reflect.DeepEqual(plan, p) {
 		t.Fatalf("repartition plan mismatch:\n got %+v\nwant %+v", plan, p)
-	}
-}
-
-// TestDecodeRepartitionWrongKind: feeding another frame kind is a
-// protocol bug and must be reported as such.
-func TestDecodeRepartitionWrongKind(t *testing.T) {
-	_, err := DecodeRepartition(Control(KindHello, NoDev, NoStep))
-	if err == nil || !strings.Contains(err.Error(), "expected") {
-		t.Fatalf("wrong kind: got %v, want kind refusal", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pipebd/internal/dataset"
+	"pipebd/internal/obs"
 	"pipebd/internal/sched"
 	"pipebd/internal/tensor"
 )
@@ -372,7 +373,7 @@ func TestVersionSkewOldWorker(t *testing.T) {
 }
 
 func TestSpansRoundTrip(t *testing.T) {
-	b := SpanBatch{Dev: 2, Track: "dev2", Spans: []Span{
+	b := SpanBatch{Dev: 2, Track: "dev2", Spans: []obs.Span{
 		{Name: "teacher_fwd", Cat: 1, Start: 1_000_000, Dur: 500},
 		{Name: "peer_ack_wait", Cat: 7, Start: 1_000_600, Dur: 90},
 		{Name: "allreduce", Cat: 6, Start: 1_000_700, Dur: 1200},
@@ -401,7 +402,7 @@ func TestSpansRoundTrip(t *testing.T) {
 }
 
 func TestSpansMalformed(t *testing.T) {
-	f := EncodeSpans(SpanBatch{Dev: 0, Track: "dev0", Spans: []Span{{Name: "x", Cat: 1, Start: 1, Dur: 1}}})
+	f := EncodeSpans(SpanBatch{Dev: 0, Track: "dev0", Spans: []obs.Span{{Name: "x", Cat: 1, Start: 1, Dur: 1}}})
 	// Wrong kind.
 	if _, err := DecodeSpans(Control(KindPeerAck, 0, 3)); err == nil {
 		t.Fatal("wrong-kind frame decoded")

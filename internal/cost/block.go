@@ -27,15 +27,6 @@ func (b Block) FwdFLOPs(batch int) float64 {
 	return s
 }
 
-// BwdFLOPs returns the backward FLOPs of the block for a batch.
-func (b Block) BwdFLOPs(batch int) float64 {
-	var s float64
-	for _, l := range b.Layers {
-		s += l.BwdFLOPs(batch)
-	}
-	return s
-}
-
 // ParamCount returns the trainable parameter count of the block.
 func (b Block) ParamCount() int64 {
 	var s int64
@@ -126,9 +117,6 @@ func (n Network) MACs() float64 {
 	return s
 }
 
-// FLOPs returns 2·MACs — the "FLOPs" convention used for VGG-class models.
-func (n Network) FLOPs() float64 { return 2 * n.MACs() }
-
 // ParamCount returns the trainable parameter count of the whole network.
 func (n Network) ParamCount() int64 {
 	var s int64
@@ -137,9 +125,6 @@ func (n Network) ParamCount() int64 {
 	}
 	return s
 }
-
-// NumBlocks returns the number of blocks.
-func (n Network) NumBlocks() int { return len(n.Blocks) }
 
 // Validate checks every block and inter-block shape continuity.
 func (n Network) Validate() error {
@@ -152,13 +137,4 @@ func (n Network) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Layers returns all layers of the network in order.
-func (n Network) AllLayers() []Layer {
-	var out []Layer
-	for _, b := range n.Blocks {
-		out = append(out, b.Layers...)
-	}
-	return out
 }

@@ -88,17 +88,6 @@ func TestComputeScaleAffectsFLOPsNotMACs(t *testing.T) {
 	}
 }
 
-func TestBwdFLOPsDoubleForParamLayers(t *testing.T) {
-	l := conv("c", 16, 32, 3, 1, 1, 14, 14, false)
-	if l.BwdFLOPs(2) != 2*l.FwdFLOPs(2) {
-		t.Fatal("conv backward should be 2x forward")
-	}
-	a := Layer{Kind: Act, InC: 8, OutC: 8, InH: 4, InW: 4}
-	if a.BwdFLOPs(2) != a.FwdFLOPs(2) {
-		t.Fatal("activation backward should be 1x forward")
-	}
-}
-
 func TestActivationBytes(t *testing.T) {
 	l := conv("c", 3, 64, 3, 2, 1, 32, 32, false)
 	if got := l.InBytes(2); got != 4*2*3*32*32 {
@@ -163,12 +152,6 @@ func TestNetworkAggregation(t *testing.T) {
 	n := Network{Name: "n", Blocks: []Block{testBlock()}}
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if n.FLOPs() != 2*n.MACs() {
-		t.Fatal("FLOPs must be 2*MACs")
-	}
-	if n.NumBlocks() != 1 || len(n.AllLayers()) != 4 {
-		t.Fatal("network structure accessors wrong")
 	}
 	empty := Network{Name: "e", Blocks: []Block{{Name: "x"}}}
 	if err := empty.Validate(); err == nil {
@@ -269,35 +252,5 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Fatal("unknown kind should still render")
-	}
-}
-
-func TestSELayerCosts(t *testing.T) {
-	l := Layer{Name: "se", Kind: SE, InC: 64, OutC: 64, InH: 14, InW: 14, Kernel: 16}
-	if l.OutH() != 14 || l.OutW() != 14 {
-		t.Fatal("SE must preserve geometry")
-	}
-	// Two dense layers over pooled channels: 2 * 64 * 16 MACs.
-	if got := l.MACs(); got != 2*64*16 {
-		t.Fatalf("SE MACs = %v, want %v", got, 2*64*16)
-	}
-	// Params: two dense layers plus biases.
-	want := int64(2*64*16 + 16 + 64)
-	if got := l.ParamCount(); got != want {
-		t.Fatalf("SE params = %d, want %d", got, want)
-	}
-	if l.BwdFLOPs(4) != 2*l.FwdFLOPs(4) {
-		t.Fatal("SE backward should be 2x forward (param layer)")
-	}
-	if Kind(SE).String() != "se" {
-		t.Fatal("SE kind name wrong")
-	}
-}
-
-func TestSELayerTimePositive(t *testing.T) {
-	g := hw.RTXA6000()
-	l := Layer{Kind: SE, InC: 32, OutC: 32, InH: 28, InW: 28, Kernel: 8}
-	if LayerFwdTime(g, l, 64) <= 0 || LayerBwdTime(g, l, 64) <= 0 {
-		t.Fatal("SE layer times must be positive")
 	}
 }

@@ -26,7 +26,6 @@ const (
 	GlobalPool             // global average pooling to 1x1
 	Add                    // elementwise residual addition
 	Flatten                // reshape only
-	SE                     // squeeze-and-excitation (gate channels by a pooled MLP)
 	Embed                  // token + positional embedding lookup
 	Attn                   // multi-head self-attention (QKV + output projections)
 	LayerNorm              // per-position layer normalization
@@ -53,8 +52,6 @@ func (k Kind) String() string {
 		return "add"
 	case Flatten:
 		return "flatten"
-	case SE:
-		return "se"
 	case Embed:
 		return "embed"
 	case Attn:
@@ -71,8 +68,7 @@ func (k Kind) String() string {
 // output dimensions follow from Kernel/Stride/Pad. Linear layers use
 // InC/OutC and apply per spatial position (conv models set InH=InW=1;
 // the transformer MLP applies the same weights at every sequence
-// position). SE layers preserve geometry and reuse Kernel as the squeeze
-// (bottleneck) channel count.
+// position).
 //
 // Transformer layers map sequence geometry onto the same fields:
 // channels are the hidden width (InC=OutC=Dim), InH is the sequence
@@ -116,8 +112,6 @@ func (l Layer) outDim(in int) int {
 		return in / l.Kernel
 	case GlobalPool:
 		return 1
-	case SE:
-		return in
 	case Flatten:
 		return 1
 	default:
@@ -160,9 +154,6 @@ func (l Layer) MACs() float64 {
 		// Applied once per spatial/sequence position (spatial is 1 for
 		// the conv models' classifier heads).
 		return float64(l.InC*l.OutC) * spatial
-	case SE:
-		// Two dense layers over pooled channels: C -> squeeze -> C.
-		return 2 * float64(l.InC) * float64(l.Kernel)
 	case Attn:
 		// Q/K/V/output projections (4·D²·L) plus score and context
 		// batched GEMMs (2·L²·D), per sample.
@@ -186,9 +177,6 @@ func (l Layer) FwdFLOPs(batch int) float64 {
 		if l.Bias {
 			f += outElems
 		}
-	case SE:
-		// Pool + two dense layers + sigmoid gate applied per element.
-		f = 2*l.MACs()*b + 3*outElems
 	case Attn:
 		// Projections and batched GEMMs, plus the softmax over the
 		// [heads, L, L] score tensor.
@@ -215,31 +203,6 @@ func (l Layer) FwdFLOPs(batch int) float64 {
 	return f * l.computeScale()
 }
 
-// BwdFLOPs returns the backward floating-point operations for a batch:
-// roughly twice forward for parameterized layers (input gradient plus
-// weight gradient) and once forward for the rest.
-func (l Layer) BwdFLOPs(batch int) float64 {
-	switch l.Kind {
-	case Conv, DWConv, Linear, BatchNorm, SE, Attn, LayerNorm:
-		return 2 * l.FwdFLOPs(batch)
-	default:
-		// Embed backward is a scatter-add of the same magnitude as its
-		// forward gather, so it stays in the 1x branch with the other
-		// parameter-light layers.
-		return l.FwdFLOPs(batch)
-	}
-}
-
-// Invocations returns the expected number of kernel launches for a
-// forward pass, honouring ComputeScale (a candidate sampled with
-// probability p launches with probability p).
-func (l Layer) Invocations() float64 {
-	if l.Kind == Flatten {
-		return 0
-	}
-	return l.computeScale()
-}
-
 // ParamCount returns the number of trainable parameters.
 func (l Layer) ParamCount() int64 {
 	var p int64
@@ -258,9 +221,6 @@ func (l Layer) ParamCount() int64 {
 		p = int64(l.InC)*int64(l.OutC) + int64(l.OutC)
 	case BatchNorm:
 		p = 2 * int64(l.OutC)
-	case SE:
-		// C->squeeze and squeeze->C dense layers with biases.
-		p = 2*int64(l.InC)*int64(l.Kernel) + int64(l.Kernel) + int64(l.InC)
 	case Embed:
 		// Token table [Vocab, Dim] plus positional table [L, Dim];
 		// Kernel carries the vocabulary size.

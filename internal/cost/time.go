@@ -35,7 +35,7 @@ func LayerFwdTraffic(l Layer, batch int) int64 {
 // LayerBwdTraffic returns the backward memory traffic in bytes (unscaled).
 func LayerBwdTraffic(l Layer, batch int) int64 {
 	switch l.Kind {
-	case Conv, DWConv, Linear, BatchNorm, SE:
+	case Conv, DWConv, Linear, BatchNorm:
 		return 2*(l.InBytes(batch)+l.OutBytes(batch)) + 8*l.ParamCount()
 	default:
 		return l.InBytes(batch) + l.OutBytes(batch)
@@ -68,7 +68,7 @@ func LayerBwdTime(g hw.GPU, l Layer, batch int) float64 {
 	traffic := effectiveTraffic(l, LayerBwdTraffic(l, batch))
 	elems := l.OutElems(batch)
 	switch l.Kind {
-	case Conv, DWConv, Linear, BatchNorm, SE:
+	case Conv, DWConv, Linear, BatchNorm:
 		return scale * 2 * g.KernelTimeElems(rawFlops, traffic/2, elems)
 	default:
 		return scale * g.KernelTimeElems(rawFlops, traffic, elems)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"pipebd/internal/nn"
 	"pipebd/internal/tensor"
 )
 
@@ -12,9 +11,6 @@ func TestSpecsSane(t *testing.T) {
 	for _, s := range []Spec{CIFAR10(), ImageNet()} {
 		if s.NumTrain <= 0 || s.StorageBytes <= 0 || s.DecodeCPUSeconds < 0 {
 			t.Fatalf("%s: invalid spec %+v", s.Name, s)
-		}
-		if s.DecodedBytes() != int64(s.Channels*s.Height*s.Width*4) {
-			t.Fatalf("%s: DecodedBytes wrong", s.Name)
 		}
 	}
 	if CIFAR10().NumTrain != 50000 {
@@ -90,39 +86,6 @@ func TestBatchesDropLastAndDeterministic(t *testing.T) {
 	if s.X.Data()[0] == 0 && s.X.Data()[1] == 0 {
 		t.Fatal("Batches must copy data")
 	}
-}
-
-func TestTeacherLabelledIsLearnableByTheLabeller(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	labeller := nn.NewSequential(
-		nn.NewFlatten(),
-		nn.NewLinear(rng, 1*4*4, 3, true),
-	)
-	s := NewTeacherLabelled(rng, labeller, 32, 1, 4, 4, 3)
-	// By construction the labeller itself achieves 100% accuracy.
-	logits := labeller.Forward(s.X, false)
-	if acc := nn.Accuracy(logits, s.Labels); acc != 1 {
-		t.Fatalf("labeller accuracy on its own labels = %v, want 1", acc)
-	}
-	// Labels should not all be a single class for a random labeller.
-	counts := map[int]int{}
-	for _, l := range s.Labels {
-		counts[l]++
-	}
-	if len(counts) < 2 {
-		t.Fatalf("degenerate label distribution: %v", counts)
-	}
-}
-
-func TestTeacherLabelledPanicsOnBadLabeller(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	labeller := nn.NewSequential(nn.NewFlatten(), nn.NewLinear(rng, 16, 5, true))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic when labeller classes != requested classes")
-		}
-	}()
-	NewTeacherLabelled(rng, labeller, 8, 1, 4, 4, 3)
 }
 
 func TestSliceIsolation(t *testing.T) {

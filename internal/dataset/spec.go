@@ -30,11 +30,6 @@ type Spec struct {
 	DecodeCPUSeconds float64
 }
 
-// DecodedBytes returns the in-memory size of one decoded float32 sample.
-func (s Spec) DecodedBytes() int64 {
-	return int64(s.Channels) * int64(s.Height) * int64(s.Width) * 4
-}
-
 // CIFAR10 returns the loading profile of CIFAR-10 (50 000 train samples of
 // 3×32×32; stored raw, negligible decode cost).
 func CIFAR10() Spec {

@@ -1,10 +1,8 @@
 package dataset
 
 import (
-	"fmt"
 	"math/rand"
 
-	"pipebd/internal/nn"
 	"pipebd/internal/tensor"
 )
 
@@ -34,34 +32,6 @@ func NewRandom(rng *rand.Rand, n, c, h, w, classes int) *Synthetic {
 	}
 	for i := range s.Labels {
 		s.Labels[i] = rng.Intn(classes)
-	}
-	return s
-}
-
-// NewTeacherLabelled generates n random inputs labelled by the argmax of a
-// labeller network's logits, producing a task that is learnable by
-// construction — the synthetic stand-in for CIFAR/ImageNet in
-// training-quality experiments (Table II accuracy column).
-func NewTeacherLabelled(rng *rand.Rand, labeller nn.Layer, n, c, h, w, classes int) *Synthetic {
-	s := &Synthetic{
-		X:       tensor.Rand(rng, -1, 1, n, c, h, w),
-		Labels:  make([]int, n),
-		Classes: classes,
-	}
-	// Label in chunks to bound memory.
-	const chunk = 64
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		xb := s.slice(start, end)
-		logits := labeller.Forward(xb, false)
-		if logits.NDim() != 2 || logits.Dim(1) != classes {
-			panic(fmt.Sprintf("dataset: labeller produced shape %v, want [*,%d]", logits.Shape(), classes))
-		}
-		pred := tensor.ArgMaxRow(logits)
-		copy(s.Labels[start:end], pred)
 	}
 	return s
 }

@@ -140,20 +140,6 @@ func (w *Workbench) StudentParams(block int) []*nn.Param {
 	return w.Pairs[block].Student.Params()
 }
 
-// DistillLoss evaluates the current per-block distillation losses on a
-// batch without training (no gradient accumulation, evaluation mode).
-func (w *Workbench) DistillLoss(x *tensor.Tensor) []float64 {
-	losses := make([]float64, len(w.Pairs))
-	for i, p := range w.Pairs {
-		tOut := p.Teacher.Forward(x, false)
-		sOut := p.Student.Forward(x, false)
-		l, _ := p.lossOf()(nil, sOut, tOut)
-		losses[i] = l
-		x = tOut
-	}
-	return losses
-}
-
 // TinyConfig sizes the miniature workbench used by tests and examples: a
 // scaled-down analogue of the paper's compression workload (convolutional
 // teacher, depthwise-separable student).

@@ -53,8 +53,8 @@ func TestStepShapesAndLoss(t *testing.T) {
 	// Gradients must have accumulated on the student.
 	var nonzero bool
 	for _, p := range w.StudentParams(0) {
-		if tensor.MaxAbs(p.Grad) > 0 {
-			nonzero = true
+		for _, g := range p.Grad.Data() {
+			nonzero = nonzero || g != 0
 		}
 	}
 	if !nonzero {
@@ -101,29 +101,6 @@ func TestClassifierHeadConfig(t *testing.T) {
 	out := w.TeacherForward(x)
 	if out.Dim(1) != 5 {
 		t.Fatalf("classifier output %v, want 5 classes", out.Shape())
-	}
-}
-
-func TestDistillLossEvaluation(t *testing.T) {
-	cfg := DefaultTinyConfig()
-	w := NewTinyWorkbench(cfg)
-	rng := rand.New(rand.NewSource(5))
-	x := tensor.Rand(rng, -1, 1, 4, 3, cfg.Height, cfg.Width)
-	losses := w.DistillLoss(x)
-	if len(losses) != cfg.Blocks {
-		t.Fatalf("got %d losses, want %d", len(losses), cfg.Blocks)
-	}
-	for b, l := range losses {
-		if l <= 0 {
-			t.Fatalf("block %d: non-positive loss %v", b, l)
-		}
-	}
-	// Evaluation must not mutate anything: repeated calls identical.
-	again := w.DistillLoss(x)
-	for b := range losses {
-		if losses[b] != again[b] {
-			t.Fatal("DistillLoss is not a pure evaluation")
-		}
 	}
 }
 

@@ -26,9 +26,6 @@ type Options struct {
 	MaxSteps int
 }
 
-// DefaultOptions returns the paper's configuration.
-func DefaultOptions() Options { return Options{Batch: 256} }
-
 func (o Options) batch() int {
 	if o.Batch <= 0 {
 		return 256

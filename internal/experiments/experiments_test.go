@@ -223,9 +223,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.batch() != 256 {
 		t.Fatal("zero Options must default to batch 256")
 	}
-	if DefaultOptions().Batch != 256 {
-		t.Fatal("DefaultOptions should use the paper's batch")
-	}
 }
 
 func TestChartsRender(t *testing.T) {

@@ -92,16 +92,6 @@ func (g GPU) KernelTimeElems(flops float64, bytes int64, elems float64) float64 
 	return t + g.LaunchOverhead
 }
 
-// EffectiveFLOPS returns the achieved arithmetic throughput for a kernel
-// of the given size, including launch overhead and bandwidth ceiling.
-func (g GPU) EffectiveFLOPS(flops float64, bytes int64) float64 {
-	t := g.KernelTime(flops, bytes)
-	if t == 0 {
-		return 0
-	}
-	return flops / t
-}
-
 // Link is a point-to-point interconnect model (PCIe through host bridge).
 type Link struct {
 	Name string

@@ -77,27 +77,6 @@ func TestKernelTimePanicsOnNegative(t *testing.T) {
 	}
 }
 
-func TestEffectiveFLOPSSaturates(t *testing.T) {
-	g := RTXA6000()
-	small := g.EffectiveFLOPS(1e6, 0)
-	big := g.EffectiveFLOPS(1e12, 0)
-	if small >= big {
-		t.Fatalf("utilization must grow with work: %v vs %v", small, big)
-	}
-	ceiling := g.PeakFLOPS * g.KernelEff
-	if big > ceiling {
-		t.Fatalf("effective FLOPS %v above sustained ceiling %v", big, ceiling)
-	}
-	if big < 0.95*ceiling {
-		t.Fatalf("huge kernels should approach the ceiling: %v vs %v", big, ceiling)
-	}
-	// Bandwidth-bound kernels cannot reach the compute ceiling.
-	bandwidthBound := g.EffectiveFLOPS(1e9, 1e9)
-	if bandwidthBound >= 0.5*ceiling {
-		t.Fatalf("bandwidth-bound kernel too fast: %v", bandwidthBound)
-	}
-}
-
 func TestA6000FasterButMoreLaunchBound(t *testing.T) {
 	a, turing := RTXA6000(), RTX2080Ti()
 	// Big kernels: A6000 wins on raw compute.
@@ -202,36 +181,14 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	}
 }
 
-func TestExtraPresetsValidate(t *testing.T) {
-	for _, gpu := range []GPU{TeslaV100(), A100SXM(), RTX3090()} {
-		sys := Homogeneous("4x "+gpu.Name, 4, gpu, NVLink(), EPYC7302Host())
-		if err := sys.Validate(); err != nil {
-			t.Errorf("%s: %v", gpu.Name, err)
-		}
-	}
-}
-
 func TestHomogeneousConstructor(t *testing.T) {
-	sys := Homogeneous("8x V100", 8, TeslaV100(), NVLink(), EPYC7302Host())
+	sys := Homogeneous("8x A6000", 8, RTXA6000(), PCIe4(), EPYC7302Host())
 	if sys.NumDevices() != 8 {
 		t.Fatalf("got %d devices, want 8", sys.NumDevices())
 	}
 	for _, g := range sys.GPUs {
-		if g.Name != "Tesla V100" {
+		if g.Name != RTXA6000().Name {
 			t.Fatal("devices must be identical")
 		}
-	}
-}
-
-func TestNVLinkFasterThanPCIe(t *testing.T) {
-	n := int64(100 << 20)
-	if NVLink().TransferTime(n) >= PCIe4().TransferTime(n) {
-		t.Fatal("NVLink must beat PCIe 4.0")
-	}
-}
-
-func TestA100HasHighestBandwidth(t *testing.T) {
-	if A100SXM().MemBandwidth <= RTX3090().MemBandwidth {
-		t.Fatal("A100 HBM should out-bandwidth GDDR6X")
 	}
 }

@@ -84,60 +84,6 @@ func RTX2080Tix4() System {
 	return System{Name: "4x RTX 2080Ti", GPUs: gpus, Link: PCIe3(), Host: Xeon4214Host()}
 }
 
-// Additional accelerator presets beyond Table I, for custom-system
-// experiments (examples/custom_hardware, heterogeneous studies). Peak
-// figures are published numbers; derates follow the same calibration as
-// the Table I devices.
-
-// TeslaV100 returns the analytic model of an NVIDIA V100 SXM2 (Volta,
-// 15.7 TFLOPS FP32, 900 GB/s HBM2, 32 GiB).
-func TeslaV100() GPU {
-	return GPU{
-		Name:            "Tesla V100",
-		PeakFLOPS:       15.7e12,
-		KernelEff:       0.34,
-		MemBandwidth:    0.62 * 900e9,
-		LaunchOverhead:  24e-6,
-		SaturationElems: 160e3,
-		MemBytes:        32 * gib,
-	}
-}
-
-// A100SXM returns the analytic model of an NVIDIA A100 SXM4 (Ampere,
-// 19.5 TFLOPS FP32, 2 TB/s HBM2e, 80 GiB).
-func A100SXM() GPU {
-	return GPU{
-		Name:            "A100 SXM4",
-		PeakFLOPS:       19.5e12,
-		KernelEff:       0.38,
-		MemBandwidth:    0.62 * 2039e9,
-		LaunchOverhead:  24e-6,
-		SaturationElems: 440e3,
-		MemBytes:        80 * gib,
-	}
-}
-
-// RTX3090 returns the analytic model of an NVIDIA RTX 3090 (Ampere,
-// 35.6 TFLOPS FP32, 936 GB/s GDDR6X, 24 GiB).
-func RTX3090() GPU {
-	return GPU{
-		Name:            "RTX 3090",
-		PeakFLOPS:       35.6e12,
-		KernelEff:       0.30,
-		MemBandwidth:    0.60 * 936e9,
-		LaunchOverhead:  25e-6,
-		SaturationElems: 380e3,
-		MemBytes:        24 * gib,
-	}
-}
-
-// NVLink returns a 300 GB/s-class NVLink bridge model for systems that
-// have one (the Table I machines use PCIe; NVLink is provided for custom
-// experiments).
-func NVLink() Link {
-	return Link{Name: "NVLink", BandwidthBytes: 120e9, Latency: 5e-6}
-}
-
 // Homogeneous returns a system of n identical GPUs on the given link and
 // host — the generic constructor behind custom-system experiments.
 func Homogeneous(name string, n int, gpu GPU, link Link, host Host) System {

@@ -181,13 +181,6 @@ func (b *builder) plinear(name string, outC int) {
 	b.c = outC
 }
 
-// se appends a squeeze-and-excitation gate over the current channels with
-// the given squeeze width.
-func (b *builder) se(name string, squeeze int) {
-	b.add(cost.Layer{Name: name, Kind: cost.SE, InC: b.c, OutC: b.c,
-		InH: b.h, InW: b.w, Kernel: squeeze})
-}
-
 // residualAdd appends the elementwise addition closing a residual branch.
 func (b *builder) residualAdd(name string) {
 	b.add(cost.Layer{Name: name, Kind: cost.Add, InC: b.c, OutC: b.c, InH: b.h, InW: b.w})

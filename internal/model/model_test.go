@@ -3,8 +3,6 @@ package model
 import (
 	"math"
 	"testing"
-
-	"pipebd/internal/cost"
 )
 
 // within asserts x is within frac of target.
@@ -32,11 +30,11 @@ func TestMobileNetV2MatchesTableII(t *testing.T) {
 func TestVGG16MatchesTableII(t *testing.T) {
 	cifar := VGG16(false, 10)
 	within(t, "VGG16-CIFAR params", float64(cifar.Net.ParamCount()), 14.72e6, 0.01)
-	within(t, "VGG16-CIFAR FLOPs", cifar.Net.FLOPs(), 0.63e9, 0.02)
+	within(t, "VGG16-CIFAR FLOPs", 2*cifar.Net.MACs(), 0.63e9, 0.02)
 
 	imnet := VGG16(true, 1000)
 	within(t, "VGG16-ImageNet params", float64(imnet.Net.ParamCount()), 138.36e6, 0.01)
-	within(t, "VGG16-ImageNet FLOPs", imnet.Net.FLOPs(), 30.98e9, 0.02)
+	within(t, "VGG16-ImageNet FLOPs", 2*imnet.Net.MACs(), 30.98e9, 0.02)
 }
 
 func TestProxylessFoundNearTableII(t *testing.T) {
@@ -54,11 +52,11 @@ func TestProxylessFoundNearTableII(t *testing.T) {
 func TestDSConvStudentNearTableII(t *testing.T) {
 	cifar := DSConvStudent(false, 10)
 	within(t, "DSConv-CIFAR params", float64(cifar.Net.ParamCount()), 7.25e6, 0.05)
-	within(t, "DSConv-CIFAR FLOPs", cifar.Net.FLOPs(), 0.39e9, 0.15)
+	within(t, "DSConv-CIFAR FLOPs", 2*cifar.Net.MACs(), 0.39e9, 0.15)
 
 	imnet := DSConvStudent(true, 1000)
 	within(t, "DSConv-ImageNet params", float64(imnet.Net.ParamCount()), 138.09e6, 0.01)
-	within(t, "DSConv-ImageNet FLOPs", imnet.Net.FLOPs(), 26.15e9, 0.02)
+	within(t, "DSConv-ImageNet FLOPs", 2*imnet.Net.MACs(), 26.15e9, 0.02)
 }
 
 func TestStudentTeacherSizeRelations(t *testing.T) {
@@ -189,68 +187,5 @@ func TestProxylessSupernetAlignsWithTeacherBlocks(t *testing.T) {
 					imagenet, i, tb.OutBytes(1), sb.OutBytes(1))
 			}
 		}
-	}
-}
-
-func TestResNet50MatchesPublishedNumbers(t *testing.T) {
-	imnet := ResNet50(true, 1000)
-	// Published: 25.56 M parameters, ~4.1 GMACs at 224x224.
-	within(t, "ResNet50-ImageNet params", float64(imnet.Net.ParamCount()), 25.56e6, 0.02)
-	within(t, "ResNet50-ImageNet MACs", imnet.Net.MACs(), 4.1e9, 0.05)
-	if got := imnet.Net.NumBlocks(); got != 6 {
-		t.Fatalf("ResNet50 blocks = %d, want 6", got)
-	}
-	// stem + 16 bottlenecks + head = 18 units.
-	if got := len(imnet.Units); got != 18 {
-		t.Fatalf("ResNet50 units = %d, want 18", got)
-	}
-	cifar := ResNet50(false, 10)
-	if cifar.Net.ParamCount() >= imnet.Net.ParamCount() {
-		t.Fatal("CIFAR variant should have fewer params (smaller classifier)")
-	}
-}
-
-func TestResNet50ProjectionBranches(t *testing.T) {
-	// Stage transitions must carry projection shortcuts (BranchStart
-	// markers in the cost layers).
-	m := ResNet50(true, 1000)
-	var branches int
-	for _, l := range m.Net.AllLayers() {
-		if l.BranchStart {
-			branches++
-		}
-	}
-	// 4 stage-entry bottlenecks x 2 branch heads each.
-	if branches != 8 {
-		t.Fatalf("got %d branch heads, want 8", branches)
-	}
-}
-
-func TestEfficientNetB0NearPublishedNumbers(t *testing.T) {
-	imnet := EfficientNetB0(true, 1000)
-	// Published: 5.29 M parameters, ~390 MMACs at 224x224. Our SE and
-	// stem/head instantiation differs in minor details (no swish-specific
-	// cost, integer squeeze widths), so a modest tolerance applies.
-	within(t, "EffNetB0-ImageNet params", float64(imnet.Net.ParamCount()), 5.29e6, 0.10)
-	within(t, "EffNetB0-ImageNet MACs", imnet.Net.MACs(), 390e6, 0.10)
-	if imnet.Net.NumBlocks() != 6 {
-		t.Fatalf("EffNetB0 blocks = %d, want 6", imnet.Net.NumBlocks())
-	}
-	// stem + 16 MBConv layers + head = 18 units.
-	if got := len(imnet.Units); got != 18 {
-		t.Fatalf("EffNetB0 units = %d, want 18", got)
-	}
-}
-
-func TestEfficientNetB0HasSELayers(t *testing.T) {
-	m := EfficientNetB0(true, 1000)
-	var se int
-	for _, l := range m.Net.AllLayers() {
-		if l.Kind == cost.SE {
-			se++
-		}
-	}
-	if se != 16 {
-		t.Fatalf("got %d SE layers, want 16 (one per MBConv)", se)
 	}
 }

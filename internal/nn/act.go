@@ -25,9 +25,6 @@ type ReLU struct {
 // NewReLU returns an unbounded rectifier.
 func NewReLU() *ReLU { return &ReLU{Cap: -1} }
 
-// NewReLU6 returns the clamped rectifier min(max(0,x),6).
-func NewReLU6() *ReLU { return &ReLU{Cap: 6} }
-
 // Forward clamps the input elementwise.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := r.ar.Get(x.Shape()...)

@@ -123,18 +123,7 @@ func TestReLUGradients(t *testing.T) {
 		}
 	}
 	checkGradients(t, "ReLU", NewReLU(), x)
-	checkGradients(t, "ReLU6", NewReLU6(), x)
-}
-
-func TestMaxPoolGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	// Distinct values avoid argmax ties that break finite differences.
-	x := tensor.New(1, 2, 4, 4)
-	perm := rng.Perm(x.Numel())
-	for i, p := range perm {
-		x.Data()[i] = float32(p)
-	}
-	checkGradients(t, "MaxPool2d", NewMaxPool2d(2), x)
+	checkGradients(t, "ReLU6", &ReLU{Cap: 6}, x)
 }
 
 func TestGlobalAvgPoolGradients(t *testing.T) {
@@ -324,14 +313,14 @@ func TestTransformerBlockGradients(t *testing.T) {
 
 func TestSequentialCNNGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
+	// GELU keeps the composite smooth: a rectifier's kinks sit where
+	// BatchNorm centres its output and break finite differences.
 	net := NewSequential(
 		NewConv2d(rng, 2, 4, 3, 1, 1, false),
 		NewBatchNorm2d(4),
-		NewReLU6(),
-		NewMaxPool2d(2),
+		NewGELU(),
 		NewFlatten(),
-		NewLinear(rng, 4*3*3, 5, true),
+		NewLinear(rng, 4*6*6, 5, true),
 	)
-	// Avoid BN kinks by using a reasonably spread input.
 	checkGradients(t, "SequentialCNN", net, tensor.Rand(rng, -2, 2, 3, 2, 6, 6))
 }

@@ -42,8 +42,10 @@ func TestConv2dLinearityProperty(t *testing.T) {
 		}
 		scale = float32(math.Mod(float64(scale), 8))
 		x := tensor.Rand(rng, -1, 1, 1, 2, 5, 5)
-		y1 := tensor.Scale(l.Forward(x, false), scale)
-		y2 := l.Forward(tensor.Scale(x, scale), false)
+		y1 := l.Forward(x, false)
+		tensor.ScaleInPlace(y1, scale)
+		tensor.ScaleInPlace(x, scale)
+		y2 := l.Forward(x, false)
 		return y1.AllClose(y2, 1e-3, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -116,7 +118,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 }
 
 func TestReLU6Clamps(t *testing.T) {
-	l := NewReLU6()
+	l := &ReLU{Cap: 6}
 	x := tensor.FromSlice([]float32{-3, 0, 2, 6, 9}, 5)
 	y := l.Forward(x, false)
 	want := tensor.FromSlice([]float32{0, 0, 2, 6, 6}, 5)
@@ -136,20 +138,6 @@ func TestReLUNonNegativityProperty(t *testing.T) {
 				t.Fatal("ReLU output must be non-negative")
 			}
 		}
-	}
-}
-
-func TestMaxPoolKnownValues(t *testing.T) {
-	x := tensor.FromSlice([]float32{
-		1, 2, 5, 6,
-		3, 4, 7, 8,
-		9, 10, 13, 14,
-		11, 12, 15, 16,
-	}, 1, 1, 4, 4)
-	y := NewMaxPool2d(2).Forward(x, false)
-	want := tensor.FromSlice([]float32{4, 8, 12, 16}, 1, 1, 2, 2)
-	if !y.Equal(want) {
-		t.Fatalf("MaxPool = %v, want %v", y, want)
 	}
 }
 
@@ -194,7 +182,6 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 		"Linear":    NewLinear(rng, 2, 2, false),
 		"BatchNorm": NewBatchNorm2d(1),
 		"ReLU":      NewReLU(),
-		"MaxPool":   NewMaxPool2d(2),
 		"GAP":       NewGlobalAvgPool2d(),
 		"Flatten":   NewFlatten(),
 	}

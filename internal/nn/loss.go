@@ -81,50 +81,6 @@ func KLDivLoss(ar *tensor.Arena, student, teacher *tensor.Tensor, temp float64) 
 	return loss, grad
 }
 
-// SoftmaxCrossEntropy returns the mean cross-entropy of logits [N, C]
-// against integer labels, plus the gradient with respect to the logits.
-func SoftmaxCrossEntropy(ar *tensor.Arena, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	shape := logits.Shape()
-	if len(shape) != 2 {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy expects [N,C] logits, got %v", shape))
-	}
-	n, c := shape[0], shape[1]
-	if len(labels) != n {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy got %d labels for batch %d", len(labels), n))
-	}
-	grad := ar.Get(n, c)
-	ld, gd := logits.Data(), grad.Data()
-	var loss float64
-	invN := 1 / float64(n)
-	for i := 0; i < n; i++ {
-		row := ld[i*c : (i+1)*c]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - maxv))
-		}
-		logSum := math.Log(sum)
-		label := labels[i]
-		if label < 0 || label >= c {
-			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", label, c))
-		}
-		loss += logSum - float64(row[label]-maxv)
-		for j := 0; j < c; j++ {
-			p := math.Exp(float64(row[j]-maxv)) / sum
-			if j == label {
-				p -= 1
-			}
-			gd[i*c+j] = float32(p * invN)
-		}
-	}
-	return loss * invN, grad
-}
-
 // Accuracy returns the fraction of rows whose argmax equals the label.
 func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 	pred := tensor.ArgMaxRow(logits)

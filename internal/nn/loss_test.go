@@ -77,62 +77,6 @@ func TestMSELossGradientNumerically(t *testing.T) {
 	}
 }
 
-func TestSoftmaxCrossEntropyUniformLogits(t *testing.T) {
-	logits := tensor.New(2, 4) // all zeros -> uniform distribution
-	loss, _ := SoftmaxCrossEntropy(nil, logits, []int{0, 3})
-	want := math.Log(4)
-	if math.Abs(loss-want) > 1e-6 {
-		t.Fatalf("CE = %v, want ln(4) = %v", loss, want)
-	}
-}
-
-func TestSoftmaxCrossEntropyGradSumsToZero(t *testing.T) {
-	// Each row's gradient must sum to zero (softmax probabilities sum to
-	// one and the label subtracts exactly one).
-	rng := rand.New(rand.NewSource(2))
-	logits := tensor.Rand(rng, -3, 3, 5, 7)
-	labels := []int{0, 1, 2, 3, 4}
-	_, grad := SoftmaxCrossEntropy(nil, logits, labels)
-	for r := 0; r < 5; r++ {
-		var s float64
-		for c := 0; c < 7; c++ {
-			s += float64(grad.At(r, c))
-		}
-		if math.Abs(s) > 1e-6 {
-			t.Fatalf("row %d gradient sums to %v, want 0", r, s)
-		}
-	}
-}
-
-func TestSoftmaxCrossEntropyGradientNumerically(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	logits := tensor.Rand(rng, -2, 2, 3, 4)
-	labels := []int{1, 3, 0}
-	_, grad := SoftmaxCrossEntropy(nil, logits, labels)
-	const eps = 1e-2
-	for i := 0; i < logits.Numel(); i++ {
-		probe := func(d float32) float64 {
-			lp := logits.Clone()
-			lp.Data()[i] += d
-			l, _ := SoftmaxCrossEntropy(nil, lp, labels)
-			return l
-		}
-		numeric := (probe(eps) - probe(-eps)) / (2 * eps)
-		if math.Abs(numeric-float64(grad.Data()[i])) > 1e-3 {
-			t.Fatalf("CE grad[%d]: analytic %v numeric %v", i, grad.Data()[i], numeric)
-		}
-	}
-}
-
-func TestSoftmaxCrossEntropyPanicsOnBadLabel(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	SoftmaxCrossEntropy(nil, tensor.New(1, 3), []int{5})
-}
-
 func TestAccuracy(t *testing.T) {
 	logits := tensor.FromSlice([]float32{
 		1, 5, 0,

@@ -6,86 +6,6 @@ import (
 	"pipebd/internal/tensor"
 )
 
-// MaxPool2d is a max pooling layer with square kernel and stride equal to
-// the kernel size (the common non-overlapping configuration).
-type MaxPool2d struct {
-	Kernel int
-
-	stepMem
-	argmax  []int // flat input index of each output element
-	inShape []int
-}
-
-// NewMaxPool2d returns a non-overlapping max pool of the given kernel.
-func NewMaxPool2d(kernel int) *MaxPool2d { return &MaxPool2d{Kernel: kernel} }
-
-// Forward pools an NCHW input; H and W must be divisible by Kernel.
-func (m *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	shape := x.Shape()
-	if len(shape) != 4 {
-		panic(fmt.Sprintf("nn: MaxPool2d expects NCHW, got %v", shape))
-	}
-	n, c, h, w := shape[0], shape[1], shape[2], shape[3]
-	k := m.Kernel
-	if h%k != 0 || w%k != 0 {
-		panic(fmt.Sprintf("nn: MaxPool2d input %dx%d not divisible by kernel %d", h, w, k))
-	}
-	oh, ow := h/k, w/k
-	out := m.ar.Get(n, c, oh, ow)
-	xd, od := x.Data(), out.Data()
-	var argmax []int
-	if train {
-		argmax = make([]int, out.Numel())
-	}
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			inBase := (ni*c + ci) * h * w
-			outBase := (ni*c + ci) * oh * ow
-			for oi := 0; oi < oh; oi++ {
-				for oj := 0; oj < ow; oj++ {
-					bestIdx := inBase + (oi*k)*w + oj*k
-					best := xd[bestIdx]
-					for ki := 0; ki < k; ki++ {
-						row := inBase + (oi*k+ki)*w + oj*k
-						for kj := 0; kj < k; kj++ {
-							if v := xd[row+kj]; v > best {
-								best, bestIdx = v, row+kj
-							}
-						}
-					}
-					outIdx := outBase + oi*ow + oj
-					od[outIdx] = best
-					if train {
-						argmax[outIdx] = bestIdx
-					}
-				}
-			}
-		}
-	}
-	if train {
-		m.argmax, m.inShape = argmax, shape
-		m.cached()
-	}
-	return out
-}
-
-// Backward routes each output gradient to its argmax input position.
-func (m *MaxPool2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if m.argmax == nil {
-		panic("nn: MaxPool2d.Backward called before Forward(train=true)")
-	}
-	m.checkCache("MaxPool2d")
-	out := m.ar.GetZeroed(m.inShape...)
-	od, gd := out.Data(), grad.Data()
-	for i, src := range m.argmax {
-		od[src] += gd[i]
-	}
-	return out
-}
-
-// Params returns nil; pooling has no trainable parameters.
-func (m *MaxPool2d) Params() []*Param { return nil }
-
 // GlobalAvgPool2d averages each channel's spatial plane to [N, C, 1, 1].
 type GlobalAvgPool2d struct {
 	stepMem
@@ -186,7 +106,6 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 func (f *Flatten) Params() []*Param { return nil }
 
 var (
-	_ Layer = (*MaxPool2d)(nil)
 	_ Layer = (*GlobalAvgPool2d)(nil)
 	_ Layer = (*Flatten)(nil)
 )

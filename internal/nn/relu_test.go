@@ -38,7 +38,7 @@ func TestReLUMatchesPerElementDefinitionBits(t *testing.T) {
 	copy(x.Data(), specials)
 	grad := tensor.Rand(rng, -1, 1, 3, 5, 7)
 	copy(grad.Data()[2:], specials) // specials in the gradient land on passing and blocked inputs alike
-	for _, r := range []*ReLU{NewReLU(), NewReLU6(), {Cap: 0}, {Cap: 0.5}} {
+	for _, r := range []*ReLU{NewReLU(), {Cap: 6}, {Cap: 0}, {Cap: 0.5}} {
 		for _, train := range []bool{false, true, true} { // the second training forward reuses the mask buffer
 			out := r.Forward(x, train)
 			for i, v := range x.Data() {

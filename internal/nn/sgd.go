@@ -49,9 +49,6 @@ func (s *SGD) Step(params []*Param) {
 	}
 }
 
-// ZeroGrad clears the gradients of the given parameters.
-func (s *SGD) ZeroGrad(params []*Param) { ZeroGrads(params) }
-
 // Velocity returns p's momentum buffer, or nil if no update has touched
 // it yet (equivalent to an all-zero buffer). Exposed so checkpoint /
 // recovery code can capture the optimizer state that, together with the

@@ -68,9 +68,9 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 	p := NewParam("w", tensor.New(3))
 	opt := NewSGD(0.1, 0.9, 0)
 	for step := 0; step < 200; step++ {
-		p.ZeroGrad()
-		g := tensor.Sub(p.Value, target)
-		tensor.AddInto(p.Grad, tensor.Scale(g, 2))
+		// grad = 2(w - target)
+		tensor.Serial{}.Sub(p.Grad, p.Value, target)
+		tensor.ScaleInPlace(p.Grad, 2)
 		opt.Step([]*Param{p})
 	}
 	if !p.Value.AllClose(target, 1e-3, 1e-3) {
@@ -85,14 +85,15 @@ func TestTrainingReducesLossEndToEnd(t *testing.T) {
 	net := NewSequential(
 		NewConv2d(rng, 1, 4, 3, 1, 1, true),
 		NewReLU(),
-		NewMaxPool2d(2),
 		NewFlatten(),
-		NewLinear(rng, 4*4*4, 4, true),
+		NewLinear(rng, 4*8*8, 4, true),
 	)
 	x := tensor.Rand(rng, -1, 1, 16, 1, 8, 8)
 	labels := make([]int, 16)
+	target := tensor.New(16, 4) // one-hot rows
 	for i := range labels {
 		labels[i] = rng.Intn(4)
+		target.Set(1, i, labels[i])
 	}
 	opt := NewSGD(0.1, 0.9, 0)
 	params := net.Params()
@@ -102,7 +103,7 @@ func TestTrainingReducesLossEndToEnd(t *testing.T) {
 	for epoch := 0; epoch < 60; epoch++ {
 		ZeroGrads(params)
 		out := net.Forward(x, true)
-		loss, grad := SoftmaxCrossEntropy(nil, out, labels)
+		loss, grad := MSELoss(nil, out, target)
 		if firstLoss < 0 {
 			firstLoss = loss
 		}

@@ -190,14 +190,13 @@ func TestBackwardAfterArenaResetPanics(t *testing.T) {
 		{"Linear", NewLinear(rng, 4, 3, true), func() *tensor.Tensor { return tensor.Rand(rng, -1, 1, 2, 4) }},
 		{"ReLU", NewReLU(), image},
 		{"BatchNorm2d", NewBatchNorm2d(3), image},
-		{"MaxPool2d", NewMaxPool2d(2), image},
 		{"GlobalAvgPool2d", NewGlobalAvgPool2d(), image},
 		{"Flatten", NewFlatten(), image},
 		{"LayerNorm", NewLayerNorm(4), hidden},
 		{"GELU", NewGELU(), hidden},
 		{"MultiHeadAttention", NewMultiHeadAttention(rng, 4, 2), hidden},
 		{"Embedding", NewEmbedding(rng, 5, 3, 4), func() *tensor.Tensor { return tensor.New(2, 3) }},
-		{"MixedOp", NewMixedOp(NewReLU(), NewReLU6()), image},
+		{"MixedOp", NewMixedOp(NewReLU(), &ReLU{Cap: 6}), image},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

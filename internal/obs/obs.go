@@ -28,8 +28,8 @@ import (
 
 // Runtime-only categories extending sim's compute taxonomy. They use the
 // Category values just past sim's enum so a single array indexes both;
-// conversions into metrics.RankStats keep only the first
-// sim.NumCategories entries (wait time is idle, not busy).
+// MeasuredRank.TotalBusy sums only the first sim.NumCategories entries
+// (wait time is idle, not busy).
 const (
 	// CatWait is time blocked on a step barrier or a peer ack window —
 	// the measured analogue of the simulator's idle/bubble time.
@@ -90,18 +90,6 @@ func NewTracer(enabled bool) *Tracer {
 	return t
 }
 
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool {
-	if t == nil {
-		return false
-	}
-	return t.enabled.Load()
-}
-
-// SetEnabled flips recording on or off. Regions begun while enabled
-// still record at End; regions begun while disabled never do.
-func (t *Tracer) SetEnabled(v bool) { t.enabled.Store(v) }
-
 // NewTrack registers and returns a named track (one per device
 // goroutine by convention: "dev0", "dev1", ... plus "coordinator"). A
 // nil tracer returns a nil track, which every Track method accepts.
@@ -126,24 +114,6 @@ func (t *Tracer) Tracks() []*Track {
 	return append([]*Track(nil), t.tracks...)
 }
 
-// BusySeconds sums per-category cumulative busy seconds over all tracks
-// (for the /metrics page; it survives drains, unlike the span buffers).
-func (t *Tracer) BusySeconds() [NumCategories]float64 {
-	var out [NumCategories]float64
-	if t == nil {
-		return out
-	}
-	t.mu.Lock()
-	tracks := append([]*Track(nil), t.tracks...)
-	t.mu.Unlock()
-	for _, tk := range tracks {
-		for c := 0; c < NumCategories; c++ {
-			out[c] += float64(tk.busyNs[c].Load()) / 1e9
-		}
-	}
-	return out
-}
-
 // Track is a per-goroutine span recorder. One goroutine appends (the
 // device loop that owns it); Drain/Spans may be called from any
 // goroutine.
@@ -153,7 +123,6 @@ type Track struct {
 	mu      sync.Mutex
 	spans   []Span
 	dropped int64
-	busyNs  [NumCategories]atomic.Int64
 }
 
 // Name returns the track's name.
@@ -191,19 +160,7 @@ func (r Region) End() {
 	r.tk.record(Span{Name: r.name, Cat: r.cat, Start: r.start, Dur: dur})
 }
 
-// Point records an instantaneous event as a zero-ish duration span —
-// used for markers like a completed recovery.
-func (tk *Track) Point(cat sim.Category, name string) {
-	if tk == nil || !tk.tracer.enabled.Load() {
-		return
-	}
-	tk.record(Span{Name: name, Cat: cat, Start: time.Now().UnixNano(), Dur: 1})
-}
-
 func (tk *Track) record(s Span) {
-	if int(s.Cat) >= 0 && int(s.Cat) < NumCategories {
-		tk.busyNs[s.Cat].Add(s.Dur)
-	}
 	tk.mu.Lock()
 	if len(tk.spans) < maxSpansPerTrack {
 		tk.spans = append(tk.spans, s)
@@ -213,8 +170,8 @@ func (tk *Track) record(s Span) {
 	tk.mu.Unlock()
 }
 
-// Drain returns the buffered spans and clears the buffer (cumulative
-// busy counters are unaffected). Returns nil when empty.
+// Drain returns the buffered spans and clears the buffer. Returns nil
+// when empty.
 func (tk *Track) Drain() []Span {
 	if tk == nil {
 		return nil

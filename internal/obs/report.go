@@ -32,21 +32,6 @@ func (m MeasuredRank) TotalBusy() float64 {
 	return s
 }
 
-// RankStats converts to the simulator's shape: the sim categories carry
-// over, everything else (wait, snapshot, ledger) lands in Idle along
-// with the unattributed remainder of the epoch.
-func (m MeasuredRank) RankStats(epoch float64) metrics.RankStats {
-	var rs metrics.RankStats
-	for c := 0; c < sim.NumCategories; c++ {
-		rs.Busy[c] = m.Busy[c]
-	}
-	rs.Idle = epoch - m.TotalBusy()
-	if rs.Idle < 0 {
-		rs.Idle = 0
-	}
-	return rs
-}
-
 // Measured aggregates collected spans into per-track self-time
 // breakdowns plus the measured epoch: the wall-clock span from the
 // earliest span start to the latest span end across the given tracks.

@@ -214,18 +214,6 @@ func trPeakMemory(cfg Config, g sched.Group, localBatch int) int64 {
 	return total
 }
 
-// StrategyName builds the conventional ablation names used in Fig. 4.
-func StrategyName(dpu, ahd bool) string {
-	switch {
-	case ahd && dpu:
-		return "TR+DPU+AHD"
-	case dpu:
-		return "TR+DPU"
-	default:
-		return "TR"
-	}
-}
-
 // RunIR simulates the TR+IR ablation (internal relaying): the degenerate
 // hybrid plan in which all devices share every block data-parallel and
 // teacher activations stay in device memory instead of being relayed.

@@ -7,8 +7,6 @@
 package profilegen
 
 import (
-	"fmt"
-
 	"pipebd/internal/cost"
 	"pipebd/internal/hw"
 	"pipebd/internal/model"
@@ -48,14 +46,6 @@ type Profile struct {
 
 // NumBlocks returns the profiled block count.
 func (p Profile) NumBlocks() int { return len(p.TeacherFwd) }
-
-// LocalBatch returns the per-device batch when split devices share a block.
-func (p Profile) LocalBatch(split int) int {
-	if split < 1 || split > p.MaxSplit {
-		panic(fmt.Sprintf("profilegen: split %d out of range [1,%d]", split, p.MaxSplit))
-	}
-	return p.GlobalBatch / split
-}
 
 // StepTime returns the full per-step compute time of one block at the
 // given split: teacher forward plus student forward and backward.
@@ -141,42 +131,4 @@ func timeAvg(steps int, probe func() float64) float64 {
 		}
 	}
 	return first
-}
-
-// FromMeasured builds a degenerate single-split Profile from per-block
-// step times measured on live devices (obs.StepAggregator block costs, in
-// the same unit the caller plans in). It is the runtime repartitioner's
-// adapter between measurement and planning: the planner strategies
-// consume a Profile through StepTime/Update only, so a table holding the
-// observed totals — component attribution collapsed into TeacherFwd,
-// Update zero — re-derives the plan from what the run actually measured
-// instead of the analytic model. MaxSplit is 1: measurements describe the
-// placement that produced them, and the bit-identity contract restricts
-// runtime re-plans to unsplit groups anyway.
-func FromMeasured(workload string, blockCost []float64) Profile {
-	nb := len(blockCost)
-	p := Profile{
-		Workload:    workload,
-		GlobalBatch: 1,
-		MaxSplit:    1,
-
-		TeacherFwd: make([][]float64, nb),
-		StudentFwd: make([][]float64, nb),
-		StudentBwd: make([][]float64, nb),
-		Update:     make([]float64, nb),
-
-		TeacherOutBytesPerSample: make([]int64, nb),
-		TeacherInBytesPerSample:  make([]int64, nb),
-		StudentParamBytes:        make([]int64, nb),
-		TeacherMem:               make([][]int64, nb),
-		StudentMem:               make([][]int64, nb),
-	}
-	for b, c := range blockCost {
-		p.TeacherFwd[b] = []float64{c}
-		p.StudentFwd[b] = []float64{0}
-		p.StudentBwd[b] = []float64{0}
-		p.TeacherMem[b] = []int64{0}
-		p.StudentMem[b] = []int64{0}
-	}
-	return p
 }

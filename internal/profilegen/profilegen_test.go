@@ -60,19 +60,6 @@ func TestSplitIsSubLinear(t *testing.T) {
 	}
 }
 
-func TestLocalBatch(t *testing.T) {
-	p := measureNAS(t)
-	if p.LocalBatch(1) != 256 || p.LocalBatch(4) != 64 {
-		t.Fatal("LocalBatch arithmetic wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range split")
-		}
-	}()
-	p.LocalBatch(5)
-}
-
 func TestMemoryShrinksWithSplit(t *testing.T) {
 	p := measureNAS(t)
 	for b := 0; b < p.NumBlocks(); b++ {

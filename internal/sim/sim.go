@@ -128,14 +128,3 @@ func Max(a, b float64) float64 {
 	}
 	return b
 }
-
-// MaxAll returns the maximum of the given times (0 for an empty list).
-func MaxAll(times ...float64) float64 {
-	var m float64
-	for _, t := range times {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}

@@ -139,10 +139,4 @@ func TestMaxHelpers(t *testing.T) {
 	if Max(1, 2) != 2 || Max(3, 2) != 3 {
 		t.Fatal("Max broken")
 	}
-	if MaxAll() != 0 {
-		t.Fatal("MaxAll of nothing should be 0")
-	}
-	if MaxAll(1, 5, 3) != 5 {
-		t.Fatal("MaxAll broken")
-	}
 }

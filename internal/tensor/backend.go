@@ -90,8 +90,9 @@ func init() {
 	defaultBackend.Store(backendBox{Serial{}})
 }
 
-// Default returns the process-default backend used by the package-level
-// kernel functions. The initial default is the serial reference.
+// Default returns the process-default backend: the one a layer or device
+// loop runs on when it was given none. The initial default is the serial
+// reference.
 func Default() Backend { return defaultBackend.Load().(backendBox).be }
 
 // SetDefault installs be as the process-default backend. It is safe to

@@ -9,11 +9,19 @@ import (
 	"testing"
 )
 
-// parallelVariants returns parallel backends with worker counts chosen to
-// exercise awkward partitions: more workers than rows, row counts not
-// divisible by the worker count, and the shared GOMAXPROCS pool.
+// variantWorkers sizes the parallel backends the parity tests run: worker
+// counts chosen to exercise awkward partitions — more workers than rows,
+// row counts not divisible by the worker count — and 0, the shared
+// GOMAXPROCS pool.
+var variantWorkers = []int{0, 2, 3, 7}
+
+// parallelVariants returns one parallel backend per variantWorkers entry.
 func parallelVariants() []*Parallel {
-	return []*Parallel{NewParallel(0), NewParallel(2), NewParallel(3), NewParallel(7)}
+	out := make([]*Parallel, len(variantWorkers))
+	for i, workers := range variantWorkers {
+		out[i] = NewParallel(workers)
+	}
+	return out
 }
 
 // TestMatMulFamilyBackendParity is the backend contract test: for every
@@ -34,6 +42,7 @@ func TestMatMulFamilyBackendParity(t *testing.T) {
 		{2, 1024, 3}, // deep reduction exercises kc blocking
 	}
 	rng := rand.New(rand.NewSource(1))
+	variants := parallelVariants()
 	for _, s := range shapes {
 		a := Rand(rng, -1, 1, s.m, s.k)
 		b := Rand(rng, -1, 1, s.k, s.n)
@@ -42,39 +51,26 @@ func TestMatMulFamilyBackendParity(t *testing.T) {
 		if s.m*s.k > 3 {
 			a.Data()[3] = 0
 		}
-		aT := Transpose2D(a) // [k, m]
-		bT := Transpose2D(b) // [n, k]
+		aT := transpose2D(a) // [k, m]
+		bT := transpose2D(b) // [n, k]
 
-		ref := MatMulWith(Serial{}, a, b)
-		refTA := MatMulTAWith(Serial{}, aT, b)
-		refTB := MatMulTBWith(Serial{}, a, bT)
-		for _, p := range parallelVariants() {
-			label := fmt.Sprintf("m=%d k=%d n=%d workers=%d", s.m, s.k, s.n, p.Workers())
-			if got := MatMulWith(p, a, b); !got.Equal(ref) {
+		ref, refTA, refTB := New(s.m, s.n), New(s.m, s.n), New(s.m, s.n)
+		Serial{}.MatMulInto(ref, a, b)
+		Serial{}.MatMulTAInto(refTA, aT, b)
+		Serial{}.MatMulTBInto(refTB, a, bT)
+		for i, p := range variants {
+			label := fmt.Sprintf("m=%d k=%d n=%d workers=%d", s.m, s.k, s.n, variantWorkers[i])
+			got := New(s.m, s.n)
+			if p.MatMulInto(got, a, b); !got.Equal(ref) {
 				t.Errorf("MatMul not bit-identical to serial (%s)", label)
 			}
-			if got := MatMulTAWith(p, aT, b); !got.Equal(refTA) {
+			if p.MatMulTAInto(got, aT, b); !got.Equal(refTA) {
 				t.Errorf("MatMulTA not bit-identical to serial (%s)", label)
 			}
-			if got := MatMulTBWith(p, a, bT); !got.Equal(refTB) {
+			if p.MatMulTBInto(got, a, bT); !got.Equal(refTB) {
 				t.Errorf("MatMulTB not bit-identical to serial (%s)", label)
 			}
 		}
-	}
-}
-
-// TestMatMulTransposedAgreement pins the refactored TA/TB kernels to the
-// plain MatMul on explicitly transposed operands.
-func TestMatMulTransposedAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := Rand(rng, -1, 1, 9, 6)
-	b := Rand(rng, -1, 1, 6, 11)
-	want := MatMul(a, b)
-	if got := MatMulTA(Transpose2D(a), b); !got.AllClose(want, 1e-6, 1e-6) {
-		t.Fatal("MatMulTA(aᵀ, b) disagrees with MatMul(a, b)")
-	}
-	if got := MatMulTB(a, Transpose2D(b)); !got.AllClose(want, 1e-6, 1e-6) {
-		t.Fatal("MatMulTB(a, bᵀ) disagrees with MatMul(a, b)")
 	}
 }
 
@@ -90,18 +86,20 @@ func TestIm2ColCol2ImBackendParity(t *testing.T) {
 		{3, 4, 11, 5, 5, 2, 2},
 	}
 	rng := rand.New(rand.NewSource(3))
+	variants := parallelVariants()
 	for _, cse := range cases {
 		x := Rand(rng, -1, 1, cse.n, cse.c, cse.h, cse.w)
-		refCols := Im2ColWith(Serial{}, x, cse.k, cse.k, cse.stride, cse.pad)
-		refBack := Col2ImWith(Serial{}, refCols, cse.n, cse.c, cse.h, cse.w, cse.k, cse.k, cse.stride, cse.pad)
-		for _, p := range parallelVariants() {
-			label := fmt.Sprintf("%+v workers=%d", cse, p.Workers())
-			cols := Im2ColWith(p, x, cse.k, cse.k, cse.stride, cse.pad)
-			if !cols.Equal(refCols) {
+		oh, ow := ConvOutSize(cse.h, cse.k, cse.stride, cse.pad), ConvOutSize(cse.w, cse.k, cse.stride, cse.pad)
+		refCols, refBack := New(cse.c*cse.k*cse.k, cse.n*oh*ow), New(cse.n, cse.c, cse.h, cse.w)
+		Serial{}.Im2ColInto(refCols, x, cse.k, cse.k, cse.stride, cse.pad)
+		Serial{}.Col2ImInto(refBack, refCols, cse.k, cse.k, cse.stride, cse.pad)
+		for i, p := range variants {
+			label := fmt.Sprintf("%+v workers=%d", cse, variantWorkers[i])
+			cols, back := New(refCols.Shape()...), New(refBack.Shape()...)
+			if p.Im2ColInto(cols, x, cse.k, cse.k, cse.stride, cse.pad); !cols.Equal(refCols) {
 				t.Errorf("Im2Col not bit-identical to serial (%s)", label)
 			}
-			back := Col2ImWith(p, cols, cse.n, cse.c, cse.h, cse.w, cse.k, cse.k, cse.stride, cse.pad)
-			if !back.Equal(refBack) {
+			if p.Col2ImInto(back, cols, cse.k, cse.k, cse.stride, cse.pad); !back.Equal(refBack) {
 				t.Errorf("Col2Im not bit-identical to serial (%s)", label)
 			}
 		}
@@ -114,7 +112,7 @@ func TestElementwiseBackendParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := Rand(rng, -2, 2, 13, 7)
 	b := Rand(rng, -2, 2, 13, 7)
-	for _, p := range parallelVariants() {
+	for i, p := range parallelVariants() {
 		for name, run := range map[string]func(be Backend) *Tensor{
 			"Add": func(be Backend) *Tensor { out := New(13, 7); be.Add(out, a, b); return out },
 			"Sub": func(be Backend) *Tensor { out := New(13, 7); be.Sub(out, a, b); return out },
@@ -132,7 +130,7 @@ func TestElementwiseBackendParity(t *testing.T) {
 		} {
 			want, got := run(Serial{}), run(p)
 			if !got.Equal(want) {
-				t.Errorf("%s not bit-identical to serial (workers=%d)", name, p.Workers())
+				t.Errorf("%s not bit-identical to serial (workers=%d)", name, variantWorkers[i])
 			}
 		}
 	}

@@ -17,42 +17,6 @@ import "fmt"
 // same per-element accumulation sequence (see gemm.go), so dispatch stays
 // a pure performance choice and every backend stays interchangeable.
 
-// MatMulBatch returns the batch product a·b per instance
-// (a: [G,m,k], b: [G,k,n] -> [G,m,n]) on the default backend.
-func MatMulBatch(a, b *Tensor) *Tensor { return MatMulBatchWith(Default(), a, b) }
-
-// MatMulBatchWith is MatMulBatch on an explicit backend.
-func MatMulBatchWith(be Backend, a, b *Tensor) *Tensor {
-	g, m, _, n := matMulBatchDims(a, b)
-	out := New(g, m, n)
-	be.MatMulBatchInto(out, a, b)
-	return out
-}
-
-// MatMulTABatch returns aᵀ·b per instance
-// (a: [G,k,m], b: [G,k,n] -> [G,m,n]) on the default backend.
-func MatMulTABatch(a, b *Tensor) *Tensor { return MatMulTABatchWith(Default(), a, b) }
-
-// MatMulTABatchWith is MatMulTABatch on an explicit backend.
-func MatMulTABatchWith(be Backend, a, b *Tensor) *Tensor {
-	g, m, _, n := matMulTABatchDims(a, b)
-	out := New(g, m, n)
-	be.MatMulTABatchInto(out, a, b)
-	return out
-}
-
-// MatMulTBBatch returns a·bᵀ per instance
-// (a: [G,m,k], b: [G,n,k] -> [G,m,n]) on the default backend.
-func MatMulTBBatch(a, b *Tensor) *Tensor { return MatMulTBBatchWith(Default(), a, b) }
-
-// MatMulTBBatchWith is MatMulTBBatch on an explicit backend.
-func MatMulTBBatchWith(be Backend, a, b *Tensor) *Tensor {
-	g, m, _, n := matMulTBBatchDims(a, b)
-	out := New(g, m, n)
-	be.MatMulTBBatchInto(out, a, b)
-	return out
-}
-
 // --- shape validation --------------------------------------------------------
 
 func matMulBatchDims(a, b *Tensor) (g, m, k, n int) {

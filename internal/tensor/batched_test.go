@@ -78,13 +78,17 @@ func TestBatchedGemmMatchesReferenceBits(t *testing.T) {
 			for _, be := range backends {
 				label := fmt.Sprintf("g=%d m=%d k=%d n=%d specials=%d be=%s",
 					s.g, s.m, s.k, s.n, which, be.Name())
-				if diff := bitsDiff(MatMulBatchWith(be, a, b), ref); diff != "" {
+				got := New(s.g, s.m, s.n)
+				be.MatMulBatchInto(got, a, b)
+				if diff := bitsDiff(got, ref); diff != "" {
 					t.Errorf("MatMulBatch != reference (%s): %s", label, diff)
 				}
-				if diff := bitsDiff(MatMulTABatchWith(be, aT, b), refTA); diff != "" {
+				be.MatMulTABatchInto(got, aT, b)
+				if diff := bitsDiff(got, refTA); diff != "" {
 					t.Errorf("MatMulTABatch != reference (%s): %s", label, diff)
 				}
-				if diff := bitsDiff(MatMulTBBatchWith(be, a, bT), refTB); diff != "" {
+				be.MatMulTBBatchInto(got, a, bT)
+				if diff := bitsDiff(got, refTB); diff != "" {
 					t.Errorf("MatMulTBBatch != reference (%s): %s", label, diff)
 				}
 			}
@@ -106,10 +110,11 @@ func TestBatchedMatchesLoopOf2D(t *testing.T) {
 		for q := 0; q < s.g; q++ {
 			aq := FromSlice(a.data[q*s.m*s.k:(q+1)*s.m*s.k], s.m, s.k)
 			bq := FromSlice(b.data[q*s.k*s.n:(q+1)*s.k*s.n], s.k, s.n)
-			copy(want.data[q*s.m*s.n:], MatMul(aq, bq).data)
+			Serial{}.MatMulInto(FromSlice(want.data[q*s.m*s.n:(q+1)*s.m*s.n], s.m, s.n), aq, bq)
 		}
 		for _, be := range backends {
-			got := MatMulBatchWith(be, a, b)
+			got := New(s.g, s.m, s.n)
+			be.MatMulBatchInto(got, a, b)
 			if diff := bitsDiff(got, want); diff != "" {
 				t.Errorf("%s batched != loop-of-2D (g=%d m=%d k=%d n=%d): %s",
 					be.Name(), s.g, s.m, s.k, s.n, diff)

@@ -2,9 +2,6 @@
 
 package tensor
 
-// asmMicroAvailable reports that this build has an assembly microkernel.
-const asmMicroAvailable = true
-
 // useAsmMicro selects the SSE microkernel for full register tiles. It is
 // a package variable (not a constant) so the bit-equivalence suite can
 // force the generic path and pin the two implementations identical; the

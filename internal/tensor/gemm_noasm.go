@@ -2,9 +2,6 @@
 
 package tensor
 
-// asmMicroAvailable reports that this build has an assembly microkernel.
-const asmMicroAvailable = false
-
 // useAsmMicro mirrors the amd64 toggle so shared tests compile; without
 // an assembly microkernel it stays false.
 var useAsmMicro = false

@@ -110,7 +110,7 @@ func fillAdversarial(rng *rand.Rand, t *Tensor, which int) {
 func TestPackedKernelsMatchReferenceBits(t *testing.T) {
 	pools := []*Pool{nil, NewPool(3)}
 	asmModes := []bool{false}
-	if asmMicroAvailable {
+	if useAsmMicro { // true exactly where an assembly microkernel is built
 		asmModes = append(asmModes, true)
 	}
 	defer func(prev bool) { useAsmMicro = prev }(useAsmMicro)
@@ -121,8 +121,8 @@ func TestPackedKernelsMatchReferenceBits(t *testing.T) {
 			b := New(s.k, s.n)
 			fillAdversarial(rng, a, which)
 			fillAdversarial(rng, b, which+1)
-			aT := Transpose2D(a)
-			bT := Transpose2D(b)
+			aT := transpose2D(a)
+			bT := transpose2D(b)
 
 			ref := New(s.m, s.n)
 			matMulRowsRef(ref.data, a.data, b.data, s.k, s.n, 0, s.m)
@@ -166,7 +166,8 @@ func TestBackendDispatchMatchesReferenceBits(t *testing.T) {
 		ref := New(s.m, s.n)
 		matMulRowsRef(ref.data, a.data, b.data, s.k, s.n, 0, s.m)
 		for _, be := range backends {
-			got := MatMulWith(be, a, b)
+			got := New(s.m, s.n)
+			be.MatMulInto(got, a, b)
 			if diff := bitsDiff(got, ref); diff != "" {
 				t.Errorf("%s MatMul != reference (m=%d k=%d n=%d): %s", be.Name(), s.m, s.k, s.n, diff)
 			}
@@ -201,7 +202,8 @@ func TestFusedConvGemmMatchesMaterialized(t *testing.T) {
 		S := cse.n * oh * ow
 		w := Rand(rng, -1, 1, cse.outC, K)
 		grad := Rand(rng, -1, 1, cse.outC, S)
-		cols := Im2ColWith(Serial{}, x, cse.k, cse.k, cse.stride, cse.pad)
+		cols := New(K, S)
+		Serial{}.Im2ColInto(cols, x, cse.k, cse.k, cse.stride, cse.pad)
 
 		wantFwd := New(cse.outC, S)
 		matMulRowsRef(wantFwd.data, w.data, cols.data, K, S, 0, cse.outC)
@@ -237,7 +239,8 @@ func TestFusedPackMatchesMaterializedPack(t *testing.T) {
 			ow: ConvOutSize(cse.w, cse.k, cse.stride, cse.pad),
 			kh: cse.k, kw: cse.k, stride: cse.stride, pad: cse.pad}
 		K, S := g.colRows(), g.colCols()
-		cols := Im2ColWith(Serial{}, x, cse.k, cse.k, cse.stride, cse.pad)
+		cols := New(K, S)
+		Serial{}.Im2ColInto(cols, x, cse.k, cse.k, cse.stride, cse.pad)
 
 		want := make([]float32, packedBLen(K, S))
 		packBPanels(want, cols.data, K, S, 0, panelsOf(S))

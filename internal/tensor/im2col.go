@@ -26,51 +26,6 @@ func tapRun(i0, stride, size, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// Im2Col unfolds an NCHW input into a matrix of shape
-// [C*KH*KW, N*OH*OW] so that a convolution becomes a single matrix
-// multiplication with a [Cout, C*KH*KW] weight matrix.
-//
-// Padding is zero-padding; stride applies to both spatial dimensions.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
-	return Im2ColWith(Default(), x, kh, kw, stride, pad)
-}
-
-// Im2ColWith is Im2Col on an explicit backend.
-func Im2ColWith(be Backend, x *Tensor, kh, kw, stride, pad int) *Tensor {
-	n, c, oh, ow := im2ColDims(x, kh, kw, stride, pad)
-	out := New(c*kh*kw, n*oh*ow)
-	be.Im2ColInto(out, x, kh, kw, stride, pad)
-	return out
-}
-
-// Im2ColInto unfolds x into out, which must be [C*KH*KW, N*OH*OW]. The
-// whole buffer is overwritten (padding positions are zeroed), so out may
-// be recycled scratch.
-func Im2ColInto(out, x *Tensor, kh, kw, stride, pad int) {
-	Default().Im2ColInto(out, x, kh, kw, stride, pad)
-}
-
-// Col2Im folds a [C*KH*KW, N*OH*OW] column matrix back into an NCHW tensor
-// of the given input geometry, accumulating overlapping contributions.
-// It is the adjoint of Im2Col and is used by convolution backward passes.
-func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
-	return Col2ImWith(Default(), cols, n, c, h, w, kh, kw, stride, pad)
-}
-
-// Col2ImWith is Col2Im on an explicit backend.
-func Col2ImWith(be Backend, cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
-	checkCol2Im(cols, n, c, h, w, kh, kw, stride, pad)
-	out := New(n, c, h, w)
-	be.Col2ImInto(out, cols, kh, kw, stride, pad)
-	return out
-}
-
-// Col2ImInto folds cols into out (NCHW), overwriting it. cols must be
-// [C*KH*KW, N*OH*OW] for out's geometry.
-func Col2ImInto(out, cols *Tensor, kh, kw, stride, pad int) {
-	Default().Col2ImInto(out, cols, kh, kw, stride, pad)
-}
-
 // --- shape validation --------------------------------------------------------
 
 func im2ColDims(x *Tensor, kh, kw, stride, pad int) (n, c, oh, ow int) {

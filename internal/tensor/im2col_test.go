@@ -90,9 +90,11 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 		oh := ConvOutSize(cfg.h, cfg.k, cfg.stride, cfg.pad)
 		ow := ConvOutSize(cfg.w, cfg.k, cfg.stride, cfg.pad)
 
-		cols := Im2Col(x, cfg.k, cfg.k, cfg.stride, cfg.pad)
+		cols := New(cfg.c*cfg.k*cfg.k, cfg.n*oh*ow)
+		Serial{}.Im2ColInto(cols, x, cfg.k, cfg.k, cfg.stride, cfg.pad)
 		wm := w.Reshape(cfg.cout, cfg.c*cfg.k*cfg.k)
-		flat := MatMul(wm, cols) // [cout, n*oh*ow]
+		flat := New(cfg.cout, cfg.n*oh*ow)
+		Serial{}.MatMulInto(flat, wm, cols)
 
 		// Rearrange [cout, n*oh*ow] to NCHW.
 		got := New(cfg.n, cfg.cout, oh, ow)
@@ -112,7 +114,7 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 	}
 }
 
-// TestCol2ImIsAdjointOfIm2Col checks <Im2Col(x), y> == <x, Col2Im(y)>,
+// TestCol2ImIsAdjointOfIm2Col checks <im2col(x), y> == <x, col2im(y)>,
 // the defining property of an adjoint pair, which is exactly what the
 // convolution backward pass relies on.
 func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
@@ -125,9 +127,11 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 		stride := 1 + rng.Intn(2)
 		pad := rng.Intn(2)
 		x := Rand(rng, -1, 1, n, c, h, w)
-		cols := Im2Col(x, k, k, stride, pad)
+		cols := New(c*k*k, n*ConvOutSize(h, k, stride, pad)*ConvOutSize(w, k, stride, pad))
+		Serial{}.Im2ColInto(cols, x, k, k, stride, pad)
 		y := Rand(rng, -1, 1, cols.Shape()...)
-		back := Col2Im(y, n, c, h, w, k, k, stride, pad)
+		back := New(n, c, h, w)
+		Serial{}.Col2ImInto(back, y, k, k, stride, pad)
 
 		var lhs, rhs float64
 		for i, v := range cols.Data() {
@@ -143,13 +147,17 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	}
 }
 
+// TestIm2ColShapes: the output must be exactly [C*KH*KW, N*OH*OW].
 func TestIm2ColShapes(t *testing.T) {
 	x := New(2, 3, 8, 8)
-	cols := Im2Col(x, 3, 3, 2, 1)
 	oh := ConvOutSize(8, 3, 2, 1)
-	if cols.Shape()[0] != 3*3*3 || cols.Shape()[1] != 2*oh*oh {
-		t.Fatalf("Im2Col shape = %v", cols.Shape())
-	}
+	Serial{}.Im2ColInto(New(3*3*3, 2*oh*oh), x, 3, 3, 2, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Im2ColInto accepted an output one column short")
+		}
+	}()
+	Serial{}.Im2ColInto(New(3*3*3, 2*oh*oh-1), x, 3, 3, 2, 1)
 }
 
 func TestIm2ColPanicsOnNonNCHW(t *testing.T) {
@@ -158,7 +166,7 @@ func TestIm2ColPanicsOnNonNCHW(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Im2Col(New(3, 3), 3, 3, 1, 1)
+	Serial{}.Im2ColInto(New(9, 9), New(3, 3), 3, 3, 1, 1)
 }
 
 func TestCol2ImPanicsOnWrongShape(t *testing.T) {
@@ -167,7 +175,7 @@ func TestCol2ImPanicsOnWrongShape(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Col2Im(New(5, 5), 1, 1, 4, 4, 3, 3, 1, 1)
+	Serial{}.Col2ImInto(New(1, 1, 4, 4), New(5, 5), 3, 3, 1, 1)
 }
 
 // TestFusedPackRowRunsMatchScalarOracle pins the run-based packers — the

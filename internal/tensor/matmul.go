@@ -2,55 +2,10 @@ package tensor
 
 import "fmt"
 
-// The matmul family routes through the process-default Backend (see
-// backend.go); the *With variants select a backend explicitly. All
-// backends share the row-range kernels at the bottom of this file, so
-// every implementation produces bit-identical results: parallel backends
-// partition the output-row dimension only, leaving the per-element
-// accumulation order untouched.
-
-// MatMul returns the matrix product a·b for 2-D tensors
-// (a: [m,k], b: [k,n] -> [m,n]).
-func MatMul(a, b *Tensor) *Tensor { return MatMulWith(Default(), a, b) }
-
-// MatMulWith is MatMul on an explicit backend.
-func MatMulWith(be Backend, a, b *Tensor) *Tensor {
-	m, _, n := matMulDims(a, b)
-	out := New(m, n)
-	be.MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes out = a·b, overwriting out. out must be [m,n].
-func MatMulInto(out, a, b *Tensor) { Default().MatMulInto(out, a, b) }
-
-// MatMulTA returns aᵀ·b for 2-D tensors (a: [k,m], b: [k,n] -> [m,n]).
-func MatMulTA(a, b *Tensor) *Tensor { return MatMulTAWith(Default(), a, b) }
-
-// MatMulTAWith is MatMulTA on an explicit backend.
-func MatMulTAWith(be Backend, a, b *Tensor) *Tensor {
-	m, _, n := matMulTADims(a, b)
-	out := New(m, n)
-	be.MatMulTAInto(out, a, b)
-	return out
-}
-
-// MatMulTAInto computes out = aᵀ·b, overwriting out. out must be [m,n].
-func MatMulTAInto(out, a, b *Tensor) { Default().MatMulTAInto(out, a, b) }
-
-// MatMulTB returns a·bᵀ for 2-D tensors (a: [m,k], b: [n,k] -> [m,n]).
-func MatMulTB(a, b *Tensor) *Tensor { return MatMulTBWith(Default(), a, b) }
-
-// MatMulTBWith is MatMulTB on an explicit backend.
-func MatMulTBWith(be Backend, a, b *Tensor) *Tensor {
-	m, _, n := matMulTBDims(a, b)
-	out := New(m, n)
-	be.MatMulTBInto(out, a, b)
-	return out
-}
-
-// MatMulTBInto computes out = a·bᵀ, overwriting out. out must be [m,n].
-func MatMulTBInto(out, a, b *Tensor) { Default().MatMulTBInto(out, a, b) }
+// Every backend runs the row-range kernels of this file, so all of them
+// produce bit-identical results: parallel backends partition the
+// output-row dimension only, leaving the per-element accumulation order
+// untouched.
 
 // --- shape validation --------------------------------------------------------
 

@@ -26,7 +26,8 @@ func matMulNaive(a, b *Tensor) *Tensor {
 func TestMatMulKnownValues(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	got := MatMul(a, b)
+	got := New(2, 2)
+	Serial{}.MatMulInto(got, a, b)
 	want := FromSlice([]float32{58, 64, 139, 154}, 2, 2)
 	if !got.Equal(want) {
 		t.Fatalf("MatMul = %v, want %v", got, want)
@@ -39,7 +40,8 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		m, k, n := 1+rng.Intn(10), 1+rng.Intn(10), 1+rng.Intn(10)
 		a := Rand(rng, -2, 2, m, k)
 		b := Rand(rng, -2, 2, k, n)
-		got := MatMul(a, b)
+		got := New(m, n)
+		Serial{}.MatMulInto(got, a, b)
 		want := matMulNaive(a, b)
 		if !got.AllClose(want, 1e-5, 1e-5) {
 			t.Fatalf("MatMul mismatch for %dx%dx%d", m, k, n)
@@ -53,8 +55,9 @@ func TestMatMulTAEquivalence(t *testing.T) {
 		m, k, n := 1+rng.Intn(8), 1+rng.Intn(8), 1+rng.Intn(8)
 		a := Rand(rng, -2, 2, k, m) // note: transposed layout
 		b := Rand(rng, -2, 2, k, n)
-		got := MatMulTA(a, b)
-		want := MatMul(Transpose2D(a), b)
+		got, want := New(m, n), New(m, n)
+		Serial{}.MatMulTAInto(got, a, b)
+		Serial{}.MatMulInto(want, transpose2D(a), b)
 		if !got.AllClose(want, 1e-5, 1e-5) {
 			t.Fatalf("MatMulTA mismatch for %dx%dx%d", m, k, n)
 		}
@@ -67,8 +70,9 @@ func TestMatMulTBEquivalence(t *testing.T) {
 		m, k, n := 1+rng.Intn(8), 1+rng.Intn(8), 1+rng.Intn(8)
 		a := Rand(rng, -2, 2, m, k)
 		b := Rand(rng, -2, 2, n, k) // note: transposed layout
-		got := MatMulTB(a, b)
-		want := MatMul(a, Transpose2D(b))
+		got, want := New(m, n), New(m, n)
+		Serial{}.MatMulTBInto(got, a, b)
+		Serial{}.MatMulInto(want, a, transpose2D(b))
 		if !got.AllClose(want, 1e-5, 1e-5) {
 			t.Fatalf("MatMulTB mismatch for %dx%dx%d", m, k, n)
 		}
@@ -84,7 +88,10 @@ func TestMatMulIdentityProperty(t *testing.T) {
 			eye.Set(1, i, i)
 		}
 		x := Rand(rng, -3, 3, n, n)
-		if !MatMul(eye, x).AllClose(x, 1e-6, 1e-6) || !MatMul(x, eye).AllClose(x, 1e-6, 1e-6) {
+		left, right := New(n, n), New(n, n)
+		Serial{}.MatMulInto(left, eye, x)
+		Serial{}.MatMulInto(right, x, eye)
+		if !left.AllClose(x, 1e-6, 1e-6) || !right.AllClose(x, 1e-6, 1e-6) {
 			t.Fatalf("identity property failed for n=%d", n)
 		}
 	}
@@ -97,7 +104,7 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("expected panic on inner dimension mismatch")
 		}
 	}()
-	MatMul(a, b)
+	Serial{}.MatMulInto(New(2, 2), a, b)
 }
 
 func TestMatMulIntoOutputShapePanic(t *testing.T) {
@@ -108,5 +115,5 @@ func TestMatMulIntoOutputShapePanic(t *testing.T) {
 			t.Fatal("expected panic on wrong output shape")
 		}
 	}()
-	MatMulInto(out, a, b)
+	Serial{}.MatMulInto(out, a, b)
 }

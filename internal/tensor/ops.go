@@ -1,80 +1,16 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Elementwise ops route through the process-default Backend; parallel
+// AddInto and ScaleInPlace run on the process-default Backend. Parallel
 // backends partition the flat index range, which cannot change results
-// because every element is computed independently. Reductions (Sum, Mean,
-// MaxAbs, L2Norm) stay serial on every backend: their accumulation order
-// is part of the bit-exactness contract.
-
-// Add returns a + b elementwise. Shapes must match.
-func Add(a, b *Tensor) *Tensor {
-	mustSameShape("Add", a, b)
-	out := New(a.shape...)
-	Default().Add(out, a, b)
-	return out
-}
-
-// Sub returns a - b elementwise. Shapes must match.
-func Sub(a, b *Tensor) *Tensor {
-	mustSameShape("Sub", a, b)
-	out := New(a.shape...)
-	Default().Sub(out, a, b)
-	return out
-}
-
-// Mul returns a * b elementwise (Hadamard product). Shapes must match.
-func Mul(a, b *Tensor) *Tensor {
-	mustSameShape("Mul", a, b)
-	out := New(a.shape...)
-	Default().Mul(out, a, b)
-	return out
-}
-
-// Scale returns a * s elementwise.
-func Scale(a *Tensor, s float32) *Tensor {
-	out := New(a.shape...)
-	Default().Scale(out, a, s)
-	return out
-}
+// because every element is computed independently.
 
 // AddInto accumulates src into dst (dst += src). Shapes must match.
 func AddInto(dst, src *Tensor) { Default().Axpy(dst, 1, src) }
 
-// AxpyInto computes dst += alpha*src. Shapes must match.
-func AxpyInto(dst *Tensor, alpha float32, src *Tensor) { Default().Axpy(dst, alpha, src) }
-
 // ScaleInPlace multiplies every element of t by s.
 func ScaleInPlace(t *Tensor, s float32) { Default().Scale(t, t, s) }
-
-// Sum returns the sum of all elements (accumulated in float64 for
-// determinism-friendly precision).
-func Sum(t *Tensor) float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func Mean(t *Tensor) float64 { return Sum(t) / float64(len(t.data)) }
-
-// MaxAbs returns the largest absolute element value.
-func MaxAbs(t *Tensor) float32 {
-	var m float32
-	for _, v := range t.data {
-		a := float32(math.Abs(float64(v)))
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
 
 // ArgMaxRow returns, for a 2-D tensor, the column index of the maximum in
 // each row. Ties resolve to the lowest index.
@@ -94,30 +30,6 @@ func ArgMaxRow(t *Tensor) []int {
 		out[r] = bestIdx
 	}
 	return out
-}
-
-// Transpose2D returns the transpose of a 2-D tensor.
-func Transpose2D(t *Tensor) *Tensor {
-	if len(t.shape) != 2 {
-		panic(fmt.Sprintf("tensor: Transpose2D requires 2-D tensor, got shape %v", t.shape))
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := New(cols, rows)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			out.data[c*rows+r] = t.data[r*cols+c]
-		}
-	}
-	return out
-}
-
-// L2Norm returns the Euclidean norm of all elements.
-func L2Norm(t *Tensor) float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 func mustSameShape(op string, a, b *Tensor) {

@@ -12,8 +12,8 @@ type Parallel struct {
 // NewParallel returns a parallel backend. workers <= 0 selects the shared
 // process-wide pool sized by GOMAXPROCS — the recommended configuration,
 // since it bounds total compute goroutines across all pipeline devices.
-// workers > 0 builds a dedicated pool of that size (used by the
-// -workers flag of cmd/pipebd and by tests).
+// workers > 0 builds a dedicated pool of that size, which is how tests
+// force awkward partitions.
 func NewParallel(workers int) *Parallel {
 	if workers <= 0 {
 		return &Parallel{pool: SharedPool()}
@@ -23,9 +23,6 @@ func NewParallel(workers int) *Parallel {
 
 // Name implements Backend.
 func (*Parallel) Name() string { return "parallel" }
-
-// Workers returns the size of the backing pool.
-func (p *Parallel) Workers() int { return p.pool.Workers() }
 
 // Grain sizes: a chunk must amortize the submission overhead (a closure
 // enqueue plus two atomics), so each one carries at least this many

@@ -35,9 +35,6 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers, tasks: make(chan func(), workers)}
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // startWorkers spawns the long-lived workers (the submitting goroutine
 // always participates, so only workers-1 extra goroutines are needed).
 func (p *Pool) startWorkers() {

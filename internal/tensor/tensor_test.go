@@ -165,7 +165,10 @@ func TestRandDeterminism(t *testing.T) {
 
 func TestRandnMoments(t *testing.T) {
 	x := Randn(rand.New(rand.NewSource(1)), 2, 0.5, 100, 100)
-	mean := Mean(x)
+	var mean float64
+	for _, v := range x.Data() {
+		mean += float64(v) / float64(x.Numel())
+	}
 	if mean < 1.95 || mean > 2.05 {
 		t.Fatalf("Randn mean = %v, want ~2", mean)
 	}
