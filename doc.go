@@ -48,7 +48,15 @@
 // MultiHeadAttention, LayerNorm, GELU, FeedForward, MeanPoolSeq,
 // max-subtracted SoftmaxLastDim and its backward), all with full
 // finite-difference-checked gradients and eval-forward cache
-// invalidation; token-sequence datasets (dataset.NewTokens) are
+// invalidation. GELU is float32 throughout, and its tanh and the
+// softmax's exp are the float32 slice kernels tensor.TanhInto and
+// tensor.ExpInto — every product rounded explicitly, so no port fuses a
+// multiply-add and the bits depend on the input alone; 1.5 and 1 ULP,
+// enforced over a sweep of the float32 range; the one implementation on
+// every path. The KL loss's log-softmax and MixedOp's α softmax stay on
+// float64 math.Exp / math.Log: at most 8 elements a row they are cold,
+// and math.Log has no kernel here. Token-sequence datasets
+// (dataset.NewTokens) are
 // deterministic and carry a wire.DataSpec recipe (Kind "tokens"), so
 // ring workers regenerate token batches locally exactly as they do
 // image batches. Attention's per-head GEMMs are skinny — m equals the

@@ -7,11 +7,16 @@
 // data-parallel with a deterministic intra-group gradient all-reduce
 // (automatic hybrid distribution).
 //
-// This is Algorithm 1 of the paper realized with actual concurrency. Its
-// purpose is correctness, not throughput: the equivalence tests prove
-// that the pipelined schedules produce exactly the training trajectory of
-// the sequential formulation — the paper's "no modification to the
-// mathematical formulation" claim.
+// This is Algorithm 1 of the paper realized with actual concurrency, and
+// it serves both halves of the paper's claim. Correctness: the
+// equivalence tests prove that every pipelined schedule produces exactly
+// the training trajectory of the sequential formulation ("no
+// modification to the mathematical formulation"), which is also what
+// lets a kernel, a backend or a transport be replaced under it and
+// checked bit for bit. Throughput: RunMember is the device loop that
+// `go run ./benchmark` times in-process and that the TCP cluster's
+// workers run, so its samples per second, CPU per sample and allocation
+// per sample are gated metrics, not by-products.
 package engine
 
 import (

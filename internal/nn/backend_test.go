@@ -256,3 +256,22 @@ func BenchmarkDWConvTrainStep(b *testing.B) {
 func BenchmarkReLUTrainStep(b *testing.B) {
 	benchTrainStep(b, NewReLU(), 16, 16, 16, 16)
 }
+
+// BenchmarkGELUTrainStep and BenchmarkSoftmaxLastDim time the two
+// transcendental sites of the transformer at the xfmr_inproc geometry:
+// the teacher's feed-forward activation [16·32, 256] and one layer's
+// attention scores [16·4, 32, 32]. Neither touches a backend.
+func BenchmarkGELUTrainStep(b *testing.B) {
+	benchTrainStep(b, NewGELU(), 16, 32, 256)
+}
+
+func BenchmarkSoftmaxLastDim(b *testing.B) {
+	x := tensor.Rand(rand.New(rand.NewSource(2)), -4, 4, 16, 4, 32, 32)
+	ar := tensor.NewArena()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SoftmaxLastDim(ar, x)
+		ar.Reset()
+	}
+}

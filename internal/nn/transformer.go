@@ -22,10 +22,11 @@ import (
 // --- softmax -----------------------------------------------------------------
 
 // SoftmaxLastDim returns softmax over the last dimension, max-subtracted
-// per row with float64 accumulation: the numerics every softmax consumer
-// in the package (attention, KL loss) shares. Each exponential is
-// evaluated once and kept, in float64, for the normalization. The output
-// comes from ar (nil: plain allocation).
+// per row: the numerics every softmax consumer in the package shares.
+// Each row is shifted by its maximum into the output, exponentiated in
+// place by tensor.ExpInto (float32, explicit roundings, terms under the
+// smallest normal flushed to zero), summed in float64 and scaled. The
+// output comes from ar (nil: plain allocation).
 func SoftmaxLastDim(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	shape := x.Shape()
 	if len(shape) == 0 {
@@ -34,7 +35,6 @@ func SoftmaxLastDim(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	d := shape[len(shape)-1]
 	out := ar.Get(shape...)
 	xd, od := x.Data(), out.Data()
-	exps := make([]float64, d)
 	for r := 0; r < len(xd); r += d {
 		row, orow := xd[r:r+d], od[r:r+d]
 		maxv := row[0]
@@ -43,14 +43,17 @@ func SoftmaxLastDim(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 				maxv = v
 			}
 		}
-		var sum float64
 		for j, v := range row {
-			exps[j] = math.Exp(float64(v - maxv))
-			sum += exps[j]
+			orow[j] = v - maxv
+		}
+		tensor.ExpInto(orow, orow)
+		var sum float64
+		for _, e := range orow {
+			sum += float64(e)
 		}
 		inv := 1 / sum
-		for j := range row {
-			orow[j] = float32(exps[j] * inv)
+		for j, e := range orow {
+			orow[j] = float32(float64(e) * inv)
 		}
 	}
 	return out
@@ -83,39 +86,45 @@ func SoftmaxBackwardLastDim(ar *tensor.Arena, probs, grad *tensor.Tensor) *tenso
 // --- GELU --------------------------------------------------------------------
 
 // GELU is the tanh-approximated Gaussian error linear unit:
-// 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))).
+// 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), evaluated in float32 with
+// every product rounded on its own and the tanh by tensor.TanhInto, so
+// its bits are the same on every architecture.
 type GELU struct {
 	stepMem
 	lastX []float32 // cached pre-activation, train forwards only
-	tanh  []float64 // the forward's tanh per element, same lifetime
+	tanh  []float32 // the forward's tanh per element, same lifetime
 }
 
 // NewGELU returns a GELU activation.
 func NewGELU() *GELU { return &GELU{} }
 
 const (
-	geluC = 0.7978845608028654 // √(2/π)
-	geluA = 0.044715
+	geluC float32 = 0.7978845608028654 // √(2/π)
+	geluA float32 = 0.044715
 )
 
 // Forward applies the activation elementwise.
 func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := g.ar.Get(x.Shape()...)
 	xd, od := x.Data(), out.Data()
+	// The tanh lands in the training cache, or in the output itself when
+	// there is no backward to keep it for.
+	th := od
 	if train {
 		g.lastX = append(g.lastX[:0], xd...)
 		g.tanh = reuse(g.tanh, len(xd))
+		th = g.tanh
 		g.cached()
 	} else {
 		g.lastX = nil
 	}
 	for i, v := range xd {
-		fv := float64(v)
-		t := math.Tanh(geluC * (fv + geluA*fv*fv*fv))
-		od[i] = float32(0.5 * fv * (1 + t))
-		if train {
-			g.tanh[i] = t
-		}
+		v3 := float32(float32(v*v) * v)
+		od[i] = float32(geluC * (v + float32(geluA*v3)))
+	}
+	tensor.TanhInto(th, od)
+	for i, v := range xd {
+		od[i] = float32(float32(0.5*v) * (1 + th[i]))
 	}
 	return out
 }
@@ -133,10 +142,13 @@ func (g *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	out := g.ar.Get(grad.Shape()...)
 	od := out.Data()
 	for i, v := range g.lastX {
-		fv, t := float64(v), g.tanh[i]
-		du := geluC * (1 + 3*geluA*fv*fv)
-		d := 0.5*(1+t) + 0.5*fv*(1-t*t)*du
-		od[i] = float32(float64(gd[i]) * d)
+		// 0.5·(1+t) + 0.5·x·(1−t²)·u′(x), u′ = √(2/π)·(1 + 3·0.044715·x²),
+		// with x·(1−t²) taken first: it is zero once the tanh saturates,
+		// before x² can overflow.
+		t := g.tanh[i]
+		w := float32(v * (1 - float32(t*t)))
+		w += float32(3 * geluA * float32(float32(w*v)*v))
+		od[i] = float32(gd[i] * (float32(0.5*(1+t)) + float32(0.5*geluC*w)))
 	}
 	return out
 }

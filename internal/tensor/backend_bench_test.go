@@ -95,3 +95,31 @@ func BenchmarkAttnContextBatch(b *testing.B) {
 		be.MatMulBatchInto(ctx, probs, v)
 	})
 }
+
+// BenchmarkTanhInto and BenchmarkExpInto time the transcendental slice
+// kernels on one GELU call and one softmax call of `go run ./benchmark`'s
+// xfmr_inproc teacher: 16·32·256 pre-activations spread like a layer-
+// normed projection's (tanh is cheaper below |x| = 1, so the spread
+// matters), and 16·4·32·32 max-shifted scores. The throughput column is
+// 4 bytes per element.
+func BenchmarkTanhInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	src := make([]float32, 16*32*256)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64() * 0.55)
+	}
+	dst := make([]float32, len(src))
+	b.SetBytes(int64(4 * len(src)))
+	for i := 0; i < b.N; i++ {
+		tensor.TanhInto(dst, src)
+	}
+}
+
+func BenchmarkExpInto(b *testing.B) {
+	src := tensor.Rand(rand.New(rand.NewSource(10)), -8, 0, 16*4*32*32).Data()
+	dst := make([]float32, len(src))
+	b.SetBytes(int64(4 * len(src)))
+	for i := 0; i < b.N; i++ {
+		tensor.ExpInto(dst, src)
+	}
+}
