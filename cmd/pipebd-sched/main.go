@@ -51,29 +51,13 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-batch must be positive, got %d", *batch)
 	}
 
-	var w model.Workload
-	switch *workload {
-	case "nas-cifar10":
-		w = model.NAS(false)
-	case "nas-imagenet":
-		w = model.NAS(true)
-	case "compression-cifar10":
-		w = model.Compression(false)
-	case "compression-imagenet":
-		w = model.Compression(true)
-	case "transformer-tokens":
-		w = model.TransformerDistill()
-	default:
-		return fmt.Errorf("unknown workload %q", *workload)
+	w, err := model.ByName(*workload)
+	if err != nil {
+		return err
 	}
-	var sys hw.System
-	switch *system {
-	case "a6000":
-		sys = hw.A6000x4()
-	case "2080ti":
-		sys = hw.RTX2080Tix4()
-	default:
-		return fmt.Errorf("unknown system %q", *system)
+	sys, err := hw.Preset(*system)
+	if err != nil {
+		return err
 	}
 
 	n := sys.NumDevices()
@@ -95,7 +79,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprint(stdout, metrics.Table(header, rows))
 
 	tr := sched.TRContiguous(prof, n)
-	ahd := sched.AHD(prof, sys, sched.DefaultAHDConfig())
+	ahd := sched.AHD(prof, sys)
 	fmt.Fprintf(stdout, "\nTR plan  : %s\n", tr.Describe())
 	fmt.Fprintf(stdout, "AHD plan : %s\n", ahd.Describe())
 	return nil

@@ -13,8 +13,6 @@ import (
 	"pipebd/internal/hw"
 	"pipebd/internal/model"
 	"pipebd/internal/pipeline"
-	"pipebd/internal/profilegen"
-	"pipebd/internal/sched"
 	"pipebd/internal/trace"
 )
 
@@ -53,67 +51,23 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-steps, -batch, and -width must be positive")
 	}
 
-	var w model.Workload
-	switch *workload {
-	case "nas-cifar10":
-		w = model.NAS(false)
-	case "nas-imagenet":
-		w = model.NAS(true)
-	case "compression-cifar10":
-		w = model.Compression(false)
-	case "compression-imagenet":
-		w = model.Compression(true)
-	case "transformer-tokens":
-		w = model.TransformerDistill()
-	default:
-		return fmt.Errorf("unknown workload %q", *workload)
+	w, err := model.ByName(*workload)
+	if err != nil {
+		return err
 	}
-	var sys hw.System
-	switch *system {
-	case "a6000":
-		sys = hw.A6000x4()
-	case "2080ti":
-		sys = hw.RTX2080Tix4()
-	default:
-		return fmt.Errorf("unknown system %q", *system)
+	sys, err := hw.Preset(*system)
+	if err != nil {
+		return err
 	}
 
-	cfg := pipeline.Config{Workload: w, System: sys, GlobalBatch: *batch,
-		MaxSteps: *steps, Record: true}
-	prof := profilegen.Measure(w, sys.GPUs[0], *batch, sys.NumDevices(), 100)
-
-	var tracks pipeline.Tracks
-	var desc string
-	switch *strategy {
-	case "DP":
-		report, tk := pipeline.RunDPTracks(cfg)
-		tracks, desc = tk, report.ScheduleDesc
-	case "LS":
-		report, tk := pipeline.RunLSTracks(cfg)
-		tracks, desc = tk, report.ScheduleDesc
-	case "TR", "TR+DPU":
-		plan := sched.TRContiguous(prof, sys.NumDevices())
-		report, tk := pipeline.RunTRTracks(cfg, plan, *strategy == "TR+DPU", *strategy)
-		tracks, desc = tk, report.ScheduleDesc
-	case "TR+IR":
-		plan := sched.InternalRelaying(sys.NumDevices(), w.NumBlocks())
-		report, tk := pipeline.RunTRTracks(cfg, plan, true, "TR+IR")
-		tracks, desc = tk, report.ScheduleDesc
-	case "TR+DPU+AHD":
-		plan := sched.AHD(prof, sys, sched.DefaultAHDConfig())
-		report, tk := pipeline.RunTRTracks(cfg, plan, true, "TR+DPU+AHD")
-		tracks, desc = tk, report.ScheduleDesc
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategy)
+	rung, err := pipeline.Strategy(pipeline.Config{Workload: w, System: sys, GlobalBatch: *batch,
+		MaxSteps: *steps, Record: true}, *strategy)
+	if err != nil {
+		return err
 	}
+	report, tracks := rung.Run()
 
-	fmt.Fprintf(stdout, "%s / %s / %s\nschedule: %s\n\n", w.Name, sys.Name, *strategy, desc)
-	var end float64
-	for _, d := range tracks.Devs {
-		if d.FreeAt() > end {
-			end = d.FreeAt()
-		}
-	}
-	fmt.Fprint(stdout, trace.Gantt(append(tracks.Devs, tracks.Loader), 0, end, *width))
+	fmt.Fprintf(stdout, "%s / %s / %s\nschedule: %s\n\n", w.Name, sys.Name, *strategy, report.ScheduleDesc)
+	fmt.Fprint(stdout, trace.Gantt(append(tracks.Devs, tracks.Loader), 0, report.EpochTime, *width))
 	return nil
 }

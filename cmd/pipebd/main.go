@@ -300,14 +300,9 @@ func main() {
 		return
 	}
 
-	var sys hw.System
-	switch *system {
-	case "a6000":
-		sys = hw.A6000x4()
-	case "2080ti":
-		sys = hw.RTX2080Tix4()
-	default:
-		fmt.Fprintf(os.Stderr, "pipebd: unknown system %q (want a6000 or 2080ti)\n", *system)
+	sys, err := hw.Preset(*system)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -36,7 +36,7 @@ func writeMeterTotals(w io.Writer, role string, t transport.Totals) {
 // tinyWorkload describes the numeric tiny workbench to the analytic cost
 // model: the same teacher (Conv3x3+BN+ReLU) and student (DW3x3+PW1x1+ReLU)
 // block pairs NewTinyWorkbench trains, as exact cost.Layer geometry, so
-// pipeline.RunTR can predict the very schedule the cluster executed.
+// pipeline.Run can predict the very schedule the cluster executed.
 func tinyWorkload(tiny distill.TinyConfig, steps, batch int) model.Workload {
 	teacher := cost.Network{Name: "tiny-teacher"}
 	student := cost.Network{Name: "tiny-student"}
@@ -87,7 +87,7 @@ func tinyWorkload(tiny distill.TinyConfig, steps, batch int) model.Workload {
 // transformerWorkload describes the numeric transformer workbench to the
 // analytic cost model: the same embed-plus-encoder-layer blocks
 // NewTransformerWorkbench trains, via the model package's transformer
-// family, so pipeline.RunTR can predict the very schedule the cluster
+// family, so pipeline.Run can predict the very schedule the cluster
 // executed. The teacher and student geometries differ only in MLP width,
 // exactly like the workbench.
 func transformerWorkload(cfg distill.TransformerConfig, steps, batch int) model.Workload {
@@ -121,12 +121,14 @@ func modeledReport(plan sched.Plan, dpu bool, nDev, steps, batch int, wl model.W
 	}
 	sys := hw.Homogeneous(fmt.Sprintf("%dx RTX A6000 (modeled)", nDev), nDev,
 		hw.RTXA6000(), hw.PCIe4(), hw.EPYC7302Host())
-	rep := pipeline.RunTR(pipeline.Config{
+	prog := sched.TeacherRelaying(plan, dpu)
+	prog.Name = "tr-modeled"
+	rep, _ := pipeline.Run(pipeline.Config{
 		Workload:    wl,
 		System:      sys,
 		GlobalBatch: batch,
 		MaxSteps:    steps,
-	}, plan, dpu, "tr-modeled")
+	}, prog)
 	return &rep, ""
 }
 

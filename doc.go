@@ -13,6 +13,19 @@
 //     internal/engine) that validates the mathematical-equivalence claim
 //     with actual float32 training and goroutine-per-device pipelines.
 //
+// # One schedule, two executors
+//
+// A strategy is data: a sched.Program, phases of stages — member devices
+// and batch shares, the student blocks trained, input from the loader
+// (behind a teacher-only prefix) or relayed from the previous stage —
+// plus whether updates wait on the per-step barrier. sched.DataParallel
+// and sched.Layerwise build the DP and LS baselines, sched.TeacherRelaying
+// everything from TR to AHD on different plans. pipeline.Run plays a
+// program in virtual time, engine.Run on real kernels through the device
+// loop the cluster's workers also run; neither branches on a strategy's
+// name, and pipeline.Ladder alone pairs the paper's six names with
+// programs.
+//
 // # Compute backends
 //
 // The numeric engine's kernels run on a pluggable tensor.Backend. Two

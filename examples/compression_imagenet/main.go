@@ -12,8 +12,6 @@ import (
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
 	"pipebd/internal/pipeline"
-	"pipebd/internal/profilegen"
-	"pipebd/internal/sched"
 	"pipebd/internal/sim"
 )
 
@@ -28,19 +26,16 @@ func main() {
 	fmt.Printf("student %s: %.1fM params, %.1f GMACs\n\n",
 		w.Student.Net.Name, float64(w.Student.Net.ParamCount())/1e6, w.Student.Net.MACs()/1e9)
 
-	cfg := pipeline.Config{Workload: w, System: sys, GlobalBatch: batch}
-	prof := profilegen.Measure(w, sys.GPUs[0], batch, sys.NumDevices(), 100)
-	trPlan := sched.TRContiguous(prof, sys.NumDevices())
-	ahdPlan := sched.AHD(prof, sys, sched.DefaultAHDConfig())
-
-	dp := pipeline.RunDP(cfg)
-	ls := pipeline.RunLS(cfg)
-	tr := pipeline.RunTR(cfg, trPlan, true, "TR+DPU")
-	pb := pipeline.RunTR(cfg, ahdPlan, true, "TR+DPU+AHD")
+	var reports []metrics.Report
+	for _, rung := range pipeline.Ladder(pipeline.Config{Workload: w, System: sys, GlobalBatch: batch}) {
+		r, _ := rung.Run()
+		reports = append(reports, r)
+	}
+	dp, pb := reports[0], reports[len(reports)-1] // the ladder runs from the DP baseline to full Pipe-BD
 
 	header := []string{"strategy", "epoch", "speedup", "teacher exec (all ranks)"}
 	var rows [][]string
-	for _, r := range []metrics.Report{dp, ls, tr, pb} {
+	for _, r := range reports {
 		var teacher float64
 		for _, rank := range r.Ranks {
 			teacher += rank.Busy[sim.CatTeacherFwd]
@@ -57,7 +52,7 @@ func main() {
 	fmt.Println("teacher block exactly once per step and relays the activation instead.")
 
 	fmt.Println("\nPer-rank peak memory (GB):")
-	for _, r := range []metrics.Report{dp, tr, pb} {
+	for _, r := range reports {
 		fmt.Printf("  %-12s", r.Strategy)
 		for _, rank := range r.Ranks {
 			fmt.Printf("  %5.2f", float64(rank.PeakMemBytes)/(1<<30))

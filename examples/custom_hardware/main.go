@@ -11,8 +11,6 @@ import (
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
 	"pipebd/internal/pipeline"
-	"pipebd/internal/profilegen"
-	"pipebd/internal/sched"
 )
 
 // hypothetical builds an imaginary accelerator: compute scaled relative
@@ -48,13 +46,11 @@ func main() {
 		if err := sys.Validate(); err != nil {
 			panic(err)
 		}
-		prof := profilegen.Measure(w, sys.GPUs[0], batch, sys.NumDevices(), 100)
-		plan := sched.AHD(prof, sys, sched.DefaultAHDConfig())
-		cfg := pipeline.Config{Workload: w, System: sys, GlobalBatch: batch}
-		dp := pipeline.RunDP(cfg)
-		pb := pipeline.RunTR(cfg, plan, true, "TR+DPU+AHD")
+		ladder := pipeline.Ladder(pipeline.Config{Workload: w, System: sys, GlobalBatch: batch})
+		dp, _ := ladder[0].Run()             // the DP baseline
+		pb, _ := ladder[len(ladder)-1].Run() // full Pipe-BD: TR+DPU on the AHD plan
 		rows = append(rows, []string{
-			sys.Name, plan.Describe(),
+			sys.Name, pb.ScheduleDesc,
 			metrics.FormatSeconds(pb.EpochTime),
 			fmt.Sprintf("%.2fx", pb.Speedup(dp)),
 		})

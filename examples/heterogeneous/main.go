@@ -25,18 +25,23 @@ func main() {
 	batch := 256
 	cfg := pipeline.Config{Workload: w, System: sys, GlobalBatch: batch}
 
+	relay := func(name string, plan sched.Plan) metrics.Report {
+		prog := sched.TeacherRelaying(plan, true)
+		prog.Name = name
+		rep, _ := pipeline.Run(cfg, prog)
+		return rep
+	}
+
 	// Naive: treat the node as homogeneous data parallelism.
-	naive := sched.InternalRelaying(sys.NumDevices(), w.NumBlocks())
-	naiveRep := pipeline.RunTR(cfg, naive, true, "IR equal-split")
+	naiveRep := relay("IR equal-split", sched.InternalRelaying(sys.NumDevices(), w.NumBlocks()))
 
 	// Homogeneous AHD: profiled against the first GPU only, equal shares.
 	prof := profilegen.Measure(w, sys.GPUs[0], batch, sys.NumDevices(), 100)
-	homo := sched.AHD(prof, sys, sched.DefaultAHDConfig())
-	homoRep := pipeline.RunTR(cfg, homo, true, "AHD (homogeneous)")
+	homoRep := relay("AHD (homogeneous)", sched.AHD(prof, sys))
 
 	// Heterogeneity-aware AHD: per-device costing + proportional shares.
-	hetero := sched.AHDHetero(w, sys, batch, sched.DefaultHeteroConfig())
-	heteroRep := pipeline.RunTR(cfg, hetero, true, "AHD (hetero-aware)")
+	hetero := sched.AHDHetero(w, sys, batch)
+	heteroRep := relay("AHD (hetero-aware)", hetero)
 
 	fmt.Printf("NAS / ImageNet on %s, batch %d\n\n", sys.Name, batch)
 	header := []string{"planner", "schedule", "epoch", "vs naive"}

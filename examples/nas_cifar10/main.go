@@ -10,8 +10,6 @@ import (
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
 	"pipebd/internal/pipeline"
-	"pipebd/internal/profilegen"
-	"pipebd/internal/sched"
 	"pipebd/internal/sim"
 )
 
@@ -21,19 +19,12 @@ func main() {
 	batch := 256
 	cfg := pipeline.Config{Workload: w, System: sys, GlobalBatch: batch}
 
-	prof := profilegen.Measure(w, sys.GPUs[0], batch, sys.NumDevices(), 100)
-	trPlan := sched.TRContiguous(prof, sys.NumDevices())
-	ahdPlan := sched.AHD(prof, sys, sched.DefaultAHDConfig())
-
-	reports := []metrics.Report{
-		pipeline.RunDP(cfg),
-		pipeline.RunLS(cfg),
-		pipeline.RunTR(cfg, trPlan, false, "TR"),
-		pipeline.RunTR(cfg, trPlan, true, "TR+DPU"),
-		pipeline.RunIR(cfg),
-		pipeline.RunTR(cfg, ahdPlan, true, "TR+DPU+AHD"),
+	var reports []metrics.Report
+	for _, rung := range pipeline.Ladder(cfg) {
+		r, _ := rung.Run()
+		reports = append(reports, r)
 	}
-	dp := reports[0]
+	dp := reports[0] // the ladder starts with the DP baseline
 
 	fmt.Printf("NAS / CIFAR-10 on %s, batch %d\n\n", sys.Name, batch)
 	header := []string{"strategy", "epoch", "speedup", "load", "teacher", "student", "idle", "peak mem"}
@@ -58,5 +49,5 @@ func main() {
 		fmt.Printf("  rank %d: teacher %.1fs (redundant prefix), load %.1fs, idle %.1fs\n",
 			i, rank.Busy[sim.CatTeacherFwd], rank.Busy[sim.CatLoad], rank.Idle)
 	}
-	fmt.Println("\nPipe-BD schedule:", reports[5].ScheduleDesc)
+	fmt.Println("\nPipe-BD schedule:", reports[len(reports)-1].ScheduleDesc)
 }

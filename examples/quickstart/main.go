@@ -26,18 +26,19 @@ func main() {
 
 	// 3. Plan: plain teacher relaying and automatic hybrid distribution.
 	trPlan := sched.TRContiguous(profile, system.NumDevices())
-	ahdPlan := sched.AHD(profile, system, sched.DefaultAHDConfig())
+	ahdPlan := sched.AHD(profile, system)
 	fmt.Println("TR plan :", trPlan.Describe())
 	fmt.Println("AHD plan:", ahdPlan.Describe())
 
-	// 4. Simulate one epoch under each schedule.
-	cfg := pipeline.Config{Workload: workload, System: system, GlobalBatch: batch}
-	dp := pipeline.RunDP(cfg)
-	tr := pipeline.RunTR(cfg, trPlan, true, "TR+DPU")
-	pipeBD := pipeline.RunTR(cfg, ahdPlan, true, "TR+DPU+AHD")
-
+	// 4. Simulate one epoch of every strategy of the paper's ladder, which
+	//    profiles and plans as above and starts with the DP baseline.
 	fmt.Println()
-	for _, r := range []metrics.Report{dp, tr, pipeBD} {
+	var dp metrics.Report
+	for i, rung := range pipeline.Ladder(pipeline.Config{Workload: workload, System: system, GlobalBatch: batch}) {
+		r, _ := rung.Run()
+		if i == 0 {
+			dp = r
+		}
 		fmt.Printf("%-12s epoch %-10s speedup %.2fx\n",
 			r.Strategy, metrics.FormatSeconds(r.EpochTime), r.Speedup(dp))
 	}

@@ -1,22 +1,31 @@
 // Package engine executes blockwise distillation with real float32
-// training, either sequentially (the mathematical reference) or as a
-// Pipe-BD pipeline: one goroutine per device, teacher activations relayed
-// over channels (teacher relaying), updates applied immediately after each
-// device's backward pass (decoupled parameter update) or behind a global
-// per-step barrier, and hybrid groups training shared blocks
-// data-parallel with a deterministic intra-group gradient all-reduce
-// (automatic hybrid distribution).
+// training: sequentially (RunSequential, the mathematical reference) or
+// by playing a sched.Program — the schedule description the simulator
+// (internal/pipeline) plays in virtual time — with real concurrency.
 //
-// This is Algorithm 1 of the paper realized with actual concurrency, and
-// it serves both halves of the paper's claim. Correctness: the
-// equivalence tests prove that every pipelined schedule produces exactly
-// the training trajectory of the sequential formulation ("no
-// modification to the mathematical formulation"), which is also what
-// lets a kernel, a backend or a transport be replaced under it and
-// checked bit for bit. Throughput: RunMember is the device loop that
-// `go run ./benchmark` times in-process and that the TCP cluster's
-// workers run, so its samples per second, CPU per sample and allocation
-// per sample are gated metrics, not by-products.
+// Run gives every device a goroutine that takes the device's stages in
+// order, step after step, phase after phase. A stage's members shard the
+// step's input — the loader's batch, or the boundary activation relayed
+// over a channel from the stage before (teacher relaying) — run the
+// stage's teacher-only prefix, train its blocks, share gradients through
+// a deterministic rank-ordered all-reduce when the stage is split, and
+// update at once or behind the per-step barrier. So the paper's ladder
+// runs through one device loop: DP and LS are sched.DataParallel and
+// sched.Layerwise, and RunPipelined — TR, TR+DPU, TR+IR, AHD's hybrid
+// groups — is sched.TeacherRelaying on Config.Plan. What talks to other
+// devices sits behind DeviceLink, which the cluster implements over a
+// wire to run the same loop in worker processes.
+//
+// This serves both halves of the paper's claim. Correctness: the
+// equivalence tests prove that every schedule produces exactly the
+// training trajectory of the sequential formulation ("no modification to
+// the mathematical formulation") — LS bit for bit, DP bit for bit with
+// internal relaying — which is also what lets a kernel, a backend or a
+// transport be replaced under it and checked bit for bit. Throughput:
+// RunMember is the device loop that `go run ./benchmark` times in-process
+// and that the TCP cluster's workers run, so its samples per second, CPU
+// and allocation per sample are gated metrics; the dispatch a program
+// adds is per stage, never per layer, and built once per run.
 package engine
 
 import (
@@ -28,14 +37,17 @@ import (
 	"pipebd/internal/nn"
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
+	"pipebd/internal/sim"
 	"pipebd/internal/tensor"
 )
 
-// Config parameterizes a pipelined run.
+// Config parameterizes a run.
 type Config struct {
-	// Plan distributes blocks over devices (sched.TRContiguous-shaped
-	// plans give plain TR; sched.InternalRelaying gives IR; hybrid plans
-	// give AHD behaviour).
+	// Plan and DPU name RunPipelined's program,
+	// sched.TeacherRelaying(Plan, DPU); Run, which is handed its program,
+	// reads neither. Plan distributes blocks over devices
+	// (sched.TRContiguous-shaped plans give plain TR;
+	// sched.InternalRelaying gives IR; hybrid plans give AHD behaviour).
 	Plan sched.Plan
 	// DPU enables decoupled parameter update: without it, a global
 	// barrier delays every update until all devices finish their
@@ -53,7 +65,7 @@ type Config struct {
 	// hold regardless.
 	Backend tensor.Backend
 	// Trace, when non-nil, records per-device span events of the run: one
-	// obs track per plan device ("dev0", "dev1", ...), fed by the device
+	// obs track per device of the program ("dev0", "dev1", ...), fed by the device
 	// loop's phase instrumentation. Tracing never changes the training
 	// trajectory; nil (the default) leaves the loop's instrumentation as
 	// inert nil-track checks.
@@ -89,7 +101,7 @@ func RunSequential(w *distill.Workbench, batches []dataset.Batch, lr, momentum f
 		opts[b] = nn.NewSGD(lr, momentum, 0)
 		res.Loss[b] = make([]float64, len(batches))
 	}
-	mem, done := borrowStepMemory(w.Pairs)
+	mem, done := borrowStepMemory(Member{Pairs: w.Pairs}.layers())
 	defer done()
 	for s, batch := range batches {
 		recycle(mem.carry)
@@ -105,12 +117,10 @@ func RunSequential(w *distill.Workbench, batches []dataset.Batch, lr, momentum f
 	return res
 }
 
-// attachArena makes every block of pairs draw its tensors from ar; nil
-// detaches.
-func attachArena(pairs []distill.Pair, ar *tensor.Arena) {
-	for _, p := range pairs {
-		nn.ApplyArena(p.Teacher, ar)
-		nn.ApplyArena(p.Student, ar)
+// attachArena makes every layer draw its tensors from ar; nil detaches.
+func attachArena(layers []nn.Layer, ar *tensor.Arena) {
+	for _, l := range layers {
+		nn.ApplyArena(l, ar)
 	}
 }
 
@@ -129,14 +139,14 @@ type stepMemory struct{ block, carry *tensor.Arena }
 // cache per role: a carry arena never grows to a block's working set.
 var blockArenas, carryArenas tensor.ArenaCache
 
-// borrowStepMemory lends a loop its arenas and makes pairs draw from the
-// block arena; done detaches pairs, which allocate normally again, and
+// borrowStepMemory lends a loop its arenas and makes layers draw from the
+// block arena; done detaches them, so they allocate normally again, and
 // hands the arenas back.
-func borrowStepMemory(pairs []distill.Pair) (mem stepMemory, done func()) {
+func borrowStepMemory(layers []nn.Layer) (mem stepMemory, done func()) {
 	mem = stepMemory{block: blockArenas.Get(), carry: carryArenas.Get()}
-	attachArena(pairs, mem.block)
+	attachArena(layers, mem.block)
 	return mem, func() {
-		attachArena(pairs, nil)
+		attachArena(layers, nil)
 		blockArenas.Put(mem.block)
 		carryArenas.Put(mem.carry)
 	}
@@ -147,9 +157,24 @@ func borrowStepMemory(pairs []distill.Pair) (mem stepMemory, done func()) {
 func (mem stepMemory) step(p distill.Pair, x *tensor.Tensor, tk *obs.Track) (*tensor.Tensor, float64) {
 	recycle(mem.block)
 	tOut, loss := distill.StepObserved(p, x, tk, mem.block)
-	out := mem.carry.Get(tOut.Shape()...)
-	out.CopyFrom(tOut)
-	return out, loss
+	return mem.keep(tOut), loss
+}
+
+// forward runs a teacher block of a stage's prefix, which trains nothing,
+// on x; the output lives as long as step's.
+func (mem stepMemory) forward(teacher nn.Layer, x *tensor.Tensor, tk *obs.Track) *tensor.Tensor {
+	recycle(mem.block)
+	r := tk.Begin(sim.CatTeacherFwd, "teacher_fwd")
+	out := teacher.Forward(x, false)
+	r.End()
+	return mem.keep(out)
+}
+
+// keep copies a block's output out of the block arena into carry.
+func (mem stepMemory) keep(out *tensor.Tensor) *tensor.Tensor {
+	kept := mem.carry.Get(out.Shape()...)
+	kept.CopyFrom(out)
+	return kept
 }
 
 // poisonFreed, set by this package's tests only, fills every recycled
@@ -195,124 +220,153 @@ func (b *barrier) Await() {
 	b.mu.Unlock()
 }
 
-// groupRuntime is the shared state of one plan group.
-type groupRuntime struct {
-	sched.Group
-	in  chan *tensor.Tensor // full-batch input activations
-	out chan *tensor.Tensor // nil for the last group
+// stageRuntime is the shared state of one stage's members.
+type stageRuntime struct {
+	sched.Stage
+	in  chan *tensor.Tensor // full-batch input activations; nil reads the loader's batches
+	out chan *tensor.Tensor // nil unless the next stage is relayed
 
-	sync *barrier // intra-group phases (assembly, all-reduce)
+	sync *barrier // intra-stage phases (assembly, all-reduce)
 
-	// members[j] holds member j's private replica of the group's pairs,
-	// grads[j] its flattened gradient list (Member.GradTensors).
-	members [][]distill.Pair
-	opts    [][]*nn.SGD
-	grads   [][]*tensor.Tensor
+	// grads[j] is member j's flattened gradient list (Member.GradTensors;
+	// nil in an unsplit stage, which reduces nothing), losses the stage's
+	// [member*blocks+block][step] matrix.
+	grads  [][]*tensor.Tensor
+	losses [][]float64
 
 	// assembleMu latches the lazy allocation of assembled. It is
-	// per-group state: independent groups — and independent concurrent
-	// RunPipelined calls — must never contend on a shared lock.
+	// per-stage state: independent stages — and independent concurrent
+	// runs — must never contend on a shared lock.
 	assembleMu sync.Mutex
 	// assembled is the full-batch teacher output under construction.
 	assembled *tensor.Tensor
-	// assembledInput broadcasts the received input to group members.
+	// assembledInput broadcasts the received input to the members.
 	assembledInput *tensor.Tensor
 }
 
-// RunPipelined trains the workbench under the given plan with real
-// concurrency. The workbench's own pairs are used by each group's member
-// 0; additional group members train bit-identical replicas (their updates
-// coincide, so member 0's weights are the result). It returns the loss
-// trajectory; the workbench's student parameters hold the trained values.
+// RunPipelined trains the workbench by teacher relaying under cfg.Plan
+// with real concurrency: Run on sched.TeacherRelaying(cfg.Plan, cfg.DPU).
 func RunPipelined(w *distill.Workbench, batches []dataset.Batch, cfg Config) Result {
-	nb := w.NumBlocks()
-	if err := validatePlan(cfg.Plan, nb); err != nil {
+	return Run(w, batches, sched.TeacherRelaying(cfg.Plan, cfg.DPU), cfg)
+}
+
+// Run trains the workbench by playing prog, one goroutine per device. A
+// block's trained weights are those of rank 0 of the stage that trains
+// it, which therefore works on w's own pair; whatever else a device
+// touches — a split stage's block as a later rank, a teacher block as
+// part of a prefix — comes from a bit-identical replica the device has to
+// itself, since no two devices may run one layer. Members of a split
+// stage apply the same updates, so rank 0's weights are the result. Run
+// returns the loss trajectory; the workbench's student parameters hold
+// the trained values.
+func Run(w *distill.Workbench, batches []dataset.Batch, prog sched.Program, cfg Config) Result {
+	nb, nDev, steps := w.NumBlocks(), prog.NumDevices(), len(batches)
+	if err := prog.Validate(nDev, nb); err != nil {
 		panic(err)
 	}
 	buffer := cfg.Buffer
 	if buffer <= 0 {
 		buffer = 2
 	}
-	steps := len(batches)
-	nDev := 0
-	for _, g := range cfg.Plan.Groups {
-		nDev += g.Split()
+	if cfg.Backend != nil {
+		w.SetBackend(cfg.Backend)
 	}
-
-	// Build group runtimes and replicas.
-	groups := make([]*groupRuntime, len(cfg.Plan.Groups))
-	var prev *groupRuntime
-	for gi, g := range cfg.Plan.Groups {
-		gr := &groupRuntime{Group: g, sync: newBarrier(g.Split())}
-		gr.members = make([][]distill.Pair, g.Split())
-		gr.opts = make([][]*nn.SGD, g.Split())
-		gr.grads = make([][]*tensor.Tensor, g.Split())
-		for j := 0; j < g.Split(); j++ {
-			src := w
-			if j > 0 {
-				src = w.Replica()
+	owner := make([]int, nb)
+	for _, phase := range prog.Phases {
+		for _, st := range phase {
+			for _, b := range st.Blocks {
+				owner[b] = st.Devices[0]
 			}
+		}
+	}
+	replicas := make([]*distill.Workbench, nDev)
+	pairOn := func(d, b int) distill.Pair {
+		if owner[b] == d {
+			return w.Pairs[b]
+		}
+		if replicas[d] == nil {
+			replicas[d] = w.Replica()
 			if cfg.Backend != nil {
-				src.SetBackend(cfg.Backend)
+				replicas[d].SetBackend(cfg.Backend)
 			}
-			pairs := make([]distill.Pair, len(g.Blocks))
-			opts := make([]*nn.SGD, len(g.Blocks))
-			for bi, b := range g.Blocks {
-				pairs[bi] = src.Pairs[b]
-				opts[bi] = nn.NewSGD(cfg.LR, cfg.Momentum, 0)
-			}
-			gr.members[j] = pairs
-			gr.opts[j] = opts
-			gr.grads[j] = Member{Pairs: pairs}.GradTensors()
 		}
-		if gi > 0 {
-			gr.in = make(chan *tensor.Tensor, buffer)
-			prev.out = gr.in
-		}
-		groups[gi] = gr
-		prev = gr
+		return replicas[d].Pairs[b]
 	}
-
-	losses := make([][][]float64, len(groups)) // [group][blockInGroup*member]...
-	for gi, gr := range groups {
-		losses[gi] = make([][]float64, len(gr.Blocks)*gr.Split())
-		for i := range losses[gi] {
-			losses[gi][i] = make([]float64, steps)
-		}
-	}
-
 	var stepSync *barrier
-	if !cfg.DPU {
+	if prog.Barrier {
 		stepSync = newBarrier(nDev)
 	}
 
-	var wg sync.WaitGroup
-	for gi, gr := range groups {
-		for j := 0; j < gr.Split(); j++ {
-			// In device order: a device meets the arenas it sized last run.
-			mem, done := borrowStepMemory(gr.members[j])
-			wg.Add(1)
-			go func(gi int, gr *groupRuntime, j int) {
-				defer wg.Done()
-				defer done()
-				m := Member{Group: gi, Rank: j, GroupSize: gr.Split(),
-					Pairs: gr.members[j], Opts: gr.opts[j]}
-				if cfg.Trace != nil {
-					m.Trace = cfg.Trace.NewTrack(fmt.Sprintf("dev%d", gr.Devices[j]))
-				}
-				link := &memberLink{gr: gr, j: j, batches: batches,
-					stepSync: stepSync, losses: losses[gi]}
-				runMember(m, 0, steps, link, mem)
-			}(gi, gr, j)
+	// Every device's stages, phase by phase, bound to their links.
+	type device struct {
+		phases [][]*memberRun
+		layers []nn.Layer
+		trace  *obs.Track
+	}
+	devs := make([]device, nDev)
+	for d := range devs {
+		devs[d].phases = make([][]*memberRun, len(prog.Phases))
+		if cfg.Trace != nil {
+			devs[d].trace = cfg.Trace.NewTrack(fmt.Sprintf("dev%d", d))
 		}
+	}
+	var stages []*stageRuntime
+	for pi, phase := range prog.Phases {
+		var prev *stageRuntime
+		for si, st := range phase {
+			k := st.Split()
+			sr := &stageRuntime{Stage: st, sync: newBarrier(k), grads: make([][]*tensor.Tensor, k),
+				losses: make([][]float64, len(st.Blocks)*k)}
+			for i := range sr.losses {
+				sr.losses[i] = make([]float64, steps)
+			}
+			if st.Relayed {
+				sr.in = make(chan *tensor.Tensor, buffer)
+				prev.out = sr.in
+			}
+			for j, d := range st.Devices {
+				m := Member{Rank: j, GroupSize: k, Trace: devs[d].trace}
+				if st.Relayed {
+					m.Group = si
+				}
+				for b := st.Blocks[0] - st.Prefix(); b < st.Blocks[0]; b++ {
+					m.Prefix = append(m.Prefix, pairOn(d, b).Teacher)
+				}
+				for _, b := range st.Blocks {
+					m.Pairs = append(m.Pairs, pairOn(d, b))
+					m.Opts = append(m.Opts, nn.NewSGD(cfg.LR, cfg.Momentum, 0))
+				}
+				run := newMemberRun(m, &memberLink{st: sr, j: j, batches: batches, stepSync: stepSync})
+				sr.grads[j] = run.grads
+				devs[d].phases[pi] = append(devs[d].phases[pi], run)
+				devs[d].layers = append(devs[d].layers, m.layers()...)
+			}
+			stages = append(stages, sr)
+			prev = sr
+		}
+	}
+
+	var wg sync.WaitGroup
+	for _, dev := range devs {
+		if dev.layers == nil {
+			continue // a device the program gives nothing to
+		}
+		// In device order: a device meets the arenas it sized last run.
+		mem, done := borrowStepMemory(dev.layers)
+		wg.Add(1)
+		go func(phases [][]*memberRun) {
+			defer wg.Done()
+			defer done()
+			runDevice(phases, 0, steps, mem)
+		}(dev.phases)
 	}
 	wg.Wait()
 
 	// Assemble the loss trajectory per block (mean over members).
 	res := Result{Loss: make([][]float64, nb)}
-	for gi, gr := range groups {
-		merged := MergeGroupLosses(losses[gi], len(gr.Blocks), gr.Split(), steps)
-		for bi, b := range gr.Blocks {
+	for _, sr := range stages {
+		merged := MergeGroupLosses(sr.losses, len(sr.Blocks), sr.Split(), steps)
+		for bi, b := range sr.Blocks {
 			res.Loss[b] = merged[bi]
 		}
 	}
@@ -340,10 +394,10 @@ func MergeGroupLosses(groupLosses [][]float64, nb, k, steps int) [][]float64 {
 	return merged
 }
 
-// assembleShard writes a member's teacher-output shard into the group's
+// assembleShard writes a member's teacher-output shard into the stage's
 // full-batch assembly buffer. Members write disjoint ranges; the
 // following barrier publishes the writes.
-func (gr *groupRuntime) assembleShard(shard *tensor.Tensor, j int) {
+func (gr *stageRuntime) assembleShard(shard *tensor.Tensor, j int) {
 	k := gr.Split()
 	gr.assemblyOnce(shard, k)
 	per := shard.Numel()
@@ -351,7 +405,7 @@ func (gr *groupRuntime) assembleShard(shard *tensor.Tensor, j int) {
 }
 
 // assemblyOnce lazily allocates the assembly buffer for this step.
-func (gr *groupRuntime) assemblyOnce(shard *tensor.Tensor, k int) {
+func (gr *stageRuntime) assemblyOnce(shard *tensor.Tensor, k int) {
 	gr.assembleMu.Lock()
 	defer gr.assembleMu.Unlock()
 	if gr.assembled == nil {
@@ -365,7 +419,7 @@ func (gr *groupRuntime) assemblyOnce(shard *tensor.Tensor, k int) {
 // member sums all members' gradients in rank order into a private buffer,
 // scales by 1/k, and installs the result into its own gradient tensors
 // after a barrier. All replicas therefore apply bit-identical updates.
-func averageGroupGradients(gr *groupRuntime, j int, scratch *tensor.Arena) {
+func averageGroupGradients(gr *stageRuntime, j int, scratch *tensor.Arena) {
 	inv := 1 / float32(gr.Split())
 	// Phase 1: compute averaged gradients into private buffers.
 	avg := make([]*tensor.Tensor, len(gr.grads[j]))
@@ -399,12 +453,4 @@ func shardOf(full *tensor.Tensor, j, k int, scratch *tensor.Arena) *tensor.Tenso
 	out := scratch.Get(append([]int{per}, shape[1:]...)...)
 	copy(out.Data(), full.Data()[j*per*elems:(j+1)*per*elems])
 	return out
-}
-
-func validatePlan(p sched.Plan, nBlocks int) error {
-	nDev := 0
-	for _, g := range p.Groups {
-		nDev += g.Split()
-	}
-	return p.Validate(nDev, nBlocks)
 }

@@ -56,14 +56,20 @@ type StepFinisher interface {
 	FinishStep(step int)
 }
 
-// Member describes one pipeline device's role: its group, its rank within
-// the group, and its private block replicas with their optimizers.
+// Member describes one device's role in one stage: its rank among the
+// stage's members, and its private block replicas with their optimizers.
 type Member struct {
-	Group     int // group index within the plan
-	Rank      int // rank j within the group
-	GroupSize int // number of members k sharing the group's blocks
+	// Group is the stage's index in its relay chain — a plan's group
+	// index; 0 is a stage that reads the loader's batch.
+	Group     int
+	Rank      int // rank j within the stage
+	GroupSize int // number of members k sharing the stage's blocks
 	Pairs     []distill.Pair
 	Opts      []*nn.SGD
+	// Prefix holds the frozen teacher blocks the member runs on its input
+	// before Pairs without training anything: the redundant teacher
+	// execution of a DP or LS stage. Teacher relaying has none.
+	Prefix []nn.Layer
 
 	// Trace, when non-nil, receives per-step span events from the device
 	// loop (phase timings, communication waits, barrier time). A nil or
@@ -85,10 +91,19 @@ func (m Member) GradTensors() []*tensor.Tensor {
 	return grads
 }
 
+// layers returns every block the member runs, for attaching step memory.
+func (m Member) layers() []nn.Layer {
+	ls := append([]nn.Layer(nil), m.Prefix...)
+	for _, p := range m.Pairs {
+		ls = append(ls, p.Teacher, p.Student)
+	}
+	return ls
+}
+
 // RunMember drives one device's step loop — Algorithm 1 of the paper —
 // for the given number of steps, with all communication routed through
-// link. It is the single device runtime shared by the in-process pipeline
-// (RunPipelined) and the multi-process cluster worker.
+// link. It is the single device runtime shared by the in-process engine
+// (Run, for any program) and the multi-process cluster worker.
 func RunMember(m Member, steps int, link DeviceLink) {
 	RunMemberFrom(m, 0, steps, link)
 }
@@ -98,135 +113,160 @@ func RunMember(m Member, steps int, link DeviceLink) {
 // after step start-1 resumes here and, fed the same inputs, reproduces
 // the remaining trajectory bit-identically.
 func RunMemberFrom(m Member, start, steps int, link DeviceLink) {
-	mem, done := borrowStepMemory(m.Pairs)
+	mem, done := borrowStepMemory(m.layers())
 	defer done()
-	runMember(m, start, steps, link, mem)
+	runDevice([][]*memberRun{{newMemberRun(m, link)}}, start, steps, mem)
 }
 
-// runMember is the device loop. Every step reuses the same shapes, so
-// everything the device computes — batch shard, layer outputs, backward
-// caches, gradients, all-reduce temporaries — cycles through mem:
-// steady-state steps allocate only what the link brings in.
-func runMember(m Member, start, steps int, link DeviceLink, mem stepMemory) {
-	k := m.GroupSize
-	nb := len(m.Pairs)
-	losses := make([]float64, nb)
-	var grads []*tensor.Tensor
-	if k > 1 {
-		grads = m.GradTensors()
+// runDevice is the device loop: phase after phase, each a pass over
+// steps [start, steps) in which the device takes one training step in
+// every stage it is a member of, in stage order. Every step reuses the
+// same shapes, so everything the device computes — batch shard, layer
+// outputs, backward caches, gradients, all-reduce temporaries — cycles
+// through mem: steady-state steps allocate only what the links bring in.
+func runDevice(phases [][]*memberRun, start, steps int, mem stepMemory) {
+	for _, stages := range phases {
+		for s := start; s < steps; s++ {
+			for _, r := range stages {
+				r.step(s, mem)
+			}
+		}
 	}
-	finisher, _ := link.(StepFinisher)
-	// The first group's receive is the measured data-loading time; later
-	// groups wait on the relayed activation, which is communication.
-	recvCat, recvName := sim.CatLoad, "recv_input"
+}
+
+// memberRun is a Member bound to its link, with what its steps reuse:
+// built once per run, so playing a program costs a step nothing.
+type memberRun struct {
+	Member
+	link     DeviceLink
+	finisher StepFinisher // nil when link is none
+	losses   []float64
+	grads    []*tensor.Tensor // nil unless the stage is split
+	// A loader-fed stage's receive is the measured data-loading time; a
+	// relayed stage waits on an activation, which is communication.
+	recvCat  sim.Category
+	recvName string
+}
+
+func newMemberRun(m Member, link DeviceLink) *memberRun {
+	r := &memberRun{Member: m, link: link, losses: make([]float64, len(m.Pairs)),
+		recvCat: sim.CatLoad, recvName: "recv_input"}
+	r.finisher, _ = link.(StepFinisher)
+	if m.GroupSize > 1 {
+		r.grads = m.GradTensors()
+	}
 	if m.Group > 0 {
-		recvCat, recvName = sim.CatComm, "recv_act"
+		r.recvCat, r.recvName = sim.CatComm, "recv_act"
 	}
-	tk := m.Trace
-	for s := start; s < steps; s++ {
-		recycle(mem.carry)
-		// Receive the step's input: the data loader for the first group,
-		// the relayed teacher activation otherwise (lines 8-9).
-		r := tk.Begin(recvCat, recvName)
-		full := link.RecvInput(s)
-		r.End()
-		x := shardOf(full, m.Rank, k, mem.carry)
-		for bi := 0; bi < nb; bi++ {
-			pair := m.Pairs[bi]
-			nn.ZeroGrads(pair.Student.Params())
-			// Teacher forward (line 10), student forward/backward against
-			// the teacher activation (lines 12-13).
-			x, losses[bi] = mem.step(pair, x, tk)
-		}
+	return r
+}
 
-		// Relay the boundary activation to the next device (line 11). The
-		// send overlaps with the remaining work of other members thanks to
-		// the link's buffering.
-		r = tk.Begin(sim.CatComm, "send_output")
-		link.SendOutput(s, x)
-		r.End()
+// step takes the member's training step s.
+func (m *memberRun) step(s int, mem stepMemory) {
+	tk, link := m.Trace, m.link
+	recycle(mem.carry)
+	// Receive the step's input: the data loader's batch, or the relayed
+	// teacher activation (lines 8-9).
+	r := tk.Begin(m.recvCat, m.recvName)
+	full := link.RecvInput(s)
+	r.End()
+	x := shardOf(full, m.Rank, m.GroupSize, mem.carry)
+	for _, teacher := range m.Prefix {
+		x = mem.forward(teacher, x, tk)
+	}
+	for bi, pair := range m.Pairs {
+		nn.ZeroGrads(pair.Student.Params())
+		// Teacher forward (line 10), student forward/backward against
+		// the teacher activation (lines 12-13).
+		x, m.losses[bi] = mem.step(pair, x, tk)
+	}
 
-		// Intra-group gradient sharing when AHD split a block along the
-		// batch dimension (line 14).
-		if k > 1 {
-			r = tk.Begin(sim.CatAllReduce, "allreduce")
-			link.AllReduce(s, grads, mem.block)
-			r.End()
-		}
+	// Relay the boundary activation to the next device (line 11). The
+	// send overlaps with the remaining work of other members thanks to
+	// the link's buffering.
+	r = tk.Begin(sim.CatComm, "send_output")
+	link.SendOutput(s, x)
+	r.End()
 
-		link.ReportLosses(s, losses)
+	// Intra-stage gradient sharing when the block is split along the
+	// batch dimension (line 14).
+	if m.GroupSize > 1 {
+		r = tk.Begin(sim.CatAllReduce, "allreduce")
+		link.AllReduce(s, m.grads, mem.block)
+		r.End()
+	}
 
-		// Decoupled parameter update (lines 15-16): update immediately,
-		// or wait for every device when DPU is disabled.
-		r = tk.Begin(obs.CatWait, "barrier_wait")
-		link.StepBarrier(s)
-		r.End()
-		r = tk.Begin(sim.CatUpdate, "sgd_update")
-		for bi := 0; bi < nb; bi++ {
-			m.Opts[bi].Step(m.Pairs[bi].Student.Params())
-		}
-		r.End()
-		if finisher != nil {
-			finisher.FinishStep(s)
-		}
+	link.ReportLosses(s, m.losses)
+
+	// Decoupled parameter update (lines 15-16): update immediately,
+	// or wait for every device when DPU is disabled.
+	r = tk.Begin(obs.CatWait, "barrier_wait")
+	link.StepBarrier(s)
+	r.End()
+	r = tk.Begin(sim.CatUpdate, "sgd_update")
+	for bi, pair := range m.Pairs {
+		m.Opts[bi].Step(pair.Student.Params())
+	}
+	r.End()
+	if m.finisher != nil {
+		m.finisher.FinishStep(s)
 	}
 }
 
 // memberLink is the in-process DeviceLink: relay over channels, assembly
-// and all-reduce through the group's shared memory, barriers for
-// intra-group phases.
+// and all-reduce through the stage's shared memory, barriers for
+// intra-stage phases.
 type memberLink struct {
-	gr       *groupRuntime
+	st       *stageRuntime
 	j        int
 	batches  []dataset.Batch
-	stepSync *barrier    // nil when DPU is enabled
-	losses   [][]float64 // run-owned [member*nb+block][step] matrix
+	stepSync *barrier // nil unless updates wait on the per-step barrier
 }
 
 func (l *memberLink) RecvInput(step int) *tensor.Tensor {
-	if l.gr.in == nil {
+	if l.st.in == nil {
 		return l.batches[step].X
 	}
 	if l.j == 0 {
-		full := <-l.gr.in
-		l.gr.assembledInput = full
-		l.gr.sync.Await()
+		full := <-l.st.in
+		l.st.assembledInput = full
+		l.st.sync.Await()
 		return full
 	}
-	l.gr.sync.Await()
-	return l.gr.assembledInput
+	l.st.sync.Await()
+	return l.st.assembledInput
 }
 
 func (l *memberLink) SendOutput(step int, out *tensor.Tensor) {
-	gr := l.gr
-	if gr.out == nil {
+	st := l.st
+	if st.out == nil {
 		return
 	}
-	if gr.Split() == 1 {
+	if st.Split() == 1 {
 		// The consumer may be up to the relay depth behind, and out dies
 		// at this device's next step: hand over a copy the arena does not
 		// own.
-		gr.out <- out.Clone()
+		st.out <- out.Clone()
 		return
 	}
-	gr.assembleShard(out, l.j)
-	gr.sync.Await()
+	st.assembleShard(out, l.j)
+	st.sync.Await()
 	if l.j == 0 {
-		gr.out <- gr.assembled
-		gr.assembled = nil
+		st.out <- st.assembled
+		st.assembled = nil
 	}
 }
 
 func (l *memberLink) AllReduce(step int, grads []*tensor.Tensor, scratch *tensor.Arena) {
-	l.gr.sync.Await() // all members finished backward
-	averageGroupGradients(l.gr, l.j, scratch)
-	l.gr.sync.Await() // all members consumed others' gradients
+	l.st.sync.Await() // all members finished backward
+	averageGroupGradients(l.st, l.j, scratch)
+	l.st.sync.Await() // all members consumed others' gradients
 }
 
 func (l *memberLink) ReportLosses(step int, losses []float64) {
-	nb := len(l.gr.Blocks)
+	nb := len(l.st.Blocks)
 	for bi, v := range losses {
-		l.losses[l.j*nb+bi][step] = v
+		l.st.losses[l.j*nb+bi][step] = v
 	}
 }
 

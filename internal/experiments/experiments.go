@@ -14,7 +14,6 @@ import (
 	"pipebd/internal/model"
 	"pipebd/internal/pipeline"
 	"pipebd/internal/profilegen"
-	"pipebd/internal/sched"
 )
 
 // Options tunes the experiment drivers.
@@ -33,23 +32,41 @@ func (o Options) batch() int {
 	return o.Batch
 }
 
-// Strategies in the paper's Fig. 4 order.
-var strategyOrder = []string{"DP", "LS", "TR", "TR+DPU", "TR+IR", "TR+DPU+AHD"}
-
-// runAll simulates every strategy for one workload on one system.
-func runAll(w model.Workload, sys hw.System, o Options) map[string]metrics.Report {
-	cfg := pipeline.Config{Workload: w, System: sys, GlobalBatch: o.batch(), MaxSteps: o.MaxSteps}
-	prof := profilegen.Measure(w, sys.GPUs[0], o.batch(), sys.NumDevices(), 100)
-	trPlan := sched.TRContiguous(prof, sys.NumDevices())
-	ahdPlan := sched.AHD(prof, sys, sched.DefaultAHDConfig())
-	return map[string]metrics.Report{
-		"DP":         pipeline.RunDP(cfg),
-		"LS":         pipeline.RunLS(cfg),
-		"TR":         pipeline.RunTR(cfg, trPlan, false, "TR"),
-		"TR+DPU":     pipeline.RunTR(cfg, trPlan, true, "TR+DPU"),
-		"TR+IR":      pipeline.RunIR(cfg),
-		"TR+DPU+AHD": pipeline.RunTR(cfg, ahdPlan, true, "TR+DPU+AHD"),
+// runAll simulates every rung of the strategy ladder for one workload on
+// one system, in the ladder's (Fig. 4) order.
+func runAll(w model.Workload, sys hw.System, o Options) []metrics.Report {
+	var reps []metrics.Report
+	for _, r := range pipeline.Ladder(pipeline.Config{Workload: w, System: sys, GlobalBatch: o.batch(), MaxSteps: o.MaxSteps}) {
+		rep, _ := r.Run()
+		reps = append(reps, rep)
 	}
+	return reps
+}
+
+// find returns the named strategy's report.
+func find(reps []metrics.Report, strategy string) metrics.Report {
+	for _, r := range reps {
+		if r.Strategy == strategy {
+			return r
+		}
+	}
+	panic("experiments: no strategy " + strategy)
+}
+
+// speedups renders reps as Fig. 4 rows normalized to the DP baseline,
+// leaving the TR+IR ablation out when withIR is false (only Fig. 4 shows
+// it).
+func speedups(label string, reps []metrics.Report, withIR bool) []Fig4Row {
+	dp := find(reps, pipeline.DP)
+	var rows []Fig4Row
+	for _, r := range reps {
+		if r.Strategy == pipeline.TRIR && !withIR {
+			continue
+		}
+		rows = append(rows, Fig4Row{Workload: label, Strategy: r.Strategy, EpochTime: r.EpochTime,
+			Speedup: r.Speedup(dp), Schedule: r.ScheduleDesc})
+	}
+	return rows
 }
 
 // --- Fig. 2: motivational breakdown ---------------------------------------
@@ -72,16 +89,14 @@ func Fig2(sys hw.System, o Options) []Fig2Row {
 	reps := runAll(w, sys, o)
 
 	rows := make([]Fig2Row, 0, 3)
-	dp := reps["DP"]
-	l, te, s, id := dp.FigTwoBreakdown()
+	l, te, s, id := find(reps, pipeline.DP).FigTwoBreakdown()
 	rows = append(rows, Fig2Row{Config: "Baseline (DP)", Load: l, Teacher: te, Student: s, Idle: id})
 
 	// Ideal: each part measured alone on one device and divided by the
 	// device count — perfect parallelization, infinite memory (§III).
 	rows = append(rows, idealRow(w, sys, o))
 
-	pb := reps["TR+DPU+AHD"]
-	l, te, s, id = pb.FigTwoBreakdown()
+	l, te, s, id = find(reps, pipeline.AHD).FigTwoBreakdown()
 	rows = append(rows, Fig2Row{Config: "Pipe-BD", Load: l, Teacher: te, Student: s, Idle: id})
 	return rows
 }
@@ -142,18 +157,7 @@ type Fig4Row struct {
 func Fig4(sys hw.System, o Options) []Fig4Row {
 	var rows []Fig4Row
 	for _, w := range model.AllWorkloads() {
-		reps := runAll(w, sys, o)
-		dp := reps["DP"]
-		for _, s := range strategyOrder {
-			r := reps[s]
-			rows = append(rows, Fig4Row{
-				Workload:  w.Name,
-				Strategy:  s,
-				EpochTime: r.EpochTime,
-				Speedup:   r.Speedup(dp),
-				Schedule:  r.ScheduleDesc,
-			})
-		}
+		rows = append(rows, speedups(w.Name, runAll(w, sys, o), true)...)
 	}
 	return rows
 }
@@ -188,19 +192,8 @@ func Fig5(o Options) Fig5Result {
 	res := Fig5Result{Schedules: map[string]string{}, Gantts: map[string]string{}}
 	for _, sys := range []hw.System{hw.RTX2080Tix4(), hw.A6000x4()} {
 		reps := runAll(w, sys, o)
-		dp := reps["DP"]
-		for _, s := range []string{"DP", "LS", "TR", "TR+DPU", "TR+DPU+AHD"} {
-			r := reps[s]
-			rows := Fig4Row{
-				Workload:  sys.Name,
-				Strategy:  s,
-				EpochTime: r.EpochTime,
-				Speedup:   r.Speedup(dp),
-				Schedule:  r.ScheduleDesc,
-			}
-			res.Rows = append(res.Rows, rows)
-		}
-		res.Schedules[sys.Name] = reps["TR+DPU+AHD"].ScheduleDesc
+		res.Rows = append(res.Rows, speedups(sys.Name, reps, false)...)
+		res.Schedules[sys.Name] = find(reps, pipeline.AHD).ScheduleDesc
 		res.Gantts[sys.Name] = ScheduleGantt(w, sys, o, 3)
 	}
 	return res
@@ -246,15 +239,8 @@ func Fig6(sys hw.System, o Options) []Fig6Row {
 		for _, batch := range []int{128, 256, 384, 512} {
 			opt := o
 			opt.Batch = batch
-			reps := runAll(w, sys, opt)
-			dp := reps["DP"]
-			for _, s := range []string{"DP", "LS", "TR", "TR+DPU", "TR+DPU+AHD"} {
-				rows = append(rows, Fig6Row{
-					Dataset:  w.Data.Name,
-					Batch:    batch,
-					Strategy: s,
-					Speedup:  reps[s].Speedup(dp),
-				})
+			for _, r := range speedups(w.Data.Name, runAll(w, sys, opt), false) {
+				rows = append(rows, Fig6Row{Dataset: r.Workload, Batch: batch, Strategy: r.Strategy, Speedup: r.Speedup})
 			}
 		}
 	}
@@ -289,9 +275,10 @@ func Fig7(sys hw.System, o Options) []Fig7Row {
 	var rows []Fig7Row
 	for _, imagenet := range []bool{false, true} {
 		w := model.NAS(imagenet)
-		reps := runAll(w, sys, o)
-		for _, s := range []string{"DP", "LS", "TR", "TR+DPU", "TR+DPU+AHD"} {
-			r := reps[s]
+		for _, r := range runAll(w, sys, o) {
+			if r.Strategy == pipeline.TRIR {
+				continue
+			}
 			per := make([]float64, len(r.Ranks))
 			var max float64
 			for i, rank := range r.Ranks {
@@ -300,7 +287,7 @@ func Fig7(sys hw.System, o Options) []Fig7Row {
 					max = per[i]
 				}
 			}
-			rows = append(rows, Fig7Row{Dataset: w.Data.Name, Strategy: s, PerRankGB: per, MaxGB: max})
+			rows = append(rows, Fig7Row{Dataset: w.Data.Name, Strategy: r.Strategy, PerRankGB: per, MaxGB: max})
 		}
 	}
 	return rows

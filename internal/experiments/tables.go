@@ -13,7 +13,6 @@ import (
 	"pipebd/internal/model"
 	"pipebd/internal/nn"
 	"pipebd/internal/pipeline"
-	"pipebd/internal/profilegen"
 	"pipebd/internal/sched"
 	"pipebd/internal/tensor"
 	"pipebd/internal/trace"
@@ -103,9 +102,9 @@ func Table2(sys hw.System, o Options, skipAccuracy bool) []Table2Row {
 			StudentName:    studentName[w.Name],
 			StudentParams:  float64(student.ParamCount()) / 1e6,
 			StudentMACs:    student.MACs() / 1e6,
-			DPEpoch:        reps["DP"].EpochTime,
-			LSEpoch:        reps["LS"].EpochTime,
-			PipeBDEpoch:    reps["TR+DPU+AHD"].EpochTime,
+			DPEpoch:        find(reps, pipeline.DP).EpochTime,
+			LSEpoch:        find(reps, pipeline.LS).EpochTime,
+			PipeBDEpoch:    find(reps, pipeline.AHD).EpochTime,
 			SeqAccuracy:    seqAcc,
 			PipeBDAccuracy: pbdAcc,
 		})
@@ -154,7 +153,7 @@ func accuracyProxy() (seq, pipeBD float64) {
 // FormatTable2 renders Table II as text.
 func FormatTable2(rows []Table2Row) string {
 	header := []string{"task", "dataset", "teacher", "params", "MACs", "student", "params", "MACs",
-		"DP", "LS", "Pipe-BD", "acc(seq)", "acc(pipe-bd)"}
+		pipeline.DP, pipeline.LS, "Pipe-BD", "acc(seq)", "acc(pipe-bd)"}
 	var body [][]string
 	for _, r := range rows {
 		acc1, acc2 := "-", "-"
@@ -180,11 +179,12 @@ func FormatTable2(rows []Table2Row) string {
 // ScheduleGantt renders the steady-state Pipe-BD timeline of a workload
 // under its AHD plan — the textual analogue of Fig. 5b/5c.
 func ScheduleGantt(w model.Workload, sys hw.System, o Options, steps int) string {
-	prof := profilegen.Measure(w, sys.GPUs[0], o.batch(), sys.NumDevices(), 100)
-	plan := sched.AHD(prof, sys, sched.DefaultAHDConfig())
-	cfg := pipeline.Config{Workload: w, System: sys, GlobalBatch: o.batch(),
-		MaxSteps: steps + 2, Record: true}
-	_, tracks := pipeline.RunTRTracks(cfg, plan, true, "TR+DPU+AHD")
+	rung, err := pipeline.Strategy(pipeline.Config{Workload: w, System: sys, GlobalBatch: o.batch(),
+		MaxSteps: steps + 2, Record: true}, pipeline.AHD)
+	if err != nil {
+		panic(err)
+	}
+	_, tracks := rung.Run()
 	t0, t1 := trace.Window(tracks.Devs, 0.4, 0.5)
 	return trace.Gantt(tracks.Devs, t0, t1, 100)
 }

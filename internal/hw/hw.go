@@ -121,6 +121,22 @@ func (l Link) AllReduceTime(n int64, k int) float64 {
 	return steps * (l.Latency + perStep/l.BandwidthBytes)
 }
 
+// ddpOverlap is the fraction of a gradient all-reduce hidden beneath the
+// backward pass that produces the gradients (bucketed DDP).
+const ddpOverlap = 0.7
+
+// ExposedAllReduceTime returns the part of an all-reduce of n bytes among
+// k participants left visible once ddpOverlap of a backward pass lasting
+// bwd has hidden the rest. The schedulers and the simulator both price a
+// split group through it.
+func (l Link) ExposedAllReduceTime(n int64, k int, bwd float64) float64 {
+	t := l.AllReduceTime(n, k) - ddpOverlap*bwd
+	if t < 0 {
+		return 0
+	}
+	return t
+}
+
 // Host models the shared CPU/storage side of data loading. The loading of
 // one batch is pipelined between storage reads and CPU decode, so its
 // steady-state cost is the maximum of the two; the resource is shared

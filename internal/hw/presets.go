@@ -1,5 +1,7 @@
 package hw
 
+import "fmt"
+
 // Presets mirroring Table I of the paper. Peak FLOP/s figures are the
 // published FP32 numbers; KernelEff and LaunchOverhead are calibrated so
 // that simulated baseline epoch times land in the same regime as the
@@ -82,6 +84,18 @@ func RTX2080Tix4() System {
 		gpus[i] = RTX2080Ti()
 	}
 	return System{Name: "4x RTX 2080Ti", GPUs: gpus, Link: PCIe3(), Host: Xeon4214Host()}
+}
+
+// Preset returns the paper's environment the command lines name: a6000
+// (Table I, "Default") or 2080ti ("Alternative").
+func Preset(name string) (System, error) {
+	switch name {
+	case "a6000":
+		return A6000x4(), nil
+	case "2080ti":
+		return RTX2080Tix4(), nil
+	}
+	return System{}, fmt.Errorf("unknown system %q (want a6000 or 2080ti)", name)
 }
 
 // Homogeneous returns a system of n identical GPUs on the given link and

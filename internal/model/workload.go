@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 
-	"pipebd/internal/cost"
 	"pipebd/internal/dataset"
 )
 
@@ -25,13 +24,15 @@ type Workload struct {
 	LSAtBlockGranularity bool
 }
 
-// LSTasks returns the teacher/student task lists the LS baseline packs:
-// blocks for NAS workloads, layer units for compression workloads.
-func (w Workload) LSTasks() (teacher, student []cost.Block) {
-	if w.LSAtBlockGranularity {
-		return w.Teacher.Net.Blocks, w.Student.Net.Blocks
+// AtLSGranularity returns the workload cut into the tasks the LS baseline
+// packs — itself for NAS workloads, one block per layer unit for
+// compression workloads — so that an LS schedule's block numbers count
+// tasks.
+func (w Workload) AtLSGranularity() Workload {
+	if !w.LSAtBlockGranularity {
+		w.Teacher.Net.Blocks, w.Student.Net.Blocks = w.Teacher.Units, w.Student.Units
 	}
-	return w.Teacher.Units, w.Student.Units
+	return w
 }
 
 // NumBlocks returns the (shared) block count.
@@ -108,6 +109,23 @@ func Compression(imagenet bool) Workload {
 		panic(err)
 	}
 	return w
+}
+
+// ByName returns the workload the command lines name.
+func ByName(name string) (Workload, error) {
+	switch name {
+	case "nas-cifar10":
+		return NAS(false), nil
+	case "nas-imagenet":
+		return NAS(true), nil
+	case "compression-cifar10":
+		return Compression(false), nil
+	case "compression-imagenet":
+		return Compression(true), nil
+	case "transformer-tokens":
+		return TransformerDistill(), nil
+	}
+	return Workload{}, fmt.Errorf("unknown workload %q", name)
 }
 
 // AllWorkloads returns the four workload configurations of Table II in

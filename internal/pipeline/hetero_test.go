@@ -24,10 +24,10 @@ func TestHeteroSharesBeatEqualSplit(t *testing.T) {
 		{Devices: []int{0, 1, 2, 3}, Blocks: []int{0, 1, 2, 3, 4, 5}},
 	}
 	equal := sched.Plan{Name: "equal", Groups: groups}
-	equalRep := RunTR(cfg, equal, true, "IR-equal")
+	equalRep := relay(cfg, equal, true)
 
-	proportional := sched.AHDHetero(w, sys, cfg.GlobalBatch, sched.DefaultHeteroConfig())
-	propRep := RunTR(cfg, proportional, true, "AHD-hetero")
+	proportional := sched.AHDHetero(w, sys, cfg.GlobalBatch)
+	propRep := relay(cfg, proportional, true)
 
 	if propRep.EpochTime >= equalRep.EpochTime {
 		t.Fatalf("hetero-aware plan (%v) should beat naive equal split (%v): %s",
@@ -47,7 +47,7 @@ func TestHeteroExecutorUsesPerDeviceSpeeds(t *testing.T) {
 		{Devices: []int{2}, Blocks: []int{4}},       // 2080Ti
 		{Devices: []int{3}, Blocks: []int{5}},       // 2080Ti
 	}}
-	rep := RunTR(cfg, plan, true, "hetero-tr")
+	rep := relay(cfg, plan, true)
 	// Sanity: accounting still spans the epoch on every rank.
 	for r, rank := range rep.Ranks {
 		total := rank.TotalBusy() + rank.Idle
@@ -77,7 +77,7 @@ func TestHeteroExplicitShares(t *testing.T) {
 		{Devices: []int{0, 1}, Blocks: []int{0, 1, 2}, Shares: []int{160, 96}},
 		{Devices: []int{2, 3}, Blocks: []int{3, 4, 5}},
 	}}
-	rep := RunTR(cfg, plan, true, "manual-shares")
+	rep := relay(cfg, plan, true)
 	if rep.EpochTime <= 0 {
 		t.Fatal("hetero run produced no time")
 	}
@@ -102,5 +102,5 @@ func TestHeteroBadSharesPanic(t *testing.T) {
 			t.Fatal("expected panic on shares not summing to the batch")
 		}
 	}()
-	RunTR(cfg, plan, true, "bad-shares")
+	relay(cfg, plan, true)
 }

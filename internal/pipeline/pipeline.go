@@ -1,15 +1,17 @@
-// Package pipeline contains the schedule executors: given a workload, a
-// system model, and a schedule, each executor sweeps one training epoch
-// over the virtual-time simulator and reports epoch time, per-rank busy
-// breakdowns, and per-rank peak memory.
+// Package pipeline is the virtual-time executor of schedules: Run plays a
+// sched.Program — the same stages and phases the engine's device loop
+// plays on real kernels — on the simulator's tracks, with durations from
+// the analytic cost model, and reports the epoch time, per-rank busy
+// breakdowns and per-rank peak memory.
 //
-// Executors for every configuration the paper evaluates:
-//
-//   - RunDP — the data-parallel block-by-block baseline [9] (Fig. 3a)
-//   - RunLS — the layerwise bin-packing baseline [7]
-//   - RunTR — teacher relaying, with or without decoupled parameter
-//     update, driven by any sched.Plan (plain contiguous TR, AHD hybrid
-//     plans, and the internal-relaying ablation are all plans)
+// There is one sweep and it knows no strategy. Per step and stage, every
+// member receives its input (its batch share from the shared loader, or
+// the previous stage's boundary activation through the senders' copy
+// engines), runs the stage's teacher blocks, trains its student blocks,
+// shares gradients when the stage is split and updates, at once or
+// behind the step barrier. DP, LS, TR, TR+DPU, TR+IR and AHD are the
+// programs Ladder builds; each member is priced on its own GPU, so a
+// straggler slows a baseline as it slows Pipe-BD.
 package pipeline
 
 import (
@@ -19,6 +21,7 @@ import (
 	"pipebd/internal/hw"
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
+	"pipebd/internal/sched"
 	"pipebd/internal/sim"
 )
 
@@ -35,17 +38,6 @@ type Config struct {
 
 	// Record retains per-track intervals for Gantt rendering.
 	Record bool
-
-	// DDPOverlap is the fraction of gradient all-reduce hidden beneath
-	// the backward pass (bucketed DDP). Zero value selects the default.
-	DDPOverlap float64
-}
-
-func (c Config) overlap() float64 {
-	if c.DDPOverlap == 0 {
-		return 0.7
-	}
-	return c.DDPOverlap
 }
 
 func (c Config) validate() {
@@ -91,50 +83,42 @@ func waitFor(dev *sim.Track, ready float64, cat sim.Category, label string) {
 	}
 }
 
-// ingestBatch makes dev wait for its shard and pay the consumer-side
-// per-batch cost (iterator dispatch, collation, host-to-device staging).
-func ingestBatch(cfg Config, dev *sim.Track, shardReady float64) {
-	waitFor(dev, shardReady, sim.CatLoad, "DL")
-	dev.Exec(0, cfg.System.Host.PerBatchOverhead, sim.CatLoad, "DL")
+// Tracks are the simulation's serial resources after a run, for Gantt
+// rendering (intervals are kept only under Config.Record).
+type Tracks struct {
+	Loader *sim.Track
+	Devs   []*sim.Track
+	Copies []*sim.Track
 }
 
-// stepOverhead charges one training-loop iteration's fixed host-side cost
-// (optimizer housekeeping, loss bookkeeping, dispatch stalls).
-func stepOverhead(cfg Config, dev *sim.Track) {
-	dev.Exec(0, cfg.System.Host.StepOverhead, sim.CatUpdate, "OV")
-}
-
-// epochEnvironment bundles the tracks every executor needs.
-type epochEnvironment struct {
-	loader *sim.Track
-	devs   []*sim.Track
-	copies []*sim.Track
-}
-
-func newEnvironment(cfg Config) *epochEnvironment {
+func newTracks(cfg Config) Tracks {
 	n := cfg.System.NumDevices()
-	env := &epochEnvironment{
-		loader: sim.NewTrack("loader", cfg.Record),
-		devs:   make([]*sim.Track, n),
-		copies: make([]*sim.Track, n),
+	tk := Tracks{
+		Loader: sim.NewTrack("loader", cfg.Record),
+		Devs:   make([]*sim.Track, n),
+		Copies: make([]*sim.Track, n),
 	}
 	for d := 0; d < n; d++ {
-		env.devs[d] = sim.NewTrack(fmt.Sprintf("gpu%d", d), cfg.Record)
-		env.copies[d] = sim.NewTrack(fmt.Sprintf("copy%d", d), cfg.Record)
+		tk.Devs[d] = sim.NewTrack(fmt.Sprintf("gpu%d", d), cfg.Record)
+		tk.Copies[d] = sim.NewTrack(fmt.Sprintf("copy%d", d), cfg.Record)
 	}
-	return env
+	return tk
 }
 
-// report assembles a metrics.Report from the environment after the sweep.
-func (env *epochEnvironment) report(cfg Config, strategy, scheduleDesc string, steps int, peakMem []int64) metrics.Report {
+// latest returns the time the last of the tracks becomes free.
+func latest(tracks []*sim.Track) float64 {
 	var end float64
-	for _, d := range env.devs {
-		if d.FreeAt() > end {
-			end = d.FreeAt()
-		}
+	for _, t := range tracks {
+		end = sim.Max(end, t.FreeAt())
 	}
-	ranks := make([]metrics.RankStats, len(env.devs))
-	for i, d := range env.devs {
+	return end
+}
+
+// report assembles a metrics.Report from the tracks after the sweep.
+func (tk Tracks) report(cfg Config, prog sched.Program, steps int, peakMem []int64) metrics.Report {
+	end := latest(tk.Devs)
+	ranks := make([]metrics.RankStats, len(tk.Devs))
+	for i, d := range tk.Devs {
 		var busy [sim.NumCategories]float64
 		for c := 0; c < sim.NumCategories; c++ {
 			busy[c] = d.Busy(sim.Category(c))
@@ -150,43 +134,200 @@ func (env *epochEnvironment) report(cfg Config, strategy, scheduleDesc string, s
 		}
 	}
 	return metrics.Report{
-		Strategy:     strategy,
+		Strategy:     prog.Name,
 		Workload:     cfg.Workload.Name,
 		System:       cfg.System.Name,
 		GlobalBatch:  cfg.GlobalBatch,
 		Steps:        steps,
 		EpochTime:    end,
 		Ranks:        ranks,
-		ScheduleDesc: scheduleDesc,
+		ScheduleDesc: prog.Desc,
 	}
 }
 
-// Tracks exposes the environment's tracks of the last run for Gantt
-// rendering; executors return it alongside the report when recording.
-type Tracks struct {
-	Loader *sim.Track
-	Devs   []*sim.Track
-	Copies []*sim.Track
+// member holds one stage member's per-step costs on its own GPU model.
+type member struct {
+	device     int
+	localBatch int
+	tFwd       []float64 // the teacher-only prefix, then the stage's blocks
+	sFwd, sBwd []float64 // per trained block
+	update     float64
+	exposedAR  float64
 }
 
-func (env *epochEnvironment) tracks() Tracks {
-	return Tracks{Loader: env.loader, Devs: env.devs, Copies: env.copies}
+// stage is one program stage with per-member costs.
+type stage struct {
+	sched.Stage
+	members          []member
+	inBytesPerSample int64
 }
 
-// exposedAllReduce returns the all-reduce time left visible after
-// overlapping with the backward pass.
-func exposedAllReduce(link hw.Link, bytes int64, k int, bwdTime, overlap float64) float64 {
-	t := link.AllReduceTime(bytes, k) - overlap*bwdTime
-	if t < 0 {
-		return 0
+// price costs every member of st on its device.
+func price(cfg Config, st sched.Stage) *stage {
+	tb, sb := cfg.Workload.Teacher.Net.Blocks, cfg.Workload.Student.Net.Blocks
+	if err := st.ValidateShares(cfg.GlobalBatch); err != nil {
+		panic(err)
 	}
-	return t
+	out := &stage{Stage: st, inBytesPerSample: tb[st.Blocks[0]].InBytes(1)}
+	var gradBytes int64
+	for _, b := range st.Blocks {
+		gradBytes += sb[b].ParamBytes()
+	}
+	for j, d := range st.Devices {
+		gpu := cfg.System.GPUs[d]
+		m := member{device: d, localBatch: st.MemberBatch(cfg.GlobalBatch, j)}
+		for b := st.Blocks[0] - st.Prefix(); b < st.Blocks[0]; b++ {
+			m.tFwd = append(m.tFwd, cost.BlockFwdTime(gpu, tb[b], m.localBatch))
+		}
+		var bwdSum float64
+		for _, b := range st.Blocks {
+			m.tFwd = append(m.tFwd, cost.BlockFwdTime(gpu, tb[b], m.localBatch))
+			m.sFwd = append(m.sFwd, cost.BlockFwdTime(gpu, sb[b], m.localBatch))
+			bwd := cost.BlockBwdTime(gpu, sb[b], m.localBatch)
+			m.sBwd = append(m.sBwd, bwd)
+			bwdSum += bwd
+			m.update += cost.UpdateTime(gpu, sb[b])
+		}
+		m.exposedAR = cfg.System.Link.ExposedAllReduceTime(gradBytes, st.Split(), bwdSum)
+		out.members = append(out.members, m)
+	}
+	return out
 }
 
-// blockLabel renders "T3"/"S3" style labels for Gantt output.
-func blockLabel(prefix string, idx int) string { return fmt.Sprintf("%s%d", prefix, idx) }
+// Run simulates one epoch of prog: every phase is a pass over the
+// dataset, every step of a pass plays the phase's stages in order.
+func Run(cfg Config, prog sched.Program) (metrics.Report, Tracks) {
+	cfg.validate()
+	nDev := cfg.System.NumDevices()
+	if err := prog.Validate(nDev, cfg.Workload.NumBlocks()); err != nil {
+		panic(err)
+	}
+	tk := newTracks(cfg)
+	host, link := cfg.System.Host, cfg.System.Link
+	steps := cfg.steps()
+	peakMem := make([]int64, nDev)
 
-// teacherBlocks and studentBlocks are small accessors to keep executor
-// code readable.
-func teacherBlocks(cfg Config) []cost.Block { return cfg.Workload.Teacher.Net.Blocks }
-func studentBlocks(cfg Config) []cost.Block { return cfg.Workload.Student.Net.Blocks }
+	for _, phase := range prog.Phases {
+		stages := make([]*stage, len(phase))
+		for si, st := range phase {
+			stages[si] = price(cfg, st)
+			sends := si+1 < len(phase) && phase[si+1].Relayed
+			for _, m := range stages[si].members {
+				if mem := stageMemory(cfg, prog.Model, st, sends, m.localBatch); mem > peakMem[m.device] {
+					peakMem[m.device] = mem
+				}
+			}
+		}
+		// A phase is a fresh pass of the loader: it starts when every
+		// device is done with the pass before and prefetches nothing
+		// across the boundary.
+		tk.Loader.AdvanceTo(latest(tk.Devs))
+
+		for s := 0; s < steps; s++ {
+			var prev *stage
+			var prevTeacherDone []float64
+			for _, st := range stages {
+				// A relayed input is ready when the slowest of the previous
+				// stage's shards is through its sender's copy engine.
+				var relayed float64
+				if st.Relayed {
+					bytes := st.inBytesPerSample * int64(cfg.GlobalBatch/len(prev.members))
+					for pj, pm := range prev.members {
+						_, end := tk.Copies[pm.device].Exec(prevTeacherDone[pj], link.TransferTime(bytes), sim.CatComm, "TX")
+						relayed = sim.Max(relayed, end)
+					}
+				}
+
+				teacherDone := make([]float64, len(st.members))
+				firstTeacher := st.Blocks[0] - st.Prefix()
+				for j, m := range st.members {
+					dev := tk.Devs[m.device]
+					// One training-loop iteration's fixed host-side cost.
+					dev.Exec(0, host.StepOverhead, sim.CatUpdate, "OV")
+					if st.Relayed {
+						waitFor(dev, relayed, sim.CatComm, "RX")
+					} else {
+						// The member's share from the shared loader, then the
+						// consumer side of a batch: iterator dispatch,
+						// collation, host-to-device staging.
+						_, loaded := tk.Loader.Exec(0, cfg.loadTime(m.localBatch), sim.CatLoad, "DL")
+						waitFor(dev, loaded, sim.CatLoad, "DL")
+						dev.Exec(0, host.PerBatchOverhead, sim.CatLoad, "DL")
+					}
+					for i, t := range m.tFwd {
+						dev.Exec(0, t, sim.CatTeacherFwd, fmt.Sprintf("T%d", firstTeacher+i))
+					}
+					teacherDone[j] = dev.FreeAt()
+					for bi, b := range st.Blocks {
+						dev.Exec(0, m.sFwd[bi], sim.CatStudentFwd, fmt.Sprintf("S%d", b))
+					}
+					for bi := len(st.Blocks) - 1; bi >= 0; bi-- {
+						dev.Exec(0, m.sBwd[bi], sim.CatStudentBwd, fmt.Sprintf("S%d", st.Blocks[bi]))
+					}
+				}
+				// An all-reduce is a rendezvous: no member's starts before the
+				// slowest member's backward pass ends.
+				var backwardDone float64
+				for _, m := range st.members {
+					backwardDone = sim.Max(backwardDone, tk.Devs[m.device].FreeAt())
+				}
+				for _, m := range st.members {
+					dev := tk.Devs[m.device]
+					if st.Split() > 1 {
+						dev.AdvanceTo(backwardDone)
+						dev.Exec(0, m.exposedAR, sim.CatAllReduce, "AR")
+					}
+					if !prog.Barrier {
+						dev.Exec(0, m.update, sim.CatUpdate, "UP")
+					}
+				}
+				prev, prevTeacherDone = st, teacherDone
+			}
+
+			if prog.Barrier {
+				// Updates wait for every device's backward (Fig. 3b): the
+				// bubbles decoupled parameter update removes.
+				barrierAt := latest(tk.Devs)
+				for _, st := range stages {
+					for _, m := range st.members {
+						tk.Devs[m.device].AdvanceTo(barrierAt)
+						tk.Devs[m.device].Exec(0, m.update, sim.CatUpdate, "UP")
+					}
+				}
+			}
+		}
+	}
+	return tk.report(cfg, prog, steps*len(prog.Phases), peakMem), tk
+}
+
+// stageMemory estimates what one member holds while it plays st at its
+// local batch: the stage's teacher blocks at inference, its student
+// blocks under training and, where the program's modelling says so, the
+// buffers at the stage's boundaries. A device's peak is its worst stage,
+// since a stage releases what it held before the next one runs.
+func stageMemory(cfg Config, mod sched.Modelling, st sched.Stage, sends bool, localBatch int) int64 {
+	tb, sb := cfg.Workload.Teacher.Net.Blocks, cfg.Workload.Student.Net.Blocks
+	first, last := st.Blocks[0], st.Blocks[len(st.Blocks)-1]
+	var total, workingSet int64
+	for b := first - st.Prefix(); b <= last; b++ {
+		if mod.StreamTeacher {
+			total += tb[b].ParamBytes()
+			if ws := 2 * tb[b].MaxActBytes(localBatch); ws > workingSet {
+				workingSet = ws
+			}
+		} else {
+			total += cost.TeacherBlockMemory(tb[b], localBatch)
+		}
+	}
+	total += workingSet
+	for _, b := range st.Blocks {
+		total += cost.StudentBlockMemory(sb[b], localBatch)
+	}
+	if mod.StageBuffers {
+		total += tb[first].InBytes(localBatch)
+		if sends {
+			total += tb[last].OutBytes(localBatch)
+		}
+	}
+	return total
+}

@@ -21,21 +21,41 @@ func quickCfg(w model.Workload, sys hw.System) Config {
 func plans(t *testing.T, w model.Workload, sys hw.System) (tr, ahd sched.Plan) {
 	t.Helper()
 	prof := profilegen.Measure(w, sys.GPUs[0], 256, sys.NumDevices(), 10)
-	return sched.TRContiguous(prof, sys.NumDevices()), sched.AHD(prof, sys, sched.DefaultAHDConfig())
+	return sched.TRContiguous(prof, sys.NumDevices()), sched.AHD(prof, sys)
+}
+
+// relay simulates teacher relaying under plan.
+func relay(cfg Config, plan sched.Plan, dpu bool) metrics.Report {
+	rep, _ := Run(cfg, sched.TeacherRelaying(plan, dpu))
+	return rep
+}
+
+// rung simulates one named strategy of the ladder.
+func rung(t *testing.T, cfg Config, name string) metrics.Report {
+	t.Helper()
+	r, err := Strategy(cfg, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := r.Run()
+	return rep
+}
+
+func ladderReports(cfg Config) map[string]metrics.Report {
+	reps := map[string]metrics.Report{}
+	for _, r := range Ladder(cfg) {
+		reps[r.Name], _ = r.Run()
+	}
+	return reps
 }
 
 func allReports(t *testing.T, w model.Workload, sys hw.System) map[string]metrics.Report {
 	t.Helper()
-	cfg := quickCfg(w, sys)
-	trPlan, ahdPlan := plans(t, w, sys)
-	return map[string]metrics.Report{
-		"DP":         RunDP(cfg),
-		"LS":         RunLS(cfg),
-		"TR":         RunTR(cfg, trPlan, false, "TR"),
-		"TR+DPU":     RunTR(cfg, trPlan, true, "TR+DPU"),
-		"TR+IR":      RunIR(cfg),
-		"TR+DPU+AHD": RunTR(cfg, ahdPlan, true, "TR+DPU+AHD"),
+	reps := ladderReports(quickCfg(w, sys))
+	if len(reps) != 6 {
+		t.Fatalf("the ladder has %d strategies, want 6", len(reps))
 	}
+	return reps
 }
 
 func TestAccountingSpansEpoch(t *testing.T) {
@@ -89,8 +109,8 @@ func TestDPURemovesBubbles(t *testing.T) {
 	for _, w := range model.AllWorkloads() {
 		cfg := quickCfg(w, hw.A6000x4())
 		trPlan, _ := plans(t, w, hw.A6000x4())
-		plain := RunTR(cfg, trPlan, false, "TR")
-		dpu := RunTR(cfg, trPlan, true, "TR+DPU")
+		plain := relay(cfg, trPlan, false)
+		dpu := relay(cfg, trPlan, true)
 		if dpu.EpochTime > plain.EpochTime+1e-9 {
 			t.Errorf("%s: DPU slowed training: %v vs %v", w.Name, dpu.EpochTime, plain.EpochTime)
 		}
@@ -110,7 +130,7 @@ func TestLSCrossover(t *testing.T) {
 		{model.Compression(true), false},
 	} {
 		cfg := quickCfg(tc.w, sys)
-		dp, ls := RunDP(cfg), RunLS(cfg)
+		dp, ls := rung(t, cfg, DP), rung(t, cfg, LS)
 		if got := ls.EpochTime < dp.EpochTime; got != tc.lsFaster {
 			t.Errorf("%s: LS faster=%v, want %v (LS %v vs DP %v)",
 				tc.w.Name, got, tc.lsFaster, ls.EpochTime, dp.EpochTime)
@@ -125,8 +145,8 @@ func TestDPRedundantTeacherAndLoading(t *testing.T) {
 	sys := hw.A6000x4()
 	cfg := quickCfg(w, sys)
 	trPlan, _ := plans(t, w, sys)
-	dp := RunDP(cfg)
-	tr := RunTR(cfg, trPlan, true, "TR+DPU")
+	dp := rung(t, cfg, DP)
+	tr := relay(cfg, trPlan, true)
 	sumCat := func(r metrics.Report, c sim.Category) float64 {
 		var s float64
 		for _, rank := range r.Ranks {
@@ -149,7 +169,7 @@ func TestTRMemoryConcentratesOnRankZero(t *testing.T) {
 	sys := hw.A6000x4()
 	cfg := quickCfg(w, sys)
 	trPlan, _ := plans(t, w, sys)
-	rep := RunTR(cfg, trPlan, true, "TR+DPU")
+	rep := relay(cfg, trPlan, true)
 	for r := 1; r < len(rep.Ranks); r++ {
 		if rep.Ranks[r].PeakMemBytes > rep.Ranks[0].PeakMemBytes {
 			t.Fatalf("rank %d memory %d exceeds rank 0's %d", r, rep.Ranks[r].PeakMemBytes, rep.Ranks[0].PeakMemBytes)
@@ -157,7 +177,7 @@ func TestTRMemoryConcentratesOnRankZero(t *testing.T) {
 	}
 	// AHD's batch splitting must reduce the rank-0 peak.
 	_, ahdPlan := plans(t, w, sys)
-	ahd := RunTR(cfg, ahdPlan, true, "TR+DPU+AHD")
+	ahd := relay(cfg, ahdPlan, true)
 	if ahd.Ranks[0].PeakMemBytes >= rep.Ranks[0].PeakMemBytes {
 		t.Fatal("AHD should reduce rank-0 memory versus plain TR")
 	}
@@ -168,7 +188,7 @@ func TestIRMemoryHigherThanDP(t *testing.T) {
 	// device; its peak must exceed DP's.
 	w := model.NAS(false)
 	cfg := quickCfg(w, hw.A6000x4())
-	ir, dp := RunIR(cfg), RunDP(cfg)
+	ir, dp := rung(t, cfg, TRIR), rung(t, cfg, DP)
 	if ir.PeakMemory() <= dp.PeakMemory() {
 		t.Fatalf("IR memory %d should exceed DP %d", ir.PeakMemory(), dp.PeakMemory())
 	}
@@ -178,13 +198,13 @@ func TestMaxStepsTruncation(t *testing.T) {
 	w := model.NAS(false)
 	cfg := quickCfg(w, hw.A6000x4())
 	cfg.MaxSteps = 5
-	rep := RunDP(cfg)
+	rep := rung(t, cfg, DP)
 	if rep.Steps != 5*w.NumBlocks() {
 		t.Fatalf("Steps = %d, want %d", rep.Steps, 5*w.NumBlocks())
 	}
 	full := cfg
 	full.MaxSteps = 10
-	if RunDP(full).EpochTime <= rep.EpochTime {
+	if rung(t, full, DP).EpochTime <= rep.EpochTime {
 		t.Fatal("more steps must take longer")
 	}
 }
@@ -194,7 +214,7 @@ func TestRecordingProducesIntervals(t *testing.T) {
 	cfg := quickCfg(w, hw.A6000x4())
 	cfg.Record = true
 	cfg.MaxSteps = 3
-	_, tracks := RunTRTracks(cfg, sched.InternalRelaying(4, 6), true, "TR+IR")
+	_, tracks := Run(cfg, sched.TeacherRelaying(sched.InternalRelaying(4, 6), true))
 	for d, dev := range tracks.Devs {
 		if len(dev.Intervals()) == 0 {
 			t.Fatalf("device %d recorded no intervals", d)
@@ -218,7 +238,7 @@ func TestConfigValidation(t *testing.T) {
 					t.Errorf("%s: expected panic", name)
 				}
 			}()
-			RunDP(cfg)
+			Run(cfg, sched.DataParallel(4, w.NumBlocks()))
 		}()
 	}
 }
@@ -231,7 +251,7 @@ func TestBatchSensitivityShape(t *testing.T) {
 		cfg := Config{Workload: w, System: sys, GlobalBatch: batch, MaxSteps: 40}
 		prof := profilegen.Measure(w, sys.GPUs[0], batch, 4, 10)
 		tr := sched.TRContiguous(prof, 4)
-		return RunDP(cfg).EpochTime / RunTR(cfg, tr, true, "TR+DPU").EpochTime
+		return rung(t, cfg, DP).EpochTime / relay(cfg, tr, true).EpochTime
 	}
 	sys := hw.A6000x4()
 	if s128, s512 := speedup(sys, 128), speedup(sys, 512); s128 <= s512 {
@@ -255,7 +275,7 @@ func Test2080TiAHDSharesLessThanA6000(t *testing.T) {
 	w := model.NAS(true)
 	split := func(sys hw.System) int {
 		prof := profilegen.Measure(w, sys.GPUs[0], 256, 4, 10)
-		plan := sched.AHD(prof, sys, sched.DefaultAHDConfig())
+		plan := sched.AHD(prof, sys)
 		return plan.Groups[0].Split()
 	}
 	if a, turing := split(hw.A6000x4()), split(hw.RTX2080Tix4()); a < turing {

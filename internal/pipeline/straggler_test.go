@@ -41,7 +41,7 @@ func TestStragglerHurtsBarrierScheduleMore(t *testing.T) {
 
 	run := func(sys hw.System, dpu bool) float64 {
 		cfg := Config{Workload: w, System: sys, GlobalBatch: 256, MaxSteps: 40}
-		return RunTR(cfg, plan, dpu, "probe").EpochTime
+		return relay(cfg, plan, dpu).EpochTime
 	}
 
 	barrierSlowdown := run(sick, false) / run(healthy, false)
@@ -55,6 +55,25 @@ func TestStragglerHurtsBarrierScheduleMore(t *testing.T) {
 	}
 }
 
+func TestStragglerSlowsBaselines(t *testing.T) {
+	// Every member is priced on its own GPU, whatever the program: the
+	// same throttled device that slows Pipe-BD must slow DP (all ranks
+	// meet at its all-reduce) and LS (it holds tasks of its own). The
+	// hand-written DP and LS sweeps priced every rank on GPU 0 and saw
+	// no straggler at all.
+	w := model.NAS(false)
+	healthy := hw.A6000x4()
+	sick := withStraggler(healthy, 3, 0.4)
+	for _, name := range []string{DP, LS} {
+		cfg := Config{Workload: w, System: healthy, GlobalBatch: 256, MaxSteps: 40}
+		was := rung(t, cfg, name).EpochTime
+		cfg.System = sick
+		if now := rung(t, cfg, name).EpochTime; now <= was*1.01 {
+			t.Errorf("%s: a device at 40%% left the epoch at %v (healthy %v)", name, now, was)
+		}
+	}
+}
+
 func TestHeteroPlannerRoutesAroundStraggler(t *testing.T) {
 	// Given a straggler, the heterogeneity-aware planner should produce
 	// a schedule at least as good as the homogeneous planner's (which
@@ -64,11 +83,11 @@ func TestHeteroPlannerRoutesAroundStraggler(t *testing.T) {
 	cfg := Config{Workload: w, System: sick, GlobalBatch: 256, MaxSteps: 40}
 
 	prof := profilegen.Measure(w, hw.RTXA6000(), 256, 4, 10) // healthy profile: planner is blind
-	blind := sched.AHD(prof, sick, sched.DefaultAHDConfig())
-	aware := sched.AHDHetero(w, sick, 256, sched.DefaultHeteroConfig())
+	blind := sched.AHD(prof, sick)
+	aware := sched.AHDHetero(w, sick, 256)
 
-	blindTime := RunTR(cfg, blind, true, "blind").EpochTime
-	awareTime := RunTR(cfg, aware, true, "aware").EpochTime
+	blindTime := relay(cfg, blind, true).EpochTime
+	awareTime := relay(cfg, aware, true).EpochTime
 	if awareTime > blindTime*1.001 {
 		t.Fatalf("straggler-aware plan (%v, %s) worse than blind plan (%v, %s)",
 			awareTime, aware.Describe(), blindTime, blind.Describe())
@@ -80,7 +99,7 @@ func TestStragglerShiftsShares(t *testing.T) {
 	// must shrink on the sick device.
 	w := model.NAS(false)
 	sick := withStraggler(hw.A6000x4(), 1, 0.5)
-	plan := sched.AHDHetero(w, sick, 256, sched.DefaultHeteroConfig())
+	plan := sched.AHDHetero(w, sick, 256)
 	for _, g := range plan.Groups {
 		if g.Split() < 2 || g.Shares == nil {
 			continue

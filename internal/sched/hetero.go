@@ -22,20 +22,6 @@ import (
 //     group's blocks (rounded to whole samples), so a group mixing an
 //     A6000 with a 2080Ti gives the A6000 the larger slice.
 
-// HeteroConfig tunes the heterogeneous search.
-type HeteroConfig struct {
-	// AHD carries the common knobs (overlap, memory headroom).
-	AHD AHDConfig
-	// ReferenceBatch is the batch used to measure relative member
-	// throughput when apportioning shares; 0 uses the global batch.
-	ReferenceBatch int
-}
-
-// DefaultHeteroConfig returns the defaults used by tests and examples.
-func DefaultHeteroConfig() HeteroConfig {
-	return HeteroConfig{AHD: DefaultAHDConfig()}
-}
-
 // AHDHetero searches hybrid plans for a possibly heterogeneous system:
 // every composition of devices into contiguous groups crossed with every
 // composition of blocks into contiguous ranges, with per-member batch
@@ -43,7 +29,7 @@ func DefaultHeteroConfig() HeteroConfig {
 // per-step time; the bottleneck group decides the plan. Plans whose
 // members exceed their device memory are rejected; if nothing fits, the
 // widest split (internal relaying with proportional shares) is returned.
-func AHDHetero(w model.Workload, sys hw.System, globalBatch int, cfg HeteroConfig) Plan {
+func AHDHetero(w model.Workload, sys hw.System, globalBatch int) Plan {
 	nDev := sys.NumDevices()
 	nb := w.NumBlocks()
 	if globalBatch <= 0 {
@@ -61,7 +47,7 @@ func AHDHetero(w model.Workload, sys hw.System, globalBatch int, cfg HeteroConfi
 			if len(dc) != len(bc) {
 				continue
 			}
-			groups, worst, ok := evaluateHetero(w, sys, globalBatch, cfg, dc, bc)
+			groups, worst, ok := evaluateHetero(w, sys, globalBatch, dc, bc)
 			if !ok {
 				continue
 			}
@@ -74,15 +60,14 @@ func AHDHetero(w model.Workload, sys hw.System, globalBatch int, cfg HeteroConfi
 	}
 	if !feasible {
 		plan := InternalRelaying(nDev, nb)
-		plan.Groups[0].Shares = apportion(w, sys, globalBatch, cfg, plan.Groups[0])
+		plan.Groups[0].Shares = apportion(w, sys, globalBatch, plan.Groups[0])
 		plan.Name = "ahd-hetero-fallback"
 		return plan
 	}
 	return Plan{Name: "ahd-hetero", Groups: bestGroups}
 }
 
-func evaluateHetero(w model.Workload, sys hw.System, globalBatch int, cfg HeteroConfig,
-	devSizes, blockSizes []int) ([]Group, float64, bool) {
+func evaluateHetero(w model.Workload, sys hw.System, globalBatch int, devSizes, blockSizes []int) ([]Group, float64, bool) {
 	groups := make([]Group, len(devSizes))
 	dev, blk := 0, 0
 	for i := range devSizes {
@@ -92,8 +77,8 @@ func evaluateHetero(w model.Workload, sys hw.System, globalBatch int, cfg Hetero
 	}
 	var worst float64
 	for i := range groups {
-		groups[i].Shares = apportion(w, sys, globalBatch, cfg, groups[i])
-		c, ok := heteroGroupCost(w, sys, globalBatch, cfg, groups[i])
+		groups[i].Shares = apportion(w, sys, globalBatch, groups[i])
+		c, ok := heteroGroupCost(w, sys, globalBatch, groups[i])
 		if !ok {
 			return nil, 0, false
 		}
@@ -105,22 +90,18 @@ func evaluateHetero(w model.Workload, sys hw.System, globalBatch int, cfg Hetero
 }
 
 // apportion splits the global batch across group members proportionally
-// to their measured throughput on the group's blocks. Equal-speed members
+// to their throughput on the group's blocks at the global batch. Equal-speed members
 // receive an equal split (Shares normalized to nil in that case so
 // homogeneous plans stay canonical).
-func apportion(w model.Workload, sys hw.System, globalBatch int, cfg HeteroConfig, g Group) []int {
+func apportion(w model.Workload, sys hw.System, globalBatch int, g Group) []int {
 	k := g.Split()
 	if k == 1 {
 		return nil
 	}
-	ref := cfg.ReferenceBatch
-	if ref <= 0 {
-		ref = globalBatch
-	}
 	speeds := make([]float64, k)
 	var total float64
 	for j, d := range g.Devices {
-		t := groupStepTime(w, sys.GPUs[d], g, ref)
+		t := groupStepTime(w, sys.GPUs[d], g, globalBatch)
 		if t <= 0 {
 			t = math.SmallestNonzeroFloat64
 		}
@@ -184,7 +165,7 @@ func groupStepTime(w model.Workload, gpu hw.GPU, g Group, batch int) float64 {
 
 // heteroGroupCost returns the group's bottleneck member time plus exposed
 // all-reduce and update, and checks per-member memory feasibility.
-func heteroGroupCost(w model.Workload, sys hw.System, globalBatch int, cfg HeteroConfig, g Group) (float64, bool) {
+func heteroGroupCost(w model.Workload, sys hw.System, globalBatch int, g Group) (float64, bool) {
 	k := g.Split()
 	var gradBytes int64
 	for _, b := range g.Blocks {
@@ -209,14 +190,10 @@ func heteroGroupCost(w model.Workload, sys hw.System, globalBatch int, cfg Heter
 		}
 		mem += w.Teacher.Net.Blocks[g.Blocks[0]].InBytes(lb) +
 			w.Teacher.Net.Blocks[g.Blocks[len(g.Blocks)-1]].OutBytes(lb)
-		if mem > int64(cfg.AHD.MemHeadroom*float64(gpu.MemBytes)) {
+		if mem > int64(memHeadroom*float64(gpu.MemBytes)) {
 			return 0, false
 		}
-		exposed := sys.Link.AllReduceTime(gradBytes, k) - cfg.AHD.DDPOverlap*bwd
-		if exposed < 0 {
-			exposed = 0
-		}
-		t := compute + exposed + update
+		t := compute + sys.Link.ExposedAllReduceTime(gradBytes, k, bwd) + update
 		if t > worst {
 			worst = t
 		}

@@ -35,7 +35,7 @@ func TestHeteroSystemPanicsWithoutGPUs(t *testing.T) {
 func TestAHDHeteroProducesValidPlan(t *testing.T) {
 	w := model.NAS(false)
 	sys := mixedSystem()
-	plan := AHDHetero(w, sys, 256, DefaultHeteroConfig())
+	plan := AHDHetero(w, sys, 256)
 	if err := plan.Validate(sys.NumDevices(), w.NumBlocks()); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestApportionFavorsFasterDevices(t *testing.T) {
 	sys := mixedSystem()
 	// A group spanning one A6000 (device 1) and one 2080Ti (device 2).
 	g := Group{Devices: []int{1, 2}, Blocks: []int{0, 1, 2}}
-	shares := apportion(w, sys, 256, DefaultHeteroConfig(), g)
+	shares := apportion(w, sys, 256, g)
 	if shares == nil {
 		t.Fatal("heterogeneous members must receive unequal shares")
 	}
@@ -67,7 +67,7 @@ func TestApportionHomogeneousIsCanonical(t *testing.T) {
 	w := model.NAS(false)
 	sys := hw.A6000x4()
 	g := Group{Devices: []int{0, 1}, Blocks: []int{0, 1}}
-	if shares := apportion(w, sys, 256, DefaultHeteroConfig(), g); shares != nil {
+	if shares := apportion(w, sys, 256, g); shares != nil {
 		t.Fatalf("equal-speed members should get the canonical nil split, got %v", shares)
 	}
 }
@@ -78,7 +78,7 @@ func TestAHDHeteroMatchesAHDOnHomogeneousSystem(t *testing.T) {
 	// planner's (both search the same composition space).
 	w := model.NAS(true)
 	sys := hw.A6000x4()
-	hetero := AHDHetero(w, sys, 256, DefaultHeteroConfig())
+	hetero := AHDHetero(w, sys, 256)
 	if err := hetero.Validate(4, w.NumBlocks()); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAHDHeteroMatchesAHDOnHomogeneousSystem(t *testing.T) {
 
 func TestAHDHeteroSplitsDominantBlock(t *testing.T) {
 	w := model.NAS(true)
-	plan := AHDHetero(w, mixedSystem(), 256, DefaultHeteroConfig())
+	plan := AHDHetero(w, mixedSystem(), 256)
 	first := plan.Groups[0]
 	if first.Blocks[0] != 0 || first.Split() < 2 {
 		t.Fatalf("expected block 0 shared, got %s", plan.Describe())
@@ -105,7 +105,7 @@ func TestAHDHeteroMemoryFallback(t *testing.T) {
 	for i := range sys.GPUs {
 		sys.GPUs[i].MemBytes = 2 << 30 // nothing fits
 	}
-	plan := AHDHetero(w, sys, 256, DefaultHeteroConfig())
+	plan := AHDHetero(w, sys, 256)
 	if err := plan.Validate(4, w.NumBlocks()); err != nil {
 		t.Fatal(err)
 	}

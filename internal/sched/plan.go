@@ -1,8 +1,20 @@
-// Package sched implements Pipe-BD's scheduling decisions: the contiguous
-// block distribution used by plain teacher relaying, the automatic hybrid
-// distribution (AHD) search over device-group/block-range compositions,
-// the internal-relaying special case, and the LPT bin packing used by the
-// layerwise-scheduling (LS) baseline.
+// Package sched holds what is decided before training starts, as data.
+//
+// program.go is the schedule description both executors play: a Stage —
+// member devices and batch shares, the student blocks trained, input from
+// the loader (behind a teacher-only prefix) or relayed from the previous
+// stage — and a Program, phases of stages plus whether updates wait on
+// the per-step barrier. internal/pipeline plays a Program in virtual
+// time, internal/engine on real kernels; neither knows a strategy by
+// name. The builders are TeacherRelaying (any Plan: TR, TR+DPU, TR+IR,
+// AHD's hybrid groups), DataParallel and Layerwise (the DP and LS
+// baselines, the latter on LPT bin packing).
+//
+// The planners that choose a Plan are here too: the contiguous
+// distribution of plain teacher relaying, the automatic hybrid
+// distribution (AHD) search and its heterogeneous extension, internal
+// relaying, and the runtime re-planner. Planner and simulator price a
+// split group's all-reduce through one hw.Link.ExposedAllReduceTime.
 package sched
 
 import (

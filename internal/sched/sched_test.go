@@ -194,23 +194,22 @@ func TestAHDValidAndAtLeastAsGoodAsTR(t *testing.T) {
 		p := nasProfile(t, imagenet)
 		sys := hw.A6000x4()
 		trPlan := TRContiguous(p, 4)
-		ahdPlan := AHD(p, sys, DefaultAHDConfig())
+		ahdPlan := AHD(p, sys)
 		if err := ahdPlan.Validate(4, p.NumBlocks()); err != nil {
 			t.Fatalf("imagenet=%v: %v", imagenet, err)
 		}
-		cfg := DefaultAHDConfig()
-		trCost := estimatePlan(p, sys, cfg, trPlan)
-		ahdCost := estimatePlan(p, sys, cfg, ahdPlan)
+		trCost := estimatePlan(p, sys, trPlan)
+		ahdCost := estimatePlan(p, sys, ahdPlan)
 		if ahdCost > trCost+1e-12 {
 			t.Fatalf("imagenet=%v: AHD bottleneck %v worse than TR %v", imagenet, ahdCost, trCost)
 		}
 	}
 }
 
-func estimatePlan(p profilegen.Profile, sys hw.System, cfg AHDConfig, plan Plan) float64 {
+func estimatePlan(p profilegen.Profile, sys hw.System, plan Plan) float64 {
 	var worst float64
 	for _, g := range plan.Groups {
-		c, ok := groupCost(p, sys, cfg, g)
+		c, ok := groupCost(p, sys, g)
 		if !ok {
 			return math.MaxFloat64
 		}
@@ -225,7 +224,7 @@ func TestAHDSplitsDominantBlockOnImageNet(t *testing.T) {
 	// The ImageNet NAS workload has a dominant block 0 (Fig. 5); AHD
 	// must choose a hybrid plan that shares it across devices.
 	p := nasProfile(t, true)
-	plan := AHD(p, hw.A6000x4(), DefaultAHDConfig())
+	plan := AHD(p, hw.A6000x4())
 	first := plan.Groups[0]
 	if first.Split() < 2 {
 		t.Fatalf("expected block 0 shared by >=2 devices, got %s", plan.Describe())
@@ -244,13 +243,12 @@ func TestAHDRespectsMemoryLimit(t *testing.T) {
 	for i := range sys.GPUs {
 		sys.GPUs[i].MemBytes = 6 << 30 // 6 GiB: too small for block 0 at full batch
 	}
-	plan := AHD(p, sys, DefaultAHDConfig())
+	plan := AHD(p, sys)
 	if err := plan.Validate(4, p.NumBlocks()); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultAHDConfig()
 	for _, g := range plan.Groups {
-		if _, ok := groupCost(p, sys, cfg, g); !ok {
+		if _, ok := groupCost(p, sys, g); !ok {
 			// The IR fallback may violate the estimate too when nothing
 			// fits; only flag plans that claim feasibility.
 			if len(plan.Groups) != 1 {

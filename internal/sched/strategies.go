@@ -92,20 +92,9 @@ func contiguousPartition(blockCost []float64, nDev int) ([]int, float64) {
 	return ends, best[0][0]
 }
 
-// AHDConfig tunes the automatic hybrid distribution search.
-type AHDConfig struct {
-	// DDPOverlap is the fraction of intra-group gradient all-reduce
-	// hidden beneath the backward pass (bucketed DDP behaviour).
-	DDPOverlap float64
-	// MemHeadroom is the usable fraction of device memory (frameworks
-	// reserve some for workspace/fragmentation).
-	MemHeadroom float64
-}
-
-// DefaultAHDConfig returns the defaults used by the experiments.
-func DefaultAHDConfig() AHDConfig {
-	return AHDConfig{DDPOverlap: 0.7, MemHeadroom: 0.92}
-}
+// memHeadroom is the usable fraction of device memory (frameworks reserve
+// some for workspace and fragmentation).
+const memHeadroom = 0.92
 
 // AHD searches hybrid plans exhaustively: every composition of the N
 // devices into contiguous groups combined with every composition of the B
@@ -115,7 +104,7 @@ func DefaultAHDConfig() AHDConfig {
 // that also fits device memory wins. This mirrors §IV-C of the paper
 // (exhaustive search over the practical B≈10, N≈4..8 space, decided once
 // before training).
-func AHD(p profilegen.Profile, sys hw.System, cfg AHDConfig) Plan {
+func AHD(p profilegen.Profile, sys hw.System) Plan {
 	nDev := sys.NumDevices()
 	nb := p.NumBlocks()
 	if nDev > p.MaxSplit {
@@ -133,7 +122,7 @@ func AHD(p profilegen.Profile, sys hw.System, cfg AHDConfig) Plan {
 			if len(dc) != len(bc) {
 				continue
 			}
-			groups, cost, fits := evaluate(p, sys, cfg, dc, bc)
+			groups, cost, fits := evaluate(p, sys, dc, bc)
 			if !fits {
 				continue
 			}
@@ -154,7 +143,7 @@ func AHD(p profilegen.Profile, sys hw.System, cfg AHDConfig) Plan {
 
 // evaluate builds the groups for one (device sizes, block sizes)
 // composition pair and estimates the bottleneck group cost.
-func evaluate(p profilegen.Profile, sys hw.System, cfg AHDConfig, devSizes, blockSizes []int) ([]Group, float64, bool) {
+func evaluate(p profilegen.Profile, sys hw.System, devSizes, blockSizes []int) ([]Group, float64, bool) {
 	groups := make([]Group, len(devSizes))
 	dev, blk := 0, 0
 	for i := range devSizes {
@@ -164,7 +153,7 @@ func evaluate(p profilegen.Profile, sys hw.System, cfg AHDConfig, devSizes, bloc
 	}
 	var bottleneck float64
 	for _, g := range groups {
-		cost, fits := groupCost(p, sys, cfg, g)
+		cost, fits := groupCost(p, sys, g)
 		if !fits {
 			return nil, 0, false
 		}
@@ -177,7 +166,7 @@ func evaluate(p profilegen.Profile, sys hw.System, cfg AHDConfig, devSizes, bloc
 
 // groupCost estimates one group's steady-state per-step time and checks
 // per-device memory feasibility.
-func groupCost(p profilegen.Profile, sys hw.System, cfg AHDConfig, g Group) (float64, bool) {
+func groupCost(p profilegen.Profile, sys hw.System, g Group) (float64, bool) {
 	k := g.Split()
 	var compute, bwd, update float64
 	var gradBytes, mem int64
@@ -188,14 +177,10 @@ func groupCost(p profilegen.Profile, sys hw.System, cfg AHDConfig, g Group) (flo
 		gradBytes += p.StudentParamBytes[b]
 		mem += p.TeacherMem[b][k-1] + p.StudentMem[b][k-1]
 	}
-	if mem > int64(cfg.MemHeadroom*float64(sys.GPUs[g.Devices[0]].MemBytes)) {
+	if mem > int64(memHeadroom*float64(sys.GPUs[g.Devices[0]].MemBytes)) {
 		return 0, false
 	}
-	exposed := sys.Link.AllReduceTime(gradBytes, k) - cfg.DDPOverlap*bwd
-	if exposed < 0 {
-		exposed = 0
-	}
-	return compute + exposed + update, true
+	return compute + sys.Link.ExposedAllReduceTime(gradBytes, k, bwd) + update, true
 }
 
 // compositions returns all ordered compositions of n (ways of writing n
