@@ -178,23 +178,27 @@ func FormatFig4(rows []Fig4Row) string {
 // --- Fig. 5: GPU-type sensitivity ------------------------------------------
 
 // Fig5Result holds the per-system speedups and chosen schedules for the
-// NAS/ImageNet workload.
+// NAS/ImageNet workload, systems in the order they were run.
 type Fig5Result struct {
-	Rows      []Fig4Row
-	Schedules map[string]string // system name -> AHD plan description
-	Gantts    map[string]string // system name -> ASCII schedule
+	Rows    []Fig4Row
+	Systems []Fig5System
+}
+
+// Fig5System is one system's AHD plan description and ASCII schedule.
+type Fig5System struct {
+	Name, Schedule, Gantt string
 }
 
 // Fig5 reproduces the GPU-type sensitivity study: the same workload
 // scheduled on 4x RTX 2080Ti versus 4x RTX A6000.
 func Fig5(o Options) Fig5Result {
 	w := model.NAS(true)
-	res := Fig5Result{Schedules: map[string]string{}, Gantts: map[string]string{}}
+	var res Fig5Result
 	for _, sys := range []hw.System{hw.RTX2080Tix4(), hw.A6000x4()} {
 		reps := runAll(w, sys, o)
 		res.Rows = append(res.Rows, speedups(sys.Name, reps, false)...)
-		res.Schedules[sys.Name] = find(reps, pipeline.AHD).ScheduleDesc
-		res.Gantts[sys.Name] = ScheduleGantt(w, sys, o, 3)
+		res.Systems = append(res.Systems, Fig5System{Name: sys.Name,
+			Schedule: find(reps, pipeline.AHD).ScheduleDesc, Gantt: ScheduleGantt(w, sys, o, 3)})
 	}
 	return res
 }
@@ -212,11 +216,11 @@ func FormatFig5(r Fig5Result) string {
 	var b strings.Builder
 	b.WriteString("Fig. 5 — GPU type sensitivity (NAS, ImageNet)\n")
 	b.WriteString(metrics.Table(header, body))
-	for sys, desc := range r.Schedules {
-		fmt.Fprintf(&b, "\n%s schedule: %s\n", sys, desc)
+	for _, s := range r.Systems {
+		fmt.Fprintf(&b, "\n%s schedule: %s\n", s.Name, s.Schedule)
 	}
-	for sys, g := range r.Gantts {
-		fmt.Fprintf(&b, "\n%s steady-state timeline:\n%s", sys, g)
+	for _, s := range r.Systems {
+		fmt.Fprintf(&b, "\n%s steady-state timeline:\n%s", s.Name, s.Gantt)
 	}
 	return b.String()
 }

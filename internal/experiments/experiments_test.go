@@ -86,14 +86,12 @@ func TestFig5Shapes(t *testing.T) {
 	}
 	// Both systems must end up with hybrid plans that share block 0
 	// (the paper's Fig. 5b/5c), and both give multi-fold speedups.
-	for sysName, desc := range res.Schedules {
-		if !strings.Contains(desc, "B0") || !strings.Contains(desc, "DP") {
-			t.Errorf("%s: AHD schedule %q does not share block 0", sysName, desc)
+	for _, s := range res.Systems {
+		if !strings.Contains(s.Schedule, "B0") || !strings.Contains(s.Schedule, "DP") {
+			t.Errorf("%s: AHD schedule %q does not share block 0", s.Name, s.Schedule)
 		}
-	}
-	for _, g := range res.Gantts {
-		if !strings.Contains(g, "gpu0") || !strings.Contains(g, "legend:") {
-			t.Error("Gantt rendering incomplete")
+		if !strings.Contains(s.Gantt, "gpu0") || !strings.Contains(s.Gantt, "legend:") {
+			t.Errorf("%s: Gantt rendering incomplete", s.Name)
 		}
 	}
 	out := FormatFig5(res)

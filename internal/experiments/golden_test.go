@@ -12,10 +12,9 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
 // TestGoldenSimulatorOutput pins ROADMAP's "the simulator's Table 2 /
-// Fig. 4 outputs stay byte-identical": every deterministic text table on
-// the paper's 4x A6000 system is compared with a file generated before
-// the change under review. Fig. 5 is left out because it prints two maps
-// in iteration order.
+// Fig. 4 outputs stay byte-identical": every text table on the paper's
+// 4x A6000 system, and Fig. 4 on the memory-tight 4x 2080Ti, is compared
+// with a file generated before the change under review.
 func TestGoldenSimulatorOutput(t *testing.T) {
 	sys := hw.A6000x4()
 	cases := []struct {
@@ -24,6 +23,8 @@ func TestGoldenSimulatorOutput(t *testing.T) {
 	}{
 		{"fig2", func() string { return FormatFig2(Fig2(sys, quick)) }},
 		{"fig4", func() string { return FormatFig4(Fig4(sys, quick)) }},
+		{"fig4-2080ti", func() string { return FormatFig4(Fig4(hw.RTX2080Tix4(), quick)) }},
+		{"fig5", func() string { return FormatFig5(Fig5(quick)) }},
 		{"fig6", func() string { return FormatFig6(Fig6(sys, quick)) }},
 		{"fig7", func() string { return FormatFig7(Fig7(sys, quick)) }},
 		{"table2", func() string { return FormatTable2(Table2(sys, quick, true)) }},
