@@ -92,7 +92,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -160,13 +159,48 @@ func checkModeFlags(explicit map[string]bool, cluster, resume bool) error {
 	return fmt.Errorf("%s: set without %s", strings.Join(stray, ", "), needs)
 }
 
+// experimentTable registers every -exp name, in the order "all" prints
+// them: an experiment renders its text table and, where the figure has
+// one, the ASCII chart -chart appends.
+var experimentTable = []struct {
+	name string
+	run  func(sys hw.System, o experiments.Options, quick bool) (table, chart string)
+}{
+	{"table1", func(hw.System, experiments.Options, bool) (string, string) { return experiments.Table1(), "" }},
+	{"fig2", func(sys hw.System, o experiments.Options, _ bool) (string, string) {
+		rows := experiments.Fig2(sys, o)
+		return experiments.FormatFig2(rows), experiments.ChartFig2(rows)
+	}},
+	{"fig4", func(sys hw.System, o experiments.Options, _ bool) (string, string) {
+		rows := experiments.Fig4(sys, o)
+		return experiments.FormatFig4(rows), experiments.ChartFig4(rows)
+	}},
+	{"fig5", func(_ hw.System, o experiments.Options, _ bool) (string, string) {
+		return experiments.FormatFig5(experiments.Fig5(o)), ""
+	}},
+	{"fig6", func(sys hw.System, o experiments.Options, _ bool) (string, string) {
+		rows := experiments.Fig6(sys, o)
+		return experiments.FormatFig6(rows), experiments.ChartFig6(rows)
+	}},
+	{"fig7", func(sys hw.System, o experiments.Options, _ bool) (string, string) {
+		rows := experiments.Fig7(sys, o)
+		return experiments.FormatFig7(rows), experiments.ChartFig7(rows)
+	}},
+	{"table2", func(sys hw.System, o experiments.Options, quick bool) (string, string) {
+		return experiments.FormatTable2(experiments.Table2(sys, o, quick)), ""
+	}},
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig2|fig4|fig5|fig6|fig7|table1|table2|all")
+	expNames := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		expNames[i] = e.name
+	}
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(expNames, "|")+"|all")
 	system := flag.String("system", "a6000", "system preset: a6000|2080ti")
 	batch := flag.Int("batch", 256, "global batch size")
 	quick := flag.Bool("quick", false, "truncate epochs to 40 steps and skip the accuracy proxy")
 	chart := flag.Bool("chart", false, "append ASCII charts to figure output")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	backend := flag.String("backend", "serial", "tensor compute backend: "+strings.Join(tensor.Backends(), "|"))
 	clusterAddrs := flag.String("cluster", "", "comma-separated pipebd-worker addresses; enables cluster training mode")
 	clusterPlanName := flag.String("cluster-plan", "hybrid", "cluster schedule: tr|tr3|hybrid|ir|dp3")
@@ -311,91 +345,20 @@ func main() {
 		opts.MaxSteps = 40
 	}
 
-	run := func(name string) bool { return *exp == name || *exp == "all" }
-	jsonOut := map[string]any{}
-	any := false
-	if run("table1") {
-		if !*asJSON {
-			fmt.Println(experiments.Table1())
+	ran := false
+	for _, e := range experimentTable {
+		if *exp != e.name && *exp != "all" {
+			continue
 		}
-		any = true
-	}
-	if run("fig2") {
-		rows := experiments.Fig2(sys, opts)
-		if *asJSON {
-			jsonOut["fig2"] = rows
-		} else {
-			fmt.Println(experiments.FormatFig2(rows))
-			if *chart {
-				fmt.Println(experiments.ChartFig2(rows))
-			}
+		table, ascii := e.run(sys, opts, *quick)
+		fmt.Println(table)
+		if *chart && ascii != "" {
+			fmt.Println(ascii)
 		}
-		any = true
+		ran = true
 	}
-	if run("fig4") {
-		rows := experiments.Fig4(sys, opts)
-		if *asJSON {
-			jsonOut["fig4"] = rows
-		} else {
-			fmt.Println(experiments.FormatFig4(rows))
-			if *chart {
-				fmt.Println(experiments.ChartFig4(rows))
-			}
-		}
-		any = true
-	}
-	if run("fig5") {
-		res := experiments.Fig5(opts)
-		if *asJSON {
-			jsonOut["fig5"] = res.Rows
-		} else {
-			fmt.Println(experiments.FormatFig5(res))
-		}
-		any = true
-	}
-	if run("fig6") {
-		rows := experiments.Fig6(sys, opts)
-		if *asJSON {
-			jsonOut["fig6"] = rows
-		} else {
-			fmt.Println(experiments.FormatFig6(rows))
-			if *chart {
-				fmt.Println(experiments.ChartFig6(rows))
-			}
-		}
-		any = true
-	}
-	if run("fig7") {
-		rows := experiments.Fig7(sys, opts)
-		if *asJSON {
-			jsonOut["fig7"] = rows
-		} else {
-			fmt.Println(experiments.FormatFig7(rows))
-			if *chart {
-				fmt.Println(experiments.ChartFig7(rows))
-			}
-		}
-		any = true
-	}
-	if run("table2") {
-		rows := experiments.Table2(sys, opts, *quick)
-		if *asJSON {
-			jsonOut["table2"] = rows
-		} else {
-			fmt.Println(experiments.FormatTable2(rows))
-		}
-		any = true
-	}
-	if !any {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "pipebd: unknown experiment %q\n", *exp)
 		os.Exit(2)
-	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
-			os.Exit(1)
-		}
 	}
 }

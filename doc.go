@@ -26,6 +26,15 @@
 // name, and pipeline.Ladder alone pairs the paper's six names with
 // programs.
 //
+// The paper profiles every block before training and plans against that
+// table (§V-B). That step lives in sched.Price — what a step of a stage
+// costs each member on its own GPU at its own batch share — and
+// sched.Memory, what the member holds: pipeline.Run plays those numbers,
+// and the planners (sched.AHD, one search for equal and mixed GPUs, and
+// sched.TRContiguous) minimise the same ones and reject on the same
+// memory. Today the analytic cost model fills the table; a measured
+// source or a new cost term plugs in there and reaches both.
+//
 // # Compute backends
 //
 // The numeric engine's kernels run on a pluggable tensor.Backend. Two
@@ -186,7 +195,7 @@
 // # Dynamic repartitioning
 //
 // A run whose placement turns out wrong — one device measurably slower
-// than the profile assumed — can rebalance itself mid-run
+// than the plan was priced for — can rebalance itself mid-run
 // (cluster.Config.Repartition, cmd/pipebd -repartition). The
 // coordinator folds the span batches workers already ship into measured
 // per-block compute costs (obs.StepAggregator; transport waits

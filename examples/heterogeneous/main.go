@@ -1,10 +1,11 @@
-// Heterogeneous devices: the paper's stated future direction (§VIII)
-// implemented as an AHD extension. A node mixing two RTX A6000s with two
-// RTX 2080Tis is scheduled three ways: naive equal-share data
-// parallelism, the homogeneous planner (which cannot see the speed
-// difference), and the heterogeneity-aware planner that both places block
-// ranges against per-device speeds and splits batches proportionally to
-// member throughput.
+// Heterogeneous devices: the paper's stated future direction (§VIII).
+// There is one planner, and it prices every member of a candidate group
+// on that member's own GPU. A node mixing two RTX A6000s with two RTX
+// 2080Tis is scheduled three ways: naive equal-share data parallelism,
+// the planner told the node is four A6000s (it cannot see the speed
+// difference), and the same planner told the truth, which both places
+// block ranges against per-device speeds and splits batches
+// proportionally to member throughput.
 package main
 
 import (
@@ -14,14 +15,13 @@ import (
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
 	"pipebd/internal/pipeline"
-	"pipebd/internal/profilegen"
 	"pipebd/internal/sched"
 )
 
 func main() {
 	w := model.NAS(true)
-	sys := sched.HeteroSystem("2x A6000 + 2x 2080Ti", hw.PCIe4(), hw.EPYC7302Host(),
-		hw.RTXA6000(), hw.RTXA6000(), hw.RTX2080Ti(), hw.RTX2080Ti())
+	sys := hw.System{Name: "2x A6000 + 2x 2080Ti", Link: hw.PCIe4(), Host: hw.EPYC7302Host(),
+		GPUs: []hw.GPU{hw.RTXA6000(), hw.RTXA6000(), hw.RTX2080Ti(), hw.RTX2080Ti()}}
 	batch := 256
 	cfg := pipeline.Config{Workload: w, System: sys, GlobalBatch: batch}
 
@@ -35,12 +35,13 @@ func main() {
 	// Naive: treat the node as homogeneous data parallelism.
 	naiveRep := relay("IR equal-split", sched.InternalRelaying(sys.NumDevices(), w.NumBlocks()))
 
-	// Homogeneous AHD: profiled against the first GPU only, equal shares.
-	prof := profilegen.Measure(w, sys.GPUs[0], batch, sys.NumDevices(), 100)
-	homoRep := relay("AHD (homogeneous)", sched.AHD(prof, sys))
+	// AHD assuming equal GPUs: planned for four A6000s, played on the
+	// real node.
+	equal := hw.Homogeneous("4x A6000 (assumed)", sys.NumDevices(), hw.RTXA6000(), sys.Link, sys.Host)
+	homoRep := relay("AHD (homogeneous)", sched.AHD(w, equal, batch))
 
-	// Heterogeneity-aware AHD: per-device costing + proportional shares.
-	hetero := sched.AHDHetero(w, sys, batch)
+	// AHD on the real node: per-device costing + proportional shares.
+	hetero := sched.AHD(w, sys, batch)
 	heteroRep := relay("AHD (hetero-aware)", hetero)
 
 	fmt.Printf("NAS / ImageNet on %s, batch %d\n\n", sys.Name, batch)

@@ -1,6 +1,7 @@
-// Quickstart: build a blockwise-distillation workload, profile it, let
-// Pipe-BD plan a schedule, and compare simulated epoch times against the
-// data-parallel baseline — the library's core loop in ~40 lines.
+// Quickstart: build a blockwise-distillation workload, let Pipe-BD plan a
+// schedule against the per-block costs, and compare simulated epoch times
+// against the data-parallel baseline — the library's core loop in ~40
+// lines.
 package main
 
 import (
@@ -10,7 +11,6 @@ import (
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
 	"pipebd/internal/pipeline"
-	"pipebd/internal/profilegen"
 	"pipebd/internal/sched"
 )
 
@@ -20,18 +20,18 @@ func main() {
 	system := hw.A6000x4()
 	batch := 256
 
-	// 2. Profile every block at every feasible batch split — Pipe-BD's
-	//    pre-training measurement pass (§V-B of the paper).
-	profile := profilegen.Measure(workload, system.GPUs[0], batch, system.NumDevices(), 100)
-
-	// 3. Plan: plain teacher relaying and automatic hybrid distribution.
-	trPlan := sched.TRContiguous(profile, system.NumDevices())
-	ahdPlan := sched.AHD(profile, system)
+	// 2. Plan: plain teacher relaying and automatic hybrid distribution.
+	//    Both search against sched.Price — what a step of a candidate stage
+	//    costs each member on its own GPU at its own batch share, the
+	//    stand-in for Pipe-BD's pre-training measurement pass (§V-B of the
+	//    paper) and the very numbers the simulator then plays.
+	trPlan := sched.TRContiguous(workload, system, batch)
+	ahdPlan := sched.AHD(workload, system, batch)
 	fmt.Println("TR plan :", trPlan.Describe())
 	fmt.Println("AHD plan:", ahdPlan.Describe())
 
-	// 4. Simulate one epoch of every strategy of the paper's ladder, which
-	//    profiles and plans as above and starts with the DP baseline.
+	// 3. Simulate one epoch of every strategy of the paper's ladder, which
+	//    plans as above and starts with the DP baseline.
 	fmt.Println()
 	var dp metrics.Report
 	for i, rung := range pipeline.Ladder(pipeline.Config{Workload: workload, System: system, GlobalBatch: batch}) {

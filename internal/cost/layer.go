@@ -8,6 +8,12 @@
 // MobileNet-family models in the literature and in the paper's Table II);
 // FwdFLOPs counts 2·MACs plus the elementwise work of normalization,
 // activation, and pooling layers, and is what the timing model consumes.
+//
+// The package prices one block on one GPU at one batch and knows nothing
+// of stages, shares or plans. Its block times and memories have one
+// caller outside the package, sched.Price and sched.Memory, which the
+// simulator plays and the planners search; a cost term the model is
+// missing is added here and reaches both through that one caller.
 package cost
 
 import "fmt"

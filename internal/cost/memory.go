@@ -1,6 +1,7 @@
 package cost
 
-// Device memory estimation for Fig. 7. All sizes are float32 bytes.
+// Device memory estimation for Fig. 7. All sizes are float32 bytes. The
+// buffers at a stage's boundaries are sched.Memory's to add.
 //
 // A teacher block runs inference only: it needs its parameters plus a
 // small working set (the two largest adjacent activations), because
@@ -21,10 +22,4 @@ func TeacherBlockMemory(b Block, batch int) int64 {
 // activations plus the input retained for the first layer's backward.
 func StudentBlockMemory(b Block, batch int) int64 {
 	return 3*b.ParamBytes() + b.StoredActBytes(batch) + b.InBytes(batch)
-}
-
-// RelayBufferMemory returns the buffers a relaying device holds: the
-// received input activation and the teacher output being sent downstream.
-func RelayBufferMemory(b Block, batch int) int64 {
-	return b.InBytes(batch) + b.OutBytes(batch)
 }

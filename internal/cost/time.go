@@ -93,11 +93,6 @@ func BlockBwdTime(g hw.GPU, b Block, batch int) float64 {
 	return t
 }
 
-// BlockTrainTime returns forward plus backward time of a block.
-func BlockTrainTime(g hw.GPU, b Block, batch int) float64 {
-	return BlockFwdTime(g, b, batch) + BlockBwdTime(g, b, batch)
-}
-
 // UpdateTime returns the optimizer-update time for a block's parameters:
 // a bandwidth-bound elementwise pass (SGD with momentum reads parameter,
 // gradient, and momentum and writes parameter and momentum) plus one

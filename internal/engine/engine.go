@@ -56,8 +56,6 @@ type Config struct {
 	DPU bool
 	// LR and Momentum configure each block's SGD optimizer.
 	LR, Momentum float32
-	// Buffer is the relay channel depth (pipeline depth); <= 0 means 2.
-	Buffer int
 	// Backend selects the tensor compute backend for every block replica
 	// (e.g. tensor.Lookup("parallel")). nil keeps whatever the workbench
 	// and the process default already use. All backends are bit-identical,
@@ -181,6 +179,12 @@ func (mem stepMemory) keep(out *tensor.Tensor) *tensor.Tensor {
 // buffer with NaN.
 var poisonFreed bool
 
+// relayDepth is how many boundary activations a stage may run ahead of
+// the stage it feeds (the pipeline depth), the in-process counterpart of
+// the cluster's ackWindow. It is pure scheduling and a constant of 2;
+// only this package's depth-invariance test assigns it.
+var relayDepth = 2
+
 func recycle(ar *tensor.Arena) {
 	ar.Reset()
 	if poisonFreed {
@@ -264,10 +268,6 @@ func Run(w *distill.Workbench, batches []dataset.Batch, prog sched.Program, cfg 
 	if err := prog.Validate(nDev, nb); err != nil {
 		panic(err)
 	}
-	buffer := cfg.Buffer
-	if buffer <= 0 {
-		buffer = 2
-	}
 	if cfg.Backend != nil {
 		w.SetBackend(cfg.Backend)
 	}
@@ -321,7 +321,7 @@ func Run(w *distill.Workbench, batches []dataset.Batch, prog sched.Program, cfg 
 				sr.losses[i] = make([]float64, steps)
 			}
 			if st.Relayed {
-				sr.in = make(chan *tensor.Tensor, buffer)
+				sr.in = make(chan *tensor.Tensor, relayDepth)
 				prev.out = sr.in
 			}
 			for j, d := range st.Devices {

@@ -141,9 +141,11 @@ func TestPipelineDepthInvariance(t *testing.T) {
 	batches := tinyBatches(t, 5, 8)
 	p := plan(g([]int{0}, []int{0}), g([]int{1}, []int{1}), g([]int{2}, []int{2, 3}))
 	var ref *distill.Workbench
+	defer func(was int) { relayDepth = was }(relayDepth)
 	for _, depth := range []int{1, 2, 8} {
 		w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-		RunPipelined(w, batches, Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Buffer: depth})
+		relayDepth = depth
+		RunPipelined(w, batches, Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
 		if ref == nil {
 			ref = w
 			continue

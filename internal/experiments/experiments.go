@@ -13,7 +13,7 @@ import (
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
 	"pipebd/internal/pipeline"
-	"pipebd/internal/profilegen"
+	"pipebd/internal/sched"
 )
 
 // Options tunes the experiment drivers.
@@ -103,17 +103,16 @@ func Fig2(sys hw.System, o Options) []Fig2Row {
 
 func idealRow(w model.Workload, sys hw.System, o Options) Fig2Row {
 	batch := o.batch()
-	gpu := sys.GPUs[0]
 	steps := w.Data.StepsPerEpoch(batch)
 	if o.MaxSteps > 0 && steps > o.MaxSteps {
 		steps = o.MaxSteps
 	}
-	var teacher, student float64
-	for b := range w.Teacher.Net.Blocks {
-		teacher += profilegen.Measure(w, gpu, batch, 1, 1).TeacherFwd[b][0]
-		p := profilegen.Measure(w, gpu, batch, 1, 1)
-		student += p.StudentFwd[b][0] + p.StudentBwd[b][0] + p.Update[b]
+	// The whole network at the full batch on device 0 alone.
+	alone, err := sched.Price(w, sys, batch, sched.Stage{Group: sched.InternalRelaying(1, w.NumBlocks()).Groups[0]})
+	if err != nil {
+		panic(err)
 	}
+	teacher, student := alone[0].Teacher(), alone[0].Student()+alone[0].Update
 	load := sys.Host.LoadTime(w.Data.StorageBytes*int64(batch),
 		w.Data.DecodeCPUSeconds*float64(batch)) + sys.Host.PerBatchOverhead
 	n := float64(sys.NumDevices())

@@ -178,8 +178,9 @@ func (h Host) LoadTime(storageBytes int64, decodeCPUSeconds float64) float64 {
 	return decode
 }
 
-// System is a complete single-node training environment: N identical GPUs,
-// a uniform interconnect, and one shared host loader.
+// System is a complete single-node training environment: N GPUs (equal
+// in the paper's presets; every consumer reads each device's own), a
+// uniform interconnect, and one shared host loader.
 type System struct {
 	Name string
 	GPUs []GPU

@@ -9,8 +9,8 @@ import (
 )
 
 func mixedSystem() hw.System {
-	return sched.HeteroSystem("2xA6000+2x2080Ti", hw.PCIe4(), hw.EPYC7302Host(),
-		hw.RTXA6000(), hw.RTXA6000(), hw.RTX2080Ti(), hw.RTX2080Ti())
+	return hw.System{Name: "2xA6000+2x2080Ti", Link: hw.PCIe4(), Host: hw.EPYC7302Host(),
+		GPUs: []hw.GPU{hw.RTXA6000(), hw.RTXA6000(), hw.RTX2080Ti(), hw.RTX2080Ti()}}
 }
 
 func TestHeteroSharesBeatEqualSplit(t *testing.T) {
@@ -26,12 +26,11 @@ func TestHeteroSharesBeatEqualSplit(t *testing.T) {
 	equal := sched.Plan{Name: "equal", Groups: groups}
 	equalRep := relay(cfg, equal, true)
 
-	proportional := sched.AHDHetero(w, sys, cfg.GlobalBatch)
-	propRep := relay(cfg, proportional, true)
+	propRep := rung(t, cfg, AHD)
 
 	if propRep.EpochTime >= equalRep.EpochTime {
-		t.Fatalf("hetero-aware plan (%v) should beat naive equal split (%v): %s",
-			propRep.EpochTime, equalRep.EpochTime, proportional.Describe())
+		t.Fatalf("the ladder's AHD plan (%v) should beat naive equal split (%v): %s",
+			propRep.EpochTime, equalRep.EpochTime, propRep.ScheduleDesc)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pipebd/internal/metrics"
-	"pipebd/internal/profilegen"
 	"pipebd/internal/sched"
 )
 
@@ -34,17 +33,17 @@ func (r Rung) Run() (metrics.Report, Tracks) { return Run(r.Config, r.Program) }
 
 // Ladder returns the paper's strategies in Fig. 4 order for cfg's
 // workload, system and batch: the DP and LS baselines, then teacher
-// relaying on the profiled contiguous plan with and without decoupled
-// parameter update, the internal-relaying ablation and AHD's hybrid plan.
+// relaying on the contiguous plan with and without decoupled parameter
+// update, the internal-relaying ablation and AHD's hybrid plan — both
+// plans searched against sched.Price on cfg's own devices.
 // Everything that says which strategy is which program is here.
 func Ladder(cfg Config) []Rung {
 	w, sys, n := cfg.Workload, cfg.System, cfg.System.NumDevices()
-	prof := profilegen.Measure(w, sys.GPUs[0], cfg.GlobalBatch, n, 100)
-	contiguous := sched.TRContiguous(prof, n)
+	contiguous := sched.TRContiguous(w, sys, cfg.GlobalBatch)
 
 	// LS balances on a static FLOPs-proportional estimate of each task
 	// alone — teacher prefix forward plus student forward and backward
-	// (~2x forward) — not on a profile: profiling is Pipe-BD's
+	// (~2x forward) — not on sched.Price: profiling is Pipe-BD's
 	// contribution, and the mismatch with what execution costs is what
 	// wrecks the baseline's balance on bandwidth-bound models.
 	lsCfg := cfg
@@ -67,7 +66,7 @@ func Ladder(cfg Config) []Rung {
 		rung(TR, cfg, sched.TeacherRelaying(contiguous, false)),
 		rung(TRDPU, cfg, sched.TeacherRelaying(contiguous, true)),
 		rung(TRIR, cfg, sched.TeacherRelaying(sched.InternalRelaying(n, w.NumBlocks()), true)),
-		rung(AHD, cfg, sched.TeacherRelaying(sched.AHD(prof, sys), true)),
+		rung(AHD, cfg, sched.TeacherRelaying(sched.AHD(w, sys, cfg.GlobalBatch), true)),
 	}
 }
 

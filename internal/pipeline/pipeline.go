@@ -1,8 +1,9 @@
 // Package pipeline is the virtual-time executor of schedules: Run plays a
 // sched.Program — the same stages and phases the engine's device loop
-// plays on real kernels — on the simulator's tracks, with durations from
-// the analytic cost model, and reports the epoch time, per-rank busy
-// breakdowns and per-rank peak memory.
+// plays on real kernels — on the simulator's tracks, with durations and
+// memory from sched.Price and sched.Memory, the numbers the planners
+// searched to pick the program's plan, and reports the epoch time,
+// per-rank busy breakdowns and per-rank peak memory.
 //
 // There is one sweep and it knows no strategy. Per step and stage, every
 // member receives its input (its batch share from the shared loader, or
@@ -10,14 +11,14 @@
 // engines), runs the stage's teacher blocks, trains its student blocks,
 // shares gradients when the stage is split and updates, at once or
 // behind the step barrier. DP, LS, TR, TR+DPU, TR+IR and AHD are the
-// programs Ladder builds; each member is priced on its own GPU, so a
-// straggler slows a baseline as it slows Pipe-BD.
+// programs Ladder builds; each member is priced on its own GPU at its
+// own share, so a straggler slows a baseline as it slows Pipe-BD, and a
+// stage whose shares do not cover the batch is refused, not truncated.
 package pipeline
 
 import (
 	"fmt"
 
-	"pipebd/internal/cost"
 	"pipebd/internal/hw"
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
@@ -145,53 +146,12 @@ func (tk Tracks) report(cfg Config, prog sched.Program, steps int, peakMem []int
 	}
 }
 
-// member holds one stage member's per-step costs on its own GPU model.
-type member struct {
-	device     int
-	localBatch int
-	tFwd       []float64 // the teacher-only prefix, then the stage's blocks
-	sFwd, sBwd []float64 // per trained block
-	update     float64
-	exposedAR  float64
-}
-
-// stage is one program stage with per-member costs.
+// stage is one program stage with what sched.Price says a step of it
+// costs each member.
 type stage struct {
 	sched.Stage
-	members          []member
+	members          []sched.MemberCost
 	inBytesPerSample int64
-}
-
-// price costs every member of st on its device.
-func price(cfg Config, st sched.Stage) *stage {
-	tb, sb := cfg.Workload.Teacher.Net.Blocks, cfg.Workload.Student.Net.Blocks
-	if err := st.ValidateShares(cfg.GlobalBatch); err != nil {
-		panic(err)
-	}
-	out := &stage{Stage: st, inBytesPerSample: tb[st.Blocks[0]].InBytes(1)}
-	var gradBytes int64
-	for _, b := range st.Blocks {
-		gradBytes += sb[b].ParamBytes()
-	}
-	for j, d := range st.Devices {
-		gpu := cfg.System.GPUs[d]
-		m := member{device: d, localBatch: st.MemberBatch(cfg.GlobalBatch, j)}
-		for b := st.Blocks[0] - st.Prefix(); b < st.Blocks[0]; b++ {
-			m.tFwd = append(m.tFwd, cost.BlockFwdTime(gpu, tb[b], m.localBatch))
-		}
-		var bwdSum float64
-		for _, b := range st.Blocks {
-			m.tFwd = append(m.tFwd, cost.BlockFwdTime(gpu, tb[b], m.localBatch))
-			m.sFwd = append(m.sFwd, cost.BlockFwdTime(gpu, sb[b], m.localBatch))
-			bwd := cost.BlockBwdTime(gpu, sb[b], m.localBatch)
-			m.sBwd = append(m.sBwd, bwd)
-			bwdSum += bwd
-			m.update += cost.UpdateTime(gpu, sb[b])
-		}
-		m.exposedAR = cfg.System.Link.ExposedAllReduceTime(gradBytes, st.Split(), bwdSum)
-		out.members = append(out.members, m)
-	}
-	return out
 }
 
 // Run simulates one epoch of prog: every phase is a pass over the
@@ -210,12 +170,13 @@ func Run(cfg Config, prog sched.Program) (metrics.Report, Tracks) {
 	for _, phase := range prog.Phases {
 		stages := make([]*stage, len(phase))
 		for si, st := range phase {
-			stages[si] = price(cfg, st)
-			sends := si+1 < len(phase) && phase[si+1].Relayed
-			for _, m := range stages[si].members {
-				if mem := stageMemory(cfg, prog.Model, st, sends, m.localBatch); mem > peakMem[m.device] {
-					peakMem[m.device] = mem
-				}
+			members, err := sched.Price(cfg.Workload, cfg.System, cfg.GlobalBatch, st)
+			if err != nil {
+				panic(err)
+			}
+			stages[si] = &stage{st, members, cfg.Workload.Teacher.Net.Blocks[st.Blocks[0]].InBytes(1)}
+			for _, m := range members {
+				peakMem[m.Device] = max(peakMem[m.Device], sched.Memory(cfg.Workload, prog.Model, phase, si, m.Batch))
 			}
 		}
 		// A phase is a fresh pass of the loader: it starts when every
@@ -231,9 +192,9 @@ func Run(cfg Config, prog sched.Program) (metrics.Report, Tracks) {
 				// stage's shards is through its sender's copy engine.
 				var relayed float64
 				if st.Relayed {
-					bytes := st.inBytesPerSample * int64(cfg.GlobalBatch/len(prev.members))
 					for pj, pm := range prev.members {
-						_, end := tk.Copies[pm.device].Exec(prevTeacherDone[pj], link.TransferTime(bytes), sim.CatComm, "TX")
+						bytes := st.inBytesPerSample * int64(pm.Batch)
+						_, end := tk.Copies[pm.Device].Exec(prevTeacherDone[pj], link.TransferTime(bytes), sim.CatComm, "TX")
 						relayed = sim.Max(relayed, end)
 					}
 				}
@@ -241,7 +202,7 @@ func Run(cfg Config, prog sched.Program) (metrics.Report, Tracks) {
 				teacherDone := make([]float64, len(st.members))
 				firstTeacher := st.Blocks[0] - st.Prefix()
 				for j, m := range st.members {
-					dev := tk.Devs[m.device]
+					dev := tk.Devs[m.Device]
 					// One training-loop iteration's fixed host-side cost.
 					dev.Exec(0, host.StepOverhead, sim.CatUpdate, "OV")
 					if st.Relayed {
@@ -250,35 +211,35 @@ func Run(cfg Config, prog sched.Program) (metrics.Report, Tracks) {
 						// The member's share from the shared loader, then the
 						// consumer side of a batch: iterator dispatch,
 						// collation, host-to-device staging.
-						_, loaded := tk.Loader.Exec(0, cfg.loadTime(m.localBatch), sim.CatLoad, "DL")
+						_, loaded := tk.Loader.Exec(0, cfg.loadTime(m.Batch), sim.CatLoad, "DL")
 						waitFor(dev, loaded, sim.CatLoad, "DL")
 						dev.Exec(0, host.PerBatchOverhead, sim.CatLoad, "DL")
 					}
-					for i, t := range m.tFwd {
+					for i, t := range m.TeacherFwd {
 						dev.Exec(0, t, sim.CatTeacherFwd, fmt.Sprintf("T%d", firstTeacher+i))
 					}
 					teacherDone[j] = dev.FreeAt()
 					for bi, b := range st.Blocks {
-						dev.Exec(0, m.sFwd[bi], sim.CatStudentFwd, fmt.Sprintf("S%d", b))
+						dev.Exec(0, m.StudentFwd[bi], sim.CatStudentFwd, fmt.Sprintf("S%d", b))
 					}
 					for bi := len(st.Blocks) - 1; bi >= 0; bi-- {
-						dev.Exec(0, m.sBwd[bi], sim.CatStudentBwd, fmt.Sprintf("S%d", st.Blocks[bi]))
+						dev.Exec(0, m.StudentBwd[bi], sim.CatStudentBwd, fmt.Sprintf("S%d", st.Blocks[bi]))
 					}
 				}
 				// An all-reduce is a rendezvous: no member's starts before the
 				// slowest member's backward pass ends.
 				var backwardDone float64
 				for _, m := range st.members {
-					backwardDone = sim.Max(backwardDone, tk.Devs[m.device].FreeAt())
+					backwardDone = sim.Max(backwardDone, tk.Devs[m.Device].FreeAt())
 				}
 				for _, m := range st.members {
-					dev := tk.Devs[m.device]
+					dev := tk.Devs[m.Device]
 					if st.Split() > 1 {
 						dev.AdvanceTo(backwardDone)
-						dev.Exec(0, m.exposedAR, sim.CatAllReduce, "AR")
+						dev.Exec(0, m.ExposedAllReduce, sim.CatAllReduce, "AR")
 					}
 					if !prog.Barrier {
-						dev.Exec(0, m.update, sim.CatUpdate, "UP")
+						dev.Exec(0, m.Update, sim.CatUpdate, "UP")
 					}
 				}
 				prev, prevTeacherDone = st, teacherDone
@@ -290,44 +251,12 @@ func Run(cfg Config, prog sched.Program) (metrics.Report, Tracks) {
 				barrierAt := latest(tk.Devs)
 				for _, st := range stages {
 					for _, m := range st.members {
-						tk.Devs[m.device].AdvanceTo(barrierAt)
-						tk.Devs[m.device].Exec(0, m.update, sim.CatUpdate, "UP")
+						tk.Devs[m.Device].AdvanceTo(barrierAt)
+						tk.Devs[m.Device].Exec(0, m.Update, sim.CatUpdate, "UP")
 					}
 				}
 			}
 		}
 	}
 	return tk.report(cfg, prog, steps*len(prog.Phases), peakMem), tk
-}
-
-// stageMemory estimates what one member holds while it plays st at its
-// local batch: the stage's teacher blocks at inference, its student
-// blocks under training and, where the program's modelling says so, the
-// buffers at the stage's boundaries. A device's peak is its worst stage,
-// since a stage releases what it held before the next one runs.
-func stageMemory(cfg Config, mod sched.Modelling, st sched.Stage, sends bool, localBatch int) int64 {
-	tb, sb := cfg.Workload.Teacher.Net.Blocks, cfg.Workload.Student.Net.Blocks
-	first, last := st.Blocks[0], st.Blocks[len(st.Blocks)-1]
-	var total, workingSet int64
-	for b := first - st.Prefix(); b <= last; b++ {
-		if mod.StreamTeacher {
-			total += tb[b].ParamBytes()
-			if ws := 2 * tb[b].MaxActBytes(localBatch); ws > workingSet {
-				workingSet = ws
-			}
-		} else {
-			total += cost.TeacherBlockMemory(tb[b], localBatch)
-		}
-	}
-	total += workingSet
-	for _, b := range st.Blocks {
-		total += cost.StudentBlockMemory(sb[b], localBatch)
-	}
-	if mod.StageBuffers {
-		total += tb[first].InBytes(localBatch)
-		if sends {
-			total += tb[last].OutBytes(localBatch)
-		}
-	}
-	return total
 }

@@ -7,7 +7,6 @@ import (
 	"pipebd/internal/hw"
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
-	"pipebd/internal/profilegen"
 	"pipebd/internal/sched"
 	"pipebd/internal/sim"
 )
@@ -20,8 +19,7 @@ func quickCfg(w model.Workload, sys hw.System) Config {
 
 func plans(t *testing.T, w model.Workload, sys hw.System) (tr, ahd sched.Plan) {
 	t.Helper()
-	prof := profilegen.Measure(w, sys.GPUs[0], 256, sys.NumDevices(), 10)
-	return sched.TRContiguous(prof, sys.NumDevices()), sched.AHD(prof, sys)
+	return sched.TRContiguous(w, sys, 256), sched.AHD(w, sys, 256)
 }
 
 // relay simulates teacher relaying under plan.
@@ -249,8 +247,7 @@ func TestBatchSensitivityShape(t *testing.T) {
 	w := model.NAS(false)
 	speedup := func(sys hw.System, batch int) float64 {
 		cfg := Config{Workload: w, System: sys, GlobalBatch: batch, MaxSteps: 40}
-		prof := profilegen.Measure(w, sys.GPUs[0], batch, 4, 10)
-		tr := sched.TRContiguous(prof, 4)
+		tr := sched.TRContiguous(w, sys, batch)
 		return rung(t, cfg, DP).EpochTime / relay(cfg, tr, true).EpochTime
 	}
 	sys := hw.A6000x4()
@@ -274,9 +271,7 @@ func Test2080TiAHDSharesLessThanA6000(t *testing.T) {
 	// shares at least as many devices on the first group as the 2080Ti's.
 	w := model.NAS(true)
 	split := func(sys hw.System) int {
-		prof := profilegen.Measure(w, sys.GPUs[0], 256, 4, 10)
-		plan := sched.AHD(prof, sys)
-		return plan.Groups[0].Split()
+		return sched.AHD(w, sys, 256).Groups[0].Split()
 	}
 	if a, turing := split(hw.A6000x4()), split(hw.RTX2080Tix4()); a < turing {
 		t.Fatalf("A6000 first-group split %d < 2080Ti's %d", a, turing)

@@ -5,7 +5,6 @@ import (
 
 	"pipebd/internal/hw"
 	"pipebd/internal/model"
-	"pipebd/internal/profilegen"
 	"pipebd/internal/sched"
 )
 
@@ -36,8 +35,7 @@ func TestStragglerHurtsBarrierScheduleMore(t *testing.T) {
 	healthy := hw.A6000x4()
 	sick := withStraggler(healthy, 3, 0.4)
 
-	prof := profilegen.Measure(w, healthy.GPUs[0], 256, 4, 10)
-	plan := sched.TRContiguous(prof, 4)
+	plan := sched.TRContiguous(w, healthy, 256)
 
 	run := func(sys hw.System, dpu bool) float64 {
 		cfg := Config{Workload: w, System: sys, GlobalBatch: 256, MaxSteps: 40}
@@ -75,22 +73,20 @@ func TestStragglerSlowsBaselines(t *testing.T) {
 }
 
 func TestHeteroPlannerRoutesAroundStraggler(t *testing.T) {
-	// Given a straggler, the heterogeneity-aware planner should produce
-	// a schedule at least as good as the homogeneous planner's (which
-	// believes all devices are healthy).
+	// Given a straggler, the ladder's AHD rung — which prices every
+	// member on its own GPU — should produce a schedule at least as good
+	// as the plan made believing all devices healthy. (The rung used to
+	// price every device as GPU 0, which here is the straggler itself.)
 	w := model.NAS(false)
 	sick := withStraggler(hw.A6000x4(), 0, 0.35)
 	cfg := Config{Workload: w, System: sick, GlobalBatch: 256, MaxSteps: 40}
 
-	prof := profilegen.Measure(w, hw.RTXA6000(), 256, 4, 10) // healthy profile: planner is blind
-	blind := sched.AHD(prof, sick)
-	aware := sched.AHDHetero(w, sick, 256)
-
+	blind := sched.AHD(w, hw.A6000x4(), 256)
 	blindTime := relay(cfg, blind, true).EpochTime
-	awareTime := relay(cfg, aware, true).EpochTime
-	if awareTime > blindTime*1.001 {
+	aware := rung(t, cfg, AHD)
+	if aware.EpochTime > blindTime*1.001 {
 		t.Fatalf("straggler-aware plan (%v, %s) worse than blind plan (%v, %s)",
-			awareTime, aware.Describe(), blindTime, blind.Describe())
+			aware.EpochTime, aware.ScheduleDesc, blindTime, blind.Describe())
 	}
 }
 
@@ -99,8 +95,12 @@ func TestStragglerShiftsShares(t *testing.T) {
 	// must shrink on the sick device.
 	w := model.NAS(false)
 	sick := withStraggler(hw.A6000x4(), 1, 0.5)
-	plan := sched.AHDHetero(w, sick, 256)
-	for _, g := range plan.Groups {
+	ahd, err := Strategy(Config{Workload: w, System: sick, GlobalBatch: 256}, AHD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := false
+	for _, g := range ahd.Phases[0] {
 		if g.Split() < 2 || g.Shares == nil {
 			continue
 		}
@@ -110,10 +110,14 @@ func TestStragglerShiftsShares(t *testing.T) {
 			}
 			// Device 1 is throttled: its share must be below the
 			// group's equal split.
+			shared = true
 			if g.Shares[j] >= 256/g.Split() {
 				t.Fatalf("throttled device got share %d of %d-way group: %s",
-					g.Shares[j], g.Split(), plan.Describe())
+					g.Shares[j], g.Split(), ahd.Desc)
 			}
 		}
+	}
+	if !shared {
+		t.Fatalf("the pick %s shares no group with the throttled device", ahd.Desc)
 	}
 }

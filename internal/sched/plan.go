@@ -10,11 +10,20 @@
 // AHD's hybrid groups), DataParallel and Layerwise (the DP and LS
 // baselines, the latter on LPT bin packing).
 //
+// price.go is what a stage costs: Price returns each member's step on its
+// own GPU at its own batch share (teacher prefix and block forwards,
+// student forward and backward, update, exposed all-reduce), Memory what
+// the member holds. It is the paper's "profile, then plan" (§V-B) with
+// the analytic cost model as the profile, and the only caller of that
+// model's block times and memories: internal/pipeline plays these
+// numbers and the planners below search them, so a plan is feasible
+// exactly when the simulator's Fig. 7 row for it fits.
+//
 // The planners that choose a Plan are here too: the contiguous
 // distribution of plain teacher relaying, the automatic hybrid
-// distribution (AHD) search and its heterogeneous extension, internal
-// relaying, and the runtime re-planner. Planner and simulator price a
-// split group's all-reduce through one hw.Link.ExposedAllReduceTime.
+// distribution (AHD) search — one search, in which a homogeneous system
+// is simply equal GPUs and every group's batch is apportioned so no
+// sample is dropped — internal relaying, and the runtime re-planner.
 package sched
 
 import (
@@ -28,9 +37,10 @@ import (
 // all-reduced within the group), which is AHD's extra degree of freedom.
 //
 // Shares optionally fixes each member's slice of the global batch; nil
-// means an equal split. Unequal shares are how the heterogeneous
-// extension (the paper's stated future work, §VIII) balances members of
-// different speeds: faster devices take proportionally larger slices.
+// means an equal split, which the batch must divide. Unequal shares are
+// how AHD balances members of different speeds (the paper's stated future
+// work, §VIII) — faster devices take proportionally larger slices — and
+// how a split the batch does not divide still trains on every sample.
 type Group struct {
 	Devices []int // contiguous device ranks
 	Blocks  []int // contiguous block indices
@@ -48,9 +58,14 @@ func (g Group) MemberBatch(globalBatch, j int) int {
 	return g.Shares[j]
 }
 
-// ValidateShares checks that explicit shares cover the global batch.
+// ValidateShares checks that the members' batches cover the global batch:
+// explicit shares must sum to it, an equal split must divide it.
 func (g Group) ValidateShares(globalBatch int) error {
 	if g.Shares == nil {
+		if globalBatch%g.Split() != 0 {
+			return fmt.Errorf("sched: an equal split of batch %d over %d devices drops %d samples a step; give the group shares",
+				globalBatch, g.Split(), globalBatch%g.Split())
+		}
 		return nil
 	}
 	if len(g.Shares) != g.Split() {

@@ -77,7 +77,13 @@ func Replan(current Plan, blockCost []float64) (Plan, ReplanEval, error) {
 		}
 	}
 
-	ends, bottleneck := contiguousPartition(blockCost, nDev)
+	// A measured block costs what it cost where it ran, whichever device
+	// the proposal moves it to.
+	prefix := make([]float64, nb+1)
+	for b, c := range blockCost {
+		prefix[b+1] = prefix[b] + c
+	}
+	ends, bottleneck := contiguousPartition(nb, nDev, func(_, from, to int) float64 { return prefix[to] - prefix[from] })
 	eval.Proposed = bottleneck
 
 	groups := make([]Group, nDev)

@@ -1,24 +1,20 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"pipebd/internal/hw"
 	"pipebd/internal/model"
-	"pipebd/internal/profilegen"
 )
 
-func nasProfile(t *testing.T, imagenet bool) profilegen.Profile {
-	t.Helper()
-	classes := 10
-	if imagenet {
-		classes = 1000
-	}
-	w := model.NAS(imagenet)
-	_ = classes
-	return profilegen.Measure(w, hw.RTXA6000(), 256, 4, 10)
+// mixedSystem returns 2x A6000 + 2x 2080Ti on a shared PCIe 4 link.
+func mixedSystem() hw.System {
+	return hw.System{Name: "2xA6000+2x2080Ti", Link: hw.PCIe4(), Host: hw.EPYC7302Host(),
+		GPUs: []hw.GPU{hw.RTXA6000(), hw.RTXA6000(), hw.RTX2080Ti(), hw.RTX2080Ti()}}
 }
 
 func TestPlanValidate(t *testing.T) {
@@ -83,40 +79,33 @@ func TestInternalRelayingShape(t *testing.T) {
 	}
 }
 
-func TestTRContiguousKnownPartition(t *testing.T) {
-	// Hand-crafted profile: block costs 10,1,1,1,1,10 over 3 devices
-	// should isolate the two heavy blocks: {0},{1..4},{5}.
-	p := profilegen.Profile{
-		GlobalBatch: 8, MaxSplit: 1,
-		TeacherFwd: [][]float64{{10}, {1}, {1}, {1}, {1}, {10}},
-		StudentFwd: [][]float64{{0}, {0}, {0}, {0}, {0}, {0}},
-		StudentBwd: [][]float64{{0}, {0}, {0}, {0}, {0}, {0}},
-		Update:     []float64{0, 0, 0, 0, 0, 0},
-	}
-	plan := TRContiguous(p, 3)
-	if err := plan.Validate(3, 6); err != nil {
-		t.Fatal(err)
-	}
-	want := [][]int{{0}, {1, 2, 3, 4}, {5}}
-	for i, g := range plan.Groups {
-		if len(g.Blocks) != len(want[i]) {
-			t.Fatalf("group %d blocks %v, want %v", i, g.Blocks, want[i])
+// additive returns the segment cost of device-independent block costs.
+func additive(costs []float64) func(d, from, to int) float64 {
+	return func(_, from, to int) float64 {
+		var s float64
+		for _, c := range costs[from:to] {
+			s += c
 		}
+		return s
+	}
+}
+
+func TestTRContiguousKnownPartition(t *testing.T) {
+	// Block costs 10,1,1,1,1,10 over 3 devices should isolate the two
+	// heavy blocks: {0},{1..4},{5}.
+	ends, worst := contiguousPartition(6, 3, additive([]float64{10, 1, 1, 1, 1, 10}))
+	if want := []int{1, 5, 6}; !reflect.DeepEqual(ends, want) || worst != 10 {
+		t.Fatalf("segments end at %v with bottleneck %v, want %v and 10", ends, worst, want)
 	}
 }
 
 func TestTRContiguousMoreDevicesThanBlocks(t *testing.T) {
-	p := profilegen.Profile{
-		GlobalBatch: 8, MaxSplit: 1,
-		TeacherFwd: [][]float64{{1}, {1}},
-		StudentFwd: [][]float64{{0}, {0}},
-		StudentBwd: [][]float64{{0}, {0}},
-		Update:     []float64{0, 0},
-	}
-	plan := TRContiguous(p, 4)
+	w := model.NAS(false)
+	w.Teacher.Net.Blocks, w.Student.Net.Blocks = w.Teacher.Net.Blocks[:2], w.Student.Net.Blocks[:2]
+	plan := TRContiguous(w, hw.A6000x4(), 256)
 	// Only two devices can receive blocks; plan covers 2 devices.
-	if len(plan.Groups) != 2 {
-		t.Fatalf("got %d groups, want 2", len(plan.Groups))
+	if err := plan.Validate(2, 2); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -127,20 +116,40 @@ func TestTRContiguousMinimizesBottleneck(t *testing.T) {
 		for i := range costs {
 			costs[i] = float64((trial*7+i*13)%17 + 1)
 		}
-		p := profilegen.Profile{GlobalBatch: 8, MaxSplit: 1,
-			TeacherFwd: make([][]float64, 6), StudentFwd: make([][]float64, 6),
-			StudentBwd: make([][]float64, 6), Update: make([]float64, 6)}
-		for i := range costs {
-			p.TeacherFwd[i] = []float64{costs[i]}
-			p.StudentFwd[i] = []float64{0}
-			p.StudentBwd[i] = []float64{0}
+		ends, got := contiguousPartition(6, 4, additive(costs))
+		plan := Plan{}
+		b := 0
+		for d, end := range ends {
+			plan.Groups = append(plan.Groups, Group{Devices: []int{d}, Blocks: seq(b, end)})
+			b = end
 		}
-		plan := TRContiguous(p, 4)
-		got := planBottleneck(plan, costs)
+		if err := plan.Validate(4, 6); err != nil {
+			t.Fatal(err)
+		}
 		want := bruteForceBottleneck(costs, 4)
-		if math.Abs(got-want) > 1e-9 {
+		if math.Abs(got-want) > 1e-9 || math.Abs(planBottleneck(plan, costs)-want) > 1e-9 {
 			t.Fatalf("trial %d: bottleneck %v, optimal %v (costs %v)", trial, got, want, costs)
 		}
+	}
+}
+
+func TestTRContiguousPricesEachRunOnItsDevice(t *testing.T) {
+	// A device at a third of its speed must get fewer blocks than it
+	// gets healthy, and the plan made for the sick system must play on
+	// it no slower than the plan made for the healthy one.
+	w := model.NAS(false)
+	healthy := hw.A6000x4()
+	sick := hw.A6000x4()
+	sick.GPUs[3].PeakFLOPS /= 3
+	sick.GPUs[3].MemBandwidth /= 3
+	blind, aware := TRContiguous(w, healthy, 256), TRContiguous(w, sick, 256)
+	if got, was := len(aware.Groups[3].Blocks), len(blind.Groups[3].Blocks); got >= was {
+		t.Fatalf("throttled device 3 keeps %d blocks (healthy: %d): %s", got, was, aware.Describe())
+	}
+	blindCost, _ := bottleneck(w, sick, 256, TeacherRelaying(blind, true))
+	awareCost, _ := bottleneck(w, sick, 256, TeacherRelaying(aware, true))
+	if awareCost > blindCost {
+		t.Fatalf("planning on the sick system gives bottleneck %v, planning blind %v", awareCost, blindCost)
 	}
 }
 
@@ -189,72 +198,229 @@ func bruteForceBottleneck(costs []float64, nDev int) float64 {
 	return best
 }
 
-func TestAHDValidAndAtLeastAsGoodAsTR(t *testing.T) {
-	for _, imagenet := range []bool{false, true} {
-		p := nasProfile(t, imagenet)
-		sys := hw.A6000x4()
-		trPlan := TRContiguous(p, 4)
-		ahdPlan := AHD(p, sys)
-		if err := ahdPlan.Validate(4, p.NumBlocks()); err != nil {
-			t.Fatalf("imagenet=%v: %v", imagenet, err)
+// TestAHDPlanPicks pins the planner's picks — groups and batch shares —
+// on the four paper workloads, both paper systems and three batches to
+// what the two planners this one replaced picked (they agreed on every
+// row; only the heterogeneous one emitted shares).
+func TestAHDPlanPicks(t *testing.T) {
+	for _, c := range []struct {
+		workload, system string
+		batch            int
+		tr, ahd, shares  string
+	}{
+		{"nas-cifar10", "a6000", 128, "dev0: B0 | dev1: B1 | dev2: B2-B3 | dev3: B4-B5", "dev0: B0 | dev1: B1 | dev2: B2-B3 | dev3: B4-B5", "[[] [] [] []]"},
+		{"nas-cifar10", "a6000", 256, "dev0: B0 | dev1: B1 | dev2: B2-B3 | dev3: B4-B5", "dev0-2: B0-B2 (3-way DP) | dev3: B3-B5", "[[86 85 85] []]"},
+		{"nas-cifar10", "a6000", 512, "dev0: B0 | dev1: B1 | dev2: B2-B3 | dev3: B4-B5", "dev0-2: B0-B2 (3-way DP) | dev3: B3-B5", "[[171 171 170] []]"},
+		{"nas-cifar10", "2080ti", 128, "dev0: B0 | dev1: B1 | dev2: B2-B3 | dev3: B4-B5", "dev0-1: B0-B1 (2-way DP) | dev2: B2-B3 | dev3: B4-B5", "[[] [] []]"},
+		{"nas-cifar10", "2080ti", 256, "dev0: B0 | dev1: B1 | dev2: B2-B3 | dev3: B4-B5", "dev0-1: B0-B1 (2-way DP) | dev2-3: B2-B5 (2-way DP)", "[[] []]"},
+		{"nas-cifar10", "2080ti", 512, "dev0: B0 | dev1: B1 | dev2: B2-B3 | dev3: B4-B5", "dev0-1: B0-B1 (2-way DP) | dev2-3: B2-B5 (2-way DP)", "[[] []]"},
+		{"nas-imagenet", "a6000", 128, "dev0: B0 | dev1: B1 | dev2: B2 | dev3: B3-B5", "dev0-1: B0 (2-way DP) | dev2-3: B1-B5 (2-way DP)", "[[] []]"},
+		{"nas-imagenet", "a6000", 256, "dev0: B0 | dev1: B1 | dev2: B2 | dev3: B3-B5", "dev0-1: B0 (2-way DP) | dev2-3: B1-B5 (2-way DP)", "[[] []]"},
+		{"nas-imagenet", "a6000", 512, "dev0: B0 | dev1: B1 | dev2: B2 | dev3: B3-B5", "dev0-1: B0 (2-way DP) | dev2-3: B1-B5 (2-way DP)", "[[] []]"},
+		{"nas-imagenet", "2080ti", 128, "dev0: B0 | dev1: B1 | dev2: B2-B3 | dev3: B4-B5", "dev0-2: B0-B2 (3-way DP) | dev3: B3-B5", "[[43 43 42] []]"},
+		{"nas-imagenet", "2080ti", 256, "dev0: B0 | dev1: B1 | dev2: B2-B3 | dev3: B4-B5", "dev0-1: B0 (2-way DP) | dev2-3: B1-B5 (2-way DP)", "[[] []]"},
+		{"nas-imagenet", "2080ti", 512, "dev0: B0 | dev1: B1 | dev2: B2-B3 | dev3: B4-B5", "dev0-3: B0-B5 (4-way DP)", "[[]]"},
+		{"compression-cifar10", "a6000", 128, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0: B0-B1 | dev1: B2 | dev2-3: B3-B5 (2-way DP)", "[[] [] []]"},
+		{"compression-cifar10", "a6000", 256, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0-1: B0-B2 (2-way DP) | dev2-3: B3-B5 (2-way DP)", "[[] []]"},
+		{"compression-cifar10", "a6000", 512, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0-1: B0-B2 (2-way DP) | dev2-3: B3-B5 (2-way DP)", "[[] []]"},
+		{"compression-cifar10", "2080ti", 128, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0-1: B0-B2 (2-way DP) | dev2-3: B3-B5 (2-way DP)", "[[] []]"},
+		{"compression-cifar10", "2080ti", 256, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0-1: B0-B2 (2-way DP) | dev2-3: B3-B5 (2-way DP)", "[[] []]"},
+		{"compression-cifar10", "2080ti", 512, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0-3: B0-B5 (4-way DP)", "[[]]"},
+		{"compression-imagenet", "a6000", 128, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0-3: B0-B5 (4-way DP)", "[[]]"},
+		{"compression-imagenet", "a6000", 256, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0-3: B0-B5 (4-way DP)", "[[]]"},
+		{"compression-imagenet", "a6000", 512, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0-3: B0-B5 (4-way DP)", "[[]]"},
+		{"compression-imagenet", "2080ti", 128, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0-3: B0-B5 (4-way DP)", "[[]]"},
+		{"compression-imagenet", "2080ti", 256, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0-3: B0-B5 (4-way DP)", "[[]]"},
+		{"compression-imagenet", "2080ti", 512, "dev0: B0-B1 | dev1: B2 | dev2: B3 | dev3: B4-B5", "dev0-3: B0-B5 (4-way DP)", "[[]]"},
+	} {
+		w, err := model.ByName(c.workload)
+		if err != nil {
+			t.Fatal(err)
 		}
-		trCost := estimatePlan(p, sys, trPlan)
-		ahdCost := estimatePlan(p, sys, ahdPlan)
-		if ahdCost > trCost+1e-12 {
-			t.Fatalf("imagenet=%v: AHD bottleneck %v worse than TR %v", imagenet, ahdCost, trCost)
+		sys, err := hw.Preset(c.system)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := TRContiguous(w, sys, c.batch).Describe(); got != c.tr {
+			t.Errorf("%s/%s/%d: TR picks %q, want %q", c.workload, c.system, c.batch, got, c.tr)
+		}
+		plan := AHD(w, sys, c.batch)
+		var shares [][]int
+		for _, g := range plan.Groups {
+			shares = append(shares, g.Shares)
+		}
+		if got := plan.Describe(); got != c.ahd || fmt.Sprint(shares) != c.shares {
+			t.Errorf("%s/%s/%d: AHD picks %q %v, want %q %s", c.workload, c.system, c.batch, got, shares, c.ahd, c.shares)
 		}
 	}
 }
 
-func estimatePlan(p profilegen.Profile, sys hw.System, plan Plan) float64 {
-	var worst float64
+// checkAHDOracle checks AHD's pick on one configuration against the
+// whole space it searches: the plan is valid and plays every sample, no
+// enumerated candidate that fits has a lower bottleneck — so the pick is
+// no worse than plain teacher relaying's contiguous plan — and it is the
+// widest split when, and only when, no candidate fits.
+func checkAHDOracle(t *testing.T, w model.Workload, sys hw.System, batch int) {
+	t.Helper()
+	nDev, nb := sys.NumDevices(), w.NumBlocks()
+	plan := AHD(w, sys, batch)
+	if err := plan.Validate(nDev, nb); err != nil {
+		t.Fatalf("%s on %s: %v", w.Name, sys.Name, err)
+	}
 	for _, g := range plan.Groups {
-		c, ok := groupCost(p, sys, g)
-		if !ok {
-			return math.MaxFloat64
-		}
-		if c > worst {
-			worst = c
+		if err := g.ValidateShares(batch); err != nil {
+			t.Fatalf("%s on %s: %v", w.Name, sys.Name, err)
 		}
 	}
-	return worst
+	picked, pickFits := bottleneck(w, sys, batch, TeacherRelaying(plan, true))
+	if !pickFits && len(plan.Groups) != 1 {
+		t.Fatalf("%s on %s: the pick %s does not fit and is not the fallback", w.Name, sys.Name, plan.Describe())
+	}
+	for _, dc := range compositions(nDev) {
+		for _, bc := range compositions(nb) {
+			if len(dc) != len(bc) {
+				continue
+			}
+			cand := hybridPlan(w, sys, batch, dc, bc)
+			if c, fits := bottleneck(w, sys, batch, TeacherRelaying(cand, true)); fits && (!pickFits || c < picked-1e-12) {
+				t.Errorf("%s on %s: %s fits with bottleneck %v, the pick %s has %v (fits: %v)",
+					w.Name, sys.Name, cand.Describe(), c, plan.Describe(), picked, pickFits)
+			}
+		}
+	}
+	tr := TRContiguous(w, sys, batch)
+	if c, fits := bottleneck(w, sys, batch, TeacherRelaying(tr, true)); fits && picked > c+1e-12 {
+		t.Errorf("%s on %s: AHD bottleneck %v worse than TR's %v", w.Name, sys.Name, picked, c)
+	}
 }
 
-func TestAHDSplitsDominantBlockOnImageNet(t *testing.T) {
-	// The ImageNet NAS workload has a dominant block 0 (Fig. 5); AHD
-	// must choose a hybrid plan that shares it across devices.
-	p := nasProfile(t, true)
-	plan := AHD(p, hw.A6000x4())
-	first := plan.Groups[0]
-	if first.Split() < 2 {
-		t.Fatalf("expected block 0 shared by >=2 devices, got %s", plan.Describe())
+func TestAHDValidAndAtLeastAsGoodAsTR(t *testing.T) {
+	for _, w := range model.AllWorkloads() {
+		for _, sys := range []hw.System{hw.A6000x4(), hw.RTX2080Tix4()} {
+			checkAHDOracle(t, w, sys, 256)
+		}
 	}
-	if first.Blocks[0] != 0 {
-		t.Fatalf("first group must start at block 0: %s", plan.Describe())
+}
+
+func TestAHDHeteroProducesValidPlan(t *testing.T) {
+	for _, w := range model.AllWorkloads() {
+		checkAHDOracle(t, w, mixedSystem(), 256)
 	}
+}
+
+// checkSharesBlockZero checks that AHD shares the ImageNet NAS workload's
+// dominant block 0 (Fig. 5) across devices.
+func checkSharesBlockZero(t *testing.T, sys hw.System) {
+	t.Helper()
+	plan := AHD(model.NAS(true), sys, 256)
+	if first := plan.Groups[0]; first.Blocks[0] != 0 || first.Split() < 2 {
+		t.Fatalf("%s: expected block 0 shared by >=2 devices, got %s", sys.Name, plan.Describe())
+	}
+}
+
+func TestAHDSplitsDominantBlockOnImageNet(t *testing.T) { checkSharesBlockZero(t, hw.A6000x4()) }
+
+func TestAHDHeteroSplitsDominantBlock(t *testing.T) { checkSharesBlockZero(t, mixedSystem()) }
+
+// shrunk returns sys with every device's memory cut to gib GiB.
+func shrunk(sys hw.System, gib int64) hw.System {
+	sys.GPUs = append([]hw.GPU(nil), sys.GPUs...)
+	for i := range sys.GPUs {
+		sys.GPUs[i].MemBytes = gib << 30
+	}
+	return sys
 }
 
 func TestAHDRespectsMemoryLimit(t *testing.T) {
-	// Shrink device memory until single-device groups become infeasible;
-	// AHD must fall back to wider splits (or IR) rather than return an
-	// infeasible plan.
-	p := nasProfile(t, true)
-	sys := hw.A6000x4()
-	for i := range sys.GPUs {
-		sys.GPUs[i].MemBytes = 6 << 30 // 6 GiB: too small for block 0 at full batch
+	// 6 GiB is too small for block 0 at the full batch: single-device
+	// groups become infeasible and AHD must pick a wider split that
+	// fits, never an infeasible plan.
+	w := model.NAS(true)
+	for _, sys := range []hw.System{shrunk(hw.A6000x4(), 6), shrunk(mixedSystem(), 6)} {
+		checkAHDOracle(t, w, sys, 256)
+		if plan := AHD(w, sys, 256); plan.Groups[0].Split() < 2 {
+			t.Fatalf("%s at 6 GiB: block 0 alone on a device: %s", sys.Name, plan.Describe())
+		}
 	}
-	plan := AHD(p, sys)
-	if err := plan.Validate(4, p.NumBlocks()); err != nil {
+}
+
+func TestAHDHeteroMemoryFallback(t *testing.T) {
+	// Nothing fits 2 GiB: the fallback is the widest split, the
+	// lowest-memory option, and it still plays every sample.
+	w := model.NAS(true)
+	for _, sys := range []hw.System{shrunk(hw.A6000x4(), 2), shrunk(mixedSystem(), 2)} {
+		plan := AHD(w, sys, 256)
+		if err := plan.Validate(4, w.NumBlocks()); err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Groups) != 1 {
+			t.Fatalf("%s: fallback should be the widest split, got %s", sys.Name, plan.Describe())
+		}
+		if err := plan.Groups[0].ValidateShares(256); err != nil {
+			t.Fatal(err)
+		}
+		if _, fits := bottleneck(w, sys, 256, TeacherRelaying(plan, true)); fits {
+			t.Fatalf("%s: the fallback fits, so something did", sys.Name)
+		}
+	}
+}
+
+func TestApportionFavorsFasterDevices(t *testing.T) {
+	w := model.NAS(false)
+	sys := mixedSystem()
+	// A group spanning one A6000 (device 1) and one 2080Ti (device 2).
+	g := Group{Devices: []int{1, 2}, Blocks: []int{0, 1, 2}}
+	shares := apportion(w, sys, 256, g)
+	if shares == nil {
+		t.Fatal("heterogeneous members must receive unequal shares")
+	}
+	if shares[0] <= shares[1] {
+		t.Fatalf("A6000 share %d should exceed 2080Ti share %d", shares[0], shares[1])
+	}
+	if shares[0]+shares[1] != 256 {
+		t.Fatalf("shares %v must sum to the batch", shares)
+	}
+}
+
+func TestApportionHomogeneousIsCanonical(t *testing.T) {
+	w := model.NAS(false)
+	sys := hw.A6000x4()
+	if shares := apportion(w, sys, 256, Group{Devices: []int{0, 1}, Blocks: []int{0, 1}}); shares != nil {
+		t.Fatalf("equal-speed members should get the canonical nil split, got %v", shares)
+	}
+	// A split the batch does not divide still plays every sample.
+	shares := apportion(w, sys, 256, Group{Devices: []int{0, 1, 2}, Blocks: []int{0, 1}})
+	if !reflect.DeepEqual(shares, []int{86, 85, 85}) {
+		t.Fatalf("a 3-way split of 256 on equal devices is %v, want [86 85 85]", shares)
+	}
+}
+
+func TestMemberBatch(t *testing.T) {
+	g := Group{Devices: []int{0, 1}, Blocks: []int{0}}
+	if g.MemberBatch(256, 0) != 128 || g.MemberBatch(256, 1) != 128 {
+		t.Fatal("nil shares must split evenly")
+	}
+	if err := g.ValidateShares(255); err == nil {
+		t.Fatal("an equal split the batch does not divide drops a sample and must fail validation")
+	}
+	g.Shares = []int{160, 96}
+	if g.MemberBatch(256, 0) != 160 || g.MemberBatch(256, 1) != 96 {
+		t.Fatal("explicit shares must be honoured")
+	}
+	if err := g.ValidateShares(256); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range plan.Groups {
-		if _, ok := groupCost(p, sys, g); !ok {
-			// The IR fallback may violate the estimate too when nothing
-			// fits; only flag plans that claim feasibility.
-			if len(plan.Groups) != 1 {
-				t.Fatalf("AHD returned infeasible group %v", g)
-			}
-		}
+	g.Shares = []int{200, 96}
+	if err := g.ValidateShares(256); err == nil {
+		t.Fatal("over-subscribed shares must fail validation")
+	}
+	g.Shares = []int{256, 0}
+	if err := g.ValidateShares(256); err == nil {
+		t.Fatal("zero share must fail validation")
+	}
+	g.Shares = []int{256}
+	if err := g.ValidateShares(256); err == nil {
+		t.Fatal("share count mismatch must fail validation")
 	}
 }
 

@@ -6,24 +6,23 @@ import (
 	"sort"
 
 	"pipebd/internal/hw"
-	"pipebd/internal/profilegen"
+	"pipebd/internal/model"
 )
 
 // TRContiguous returns the plain teacher-relaying plan: blocks distributed
 // to devices in contiguous runs, one device per group, chosen among the
 // (B-1 choose N-1) contiguous partitions to minimize the bottleneck
-// device's per-step compute time. This is the paper's "naive distribution"
-// that TR and TR+DPU use before AHD is enabled.
-func TRContiguous(p profilegen.Profile, nDev int) Plan {
-	nb := p.NumBlocks()
+// device's per-step time, each run priced on the device that would train
+// it. This is the paper's "naive distribution" that TR and TR+DPU use
+// before AHD is enabled.
+func TRContiguous(w model.Workload, sys hw.System, batch int) Plan {
+	nb, nDev := w.NumBlocks(), sys.NumDevices()
 	if nDev > nb {
 		nDev = nb // more devices than blocks: leave the excess idle
 	}
-	blockCost := make([]float64, nb)
-	for b := 0; b < nb; b++ {
-		blockCost[b] = p.StepTime(b, 1) + p.Update[b]
-	}
-	ends, _ := contiguousPartition(blockCost, nDev)
+	ends, _ := contiguousPartition(nb, nDev, func(d, from, to int) float64 {
+		return alone(w, sys, batch, d, seq(from, to)).Step()
+	})
 	var groups []Group
 	b := 0
 	for d, end := range ends {
@@ -33,22 +32,15 @@ func TRContiguous(p profilegen.Profile, nDev int) Plan {
 	return Plan{Name: "tr-contiguous", Groups: groups}
 }
 
-// contiguousPartition splits nb block costs into nDev contiguous
-// segments minimizing the maximum segment sum, via dynamic programming
-// over the (nb-1 choose nDev-1) contiguous partitions: best[d][b] is the
-// minimal bottleneck splitting blocks b..nb-1 over devices d..nDev-1. It
-// returns each segment's exclusive end index (len nDev, last entry nb)
-// and the achieved bottleneck. Shared by the static TRContiguous planner
-// and the runtime measured re-planner, so both pick partitions the same
-// way.
-func contiguousPartition(blockCost []float64, nDev int) ([]int, float64) {
-	nb := len(blockCost)
-	prefix := make([]float64, nb+1)
-	for b := 0; b < nb; b++ {
-		prefix[b+1] = prefix[b] + blockCost[b]
-	}
-	segment := func(from, to int) float64 { return prefix[to] - prefix[from] }
-
+// contiguousPartition splits nb blocks into nDev contiguous segments
+// minimizing the maximum segment cost, where segment(d, from, to) is what
+// blocks from..to-1 cost on device d, via dynamic programming over the
+// (nb-1 choose nDev-1) contiguous partitions: best[d][b] is the minimal
+// bottleneck splitting blocks b..nb-1 over devices d..nDev-1. It returns
+// each segment's exclusive end index (len nDev, last entry nb) and the
+// achieved bottleneck. Shared by the static TRContiguous planner and the
+// runtime measured re-planner, so both pick partitions the same way.
+func contiguousPartition(nb, nDev int, segment func(d, from, to int) float64) ([]int, float64) {
 	const inf = math.MaxFloat64
 	best := make([][]float64, nDev+1)
 	choice := make([][]int, nDev+1)
@@ -72,7 +64,7 @@ func contiguousPartition(blockCost []float64, nDev int) ([]int, float64) {
 				if rest == inf {
 					continue
 				}
-				bottleneck := math.Max(segment(b, end), rest)
+				bottleneck := math.Max(segment(d, b, end), rest)
 				if bottleneck < best[d][b] {
 					best[d][b] = bottleneck
 					choice[d][b] = end
@@ -98,89 +90,135 @@ const memHeadroom = 0.92
 
 // AHD searches hybrid plans exhaustively: every composition of the N
 // devices into contiguous groups combined with every composition of the B
-// blocks into equally many contiguous ranges. Group cost is estimated
-// from the profiled table as the group's per-step compute plus exposed
-// all-reduce plus update time; the plan minimizing the bottleneck group
-// that also fits device memory wins. This mirrors §IV-C of the paper
-// (exhaustive search over the practical B≈10, N≈4..8 space, decided once
-// before training).
-func AHD(p profilegen.Profile, sys hw.System) Plan {
-	nDev := sys.NumDevices()
-	nb := p.NumBlocks()
-	if nDev > p.MaxSplit {
-		panic(fmt.Sprintf("sched: AHD needs profile with MaxSplit >= %d devices, have %d", nDev, p.MaxSplit))
+// blocks into equally many contiguous ranges, each group's batch
+// apportioned to its members by throughput. A plan costs what its slowest
+// member's step costs; the cheapest plan every member of which fits its
+// device's memory wins, and if none fits, the widest split (internal
+// relaying, the lowest-memory option) is returned. This mirrors §IV-C of
+// the paper (exhaustive search over the practical B≈10, N≈4..8 space,
+// decided once before training), with the paper's stated future
+// direction (§VIII) folded in: every member is priced on its own GPU, so
+// a homogeneous system is simply the case of equal ones.
+func AHD(w model.Workload, sys hw.System, batch int) Plan {
+	nDev, nb := sys.NumDevices(), w.NumBlocks()
+	if batch < nDev {
+		panic(fmt.Sprintf("sched: AHD cannot share a batch of %d among %d devices", batch, nDev))
 	}
-
 	bestCost := math.MaxFloat64
-	var bestGroups []Group
-	feasibleFound := false
-
-	devComps := compositions(nDev)
-	blockComps := compositions(nb)
-	for _, dc := range devComps {
-		for _, bc := range blockComps {
+	var best Plan
+	for _, dc := range compositions(nDev) {
+		for _, bc := range compositions(nb) {
 			if len(dc) != len(bc) {
 				continue
 			}
-			groups, cost, fits := evaluate(p, sys, dc, bc)
-			if !fits {
-				continue
-			}
-			feasibleFound = true
-			if cost < bestCost-1e-15 {
-				bestCost = cost
-				bestGroups = groups
+			plan := hybridPlan(w, sys, batch, dc, bc)
+			if cost, fits := bottleneck(w, sys, batch, TeacherRelaying(plan, true)); fits && cost < bestCost-1e-15 {
+				bestCost, best = cost, plan
 			}
 		}
 	}
-	if !feasibleFound {
-		// No plan fits memory; fall back to the widest splitting (pure
-		// data parallelism over all blocks), the lowest-memory option.
-		return InternalRelaying(nDev, nb)
+	if best.Groups == nil {
+		return hybridPlan(w, sys, batch, []int{nDev}, []int{nb})
 	}
-	return Plan{Name: "ahd", Groups: bestGroups}
+	return best
 }
 
-// evaluate builds the groups for one (device sizes, block sizes)
-// composition pair and estimates the bottleneck group cost.
-func evaluate(p profilegen.Profile, sys hw.System, devSizes, blockSizes []int) ([]Group, float64, bool) {
+// hybridPlan returns the candidate that gives the i-th run of devSizes[i]
+// devices the i-th run of blockSizes[i] blocks, each group's batch
+// apportioned among its members.
+func hybridPlan(w model.Workload, sys hw.System, batch int, devSizes, blockSizes []int) Plan {
 	groups := make([]Group, len(devSizes))
 	dev, blk := 0, 0
-	for i := range devSizes {
+	for i := range groups {
 		groups[i] = Group{Devices: seq(dev, dev+devSizes[i]), Blocks: seq(blk, blk+blockSizes[i])}
+		groups[i].Shares = apportion(w, sys, batch, groups[i])
 		dev += devSizes[i]
 		blk += blockSizes[i]
 	}
-	var bottleneck float64
-	for _, g := range groups {
-		cost, fits := groupCost(p, sys, g)
-		if !fits {
-			return nil, 0, false
-		}
-		if cost > bottleneck {
-			bottleneck = cost
-		}
-	}
-	return groups, bottleneck, true
+	return Plan{Name: "ahd", Groups: groups}
 }
 
-// groupCost estimates one group's steady-state per-step time and checks
-// per-device memory feasibility.
-func groupCost(p profilegen.Profile, sys hw.System, g Group) (float64, bool) {
+// bottleneck prices a relay program the way pipeline.Run will play it:
+// the slowest member's time per step, and whether every member's Memory
+// fits its own device.
+func bottleneck(w model.Workload, sys hw.System, batch int, prog Program) (float64, bool) {
+	var worst float64
+	phase := prog.Phases[0]
+	for si, st := range phase {
+		members, err := Price(w, sys, batch, st)
+		if err != nil {
+			panic(err) // the planners build only stages whose shares cover the batch
+		}
+		for _, m := range members {
+			if Memory(w, prog.Model, phase, si, m.Batch) > int64(memHeadroom*float64(sys.GPUs[m.Device].MemBytes)) {
+				return 0, false
+			}
+			worst = max(worst, m.Step())
+		}
+	}
+	return worst, true
+}
+
+// alone prices the blocks as a relay stage device d plays by itself at
+// the global batch: no teacher prefix, nothing to all-reduce.
+func alone(w model.Workload, sys hw.System, batch, d int, blocks []int) MemberCost {
+	members, err := Price(w, sys, batch, Stage{Group: Group{Devices: []int{d}, Blocks: blocks}, Relayed: blocks[0] > 0})
+	if err != nil {
+		panic(err) // one member's equal split always covers the batch
+	}
+	return members[0]
+}
+
+// apportion splits the global batch across a group's members in
+// proportion to each one's throughput on the group's blocks, measured
+// alone at the global batch, in whole samples that sum to the batch.
+// Shares that come out equal are returned as nil, so that a plan on equal
+// devices the batch divides stays canonical.
+func apportion(w model.Workload, sys hw.System, batch int, g Group) []int {
 	k := g.Split()
-	var compute, bwd, update float64
-	var gradBytes, mem int64
-	for _, b := range g.Blocks {
-		compute += p.StepTime(b, k)
-		bwd += p.StudentBwd[b][k-1]
-		update += p.Update[b]
-		gradBytes += p.StudentParamBytes[b]
-		mem += p.TeacherMem[b][k-1] + p.StudentMem[b][k-1]
+	if k == 1 {
+		return nil
 	}
-	if mem > int64(memHeadroom*float64(sys.GPUs[g.Devices[0]].MemBytes)) {
-		return 0, false
+	speeds := make([]float64, k)
+	var total float64
+	for j, d := range g.Devices {
+		speeds[j] = 1 / max(alone(w, sys, batch, d, g.Blocks).Compute(), math.SmallestNonzeroFloat64)
+		total += speeds[j]
 	}
-	return compute + sys.Link.ExposedAllReduceTime(gradBytes, k, bwd) + update, true
+	shares := make([]int, k)
+	assigned := 0
+	for j := range shares {
+		shares[j] = max(1, int(math.Floor(float64(batch)*speeds[j]/total)))
+		assigned += shares[j]
+	}
+	// Distribute the rounding remainder to the fastest members first.
+	for assigned < batch {
+		best := 0
+		for j := 1; j < k; j++ {
+			if speeds[j] > speeds[best] {
+				best = j
+			}
+		}
+		shares[best]++
+		speeds[best] = 0 // round-robin over descending speed
+		assigned++
+	}
+	for assigned > batch {
+		largest := 0
+		for j := 1; j < k; j++ {
+			if shares[j] > shares[largest] {
+				largest = j
+			}
+		}
+		shares[largest]--
+		assigned--
+	}
+	for _, s := range shares {
+		if s != shares[0] {
+			return shares
+		}
+	}
+	return nil
 }
 
 // compositions returns all ordered compositions of n (ways of writing n
