@@ -199,10 +199,7 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 	if err != nil {
 		return err
 	}
-	nDev := 0
-	for _, g := range plan.Groups {
-		nDev += g.Split()
-	}
+	nDev := plan.NumDevices()
 
 	spec, recipe, buildBench, costWL, err := clusterWorkload(opts.Model, opts.Steps, opts.Batch)
 	if err != nil {

@@ -134,8 +134,10 @@
 // Tier 1, absorb (cluster.Config.Retry, cmd/pipebd -retry-budget):
 // every control and peer connection is wrapped in a resumable stream (transport.Resumable) — both sides count received
 // frames, the sender buffers its unacknowledged tail, and a broken link
-// redials with exponential backoff, re-handshakes on the peer's
-// high-water mark, and replays exactly the missed frames. Transient
+// redials with exponential backoff, re-opens with the hello that opened
+// it (epoch and device pair, now marked resume and carrying the dialer's
+// high-water mark; the coordinator's end is "no device"), and replays
+// exactly the missed frames. Transient
 // flaps and healing partitions cost milliseconds and consume no restart
 // budget; the heartbeat monitor treats a reconnecting link as alive, so
 // a flap outlasting the heartbeat timeout is not mistaken for a dead
@@ -143,10 +145,11 @@
 //
 // Tier 2, degrade: a peer link persistently down past the retry budget
 // whose workers both still answer a liveness probe is routed through
-// the coordinator hub instead — activations as relay frames, the
-// affected group's all-reduce via the hub fold — while healthy edges
-// stay peer-to-peer. Hub and ring fold in the same order, so a degraded
-// run still verifies bit-identical, and no restart is consumed.
+// the coordinator instead: every frame that crossed the edge —
+// activation, ack, ring segment — travels in a relay envelope the
+// coordinator forwards unopened. A degraded edge keeps its group's ring
+// and changes only its transport (there is no hub-fold fallback), so a
+// degraded run still verifies bit-identical, and no restart is consumed.
 //
 // Tier 3, global cut (cluster.Config.MaxRestarts): a genuinely lost
 // worker costs a restart, and hub and ring restart the same way. Each

@@ -156,6 +156,13 @@ type Config struct {
 // engine.MergeGroupLosses), so a cluster run's trajectory is bit-identical
 // to engine.RunPipelined's.
 //
+// Its end of every session's control link is an endpoint like any peer
+// link's (link.go): opened by the Assign, re-opened after a break by the
+// same PeerHello handshake the workers use among themselves, with the
+// coordinator naming itself wire.NoDev. Under the ring it carries no
+// tensors except across a degraded peer edge, whose frames it forwards by
+// destination device without opening them.
+//
 // With MaxRestarts > 0 the coordinator is also the recovery authority,
 // under one rule for every topology (see driver.go): it keeps each
 // group's post-step snapshots (parameters + optimizer velocities) back to
@@ -203,22 +210,11 @@ func PlaceDevices(nDev, nWorkers int) [][]int {
 	return out
 }
 
-// sessionIDs hands out unique control-session ids; seeded once from the
-// clock so ids from a restarted coordinator cannot collide with a
-// previous process's sessions still registered on a worker.
-var sessionIDs atomic.Int64
-
-func nextSessionID() int64 {
-	sessionIDs.CompareAndSwap(0, time.Now().UnixNano())
-	return sessionIDs.Add(1)
-}
-
-// peerConn is the coordinator's handle on one joined worker session.
+// peerConn is the coordinator's handle on one joined worker session: its
+// end of the control link, plus what the run tracks per session.
 type peerConn struct {
+	*endpoint
 	addr    string
-	conn    transport.Conn
-	res     *transport.Resumable // == conn under a retry policy; nil otherwise
-	out     *outbox
 	devices []int
 
 	lastHeard atomic.Int64 // unix nanos of the last inbound frame
@@ -275,11 +271,8 @@ type run struct {
 	coTrack *obs.Track
 
 	// Degraded peer edges (flattened pairs), installed by the driver
-	// before placement and carried into every Assign; degradedGroups marks
-	// the groups with an internal degraded edge, whose gradient reductions
-	// fall back to the hub fold. Immutable once readers start.
-	degraded       []int
-	degradedGroups map[int]bool
+	// before placement and carried into every Assign.
+	degraded []int
 
 	mu          sync.Mutex
 	linkDowns   [][2]int               // peer edges reported down this attempt
@@ -368,10 +361,7 @@ func (c *Coordinator) execute(r *run) (engine.Result, error) {
 // is the run's starting weights (see driver.seed).
 func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches []dataset.Batch, addrs []string) (*run, error) {
 	plan := c.cfg.Plan
-	nDev := 0
-	for _, g := range plan.Groups {
-		nDev += g.Split()
-	}
+	nDev := plan.NumDevices()
 	if err := plan.Validate(nDev, w.NumBlocks()); err != nil {
 		return nil, err
 	}
@@ -477,24 +467,6 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches [
 	return r, nil
 }
 
-// setDegraded installs the driver's accumulated degraded peer edges:
-// flattened for the Assign, plus the set of groups whose internal edge
-// is degraded (their reductions come back to the hub). Called before
-// placement, while the run is still single-threaded.
-func (r *run) setDegraded(edges [][2]int) {
-	if len(edges) == 0 {
-		return
-	}
-	r.degraded = make([]int, 0, 2*len(edges))
-	r.degradedGroups = make(map[int]bool)
-	for _, e := range edges {
-		r.degraded = append(r.degraded, e[0], e[1])
-		if r.devs[e[0]].place.gi == r.devs[e[1]].place.gi {
-			r.degradedGroups[r.devs[e[0]].place.gi] = true
-		}
-	}
-}
-
 // effectivePolicy resolves the configured snapshot policy against the
 // run's fault-tolerance mode: the zero policy defaults to every-step
 // snapshots when recovery is possible and to no snapshots at all
@@ -541,9 +513,13 @@ func (r *run) logRecord(rec *ledger.Record) {
 // attach registers a freshly opened session (Assign already sent) as the
 // live host of its devices. Runs before start, while the attempt is still
 // single-threaded.
-func (r *run) attach(conn transport.Conn, addr string, devices []int, sid int64) {
-	link, res := r.resumeControl(conn, addr, sid)
-	p := &peerConn{addr: addr, conn: link, res: res, out: newOutbox(link), devices: devices}
+func (r *run) attach(conn transport.Conn, addr string, devices []int) {
+	links := linkPolicy{epoch: r.epoch, net: r.co.net, retry: r.runCfg.Retry,
+		logf: r.co.logf, metrics: r.co.cfg.Metrics}
+	// The control link's far end is any device the session hosts: a redial
+	// finds the session in the worker's registry by it.
+	p := &peerConn{addr: addr, devices: devices, endpoint: links.endpoint(conn,
+		int(wire.NoDev), devices[0], fmt.Sprintf("worker %s control link", addr), addr)}
 	p.touch()
 	r.peers = append(r.peers, p)
 	for _, d := range devices {
@@ -584,8 +560,6 @@ func recvDeadline(conn transport.Conn, deadline time.Time) (*wire.Frame, error) 
 	}
 }
 
-func (r *run) net() transport.Network { return r.co.net }
-
 // dialHello opens the one handshake every connection to a worker starts
 // with: dial, then the worker's Hello, bounded by the deadline. The caller
 // owns the returned connection.
@@ -603,65 +577,6 @@ func dialHello(net transport.Network, addr string, deadline time.Time) (transpor
 		return nil, err
 	}
 	return conn, nil
-}
-
-// newSessionID returns a fresh control-session id when the retry policy
-// is on (zero otherwise — the Assign's zero Session disables resume on
-// the worker side too).
-func (r *run) newSessionID() int64 {
-	if !r.runCfg.Retry.Enabled() {
-		return 0
-	}
-	return nextSessionID()
-}
-
-// resumeControl wraps a freshly assigned session connection in its
-// resumable layer when the retry policy is on: the coordinator side
-// dials, so a break redials the worker and re-attaches to the live
-// session by id, replaying the unacked tail.
-func (r *run) resumeControl(conn transport.Conn, addr string, sid int64) (transport.Conn, *transport.Resumable) {
-	if sid == 0 {
-		return conn, nil
-	}
-	res := transport.NewResumable(conn, retryPolicy(r.runCfg.Retry), transport.ResumableOptions{
-		Name: fmt.Sprintf("worker %s control link", addr),
-		Logf: r.co.cfg.Logf,
-		OnAbsorb: func(replayed int) {
-			r.co.cfg.Metrics.Add("link_faults_absorbed", 1)
-			r.co.cfg.Metrics.Add("link_frames_replayed", int64(replayed))
-		},
-		Redial: func(recvd int64) (transport.Conn, int64, error) {
-			return r.redialControl(addr, sid, recvd)
-		},
-	})
-	return res, res
-}
-
-// redialControl re-establishes a broken control link: fresh dial, the
-// worker's Hello, then a SessionResume handshake carrying our receive
-// count; the echo carries the worker's, bounding the replay.
-func (r *run) redialControl(addr string, sid, recvd int64) (transport.Conn, int64, error) {
-	deadline := time.Now().Add(retryPolicy(r.runCfg.Retry).Budget)
-	conn, err := dialHello(r.net(), addr, deadline)
-	if err != nil {
-		return nil, 0, err
-	}
-	err = conn.Send(wire.EncodeSessionResume(wire.SessionResume{Session: sid, Recvd: recvd}))
-	var sr wire.SessionResume
-	if err == nil {
-		var echo *wire.Frame
-		if echo, err = recvDeadline(conn, deadline); err == nil {
-			sr, err = wire.DecodeSessionResume(echo)
-		}
-	}
-	if err == nil && sr.Session != sid {
-		err = fmt.Errorf("resume echo names session %d, want %d", sr.Session, sid)
-	}
-	if err != nil {
-		conn.Close()
-		return nil, 0, err
-	}
-	return conn, sr.Recvd, nil
 }
 
 // start launches the per-peer readers and — when configured — the
@@ -867,10 +782,7 @@ func (r *run) handlePeerFailure(p *peerConn, cause error) {
 	}
 	r.mu.Unlock()
 
-	// Unblock a writer stuck in Send, then drain the outbox unsent.
-	p.conn.Close()
-	p.out.Kill()
-	p.out.Close()
+	p.close(false)
 
 	if allDone {
 		// Every hosted device already completed; the lost connection
@@ -881,12 +793,10 @@ func (r *run) handlePeerFailure(p *peerConn, cause error) {
 	r.fail(workerLostError{cause: cause})
 }
 
-// teardown closes every session. After a failure the connections close
-// first so an outbox writer stuck mid-Send is unblocked before its drain
-// is awaited — otherwise a peer that died with a full transport window
-// would leak the writer goroutine (and block Run) forever. On the
-// graceful path the outbox flushes first so the final Drain frames reach
-// the workers.
+// teardown closes every session (endpoint.close): after a failure a peer
+// that died with a full transport window must not leak the outbox writer
+// (and block Run) forever; on the graceful path the final Drain frames
+// must reach the workers.
 func (r *run) teardown() {
 	r.mu.Lock()
 	r.closed = true
@@ -912,14 +822,7 @@ func (r *run) teardown() {
 	default:
 	}
 	for _, p := range peers {
-		if graceful {
-			p.out.Close()
-			p.conn.Close()
-		} else {
-			p.conn.Close()
-			p.out.Kill()
-			p.out.Close()
-		}
+		p.close(graceful)
 	}
 }
 
@@ -955,14 +858,14 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 		}
 		r.onLinkDown(p, from, to)
 		return nil
-	case wire.KindRelay, wire.KindRelayAck:
+	case wire.KindRelay:
 		if !r.ringMode {
 			return fmt.Errorf("cluster: hub worker sent a degraded-edge %v frame (device %d step %d)", f.Kind, dev, step)
 		}
-		// Hub relay across a degraded peer edge: the frame routes by Dev
-		// (relay → receiver, ack → original sender) and its contents are
-		// opaque to the coordinator — forwarding the payload verbatim is
-		// what keeps the degraded path bit-identical to the direct link.
+		// A peer frame crossing a degraded edge: the envelope routes by Dev
+		// and its contents are opaque to the coordinator — forwarding the
+		// payload verbatim is what keeps the degraded path bit-identical to
+		// the direct link.
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		if r.closed {
@@ -1003,7 +906,7 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 		}
 		return r.onOutput(ds, step, t)
 	case wire.KindGrads:
-		if r.ringMode && !r.degradedGroups[ds.place.gi] {
+		if r.ringMode {
 			return fmt.Errorf("cluster: ring worker sent gradients to the hub (device %d step %d)", dev, step)
 		}
 		lists, err := wire.DecodeTensors(f)
@@ -1195,7 +1098,9 @@ func (r *run) onStepDone(ds *devState, step int) error {
 		// Only the release is persisted: it implies every device's arrival,
 		// and an unreleased barrier means no device completed the step, so
 		// every device re-arrives after a restart.
-		r.logRecord(ledger.Barrier(step))
+		if err := r.commitLocked(ledger.Barrier(step)); err != nil {
+			return err
+		}
 		for d, p := range r.byDev {
 			p.out.Enqueue(wire.Control(wire.KindStepGo, int32(d), int32(step)))
 		}
@@ -1211,15 +1116,13 @@ func (r *run) onLosses(ds *devState, step int, vals []float64) error {
 	if r.closed {
 		return nil
 	}
-	if err := r.checkLosses(ds, step, vals); err != nil {
-		return err
-	}
 	if step <= ds.lossSeen {
 		return duplicate(ds, "losses", step)
 	}
 	place := ds.place
-	r.logRecord(ledger.Losses(r.plan.Groups[place.gi].Devices[place.j], step, vals))
-	r.recordLossesLocked(ds, step, vals)
+	if err := r.commitLocked(ledger.Losses(r.plan.Groups[place.gi].Devices[place.j], step, vals)); err != nil {
+		return err
+	}
 	if place.gi == 0 {
 		// Devices report each step once, in order, so the step's last
 		// reporter is the one that finds every sibling at or past it.
@@ -1243,10 +1146,9 @@ func (r *run) checkLosses(ds *devState, step int, vals []float64) error {
 	return nil
 }
 
-// recordLossesLocked fills one device's loss row and advances its mark;
-// shared by live reports and ledger replay (a restarted coordinator
-// re-logs the rows it replays, bit-identically, so replay may see a step
-// twice).
+// recordLossesLocked fills one device's loss row and advances its mark (a
+// restarted coordinator re-logs the rows it replays, bit-identically, so a
+// ledger replay may see a step twice).
 func (r *run) recordLossesLocked(ds *devState, step int, vals []float64) {
 	nbg := len(vals)
 	for bi, v := range vals {
@@ -1263,10 +1165,6 @@ func (r *run) recordLossesLocked(ds *devState, step int, vals []float64) {
 // step can be the cut is decided by cutLocked from every device's loss and
 // barrier marks, never by the snapshot alone.
 func (r *run) onSnapshot(dev int, ds *devState, step int, params, velocity []*tensor.Tensor) error {
-	gi := ds.place.gi
-	if err := r.checkSnapshot(dev, ds.place, params, velocity); err != nil {
-		return err
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -1275,16 +1173,27 @@ func (r *run) onSnapshot(dev int, ds *devState, step int, params, velocity []*te
 	if step <= ds.snapStep {
 		return duplicate(ds, "snapshot", step)
 	}
-	ds.snapStep = step
+	if err := r.commitLocked(ledger.DevSnapshot(dev, step, params, velocity)); err != nil {
+		return err
+	}
 	r.co.cfg.Metrics.Add("snapshots", 1)
-	r.logRecord(ledger.DevSnapshot(dev, step, params, velocity))
-	r.recordHistLocked(gi, step, params, velocity)
 	return nil
 }
 
-// checkSnapshot validates a snapshot — a live frame or a replayed ledger
-// record — against the plan: only rank 0 of a group snapshots, and the
-// tensors must match what the group trains.
+// commitLocked is how a live arm changes the state a restart is computed
+// from: the record is applied — validated, marked, recorded, exactly as a
+// ledger replay would — and then persisted, so the log only ever holds
+// records its own replay accepts.
+func (r *run) commitLocked(rec *ledger.Record) error {
+	if err := r.applyRecordLocked(rec); err != nil {
+		return err
+	}
+	r.logRecord(rec)
+	return nil
+}
+
+// checkSnapshot validates a snapshot record against the plan: only rank 0
+// of a group snapshots, and the tensors must match what the group trains.
 func (r *run) checkSnapshot(dev int, place devPlace, params, velocity []*tensor.Tensor) error {
 	gi := place.gi
 	if place.j != 0 {

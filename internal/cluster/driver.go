@@ -138,9 +138,9 @@ func (d *driver) drive() (engine.Result, error) {
 			// Tier 2, graceful degradation: every worker is reachable but
 			// one or more peer edges are persistently severed (a healing
 			// partition that never healed). Route just the broken edges
-			// through the coordinator hub — bit-identical, since hub and
-			// ring share the same evaluation order — and restart from the
-			// global cut without consuming the restart budget.
+			// through the coordinator — bit-identical, since the same frames
+			// reach the same inboxes in the same order — and restart from
+			// the global cut without consuming the restart budget.
 			d.degraded = mergeEdges(d.degraded, next.linkDowns)
 			d.carry = next
 			c.cfg.Metrics.Add("degrades", 1)
@@ -181,7 +181,7 @@ func mergeEdges(have, add [][2]int) [][2]int {
 // workersAlive probes every worker address with a dial-and-hello
 // handshake, distinguishing a severed peer edge (all workers fine,
 // degradable) from a dead worker (restart). Probe connections are closed
-// right after the hello; the worker logs them as failed sessions.
+// right after the hello; a worker counts no session for them.
 func (c *Coordinator) workersAlive(addrs []string) bool {
 	for _, addr := range addrs {
 		conn, err := dialHello(c.net, addr, time.Now().Add(c.joinTimeout()))
@@ -209,7 +209,9 @@ func (d *driver) attempt(epoch int64) (engine.Result, *runCarry, error) {
 		}
 	}
 	r.led = d.led
-	r.setDegraded(d.degraded)
+	for _, e := range d.degraded {
+		r.degraded = append(r.degraded, e[0], e[1])
+	}
 	r.epoch = epoch
 	if d.rp != nil {
 		// Fresh placement (or fresh hosting), fresh measurements; the
@@ -361,7 +363,6 @@ func (r *run) place() error {
 		conn    transport.Conn
 		addr    string
 		devices []int
-		sid     int64
 	}
 	var holds []held
 	bail := func(err error) error {
@@ -387,7 +388,7 @@ func (r *run) place() error {
 		if err != nil {
 			return bail(err)
 		}
-		holds = append(holds, held{conn, actual, placement[i], r.newSessionID()})
+		holds = append(holds, held{conn, actual, placement[i]})
 	}
 	r.peerDir = make([]string, r.nDev)
 	for _, h := range holds {
@@ -396,14 +397,14 @@ func (r *run) place() error {
 		}
 	}
 	for _, h := range holds {
-		if err := h.conn.Send(r.sessionOpen(h.devices, h.sid)); err != nil {
+		if err := h.conn.Send(r.sessionOpen(h.devices)); err != nil {
 			// The worker died between handshake and assign: retryable, the
 			// next attempt re-places around it.
 			return bail(workerLostError{cause: fmt.Errorf("cluster: worker %s assign: %w", h.addr, err)})
 		}
 	}
 	for _, h := range holds {
-		r.attach(h.conn, h.addr, h.devices, h.sid)
+		r.attach(h.conn, h.addr, h.devices)
 		r.co.logf("worker %s hosting devices %v", h.addr, h.devices)
 	}
 	return nil
@@ -413,10 +414,10 @@ func (r *run) place() error {
 // devices. Past the seed it carries the group parameters at this attempt's
 // cut; at the seed there is nothing to restore — the Assign's snapshot and
 // a fresh optimizer are the state.
-func (r *run) sessionOpen(devices []int, sid int64) *wire.Frame {
+func (r *run) sessionOpen(devices []int) *wire.Frame {
 	a := &wire.Assign{Plan: r.plan, Spec: r.co.cfg.Spec,
 		Run: r.runCfg, Devices: devices, Snapshot: r.seedSnap,
-		Peers: r.peerDir, Epoch: r.epoch, Session: sid, Degraded: r.degraded,
+		Peers: r.peerDir, Epoch: r.epoch, Degraded: r.degraded,
 		Inputs: r.scheduleFor(devices)}
 	if c := r.carry; c != nil && c.cut >= 0 {
 		for _, d := range devices {
@@ -436,7 +437,7 @@ func (r *run) dialWorker(candidates []string, deadline time.Time) (transport.Con
 	var lastErr error
 	for {
 		for _, addr := range candidates {
-			conn, err := dialHello(r.net(), addr, deadline)
+			conn, err := dialHello(r.co.net, addr, deadline)
 			if err == nil {
 				return conn, addr, nil
 			}

@@ -41,8 +41,10 @@ const (
 	// rather than replaying a log this code cannot interpret. Version 3
 	// follows wire codec v9's Assign body (the manifest embeds one) and
 	// retired the group-snapshot record: only rank 0 of a group snapshots,
-	// so the dev-snapshot record is the one snapshot record.
-	Version = 3
+	// so the dev-snapshot record is the one snapshot record. Version 4
+	// follows wire codec v10's Assign body, which lost its session id; the
+	// record log is unchanged.
+	Version = 4
 
 	// ManifestName and LogName are the two files a ledger directory holds.
 	ManifestName = "MANIFEST"

@@ -250,9 +250,10 @@ func TestManifestErrors(t *testing.T) {
 		}
 	}
 
-	// Version skew, in both directions: a newer format, and the v1 and v2
-	// formats whose record logs held kinds this version retired.
-	for _, v := range []byte{Version + 1, 1, 2} {
+	// Version skew, in both directions: a newer format, the v1 and v2
+	// formats whose record logs held kinds this version retired, and v3,
+	// whose manifest embeds an Assign body this codec no longer reads.
+	for _, v := range []byte{Version + 1, 1, 2, 3} {
 		skew := append([]byte(nil), good...)
 		skew[4] = v
 		reset(skew)

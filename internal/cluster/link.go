@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
@@ -62,9 +63,11 @@ func assembleShards(parts []*tensor.Tensor) (*tensor.Tensor, error) {
 
 // outbox decouples frame production from the connection: Enqueue never
 // blocks (the queue is unbounded), a single writer goroutine drains it
-// into the conn, and the first send error sticks. This is what makes the
-// session layer deadlock-free — no protocol participant ever blocks on a
-// peer's receive window while holding work the peer is waiting for.
+// into send — a connection's Send, or on a relayed edge the wrap into the
+// session's control outbox — and the first send error sticks. This is what
+// makes the session layer deadlock-free — no protocol participant ever
+// blocks on a peer's receive window while holding work the peer is waiting
+// for.
 type outbox struct {
 	q    *transport.FrameQueue
 	done chan struct{}
@@ -72,7 +75,7 @@ type outbox struct {
 	err  error
 }
 
-func newOutbox(conn transport.Conn) *outbox {
+func newOutbox(send func(*wire.Frame) error) *outbox {
 	o := &outbox{q: transport.NewFrameQueue(), done: make(chan struct{})}
 	go func() {
 		defer close(o.done)
@@ -84,7 +87,7 @@ func newOutbox(conn transport.Conn) *outbox {
 			if o.Err() != nil {
 				continue // drain without sending after a failure
 			}
-			if err := conn.Send(f); err != nil {
+			if err := send(f); err != nil {
 				o.fail(err)
 			}
 		}
@@ -178,6 +181,119 @@ func (b *inbox) next(kind wire.Kind) (*wire.Frame, error) {
 		return f, nil
 	}
 	return nil, b.err
+}
+
+// endpoint is one end of a session link, whichever two parties it joins:
+// the coordinator and a worker session (the control link; the
+// coordinator's end is device wire.NoDev), two devices' sessions (a peer
+// link), or two devices whose direct link is degraded (conn is nil: out
+// wraps every frame into the session's control outbox, and the session's
+// router unwraps the far side's into in).
+type endpoint struct {
+	conn transport.Conn       // res when the session's retry policy is on
+	res  *transport.Resumable // nil without a retry policy
+	out  *outbox
+	in   *inbox // peer frames by kind; nil on a control link, whose reader dispatches directly
+}
+
+// close ends the link. Graceful flushes the outbox before the connection
+// closes (whatever the far side still waits for — a Drain, a Repartition,
+// a final ack — reaches it); on the failure path the connection closes
+// first, so a writer stuck mid-Send on a peer that stopped reading is
+// unblocked, and the outbox drains unsent. Retiring first makes the
+// teardown's own breaks terminal instead of starting a reconnect.
+func (ep *endpoint) close(graceful bool) {
+	if ep.res != nil {
+		ep.res.Retire()
+	}
+	if graceful {
+		ep.out.Close()
+	}
+	if ep.conn != nil {
+		ep.conn.Close()
+	}
+	if !graceful {
+		ep.out.Kill()
+		ep.out.Close()
+	}
+}
+
+// linkPolicy is what the links of one end of a session share: the attempt
+// epoch their hellos carry, the network that dials (and redials) the ones
+// this end owns, and the transient-fault absorption wiring, all zero when
+// Run.Retry is off.
+type linkPolicy struct {
+	epoch   int64
+	net     transport.Network
+	retry   wire.RetrySpec
+	logf    func(format string, args ...any)
+	metrics *obs.Metrics
+}
+
+// retryPolicy converts a wire-level retry spec into the transport policy
+// of one link.
+func retryPolicy(r wire.RetrySpec) transport.RetryPolicy {
+	return transport.RetryPolicy{
+		Backoff:  time.Duration(r.BackoffMillis) * time.Millisecond,
+		Budget:   time.Duration(r.BudgetMillis) * time.Millisecond,
+		AckEvery: r.AckEvery,
+	}
+}
+
+// open performs the one handshake that opens or resumes a link: dial, the
+// worker's Hello, our PeerHello, and the echo proving the session hosting
+// h.To picked the connection up. It returns the raw connection and the
+// echo's count of frames the far side had received (zero on a fresh link),
+// which bounds a resume's replay to exactly what the break swallowed.
+func (p linkPolicy) open(addr string, h wire.PeerHello, deadline time.Time) (transport.Conn, int64, error) {
+	conn, err := dialHello(p.net, addr, deadline)
+	if err != nil {
+		return nil, 0, err
+	}
+	err = conn.Send(wire.EncodePeerHello(h))
+	var echo wire.PeerHello
+	if err == nil {
+		var f *wire.Frame
+		if f, err = recvDeadline(conn, deadline); err == nil {
+			echo, err = wire.DecodePeerHello(f)
+		}
+	}
+	if err == nil && (echo.Epoch != h.Epoch || echo.From != h.To || echo.To != h.From || echo.Resume != h.Resume) {
+		err = fmt.Errorf("peer echo names epoch %d link %d->%d (resume %v), want epoch %d link %d->%d (resume %v)",
+			echo.Epoch, echo.From, echo.To, echo.Resume, h.Epoch, h.To, h.From, h.Resume)
+	}
+	if err != nil {
+		conn.Close()
+		return nil, 0, err
+	}
+	return conn, echo.Recvd, nil
+}
+
+// endpoint makes an established connection — handshake done, no
+// application frame counted yet — the local end of a link. Under a retry
+// policy it becomes resumable; addr, when set, says this end dialed and so
+// owns the redial: a break re-opens the link with the same hello marked
+// Resume. The accepting end passes "" and waits to be re-adopted.
+func (p linkPolicy) endpoint(conn transport.Conn, local, remote int, name, addr string) *endpoint {
+	ep := &endpoint{conn: conn}
+	if p.retry.Enabled() {
+		policy := retryPolicy(p.retry)
+		opts := transport.ResumableOptions{Name: name, Logf: p.logf,
+			OnAbsorb: func(replayed int) {
+				p.metrics.Add("link_faults_absorbed", 1)
+				p.metrics.Add("link_frames_replayed", int64(replayed))
+			}}
+		if addr != "" {
+			opts.Redial = func(recvd int64) (transport.Conn, int64, error) {
+				return p.open(addr, wire.PeerHello{Epoch: p.epoch, From: local, To: remote, Resume: true, Recvd: recvd},
+					time.Now().Add(policy.Budget))
+			}
+		}
+		ep.res = transport.NewResumable(conn, policy, opts)
+		ep.conn = ep.res
+	}
+	ep.out = newOutbox(ep.conn.Send)
+	return ep
 }
 
 // clusterLink implements engine.DeviceLink over the worker's connection

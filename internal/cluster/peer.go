@@ -10,33 +10,41 @@ import (
 	"pipebd/internal/cluster/wire"
 	"pipebd/internal/engine"
 	"pipebd/internal/obs"
+	"pipebd/internal/sched"
 	"pipebd/internal/sim"
 	"pipebd/internal/tensor"
 )
 
-// Peer mesh: the worker-to-worker data plane of ring-topology sessions.
+// Session links: what a worker session is reachable through, and the
+// worker-to-worker data plane of ring-topology sessions.
 //
-// In hub topology every activation and gradient crosses the coordinator.
-// In ring topology the coordinator only distributes a placement directory
-// (Assign.Peers: device rank -> worker address) and the workers dial each
-// other directly: one connection per device pair that communicates —
-// every pair within a split group (reduce-scatter contributions plus the
-// all-gather ring) and every (member, member) pair across adjacent groups
-// (activation forwarding). The higher-ranked device's session dials the
-// lower device's worker; device pairs hosted on the same worker (or even
-// the same session) still dial through the network, so every pair is
-// wired identically.
+// Every session has a control link to the coordinator; in hub topology
+// every activation and gradient crosses it. In ring topology the
+// coordinator only distributes a placement directory (Assign.Peers: device
+// rank -> worker address) and the workers dial each other directly: one
+// link per device pair that communicates — every pair within a split group
+// (reduce-scatter contributions plus the all-gather ring) and every
+// (member, member) pair across adjacent groups (activation forwarding).
+// The higher-ranked device's session dials the lower device's worker;
+// device pairs hosted on the same worker (or even the same session) still
+// dial through the network, so every pair is wired identically. A pair
+// the Assign lists as degraded is not dialed: its endpoints send through
+// the control link in KindRelay envelopes, and nothing above the endpoint
+// can tell.
 //
-// Handshake: dialer connects, consumes the worker's Hello, sends a
-// PeerHello{Epoch, From, To}; the accepting worker routes the connection
-// to the session hosting device To (registered under the run epoch, so a
-// stale connection from a previous attempt can never wire into a new
-// mesh), which echoes the PeerHello back. Only then does the dialer treat
-// the link as established.
+// Handshake (linkPolicy.open): dialer connects, consumes the worker's
+// Hello, sends a PeerHello{Epoch, From, To}; the accepting worker routes
+// the connection to the session hosting device To (every session registers
+// its devices under the run epoch, so a stale connection from a previous
+// attempt can never wire into a new mesh), which echoes the PeerHello back.
+// Only then does the dialer treat the link as established. A broken link
+// is re-opened the same way with Resume set and the dialer's receive count
+// — a peer link by the session that dialed it, the control link by the
+// coordinator, which names itself From: wire.NoDev.
 
 const (
-	// peerAcceptTimeout bounds how long an accepted peer connection waits
-	// for the session hosting its target device to register.
+	// peerAcceptTimeout bounds how long an accepted connection waits for the
+	// session hosting its target device to register.
 	peerAcceptTimeout = 5 * time.Second
 	// meshTimeout bounds a session's whole mesh-establishment phase.
 	meshTimeout = 10 * time.Second
@@ -45,32 +53,59 @@ const (
 	ackWindow = 2
 )
 
-// peerEndpoint is one device's end of a worker-to-worker connection.
-type peerEndpoint struct {
-	local  int // local device rank
-	remote int // remote device rank
-	conn   transport.Conn
-	res    *transport.Resumable // == conn when the session's retry policy is on; nil otherwise
-	out    *outbox
-	in     *inbox
+// pairKey identifies a directed endpoint: the local device's view of its
+// link to the remote device.
+type pairKey struct{ local, remote int }
+
+// mesh is one session's set of links: its control endpoint and, under the
+// ring, its peer endpoints. The worker's accept path hands incoming peer
+// hellos to accept (on the listener's handler goroutine); the session's
+// establish phase dials the outbound half and blocks in waitAccepted until
+// every expected endpoint exists.
+type mesh struct {
+	linkPolicy
+	dir     []string  // peers directory: device rank -> worker address
+	control *endpoint // the session's link to the coordinator
+
+	mu      sync.Mutex
+	cond    *sync.Cond
+	eps     map[pairKey]*endpoint
+	pending map[pairKey]bool // endpoints accept must still deliver
+	closed  bool
+	readers sync.WaitGroup
 }
 
-// startReader demuxes the endpoint's inbound frames into its inbox until
-// the connection dies. Under a resumable link "dies" means terminally —
-// transient breaks are absorbed inside Recv — and a budget-exhausted
-// link is reported to the mesh's link-down hook before the inbox fails,
-// so the coordinator can classify the failure as degradable.
-func (ep *peerEndpoint) startReader(m *mesh) {
+func newMesh(links linkPolicy, dir []string, control *endpoint) *mesh {
+	m := &mesh{linkPolicy: links, dir: dir, control: control,
+		eps: make(map[pairKey]*endpoint), pending: make(map[pairKey]bool)}
+	m.cond = sync.NewCond(&m.mu)
+	return m
+}
+
+// install wraps an established peer connection as the (local, remote)
+// endpoint and starts its reader, which demuxes inbound frames into the
+// endpoint's inbox until the connection dies. Under a resumable link
+// "dies" means terminally — transient breaks are absorbed inside Recv —
+// and a budget-exhausted link is reported to the coordinator before the
+// inbox fails, so it can degrade the edge instead of burning a restart
+// (the control outbox is safe to use from the reader: Enqueue never
+// blocks). Callers hold m.mu.
+func (m *mesh) install(conn transport.Conn, local, remote int, addr string) {
+	ep := m.endpoint(conn, local, remote, fmt.Sprintf("peer link %d<->%d", local, remote), addr)
+	ep.in = newInbox()
+	m.eps[pairKey{local, remote}] = ep
 	m.readers.Add(1)
 	go func() {
 		defer m.readers.Done()
 		for {
 			f, err := ep.conn.Recv()
 			if err != nil {
-				if errors.Is(err, transport.ErrLinkDown) && m.linkDown != nil {
-					m.linkDown(ep.local, ep.remote)
+				if errors.Is(err, transport.ErrLinkDown) {
+					m.metrics.Add("peer_links_down", 1)
+					m.logf("peer link %d<->%d exhausted its reconnect budget; reporting for degrade", local, remote)
+					m.control.out.Enqueue(wire.EncodeLinkDown(local, remote))
 				}
-				ep.in.fail(fmt.Errorf("cluster: peer link %d<->%d lost: %w", ep.local, ep.remote, err))
+				ep.in.fail(fmt.Errorf("cluster: peer link %d<->%d lost: %w", local, remote, err))
 				return
 			}
 			ep.in.put(f)
@@ -78,234 +113,104 @@ func (ep *peerEndpoint) startReader(m *mesh) {
 	}()
 }
 
-// pairKey identifies a directed endpoint: the local device's view of its
-// link to the remote device.
-type pairKey struct{ local, remote int }
-
-// mesh is one session's set of peer endpoints. The worker's accept path
-// hands incoming peer connections to acceptPeer (on the listener's
-// handler goroutine); the session's establish phase dials the outbound
-// half and blocks in wait until every expected endpoint exists.
-type mesh struct {
-	epoch int64
-	dir   []string // peers directory: device rank -> worker address
-
-	// Transient-fault absorption wiring (zero/nil when Run.Retry is off):
-	// retry is the session's policy, net redials broken dialer-side links,
-	// linkDown reports a budget-exhausted link's device edge, onAbsorb and
-	// logf observe successful reconnects.
-	retry    wire.RetrySpec
-	net      transport.Network
-	linkDown func(local, remote int)
-	onAbsorb func(replayed int)
-	logf     func(format string, args ...any)
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	eps     map[pairKey]*peerEndpoint
-	pending map[pairKey]bool // endpoints acceptPeer must still deliver
-	closed  bool
-	readers sync.WaitGroup
+// relay installs the (local, remote) endpoint of a degraded edge: no
+// connection of its own, an outbox that wraps each frame for the
+// coordinator to forward, and an inbox the session's router fills.
+func (m *mesh) relay(local, remote int) {
+	control := m.control.out
+	m.eps[pairKey{local, remote}] = &endpoint{in: newInbox(),
+		out: newOutbox(func(f *wire.Frame) error {
+			control.Enqueue(wire.EncodeRelay(int32(remote), f))
+			return nil
+		})}
 }
 
-func newMesh(epoch int64, dir []string) *mesh {
-	m := &mesh{epoch: epoch, dir: dir,
-		eps: make(map[pairKey]*peerEndpoint), pending: make(map[pairKey]bool)}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-// retryPolicy converts a wire-level retry spec into the transport policy
-// of one link.
-func retryPolicy(r wire.RetrySpec) transport.RetryPolicy {
-	return transport.RetryPolicy{
-		Backoff:  time.Duration(r.BackoffMillis) * time.Millisecond,
-		Budget:   time.Duration(r.BudgetMillis) * time.Millisecond,
-		AckEvery: r.AckEvery,
+// unwrap delivers a relayed peer frame off the control link into the
+// inbox of the degraded edge it crossed; a frame naming any other pair is
+// a protocol error.
+func (m *mesh) unwrap(f *wire.Frame) error {
+	inner, err := wire.DecodeRelay(f)
+	if err != nil {
+		return err
 	}
-}
-
-func (m *mesh) retryPolicy() transport.RetryPolicy { return retryPolicy(m.retry) }
-
-// resume wraps an established peer connection in its resumable layer;
-// redial is nil on the accepting side.
-func (m *mesh) resume(conn transport.Conn, local, remote int, redial transport.RedialFunc) *transport.Resumable {
-	return transport.NewResumable(conn, m.retryPolicy(), transport.ResumableOptions{
-		Redial:   redial,
-		Name:     fmt.Sprintf("peer link %d<->%d", local, remote),
-		Logf:     m.logf,
-		OnAbsorb: m.onAbsorb,
-	})
-}
-
-// expectAccept marks a (local, remote) endpoint as one the worker's
-// accept path will deliver; called before any peer dials out.
-func (m *mesh) expectAccept(local, remote int) {
 	m.mu.Lock()
-	m.pending[pairKey{local, remote}] = true
+	ep := m.eps[pairKey{int(f.Dev), int(inner.Dev)}]
 	m.mu.Unlock()
+	if ep == nil || ep.conn != nil {
+		return fmt.Errorf("cluster: relayed %v from device %d to device %d crosses no degraded edge of this session",
+			inner.Kind, inner.Dev, f.Dev)
+	}
+	ep.in.put(inner)
+	return nil
 }
 
-// acceptPeer installs an accepted peer connection and echoes the
-// handshake, signalling the dialer that the hosting session picked the
-// link up. Runs on the worker's connection-handler goroutine; on error
-// the caller closes the connection.
-func (m *mesh) acceptPeer(h wire.PeerHello, conn transport.Conn) error {
+// accept picks up a connection whose hello names a device this session
+// hosts, and echoes the hello so the dialer knows it did. A fresh hello
+// must be one of the peer links the session still expects; a resume hello
+// re-attaches to the endpoint it names — the control endpoint when it
+// comes from the coordinator — whose resumable layer echoes with our
+// receive count and replays the unacked tail. Runs on the worker's
+// connection-handler goroutine; on error the caller closes the
+// connection.
+func (m *mesh) accept(h wire.PeerHello, conn transport.Conn) error {
 	key := pairKey{local: h.To, remote: h.From}
+	echo := wire.PeerHello{Epoch: m.epoch, From: h.To, To: h.From, Resume: h.Resume}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
+		m.mu.Unlock()
 		return fmt.Errorf("cluster: mesh closed")
 	}
+	if h.Resume {
+		ep := m.eps[key]
+		m.mu.Unlock()
+		if h.From == int(wire.NoDev) {
+			ep = m.control
+		}
+		if ep == nil || ep.res == nil {
+			return fmt.Errorf("cluster: resume for unknown link %d->%d", h.From, h.To)
+		}
+		return ep.res.Adopt(conn, h.Recvd, func(recvd int64) *wire.Frame {
+			echo.Recvd = recvd
+			return wire.EncodePeerHello(echo)
+		})
+	}
+	defer m.mu.Unlock()
 	if !m.pending[key] {
 		return fmt.Errorf("cluster: unexpected peer link %d->%d", h.From, h.To)
 	}
-	echo := wire.EncodePeerHello(wire.PeerHello{Epoch: m.epoch, From: h.To, To: h.From})
-	link := transport.Conn(conn)
-	var res *transport.Resumable
-	if m.retry.Enabled() {
-		// The echo must travel on the raw connection before the resumable
-		// wrapper installs: both sides start counting application frames
-		// right after the handshake, so the echo must stay outside the
-		// counted stream.
-		if err := conn.Send(echo); err != nil {
-			return fmt.Errorf("cluster: peer echo %d->%d: %w", h.To, h.From, err)
-		}
-		res = m.resume(conn, h.To, h.From, nil)
-		link = res
+	// The echo travels on the raw connection, outside the stream a
+	// resumable link counts; this goroutine is still its only writer.
+	if err := conn.Send(wire.EncodePeerHello(echo)); err != nil {
+		return fmt.Errorf("cluster: peer echo %d->%d: %w", h.To, h.From, err)
 	}
 	delete(m.pending, key)
-	ep := &peerEndpoint{local: h.To, remote: h.From, conn: link, res: res,
-		out: newOutbox(link), in: newInbox()}
-	if res == nil {
-		// The echo goes through the endpoint's own outbox — the only writer
-		// this connection will ever have on this side.
-		ep.out.Enqueue(echo)
-	}
-	ep.startReader(m)
-	m.eps[key] = ep
+	m.install(conn, h.To, h.From, "")
 	m.cond.Broadcast()
 	return nil
 }
 
-// adoptPeer re-attaches a redialed peer connection (a resume PeerHello)
-// to its existing endpoint: the resumable layer echoes the handshake
-// with our receive count and replays the unacked tail.
-func (m *mesh) adoptPeer(h wire.PeerHello, conn transport.Conn) error {
-	m.mu.Lock()
-	ep := m.eps[pairKey{local: h.To, remote: h.From}]
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
-		return fmt.Errorf("cluster: mesh closed")
-	}
-	if ep == nil || ep.res == nil {
-		return fmt.Errorf("cluster: resume for unknown peer link %d->%d", h.From, h.To)
-	}
-	return ep.res.Adopt(conn, h.Recvd, func(recvd int64) *wire.Frame {
-		return wire.EncodePeerHello(wire.PeerHello{
-			Epoch: m.epoch, From: h.To, To: h.From, Resume: true, Recvd: recvd})
-	})
-}
-
-// dialPeer establishes the outbound half of one pair: dial the remote
-// device's worker, consume its Hello, send our PeerHello, and wait for
-// the echo proving the hosting session accepted the link. Retries until
-// the deadline — the remote session may not have received its Assign yet.
-func (m *mesh) dialPeer(net transport.Network, local, remote int, deadline time.Time) (*peerEndpoint, error) {
+// dialPeer establishes the outbound half of one pair, retrying until the
+// deadline — the remote session may not have received its Assign yet.
+func (m *mesh) dialPeer(local, remote int, deadline time.Time) error {
 	addr := m.dir[remote]
-	var lastErr error
 	for {
+		conn, _, err := m.open(addr, wire.PeerHello{Epoch: m.epoch, From: local, To: remote}, deadline)
+		if err == nil {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			if m.closed {
+				conn.Close()
+				return fmt.Errorf("cluster: mesh closed")
+			}
+			m.install(conn, local, remote, addr)
+			return nil
+		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("cluster: peer link %d->%d to %s not established before deadline (last error: %v)",
-				local, remote, addr, lastErr)
+			return fmt.Errorf("cluster: peer link %d->%d to %s not established before deadline (last error: %v)",
+				local, remote, addr, err)
 		}
-		conn, err := dialHello(net, addr, deadline)
-		if err != nil {
-			lastErr = err
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		ep, err := m.handshakePeer(conn, local, remote, deadline)
-		if err != nil {
-			conn.Close()
-			lastErr = err
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		return ep, nil
+		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-func (m *mesh) handshakePeer(conn transport.Conn, local, remote int, deadline time.Time) (*peerEndpoint, error) {
-	if err := conn.Send(wire.EncodePeerHello(wire.PeerHello{Epoch: m.epoch, From: local, To: remote})); err != nil {
-		return nil, err
-	}
-	echo, err := recvDeadline(conn, deadline)
-	if err != nil {
-		return nil, err
-	}
-	h, err := wire.DecodePeerHello(echo)
-	if err != nil {
-		return nil, err
-	}
-	if h.Epoch != m.epoch || h.From != remote || h.To != local {
-		return nil, fmt.Errorf("peer echo names epoch %d link %d->%d, want epoch %d link %d->%d",
-			h.Epoch, h.From, h.To, m.epoch, remote, local)
-	}
-	link := transport.Conn(conn)
-	var res *transport.Resumable
-	if m.retry.Enabled() {
-		addr := m.dir[remote]
-		res = m.resume(conn, local, remote, func(recvd int64) (transport.Conn, int64, error) {
-			return m.redialPeer(addr, local, remote, recvd)
-		})
-		link = res
-	}
-	ep := &peerEndpoint{local: local, remote: remote, conn: link, res: res,
-		out: newOutbox(link), in: newInbox()}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		if res != nil {
-			res.Close()
-		}
-		return nil, fmt.Errorf("mesh closed")
-	}
-	ep.startReader(m)
-	m.eps[pairKey{local, remote}] = ep
-	m.mu.Unlock()
-	return ep, nil
-}
-
-// redialPeer re-establishes a broken dialer-side peer link: fresh dial,
-// the worker's Hello, then a resume PeerHello carrying our count of
-// received application frames; the echo carries the remote's count,
-// which bounds the replay to exactly the frames the break swallowed.
-func (m *mesh) redialPeer(addr string, local, remote int, recvd int64) (transport.Conn, int64, error) {
-	deadline := time.Now().Add(m.retryPolicy().Budget)
-	conn, err := dialHello(m.net, addr, deadline)
-	if err != nil {
-		return nil, 0, err
-	}
-	err = conn.Send(wire.EncodePeerHello(wire.PeerHello{
-		Epoch: m.epoch, From: local, To: remote, Resume: true, Recvd: recvd}))
-	var h wire.PeerHello
-	if err == nil {
-		var echo *wire.Frame
-		if echo, err = recvDeadline(conn, deadline); err == nil {
-			h, err = wire.DecodePeerHello(echo)
-		}
-	}
-	if err == nil && (h.Epoch != m.epoch || h.From != remote || h.To != local || !h.Resume) {
-		err = fmt.Errorf("resume echo names epoch %d link %d->%d, want epoch %d link %d->%d",
-			h.Epoch, h.From, h.To, m.epoch, remote, local)
-	}
-	if err != nil {
-		conn.Close()
-		return nil, 0, err
-	}
-	return conn, h.Recvd, nil
 }
 
 // waitAccepted blocks until every expected inbound endpoint was delivered
@@ -332,54 +237,43 @@ func (m *mesh) waitAccepted(deadline time.Time) error {
 	return nil
 }
 
-// endpoint returns the established endpoint for a (local, remote) pair.
-func (m *mesh) endpoint(local, remote int) *peerEndpoint {
+// peers returns device local's endpoints by remote device.
+func (m *mesh) peers(local int) map[int]*endpoint {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.eps[pairKey{local, remote}]
+	out := make(map[int]*endpoint)
+	for k, ep := range m.eps {
+		if k.local == local {
+			out[k.remote] = ep
+		}
+	}
+	return out
 }
 
-// fail wakes every endpoint's waiters: a dead session or device must not
-// leave a sibling device blocked on a peer frame that will never arrive.
+// fail wakes every peer endpoint's waiters: a dead session or device must
+// not leave a sibling device blocked on a peer frame that will never
+// arrive.
 func (m *mesh) fail(err error) {
 	m.mu.Lock()
-	eps := make([]*peerEndpoint, 0, len(m.eps))
+	defer m.mu.Unlock()
 	for _, ep := range m.eps {
-		eps = append(eps, ep)
-	}
-	m.mu.Unlock()
-	for _, ep := range eps {
 		ep.in.fail(err)
 	}
 }
 
-// close tears the mesh down. Graceful close flushes each outbox before
-// closing the connection (in-flight frames were already consumed by the
-// time the coordinator drains the session); on the failure path the
-// connections close first so a writer stuck mid-Send is unblocked.
+// close tears the peer endpoints down (the control endpoint outlives them:
+// a relayed edge flushes into it) and joins their readers.
 func (m *mesh) close(graceful bool) {
 	m.mu.Lock()
 	m.closed = true
-	eps := make([]*peerEndpoint, 0, len(m.eps))
+	eps := make([]*endpoint, 0, len(m.eps))
 	for _, ep := range m.eps {
 		eps = append(eps, ep)
 	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	for _, ep := range eps {
-		// Retiring first makes the teardown's own connection breaks
-		// terminal instead of triggering a futile reconnect dance.
-		if ep.res != nil {
-			ep.res.Retire()
-		}
-		if graceful {
-			ep.out.Close()
-			ep.conn.Close()
-		} else {
-			ep.conn.Close()
-			ep.out.Kill()
-			ep.out.Close()
-		}
+		ep.close(graceful)
 	}
 	m.readers.Wait()
 }
@@ -387,27 +281,34 @@ func (m *mesh) close(graceful bool) {
 // peerSets enumerates the remote devices one local device communicates
 // with under ring topology: every other member of its own (split) group,
 // every member of the previous group, and every member of the next group.
-func peerSets(plan []groupInfo, dev int) (group, prev, next []int) {
-	for gi, g := range plan {
-		for _, d := range g.devices {
-			if d != dev {
-				continue
-			}
-			group = g.devices
-			if gi > 0 {
-				prev = plan[gi-1].devices
-			}
-			if gi < len(plan)-1 {
-				next = plan[gi+1].devices
-			}
-			return group, prev, next
-		}
+func peerSets(plan sched.Plan, dev int) (group, prev, next []int) {
+	gi := plan.GroupOf(dev)
+	if gi < 0 {
+		return nil, nil, nil
 	}
-	return nil, nil, nil
+	group = plan.Groups[gi].Devices
+	if gi > 0 {
+		prev = plan.Groups[gi-1].Devices
+	}
+	if gi < len(plan.Groups)-1 {
+		next = plan.Groups[gi+1].Devices
+	}
+	return group, prev, next
 }
 
-// groupInfo is the slice of plan structure the mesh needs.
-type groupInfo struct{ devices []int }
+// peerRemotes flattens peerSets into the remote device ranks one local
+// device holds links to.
+func peerRemotes(plan sched.Plan, dev int) []int {
+	group, prev, next := peerSets(plan, dev)
+	var out []int
+	for _, r := range group {
+		if r != dev {
+			out = append(out, r)
+		}
+	}
+	out = append(out, prev...)
+	return append(out, next...)
+}
 
 // ringLink implements engine.DeviceLink for ring topology: stage-to-stage
 // activations and the intra-group all-reduce travel over peer endpoints,
@@ -421,17 +322,9 @@ type ringLink struct {
 	group []int // own group's device ranks in rank order
 	prev  []int // previous group's device ranks (nil for group 0)
 	next  []int // next group's device ranks (nil for the last group)
-	peers map[int]*peerEndpoint
-
-	// Degraded-edge routing (tier 2 of fault absorption): remotes whose
-	// direct link is persistently down exchange activations and acks via
-	// the coordinator hub relay instead; groupHub is set when any
-	// intra-group edge is degraded, falling the whole group's all-reduce
-	// back to the coordinator's fold — bit-identical by construction.
-	degraded  map[int]bool
-	groupHub  bool
-	relayIn   map[int][]*wire.Frame // stashed KindRelay frames by sender
-	relayAcks map[int][]*wire.Frame // stashed KindRelayAck frames by receiver
+	// peers holds the endpoint to each remote device; whether an edge is
+	// direct or relayed through the coordinator is not visible from here.
+	peers map[int]*endpoint
 
 	// Activation-forward flow control: a sender may run at most ackWindow
 	// steps ahead of the slowest downstream consumer's acks.
@@ -442,63 +335,6 @@ type ringLink struct {
 	flat   []float32
 	acc    []float32
 	segOff []int
-}
-
-// nextRelay returns the step's hub-relayed activation from the given
-// degraded sender, stashing relay frames that belong to other senders.
-// Frames from one sender arrive in order (the hub preserves per-link
-// ordering), so a strict step check suffices.
-func (l *ringLink) nextRelay(sender, step int) *tensor.Tensor {
-	for {
-		if q := l.relayIn[sender]; len(q) > 0 {
-			f := q[0]
-			l.relayIn[sender] = q[1:]
-			if int(f.Step) != step {
-				sessionFail("cluster: dev %d got relayed input for step %d from device %d, want %d", l.dev, f.Step, sender, step)
-			}
-			_, t, err := wire.DecodeRelay(f)
-			if err != nil {
-				sessionFail("cluster: dev %d decoding relayed input of step %d from device %d: %w", l.dev, step, sender, err)
-			}
-			return t
-		}
-		f, err := l.in.next(wire.KindRelay)
-		if err != nil {
-			sessionFail("cluster: dev %d waiting for relayed input from device %d (step %d): %w", l.dev, sender, step, err)
-		}
-		s, err := wire.RelaySender(f)
-		if err != nil {
-			sessionFail("cluster: dev %d reading relay sender: %w", l.dev, err)
-		}
-		if l.relayIn == nil {
-			l.relayIn = make(map[int][]*wire.Frame)
-		}
-		l.relayIn[s] = append(l.relayIn[s], f)
-	}
-}
-
-// nextRelayAck returns the next hub-relayed activation ack from the given
-// degraded receiver, stashing acks that belong to other receivers.
-func (l *ringLink) nextRelayAck(receiver int) *wire.Frame {
-	for {
-		if q := l.relayAcks[receiver]; len(q) > 0 {
-			f := q[0]
-			l.relayAcks[receiver] = q[1:]
-			return f
-		}
-		f, err := l.in.next(wire.KindRelayAck)
-		if err != nil {
-			sessionFail("cluster: dev %d waiting for relayed ack from device %d: %w", l.dev, receiver, err)
-		}
-		rcv, err := wire.DecodeRelayAck(f)
-		if err != nil {
-			sessionFail("cluster: dev %d decoding relayed ack: %w", l.dev, err)
-		}
-		if l.relayAcks == nil {
-			l.relayAcks = make(map[int][]*wire.Frame)
-		}
-		l.relayAcks[rcv] = append(l.relayAcks[rcv], f)
-	}
 }
 
 func (l *ringLink) recvPeer(remote int, kind wire.Kind, step int) *wire.Frame {
@@ -527,10 +363,6 @@ func (l *ringLink) RecvInput(step int) *tensor.Tensor {
 	}
 	parts := make([]*tensor.Tensor, len(l.prev))
 	for i, pd := range l.prev {
-		if l.degraded[pd] {
-			parts[i] = l.nextRelay(pd, step)
-			continue
-		}
 		f := l.recvPeer(pd, wire.KindPeerInput, step)
 		t, err := wire.DecodeTensor(f)
 		if err != nil {
@@ -543,10 +375,6 @@ func (l *ringLink) RecvInput(step int) *tensor.Tensor {
 		sessionFail("cluster: dev %d step %d upstream: %w", l.dev, step, err)
 	}
 	for _, pd := range l.prev {
-		if l.degraded[pd] {
-			l.out.Enqueue(wire.EncodeRelayAck(int32(pd), int32(l.dev), int32(step)))
-			continue
-		}
 		l.peers[pd].out.Enqueue(wire.Control(wire.KindPeerAck, l.dev, int32(step)))
 	}
 	return full
@@ -576,15 +404,9 @@ func (l *ringLink) SendOutput(step int, out *tensor.Tensor) {
 	target := step - ackWindow
 	for i, nd := range l.next {
 		for l.nextAcked[i] < target {
-			var f *wire.Frame
-			if l.degraded[nd] {
-				f = l.nextRelayAck(nd)
-			} else {
-				var err error
-				f, err = l.peers[nd].in.next(wire.KindPeerAck)
-				if err != nil {
-					sessionFail("cluster: dev %d waiting for ack from device %d: %w", l.dev, nd, err)
-				}
+			f, err := l.peers[nd].in.next(wire.KindPeerAck)
+			if err != nil {
+				sessionFail("cluster: dev %d waiting for ack from device %d: %w", l.dev, nd, err)
 			}
 			if int(f.Step) != l.nextAcked[i]+1 {
 				sessionFail("cluster: dev %d got ack for step %d from device %d, want %d", l.dev, f.Step, nd, l.nextAcked[i]+1)
@@ -593,15 +415,8 @@ func (l *ringLink) SendOutput(step int, out *tensor.Tensor) {
 		}
 	}
 	rg.End()
-	var f *wire.Frame
+	f := wire.EncodeTensor(wire.KindPeerInput, l.dev, int32(step), out)
 	for _, nd := range l.next {
-		if l.degraded[nd] {
-			l.out.Enqueue(wire.EncodeRelay(int32(l.dev), int32(nd), int32(step), out))
-			continue
-		}
-		if f == nil {
-			f = wire.EncodeTensor(wire.KindPeerInput, l.dev, int32(step), out)
-		}
 		l.peers[nd].out.Enqueue(f)
 	}
 }
@@ -624,13 +439,6 @@ func (l *ringLink) SendOutput(step int, out *tensor.Tensor) {
 // k == 2 the ring degenerates, so both members exchange their full
 // vectors instead and fold them identically.
 func (l *ringLink) AllReduce(step int, grads []*tensor.Tensor, scratch *tensor.Arena) {
-	if l.groupHub {
-		// A degraded intra-group edge: the whole group falls back to the
-		// coordinator's hub fold, which evaluates in the same rank order
-		// and is therefore bit-identical to the peer ring.
-		l.clusterLink.AllReduce(step, grads, scratch)
-		return
-	}
 	k := l.k
 	if l.flat == nil {
 		total := 0

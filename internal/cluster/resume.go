@@ -71,11 +71,7 @@ type ResumeExpectation struct {
 // cannot drive the persisted snapshot or batch schedule) and any
 // expectation mismatch.
 func validateManifest(dir string, man *ledger.Manifest, exp *ResumeExpectation) error {
-	nDev := 0
-	for _, g := range man.Assign.Plan.Groups {
-		nDev += g.Split()
-	}
-	if err := man.Assign.Plan.Validate(nDev, len(man.Assign.Snapshot.Student)); err != nil {
+	if err := man.Assign.Plan.Validate(man.Assign.Plan.NumDevices(), len(man.Assign.Snapshot.Student)); err != nil {
 		return fmt.Errorf("ledger %s: manifest plan does not fit its own seed snapshot: %w", dir, err)
 	}
 	if len(man.Batches) < man.Assign.Run.Steps {
@@ -273,21 +269,24 @@ func (r *run) carryAt(step int) *runCarry {
 	return r.carryLocked(r.coveredLocked(step))
 }
 
-// replayRecords replays one generation's records through the same state
-// mutations the live handlers use: snapshots into the group history, loss
-// rows into the matrix, barrier releases into every device's mark.
+// replayRecords replays one generation's records through the applier the
+// live handlers commit theirs with.
 func (r *run) replayRecords(recs []*ledger.Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, rec := range recs {
-		if err := r.replayRecordLocked(rec); err != nil {
+		if err := r.applyRecordLocked(rec); err != nil {
 			return fmt.Errorf("cluster: ledger record %d (%v): %w", i, rec.Type, err)
 		}
 	}
 	return nil
 }
 
-func (r *run) replayRecordLocked(rec *ledger.Record) error {
+// applyRecordLocked is the one place the state a restart is computed from
+// changes, for a record a device just reported as for one read back from
+// the ledger: a snapshot enters its group's history, a loss row the matrix,
+// a barrier release every device's mark.
+func (r *run) applyRecordLocked(rec *ledger.Record) error {
 	switch rec.Type {
 	case ledger.TypeDevSnapshot:
 		ds, ok := r.devs[rec.Dev]
@@ -296,6 +295,9 @@ func (r *run) replayRecordLocked(rec *ledger.Record) error {
 		}
 		if err := r.checkSnapshot(rec.Dev, ds.place, rec.Params, rec.Velocity); err != nil {
 			return err
+		}
+		if rec.Step > ds.snapStep {
+			ds.snapStep = rec.Step
 		}
 		r.recordHistLocked(ds.place.gi, rec.Step, rec.Params, rec.Velocity)
 	case ledger.TypeLosses:
@@ -318,7 +320,7 @@ func (r *run) replayRecordLocked(rec *ledger.Record) error {
 		// A compacted log: the children preserve their original order, so
 		// replaying them is replaying the valid sub-history Compact kept.
 		for _, child := range rec.Children {
-			if err := r.replayRecordLocked(child); err != nil {
+			if err := r.applyRecordLocked(child); err != nil {
 				return err
 			}
 		}

@@ -34,7 +34,10 @@ func shortRetry() wire.RetrySpec {
 // loopback and on real TCP. Every flap must be absorbed by the resumable
 // layer (reconnect, replay) without consuming any restart budget: the
 // runs execute with MaxRestarts 0, must not log a global restart, and
-// must finish bit-identical to the fault-free in-process pipeline.
+// must finish bit-identical to the fault-free in-process pipeline. The
+// hub rows flap the control link of a hub run — a loss report on its way
+// in under DPU, a barrier release on its way out without — which is the
+// only path that resumes a session no peer mesh registered.
 func TestRingFlapAbsorbedBitEquivalence(t *testing.T) {
 	leakCheck(t)
 	const steps = 5
@@ -53,20 +56,30 @@ func TestRingFlapAbsorbedBitEquivalence(t *testing.T) {
 		"loopback": func() transport.Network { return transport.NewLoopback() },
 		"tcp":      func() transport.Network { return transport.TCP{} },
 	}
-	links := map[string]wire.Kind{
-		"all-reduce":  wire.KindRingSegment,
-		"activations": wire.KindPeerInput,
-		"control":     wire.KindLosses, // loss reports cross the worker->coordinator control link
+	type link struct {
+		kind     wire.Kind
+		op       transport.Op // as the dialing side sees the frame
+		topology string
+		dpu      bool
+	}
+	links := map[string]link{
+		"all-reduce":  {kind: wire.KindRingSegment, op: transport.OpRecv, topology: "ring"},
+		"activations": {kind: wire.KindPeerInput, op: transport.OpRecv, topology: "ring", dpu: true},
+		// Loss reports cross the worker->coordinator control link, barrier
+		// releases the same link the other way.
+		"control":         {kind: wire.KindLosses, op: transport.OpRecv, topology: "ring"},
+		"hub-control-dpu": {kind: wire.KindLosses, op: transport.OpRecv, topology: "hub", dpu: true},
+		"hub-control":     {kind: wire.KindStepGo, op: transport.OpSend, topology: "hub"},
 	}
 	for netName, mkNet := range transports {
-		for linkName, kind := range links {
+		for linkName, lk := range links {
 			for _, flapStep := range []int32{0, steps / 2, steps - 1} {
-				dpu := kind == wire.KindPeerInput
+				kind, dpu := lk.kind, lk.dpu
 				label := fmt.Sprintf("%s/%s/flap-step-%d", netName, linkName, flapStep)
 				t.Run(label, func(t *testing.T) {
 					inner := mkNet()
 					chaos := transport.NewChaos(inner, transport.Fault{
-						Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpRecv,
+						Trigger: transport.Trigger{Conn: transport.AnyConn, Op: lk.op,
 							Kind: kind, Step: flapStep, Count: 1},
 						Action: transport.ActFlap,
 					})
@@ -74,7 +87,7 @@ func TestRingFlapAbsorbedBitEquivalence(t *testing.T) {
 					// flaps a worker-to-worker one; wrap whichever side the
 					// fault targets and leave the other on the raw network.
 					coordNet, workerDial := transport.Network(inner), transport.Network(chaos)
-					if kind == wire.KindLosses {
+					if kind == wire.KindLosses || kind == wire.KindStepGo {
 						coordNet, workerDial = chaos, inner
 					}
 					counters := obs.NewMetrics()
@@ -83,13 +96,13 @@ func TestRingFlapAbsorbedBitEquivalence(t *testing.T) {
 					logf, logs := captureLog()
 					w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 					res, err := Run(coordNet, addrs, w, batches, Config{
-						Plan: p, DPU: dpu, LR: 0.05, Momentum: 0.9, Topology: "ring",
+						Plan: p, DPU: dpu, LR: 0.05, Momentum: 0.9, Topology: lk.topology,
 						Spec:  TinySpec(distill.DefaultTinyConfig()),
 						Retry: fastRetry(), Metrics: counters,
 						JoinTimeout: 10 * time.Second, Logf: logf,
 					})
 					if err != nil {
-						t.Fatalf("ring run with injected flap failed: %v\nlog:\n%s", err, logs())
+						t.Fatalf("%s run with injected flap failed: %v\nlog:\n%s", lk.topology, err, logs())
 					}
 					if unfired := chaos.Unfired(); len(unfired) > 0 {
 						t.Fatalf("flap never fired (%v): the absorption self-test is vacuous", unfired)
@@ -100,6 +113,7 @@ func TestRingFlapAbsorbedBitEquivalence(t *testing.T) {
 					if got := counters.Counter("link_faults_absorbed").Load(); got == 0 {
 						t.Fatalf("no link fault recorded as absorbed; log:\n%s", logs())
 					}
+					wantRecoveries(t, counters, 0, logs)
 					lossesBitIdentical(t, label, res, refRes[dpu])
 					weightsBitIdentical(t, label, w, refs[dpu])
 				})
@@ -210,10 +224,11 @@ func TestRingPersistentPartitionDegradesToHubRelay(t *testing.T) {
 
 // TestRingPersistentPartitionDegradesAllReduce partitions the ring-segment
 // edge of a split group (tail-dp: devices 1 and 2 share the tail group on
-// separate workers). The degrade tier must fall the whole group back to
-// the coordinator's hub all-reduce — which folds in the same rank order,
-// so the result stays bit-identical — while the healthy activation edges
-// keep flowing peer-to-peer.
+// separate workers). The group keeps its ring — same segments, same
+// ascending-rank fold, so the result stays bit-identical — and only the
+// broken edge changes transport: its segments cross the coordinator in
+// relay envelopes, no gradient ever reaches the hub's fold, and the healthy
+// activation edges keep flowing peer-to-peer.
 func TestRingPersistentPartitionDegradesAllReduce(t *testing.T) {
 	leakCheck(t)
 	batches := tinyBatches(5, 8)
@@ -230,9 +245,16 @@ func TestRingPersistentPartitionDegradesAllReduce(t *testing.T) {
 	counters := obs.NewMetrics()
 	addrs := startWorkers(t, inner, 3, WorkerConfig{
 		Sessions: 1, Rejoin: true, Dial: chaos, Metrics: counters})
+	// A zero delay is a pure observer: whether each fired says which kinds
+	// reached the coordinator.
+	seen := func(kind wire.Kind) transport.Fault {
+		return transport.Fault{Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpRecv,
+			Kind: kind, Step: transport.AnyStep, Count: 1}, Action: transport.ActDelay}
+	}
+	coordNet := transport.NewChaos(inner, seen(wire.KindGrads), seen(wire.KindRelay))
 	logf, logs := captureLog()
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	res, err := Run(inner, addrs, w, batches, Config{
+	res, err := Run(coordNet, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
 		Spec:  TinySpec(distill.DefaultTinyConfig()),
 		Retry: shortRetry(), Metrics: counters,
@@ -240,6 +262,9 @@ func TestRingPersistentPartitionDegradesAllReduce(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("ring run with partitioned all-reduce edge failed: %v\nlog:\n%s", err, logs())
+	}
+	if unfired := coordNet.Unfired(); len(unfired) != 1 || unfired[0].Kind != wire.KindGrads {
+		t.Fatalf("coordinator must have seen relay envelopes and no gradients; unseen kinds: %v", unfired)
 	}
 	if !strings.Contains(logs(), "degrading peer link") {
 		t.Fatalf("partition did not engage the degrade tier; log:\n%s", logs())

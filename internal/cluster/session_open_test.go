@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/cluster/transport"
@@ -231,6 +232,58 @@ func TestHubInputShortScheduleRefused(t *testing.T) {
 	}
 	if n := metrics.Counter("device_steps").Load(); n != 0 {
 		t.Fatalf("refused session still ran %d device steps", n)
+	}
+}
+
+// TestProbeSpendsNoSessionSlot: a connection that closes right after the
+// worker's Hello — the degrade tier's liveness probe, a health check, a
+// port scan — never sent an Assign, so it is not a session: a worker with
+// a one-session budget and no Rejoin still serves the real session that
+// follows, and only then does Serve return.
+func TestProbeSpendsNoSessionSlot(t *testing.T) {
+	leakCheck(t)
+	net := transport.NewLoopback()
+	lis, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := NewWorker(lis, WorkerConfig{Sessions: 1})
+	served := make(chan error, 1)
+	go func() { served <- worker.Serve() }()
+
+	probe, err := net.Dial(worker.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hello, err := probe.Recv(); err != nil || hello.Kind != wire.KindHello {
+		t.Fatalf("probe handshake: %v, %v", hello, err)
+	}
+	probe.Close()
+	select {
+	case err := <-served:
+		t.Fatalf("the probe spent the worker's only session slot (Serve returned %v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	batches := tinyBatches(3, 8)
+	p := plan("one-dev", g([]int{0}, []int{0, 1, 2, 3}))
+	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
+	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	res, err := Run(net, []string{worker.Addr()}, w, batches, Config{Plan: p, DPU: true,
+		LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig())})
+	if err != nil {
+		t.Fatalf("session after the probe: %v", err)
+	}
+	lossesBitIdentical(t, "after probe", res, refRes)
+	weightsBitIdentical(t, "after probe", w, ref)
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("worker serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after the one real session")
 	}
 }
 

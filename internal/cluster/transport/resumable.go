@@ -41,7 +41,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // RedialFunc re-establishes a broken link: it dials the peer, performs
-// the resume handshake carrying recvd (the local count of application
+// the resume hello carrying recvd (the local count of application
 // frames received so far), and returns the fresh connection plus the
 // peer's received count from the handshake echo. It is called from the
 // reconnect goroutine; each invocation should bound its own blocking.
@@ -58,10 +58,14 @@ type RedialFunc func(recvd int64) (Conn, int64, error)
 // The wrapper is installed after the initial handshake, so handshake
 // frames live outside the counted stream; KindLinkAck frames are
 // likewise consumed internally and never surface to callers. One side
-// owns redial (the original dialer, via a RedialFunc); the other waits
-// for the peer to redial and re-attaches the fresh connection with
-// Adopt. Like the Conn it wraps, each direction must be driven by at
-// most one goroutine.
+// owns redial (the original dialer, via a RedialFunc): it re-opens the
+// link with the hello that opened it — a wire.PeerHello naming the epoch
+// and the device pair, the coordinator's end being NoDev — now marked
+// Resume and carrying its receive count. The other side waits for that
+// hello and re-attaches the fresh connection with Adopt, whose echo is
+// the same hello carrying its own count; control links and peer links
+// resume alike. Like the Conn it wraps, each direction must be driven by
+// at most one goroutine.
 type Resumable struct {
 	policy   RetryPolicy
 	redial   RedialFunc // nil on the accepting side

@@ -13,8 +13,9 @@ import (
 )
 
 // resumableHarness wires two Resumables over a loopback listener the way
-// the cluster does: the dialer side owns redial with a SessionResume
-// handshake, the acceptor side adopts redialed connections.
+// the cluster does: the dialer side owns redial with a resume PeerHello
+// (here the coordinator's, From NoDev), the acceptor side adopts redialed
+// connections and echoes the hello with its own receive count.
 type resumableHarness struct {
 	a, b *Resumable // a dials, b accepts
 	lis  Listener
@@ -47,7 +48,7 @@ func newResumableHarness(t *testing.T, policy RetryPolicy, aOpts, bOpts Resumabl
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := c.Send(wire.EncodeSessionResume(wire.SessionResume{Session: 1, Recvd: recvd})); err != nil {
+		if err := c.Send(wire.EncodePeerHello(resumeHello(int(wire.NoDev), 0, recvd))); err != nil {
 			c.Close()
 			return nil, 0, err
 		}
@@ -56,12 +57,12 @@ func newResumableHarness(t *testing.T, policy RetryPolicy, aOpts, bOpts Resumabl
 			c.Close()
 			return nil, 0, err
 		}
-		sr, err := wire.DecodeSessionResume(f)
+		echo, err := wire.DecodePeerHello(f)
 		if err != nil {
 			c.Close()
 			return nil, 0, err
 		}
-		return c, sr.Recvd, nil
+		return c, echo.Recvd, nil
 	}
 	h.a = NewResumable(rawA, policy, aOpts)
 	h.b = NewResumable(rawB, policy, bOpts)
@@ -80,13 +81,13 @@ func newResumableHarness(t *testing.T, policy RetryPolicy, aOpts, bOpts Resumabl
 					c.Close()
 					return
 				}
-				sr, err := wire.DecodeSessionResume(f)
-				if err != nil {
+				hello, err := wire.DecodePeerHello(f)
+				if err != nil || !hello.Resume {
 					c.Close()
 					return
 				}
-				h.b.Adopt(c, sr.Recvd, func(recvd int64) *wire.Frame {
-					return wire.EncodeSessionResume(wire.SessionResume{Session: 1, Recvd: recvd})
+				h.b.Adopt(c, hello.Recvd, func(recvd int64) *wire.Frame {
+					return wire.EncodePeerHello(resumeHello(hello.To, hello.From, recvd))
 				})
 			}(c)
 		}
@@ -97,6 +98,10 @@ func newResumableHarness(t *testing.T, policy RetryPolicy, aOpts, bOpts Resumabl
 		h.lis.Close()
 	})
 	return h
+}
+
+func resumeHello(from, to int, recvd int64) wire.PeerHello {
+	return wire.PeerHello{Epoch: 1, From: from, To: to, Resume: true, Recvd: recvd}
 }
 
 // breakLink closes the current underlying connection of r, simulating a

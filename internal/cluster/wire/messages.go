@@ -189,15 +189,11 @@ type Assign struct {
 	// sessions hosting only later groups and when Run.Data has the workers
 	// regenerate the schedule themselves.
 	Inputs []*tensor.Tensor
-	// Session identifies this control link for resume (codec v8): a
-	// redialed connection carrying KindSessionResume with this id
-	// re-attaches to the live session. 0 when Run.Retry is disabled.
-	Session int64
 	// Degraded lists peer edges demoted to hub-relayed routing, as
 	// flattened device-rank pairs [from0, to0, from1, to1, ...]. The mesh
-	// skips these pairs; activations cross them as KindRelay frames via
-	// the coordinator, and groups containing a degraded edge fall back to
-	// the hub gradient reduction. Empty in the fault-free case.
+	// dials none of these pairs; whatever crosses them — activations, acks,
+	// ring segments — travels in KindRelay envelopes via the coordinator.
+	// Empty in the fault-free case.
 	Degraded []int
 	// States restores the hosted devices before they run: empty when the
 	// attempt starts at the seed (Snapshot and a fresh optimizer are the
@@ -258,7 +254,6 @@ func writeAssignBody(w *Writer, a *Assign) {
 	writeSnapshotHalf(w, a.Snapshot.Teacher)
 	writeSnapshotHalf(w, a.Snapshot.Student)
 	w.Tensors(a.Inputs)
-	w.I64(a.Session)
 	w.I32s(a.Degraded)
 	w.I32(int32(a.Run.Retry.BackoffMillis))
 	w.I32(int32(a.Run.Retry.BudgetMillis))
@@ -322,7 +317,6 @@ func readAssignBody(r *Reader) (*Assign, error) {
 		return nil, err
 	}
 	a.Inputs = r.Tensors()
-	a.Session = r.I64()
 	a.Degraded = r.I32s()
 	a.Run.Retry.BackoffMillis = int(r.I32())
 	a.Run.Retry.BudgetMillis = int(r.I32())
@@ -575,10 +569,11 @@ func DecodeBatch(payload []byte) (dataset.Batch, error) {
 
 // PeerHello identifies a worker-to-worker link during the mesh-dial
 // phase: the run epoch it belongs to and the device pair it connects
-// (From dialed, To accepted). A resume hello (codec v8) re-attaches a
-// redialed connection to an existing link: Resume marks it and Recvd
-// carries the sender's count of application frames received before the
-// break, so the far side replays exactly the frames that were lost.
+// (From dialed, To accepted). A resume hello re-attaches a redialed
+// connection to an existing link: Resume marks it and Recvd carries the
+// sender's count of application frames received before the break, so the
+// far side replays exactly the frames that were lost. The coordinator's
+// end of a control link is From NoDev, To any device the session hosts.
 type PeerHello struct {
 	Epoch  int64
 	From   int
@@ -634,36 +629,6 @@ func DecodeLinkAck(f *Frame) (int64, error) {
 	return n, nil
 }
 
-// SessionResume re-attaches a redialed control connection to a live
-// worker session: the session id from the Assign and the dialer's count
-// of application frames received before the break. The worker echoes it
-// back with its own received count.
-type SessionResume struct {
-	Session int64
-	Recvd   int64
-}
-
-// EncodeSessionResume packs a control-link resume handshake frame.
-func EncodeSessionResume(s SessionResume) *Frame {
-	w := NewWriter()
-	w.I64(s.Session)
-	w.I64(s.Recvd)
-	return &Frame{Kind: KindSessionResume, Dev: NoDev, Step: NoStep, Payload: w.Bytes()}
-}
-
-// DecodeSessionResume unpacks a control-link resume handshake frame.
-func DecodeSessionResume(f *Frame) (SessionResume, error) {
-	if f.Kind != KindSessionResume {
-		return SessionResume{}, fmt.Errorf("wire: expected %v frame, got %v", KindSessionResume, f.Kind)
-	}
-	r := NewReader(f.Payload)
-	s := SessionResume{Session: r.I64(), Recvd: r.I64()}
-	if err := r.Close(); err != nil {
-		return SessionResume{}, err
-	}
-	return s, nil
-}
-
 // EncodeLinkDown packs a terminal peer-link failure report: the device
 // edge whose reconnect budget is exhausted.
 func EncodeLinkDown(from, to int) *Frame {
@@ -686,63 +651,39 @@ func DecodeLinkDown(f *Frame) (from, to int, err error) {
 	return from, to, nil
 }
 
-// EncodeRelay packs a boundary-activation shard crossing a degraded peer
-// edge via the hub: Dev routes to the receiver, the payload names the
-// sending device, and the tensor bytes are identical to the KindPeerInput
-// frame the direct link would have carried.
-func EncodeRelay(sender, receiver, step int32, t *tensor.Tensor) *Frame {
-	w := NewWriter()
-	w.U32(uint32(sender))
-	w.Tensor(t)
-	return &Frame{Kind: KindRelay, Dev: receiver, Step: step, Payload: w.Bytes()}
+// relayHeader is the envelope's own prefix: inner kind byte + sending device.
+const relayHeader = 5
+
+// EncodeRelay wraps a peer frame for a degraded edge: Dev routes to the
+// destination device, Step is the inner frame's, and the payload is the
+// inner kind byte, the sending device (the inner frame's Dev) and the inner
+// payload verbatim — the bytes the direct link would have carried.
+func EncodeRelay(to int32, inner *Frame) *Frame {
+	w := &Writer{buf: make([]byte, 0, relayHeader+len(inner.Payload))}
+	w.U8(uint8(inner.Kind))
+	w.I32(inner.Dev)
+	w.buf = append(w.buf, inner.Payload...)
+	return &Frame{Kind: KindRelay, Dev: to, Step: inner.Step, Payload: w.Bytes()}
 }
 
-// RelaySender peeks the sending device of a relay frame without paying
-// for the tensor decode — receivers use it to stash frames by sender.
-func RelaySender(f *Frame) (int, error) {
+// DecodeRelay unwraps a relay envelope into the peer frame it carries.
+// Only the three kinds a peer link carries may ride in one.
+func DecodeRelay(f *Frame) (*Frame, error) {
 	if f.Kind != KindRelay {
-		return 0, fmt.Errorf("wire: expected %v frame, got %v", KindRelay, f.Kind)
+		return nil, fmt.Errorf("wire: expected %v frame, got %v", KindRelay, f.Kind)
 	}
 	r := NewReader(f.Payload)
-	s := int(r.U32())
-	return s, r.Err()
-}
-
-// DecodeRelay unpacks a relayed activation shard into its sending device
-// and tensor.
-func DecodeRelay(f *Frame) (sender int, t *tensor.Tensor, err error) {
-	if f.Kind != KindRelay {
-		return 0, nil, fmt.Errorf("wire: expected %v frame, got %v", KindRelay, f.Kind)
+	inner := &Frame{Kind: Kind(r.U8()), Dev: r.I32(), Step: f.Step}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	r := NewReader(f.Payload)
-	sender = int(r.U32())
-	t = r.Tensor()
-	if err := r.Close(); err != nil {
-		return 0, nil, err
+	switch inner.Kind {
+	case KindPeerInput, KindPeerAck, KindRingSegment:
+	default:
+		return nil, fmt.Errorf("wire: relay envelope carries a %v frame", inner.Kind)
 	}
-	return sender, t, nil
-}
-
-// EncodeRelayAck packs a degraded-edge activation acknowledgement: Dev
-// routes to the original sender, the payload names the acking receiver.
-func EncodeRelayAck(sender, receiver, step int32) *Frame {
-	w := NewWriter()
-	w.U32(uint32(receiver))
-	return &Frame{Kind: KindRelayAck, Dev: sender, Step: step, Payload: w.Bytes()}
-}
-
-// DecodeRelayAck unpacks a relay acknowledgement into the acking
-// receiver's device rank.
-func DecodeRelayAck(f *Frame) (receiver int, err error) {
-	if f.Kind != KindRelayAck {
-		return 0, fmt.Errorf("wire: expected %v frame, got %v", KindRelayAck, f.Kind)
-	}
-	r := NewReader(f.Payload)
-	receiver = int(r.U32())
-	if err := r.Close(); err != nil {
-		return 0, err
-	}
-	return receiver, nil
+	inner.Payload = f.Payload[relayHeader:]
+	return inner, nil
 }
 
 // Ring-all-reduce phases carried by KindRingSegment frames.

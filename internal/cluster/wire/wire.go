@@ -10,6 +10,11 @@
 // cluster's bit-equivalence guarantee depends on. All decode paths return
 // errors — never panic — on truncated, oversized, or malformed input, and
 // frames from a different codec version are rejected outright.
+//
+// A session has one way in (Assign) and its links one way to open or
+// resume (PeerHello, echoed; the coordinator is device NoDev). Frames a
+// peer link carries — PeerInput, PeerAck, RingSegment — cross a degraded
+// edge unchanged inside a Relay envelope that only the two ends interpret.
 package wire
 
 import (
@@ -45,14 +50,18 @@ const (
 	// the DataSpec kind selecting token-sequence recipes); version 8
 	// added the transient-fault absorption plane (RunConfig.Retry, the
 	// Assign session id and degraded-edge list, the PeerHello resume
-	// fields, and the LinkAck / SessionResume / LinkDown / Relay /
-	// RelayAck frames behind resumable links and hub-degraded routing);
+	// fields, and the LinkAck / LinkDown / Relay frames behind resumable
+	// links and hub-degraded routing);
 	// version 9 made the session start one way: the Assign carries the
 	// optional per-device restart states the retired Resume frame held,
 	// RunConfig lost Buffer and the snapshot policy's rank-0 dedup flag
 	// (only rank 0 of a group snapshots), and the Resume and Batch kinds
-	// were retired.
-	Version = 9
+	// were retired; version 10 made every link of a session open and resume
+	// one way: a redialed control link re-attaches with a resume PeerHello
+	// from NoDev (the SessionResume kind, byte 24, and the Assign session id
+	// are retired), and Relay became an opaque envelope around any peer
+	// frame, so the RelayAck kind, byte 27, is retired too.
+	Version = 10
 
 	headerLen = 16
 	// MaxPayload bounds a frame's payload so a corrupted or adversarial
@@ -151,30 +160,20 @@ const (
 	// application frame itself — and lets the far side trim its replay
 	// buffer.
 	KindLinkAck
-	// KindSessionResume re-attaches a redialed control connection to a
-	// live worker session: the session id the coordinator was assigned
-	// and the count of application frames the dialer had received before
-	// the link broke. The worker echoes the frame back with its own
-	// received count, and both sides replay exactly the frames the other
-	// never saw.
-	KindSessionResume
+	_ // 24 was the SessionResume kind, retired in version 10 (a resume PeerHello from NoDev)
 	// KindLinkDown reports a peer link whose reconnect budget is
 	// exhausted: the payload names the device edge. The coordinator's
 	// fault classifier uses these reports (plus a worker liveness probe)
 	// to degrade the broken edges to hub-relayed routing instead of
 	// consuming a restart-budget unit.
 	KindLinkDown
-	// KindRelay carries a boundary-activation shard for one step across a
-	// degraded peer edge: the sending device ships it to the coordinator,
-	// which forwards it verbatim to the receiving device's session (Dev
-	// is the receiver; the payload names the sender). Bit-identical to
-	// the KindPeerInput frame it replaces.
+	// KindRelay is the envelope a peer frame (PeerInput, PeerAck or
+	// RingSegment) crosses a degraded peer edge in: the sending session
+	// ships it up its control link, the coordinator forwards it verbatim by
+	// Dev — the destination device — and the hosting session unwraps it
+	// into the peer inbox the direct link would have filled.
 	KindRelay
-	// KindRelayAck acknowledges consumption of a relayed activation shard
-	// across a degraded edge (Dev is the original sender, for routing;
-	// the payload names the acking receiver) — the hub-relayed twin of
-	// KindPeerAck.
-	KindRelayAck
+	// 27 was the RelayAck kind, retired in version 10 (a PeerAck in a Relay).
 )
 
 var kindNames = map[Kind]string{
@@ -186,8 +185,7 @@ var kindNames = map[Kind]string{
 	KindPeerHello: "peer-hello", KindPeerInput: "peer-input",
 	KindRingSegment: "ring-segment", KindPeerAck: "peer-ack", KindSpans: "spans",
 	KindRepartition: "repartition", KindLinkAck: "link-ack",
-	KindSessionResume: "session-resume", KindLinkDown: "link-down",
-	KindRelay: "relay", KindRelayAck: "relay-ack",
+	KindLinkDown: "link-down", KindRelay: "relay",
 }
 
 func (k Kind) String() string {

@@ -331,9 +331,9 @@ func TestResumeTruncatedPayloadRejected(t *testing.T) {
 	}
 }
 
-// retiredKinds are the kind bytes version 9 retired (Batch, Resume); their
-// numbers stay reserved.
-var retiredKinds = []Kind{13, 16}
+// retiredKinds are the kind bytes version 9 (Batch, Resume) and version 10
+// (SessionResume, RelayAck) retired; their numbers stay reserved.
+var retiredKinds = []Kind{13, 16, 24, 27}
 
 // TestRetiredKindsAreUnknown: a frame stamped with a retired kind byte —
 // a Resume from an un-upgraded coordinator that somehow shares our
@@ -346,9 +346,10 @@ func TestRetiredKindsAreUnknown(t *testing.T) {
 			t.Fatalf("retired kind %d: got %v, want an unknown-kind error", k, err)
 		}
 	}
-	if KindDrain != 12 || KindHeartbeat != 14 || KindSnapshot != 15 || KindPeerHello != 17 {
-		t.Fatalf("kinds around the retired gaps moved: drain=%d heartbeat=%d snapshot=%d peer-hello=%d",
-			KindDrain, KindHeartbeat, KindSnapshot, KindPeerHello)
+	if KindDrain != 12 || KindHeartbeat != 14 || KindSnapshot != 15 || KindPeerHello != 17 ||
+		KindLinkAck != 23 || KindLinkDown != 25 || KindRelay != 26 || len(kindNames) != 23 {
+		t.Fatalf("kinds around the retired gaps moved: drain=%d heartbeat=%d snapshot=%d peer-hello=%d link-ack=%d link-down=%d relay=%d (%d kinds)",
+			KindDrain, KindHeartbeat, KindSnapshot, KindPeerHello, KindLinkAck, KindLinkDown, KindRelay, len(kindNames))
 	}
 }
 
@@ -359,7 +360,7 @@ func TestRetiredKindsAreUnknown(t *testing.T) {
 // moved RunConfig's snapshot fields, so a mis-decode would silently
 // scramble the policy).
 func TestVersionSkewOldWorker(t *testing.T) {
-	for _, old := range []byte{1, 2, 3} {
+	for _, old := range []byte{1, 2, 3, 9} {
 		raw := encodeFrameBytes(t, Control(KindHello, NoDev, NoStep))
 		raw[1] = old
 		_, err := ReadFrame(bytes.NewReader(raw))
@@ -433,6 +434,40 @@ func TestPeerHelloRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodePeerHello(Control(KindHello, NoDev, NoStep)); err == nil {
 		t.Fatal("DecodePeerHello accepted a hello frame")
+	}
+}
+
+// TestRelayEnvelope: the envelope a peer frame crosses a degraded edge in
+// routes by the destination device, keeps the inner step, and unwraps to
+// exactly the frame the direct link would have delivered — for the three
+// kinds a peer link carries, and no other.
+func TestRelayEnvelope(t *testing.T) {
+	for _, inner := range []*Frame{
+		EncodeTensor(KindPeerInput, 1, 4, tensor.Rand(rand.New(rand.NewSource(3)), -1, 1, 2, 3)),
+		Control(KindPeerAck, 2, 4),
+		EncodeRingSegment(1, 4, RingContrib, 1, []float32{1, float32(math.Copysign(0, -1))}),
+	} {
+		env := roundTripFrame(t, EncodeRelay(5, inner))
+		if env.Kind != KindRelay || env.Dev != 5 || env.Step != inner.Step {
+			t.Fatalf("envelope header: %+v", env)
+		}
+		got, err := DecodeRelay(env)
+		if err != nil {
+			t.Fatalf("unwrap %v: %v", inner.Kind, err)
+		}
+		if got.Kind != inner.Kind || got.Dev != inner.Dev || got.Step != inner.Step || !bytes.Equal(got.Payload, inner.Payload) {
+			t.Fatalf("unwrapped %+v, want %+v", got, inner)
+		}
+	}
+	for _, bad := range []*Frame{
+		EncodeRelay(5, Control(KindStepGo, 1, 4)),
+		EncodeRelay(5, EncodeRelay(5, Control(KindPeerAck, 1, 4))),
+		{Kind: KindRelay, Dev: 5, Step: 4, Payload: []byte{byte(KindPeerAck), 1}},
+		Control(KindPeerAck, 1, 4),
+	} {
+		if got, err := DecodeRelay(bad); err == nil {
+			t.Fatalf("DecodeRelay accepted %+v as %+v", bad, got)
+		}
 	}
 }
 

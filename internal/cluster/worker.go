@@ -73,18 +73,14 @@ type Worker struct {
 	lis transport.Listener
 	cfg WorkerConfig
 
-	// hosts routes accepted peer connections to the session hosting the
-	// target device, keyed by run epoch so connections from a superseded
-	// attempt can never reach a fresh mesh. hostCond wakes peer connections
-	// that arrived before their session registered.
+	// hosts routes accepted hello connections — a peer link, or any link
+	// being resumed — to the session hosting the target device. Every
+	// session registers, keyed by run epoch so connections from a
+	// superseded attempt can never reach a fresh one. hostCond wakes
+	// connections that arrived before their session registered.
 	hostMu   sync.Mutex
 	hostCond *sync.Cond
 	hosts    map[hostKey]*mesh
-
-	// sessions routes redialed control connections (KindSessionResume) to
-	// the live session's resumable link, keyed by the Assign's session id.
-	sessMu   sync.Mutex
-	sessions map[int64]*transport.Resumable
 }
 
 // hostKey identifies one hosted device within one run attempt.
@@ -95,8 +91,7 @@ type hostKey struct {
 
 // NewWorker wraps a bound listener in a worker server.
 func NewWorker(lis transport.Listener, cfg WorkerConfig) *Worker {
-	w := &Worker{lis: lis, cfg: cfg, hosts: make(map[hostKey]*mesh),
-		sessions: make(map[int64]*transport.Resumable)}
+	w := &Worker{lis: lis, cfg: cfg, hosts: make(map[hostKey]*mesh)}
 	w.hostCond = sync.NewCond(&w.hostMu)
 	return w
 }
@@ -130,14 +125,18 @@ func (w *Worker) Serve() error {
 		go func(conn transport.Conn) {
 			defer wg.Done()
 			isSession, err := w.serveConn(conn)
+			if !isSession {
+				// A link of some session (ownership went to it), or a
+				// connection that never sent an Assign — a liveness probe,
+				// a port scan: serveConn closed what nobody owns, and
+				// neither counts toward the session budget.
+				if err != nil {
+					w.logf("connection dropped: %v", err)
+				}
+				return
+			}
 			if err != nil {
 				w.logf("session failed: %v", err)
-			}
-			if !isSession {
-				// A peer-mesh connection: ownership went to the hosting
-				// session's mesh (or serveConn closed it on error), and it
-				// never counts toward the session budget.
-				return
 			}
 			conn.Close()
 			if w.cfg.Sessions <= 0 {
@@ -175,91 +174,57 @@ type hostedDevice struct {
 // serveConn performs the shared accept handshake — a synchronous Hello,
 // then the first frame — and dispatches on it: Assign opens a coordinator
 // session, PeerHello hands the raw connection to the session hosting the
-// target device. It reports whether the connection was a session
-// connection (which the caller closes and counts toward the session
-// budget; peer connections are owned by their mesh).
+// target device. It reports whether the connection opened a session (which
+// the caller closes and counts toward the session budget); a connection
+// that never sent an Assign is not one.
 func (w *Worker) serveConn(conn transport.Conn) (bool, error) {
 	// The Hello is sent synchronously: if this turns out to be a peer
 	// connection its outbox must be created by the owning session, and two
 	// writers on one connection would race.
-	if err := conn.Send(wire.Control(wire.KindHello, wire.NoDev, wire.NoStep)); err != nil {
-		return true, fmt.Errorf("cluster: sending hello: %w", err)
+	err := conn.Send(wire.Control(wire.KindHello, wire.NoDev, wire.NoStep))
+	var first *wire.Frame
+	if err == nil {
+		first, err = conn.Recv()
 	}
-	first, err := conn.Recv()
-	if err != nil {
-		return true, fmt.Errorf("cluster: reading assign: %w", err)
-	}
-	switch first.Kind {
-	case wire.KindPeerHello:
-		err := w.acceptPeerConn(conn, first)
-		if err != nil {
-			conn.Close()
+	switch {
+	case err != nil:
+		err = fmt.Errorf("cluster: connection closed before its first frame: %w", err)
+	case first.Kind == wire.KindPeerHello:
+		if err = w.acceptPeerConn(conn, first); err == nil {
+			return false, nil
 		}
-		return false, err
-	case wire.KindSessionResume:
-		// A redialed control connection: ownership goes to the live
-		// session's resumable link, which echoes the handshake and
-		// replays the unacked tail.
-		err := w.adoptSessionConn(conn, first)
-		if err != nil {
-			conn.Close()
-		}
-		return false, err
+	case first.Kind == wire.KindAssign:
+		return true, w.serveSession(conn, first)
+	default:
+		err = fmt.Errorf("cluster: first frame is %v, want an assign or a peer hello", first.Kind)
 	}
-	return true, w.serveSession(conn, first)
+	conn.Close()
+	return false, err
 }
 
-// adoptSessionConn re-attaches a redialed coordinator control connection
-// to the session it resumes.
-func (w *Worker) adoptSessionConn(conn transport.Conn, first *wire.Frame) error {
-	sr, err := wire.DecodeSessionResume(first)
-	if err != nil {
-		return err
-	}
-	w.sessMu.Lock()
-	res := w.sessions[sr.Session]
-	w.sessMu.Unlock()
-	if res == nil {
-		return fmt.Errorf("cluster: resume for unknown session %d", sr.Session)
-	}
-	return res.Adopt(conn, sr.Recvd, func(recvd int64) *wire.Frame {
-		return wire.EncodeSessionResume(wire.SessionResume{Session: sr.Session, Recvd: recvd})
-	})
-}
-
-func (w *Worker) registerSession(id int64, res *transport.Resumable) {
-	w.sessMu.Lock()
-	w.sessions[id] = res
-	w.sessMu.Unlock()
-}
-
-func (w *Worker) unregisterSession(id int64) {
-	w.sessMu.Lock()
-	delete(w.sessions, id)
-	w.sessMu.Unlock()
-}
-
-// acceptPeerConn routes an inbound peer connection to the session hosting
-// its target device, waiting briefly for that session to register — the
-// sibling worker may have received its Assign first and dialed ahead.
+// acceptPeerConn routes an inbound hello connection to the session hosting
+// its target device. A fresh link waits briefly for that session to
+// register — the sibling worker may have received its Assign first and
+// dialed ahead; a resumed one names a session that is there or is gone.
 func (w *Worker) acceptPeerConn(conn transport.Conn, first *wire.Frame) error {
 	h, err := wire.DecodePeerHello(first)
 	if err != nil {
 		return err
 	}
-	m, err := w.awaitHost(h.Epoch, h.To)
-	if err != nil {
-		return fmt.Errorf("cluster: peer link %d->%d: %w", h.From, h.To, err)
-	}
+	wait := peerAcceptTimeout
 	if h.Resume {
-		return m.adoptPeer(h, conn)
+		wait = 0
 	}
-	return m.acceptPeer(h, conn)
+	m, err := w.awaitHost(h.Epoch, h.To, wait)
+	if err != nil {
+		return fmt.Errorf("cluster: link %d->%d: %w", h.From, h.To, err)
+	}
+	return m.accept(h, conn)
 }
 
-func (w *Worker) awaitHost(epoch int64, dev int) (*mesh, error) {
-	deadline := time.Now().Add(peerAcceptTimeout)
-	timer := time.AfterFunc(peerAcceptTimeout, func() {
+func (w *Worker) awaitHost(epoch int64, dev int, wait time.Duration) (*mesh, error) {
+	deadline := time.Now().Add(wait)
+	timer := time.AfterFunc(wait, func() {
 		w.hostMu.Lock()
 		w.hostCond.Broadcast()
 		w.hostMu.Unlock()
@@ -278,19 +243,19 @@ func (w *Worker) awaitHost(epoch int64, dev int) (*mesh, error) {
 	}
 }
 
-func (w *Worker) registerHosts(epoch int64, devices []*hostedDevice, m *mesh) {
+func (w *Worker) registerHosts(m *mesh, devices []int) {
 	w.hostMu.Lock()
 	for _, d := range devices {
-		w.hosts[hostKey{epoch, int(d.rank)}] = m
+		w.hosts[hostKey{m.epoch, d}] = m
 	}
 	w.hostCond.Broadcast()
 	w.hostMu.Unlock()
 }
 
-func (w *Worker) unregisterHosts(epoch int64, devices []*hostedDevice) {
+func (w *Worker) unregisterHosts(m *mesh, devices []int) {
 	w.hostMu.Lock()
 	for _, d := range devices {
-		delete(w.hosts, hostKey{epoch, int(d.rank)})
+		delete(w.hosts, hostKey{m.epoch, d})
 	}
 	w.hostMu.Unlock()
 }
@@ -300,30 +265,22 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	if err != nil {
 		return fmt.Errorf("cluster: opening session: %w", err)
 	}
-
-	// Transient-fault absorption: under a retry policy the control link
-	// becomes resumable — the coordinator redials after a break, the
-	// worker's accept path routes the KindSessionResume handshake back
-	// here, and the unacked tail replays. Frame counting starts after the
-	// Assign, identically on both sides.
-	link := conn
-	var res *transport.Resumable
-	if assign.Run.Retry.Enabled() && assign.Session != 0 {
-		res = transport.NewResumable(conn, retryPolicy(assign.Run.Retry), transport.ResumableOptions{
-			Name: fmt.Sprintf("session %d control link", assign.Session),
-			Logf: w.cfg.Logf,
-			OnAbsorb: func(replayed int) {
-				w.cfg.Metrics.Add("link_faults_absorbed", 1)
-				w.cfg.Metrics.Add("link_frames_replayed", int64(replayed))
-			},
-		})
-		link = res
-		w.registerSession(assign.Session, res)
-		defer w.unregisterSession(assign.Session)
-		defer res.Close()
+	if len(assign.Devices) == 0 {
+		return fmt.Errorf("cluster: opening session: assign hosts no devices")
 	}
-	out := newOutbox(link)
-	defer out.Close()
+
+	// The control link. Under a retry policy it is resumable — the
+	// coordinator redials after a break, the worker's accept path routes its
+	// resume hello back here through the host registry, and the unacked tail
+	// replays; frame counting starts after the Assign, identically on both
+	// sides. It closes gracefully whatever the session's fate: its last
+	// words — a LinkDown report, the Done frames — are the coordinator's.
+	links := linkPolicy{epoch: assign.Epoch, net: w.cfg.Dial, retry: assign.Run.Retry,
+		logf: w.logf, metrics: w.cfg.Metrics}
+	control := links.endpoint(conn, assign.Devices[0], int(wire.NoDev),
+		fmt.Sprintf("session %v control link", assign.Devices), "")
+	defer control.close(true)
+	out := control.out
 	// Liveness beacon, when the coordinator asked for one. It starts
 	// before the replica rebuild: device construction (and resume-state
 	// install) can take longer than the silence timeout, and a session
@@ -377,18 +334,29 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	w.logf("assigned %d device(s) of plan %q, %d restored from the coordinator's cut: %s",
 		len(devices), assign.Plan.Name, len(assign.States), assign.Plan.Describe())
 
-	// Ring topology: establish the peer mesh before any device loop runs,
-	// and wrap each device's link so activations and gradient reductions
-	// travel worker-to-worker.
-	var m *mesh
+	// Become reachable: register the hosted devices so a resumed control
+	// link — and, under the ring, sibling sessions' dials — find this
+	// session. Ring topology then establishes the peer mesh before any
+	// device loop runs, and wraps each device's link so activations and
+	// gradient reductions travel worker-to-worker.
+	m := newMesh(links, assign.Peers, control)
+	defer func() { m.close(err == nil) }()
+	defer w.unregisterHosts(m, assign.Devices)
 	if assign.Run.Topology == "ring" {
-		m, err = w.establishMesh(assign, devices)
-		if err != nil {
+		if err := w.establishMesh(m, assign, devices); err != nil {
 			return err
 		}
-		defer w.unregisterHosts(assign.Epoch, devices)
-		defer func() { m.close(err == nil) }()
 		w.logf("peer mesh established for devices %v (epoch %d)", assign.Devices, assign.Epoch)
+	} else {
+		w.registerHosts(m, assign.Devices)
+	}
+	// failAll wakes every device loop of the session, whichever inbox it is
+	// blocked on: a device must not outlive its session, nor a sibling.
+	failAll := func(err error) {
+		for _, d := range devices {
+			d.link.in.fail(err)
+		}
+		m.fail(err)
 	}
 
 	// Router: demux inbound frames to device inboxes until the
@@ -397,26 +365,18 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	routerErr := make(chan error, 1)
 	go func() {
 		for {
-			f, err := link.Recv()
+			f, err := control.conn.Recv()
 			if err != nil {
-				lost := fmt.Errorf("cluster: session connection lost: %w", err)
-				for _, d := range devices {
-					d.link.in.fail(lost)
-				}
-				if m != nil {
-					// A device blocked on a peer frame must not outlive its
-					// coordinator session.
-					m.fail(lost)
-				}
+				failAll(fmt.Errorf("cluster: session connection lost: %w", err))
 				routerErr <- err
 				return
 			}
 			switch {
 			case f.Kind == wire.KindDrain:
-				if res != nil {
+				if control.res != nil {
 					// The coordinator is done with this session; its
 					// imminent close is deliberate, not a fault to absorb.
-					res.Retire()
+					control.res.Retire()
 				}
 				close(drained)
 				routerErr <- nil
@@ -429,14 +389,17 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 				// cause is deliberate; with Rejoin set the worker stays up to
 				// accept its slice of the new placement.
 				superseded := fmt.Errorf("cluster: session superseded by repartition (cut after step %d)", f.Step)
-				for _, d := range devices {
-					d.link.in.fail(superseded)
-				}
-				if m != nil {
-					m.fail(superseded)
-				}
+				failAll(superseded)
 				routerErr <- superseded
 				return
+			case f.Kind == wire.KindRelay:
+				// A peer frame that crossed a degraded edge: it belongs in
+				// the peer inbox the direct link would have filled.
+				if err := m.unwrap(f); err != nil {
+					failAll(err)
+					routerErr <- err
+					return
+				}
 			case f.Dev == wire.NoDev:
 				// Broadcast: every hosted device gets it.
 				for _, d := range devices {
@@ -445,10 +408,9 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 			default:
 				d := findDevice(devices, f.Dev)
 				if d == nil {
-					for _, dd := range devices {
-						dd.link.in.fail(fmt.Errorf("cluster: frame %v for device %d not hosted here", f.Kind, f.Dev))
-					}
-					routerErr <- fmt.Errorf("cluster: frame for unhosted device %d", f.Dev)
+					err := fmt.Errorf("cluster: frame %v for device %d not hosted here", f.Kind, f.Dev)
+					failAll(err)
+					routerErr <- err
 					return
 				}
 				d.link.in.put(f)
@@ -468,13 +430,7 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 			defer wg.Done()
 			errs[i] = runDevice(d, assign.Run.Steps, out)
 			if errs[i] != nil {
-				for _, dd := range devices {
-					dd.link.in.fail(errs[i])
-				}
-				if m != nil {
-					// Wake siblings blocked on peer frames too.
-					m.fail(errs[i])
-				}
+				failAll(errs[i])
 			}
 		}(i, d)
 	}
@@ -560,11 +516,7 @@ func runDevice(d *hostedDevice, steps int, out *outbox) (err error) {
 // in-process engine's naming); sink receives the drained batches on the
 // worker side.
 func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Tracer, sink func(string, []obs.Span, int64)) ([]*hostedDevice, error) {
-	nDev := 0
-	for _, g := range assign.Plan.Groups {
-		nDev += g.Split()
-	}
-	if err := assign.Plan.Validate(nDev, len(assign.Snapshot.Student)); err != nil {
+	if err := assign.Plan.Validate(assign.Plan.NumDevices(), len(assign.Snapshot.Student)); err != nil {
 		return nil, err
 	}
 	// Reject a malformed session policy up front instead of silently
@@ -657,115 +609,54 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 // lower-ranked device lives elsewhere (higher rank dials lower — pairs on
 // the same worker, or even the same session, dial through the network
 // identically), waits for the inbound half, and wraps each hosted device
-// in a ringLink over its endpoints.
-func (w *Worker) establishMesh(assign *wire.Assign, devices []*hostedDevice) (*mesh, error) {
+// in a ringLink over its endpoints. Degraded pairs never dial: their
+// endpoints cross the coordinator instead.
+func (w *Worker) establishMesh(m *mesh, assign *wire.Assign, devices []*hostedDevice) error {
 	if w.cfg.Dial == nil {
-		return nil, fmt.Errorf("cluster: ring session needs a dial network (WorkerConfig.Dial)")
+		return fmt.Errorf("cluster: ring session needs a dial network (WorkerConfig.Dial)")
 	}
-	nDev := 0
-	for _, g := range assign.Plan.Groups {
-		nDev += g.Split()
+	if nDev := assign.Plan.NumDevices(); len(assign.Peers) != nDev {
+		return fmt.Errorf("cluster: ring assign names %d peer addresses for %d devices", len(assign.Peers), nDev)
 	}
-	if len(assign.Peers) != nDev {
-		return nil, fmt.Errorf("cluster: ring assign names %d peer addresses for %d devices", len(assign.Peers), nDev)
-	}
-	plan := make([]groupInfo, len(assign.Plan.Groups))
-	for gi, g := range assign.Plan.Groups {
-		plan[gi] = groupInfo{devices: g.Devices}
-	}
-	m := newMesh(assign.Epoch, assign.Peers)
-	if assign.Run.Retry.Enabled() {
-		m.retry = assign.Run.Retry
-		m.net = w.cfg.Dial
-		m.logf = w.cfg.Logf
-		m.onAbsorb = func(replayed int) {
-			w.cfg.Metrics.Add("link_faults_absorbed", 1)
-			w.cfg.Metrics.Add("link_frames_replayed", int64(replayed))
-		}
-		// A peer link whose reconnect budget is exhausted is reported to
-		// the coordinator so it can degrade the edge to hub relay instead
-		// of burning a restart. The session outbox is safe to use from the
-		// reader goroutine: Enqueue never blocks.
-		sessionOut := devices[0].link.out
-		m.linkDown = func(local, remote int) {
-			w.cfg.Metrics.Add("peer_links_down", 1)
-			w.logf("peer link %d<->%d exhausted its reconnect budget; reporting for degrade", local, remote)
-			sessionOut.Enqueue(wire.EncodeLinkDown(local, remote))
-		}
-	}
-	// Degraded edges never dial: their traffic crosses the coordinator
-	// hub relay instead.
 	degraded := make(map[pairKey]bool)
 	for _, e := range assign.DegradedEdges() {
 		degraded[pairKey{e[0], e[1]}] = true
 		degraded[pairKey{e[1], e[0]}] = true
 	}
-	type dialTask struct{ local, remote int }
-	var dials []dialTask
+	var dials []pairKey
 	for _, d := range devices {
 		local := int(d.rank)
-		for _, remote := range peerRemotes(plan, local) {
-			if degraded[pairKey{local, remote}] {
-				continue
-			}
-			if local > remote {
-				dials = append(dials, dialTask{local, remote})
-			} else {
-				m.expectAccept(local, remote)
+		for _, remote := range peerRemotes(assign.Plan, local) {
+			switch {
+			case degraded[pairKey{local, remote}]:
+				m.relay(local, remote)
+			case local > remote:
+				dials = append(dials, pairKey{local, remote})
+			default:
+				m.pending[pairKey{local, remote}] = true
 			}
 		}
 	}
 	// Register before dialing out: two sessions establishing their meshes
 	// concurrently must each find the other's hosts already routable, or
 	// the dial phases could mutually time out.
-	w.registerHosts(assign.Epoch, devices, m)
+	w.registerHosts(m, assign.Devices)
 	deadline := time.Now().Add(meshTimeout)
 	for _, dl := range dials {
-		if _, err := m.dialPeer(w.cfg.Dial, dl.local, dl.remote, deadline); err != nil {
-			w.unregisterHosts(assign.Epoch, devices)
-			m.close(false)
-			return nil, err
+		if err := m.dialPeer(dl.local, dl.remote, deadline); err != nil {
+			return err
 		}
 	}
 	if err := m.waitAccepted(deadline); err != nil {
-		w.unregisterHosts(assign.Epoch, devices)
-		m.close(false)
-		return nil, err
+		return err
 	}
 	for _, d := range devices {
-		local := int(d.rank)
-		group, prev, next := peerSets(plan, local)
-		peers := make(map[int]*peerEndpoint)
-		var degSet map[int]bool
-		for _, remote := range peerRemotes(plan, local) {
-			if degraded[pairKey{local, remote}] {
-				if degSet == nil {
-					degSet = make(map[int]bool)
-				}
-				degSet[remote] = true
-				continue
-			}
-			peers[remote] = m.endpoint(local, remote)
-		}
-		// Any degraded edge inside the group pulls every member's
-		// all-reduce back to the coordinator fold — the group must agree
-		// on the path, and members off the broken edge can't know their
-		// siblings lost it.
-		groupHub := false
-		for i := 0; i < len(group) && !groupHub; i++ {
-			for j := i + 1; j < len(group); j++ {
-				if degraded[pairKey{group[i], group[j]}] {
-					groupHub = true
-					break
-				}
-			}
-		}
+		group, prev, next := peerSets(assign.Plan, int(d.rank))
 		d.ring = &ringLink{clusterLink: d.link,
 			rank: d.member.Rank, k: d.member.GroupSize,
-			group: group, prev: prev, next: next, peers: peers,
-			degraded: degSet, groupHub: groupHub}
+			group: group, prev: prev, next: next, peers: m.peers(int(d.rank))}
 	}
-	return m, nil
+	return nil
 }
 
 // group0Inputs resolves the batch schedule a session's first-group
@@ -790,21 +681,6 @@ func group0Inputs(assign *wire.Assign) ([]*tensor.Tensor, error) {
 		return nil, fmt.Errorf("cluster: session has %d input batches for %d steps", len(xs), assign.Run.Steps)
 	}
 	return xs, nil
-}
-
-// peerRemotes flattens peerSets into the remote device ranks one local
-// device holds links to.
-func peerRemotes(plan []groupInfo, dev int) []int {
-	group, prev, next := peerSets(plan, dev)
-	var out []int
-	for _, r := range group {
-		if r != dev {
-			out = append(out, r)
-		}
-	}
-	out = append(out, prev...)
-	out = append(out, next...)
-	return out
 }
 
 // deviceSnapshotter returns the closure that captures a device's

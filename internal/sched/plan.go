@@ -92,6 +92,15 @@ type Plan struct {
 	Groups []Group
 }
 
+// NumDevices returns how many devices the plan's groups span.
+func (p Plan) NumDevices() int {
+	n := 0
+	for _, g := range p.Groups {
+		n += g.Split()
+	}
+	return n
+}
+
 // Validate checks that the plan covers nDev devices and nBlocks blocks
 // exactly once each, contiguously and in order.
 func (p Plan) Validate(nDev, nBlocks int) error {
