@@ -69,13 +69,21 @@ func stragglerWorkerConfigs(net transport.Network, factor int) []WorkerConfig {
 }
 
 // TestRepartitionShedsStraggler is the tentpole equivalence test: a
-// three-worker cluster whose first worker computes 4x slower runs a
+// three-worker cluster whose first worker computes 12x slower runs a
 // lopsided plan with the repartitioner armed. The controller must fire
 // at least once (shedding load off the straggler from measured span
 // timings), and the final loss trajectory and trained weights must stay
 // bit-identical to the fault-free in-process pipeline under the original
 // plan — repartitioning may only move wall-clock, never a float. Both
 // data planes are covered: the ring (peer-to-peer) and the hub.
+//
+// The throttle stretches kernel time only, so the straggler shows only
+// as far as kernels make up a block's measured time, and the gain the
+// repartitioner predicts is bounded by the lighter of the straggler's
+// two blocks. Over 20 runs of both data planes the predicted gain at a
+// 4x throttle ranged down to 0.11 against the 0.2 threshold (median
+// 0.29), and faster kernels shrink it further; at 12x its least was 0.33
+// (median 0.44).
 func TestRepartitionShedsStraggler(t *testing.T) {
 	leakCheck(t)
 	for _, topo := range []string{"ring", "hub"} {
@@ -87,7 +95,7 @@ func TestRepartitionShedsStraggler(t *testing.T) {
 			refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
 
 			net := transport.NewLoopback()
-			addrs := startWorkersMixed(t, net, stragglerWorkerConfigs(net, 4))
+			addrs := startWorkersMixed(t, net, stragglerWorkerConfigs(net, 12))
 			counters := obs.NewMetrics()
 			logf, logs := captureLog()
 			w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
@@ -102,7 +110,7 @@ func TestRepartitionShedsStraggler(t *testing.T) {
 				t.Fatalf("%s straggler run: %v\nlog:\n%s", topo, err, logs())
 			}
 			if n := counters.Counter("repartitions").Load(); n < 1 {
-				t.Fatalf("%s: repartitioner never fired against a 4x straggler; log:\n%s", topo, logs())
+				t.Fatalf("%s: repartitioner never fired against a 12x straggler; log:\n%s", topo, logs())
 			}
 			if !strings.Contains(logs(), "repartitioning after step") {
 				t.Fatalf("%s: no repartition log line; log:\n%s", topo, logs())

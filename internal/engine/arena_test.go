@@ -220,14 +220,14 @@ func (b oneKernel) ConvGradWeightInto(out, g, x *tensor.Tensor, kh, kw, stride, 
 
 // TestSteadyStateStepAllocs: once the arenas are sized, a step allocates
 // only what cannot come from them — the boundary copy the in-process link
-// makes, Reshape headers, parameter lists, GEMM driver closures, loss
-// rows. The cost of one step is the difference between a 17-step and a
-// 1-step run of the same plan, which share their set-up.
+// makes, Reshape headers, parameter lists, loss rows; the GEMM drivers
+// allocate nothing. The cost of one step is the difference between a
+// 17-step and a 1-step run of the same plan, which share their set-up.
 //
 // The bounds are per steady-state step, all devices together. The
 // boundary copy is 16·16·16·16·4 = 262 KB (conv) and 16·32·64·4 = 131 KB
-// (transformer), the rest measures 4-6 KB and 29-44 KB, every run. The
-// 32 KB and 45 KB left are what a leak may cost a step and pass; one
+// (transformer), the rest measures 2-3 KB and 8-13 KB, every run. The
+// 35 KB and 36 KB left are what a leak may cost a step and pass; one
 // activation that stopped coming from an arena (262 KB, 131 KB) may not.
 // The old relative check, a steady step under a twentieth of a cold step
 // 0, needed the caches emptied to have a cold step and was never the
@@ -236,7 +236,7 @@ func TestSteadyStateStepAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	collect()
 	const steps = 17
-	bound := map[string]float64{"conv": 300e3, "transformer": 220e3}
+	bound := map[string]float64{"conv": 300e3, "transformer": 180e3}
 	for _, f := range families() {
 		for name, p := range map[string]sched.Plan{"tr2": planTR2, "hybrid": planHybrid} {
 			batches := f.batches(steps)

@@ -152,56 +152,42 @@ func (Serial) Name() string { return "serial" }
 
 // MatMulInto implements Backend.
 func (Serial) MatMulInto(out, a, b *Tensor) {
-	m, k, n := matMulDims(a, b)
-	checkOutShape("MatMulInto", out, m, n)
-	matMulDriver(nil, out.data, a.data, b.data, m, k, n)
+	gemm(nil, matMulOperands("MatMulInto", layoutAB, 2, out, a, b))
 }
 
 // MatMulTAInto implements Backend.
 func (Serial) MatMulTAInto(out, a, b *Tensor) {
-	m, k, n := matMulTADims(a, b)
-	checkOutShape("MatMulTAInto", out, m, n)
-	matMulTADriver(nil, out.data, a.data, b.data, m, k, n)
+	gemm(nil, matMulOperands("MatMulTAInto", layoutTA, 2, out, a, b))
 }
 
 // MatMulTBInto implements Backend.
 func (Serial) MatMulTBInto(out, a, b *Tensor) {
-	m, k, n := matMulTBDims(a, b)
-	checkOutShape("MatMulTBInto", out, m, n)
-	matMulTBDriver(nil, out.data, a.data, b.data, m, k, n)
+	gemm(nil, matMulOperands("MatMulTBInto", layoutTB, 2, out, a, b))
 }
 
 // MatMulBatchInto implements Backend.
 func (Serial) MatMulBatchInto(out, a, b *Tensor) {
-	g, m, k, n := matMulBatchDims(a, b)
-	checkBatchOutShape("MatMulBatchInto", out, g, m, n)
-	matMulBatchDriverPlain(nil, out.data, a.data, b.data, g, m, k, n)
+	gemm(nil, matMulOperands("MatMulBatchInto", layoutAB, 3, out, a, b))
 }
 
 // MatMulTABatchInto implements Backend.
 func (Serial) MatMulTABatchInto(out, a, b *Tensor) {
-	g, m, k, n := matMulTABatchDims(a, b)
-	checkBatchOutShape("MatMulTABatchInto", out, g, m, n)
-	matMulTABatchDriver(nil, out.data, a.data, b.data, g, m, k, n)
+	gemm(nil, matMulOperands("MatMulTABatchInto", layoutTA, 3, out, a, b))
 }
 
 // MatMulTBBatchInto implements Backend.
 func (Serial) MatMulTBBatchInto(out, a, b *Tensor) {
-	g, m, k, n := matMulTBBatchDims(a, b)
-	checkBatchOutShape("MatMulTBBatchInto", out, g, m, n)
-	matMulTBBatchDriver(nil, out.data, a.data, b.data, g, m, k, n)
+	gemm(nil, matMulOperands("MatMulTBBatchInto", layoutTB, 3, out, a, b))
 }
 
 // ConvForwardInto implements Backend.
 func (Serial) ConvForwardInto(out, w, x *Tensor, kh, kw, stride, pad int) {
-	g, m, k, n := checkConvForward(out, w, x, kh, kw, stride, pad)
-	convForwardDriver(nil, out.data, w.data, x.data, g, m, k, n)
+	gemm(nil, convOperands("ConvForwardInto", layoutConv, out, w, x, kh, kw, stride, pad))
 }
 
 // ConvGradWeightInto implements Backend.
 func (Serial) ConvGradWeightInto(out, grad, x *Tensor, kh, kw, stride, pad int) {
-	g, m, k, n := checkConvGradWeight(out, grad, x, kh, kw, stride, pad)
-	convGradWeightDriver(nil, out.data, grad.data, x.data, g, m, k, n)
+	gemm(nil, convOperands("ConvGradWeightInto", layoutConvT, out, grad, x, kh, kw, stride, pad))
 }
 
 // Add implements Backend.

@@ -123,3 +123,35 @@ func BenchmarkExpInto(b *testing.B) {
 		tensor.ExpInto(dst, src)
 	}
 }
+
+// BenchmarkConvGemmSkinny times the ring workloads' m = 6 conv GEMMs: 6
+// output channels over 8 images of 8×8, forward, weight gradient (dW)
+// and column gradient (dX) of the 3×3 convolutions on 3 and 6 input
+// channels and of the 6-channel 1×1 pointwise convolution. Every tile of
+// the forward and dW GEMMs is an edge tile (m = 6 is one full row tile
+// and one of 2 rows); the 1×1 dW's 6 output columns are one edge panel.
+func BenchmarkConvGemmSkinny(b *testing.B) {
+	const n, oc, hw = 8, 6, 8
+	rng := rand.New(rand.NewSource(12))
+	for _, c := range []struct {
+		name        string
+		inC, kernel int
+	}{{"conv3x3_c3", 3, 3}, {"conv3x3_c6", 6, 3}, {"conv1x1_c6", 6, 1}} {
+		pad := c.kernel / 2
+		taps, cols := c.inC*c.kernel*c.kernel, n*hw*hw
+		x := tensor.Rand(rng, -1, 1, n, c.inC, hw, hw)
+		w := tensor.Rand(rng, -1, 1, oc, taps)
+		grad := tensor.Rand(rng, -1, 1, oc, cols)
+		out, dW, dCols := tensor.New(oc, cols), tensor.New(oc, taps), tensor.New(taps, cols)
+		macs := oc * taps * cols
+		benchBackends(b, c.name+"/fwd", macs, func(be tensor.Backend) {
+			be.ConvForwardInto(out, w, x, c.kernel, c.kernel, 1, pad)
+		})
+		benchBackends(b, c.name+"/dW", macs, func(be tensor.Backend) {
+			be.ConvGradWeightInto(dW, grad, x, c.kernel, c.kernel, 1, pad)
+		})
+		benchBackends(b, c.name+"/dX", macs, func(be tensor.Backend) {
+			be.MatMulTAInto(dCols, w, grad)
+		})
+	}
+}

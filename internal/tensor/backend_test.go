@@ -74,6 +74,50 @@ func TestMatMulFamilyBackendParity(t *testing.T) {
 	}
 }
 
+// TestGemmBackendParityConcurrentCallers drives one parallel backend from
+// many goroutines at once, as the pipelined engine's devices do: calls on
+// both sides of the dispatch floor, 2-D, batched and conv, each share
+// recycled per-call state with the pool's workers and must still be
+// bit-identical to serial. Run under -race it also proves the recycling
+// safe.
+func TestGemmBackendParityConcurrentCallers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	p := NewParallel(3)
+	type call struct {
+		run  func(be Backend, out *Tensor)
+		want *Tensor
+	}
+	var calls []call
+	add := func(out *Tensor, run func(be Backend, out *Tensor)) {
+		run(Serial{}, out)
+		calls = append(calls, call{run, out})
+	}
+	for _, s := range []struct{ m, k, n int }{{65, 33, 29}, {6, 54, 512}, {3, 5, 4}} {
+		a, b := Rand(rng, -1, 1, s.m, s.k), Rand(rng, -1, 1, s.k, s.n)
+		add(New(s.m, s.n), func(be Backend, out *Tensor) { be.MatMulInto(out, a, b) })
+	}
+	ga, gb := Rand(rng, -1, 1, 16, 16, 8), Rand(rng, -1, 1, 16, 8, 16)
+	add(New(16, 16, 16), func(be Backend, out *Tensor) { be.MatMulBatchInto(out, ga, gb) })
+	x, w := Rand(rng, -1, 1, 4, 6, 8, 8), Rand(rng, -1, 1, 6, 6*3*3)
+	add(New(6, 4*8*8), func(be Backend, out *Tensor) { be.ConvForwardInto(out, w, x, 3, 3, 1, 1) })
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < 20; iter++ {
+				c := calls[(g+iter)%len(calls)]
+				got := New(c.want.Shape()...)
+				if c.run(p, got); !got.Equal(c.want) {
+					t.Errorf("goroutine %d: call %d not bit-identical to serial", g, (g+iter)%len(calls))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestIm2ColCol2ImBackendParity checks the convolution lowering kernels
 // across geometry corner cases (pad 0/1/2, stride 1/2, 1×1 kernels,
 // single-channel and channel counts not divisible by worker counts).
@@ -299,17 +343,52 @@ func TestNilArenaIsPlainAllocation(t *testing.T) {
 	}
 }
 
+// TestSerialGemmsDoNotAllocate: once its pack arena holds the shapes, a
+// serial call of every GEMM entry point allocates nothing — the operand
+// descriptor rides the stack and the pack buffers come from the arena —
+// on the packed path, on an edge-only packed shape and below the floor.
+func TestSerialGemmsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	r := func(shape ...int) *Tensor { return Rand(rng, -1, 1, shape...) }
+	cases := map[string]func(){}
+	for _, s := range []struct{ m, k, n int }{{64, 96, 128}, {6, 27, 512}, {2, 3, 4}} {
+		a, aT, b, bT, out := r(s.m, s.k), r(s.k, s.m), r(s.k, s.n), r(s.n, s.k), New(s.m, s.n)
+		label := fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n)
+		cases["MatMulInto "+label] = func() { Serial{}.MatMulInto(out, a, b) }
+		cases["MatMulTAInto "+label] = func() { Serial{}.MatMulTAInto(out, aT, b) }
+		cases["MatMulTBInto "+label] = func() { Serial{}.MatMulTBInto(out, a, bT) }
+	}
+	for _, s := range []struct{ g, m, k, n int }{{16, 16, 8, 16}, {4, 6, 6, 6}, {3, 1, 8, 1}} {
+		a, aT := r(s.g, s.m, s.k), r(s.g, s.k, s.m)
+		b, bT, out := r(s.g, s.k, s.n), r(s.g, s.n, s.k), New(s.g, s.m, s.n)
+		label := fmt.Sprintf("%dx%dx%dx%d", s.g, s.m, s.k, s.n)
+		cases["MatMulBatchInto "+label] = func() { Serial{}.MatMulBatchInto(out, a, b) }
+		cases["MatMulTABatchInto "+label] = func() { Serial{}.MatMulTABatchInto(out, aT, b) }
+		cases["MatMulTBBatchInto "+label] = func() { Serial{}.MatMulTBBatchInto(out, a, bT) }
+	}
+	x, w, y := r(4, 6, 8, 8), r(6, 6*3*3), New(6, 4*8*8)
+	cases["ConvForwardInto"] = func() { Serial{}.ConvForwardInto(y, w, x, 3, 3, 1, 1) }
+	cases["ConvGradWeightInto"] = func() { Serial{}.ConvGradWeightInto(w, y, x, 3, 3, 1, 1) }
+	for name, call := range cases {
+		call() // size the arena
+		if got := testing.AllocsPerRun(20, call); got != 0 {
+			t.Errorf("%s allocates %v times a call once warm, want 0", name, got)
+		}
+	}
+}
+
 // TestArenasSurviveCollections: what a kernel call borrows outlasts
 // garbage collections — a bare sync.Pool loses it to two of them — and
 // the cache that keeps it never keeps more than its cap.
 func TestArenasSurviveCollections(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// A packed GEMM (49 KB of B panels) and a conv whose m = 6 keeps it on
-	// the reference path (221 KB of materialized columns).
+	// A packed GEMM (49 KB of B panels) and an m = 6 conv, whose fused
+	// pack borrows 221 KB of column panels. Every borrow is a pack buffer:
+	// the reference path borrows nothing and conv GEMMs always pack.
 	a, b, out := Randn(rng, 0, 1, 64, 96), Randn(rng, 0, 1, 96, 128), New(64, 128)
 	w, x, y := Randn(rng, 0, 1, 6, 27), Randn(rng, 0, 1, 8, 3, 16, 16), New(6, 8*16*16)
-	if !gemmShouldPack(64, 96, 128) || gemmShouldPack(6, 27, 8*16*16) {
-		t.Fatal("the shapes no longer select the packed and the reference path")
+	if !gemmShouldPack(1, 64, 96, 128) {
+		t.Fatal("the GEMM no longer selects the packed path")
 	}
 	kernels := func() {
 		Serial{}.MatMulInto(out, a, b)

@@ -7,11 +7,10 @@ import (
 )
 
 // Adversarial batched shapes: skinny attention-style instances (m ≈
-// sequence length, k ≈ head width) that individually fall below the 2-D
-// packed-path thresholds but clear the batch threshold, degenerate
-// seq-len-1 instances, primes, single-instance batches (which must
-// dispatch exactly like the 2-D heuristic), and batches straddling both
-// sides of gemmShouldPackBatch.
+// sequence length, k ≈ head width), instances that fall below the call
+// floor alone but clear it as a batch, degenerate seq-len-1 instances,
+// primes, single-instance batches (which must dispatch exactly like the
+// 2-D call), and batches straddling both floors of gemmShouldPack.
 var adversarialBatchShapes = []struct{ g, m, k, n int }{
 	{1, 1, 1, 1},
 	{1, 13, 17, 19},  // g=1: must behave like the 2-D call
@@ -20,12 +19,14 @@ var adversarialBatchShapes = []struct{ g, m, k, n int }{
 	{3, 1, 8, 1},
 	{16, 16, 8, 16}, // per-head attention scores: skinny but many
 	{16, 16, 16, 8}, // per-head attention context
-	{8, 4, 8, 8},    // exactly the relaxed row floor
-	{8, 3, 8, 8},    // one row below it: reference path
+	{8, 4, 8, 8},    // whole row tiles
+	{8, 3, 8, 8},    // one row short of a tile: edge tiles only
 	{5, 7, 11, 13},  // primes
 	{4, 5, 300, 9},  // k spanning kcBlock boundaries
 	{2, 31, 64, 33},
-	{32, 2, 2, 2}, // many tiny instances below any threshold
+	{64, 2, 2, 2}, // many tiny instances: past the call floor, below the instance floor
+	{4, 4, 4, 8},  // at both floors
+	{3, 4, 4, 8},  // one instance short of the call floor
 }
 
 // batchRef computes the per-instance reference result for a batched op.
@@ -123,25 +124,31 @@ func TestBatchedMatchesLoopOf2D(t *testing.T) {
 	}
 }
 
-// TestGemmShouldPackBatch pins the dispatch heuristic's shape: g=1
-// defers to the 2-D rule, larger batches relax the row floor to one
-// register tile and judge work on the whole batch.
-func TestGemmShouldPackBatch(t *testing.T) {
+// TestGemmShouldPack pins the one dispatch rule's shape: a single output
+// row never packs; anything else packs once the whole call reaches the
+// per-call floor and each instance the per-instance one, whatever its
+// row count or panel width.
+func TestGemmShouldPack(t *testing.T) {
 	cases := []struct {
 		g, m, k, n int
 		want       bool
 	}{
-		{1, 16, 16, 8, gemmShouldPack(16, 16, 8)},
-		{16, 16, 8, 16, true},  // attention scores: 32k MACs across the batch
-		{16, 4, 8, 8, false},   // batch work below threshold
-		{64, 4, 16, 8, true},   // exactly at the relaxed floor, enough work
-		{64, 3, 16, 8, false},  // below the row floor
-		{64, 4, 16, 7, false},  // below the panel width
-		{2, 128, 64, 64, true}, // big instances stay packed
+		{1, 8, 8, 8, true},      // exactly the call floor
+		{1, 8, 8, 7, false},     // one column short of it
+		{1, 6, 27, 512, true},   // the ring's m = 6 GEMMs
+		{1, 6, 512, 6, true},    // and a sub-panel width
+		{1, 2, 16, 16, true},    // two rows are enough
+		{1, 1, 512, 512, false}, // one row never is
+		{64, 1, 16, 16, false},
+		{16, 16, 8, 16, true}, // attention scores: judged on the batch
+		{4, 4, 4, 8, true},    // each instance at the instance floor, the call at its own
+		{3, 4, 4, 8, false},
+		{64, 4, 4, 4, false}, // instances of half the instance floor
+		{64, 2, 2, 2, false},
 	}
 	for _, c := range cases {
-		if got := gemmShouldPackBatch(c.g, c.m, c.k, c.n); got != c.want {
-			t.Errorf("gemmShouldPackBatch(%d,%d,%d,%d) = %v, want %v", c.g, c.m, c.k, c.n, got, c.want)
+		if got := gemmShouldPack(c.g, c.m, c.k, c.n); got != c.want {
+			t.Errorf("gemmShouldPack(%d,%d,%d,%d) = %v, want %v", c.g, c.m, c.k, c.n, got, c.want)
 		}
 	}
 }

@@ -2,11 +2,11 @@
 
 package tensor
 
-// useAsmMicro selects the SSE microkernel for full register tiles. It is
-// a package variable (not a constant) so the bit-equivalence suite can
-// force the generic path and pin the two implementations identical; the
-// kernels themselves are bit-equal by construction, so flipping it never
-// changes results.
+// useAsmMicro selects the SSE microkernel for full and edge register
+// tiles. It is a package variable (not a constant) so the bit-equivalence
+// suite can force the generic path and pin the two implementations
+// identical; the kernels themselves are bit-equal by construction, so
+// flipping it never changes results.
 var useAsmMicro = true
 
 // microKernelSSE is the assembly microkernel (gemm_amd64.s): a full
@@ -30,4 +30,25 @@ func microKernel(od []float32, ldo int, ap, bp []float32, pc int, accumulate boo
 		return
 	}
 	microGeneric(od, ldo, ap, bp, pc, mrTile, nrTile, accumulate)
+}
+
+// microEdge computes a rows×w edge tile (rows < mrTile or w < nrTile):
+// the SSE kernel fills a full tile on the stack and only the rows×w
+// corner is copied out. The discarded lanes multiply the packed
+// operands' zero padding; every kept lane is still the scalar sequence.
+func microEdge(od []float32, ldo int, ap, bp []float32, pc, rows, w int, accumulate bool) {
+	if !useAsmMicro {
+		microGeneric(od, ldo, ap, bp, pc, rows, w, accumulate)
+		return
+	}
+	var tile [mrTile * nrTile]float32
+	if accumulate {
+		for r := 0; r < rows; r++ {
+			copy(tile[r*nrTile:r*nrTile+w], od[r*ldo:])
+		}
+	}
+	microKernel(tile[:], nrTile, ap, bp, pc, accumulate)
+	for r := 0; r < rows; r++ {
+		copy(od[r*ldo:r*ldo+w], tile[r*nrTile:])
+	}
 }

@@ -11,3 +11,8 @@ var useAsmMicro = false
 func microKernel(od []float32, ldo int, ap, bp []float32, pc int, accumulate bool) {
 	microGeneric(od, ldo, ap, bp, pc, mrTile, nrTile, accumulate)
 }
+
+// microEdge computes a rows×w edge tile with the generic kernel.
+func microEdge(od []float32, ldo int, ap, bp []float32, pc, rows, w int, accumulate bool) {
+	microGeneric(od, ldo, ap, bp, pc, rows, w, accumulate)
+}

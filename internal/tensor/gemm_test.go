@@ -14,31 +14,11 @@ import (
 // float bits (math.Float32bits), so NaN payloads and zero signs count.
 
 // packedMatMul runs the packed engine unconditionally (no small-size
-// dispatch), serially or over a pool.
-func packedMatMul(pool *Pool, a, b *Tensor) *Tensor {
-	m, k, n := matMulDims(a, b)
+// dispatch) on an m×n GEMM of the given layout, serially or over a pool.
+func packedMatMul(pool *Pool, layout gemmLayout, a, b *Tensor, m, n int) *Tensor {
 	out := New(m, n)
-	gemmRun(pool, out.data, m, k, n,
-		func(bp []float32, pan0, pan1 int) { packBPanels(bp, b.data, k, n, pan0, pan1) },
-		func(ap []float32, i0, rows, p0, p1 int) { packATile(ap, a.data, k, i0, rows, p0, p1) })
-	return out
-}
-
-func packedMatMulTA(pool *Pool, a, b *Tensor) *Tensor {
-	m, k, n := matMulTADims(a, b)
-	out := New(m, n)
-	gemmRun(pool, out.data, m, k, n,
-		func(bp []float32, pan0, pan1 int) { packBPanels(bp, b.data, k, n, pan0, pan1) },
-		func(ap []float32, i0, rows, p0, p1 int) { packATileT(ap, a.data, m, i0, rows, p0, p1) })
-	return out
-}
-
-func packedMatMulTB(pool *Pool, a, b *Tensor) *Tensor {
-	m, k, n := matMulTBDims(a, b)
-	out := New(m, n)
-	gemmRun(pool, out.data, m, k, n,
-		func(bp []float32, pan0, pan1 int) { packBPanelsTB(bp, b.data, k, n, pan0, pan1) },
-		func(ap []float32, i0, rows, p0, p1 int) { packATile(ap, a.data, k, i0, rows, p0, p1) })
+	o := matMulOperands("packedMatMul", layout, 2, out, a, b)
+	gemmPacked(pool, &o)
 	return out
 }
 
@@ -68,7 +48,9 @@ func bitsDiff(got, want *Tensor) string {
 }
 
 // adversarialShapes covers dims below the register tile, primes, exact
-// tile multiples, and reductions spanning several kcBlock tiles.
+// tile multiples, reductions spanning several kcBlock tiles, and the ring
+// workloads' m = 6 conv GEMMs (forward, 1×1 forward and dX, 1×1 dW), whose
+// every tile has an edge.
 var adversarialShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{2, 3, 2},
@@ -81,6 +63,10 @@ var adversarialShapes = []struct{ m, k, n int }{
 	{7, 2*kcBlock + 17, 23},      // k spanning three blocks
 	{mrTile + 1, 33, nrTile + 1}, // one past the tile
 	{64, 300, 65},
+	{6, 27, 512},
+	{6, 54, 1024},
+	{6, 512, 6},
+	{6, 6, 512},
 }
 
 // fillAdversarial seeds t with random values plus ±0, NaN and ±Inf
@@ -136,14 +122,64 @@ func TestPackedKernelsMatchReferenceBits(t *testing.T) {
 				for _, pool := range pools {
 					label := fmt.Sprintf("m=%d k=%d n=%d specials=%d asm=%v pooled=%v",
 						s.m, s.k, s.n, which, asm, pool != nil)
-					if diff := bitsDiff(packedMatMul(pool, a, b), ref); diff != "" {
+					if diff := bitsDiff(packedMatMul(pool, layoutAB, a, b, s.m, s.n), ref); diff != "" {
 						t.Errorf("MatMul packed != reference (%s): %s", label, diff)
 					}
-					if diff := bitsDiff(packedMatMulTA(pool, aT, b), refTA); diff != "" {
+					if diff := bitsDiff(packedMatMul(pool, layoutTA, aT, b, s.m, s.n), refTA); diff != "" {
 						t.Errorf("MatMulTA packed != reference (%s): %s", label, diff)
 					}
-					if diff := bitsDiff(packedMatMulTB(pool, a, bT), refTB); diff != "" {
+					if diff := bitsDiff(packedMatMul(pool, layoutTB, a, bT, s.m, s.n), refTB); diff != "" {
 						t.Errorf("MatMulTB packed != reference (%s): %s", label, diff)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEdgeTileGuardBand: an edge tile writes its rows×w corner and nothing
+// else. The output is a view whose row stride leaves a gap of sentinel
+// NaNs after each row's w columns, with a full sentinel row below the
+// last; every edge shape, fresh and resumed, on the assembly and the
+// generic kernel, must match the generic kernel's corner and leave every
+// sentinel alone. The packed operands' pad lanes hold random values, not
+// the zeros the packers write, so a kept lane that reads one shows too.
+func TestEdgeTileGuardBand(t *testing.T) {
+	asmModes := []bool{false}
+	if useAsmMicro {
+		asmModes = append(asmModes, true)
+	}
+	defer func(prev bool) { useAsmMicro = prev }(useAsmMicro)
+	sentinel := math.Float32frombits(0x7fc0dead)
+	const pc, ldo = 37, nrTile + 3
+	rng := rand.New(rand.NewSource(5))
+	ap, bp := Rand(rng, -2, 2, pc*mrTile).data, Rand(rng, -2, 2, pc*nrTile).data
+	for rows := 1; rows <= mrTile; rows++ {
+		for w := 1; w <= nrTile; w++ {
+			if rows == mrTile && w == nrTile {
+				continue // a full tile, not an edge
+			}
+			for _, acc := range []bool{false, true} {
+				want := make([]float32, (mrTile+1)*ldo)
+				for i := range want {
+					want[i] = sentinel
+				}
+				for r := 0; r < rows && acc; r++ {
+					for c := 0; c < w; c++ {
+						want[r*ldo+c] = rng.Float32()
+					}
+				}
+				start := append([]float32(nil), want...)
+				microGeneric(want, ldo, ap, bp, pc, rows, w, acc)
+				for _, asm := range asmModes {
+					useAsmMicro = asm
+					got := append([]float32(nil), start...)
+					microEdge(got, ldo, ap, bp, pc, rows, w, acc)
+					for i := range got {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("rows=%d w=%d accumulate=%v asm=%v: element (%d,%d) = %v (%#08x), want %v (%#08x)",
+								rows, w, acc, asm, i/ldo, i%ldo, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+						}
 					}
 				}
 			}

@@ -91,32 +91,28 @@ func (g convGeom) at(xd []float32, p, j int) float32 {
 	return xd[((ni*g.c+ci)*g.h+ih)*g.w+iw]
 }
 
-func checkConvForward(out, w, x *Tensor, kh, kw, stride, pad int) (g convGeom, m, k, n int) {
-	gn, c, oh, ow := im2ColDims(x, kh, kw, stride, pad)
-	g = convGeom{n: gn, c: c, h: x.shape[2], w: x.shape[3], oh: oh, ow: ow,
+// convOperands validates a fused conv GEMM call and describes it: out =
+// a·cols for layoutConv (a: [OutC, K], out: [OutC, S]) or a·colsᵀ for
+// layoutConvT (a: the output gradient [OutC, S], out: [OutC, K]), where
+// cols is the [K, S] column matrix of x.
+func convOperands(op string, layout gemmLayout, out, a, x *Tensor, kh, kw, stride, pad int) gemmOperands {
+	n, c, oh, ow := im2ColDims(x, kh, kw, stride, pad)
+	g := convGeom{n: n, c: c, h: x.shape[2], w: x.shape[3], oh: oh, ow: ow,
 		kh: kh, kw: kw, stride: stride, pad: pad}
-	k, n = g.colRows(), g.colCols()
-	if len(w.shape) != 2 || w.shape[1] != k {
-		panic(fmt.Sprintf("tensor: ConvForwardInto weight shape %v, want [*, %d]", w.shape, k))
+	k, cols := g.colRows(), g.colCols()
+	if layout == layoutConvT {
+		// The dW GEMM reduces over the S output positions; its output
+		// columns are the K kernel taps.
+		k, cols = cols, k
 	}
-	m = w.shape[0]
-	checkOutShape("ConvForwardInto", out, m, n)
-	return g, m, k, n
-}
-
-func checkConvGradWeight(out, gr, x *Tensor, kh, kw, stride, pad int) (g convGeom, m, k, n int) {
-	gn, c, oh, ow := im2ColDims(x, kh, kw, stride, pad)
-	g = convGeom{n: gn, c: c, h: x.shape[2], w: x.shape[3], oh: oh, ow: ow,
-		kh: kh, kw: kw, stride: stride, pad: pad}
-	// The dW GEMM is grad·colsᵀ: reduction over the S output positions,
-	// output columns over the K kernel taps.
-	k, n = g.colCols(), g.colRows()
-	if len(gr.shape) != 2 || gr.shape[1] != k {
-		panic(fmt.Sprintf("tensor: ConvGradWeightInto grad shape %v, want [*, %d]", gr.shape, k))
+	if len(a.shape) != 2 || a.shape[1] != k {
+		panic(fmt.Sprintf("tensor: %s operand shape %v, want [*, %d]", op, a.shape, k))
 	}
-	m = gr.shape[0]
-	checkOutShape("ConvGradWeightInto", out, m, n)
-	return g, m, k, n
+	m := a.shape[0]
+	if len(out.shape) != 2 || out.shape[0] != m || out.shape[1] != cols {
+		panic(fmt.Sprintf("tensor: %s output shape %v, want [%d %d]", op, out.shape, m, cols))
+	}
+	return gemmOperands{out: out.data, a: a.data, b: x.data, g: 1, m: m, k: k, n: cols, layout: layout, conv: g}
 }
 
 // im2colPackPanels packs panels [pan0,pan1) of the virtual column matrix
@@ -233,50 +229,6 @@ func im2colPackPanelsT(bp, xd []float32, g convGeom, pan0, pan1 int) {
 			}
 		}
 	}
-}
-
-// convForwardDriver computes out = w·im2col(x) without materializing the
-// column matrix on the packed path; small problems materialize into
-// recycled scratch and run the reference GEMM. Identical bits either way.
-func convForwardDriver(pool *Pool, od, wd, xd []float32, g convGeom, m, k, n int) {
-	if !gemmShouldPack(m, k, n) {
-		ar := packArenas.getLocal()
-		cols := ar.Get(k, n)
-		im2colRows(cols.data, xd, g.n, g.c, g.h, g.w, g.kh, g.kw, g.oh, g.ow, g.stride, g.pad, 0, k)
-		if pool == nil {
-			matMulRowsRef(od, wd, cols.data, k, n, 0, m)
-		} else {
-			pool.ParallelFor(m, rowGrain(k*n, gemmGrainFlops), func(lo, hi int) {
-				matMulRowsRef(od, wd, cols.data, k, n, lo, hi)
-			})
-		}
-		packArenas.putLocal(ar)
-		return
-	}
-	gemmRun(pool, od, m, k, n,
-		func(bp []float32, pan0, pan1 int) { im2colPackPanels(bp, xd, g, pan0, pan1) },
-		func(ap []float32, i0, rows, p0, p1 int) { packATile(ap, wd, k, i0, rows, p0, p1) })
-}
-
-// convGradWeightDriver computes out = grad·im2col(x)ᵀ, likewise fused.
-func convGradWeightDriver(pool *Pool, od, gd, xd []float32, g convGeom, m, k, n int) {
-	if !gemmShouldPack(m, k, n) {
-		ar := packArenas.getLocal()
-		cols := ar.Get(n, k) // [K, S]: the TB operand's natural layout
-		im2colRows(cols.data, xd, g.n, g.c, g.h, g.w, g.kh, g.kw, g.oh, g.ow, g.stride, g.pad, 0, n)
-		if pool == nil {
-			matMulTBRowsRef(od, gd, cols.data, k, n, 0, m)
-		} else {
-			pool.ParallelFor(m, rowGrain(k*n, gemmGrainFlops), func(lo, hi int) {
-				matMulTBRowsRef(od, gd, cols.data, k, n, lo, hi)
-			})
-		}
-		packArenas.putLocal(ar)
-		return
-	}
-	gemmRun(pool, od, m, k, n,
-		func(bp []float32, pan0, pan1 int) { im2colPackPanelsT(bp, xd, g, pan0, pan1) },
-		func(ap []float32, i0, rows, p0, p1 int) { packATile(ap, gd, k, i0, rows, p0, p1) })
 }
 
 // --- range kernels -----------------------------------------------------------

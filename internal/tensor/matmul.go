@@ -9,43 +9,33 @@ import "fmt"
 
 // --- shape validation --------------------------------------------------------
 
-func matMulDims(a, b *Tensor) (m, k, n int) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMul requires 2-D tensors, got %v and %v", a.shape, b.shape))
+// matMulOperands validates a GEMM call of the given layout (layoutAB, TA
+// or TB) and describes it: rank 2 for one product, rank 3 for a batch
+// with the instance index outermost.
+func matMulOperands(op string, layout gemmLayout, rank int, out, a, b *Tensor) gemmOperands {
+	if len(a.shape) != rank || len(b.shape) != rank || len(out.shape) != rank {
+		panic(fmt.Sprintf("tensor: %s requires %d-D tensors, got %v x %v into %v", op, rank, a.shape, b.shape, out.shape))
 	}
-	m, k = a.shape[0], a.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
+	lead := rank - 2 // 1 when the instance index leads
+	g := 1
+	if lead == 1 {
+		g = a.shape[0]
 	}
-	return m, k, b.shape[1]
-}
-
-func matMulTADims(a, b *Tensor) (m, k, n int) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTA requires 2-D tensors, got %v and %v", a.shape, b.shape))
+	m, k := a.shape[lead], a.shape[lead+1]
+	if layout == layoutTA {
+		m, k = k, m
 	}
-	k, m = a.shape[0], a.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMulTA inner dimension mismatch %v x %v", a.shape, b.shape))
+	bk, n := b.shape[lead], b.shape[lead+1]
+	if layout == layoutTB {
+		bk, n = n, bk
 	}
-	return m, k, b.shape[1]
-}
-
-func matMulTBDims(a, b *Tensor) (m, k, n int) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTB requires 2-D tensors, got %v and %v", a.shape, b.shape))
+	if bk != k || lead == 1 && b.shape[0] != g {
+		panic(fmt.Sprintf("tensor: %s shape mismatch %v x %v", op, a.shape, b.shape))
 	}
-	m, k = a.shape[0], a.shape[1]
-	if b.shape[1] != k {
-		panic(fmt.Sprintf("tensor: MatMulTB inner dimension mismatch %v x %v", a.shape, b.shape))
+	if out.shape[lead] != m || out.shape[lead+1] != n || lead == 1 && out.shape[0] != g {
+		panic(fmt.Sprintf("tensor: %s output shape %v for %v x %v", op, out.shape, a.shape, b.shape))
 	}
-	return m, k, b.shape[0]
-}
-
-func checkOutShape(op string, out *Tensor, m, n int) {
-	if len(out.shape) != 2 || out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: %s output shape %v, want [%d %d]", op, out.shape, m, n))
-	}
+	return gemmOperands{out: out.data, a: a.data, b: b.data, g: g, m: m, k: k, n: n, layout: layout}
 }
 
 // --- reference kernels -------------------------------------------------------
@@ -109,58 +99,4 @@ func matMulTBRowsRef(od, ad, bd []float32, k, n, lo, hi int) {
 			orow[j] = s
 		}
 	}
-}
-
-// --- drivers -----------------------------------------------------------------
-
-// The drivers pick between the reference kernels (small problems) and
-// the packed engine, serially (pool == nil) or partitioned over a worker
-// pool. Both paths and both schedules produce identical bits.
-
-func matMulDriver(pool *Pool, od, ad, bd []float32, m, k, n int) {
-	if !gemmShouldPack(m, k, n) {
-		if pool == nil {
-			matMulRowsRef(od, ad, bd, k, n, 0, m)
-			return
-		}
-		pool.ParallelFor(m, rowGrain(k*n, gemmGrainFlops), func(lo, hi int) {
-			matMulRowsRef(od, ad, bd, k, n, lo, hi)
-		})
-		return
-	}
-	gemmRun(pool, od, m, k, n,
-		func(bp []float32, pan0, pan1 int) { packBPanels(bp, bd, k, n, pan0, pan1) },
-		func(ap []float32, i0, rows, p0, p1 int) { packATile(ap, ad, k, i0, rows, p0, p1) })
-}
-
-func matMulTADriver(pool *Pool, od, ad, bd []float32, m, k, n int) {
-	if !gemmShouldPack(m, k, n) {
-		if pool == nil {
-			matMulTARowsRef(od, ad, bd, k, m, n, 0, m)
-			return
-		}
-		pool.ParallelFor(m, rowGrain(k*n, gemmGrainFlops), func(lo, hi int) {
-			matMulTARowsRef(od, ad, bd, k, m, n, lo, hi)
-		})
-		return
-	}
-	gemmRun(pool, od, m, k, n,
-		func(bp []float32, pan0, pan1 int) { packBPanels(bp, bd, k, n, pan0, pan1) },
-		func(ap []float32, i0, rows, p0, p1 int) { packATileT(ap, ad, m, i0, rows, p0, p1) })
-}
-
-func matMulTBDriver(pool *Pool, od, ad, bd []float32, m, k, n int) {
-	if !gemmShouldPack(m, k, n) {
-		if pool == nil {
-			matMulTBRowsRef(od, ad, bd, k, n, 0, m)
-			return
-		}
-		pool.ParallelFor(m, rowGrain(k*n, gemmGrainFlops), func(lo, hi int) {
-			matMulTBRowsRef(od, ad, bd, k, n, lo, hi)
-		})
-		return
-	}
-	gemmRun(pool, od, m, k, n,
-		func(bp []float32, pan0, pan1 int) { packBPanelsTB(bp, bd, k, n, pan0, pan1) },
-		func(ap []float32, i0, rows, p0, p1 int) { packATile(ap, ad, k, i0, rows, p0, p1) })
 }

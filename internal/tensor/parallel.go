@@ -51,59 +51,45 @@ func rowGrain(perRow, grain int) int {
 // compute is partitioned by whole output row tiles over the shared
 // panels, so packing cost is amortized across the pool.
 func (p *Parallel) MatMulInto(out, a, b *Tensor) {
-	m, k, n := matMulDims(a, b)
-	checkOutShape("MatMulInto", out, m, n)
-	matMulDriver(p.pool, out.data, a.data, b.data, m, k, n)
+	gemm(p.pool, matMulOperands("MatMulInto", layoutAB, 2, out, a, b))
 }
 
 // MatMulTAInto implements Backend.
 func (p *Parallel) MatMulTAInto(out, a, b *Tensor) {
-	m, k, n := matMulTADims(a, b)
-	checkOutShape("MatMulTAInto", out, m, n)
-	matMulTADriver(p.pool, out.data, a.data, b.data, m, k, n)
+	gemm(p.pool, matMulOperands("MatMulTAInto", layoutTA, 2, out, a, b))
 }
 
 // MatMulTBInto implements Backend.
 func (p *Parallel) MatMulTBInto(out, a, b *Tensor) {
-	m, k, n := matMulTBDims(a, b)
-	checkOutShape("MatMulTBInto", out, m, n)
-	matMulTBDriver(p.pool, out.data, a.data, b.data, m, k, n)
+	gemm(p.pool, matMulOperands("MatMulTBInto", layoutTB, 2, out, a, b))
 }
 
 // MatMulBatchInto implements Backend: packing partitions over flat
 // (instance, panel) indices and compute over flat (instance, tile)
 // indices, so a batch of skinny GEMMs still feeds every worker.
 func (p *Parallel) MatMulBatchInto(out, a, b *Tensor) {
-	g, m, k, n := matMulBatchDims(a, b)
-	checkBatchOutShape("MatMulBatchInto", out, g, m, n)
-	matMulBatchDriverPlain(p.pool, out.data, a.data, b.data, g, m, k, n)
+	gemm(p.pool, matMulOperands("MatMulBatchInto", layoutAB, 3, out, a, b))
 }
 
 // MatMulTABatchInto implements Backend.
 func (p *Parallel) MatMulTABatchInto(out, a, b *Tensor) {
-	g, m, k, n := matMulTABatchDims(a, b)
-	checkBatchOutShape("MatMulTABatchInto", out, g, m, n)
-	matMulTABatchDriver(p.pool, out.data, a.data, b.data, g, m, k, n)
+	gemm(p.pool, matMulOperands("MatMulTABatchInto", layoutTA, 3, out, a, b))
 }
 
 // MatMulTBBatchInto implements Backend.
 func (p *Parallel) MatMulTBBatchInto(out, a, b *Tensor) {
-	g, m, k, n := matMulTBBatchDims(a, b)
-	checkBatchOutShape("MatMulTBBatchInto", out, g, m, n)
-	matMulTBBatchDriver(p.pool, out.data, a.data, b.data, g, m, k, n)
+	gemm(p.pool, matMulOperands("MatMulTBBatchInto", layoutTB, 3, out, a, b))
 }
 
 // ConvForwardInto implements Backend: the fused im2col pack is
 // partitioned across column panels, the GEMM across row tiles.
 func (p *Parallel) ConvForwardInto(out, w, x *Tensor, kh, kw, stride, pad int) {
-	g, m, k, n := checkConvForward(out, w, x, kh, kw, stride, pad)
-	convForwardDriver(p.pool, out.data, w.data, x.data, g, m, k, n)
+	gemm(p.pool, convOperands("ConvForwardInto", layoutConv, out, w, x, kh, kw, stride, pad))
 }
 
 // ConvGradWeightInto implements Backend.
 func (p *Parallel) ConvGradWeightInto(out, grad, x *Tensor, kh, kw, stride, pad int) {
-	g, m, k, n := checkConvGradWeight(out, grad, x, kh, kw, stride, pad)
-	convGradWeightDriver(p.pool, out.data, grad.data, x.data, g, m, k, n)
+	gemm(p.pool, convOperands("ConvGradWeightInto", layoutConvT, out, grad, x, kh, kw, stride, pad))
 }
 
 // Add implements Backend.
