@@ -128,8 +128,8 @@ func BenchmarkExpInto(b *testing.B) {
 // output channels over 8 images of 8×8, forward, weight gradient (dW)
 // and column gradient (dX) of the 3×3 convolutions on 3 and 6 input
 // channels and of the 6-channel 1×1 pointwise convolution. Every tile of
-// the forward and dW GEMMs is an edge tile (m = 6 is one full row tile
-// and one of 2 rows); the 1×1 dW's 6 output columns are one edge panel.
+// the forward and dW GEMMs is an edge tile (m = 6 is short of one 8-row
+// tile); the 1×1 dW's 6 output columns are one edge panel.
 func BenchmarkConvGemmSkinny(b *testing.B) {
 	const n, oc, hw = 8, 6, 8
 	rng := rand.New(rand.NewSource(12))

@@ -19,8 +19,8 @@ var adversarialBatchShapes = []struct{ g, m, k, n int }{
 	{3, 1, 8, 1},
 	{16, 16, 8, 16}, // per-head attention scores: skinny but many
 	{16, 16, 16, 8}, // per-head attention context
-	{8, 4, 8, 8},    // whole row tiles
-	{8, 3, 8, 8},    // one row short of a tile: edge tiles only
+	{8, 8, 8, 8},    // whole row tiles
+	{8, 7, 8, 8},    // one row short of a tile: edge tiles only
 	{5, 7, 11, 13},  // primes
 	{4, 5, 300, 9},  // k spanning kcBlock boundaries
 	{2, 31, 64, 33},

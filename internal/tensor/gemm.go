@@ -24,16 +24,17 @@ import "sync"
 // Bit-equivalence contract: for every output element the sequence of
 // floating-point operations — one multiply and one add per p, terms in
 // ascending-p order starting from zero — is identical across the
-// reference kernels (matmul.go), the generic microkernel, and the SSE
+// reference kernels (matmul.go), the generic microkernel, and the AVX
 // microkernel (gemm_amd64.s, which vectorizes across output columns so
-// each lane is exactly the scalar sequence). Packing only moves values,
+// each lane is exactly the scalar sequence, with a separate multiply and
+// add — never a fused multiply-add). Packing only moves values,
 // and the lanes an edge tile discards only ever multiply zero padding.
 // The serial and parallel backends therefore stay bit-identical, and so
 // does every dispatch decision between the packed and reference paths.
 const (
-	// mrTile × nrTile is the register tile: 4 output rows × 8 output
-	// columns (two SSE vectors) per microkernel invocation.
-	mrTile = 4
+	// mrTile × nrTile is the register tile: 8 output rows × 8 output
+	// columns (one AVX vector per row) per microkernel invocation.
+	mrTile = 8
 	nrTile = 8
 
 	// kcBlock tiles the reduction dimension so the packed strips of A
@@ -44,13 +45,17 @@ const (
 
 	// packedMinWork and packedMinInstance are the floors of the one
 	// dispatch rule (gemmShouldPack), set from BenchmarkGemmFloor's sweep
-	// of both paths (amd64, serial): a call pays ~150 ns of fixed packing
-	// costs, so below 2⁹ multiply-adds the reference kernels win or tie,
-	// and from 8×8×8 up packing wins by about 2×; every instance of a batch
-	// pays ~60 ns more, so instances of 64 multiply-adds or fewer lose
-	// 1.1–2.7× packed, however many there are, while 4×4×8 ones win 2×.
-	// Both sides are bit-identical, so the floors are purely a
-	// performance choice.
+	// of both paths (2-vCPU AVX2 Xeon, serial, median of 5): a call pays
+	// ~150 ns of fixed packing costs, so the crossover lies below 2⁹
+	// multiply-adds, where it lay with the 4-row tile (packed/ref 2×8×8
+	// 1.7, 4×4×8 1.0, 6×6×6 0.85, 4×8×8 0.62), and from 2⁹ up packing
+	// wins or ties (8×8×8 0.37, 4×8×16 0.42, 2×16×16 0.96). The floor
+	// stays at 2⁹, above the shapes where the reference kernels win or
+	// tie, so the few 2⁸-sized ones that would pack faster run the
+	// reference kernels. Every instance of a batch pays ~60 ns more, so instances of
+	// 64 multiply-adds or fewer lose 1.4–2.9× packed, however many there
+	// are, while 4×4×8 ones win (0.80). Both sides are bit-identical, so
+	// the floors are purely a performance choice.
 	packedMinWork     = 1 << 9
 	packedMinInstance = 1 << 7
 )

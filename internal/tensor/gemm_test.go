@@ -187,6 +187,96 @@ func TestEdgeTileGuardBand(t *testing.T) {
 	}
 }
 
+// firstSourceNaN is x86's rule for an arithmetic instruction's result r
+// = x op y: a NaN first source x wins, then a NaN second source y, each
+// quieted; otherwise r.
+func firstSourceNaN(x, y, r float32) float32 {
+	switch {
+	case x != x:
+		return math.Float32frombits(math.Float32bits(x) | 0x00400000)
+	case y != y:
+		return math.Float32frombits(math.Float32bits(y) | 0x00400000)
+	}
+	return r
+}
+
+// TestMicroKernelMatchesGenericBits pins the assembly microkernel to
+// microGeneric and to the operand roles its header promises. A, B and
+// the resumed output carry quiet NaNs whose payloads name their operand
+// and position, and every rows×w tile, fresh and resumed, at reduction
+// depths 1, 2, 7 and kcBlock, must match microGeneric in every bit but a
+// NaN's payload (bitsDiff's carve-out). The payloads are checked against
+// an explicit model instead: when two NaNs meet, x86 keeps the first
+// source's, so the kernel must multiply with the broadcast A value first
+// and add with the accumulator first — the roles the default build's
+// compiled Go kernels take. Under -race the compiler may order the
+// generic kernel's add the other way, which is why the roles are pinned
+// to the model and not to microGeneric.
+func TestMicroKernelMatchesGenericBits(t *testing.T) {
+	qnan := func(tag, i int) float32 { return math.Float32frombits(0x7fc00000 | uint32(tag)<<16 | uint32(i)&0xffff) }
+	rng := rand.New(rand.NewSource(11))
+	const ldo = nrTile + 1
+	for _, pc := range []int{1, 2, 7, kcBlock} {
+		ap, bp := Rand(rng, -2, 2, pc*mrTile).data, Rand(rng, -2, 2, pc*nrTile).data
+		for i := range ap {
+			if rng.Intn(5) == 0 {
+				ap[i] = qnan(1, i)
+			}
+		}
+		for i := range bp {
+			if rng.Intn(5) == 0 {
+				bp[i] = qnan(2, i)
+			}
+		}
+		for rows := 1; rows <= mrTile; rows++ {
+			for w := 1; w <= nrTile; w++ {
+				for _, acc := range []bool{false, true} {
+					start := Rand(rng, -2, 2, mrTile*ldo)
+					for i := range start.data {
+						if rng.Intn(3) == 0 {
+							start.data[i] = qnan(3, i)
+						}
+					}
+					label := fmt.Sprintf("pc=%d rows=%d w=%d accumulate=%v asm=%v", pc, rows, w, acc, useAsmMicro)
+					gen, got, roles := start.Clone(), start.Clone(), start.Clone()
+					microGeneric(gen.data, ldo, ap, bp, pc, rows, w, acc)
+					if rows == mrTile && w == nrTile {
+						microKernel(got.data, ldo, ap, bp, pc, acc)
+					} else {
+						microEdge(got.data, ldo, ap, bp, pc, rows, w, acc)
+					}
+					if diff := bitsDiff(got, gen); diff != "" {
+						t.Fatalf("%s: microkernel != microGeneric: %s", label, diff)
+					}
+					if !useAsmMicro {
+						continue
+					}
+					for r := 0; r < rows; r++ {
+						for c := 0; c < w; c++ {
+							var s float32
+							if acc {
+								s = roles.data[r*ldo+c]
+							}
+							for p := 0; p < pc; p++ {
+								a, b := ap[p*mrTile+r], bp[p*nrTile+c]
+								prod := firstSourceNaN(a, b, a*b)
+								s = firstSourceNaN(s, prod, s+prod)
+							}
+							roles.data[r*ldo+c] = s
+						}
+					}
+					for i := range got.data {
+						if g, want := math.Float32bits(got.data[i]), math.Float32bits(roles.data[i]); g != want {
+							t.Fatalf("%s: element (%d,%d) = %#08x, want %#08x by the operand roles",
+								label, i/ldo, i%ldo, g, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBackendDispatchMatchesReferenceBits drives the public backend
 // entry points (which dispatch between reference and packed paths by
 // size) against the reference kernels — the dispatch decision must never
