@@ -139,7 +139,8 @@ func modeledReport(plan sched.Plan, dpu bool, nDev, steps, batch int, wl model.W
 // coordinator).
 func writeTraceReport(stdout io.Writer, path string, collect *obs.Collector,
 	plan sched.Plan, dpu bool, nDev, steps, batch int, wl model.Workload) error {
-	if err := obs.WriteChromeTraceFile(path, collect); err != nil {
+	all, byTrack := collect.Tracks()
+	if err := obs.WriteChromeTraceFile(path, all, byTrack); err != nil {
 		return fmt.Errorf("writing trace: %w", err)
 	}
 	fmt.Fprintf(stdout, "pipebd: wrote Chrome trace (%s) to %s — load it in chrome://tracing or https://ui.perfetto.dev\n",
@@ -148,10 +149,8 @@ func writeTraceReport(stdout io.Writer, path string, collect *obs.Collector,
 	for i := range order {
 		order[i] = fmt.Sprintf("dev%d", i)
 	}
-	_, byTrack := collect.Tracks()
-	ranks, epoch := obs.Measured(order, byTrack)
 	modeled, skip := modeledReport(plan, dpu, nDev, steps, batch, wl)
-	fmt.Fprint(stdout, obs.UtilizationReport(ranks, epoch, modeled))
+	fmt.Fprint(stdout, metrics.UtilizationReport(metrics.Measured(order, byTrack), modeled))
 	if skip != "" {
 		fmt.Fprintf(stdout, "pipebd: %s\n", skip)
 	}

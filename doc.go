@@ -221,12 +221,14 @@
 //
 // # Observability
 //
-// The internal/obs package instruments the real runtime the way the
-// simulator instruments virtual time: engine device loops, cluster
-// workers, and the coordinator record per-step spans (forwards,
-// backwards, updates, all-reduce phases, peer sends and ack waits,
-// snapshot writes, ledger appends) on per-goroutine tracks over the
-// sim.Category taxonomy. Tracing is off by default and near-free when
+// The internal/obs package owns the one span model: an obs.Span under an
+// obs.Category. Engine device loops, cluster workers, and the coordinator
+// record per-step spans (forwards, backwards, updates, all-reduce phases,
+// peer sends and ack waits, snapshot writes, ledger appends) on
+// per-goroutine tracks, and the simulator's tracks record the same spans
+// in virtual time, so one Gantt (internal/trace, cmd/pipebd-trace -in)
+// and one Chrome exporter draw a modelled schedule and a measured run
+// alike. Tracing is off by default and near-free when
 // disabled — one nil check plus one atomic load per site, no allocation
 // — guarded by TestDisabledTracingOverhead.
 // Cluster workers ship span batches to the coordinator at step

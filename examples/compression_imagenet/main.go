@@ -11,8 +11,8 @@ import (
 	"pipebd/internal/hw"
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
+	"pipebd/internal/obs"
 	"pipebd/internal/pipeline"
-	"pipebd/internal/sim"
 )
 
 func main() {
@@ -38,7 +38,7 @@ func main() {
 	for _, r := range reports {
 		var teacher float64
 		for _, rank := range r.Ranks {
-			teacher += rank.Busy[sim.CatTeacherFwd]
+			teacher += rank.Busy[obs.CatTeacherFwd]
 		}
 		rows = append(rows, []string{
 			r.Strategy, metrics.FormatSeconds(r.EpochTime),

@@ -9,8 +9,8 @@ import (
 	"pipebd/internal/hw"
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
+	"pipebd/internal/obs"
 	"pipebd/internal/pipeline"
-	"pipebd/internal/sim"
 )
 
 func main() {
@@ -47,7 +47,7 @@ func main() {
 	fmt.Println("\nWhere the DP baseline loses its time (per rank):")
 	for i, rank := range dp.Ranks {
 		fmt.Printf("  rank %d: teacher %.1fs (redundant prefix), load %.1fs, idle %.1fs\n",
-			i, rank.Busy[sim.CatTeacherFwd], rank.Busy[sim.CatLoad], rank.Idle)
+			i, rank.Busy[obs.CatTeacherFwd], rank.Busy[obs.CatLoad], rank.Idle)
 	}
 	fmt.Println("\nPipe-BD schedule:", reports[len(reports)-1].ScheduleDesc)
 }

@@ -11,7 +11,6 @@ import (
 	"pipebd/internal/engine"
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
-	"pipebd/internal/sim"
 	"pipebd/internal/tensor"
 )
 
@@ -485,7 +484,7 @@ func (l *ringLink) AllReduce(step int, grads []*tensor.Tensor, scratch *tensor.A
 // allReducePair is the two-member fallback: exchange full vectors, fold
 // rank 0 then rank 1 into a zeroed accumulator, scale by 1/2.
 func (l *ringLink) allReducePair(step int) {
-	rg := l.trace.Begin(sim.CatAllReduce, "pair_exchange")
+	rg := l.trace.Begin(obs.CatAllReduce, "pair_exchange")
 	defer rg.End()
 	other := l.group[1-l.rank]
 	l.peers[other].out.Enqueue(wire.EncodeRingSegment(l.dev, int32(step), wire.RingFull, 0, l.flat))
@@ -516,7 +515,7 @@ func (l *ringLink) allReducePair(step int) {
 
 func (l *ringLink) allReduceRing(step int) {
 	k, rank := l.k, l.rank
-	rg := l.trace.Begin(sim.CatAllReduce, "reduce_scatter")
+	rg := l.trace.Begin(obs.CatAllReduce, "reduce_scatter")
 	// Reduce-scatter: raw slices go straight to each segment's owner.
 	for s := 0; s < k; s++ {
 		if s == rank {
@@ -558,7 +557,7 @@ func (l *ringLink) allReduceRing(step int) {
 	}
 	copy(l.flat[l.segOff[rank]:l.segOff[rank+1]], own)
 	rg.End()
-	rg = l.trace.Begin(sim.CatAllReduce, "all_gather")
+	rg = l.trace.Begin(obs.CatAllReduce, "all_gather")
 	defer rg.End()
 
 	// All-gather ring: k-1 rounds of forwarding completed segments.

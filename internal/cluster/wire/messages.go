@@ -7,7 +7,6 @@ import (
 	"pipebd/internal/dataset"
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
-	"pipebd/internal/sim"
 	"pipebd/internal/tensor"
 )
 
@@ -761,7 +760,7 @@ func DecodeSpans(f *Frame) (SpanBatch, error) {
 	n := r.count(r.U32(), 24) // name length + cat + start + dur
 	for i := 0; i < n && r.Err() == nil; i++ {
 		b.Spans = append(b.Spans, obs.Span{
-			Name: r.String(), Cat: sim.Category(r.I32()), Start: r.I64(), Dur: r.I64(),
+			Name: r.String(), Cat: obs.Category(r.I32()), Start: r.I64(), Dur: r.I64(),
 		})
 	}
 	if err := r.Close(); err != nil {

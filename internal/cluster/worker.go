@@ -455,7 +455,8 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	if collect != nil {
 		path := filepath.Join(w.cfg.TraceDir,
 			fmt.Sprintf("trace-epoch%d-dev%d.json", assign.Epoch, devices[0].rank))
-		if err := obs.WriteChromeTraceFile(path, collect); err != nil {
+		order, byTrack := collect.Tracks()
+		if err := obs.WriteChromeTraceFile(path, order, byTrack); err != nil {
 			w.logf("trace dump failed: %v", err)
 		} else {
 			w.logf("session trace (%s) written to %s", collect, path)
@@ -475,7 +476,7 @@ func (w *Worker) spanSink(collect *obs.Collector) func(track string, spans []obs
 			collect.AddDropped(dropped)
 		}
 		for _, s := range spans {
-			w.cfg.Metrics.Add("busy_"+obs.CategoryName(s.Cat)+"_ns", s.Dur)
+			w.cfg.Metrics.Add("busy_"+s.Cat.String()+"_ns", s.Dur)
 		}
 		if dropped > 0 {
 			w.cfg.Metrics.Add("spans_dropped", dropped)

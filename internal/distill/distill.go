@@ -18,7 +18,6 @@ import (
 
 	"pipebd/internal/nn"
 	"pipebd/internal/obs"
-	"pipebd/internal/sim"
 	"pipebd/internal/tensor"
 )
 
@@ -75,14 +74,14 @@ func Step(p Pair, x *tensor.Tensor) (teacherOut *tensor.Tensor, loss float64) {
 // arena the caller attached to the pair's blocks (nn.ApplyArena), or nil:
 // the loss gradient comes from it too.
 func StepObserved(p Pair, x *tensor.Tensor, tk *obs.Track, ar *tensor.Arena) (teacherOut *tensor.Tensor, loss float64) {
-	r := tk.Begin(sim.CatTeacherFwd, "teacher_fwd")
+	r := tk.Begin(obs.CatTeacherFwd, "teacher_fwd")
 	teacherOut = p.Teacher.Forward(x, false)
 	r.End()
-	r = tk.Begin(sim.CatStudentFwd, "student_fwd")
+	r = tk.Begin(obs.CatStudentFwd, "student_fwd")
 	studentOut := p.Student.Forward(x, true)
 	loss, grad := p.lossOf()(ar, studentOut, teacherOut)
 	r.End()
-	r = tk.Begin(sim.CatStudentBwd, "student_bwd")
+	r = tk.Begin(obs.CatStudentBwd, "student_bwd")
 	p.Student.Backward(grad)
 	r.End()
 	return teacherOut, loss

@@ -37,7 +37,6 @@ import (
 	"pipebd/internal/nn"
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
-	"pipebd/internal/sim"
 	"pipebd/internal/tensor"
 )
 
@@ -162,7 +161,7 @@ func (mem stepMemory) step(p distill.Pair, x *tensor.Tensor, tk *obs.Track) (*te
 // on x; the output lives as long as step's.
 func (mem stepMemory) forward(teacher nn.Layer, x *tensor.Tensor, tk *obs.Track) *tensor.Tensor {
 	recycle(mem.block)
-	r := tk.Begin(sim.CatTeacherFwd, "teacher_fwd")
+	r := tk.Begin(obs.CatTeacherFwd, "teacher_fwd")
 	out := teacher.Forward(x, false)
 	r.End()
 	return mem.keep(out)

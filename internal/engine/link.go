@@ -5,7 +5,6 @@ import (
 	"pipebd/internal/distill"
 	"pipebd/internal/nn"
 	"pipebd/internal/obs"
-	"pipebd/internal/sim"
 	"pipebd/internal/tensor"
 )
 
@@ -144,19 +143,19 @@ type memberRun struct {
 	grads    []*tensor.Tensor // nil unless the stage is split
 	// A loader-fed stage's receive is the measured data-loading time; a
 	// relayed stage waits on an activation, which is communication.
-	recvCat  sim.Category
+	recvCat  obs.Category
 	recvName string
 }
 
 func newMemberRun(m Member, link DeviceLink) *memberRun {
 	r := &memberRun{Member: m, link: link, losses: make([]float64, len(m.Pairs)),
-		recvCat: sim.CatLoad, recvName: "recv_input"}
+		recvCat: obs.CatLoad, recvName: "recv_input"}
 	r.finisher, _ = link.(StepFinisher)
 	if m.GroupSize > 1 {
 		r.grads = m.GradTensors()
 	}
 	if m.Group > 0 {
-		r.recvCat, r.recvName = sim.CatComm, "recv_act"
+		r.recvCat, r.recvName = obs.CatComm, "recv_act"
 	}
 	return r
 }
@@ -184,14 +183,14 @@ func (m *memberRun) step(s int, mem stepMemory) {
 	// Relay the boundary activation to the next device (line 11). The
 	// send overlaps with the remaining work of other members thanks to
 	// the link's buffering.
-	r = tk.Begin(sim.CatComm, "send_output")
+	r = tk.Begin(obs.CatComm, "send_output")
 	link.SendOutput(s, x)
 	r.End()
 
 	// Intra-stage gradient sharing when the block is split along the
 	// batch dimension (line 14).
 	if m.GroupSize > 1 {
-		r = tk.Begin(sim.CatAllReduce, "allreduce")
+		r = tk.Begin(obs.CatAllReduce, "allreduce")
 		link.AllReduce(s, m.grads, mem.block)
 		r.End()
 	}
@@ -203,7 +202,7 @@ func (m *memberRun) step(s int, mem stepMemory) {
 	r = tk.Begin(obs.CatWait, "barrier_wait")
 	link.StepBarrier(s)
 	r.End()
-	r = tk.Begin(sim.CatUpdate, "sgd_update")
+	r = tk.Begin(obs.CatUpdate, "sgd_update")
 	for bi, pair := range m.Pairs {
 		m.Opts[bi].Step(pair.Student.Params())
 	}

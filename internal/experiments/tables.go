@@ -14,6 +14,7 @@ import (
 	"pipebd/internal/nn"
 	"pipebd/internal/pipeline"
 	"pipebd/internal/sched"
+	"pipebd/internal/sim"
 	"pipebd/internal/tensor"
 	"pipebd/internal/trace"
 )
@@ -185,6 +186,6 @@ func ScheduleGantt(w model.Workload, sys hw.System, o Options, steps int) string
 		panic(err)
 	}
 	_, tracks := rung.Run()
-	t0, t1 := trace.Window(tracks.Devs, 0.4, 0.5)
-	return trace.Gantt(tracks.Devs, t0, t1, 100)
+	order, byTrack := sim.Spans(tracks.Devs)
+	return trace.Gantt(order, byTrack, 0.4, 0.9, 100)
 }

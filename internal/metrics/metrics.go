@@ -1,44 +1,55 @@
-// Package metrics defines the result types produced by the pipeline
-// executors: per-rank time breakdowns (the paper's Fig. 2), per-rank peak
-// memory (Fig. 7), epoch times (Table II), and speedup helpers (Figs. 4-6).
+// Package metrics defines the result types of a run, simulated or
+// measured: per-rank time breakdowns (the paper's Fig. 2), per-rank peak
+// memory (Fig. 7), epoch times (Table II), speedup helpers (Figs. 4-6),
+// and the measured-vs-modelled utilization report that compares a traced
+// run with the simulator's prediction of the same schedule.
 package metrics
 
 import (
 	"fmt"
 	"strings"
 
-	"pipebd/internal/sim"
+	"pipebd/internal/obs"
 )
 
 // RankStats aggregates one device's epoch activity.
 type RankStats struct {
-	// Busy holds busy seconds by category. Waiting for data or relayed
-	// activations is accounted as CatLoad / CatComm pseudo-busy time so
-	// that Busy + Idle always spans the epoch.
-	Busy [sim.NumCategories]float64
-	// Idle is unattributed waiting (barriers, pipeline bubbles).
+	// Track names the device's timeline ("gpu0" simulated, "dev0"
+	// measured).
+	Track string
+	// Busy holds busy seconds by category. The simulator accounts waiting
+	// for data or relayed activations as CatLoad / CatComm pseudo-busy
+	// time; a measured rank's blocked time is CatWait, which is idle.
+	Busy [obs.NumCategories]float64
+	// Idle is unattributed waiting (barriers, pipeline bubbles), so that
+	// TotalBusy + Idle spans the epoch.
 	Idle float64
 	// PeakMemBytes is the estimated peak device memory.
 	PeakMemBytes int64
 }
 
-// TotalBusy returns the rank's busy time over all categories.
+// TotalBusy returns the rank's busy time over every category but
+// CatWait.
 func (r RankStats) TotalBusy() float64 {
 	var s float64
-	for _, b := range r.Busy {
-		s += b
+	for c, b := range r.Busy {
+		if obs.Category(c) != obs.CatWait {
+			s += b
+		}
 	}
 	return s
 }
 
-// Report is the outcome of simulating one training epoch under a schedule.
+// Report is the outcome of one run under a schedule: a simulated
+// training epoch (pipeline.Run) or a traced run (Measured).
 type Report struct {
 	Strategy    string
 	Workload    string
 	System      string
 	GlobalBatch int
 	Steps       int
-	// EpochTime is the simulated wall-clock for one epoch.
+	// EpochTime is the run's wall-clock: simulated for one epoch, or
+	// measured from the earliest span's start to the latest span's end.
 	EpochTime float64
 	Ranks     []RankStats
 	// ScheduleDesc is a human-readable schedule summary, e.g.
@@ -53,11 +64,11 @@ type Report struct {
 func (r Report) FigTwoBreakdown() (load, teacher, student, idle float64) {
 	n := float64(len(r.Ranks))
 	for _, rank := range r.Ranks {
-		load += rank.Busy[sim.CatLoad]
-		teacher += rank.Busy[sim.CatTeacherFwd]
-		student += rank.Busy[sim.CatStudentFwd] + rank.Busy[sim.CatStudentBwd] +
-			rank.Busy[sim.CatUpdate] + rank.Busy[sim.CatAllReduce]
-		idle += rank.Idle + rank.Busy[sim.CatComm]
+		load += rank.Busy[obs.CatLoad]
+		teacher += rank.Busy[obs.CatTeacherFwd]
+		student += rank.Busy[obs.CatStudentFwd] + rank.Busy[obs.CatStudentBwd] +
+			rank.Busy[obs.CatUpdate] + rank.Busy[obs.CatAllReduce]
+		idle += rank.Idle + rank.Busy[obs.CatComm]
 	}
 	return load / n, teacher / n, student / n, idle / n
 }

@@ -1,15 +1,14 @@
-// Package obs is the runtime observability layer: a low-overhead span
-// tracer threaded through the real execution paths (the in-process
-// engine's device goroutines and the cluster workers' device loops), a
-// Chrome trace-event exporter, a measured-vs-modeled utilization report,
-// and an opt-in HTTP debug server (pprof + /metrics).
+// Package obs is the span model every timeline of the project shares: the
+// category vocabulary, the Span a track records, a low-overhead tracer
+// threaded through the real execution paths (the in-process engine's
+// device goroutines and the cluster workers' device loops), a Chrome
+// trace-event reader and writer, and an opt-in HTTP debug server (pprof +
+// /metrics).
 //
-// The simulator renders the paper's Fig. 2 busy/idle breakdowns from the
-// analytic cost model; this package produces the same breakdown from a
-// *measured* run, reusing the sim.Category taxonomy (extended with wait,
-// snapshot, and ledger categories that only exist at runtime) so the two
-// sides are directly comparable — including the model-error columns that
-// tell us when the planner's cost model drifts.
+// The simulator's tracks (internal/sim) record the same Span in virtual
+// time, so one renderer (internal/trace's Gantt, WriteChromeTrace) and one
+// breakdown (metrics.Measured) serve a modelled schedule and a measured
+// run alike.
 //
 // Tracing is off by default and near-free when disabled: Track.Begin is
 // a nil check plus one atomic load, allocates nothing, and takes no
@@ -22,47 +21,51 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"pipebd/internal/sim"
 )
 
-// Runtime-only categories extending sim's compute taxonomy. They use the
-// Category values just past sim's enum so a single array indexes both;
-// MeasuredRank.TotalBusy sums only the first sim.NumCategories entries
-// (wait time is idle, not busy).
+// Category classifies a span: the breakdown the paper reports in Fig. 2,
+// the communication classes, and three classes only a real run has. The
+// values are part of the wire format (spans travel in KindSpans frames).
+type Category int
+
+// Span categories. The simulator records the first seven; CatWait,
+// CatSnapshot and CatLedger exist only at runtime.
 const (
+	CatLoad       Category = iota // data loading (host loader)
+	CatTeacherFwd                 // teacher block forward
+	CatStudentFwd                 // student block forward
+	CatStudentBwd                 // student block backward
+	CatUpdate                     // optimizer step
+	CatComm                       // activation relay transfer
+	CatAllReduce                  // gradient all-reduce
 	// CatWait is time blocked on a step barrier or a peer ack window —
 	// the measured analogue of the simulator's idle/bubble time.
-	CatWait = sim.Category(sim.NumCategories)
-	// CatSnapshot is time spent encoding and sending a device snapshot.
-	CatSnapshot = sim.Category(sim.NumCategories + 1)
-	// CatLedger is coordinator time spent appending durable-run records.
-	CatLedger = sim.Category(sim.NumCategories + 2)
+	CatWait
+	CatSnapshot // encoding and sending a device snapshot
+	CatLedger   // coordinator time appending durable-run records
 
-	// NumCategories counts sim's categories plus the runtime extensions.
-	NumCategories = sim.NumCategories + 3
+	// NumCategories is the number of distinct categories.
+	NumCategories = iota
 )
 
-// CategoryName returns the display name of either a sim category or one
-// of the runtime extensions above.
-func CategoryName(c sim.Category) string {
-	switch c {
-	case CatWait:
-		return "wait"
-	case CatSnapshot:
-		return "snapshot"
-	case CatLedger:
-		return "ledger"
+var categoryNames = [NumCategories]string{"load", "teacher_fwd", "student_fwd", "student_bwd",
+	"update", "comm", "allreduce", "wait", "snapshot", "ledger"}
+
+// String returns the category's display name.
+func (c Category) String() string {
+	if c >= 0 && c < NumCategories {
+		return categoryNames[c]
 	}
-	return c.String()
+	return fmt.Sprintf("category(%d)", int(c))
 }
 
-// Span is one timed region on a track. Start is nanoseconds since the
-// Unix epoch (wall clock, so spans from different processes on one
-// machine share a timeline); Dur is the region's length in nanoseconds.
+// Span is one timed region on a track, in nanoseconds. A measured span's
+// Start is wall-clock time since the Unix epoch, so spans from different
+// processes on one machine share a timeline; a simulated span's Start is
+// virtual time since the simulation began.
 type Span struct {
 	Name  string
-	Cat   sim.Category
+	Cat   Category
 	Start int64
 	Dur   int64
 }
@@ -138,13 +141,13 @@ func (tk *Track) Name() string {
 type Region struct {
 	tk    *Track
 	name  string
-	cat   sim.Category
+	cat   Category
 	start int64
 }
 
 // Begin opens a span. When the track is nil or its tracer is disabled
 // this is one branch plus one atomic load: no allocation, no clock read.
-func (tk *Track) Begin(cat sim.Category, name string) Region {
+func (tk *Track) Begin(cat Category, name string) Region {
 	if tk == nil || !tk.tracer.enabled.Load() {
 		return Region{}
 	}

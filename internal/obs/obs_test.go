@@ -12,15 +12,13 @@ import (
 	"testing"
 	"time"
 
-	"pipebd/internal/metrics"
-	"pipebd/internal/sim"
 	"pipebd/internal/testutil"
 )
 
 func TestTrackRecordsAndDrains(t *testing.T) {
 	tr := NewTracer(true)
 	tk := tr.NewTrack("dev0")
-	r := tk.Begin(sim.CatStudentFwd, "student_fwd")
+	r := tk.Begin(CatStudentFwd, "student_fwd")
 	time.Sleep(time.Millisecond)
 	r.End()
 	tk.Begin(CatSnapshot, "snapshot").End()
@@ -28,7 +26,7 @@ func TestTrackRecordsAndDrains(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
-	if spans[0].Name != "student_fwd" || spans[0].Cat != sim.CatStudentFwd {
+	if spans[0].Name != "student_fwd" || spans[0].Cat != CatStudentFwd {
 		t.Fatalf("bad span: %+v", spans[0])
 	}
 	if spans[0].Dur <= 0 {
@@ -42,14 +40,14 @@ func TestTrackRecordsAndDrains(t *testing.T) {
 func TestDisabledTracerRecordsNothing(t *testing.T) {
 	tr := NewTracer(false)
 	tk := tr.NewTrack("dev0")
-	tk.Begin(sim.CatUpdate, "update").End()
+	tk.Begin(CatUpdate, "update").End()
 	if got := tk.Drain(); got != nil {
 		t.Fatalf("disabled tracer recorded %d spans", len(got))
 	}
 	// Nil track and nil tracer are valid no-ops everywhere.
 	var nilTracer *Tracer
 	nilTrack := nilTracer.NewTrack("x")
-	nilTrack.Begin(sim.CatUpdate, "update").End()
+	nilTrack.Begin(CatUpdate, "update").End()
 	if nilTrack.Drain() != nil || nilTrack.Dropped() != 0 || nilTrack.Name() != "" {
 		t.Fatal("nil track not inert")
 	}
@@ -62,7 +60,7 @@ func TestTrackDropsAtCap(t *testing.T) {
 	tr := NewTracer(true)
 	tk := tr.NewTrack("dev0")
 	for i := 0; i < maxSpansPerTrack+10; i++ {
-		tk.record(Span{Name: "s", Cat: sim.CatUpdate, Start: int64(i), Dur: 1})
+		tk.record(Span{Name: "s", Cat: CatUpdate, Start: int64(i), Dur: 1})
 	}
 	if got := tk.Dropped(); got != 10 {
 		t.Fatalf("dropped = %d, want 10", got)
@@ -76,51 +74,26 @@ func TestSelfTimesAttributesNesting(t *testing.T) {
 	// allreduce [0,100) with nested reduce_scatter [10,40) and
 	// all_gather [50,90); a disjoint wait [100,130).
 	spans := []Span{
-		{Name: "allreduce", Cat: sim.CatAllReduce, Start: 0, Dur: 100},
-		{Name: "reduce_scatter", Cat: sim.CatAllReduce, Start: 10, Dur: 30},
-		{Name: "all_gather", Cat: sim.CatAllReduce, Start: 50, Dur: 40},
+		{Name: "allreduce", Cat: CatAllReduce, Start: 0, Dur: 100},
+		{Name: "reduce_scatter", Cat: CatAllReduce, Start: 10, Dur: 30},
+		{Name: "all_gather", Cat: CatAllReduce, Start: 50, Dur: 40},
 		{Name: "barrier_wait", Cat: CatWait, Start: 100, Dur: 30},
 	}
-	busy := selfTimes(spans)
-	if busy[sim.CatAllReduce] != 100 {
-		t.Fatalf("allreduce self time = %d, want 100 (no double count)", busy[sim.CatAllReduce])
+	busy := SelfTimes(spans)
+	if busy[CatAllReduce] != 100 {
+		t.Fatalf("allreduce self time = %d, want 100 (no double count)", busy[CatAllReduce])
 	}
 	if busy[CatWait] != 30 {
 		t.Fatalf("wait self time = %d, want 30", busy[CatWait])
 	}
 	// A nested wait subtracts from its parent's category.
 	spans = []Span{
-		{Name: "send_output", Cat: sim.CatComm, Start: 0, Dur: 100},
+		{Name: "send_output", Cat: CatComm, Start: 0, Dur: 100},
 		{Name: "peer_ack_wait", Cat: CatWait, Start: 5, Dur: 60},
 	}
-	busy = selfTimes(spans)
-	if busy[sim.CatComm] != 40 || busy[CatWait] != 60 {
-		t.Fatalf("comm=%d wait=%d, want 40/60", busy[sim.CatComm], busy[CatWait])
-	}
-}
-
-func TestMeasuredAndRankStats(t *testing.T) {
-	byTrack := map[string][]Span{
-		"dev0": {
-			{Name: "student_fwd", Cat: sim.CatStudentFwd, Start: 1e9, Dur: 2e9},
-			{Name: "barrier_wait", Cat: CatWait, Start: 3e9, Dur: 1e9},
-		},
-		"dev1": {
-			{Name: "update", Cat: sim.CatUpdate, Start: 2e9, Dur: 1e9},
-		},
-	}
-	ranks, epoch := Measured([]string{"dev0", "dev1"}, byTrack)
-	if len(ranks) != 2 {
-		t.Fatalf("got %d ranks", len(ranks))
-	}
-	if epoch != 3 { // 1s..4s across both tracks
-		t.Fatalf("epoch = %v, want 3", epoch)
-	}
-	if got := ranks[0].Busy[sim.CatStudentFwd]; got != 2 {
-		t.Fatalf("busy = %v", got)
-	}
-	if idle := epoch - ranks[0].TotalBusy(); idle != 1 { // 3s epoch − 2s busy; the wait second is idle
-		t.Fatalf("idle = %v, want 1", idle)
+	busy = SelfTimes(spans)
+	if busy[CatComm] != 40 || busy[CatWait] != 60 {
+		t.Fatalf("comm=%d wait=%d, want 40/60", busy[CatComm], busy[CatWait])
 	}
 }
 
@@ -129,10 +102,11 @@ func TestMeasuredAndRankStats(t *testing.T) {
 // and an unwritable destination leaves nothing behind.
 func TestChromeTraceFileIsAtomic(t *testing.T) {
 	c := NewCollector()
-	c.Add("dev0", []Span{{Name: "teacher_fwd", Cat: sim.CatTeacherFwd, Start: 5e9, Dur: 1e6}})
+	c.Add("dev0", []Span{{Name: "teacher_fwd", Cat: CatTeacherFwd, Start: 5e9, Dur: 1e6}})
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.json")
-	if err := WriteChromeTraceFile(path, c); err != nil {
+	order, byTrack := c.Tracks()
+	if err := WriteChromeTraceFile(path, order, byTrack); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -145,15 +119,15 @@ func TestChromeTraceFileIsAtomic(t *testing.T) {
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
 		t.Fatalf("trace directory holds %d entries, want only the finished file", len(entries))
 	}
-	if err := WriteChromeTraceFile(filepath.Join(dir, "absent", "trace.json"), c); err == nil {
+	if err := WriteChromeTraceFile(filepath.Join(dir, "absent", "trace.json"), order, byTrack); err == nil {
 		t.Fatal("write into a missing directory succeeded")
 	}
 }
 
 func TestChromeTraceExport(t *testing.T) {
 	c := NewCollector()
-	c.Add("dev0", []Span{{Name: "teacher_fwd", Cat: sim.CatTeacherFwd, Start: 5e9, Dur: 1e6}})
-	c.Add("dev1", []Span{{Name: "allreduce", Cat: sim.CatAllReduce, Start: 6e9, Dur: 2e6}})
+	c.Add("dev0", []Span{{Name: "teacher_fwd", Cat: CatTeacherFwd, Start: 5e9, Dur: 1e6}})
+	c.Add("dev1", []Span{{Name: "allreduce", Cat: CatAllReduce, Start: 6e9, Dur: 2e6}})
 	c.Add("dev0", []Span{{Name: "barrier_wait", Cat: CatWait, Start: 7e9, Dur: 3e6}})
 	c.AddDropped(4)
 	if got := c.String(); got != "3 spans on 2 tracks, 4 dropped" {
@@ -199,30 +173,6 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if sawX != 3 {
 		t.Fatalf("got %d X events, want 3", sawX)
-	}
-}
-
-func TestUtilizationReport(t *testing.T) {
-	ranks := []MeasuredRank{{Track: "dev0"}, {Track: "dev1"}}
-	ranks[0].Busy[sim.CatStudentFwd] = 0.6
-	ranks[1].Busy[sim.CatUpdate] = 0.3
-	modeled := &metrics.Report{Strategy: "TR", EpochTime: 10,
-		Ranks: make([]metrics.RankStats, 2)}
-	modeled.Ranks[0].Busy[sim.CatStudentFwd] = 7
-	modeled.Ranks[0].Idle = 3
-	modeled.Ranks[1].Busy[sim.CatUpdate] = 4
-	modeled.Ranks[1].Idle = 6
-	out := UtilizationReport(ranks, 1.0, modeled)
-	for _, want := range []string{"measured utilization", "measured vs modeled",
-		"dev0", "dev1", "err(pp)", "60.0", "70.0"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
-	}
-	// Measured-only mode still renders a breakdown.
-	out = UtilizationReport(ranks, 1.0, nil)
-	if !strings.Contains(out, "busy%") || strings.Contains(out, "modeled") {
-		t.Fatalf("measured-only report wrong:\n%s", out)
 	}
 }
 
@@ -297,7 +247,7 @@ func TestDisabledTracingOverhead(t *testing.T) {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tk.Begin(sim.CatStudentFwd, "student_fwd").End()
+			tk.Begin(CatStudentFwd, "student_fwd").End()
 		}
 	})
 	if perOp := res.AllocsPerOp(); perOp != 0 {
@@ -312,27 +262,30 @@ func TestDisabledTracingOverhead(t *testing.T) {
 }
 
 func TestCategoryNames(t *testing.T) {
-	want := map[sim.Category]string{
-		sim.CatTeacherFwd: "teacher_fwd",
-		CatWait:           "wait",
-		CatSnapshot:       "snapshot",
-		CatLedger:         "ledger",
+	want := map[Category]string{
+		CatLoad:       "load",
+		CatTeacherFwd: "teacher_fwd",
+		CatAllReduce:  "allreduce",
+		CatWait:       "wait",
+		CatSnapshot:   "snapshot",
+		CatLedger:     "ledger",
+		NumCategories: "category(10)",
 	}
 	for c, name := range want {
-		if got := CategoryName(c); got != name {
-			t.Fatalf("CategoryName(%d) = %q, want %q", c, got, name)
+		if got := c.String(); got != name {
+			t.Fatalf("Category(%d).String() = %q, want %q", c, got, name)
 		}
 	}
-	// Every category has a distinct printable name (table headers rely on it).
+	// Every category has a distinct printable name (table headers and the
+	// trace reader rely on it).
 	seen := map[string]bool{}
-	for c := 0; c < NumCategories; c++ {
-		n := CategoryName(sim.Category(c))
+	for c := Category(0); c < NumCategories; c++ {
+		n := c.String()
 		if n == "" || seen[n] {
 			t.Fatalf("category %d name %q empty or duplicated", c, n)
 		}
 		seen[n] = true
 	}
-	_ = fmt.Sprintf("%v", seen)
 }
 
 func TestChromeTraceZeroDurationRoundTrip(t *testing.T) {
@@ -341,8 +294,8 @@ func TestChromeTraceZeroDurationRoundTrip(t *testing.T) {
 	// field, and dur,omitempty used to drop exactly those.
 	byTrack := map[string][]Span{
 		"dev0": {
-			{Name: "instant", Cat: sim.CatUpdate, Start: 5e9, Dur: 0},
-			{Name: "long", Cat: sim.CatStudentFwd, Start: 5e9, Dur: 2e6},
+			{Name: "instant", Cat: CatUpdate, Start: 5e9, Dur: 0},
+			{Name: "long", Cat: CatStudentFwd, Start: 5e9, Dur: 2e6},
 		},
 	}
 	var buf bytes.Buffer
@@ -386,4 +339,85 @@ func TestChromeTraceZeroDurationRoundTrip(t *testing.T) {
 	if !sawInstant || !sawLong {
 		t.Fatalf("missing spans: instant=%v long=%v", sawInstant, sawLong)
 	}
+}
+
+// TestReadChromeTraceRoundTrip: a written trace reads back to the same
+// spans, rebased to the earliest one, with the tracks in the written
+// order; documents that are not such a trace are errors.
+func TestReadChromeTraceRoundTrip(t *testing.T) {
+	order := []string{"dev1", "dev0", "idle"}
+	byTrack := map[string][]Span{
+		"dev0": {{Name: "teacher_fwd", Cat: CatTeacherFwd, Start: 5e9 + 1500, Dur: 2e6 + 7}},
+		"dev1": {
+			{Name: "send_output", Cat: CatComm, Start: 5e9, Dur: 100},
+			{Name: "peer_ack_wait", Cat: CatWait, Start: 5e9 + 10, Dur: 0},
+		},
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, order, byTrack); err != nil {
+		t.Fatal(err)
+	}
+	gotOrder, got, err := ReadChromeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(gotOrder) != "[dev1 dev0]" {
+		t.Fatalf("order = %v, want [dev1 dev0]", gotOrder)
+	}
+	for name, spans := range byTrack {
+		for i, s := range spans {
+			s.Start -= 5e9
+			if got[name][i] != s {
+				t.Fatalf("%s span %d = %+v, want %+v", name, i, got[name][i], s)
+			}
+		}
+	}
+
+	for _, doc := range []string{
+		`{"traceEvents": [`,
+		`{"traceEvents": [{"name": "x", "cat": "update", "ph": "X", "ts": 0, "dur": 1, "tid": 3}]}`,
+		`{"traceEvents": [{"name": "thread_name", "ph": "M", "tid": 0, "args": {"name": "dev0"}},
+			{"name": "x", "cat": "gpu", "ph": "X", "ts": 0, "dur": 1, "tid": 0}]}`,
+		`{"traceEvents": [{"name": "thread_name", "ph": "M", "tid": 0, "args": {"name": "dev0"}},
+			{"name": "x", "cat": "update", "ph": "X", "ts": 0, "dur": -1, "tid": 0}]}`,
+		`{"traceEvents": [{"name": "thread_name", "ph": "M", "tid": 0, "args": {"name": "dev0"}},
+			{"name": "x", "cat": "update", "ph": "X", "ts": 1e300, "dur": 1, "tid": 0}]}`,
+	} {
+		if _, _, err := ReadChromeTrace(strings.NewReader(doc)); err == nil {
+			t.Errorf("ReadChromeTrace accepted %s", doc)
+		}
+	}
+}
+
+// FuzzReadChromeTrace: arbitrary bytes decode to spans or fail with an
+// error, and what decodes writes back and reads again to the same spans.
+func FuzzReadChromeTrace(f *testing.F) {
+	var buf bytes.Buffer
+	WriteChromeTrace(&buf, []string{"dev0"}, map[string][]Span{
+		"dev0": {{Name: "student_fwd", Cat: CatStudentFwd, Start: 3, Dur: 4}},
+	})
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"traceEvents": [{"ph": "X", "tid": 0}]}`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		order, byTrack, err := ReadChromeTrace(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := WriteChromeTrace(&again, order, byTrack); err != nil {
+			t.Fatal(err)
+		}
+		order2, byTrack2, err := ReadChromeTrace(&again)
+		if err != nil {
+			t.Fatalf("a rewritten trace does not read back: %v", err)
+		}
+		if fmt.Sprint(order2) != fmt.Sprint(order) {
+			t.Fatalf("order %v read back as %v", order, order2)
+		}
+		for _, name := range order {
+			if len(byTrack2[name]) != len(byTrack[name]) {
+				t.Fatalf("%s: %d spans read back as %d", name, len(byTrack[name]), len(byTrack2[name]))
+			}
+		}
+	})
 }

@@ -22,6 +22,7 @@ import (
 	"pipebd/internal/hw"
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
+	"pipebd/internal/obs"
 	"pipebd/internal/sched"
 	"pipebd/internal/sim"
 )
@@ -37,7 +38,8 @@ type Config struct {
 	// and EpochTime then cover only the simulated prefix.
 	MaxSteps int
 
-	// Record retains per-track intervals for Gantt rendering.
+	// Record keeps every track's spans for Gantt rendering and trace
+	// export (sim.Spans).
 	Record bool
 }
 
@@ -78,14 +80,14 @@ func (c Config) loadTime(samples int) float64 {
 // waitFor stalls dev until ready, attributing the gap to cat (load or
 // relay wait). Gaps from barriers are left unattributed and fall into
 // idle time during report assembly.
-func waitFor(dev *sim.Track, ready float64, cat sim.Category, label string) {
+func waitFor(dev *sim.Track, ready float64, cat obs.Category, label string) {
 	if gap := ready - dev.FreeAt(); gap > 0 {
 		dev.Exec(dev.FreeAt(), gap, cat, label)
 	}
 }
 
 // Tracks are the simulation's serial resources after a run, for Gantt
-// rendering (intervals are kept only under Config.Record).
+// rendering (spans are kept only under Config.Record).
 type Tracks struct {
 	Loader *sim.Track
 	Devs   []*sim.Track
@@ -110,7 +112,7 @@ func newTracks(cfg Config) Tracks {
 func latest(tracks []*sim.Track) float64 {
 	var end float64
 	for _, t := range tracks {
-		end = sim.Max(end, t.FreeAt())
+		end = max(end, t.FreeAt())
 	}
 	return end
 }
@@ -120,19 +122,12 @@ func (tk Tracks) report(cfg Config, prog sched.Program, steps int, peakMem []int
 	end := latest(tk.Devs)
 	ranks := make([]metrics.RankStats, len(tk.Devs))
 	for i, d := range tk.Devs {
-		var busy [sim.NumCategories]float64
-		for c := 0; c < sim.NumCategories; c++ {
-			busy[c] = d.Busy(sim.Category(c))
+		ranks[i] = metrics.RankStats{Track: d.Name, PeakMemBytes: peakMem[i]}
+		for c := range ranks[i].Busy {
+			ranks[i].Busy[c] = d.Busy(obs.Category(c))
 		}
-		idle := end - d.TotalBusy()
-		if idle < 0 {
-			idle = 0 // guard against float accumulation residue
-		}
-		ranks[i] = metrics.RankStats{
-			Busy:         busy,
-			Idle:         idle,
-			PeakMemBytes: peakMem[i],
-		}
+		// The clamp guards against float accumulation residue.
+		ranks[i].Idle = max(0, end-ranks[i].TotalBusy())
 	}
 	return metrics.Report{
 		Strategy:     prog.Name,
@@ -194,8 +189,8 @@ func Run(cfg Config, prog sched.Program) (metrics.Report, Tracks) {
 				if st.Relayed {
 					for pj, pm := range prev.members {
 						bytes := st.inBytesPerSample * int64(pm.Batch)
-						_, end := tk.Copies[pm.Device].Exec(prevTeacherDone[pj], link.TransferTime(bytes), sim.CatComm, "TX")
-						relayed = sim.Max(relayed, end)
+						_, end := tk.Copies[pm.Device].Exec(prevTeacherDone[pj], link.TransferTime(bytes), obs.CatComm, "TX")
+						relayed = max(relayed, end)
 					}
 				}
 
@@ -204,42 +199,42 @@ func Run(cfg Config, prog sched.Program) (metrics.Report, Tracks) {
 				for j, m := range st.members {
 					dev := tk.Devs[m.Device]
 					// One training-loop iteration's fixed host-side cost.
-					dev.Exec(0, host.StepOverhead, sim.CatUpdate, "OV")
+					dev.Exec(0, host.StepOverhead, obs.CatUpdate, "OV")
 					if st.Relayed {
-						waitFor(dev, relayed, sim.CatComm, "RX")
+						waitFor(dev, relayed, obs.CatComm, "RX")
 					} else {
 						// The member's share from the shared loader, then the
 						// consumer side of a batch: iterator dispatch,
 						// collation, host-to-device staging.
-						_, loaded := tk.Loader.Exec(0, cfg.loadTime(m.Batch), sim.CatLoad, "DL")
-						waitFor(dev, loaded, sim.CatLoad, "DL")
-						dev.Exec(0, host.PerBatchOverhead, sim.CatLoad, "DL")
+						_, loaded := tk.Loader.Exec(0, cfg.loadTime(m.Batch), obs.CatLoad, "DL")
+						waitFor(dev, loaded, obs.CatLoad, "DL")
+						dev.Exec(0, host.PerBatchOverhead, obs.CatLoad, "DL")
 					}
 					for i, t := range m.TeacherFwd {
-						dev.Exec(0, t, sim.CatTeacherFwd, fmt.Sprintf("T%d", firstTeacher+i))
+						dev.Exec(0, t, obs.CatTeacherFwd, fmt.Sprintf("T%d", firstTeacher+i))
 					}
 					teacherDone[j] = dev.FreeAt()
 					for bi, b := range st.Blocks {
-						dev.Exec(0, m.StudentFwd[bi], sim.CatStudentFwd, fmt.Sprintf("S%d", b))
+						dev.Exec(0, m.StudentFwd[bi], obs.CatStudentFwd, fmt.Sprintf("S%d", b))
 					}
 					for bi := len(st.Blocks) - 1; bi >= 0; bi-- {
-						dev.Exec(0, m.StudentBwd[bi], sim.CatStudentBwd, fmt.Sprintf("S%d", st.Blocks[bi]))
+						dev.Exec(0, m.StudentBwd[bi], obs.CatStudentBwd, fmt.Sprintf("S%d", st.Blocks[bi]))
 					}
 				}
 				// An all-reduce is a rendezvous: no member's starts before the
 				// slowest member's backward pass ends.
 				var backwardDone float64
 				for _, m := range st.members {
-					backwardDone = sim.Max(backwardDone, tk.Devs[m.Device].FreeAt())
+					backwardDone = max(backwardDone, tk.Devs[m.Device].FreeAt())
 				}
 				for _, m := range st.members {
 					dev := tk.Devs[m.Device]
 					if st.Split() > 1 {
 						dev.AdvanceTo(backwardDone)
-						dev.Exec(0, m.ExposedAllReduce, sim.CatAllReduce, "AR")
+						dev.Exec(0, m.ExposedAllReduce, obs.CatAllReduce, "AR")
 					}
 					if !prog.Barrier {
-						dev.Exec(0, m.Update, sim.CatUpdate, "UP")
+						dev.Exec(0, m.Update, obs.CatUpdate, "UP")
 					}
 				}
 				prev, prevTeacherDone = st, teacherDone
@@ -252,7 +247,7 @@ func Run(cfg Config, prog sched.Program) (metrics.Report, Tracks) {
 				for _, st := range stages {
 					for _, m := range st.members {
 						tk.Devs[m.Device].AdvanceTo(barrierAt)
-						tk.Devs[m.Device].Exec(0, m.Update, sim.CatUpdate, "UP")
+						tk.Devs[m.Device].Exec(0, m.Update, obs.CatUpdate, "UP")
 					}
 				}
 			}

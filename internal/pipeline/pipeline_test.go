@@ -7,6 +7,7 @@ import (
 	"pipebd/internal/hw"
 	"pipebd/internal/metrics"
 	"pipebd/internal/model"
+	"pipebd/internal/obs"
 	"pipebd/internal/sched"
 	"pipebd/internal/sim"
 )
@@ -145,17 +146,17 @@ func TestDPRedundantTeacherAndLoading(t *testing.T) {
 	trPlan, _ := plans(t, w, sys)
 	dp := rung(t, cfg, DP)
 	tr := relay(cfg, trPlan, true)
-	sumCat := func(r metrics.Report, c sim.Category) float64 {
+	sumCat := func(r metrics.Report, c obs.Category) float64 {
 		var s float64
 		for _, rank := range r.Ranks {
 			s += rank.Busy[c]
 		}
 		return s
 	}
-	if sumCat(dp, sim.CatTeacherFwd) < 2*sumCat(tr, sim.CatTeacherFwd) {
+	if sumCat(dp, obs.CatTeacherFwd) < 2*sumCat(tr, obs.CatTeacherFwd) {
 		t.Error("DP should execute at least 2x the teacher work of TR")
 	}
-	if sumCat(dp, sim.CatLoad) < 2*sumCat(tr, sim.CatLoad) {
+	if sumCat(dp, obs.CatLoad) < 2*sumCat(tr, obs.CatLoad) {
 		t.Error("DP should spend at least 2x the loading time of TR")
 	}
 }
@@ -212,14 +213,26 @@ func TestRecordingProducesIntervals(t *testing.T) {
 	cfg := quickCfg(w, hw.A6000x4())
 	cfg.Record = true
 	cfg.MaxSteps = 3
-	_, tracks := Run(cfg, sched.TeacherRelaying(sched.InternalRelaying(4, 6), true))
-	for d, dev := range tracks.Devs {
-		if len(dev.Intervals()) == 0 {
-			t.Fatalf("device %d recorded no intervals", d)
+	rep, tracks := Run(cfg, sched.TeacherRelaying(sched.InternalRelaying(4, 6), true))
+	order, byTrack := sim.Spans(append(tracks.Devs, tracks.Loader))
+	for _, name := range order {
+		if len(byTrack[name]) == 0 {
+			t.Fatalf("%s recorded no spans", name)
 		}
 	}
-	if len(tracks.Loader.Intervals()) == 0 {
-		t.Fatal("loader recorded no intervals")
+	// A device's spans sum, category by category, to the busy seconds the
+	// report gives it, up to each span's nanosecond rounding.
+	for d, rank := range rep.Ranks {
+		spans := byTrack[order[d]]
+		var sum [obs.NumCategories]float64
+		for _, s := range spans {
+			sum[s.Cat] += float64(s.Dur) / 1e9
+		}
+		for c := range sum {
+			if math.Abs(sum[c]-rank.Busy[c]) > 1e-9*float64(len(spans)) {
+				t.Fatalf("%s: %v spans sum to %v s, the report says %v s", order[d], obs.Category(c), sum[c], rank.Busy[c])
+			}
+		}
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 
 	"pipebd/internal/hw"
 	"pipebd/internal/model"
+	"pipebd/internal/obs"
 	"pipebd/internal/sched"
-	"pipebd/internal/sim"
 )
 
 // near reports whether a sum the sweep accumulated step by step equals
@@ -50,10 +50,10 @@ func TestPlannerPricesWhatTheSweepPlays(t *testing.T) {
 						what        string
 						got, priced float64
 					}{
-						{"teacher", rank.Busy[sim.CatTeacherFwd], teacher[d]},
-						{"student", rank.Busy[sim.CatStudentFwd] + rank.Busy[sim.CatStudentBwd], student[d]},
-						{"all-reduce", rank.Busy[sim.CatAllReduce], allReduce[d]},
-						{"update", rank.Busy[sim.CatUpdate], update[d]},
+						{"teacher", rank.Busy[obs.CatTeacherFwd], teacher[d]},
+						{"student", rank.Busy[obs.CatStudentFwd] + rank.Busy[obs.CatStudentBwd], student[d]},
+						{"all-reduce", rank.Busy[obs.CatAllReduce], allReduce[d]},
+						{"update", rank.Busy[obs.CatUpdate], update[d]},
 					} {
 						if !near(c.got, c.priced) {
 							t.Errorf("%s/%s/%s device %d: %s busy %v s, priced %v s", sys.Name, w.Name, r.Name, d, c.what, c.got, c.priced)
@@ -91,7 +91,7 @@ func TestThreeWayStagePlaysWholeBatch(t *testing.T) {
 		t.Fatalf("the 3-way stage plays %d samples a step, shares %v", played, first.Shares)
 	}
 	_, tracks := ahd.Run()
-	if got, want := tracks.Loader.Busy(sim.CatLoad), float64(cfg.MaxSteps)*cfg.loadTime(256); !near(got, want) {
+	if got, want := tracks.Loader.Busy(obs.CatLoad), float64(cfg.MaxSteps)*cfg.loadTime(256); !near(got, want) {
 		t.Fatalf("the loader produced %v s of samples, %d steps of 256 take %v s", got, cfg.MaxSteps, want)
 	}
 
