@@ -75,7 +75,7 @@ type clusterOptions struct {
 	// Fsync is the ledger record-log durability tier (needs Ledger).
 	Fsync ledger.SyncPolicy
 	// Repartition arms the measurement-driven runtime repartitioner.
-	Repartition cluster.RepartitionConfig
+	Repartition bool
 }
 
 // validate rejects option combinations before any socket is touched.
@@ -120,7 +120,7 @@ type resumeOptions struct {
 	Heartbeat   time.Duration
 	Verify      bool
 	Fsync       ledger.SyncPolicy
-	Repartition cluster.RepartitionConfig
+	Repartition bool
 	// Expect pins explicitly-requested run properties (plan name,
 	// topology, steps) against the manifest; nil checks nothing.
 	Expect *cluster.ResumeExpectation
@@ -167,8 +167,8 @@ func clusterPlan(name string) (sched.Plan, error) {
 		return sched.Plan{Name: "tr", Groups: []sched.Group{
 			g([]int{0}, []int{0, 1}), g([]int{1}, []int{2, 3})}}, nil
 	case "tr3":
-		// Three devices, one per group, front-loaded: the all-unsplit
-		// shape -repartition can rebalance when a device measures slow.
+		// Three devices, one per group, front-loaded: a shape -repartition
+		// can rebalance when a device measures slow.
 		return sched.Plan{Name: "tr3", Groups: []sched.Group{
 			g([]int{0}, []int{0, 1}), g([]int{1}, []int{2}), g([]int{2}, []int{3})}}, nil
 	case "hybrid":
@@ -312,7 +312,7 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "pipebd: cluster run finished in %v\n", time.Since(start).Round(time.Millisecond))
-	if opts.Repartition.Enabled {
+	if opts.Repartition {
 		fmt.Fprintf(stdout, "pipebd: repartitions executed: %d\n", counters.Counter("repartitions").Load())
 	}
 	if cfg.Retry.Enabled() {

@@ -216,7 +216,7 @@ func main() {
 	ledgerDir := flag.String("ledger", "", "cluster mode: persist the coordinator's run state under this directory so a killed pipebd can restart with -resume")
 	snapInterval := flag.Int("snapshot-interval", 0, "cluster mode: snapshot interval k — each group's rank-0 device snapshots every k-th step (0: every step when fault tolerance is on)")
 	fsync := flag.String("fsync", "none", "ledger record-log durability tier: none (page cache only — survives process death), interval[:N] (fsync every N records, default 64), or always (fsync every record); needs -ledger or -resume")
-	repartition := flag.Bool("repartition", false, "cluster mode: rebalance the pipeline placement mid-run from measured span timings — when observed per-block step times predict a better contiguous split, cut at a step boundary and re-place (weights stay bit-identical; needs an all-unsplit plan such as tr or ir)")
+	repartition := flag.Bool("repartition", false, "cluster mode: rebalance the pipeline placement mid-run from measured span timings — when observed per-block step times predict a better split, cut at a step boundary and re-place (weights stay bit-identical; any plan is accepted, but only the boundaries between runs of unsplit groups move, so e.g. tr3 can shed a slow device and ir never repartitions)")
 	resumeDir := flag.String("resume", "", "restart a killed coordinator from this ledger directory (plan, model, batches, and workers come from the manifest; -cluster overrides the worker addresses; explicitly-set -cluster-plan/-topology/-cluster-steps become checked expectations against the manifest)")
 	compactDir := flag.String("compact-ledger", "", "rewrite this ledger directory's record log as one checkpoint per plan generation holding only what a resume still needs, then exit")
 	chaosKills := flag.Int("chaos-kills", 0, "cluster mode: inject N seeded worker-connection kills mid-run (self-test for -max-restarts; combine with -verify)")
@@ -252,7 +252,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
 		os.Exit(2)
 	}
-	repartCfg := cluster.RepartitionConfig{Enabled: *repartition}
 
 	if *compactDir != "" {
 		if err := ledger.Compact(*compactDir); err != nil {
@@ -271,7 +270,7 @@ func main() {
 			Heartbeat:   *clusterHeartbeat,
 			Verify:      *verify,
 			Fsync:       fsyncPolicy,
-			Repartition: repartCfg,
+			Repartition: *repartition,
 		}
 		if *clusterAddrs != "" {
 			opts.Workers = strings.Split(*clusterAddrs, ",")
@@ -322,7 +321,7 @@ func main() {
 			NetStats:     *netStats,
 			DebugAddr:    *debugAddr,
 			Fsync:        fsyncPolicy,
-			Repartition:  repartCfg,
+			Repartition:  *repartition,
 		}
 		if *backend != "serial" {
 			opts.Backend = *backend

@@ -29,11 +29,13 @@
 // The paper profiles every block before training and plans against that
 // table (§V-B). That step lives in sched.Price — what a step of a stage
 // costs each member on its own GPU at its own batch share — and
-// sched.Memory, what the member holds: pipeline.Run plays those numbers,
-// and the planners (sched.AHD, one search for equal and mixed GPUs, and
-// sched.TRContiguous) minimise the same ones and reject on the same
-// memory. Today the analytic cost model fills the table; a measured
-// source or a new cost term plugs in there and reaches both.
+// sched.Memory, what the member holds: pipeline.Run plays those numbers.
+// One search picks every partition: it enumerates device compositions
+// against block compositions under a constraint and keeps the cheapest
+// under a price source. sched.AHD admits every hybrid plan and rejects on
+// the same memory, sched.TRContiguous one device per group; both price
+// with the analytic model. The runtime re-plan (sched.Replan) keeps every
+// split group and prices from a live run's measured per-block means.
 //
 // # Compute backends
 //
@@ -202,17 +204,17 @@
 // (cluster.Config.Repartition, cmd/pipebd -repartition). The
 // coordinator folds the span batches workers already ship into measured
 // per-block compute costs (obs.StepAggregator; transport waits
-// excluded), re-derives the contiguous partition from those costs
-// (sched.Replan), and, when the predicted improvement clears a
-// threshold with hysteresis, executes a planned global cut at a
-// synchronous step boundary: workers are told the session is
-// superseded, the carry regroups at block boundaries onto the new
-// placement, and the run resumes on the rebalanced plan via the same
-// snapshot machinery ring recovery uses — without consuming the restart
-// budget. Only all-unsplit plans may repartition (moving a contiguous
-// boundary relocates work without reordering any float fold, so the
-// bit-identity pin survives; split groups are refused — the seam for a
-// future async/1F1B schedule). Cuts append to the ledger as repartition
+// excluded), re-runs the plan search under those prices (sched.Replan),
+// and, when the predicted improvement clears a threshold with
+// hysteresis, executes a planned global cut at a synchronous step
+// boundary: workers are told the session is superseded, the carry
+// regroups at block boundaries onto the new placement, and the run
+// resumes on the rebalanced plan via the same snapshot machinery ring
+// recovery uses — without consuming the restart budget. Every plan is
+// accepted, but the re-plan keeps each split group's members, shares and
+// blocks and moves only the boundaries between runs of unsplit groups:
+// that relocates work without reordering or regrouping any float fold,
+// so the bit-identity pin survives. Cuts append to the ledger as repartition
 // records, so durable runs resume across plan generations:
 // cluster.ResumeRun replays each superseded generation under the plan
 // that produced it and remaps the carry across the recorded boundary.

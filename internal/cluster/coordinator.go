@@ -95,13 +95,13 @@ type Config struct {
 	Fsync ledger.SyncPolicy
 	// Repartition enables the measurement-driven runtime repartitioner:
 	// the coordinator aggregates the workers' span batches into measured
-	// per-block step times and, when re-deriving the plan from them
-	// predicts a bottleneck improvement past the threshold, cuts the run
-	// at a snapshotted step boundary and restarts it on the rebalanced
+	// per-block step times and, when re-planning under them predicts a
+	// bottleneck improvement past the threshold, cuts the run at a
+	// snapshotted step boundary and restarts it on the rebalanced
 	// placement (recovery machinery, weights bit-identical, wall-clock
-	// only). Requires an all-unsplit plan; forces fault tolerance and
-	// span shipping on.
-	Repartition RepartitionConfig
+	// only). Any plan is accepted; only runs of unsplit groups move.
+	// Forces fault tolerance and span shipping on.
+	Repartition bool
 	// HeartbeatInterval asks each worker to emit a liveness beacon this
 	// often; HeartbeatTimeout declares a worker dead when nothing —
 	// beacon or data — arrives within it. Zero disables silence
@@ -384,20 +384,12 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches [
 	default:
 		return nil, fmt.Errorf("cluster: unknown topology %q (want \"hub\" or \"ring\")", c.cfg.Topology)
 	}
-	if c.cfg.Repartition.Enabled {
-		for gi, g := range plan.Groups {
-			if g.Split() != 1 {
-				return nil, fmt.Errorf("cluster: repartitioning needs an all-unsplit plan; %q group %d spans %d devices (split groups fold gradients, so moving their boundary would change the trajectory)",
-					plan.Name, gi, g.Split())
-			}
-		}
-	}
 	// Repartitioning implies fault tolerance: the planned cut restarts
 	// from the same snapshot history recovery uses. So does retry on a
 	// ring run: degrading a persistently severed peer edge to hub relay
 	// restarts the attempt from the global cut too (the degrade itself is
 	// budget-free).
-	ft := c.cfg.MaxRestarts > 0 || c.cfg.LedgerDir != "" || c.cfg.Repartition.Enabled ||
+	ft := c.cfg.MaxRestarts > 0 || c.cfg.LedgerDir != "" || c.cfg.Repartition ||
 		(c.cfg.Topology == "ring" && c.cfg.Retry.Enabled())
 	policy, err := effectivePolicy(c.cfg.Snapshot, ft)
 	if err != nil {
@@ -439,7 +431,7 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches [
 		// The repartitioner's measurements are the workers' span batches,
 		// so a repartition-enabled run ships spans even when the caller
 		// did not ask for a trace.
-		Trace: c.cfg.Trace || c.cfg.Repartition.Enabled,
+		Trace: c.cfg.Trace || c.cfg.Repartition,
 		Data:  c.cfg.Data}
 	if c.cfg.Data.N > 0 {
 		if err := validateDataRecipe(c.cfg.Data, batches); err != nil {

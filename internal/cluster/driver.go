@@ -100,8 +100,8 @@ func (d *driver) drive() (engine.Result, error) {
 			d.led.Close()
 		}
 	}()
-	if c.cfg.Repartition.Enabled {
-		d.rp = newRepartitioner(c.cfg.Repartition, c.cfg.Plan)
+	if c.cfg.Repartition {
+		d.rp = newRepartitioner(c.cfg.Plan)
 	}
 	// Epochs only need to be unique per attempt within the workers'
 	// lifetime, so stale peer dials from a superseded attempt (or a

@@ -60,7 +60,7 @@ func TestRepartitionRecordRoundTrip(t *testing.T) {
 }
 
 // unsplitManifest is a repartition-shaped manifest: an all-unsplit
-// three-group plan (the only shape the repartitioner accepts).
+// three-group plan, every boundary of which the repartitioner may move.
 func unsplitManifest() *Manifest {
 	m := sampleManifest()
 	m.Assign.Plan = sched.Plan{Name: "lopsided", Groups: []sched.Group{

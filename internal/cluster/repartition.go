@@ -1,32 +1,31 @@
 package cluster
 
-// Measurement-driven dynamic repartitioning (the runtime half of ROADMAP
-// item 4's rebalancing): the coordinator folds the span batches workers
-// already ship (wire v5) into per-device measured step times, re-derives
-// the contiguous plan from those measurements (sched.Replan over the
-// measured per-block costs), and — when the predicted
-// improvement clears a threshold for enough consecutive evaluations —
-// executes a planned global cut at a synchronous step boundary through
-// the same attempt driver every recovery uses (driver.go), then resumes
-// on the new placement.
+// Measurement-driven dynamic repartitioning: the coordinator folds the
+// span batches workers already ship (wire v5) into per-device measured
+// per-block step times, re-searches the placement under those prices
+// (sched.Replan), and — when the predicted improvement clears a threshold
+// for enough consecutive evaluations — executes a planned global cut at a
+// synchronous step boundary through the same attempt driver every
+// recovery uses (driver.go), then resumes on the new placement.
 //
-// The bit-identity contract survives because re-planning is restricted
-// to all-unsplit plans: each block's training trajectory is a pure
-// function of its input activations (the deterministic frozen teacher
-// chain) and its own optimizer state, so moving a contiguous block
-// boundary between devices relocates work without reordering a single
-// float fold. The win is wall-clock only — exactly the paper's framing
-// of scheduling as acceleration "without modifying the mathematical
-// formulation".
+// The bit-identity contract survives because the re-plan moves only the
+// boundaries between runs of unsplit groups: each block's training
+// trajectory is a pure function of its input activations (the
+// deterministic frozen teacher chain) and its own optimizer state, and a
+// split group keeps its members, shares and blocks, so no float fold is
+// reordered or regrouped. A plan with nothing movable (every group split,
+// or one unsplit group between split ones) simply never repartitions. The
+// win is wall-clock only — exactly the paper's framing of scheduling as
+// acceleration "without modifying the mathematical formulation".
 //
-// Conservativeness: measured block costs are treated as properties of
-// the block, not the device. For the move that matters — shedding
-// blocks off a straggler — the moved blocks' costs were measured on the
-// slow device, so the predicted bottleneck of the new placement
-// overestimates and the realized improvement is at least the predicted
-// one. Moves in the optimistic direction are guarded by the threshold,
-// the hysteresis streak, and the applied-fingerprint set (a partition
-// never repeats, so the controller terminates and cannot oscillate).
+// Conservativeness: a block that moves is priced at what it cost where it
+// ran. For the move that matters — shedding blocks off a straggler — the
+// moved blocks' costs were measured on the slow device, so the predicted
+// bottleneck of the new placement overestimates and the realized
+// improvement is at least the predicted one. Moves in the optimistic
+// direction are guarded by the threshold, the hysteresis streak, and the
+// applied-fingerprint set (a partition never repeats, so the controller
+// terminates and cannot oscillate).
 
 import (
 	"fmt"
@@ -39,38 +38,21 @@ import (
 	"pipebd/internal/tensor"
 )
 
-// RepartitionConfig tunes the runtime repartitioner. Enabling it forces
+// The controller's settings. Enabling it (Config.Repartition) forces
 // fault tolerance on (snapshots are the cut mechanism) and makes workers
 // ship span batches even when Config.Trace is off.
-type RepartitionConfig struct {
-	// Enabled turns the controller on. Requires an all-unsplit plan
-	// (every group hosted by exactly one device); split groups would
-	// break the bit-identity contract and are refused at run start.
-	Enabled bool
-	// Threshold is the minimum predicted relative step-time improvement
-	// a proposal must clear, e.g. 0.1 = 10%. <= 0 means 0.1.
-	Threshold float64
-	// Hysteresis is how many consecutive qualifying evaluations (one per
-	// measured step batch) must agree before the cut executes; a
-	// non-qualifying evaluation resets the streak. <= 0 means 3.
-	Hysteresis int
-	// Warmup is the minimum number of measured steps every device must
-	// have contributed before proposals are evaluated. <= 0 means 3.
-	Warmup int
-}
-
-func (c RepartitionConfig) withDefaults() RepartitionConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 0.1
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 3
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 3
-	}
-	return c
-}
+const (
+	// repartitionThreshold is the least predicted relative step-time
+	// improvement a proposal must clear.
+	repartitionThreshold = 0.1
+	// repartitionHysteresis is how many consecutive qualifying evaluations
+	// (one per measured step batch) must agree before the cut executes; a
+	// non-qualifying evaluation resets the streak.
+	repartitionHysteresis = 3
+	// repartitionWarmup is how many measured steps every device must have
+	// contributed before proposals are evaluated.
+	repartitionWarmup = 3
+)
 
 // plannedRepartition is the typed "error" a run fails with when the
 // controller triggers: the drive loop recognizes it as a deliberate
@@ -92,18 +74,15 @@ func (e *plannedRepartition) Error() string {
 // individual attempts: the applied-fingerprint set must persist across
 // repartitions (termination), while measurements reset every attempt.
 type repartitioner struct {
-	cfg RepartitionConfig
 	agg *obs.StepAggregator
 
 	mu      sync.Mutex
 	streak  int
-	stopped bool            // re-planning refused (split groups); never retry
 	applied map[string]bool // partition fingerprints already run
 }
 
-func newRepartitioner(cfg RepartitionConfig, initial sched.Plan) *repartitioner {
+func newRepartitioner(initial sched.Plan) *repartitioner {
 	return &repartitioner{
-		cfg:     cfg.withDefaults(),
 		agg:     obs.NewStepAggregator(),
 		applied: map[string]bool{sched.Fingerprint(initial): true},
 	}
@@ -132,60 +111,47 @@ func (r *run) observeSpans(track string, spans []obs.Span) {
 }
 
 // evaluate folds the current measurements into a proposal and advances
-// the hysteresis streak. ok is true when the streak just reached the
-// configured length — the caller should execute the cut.
+// the hysteresis streak. ok is true when the streak just reached
+// repartitionHysteresis — the caller should execute the cut.
 func (rp *repartitioner) evaluate(current sched.Plan) (sched.Plan, sched.ReplanEval, bool) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	if rp.stopped {
-		return sched.Plan{}, sched.ReplanEval{}, false
-	}
-	blockCost, ok := rp.measuredBlockCosts(current)
+	busy, ok := rp.measuredBlockCosts(current)
 	if !ok {
 		return sched.Plan{}, sched.ReplanEval{}, false
 	}
-	plan, eval, err := sched.Replan(current, blockCost)
+	plan, eval, err := sched.Replan(current, busy)
 	if err != nil {
-		// Split groups: permanently out of scope (the seam left for an
-		// asynchronous schedule that relaxes bit-identity).
-		rp.stopped = true
+		// A device's hosted block count disagrees with the plan: its
+		// measurements predate the current placement.
 		return sched.Plan{}, sched.ReplanEval{}, false
 	}
-	fp := sched.Fingerprint(plan)
-	if eval.Improvement() < rp.cfg.Threshold || rp.applied[fp] {
+	if eval.Improvement() < repartitionThreshold || rp.applied[sched.Fingerprint(plan)] {
 		rp.streak = 0
 		return sched.Plan{}, sched.ReplanEval{}, false
 	}
 	rp.streak++
-	if rp.streak < rp.cfg.Hysteresis {
+	if rp.streak < repartitionHysteresis {
 		return sched.Plan{}, sched.ReplanEval{}, false
 	}
 	return plan, eval, true
 }
 
-// measuredBlockCosts maps the per-device statistics onto global block
-// indices under the current plan. ok is false until every device has
-// warmed up with consistent measurements.
-func (rp *repartitioner) measuredBlockCosts(current sched.Plan) ([]float64, bool) {
+// measuredBlockCosts returns every device's measured per-block costs,
+// keyed by rank. ok is false until every device has warmed up.
+func (rp *repartitioner) measuredBlockCosts(current sched.Plan) (map[int][]float64, bool) {
 	stats := rp.agg.Stats()
-	nb := 0
+	busy := make(map[int][]float64)
 	for _, g := range current.Groups {
-		nb += len(g.Blocks)
-	}
-	blockCost := make([]float64, nb)
-	for _, g := range current.Groups {
-		if g.Split() != 1 {
-			return nil, false
-		}
-		st, ok := stats[fmt.Sprintf("dev%d", g.Devices[0])]
-		if !ok || st.Steps < rp.cfg.Warmup || len(st.BlockBusy) != len(g.Blocks) {
-			return nil, false
-		}
-		for i, b := range g.Blocks {
-			blockCost[b] = st.BlockBusy[i]
+		for _, d := range g.Devices {
+			st, ok := stats[fmt.Sprintf("dev%d", d)]
+			if !ok || st.Steps < repartitionWarmup {
+				return nil, false
+			}
+			busy[d] = st.BlockBusy
 		}
 	}
-	return blockCost, true
+	return busy, true
 }
 
 // triggerRepartition executes a qualified proposal: announce the planned
@@ -219,16 +185,18 @@ func (r *run) triggerRepartition(plan sched.Plan, eval sched.ReplanEval) {
 }
 
 // remapCarry reshapes a captured carry from the old plan's grouping to
-// the new plan's. Both plans are all-unsplit and cover the same blocks
-// in order, so each group's flattened parameter/velocity lists split
-// cleanly at block boundaries (parameter counts from the workbench) and
-// each group's loss rows are exactly its blocks' rows; the remap moves
-// slices between groups without copying or recombining any tensor.
+// the new plan's. Both plans cover the same blocks in order and train
+// each block on equally many members, so each group's flattened
+// parameter/velocity lists (one copy per group) split cleanly at block
+// boundaries (parameter counts from the workbench) and each group's loss
+// rows — member j's row of its bi-th block at j*len(Blocks)+bi — are
+// exactly its blocks' rows; the remap moves slices between groups
+// without copying or recombining any tensor.
 func remapCarry(c *runCarry, oldPlan, newPlan sched.Plan, w *distill.Workbench) *runCarry {
 	nb := w.NumBlocks()
 	paramsB := make([][]*tensor.Tensor, nb)
 	velB := make([][]*tensor.Tensor, nb)
-	lossB := make([][]float64, nb)
+	lossB := make([][][]float64, nb) // block -> one row per member
 	for gi, g := range oldPlan.Groups {
 		pi := 0
 		for bi, b := range g.Blocks {
@@ -238,7 +206,9 @@ func remapCarry(c *runCarry, oldPlan, newPlan sched.Plan, w *distill.Workbench) 
 				velB[b] = c.velocity[gi][pi : pi+n]
 			}
 			pi += n
-			lossB[b] = c.losses[gi][bi]
+			for j := range g.Devices {
+				lossB[b] = append(lossB[b], c.losses[gi][j*len(g.Blocks)+bi])
+			}
 		}
 	}
 	out := &runCarry{cut: c.cut,
@@ -246,12 +216,15 @@ func remapCarry(c *runCarry, oldPlan, newPlan sched.Plan, w *distill.Workbench) 
 		velocity: make([][]*tensor.Tensor, len(newPlan.Groups)),
 		losses:   make([][][]float64, len(newPlan.Groups))}
 	for gi, g := range newPlan.Groups {
-		for _, b := range g.Blocks {
+		out.losses[gi] = make([][]float64, len(g.Blocks)*g.Split())
+		for bi, b := range g.Blocks {
 			if c.cut >= 0 {
 				out.params[gi] = append(out.params[gi], paramsB[b]...)
 				out.velocity[gi] = append(out.velocity[gi], velB[b]...)
 			}
-			out.losses[gi] = append(out.losses[gi], lossB[b])
+			for j, row := range lossB[b] {
+				out.losses[gi][j*len(g.Blocks)+bi] = row
+			}
 		}
 	}
 	return out

@@ -38,9 +38,8 @@ type ResumeConfig struct {
 	Fsync ledger.SyncPolicy
 	// Repartition re-arms the runtime repartitioner for the resumed run.
 	// A ledger that already holds repartition records enables it
-	// implicitly regardless (the original run opted in); these knobs then
-	// tune the re-armed controller.
-	Repartition RepartitionConfig
+	// implicitly regardless (the original run opted in).
+	Repartition bool
 	// Expect, when non-nil, pins what the caller believes the ledger
 	// holds; any mismatch fails with a diagnostic before a single worker
 	// is dialed, instead of silently resuming a different run.
@@ -233,7 +232,7 @@ func (c *Coordinator) replayLog(w *distill.Workbench, man *ledger.Manifest, rep 
 		if n < len(recs) {
 			// The original run repartitioned, so the resumed run keeps the
 			// controller armed whether or not the caller re-asked for it.
-			c.cfg.Repartition.Enabled = true
+			c.cfg.Repartition = true
 		}
 		scratch, err := c.newRun(w, man.Assign.Snapshot, man.Batches, addrs)
 		if err != nil {

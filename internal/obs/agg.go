@@ -6,8 +6,8 @@ import "sync"
 // KindSpans batch per device per finished step (clusterLink.FinishStep
 // flushes the device track), so each Add call folds exactly one measured
 // step into the device's running statistics. The aggregator extracts the
-// per-block compute cost — the signal the measured re-plan needs — and
-// the step's wall-clock span, and reports running means.
+// per-block compute cost — the signal the measured re-plan prices with —
+// and reports running means.
 
 // Compute-span names emitted by the device loop (engine.RunMemberFrom and
 // distill.StepObserved). The i-th occurrence of a per-block name inside
@@ -29,9 +29,6 @@ type DeviceStats struct {
 	// hosted block at once). Index i is the device's i-th block in plan
 	// order.
 	BlockBusy []float64
-	// StepWall is the mean wall-clock extent of one step batch in
-	// nanoseconds (first span start to last span end), including waits.
-	StepWall float64
 }
 
 // StepAggregator folds per-step span batches into per-device statistics.
@@ -45,7 +42,6 @@ type StepAggregator struct {
 type devAgg struct {
 	steps int
 	busy  []float64 // summed per-block busy ns
-	wall  float64   // summed step wall ns
 }
 
 // NewStepAggregator returns an empty aggregator.
@@ -59,7 +55,7 @@ func NewStepAggregator() *StepAggregator {
 // the device's history resets that device's accumulation — the hosted
 // block set changed, so older measurements no longer describe it.
 func (a *StepAggregator) Add(track string, spans []Span) {
-	busy, wall, ok := foldStep(spans)
+	busy, ok := foldStep(spans)
 	if !ok {
 		return
 	}
@@ -73,26 +69,15 @@ func (a *StepAggregator) Add(track string, spans []Span) {
 	for i, v := range busy {
 		d.busy[i] += v
 	}
-	d.wall += wall
 	d.steps++
 }
 
-// foldStep extracts per-block busy times and the wall extent from one
-// step's spans. ok is false when the batch holds no complete compute
-// triples.
-func foldStep(spans []Span) (busy []float64, wall float64, ok bool) {
+// foldStep extracts per-block busy times from one step's spans. ok is
+// false when the batch holds no complete compute triples.
+func foldStep(spans []Span) (busy []float64, ok bool) {
 	var tf, sf, sb []int64
 	var update int64
-	first, last := int64(0), int64(0)
-	seen := false
 	for _, s := range spans {
-		if !seen || s.Start < first {
-			first = s.Start
-		}
-		if end := s.Start + s.Dur; !seen || end > last {
-			last = end
-		}
-		seen = true
 		switch s.Name {
 		case spanTeacherFwd:
 			tf = append(tf, s.Dur)
@@ -106,14 +91,14 @@ func foldStep(spans []Span) (busy []float64, wall float64, ok bool) {
 	}
 	nb := len(tf)
 	if nb == 0 || len(sf) != nb || len(sb) != nb {
-		return nil, 0, false
+		return nil, false
 	}
 	busy = make([]float64, nb)
 	share := float64(update) / float64(nb)
 	for i := 0; i < nb; i++ {
 		busy[i] = float64(tf[i]+sf[i]+sb[i]) + share
 	}
-	return busy, float64(last - first), true
+	return busy, true
 }
 
 // Stats returns a snapshot of every device's running means, keyed by
@@ -128,7 +113,6 @@ func (a *StepAggregator) Stats() map[string]DeviceStats {
 			for i, v := range d.busy {
 				st.BlockBusy[i] = v / float64(d.steps)
 			}
-			st.StepWall = d.wall / float64(d.steps)
 		}
 		out[name] = st
 	}

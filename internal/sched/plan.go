@@ -19,11 +19,16 @@
 // numbers and the planners below search them, so a plan is feasible
 // exactly when the simulator's Fig. 7 row for it fits.
 //
-// The planners that choose a Plan are here too: the contiguous
-// distribution of plain teacher relaying, the automatic hybrid
-// distribution (AHD) search — one search, in which a homogeneous system
-// is simply equal GPUs and every group's batch is apportioned so no
-// sample is dropped — internal relaying, and the runtime re-planner.
+// search.go is the one plan search: it enumerates device compositions
+// against block compositions under a constraint and keeps the cheapest
+// candidate under a price source, analytic (Price and Memory) or measured
+// (a live run's per-block means). Its callers are the automatic hybrid
+// distribution (AHD) — every plan, memory-checked, each group's batch
+// apportioned by throughput so no sample is dropped and a homogeneous
+// system is simply equal GPUs — the contiguous distribution of plain
+// teacher relaying, and the runtime re-plan, which moves only the
+// boundaries between runs of unsplit groups. Internal relaying is a
+// fixed plan.
 package sched
 
 import (
@@ -101,6 +106,15 @@ func (p Plan) NumDevices() int {
 	return n
 }
 
+// NumBlocks returns how many blocks the plan's groups train.
+func (p Plan) NumBlocks() int {
+	n := 0
+	for _, g := range p.Groups {
+		n += len(g.Blocks)
+	}
+	return n
+}
+
 // Validate checks that the plan covers nDev devices and nBlocks blocks
 // exactly once each, contiguously and in order.
 func (p Plan) Validate(nDev, nBlocks int) error {
@@ -163,6 +177,24 @@ func (p Plan) GroupOf(device int) int {
 		}
 	}
 	return -1
+}
+
+// Fingerprint renders a plan's partition shape canonically — device and
+// block ranges only, name ignored — so callers can compare placements
+// and detect repartition cycles.
+func Fingerprint(p Plan) string {
+	s := ""
+	for gi, g := range p.Groups {
+		if gi > 0 {
+			s += "|"
+		}
+		s += fmt.Sprintf("d%d-%d:b%d-%d", g.Devices[0], g.Devices[len(g.Devices)-1],
+			g.Blocks[0], g.Blocks[len(g.Blocks)-1])
+		if g.Shares != nil {
+			s += fmt.Sprintf("s%v", g.Shares)
+		}
+	}
+	return s
 }
 
 // seq returns [from, from+1, ..., to-1].

@@ -6,9 +6,10 @@ import (
 	"pipebd/internal/model"
 )
 
-// The one place a stage is priced (see the package comment). A measured
-// source — block step times from a live run — or a new cost term goes in
-// here and reaches simulator and planners alike.
+// The one place a stage is priced analytically (see the package
+// comment). A new cost term goes in here and reaches simulator and
+// planners alike; prices measured on a live run enter the plan search
+// beside it (search.go).
 
 // MemberCost is one step of a stage as one member pays for it, on its own
 // GPU at its own batch share, in seconds.

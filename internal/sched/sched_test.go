@@ -79,23 +79,50 @@ func TestInternalRelayingShape(t *testing.T) {
 	}
 }
 
-// additive returns the segment cost of device-independent block costs.
-func additive(costs []float64) func(d, from, to int) float64 {
-	return func(_, from, to int) float64 {
-		var s float64
-		for _, c := range costs[from:to] {
-			s += c
+// measuredAt returns what every member of cur measures when block b
+// costs costs[b] wherever it runs.
+func measuredAt(cur Plan, costs []float64) map[int][]float64 {
+	busy := make(map[int][]float64)
+	for _, g := range cur.Groups {
+		for _, d := range g.Devices {
+			for _, b := range g.Blocks {
+				busy[d] = append(busy[d], costs[b])
+			}
 		}
-		return s
 	}
+	return busy
+}
+
+// endsOf returns each group's exclusive block end.
+func endsOf(p Plan) []int {
+	var ends []int
+	for _, g := range p.Groups {
+		ends = append(ends, g.Blocks[len(g.Blocks)-1]+1)
+	}
+	return ends
+}
+
+// unsplit returns the one-device-per-group plan whose groups end at ends.
+func unsplit(ends ...int) Plan {
+	var p Plan
+	b := 0
+	for d, end := range ends {
+		p.Groups = append(p.Groups, Group{Devices: []int{d}, Blocks: seq(b, end)})
+		b = end
+	}
+	return p
 }
 
 func TestTRContiguousKnownPartition(t *testing.T) {
 	// Block costs 10,1,1,1,1,10 over 3 devices should isolate the two
 	// heavy blocks: {0},{1..4},{5}.
-	ends, worst := contiguousPartition(6, 3, additive([]float64{10, 1, 1, 1, 1, 10}))
-	if want := []int{1, 5, 6}; !reflect.DeepEqual(ends, want) || worst != 10 {
-		t.Fatalf("segments end at %v with bottleneck %v, want %v and 10", ends, worst, want)
+	cur := unsplit(2, 4, 6)
+	next, eval, err := Replan(cur, measuredAt(cur, []float64{10, 1, 1, 1, 1, 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ends, want := endsOf(next), []int{1, 5, 6}; !reflect.DeepEqual(ends, want) || eval.Proposed != 10 {
+		t.Fatalf("segments end at %v with bottleneck %v, want %v and 10", ends, eval.Proposed, want)
 	}
 }
 
@@ -110,25 +137,23 @@ func TestTRContiguousMoreDevicesThanBlocks(t *testing.T) {
 }
 
 func TestTRContiguousMinimizesBottleneck(t *testing.T) {
-	// Compare against brute force on random costs.
+	// Compare against brute force on additive costs.
+	cur := unsplit(3, 4, 5, 6)
 	for trial := 0; trial < 30; trial++ {
 		costs := make([]float64, 6)
 		for i := range costs {
 			costs[i] = float64((trial*7+i*13)%17 + 1)
 		}
-		ends, got := contiguousPartition(6, 4, additive(costs))
-		plan := Plan{}
-		b := 0
-		for d, end := range ends {
-			plan.Groups = append(plan.Groups, Group{Devices: []int{d}, Blocks: seq(b, end)})
-			b = end
+		plan, eval, err := Replan(cur, measuredAt(cur, costs))
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := plan.Validate(4, 6); err != nil {
 			t.Fatal(err)
 		}
 		want := bruteForceBottleneck(costs, 4)
-		if math.Abs(got-want) > 1e-9 || math.Abs(planBottleneck(plan, costs)-want) > 1e-9 {
-			t.Fatalf("trial %d: bottleneck %v, optimal %v (costs %v)", trial, got, want, costs)
+		if math.Abs(eval.Proposed-want) > 1e-9 || math.Abs(planBottleneck(plan, costs)-want) > 1e-9 {
+			t.Fatalf("trial %d: bottleneck %v, optimal %v (costs %v)", trial, eval.Proposed, want, costs)
 		}
 	}
 }
@@ -146,11 +171,36 @@ func TestTRContiguousPricesEachRunOnItsDevice(t *testing.T) {
 	if got, was := len(aware.Groups[3].Blocks), len(blind.Groups[3].Blocks); got >= was {
 		t.Fatalf("throttled device 3 keeps %d blocks (healthy: %d): %s", got, was, aware.Describe())
 	}
-	blindCost, _ := bottleneck(w, sick, 256, TeacherRelaying(blind, true))
-	awareCost, _ := bottleneck(w, sick, 256, TeacherRelaying(aware, true))
+	blindCost, _ := played(w, sick, 256, blind)
+	awareCost, _ := played(w, sick, 256, aware)
 	if awareCost > blindCost {
 		t.Fatalf("planning on the sick system gives bottleneck %v, planning blind %v", awareCost, blindCost)
 	}
+}
+
+// played returns the bottleneck pipeline.Run plays plan at and whether
+// every member fits its device.
+func played(w model.Workload, sys hw.System, batch int, plan Plan) (float64, bool) {
+	costs, fits := analytic(w, sys, batch, true)(plan)
+	if !fits {
+		return 0, false
+	}
+	return bottleneck(costs), true
+}
+
+// hybridPlan returns the candidate that gives the i-th run of devSizes[i]
+// devices the i-th run of blockSizes[i] blocks, each group's batch
+// apportioned among its members.
+func hybridPlan(w model.Workload, sys hw.System, batch int, devSizes, blockSizes []int) Plan {
+	groups := make([]Group, len(devSizes))
+	dev, blk := 0, 0
+	for i := range groups {
+		groups[i] = Group{Devices: seq(dev, dev+devSizes[i]), Blocks: seq(blk, blk+blockSizes[i])}
+		groups[i].Shares = apportion(w, sys, batch, groups[i])
+		dev += devSizes[i]
+		blk += blockSizes[i]
+	}
+	return Plan{Name: "ahd", Groups: groups}
 }
 
 func planBottleneck(p Plan, costs []float64) float64 {
@@ -272,7 +322,7 @@ func checkAHDOracle(t *testing.T, w model.Workload, sys hw.System, batch int) {
 			t.Fatalf("%s on %s: %v", w.Name, sys.Name, err)
 		}
 	}
-	picked, pickFits := bottleneck(w, sys, batch, TeacherRelaying(plan, true))
+	picked, pickFits := played(w, sys, batch, plan)
 	if !pickFits && len(plan.Groups) != 1 {
 		t.Fatalf("%s on %s: the pick %s does not fit and is not the fallback", w.Name, sys.Name, plan.Describe())
 	}
@@ -282,14 +332,14 @@ func checkAHDOracle(t *testing.T, w model.Workload, sys hw.System, batch int) {
 				continue
 			}
 			cand := hybridPlan(w, sys, batch, dc, bc)
-			if c, fits := bottleneck(w, sys, batch, TeacherRelaying(cand, true)); fits && (!pickFits || c < picked-1e-12) {
+			if c, fits := played(w, sys, batch, cand); fits && (!pickFits || c < picked-1e-12) {
 				t.Errorf("%s on %s: %s fits with bottleneck %v, the pick %s has %v (fits: %v)",
 					w.Name, sys.Name, cand.Describe(), c, plan.Describe(), picked, pickFits)
 			}
 		}
 	}
 	tr := TRContiguous(w, sys, batch)
-	if c, fits := bottleneck(w, sys, batch, TeacherRelaying(tr, true)); fits && picked > c+1e-12 {
+	if c, fits := played(w, sys, batch, tr); fits && picked > c+1e-12 {
 		t.Errorf("%s on %s: AHD bottleneck %v worse than TR's %v", w.Name, sys.Name, picked, c)
 	}
 }
@@ -359,7 +409,7 @@ func TestAHDHeteroMemoryFallback(t *testing.T) {
 		if err := plan.Groups[0].ValidateShares(256); err != nil {
 			t.Fatal(err)
 		}
-		if _, fits := bottleneck(w, sys, 256, TeacherRelaying(plan, true)); fits {
+		if _, fits := played(w, sys, 256, plan); fits {
 			t.Fatalf("%s: the fallback fits, so something did", sys.Name)
 		}
 	}
