@@ -76,8 +76,9 @@
 // softmax's exp are the float32 slice kernels tensor.TanhInto and
 // tensor.ExpInto — every product rounded explicitly, so no port fuses a
 // multiply-add and the bits depend on the input alone; 1.5 and 1 ULP,
-// enforced over a sweep of the float32 range; the one implementation on
-// every path. The KL loss's log-softmax and MixedOp's α softmax stay on
+// enforced over a sweep of the float32 range; one float32 sequence, run
+// eight lanes at a time where AVX exists, with the same bits as the
+// scalar loop that runs it elsewhere. The KL loss's log-softmax and MixedOp's α softmax stay on
 // float64 math.Exp / math.Log: at most 8 elements a row they are cold,
 // and math.Log has no kernel here. Token-sequence datasets
 // (dataset.NewTokens) are

@@ -108,10 +108,14 @@ func BenchmarkAttnContextBatch(b *testing.B) {
 }
 
 // BenchmarkTanhInto and BenchmarkExpInto time the transcendental slice
-// kernels on one GELU call and one softmax call of `go run ./benchmark`'s
-// xfmr_inproc teacher: 16·32·256 pre-activations spread like a layer-
-// normed projection's (tanh is cheaper below |x| = 1, so the spread
-// matters), and 16·4·32·32 max-shifted scores. The throughput column is
+// kernels on the operands of `go run ./benchmark`'s xfmr_inproc teacher:
+// 16·32·256 GELU pre-activations spread like a layer-normed projection's
+// (the scalar loop, which takes the tail and hosts without AVX, is
+// cheaper below |x| = 1, so the spread matters there), and 16·4·32·32
+// max-shifted attention scores. "tensor" is one call over all of them;
+// "row=32" is how the softmax calls ExpInto, once per 32-float row, and
+// "row=37" leaves a 5-float scalar tail on every call, so per-call and
+// tail costs show beside the whole-tensor rate. The throughput column is
 // 4 bytes per element.
 func BenchmarkTanhInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
@@ -119,19 +123,33 @@ func BenchmarkTanhInto(b *testing.B) {
 	for i := range src {
 		src[i] = float32(rng.NormFloat64() * 0.55)
 	}
-	dst := make([]float32, len(src))
-	b.SetBytes(int64(4 * len(src)))
-	for i := 0; i < b.N; i++ {
-		tensor.TanhInto(dst, src)
-	}
+	benchRows(b, tensor.TanhInto, src, len(src), 37)
 }
 
 func BenchmarkExpInto(b *testing.B) {
 	src := tensor.Rand(rand.New(rand.NewSource(10)), -8, 0, 16*4*32*32).Data()
+	benchRows(b, tensor.ExpInto, src, len(src), 32, 37)
+}
+
+// benchRows runs one sub-benchmark per row length: kernel over src in
+// consecutive rows of that length, one call per row, as many whole rows
+// as fit (a row of len(src) is the "tensor" case).
+func benchRows(b *testing.B, kernel func(dst, src []float32), src []float32, rows ...int) {
 	dst := make([]float32, len(src))
-	b.SetBytes(int64(4 * len(src)))
-	for i := 0; i < b.N; i++ {
-		tensor.ExpInto(dst, src)
+	for _, row := range rows {
+		name := fmt.Sprintf("row=%d", row)
+		if row == len(src) {
+			name = "tensor"
+		}
+		calls := len(src) / row
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(4 * calls * row))
+			for i := 0; i < b.N; i++ {
+				for c := 0; c < calls*row; c += row {
+					kernel(dst[c:c+row], src[c:c+row])
+				}
+			}
+		})
 	}
 }
 

@@ -2,14 +2,15 @@
 
 package tensor
 
-// useAsmMicro selects the AVX microkernel for full and edge register
-// tiles. It is set once, at start-up, from what the CPU and the OS
-// support (hasAVX), so an amd64 host without AVX runs the generic kernel
-// as every other port does. It is a package variable (not a constant) so
-// the bit-equivalence suite can force the generic path and pin the two
+// useAVX selects every AVX kernel: the GEMM microkernel for full and
+// edge register tiles, and the tanh and exp lanes (transcend_amd64.s).
+// It is set once, at start-up, from what the CPU and the OS support
+// (hasAVX), so an amd64 host without AVX runs the generic kernels as
+// every other port does. It is a package variable (not a constant) so
+// the bit-equivalence suites can force the generic paths and pin the two
 // implementations identical; the kernels themselves are bit-equal by
 // construction, so flipping it never changes results.
-var useAsmMicro = hasAVX()
+var useAVX = hasAVX()
 
 // hasAVX reports whether the CPU implements AVX and the OS saves the YMM
 // registers across context switches (CPUID.1:ECX OSXSAVE and AVX, XCR0
@@ -31,7 +32,7 @@ func microKernelAVX(out *float32, ldo int, a *float32, rs, ps int, b *float32, l
 // microKernel computes one full mrTile×nrTile tile from the operands t
 // describes.
 func microKernel(od []float32, ldo int, t microOperands, pc int, accumulate bool) {
-	if !useAsmMicro {
+	if !useAVX {
 		microGeneric(od, ldo, t, pc, mrTile, nrTile, accumulate)
 		return
 	}
@@ -51,7 +52,7 @@ func microKernel(od []float32, ldo int, t microOperands, pc int, accumulate bool
 // each ragged side (see gemmOperands.tiles); the discarded lanes multiply
 // that padding, and every kept lane is still the scalar sequence.
 func microEdge(od []float32, ldo int, t microOperands, pc, rows, w int, accumulate bool) {
-	if !useAsmMicro {
+	if !useAVX {
 		microGeneric(od, ldo, t, pc, rows, w, accumulate)
 		return
 	}

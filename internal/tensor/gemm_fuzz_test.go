@@ -74,12 +74,12 @@ func checkGemm(t *testing.T, pool *Pool, layout gemmLayout, g, m, k, n int, seed
 		t.Skip("over the fuzz work bound")
 	}
 	asmModes := []bool{false}
-	if useAsmMicro {
+	if useAVX {
 		asmModes = append(asmModes, true)
 	}
-	defer func(prev bool) { useAsmMicro = prev }(useAsmMicro)
+	defer func(prev bool) { useAVX = prev }(useAVX)
 	for _, asm := range asmModes {
-		useAsmMicro = asm
+		useAVX = asm
 		for _, p := range []*Pool{nil, pool} {
 			for _, c := range calls {
 				out := New(want.shape...)

@@ -2,9 +2,9 @@
 
 package tensor
 
-// useAsmMicro mirrors the amd64 toggle so shared tests compile; without
-// an assembly microkernel it stays false.
-var useAsmMicro = false
+// useAVX mirrors the amd64 toggle so shared tests compile; without
+// assembly kernels it stays false.
+var useAVX = false
 
 // microKernel computes one full mrTile×nrTile tile from the operands t
 // describes, using the portable generic kernel.

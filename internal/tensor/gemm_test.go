@@ -96,10 +96,10 @@ func fillAdversarial(rng *rand.Rand, t *Tensor, which int) {
 func TestPackedKernelsMatchReferenceBits(t *testing.T) {
 	pools := []*Pool{nil, NewPool(3)}
 	asmModes := []bool{false}
-	if useAsmMicro { // true exactly where an assembly microkernel is built
+	if useAVX { // true exactly where an assembly microkernel is built
 		asmModes = append(asmModes, true)
 	}
-	defer func(prev bool) { useAsmMicro = prev }(useAsmMicro)
+	defer func(prev bool) { useAVX = prev }(useAVX)
 	rng := rand.New(rand.NewSource(99))
 	for _, s := range adversarialShapes {
 		for which := 0; which < 3; which++ {
@@ -118,7 +118,7 @@ func TestPackedKernelsMatchReferenceBits(t *testing.T) {
 			matMulTBRowsRef(refTB.data, a.data, bT.data, s.k, s.n, 0, s.m)
 
 			for _, asm := range asmModes {
-				useAsmMicro = asm
+				useAVX = asm
 				for _, pool := range pools {
 					label := fmt.Sprintf("m=%d k=%d n=%d specials=%d asm=%v pooled=%v",
 						s.m, s.k, s.n, which, asm, pool != nil)
@@ -194,10 +194,10 @@ func tileDescriptions(av, bv []float32, pc int, fill float32) []tileDescription 
 // tile holds a sentinel, so a kept lane that reads either shows too.
 func TestEdgeTileGuardBand(t *testing.T) {
 	asmModes := []bool{false}
-	if useAsmMicro {
+	if useAVX {
 		asmModes = append(asmModes, true)
 	}
-	defer func(prev bool) { useAsmMicro = prev }(useAsmMicro)
+	defer func(prev bool) { useAVX = prev }(useAVX)
 	sentinel := math.Float32frombits(0x7fc0dead)
 	const pc, ldo = 37, nrTile + 3
 	rng := rand.New(rand.NewSource(5))
@@ -223,7 +223,7 @@ func TestEdgeTileGuardBand(t *testing.T) {
 				microGeneric(want, ldo, packed, pc, rows, w, acc)
 				for _, d := range descs {
 					for _, asm := range asmModes {
-						useAsmMicro = asm
+						useAVX = asm
 						got := append([]float32(nil), start...)
 						microEdge(got, ldo, d.ops, pc, rows, w, acc)
 						for i := range got {
@@ -297,7 +297,7 @@ func TestMicroKernelMatchesGenericBits(t *testing.T) {
 					gen := start.Clone()
 					microGeneric(gen.data, ldo, packed, pc, rows, w, acc)
 					for _, d := range descs {
-						label := fmt.Sprintf("pc=%d rows=%d w=%d accumulate=%v %s asm=%v", pc, rows, w, acc, d.name, useAsmMicro)
+						label := fmt.Sprintf("pc=%d rows=%d w=%d accumulate=%v %s asm=%v", pc, rows, w, acc, d.name, useAVX)
 						strided, got, roles := start.Clone(), start.Clone(), start.Clone()
 						microGeneric(strided.data, ldo, d.ops, pc, rows, w, acc)
 						if diff := bitsDiff(strided, gen); diff != "" {
@@ -311,7 +311,7 @@ func TestMicroKernelMatchesGenericBits(t *testing.T) {
 						if diff := bitsDiff(got, gen); diff != "" {
 							t.Fatalf("%s: microkernel != microGeneric: %s", label, diff)
 						}
-						if !useAsmMicro {
+						if !useAVX {
 							continue
 						}
 						o := d.ops

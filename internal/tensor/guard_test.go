@@ -48,7 +48,7 @@ func guardedCopy(t *testing.T, x *Tensor) *Tensor {
 // result must equal the reference kernels' bit for bit, serially and on
 // a pool.
 func TestGemmReadsStayInsideOperands(t *testing.T) {
-	if !useAsmMicro {
+	if !useAVX {
 		t.Skip("no AVX: the generic kernel runs, and Go bounds-checks it")
 	}
 	pool := NewPool(2)
@@ -118,6 +118,35 @@ func TestGemmReadsStayInsideOperands(t *testing.T) {
 			backendOf(p).ConvGradWeightInto(dw, ggrad, gx, kk, kk, stride, pad)
 			if diff := bitsDiff(dw, wantDW); diff != "" {
 				t.Fatalf("ConvGradWeightInto m=%d pooled=%v: %s", m, p != nil, diff)
+			}
+		}
+	}
+}
+
+// TestTranscendReadsStayInsideOperands runs the AVX tanh and exp lanes
+// with src and dst each ending flush against an unmapped page, at
+// lengths that leave every tail of 0–7 floats after the whole groups of
+// eight: a vector load or store past the last whole group faults. The
+// results must equal the scalar loop's bit for bit, apart and in place.
+func TestTranscendReadsStayInsideOperands(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX: the scalar loop runs, and Go bounds-checks it")
+	}
+	inputs := transcendInputs(rand.New(rand.NewSource(32)), 4096)
+	for _, k := range transcendKernels {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+			4097, 4098, 4099, 4100, 4101, 4102, 4103} {
+			src, dst := guarded(t, n), guarded(t, n)
+			copy(src, inputs)
+			in, want := append([]float32(nil), src...), make([]float32, n)
+			k.scalar(want, src)
+			k.kernel(dst, src)
+			if diff := bitsMismatch(in, dst, want); diff != "" {
+				t.Fatalf("%s n=%d: %s", k.name, n, diff)
+			}
+			k.kernel(src, src)
+			if diff := bitsMismatch(in, src, want); diff != "" {
+				t.Fatalf("%s n=%d in place: %s", k.name, n, diff)
 			}
 		}
 	}

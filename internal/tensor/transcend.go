@@ -17,6 +17,15 @@ import (
 // under the engine's bit-identity invariant as the single implementation
 // of their function.
 //
+// The scalar loops (tanhGeneric, expGeneric) are the contract: one
+// float32 sequence per element. Where AVX exists, whole groups of eight
+// run through transcend_amd64.s, which performs that same sequence in
+// each vector lane — one instruction per Go operation, in the Go
+// expression's order, no fused multiply-add — and computes both sides of
+// every branch, blending per lane where the loop branches. The scalar
+// loop takes the tail, hosts without AVX and every other port, and is
+// the vector kernels' oracle.
+//
 // Accuracy is stated per kernel and enforced by transcend_test.go over a
 // sweep of the whole float32 range.
 
@@ -54,6 +63,12 @@ func TanhInto(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: TanhInto length mismatch %d vs %d", len(dst), len(src)))
 	}
+	n := tanhLanes(dst, src)
+	tanhGeneric(dst[n:], src[n:])
+}
+
+// tanhGeneric is TanhInto's element sequence, one element at a time.
+func tanhGeneric(dst, src []float32) {
 	for i, x := range src {
 		bits := math.Float32bits(x)
 		a := math.Float32frombits(bits &^ signBit32)
@@ -120,6 +135,12 @@ func ExpInto(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: ExpInto length mismatch %d vs %d", len(dst), len(src)))
 	}
+	n := expLanes(dst, src)
+	expGeneric(dst[n:], src[n:])
+}
+
+// expGeneric is ExpInto's element sequence, one element at a time.
+func expGeneric(dst, src []float32) {
 	for i, x := range src {
 		if !(x <= expHi) { // too large, or NaN
 			if x == x {

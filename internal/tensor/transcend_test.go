@@ -1,7 +1,11 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 )
 
@@ -109,23 +113,15 @@ func TestExpIntoSweep(t *testing.T) {
 	var atULP, atAbs float32
 	check := func(xs, got []float32) {
 		for i, x := range xs {
-			want := math.Exp(float64(x))
-			switch {
-			case want < 0x1p-126:
-				if math.Float32bits(got[i]) != 0 {
-					t.Fatalf("exp(%g) = %g (%#08x), want +0: e^x is below the smallest normal", x, got[i], math.Float32bits(got[i]))
-				}
-			case math.IsInf(float64(float32(want)), 1):
-				if !math.IsInf(float64(got[i]), 1) {
-					t.Fatalf("exp(%g) = %g, want +Inf", x, got[i])
-				}
-			default:
-				if u := ulps(got[i], want); u > worstULP {
-					worstULP, atULP = u, x
-				}
-				if d := math.Abs(float64(got[i]) - want); x <= 0 && d > worstAbs {
-					worstAbs, atAbs = d, x
-				}
+			u, d, edge := expError(x, got[i])
+			if edge != "" {
+				t.Fatal(edge)
+			}
+			if u > worstULP {
+				worstULP, atULP = u, x
+			}
+			if d > worstAbs {
+				worstAbs, atAbs = d, x
 			}
 		}
 	}
@@ -155,6 +151,31 @@ func TestExpIntoSweep(t *testing.T) {
 	}
 }
 
+// expError measures one ExpInto result against math.Exp: its error in
+// ULP, and its absolute error where x ≤ 0 (else 0). Where the
+// exponential is below the smallest normal float32 the result must be
+// +0, and where it rounds past the largest float32 +Inf; a result that
+// is not is described in edge.
+func expError(x, got float32) (ulp, abs float64, edge string) {
+	want := math.Exp(float64(x))
+	switch {
+	case want < 0x1p-126:
+		if math.Float32bits(got) != 0 {
+			edge = fmt.Sprintf("exp(%g) = %g (%#08x), want +0: e^x is below the smallest normal", x, got, math.Float32bits(got))
+		}
+	case math.IsInf(float64(float32(want)), 1):
+		if !math.IsInf(float64(got), 1) {
+			edge = fmt.Sprintf("exp(%g) = %g, want +Inf", x, got)
+		}
+	default:
+		ulp = ulps(got, want)
+		if x <= 0 {
+			abs = math.Abs(float64(got) - want)
+		}
+	}
+	return ulp, abs, edge
+}
+
 // special is one exact expectation: kernel(in) has exactly want's bits
 // (any NaN for a NaN).
 type special struct {
@@ -162,24 +183,39 @@ type special struct {
 	in, want float32
 }
 
+// checkSpecials runs the rows once side by side, then again at every
+// lane position of a vector: the vector kernels take whole groups of
+// eight, so a table shorter than that reaches them only this way. Shift
+// l puts row (i+j+l) mod len(rows) at lane j of group i, so over the
+// eight shifts each row sits at each lane, next to other rows.
 func checkSpecials(t *testing.T, kernel func(dst, src []float32), rows []special) {
 	t.Helper()
-	in, got := make([]float32, len(rows)), make([]float32, len(rows))
-	for i, r := range rows {
-		in[i] = r.in
-	}
-	kernel(got, in)
-	for i, r := range rows {
-		if r.want != r.want {
-			if got[i] == got[i] {
-				t.Errorf("%s: f(%g) = %g, want NaN", r.name, r.in, got[i])
+	run := func(label string, at func(k int) special, n int) {
+		t.Helper()
+		in, got := make([]float32, n), make([]float32, n)
+		for k := range in {
+			in[k] = at(k).in
+		}
+		kernel(got, in)
+		for k, v := range got {
+			if r := at(k); !sameResult(v, r.want) {
+				t.Errorf("%s%s: f(%g) = %g (%#08x), want %g (%#08x)", r.name, label, r.in, v, math.Float32bits(v), r.want, math.Float32bits(r.want))
 			}
-			continue
-		}
-		if math.Float32bits(got[i]) != math.Float32bits(r.want) {
-			t.Errorf("%s: f(%g) = %g (%#08x), want %g (%#08x)", r.name, r.in, got[i], math.Float32bits(got[i]), r.want, math.Float32bits(r.want))
 		}
 	}
+	run("", func(k int) special { return rows[k] }, len(rows))
+	for l := 0; l < 8; l++ {
+		run(fmt.Sprintf(" (lane shift %d)", l), func(k int) special { return rows[(k/8+k%8+l)%len(rows)] }, 8*len(rows))
+	}
+}
+
+// sameResult reports whether got has want's exact bits, or is any NaN
+// where want is one.
+func sameResult(got, want float32) bool {
+	if want != want {
+		return got != got
+	}
+	return math.Float32bits(got) == math.Float32bits(want)
 }
 
 var (
@@ -345,4 +381,168 @@ func TestTranscendLengthMismatchPanics(t *testing.T) {
 			kernel(make([]float32, 3), make([]float32, 4))
 		}()
 	}
+}
+
+// transcendKernels pairs each kernel with its scalar loop.
+var transcendKernels = []struct {
+	name           string
+	kernel, scalar func(dst, src []float32)
+}{{"TanhInto", TanhInto, tanhGeneric}, {"ExpInto", ExpInto, expGeneric}}
+
+// transcendEdges are the inputs at every edge of the two kernels, each
+// with both signs: zeros, denormals, infinities, quiet and signalling
+// NaNs with payloads, and the floats at and beside each formula's
+// boundary.
+func transcendEdges() []float32 {
+	xs := []float32{0, minDenormal, maxDenormal, 0x1p-126, 1e-30, posInf, math.MaxFloat32,
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0x7fc12345), // quiet NaNs
+		math.Float32frombits(0x7f800001), math.Float32frombits(0x7fa5a5a5), // signalling NaNs
+	}
+	for _, edge := range []float32{expHi, -expLo, tanhSplit, tanhClamp, 9.01} {
+		xs = append(xs, below(edge), edge, above(edge))
+	}
+	return append(xs, negated(xs)...)
+}
+
+// transcendInputs returns the edges followed by n random bit patterns.
+func transcendInputs(rng *rand.Rand, n int) []float32 {
+	xs := transcendEdges()
+	for i := 0; i < n; i++ {
+		xs = append(xs, math.Float32frombits(rng.Uint32()))
+	}
+	return xs
+}
+
+// bitsMismatch names the first index at which got and want differ in any
+// bit, or returns "".
+func bitsMismatch(in, got, want []float32) string {
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			return fmt.Sprintf("index %d of %d: f(%#08x) = %#08x, the scalar loop gives %#08x",
+				i, len(want), math.Float32bits(in[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+	return ""
+}
+
+// TestTranscendAVXMatchesGenericBits pins the AVX lanes to the scalar
+// loop bit for bit, NaN payloads included: every length 0–40 at every
+// slice offset 0–7, so each edge input sits in each lane and in the
+// tail, with dst apart from src and dst == src; then 2²⁴ inputs that
+// take every sign, exponent and high mantissa bit pattern, the low
+// mantissa byte rotating.
+func TestTranscendAVXMatchesGenericBits(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX: the scalar loop is the only path")
+	}
+	defer func(prev bool) { useAVX = prev }(useAVX)
+	inputs := transcendInputs(rand.New(rand.NewSource(30)), 37)
+	both := func(k func(dst, src []float32), src []float32) (vector, scalar, inPlace []float32) {
+		vector, scalar = make([]float32, len(src)), make([]float32, len(src))
+		inPlace = append([]float32(nil), src...)
+		useAVX = true
+		k(vector, src)
+		k(inPlace, inPlace)
+		useAVX = false
+		k(scalar, src)
+		return vector, scalar, inPlace
+	}
+	for _, k := range transcendKernels {
+		start := 0
+		for n := 0; n <= 40; n++ {
+			for off := 0; off < 8; off++ {
+				buf := make([]float32, off+n)
+				src := buf[off:]
+				for i := range src {
+					src[i] = inputs[(start+i)%len(inputs)]
+				}
+				start++
+				vector, scalar, inPlace := both(k.kernel, src)
+				if diff := bitsMismatch(src, vector, scalar); diff != "" {
+					t.Fatalf("%s n=%d offset=%d: %s", k.name, n, off, diff)
+				}
+				if diff := bitsMismatch(src, inPlace, scalar); diff != "" {
+					t.Fatalf("%s n=%d offset=%d in place: %s", k.name, n, off, diff)
+				}
+			}
+		}
+		src := make([]float32, 1<<12)
+		for hi := uint32(0); hi < 1<<24; hi += uint32(len(src)) {
+			for i := range src {
+				h := hi + uint32(i)
+				src[i] = math.Float32frombits(h<<8 | uint32(bits.RotateLeft8(uint8(h), int(h>>8))))
+			}
+			vector, scalar, inPlace := both(k.kernel, src)
+			if diff := bitsMismatch(src, vector, scalar); diff != "" {
+				t.Fatalf("%s sweep: %s", k.name, diff)
+			}
+			if diff := bitsMismatch(src, inPlace, scalar); diff != "" {
+				t.Fatalf("%s sweep in place: %s", k.name, diff)
+			}
+		}
+	}
+}
+
+// FuzzTanhExp runs both kernels on random bit patterns at a random slice
+// offset and checks that the kernel (vector lanes where AVX exists)
+// matches the scalar loop bit for bit, that each result is within its
+// kernel's stated bounds of float64 libm, that tanh is odd bit for bit
+// and that exp does not step down to the next float up. (tanh does, by
+// one ULP at a few inputs near 0.9, so its order is the sweep's to
+// check.)
+func FuzzTanhExp(f *testing.F) {
+	edges := transcendEdges()
+	seed := make([]byte, 4*len(edges))
+	for i, x := range edges {
+		binary.LittleEndian.PutUint32(seed[4*i:], math.Float32bits(x))
+	}
+	for off := uint8(0); off < 8; off++ {
+		f.Add(seed[4*off:], off)
+	}
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
+		buf := make([]float32, int(off%8)+len(data)/4)
+		src := buf[off%8:]
+		for i := range src {
+			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		for _, k := range transcendKernels {
+			got, want := make([]float32, len(src)), make([]float32, len(src))
+			k.kernel(got, src)
+			k.scalar(want, src)
+			if diff := bitsMismatch(src, got, want); diff != "" {
+				t.Fatalf("%s offset=%d: %s", k.name, off%8, diff)
+			}
+		}
+		th, neg, ex, up := make([]float32, len(src)), negated(src), make([]float32, len(src)), make([]float32, len(src))
+		TanhInto(th, src)
+		TanhInto(neg, neg)
+		ExpInto(ex, src)
+		for i, x := range src {
+			up[i] = above(x)
+		}
+		ExpInto(up, up)
+		for i, x := range src {
+			if ex[i] > up[i] {
+				t.Fatalf("exp(%g) = %g but exp(%g) = %g: decreasing", x, ex[i], above(x), up[i])
+			}
+			if math.Float32bits(neg[i]) != math.Float32bits(-th[i]) {
+				t.Fatalf("tanh(%#08x) = %#08x but tanh of its negation %#08x: not odd bit for bit",
+					math.Float32bits(x), math.Float32bits(th[i]), math.Float32bits(neg[i]))
+			}
+			if x != x {
+				if th[i] == th[i] || ex[i] == ex[i] {
+					t.Fatalf("NaN %#08x gives tanh %g, exp %g: NaN must propagate", math.Float32bits(x), th[i], ex[i])
+				}
+				continue
+			}
+			want := math.Tanh(float64(x))
+			if u, d := ulps(th[i], want), math.Abs(float64(th[i])-want); u > 1.5 || d > 1e-7 {
+				t.Fatalf("tanh(%g) = %g: %.3f ULP and %.3g off; TanhInto states 1.5 ULP and 1e-7", x, th[i], u, d)
+			}
+			if u, d, edge := expError(x, ex[i]); edge != "" || u > 1 || d > 6e-8 {
+				t.Fatalf("exp(%g) = %g: %.3f ULP and %.3g off %s; ExpInto states 1 ULP, and 6e-8 for x ≤ 0", x, ex[i], u, d, edge)
+			}
+		}
+	})
 }
