@@ -47,10 +47,6 @@ func run(args []string, stdout io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if *batch <= 0 {
-		return fmt.Errorf("-batch must be positive, got %d", *batch)
-	}
-
 	w, err := model.ByName(*workload)
 	if err != nil {
 		return err
@@ -58,6 +54,9 @@ func run(args []string, stdout io.Writer) error {
 	sys, err := hw.Preset(*system)
 	if err != nil {
 		return err
+	}
+	if *batch <= 0 || *batch < sys.NumDevices() {
+		return fmt.Errorf("-batch %d: must be at least the %d devices of %s", *batch, sys.NumDevices(), sys.Name)
 	}
 
 	tr := sched.TRContiguous(w, sys, *batch)

@@ -10,6 +10,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-workload", "mnist"}, // unknown workload
 		{"-system", "tpu"},     // unknown system
 		{"-batch", "0"},        // non-positive batch
+		{"-batch", "-5"},       // negative batch
+		{"-batch", "2"},        // fewer samples than devices
 		{"-batch"},             // missing value
 		{"stray"},              // positional junk
 	}

@@ -85,6 +85,9 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *batch < sys.NumDevices() {
+		return fmt.Errorf("-batch %d: must be at least the %d devices of %s", *batch, sys.NumDevices(), sys.Name)
+	}
 	rung, err := pipeline.Strategy(pipeline.Config{Workload: w, System: sys, GlobalBatch: *batch,
 		MaxSteps: *steps, Record: true}, *strategy)
 	if err != nil {

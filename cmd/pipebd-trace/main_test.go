@@ -13,6 +13,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-system", "tpu"},                  // unknown system
 		{"-strategy", "magic"},              // unknown strategy
 		{"-steps", "0"},                     // non-positive steps
+		{"-batch", "0"},                     // non-positive batch
+		{"-batch", "2", "-strategy", "DP"},  // fewer samples than devices
 		{"-width"},                          // missing value
 		{"stray"},                           // positional junk
 		{"-in", "a.json", "-out", "b.json"}, // two directions at once

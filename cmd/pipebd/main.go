@@ -159,6 +159,15 @@ func checkModeFlags(explicit map[string]bool, cluster, resume bool) error {
 	return fmt.Errorf("%s: set without %s", strings.Join(stray, ", "), needs)
 }
 
+// checkBatch rejects a global batch the system cannot share: every
+// device of a data-parallel group needs at least one sample.
+func checkBatch(batch int, sys hw.System) error {
+	if batch <= 0 || batch < sys.NumDevices() {
+		return fmt.Errorf("-batch %d: must be at least the %d devices of %s", batch, sys.NumDevices(), sys.Name)
+	}
+	return nil
+}
+
 // experimentTable registers every -exp name, in the order "all" prints
 // them: an experiment renders its text table and, where the figure has
 // one, the ASCII chart -chart appends.
@@ -334,6 +343,9 @@ func main() {
 	}
 
 	sys, err := hw.Preset(*system)
+	if err == nil {
+		err = checkBatch(*batch, sys)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
 		os.Exit(2)

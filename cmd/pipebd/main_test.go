@@ -11,6 +11,7 @@ import (
 
 	"pipebd/internal/cluster"
 	"pipebd/internal/cluster/transport"
+	"pipebd/internal/hw"
 )
 
 // TestClusterOptionsValidate pins the flag-combination checks of cluster
@@ -108,6 +109,24 @@ func TestCheckModeFlags(t *testing.T) {
 			}
 			if got != c.want {
 				t.Fatalf("%v cluster=%v resume=%v: got %q, want %q", c.flags, c.cluster, c.resume, got, c.want)
+			}
+		}
+	}
+}
+
+// TestCheckBatch: experiment mode rejects a -batch that is not positive
+// or leaves one of the system's devices without a sample, and accepts
+// every batch from the device count up.
+func TestCheckBatch(t *testing.T) {
+	for _, sys := range []hw.System{hw.A6000x4(), hw.RTX2080Tix4()} {
+		for _, batch := range []int{-5, 0, 1, sys.NumDevices() - 1} {
+			if err := checkBatch(batch, sys); err == nil || !strings.Contains(err.Error(), "-batch") {
+				t.Errorf("%s: checkBatch(%d) = %v, want a -batch error", sys.Name, batch, err)
+			}
+		}
+		for _, batch := range []int{sys.NumDevices(), 256} {
+			if err := checkBatch(batch, sys); err != nil {
+				t.Errorf("%s: checkBatch(%d): %v", sys.Name, batch, err)
 			}
 		}
 	}

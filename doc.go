@@ -86,9 +86,9 @@
 // ring workers regenerate token batches locally exactly as they do
 // image batches. Attention's per-head GEMMs are skinny — m equals the
 // sequence length — and run through the batched kernel entry points
-// (tensor.MatMulBatch and friends), whose dispatch weighs the whole
-// batch rather than one instance, so they reach the packed engine
-// instead of stranding on the reference path. The transformer workload
+// (tensor.MatMulBatch and friends): one call for every instance pays
+// the packed engine's fixed costs once and spreads all their row tiles
+// over the pool. The transformer workload
 // passes through every layer above unchanged: serial, parallel, hub,
 // and ring runs are bit-identical, pinned by the transformer
 // equivalence suites in internal/engine and internal/cluster and the

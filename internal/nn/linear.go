@@ -8,9 +8,8 @@ import (
 )
 
 // Linear is a fully connected layer: y = x·Wᵀ + b for x of shape [N, In].
-// All three of its GEMMs (TB forward, TA for dW, plain for dx) route
-// through the backend's register-blocked packed kernels; shapes too small
-// to amortize packing fall back to the bit-identical reference kernels.
+// All three of its GEMMs (TB forward, TA for dW, plain for dx) run on the
+// backend's one register-blocked packed engine, whatever their shape.
 type Linear struct {
 	In, Out int
 	Weight  *Param // [Out, In]

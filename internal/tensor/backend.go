@@ -35,9 +35,9 @@ type Backend interface {
 
 	// MatMulBatchInto computes out[g] = a[g]·b[g] for every instance
 	// (a: [G,m,k], b: [G,k,n], out: [G,m,n]). Instance g is bit-identical
-	// to MatMulInto on the g-th slices; the batched form exists so
-	// dispatch and packing amortize over the whole batch (attention's
-	// skinny per-head GEMMs).
+	// to MatMulInto on the g-th slices; the batched form exists so the
+	// engine's fixed costs and packing amortize over the whole batch
+	// (attention's skinny per-head GEMMs).
 	MatMulBatchInto(out, a, b *Tensor)
 	// MatMulTABatchInto computes out[g] = a[g]ᵀ·b[g]
 	// (a: [G,k,m], b: [G,k,n], out: [G,m,n]).

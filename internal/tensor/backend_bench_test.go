@@ -74,8 +74,7 @@ func BenchmarkIm2Col(b *testing.B) {
 // The attention GEMMs are g = batch·heads instances of seq-len rows
 // each, head width attnDh. Sequence length 32 is the shape `go run
 // ./benchmark`'s xfmr_inproc runs (16 samples × 4 heads); 16 is the
-// skinny case, whose instances a per-instance m ≥ 8 dispatch floor would
-// strand on the reference path.
+// skinny case.
 const attnG, attnDh = 64, 16
 
 var attnShapes = []struct {

@@ -346,7 +346,7 @@ func TestNilArenaIsPlainAllocation(t *testing.T) {
 // TestSerialGemmsDoNotAllocate: once its pack arena holds the shapes, a
 // serial call of every GEMM entry point allocates nothing — the operand
 // descriptor rides the stack and the pack buffers come from the arena —
-// on the packed path, on an edge-only packed shape and below the floor.
+// on whole tiles, on an edge-only shape and on a tiny one.
 func TestSerialGemmsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	r := func(shape ...int) *Tensor { return Rand(rng, -1, 1, shape...) }
@@ -382,13 +382,14 @@ func TestSerialGemmsDoNotAllocate(t *testing.T) {
 // the cache that keeps it never keeps more than its cap.
 func TestArenasSurviveCollections(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// A packed GEMM (49 KB of B panels) and an m = 6 conv, whose fused
-	// pack borrows 221 KB of column panels. Every borrow is a pack buffer:
-	// the reference path borrows nothing and conv GEMMs always pack.
+	// A GEMM with 49 KB of B panels and an m = 6 conv, whose fused pack
+	// borrows 221 KB of column panels. Every borrow is a pack buffer of B:
+	// A is read in place, and so is a small row-major B, which borrows
+	// nothing.
 	a, b, out := Randn(rng, 0, 1, 64, 96), Randn(rng, 0, 1, 96, 128), New(64, 128)
 	w, x, y := Randn(rng, 0, 1, 6, 27), Randn(rng, 0, 1, 8, 3, 16, 16), New(6, 8*16*16)
-	if !gemmShouldPack(1, 64, 96, 128) {
-		t.Fatal("the GEMM no longer selects the packed path")
+	if o := matMulOperands("TestArenasSurviveCollections", layoutAB, 2, out, a, b); o.bInPlace() {
+		t.Fatal("the GEMM reads B in place: it no longer borrows a pack buffer")
 	}
 	kernels := func() {
 		Serial{}.MatMulInto(out, a, b)

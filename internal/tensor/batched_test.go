@@ -7,10 +7,10 @@ import (
 )
 
 // Adversarial batched shapes: skinny attention-style instances (m ≈
-// sequence length, k ≈ head width), instances that fall below the call
-// floor alone but clear it as a batch, degenerate seq-len-1 instances,
-// primes, single-instance batches (which must dispatch exactly like the
-// 2-D call), and batches straddling both floors of gemmShouldPack.
+// sequence length, k ≈ head width), tiny instances made of edge tiles
+// only, degenerate seq-len-1 instances, primes, single-instance batches
+// (which must behave exactly like the 2-D call), and many instances of a
+// few multiply-adds each.
 var adversarialBatchShapes = []struct{ g, m, k, n int }{
 	{1, 1, 1, 1},
 	{1, 13, 17, 19},  // g=1: must behave like the 2-D call
@@ -24,9 +24,9 @@ var adversarialBatchShapes = []struct{ g, m, k, n int }{
 	{5, 7, 11, 13},  // primes
 	{4, 5, 300, 9},  // k spanning kcBlock boundaries
 	{2, 31, 64, 33},
-	{64, 2, 2, 2}, // many tiny instances: past the call floor, below the instance floor
-	{4, 4, 4, 8},  // at both floors
-	{3, 4, 4, 8},  // one instance short of the call floor
+	{64, 2, 2, 2}, // many tiny instances
+	{4, 4, 4, 8},  // tiny instances of a whole panel
+	{3, 4, 4, 8},
 }
 
 // batchRef computes the per-instance reference result for a batched op.
@@ -40,7 +40,7 @@ func batchRef(g, m, n int, inst func(q int, od []float32)) *Tensor {
 
 // TestBatchedGemmMatchesReferenceBits pins every batched entry point
 // bit-for-bit to instance-by-instance reference kernels across both
-// backends, both dispatch paths, and adversarial values (±0, NaN, ±Inf).
+// backends and adversarial values (±0, NaN, ±Inf).
 func TestBatchedGemmMatchesReferenceBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	backends := []Backend{Serial{}, NewParallel(3)}
@@ -120,35 +120,6 @@ func TestBatchedMatchesLoopOf2D(t *testing.T) {
 				t.Errorf("%s batched != loop-of-2D (g=%d m=%d k=%d n=%d): %s",
 					be.Name(), s.g, s.m, s.k, s.n, diff)
 			}
-		}
-	}
-}
-
-// TestGemmShouldPack pins the one dispatch rule's shape: a single output
-// row never packs; anything else packs once the whole call reaches the
-// per-call floor and each instance the per-instance one, whatever its
-// row count or panel width.
-func TestGemmShouldPack(t *testing.T) {
-	cases := []struct {
-		g, m, k, n int
-		want       bool
-	}{
-		{1, 8, 8, 8, true},      // exactly the call floor
-		{1, 8, 8, 7, false},     // one column short of it
-		{1, 6, 27, 512, true},   // the ring's m = 6 GEMMs
-		{1, 6, 512, 6, true},    // and a sub-panel width
-		{1, 2, 16, 16, true},    // two rows are enough
-		{1, 1, 512, 512, false}, // one row never is
-		{64, 1, 16, 16, false},
-		{16, 16, 8, 16, true}, // attention scores: judged on the batch
-		{4, 4, 4, 8, true},    // each instance at the instance floor, the call at its own
-		{3, 4, 4, 8, false},
-		{64, 4, 4, 4, false}, // instances of half the instance floor
-		{64, 2, 2, 2, false},
-	}
-	for _, c := range cases {
-		if got := gemmShouldPack(c.g, c.m, c.k, c.n); got != c.want {
-			t.Errorf("gemmShouldPack(%d,%d,%d,%d) = %v, want %v", c.g, c.m, c.k, c.n, got, c.want)
 		}
 	}
 }

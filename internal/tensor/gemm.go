@@ -2,10 +2,11 @@ package tensor
 
 import "sync"
 
-// Packed GEMM engine. The kernel family (MatMul, MatMulTA, MatMulTB, their
-// batched forms and the fused im2col GEMMs) is built from one
-// register-blocked microkernel that reads each operand through strides
-// (microOperands), from a packed buffer or in place:
+// Packed GEMM engine: the one path every GEMM takes. The kernel family
+// (MatMul, MatMulTA, MatMulTB, their batched forms and the fused im2col
+// GEMMs) is built from one register-blocked microkernel that reads each
+// operand through strides (microOperands), from a packed buffer or in
+// place:
 //
 //   - B is packed into column panels of width nrTile: panel j holds
 //     output columns [j*nrTile, (j+1)*nrTile) with element (p, c) at
@@ -13,33 +14,32 @@ import "sync"
 //     Partial trailing panels are zero-padded to full width. A row-major
 //     B (layouts AB and TA) of whole panels and at most inPlaceBMax
 //     floats is not packed: the kernel reads row p of a panel at b[p*n].
-//   - A is read in place for every full row tile: mrTile rows at stride
-//     k, or for MatMulTA mrTile contiguous floats per term at stride m.
-//     Only a ragged row tile (fewer than mrTile rows left) packs A, into
-//     an interleaved [kc][mrTile] strip whose rows past the matrix are
-//     zero.
-//   - The microkernel computes an mrTile×nrTile register tile, adding
-//     terms for every output element in ascending-p order. kcBlock splits
-//     the reduction so the active A rows and B panel stay cache resident;
-//     between blocks the tile is spilled to the output and reloaded,
-//     which does not change any intermediate rounding. A ragged edge tile
-//     (fewer than mrTile rows or nrTile columns left) runs the same
-//     kernel on a full stack tile and keeps only its valid corner; its
-//     ragged side is always a packed, zero-padded operand, so the kernel
-//     never reads past the end of an operand it reads in place.
+//   - A is never packed: every row tile reads it in place, mrTile rows
+//     (fewer in a ragged last tile) at stride k, or for MatMulTA that
+//     many contiguous floats per term at stride m.
+//   - The microkernel computes a rows×w register tile (at most
+//     mrTile×nrTile), adding terms for every output element in
+//     ascending-p order. kcBlock splits the reduction so the active A
+//     rows and B panel stay cache resident; between blocks the tile is
+//     spilled to the output and reloaded, which does not change any
+//     intermediate rounding. An edge tile (fewer than mrTile rows or
+//     nrTile columns left) is bounded by its rows and w, not by zero
+//     padding: it reads A rows < rows only and loads and stores only its
+//     rows×w corner of the output, where it lies. Its B lanes past w are
+//     a packed panel's zero padding, since B is read in place only in
+//     whole panels.
 //
 // Bit-equivalence contract: for every output element the sequence of
 // floating-point operations — one multiply and one add per p, terms in
 // ascending-p order starting from zero — is identical across the
-// reference kernels (matmul.go), the generic microkernel, and the AVX
-// microkernel (gemm_amd64.s, which vectorizes across output columns so
-// each lane is exactly the scalar sequence, with a separate multiply and
-// add — never a fused multiply-add). Packing only moves values, and an
-// in-place read moves none: either way the kernel multiplies the same
-// operand values in the same order. The lanes an edge tile discards only
-// ever multiply zero padding. The serial and parallel backends therefore
-// stay bit-identical, and so does every dispatch decision: packed or
-// reference path, B packed or read in place.
+// generic microkernel and the AVX microkernel (gemm_amd64.s, which
+// vectorizes across output columns so each lane is exactly the scalar
+// sequence, with a separate multiply and add — never a fused
+// multiply-add), and equal to the textbook loops the tests hold it to.
+// Packing only moves values, and an in-place read moves none: either way
+// the kernel multiplies the same operand values in the same order. The
+// serial and parallel backends therefore stay bit-identical, and so does
+// the one shape-only decision left: B packed or read in place.
 const (
 	// mrTile × nrTile is the register tile: 8 output rows × 8 output
 	// columns (one AVX vector per row) per microkernel invocation.
@@ -51,22 +51,6 @@ const (
 	// resident. Blocks ascend, so per-element accumulation order is
 	// unchanged.
 	kcBlock = 256
-
-	// packedMinWork and packedMinInstance are the floors of the one
-	// dispatch rule (gemmShouldPack), set from BenchmarkGemmFloor's sweep
-	// of both paths (2-vCPU AVX2 Xeon, serial, median of 5): a call pays
-	// ~150 ns of fixed packing costs, so the crossover lies below 2⁹
-	// multiply-adds, where it lay with the 4-row tile (packed/ref 2×8×8
-	// 1.7, 4×4×8 1.0, 6×6×6 0.85, 4×8×8 0.62), and from 2⁹ up packing
-	// wins or ties (8×8×8 0.37, 4×8×16 0.42, 2×16×16 0.96). The floor
-	// stays at 2⁹, above the shapes where the reference kernels win or
-	// tie, so the few 2⁸-sized ones that would pack faster run the
-	// reference kernels. Every instance of a batch pays ~60 ns more, so instances of
-	// 64 multiply-adds or fewer lose 1.4–2.9× packed, however many there
-	// are, while 4×4×8 ones win (0.80). Both sides are bit-identical, so
-	// the floors are purely a performance choice.
-	packedMinWork     = 1 << 9
-	packedMinInstance = 1 << 7
 
 	// inPlaceBMax is the largest row-major B, in floats (k·n), that the
 	// microkernel reads in place instead of from packed panels
@@ -84,21 +68,10 @@ const (
 )
 
 // packArenas recycles packing buffers across GEMM calls and goroutines:
-// each kernel invocation borrows an Arena (see arena.go) for the length of
-// the call, so steady-state GEMMs allocate nothing, collections or not.
+// each call that packs B borrows an Arena (see arena.go) for the length
+// of the call, so steady-state GEMMs allocate nothing, collections or
+// not.
 var packArenas ArenaCache
-
-// gemmShouldPack reports whether a batch of g m×k×n GEMMs (g = 1 for a
-// 2-D call) takes the packed path: the one rule every GEMM entry point
-// dispatches by. The batch as a whole must reach the per-call floor —
-// skinny-but-many shapes amortize what a lone skinny call cannot — and
-// each instance the per-instance one. A single output row (m = 1) packs
-// a whole B to use each packed value once, so it never pays. The
-// decision depends only on the shape, never on the backend, so serial
-// and parallel runs dispatch identically.
-func gemmShouldPack(g, m, k, n int) bool {
-	return m >= 2 && m*k*n >= packedMinInstance && g*m*k*n >= packedMinWork
-}
 
 // panelsOf returns the number of column panels covering n output
 // columns, including a zero-padded trailing partial panel.
@@ -132,11 +105,11 @@ const (
 //
 // A batch (g > 1) is the batched entry points' form: attention's
 // per-(sample, head) score and context GEMMs are skinny (m ≈ sequence
-// length, k ≈ head width), and as one call they are judged by
-// gemmShouldPack as a whole and pay the packed engine's fixed costs
-// (arena borrow, buffer sizing, pool submission) once. Instance q of a
-// batch is bit-identical to the 2-D call on the q-th slices: every path
-// runs the same per-element accumulation sequence.
+// length, k ≈ head width), and as one call they pay the engine's fixed
+// costs (arena borrow, buffer sizing, pool submission) once and feed a
+// pool's workers from every instance. Instance q of a batch is
+// bit-identical to the 2-D call on the q-th slices: both run the same
+// per-element accumulation sequence.
 type gemmOperands struct {
 	out, a, b  []float32
 	g, m, k, n int
@@ -146,9 +119,9 @@ type gemmOperands struct {
 
 // microOperands is what the microkernel reads for one tile, wherever it
 // lies: A element (r, p) is a[r*rs+p*ps] and row p of B is the nrTile
-// floats from b[p*ldb]. A packed A strip is (rs 1, ps mrTile) and a
-// packed B panel ldb nrTile; read in place, a row-major A is (rs k, ps 1),
-// a MatMulTA A (rs 1, ps m) and a row-major B ldb n.
+// floats from b[p*ldb]. A packed B panel is ldb nrTile; read in place, a
+// row-major A is (rs k, ps 1), a MatMulTA A (rs 1, ps m) and a row-major
+// B ldb n.
 type microOperands struct {
 	a      []float32
 	rs, ps int
@@ -158,8 +131,8 @@ type microOperands struct {
 
 // bInPlace reports whether the microkernel reads o's B where it lies
 // rather than from packed panels: a row-major B (layouts AB and TA) of
-// whole panels whose k·n floats stay within inPlaceBMax. Like
-// gemmShouldPack it depends only on the shape.
+// whole panels whose k·n floats stay within inPlaceBMax. It depends only
+// on the shape, never on the backend.
 func (o *gemmOperands) bInPlace() bool {
 	return (o.layout == layoutAB || o.layout == layoutTA) && o.n%nrTile == 0 && o.k*o.n <= inPlaceBMax
 }
@@ -179,53 +152,14 @@ func (o *gemmOperands) packB(bp []float32, q, pan0, pan1 int) {
 	}
 }
 
-// aTile points t at rows [i0, i0+rows) × reduction range [p0, p1) of
-// instance q's A: in place for a full row tile, and for a ragged one
-// packed into the strip ap, whose rows past the matrix are zero.
-func (o *gemmOperands) aTile(t *microOperands, ap []float32, q, i0, rows, p0, p1 int) {
+// aTile points t at row i0 × reduction index p0 of instance q's A, in
+// place.
+func (o *gemmOperands) aTile(t *microOperands, q, i0, p0 int) {
 	a := o.a[q*o.m*o.k:]
-	switch {
-	case rows == mrTile && o.layout == layoutTA:
+	if o.layout == layoutTA {
 		t.a, t.rs, t.ps = a[p0*o.m+i0:], 1, o.m
-	case rows == mrTile:
+	} else {
 		t.a, t.rs, t.ps = a[i0*o.k+p0:], o.k, 1
-	default:
-		if o.layout == layoutTA {
-			packATileT(ap, a, o.m, i0, rows, p0, p1)
-		} else {
-			packATile(ap, a, o.k, i0, rows, p0, p1)
-		}
-		t.a, t.rs, t.ps = ap, 1, mrTile
-	}
-}
-
-// aStrip borrows from ar the strip a ragged row tile packs A into; a call
-// whose row tiles are all full reads A in place and borrows none.
-func (o *gemmOperands) aStrip(ar *Arena) []float32 {
-	if o.m%mrTile == 0 {
-		return nil
-	}
-	return ar.Get(kcBlock * mrTile).data
-}
-
-// refRows computes flat output rows [lo, hi) — row r is row r%m of
-// instance r/m — with the reference kernels. The conv layouts always
-// pack, so they never come here.
-func (o *gemmOperands) refRows(lo, hi int) {
-	m, k, n := o.m, o.k, o.n
-	for r := lo; r < hi; {
-		q, i0 := r/m, r%m
-		i1 := min(m, i0+hi-r)
-		od, a, b := o.out[q*m*n:], o.a[q*m*k:], o.b[q*k*n:]
-		switch o.layout {
-		case layoutTA:
-			matMulTARowsRef(od, a, b, k, m, n, i0, i1)
-		case layoutTB:
-			matMulTBRowsRef(od, a, b, k, n, i0, i1)
-		default:
-			matMulRowsRef(od, a, b, k, n, i0, i1)
-		}
-		r += i1 - i0
 	}
 }
 
@@ -243,10 +177,10 @@ func (o *gemmOperands) packPanels(bp []float32, lo, hi int) {
 
 // tiles computes flat row tiles [lo, hi) — tile f is row tile
 // f%tilesOf(m) of instance f/tilesOf(m). B comes from the packed panels
-// bp or, when bp is nil, from o.b in place (bInPlace); A is read in place
-// or, for a ragged row tile, packed into ap (aStrip). A row tile is one
-// goroutine's, so every output element's accumulation is too.
-func (o *gemmOperands) tiles(bp, ap []float32, lo, hi int) {
+// bp or, when bp is nil, from o.b in place (bInPlace); A is read in
+// place. A row tile is one goroutine's, so every output element's
+// accumulation is too.
+func (o *gemmOperands) tiles(bp []float32, lo, hi int) {
 	m, k, n := o.m, o.k, o.n
 	tiles, pans := tilesOf(m), panelsOf(n)
 	var t microOperands
@@ -256,7 +190,7 @@ func (o *gemmOperands) tiles(bp, ap []float32, lo, hi int) {
 		od := o.out[(q*m+i0)*n:]
 		for p0 := 0; p0 < k; p0 += kcBlock {
 			p1 := min(p0+kcBlock, k)
-			o.aTile(&t, ap, q, i0, rows, p0, p1)
+			o.aTile(&t, q, i0, p0)
 			for pan := 0; pan < pans; pan++ {
 				j0 := pan * nrTile
 				w := min(nrTile, n-j0)
@@ -265,11 +199,7 @@ func (o *gemmOperands) tiles(bp, ap []float32, lo, hi int) {
 				} else {
 					t.b, t.ldb = bp[q*packedBLen(k, n)+(pan*k+p0)*nrTile:], nrTile
 				}
-				if rows == mrTile && w == nrTile {
-					microKernel(od[j0:], n, t, p1-p0, p0 > 0)
-				} else {
-					microEdge(od[j0:], n, t, p1-p0, rows, w, p0 > 0)
-				}
+				microKernel(od[j0:], n, t, p1-p0, rows, w, p0 > 0)
 			}
 		}
 	}
@@ -324,42 +254,6 @@ func packBPanelsTB(bp, bd []float32, k, n, pan0, pan1 int) {
 	}
 }
 
-// packATile packs rows [i0, i0+rows) × reduction range [p0, p1) of a
-// row-major operand with row stride lda into the interleaved [pc][mrTile]
-// strip a ragged row tile hands the microkernel. Rows beyond the matrix
-// are zero-padded; the pad lanes are discarded by the edge microkernel,
-// so they never affect results.
-func packATile(ap, ad []float32, lda, i0, rows, p0, p1 int) {
-	pc := p1 - p0
-	for r := 0; r < mrTile; r++ {
-		if r >= rows {
-			for p := 0; p < pc; p++ {
-				ap[p*mrTile+r] = 0
-			}
-			continue
-		}
-		src := ad[(i0+r)*lda+p0 : (i0+r)*lda+p1]
-		for p, v := range src {
-			ap[p*mrTile+r] = v
-		}
-	}
-}
-
-// packATileT is packATile for a [k, m] operand read along columns (the
-// MatMulTA layout): output row i is column i of the operand.
-func packATileT(ap, ad []float32, m, i0, rows, p0, p1 int) {
-	for p := p0; p < p1; p++ {
-		base := p * m
-		d := ap[(p-p0)*mrTile : (p-p0+1)*mrTile]
-		for r := 0; r < rows; r++ {
-			d[r] = ad[base+i0+r]
-		}
-		for r := rows; r < mrTile; r++ {
-			d[r] = 0
-		}
-	}
-}
-
 // --- microkernels ------------------------------------------------------------
 
 // microGeneric computes a rows×w output tile from the operands t
@@ -385,52 +279,37 @@ func microGeneric(od []float32, ldo int, t microOperands, pc, rows, w int, accum
 
 // --- driver ------------------------------------------------------------------
 
-// gemm runs the call o describes: on the packed engine, or on the
-// reference kernels when gemmShouldPack says the shape is too small to
-// repay packing. The conv layouts always pack: their column matrix only
-// exists packed, and materializing it for the reference kernels would
-// write the same k·n values the fused pack writes.
+// gemm runs the call o describes: pack every instance's B into panels,
+// unless it is read in place (bInPlace), then sweep row tiles. With a nil
+// pool it runs serially; with a pool it partitions the pack over flat
+// (instance, panel) indices and the compute over flat (instance, row
+// tile) indices, so panels are packed once and shared by every worker and
+// a batch of skinny GEMMs still feeds them all. Only the panels borrow
+// memory, from packArenas.
 func gemm(pool *Pool, o gemmOperands) {
-	if o.layout >= layoutConv || gemmShouldPack(o.g, o.m, o.k, o.n) {
-		gemmPacked(pool, &o)
-		return
-	}
-	if pool == nil {
-		o.refRows(0, o.g*o.m)
-		return
-	}
-	j := getJob(&o, nil)
-	pool.ParallelFor(o.g*o.m, rowGrain(o.k*o.n, gemmGrainFlops), j.ref)
-	putJob(j)
-}
-
-// gemmPacked runs o on the packed engine: pack every instance's B into
-// panels, unless it is read in place (bInPlace), then sweep row tiles.
-// With a nil pool it runs serially; with a pool it partitions the pack
-// over flat (instance, panel) indices and the compute over flat
-// (instance, row tile) indices, so panels are packed once and shared by
-// every worker and a batch of skinny GEMMs still feeds them all.
-func gemmPacked(pool *Pool, o *gemmOperands) {
 	pans, tiles := o.g*panelsOf(o.n), o.g*tilesOf(o.m)
-	ar := packArenas.getLocal()
+	var ar *Arena
 	var bp []float32
 	if !o.bInPlace() {
+		ar = packArenas.getLocal()
 		bp = ar.Get(o.g * packedBLen(o.k, o.n)).data
 	}
 	if pool == nil {
 		if bp != nil {
 			o.packPanels(bp, 0, pans)
 		}
-		o.tiles(bp, o.aStrip(ar), 0, tiles)
+		o.tiles(bp, 0, tiles)
 	} else {
-		j := getJob(o, bp)
+		j := getJob(&o, bp)
 		if bp != nil {
 			pool.ParallelFor(pans, rowGrain(o.k*nrTile, elemGrainElems), j.pack)
 		}
 		pool.ParallelFor(tiles, rowGrain(mrTile*o.k*o.n, gemmGrainFlops), j.tile)
 		putJob(j)
 	}
-	packArenas.putLocal(ar)
+	if ar != nil {
+		packArenas.putLocal(ar)
+	}
 }
 
 // gemmJob is what a call on a pool shares with the workers: a copy of its
@@ -439,20 +318,15 @@ func gemmPacked(pool *Pool, o *gemmOperands) {
 // call allocates no more than ParallelFor does; ParallelFor returns only
 // once every body has.
 type gemmJob struct {
-	o               gemmOperands
-	bp              []float32
-	ref, pack, tile func(lo, hi int)
+	o          gemmOperands
+	bp         []float32
+	pack, tile func(lo, hi int)
 }
 
 var gemmJobs = sync.Pool{New: func() any {
 	j := new(gemmJob)
-	j.ref = func(lo, hi int) { j.o.refRows(lo, hi) }
 	j.pack = func(lo, hi int) { j.o.packPanels(j.bp, lo, hi) }
-	j.tile = func(lo, hi int) {
-		ar := packArenas.getLocal()
-		j.o.tiles(j.bp, j.o.aStrip(ar), lo, hi)
-		packArenas.putLocal(ar)
-	}
+	j.tile = func(lo, hi int) { j.o.tiles(j.bp, lo, hi) }
 	return j
 }}
 

@@ -16,12 +16,12 @@ const gemmFuzzMaxMACs = 1 << 23
 // and the conv geometry; every GEMM entry point of that layout — MatMul,
 // MatMulTA, MatMulTB and their batched forms, or the fused conv forward
 // and weight-gradient GEMMs — then runs serially and on a pool, on the
-// assembly and the generic microkernel, through the dispatch rule and
-// forced onto the packed engine, and each result must equal the
+// assembly and the generic microkernel, and each result must equal the
 // reference kernels bit for bit (bitsDiff: NaN payloads aside). Outputs
 // start as a sentinel, so an element no path writes shows too. The
 // committed seeds are adversarialShapes under every layout, row counts
-// around the register tile's height, and the GEMMs `go run ./benchmark`'s
+// around the register tile's height, raggedShapes as MatMulTA (A read in
+// place down its columns), and the GEMMs `go run ./benchmark`'s
 // xfmr_inproc runs.
 //
 //	go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 20s ./internal/tensor/
@@ -33,6 +33,9 @@ func FuzzGemm(f *testing.F) {
 		for _, m := range []int{7, 8, 9, 15, 17} {
 			f.Add(uint8(layout), uint8(3), uint16(m), uint16(33), uint16(19), int64(m))
 		}
+	}
+	for i, s := range raggedShapes {
+		f.Add(uint8(layoutTA), uint8(1), uint16(s.m), uint16(s.k), uint16(s.n), int64(i))
 	}
 	// xfmr_inproc's own calls: the attention batches (16 samples × 4
 	// heads, sequence length 32, head width 16) and the Linear layers'
@@ -106,8 +109,8 @@ func backendOf(pool *Pool) Backend {
 
 // matMulCalls builds a batch of g m×k×n products stored as layout
 // (layoutAB, TA or TB), its instance-by-instance reference, and the calls
-// that must reproduce it: the batched entry point, the 2-D entry point on
-// every instance, and the packed engine forced on the whole batch.
+// that must reproduce it: the batched entry point and the 2-D entry point
+// on every instance.
 func matMulCalls(rng *rand.Rand, layout gemmLayout, which, g, m, k, n int) (*Tensor, []gemmCall) {
 	if g*m*k*n > gemmFuzzMaxMACs {
 		return nil, nil
@@ -143,10 +146,6 @@ func matMulCalls(rng *rand.Rand, layout gemmLayout, which, g, m, k, n int) (*Ten
 					FromSlice(b.data[q*k*n:(q+1)*k*n], br, bc))
 			}
 		}},
-		{"forced packed", func(pool *Pool, out *Tensor) {
-			o := matMulOperands("FuzzGemm", layout, 3, out, a, b)
-			gemmPacked(pool, &o)
-		}},
 	}
 }
 
@@ -170,7 +169,7 @@ func matMulRef(layout gemmLayout, g, m, k, n int, a, b []float32) *Tensor {
 // channels, 1–32 input channels from k, a spatial size from n, and a
 // kernel, stride and padding drawn from rng — and builds the layout's
 // reference on the materialized column matrix and the fused entry point
-// that must reproduce it (which always packs).
+// that must reproduce it.
 func convCalls(rng *rand.Rand, layout gemmLayout, which, g, m, k, n int) (*Tensor, []gemmCall) {
 	kk := []int{1, 3, 5}[rng.Intn(3)]
 	stride, pad := 1+rng.Intn(2), rng.Intn(kk/2+2)

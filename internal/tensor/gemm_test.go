@@ -7,18 +7,17 @@ import (
 	"testing"
 )
 
-// This file pins the packed GEMM engine bit-for-bit to the retained
-// reference kernels on adversarial inputs: odd/prime dimensions, shapes
-// smaller than the register tile, reductions spanning multiple kcBlock
-// tiles, and values containing ±0, NaN and ±Inf. Comparisons are on raw
+// This file pins the packed GEMM engine bit-for-bit to the reference
+// kernels (matmul_ref_test.go) on adversarial inputs: odd/prime
+// dimensions, shapes smaller than the register tile, reductions spanning
+// multiple kcBlock tiles, and values containing ±0, NaN and ±Inf. Comparisons are on raw
 // float bits (math.Float32bits), so NaN payloads and zero signs count.
 
-// packedMatMul runs the packed engine unconditionally (no small-size
-// dispatch) on an m×n GEMM of the given layout, serially or over a pool.
+// packedMatMul runs the packed engine on an m×n GEMM of the given
+// layout, serially or over a pool.
 func packedMatMul(pool *Pool, layout gemmLayout, a, b *Tensor, m, n int) *Tensor {
 	out := New(m, n)
-	o := matMulOperands("packedMatMul", layout, 2, out, a, b)
-	gemmPacked(pool, &o)
+	gemm(pool, matMulOperands("packedMatMul", layout, 2, out, a, b))
 	return out
 }
 
@@ -69,6 +68,20 @@ var adversarialShapes = []struct{ m, k, n int }{
 	{6, 6, 512},
 }
 
+// raggedShapes leave a ragged row tile (m not a multiple of mrTile) or a
+// ragged panel (n not a multiple of nrTile), or both, with B in place
+// (n = 16) and packed: the edge tiles the microkernel bounds by their
+// row count and width alone.
+var raggedShapes = func() []struct{ m, k, n int } {
+	var ss []struct{ m, k, n int }
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 9, 15} {
+		for _, n := range []int{1, 3, 6, 7, 16} {
+			ss = append(ss, struct{ m, k, n int }{m, 11, n})
+		}
+	}
+	return ss
+}()
+
 // fillAdversarial seeds t with random values plus ±0, NaN and ±Inf
 // sprinkled at deterministic positions. which selects the special set so
 // callers can put NaNs in one operand and infinities in the other.
@@ -91,7 +104,7 @@ func fillAdversarial(rng *rand.Rand, t *Tensor, which int) {
 
 // TestPackedKernelsMatchReferenceBits is the satellite bit-equivalence
 // suite: the packed engine (assembly and generic microkernels, serial
-// and pooled schedules) must reproduce the retained reference kernels
+// and pooled schedules) must reproduce the reference kernels
 // exactly on every adversarial shape and value class.
 func TestPackedKernelsMatchReferenceBits(t *testing.T) {
 	pools := []*Pool{nil, NewPool(3)}
@@ -146,12 +159,11 @@ type tileDescription struct {
 
 // tileDescriptions lays a tile's operands — A element (r, p) at
 // av[p*mrTile+r] and B element (p, c) at bv[p*nrTile+c], for pc terms —
-// out every way the engine hands them to the microkernel: A as a packed
-// strip, in place as rows longer than the tile (rs > pc), or in place as
-// the leading columns of a wider [pc, m] operand (ps = m); B as a packed
-// panel, or in place as the leading columns of a wider [pc, n] operand
-// (ldb = n). Every float of an in-place operand outside the tile holds
-// fill.
+// out every way the engine hands them to the microkernel: A in place as
+// rows longer than the tile (rs > pc), or as the leading columns of a
+// wider [pc, m] operand (ps = m); B as a packed panel, or in place as the
+// leading columns of a wider [pc, n] operand (ldb = n). Every float of
+// an in-place operand outside the tile holds fill.
 func tileDescriptions(av, bv []float32, pc int, fill float32) []tileDescription {
 	const gap = 3 // floats of fill past the tile in each row or column
 	rs, m, n := pc+gap, mrTile+gap, nrTile+gap
@@ -166,7 +178,7 @@ func tileDescriptions(av, bv []float32, pc int, fill float32) []tileDescription 
 		name   string
 		a      []float32
 		rs, ps int
-	}{{"packed A", av, 1, mrTile}, {"row-major A", rowA, rs, 1}, {"column A", colA, 1, m}}
+	}{{"row-major A", rowA, rs, 1}, {"column A", colA, 1, m}}
 	bs := []struct {
 		name string
 		b    []float32
@@ -225,7 +237,7 @@ func TestEdgeTileGuardBand(t *testing.T) {
 					for _, asm := range asmModes {
 						useAVX = asm
 						got := append([]float32(nil), start...)
-						microEdge(got, ldo, d.ops, pc, rows, w, acc)
+						microKernel(got, ldo, d.ops, pc, rows, w, acc)
 						for i := range got {
 							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 								t.Fatalf("rows=%d w=%d accumulate=%v %s asm=%v: element (%d,%d) = %v (%#08x), want %v (%#08x)",
@@ -252,13 +264,14 @@ func firstSourceNaN(x, y, r float32) float32 {
 	return r
 }
 
-// TestMicroKernelMatchesGenericBits pins the assembly microkernel to
-// microGeneric and to the operand roles its header promises, under every
-// operand description (tileDescriptions; the floats outside an in-place
-// tile hold a NaN of their own). A, B and the resumed output carry quiet
-// NaNs whose payloads name their operand and position, and every rows×w
-// tile, fresh and resumed, at reduction depths 1, 2, 7 and kcBlock, must
-// match microGeneric on packed operands in every bit but a NaN's payload
+// TestMicroKernelMatchesGenericBits pins microKernel, the one entry for
+// full and edge tiles, to microGeneric and the assembly kernel to the
+// operand roles its header promises, under every operand description
+// (tileDescriptions; the floats outside an in-place tile hold a NaN of
+// their own). A, B and the resumed output carry quiet NaNs whose
+// payloads name their operand and position, and every rows×w tile, fresh
+// and resumed, at reduction depths 1, 2, 7 and kcBlock, must match
+// microGeneric on packed operands in every bit but a NaN's payload
 // (bitsDiff's carve-out) — the kernel under test and microGeneric reading
 // through the description alike. The payloads are checked against an
 // explicit model instead, indexed through the same strides: when two NaNs
@@ -303,11 +316,7 @@ func TestMicroKernelMatchesGenericBits(t *testing.T) {
 						if diff := bitsDiff(strided, gen); diff != "" {
 							t.Fatalf("%s: microGeneric through the description != on packed operands: %s", label, diff)
 						}
-						if rows == mrTile && w == nrTile {
-							microKernel(got.data, ldo, d.ops, pc, acc)
-						} else {
-							microEdge(got.data, ldo, d.ops, pc, rows, w, acc)
-						}
+						microKernel(got.data, ldo, d.ops, pc, rows, w, acc)
 						if diff := bitsDiff(got, gen); diff != "" {
 							t.Fatalf("%s: microkernel != microGeneric: %s", label, diff)
 						}
@@ -343,9 +352,8 @@ func TestMicroKernelMatchesGenericBits(t *testing.T) {
 }
 
 // TestBackendDispatchMatchesReferenceBits drives the public backend
-// entry points (which dispatch between reference and packed paths by
-// size) against the reference kernels — the dispatch decision must never
-// change bits.
+// entry points, serial and parallel, against the reference kernels: the
+// backend a call dispatches to must never change bits.
 func TestBackendDispatchMatchesReferenceBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	backends := []Backend{Serial{}, NewParallel(3)}

@@ -42,11 +42,14 @@ func guardedCopy(t *testing.T, x *Tensor) *Tensor {
 // kernel with each operand — A, B and the output — ending flush against
 // an unmapped page, so a read one float past an operand's end faults. Go
 // cannot bounds-check the assembly, so this is what shows that the
-// in-place reads stay inside the operand they describe. The shapes put B
-// on both sides of inPlaceBMax with whole tiles, leave ragged rows and
-// columns, and span several kcBlocks with B in place and packed; every
-// result must equal the reference kernels' bit for bit, serially and on
-// a pool.
+// in-place reads stay inside the operand they describe, and the writes
+// inside the output: an edge tile reads A rows < rows only and moves only
+// its rows×w corner of the output. The shapes put B on both sides of
+// inPlaceBMax with whole tiles, leave ragged rows and columns
+// (raggedShapes: every row count short of a tile, and outputs that end
+// mid-panel), and span several kcBlocks with B in place and packed;
+// every result must equal the reference kernels' bit for bit, serially
+// and on a pool.
 func TestGemmReadsStayInsideOperands(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX: the generic kernel runs, and Go bounds-checks it")
@@ -54,10 +57,11 @@ func TestGemmReadsStayInsideOperands(t *testing.T) {
 	pool := NewPool(2)
 	rng := rand.New(rand.NewSource(31))
 	kAt := inPlaceBMax / 64 // k at which k·n reaches the bound for n = 64
-	for _, s := range []struct {
+	type shape struct {
 		g, m, k, n int
 		inPlace    bool // whether layout AB reads B in place
-	}{
+	}
+	shapes := []shape{
 		{1, 16, kAt, 64, true},            // whole tiles, B at the bound
 		{1, 16, kAt + 8, 64, false},       // whole tiles, B just past it
 		{2, 32, 32, 16, true},             // the attention batches' shape
@@ -67,7 +71,11 @@ func TestGemmReadsStayInsideOperands(t *testing.T) {
 		{1, 16, kcBlock + 8, 8, true},     // two kcBlocks, B in place
 		{1, 9, kcBlock + 8, 8, true},      // the same with a ragged row tile
 		{1, 16, 2*kcBlock + 8, 16, false}, // three kcBlocks, B packed
-	} {
+	}
+	for _, r := range raggedShapes {
+		shapes = append(shapes, shape{1, r.m, r.k, r.n, r.n%nrTile == 0})
+	}
+	for _, s := range shapes {
 		for layout := layoutAB; layout <= layoutTB; layout++ {
 			ar, ac, br, bc := s.m, s.k, s.k, s.n
 			if layout == layoutTA {
@@ -86,7 +94,7 @@ func TestGemmReadsStayInsideOperands(t *testing.T) {
 				if layout == layoutAB && o.bInPlace() != s.inPlace {
 					t.Fatalf("%s: B read in place = %v, the case wants %v", label, o.bInPlace(), s.inPlace)
 				}
-				gemmPacked(p, &o)
+				gemm(p, o)
 				if diff := bitsDiff(out, want); diff != "" {
 					t.Fatalf("%s: %s", label, diff)
 				}

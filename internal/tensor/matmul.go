@@ -2,10 +2,11 @@ package tensor
 
 import "fmt"
 
-// Every backend runs the row-range kernels of this file, so all of them
-// produce bit-identical results: parallel backends partition the
-// output-row dimension only, leaving the per-element accumulation order
-// untouched.
+// Every backend runs every GEMM on the one packed engine (gemm.go), so
+// all of them produce bit-identical results: a pool partitions the
+// output's row tiles only, leaving the per-element accumulation order
+// untouched. This file validates the MatMul family's shapes and
+// describes a call to the engine.
 
 // --- shape validation --------------------------------------------------------
 
@@ -36,67 +37,4 @@ func matMulOperands(op string, layout gemmLayout, rank int, out, a, b *Tensor) g
 		panic(fmt.Sprintf("tensor: %s output shape %v for %v x %v", op, out.shape, a.shape, b.shape))
 	}
 	return gemmOperands{out: out.data, a: a.data, b: b.data, g: g, m: m, k: k, n: n, layout: layout}
-}
-
-// --- reference kernels -------------------------------------------------------
-
-// The reference kernels define the package's canonical accumulation: for
-// every output element, one multiply and one add per reduction index,
-// terms in ascending-p order, starting from zero. They are retained both
-// as the oracle the packed kernels (gemm.go) are pinned bit-identical to
-// and as the fast path for problems too small to amortize packing. All
-// take an explicit row range [lo,hi) so both backends partition them
-// identically to the old row kernels.
-
-// matMulRowsRef computes rows [lo,hi) of out = a·b with a cache-friendly
-// ikj loop (a: [m,k] row-major, b: [k,n] row-major).
-func matMulRowsRef(od, ad, bd []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := od[i*n : (i+1)*n]
-		for j := range orow {
-			orow[j] = 0
-		}
-		arow := ad[i*k : (i+1)*k]
-		for p, av := range arow {
-			brow := bd[p*n : (p+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// matMulTARowsRef computes rows [lo,hi) of out = aᵀ·b (a: [k,m],
-// b: [k,n]). Row i of the output reads column i of a.
-func matMulTARowsRef(od, ad, bd []float32, k, m, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := od[i*n : (i+1)*n]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for p := 0; p < k; p++ {
-			av := ad[p*m+i]
-			brow := bd[p*n : (p+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// matMulTBRowsRef computes rows [lo,hi) of out = a·bᵀ (a: [m,k],
-// b: [n,k]) as dense row-dot-row products.
-func matMulTBRowsRef(od, ad, bd []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := ad[i*k : (i+1)*k]
-		orow := od[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
-			var s float32
-			for p, av := range arow {
-				s += av * brow[p]
-			}
-			orow[j] = s
-		}
-	}
 }

@@ -46,8 +46,8 @@ func rowGrain(perRow, grain int) int {
 	return g
 }
 
-// MatMulInto implements Backend. On the packed path B is packed into
-// panels once (the pack itself partitioned across workers) and the
+// MatMulInto implements Backend. B is packed into panels once, unless it
+// is read in place (the pack itself partitioned across workers), and the
 // compute is partitioned by whole output row tiles over the shared
 // panels, so packing cost is amortized across the pool.
 func (p *Parallel) MatMulInto(out, a, b *Tensor) {
