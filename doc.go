@@ -43,7 +43,12 @@
 // implementations ship: "serial", the single-threaded reference, and
 // "parallel", which row-partitions the GEMM family (and im2col/col2im and
 // elementwise ops) across a process-wide bounded worker pool sized by
-// GOMAXPROCS. Backends are bit-identical by contract — parallel
+// GOMAXPROCS. Every GEMM runs one microkernel that finds each row of B
+// through an offset table: in a packed panel, in a small row-major B
+// read in place, or — for a stride-1 convolution whose output rows are
+// whole 8-column panels — as a kernel tap read in place from the input
+// (zero-bordered first when the convolution pads), so the teacher's
+// convolutions pack no im2col panels. Backends are bit-identical by contract — parallel
 // partitioning only ever splits along dimensions that keep each output
 // element's floating-point accumulation sequence intact — so the
 // engine's bit-equivalence guarantees hold on every backend, and backend

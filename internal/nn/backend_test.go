@@ -190,20 +190,26 @@ func NewLinearFrom(t *testing.T, rng *rand.Rand) Layer {
 	return NewSequential(NewGlobalAvgPool2d(), NewFlatten(), NewLinear(rng, 3, 4, true))
 }
 
-// BenchmarkConvForward compares a realistic Conv2d forward pass (im2col +
-// GEMM) on the serial and parallel backends across layer widths.
+// BenchmarkConvForward compares a realistic 3×3 Conv2d forward pass (the
+// fused conv GEMM, then the NCHW reshape and bias) on the serial and
+// parallel backends across layer widths, over 8 images of 28×28 and of
+// 16×16. At 16×16 the output rows are whole 8-column panels, so the GEMM
+// reads its taps in place from a zero-bordered copy of the input; at
+// 28×28 they are not, and it packs im2col panels.
 func BenchmarkConvForward(b *testing.B) {
-	for _, c := range []int{16, 64} {
-		for _, name := range []string{"serial", "parallel"} {
-			be, _ := tensor.Lookup(name)
-			conv := NewConv2d(rand.New(rand.NewSource(1)), c, c, 3, 1, 1, true)
-			ApplyBackend(conv, be)
-			x := tensor.Rand(rand.New(rand.NewSource(2)), -1, 1, 8, c, 28, 28)
-			b.Run(fmt.Sprintf("c%d/%s", c, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					conv.Forward(x, false)
-				}
-			})
+	for _, hw := range []int{28, 16} {
+		for _, c := range []int{16, 64} {
+			for _, name := range []string{"serial", "parallel"} {
+				be, _ := tensor.Lookup(name)
+				conv := NewConv2d(rand.New(rand.NewSource(1)), c, c, 3, 1, 1, true)
+				ApplyBackend(conv, be)
+				x := tensor.Rand(rand.New(rand.NewSource(2)), -1, 1, 8, c, hw, hw)
+				b.Run(fmt.Sprintf("%dx%d/c%d/%s", hw, hw, c, name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						conv.Forward(x, false)
+					}
+				})
+			}
 		}
 	}
 }

@@ -9,8 +9,12 @@ import (
 
 // Conv2d is a standard 2-D convolution with square kernels, symmetric
 // zero-padding, and optional bias, implemented via the backend's fused
-// im2col GEMMs: kernel taps are packed straight from the input into the
-// GEMM's panel layout, so no column matrix is ever materialized.
+// im2col GEMMs, so no column matrix is ever materialized. A stride-1
+// forward whose output width is a multiple of 8 (every conv of the
+// benchmark workloads) reads its kernel taps in place — from the input,
+// or from a copy of it inside a zero border when it pads; other
+// forwards, and every weight gradient, pack the taps straight from the
+// input into the GEMM's panel layout.
 type Conv2d struct {
 	InC, OutC, Kernel, Stride, Pad int
 	Weight                         *Param // [OutC, InC, K, K]

@@ -65,10 +65,13 @@ type Backend interface {
 	Col2ImInto(out, cols *Tensor, kh, kw, stride, pad int)
 
 	// ConvForwardInto computes out = w·im2col(x) — the Conv2d forward
-	// GEMM fused with the im2col lowering, packing kernel taps straight
-	// from the NCHW input so no column matrix is materialized.
-	// w: [OutC, C*KH*KW], out: [OutC, N*OH*OW]. Bit-identical to
-	// Im2ColInto followed by MatMulInto.
+	// GEMM fused with the im2col lowering, so no column matrix is
+	// materialized. With stride 1 and OW a multiple of 8 the microkernel
+	// reads every kernel tap in place, 8 consecutive floats of x (of a
+	// copy of x inside a zero border when pad > 0) through a per-tap
+	// offset table; any other geometry packs the taps straight from the
+	// NCHW input into panels. w: [OutC, C*KH*KW], out: [OutC, N*OH*OW].
+	// Bit-identical to Im2ColInto followed by MatMulInto.
 	ConvForwardInto(out, w, x *Tensor, kh, kw, stride, pad int)
 	// ConvGradWeightInto computes out = grad·im2col(x)ᵀ — the Conv2d
 	// weight-gradient GEMM, fused likewise. grad: [OutC, N*OH*OW],

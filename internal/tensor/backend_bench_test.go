@@ -183,3 +183,32 @@ func BenchmarkConvGemmSkinny(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkConvGemmInproc times conv_inproc's m = 16 conv GEMMs: 16
+// output channels over 8 and 16 images of 16×16 on 16 input channels,
+// forward and weight gradient (dW) of the 3×3 (pad 1) and the 1×1
+// convolution. Both forwards read their taps in place (stride 1, output
+// width a multiple of 8), the 3×3 from a zero-bordered copy of the input
+// and the 1×1 from the input itself; the dW GEMMs pack.
+func BenchmarkConvGemmInproc(b *testing.B) {
+	const oc, inC, hw = 16, 16, 16
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{8, 16} {
+		for _, kernel := range []int{3, 1} {
+			pad := kernel / 2
+			taps, cols := inC*kernel*kernel, n*hw*hw
+			x := tensor.Rand(rng, -1, 1, n, inC, hw, hw)
+			w := tensor.Rand(rng, -1, 1, oc, taps)
+			grad := tensor.Rand(rng, -1, 1, oc, cols)
+			out, dW := tensor.New(oc, cols), tensor.New(oc, taps)
+			macs := oc * taps * cols
+			name := fmt.Sprintf("conv%dx%d_n%d", kernel, kernel, n)
+			benchBackends(b, name+"/fwd", macs, func(be tensor.Backend) {
+				be.ConvForwardInto(out, w, x, kernel, kernel, 1, pad)
+			})
+			benchBackends(b, name+"/dW", macs, func(be tensor.Backend) {
+				be.ConvGradWeightInto(dW, grad, x, kernel, kernel, 1, pad)
+			})
+		}
+	}
+}

@@ -382,10 +382,10 @@ func TestSerialGemmsDoNotAllocate(t *testing.T) {
 // the cache that keeps it never keeps more than its cap.
 func TestArenasSurviveCollections(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// A GEMM with 49 KB of B panels and an m = 6 conv, whose fused pack
-	// borrows 221 KB of column panels. Every borrow is a pack buffer of B:
-	// A is read in place, and so is a small row-major B, which borrows
-	// nothing.
+	// A GEMM with 49 KB of B panels and an m = 6 conv, which reads its
+	// taps in place from a 31 KB zero-bordered copy of its input. Every
+	// borrow is a buffer for B: A is read in place, and so is a small
+	// row-major B, which borrows nothing.
 	a, b, out := Randn(rng, 0, 1, 64, 96), Randn(rng, 0, 1, 96, 128), New(64, 128)
 	w, x, y := Randn(rng, 0, 1, 6, 27), Randn(rng, 0, 1, 8, 3, 16, 16), New(6, 8*16*16)
 	if o := matMulOperands("TestArenasSurviveCollections", layoutAB, 2, out, a, b); o.bInPlace() {
@@ -412,7 +412,7 @@ func TestArenasSurviveCollections(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	// The front's own bookkeeping is re-made after a collection: a few KB.
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > 16<<10 {
-		t.Errorf("two kernel calls after three collections allocated %d B: a pack buffer was dropped", got)
+		t.Errorf("two kernel calls after three collections allocated %d B: a B buffer was dropped", got)
 	}
 
 	// More borrowers at once than the cap, each borrowing again and again

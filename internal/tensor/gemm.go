@@ -4,16 +4,26 @@ import "sync"
 
 // Packed GEMM engine: the one path every GEMM takes. The kernel family
 // (MatMul, MatMulTA, MatMulTB, their batched forms and the fused im2col
-// GEMMs) is built from one register-blocked microkernel that reads each
-// operand through strides (microOperands), from a packed buffer or in
-// place:
+// GEMMs) is built from one register-blocked microkernel that reads A
+// through strides and B through a table of row offsets (microOperands),
+// each from a packed buffer or in place:
 //
-//   - B is packed into column panels of width nrTile: panel j holds
-//     output columns [j*nrTile, (j+1)*nrTile) with element (p, c) at
-//     offset p*nrTile+c, so the microkernel streams it sequentially.
-//     Partial trailing panels are zero-padded to full width. A row-major
-//     B (layouts AB and TA) of whole panels and at most inPlaceBMax
-//     floats is not packed: the kernel reads row p of a panel at b[p*n].
+//   - B has three descriptions, and one addressing mode serves them all:
+//     row p of a panel is the nrTile floats at b[boff[p]], the offset
+//     table filled once per kcBlock on the tile loop's stack (bRows).
+//     Packed, B is column panels of width nrTile: panel j holds output
+//     columns [j*nrTile, (j+1)*nrTile) with row p at p*nrTile, so the
+//     microkernel streams it sequentially; a partial trailing panel is
+//     zero-padded to full width. A row-major B (layouts AB and TA) of
+//     whole panels and at most inPlaceBMax floats is read in place, row
+//     p at p*n. And a stride-1 conv forward whose output width is a
+//     multiple of nrTile reads its taps in place: a panel is 8
+//     consecutive output positions of one output row, so tap p = (c,
+//     ki, kj) is 8 consecutive floats of the input, at (c·Hp + ki)·Wp +
+//     kj from the panel's start. A conv that pads is read from a copy of
+//     its input inside a zero border (Hp×Wp planes, padPlanes); a 1×1
+//     conv reads the input itself. Every other conv B is packed
+//     (im2colPackPanels, im2colPackPanelsT).
 //   - A is never packed: every row tile reads it in place, mrTile rows
 //     (fewer in a ragged last tile) at stride k, or for MatMulTA that
 //     many contiguous floats per term at stride m.
@@ -36,10 +46,11 @@ import "sync"
 // vectorizes across output columns so each lane is exactly the scalar
 // sequence, with a separate multiply and add — never a fused
 // multiply-add), and equal to the textbook loops the tests hold it to.
-// Packing only moves values, and an in-place read moves none: either way
-// the kernel multiplies the same operand values in the same order. The
-// serial and parallel backends therefore stay bit-identical, and so does
-// the one shape-only decision left: B packed or read in place.
+// Packing and bordering only move values, and an in-place read moves
+// none: either way the kernel multiplies the same operand values in the
+// same order. The serial and parallel backends therefore stay
+// bit-identical, and so does the one shape-only decision left: B packed
+// or read in place.
 const (
 	// mrTile × nrTile is the register tile: 8 output rows × 8 output
 	// columns (one AVX vector per row) per microkernel invocation.
@@ -67,10 +78,10 @@ const (
 	inPlaceBMax = 1 << 12
 )
 
-// packArenas recycles packing buffers across GEMM calls and goroutines:
-// each call that packs B borrows an Arena (see arena.go) for the length
-// of the call, so steady-state GEMMs allocate nothing, collections or
-// not.
+// packArenas recycles B's buffers across GEMM calls and goroutines: each
+// call that packs B, or borders a conv input, borrows an Arena (see
+// arena.go) for the length of the call, so steady-state GEMMs allocate
+// nothing, collections or not.
 var packArenas ArenaCache
 
 // panelsOf returns the number of column panels covering n output
@@ -119,22 +130,59 @@ type gemmOperands struct {
 
 // microOperands is what the microkernel reads for one tile, wherever it
 // lies: A element (r, p) is a[r*rs+p*ps] and row p of B is the nrTile
-// floats from b[p*ldb]. A packed B panel is ldb nrTile; read in place, a
-// row-major A is (rs k, ps 1), a MatMulTA A (rs 1, ps m) and a row-major
-// B ldb n.
+// floats from b[boff[p]]. Read in place, a row-major A is (rs k, ps 1)
+// and a MatMulTA A (rs 1, ps m). The offset table describes each of B's
+// three sources (bRows): a packed panel, rows p·nrTile; a row-major B,
+// rows p·n; a stride-1 conv's input, tap p = (c, ki, kj) at (c·Hp +
+// ki)·Wp + kj. Every table ascends, so its last entry bounds what a tile
+// reads.
 type microOperands struct {
 	a      []float32
 	rs, ps int
 	b      []float32
-	ldb    int
+	boff   []int32
 }
 
 // bInPlace reports whether the microkernel reads o's B where it lies
 // rather than from packed panels: a row-major B (layouts AB and TA) of
-// whole panels whose k·n floats stay within inPlaceBMax. It depends only
-// on the shape, never on the backend.
+// whole panels whose k·n floats stay within inPlaceBMax, or the input of
+// a stride-1 conv forward whose output rows are whole panels, so that
+// each panel is 8 consecutive floats of every tap row (zero-bordered
+// first when the conv pads, see bPrep). It depends only on the shape,
+// never on the backend.
 func (o *gemmOperands) bInPlace() bool {
-	return (o.layout == layoutAB || o.layout == layoutTA) && o.n%nrTile == 0 && o.k*o.n <= inPlaceBMax
+	switch o.layout {
+	case layoutAB, layoutTA:
+		return o.n%nrTile == 0 && o.k*o.n <= inPlaceBMax
+	case layoutConv:
+		return o.conv.stride == 1 && o.conv.ow%nrTile == 0
+	}
+	return false
+}
+
+// bPrep returns what a call fills before its tiles run, in units of
+// unitLen floats: the g·panelsOf(n) panels of a packed B, or, for a
+// padded conv read in place, the input's n·C planes copied inside their
+// zero border; nothing when B is read as it lies.
+func (o *gemmOperands) bPrep(inPlace bool) (units, unitLen int) {
+	switch {
+	case !inPlace:
+		return o.g * panelsOf(o.n), o.k * nrTile
+	case o.layout == layoutConv && o.conv.pad > 0:
+		hp, wp := o.conv.padded()
+		return o.conv.n * o.conv.c, hp * wp
+	}
+	return 0, 0
+}
+
+// prepB fills units [lo, hi) of bPrep into buf: packs panels, or copies
+// input planes inside their border.
+func (o *gemmOperands) prepB(buf []float32, inPlace bool, lo, hi int) {
+	if inPlace {
+		padPlanes(buf, o.b, o.conv, lo, hi)
+	} else {
+		o.packPanels(buf, lo, hi)
+	}
 }
 
 // packB packs panels [pan0, pan1) of instance q's B into bp.
@@ -176,33 +224,77 @@ func (o *gemmOperands) packPanels(bp []float32, lo, hi int) {
 }
 
 // tiles computes flat row tiles [lo, hi) — tile f is row tile
-// f%tilesOf(m) of instance f/tilesOf(m). B comes from the packed panels
-// bp or, when bp is nil, from o.b in place (bInPlace); A is read in
-// place. A row tile is one goroutine's, so every output element's
-// accumulation is too.
-func (o *gemmOperands) tiles(bp []float32, lo, hi int) {
+// f%tilesOf(m) of instance f/tilesOf(m) — reading B from b: its packed
+// panels, or when inPlace, B where it lies (o.b, or a padded conv's
+// zero-bordered copy of it). A is read in place. A row tile is one
+// goroutine's, so every output element's accumulation is too.
+func (o *gemmOperands) tiles(b []float32, inPlace bool, lo, hi int) {
 	m, k, n := o.m, o.k, o.n
 	tiles, pans := tilesOf(m), panelsOf(n)
 	var t microOperands
+	var boff [kcBlock]int32
+	filled := -1 // the kc block boff describes
 	for f := lo; f < hi; f++ {
 		q, i0 := f/tiles, f%tiles*mrTile
 		rows := min(mrTile, m-i0)
 		od := o.out[(q*m+i0)*n:]
 		for p0 := 0; p0 < k; p0 += kcBlock {
 			p1 := min(p0+kcBlock, k)
+			if p0 != filled {
+				o.bRows(boff[:p1-p0], inPlace, p0)
+				filled = p0
+			}
+			t.boff = boff[:p1-p0]
 			o.aTile(&t, q, i0, p0)
 			for pan := 0; pan < pans; pan++ {
 				j0 := pan * nrTile
-				w := min(nrTile, n-j0)
-				if bp == nil {
-					t.b, t.ldb = o.b[(q*k+p0)*n+j0:], n
-				} else {
-					t.b, t.ldb = bp[q*packedBLen(k, n)+(pan*k+p0)*nrTile:], nrTile
-				}
-				microKernel(od[j0:], n, t, p1-p0, rows, w, p0 > 0)
+				t.b = b[o.bPanel(inPlace, q, pan):]
+				microKernel(od[j0:], n, &t, p1-p0, rows, min(nrTile, n-j0), p0 > 0)
 			}
 		}
 	}
+}
+
+// bRows fills boff with the offsets of B rows [p0, p0+len(boff)) from
+// the start of a panel (bPanel), ascending: p·nrTile in a packed panel,
+// p·n in a row-major B, and for tap p = (c, ki, kj) of a conv input
+// (c·Hp + ki)·Wp + kj, the same for every panel.
+func (o *gemmOperands) bRows(boff []int32, inPlace bool, p0 int) {
+	step := nrTile
+	switch {
+	case !inPlace:
+	case o.layout == layoutConv:
+		g := o.conv
+		hp, wp := g.padded()
+		for i := range boff {
+			p := p0 + i
+			boff[i] = int32((p/(g.kh*g.kw)*hp+p/g.kw%g.kh)*wp + p%g.kw)
+		}
+		return
+	default:
+		step = o.n
+	}
+	for i := range boff {
+		boff[i] = int32((p0 + i) * step)
+	}
+}
+
+// bPanel returns where panel pan of instance q starts in what tiles reads
+// B from. A conv panel is 8 consecutive output positions of one output
+// row (oi) of one image (ni), so it starts at its first position's tap
+// (0, 0, 0).
+func (o *gemmOperands) bPanel(inPlace bool, q, pan int) int {
+	j0 := pan * nrTile
+	switch {
+	case !inPlace:
+		return q*packedBLen(o.k, o.n) + pan*o.k*nrTile
+	case o.layout == layoutConv:
+		g := o.conv
+		hp, wp := g.padded()
+		ni, oi, oj := j0/(g.oh*g.ow), j0/g.ow%g.oh, j0%g.ow
+		return (ni*g.c*hp+oi)*wp + oj
+	}
+	return q*o.k*o.n + j0
 }
 
 // --- operand packing ---------------------------------------------------------
@@ -260,7 +352,7 @@ func packBPanelsTB(bp, bd []float32, k, n, pan0, pan1 int) {
 // describes in pure Go: the portable kernel, full tiles and edge tiles
 // alike. The per-element loop is the canonical accumulation sequence
 // (ascending p, one multiply and one add per term).
-func microGeneric(od []float32, ldo int, t microOperands, pc, rows, w int, accumulate bool) {
+func microGeneric(od []float32, ldo int, t *microOperands, pc, rows, w int, accumulate bool) {
 	for r := 0; r < rows; r++ {
 		orow := od[r*ldo : r*ldo+w]
 		arow := t.a[r*t.rs:]
@@ -270,7 +362,7 @@ func microGeneric(od []float32, ldo int, t microOperands, pc, rows, w int, accum
 				s = orow[c]
 			}
 			for p := 0; p < pc; p++ {
-				s += arow[p*t.ps] * t.b[p*t.ldb+c]
+				s += arow[p*t.ps] * t.b[int(t.boff[p])+c]
 			}
 			orow[c] = s
 		}
@@ -279,30 +371,34 @@ func microGeneric(od []float32, ldo int, t microOperands, pc, rows, w int, accum
 
 // --- driver ------------------------------------------------------------------
 
-// gemm runs the call o describes: pack every instance's B into panels,
-// unless it is read in place (bInPlace), then sweep row tiles. With a nil
-// pool it runs serially; with a pool it partitions the pack over flat
-// (instance, panel) indices and the compute over flat (instance, row
-// tile) indices, so panels are packed once and shared by every worker and
-// a batch of skinny GEMMs still feeds them all. Only the panels borrow
-// memory, from packArenas.
+// gemm runs the call o describes in two steps. First, unless B is read
+// as it lies, it fills a buffer borrowed from packArenas (bPrep): every
+// instance's packed panels, or a padded conv's input copied inside a
+// zero border — on every call, as the arena's memory is reused. Then it
+// sweeps row tiles. With a nil pool it runs serially; with a pool it
+// partitions the first step over flat (instance, panel) or plane
+// indices and the second over flat (instance, row tile) indices, so B is
+// prepared once and shared by every worker and a batch of skinny GEMMs
+// still feeds them all.
 func gemm(pool *Pool, o gemmOperands) {
-	pans, tiles := o.g*panelsOf(o.n), o.g*tilesOf(o.m)
+	inPlace := o.bInPlace()
+	units, unitLen := o.bPrep(inPlace)
+	tiles := o.g * tilesOf(o.m)
 	var ar *Arena
-	var bp []float32
-	if !o.bInPlace() {
+	b := o.b
+	if units > 0 {
 		ar = packArenas.getLocal()
-		bp = ar.Get(o.g * packedBLen(o.k, o.n)).data
+		b = ar.Get(units * unitLen).data
 	}
 	if pool == nil {
-		if bp != nil {
-			o.packPanels(bp, 0, pans)
+		if units > 0 {
+			o.prepB(b, inPlace, 0, units)
 		}
-		o.tiles(bp, 0, tiles)
+		o.tiles(b, inPlace, 0, tiles)
 	} else {
-		j := getJob(&o, bp)
-		if bp != nil {
-			pool.ParallelFor(pans, rowGrain(o.k*nrTile, elemGrainElems), j.pack)
+		j := getJob(&o, b, inPlace)
+		if units > 0 {
+			pool.ParallelFor(units, rowGrain(unitLen, elemGrainElems), j.prep)
 		}
 		pool.ParallelFor(tiles, rowGrain(mrTile*o.k*o.n, gemmGrainFlops), j.tile)
 		putJob(j)
@@ -313,31 +409,32 @@ func gemm(pool *Pool, o gemmOperands) {
 }
 
 // gemmJob is what a call on a pool shares with the workers: a copy of its
-// operands, its packed panels (nil when B is read in place), and the loop
-// bodies over them, bound once per job. Jobs are recycled, so a pooled
-// call allocates no more than ParallelFor does; ParallelFor returns only
-// once every body has.
+// operands, what the tiles read B from, and the loop bodies over them,
+// bound once per job. Jobs are recycled, so a pooled call allocates no
+// more than ParallelFor does; ParallelFor returns only once every body
+// has.
 type gemmJob struct {
 	o          gemmOperands
-	bp         []float32
-	pack, tile func(lo, hi int)
+	b          []float32
+	inPlace    bool
+	prep, tile func(lo, hi int)
 }
 
 var gemmJobs = sync.Pool{New: func() any {
 	j := new(gemmJob)
-	j.pack = func(lo, hi int) { j.o.packPanels(j.bp, lo, hi) }
-	j.tile = func(lo, hi int) { j.o.tiles(j.bp, lo, hi) }
+	j.prep = func(lo, hi int) { j.o.prepB(j.b, j.inPlace, lo, hi) }
+	j.tile = func(lo, hi int) { j.o.tiles(j.b, j.inPlace, lo, hi) }
 	return j
 }}
 
-func getJob(o *gemmOperands, bp []float32) *gemmJob {
+func getJob(o *gemmOperands, b []float32, inPlace bool) *gemmJob {
 	j := gemmJobs.Get().(*gemmJob)
-	j.o, j.bp = *o, bp
+	j.o, j.b, j.inPlace = *o, b, inPlace
 	return j
 }
 
 // putJob recycles j, dropping its references to the call's memory.
 func putJob(j *gemmJob) {
-	j.o, j.bp = gemmOperands{}, nil
+	j.o, j.b = gemmOperands{}, nil
 	gemmJobs.Put(j)
 }

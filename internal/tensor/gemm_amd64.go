@@ -19,30 +19,32 @@ func hasAVX() bool
 
 // microKernelAVX is the assembly microkernel (gemm_amd64.s): a rows×w
 // register tile (at most mrTile×nrTile) using AVX, reading A element
-// (r, p) at a[r*rs+p*ps] and row p of B at b[p*ldb] (strides in floats,
-// see microOperands). Each output column occupies one vector lane, so
-// every lane performs exactly the scalar ascending-p multiply/add
-// sequence and the result is bit-identical to microGeneric. An edge
-// tile (rows < mrTile or w < nrTile) reads A rows < rows only and loads
-// and stores only its rows×w corner of out, through masked moves; every
-// tile reads nrTile floats of each B row. With accumulate the tile
-// resumes from the values in out, else it starts at zero.
+// (r, p) at a[r*rs+p*ps] (strides in floats) and row p of B at
+// b[boff[p]] (offsets in floats, see microOperands). Each output column
+// occupies one vector lane, so every lane performs exactly the scalar
+// ascending-p multiply/add sequence and the result is bit-identical to
+// microGeneric. An edge tile (rows < mrTile or w < nrTile) reads A rows
+// < rows only and loads and stores only its rows×w corner of out,
+// through masked moves; every tile reads nrTile floats of each B row.
+// With accumulate the tile resumes from the values in out, else it
+// starts at zero.
 //
 //go:noescape
-func microKernelAVX(out *float32, ldo int, a *float32, rs, ps int, b *float32, ldb, pc, rows, w int, accumulate bool)
+func microKernelAVX(out *float32, ldo int, a *float32, rs, ps int, b *float32, boff *int32, pc, rows, w int, accumulate bool)
 
 // microKernel computes one rows×w tile from the operands t describes:
 // the one kernel entry for full and edge tiles alike.
-func microKernel(od []float32, ldo int, t microOperands, pc, rows, w int, accumulate bool) {
+func microKernel(od []float32, ldo int, t *microOperands, pc, rows, w int, accumulate bool) {
 	if !useAVX {
 		microGeneric(od, ldo, t, pc, rows, w, accumulate)
 		return
 	}
 	// Go cannot bounds-check the assembly: index the last A, B and output
 	// float it touches here, so a description that overruns its slice
-	// panics instead of reading past it.
+	// panics instead of reading past it. B's offset table ascends, so its
+	// last row is the furthest.
 	_ = t.a[(rows-1)*t.rs+(pc-1)*t.ps]
-	_ = t.b[(pc-1)*t.ldb+nrTile-1]
+	_ = t.b[int(t.boff[pc-1])+nrTile-1]
 	_ = od[(rows-1)*ldo+w-1]
-	microKernelAVX(&od[0], ldo, &t.a[0], t.rs, t.ps, &t.b[0], t.ldb, pc, rows, w, accumulate)
+	microKernelAVX(&od[0], ldo, &t.a[0], t.rs, t.ps, &t.b[0], &t.boff[0], pc, rows, w, accumulate)
 }

@@ -1,22 +1,26 @@
 // AVX microkernel for the packed GEMM engine (see gemm.go), and the
 // CPUID/XGETBV probe that decides at start-up whether it may run.
 //
-// Computes a rows×w output tile (1 ≤ rows, w ≤ 8) from operands read
-// through strides, in floats (microOperands in gemm.go):
+// Computes a rows×w output tile (1 ≤ rows, w ≤ 8) from A read through
+// strides and B through a table of row offsets, both in floats
+// (microOperands in gemm.go):
 //
-//	out[r][c] (+)= sum over p of a[r*rs + p*ps] * b[p*ldb + c]
+//	out[r][c] (+)= sum over p of a[r*rs + p*ps] * b[boff[p] + c]
 //
-// A packed B panel is ldb 8; read in place, a row-major A is rs k, ps 1,
-// a MatMulTA A rs 1, ps m, and a row-major B ldb n.
+// Read in place, a row-major A is rs k, ps 1 and a MatMulTA A rs 1, ps m.
+// boff[p] is p·8 in a packed B panel, p·n in a row-major B read in place,
+// and (c·Hp + ki)·Wp + kj for tap p = (c, ki, kj) of a stride-1 conv's
+// input read in place: one addressing mode for all three.
 //
 // Register plan: Y0..Y7 hold the accumulator tile (one 8-wide vector per
 // output row), Y8 the current B row, Y9 the broadcast A value and then
 // its product, Y10 an edge tile's column mask. AX and R10 point at A
 // rows 0 and 4 of the current term, and R11 and R12 hold rs and 3·rs in
 // bytes, so rows 1–3 and 5–7 are one scaled index away; each term
-// advances AX and R10 by ps (R13) and BX by ldb (DX), both in bytes. DI
-// and R9 point at output rows 0 and 4, SI and R8 hold ldo and 3·ldo in
-// bytes. Each vector lane owns one output column, so the per-element
+// advances AX and R10 by ps (R13, in bytes) and loads its B row from BX
+// plus its offset (R14), read from the table through DX and the term
+// counter CX. DI and R9 point at output rows 0 and 4, SI and R8 hold ldo
+// and 3·ldo in bytes. Each vector lane owns one output column, so the per-element
 // operation sequence — multiply then add, terms in ascending-p order — is
 // exactly the scalar reference sequence and the tile is bit-identical to
 // microGeneric, whatever the strides. The multiply and the add are
@@ -32,6 +36,8 @@
 // mask of the first w lanes, which neither reads nor writes — nor faults
 // on — the lanes past w. B is always read a whole 8 floats a row: a
 // panel narrower than 8 columns is packed and zero-padded (gemm.go).
+// R14 is scratch in ABI0: it loads the edge mask, then each term's
+// offset.
 
 #include "textflag.h"
 
@@ -84,17 +90,24 @@ GLOBL edgeMask<>(SB), RODATA|NOPTR, $64
 #define rows7 rows6; row((R10)(R11*2), Y6)
 #define rows8 rows7; row((R10)(R12*1), Y7)
 
-// terms runs the reduction loop at label: pc (CX) terms, each the B row
-// and then the A values of body's rows.
+// terms runs the reduction loop at label: pc terms, each the B row and
+// then the A values of body's rows. CX counts up from -pc to 0 and DX
+// points just past the pc offsets, so (DX)(CX*4) is the term's offset.
 #define terms(label, body) \
-label:                   \
-	VMOVUPS (BX), Y8;    \
-	body;                \
-	ADDQ    R13, AX;     \
-	ADDQ    R13, R10;    \
-	ADDQ    DX, BX;      \
-	DECQ    CX;          \
+label:                       \
+	MOVLQSX (DX)(CX*4), R14; \
+	VMOVUPS (BX)(R14*4), Y8; \
+	body;                    \
+	ADDQ    R13, AX;         \
+	ADDQ    R13, R10;        \
+	INCQ    CX;              \
 	JNZ     label
+
+// counter sets up the terms loop's counter (see terms).
+#define counter \
+	MOVQ pc+56(FP), CX; \
+	LEAQ (DX)(CX*4), DX; \
+	NEGQ CX
 
 // edge moves an edge tile's output row k-1 from src to dst under the
 // column mask, unless the tile has fewer than k rows (CX): then the
@@ -104,7 +117,7 @@ label:                   \
 	JLT        label;            \
 	VMASKMOVPS src, Y10, dst
 
-// func microKernelAVX(out *float32, ldo int, a *float32, rs, ps int, b *float32, ldb, pc, rows, w int, accumulate bool)
+// func microKernelAVX(out *float32, ldo int, a *float32, rs, ps int, b *float32, boff *int32, pc, rows, w int, accumulate bool)
 TEXT ·microKernelAVX(SB), NOSPLIT, $0-81
 	MOVQ out+0(FP), DI
 	MOVQ ldo+8(FP), SI
@@ -112,7 +125,7 @@ TEXT ·microKernelAVX(SB), NOSPLIT, $0-81
 	MOVQ rs+24(FP), R11
 	MOVQ ps+32(FP), R13
 	MOVQ b+40(FP), BX
-	MOVQ ldb+48(FP), DX
+	MOVQ boff+48(FP), DX
 
 	SHLQ $2, SI              // output row stride in bytes
 	LEAQ (SI)(SI*2), R8      // 3 output rows
@@ -121,7 +134,6 @@ TEXT ·microKernelAVX(SB), NOSPLIT, $0-81
 	LEAQ (R11)(R11*2), R12   // 3 A rows
 	LEAQ (AX)(R11*4), R10    // A row 4
 	SHLQ $2, R13             // A term stride in bytes
-	SHLQ $2, DX              // B row stride in bytes
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -137,7 +149,7 @@ TEXT ·microKernelAVX(SB), NOSPLIT, $0-81
 	CMPQ rows+64(FP), $8
 	JNE  edgetile
 
-	MOVQ pc+56(FP), CX
+	counter
 	CMPB accumulate+80(FP), $0
 	JEQ  ploop
 	VMOVUPS (DI), Y0         // resume: load the spilled tile
@@ -165,7 +177,7 @@ TEXT ·microKernelAVX(SB), NOSPLIT, $0-81
 edgetile:
 	MOVQ    w+72(FP), CX
 	NEGQ    CX
-	LEAQ    edgeMask<>+32(SB), R14 // R14 is scratch in ABI0
+	LEAQ    edgeMask<>+32(SB), R14
 	VMOVUPS (R14)(CX*4), Y10       // lanes [0, w) all ones
 	MOVQ    rows+64(FP), CX
 
@@ -181,7 +193,7 @@ edgetile:
 	edge(8, edispatch, (R9)(R8*1), Y7)
 
 edispatch:
-	MOVQ pc+56(FP), CX
+	counter
 	CMPQ rows+64(FP), $4
 	JLT  e1to3
 	JEQ  e4

@@ -31,12 +31,12 @@ func BenchmarkGemmInPlaceB(b *testing.B) {
 					b.Run(name+"/packed", func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
 							o.packPanels(bp, 0, panelsOf(n))
-							o.tiles(bp, 0, tilesOf(m))
+							o.tiles(bp, false, 0, tilesOf(m))
 						}
 					})
 					b.Run(name+"/inplace", func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
-							o.tiles(nil, 0, tilesOf(m))
+							o.tiles(bm.data, true, 0, tilesOf(m))
 						}
 					})
 				}

@@ -8,8 +8,9 @@ import (
 
 // gemmFuzzMaxMACs bounds one fuzz input's work, so the fuzzer spends its
 // time on shapes rather than on a few huge products; it admits the
-// largest GEMM of `go run ./benchmark`'s xfmr_inproc (512×256×64).
-const gemmFuzzMaxMACs = 1 << 23
+// largest GEMMs of `go run ./benchmark`: xfmr_inproc's 512×256×64 and
+// conv_inproc's 3×3 convolutions of 16 images, 16×144×4096.
+const gemmFuzzMaxMACs = 10 << 20
 
 // FuzzGemm is the packed GEMM engine's generative oracle. An input names
 // a layout, an instance count g, a shape m×k×n and a seed for the values
@@ -22,7 +23,8 @@ const gemmFuzzMaxMACs = 1 << 23
 // committed seeds are adversarialShapes under every layout, row counts
 // around the register tile's height, raggedShapes as MatMulTA (A read in
 // place down its columns), and the GEMMs `go run ./benchmark`'s
-// xfmr_inproc runs.
+// workloads run: xfmr_inproc's, and the conv forwards and weight
+// gradients of the three conv workloads.
 //
 //	go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 20s ./internal/tensor/
 func FuzzGemm(f *testing.F) {
@@ -49,6 +51,25 @@ func FuzzGemm(f *testing.F) {
 	} {
 		f.Add(uint8(s.layout), uint8(s.g), uint16(s.m), uint16(s.k), uint16(s.n), int64(s.m))
 	}
+	// The conv workloads' calls (convCalls decodes k, n and the seed):
+	// conv_inproc's 16 output channels over 8 and 16 images of 16×16 on
+	// 16 or 3 input channels, 3×3 with pad 1 (seed 7) and 1×1 (seed 0);
+	// the ring and hub workloads' 6 over 8×8 on 6 or 3; and a 5×5 with
+	// pad 2 (seed 14). Each reads its taps in place forward and packs
+	// them for dW.
+	for _, layout := range []gemmLayout{layoutConv, layoutConvT} {
+		for _, s := range []struct {
+			g, m, k, n int
+			seed       int64
+		}{
+			{8, 16, 15, 325, 7}, {16, 16, 15, 325, 7}, {16, 16, 2, 325, 7},
+			{16, 16, 15, 375, 0}, {8, 16, 2, 375, 0},
+			{8, 6, 5, 125, 7}, {16, 6, 5, 125, 7}, {8, 6, 2, 125, 7}, {16, 6, 5, 175, 0},
+			{4, 8, 5, 275, 14},
+		} {
+			f.Add(uint8(layout), uint8(s.g), uint16(s.m), uint16(s.k), uint16(s.n), s.seed)
+		}
+	}
 	pool := NewPool(3)
 	f.Fuzz(func(t *testing.T, layout, g uint8, m, k, n uint16, seed int64) {
 		checkGemm(t, pool, gemmLayout(layout%uint8(layoutConvT+1)), max(1, int(g)%65),
@@ -69,7 +90,7 @@ func checkGemm(t *testing.T, pool *Pool, layout gemmLayout, g, m, k, n int, seed
 	var want *Tensor
 	var calls []gemmCall
 	if layout >= layoutConv {
-		want, calls = convCalls(rng, layout, which, g, m, k, n)
+		want, calls = convCalls(rng, layout, which, g, m, k, n, seed)
 	} else {
 		want, calls = matMulCalls(rng, layout, which, g, m, k, n)
 	}
@@ -166,14 +187,18 @@ func matMulRef(layout gemmLayout, g, m, k, n int, a, b []float32) *Tensor {
 }
 
 // convCalls reads a fuzz input as a convolution — g images, m output
-// channels, 1–32 input channels from k, a spatial size from n, and a
-// kernel, stride and padding drawn from rng — and builds the layout's
+// channels, 1–32 input channels from k, a height of kk to kk+23 from n%24
+// and a width likewise from n/24, and a kernel kk, stride and padding
+// from the seed's residues (1, 3 or 5 by seed%3, stride 1 or 2 by
+// seed/3%2, pad seed/6 modulo kk/2+2) — and builds the layout's
 // reference on the materialized column matrix and the fused entry point
-// that must reproduce it.
-func convCalls(rng *rand.Rand, layout gemmLayout, which, g, m, k, n int) (*Tensor, []gemmCall) {
-	kk := []int{1, 3, 5}[rng.Intn(3)]
-	stride, pad := 1+rng.Intn(2), rng.Intn(kk/2+2)
-	c, h, w := 1+k%32, kk+n%12, kk+n/12%12
+// that must reproduce it. Stride-1 output widths reach 8, 16 and 24, so
+// forwards read in place at every width they do in a workload.
+func convCalls(rng *rand.Rand, layout gemmLayout, which, g, m, k, n int, seed int64) (*Tensor, []gemmCall) {
+	u := uint64(seed)
+	kk := []int{1, 3, 5}[u%3]
+	stride, pad := 1+int(u/3%2), int(u/6%uint64(kk/2+2))
+	c, h, w := 1+k%32, kk+n%24, kk+n/24%24
 	oh, ow := ConvOutSize(h, kk, stride, pad), ConvOutSize(w, kk, stride, pad)
 	K, S := c*kk*kk, g*oh*ow
 	if m*K*S > gemmFuzzMaxMACs {

@@ -8,6 +8,6 @@ var useAVX = false
 
 // microKernel computes one rows×w tile from the operands t describes,
 // using the portable generic kernel.
-func microKernel(od []float32, ldo int, t microOperands, pc, rows, w int, accumulate bool) {
+func microKernel(od []float32, ldo int, t *microOperands, pc, rows, w int, accumulate bool) {
 	microGeneric(od, ldo, t, pc, rows, w, accumulate)
 }

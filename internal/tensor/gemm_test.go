@@ -157,22 +157,40 @@ type tileDescription struct {
 	ops  microOperands
 }
 
+// rowOffsets is the B offset table of pc rows step floats apart.
+func rowOffsets(pc, step int) []int32 {
+	boff := make([]int32, pc)
+	for p := range boff {
+		boff[p] = int32(p * step)
+	}
+	return boff
+}
+
 // tileDescriptions lays a tile's operands — A element (r, p) at
 // av[p*mrTile+r] and B element (p, c) at bv[p*nrTile+c], for pc terms —
 // out every way the engine hands them to the microkernel: A in place as
 // rows longer than the tile (rs > pc), or as the leading columns of a
-// wider [pc, m] operand (ps = m); B as a packed panel, or in place as the
-// leading columns of a wider [pc, n] operand (ldb = n). Every float of
+// wider [pc, m] operand (ps = m); B as a packed panel, in place as the
+// leading columns of a wider [pc, n] operand (offsets p·n), or as a conv
+// input's tap rows, whose offsets ascend in uneven steps (row q+1 starts
+// 9 + q%3·5 + q%7 floats after row q, as kernel columns, rows and
+// channels step by 1, Wp and a plane). Every float of
 // an in-place operand outside the tile holds fill.
 func tileDescriptions(av, bv []float32, pc int, fill float32) []tileDescription {
 	const gap = 3 // floats of fill past the tile in each row or column
 	rs, m, n := pc+gap, mrTile+gap, nrTile+gap
-	rowA, colA, rowB := Full(fill, mrTile*rs).data, Full(fill, pc*m).data, Full(fill, pc*n).data
+	taps := make([]int32, pc)
+	for p := 1; p < pc; p++ {
+		taps[p] = taps[p-1] + int32(nrTile+1+(p-1)%3*5+(p-1)%7)
+	}
+	rowA, colA := Full(fill, mrTile*rs).data, Full(fill, pc*m).data
+	rowB, tapB := Full(fill, pc*n).data, Full(fill, int(taps[pc-1])+nrTile+gap).data
 	for p := 0; p < pc; p++ {
 		for r := 0; r < mrTile; r++ {
 			rowA[r*rs+p], colA[p*m+r] = av[p*mrTile+r], av[p*mrTile+r]
 		}
 		copy(rowB[p*n:p*n+nrTile], bv[p*nrTile:])
+		copy(tapB[taps[p]:int(taps[p])+nrTile], bv[p*nrTile:])
 	}
 	as := []struct {
 		name   string
@@ -182,13 +200,13 @@ func tileDescriptions(av, bv []float32, pc int, fill float32) []tileDescription 
 	bs := []struct {
 		name string
 		b    []float32
-		ldb  int
-	}{{"packed B", bv, nrTile}, {"row-major B", rowB, n}}
+		boff []int32
+	}{{"packed B", bv, rowOffsets(pc, nrTile)}, {"row-major B", rowB, rowOffsets(pc, n)}, {"tap-table B", tapB, taps}}
 	var ds []tileDescription
 	for _, a := range as {
 		for _, b := range bs {
 			ds = append(ds, tileDescription{a.name + ", " + b.name,
-				microOperands{a: a.a, rs: a.rs, ps: a.ps, b: b.b, ldb: b.ldb}})
+				microOperands{a: a.a, rs: a.rs, ps: a.ps, b: b.b, boff: b.boff}})
 		}
 	}
 	return ds
@@ -214,7 +232,7 @@ func TestEdgeTileGuardBand(t *testing.T) {
 	const pc, ldo = 37, nrTile + 3
 	rng := rand.New(rand.NewSource(5))
 	av, bv := Rand(rng, -2, 2, pc*mrTile).data, Rand(rng, -2, 2, pc*nrTile).data
-	packed := microOperands{a: av, rs: 1, ps: mrTile, b: bv, ldb: nrTile}
+	packed := microOperands{a: av, rs: 1, ps: mrTile, b: bv, boff: rowOffsets(pc, nrTile)}
 	descs := tileDescriptions(av, bv, pc, sentinel)
 	for rows := 1; rows <= mrTile; rows++ {
 		for w := 1; w <= nrTile; w++ {
@@ -232,12 +250,12 @@ func TestEdgeTileGuardBand(t *testing.T) {
 					}
 				}
 				start := append([]float32(nil), want...)
-				microGeneric(want, ldo, packed, pc, rows, w, acc)
+				microGeneric(want, ldo, &packed, pc, rows, w, acc)
 				for _, d := range descs {
 					for _, asm := range asmModes {
 						useAVX = asm
 						got := append([]float32(nil), start...)
-						microKernel(got, ldo, d.ops, pc, rows, w, acc)
+						microKernel(got, ldo, &d.ops, pc, rows, w, acc)
 						for i := range got {
 							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 								t.Fatalf("rows=%d w=%d accumulate=%v %s asm=%v: element (%d,%d) = %v (%#08x), want %v (%#08x)",
@@ -246,6 +264,51 @@ func TestEdgeTileGuardBand(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestMicroKernelGuardsOperandEnds: Go cannot bounds-check the assembly,
+// so microKernel indexes the last A, B and output float a tile touches
+// before it runs. A description one float short of any of them must
+// panic — B's through the last entry of its offset table, which is the
+// furthest row only because every table ascends — on the assembly and
+// the generic kernel alike. The operands are views of longer buffers, so
+// a kernel that runs anyway reads memory that exists.
+func TestMicroKernelGuardsOperandEnds(t *testing.T) {
+	asmModes := []bool{false}
+	if useAVX {
+		asmModes = append(asmModes, true)
+	}
+	defer func(prev bool) { useAVX = prev }(useAVX)
+	const pc, ldo = 9, nrTile + 2
+	taps := make([]int32, pc)
+	for p := range taps {
+		taps[p] = int32(p*nrTile*3 + p%2)
+	}
+	aLen, bLen, oLen := (mrTile-1)*pc+pc, int(taps[pc-1])+nrTile, (mrTile-1)*ldo+nrTile
+	a, b, out := make([]float32, aLen+64), make([]float32, bLen+64), make([]float32, oLen+64)
+	for short := range 3 {
+		la, lb, lo := aLen, bLen, oLen
+		switch short {
+		case 0:
+			la--
+		case 1:
+			lb--
+		case 2:
+			lo--
+		}
+		ops := microOperands{a: a[:la:la], rs: pc, ps: 1, b: b[:lb:lb], boff: taps}
+		for _, asm := range asmModes {
+			useAVX = asm
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				microKernel(out[:lo:lo], ldo, &ops, pc, mrTile, nrTile, false)
+				return false
+			}()
+			if !panicked {
+				t.Errorf("operand %q one float short, asm=%v: the kernel ran", "ABO"[short:short+1], asm)
 			}
 		}
 	}
@@ -296,7 +359,7 @@ func TestMicroKernelMatchesGenericBits(t *testing.T) {
 				bv[i] = qnan(2, i)
 			}
 		}
-		packed := microOperands{a: av, rs: 1, ps: mrTile, b: bv, ldb: nrTile}
+		packed := microOperands{a: av, rs: 1, ps: mrTile, b: bv, boff: rowOffsets(pc, nrTile)}
 		descs := tileDescriptions(av, bv, pc, qnan(4, 0xdead))
 		for rows := 1; rows <= mrTile; rows++ {
 			for w := 1; w <= nrTile; w++ {
@@ -308,15 +371,15 @@ func TestMicroKernelMatchesGenericBits(t *testing.T) {
 						}
 					}
 					gen := start.Clone()
-					microGeneric(gen.data, ldo, packed, pc, rows, w, acc)
+					microGeneric(gen.data, ldo, &packed, pc, rows, w, acc)
 					for _, d := range descs {
 						label := fmt.Sprintf("pc=%d rows=%d w=%d accumulate=%v %s asm=%v", pc, rows, w, acc, d.name, useAVX)
 						strided, got, roles := start.Clone(), start.Clone(), start.Clone()
-						microGeneric(strided.data, ldo, d.ops, pc, rows, w, acc)
+						microGeneric(strided.data, ldo, &d.ops, pc, rows, w, acc)
 						if diff := bitsDiff(strided, gen); diff != "" {
 							t.Fatalf("%s: microGeneric through the description != on packed operands: %s", label, diff)
 						}
-						microKernel(got.data, ldo, d.ops, pc, rows, w, acc)
+						microKernel(got.data, ldo, &d.ops, pc, rows, w, acc)
 						if diff := bitsDiff(got, gen); diff != "" {
 							t.Fatalf("%s: microkernel != microGeneric: %s", label, diff)
 						}
@@ -331,7 +394,7 @@ func TestMicroKernelMatchesGenericBits(t *testing.T) {
 									s = roles.data[r*ldo+c]
 								}
 								for p := 0; p < pc; p++ {
-									a, b := o.a[r*o.rs+p*o.ps], o.b[p*o.ldb+c]
+									a, b := o.a[r*o.rs+p*o.ps], o.b[int(o.boff[p])+c]
 									prod := firstSourceNaN(a, b, a*b)
 									s = firstSourceNaN(s, prod, s+prod)
 								}
@@ -419,6 +482,103 @@ func TestFusedConvGemmMatchesMaterialized(t *testing.T) {
 			be.ConvGradWeightInto(dw, grad, x, cse.k, cse.k, cse.stride, cse.pad)
 			if diff := bitsDiff(dw, wantDW); diff != "" {
 				t.Errorf("%s ConvGradWeightInto != materialized (case %d): %s", be.Name(), gi, diff)
+			}
+		}
+	}
+}
+
+// TestFusedConvReadsInPlace pins which fused conv GEMMs read their taps
+// in place (bInPlace): every conv forward `go run ./benchmark` issues —
+// conv_inproc's 16 output channels over 8 and 16 images of 16×16 on 16
+// and 3 input channels, and the ring and hub workloads' 6 output
+// channels over 8×8 images on 6 and 3, each 3×3 with pad 1 and 1×1 — is
+// stride 1 at an output width of 8 or 16, so it must; a strided conv,
+// an output width short of whole panels, and every weight-gradient GEMM
+// must pack. What a call borrows follows: a padded conv read in place
+// borrows its input's n·C bordered planes, a 1×1 nothing.
+func TestFusedConvReadsInPlace(t *testing.T) {
+	type geo struct{ n, c, hw, m, k, stride, pad int }
+	var census []geo
+	for _, w := range []struct{ hw, m int }{{16, 16}, {8, 6}} {
+		for _, n := range []int{8, 16} {
+			for _, c := range []int{w.m, 3} {
+				census = append(census, geo{n, c, w.hw, w.m, 3, 1, 1}, geo{n, c, w.hw, w.m, 1, 1, 0})
+			}
+		}
+	}
+	packs := []geo{
+		{8, 16, 16, 16, 3, 2, 1}, // stride 2: ow 8, but the taps are strided
+		{2, 6, 9, 6, 3, 1, 1},    // ow 9
+		{2, 6, 12, 6, 3, 1, 1},   // ow 12
+		{2, 6, 12, 6, 1, 1, 0},   // ow 12, 1×1
+		{1, 3, 5, 4, 3, 1, 1},    // ow 5: less than one panel
+	}
+	operands := func(layout gemmLayout, g geo) gemmOperands {
+		x := New(g.n, g.c, g.hw, g.hw)
+		ow := ConvOutSize(g.hw, g.k, g.stride, g.pad)
+		K, S := g.c*g.k*g.k, g.n*ow*ow
+		if layout == layoutConvT {
+			return convOperands("TestFusedConvReadsInPlace", layout, New(g.m, K), New(g.m, S), x, g.k, g.k, g.stride, g.pad)
+		}
+		return convOperands("TestFusedConvReadsInPlace", layout, New(g.m, S), New(g.m, K), x, g.k, g.k, g.stride, g.pad)
+	}
+	for _, g := range census {
+		o := operands(layoutConv, g)
+		if !o.bInPlace() {
+			t.Errorf("forward %+v (ow %d) packs; the census wants it read in place", g, o.conv.ow)
+			continue
+		}
+		want := 0
+		if g.pad > 0 {
+			want = g.n * g.c * (g.hw + 2*g.pad) * (g.hw + 2*g.pad)
+		}
+		if units, unitLen := o.bPrep(true); units*unitLen != want {
+			t.Errorf("forward %+v borrows %d×%d floats, want %d", g, units, unitLen, want)
+		}
+	}
+	for _, g := range append(packs, census...) {
+		if o := operands(layoutConvT, g); o.bInPlace() {
+			t.Errorf("weight gradient %+v reads in place; dW always packs", g)
+		}
+	}
+	for _, g := range packs {
+		if o := operands(layoutConv, g); o.bInPlace() {
+			t.Errorf("forward %+v (stride %d, ow %d) reads in place; it must pack", g, g.stride, o.conv.ow)
+		}
+	}
+}
+
+// TestFusedConvBordersEveryCall: a padded conv read in place borrows
+// arena memory that earlier calls filled, so it must copy its input and
+// write its zero border on every call. A forward on an all-NaN input
+// leaves NaN in the bordered copy's interior, and poisoning the pack
+// arenas fills every free buffer — a stale border included — with NaN;
+// the forward that follows on the same geometry must still match the
+// materialized reference bit for bit, serially and on a pool, at ow 8
+// and 16.
+func TestFusedConvBordersEveryCall(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	pool := NewPool(2)
+	for _, g := range []struct{ n, c, hw, m int }{{2, 3, 8, 6}, {2, 4, 16, 16}} {
+		x := Rand(rng, -2, 2, g.n, g.c, g.hw, g.hw)
+		nan := Full(float32(math.NaN()), x.shape...)
+		w := Rand(rng, -2, 2, g.m, g.c*9)
+		K, S := g.c*9, g.n*g.hw*g.hw
+		cols := New(K, S)
+		Serial{}.Im2ColInto(cols, x, 3, 3, 1, 1)
+		want := New(g.m, S)
+		matMulRowsRef(want.data, w.data, cols.data, K, S, 0, g.m)
+		for _, p := range []*Pool{nil, pool} {
+			out := New(g.m, S)
+			backendOf(p).ConvForwardInto(out, w, nan, 3, 3, 1, 1)
+			packArenas.mu.Lock()
+			for _, ar := range packArenas.kept {
+				ar.Poison()
+			}
+			packArenas.mu.Unlock()
+			backendOf(p).ConvForwardInto(out, w, x, 3, 3, 1, 1)
+			if diff := bitsDiff(out, want); diff != "" {
+				t.Fatalf("%+v pooled=%v: after a NaN input and poisoned arenas: %s", g, p != nil, diff)
 			}
 		}
 	}

@@ -103,29 +103,45 @@ func TestGemmReadsStayInsideOperands(t *testing.T) {
 	}
 
 	// The fused conv layouts read their A — the weights, or the output
-	// gradient — in place too: 6 rows leave one ragged tile, 16 none.
-	const kk, stride, pad = 3, 1, 1
-	x := Rand(rng, -2, 2, 2, 3, 9, 9)
-	K, S := 3*kk*kk, 2*9*9
-	cols := New(K, S)
-	Serial{}.Im2ColInto(cols, x, kk, kk, stride, pad)
-	gx := guardedCopy(t, x)
-	for _, m := range []int{6, 16} {
-		w, grad := Rand(rng, -2, 2, m, K), Rand(rng, -2, 2, m, S)
-		wantFwd, wantDW := New(m, S), New(m, K)
-		matMulRowsRef(wantFwd.data, w.data, cols.data, K, S, 0, m)
-		matMulTBRowsRef(wantDW.data, grad.data, cols.data, S, K, 0, m)
-		gw, ggrad := guardedCopy(t, w), guardedCopy(t, grad)
-		for _, p := range []*Pool{nil, pool} {
+	// gradient — in place too: 6 rows leave one ragged tile, 16 none. A
+	// stride-1 forward at output width 8 or 16 reads its B in place: with
+	// pad 1 from a bordered copy, with pad 0 from x itself, whose last
+	// panel's last tap then ends at x's last float and the page after it.
+	// At ow 9 the forward packs.
+	for _, c := range []struct {
+		hw, k, pad int
+		inPlace    bool
+	}{
+		{9, 3, 1, false}, {8, 3, 1, true}, {16, 3, 1, true},
+		{10, 3, 0, true}, {18, 3, 0, true}, {16, 1, 0, true}, {8, 1, 0, true},
+	} {
+		x := Rand(rng, -2, 2, 2, 3, c.hw, c.hw)
+		ow := ConvOutSize(c.hw, c.k, 1, c.pad)
+		K, S := 3*c.k*c.k, 2*ow*ow
+		cols := New(K, S)
+		Serial{}.Im2ColInto(cols, x, c.k, c.k, 1, c.pad)
+		gx := guardedCopy(t, x)
+		for _, m := range []int{6, 16} {
+			label := fmt.Sprintf("%d×%d k%d pad %d m=%d", c.hw, c.hw, c.k, c.pad, m)
+			w, grad := Rand(rng, -2, 2, m, K), Rand(rng, -2, 2, m, S)
+			wantFwd, wantDW := New(m, S), New(m, K)
+			matMulRowsRef(wantFwd.data, w.data, cols.data, K, S, 0, m)
+			matMulTBRowsRef(wantDW.data, grad.data, cols.data, S, K, 0, m)
+			gw, ggrad := guardedCopy(t, w), guardedCopy(t, grad)
 			fwd := FromSlice(guarded(t, m*S), m, S)
-			backendOf(p).ConvForwardInto(fwd, gw, gx, kk, kk, stride, pad)
-			if diff := bitsDiff(fwd, wantFwd); diff != "" {
-				t.Fatalf("ConvForwardInto m=%d pooled=%v: %s", m, p != nil, diff)
+			if o := convOperands("TestGemmReadsStayInsideOperands", layoutConv, fwd, gw, gx, c.k, c.k, 1, c.pad); o.bInPlace() != c.inPlace {
+				t.Fatalf("%s: forward B read in place = %v, the case wants %v", label, o.bInPlace(), c.inPlace)
 			}
-			dw := FromSlice(guarded(t, m*K), m, K)
-			backendOf(p).ConvGradWeightInto(dw, ggrad, gx, kk, kk, stride, pad)
-			if diff := bitsDiff(dw, wantDW); diff != "" {
-				t.Fatalf("ConvGradWeightInto m=%d pooled=%v: %s", m, p != nil, diff)
+			for _, p := range []*Pool{nil, pool} {
+				backendOf(p).ConvForwardInto(fwd, gw, gx, c.k, c.k, 1, c.pad)
+				if diff := bitsDiff(fwd, wantFwd); diff != "" {
+					t.Fatalf("ConvForwardInto %s pooled=%v: %s", label, p != nil, diff)
+				}
+				dw := FromSlice(guarded(t, m*K), m, K)
+				backendOf(p).ConvGradWeightInto(dw, ggrad, gx, c.k, c.k, 1, c.pad)
+				if diff := bitsDiff(dw, wantDW); diff != "" {
+					t.Fatalf("ConvGradWeightInto %s pooled=%v: %s", label, p != nil, diff)
+				}
 			}
 		}
 	}

@@ -72,6 +72,10 @@ type convGeom struct {
 func (g convGeom) colRows() int { return g.c * g.kh * g.kw }
 func (g convGeom) colCols() int { return g.n * g.oh * g.ow }
 
+// padded returns the height and width of an input plane inside its zero
+// border.
+func (g convGeom) padded() (hp, wp int) { return g.h + 2*g.pad, g.w + 2*g.pad }
+
 // at returns the column-matrix element (row p, column j): the input value
 // under kernel tap p at output position j, zero in the padding. It is the
 // scalar definition the fused packers below gather with, and the oracle
@@ -115,14 +119,37 @@ func convOperands(op string, layout gemmLayout, out, a, x *Tensor, kh, kw, strid
 	return gemmOperands{out: out.data, a: a.data, b: x.data, g: 1, m: m, k: k, n: cols, layout: layout, conv: g}
 }
 
+// padPlanes copies input planes [lo, hi) — plane ni·C + c of an NCHW x —
+// into xp, each inside a border of g.pad zeros (padded() floats a side).
+// The border is written on every call, since xp is arena memory an
+// earlier call may have filled. What a stride-1 conv forward reads in
+// place when it pads: tap (c, ki, kj) of the 8 output positions from
+// (ni, oi, oj) is then 8 consecutive floats from
+// xp[((ni·C + c)·Hp + oi + ki)·Wp + oj + kj], zeros included.
+func padPlanes(xp, x []float32, g convGeom, lo, hi int) {
+	hp, wp := g.padded()
+	for pl := lo; pl < hi; pl++ {
+		dst, src := xp[pl*hp*wp:(pl+1)*hp*wp], x[pl*g.h*g.w:(pl+1)*g.h*g.w]
+		clear(dst[:g.pad*wp+g.pad]) // the top rows and row 0's left border
+		for ih := 0; ih < g.h; ih++ {
+			d := (g.pad+ih)*wp + g.pad
+			copy(dst[d:d+g.w], src[ih*g.w:(ih+1)*g.w])
+			clear(dst[d+g.w : d+g.w+2*g.pad]) // its right border, the next row's left
+		}
+		clear(dst[(g.pad+g.h)*wp:])
+	}
+}
+
 // im2colPackPanels packs panels [pan0,pan1) of the virtual column matrix
 // straight from the NCHW input — the fused replacement for materializing
 // im2col output and re-packing it. Produces exactly the values
-// packBPanels would produce from a materialized column matrix.
+// packBPanels would produce from a materialized column matrix. It is the
+// conv forward's fallback: a stride-1 conv whose output width is a
+// multiple of nrTile reads its taps in place instead (bInPlace), so this
+// packs for strided convs and ragged output widths only.
 //
 // A panel is nrTile consecutive output positions, so it is one run of
-// columns per output row it touches (one run when ow is a multiple of
-// nrTile, as at the benchmark's widths 8 and 16; never more than nrTile).
+// columns per output row it touches (never more than nrTile).
 // For a run and a kernel column kj the positions whose input column lies
 // inside the image are again one run (tapRun), the same for every channel
 // and kernel row, so each tap row of the panel is a clipped contiguous

@@ -81,8 +81,9 @@ func (p *Parallel) MatMulTBBatchInto(out, a, b *Tensor) {
 	gemm(p.pool, matMulOperands("MatMulTBBatchInto", layoutTB, 3, out, a, b))
 }
 
-// ConvForwardInto implements Backend: the fused im2col pack is
-// partitioned across column panels, the GEMM across row tiles.
+// ConvForwardInto implements Backend: the zero-bordered copy of the input
+// is partitioned across its planes, or the fused im2col pack across
+// column panels, and the GEMM across row tiles.
 func (p *Parallel) ConvForwardInto(out, w, x *Tensor, kh, kw, stride, pad int) {
 	gemm(p.pool, convOperands("ConvForwardInto", layoutConv, out, w, x, kh, kw, stride, pad))
 }
