@@ -8,7 +8,7 @@
 //
 //	pipebd-worker -listen 127.0.0.1:7710                # serve forever
 //	pipebd-worker -listen 127.0.0.1:7710 -sessions 1    # one session, then exit
-//	pipebd-worker -listen 127.0.0.1:0 -backend parallel # parallel kernels
+//	pipebd-worker -listen 127.0.0.1:0                   # any free port
 //	pipebd-worker -listen 127.0.0.1:7710 -sessions 1 -rejoin
 //	  # fault-tolerant: a killed or superseded session does not consume
 //	  # the budget, so the worker stays up for the coordinator's restart
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"pipebd/internal/cluster"
 	"pipebd/internal/cluster/transport"
@@ -77,7 +76,6 @@ func newWorker(args []string, stdout io.Writer) (*workerApp, error) {
 	listen := fs.String("listen", "127.0.0.1:7710", "TCP address to listen on (host:port; :0 picks a free port)")
 	sessions := fs.Int("sessions", 0, "coordinator sessions to serve before exiting (0: forever)")
 	rejoin := fs.Bool("rejoin", false, "only count successful sessions toward -sessions, so the worker survives dropped sessions and re-joins the coordinator's recovery")
-	backend := fs.String("backend", "", "process-default tensor backend: "+strings.Join(tensor.Backends(), "|")+" (coordinator may override per session)")
 	slowdown := fs.Int("slowdown", 1, "throttle this worker's compute by the given factor (sleep (N-1)x each kernel's duration) — a bit-identical straggler for exercising -repartition; 1 disables")
 	quiet := fs.Bool("quiet", false, "suppress per-session progress output")
 	traceDir := fs.String("trace-dir", "", "trace every session's spans locally and dump each completed session as a Chrome trace JSON file in this directory")
@@ -96,13 +94,6 @@ func newWorker(args []string, stdout io.Writer) (*workerApp, error) {
 	}
 	if *sessions < 0 {
 		return nil, fmt.Errorf("-sessions must be >= 0, got %d", *sessions)
-	}
-	if *backend != "" {
-		be, ok := tensor.Lookup(*backend)
-		if !ok {
-			return nil, fmt.Errorf("unknown backend %q (want %s)", *backend, strings.Join(tensor.Backends(), " or "))
-		}
-		tensor.SetDefault(be)
 	}
 
 	lis, err := transport.TCP{}.Listen(*listen)
@@ -127,9 +118,9 @@ func newWorker(args []string, stdout io.Writer) (*workerApp, error) {
 		return nil, fmt.Errorf("-slowdown must be >= 1, got %d", *slowdown)
 	}
 	if *slowdown > 1 {
-		// Throttling wraps the process default (which -backend already
-		// set above) and overrides any per-session backend choice:
-		// this worker models a uniformly slower machine.
+		// Throttling wraps the process default and overrides the backend
+		// each session's Assign names: this worker models a uniformly
+		// slower machine.
 		cfg.Backend = tensor.NewThrottled(tensor.Default(), *slowdown)
 		fmt.Fprintf(stdout, "pipebd-worker: compute throttled %dx (straggler mode)\n", *slowdown)
 	}

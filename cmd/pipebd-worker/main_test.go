@@ -4,7 +4,6 @@ import (
 	"errors"
 	"flag"
 	"io"
-	"math/rand"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -12,6 +11,7 @@ import (
 
 	"pipebd/internal/cluster"
 	"pipebd/internal/cluster/transport"
+	"pipebd/internal/cluster/wire"
 	"pipebd/internal/dataset"
 	"pipebd/internal/distill"
 	"pipebd/internal/sched"
@@ -19,12 +19,12 @@ import (
 
 func TestNewWorkerFlagErrors(t *testing.T) {
 	cases := [][]string{
-		{"-listen"},             // missing value
-		{"-sessions", "-1"},     // negative sessions
-		{"-workers", "4"},       // retired flag
-		{"-backend", "cuda"},    // unknown backend
-		{"extra-arg"},           // positional junk
-		{"-listen", "notaport"}, // unbindable address
+		{"-listen"},              // missing value
+		{"-sessions", "-1"},      // negative sessions
+		{"-workers", "4"},        // retired flag
+		{"-backend", "parallel"}, // retired flag: the Assign names the backend
+		{"extra-arg"},            // positional junk
+		{"-listen", "notaport"},  // unbindable address
 	}
 	for _, args := range cases {
 		if w, err := newWorker(args, &strings.Builder{}); err == nil {
@@ -34,17 +34,29 @@ func TestNewWorkerFlagErrors(t *testing.T) {
 	}
 }
 
+// tinyData is the recipe of two batches of eight for the tiny workbench,
+// and its evaluation.
+func tinyData(t *testing.T, tiny distill.TinyConfig) (wire.DataSpec, []dataset.Batch) {
+	t.Helper()
+	ds := wire.DataSpec{Seed: 7, N: 2 * 8, C: 3, H: tiny.Height, W: tiny.Width, Classes: 4, Batch: 8}
+	batches, err := ds.Batches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, batches
+}
+
 func trainOnce(t *testing.T, net transport.Network, addr string) {
 	t.Helper()
 	tiny := distill.DefaultTinyConfig()
-	data := dataset.NewRandom(rand.New(rand.NewSource(7)), 2*8, 3, tiny.Height, tiny.Width, 4)
+	data, batches := tinyData(t, tiny)
 	w := distill.NewTinyWorkbench(tiny)
 	plan := sched.Plan{Name: "tr", Groups: []sched.Group{
 		{Devices: []int{0}, Blocks: []int{0, 1}},
 		{Devices: []int{1}, Blocks: []int{2, 3}},
 	}}
-	res, err := cluster.Run(net, []string{addr}, w, data.Batches(8),
-		cluster.Config{Plan: plan, DPU: true, LR: 0.05, Momentum: 0.9, Spec: cluster.TinySpec(tiny)})
+	res, err := cluster.Run(net, []string{addr}, w, batches,
+		cluster.Config{Plan: plan, DPU: true, LR: 0.05, Momentum: 0.9, Spec: cluster.TinySpec(tiny), Data: data})
 	if err != nil {
 		t.Fatalf("cluster run against worker: %v", err)
 	}
@@ -119,15 +131,15 @@ func TestWorkerObservabilityFlags(t *testing.T) {
 	defer w.Close()
 
 	tiny := distill.DefaultTinyConfig()
-	data := dataset.NewRandom(rand.New(rand.NewSource(7)), 2*8, 3, tiny.Height, tiny.Width, 4)
+	data, batches := tinyData(t, tiny)
 	bench := distill.NewTinyWorkbench(tiny)
 	plan := sched.Plan{Name: "hybrid", Groups: []sched.Group{
 		{Devices: []int{0, 1}, Blocks: []int{0, 1}},
 		{Devices: []int{2}, Blocks: []int{2, 3}},
 	}}
-	if _, err := cluster.Run(transport.TCP{}, []string{w.Addr()}, bench, data.Batches(8),
+	if _, err := cluster.Run(transport.TCP{}, []string{w.Addr()}, bench, batches,
 		cluster.Config{Plan: plan, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
-			Spec: cluster.TinySpec(tiny)}); err != nil {
+			Spec: cluster.TinySpec(tiny), Data: data}); err != nil {
 		t.Fatalf("ring run against observed worker: %v", err)
 	}
 	if err := <-serveDone; err != nil {

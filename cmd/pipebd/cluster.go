@@ -24,19 +24,17 @@ type clusterOptions struct {
 	Model    string   // tiny (default) | transformer
 	Steps    int
 	Batch    int
-	DPU      bool
 	Backend  string
 	// Topology selects the data plane: "ring" (default for the CLI) moves
 	// activations and gradient all-reduces worker-to-worker, "hub" (or
 	// empty) routes everything through the coordinator.
 	Topology string
 	Verify   bool // re-run in-process and require bit-identical results
-	Timeout  time.Duration
 	// MaxRestarts enables fault tolerance: up to this many worker losses
 	// restart the run from its global cut instead of failing it.
 	MaxRestarts int
-	// Heartbeat asks workers for liveness beacons on this interval and
-	// declares one dead after 4 missed beats; 0 disables.
+	// Heartbeat asks workers for liveness beacons on this interval (the
+	// coordinator declares one dead after 4 silent intervals); 0 disables.
 	Heartbeat time.Duration
 	// Ledger makes the run durable: the coordinator persists its state
 	// under this directory so a killed pipebd can restart with -resume.
@@ -115,8 +113,7 @@ func (o clusterOptions) validate() error {
 type resumeOptions struct {
 	Dir         string   // ledger directory (required)
 	Workers     []string // override manifest worker addresses; nil reuses them
-	Timeout     time.Duration
-	MaxRestarts int // 0 reuses the manifest's budget
+	MaxRestarts int      // 0 reuses the manifest's budget
 	Heartbeat   time.Duration
 	Verify      bool
 	Fsync       ledger.SyncPolicy
@@ -214,25 +211,19 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 	}
 
 	cfg := cluster.Config{
-		Plan: plan, DPU: opts.DPU, LR: 0.05, Momentum: 0.9,
+		Plan: plan, DPU: true, LR: 0.05, Momentum: 0.9,
 		Backend: opts.Backend, Topology: opts.Topology, Spec: spec,
-		Data:        recipe,
-		JoinTimeout: opts.Timeout,
-		MaxRestarts: opts.MaxRestarts,
-		Snapshot:    cluster.SnapshotPolicy{Interval: opts.SnapInterval},
-		LedgerDir:   opts.Ledger,
-		Fsync:       opts.Fsync,
-		Repartition: opts.Repartition,
-		Retry:       wire.RetrySpec{BudgetMillis: int(opts.RetryBudget / time.Millisecond)},
-		LedgerMeta: fmt.Sprintf("pipebd -cluster %s -cluster-plan %s -cluster-model %s -cluster-steps %d -cluster-batch %d",
-			strings.Join(opts.Workers, ","), opts.PlanName, spec.Name, opts.Steps, opts.Batch),
+		Data:              recipe,
+		MaxRestarts:       opts.MaxRestarts,
+		Snapshot:          cluster.SnapshotPolicy{Interval: opts.SnapInterval},
+		LedgerDir:         opts.Ledger,
+		Fsync:             opts.Fsync,
+		Repartition:       opts.Repartition,
+		RetryBudget:       opts.RetryBudget,
+		HeartbeatInterval: opts.Heartbeat,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stdout, "pipebd: "+format+"\n", args...)
 		},
-	}
-	if opts.Heartbeat > 0 {
-		cfg.HeartbeatInterval = opts.Heartbeat
-		cfg.HeartbeatTimeout = 4 * opts.Heartbeat
 	}
 	counters := obs.NewMetrics()
 	cfg.Metrics = counters
@@ -296,7 +287,7 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 		topo = "hub"
 	}
 	fmt.Fprintf(stdout, "pipebd: cluster run: plan %s (%s), model %s, %d device(s) on %d worker(s), %d steps, batch %d, dpu=%v, topology=%s, max-restarts=%d\n",
-		plan.Name, plan.Describe(), spec.Name, nDev, len(opts.Workers), opts.Steps, opts.Batch, opts.DPU, topo, opts.MaxRestarts)
+		plan.Name, plan.Describe(), spec.Name, nDev, len(opts.Workers), opts.Steps, opts.Batch, cfg.DPU, topo, opts.MaxRestarts)
 	if opts.Ledger != "" {
 		fmt.Fprintf(stdout, "pipebd: durable run: ledger at %s (restart a killed coordinator with: pipebd -resume %s)\n",
 			opts.Ledger, opts.Ledger)
@@ -315,7 +306,7 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 	if opts.Repartition {
 		fmt.Fprintf(stdout, "pipebd: repartitions executed: %d\n", counters.Counter("repartitions").Load())
 	}
-	if cfg.Retry.Enabled() {
+	if cfg.RetryBudget > 0 {
 		fmt.Fprintf(stdout, "pipebd: link faults absorbed: %d (%d frame(s) replayed), links degraded to hub relay: %d, restarts consumed: %d of %d\n",
 			counters.Counter("link_faults_absorbed").Load(),
 			counters.Counter("link_frames_replayed").Load(),
@@ -342,7 +333,7 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 		// trace dumps); the coordinator's own track reports here.
 		collect.AddDropped(counters.Counter("spans_dropped").Load())
 		if err := writeTraceReport(stdout, opts.TraceOut, collect,
-			plan, opts.DPU, nDev, opts.Steps, opts.Batch, costWL); err != nil {
+			plan, cfg.DPU, nDev, opts.Steps, opts.Batch, costWL); err != nil {
 			return err
 		}
 	}
@@ -352,7 +343,7 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 	}
 	ref := buildBench()
 	refRes := engine.RunPipelined(ref, batches, engine.Config{
-		Plan: plan, DPU: opts.DPU, LR: 0.05, Momentum: 0.9})
+		Plan: plan, DPU: cfg.DPU, LR: cfg.LR, Momentum: cfg.Momentum})
 	return verifyBitIdentical(stdout, res, w, refRes, ref)
 }
 
@@ -383,8 +374,8 @@ func verifyBitIdentical(stdout io.Writer, res engine.Result, w *distill.Workbenc
 }
 
 // runResume restarts a killed coordinator from its ledger directory: the
-// manifest supplies the plan, model, hyperparameters, batches, and worker
-// addresses; the record log supplies the crash-time hub state. With
+// manifest supplies the plan, model, hyperparameters, data recipe, and
+// worker addresses; the record log supplies the crash-time hub state. With
 // opts.Verify the finished run is additionally checked bit-identical
 // against a fresh in-process pipeline built from the same manifest.
 func runResume(stdout io.Writer, opts resumeOptions) error {
@@ -398,10 +389,8 @@ func runResume(stdout io.Writer, opts resumeOptions) error {
 	start := time.Now()
 	res, w, err := cluster.ResumeRun(transport.TCP{}, opts.Dir, cluster.ResumeConfig{
 		Addrs:             opts.Workers,
-		JoinTimeout:       opts.Timeout,
 		MaxRestarts:       opts.MaxRestarts,
 		HeartbeatInterval: opts.Heartbeat,
-		HeartbeatTimeout:  heartbeatTimeout(opts.Heartbeat),
 		Logf:              logf,
 		Fsync:             opts.Fsync,
 		Repartition:       opts.Repartition,
@@ -434,15 +423,12 @@ func runResume(stdout io.Writer, opts resumeOptions) error {
 	if err := cluster.InstallSnapshot(ref, man.Assign.Snapshot); err != nil {
 		return err
 	}
-	refRes := engine.RunPipelined(ref, man.Batches, engine.Config{
+	batches, err := man.Assign.Run.Data.Batches()
+	if err != nil {
+		return err
+	}
+	refRes := engine.RunPipelined(ref, batches[:man.Assign.Run.Steps], engine.Config{
 		Plan: man.Assign.Plan, DPU: man.Assign.Run.DPU,
 		LR: man.Assign.Run.LR, Momentum: man.Assign.Run.Momentum})
 	return verifyBitIdentical(stdout, res, w, refRes, ref)
-}
-
-func heartbeatTimeout(interval time.Duration) time.Duration {
-	if interval <= 0 {
-		return 0
-	}
-	return 4 * interval
 }

@@ -84,9 +84,10 @@
 // when disabled.
 //
 // The -backend flag selects the tensor compute backend for every numeric
-// (real float32 training) portion of the experiments: "serial" is the
-// single-threaded reference, "parallel" row-partitions GEMMs across a
-// bounded worker pool sized by GOMAXPROCS.
+// (real float32 training) portion of the experiments, and in cluster mode
+// the backend every worker session runs (the Assign names it): "serial"
+// is the single-threaded reference, "parallel" row-partitions GEMMs
+// across a bounded worker pool sized by GOMAXPROCS.
 // Backends are bit-identical by contract, so results never depend on the
 // choice — only wall-clock does.
 package main
@@ -97,7 +98,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"pipebd/internal/cluster"
 	"pipebd/internal/cluster/ledger"
@@ -113,14 +113,12 @@ var clusterModeFlags = map[string]bool{
 	"cluster-model":     true,
 	"cluster-steps":     true,
 	"topology":          true,
-	"cluster-timeout":   true,
 	"max-restarts":      true,
 	"cluster-heartbeat": true,
 	"fsync":             true,
 	"repartition":       true,
 	"verify":            true,
 	"cluster-batch":     false,
-	"cluster-dpu":       false,
 	"retry-budget":      false,
 	"ledger":            false,
 	"snapshot-interval": false,
@@ -216,9 +214,7 @@ func main() {
 	clusterModel := flag.String("cluster-model", "tiny", "cluster workload: tiny (conv compression workbench) or transformer (encoder blocks with KL logit distillation)")
 	clusterSteps := flag.Int("cluster-steps", 6, "cluster training steps")
 	clusterBatch := flag.Int("cluster-batch", 8, "cluster global batch size")
-	clusterDPU := flag.Bool("cluster-dpu", true, "decoupled parameter update in cluster mode")
 	clusterTopology := flag.String("topology", "ring", "cluster data plane: ring (activations and all-reduce travel worker-to-worker; coordinator is control plane only) or hub (all traffic through the coordinator)")
-	clusterTimeout := flag.Duration("cluster-timeout", 10*time.Second, "per-worker join timeout in cluster mode")
 	maxRestarts := flag.Int("max-restarts", 0, "cluster mode: survive up to N lost workers by restarting every device from the newest commonly snapshotted step (0: a lost worker fails the run); with -resume, 0 reuses the manifest's budget and a negative value disables worker recovery")
 	clusterHeartbeat := flag.Duration("cluster-heartbeat", 0, "cluster mode: worker heartbeat interval; a worker silent for 4 intervals is declared dead (0: disable silence detection)")
 	retryBudget := flag.Duration("retry-budget", 0, "cluster mode: transient-fault absorption — a broken worker or peer link reconnects with exponential backoff (from 10 ms) and replays its missed frames for up to this long before the failure escalates (0: links fail on first break, classic behavior)")
@@ -274,7 +270,6 @@ func main() {
 	if *resumeDir != "" {
 		opts := resumeOptions{
 			Dir:         *resumeDir,
-			Timeout:     *clusterTimeout,
 			MaxRestarts: *maxRestarts,
 			Heartbeat:   *clusterHeartbeat,
 			Verify:      *verify,
@@ -313,9 +308,8 @@ func main() {
 			Model:        *clusterModel,
 			Steps:        *clusterSteps,
 			Batch:        *clusterBatch,
-			DPU:          *clusterDPU,
+			Backend:      *backend,
 			Topology:     *clusterTopology,
-			Timeout:      *clusterTimeout,
 			Verify:       *verify,
 			MaxRestarts:  *maxRestarts,
 			Heartbeat:    *clusterHeartbeat,
@@ -331,9 +325,6 @@ func main() {
 			DebugAddr:    *debugAddr,
 			Fsync:        fsyncPolicy,
 			Repartition:  *repartition,
-		}
-		if *backend != "serial" {
-			opts.Backend = *backend
 		}
 		if err := runCluster(os.Stdout, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"pipebd/internal/cluster"
 	"pipebd/internal/cluster/transport"
@@ -180,8 +179,7 @@ func TestClusterCrashThenResumeEndToEnd(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	var out strings.Builder
 	err := runCluster(&out, clusterOptions{
-		Workers: addrs, PlanName: "hybrid", Steps: 6, Batch: 8, DPU: true,
-		Timeout:      10 * time.Second,
+		Workers: addrs, PlanName: "hybrid", Steps: 6, Batch: 8,
 		Ledger:       dir,
 		SnapInterval: 2,
 		ChaosKills:   1, ChaosSeed: 7,
@@ -195,7 +193,7 @@ func TestClusterCrashThenResumeEndToEnd(t *testing.T) {
 
 	out.Reset()
 	if err := runResume(&out, resumeOptions{
-		Dir: dir, Timeout: 10 * time.Second, Verify: true,
+		Dir: dir, Verify: true,
 	}); err != nil {
 		t.Fatalf("resume failed: %v\noutput:\n%s", err, out.String())
 	}
@@ -212,8 +210,8 @@ func TestClusterRingEndToEnd(t *testing.T) {
 	addrs := startTCPWorkers(t, 2)
 	var out strings.Builder
 	err := runCluster(&out, clusterOptions{
-		Workers: addrs, PlanName: "hybrid", Steps: 4, Batch: 8, DPU: true,
-		Topology: "ring", Timeout: 10 * time.Second, Verify: true,
+		Workers: addrs, PlanName: "hybrid", Steps: 4, Batch: 8,
+		Topology: "ring", Verify: true,
 	})
 	if err != nil {
 		t.Fatalf("ring cluster run failed: %v\noutput:\n%s", err, out.String())
@@ -239,8 +237,8 @@ func TestClusterTraceOutEndToEnd(t *testing.T) {
 		// dp3: 3-way split front group — the plan whose ring runs a true
 		// reduce-scatter + all-gather. Batch 12 divides by both groups, so
 		// the modeled side of the report is exercised too.
-		Workers: addrs, PlanName: "dp3", Steps: 3, Batch: 12, DPU: true,
-		Topology: "ring", Timeout: 10 * time.Second, Verify: true,
+		Workers: addrs, PlanName: "dp3", Steps: 3, Batch: 12,
+		Topology: "ring", Verify: true,
 		TraceOut: traceFile, NetStats: true, DebugAddr: "127.0.0.1:0",
 	})
 	if err != nil {

@@ -105,7 +105,7 @@
 // worker processes: a coordinator (cmd/pipebd -cluster) maps a plan's
 // devices onto pipebd-worker processes over a pluggable transport
 // (in-memory loopback or length-prefixed TCP), broadcasts the model spec,
-// seed parameters, and batches, and routes teacher-relay activations and
+// seed parameters, and the data recipe, and routes teacher-relay activations and
 // intra-group gradient all-reduce frames between stages. Workers drive
 // the identical engine.RunMember device loop behind a transport-backed
 // engine.DeviceLink, and the wire codec carries floats bit-exactly, so a
@@ -115,10 +115,10 @@
 // sessions the same way: one dial-and-hello handshake per placement slot,
 // then one Assign frame per session, which past the seed also carries each
 // hosted device's state at the cut. Only the first pipeline stage touches
-// a batch, and it reads it locally: regenerated from a deterministic
-// dataset recipe (cluster.Config.Data) or, without one, from the schedule
-// carried once in the Assign (bounded by wire.MaxPayload). No per-step
-// input frame exists.
+// a batch, and it reads it locally, regenerated from the run's
+// deterministic dataset recipe (cluster.Config.Data, required): the
+// recipe is the one copy of the data the Assign and a durable run's
+// manifest carry. No per-step input frame exists.
 //
 // Two data-plane topologies ship (cluster.Config.Topology, cmd/pipebd
 // -topology). "hub" routes every activation and gradient through the
@@ -139,7 +139,7 @@
 // Failures are handled in three tiers, each strictly cheaper than the
 // next, and every tier preserves bit-identity.
 //
-// Tier 1, absorb (cluster.Config.Retry, cmd/pipebd -retry-budget):
+// Tier 1, absorb (cluster.Config.RetryBudget, cmd/pipebd -retry-budget):
 // every control and peer connection is wrapped in a resumable stream (transport.Resumable) — both sides count received
 // frames, the sender buffers its unacknowledged tail, and a broken link
 // redials with exponential backoff, re-opens with the hello that opened
@@ -189,7 +189,7 @@
 // The coordinator itself stops being a single point of failure when a
 // run is durable (cluster.Config.LedgerDir, cmd/pipebd -ledger): the
 // internal/cluster/ledger package persists the run's manifest (plan,
-// model spec, hyperparameters, batches, seed weights) via atomic rename
+// model spec, hyperparameters, data recipe, seed weights) via atomic rename
 // and what the global cut is computed from — snapshots, loss rows,
 // barrier releases, repartition cuts; nothing in flight — to an
 // append-only, CRC-framed record log. cluster.ResumeRun (cmd/pipebd

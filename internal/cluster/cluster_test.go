@@ -1,12 +1,14 @@
 package cluster
 
 import (
-	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pipebd/internal/cluster/transport"
+	"pipebd/internal/cluster/wire"
 	"pipebd/internal/dataset"
 	"pipebd/internal/distill"
 	"pipebd/internal/engine"
@@ -14,10 +16,22 @@ import (
 	"pipebd/internal/tensor"
 )
 
-func tinyBatches(n, batch int) []dataset.Batch {
+// tinyData is the recipe of n batches of batch samples for the tiny
+// workbench — what every cluster run's Config.Data names — and
+// tinyBatches is its evaluation, what the in-process reference trains on.
+func tinyData(n, batch int) wire.DataSpec {
 	cfg := distill.DefaultTinyConfig()
-	data := dataset.NewRandom(rand.New(rand.NewSource(7)), n*batch, 3, cfg.Height, cfg.Width, 4)
-	return data.Batches(batch)
+	return wire.DataSpec{Seed: 7, N: n * batch, C: 3, H: cfg.Height, W: cfg.Width, Classes: 4, Batch: batch}
+}
+
+func tinyBatches(n, batch int) []dataset.Batch { return mustBatches(tinyData(n, batch)) }
+
+func mustBatches(ds wire.DataSpec) []dataset.Batch {
+	batches, err := ds.Batches()
+	if err != nil {
+		panic(err)
+	}
+	return batches
 }
 
 func g(devs, blocks []int) sched.Group { return sched.Group{Devices: devs, Blocks: blocks} }
@@ -122,7 +136,7 @@ func TestClusterBitEquivalenceLoopbackAndTCP(t *testing.T) {
 	batches := tinyBatches(6, 8)
 	p := hybridPlan()
 	cfg := Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec: TinySpec(distill.DefaultTinyConfig())}
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(6, 8)}
 
 	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
@@ -170,7 +184,7 @@ func TestClusterMatchesPipelinedAcrossPlans(t *testing.T) {
 				addrs := startWorkers(t, net, workers, WorkerConfig{Sessions: 1})
 				w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 				res, err := Run(net, addrs, w, batches, Config{Plan: p, DPU: dpu,
-					LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig())})
+					LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(5, 8)})
 				if err != nil {
 					t.Fatalf("%s dpu=%v workers=%d: %v", name, dpu, workers, err)
 				}
@@ -208,7 +222,7 @@ func TestClusterSnapshotOverridesDrift(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	perturb(w)
 	res, err := Run(net, addrs, w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig())})
+		LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8)})
 	if err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
@@ -228,7 +242,7 @@ func TestWorkerServesSequentialSessions(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 		if _, err := Run(net, addrs, w, batches, Config{Plan: p, DPU: true,
-			LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig())}); err != nil {
+			LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8)}); err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
 		results = append(results, w)
@@ -242,7 +256,7 @@ func TestCoordinatorRejectsBadConfigs(t *testing.T) {
 	batches := tinyBatches(2, 8)
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	net := transport.NewLoopback()
-	good := Config{Plan: hybridPlan(), LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig())}
+	good := Config{Plan: hybridPlan(), LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8)}
 
 	bad := good
 	bad.Plan = plan("short", g([]int{0}, []int{0})) // covers 1 of 4 blocks
@@ -261,36 +275,50 @@ func TestCoordinatorRejectsBadConfigs(t *testing.T) {
 		t.Fatal("spec/workbench block mismatch accepted")
 	}
 	// Batch size not divisible by a group's split.
-	odd := tinyBatches(1, 9)
-	if _, err := Run(net, []string{"x"}, w, odd, good); err == nil {
-		t.Fatal("indivisible batch accepted")
+	bad = good
+	bad.Data = tinyData(1, 9)
+	if _, err := Run(net, []string{"x"}, w, tinyBatches(1, 9), bad); err == nil || !strings.Contains(err.Error(), "not divisible") {
+		t.Fatalf("indivisible batch: got %v, want a divisibility error", err)
 	}
 }
 
+// panicOnce is a compute backend whose first ConvForwardInto panics; every
+// later call, and every other kernel, runs the wrapped backend.
+type panicOnce struct {
+	tensor.Backend
+	fired atomic.Bool
+}
+
+func (b *panicOnce) ConvForwardInto(out, w, x *tensor.Tensor, kh, kw, stride, pad int) {
+	if b.fired.CompareAndSwap(false, true) {
+		panic("poisoned kernel")
+	}
+	b.Backend.ConvForwardInto(out, w, x, kh, kw, stride, pad)
+}
+
 // TestWorkerSurvivesPoisonedSession: a session that blows up inside a
-// device loop (here: a mid-stream batch whose size is not divisible by
-// the group split, which panics in shardOf) must fail that session only —
-// the coordinator gets an error, and the same worker then serves a clean
-// session successfully.
+// device loop (here: a kernel that panics once) must fail that session
+// only — the coordinator gets an error, and the same worker then serves a
+// clean session successfully.
 func TestWorkerSurvivesPoisonedSession(t *testing.T) {
 	p := hybridPlan()
 	cfg := Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec: TinySpec(distill.DefaultTinyConfig())}
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8)}
 	net := transport.NewLoopback()
-	addrs := startWorkers(t, net, 1, WorkerConfig{Sessions: 2})
+	logf, logs := captureLog()
+	addrs := startWorkers(t, net, 1, WorkerConfig{Sessions: 2, Logf: logf,
+		Backend: &panicOnce{Backend: tensor.Default()}})
+	batches := tinyBatches(3, 8)
 
-	poisoned := tinyBatches(2, 8)
-	// Step 1's batch of 7 is indivisible by group 0's 2-way split; the
-	// coordinator's up-front check only sees step 0.
-	cfgTiny := distill.DefaultTinyConfig()
-	poisoned[1] = dataset.Batch{X: tensor.Rand(rand.New(rand.NewSource(13)), -1, 1, 7, 3, cfgTiny.Height, cfgTiny.Width)}
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	if _, err := Run(net, addrs, w, poisoned, cfg); err == nil {
+	if _, err := Run(net, addrs, w, batches, cfg); err == nil {
 		t.Fatal("poisoned session reported success")
+	}
+	if !strings.Contains(logs(), "device loop panicked: poisoned kernel") {
+		t.Fatalf("worker did not fail the session on the device loop's panic; log:\n%s", logs())
 	}
 
 	// The worker must still be alive and serve a correct session.
-	batches := tinyBatches(3, 8)
 	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
 	w2 := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
@@ -314,7 +342,7 @@ func TestCoordinatorHandshakeTimeout(t *testing.T) {
 	batches := tinyBatches(2, 8)
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	cfg := Config{Plan: plan("tr-2dev", g([]int{0}, []int{0, 1}), g([]int{1}, []int{2, 3})),
-		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()),
+		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8),
 		JoinTimeout: 300 * time.Millisecond}
 	start := time.Now()
 	if _, err := Run(transport.TCP{}, []string{lis.Addr(), lis.Addr()}, w, batches, cfg); err == nil {
@@ -331,7 +359,7 @@ func TestCoordinatorJoinTimeout(t *testing.T) {
 	batches := tinyBatches(2, 8)
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	cfg := Config{Plan: plan("tr-2dev", g([]int{0}, []int{0, 1}), g([]int{1}, []int{2, 3})),
-		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()),
+		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8),
 		JoinTimeout: 200 * time.Millisecond}
 	start := time.Now()
 	if _, err := Run(transport.NewLoopback(), []string{"ghost-a", "ghost-b"}, w, batches, cfg); err == nil {
@@ -350,7 +378,7 @@ func TestWorkerRejectsUnknownSpec(t *testing.T) {
 	addrs := startWorkers(t, net, 1, WorkerConfig{Sessions: 1})
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	cfg := Config{Plan: plan("tr-2dev", g([]int{0}, []int{0, 1}), g([]int{1}, []int{2, 3})),
-		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig())}
+		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8)}
 	cfg.Spec.Name = "no-such-model"
 	if _, err := Run(net, addrs, w, batches, cfg); err == nil {
 		t.Fatal("unknown spec trained successfully")

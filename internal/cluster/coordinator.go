@@ -43,15 +43,13 @@ type Config struct {
 	// first group reads its batches locally — no per-step input frame
 	// exists — and both are bit-identical to the in-process engine.
 	Topology string
-	// Data optionally hands the workers a deterministic recipe for the
-	// run's batch schedule (wire.DataSpec; N > 0 enables it). Sessions
-	// hosting first-group devices then regenerate their inputs locally —
-	// distributed data loading — and the coordinator's connections see
-	// zero input bytes. The coordinator validates at run start that the
-	// recipe reproduces the batches passed to Run bit-exactly, keeping the
-	// bit-identity contract checkable. Without a recipe those sessions'
-	// Assign carries the whole schedule in one frame, bounded by
-	// wire.MaxPayload; pass Data for anything larger.
+	// Data is the deterministic recipe of the run's batch schedule
+	// (wire.DataSpec), and it is required. Sessions hosting first-group
+	// devices regenerate their inputs from it locally — distributed data
+	// loading — so no batch crosses any connection, and a durable run's
+	// manifest stores the recipe, not the batches. Run validates before it
+	// dials a worker that the recipe reproduces the batches passed to it
+	// bit-exactly, keeping the bit-identity contract checkable.
 	Data wire.DataSpec
 	// Spec names the model the workers rebuild. Its architecture must
 	// match the workbench passed to Run.
@@ -85,9 +83,6 @@ type Config struct {
 	// restarted with ResumeRun and finish the run bit-identically. The
 	// directory must not already hold a run.
 	LedgerDir string
-	// LedgerMeta is an opaque note stored in the ledger manifest (e.g.
-	// the CLI invocation), for provenance only.
-	LedgerMeta string
 	// Fsync selects the ledger's durability tier (how often appended
 	// records reach stable storage): the zero policy keeps the pre-tier
 	// behavior — OS-buffered writes surviving process death but not power
@@ -103,24 +98,23 @@ type Config struct {
 	// Forces fault tolerance and span shipping on.
 	Repartition bool
 	// HeartbeatInterval asks each worker to emit a liveness beacon this
-	// often; HeartbeatTimeout declares a worker dead when nothing —
-	// beacon or data — arrives within it. Zero disables silence
-	// detection; connection errors still trigger recovery.
+	// often; a worker from which nothing — beacon or data — arrives for
+	// four intervals is declared dead. Zero disables silence detection;
+	// connection errors still trigger recovery.
 	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	// Retry enables transient-fault absorption on every session link:
-	// a broken connection — control or peer — redials with exponential
-	// backoff under BudgetMillis, re-handshakes against the peer's
-	// high-water mark, and replays exactly the unacked frames, so a
-	// link flap is invisible to the run (no restart consumed, results
-	// bit-identical). A link still down when the budget exhausts is
-	// reported instead of silently retried forever: a peer edge whose
-	// workers are all still alive is degraded to hub relay (ring runs,
-	// budget-free), anything else falls through to a budget-counted
-	// restart. BudgetMillis > 0 enables it; ring runs with
-	// retry force fault tolerance on (degrades restart from the global
-	// cut). See wire.RetrySpec for the knobs.
-	Retry wire.RetrySpec
+	// RetryBudget enables transient-fault absorption on every session
+	// link: a broken connection — control or peer — redials with
+	// exponential backoff (from the transport's 10 ms) for up to this
+	// much downtime, re-handshakes against the peer's high-water mark,
+	// and replays exactly the unacked frames, so a link flap is invisible
+	// to the run (no restart consumed, results bit-identical). A link
+	// still down when the budget exhausts is reported instead of silently
+	// retried forever: a peer edge whose workers are all still alive is
+	// degraded to hub relay (ring runs, budget-free), anything else falls
+	// through to a budget-counted restart. Zero disables it; ring runs
+	// with a budget force fault tolerance on (degrades restart from the
+	// global cut). Only whole milliseconds reach the workers.
+	RetryBudget time.Duration
 	// Trace asks every worker session to record per-step span events and
 	// ship them to the coordinator at step boundaries (wire.KindSpans).
 	// Arriving batches are handed to TraceSink. Tracing never changes the
@@ -144,7 +138,8 @@ type Config struct {
 
 // Coordinator drives a cluster run: it places the plan's devices on the
 // workers, opens each session with one Assign frame (model spec, seed
-// parameters, the first group's batch schedule or the recipe for it), and
+// parameters, the data recipe the first group regenerates its batches
+// from), and
 // acts as the hub for the session's data flow — assembling teacher-relay
 // activation shards and forwarding them downstream, performing the
 // rank-ordered intra-group gradient reduction, counting the global no-DPU
@@ -181,6 +176,10 @@ type Coordinator struct {
 func NewCoordinator(net transport.Network, cfg Config) *Coordinator {
 	return &Coordinator{net: net, cfg: cfg}
 }
+
+// heartbeatMisses is how many heartbeat intervals of silence declare a
+// worker dead.
+const heartbeatMisses = 4
 
 // Run is shorthand for NewCoordinator(net, cfg).Run(w, batches, addrs).
 func Run(net transport.Network, addrs []string, w *distill.Workbench, batches []dataset.Batch, cfg Config) (engine.Result, error) {
@@ -254,7 +253,6 @@ type run struct {
 	steps    int
 	nDev     int
 	workb    *distill.Workbench
-	batches  []dataset.Batch
 	addrs    []string
 	runCfg   wire.RunConfig
 	ft       bool           // fault tolerance enabled (MaxRestarts > 0 or durable)
@@ -311,9 +309,17 @@ type gatherLists struct {
 // the trained weights the group leaders send back. The run is
 // bit-equivalent to engine.RunPipelined(w, batches, ...) with the same
 // plan and hyperparameters — including runs that lose workers and restart
-// from the global cut, when cfg.MaxRestarts allows it.
+// from the global cut, when cfg.MaxRestarts allows it. The batches never
+// leave this process: Config.Data must regenerate them, which Run checks
+// before it dials a worker.
 func (c *Coordinator) Run(w *distill.Workbench, batches []dataset.Batch, addrs []string) (engine.Result, error) {
-	d := &driver{c: c, w: w, batches: batches, addrs: addrs, seed: CaptureSnapshot(w)}
+	if len(batches) == 0 {
+		return engine.Result{}, fmt.Errorf("cluster: no batches")
+	}
+	if err := validateDataRecipe(c.cfg.Data, batches); err != nil {
+		return engine.Result{}, err
+	}
+	d := &driver{c: c, w: w, steps: len(batches), addrs: addrs, seed: CaptureSnapshot(w)}
 	return d.drive()
 }
 
@@ -324,9 +330,7 @@ func (c *Coordinator) createLedger(r *run) (*ledger.Ledger, error) {
 	led, err := ledger.Create(c.cfg.LedgerDir, &ledger.Manifest{
 		Assign:      wire.Assign{Plan: r.plan, Spec: c.cfg.Spec, Run: r.runCfg, Snapshot: r.seedSnap},
 		Addrs:       r.addrs,
-		Batches:     r.batches,
 		MaxRestarts: c.cfg.MaxRestarts,
-		Meta:        c.cfg.LedgerMeta,
 	})
 	if err != nil {
 		return nil, err
@@ -357,23 +361,20 @@ func (c *Coordinator) execute(r *run) (engine.Result, error) {
 	return r.result(), nil
 }
 
-// newRun validates the configuration and builds one attempt's state. seed
-// is the run's starting weights (see driver.seed).
-func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches []dataset.Batch, addrs []string) (*run, error) {
+// newRun validates the configuration and builds one attempt's state of a
+// steps-long run. seed is the run's starting weights (see driver.seed).
+func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, steps int, addrs []string) (*run, error) {
 	plan := c.cfg.Plan
 	nDev := plan.NumDevices()
 	if err := plan.Validate(nDev, w.NumBlocks()); err != nil {
 		return nil, err
 	}
-	if len(batches) == 0 {
-		return nil, fmt.Errorf("cluster: no batches")
-	}
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no worker addresses")
 	}
 	for _, g := range plan.Groups {
-		if k := g.Split(); batches[0].X.Dim(0)%k != 0 {
-			return nil, fmt.Errorf("cluster: batch %d not divisible by group size %d", batches[0].X.Dim(0), k)
+		if k := g.Split(); c.cfg.Data.Batch%k != 0 {
+			return nil, fmt.Errorf("cluster: batch %d not divisible by group size %d", c.cfg.Data.Batch, k)
 		}
 	}
 	if c.cfg.Spec.Blocks != w.NumBlocks() {
@@ -390,15 +391,15 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches [
 	// restarts the attempt from the global cut too (the degrade itself is
 	// budget-free).
 	ft := c.cfg.MaxRestarts > 0 || c.cfg.LedgerDir != "" || c.cfg.Repartition ||
-		(c.cfg.Topology == "ring" && c.cfg.Retry.Enabled())
+		(c.cfg.Topology == "ring" && c.cfg.RetryBudget > 0)
 	policy, err := effectivePolicy(c.cfg.Snapshot, ft)
 	if err != nil {
 		return nil, err
 	}
 	r := &run{
-		co: c, plan: plan, nb: w.NumBlocks(), steps: len(batches), nDev: nDev,
+		co: c, plan: plan, nb: w.NumBlocks(), steps: steps, nDev: nDev,
 		byDev: make(map[int]*peerConn), devs: make(map[int]*devState),
-		workb: w, batches: batches, addrs: addrs,
+		workb: w, addrs: addrs,
 		ft:       ft,
 		ringMode: c.cfg.Topology == "ring",
 		outputs:  make([]map[int]*gather, len(plan.Groups)),
@@ -424,20 +425,15 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, batches [
 	r.seedSnap = seed
 	r.runCfg = wire.RunConfig{DPU: c.cfg.DPU, LR: c.cfg.LR, Momentum: c.cfg.Momentum,
 		Steps: r.steps, Backend: c.cfg.Backend,
-		Snap:            policy,
-		HeartbeatMillis: int(c.cfg.HeartbeatInterval / time.Millisecond),
-		Topology:        c.cfg.Topology,
-		Retry:           c.cfg.Retry,
+		Snap:              policy,
+		HeartbeatMillis:   int(c.cfg.HeartbeatInterval / time.Millisecond),
+		RetryBudgetMillis: int(c.cfg.RetryBudget / time.Millisecond),
+		Topology:          c.cfg.Topology,
 		// The repartitioner's measurements are the workers' span batches,
 		// so a repartition-enabled run ships spans even when the caller
 		// did not ask for a trace.
 		Trace: c.cfg.Trace || c.cfg.Repartition,
 		Data:  c.cfg.Data}
-	if c.cfg.Data.N > 0 {
-		if err := validateDataRecipe(c.cfg.Data, batches); err != nil {
-			return nil, err
-		}
-	}
 	r.groupParams = make([][]*tensor.Tensor, len(plan.Groups))
 	for gi, g := range plan.Groups {
 		r.outputs[gi] = make(map[int]*gather)
@@ -506,7 +502,7 @@ func (r *run) logRecord(rec *ledger.Record) {
 // live host of its devices. Runs before start, while the attempt is still
 // single-threaded.
 func (r *run) attach(conn transport.Conn, addr string, devices []int) {
-	links := linkPolicy{epoch: r.epoch, net: r.co.net, retry: r.runCfg.Retry,
+	links := linkPolicy{epoch: r.epoch, net: r.co.net, budget: r.co.cfg.RetryBudget,
 		logf: r.co.logf, metrics: r.co.cfg.Metrics}
 	// The control link's far end is any device the session hosts: a redial
 	// finds the session in the worker's registry by it.
@@ -580,7 +576,7 @@ func (r *run) start() {
 	for _, p := range peers {
 		r.startReader(p)
 	}
-	if r.co.cfg.HeartbeatTimeout > 0 {
+	if r.co.cfg.HeartbeatInterval > 0 {
 		go r.monitorHeartbeats()
 	}
 }
@@ -607,7 +603,7 @@ func (r *run) startReader(p *peerConn) {
 				case <-r.failed:
 				default:
 					if p.hbLost.Load() {
-						err = fmt.Errorf("heartbeat timeout after %v (%w)", r.co.cfg.HeartbeatTimeout, err)
+						err = fmt.Errorf("heartbeat timeout after %v (%w)", heartbeatMisses*r.co.cfg.HeartbeatInterval, err)
 					}
 					r.handlePeerFailure(p, fmt.Errorf("cluster: worker %s: %w", p.addr, err))
 				}
@@ -623,11 +619,11 @@ func (r *run) startReader(p *peerConn) {
 }
 
 // monitorHeartbeats kills connections that have gone silent for longer
-// than the configured timeout; the reader's Recv then errors and the
+// than heartbeatMisses intervals; the reader's Recv then errors and the
 // normal failure/recovery path takes over.
 func (r *run) monitorHeartbeats() {
-	timeout := r.co.cfg.HeartbeatTimeout
-	tick := timeout / 4
+	tick := r.co.cfg.HeartbeatInterval
+	timeout := heartbeatMisses * tick
 	if tick < 5*time.Millisecond {
 		tick = 5 * time.Millisecond
 	}
@@ -668,44 +664,25 @@ func (r *run) monitorHeartbeats() {
 // different data. The comparison is bit-exact, same as every other
 // equivalence contract in this package.
 func validateDataRecipe(ds wire.DataSpec, batches []dataset.Batch) error {
+	if ds == (wire.DataSpec{}) {
+		return fmt.Errorf("cluster: Config.Data is required: the first group's workers regenerate the run's batches from it")
+	}
 	gen, err := ds.Batches()
 	if err != nil {
-		return err
+		return fmt.Errorf("cluster: Config.Data: %w", err)
 	}
 	if len(gen) < len(batches) {
 		return fmt.Errorf("cluster: Config.Data regenerates %d batches, run has %d", len(gen), len(batches))
 	}
 	for i, b := range batches {
-		bd, gd := b.X.Data(), gen[i].X.Data()
-		if len(bd) != len(gd) {
-			return fmt.Errorf("cluster: Config.Data batch %d has %d values, run's has %d", i, len(gd), len(bd))
+		if !b.X.SameShape(gen[i].X) {
+			return fmt.Errorf("cluster: Config.Data batch %d has shape %v, run's has %v", i, gen[i].X.Shape(), b.X.Shape())
 		}
+		bd, gd := b.X.Data(), gen[i].X.Data()
 		for j := range bd {
 			if math.Float32bits(bd[j]) != math.Float32bits(gd[j]) {
 				return fmt.Errorf("cluster: Config.Data does not reproduce the run's batches (step %d diverges)", i)
 			}
-		}
-	}
-	return nil
-}
-
-// scheduleFor returns the batch schedule a session's Assign carries when
-// the listed devices include a first-group member: the full run's input
-// tensors, so group-0 members source every step locally and the
-// coordinator sends no per-step input frames at all. Sessions hosting only
-// later groups, and runs with a Data recipe (where workers regenerate the
-// schedule themselves) get nothing.
-func (r *run) scheduleFor(devices []int) []*tensor.Tensor {
-	if r.runCfg.Data.N > 0 {
-		return nil
-	}
-	for _, d := range devices {
-		if r.devs[d].place.gi == 0 {
-			xs := make([]*tensor.Tensor, len(r.batches))
-			for i, b := range r.batches {
-				xs[i] = b.X
-			}
-			return xs
 		}
 	}
 	return nil

@@ -29,7 +29,6 @@ import (
 	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
-	"pipebd/internal/dataset"
 	"pipebd/internal/distill"
 	"pipebd/internal/engine"
 	"pipebd/internal/tensor"
@@ -67,10 +66,10 @@ type runCarry struct {
 // five fields; a resumed one also hands over the open ledger and the carry
 // its record log replayed to.
 type driver struct {
-	c       *Coordinator
-	w       *distill.Workbench
-	batches []dataset.Batch
-	addrs   []string
+	c     *Coordinator
+	w     *distill.Workbench
+	steps int
+	addrs []string
 	// seed is the run's starting weights, captured once: group leaders
 	// install trained weights into w as they finish, which an attempt that
 	// is later superseded may already have done.
@@ -134,7 +133,7 @@ func (d *driver) drive() (engine.Result, error) {
 		if !errors.As(err, &lost) {
 			return engine.Result{}, err
 		}
-		if len(next.linkDowns) > 0 && c.cfg.Retry.Enabled() && c.workersAlive(d.addrs) {
+		if len(next.linkDowns) > 0 && c.cfg.RetryBudget > 0 && c.workersAlive(d.addrs) {
 			// Tier 2, graceful degradation: every worker is reachable but
 			// one or more peer edges are persistently severed (a healing
 			// partition that never healed). Route just the broken edges
@@ -198,7 +197,7 @@ func (c *Coordinator) workersAlive(addrs []string) bool {
 // carry the next attempt restarts from.
 func (d *driver) attempt(epoch int64) (engine.Result, *runCarry, error) {
 	c := d.c
-	r, err := c.newRun(d.w, d.seed, d.batches, d.addrs)
+	r, err := c.newRun(d.w, d.seed, d.steps, d.addrs)
 	if err != nil {
 		return engine.Result{}, nil, err
 	}
@@ -417,8 +416,7 @@ func (r *run) place() error {
 func (r *run) sessionOpen(devices []int) *wire.Frame {
 	a := &wire.Assign{Plan: r.plan, Spec: r.co.cfg.Spec,
 		Run: r.runCfg, Devices: devices, Snapshot: r.seedSnap,
-		Peers: r.peerDir, Epoch: r.epoch, Degraded: r.degraded,
-		Inputs: r.scheduleFor(devices)}
+		Peers: r.peerDir, Epoch: r.epoch, Degraded: r.degraded}
 	if c := r.carry; c != nil && c.cut >= 0 {
 		for _, d := range devices {
 			gi := r.devs[d].place.gi

@@ -50,7 +50,7 @@ func TestRingCoordinatorKillResume(t *testing.T) {
 				w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 				_, err := Run(chaos, addrs, w, batches, Config{
 					Plan: p, DPU: dpu, LR: 0.05, Momentum: 0.9, Topology: "ring",
-					Spec:        TinySpec(distill.DefaultTinyConfig()),
+					Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(stepsPerRun, 8),
 					Snapshot:    SnapshotPolicy{Interval: interval},
 					LedgerDir:   dir,
 					JoinTimeout: 10 * time.Second,
@@ -94,7 +94,7 @@ func TestRingDoubleCrashResume(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	if _, err := Run(chaos, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec: TinySpec(distill.DefaultTinyConfig()), LedgerDir: dir,
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(stepsPerRun, 8), LedgerDir: dir,
 		JoinTimeout: 10 * time.Second,
 	}); err == nil {
 		t.Fatal("first rigged ring run finished")
@@ -129,7 +129,7 @@ func TestRingResumeOfCompletedRun(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(inner, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec:     TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(4, 8),
 		Snapshot: SnapshotPolicy{Interval: 3}, LedgerDir: dir,
 		JoinTimeout: 10 * time.Second,
 	})
@@ -172,7 +172,7 @@ func TestCompactedLedgerResume(t *testing.T) {
 				w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 				res, err := Run(net, addrs, w, batches, Config{
 					Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: topology,
-					Spec:        TinySpec(distill.DefaultTinyConfig()),
+					Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(stepsPerRun, 8),
 					Snapshot:    SnapshotPolicy{Interval: 2},
 					LedgerDir:   dir,
 					JoinTimeout: 10 * time.Second,

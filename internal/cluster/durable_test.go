@@ -71,7 +71,7 @@ func TestCoordinatorKillResume(t *testing.T) {
 					w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 					_, err := Run(chaos, addrs, w, batches, Config{
 						Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-						Spec:        TinySpec(distill.DefaultTinyConfig()),
+						Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(stepsPerRun, 8),
 						Snapshot:    SnapshotPolicy{Interval: interval},
 						LedgerDir:   dir,
 						JoinTimeout: 10 * time.Second,
@@ -141,7 +141,7 @@ func TestCoordinatorKillResumeDedup(t *testing.T) {
 					w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 					_, err := Run(chaos, addrs, w, batches, Config{
 						Plan: p, DPU: dpu, LR: 0.05, Momentum: 0.9,
-						Spec:        TinySpec(distill.DefaultTinyConfig()),
+						Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(stepsPerRun, 8),
 						Snapshot:    SnapshotPolicy{Interval: interval},
 						LedgerDir:   dir,
 						JoinTimeout: 10 * time.Second,
@@ -180,7 +180,7 @@ func TestDoubleCrashResume(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	if _, err := Run(chaos, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec:     TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(stepsPerRun, 8),
 		Snapshot: SnapshotPolicy{Interval: 2}, LedgerDir: dir,
 		JoinTimeout: 10 * time.Second,
 	}); err == nil {
@@ -217,7 +217,7 @@ func TestResumeOfCompletedRun(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(inner, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec:     TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(4, 8),
 		Snapshot: SnapshotPolicy{Interval: 3}, LedgerDir: dir,
 		JoinTimeout: 10 * time.Second,
 	})
@@ -251,7 +251,7 @@ func TestResumedRunSurvivesWorkerLoss(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	if _, err := Run(chaos, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(stepsPerRun, 8),
 		LedgerDir:   dir,
 		JoinTimeout: 10 * time.Second,
 	}); err == nil {
@@ -293,7 +293,7 @@ func TestSnapshotPolicyEdgeCases(t *testing.T) {
 		w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 		if _, err := Run(chaos, addrs, w, batches, Config{
 			Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-			Spec:        TinySpec(distill.DefaultTinyConfig()),
+			Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8),
 			Snapshot:    SnapshotPolicy{Interval: 100}, // no step ever snapshots
 			LedgerDir:   dir,
 			JoinTimeout: 10 * time.Second,
@@ -326,7 +326,7 @@ func TestSnapshotPolicyEdgeCases(t *testing.T) {
 		w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 		net := transport.NewLoopback()
 		base := Config{Plan: hybridPlan(), LR: 0.05,
-			Spec: TinySpec(distill.DefaultTinyConfig()), MaxRestarts: 1}
+			Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8), MaxRestarts: 1}
 
 		bad := base
 		bad.Snapshot = SnapshotPolicy{Interval: -2}
@@ -356,7 +356,7 @@ func TestSnapshotPolicyEdgeCases(t *testing.T) {
 		w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 		if _, err := Run(inner, addrs, w, batches, Config{
 			Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-			Spec:      TinySpec(distill.DefaultTinyConfig()),
+			Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(4, 8),
 			Snapshot:  SnapshotPolicy{Interval: 2},
 			LedgerDir: dir, JoinTimeout: 10 * time.Second,
 		}); err != nil {
@@ -403,7 +403,7 @@ func TestHubLedgerHoldsOnlyCutRecords(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	if _, err := Run(inner, addrs, w, batches, Config{
 		Plan: p, LR: 0.05, Momentum: 0.9, Topology: "hub",
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 16),
 		MaxRestarts: 1, LedgerDir: dir, JoinTimeout: 10 * time.Second,
 	}); err != nil {
 		t.Fatalf("durable hub run failed: %v", err)
@@ -456,7 +456,7 @@ func TestResumeErrors(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	if _, err := Run(chaos, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec: TinySpec(distill.DefaultTinyConfig()), LedgerDir: dir,
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8), LedgerDir: dir,
 		JoinTimeout: 10 * time.Second,
 	}); err == nil {
 		t.Fatal("rigged run finished")

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pipebd/internal/cluster/wire"
 )
 
 // FuzzReplayLog drives the record-log parser with arbitrary bytes:
@@ -83,8 +85,10 @@ func TestRetiredRecordTypesStopReplay(t *testing.T) {
 }
 
 // FuzzOpenManifest drives the manifest decoder with arbitrary bytes: it
-// must return an error or a manifest, never panic — and a decoded
-// manifest must survive an encode/decode round trip.
+// must return an error or a manifest, never panic — a decoded manifest
+// must survive an encode/decode round trip, and its data recipe, the only
+// copy of the run's batches, must evaluate when it validates and fail
+// with an error when it does not.
 func FuzzOpenManifest(f *testing.F) {
 	good, err := encodeManifest(sampleManifest())
 	if err != nil {
@@ -94,6 +98,13 @@ func FuzzOpenManifest(f *testing.F) {
 	f.Add(good[:len(good)/2])
 	f.Add([]byte("PBDL"))
 	f.Add([]byte{})
+	bad := sampleManifest()
+	bad.Assign.Run.Data.Classes = 0 // decodes, but no generator can evaluate it
+	badRaw, err := encodeManifest(bad)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(badRaw)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)
 		if err != nil {
@@ -106,7 +117,25 @@ func FuzzOpenManifest(f *testing.F) {
 		if _, err := decodeManifest(re); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
+		ds := m.Assign.Run.Data
+		if err := ds.Validate(); err != nil {
+			if _, err := ds.Batches(); err == nil {
+				t.Fatalf("recipe %+v fails validation but evaluates", ds)
+			}
+		} else if recipeValues(ds) <= 1<<16 {
+			if _, err := ds.Batches(); err != nil {
+				t.Fatalf("recipe %+v validates but does not evaluate: %v", ds, err)
+			}
+		}
 	})
+}
+
+// recipeValues is how many float32 values a validated recipe generates.
+func recipeValues(ds wire.DataSpec) int {
+	if ds.Kind == "tokens" {
+		return ds.N * ds.L
+	}
+	return ds.N * ds.C * ds.H * ds.W
 }
 
 // TestOpenArbitraryLogNeverErrors is the deterministic cousin of the

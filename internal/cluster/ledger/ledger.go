@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"pipebd/internal/cluster/wire"
-	"pipebd/internal/dataset"
 	"pipebd/internal/tensor"
 )
 
@@ -43,8 +42,11 @@ const (
 	// retired the group-snapshot record: only rank 0 of a group snapshots,
 	// so the dev-snapshot record is the one snapshot record. Version 4
 	// follows wire codec v10's Assign body, which lost its session id; the
-	// record log is unchanged.
-	Version = 4
+	// record log is unchanged. Version 5 follows wire codec v11's Assign
+	// body and drops the manifest's copy of the batches — the Assign's data
+	// recipe regenerates them — and its opaque Meta note; the record log
+	// is unchanged.
+	Version = 5
 
 	// ManifestName and LogName are the two files a ledger directory holds.
 	ManifestName = "MANIFEST"
@@ -136,18 +138,15 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 }
 
 // Manifest is the immutable setup of a durable run: the full session
-// assignment (plan, model spec, run config including the snapshot policy,
-// and the seed parameter snapshot — the Devices field is unused), the
-// worker addresses, the training batches, and the worker-loss budget. It
-// is everything a fresh process needs to rebuild the coordinator's
-// workbench and re-drive the run; Meta is an opaque slot for the caller
-// (e.g. CLI options for provenance).
+// assignment (plan, model spec, run config including the snapshot policy
+// and the data recipe the batches regenerate from, and the seed parameter
+// snapshot — the Devices field is unused), the worker addresses, and the
+// worker-loss budget. It is everything a fresh process needs to rebuild
+// the coordinator's workbench and re-drive the run.
 type Manifest struct {
 	Assign      wire.Assign
 	Addrs       []string
-	Batches     []dataset.Batch
 	MaxRestarts int
-	Meta        string
 }
 
 // Type identifies a record's kind in the log. The values are part of the
@@ -620,11 +619,6 @@ func encodeManifest(m *Manifest) ([]byte, error) {
 		w.String(a)
 	}
 	w.I32(int32(m.MaxRestarts))
-	w.U32(uint32(len(m.Batches)))
-	for _, b := range m.Batches {
-		w.Blob(wire.EncodeBatch(b))
-	}
-	w.String(m.Meta)
 	payload := w.Bytes()
 	if len(payload) > wire.MaxPayload {
 		return nil, fmt.Errorf("ledger: manifest payload %d exceeds limit %d", len(payload), wire.MaxPayload)
@@ -671,19 +665,6 @@ func decodeManifest(raw []byte) (*Manifest, error) {
 		m.Addrs = append(m.Addrs, r.String())
 	}
 	m.MaxRestarts = int(r.I32())
-	nBatches := r.U32()
-	for i := uint32(0); i < nBatches && r.Err() == nil; i++ {
-		blob := r.Blob()
-		if r.Err() != nil {
-			break
-		}
-		b, err := wire.DecodeBatch(blob)
-		if err != nil {
-			return nil, fmt.Errorf("ledger: manifest batch %d: %w", i, err)
-		}
-		m.Batches = append(m.Batches, b)
-	}
-	m.Meta = r.String()
 	if err := r.Close(); err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pipebd/internal/cluster/wire"
-	"pipebd/internal/dataset"
 	"pipebd/internal/sched"
 	"pipebd/internal/tensor"
 )
@@ -24,7 +23,8 @@ func sampleManifest() *Manifest {
 			}},
 			Spec: wire.ModelSpec{Name: "tiny", Seed: 42, Blocks: 4, Channels: 6, Height: 8, Width: 8},
 			Run: wire.RunConfig{DPU: true, LR: 0.05, Momentum: 0.9, Steps: 4,
-				Snap: wire.SnapshotPolicy{Interval: 2}},
+				Snap: wire.SnapshotPolicy{Interval: 2},
+				Data: wire.DataSpec{Seed: 7, N: 16, C: 3, H: 2, W: 2, Classes: 4, Batch: 4}},
 			Snapshot: wire.Snapshot{
 				Teacher: [][]*tensor.Tensor{{tensor.Rand(rng, -1, 1, 2, 2)}, {}, {}, {}},
 				Student: [][]*tensor.Tensor{{tensor.Rand(rng, -1, 1, 3)}, {}, {}, {tensor.Rand(rng, -1, 1, 2)}},
@@ -32,11 +32,6 @@ func sampleManifest() *Manifest {
 		},
 		Addrs:       []string{"127.0.0.1:7710", "127.0.0.1:7711"},
 		MaxRestarts: 2,
-		Batches: []dataset.Batch{
-			{X: tensor.Rand(rng, -1, 1, 4, 3, 2, 2), Labels: []int{1, 0, 3, 2}},
-			{X: tensor.Rand(rng, -1, 1, 4, 3, 2, 2)},
-		},
-		Meta: "cli: -cluster-plan hybrid -cluster-steps 4",
 	}
 }
 
@@ -92,11 +87,8 @@ func TestManifestAndRecordRoundTrip(t *testing.T) {
 	if got.Assign.Plan.Name != m.Assign.Plan.Name || got.Assign.Spec != m.Assign.Spec || got.Assign.Run != m.Assign.Run {
 		t.Fatalf("manifest assign mismatch: %+v", got.Assign)
 	}
-	if len(got.Addrs) != 2 || got.Addrs[1] != m.Addrs[1] || got.MaxRestarts != 2 || got.Meta != m.Meta {
+	if len(got.Addrs) != 2 || got.Addrs[1] != m.Addrs[1] || got.MaxRestarts != 2 {
 		t.Fatalf("manifest fields mismatch: %+v", got)
-	}
-	if len(got.Batches) != 2 || !got.Batches[0].X.Equal(m.Batches[0].X) || len(got.Batches[0].Labels) != 4 {
-		t.Fatalf("manifest batches mismatch")
 	}
 	if !got.Assign.Snapshot.Student[0][0].Equal(m.Assign.Snapshot.Student[0][0]) {
 		t.Fatal("seed snapshot not bit-identical after round trip")
@@ -251,9 +243,10 @@ func TestManifestErrors(t *testing.T) {
 	}
 
 	// Version skew, in both directions: a newer format, the v1 and v2
-	// formats whose record logs held kinds this version retired, and v3,
-	// whose manifest embeds an Assign body this codec no longer reads.
-	for _, v := range []byte{Version + 1, 1, 2, 3} {
+	// formats whose record logs held kinds this version retired, v3 and v4,
+	// whose manifests embed Assign bodies this codec no longer reads, and
+	// v4's copy of the batches.
+	for _, v := range []byte{Version + 1, 1, 2, 3, 4} {
 		skew := append([]byte(nil), good...)
 		skew[4] = v
 		reset(skew)

@@ -221,23 +221,13 @@ func (ep *endpoint) close(graceful bool) {
 // linkPolicy is what the links of one end of a session share: the attempt
 // epoch their hellos carry, the network that dials (and redials) the ones
 // this end owns, and the transient-fault absorption wiring, all zero when
-// Run.Retry is off.
+// the session has no retry budget.
 type linkPolicy struct {
 	epoch   int64
 	net     transport.Network
-	retry   wire.RetrySpec
+	budget  time.Duration // reconnect budget; 0 keeps every link fail-fast
 	logf    func(format string, args ...any)
 	metrics *obs.Metrics
-}
-
-// retryPolicy converts a wire-level retry spec into the transport policy
-// of one link.
-func retryPolicy(r wire.RetrySpec) transport.RetryPolicy {
-	return transport.RetryPolicy{
-		Backoff:  time.Duration(r.BackoffMillis) * time.Millisecond,
-		Budget:   time.Duration(r.BudgetMillis) * time.Millisecond,
-		AckEvery: r.AckEvery,
-	}
 }
 
 // open performs the one handshake that opens or resumes a link: dial, the
@@ -276,8 +266,8 @@ func (p linkPolicy) open(addr string, h wire.PeerHello, deadline time.Time) (tra
 // Resume. The accepting end passes "" and waits to be re-adopted.
 func (p linkPolicy) endpoint(conn transport.Conn, local, remote int, name, addr string) *endpoint {
 	ep := &endpoint{conn: conn}
-	if p.retry.Enabled() {
-		policy := retryPolicy(p.retry)
+	if p.budget > 0 {
+		policy := transport.RetryPolicy{Budget: p.budget}
 		opts := transport.ResumableOptions{Name: name, Logf: p.logf,
 			OnAbsorb: func(replayed int) {
 				p.metrics.Add("link_faults_absorbed", 1)

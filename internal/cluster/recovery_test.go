@@ -101,7 +101,7 @@ func TestRecoveryBitEquivalence(t *testing.T) {
 					w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 					res, err := Run(chaos, addrs, w, batches, Config{
 						Plan: p, DPU: dpu, LR: 0.05, Momentum: 0.9,
-						Spec:        TinySpec(distill.DefaultTinyConfig()),
+						Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 8),
 						MaxRestarts: 2, JoinTimeout: 10 * time.Second, Logf: logf,
 						Metrics: counters,
 					})
@@ -136,7 +136,7 @@ func TestRecoveryKillSplitGroupWorker(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(chaos, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(5, 8),
 		MaxRestarts: 1, JoinTimeout: 10 * time.Second, Logf: logf,
 		Metrics: counters,
 	})
@@ -172,7 +172,7 @@ func TestRecoveryFallsBackToSurvivingWorker(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(chaos, []string{addrA, addrB}, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(4, 8),
 		MaxRestarts: 1, JoinTimeout: 10 * time.Second, Logf: logf,
 		Metrics: counters,
 	})
@@ -229,10 +229,10 @@ func TestHeartbeatTimeoutDetectsSilentWorker(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(net, []string{addrA, silentLis.Addr()}, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8),
 		MaxRestarts: 1, JoinTimeout: 5 * time.Second,
-		HeartbeatInterval: 25 * time.Millisecond, HeartbeatTimeout: 500 * time.Millisecond,
-		Logf: logf, Metrics: counters,
+		HeartbeatInterval: 125 * time.Millisecond,
+		Logf:              logf, Metrics: counters,
 	})
 	if err != nil {
 		t.Fatalf("run failed: %v\nlog:\n%s", err, logs())
@@ -265,7 +265,7 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	_, err := Run(chaos, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(6, 8),
 		MaxRestarts: 1, JoinTimeout: 5 * time.Second,
 	})
 	if err == nil {
@@ -299,7 +299,7 @@ func TestPeerDeathMidGatherFailsCleanly(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	_, err := Run(chaos, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec: TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(4, 8),
 	})
 	if err == nil {
 		t.Fatal("mid-gather worker death reported success")
@@ -331,7 +331,7 @@ func TestRecoveryTruncatedFrame(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(chaos, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(4, 8),
 		MaxRestarts: 1, JoinTimeout: 10 * time.Second, Logf: logf,
 	})
 	if err != nil {
@@ -361,7 +361,7 @@ func TestRecoverySeededSchedule(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(chaos, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 8),
 		MaxRestarts: len(schedule), JoinTimeout: 10 * time.Second, Logf: logf,
 	})
 	if err != nil {

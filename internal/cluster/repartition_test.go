@@ -117,7 +117,7 @@ func TestRepartitionShedsStraggler(t *testing.T) {
 			w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 			res, err := Run(net, addrs, w, batches, Config{
 				Plan: c.plan, DPU: true, LR: 0.05, Momentum: 0.9,
-				Topology: c.topo, Spec: TinySpec(distill.DefaultTinyConfig()),
+				Topology: c.topo, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, batch),
 				Repartition: true,
 				Metrics:     counters, Logf: logf,
 				JoinTimeout: 10 * time.Second,
@@ -155,7 +155,7 @@ func TestRepartitionHybridPlanStaysPut(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(net, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()),
+		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, batch),
 		Repartition: true,
 		Metrics:     counters,
 		JoinTimeout: 10 * time.Second,
@@ -198,7 +198,7 @@ func TestRepartitionPersistentPeerDelayBitIdentical(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(inner, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()),
+		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, batch),
 		Repartition: true,
 		Metrics:     counters,
 		JoinTimeout: 10 * time.Second,
@@ -210,9 +210,37 @@ func TestRepartitionPersistentPeerDelayBitIdentical(t *testing.T) {
 	weightsBitIdentical(t, "peer delay under repartitioner", w, ref)
 }
 
+// crashAfterRepartition is the coordinator network of the kill-and-resume
+// tests: once the run has repartitioned, it kills the control connection
+// that delivers the next loss row, simulating a coordinator crash under
+// the new placement. When the repartitioner fires depends on measured
+// timings, so a kill keyed on a fixed step could instead land on a
+// connection of the attempt the repartition superseded, and crash nothing.
+type crashAfterRepartition struct {
+	transport.Network
+	chaos    *transport.Chaos
+	counters *obs.Metrics
+}
+
+func newCrashAfterRepartition(inner transport.Network, counters *obs.Metrics) *crashAfterRepartition {
+	return &crashAfterRepartition{Network: inner, counters: counters,
+		chaos: transport.NewChaos(inner, transport.Fault{
+			Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpRecv,
+				Kind: wire.KindLosses, Step: transport.AnyStep, Count: 1},
+			Action: transport.ActKill,
+		})}
+}
+
+func (n *crashAfterRepartition) Dial(addr string) (transport.Conn, error) {
+	if n.counters.Counter("repartitions").Load() > 0 {
+		return n.chaos.Dial(addr)
+	}
+	return n.Network.Dial(addr)
+}
+
 // TestRepartitionCoordinatorKillResume crosses the two recovery planes:
 // a durable ring run repartitions away from a straggler mid-run, then
-// the coordinator is killed near the end, and ResumeRun must restore
+// the coordinator is killed under the new placement, and ResumeRun must restore
 // across the plan-generation boundary — replaying the first generation's
 // records under the original plan, remapping the carry onto the recorded
 // re-plan, and finishing bit-identically under the new placement.
@@ -227,33 +255,25 @@ func TestRepartitionCoordinatorKillResume(t *testing.T) {
 	inner := transport.NewLoopback()
 	addrs := startWorkersMixed(t, inner, stragglerWorkerConfigs(inner, 3, 0, 4))
 	dir := filepath.Join(t.TempDir(), "ledger")
-	// The chaos net carries only the coordinator's control plane; the kill
-	// lands on whichever post-repartition connection delivers the step-10
-	// losses, simulating a coordinator crash late in the run.
-	chaos := transport.NewChaos(inner, transport.Fault{
-		Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpRecv,
-			Kind: wire.KindLosses, Step: steps - 2, Count: 1},
-		Action: transport.ActKill,
-	})
 	counters := obs.NewMetrics()
 	logf, logs := captureLog()
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	_, err := Run(chaos, addrs, w, batches, Config{
+	_, err := Run(newCrashAfterRepartition(inner, counters), addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()),
+		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, batch),
 		Repartition: true,
 		LedgerDir:   dir,
 		Metrics:     counters, Logf: logf,
 		JoinTimeout: 10 * time.Second,
 	})
+	if n := counters.Counter("repartitions").Load(); n < 1 {
+		t.Fatalf("repartitioner never fired before the crash; log:\n%s", logs())
+	}
 	if err == nil {
 		t.Fatal("rigged run finished despite the injected coordinator crash")
 	}
 	if !errors.Is(err, transport.ErrChaos) {
 		t.Fatalf("crash should surface the injected fault: %v\nlog:\n%s", err, logs())
-	}
-	if n := counters.Counter("repartitions").Load(); n < 1 {
-		t.Fatalf("repartitioner never fired before the crash; log:\n%s", logs())
 	}
 	// The crashed run must have recorded the cut: the ledger now spans
 	// two plan generations.
@@ -301,26 +321,21 @@ func TestRepartitionCompactedLedgerResume(t *testing.T) {
 	inner := transport.NewLoopback()
 	addrs := startWorkersMixed(t, inner, stragglerWorkerConfigs(inner, 3, 0, 4))
 	dir := filepath.Join(t.TempDir(), "ledger")
-	chaos := transport.NewChaos(inner, transport.Fault{
-		Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpRecv,
-			Kind: wire.KindLosses, Step: steps - 2, Count: 1},
-		Action: transport.ActKill,
-	})
 	counters := obs.NewMetrics()
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	_, err := Run(chaos, addrs, w, batches, Config{
+	_, err := Run(newCrashAfterRepartition(inner, counters), addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()),
+		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, batch),
 		Repartition: true,
 		LedgerDir:   dir,
 		Metrics:     counters,
 		JoinTimeout: 10 * time.Second,
 	})
-	if err == nil {
-		t.Fatal("rigged run finished despite the injected coordinator crash")
-	}
 	if n := counters.Counter("repartitions").Load(); n < 1 {
 		t.Fatal("repartitioner never fired before the crash")
+	}
+	if err == nil {
+		t.Fatal("rigged run finished despite the injected coordinator crash")
 	}
 
 	if err := ledger.Compact(dir); err != nil {

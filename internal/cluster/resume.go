@@ -12,8 +12,8 @@ import (
 )
 
 // ResumeConfig holds the operational knobs of a resumed run — everything
-// else (plan, model spec, hyperparameters, snapshot policy, batches, seed
-// weights) comes from the ledger manifest, so the resumed trajectory
+// else (plan, model spec, hyperparameters, snapshot policy, data recipe,
+// seed weights) comes from the ledger manifest, so the resumed trajectory
 // cannot drift from the original by a flag mismatch.
 type ResumeConfig struct {
 	// Addrs overrides the manifest's worker addresses; nil reuses them.
@@ -26,11 +26,9 @@ type ResumeConfig struct {
 	// run stays durable either way — its ledger keeps growing, so a
 	// failed resume can itself be resumed).
 	MaxRestarts int
-	// HeartbeatInterval/HeartbeatTimeout configure silence detection;
-	// zero values reuse the manifest's heartbeat interval (with the
-	// conventional 4x timeout) when one was set.
+	// HeartbeatInterval configures silence detection (see
+	// Config.HeartbeatInterval); zero reuses the manifest's interval.
 	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
 	// Logf receives progress lines; nil is silent.
 	Logf func(format string, args ...any)
 	// Fsync is the resumed run's record-log durability tier (the ledger is
@@ -67,14 +65,18 @@ type ResumeExpectation struct {
 }
 
 // validateManifest rejects a self-inconsistent manifest (a plan that
-// cannot drive the persisted snapshot or batch schedule) and any
-// expectation mismatch.
+// cannot drive the persisted snapshot, a data recipe that cannot feed the
+// run's steps) and any expectation mismatch.
 func validateManifest(dir string, man *ledger.Manifest, exp *ResumeExpectation) error {
 	if err := man.Assign.Plan.Validate(man.Assign.Plan.NumDevices(), len(man.Assign.Snapshot.Student)); err != nil {
 		return fmt.Errorf("ledger %s: manifest plan does not fit its own seed snapshot: %w", dir, err)
 	}
-	if len(man.Batches) < man.Assign.Run.Steps {
-		return fmt.Errorf("ledger %s: manifest stages %d batches for %d steps", dir, len(man.Batches), man.Assign.Run.Steps)
+	ds := man.Assign.Run.Data
+	if err := ds.Validate(); err != nil {
+		return fmt.Errorf("ledger %s: manifest data recipe: %w", dir, err)
+	}
+	if n := ds.N / ds.Batch; n < man.Assign.Run.Steps {
+		return fmt.Errorf("ledger %s: manifest data recipe yields %d batches for %d steps", dir, n, man.Assign.Run.Steps)
 	}
 	if exp == nil {
 		return nil
@@ -148,7 +150,7 @@ func ResumeRun(net transport.Network, dir string, rc ResumeConfig) (engine.Resul
 	}
 	c.logf("ledger %s: restored %d records (%d torn bytes dropped, %d plan generation(s)); %s restart under plan %q from step %d",
 		dir, len(rep.Records), rep.TornBytes, gens, topo, c.cfg.Plan.Name, restart.cut+1)
-	d := &driver{c: c, w: w, batches: man.Batches, addrs: addrs, seed: man.Assign.Snapshot,
+	d := &driver{c: c, w: w, steps: man.Assign.Run.Steps, addrs: addrs, seed: man.Assign.Snapshot,
 		led: led, carry: restart}
 	res, err := d.drive()
 	if err != nil {
@@ -194,6 +196,7 @@ func resumeSetup(net transport.Network, dir string, led *ledger.Ledger, man *led
 		Backend:  man.Assign.Run.Backend,
 		Topology: man.Assign.Run.Topology,
 		Spec:     man.Assign.Spec,
+		Data:     man.Assign.Run.Data,
 		Snapshot: man.Assign.Run.Snap,
 		// LedgerDir marks the run durable for the fault-tolerance switch;
 		// the driver reuses the already-open ledger rather than creating one.
@@ -201,14 +204,12 @@ func resumeSetup(net transport.Network, dir string, led *ledger.Ledger, man *led
 		JoinTimeout:       rc.JoinTimeout,
 		MaxRestarts:       maxRestarts,
 		HeartbeatInterval: rc.HeartbeatInterval,
-		HeartbeatTimeout:  rc.HeartbeatTimeout,
 		Logf:              rc.Logf,
 		Fsync:             rc.Fsync,
 		Repartition:       rc.Repartition,
 	}
-	if cfg.HeartbeatInterval == 0 && man.Assign.Run.HeartbeatMillis > 0 {
+	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = time.Duration(man.Assign.Run.HeartbeatMillis) * time.Millisecond
-		cfg.HeartbeatTimeout = 4 * cfg.HeartbeatInterval
 	}
 	return NewCoordinator(net, cfg), w, addrs, nil
 }
@@ -234,7 +235,7 @@ func (c *Coordinator) replayLog(w *distill.Workbench, man *ledger.Manifest, rep 
 			// controller armed whether or not the caller re-asked for it.
 			c.cfg.Repartition = true
 		}
-		scratch, err := c.newRun(w, man.Assign.Snapshot, man.Batches, addrs)
+		scratch, err := c.newRun(w, man.Assign.Snapshot, man.Assign.Run.Steps, addrs)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -10,6 +10,7 @@ import (
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
 	"pipebd/internal/distill"
+	"pipebd/internal/sched"
 )
 
 // expectTestLedger writes a minimal valid ledger for a hybrid-plan ring
@@ -24,11 +25,10 @@ func expectTestLedger(t *testing.T, steps int) string {
 			Plan: hybridPlan(),
 			Spec: TinySpec(distill.DefaultTinyConfig()),
 			Run: wire.RunConfig{LR: 0.05, Momentum: 0.9, Steps: steps,
-				Topology: "ring", Snap: wire.SnapshotPolicy{Interval: 1}},
+				Topology: "ring", Snap: wire.SnapshotPolicy{Interval: 1}, Data: tinyData(steps, 6)},
 			Snapshot: CaptureSnapshot(w),
 		},
-		Addrs:   []string{"127.0.0.1:1"},
-		Batches: tinyBatches(steps, 6),
+		Addrs: []string{"127.0.0.1:1"},
 	})
 	if err != nil {
 		t.Fatalf("creating expectation-test ledger: %v", err)
@@ -84,29 +84,45 @@ func TestResumeExpectationMismatches(t *testing.T) {
 }
 
 // TestResumeRejectsInconsistentManifest: a manifest whose plan cannot
-// drive its own seed snapshot (wrong block count) is corrupt provenance,
-// not an operational mismatch — resume refuses it up front.
+// drive its own seed snapshot (wrong block count), or whose data recipe —
+// the run's only copy of its batches — cannot feed its steps, is corrupt
+// provenance, not an operational mismatch: resume refuses it up front.
 func TestResumeRejectsInconsistentManifest(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "ledger")
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	bad := hybridPlan()
 	bad.Groups[1].Blocks = []int{2} // plan now covers 3 of the snapshot's 4 blocks
-	led, err := ledger.Create(dir, &ledger.Manifest{
-		Assign: wire.Assign{
-			Plan:     bad,
-			Spec:     TinySpec(distill.DefaultTinyConfig()),
-			Run:      wire.RunConfig{LR: 0.05, Momentum: 0.9, Steps: 3, Topology: "ring"},
-			Snapshot: CaptureSnapshot(w),
-		},
-		Addrs:   []string{"127.0.0.1:1"},
-		Batches: tinyBatches(3, 6),
-	})
-	if err != nil {
-		t.Fatalf("creating inconsistent-manifest ledger: %v", err)
+	noClasses := tinyData(3, 6)
+	noClasses.Classes = 0
+	cases := []struct {
+		name string
+		plan sched.Plan
+		data wire.DataSpec
+		want string
+	}{
+		{"plan", bad, tinyData(3, 6), "does not fit its own seed snapshot"},
+		{"short recipe", hybridPlan(), tinyData(2, 6), "recipe yields 2 batches for 3 steps"},
+		{"malformed recipe", hybridPlan(), noClasses, "manifest data recipe"},
 	}
-	led.Close()
-	_, _, err = ResumeRun(transport.NewLoopback(), dir, ResumeConfig{})
-	if err == nil || !strings.Contains(err.Error(), "does not fit its own seed snapshot") {
-		t.Fatalf("inconsistent manifest: got %v, want self-consistency refusal", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ledger")
+			led, err := ledger.Create(dir, &ledger.Manifest{
+				Assign: wire.Assign{
+					Plan:     tc.plan,
+					Spec:     TinySpec(distill.DefaultTinyConfig()),
+					Run:      wire.RunConfig{LR: 0.05, Momentum: 0.9, Steps: 3, Topology: "ring", Data: tc.data},
+					Snapshot: CaptureSnapshot(w),
+				},
+				Addrs: []string{"127.0.0.1:1"},
+			})
+			if err != nil {
+				t.Fatalf("creating inconsistent-manifest ledger: %v", err)
+			}
+			led.Close()
+			_, _, err = ResumeRun(transport.NewLoopback(), dir, ResumeConfig{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("inconsistent manifest: got %v, want a refusal containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -13,19 +13,15 @@ import (
 	"pipebd/internal/obs"
 )
 
-// fastRetry is the absorption policy the flap tests run under: near-
-// immediate redial, a budget comfortably above any in-process reconnect,
-// frequent acks so replay windows stay small.
-func fastRetry() wire.RetrySpec {
-	return wire.RetrySpec{BackoffMillis: 1, BudgetMillis: 2000, AckEvery: 2}
-}
-
-// shortRetry exhausts quickly: the persistent-partition tests wait out
-// this budget once per broken endpoint before the degrade tier engages,
-// so it stays small.
-func shortRetry() wire.RetrySpec {
-	return wire.RetrySpec{BackoffMillis: 1, BudgetMillis: 250, AckEvery: 2}
-}
+const (
+	// fastRetry is the reconnect budget the flap tests run under,
+	// comfortably above any in-process reconnect.
+	fastRetry = 2 * time.Second
+	// shortRetry exhausts quickly: the persistent-partition tests wait out
+	// this budget once per broken endpoint before the degrade tier
+	// engages, so it stays small.
+	shortRetry = 250 * time.Millisecond
+)
 
 // TestRingFlapAbsorbedBitEquivalence is the transient-fault matrix: a
 // link flaps — breaks and immediately accepts a redial — while a ring
@@ -97,8 +93,8 @@ func TestRingFlapAbsorbedBitEquivalence(t *testing.T) {
 					w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 					res, err := Run(coordNet, addrs, w, batches, Config{
 						Plan: p, DPU: dpu, LR: 0.05, Momentum: 0.9, Topology: lk.topology,
-						Spec:  TinySpec(distill.DefaultTinyConfig()),
-						Retry: fastRetry(), Metrics: counters,
+						Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 8),
+						RetryBudget: fastRetry, Metrics: counters,
 						JoinTimeout: 10 * time.Second, Logf: logf,
 					})
 					if err != nil {
@@ -147,8 +143,8 @@ func TestRingFlapTransformerAbsorbed(t *testing.T) {
 	w := distill.NewTransformerWorkbench(cfg)
 	res, err := Run(inner, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec:  TransformerSpec(cfg),
-		Retry: fastRetry(), Metrics: counters,
+		Spec: TransformerSpec(cfg), Data: transformerData(4, 8),
+		RetryBudget: fastRetry, Metrics: counters,
 		JoinTimeout: 10 * time.Second, Logf: logf,
 	})
 	if err != nil {
@@ -200,8 +196,8 @@ func TestRingPersistentPartitionDegradesToHubRelay(t *testing.T) {
 			w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 			res, err := Run(inner, addrs, w, batches, Config{
 				Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
-				Spec:  TinySpec(distill.DefaultTinyConfig()),
-				Retry: shortRetry(), Metrics: counters,
+				Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 8),
+				RetryBudget: shortRetry, Metrics: counters,
 				JoinTimeout: 10 * time.Second, Logf: logf,
 			})
 			if err != nil {
@@ -256,8 +252,8 @@ func TestRingPersistentPartitionDegradesAllReduce(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(coordNet, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec:  TinySpec(distill.DefaultTinyConfig()),
-		Retry: shortRetry(), Metrics: counters,
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(5, 8),
+		RetryBudget: shortRetry, Metrics: counters,
 		JoinTimeout: 10 * time.Second, Logf: logf,
 	})
 	if err != nil {

@@ -46,7 +46,7 @@ func TestRingMatchesPipelinedAcrossPlans(t *testing.T) {
 				w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 				res, err := Run(net, addrs, w, batches, Config{Plan: p, DPU: dpu,
 					LR: 0.05, Momentum: 0.9, Topology: "ring",
-					Spec: TinySpec(distill.DefaultTinyConfig())})
+					Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(5, 6)})
 				if err != nil {
 					t.Fatalf("%s dpu=%v workers=%d: %v", name, dpu, workers, err)
 				}
@@ -112,7 +112,7 @@ func TestRingBitEquivalenceTCP(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(net, addrs, w, batches, Config{Plan: p, DPU: true,
 		LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec: TinySpec(distill.DefaultTinyConfig())})
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(6, 8)})
 	if err != nil {
 		t.Fatalf("tcp ring run: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestRingRecoveryBitEquivalence(t *testing.T) {
 					w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 					res, err := Run(inner, addrs, w, batches, Config{
 						Plan: p, DPU: dpu, LR: 0.05, Momentum: 0.9, Topology: "ring",
-						Spec:        TinySpec(distill.DefaultTinyConfig()),
+						Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 8),
 						MaxRestarts: 2, JoinTimeout: 10 * time.Second, Logf: logf,
 					})
 					if err != nil {
@@ -217,7 +217,7 @@ func TestRingRecoveryFallsBackToSurvivingWorker(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(inner, []string{addrA, addrB}, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(4, 8),
 		MaxRestarts: 2, JoinTimeout: 10 * time.Second, Logf: logf,
 	})
 	if err != nil {
@@ -248,7 +248,7 @@ func TestRingRecoveryBudgetExhausted(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	_, err := Run(inner, addrs, w, batches, Config{
 		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(5, 8),
 		MaxRestarts: 1, JoinTimeout: 5 * time.Second,
 	})
 	if err == nil {
@@ -262,7 +262,7 @@ func TestRingRejectsMisconfiguration(t *testing.T) {
 	batches := tinyBatches(2, 8)
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	cfg := Config{Plan: hybridPlan(), DPU: true, LR: 0.05,
-		Spec: TinySpec(distill.DefaultTinyConfig()), Topology: "mesh"}
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8), Topology: "mesh"}
 	if _, err := Run(transport.NewLoopback(), []string{"x"}, w, batches, cfg); err == nil {
 		t.Fatal("unknown topology accepted")
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,12 +87,10 @@ func (n *sendTap) assigns(t *testing.T) []*wire.Assign {
 	return out
 }
 
-// TestHubInputRecipeReadLocally: a hub run handed Config.Data moves no
-// batch over any connection — group-0 devices regenerate the schedule
-// from the recipe, so the coordinator sends them no KindInput frame at all
-// (at the parent commit it sent one per device per step: batch payload ×
-// group-0 size every step) and the Assign carries no input tensors — while
-// the hub still relays activations to the later group, and the run stays
+// TestHubInputRecipeReadLocally: a hub run moves no batch over any
+// connection — group-0 devices regenerate the schedule from Config.Data,
+// so the coordinator sends them no KindInput frame at all — while the hub
+// still relays activations to the later group, and the run stays
 // bit-identical to the in-process engine. A recipe that does not
 // reproduce the run's batches is rejected under hub exactly as under ring.
 func TestHubInputRecipeReadLocally(t *testing.T) {
@@ -99,8 +98,7 @@ func TestHubInputRecipeReadLocally(t *testing.T) {
 	const steps, batch = 5, 8
 	batches := tinyBatches(steps, batch)
 	tiny := distill.DefaultTinyConfig()
-	recipe := wire.DataSpec{Seed: 7, N: steps * batch, C: 3,
-		H: tiny.Height, W: tiny.Width, Classes: 4, Batch: batch}
+	recipe := tinyData(steps, batch)
 	p := hybridPlan()
 	ref := distill.NewTinyWorkbench(tiny)
 	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
@@ -124,10 +122,8 @@ func TestHubInputRecipeReadLocally(t *testing.T) {
 	if later != steps {
 		t.Fatalf("hub relayed %d activations to the later group, want one per step (%d)", later, steps)
 	}
-	for _, a := range tap.assigns(t) {
-		if len(a.Inputs) != 0 {
-			t.Fatalf("assign for devices %v carries %d input tensors despite the recipe", a.Devices, len(a.Inputs))
-		}
+	if assigns := tap.assigns(t); len(assigns) != 2 || assigns[0].Run.Data != recipe {
+		t.Fatalf("tapped %d assigns, want 2 naming the run's recipe", len(assigns))
 	}
 
 	bad := recipe
@@ -140,54 +136,37 @@ func TestHubInputRecipeReadLocally(t *testing.T) {
 	}
 }
 
-// TestHubInputScheduleRidesInAssign: without a recipe a hub run trains
-// from the schedule its session-open frame carries — the session hosting
-// group 0 gets every step's batch once, the other session gets none, and
-// no per-step input frame follows — bit-identical to engine.RunPipelined.
-func TestHubInputScheduleRidesInAssign(t *testing.T) {
-	leakCheck(t)
-	const steps = 5
-	batches := tinyBatches(steps, 8)
-	p := hybridPlan()
-	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, LR: 0.05, Momentum: 0.9})
+// dialCounter counts the dials made through a Network.
+type dialCounter struct {
+	transport.Network
+	dials atomic.Int32
+}
 
-	inner := transport.NewLoopback()
-	addrs := startWorkers(t, inner, 2, WorkerConfig{Sessions: 1})
-	tap := &sendTap{Network: inner}
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	res, err := Run(tap, addrs, w, batches, Config{Plan: p, LR: 0.05, Momentum: 0.9,
-		Topology: "hub", Spec: TinySpec(distill.DefaultTinyConfig())})
-	if err != nil {
-		t.Fatalf("hub run without a recipe: %v", err)
-	}
-	lossesBitIdentical(t, "hub schedule in assign", res, refRes)
-	weightsBitIdentical(t, "hub schedule in assign", w, ref)
+func (n *dialCounter) Dial(addr string) (transport.Conn, error) {
+	n.dials.Add(1)
+	return n.Network.Dial(addr)
+}
 
-	if g0Frames, _, _ := tap.inputTraffic(p.Groups[0].Devices); g0Frames != 0 {
-		t.Fatalf("coordinator still sent group 0 %d per-step input frames", g0Frames)
+// TestRunRequiresDataRecipe: the recipe is the only way a run's batches
+// reach its workers, so a Config without one fails with an error naming
+// Config.Data before a single worker is dialed.
+func TestRunRequiresDataRecipe(t *testing.T) {
+	net := &dialCounter{Network: transport.NewLoopback()}
+	addrs := startWorkers(t, net.Network, 2, WorkerConfig{Sessions: 1})
+	_, err := Run(net, addrs, distill.NewTinyWorkbench(distill.DefaultTinyConfig()), tinyBatches(2, 8),
+		Config{Plan: hybridPlan(), DPU: true, LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig())})
+	if err == nil || !strings.Contains(err.Error(), "Config.Data is required") {
+		t.Fatalf("run without a recipe: got %v, want an error naming Config.Data", err)
 	}
-	assigns := tap.assigns(t)
-	if len(assigns) != 2 {
-		t.Fatalf("tapped %d assigns, want 2", len(assigns))
-	}
-	for _, a := range assigns {
-		want := 0
-		if a.Devices[0] == 0 { // PlaceDevices: worker 0 hosts devices 0,1 — all of group 0
-			want = steps
-		}
-		if len(a.Inputs) != want {
-			t.Fatalf("assign for devices %v carries %d inputs, want %d", a.Devices, len(a.Inputs), want)
-		}
-		if len(a.States) != 0 {
-			t.Fatalf("a fresh run's assign carries %d restart states", len(a.States))
-		}
+	if n := net.dials.Load(); n != 0 {
+		t.Fatalf("run without a recipe dialed %d time(s) before failing", n)
 	}
 }
 
-// TestHubInputShortScheduleRefused: a session asked to run more steps
-// than its Assign carries batches for is refused at session start, before
-// any device loop runs — under hub as under ring.
+// TestHubInputShortScheduleRefused: a session whose Assign names a data
+// recipe too short for its steps, or one no generator can evaluate, is
+// refused at session start, before any device loop runs — an error the
+// worker logs and survives, never a panic that ends its process.
 func TestHubInputShortScheduleRefused(t *testing.T) {
 	leakCheck(t)
 	net := transport.NewLoopback()
@@ -197,41 +176,52 @@ func TestHubInputShortScheduleRefused(t *testing.T) {
 	}
 	logf, logs := captureLog()
 	metrics := obs.NewMetrics()
-	worker := NewWorker(lis, WorkerConfig{Sessions: 1, Logf: logf, Metrics: metrics})
+	worker := NewWorker(lis, WorkerConfig{Sessions: 2, Logf: logf, Metrics: metrics})
 	served := make(chan error, 1)
 	go func() { served <- worker.Serve() }()
 
 	tiny := distill.DefaultTinyConfig()
-	batches := tinyBatches(3, 8)
-	conn, err := net.Dial(worker.Addr())
-	if err != nil {
-		t.Fatal(err)
+	malformed := tinyData(3, 8)
+	malformed.Classes = 0
+	for _, tc := range []struct {
+		data wire.DataSpec
+		want string
+	}{
+		{tinyData(1, 8), "recipe yields 1 batches for 3 steps"}, // one batch for three steps
+		{malformed, "assign data recipe: wire: data recipe batch 8 and classes 0 must be positive"},
+	} {
+		conn, err := net.Dial(worker.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hello, err := conn.Recv(); err != nil || hello.Kind != wire.KindHello {
+			t.Fatalf("handshake: %v, %v", hello, err)
+		}
+		refused := &wire.Assign{
+			Plan:    plan("tr-2dev", g([]int{0}, []int{0, 1}), g([]int{1}, []int{2, 3})),
+			Spec:    TinySpec(tiny),
+			Run:     wire.RunConfig{DPU: true, LR: 0.05, Steps: 3, Topology: "hub", Data: tc.data},
+			Devices: []int{0, 1}, Snapshot: CaptureSnapshot(distill.NewTinyWorkbench(tiny)),
+		}
+		if err := conn.Send(wire.EncodeAssign(refused)); err != nil {
+			t.Fatal(err)
+		}
+		// The worker closes the refused session's connection.
+		if f, err := conn.Recv(); err == nil {
+			t.Fatalf("refused session sent %v", f.Kind)
+		}
+		conn.Close()
+		if !strings.Contains(logs(), tc.want) {
+			t.Fatalf("recipe %+v was not refused at session start; log:\n%s", tc.data, logs())
+		}
 	}
-	defer conn.Close()
-	if hello, err := conn.Recv(); err != nil || hello.Kind != wire.KindHello {
-		t.Fatalf("handshake: %v, %v", hello, err)
-	}
-	short := &wire.Assign{
-		Plan: plan("tr-2dev", g([]int{0}, []int{0, 1}), g([]int{1}, []int{2, 3})),
-		Spec: TinySpec(tiny),
-		Run:  wire.RunConfig{DPU: true, LR: 0.05, Steps: len(batches), Topology: "hub"},
-		// One batch for three steps.
-		Devices: []int{0, 1}, Snapshot: CaptureSnapshot(distill.NewTinyWorkbench(tiny)),
-		Inputs: []*tensor.Tensor{batches[0].X},
-	}
-	if err := conn.Send(wire.EncodeAssign(short)); err != nil {
-		t.Fatal(err)
-	}
-	// Sessions: 1 without Rejoin: the refused session spends the budget,
-	// so Serve returns once the refusal is logged.
+	// Sessions: 2 without Rejoin: the refused sessions spend the budget,
+	// so Serve returns once both refusals are logged.
 	if err := <-served; err != nil {
 		t.Fatalf("worker serve: %v", err)
 	}
-	if !strings.Contains(logs(), "session has 1 input batches for 3 steps") {
-		t.Fatalf("short schedule was not refused at session start; log:\n%s", logs())
-	}
 	if n := metrics.Counter("device_steps").Load(); n != 0 {
-		t.Fatalf("refused session still ran %d device steps", n)
+		t.Fatalf("refused sessions still ran %d device steps", n)
 	}
 }
 
@@ -271,7 +261,7 @@ func TestProbeSpendsNoSessionSlot(t *testing.T) {
 	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(net, []string{worker.Addr()}, w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig())})
+		LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8)})
 	if err != nil {
 		t.Fatalf("session after the probe: %v", err)
 	}
@@ -354,7 +344,7 @@ func TestPlacementFreshRunWaitsForOwnWorker(t *testing.T) {
 	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(net, []string{"worker-a", "worker-b"}, w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig())})
+		LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8)})
 	<-started
 	// Close before waiting: a worker the placement skipped would otherwise
 	// wait on its session budget and hang the test instead of failing it.
@@ -380,8 +370,8 @@ func TestPlacementFreshRunWaitsForOwnWorker(t *testing.T) {
 func TestNonRank0SnapshotIsProtocolError(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	c := NewCoordinator(transport.NewLoopback(), Config{Plan: hybridPlan(), DPU: true,
-		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()), MaxRestarts: 1})
-	r, err := c.newRun(w, CaptureSnapshot(w), tinyBatches(2, 8), []string{"x"})
+		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8), MaxRestarts: 1})
+	r, err := c.newRun(w, CaptureSnapshot(w), 2, []string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package cluster executes the Pipe-BD pipelined schedule across worker
 // processes: a coordinator maps a sched.Plan's devices onto workers over
 // a pluggable transport, opens each worker's session with one Assign
-// frame (model spec, seed parameters, the first group's batch schedule or
-// the recipe for it), routes teacher-relay activations and intra-group
+// frame (model spec, seed parameters, the recipe the first group
+// regenerates its batches from), routes teacher-relay activations and intra-group
 // gradient all-reduce frames between pipeline stages, and streams back
 // per-block losses and the trained weights.
 //
@@ -30,9 +30,9 @@
 // topologies it reads it locally: a session hosting first-group devices
 // regenerates the schedule from Config.Data's deterministic recipe
 // (wire.DataSpec) — bit-identically, validated against the run's actual
-// batches at start — or, without a recipe, takes the whole schedule from
-// its Assign (one frame, bounded by wire.MaxPayload; pass Config.Data for
-// anything larger). No per-step input frame exists.
+// batches before any worker is dialed. The recipe is required, and it is
+// the only copy of the data a run keeps: no batch rides in an Assign or a
+// ledger manifest, and no per-step input frame exists.
 //
 // # Topologies: hub and peer-to-peer ring
 //
@@ -68,7 +68,7 @@
 // codec v2):
 //
 //   - Heartbeat: workers beacon on Config.HeartbeatInterval so the
-//     coordinator can declare a silent worker dead (HeartbeatTimeout),
+//     coordinator can declare a worker silent for four intervals dead,
 //     not just one whose connection errors.
 //   - Snapshot: after every step, each group's rank-0 device ships the
 //     state that makes the group's next step a pure function — student
@@ -108,7 +108,7 @@
 // # Durable runs and coordinator restart
 //
 // With Config.LedgerDir the coordinator persists the manifest (plan, spec,
-// run config, batches, seed weights) plus what the cut is computed from —
+// run config with its data recipe, seed weights) plus what the cut is computed from —
 // every snapshot, loss row, barrier release and repartition cut — to an
 // internal/cluster/ledger store. ResumeRun restarts a killed coordinator
 // from that directory: it replays the record log to recover the cut and

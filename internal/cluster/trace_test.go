@@ -36,7 +36,7 @@ func TestRingTracingShipsSpans(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	res, err := Run(net, addrs, w, batches, Config{Plan: p, DPU: true,
 		LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec:      TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(4, 12),
 		Trace:     true,
 		TraceSink: collect.Add,
 		Metrics:   metrics})
@@ -95,7 +95,7 @@ func TestHubTracingAndCoordinatorTrack(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	_, err := Run(net, addrs, w, batches, Config{Plan: p, DPU: true,
 		LR: 0.05, Momentum: 0.9,
-		Spec:      TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8),
 		LedgerDir: filepath.Join(t.TempDir(), "led"),
 		Trace:     true,
 		TraceSink: collect.Add,
@@ -141,7 +141,7 @@ func TestTraceWithoutSinkRejected(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	_, err := Run(transport.NewLoopback(), []string{"x"}, w, tinyBatches(2, 8),
 		Config{Plan: hybridPlan(), DPU: true, LR: 0.05,
-			Spec: TinySpec(distill.DefaultTinyConfig()), Trace: true})
+			Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8), Trace: true})
 	if err == nil || !strings.Contains(err.Error(), "TraceSink") {
 		t.Fatalf("got %v, want TraceSink configuration error", err)
 	}
@@ -170,7 +170,7 @@ func TestWorkerTraceDirDump(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	_, runErr := Run(net, []string{worker.Addr()}, w, batches, Config{Plan: p, DPU: true,
 		LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec: TinySpec(distill.DefaultTinyConfig())})
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8)})
 	worker.Close()
 	// Serve returns only after its one session did, and the session writes
 	// the dump before it returns — so the file is complete from here on.
@@ -294,7 +294,7 @@ func TestMeterConcurrentRingTraffic(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	_, err := Run(coordMeter, addrs, w, batches, Config{Plan: p, DPU: true,
 		LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec:        TinySpec(distill.DefaultTinyConfig()),
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(5, 12),
 		MaxRestarts: 2})
 	close(stop)
 	wg.Wait()

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math/rand"
 	"testing"
 
 	"pipebd/internal/cluster/transport"
@@ -11,10 +10,16 @@ import (
 	"pipebd/internal/engine"
 )
 
-func transformerBatches(steps, batch int) []dataset.Batch {
+// transformerData is the token recipe of steps batches for the
+// transformer workbench; transformerBatches evaluates it.
+func transformerData(steps, batch int) wire.DataSpec {
 	cfg := distill.DefaultTransformerConfig()
-	data := dataset.NewTokens(rand.New(rand.NewSource(7)), steps*batch, cfg.SeqLen, cfg.Vocab, cfg.Classes)
-	return data.Batches(batch)
+	return wire.DataSpec{Seed: 7, N: steps * batch, Classes: cfg.Classes, Batch: batch,
+		Kind: "tokens", L: cfg.SeqLen, Vocab: cfg.Vocab}
+}
+
+func transformerBatches(steps, batch int) []dataset.Batch {
+	return mustBatches(transformerData(steps, batch))
 }
 
 // TestClusterTransformerSpec closes the tentpole's equivalence chain: the
@@ -35,7 +40,7 @@ func TestClusterTransformerSpec(t *testing.T) {
 	hubAddrs := startWorkers(t, hubNet, 2, WorkerConfig{Sessions: 1})
 	hubW := distill.NewTransformerWorkbench(cfg)
 	hubRes, err := Run(hubNet, hubAddrs, hubW, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Spec: TransformerSpec(cfg)})
+		LR: 0.05, Momentum: 0.9, Spec: TransformerSpec(cfg), Data: transformerData(5, 8)})
 	if err != nil {
 		t.Fatalf("hub transformer run: %v", err)
 	}
@@ -46,7 +51,7 @@ func TestClusterTransformerSpec(t *testing.T) {
 	ringAddrs := ringWorkers(t, tcpNet, 3, WorkerConfig{Sessions: 1})
 	ringW := distill.NewTransformerWorkbench(cfg)
 	ringRes, err := Run(tcpNet, ringAddrs, ringW, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Topology: "ring", Spec: TransformerSpec(cfg)})
+		LR: 0.05, Momentum: 0.9, Topology: "ring", Spec: TransformerSpec(cfg), Data: transformerData(5, 8)})
 	if err != nil {
 		t.Fatalf("tcp ring transformer run: %v", err)
 	}

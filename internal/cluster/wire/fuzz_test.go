@@ -63,7 +63,6 @@ func FuzzReadFrame(f *testing.F) {
 		_, _ = DecodeTensor(&Frame{Kind: KindInput, Payload: fr.Payload})
 		_, _ = DecodeTensors(&Frame{Kind: KindGrads, Payload: fr.Payload})
 		_, _ = DecodeLosses(&Frame{Kind: KindLosses, Payload: fr.Payload})
-		_, _ = DecodeBatch(fr.Payload)
 		_, _, _ = DecodeDeviceSnapshot(&Frame{Kind: KindSnapshot, Payload: fr.Payload})
 		_, _ = DecodePeerHello(&Frame{Kind: KindPeerHello, Payload: fr.Payload})
 		_, _ = DecodeLinkAck(&Frame{Kind: KindLinkAck, Payload: fr.Payload})

@@ -78,44 +78,28 @@ type RunConfig struct {
 	// HeartbeatMillis asks the worker to emit KindHeartbeat frames on this
 	// interval; <= 0 disables the beacon.
 	HeartbeatMillis int
+	// RetryBudgetMillis > 0 makes every link of the session resumable
+	// (codec v8): the control link and every peer link buffer unacked
+	// frames and survive connection loss by redial-and-replay, giving up
+	// once this much downtime elapses. 0 keeps links fail-fast.
+	RetryBudgetMillis int
 	// Topology selects the data plane: "" or "hub" routes activations and
 	// gradient reductions through the coordinator; "ring" moves them onto
 	// direct worker-to-worker links (the coordinator keeps only the
 	// control plane: placement, barriers, losses, snapshots).
 	Topology string
-	// Data optionally describes the run's batch schedule as a
-	// deterministic recipe (N > 0 enables it): sessions hosting
-	// first-group devices regenerate their batches locally instead of
-	// receiving them in the Assign — distributed data loading. The
-	// coordinator validates at run start that the recipe reproduces the
-	// actual batches bit-exactly.
+	// Data is the run's batch schedule as a deterministic recipe. Sessions
+	// hosting first-group devices regenerate their batches from it — the
+	// only copy of the data a session ever receives. The coordinator
+	// validates at run start that the recipe reproduces the actual batches
+	// bit-exactly.
 	Data DataSpec
 	// Trace asks the worker to record per-step span events on every
 	// hosted device and ship them to the coordinator as KindSpans frames
 	// at step boundaries. Off by default; tracing never alters the
 	// training trajectory.
 	Trace bool
-	// Retry enables resumable links (codec v8): both the control link and
-	// every peer link buffer unacked frames and survive connection loss
-	// by redial-and-replay instead of failing the session. The zero spec
-	// disables absorption, keeping the pre-v8 fail-fast behavior.
-	Retry RetrySpec
 }
-
-// RetrySpec is the transient-fault absorption policy of a session's
-// links. BudgetMillis > 0 enables it: a broken link redials with
-// exponential backoff starting at BackoffMillis, gives up (terminal
-// link-down) once BudgetMillis of downtime elapses, and each side acks
-// every AckEvery received frames so replay buffers stay bounded. Zero
-// Backoff/AckEvery take defaults (10 ms / 8 frames).
-type RetrySpec struct {
-	BackoffMillis int
-	BudgetMillis  int
-	AckEvery      int
-}
-
-// Enabled reports whether the spec asks for fault absorption at all.
-func (r RetrySpec) Enabled() bool { return r.BudgetMillis > 0 }
 
 // DataSpec is a deterministic synthetic-dataset recipe split at Batch
 // samples each: Kind "" (images) regenerates
@@ -133,18 +117,53 @@ type DataSpec struct {
 	L, Vocab int    // token-sequence geometry (Kind "tokens")
 }
 
+// Validate rejects a recipe the generators cannot evaluate: every count
+// must be positive, and the generated tensor must fit in MaxPayload
+// bytes, the bound every tensor this codec carries obeys. A recipe
+// arrives in an Assign or a ledger manifest, so a malformed one must fail
+// here rather than panic inside a generator.
+func (ds DataSpec) Validate() error {
+	var dims []int
+	switch ds.Kind {
+	case "":
+		dims = []int{ds.N, ds.C, ds.H, ds.W}
+	case "tokens":
+		if ds.Vocab <= 0 {
+			return fmt.Errorf("wire: data recipe vocabulary %d is not positive", ds.Vocab)
+		}
+		dims = []int{ds.N, ds.L}
+	default:
+		return fmt.Errorf("wire: unknown data recipe kind %q (want \"\" or \"tokens\")", ds.Kind)
+	}
+	if ds.Batch <= 0 || ds.Classes <= 0 {
+		return fmt.Errorf("wire: data recipe batch %d and classes %d must be positive", ds.Batch, ds.Classes)
+	}
+	const maxValues = MaxPayload / 4
+	values := 1
+	for _, d := range dims {
+		if d <= 0 {
+			return fmt.Errorf("wire: data recipe shape %v has a non-positive dimension", dims)
+		}
+		if d > maxValues/values {
+			return fmt.Errorf("wire: data recipe shape %v exceeds %d float32 values (%d bytes)", dims, maxValues, MaxPayload)
+		}
+		values *= d
+	}
+	return nil
+}
+
 // Build evaluates the recipe into its synthetic dataset. The generators
 // draw from the seeded source in a fixed order, so every process gets
 // bit-identical data.
 func (ds DataSpec) Build() (*dataset.Synthetic, error) {
-	switch ds.Kind {
-	case "":
-		return dataset.NewRandom(rand.New(rand.NewSource(ds.Seed)), ds.N, ds.C, ds.H, ds.W, ds.Classes), nil
-	case "tokens":
-		return dataset.NewTokens(rand.New(rand.NewSource(ds.Seed)), ds.N, ds.L, ds.Vocab, ds.Classes), nil
-	default:
-		return nil, fmt.Errorf("wire: unknown data recipe kind %q (want \"\" or \"tokens\")", ds.Kind)
+	if err := ds.Validate(); err != nil {
+		return nil, err
 	}
+	rng := rand.New(rand.NewSource(ds.Seed))
+	if ds.Kind == "tokens" {
+		return dataset.NewTokens(rng, ds.N, ds.L, ds.Vocab, ds.Classes), nil
+	}
+	return dataset.NewRandom(rng, ds.N, ds.C, ds.H, ds.W, ds.Classes), nil
 }
 
 // Batches evaluates the recipe and splits it into its batch schedule.
@@ -166,7 +185,8 @@ type Snapshot struct {
 
 // Assign is the session-open message of every attempt, fresh or
 // restarted: everything a worker needs to host its share of a plan's
-// devices.
+// devices. It carries no batch: first-group sessions regenerate theirs
+// from Run.Data. A ledger manifest embeds one as the run's setup.
 type Assign struct {
 	Plan    sched.Plan
 	Spec    ModelSpec
@@ -182,12 +202,6 @@ type Assign struct {
 	// coordinator generation) can never wire into a new mesh.
 	Epoch    int64
 	Snapshot Snapshot
-	// Inputs carries the run's whole batch-input schedule (Inputs[s] is
-	// step s's full batch) to sessions hosting first-group devices, so the
-	// run needs no per-step input frames from the coordinator. Empty for
-	// sessions hosting only later groups and when Run.Data has the workers
-	// regenerate the schedule themselves.
-	Inputs []*tensor.Tensor
 	// Degraded lists peer edges demoted to hub-relayed routing, as
 	// flattened device-rank pairs [from0, to0, from1, to1, ...]. The mesh
 	// dials none of these pairs; whatever crosses them — activations, acks,
@@ -232,6 +246,7 @@ func writeAssignBody(w *Writer, a *Assign) {
 	w.String(a.Run.Backend)
 	w.I32(int32(a.Run.Snap.Interval))
 	w.I32(int32(a.Run.HeartbeatMillis))
+	w.I32(int32(a.Run.RetryBudgetMillis))
 	w.String(a.Run.Topology)
 	w.I64(a.Run.Data.Seed)
 	w.I32(int32(a.Run.Data.N))
@@ -252,11 +267,7 @@ func writeAssignBody(w *Writer, a *Assign) {
 	w.I64(a.Epoch)
 	writeSnapshotHalf(w, a.Snapshot.Teacher)
 	writeSnapshotHalf(w, a.Snapshot.Student)
-	w.Tensors(a.Inputs)
 	w.I32s(a.Degraded)
-	w.I32(int32(a.Run.Retry.BackoffMillis))
-	w.I32(int32(a.Run.Retry.BudgetMillis))
-	w.I32(int32(a.Run.Retry.AckEvery))
 	w.U32(uint32(len(a.States)))
 	for _, st := range a.States {
 		w.I32(int32(st.Dev))
@@ -290,6 +301,7 @@ func readAssignBody(r *Reader) (*Assign, error) {
 	a.Run.Backend = r.String()
 	a.Run.Snap.Interval = int(r.I32())
 	a.Run.HeartbeatMillis = int(r.I32())
+	a.Run.RetryBudgetMillis = int(r.I32())
 	a.Run.Topology = r.String()
 	a.Run.Data.Seed = r.I64()
 	a.Run.Data.N = int(r.I32())
@@ -315,11 +327,7 @@ func readAssignBody(r *Reader) (*Assign, error) {
 	if a.Snapshot.Student, err = readSnapshotHalf(r); err != nil {
 		return nil, err
 	}
-	a.Inputs = r.Tensors()
 	a.Degraded = r.I32s()
-	a.Run.Retry.BackoffMillis = int(r.I32())
-	a.Run.Retry.BudgetMillis = int(r.I32())
-	a.Run.Retry.AckEvery = int(r.I32())
 	if len(a.Degraded)%2 != 0 {
 		return nil, fmt.Errorf("wire: degraded edge list has odd length %d", len(a.Degraded))
 	}
@@ -537,33 +545,6 @@ func DecodeLosses(f *Frame) ([]float64, error) {
 		return nil, err
 	}
 	return v, nil
-}
-
-// EncodeBatch packs a dataset batch (input tensor plus labels) into a
-// payload; the ledger manifest stores its batches this way. An empty
-// batch — no tensor, no labels — encodes and decodes cleanly.
-func EncodeBatch(b dataset.Batch) []byte {
-	w := NewWriter()
-	w.Bool(b.X != nil)
-	if b.X != nil {
-		w.Tensor(b.X)
-	}
-	w.I32s(b.Labels)
-	return w.Bytes()
-}
-
-// DecodeBatch unpacks a payload written by EncodeBatch.
-func DecodeBatch(payload []byte) (dataset.Batch, error) {
-	r := NewReader(payload)
-	var b dataset.Batch
-	if r.Bool() {
-		b.X = r.Tensor()
-	}
-	b.Labels = r.I32s()
-	if err := r.Close(); err != nil {
-		return dataset.Batch{}, err
-	}
-	return b, nil
 }
 
 // PeerHello identifies a worker-to-worker link during the mesh-dial

@@ -1,6 +1,6 @@
 // Package wire is the compact binary codec of the cluster subsystem: a
-// framed, versioned message format carrying tensors, batches, parameter
-// and gradient snapshots, loss reports, and control messages between the
+// framed, versioned message format carrying tensors, parameter and
+// gradient snapshots, loss reports, and control messages between the
 // coordinator and worker processes.
 //
 // Every frame is a fixed 16-byte header (magic, version, kind, device
@@ -60,8 +60,12 @@ const (
 	// one way: a redialed control link re-attaches with a resume PeerHello
 	// from NoDev (the SessionResume kind, byte 24, and the Assign session id
 	// are retired), and Relay became an opaque envelope around any peer
-	// frame, so the RelayAck kind, byte 27, is retired too.
-	Version = 10
+	// frame, so the RelayAck kind, byte 27, is retired too; version 11
+	// made the data recipe the one copy of a run's data: the Assign lost
+	// its prestaged batch-input schedule (RunConfig.Data is required), and
+	// RunConfig's retry spec shrank to its budget (RetryBudgetMillis) — the
+	// backoff and ack interval run at the transport's defaults.
+	Version = 11
 
 	headerLen = 16
 	// MaxPayload bounds a frame's payload so a corrupted or adversarial
@@ -261,16 +265,38 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if n > MaxPayload {
 		return nil, fmt.Errorf("wire: %v payload %d exceeds limit %d", kind, n, MaxPayload)
 	}
-	f := &Frame{
+	payload, err := readPayload(r, int(n))
+	if err != nil {
+		return nil, err
+	}
+	return &Frame{
 		Kind:    kind,
 		Dev:     int32(binary.LittleEndian.Uint32(hdr[4:8])),
 		Step:    int32(binary.LittleEndian.Uint32(hdr[8:12])),
-		Payload: make([]byte, n),
-	}
-	if _, err := io.ReadFull(r, f.Payload); err != nil {
+		Payload: payload,
+	}, nil
+}
+
+// readChunk bounds the buffer a frame header alone makes ReadFrame
+// allocate: a length prefix is only a claim, so a bigger payload's buffer
+// at most doubles per chunk of bytes that actually arrived, and a corrupt
+// or hostile header cannot cost MaxPayload bytes up front.
+const readChunk = 1 << 20
+
+// readPayload reads exactly n payload bytes from r.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, readChunk))
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, truncated(err)
 	}
-	return f, nil
+	for len(buf) < n {
+		m := min(n-len(buf), len(buf))
+		buf = append(buf, make([]byte, m)...)
+		if _, err := io.ReadFull(r, buf[len(buf)-m:]); err != nil {
+			return nil, truncated(err)
+		}
+	}
+	return buf, nil
 }
 
 // truncated normalizes mid-message EOF to io.ErrUnexpectedEOF.

@@ -8,10 +8,10 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
-	"pipebd/internal/dataset"
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
 	"pipebd/internal/tensor"
@@ -127,35 +127,6 @@ func TestLossesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	b := dataset.Batch{X: tensor.Rand(rng, -1, 1, 4, 3, 2, 2), Labels: []int{0, 3, 1, 2}}
-	got, err := DecodeBatch(EncodeBatch(b))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !got.X.Equal(b.X) {
-		t.Fatal("batch tensor differs")
-	}
-	for i := range b.Labels {
-		if got.Labels[i] != b.Labels[i] {
-			t.Fatalf("label %d differs", i)
-		}
-	}
-}
-
-// TestEmptyBatchRoundTrip: a batch with no tensor and no labels is a
-// legal payload (e.g. a drained loader) and must not error or panic.
-func TestEmptyBatchRoundTrip(t *testing.T) {
-	got, err := DecodeBatch(EncodeBatch(dataset.Batch{}))
-	if err != nil {
-		t.Fatalf("decode empty batch: %v", err)
-	}
-	if got.X != nil || len(got.Labels) != 0 {
-		t.Fatalf("empty batch decoded to %+v", got)
-	}
-}
-
 func sampleAssign() *Assign {
 	rng := rand.New(rand.NewSource(4))
 	return &Assign{
@@ -166,13 +137,13 @@ func sampleAssign() *Assign {
 		Spec: ModelSpec{Name: "transformer", Seed: 42, Blocks: 4, Channels: 6, Height: 8, Width: 8,
 			Heads: 2, FFTeacher: 32, FFStudent: 8, SeqLen: 6, Vocab: 16, Classes: 4, Temp: 2.5},
 		Run: RunConfig{DPU: true, LR: 0.05, Momentum: 0.9, Steps: 6, Backend: "serial",
-			Snap: SnapshotPolicy{Interval: 3}, Topology: "ring", Trace: true,
+			Snap: SnapshotPolicy{Interval: 3}, HeartbeatMillis: 250, RetryBudgetMillis: 5000,
+			Topology: "ring", Trace: true,
 			Data: DataSpec{Seed: 11, N: 72, C: 3, H: 8, W: 8, Classes: 4, Batch: 12,
 				Kind: "tokens", L: 6, Vocab: 16}},
 		Devices: []int{0, 1},
 		Peers:   []string{"w0:1", "w0:1", "w1:2"},
 		Epoch:   77,
-		Inputs:  []*tensor.Tensor{tensor.Rand(rng, -1, 1, 4, 3, 2, 2), tensor.Rand(rng, -1, 1, 4, 3, 2, 2)},
 		Snapshot: Snapshot{
 			Teacher: [][]*tensor.Tensor{{tensor.Rand(rng, -1, 1, 2, 2)}, {}},
 			Student: [][]*tensor.Tensor{{tensor.Rand(rng, -1, 1, 3), tensor.Rand(rng, -1, 1, 1, 4)}, {tensor.Rand(rng, -1, 1, 2)}},
@@ -220,16 +191,56 @@ func TestAssignRoundTrip(t *testing.T) {
 	if !got.Snapshot.Teacher[0][0].Equal(a.Snapshot.Teacher[0][0]) {
 		t.Fatal("teacher snapshot differs")
 	}
-	if len(got.Inputs) != len(a.Inputs) {
-		t.Fatalf("prestaged inputs: %d vs %d", len(got.Inputs), len(a.Inputs))
-	}
-	for i := range a.Inputs {
-		if !got.Inputs[i].Equal(a.Inputs[i]) {
-			t.Fatalf("prestaged input %d differs", i)
-		}
-	}
 	if len(got.States) != 0 {
 		t.Fatalf("an assign at the seed decoded %d restart states", len(got.States))
+	}
+}
+
+// TestDataSpecRejectsMalformedRecipes: a recipe arrives in an Assign or a
+// ledger manifest, so one no generator can evaluate — a non-positive
+// count, an unknown kind, a tensor past MaxPayload or past int's range —
+// must come back from Build and Batches as an error, never a panic that
+// takes the worker process down with it.
+func TestDataSpecRejectsMalformedRecipes(t *testing.T) {
+	img := DataSpec{Seed: 7, N: 16, C: 3, H: 8, W: 8, Classes: 4, Batch: 8}
+	tok := DataSpec{Seed: 7, N: 16, Classes: 4, Batch: 8, Kind: "tokens", L: 6, Vocab: 16}
+	for _, good := range []DataSpec{img, tok} {
+		batches, err := good.Batches()
+		if err != nil || len(batches) != 2 {
+			t.Fatalf("%+v: %d batches, %v; want 2", good, len(batches), err)
+		}
+	}
+	edit := func(ds DataSpec, f func(*DataSpec)) DataSpec { f(&ds); return ds }
+	cases := map[string]DataSpec{
+		"zero N":                 edit(img, func(d *DataSpec) { d.N = 0 }),
+		"negative N":             edit(tok, func(d *DataSpec) { d.N = -4 }),
+		"zero batch":             edit(img, func(d *DataSpec) { d.Batch = 0 }),
+		"negative batch":         edit(tok, func(d *DataSpec) { d.Batch = -8 }),
+		"zero classes":           edit(img, func(d *DataSpec) { d.Classes = 0 }),
+		"zero token classes":     edit(tok, func(d *DataSpec) { d.Classes = 0 }),
+		"negative C":             edit(img, func(d *DataSpec) { d.C = -1 }),
+		"zero H":                 edit(img, func(d *DataSpec) { d.H = 0 }),
+		"zero W":                 edit(img, func(d *DataSpec) { d.W = 0 }),
+		"zero L":                 edit(tok, func(d *DataSpec) { d.L = 0 }),
+		"zero vocabulary":        edit(tok, func(d *DataSpec) { d.Vocab = 0 }),
+		"negative vocabulary":    edit(tok, func(d *DataSpec) { d.Vocab = -3 }),
+		"unknown kind":           edit(img, func(d *DataSpec) { d.Kind = "audio" }),
+		"past MaxPayload":        edit(img, func(d *DataSpec) { d.N, d.C, d.H, d.W = 1<<20, 1<<4, 1<<4, 2 }),
+		"tokens past MaxPayload": edit(tok, func(d *DataSpec) { d.N, d.L = 1<<20, 1<<9 }),
+		"overflowing count":      edit(img, func(d *DataSpec) { d.N, d.C, d.H, d.W = 1<<30, 1<<30, 1<<30, 1<<30 }),
+	}
+	for name, ds := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := ds.Validate(); err == nil {
+				t.Fatalf("%+v validated", ds)
+			}
+			if _, err := ds.Build(); err == nil {
+				t.Fatalf("%+v built", ds)
+			}
+			if _, err := ds.Batches(); err == nil {
+				t.Fatalf("%+v evaluated", ds)
+			}
+		})
 	}
 }
 
@@ -357,10 +368,11 @@ func TestRetiredKindsAreUnknown(t *testing.T) {
 // coordinator: its hello frame is stamped with an older codec version and
 // must be rejected with ErrVersion — a clean, diagnosable handshake
 // failure rather than a mis-decoded session setup (the v2→v3 transition
-// moved RunConfig's snapshot fields, so a mis-decode would silently
-// scramble the policy).
+// moved RunConfig's snapshot fields, and v10→v11 dropped the Assign's
+// input schedule and two retry fields, so a mis-decode would silently
+// scramble the session).
 func TestVersionSkewOldWorker(t *testing.T) {
-	for _, old := range []byte{1, 2, 3, 9} {
+	for _, old := range []byte{1, 2, 3, 9, 10} {
 		raw := encodeFrameBytes(t, Control(KindHello, NoDev, NoStep))
 		raw[1] = old
 		_, err := ReadFrame(bytes.NewReader(raw))
@@ -697,6 +709,35 @@ func TestHugePayloadLengthRejected(t *testing.T) {
 	raw[12], raw[13], raw[14], raw[15] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("4 GiB payload length accepted")
+	}
+}
+
+// TestPayloadBufferGrowsWithArrivingBytes: a header that claims a payload
+// of MaxPayload bytes but is followed by a few costs ReadFrame about one
+// read chunk, not the claimed gigabyte, and still fails as a truncation;
+// a payload spanning several chunks arrives whole.
+func TestPayloadBufferGrowsWithArrivingBytes(t *testing.T) {
+	raw := encodeFrameBytes(t, Control(KindHello, NoDev, NoStep))
+	binary.LittleEndian.PutUint32(raw[12:16], MaxPayload)
+	raw = append(raw, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated MaxPayload frame: got %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*readChunk {
+		t.Fatalf("a 16-byte header made ReadFrame allocate %d bytes", grew)
+	}
+
+	payload := make([]byte, 3*readChunk+5)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	got := roundTripFrame(t, &Frame{Kind: KindOutput, Dev: 1, Step: 2, Payload: payload})
+	if !bytes.Equal(got.Payload, payload) {
+		t.Fatal("multi-chunk payload did not round-trip")
 	}
 }
 

@@ -275,8 +275,9 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	// replays; frame counting starts after the Assign, identically on both
 	// sides. It closes gracefully whatever the session's fate: its last
 	// words — a LinkDown report, the Done frames — are the coordinator's.
-	links := linkPolicy{epoch: assign.Epoch, net: w.cfg.Dial, retry: assign.Run.Retry,
-		logf: w.logf, metrics: w.cfg.Metrics}
+	links := linkPolicy{epoch: assign.Epoch, net: w.cfg.Dial,
+		budget: time.Duration(assign.Run.RetryBudgetMillis) * time.Millisecond,
+		logf:   w.logf, metrics: w.cfg.Metrics}
 	control := links.endpoint(conn, assign.Devices[0], int(wire.NoDev),
 		fmt.Sprintf("session %v control link", assign.Devices), "")
 	defer control.close(true)
@@ -660,26 +661,22 @@ func (w *Worker) establishMesh(m *mesh, assign *wire.Assign, devices []*hostedDe
 	return nil
 }
 
-// group0Inputs resolves the batch schedule a session's first-group
-// members read from. With a Run.Data recipe the session regenerates the
-// dataset locally — bit-identical by the recipe's determinism, and zero
-// input bytes on any connection; otherwise it uses the schedule carried
-// in the Assign. A session asked to run steps it has no batches for can
-// only fail later, so short schedules are rejected here.
+// group0Inputs regenerates the batch schedule a session's first-group
+// members read from the Assign's data recipe: bit-identical by the
+// recipe's determinism, and zero input bytes on any connection. A
+// malformed recipe, or one too short for the run's steps, fails the
+// session here rather than panicking or stalling later.
 func group0Inputs(assign *wire.Assign) ([]*tensor.Tensor, error) {
-	xs := assign.Inputs
-	if ds := assign.Run.Data; ds.N > 0 {
-		batches, err := ds.Batches()
-		if err != nil {
-			return nil, err
-		}
-		xs = make([]*tensor.Tensor, len(batches))
-		for i, b := range batches {
-			xs[i] = b.X
-		}
+	batches, err := assign.Run.Data.Batches()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: assign data recipe: %w", err)
 	}
-	if len(xs) < assign.Run.Steps {
-		return nil, fmt.Errorf("cluster: session has %d input batches for %d steps", len(xs), assign.Run.Steps)
+	if len(batches) < assign.Run.Steps {
+		return nil, fmt.Errorf("cluster: assign data recipe yields %d batches for %d steps", len(batches), assign.Run.Steps)
+	}
+	xs := make([]*tensor.Tensor, len(batches))
+	for i, b := range batches {
+		xs[i] = b.X
 	}
 	return xs, nil
 }
