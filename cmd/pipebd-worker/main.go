@@ -23,8 +23,9 @@
 // Observability: -trace-dir DIR records every session's per-step spans
 // locally — whether or not the coordinator asked for tracing — and dumps
 // each completed session as a Chrome trace JSON file in DIR. -net-stats
-// prints the worker's peer data-plane byte totals when it exits (in ring
-// topology that is where the activations and all-reduces actually flow).
+// prints the worker's direct peer-link byte totals when it exits (in ring
+// topology that is where the activations and all-reduces actually flow;
+// under the hub every edge is relayed and they stay zero).
 // -debug-addr HOST:PORT serves net/http/pprof plus a plain-text /metrics
 // page (sessions, device steps, per-category busy nanoseconds, peer
 // transport totals) for the worker's lifetime.
@@ -101,10 +102,11 @@ func newWorker(args []string, stdout io.Writer) (*workerApp, error) {
 		return nil, err
 	}
 	counters := obs.NewMetrics()
-	// Ring-topology sessions (pipebd -topology ring) need the worker to
-	// dial its pipeline peers directly; hub sessions ignore Dial. The
-	// meter wraps that dial network, so its totals are exactly the peer
-	// data plane: activations relayed onward and all-reduce segments.
+	// Sessions with direct peer edges (pipebd -topology ring) need the
+	// worker to dial its pipeline peers; under the hub every edge is
+	// relayed and nothing dials. The meter wraps that dial network, so its
+	// totals are exactly the direct peer links: activations forwarded
+	// onward and all-reduce segments.
 	var peerDial transport.Network = transport.TCP{}
 	var peerMeter *transport.Meter
 	if *netStats || *debugAddr != "" {

@@ -25,9 +25,9 @@ type clusterOptions struct {
 	Steps    int
 	Batch    int
 	Backend  string
-	// Topology selects the data plane: "ring" (default for the CLI) moves
-	// activations and gradient all-reduces worker-to-worker, "hub" (or
-	// empty) routes everything through the coordinator.
+	// Topology selects how peer edges are carried: "ring" (default for
+	// the CLI) dials them worker-to-worker, "hub" (or empty) relays every
+	// edge through the coordinator.
 	Topology string
 	Verify   bool // re-run in-process and require bit-identical results
 	// MaxRestarts enables fault tolerance: up to this many worker losses
@@ -375,7 +375,7 @@ func verifyBitIdentical(stdout io.Writer, res engine.Result, w *distill.Workbenc
 
 // runResume restarts a killed coordinator from its ledger directory: the
 // manifest supplies the plan, model, hyperparameters, data recipe, and
-// worker addresses; the record log supplies the crash-time hub state. With
+// worker addresses; the record log supplies the crash-time cut. With
 // opts.Verify the finished run is additionally checked bit-identical
 // against a fresh in-process pipeline built from the same manifest.
 func runResume(stdout io.Writer, opts resumeOptions) error {

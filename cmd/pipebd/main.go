@@ -21,15 +21,15 @@
 // -verify re-runs the same schedule in-process and requires the cluster's
 // loss trajectory and trained weights to match bit-for-bit.
 //
-// -topology selects the cluster data plane. The default "ring" moves
-// forwarded activations and gradient all-reduces directly between the
-// workers over peer-to-peer connections, demoting the coordinator to a
-// control plane (placement, loss collection, the step barrier,
-// snapshots); "hub" routes every activation and gradient through the
-// coordinator. Under both, the first pipeline stage regenerates its
-// batches locally from the run's data recipe — no batch crosses a
-// connection — and both are bit-identical to the in-process pipeline,
-// and therefore to each other.
+// -topology selects how the cluster's one data plane — forwarded
+// activations and gradient all-reduces exchanged between the devices —
+// is carried. The default "ring" gives the workers direct peer-to-peer
+// connections, leaving the coordinator a control plane (placement, loss
+// collection, the step barrier, snapshots); "hub" relays every peer edge
+// through the coordinator, which forwards the frames unopened. Under both,
+// the first pipeline stage regenerates its batches locally from the run's
+// data recipe — no batch crosses a connection — and both are
+// bit-identical to the in-process pipeline, and therefore to each other.
 //
 // -max-restarts N enables fault tolerance: when a worker connection dies
 // (or goes silent past -cluster-heartbeat), the coordinator supersedes
@@ -214,7 +214,7 @@ func main() {
 	clusterModel := flag.String("cluster-model", "tiny", "cluster workload: tiny (conv compression workbench) or transformer (encoder blocks with KL logit distillation)")
 	clusterSteps := flag.Int("cluster-steps", 6, "cluster training steps")
 	clusterBatch := flag.Int("cluster-batch", 8, "cluster global batch size")
-	clusterTopology := flag.String("topology", "ring", "cluster data plane: ring (activations and all-reduce travel worker-to-worker; coordinator is control plane only) or hub (all traffic through the coordinator)")
+	clusterTopology := flag.String("topology", "ring", "how the cluster's peer edges are carried: ring (activations and all-reduce travel worker-to-worker; coordinator is control plane only) or hub (the coordinator relays every edge)")
 	maxRestarts := flag.Int("max-restarts", 0, "cluster mode: survive up to N lost workers by restarting every device from the newest commonly snapshotted step (0: a lost worker fails the run); with -resume, 0 reuses the manifest's budget and a negative value disables worker recovery")
 	clusterHeartbeat := flag.Duration("cluster-heartbeat", 0, "cluster mode: worker heartbeat interval; a worker silent for 4 intervals is declared dead (0: disable silence detection)")
 	retryBudget := flag.Duration("retry-budget", 0, "cluster mode: transient-fault absorption — a broken worker or peer link reconnects with exponential backoff (from 10 ms) and replays its missed frames for up to this long before the failure escalates (0: links fail on first break, classic behavior)")

@@ -120,18 +120,18 @@
 // recipe is the one copy of the data the Assign and a durable run's
 // manifest carry. No per-step input frame exists.
 //
-// Two data-plane topologies ship (cluster.Config.Topology, cmd/pipebd
-// -topology). "hub" routes every activation and gradient through the
-// coordinator. "ring"
-// — the CLI default — has the workers dial each other from a
-// coordinator-distributed placement directory (epoch-guarded so stale
-// dials from a superseded attempt never join a fresh mesh): forwarded
-// activations travel stage-to-stage over peer links, and split groups
-// average gradients with a reduce-scatter + ring all-gather that folds
-// contributions in the hub's exact ascending-rank order. The
-// coordinator is demoted to a control plane — its steady-state traffic
-// no longer scales with activation, gradient, or input size — and both
-// topologies are bit-identical to the in-process pipeline and to each
+// There is one data plane: forwarded activations travel stage to stage
+// between the devices, and split groups average gradients with a
+// reduce-scatter + ring all-gather that folds contributions in the
+// in-process engine's exact ascending-rank order. The two topologies
+// (cluster.Config.Topology, cmd/pipebd -topology) only say how its peer
+// edges are carried. "ring" — the CLI default — has the workers dial each
+// other from a coordinator-distributed placement directory
+// (epoch-guarded so stale dials from a superseded attempt never join a
+// fresh mesh), so the coordinator is a control plane whose steady-state
+// traffic does not scale with activation or gradient size. "hub" relays
+// every edge through the coordinator, which forwards the envelopes
+// unopened. Both are bit-identical to the in-process pipeline and to each
 // other.
 //
 // # Fault tolerance
@@ -155,9 +155,10 @@
 // whose workers both still answer a liveness probe is routed through
 // the coordinator instead: every frame that crossed the edge —
 // activation, ack, ring segment — travels in a relay envelope the
-// coordinator forwards unopened. A degraded edge keeps its group's ring
-// and changes only its transport (there is no hub-fold fallback), so a
-// degraded run still verifies bit-identical, and no restart is consumed.
+// coordinator forwards unopened — exactly how the hub carries every
+// edge. A degraded edge keeps its group's ring and changes only its
+// transport, so a degraded run still verifies bit-identical, and no
+// restart is consumed.
 //
 // Tier 3, global cut (cluster.Config.MaxRestarts): a genuinely lost
 // worker costs a restart, and hub and ring restart the same way. Each
@@ -168,7 +169,7 @@
 // every device on the re-joined or surviving workers, the Assign carrying
 // the state at the global cut: the newest commonly snapshotted, fully
 // accounted step. Nothing in flight is salvaged (a lost worker strands a
-// ring collective, and a half-assembled hub gather is no different);
+// ring collective and a half-assembled input, relayed or not);
 // replayed work is a pure function of the restored state and the
 // batches, so the recovered run's losses and trained weights stay
 // bit-identical to a fault-free run. transport.Chaos injects

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,13 +36,13 @@ type Config struct {
 	// Backend optionally names the tensor backend workers should use
 	// (bit-identical by contract, so purely a throughput knob).
 	Backend string
-	// Topology selects the session's data plane: "hub" (or empty) routes
-	// every activation and gradient through the coordinator; "ring" has
-	// the workers dial each other and exchange activations and gradient
-	// reductions peer-to-peer, demoting the coordinator to a control
-	// plane (placement, barriers, losses, snapshots). Under both, the
+	// Topology selects how the peer edges of the one data plane are
+	// carried: "hub" (or empty) relays every edge through the coordinator,
+	// which forwards the envelopes unopened; "ring" has the workers dial
+	// each other and relays only an edge degraded after its link exhausted
+	// RetryBudget. Either way the devices exchange the same frames, the
 	// first group reads its batches locally — no per-step input frame
-	// exists — and both are bit-identical to the in-process engine.
+	// exists — and the run is bit-identical to the in-process engine.
 	Topology string
 	// Data is the deterministic recipe of the run's batch schedule
 	// (wire.DataSpec), and it is required. Sessions hosting first-group
@@ -110,7 +111,7 @@ type Config struct {
 	// to the run (no restart consumed, results bit-identical). A link
 	// still down when the budget exhausts is reported instead of silently
 	// retried forever: a peer edge whose workers are all still alive is
-	// degraded to hub relay (ring runs, budget-free), anything else falls
+	// degraded to relay (ring runs, budget-free), anything else falls
 	// through to a budget-counted restart. Zero disables it; ring runs
 	// with a budget force fault tolerance on (degrades restart from the
 	// global cut). Only whole milliseconds reach the workers.
@@ -139,24 +140,20 @@ type Config struct {
 // Coordinator drives a cluster run: it places the plan's devices on the
 // workers, opens each session with one Assign frame (model spec, seed
 // parameters, the data recipe the first group regenerates its batches
-// from), and
-// acts as the hub for the session's data flow — assembling teacher-relay
-// activation shards and forwarding them downstream, performing the
-// rank-ordered intra-group gradient reduction, counting the global no-DPU
-// step barrier, accumulating per-block losses, and installing the trained
-// weights it receives back.
-//
-// Every reduction the hub performs uses the exact floating-point
-// evaluation order of the in-process engine (rank-ordered sums, merge via
-// engine.MergeGroupLosses), so a cluster run's trajectory is bit-identical
-// to engine.RunPipelined's.
+// from, which peer edges it relays), counts the global no-DPU step
+// barrier, accumulates per-block losses, and installs the trained weights
+// it receives back. It never opens a tensor of the data plane: the
+// devices assemble activations and reduce gradients themselves, and the
+// loss merge uses engine.MergeGroupLosses, so a cluster run's trajectory
+// is bit-identical to engine.RunPipelined's.
 //
 // Its end of every session's control link is an endpoint like any peer
 // link's (link.go): opened by the Assign, re-opened after a break by the
 // same PeerHello handshake the workers use among themselves, with the
-// coordinator naming itself wire.NoDev. Under the ring it carries no
-// tensors except across a degraded peer edge, whose frames it forwards by
-// destination device without opening them.
+// coordinator naming itself wire.NoDev. The only tensors it carries cross
+// a relayed peer edge — every edge under the hub, a degraded one under the
+// ring — and it forwards their envelopes by destination device, reading
+// only the header that proves the sender may use the edge.
 //
 // With MaxRestarts > 0 the coordinator is also the recovery authority,
 // under one rule for every topology (see driver.go): it keeps each
@@ -239,7 +236,6 @@ type devState struct {
 	place devPlace
 
 	snapStep    int // last step the device snapshotted; -1 = none
-	outputSeen  int
 	lossSeen    int
 	barrierSeen int
 	done        bool
@@ -257,7 +253,6 @@ type run struct {
 	runCfg   wire.RunConfig
 	ft       bool           // fault tolerance enabled (MaxRestarts > 0 or durable)
 	seedSnap wire.Snapshot  // the run's seed params, immutable; shared by every attempt
-	ringMode bool           // peer-to-peer data plane (Config.Topology == "ring")
 	epoch    int64          // attempt epoch, stamped into every Assign
 	repart   *repartitioner // drive-loop repartition controller; nil when disabled
 	carry    *runCarry      // the cut this attempt started from; nil = attempt zero
@@ -268,23 +263,23 @@ type run struct {
 	tracer  *obs.Tracer
 	coTrack *obs.Track
 
-	// Degraded peer edges (flattened pairs), installed by the driver
-	// before placement and carried into every Assign.
-	degraded []int
+	// The attempt's relayed peer edges, installed by the driver before
+	// placement and immutable after: flattened pairs for every Assign, and
+	// both orientations of each for the relay check.
+	relayed []int
+	relays  map[[2]int]bool
 
 	mu          sync.Mutex
-	linkDowns   [][2]int               // peer edges reported down this attempt
-	led         *ledger.Ledger         // durable-run store, owned by the driver; nil for in-memory runs
-	peerDir     []string               // device rank → hosting worker address
-	histG       []map[int]histEntry    // ft: [gi] step → restart state (group-identical), back to the cut
-	peers       []*peerConn            // live worker sessions; dead ones are fully closed and dropped
-	byDev       map[int]*peerConn      // device rank → live peer (absent once dead)
-	devs        map[int]*devState      // device rank → account (map itself immutable)
-	groupParams [][]*tensor.Tensor     // [gi] workbench student params, flattened
-	outputs     []map[int]*gather      // [gi] step → collected activation shards
-	grads       []map[int]*gatherLists // [gi] step → collected gradient lists
-	barrier     map[int]int            // step → devices arrived (no-DPU only)
-	losses      [][][]float64          // [gi][j*nb+bi][step]
+	linkDowns   [][2]int            // peer edges reported down this attempt
+	led         *ledger.Ledger      // durable-run store, owned by the driver; nil for in-memory runs
+	peerDir     []string            // device rank → hosting worker address
+	histG       []map[int]histEntry // ft: [gi] step → restart state (group-identical), back to the cut
+	peers       []*peerConn         // live worker sessions; dead ones are fully closed and dropped
+	byDev       map[int]*peerConn   // device rank → live peer (absent once dead)
+	devs        map[int]*devState   // device rank → account (map itself immutable)
+	groupParams [][]*tensor.Tensor  // [gi] workbench student params, flattened
+	barrier     map[int]int         // step → devices arrived (no-DPU only)
+	losses      [][][]float64       // [gi][j*nb+bi][step]
 	done        int
 	closed      bool // teardown ran; stale readers must touch nothing
 	finished    chan struct{}
@@ -292,16 +287,6 @@ type run struct {
 	failOnce sync.Once
 	firstErr error
 	failed   chan struct{}
-}
-
-type gather struct {
-	parts []*tensor.Tensor
-	have  int
-}
-
-type gatherLists struct {
-	parts [][]*tensor.Tensor
-	have  int
 }
 
 // Run executes the pipelined plan across the workers at addrs and
@@ -387,7 +372,7 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, steps int
 	}
 	// Repartitioning implies fault tolerance: the planned cut restarts
 	// from the same snapshot history recovery uses. So does retry on a
-	// ring run: degrading a persistently severed peer edge to hub relay
+	// ring run: degrading a persistently severed peer edge to relay
 	// restarts the attempt from the global cut too (the degrade itself is
 	// budget-free).
 	ft := c.cfg.MaxRestarts > 0 || c.cfg.LedgerDir != "" || c.cfg.Repartition ||
@@ -401,9 +386,6 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, steps int
 		byDev: make(map[int]*peerConn), devs: make(map[int]*devState),
 		workb: w, addrs: addrs,
 		ft:       ft,
-		ringMode: c.cfg.Topology == "ring",
-		outputs:  make([]map[int]*gather, len(plan.Groups)),
-		grads:    make([]map[int]*gatherLists, len(plan.Groups)),
 		barrier:  make(map[int]int),
 		losses:   make([][][]float64, len(plan.Groups)),
 		finished: make(chan struct{}),
@@ -436,8 +418,6 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, steps int
 		Data:  c.cfg.Data}
 	r.groupParams = make([][]*tensor.Tensor, len(plan.Groups))
 	for gi, g := range plan.Groups {
-		r.outputs[gi] = make(map[int]*gather)
-		r.grads[gi] = make(map[int]*gatherLists)
 		r.losses[gi] = make([][]float64, len(g.Blocks)*g.Split())
 		for i := range r.losses[gi] {
 			r.losses[gi][i] = make([]float64, r.steps)
@@ -449,7 +429,7 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, steps int
 		}
 		for j, d := range g.Devices {
 			r.devs[d] = &devState{place: devPlace{gi: gi, j: j},
-				snapStep: -1, outputSeen: -1, lossSeen: -1, barrierSeen: -1}
+				snapStep: -1, lossSeen: -1, barrierSeen: -1}
 		}
 	}
 	return r, nil
@@ -688,17 +668,6 @@ func validateDataRecipe(ds wire.DataSpec, batches []dataset.Batch) error {
 	return nil
 }
 
-// sendGroupInputLocked delivers one step's relayed-activation payload to
-// every attached member of a later group. Callers hold r.mu and deliver each device's
-// inputs in increasing step order.
-func (r *run) sendGroupInputLocked(devs []int, step int, payload []byte) {
-	for _, d := range devs {
-		if p := r.byDev[d]; p != nil {
-			p.out.Enqueue(&wire.Frame{Kind: wire.KindInput, Dev: int32(d), Step: int32(step), Payload: payload})
-		}
-	}
-}
-
 func (r *run) fail(err error) {
 	r.failOnce.Do(func() {
 		r.firstErr = err
@@ -709,7 +678,7 @@ func (r *run) fail(err error) {
 // onLinkDown records a worker's report that a peer link exhausted its
 // reconnect budget and fails the attempt immediately with the typed
 // worker-lost error: the driver then classifies the failure —
-// degrade the edge to hub relay when every worker is still alive
+// degrade the edge to relay when every worker is still alive
 // (budget-free), or fall through to a budget-counted restart.
 func (r *run) onLinkDown(p *peerConn, from, to int) {
 	r.mu.Lock()
@@ -727,7 +696,7 @@ func (r *run) onLinkDown(p *peerConn, from, to int) {
 // handlePeerFailure retires a dead peer and fails the attempt with the
 // typed worker-lost error, which the driver turns into a restart of every
 // device from the global cut (budget permitting): the dead worker's
-// in-flight exchanges — a half-assembled gather, one side of a ring
+// in-flight exchanges — a half-assembled input, one side of a ring
 // collective — are abandoned with the attempt rather than replayed
 // one-sided. It runs once per peer, on the dead peer's reader goroutine.
 func (r *run) handlePeerFailure(p *peerConn, cause error) {
@@ -796,10 +765,10 @@ func (r *run) teardown() {
 }
 
 // handle processes one inbound frame on the owning peer's reader
-// goroutine. Payload decoding — the hub's hottest work — happens here,
-// outside the session lock, so readers for different workers decode
-// concurrently; only the gather bookkeeping, reductions, and counters
-// run under r.mu (r.devs' map structure is immutable once readers start).
+// goroutine. Payload decoding happens here, outside the session lock, so
+// readers for different workers decode concurrently; only the counters,
+// records and forwarding run under r.mu (r.devs' map structure and the
+// relayed edges are immutable once readers start).
 //
 // Every state-mutating branch re-checks r.closed under r.mu and drops
 // the frame once teardown ran: reader goroutines can outlive their run
@@ -828,13 +797,21 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 		r.onLinkDown(p, from, to)
 		return nil
 	case wire.KindRelay:
-		if !r.ringMode {
-			return fmt.Errorf("cluster: hub worker sent a degraded-edge %v frame (device %d step %d)", f.Kind, dev, step)
-		}
-		// A peer frame crossing a degraded edge: the envelope routes by Dev
+		// A peer frame crossing a relayed edge: the envelope routes by Dev
 		// and its contents are opaque to the coordinator — forwarding the
-		// payload verbatim is what keeps the degraded path bit-identical to
-		// the direct link.
+		// payload verbatim is what keeps a relayed edge bit-identical to a
+		// direct link. Only its header is read (DecodeRelay copies nothing):
+		// the sending session must host the inner frame's source, and the
+		// edge must be one this attempt relays.
+		inner, err := wire.DecodeRelay(f)
+		if err != nil {
+			return err
+		}
+		from := int(inner.Dev)
+		if !slices.Contains(p.devices, from) || !r.relays[[2]int{from, dev}] {
+			return fmt.Errorf("cluster: worker %s relayed %v from device %d to device %d, not a relayed edge from a device it hosts",
+				p.addr, inner.Kind, from, dev)
+		}
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		if r.closed {
@@ -844,45 +821,6 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 			q.out.Enqueue(f)
 		}
 		return nil
-	case wire.KindOutput:
-		if r.ringMode {
-			return fmt.Errorf("cluster: ring worker relayed an output through the hub (device %d step %d)", dev, step)
-		}
-		place := ds.place
-		if place.gi >= len(r.plan.Groups)-1 {
-			return fmt.Errorf("cluster: last group relayed an output for step %d", step)
-		}
-		if r.plan.Groups[place.gi].Split() == 1 {
-			// Unsplit group: the shard IS the full batch. Forward the
-			// encoded payload verbatim — decoding and re-encoding it here
-			// would produce identical bytes (validation happens at the
-			// receiving worker's decode).
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			if r.closed {
-				return nil
-			}
-			if step <= ds.outputSeen {
-				return duplicate(ds, "output", step)
-			}
-			ds.outputSeen = step
-			r.sendGroupInputLocked(r.plan.Groups[place.gi+1].Devices, step, f.Payload)
-			return nil
-		}
-		t, err := wire.DecodeTensor(f)
-		if err != nil {
-			return err
-		}
-		return r.onOutput(ds, step, t)
-	case wire.KindGrads:
-		if r.ringMode {
-			return fmt.Errorf("cluster: ring worker sent gradients to the hub (device %d step %d)", dev, step)
-		}
-		lists, err := wire.DecodeTensors(f)
-		if err != nil {
-			return err
-		}
-		return r.onGrads(ds, step, lists)
 	case wire.KindStepDone:
 		return r.onStepDone(ds, step)
 	case wire.KindLosses:
@@ -949,104 +887,6 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 // replay exactly the frames a flap lost, so nothing legitimate repeats.
 func duplicate(ds *devState, what string, step int) error {
 	return fmt.Errorf("cluster: duplicate %s from group %d rank %d step %d", what, ds.place.gi, ds.place.j, step)
-}
-
-// onOutput collects a split group's boundary-activation shards (the
-// k == 1 case forwards payloads directly in handle); once every member's
-// shard of the step arrived, it assembles the full batch in rank order
-// and relays it to each member of the next group.
-func (r *run) onOutput(ds *devState, step int, t *tensor.Tensor) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	if step <= ds.outputSeen {
-		return duplicate(ds, "output", step)
-	}
-	ds.outputSeen = step
-	place := ds.place
-	st := r.outputs[place.gi]
-	g := st[step]
-	if g == nil {
-		g = &gather{parts: make([]*tensor.Tensor, r.plan.Groups[place.gi].Split())}
-		st[step] = g
-	}
-	g.parts[place.j] = t
-	g.have++
-	if g.have < len(g.parts) {
-		return nil
-	}
-	delete(st, step)
-	full, err := assembleShards(g.parts)
-	if err != nil {
-		return fmt.Errorf("cluster: group %d step %d: %w", place.gi, step, err)
-	}
-	payload := wire.EncodeTensor(wire.KindInput, wire.NoDev, int32(step), full).Payload
-	r.sendGroupInputLocked(r.plan.Groups[place.gi+1].Devices, step, payload)
-	return nil
-}
-
-// onGrads collects a split group's gradient lists and, once complete,
-// performs the deterministic all-reduce — sum over member ranks 0..k-1,
-// scale by 1/k, exactly the in-process evaluation order — and returns the
-// mean to every member.
-func (r *run) onGrads(ds *devState, step int, lists []*tensor.Tensor) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	place := ds.place
-	k := r.plan.Groups[place.gi].Split()
-	if k == 1 {
-		return fmt.Errorf("cluster: gradient frame from unsplit group %d", place.gi)
-	}
-	st := r.grads[place.gi]
-	g := st[step]
-	if g == nil {
-		g = &gatherLists{parts: make([][]*tensor.Tensor, k)}
-		st[step] = g
-	}
-	if g.parts[place.j] != nil {
-		return duplicate(ds, "gradients", step)
-	}
-	g.parts[place.j] = lists
-	g.have++
-	if g.have < k {
-		return nil
-	}
-	delete(st, step)
-	n := len(g.parts[0])
-	for rk, l := range g.parts {
-		if len(l) != n {
-			return fmt.Errorf("cluster: group %d step %d gradient counts differ", place.gi, step)
-		}
-		for pi, t := range l {
-			if !t.SameShape(g.parts[0][pi]) {
-				return fmt.Errorf("cluster: group %d step %d rank %d gradient %d shape %v, rank 0 has %v",
-					place.gi, step, rk, pi, t.Shape(), g.parts[0][pi].Shape())
-			}
-		}
-	}
-	inv := 1 / float32(k)
-	reduced := make([]*tensor.Tensor, n)
-	for pi := 0; pi < n; pi++ {
-		sum := tensor.New(g.parts[0][pi].Shape()...)
-		for rk := 0; rk < k; rk++ {
-			tensor.AddInto(sum, g.parts[rk][pi])
-		}
-		tensor.ScaleInPlace(sum, inv)
-		reduced[pi] = sum
-	}
-	payload := wire.EncodeTensors(wire.KindGradsReduced, wire.NoDev, int32(step), reduced).Payload
-	for _, d := range r.plan.Groups[place.gi].Devices {
-		if p := r.byDev[d]; p != nil {
-			p.out.Enqueue(&wire.Frame{Kind: wire.KindGradsReduced,
-				Dev: int32(d), Step: int32(step), Payload: payload})
-		}
-	}
-	return nil
 }
 
 // onStepDone counts the global no-DPU barrier; the arrival that completes

@@ -12,14 +12,14 @@ package cluster
 // every device's losses (and, without DPU, its barrier arrival) are
 // already accounted at the coordinator; -1 is the seed, where attempt
 // zero starts with no restart states to install. Anything that supersedes
-// an attempt — a lost worker, a peer edge degrading to hub relay, a
+// an attempt — a lost worker, a peer edge degrading to relay, a
 // planned repartition, a coordinator restarted from its ledger — rewinds
 // every device to that cut and starts the next attempt there. The teacher
 // relay makes each replayed step a pure function of the restored state
 // and the batches, so the trajectory stays bit-identical to a fault-free
 // run. One rule covers every plan because it never asks which in-flight
 // exchange a dead worker left half-done: a ring collective cannot be
-// replayed one-sided, and the hub gains nothing from being the exception.
+// replayed one-sided, whether its edges are direct or relayed.
 
 import (
 	"errors"
@@ -81,13 +81,13 @@ type driver struct {
 	// worker; any carry means sessions were superseded (restart or resume),
 	// so a slot whose worker is gone may land on a survivor.
 	carry    *runCarry
-	degraded [][2]int // peer edges routed via hub relay, accumulated across attempts
+	degraded [][2]int // ring edges degraded to relay, accumulated across attempts
 }
 
 // drive runs attempts until one completes or the restart budget is spent.
 // Two kinds of supersession restart the loop: worker losses (retried
 // against the restart budget, or budget-free when only a peer edge is
-// severed and it can degrade to hub relay) and planned repartitions
+// severed and it can degrade to relay) and planned repartitions
 // (deliberate, budget-free — the carry is remapped onto the measured
 // re-plan and the run resumes on the new placement). Protocol errors fail
 // the run immediately. drive owns the ledger — handed over or created by
@@ -136,14 +136,14 @@ func (d *driver) drive() (engine.Result, error) {
 		if len(next.linkDowns) > 0 && c.cfg.RetryBudget > 0 && c.workersAlive(d.addrs) {
 			// Tier 2, graceful degradation: every worker is reachable but
 			// one or more peer edges are persistently severed (a healing
-			// partition that never healed). Route just the broken edges
+			// partition that never healed). Relay just the broken edges
 			// through the coordinator — bit-identical, since the same frames
 			// reach the same inboxes in the same order — and restart from
 			// the global cut without consuming the restart budget.
 			d.degraded = mergeEdges(d.degraded, next.linkDowns)
 			d.carry = next
 			c.cfg.Metrics.Add("degrades", 1)
-			c.logf("degrading peer link(s) %v to hub relay; ring resumes from step %d on the remaining direct edges",
+			c.logf("degrading peer link(s) %v to relay; ring resumes from step %d on the remaining direct edges",
 				next.linkDowns, next.cut+1)
 			next.linkDowns = nil // consumed: a retry from this carry must not degrade again
 			continue
@@ -208,9 +208,7 @@ func (d *driver) attempt(epoch int64) (engine.Result, *runCarry, error) {
 		}
 	}
 	r.led = d.led
-	for _, e := range d.degraded {
-		r.degraded = append(r.degraded, e[0], e[1])
-	}
+	r.setRelayed(d.degraded)
 	r.epoch = epoch
 	if d.rp != nil {
 		// Fresh placement (or fresh hosting), fresh measurements; the
@@ -232,6 +230,22 @@ func (d *driver) attempt(epoch int64) (engine.Result, *runCarry, error) {
 	return res, nil, nil
 }
 
+// setRelayed installs the attempt's routing: under the hub every peer
+// edge of the attempt's own plan is relayed (a repartition changes the
+// edges), under the ring only the edges degraded so far.
+func (r *run) setRelayed(degraded [][2]int) {
+	edges := degraded
+	if r.co.cfg.Topology != "ring" {
+		edges = planEdges(r.plan)
+	}
+	r.relays = make(map[[2]int]bool, 2*len(edges))
+	for _, e := range edges {
+		r.relayed = append(r.relayed, e[0], e[1])
+		r.relays[e] = true
+		r.relays[[2]int{e[1], e[0]}] = true
+	}
+}
+
 // installCarry rewinds a fresh run's state to a previous attempt's global
 // cut: every device restarts at cut+1 with the carried group parameters,
 // and the loss matrix keeps the rows the completed prefix already
@@ -245,7 +259,6 @@ func (r *run) installCarry(c *runCarry) {
 	r.losses = c.losses
 	for _, ds := range r.devs {
 		ds.snapStep = c.cut
-		ds.outputSeen = c.cut
 		ds.lossSeen = c.cut
 		ds.barrierSeen = c.cut
 	}
@@ -416,7 +429,7 @@ func (r *run) place() error {
 func (r *run) sessionOpen(devices []int) *wire.Frame {
 	a := &wire.Assign{Plan: r.plan, Spec: r.co.cfg.Spec,
 		Run: r.runCfg, Devices: devices, Snapshot: r.seedSnap,
-		Peers: r.peerDir, Epoch: r.epoch, Degraded: r.degraded}
+		Peers: r.peerDir, Epoch: r.epoch, Relayed: r.relayed}
 	if c := r.carry; c != nil && c.cut >= 0 {
 		for _, d := range devices {
 			gi := r.devs[d].place.gi

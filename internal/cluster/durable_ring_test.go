@@ -4,13 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/cluster/transport"
+	"pipebd/internal/cluster/wire"
 	"pipebd/internal/distill"
 	"pipebd/internal/engine"
+	"pipebd/internal/obs"
 )
 
 // TestRingCoordinatorKillResume is the durable-ring acceptance matrix: a
@@ -210,4 +213,57 @@ func TestCompactedLedgerResume(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestRingResumeKeepsRetryBudget: a resumed run takes its retry budget
+// from the manifest like every other run setting, so a resumed ring run
+// still absorbs a link flap — no restart, nothing lost. The flap is armed
+// on the second pass over step 3's pair exchange: the first run passes it
+// once, and the resume, restarting from the step-2 snapshot, replays it.
+func TestRingResumeKeepsRetryBudget(t *testing.T) {
+	leakCheck(t)
+	const steps = 4
+	batches := tinyBatches(steps, 8)
+	p := hybridPlan()
+	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
+
+	inner := transport.NewLoopback()
+	chaos := transport.NewChaos(inner, transport.Fault{
+		Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpRecv,
+			Kind: wire.KindRingSegment, Step: steps - 1, Count: 2},
+		Action: transport.ActFlap,
+	})
+	counters := obs.NewMetrics()
+	addrs := startWorkers(t, inner, 2, WorkerConfig{Sessions: 2, Rejoin: true, Dial: chaos, Metrics: counters})
+	dir := filepath.Join(t.TempDir(), "ledger")
+	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	if _, err := Run(inner, addrs, w, batches, Config{
+		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9, Topology: "ring",
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 8),
+		Snapshot: SnapshotPolicy{Interval: 3}, LedgerDir: dir, RetryBudget: fastRetry,
+		JoinTimeout: 10 * time.Second,
+	}); err != nil {
+		t.Fatalf("durable ring run failed: %v", err)
+	}
+	if n := len(chaos.Unfired()); n != 1 {
+		t.Fatalf("the flap fired during the first run (%d unfired); it must wait for the resume", n)
+	}
+
+	logf, logs := captureLog()
+	res, w2, err := ResumeRun(inner, dir, ResumeConfig{JoinTimeout: 10 * time.Second, Logf: logf})
+	if err != nil {
+		t.Fatalf("resume with a flapping peer link failed: %v\nlog:\n%s", err, logs())
+	}
+	if unfired := chaos.Unfired(); len(unfired) > 0 {
+		t.Fatalf("flap never fired during the resume (%v)", unfired)
+	}
+	if strings.Contains(logs(), "restarting every device from step") {
+		t.Fatalf("the resumed run spent a restart on a flap; log:\n%s", logs())
+	}
+	if got := counters.Counter("link_faults_absorbed").Load(); got == 0 {
+		t.Fatalf("the resumed run absorbed no link fault; log:\n%s", logs())
+	}
+	lossesBitIdentical(t, "resumed flap", res, refRes)
+	weightsBitIdentical(t, "resumed flap", w2, ref)
 }

@@ -94,10 +94,11 @@ func TestCoordinatorKillResume(t *testing.T) {
 					weightsBitIdentical(t, label, w2, ref)
 					if interval == 1 {
 						// The resume restarts from the crashed run's cut, not the
-						// seed. The tail device only saw step k's input after
-						// the hub had processed the head group's step-(k-1)
-						// losses and snapshots, so every step before the kill
-						// was inside the cut and must never have been replayed.
+						// seed. The coordinator relayed step k's input only
+						// after it processed the head group's step-(k-1)
+						// losses and snapshots, which precede it on the same
+						// control link, so every step before the kill was
+						// inside the cut and must never have been replayed.
 						for key, n := range lossRowCounts(t, dir) {
 							if key[1] < int(killStep) && n != 1 {
 								t.Fatalf("device %d step %d loss row logged %d times: resume replayed a step inside the cut; log:\n%s",

@@ -42,8 +42,7 @@ func recoverSession(errp *error) {
 }
 
 // assembleShards concatenates a split group's boundary-activation shards
-// along dim 0 in rank order; a single shard is the batch. Hub (coordinator)
-// and ring (downstream device) both assemble here: identical bytes.
+// along dim 0 in rank order; a single shard is the batch.
 func assembleShards(parts []*tensor.Tensor) (*tensor.Tensor, error) {
 	if len(parts) == 1 {
 		return parts[0], nil
@@ -186,7 +185,7 @@ func (b *inbox) next(kind wire.Kind) (*wire.Frame, error) {
 // endpoint is one end of a session link, whichever two parties it joins:
 // the coordinator and a worker session (the control link; the
 // coordinator's end is device wire.NoDev), two devices' sessions (a peer
-// link), or two devices whose direct link is degraded (conn is nil: out
+// link), or two devices whose edge is relayed (conn is nil: out
 // wraps every frame into the session's control outbox, and the session's
 // router unwraps the far side's into in).
 type endpoint struct {
@@ -286,25 +285,16 @@ func (p linkPolicy) endpoint(conn transport.Conn, local, remote int, name, addr 
 	return ep
 }
 
-// clusterLink implements engine.DeviceLink over the worker's connection
-// to the coordinator: relayed activations, reduced gradients, and barrier
-// releases arrive through the device's inbox (a first-group device reads
-// its batches from the session's local schedule instead); outputs, raw
-// gradients, losses, and barrier arrivals leave through the shared
-// outbox. The coordinator does the routing (relay assembly, rank-ordered
-// gradient reduction, barrier counting) — see coordinator.go for the
-// matching hub logic.
+// clusterLink is a device's control plane over the worker's connection to
+// the coordinator: losses, barrier arrivals, snapshots and span batches
+// leave through the session's shared outbox, barrier releases arrive
+// through the device's inbox. The data plane — activations and the
+// gradient all-reduce — is ringLink's, over peer endpoints.
 type clusterLink struct {
-	dev        int32
-	firstGroup bool // the first group reads inputs, the rest receive them
-	lastGroup  bool // the last group relays no output
-	dpu        bool
-	in         *inbox
-	out        *outbox
-	// inputs is the session's batch schedule (inputs[s] is step s's full
-	// batch), regenerated from the run's data recipe or carried in the
-	// Assign; set only on first-group devices.
-	inputs []*tensor.Tensor
+	dev int32
+	dpu bool
+	in  *inbox
+	out *outbox
 	// snapshot, when set, encodes the device's post-step recovery state
 	// (student params + optimizer velocities); FinishStep ships it to the
 	// coordinator after every step the session's snapshot policy covers,
@@ -355,51 +345,6 @@ func (l *clusterLink) recv(kind wire.Kind, step int) *wire.Frame {
 		sessionFail("cluster: dev %d got %v frame for step %d, want %d", l.dev, kind, f.Step, step)
 	}
 	return f
-}
-
-// RecvInput returns the step's full-batch input. The first group reads the
-// batch from its local schedule: no wire traffic at all. Sharing one
-// tensor across co-hosted members is safe for the same reason the
-// in-process pipeline hands every device the same batch — members only
-// read their shard.
-func (l *clusterLink) RecvInput(step int) *tensor.Tensor {
-	if l.firstGroup {
-		if step >= len(l.inputs) {
-			sessionFail("cluster: dev %d asked for the input of step %d, schedule has %d", l.dev, step, len(l.inputs))
-		}
-		return l.inputs[step]
-	}
-	f := l.recv(wire.KindInput, step)
-	t, err := wire.DecodeTensor(f)
-	if err != nil {
-		sessionFail("cluster: dev %d decoding input of step %d: %w", l.dev, step, err)
-	}
-	return t
-}
-
-func (l *clusterLink) SendOutput(step int, out *tensor.Tensor) {
-	if l.lastGroup {
-		return
-	}
-	l.out.Enqueue(wire.EncodeTensor(wire.KindOutput, l.dev, int32(step), out))
-}
-
-func (l *clusterLink) AllReduce(step int, grads []*tensor.Tensor, scratch *tensor.Arena) {
-	l.out.Enqueue(wire.EncodeTensors(wire.KindGrads, l.dev, int32(step), grads))
-	f := l.recv(wire.KindGradsReduced, step)
-	reduced, err := wire.DecodeTensors(f)
-	if err != nil {
-		sessionFail("cluster: dev %d decoding reduced gradients of step %d: %w", l.dev, step, err)
-	}
-	if len(reduced) != len(grads) {
-		sessionFail("cluster: dev %d got %d reduced gradients, want %d", l.dev, len(reduced), len(grads))
-	}
-	for i, t := range reduced {
-		if !t.SameShape(grads[i]) {
-			sessionFail("cluster: dev %d reduced gradient %d shape %v, want %v", l.dev, i, t.Shape(), grads[i].Shape())
-		}
-		grads[i].CopyFrom(t)
-	}
 }
 
 func (l *clusterLink) ReportLosses(step int, losses []float64) {

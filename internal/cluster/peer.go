@@ -15,21 +15,20 @@ import (
 )
 
 // Session links: what a worker session is reachable through, and the
-// worker-to-worker data plane of ring-topology sessions.
+// device-to-device data plane every session runs.
 //
-// Every session has a control link to the coordinator; in hub topology
-// every activation and gradient crosses it. In ring topology the
-// coordinator only distributes a placement directory (Assign.Peers: device
-// rank -> worker address) and the workers dial each other directly: one
-// link per device pair that communicates — every pair within a split group
-// (reduce-scatter contributions plus the all-gather ring) and every
+// Every session has a control link to the coordinator and one peer
+// endpoint per device pair that communicates — every pair within a split
+// group (reduce-scatter contributions plus the all-gather ring) and every
 // (member, member) pair across adjacent groups (activation forwarding).
-// The higher-ranked device's session dials the lower device's worker;
-// device pairs hosted on the same worker (or even the same session) still
-// dial through the network, so every pair is wired identically. A pair
-// the Assign lists as degraded is not dialed: its endpoints send through
-// the control link in KindRelay envelopes, and nothing above the endpoint
-// can tell.
+// The Assign says how each edge is carried. A direct edge is a link of its
+// own: the higher-ranked device's session dials the lower device's worker
+// (found in the placement directory, Assign.Peers); device pairs hosted on
+// the same worker (or even the same session) still dial through the
+// network, so every pair is wired identically. A relayed edge — every edge
+// under the hub, a degraded one under the ring — is not dialed: its
+// endpoints send through the control link in KindRelay envelopes, and
+// nothing above the endpoint can tell.
 //
 // Handshake (linkPolicy.open): dialer connects, consumes the worker's
 // Hello, sends a PeerHello{Epoch, From, To}; the accepting worker routes
@@ -48,7 +47,7 @@ const (
 	// meshTimeout bounds a session's whole mesh-establishment phase.
 	meshTimeout = 10 * time.Second
 	// ackWindow is how many steps an activation sender may run ahead of
-	// the slowest downstream consumer's acks.
+	// the slowest downstream consumer's acks under DPU.
 	ackWindow = 2
 )
 
@@ -56,11 +55,11 @@ const (
 // link to the remote device.
 type pairKey struct{ local, remote int }
 
-// mesh is one session's set of links: its control endpoint and, under the
-// ring, its peer endpoints. The worker's accept path hands incoming peer
-// hellos to accept (on the listener's handler goroutine); the session's
-// establish phase dials the outbound half and blocks in waitAccepted until
-// every expected endpoint exists.
+// mesh is one session's set of links: its control endpoint and its peer
+// endpoints. The worker's accept path hands incoming peer hellos to accept
+// (on the listener's handler goroutine); the session's establish phase
+// dials the outbound half and blocks in waitAccepted until every expected
+// endpoint exists.
 type mesh struct {
 	linkPolicy
 	dir     []string  // peers directory: device rank -> worker address
@@ -112,7 +111,7 @@ func (m *mesh) install(conn transport.Conn, local, remote int, addr string) {
 	}()
 }
 
-// relay installs the (local, remote) endpoint of a degraded edge: no
+// relay installs the (local, remote) endpoint of a relayed edge: no
 // connection of its own, an outbox that wraps each frame for the
 // coordinator to forward, and an inbox the session's router fills.
 func (m *mesh) relay(local, remote int) {
@@ -125,7 +124,7 @@ func (m *mesh) relay(local, remote int) {
 }
 
 // unwrap delivers a relayed peer frame off the control link into the
-// inbox of the degraded edge it crossed; a frame naming any other pair is
+// inbox of the relayed edge it crossed; a frame naming any other pair is
 // a protocol error.
 func (m *mesh) unwrap(f *wire.Frame) error {
 	inner, err := wire.DecodeRelay(f)
@@ -136,7 +135,7 @@ func (m *mesh) unwrap(f *wire.Frame) error {
 	ep := m.eps[pairKey{int(f.Dev), int(inner.Dev)}]
 	m.mu.Unlock()
 	if ep == nil || ep.conn != nil {
-		return fmt.Errorf("cluster: relayed %v from device %d to device %d crosses no degraded edge of this session",
+		return fmt.Errorf("cluster: relayed %v from device %d to device %d crosses no relayed edge of this session",
 			inner.Kind, inner.Dev, f.Dev)
 	}
 	ep.in.put(inner)
@@ -278,8 +277,8 @@ func (m *mesh) close(graceful bool) {
 }
 
 // peerSets enumerates the remote devices one local device communicates
-// with under ring topology: every other member of its own (split) group,
-// every member of the previous group, and every member of the next group.
+// with: every other member of its own (split) group, every member of the
+// previous group, and every member of the next group.
 func peerSets(plan sched.Plan, dev int) (group, prev, next []int) {
 	gi := plan.GroupOf(dev)
 	if gi < 0 {
@@ -309,11 +308,24 @@ func peerRemotes(plan sched.Plan, dev int) []int {
 	return append(out, next...)
 }
 
-// ringLink implements engine.DeviceLink for ring topology: stage-to-stage
-// activations and the intra-group all-reduce travel over peer endpoints,
-// while the control plane — loss reports, the global step barrier, and
-// recovery snapshots — and the first group's local batch schedule stay on
-// the embedded coordinator link.
+// planEdges lists every peer edge of a plan once, lower device first.
+func planEdges(plan sched.Plan) [][2]int {
+	var out [][2]int
+	for d := 0; d < plan.NumDevices(); d++ {
+		for _, r := range peerRemotes(plan, d) {
+			if d < r {
+				out = append(out, [2]int{d, r})
+			}
+		}
+	}
+	return out
+}
+
+// ringLink implements engine.DeviceLink over a session's peer endpoints:
+// stage-to-stage activations and the intra-group all-reduce travel device
+// to device — directly or relayed, which is not visible from here — while
+// the control plane (loss reports, the global step barrier, recovery
+// snapshots) stays on the embedded coordinator link.
 type ringLink struct {
 	*clusterLink
 	rank  int
@@ -321,12 +333,15 @@ type ringLink struct {
 	group []int // own group's device ranks in rank order
 	prev  []int // previous group's device ranks (nil for group 0)
 	next  []int // next group's device ranks (nil for the last group)
-	// peers holds the endpoint to each remote device; whether an edge is
-	// direct or relayed through the coordinator is not visible from here.
+	// peers holds the endpoint to each remote device.
 	peers map[int]*endpoint
+	// inputs is the first group's batch schedule (inputs[s] is step s's
+	// full batch), regenerated from the run's data recipe; later groups
+	// receive theirs from prev.
+	inputs []*tensor.Tensor
 
-	// Activation-forward flow control: a sender may run at most ackWindow
-	// steps ahead of the slowest downstream consumer's acks.
+	// Activation-forward flow control under DPU: a sender may run at most
+	// ackWindow steps ahead of the slowest downstream consumer's acks.
 	nextAcked []int // per next-group member: highest acked step
 	ackInit   bool
 
@@ -351,18 +366,23 @@ func (l *ringLink) recvPeer(remote int, kind wire.Kind, step int) *wire.Frame {
 	return f
 }
 
-// RecvInput assembles the step's full-batch input from the previous
-// group's members (each sends its boundary-activation shard directly),
-// in ascending previous-rank order — byte-identical to the hub's
-// assembly — and acks each upstream endpoint. Group 0 has no upstream and
-// reads its local schedule like a hub device.
+// RecvInput returns the step's full-batch input. The first group reads it
+// from its local schedule — no wire traffic at all; sharing one tensor
+// across co-hosted members is safe for the same reason the in-process
+// pipeline hands every device the same batch: members only read their
+// shard. A later group assembles it from the previous group's members
+// (each sends its boundary-activation shard) in ascending previous-rank
+// order and, under DPU, acks each upstream endpoint.
 func (l *ringLink) RecvInput(step int) *tensor.Tensor {
-	if l.firstGroup {
-		return l.clusterLink.RecvInput(step)
+	if l.prev == nil {
+		if step >= len(l.inputs) {
+			sessionFail("cluster: dev %d asked for the input of step %d, schedule has %d", l.dev, step, len(l.inputs))
+		}
+		return l.inputs[step]
 	}
 	parts := make([]*tensor.Tensor, len(l.prev))
 	for i, pd := range l.prev {
-		f := l.recvPeer(pd, wire.KindPeerInput, step)
+		f := l.recvPeer(pd, wire.KindOutput, step)
 		t, err := wire.DecodeTensor(f)
 		if err != nil {
 			sessionFail("cluster: dev %d decoding peer input of step %d from device %d: %w", l.dev, step, pd, err)
@@ -373,19 +393,35 @@ func (l *ringLink) RecvInput(step int) *tensor.Tensor {
 	if err != nil {
 		sessionFail("cluster: dev %d step %d upstream: %w", l.dev, step, err)
 	}
-	for _, pd := range l.prev {
-		l.peers[pd].out.Enqueue(wire.Control(wire.KindPeerAck, l.dev, int32(step)))
+	if l.dpu {
+		for _, pd := range l.prev {
+			l.peers[pd].out.Enqueue(wire.Control(wire.KindPeerAck, l.dev, int32(step)))
+		}
 	}
 	return full
 }
 
 // SendOutput forwards the member's boundary activation (its shard when
-// the group is split) to every member of the next group, after waiting
-// for acks that keep the sender within the pipeline window.
+// the group is split) to every member of the next group. Under DPU it
+// first waits for the acks that keep the sender within ackWindow steps;
+// without DPU the global step barrier already holds every sender within a
+// step of its consumers, so no ack is sent or awaited.
 func (l *ringLink) SendOutput(step int, out *tensor.Tensor) {
-	if l.lastGroup {
+	if l.next == nil {
 		return
 	}
+	if l.dpu {
+		l.awaitWindow(step)
+	}
+	f := wire.EncodeTensor(wire.KindOutput, l.dev, int32(step), out)
+	for _, nd := range l.next {
+		l.peers[nd].out.Enqueue(f)
+	}
+}
+
+// awaitWindow blocks until every next-group member has acked step −
+// ackWindow.
+func (l *ringLink) awaitWindow(step int) {
 	if !l.ackInit {
 		// The first step this session runs (0, or cut+1 on a restart)
 		// anchors the ack window: earlier steps were consumed before the
@@ -400,6 +436,7 @@ func (l *ringLink) SendOutput(step int, out *tensor.Tensor) {
 	// engine's send_output span so the report attributes it as wait time,
 	// not communication.
 	rg := l.trace.Begin(obs.CatWait, "peer_ack_wait")
+	defer rg.End()
 	target := step - ackWindow
 	for i, nd := range l.next {
 		for l.nextAcked[i] < target {
@@ -413,25 +450,20 @@ func (l *ringLink) SendOutput(step int, out *tensor.Tensor) {
 			l.nextAcked[i] = int(f.Step)
 		}
 	}
-	rg.End()
-	f := wire.EncodeTensor(wire.KindPeerInput, l.dev, int32(step), out)
-	for _, nd := range l.next {
-		l.peers[nd].out.Enqueue(f)
-	}
 }
 
 // AllReduce replaces each gradient with the deterministic intra-group
-// mean without touching the coordinator. The gradients are flattened into
-// one float32 vector split into k near-equal segments; each rank owns one
-// segment.
+// mean, computed by the group's own members. The gradients are flattened
+// into one float32 vector split into k near-equal segments; each rank owns
+// one segment.
 //
 // Reduce-scatter sends every rank's raw slice for segment s directly to
 // its owner (rank s), which folds the k contributions in ascending rank
 // order into a zeroed accumulator and scales by 1/k — the exact
-// evaluation order of the hub and the in-process engine, which a
-// conventional rotated-start reduce-scatter (fold in arrival order)
-// would break. The byte volume is the same either way: each rank sends
-// k-1 slices of ~G/k elements.
+// evaluation order of the in-process engine, which a conventional
+// rotated-start reduce-scatter (fold in arrival order) would break. The
+// byte volume is the same either way: each rank sends k-1 slices of ~G/k
+// elements.
 //
 // All-gather then runs as a true ring: k-1 rounds, each rank forwarding
 // the segment it just completed (or received) to its successor. With
@@ -503,8 +535,8 @@ func (l *ringLink) allReducePair(step int) {
 	}
 	inv := 1 / float32(2)
 	for i := range l.flat {
-		// Zero-init + rank-ordered adds, matching the hub's AddInto chain
-		// bit for bit (including the +0 result of 0 + -0).
+		// Zero-init + rank-ordered adds, matching the in-process AddInto
+		// chain bit for bit (including the +0 result of 0 + -0).
 		var s float32
 		s += r0[i]
 		s += r1[i]

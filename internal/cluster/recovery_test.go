@@ -118,7 +118,7 @@ func TestRecoveryBitEquivalence(t *testing.T) {
 }
 
 // TestRecoveryKillSplitGroupWorker kills the worker hosting BOTH ranks of
-// the data-parallel group: the hub's half-assembled gathers die with the
+// the data-parallel group: its half-done relayed exchanges die with the
 // attempt, the restart recomputes them from the cut, and the run still
 // matches the fault-free trajectory exactly.
 func TestRecoveryKillSplitGroupWorker(t *testing.T) {
@@ -278,10 +278,10 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 
 // TestPeerDeathMidGatherFailsCleanly pins the pre-recovery contract and
 // the leak fix together: with fault tolerance off (MaxRestarts 0), a
-// worker killed while its gradient gather is half-assembled fails the run
-// with the injected cause — and every goroutine (device loops blocked on
-// the dead all-reduce, outbox writers, readers) is torn down, which
-// leakCheck asserts after cleanup.
+// worker killed while its relayed exchanges of a step are half done fails
+// the run with the injected cause — and every goroutine (device loops
+// blocked on the dead all-reduce or input, outbox writers, readers) is
+// torn down, which leakCheck asserts after cleanup.
 func TestPeerDeathMidGatherFailsCleanly(t *testing.T) {
 	leakCheck(t)
 	batches := tinyBatches(4, 8)
@@ -289,11 +289,12 @@ func TestPeerDeathMidGatherFailsCleanly(t *testing.T) {
 	inner := transport.NewLoopback()
 	addrs := startWorkers(t, inner, 2, WorkerConfig{Sessions: 1})
 	// Worker 0 hosts both ranks of the split group; killing its
-	// connection on a mid-run gradient frame leaves the hub's gather for
-	// that step permanently incomplete.
+	// connection on the first relay envelope of a mid-run step — the
+	// group's gradient exchange or its activation for the next group —
+	// leaves that step's collective and input permanently incomplete.
 	chaos := transport.NewChaos(inner, transport.Fault{
 		Trigger: transport.Trigger{Conn: 0, Op: transport.OpRecv,
-			Kind: wire.KindGrads, Step: 1, Count: 1},
+			Kind: wire.KindRelay, Step: 1, Count: 1},
 		Action: transport.ActKill,
 	})
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
@@ -310,9 +311,9 @@ func TestPeerDeathMidGatherFailsCleanly(t *testing.T) {
 }
 
 // TestRecoveryTruncatedFrame: a frame cut off mid-write (the crash
-// half-writes a relay input) poisons the receiving worker's session; the
-// coordinator restarts from the cut, recomputing the lost frame, and the
-// result is still bit-identical.
+// half-writes a relayed activation on its way to the next stage) poisons
+// the receiving worker's session; the coordinator restarts from the cut,
+// recomputing the lost frame, and the result is still bit-identical.
 func TestRecoveryTruncatedFrame(t *testing.T) {
 	leakCheck(t)
 	batches := tinyBatches(4, 8)
@@ -324,7 +325,7 @@ func TestRecoveryTruncatedFrame(t *testing.T) {
 	addrs := startWorkers(t, inner, 2, WorkerConfig{Sessions: 1, Rejoin: true})
 	chaos := transport.NewChaos(inner, transport.Fault{
 		Trigger: transport.Trigger{Conn: 1, Op: transport.OpSend,
-			Kind: wire.KindInput, Step: 2, Count: 1},
+			Kind: wire.KindRelay, Step: 2, Count: 1},
 		Action: transport.ActTruncate,
 	})
 	logf, logs := captureLog()

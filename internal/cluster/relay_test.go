@@ -1,0 +1,283 @@
+package cluster
+
+import (
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"pipebd/internal/cluster/transport"
+	"pipebd/internal/cluster/wire"
+	"pipebd/internal/distill"
+	"pipebd/internal/engine"
+	"pipebd/internal/tensor"
+)
+
+// peerFrame is one peer frame seen on a tapped connection: a frame of a
+// direct peer link, or the frame a relay envelope carries.
+type peerFrame struct {
+	recv     bool // received by the dialing side (else sent by it)
+	kind     wire.Kind
+	from, to int
+	step     int
+}
+
+// peerTap wraps a Network so a test sees, in order, every peer frame that
+// crosses a connection it dialed. Wrapping the workers' dial network
+// shows the direct links; wrapping the coordinator's shows the relayed
+// edges, each frame twice — received from its source's session, sent to
+// its destination's.
+type peerTap struct {
+	transport.Network
+	mu     sync.Mutex
+	frames []peerFrame
+}
+
+func (n *peerTap) Dial(addr string) (transport.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &peerTapConn{Conn: c, tap: n}, nil
+}
+
+func (n *peerTap) note(recv bool, f *wire.Frame) {
+	pf := peerFrame{recv: recv, kind: f.Kind, from: int(f.Dev), to: -1, step: int(f.Step)}
+	switch f.Kind {
+	case wire.KindRelay:
+		inner, err := wire.DecodeRelay(f)
+		if err != nil {
+			return
+		}
+		pf.kind, pf.from, pf.to = inner.Kind, int(inner.Dev), int(f.Dev)
+	case wire.KindOutput, wire.KindPeerAck, wire.KindRingSegment:
+	default:
+		return
+	}
+	n.mu.Lock()
+	n.frames = append(n.frames, pf)
+	n.mu.Unlock()
+}
+
+func (n *peerTap) count(kind wire.Kind) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	c := 0
+	for _, f := range n.frames {
+		if f.kind == kind {
+			c++
+		}
+	}
+	return c
+}
+
+type peerTapConn struct {
+	transport.Conn
+	tap *peerTap
+}
+
+func (c *peerTapConn) Send(f *wire.Frame) error {
+	c.tap.note(false, f)
+	return c.Conn.Send(f)
+}
+
+func (c *peerTapConn) Recv() (*wire.Frame, error) {
+	f, err := c.Conn.Recv()
+	if err == nil {
+		c.tap.note(true, f)
+	}
+	return f, err
+}
+
+// TestPeerAcksOnlyUnderDPU pins the ack rule under both topologies:
+// without DPU the step barrier bounds every sender, so no KindPeerAck
+// frame crosses any connection; under DPU the consumers ack every input.
+// The hub rows count the acks the coordinator relays, the ring rows the
+// ones on the direct links.
+func TestPeerAcksOnlyUnderDPU(t *testing.T) {
+	leakCheck(t)
+	const steps = 5
+	batches := tinyBatches(steps, 6)
+	p := hybridPlan()
+	for _, topology := range []string{"hub", "ring"} {
+		for _, dpu := range []bool{false, true} {
+			ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+			refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: dpu, LR: 0.05, Momentum: 0.9})
+
+			inner := transport.NewLoopback()
+			tap := &peerTap{Network: inner}
+			coordNet, dial := transport.Network(inner), transport.Network(tap)
+			if topology == "hub" {
+				coordNet, dial = tap, inner
+			}
+			addrs := startWorkers(t, inner, 3, WorkerConfig{Sessions: 1, Dial: dial})
+			w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+			res, err := Run(coordNet, addrs, w, batches, Config{Plan: p, DPU: dpu,
+				LR: 0.05, Momentum: 0.9, Topology: topology,
+				Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 6)})
+			if err != nil {
+				t.Fatalf("%s dpu=%v: %v", topology, dpu, err)
+			}
+			lossesBitIdentical(t, topology, res, refRes)
+			weightsBitIdentical(t, topology, w, ref)
+			if tap.count(wire.KindOutput) == 0 {
+				t.Fatalf("%s dpu=%v: the tap saw no activation, so it counts nothing", topology, dpu)
+			}
+			acks := tap.count(wire.KindPeerAck)
+			if !dpu && acks != 0 {
+				t.Fatalf("%s run without DPU sent %d peer acks, want none", topology, acks)
+			}
+			if dpu && acks == 0 {
+				t.Fatalf("%s run with DPU sent no peer acks", topology)
+			}
+		}
+	}
+}
+
+// TestHubRelayedAcksBoundTheWindow: under DPU a hub run's acks still hold
+// each activation sender within ackWindow steps of its consumer. The
+// consumer's worker is throttled, so an unbounded sender would run ahead;
+// the coordinator relays everything, so it must receive the consumer's
+// ack of step s-ackWindow before the sender's activation of step s.
+func TestHubRelayedAcksBoundTheWindow(t *testing.T) {
+	leakCheck(t)
+	const steps = 8
+	batches := tinyBatches(steps, 6)
+	p := plan("tr-2dev", g([]int{0}, []int{0, 1}), g([]int{1}, []int{2, 3}))
+	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
+
+	inner := transport.NewLoopback()
+	fast := startWorkers(t, inner, 1, WorkerConfig{Sessions: 1})
+	slow := startWorkers(t, inner, 1, WorkerConfig{Sessions: 1, Backend: tensor.NewThrottled(tensor.Default(), 8)})
+	tap := &peerTap{Network: inner}
+	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	res, err := Run(tap, append(fast, slow...), w, batches, Config{Plan: p, DPU: true,
+		LR: 0.05, Momentum: 0.9, Topology: "hub",
+		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 6)})
+	if err != nil {
+		t.Fatalf("hub run with a slow consumer: %v", err)
+	}
+	lossesBitIdentical(t, "slow consumer", res, refRes)
+	weightsBitIdentical(t, "slow consumer", w, ref)
+
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	acked := -1
+	outputs := 0
+	for _, f := range tap.frames {
+		if !f.recv {
+			continue
+		}
+		switch f.kind {
+		case wire.KindPeerAck:
+			acked = f.step
+		case wire.KindOutput:
+			outputs++
+			if f.step-ackWindow > acked {
+				t.Fatalf("device %d sent the activation of step %d with only step %d acked (window %d)",
+					f.from, f.step, acked, ackWindow)
+			}
+		}
+	}
+	if outputs != steps {
+		t.Fatalf("coordinator received %d relayed activations, want %d", outputs, steps)
+	}
+}
+
+// forgeNet wraps the coordinator's network so the first inbound frame
+// forge rewrites is replaced by what forge returns: a worker session
+// misbehaving on its control link.
+type forgeNet struct {
+	transport.Network
+	forge func(f *wire.Frame) []*wire.Frame // nil: leave f alone
+	fired atomic.Bool
+}
+
+func (n *forgeNet) Dial(addr string) (transport.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &forgeConn{Conn: c, net: n}, nil
+}
+
+type forgeConn struct {
+	transport.Conn
+	net     *forgeNet
+	pending []*wire.Frame
+}
+
+func (c *forgeConn) Recv() (*wire.Frame, error) {
+	if len(c.pending) == 0 {
+		f, err := c.Conn.Recv()
+		if err != nil {
+			return nil, err
+		}
+		c.pending = []*wire.Frame{f}
+		if forged := c.net.forge(f); forged != nil && c.net.fired.CompareAndSwap(false, true) {
+			c.pending = forged
+		}
+	}
+	f := c.pending[0]
+	c.pending = c.pending[1:]
+	return f, nil
+}
+
+// TestRelayRefusesForgedEdges: the coordinator forwards a relay envelope
+// only when its inner source is a device the sending session hosts and
+// the (source, destination) pair is an edge the attempt relays. A session
+// claiming a sibling's device as the source of a hub activation, or
+// injecting an envelope onto a ring's direct edge, fails the attempt with
+// a protocol error naming the edge.
+func TestRelayRefusesForgedEdges(t *testing.T) {
+	leakCheck(t)
+	const steps = 4
+	batches := tinyBatches(steps, 6)
+	cases := []struct {
+		name, topology string
+		forge          func(f *wire.Frame) []*wire.Frame
+	}{
+		// Device 0's session relays its activation as if device 1 — hosted
+		// by another worker — had sent it; 1->2 is a relayed edge.
+		{"hub-spoofed-source", "hub", func(f *wire.Frame) []*wire.Frame {
+			if f.Kind != wire.KindRelay {
+				return nil
+			}
+			inner, err := wire.DecodeRelay(f)
+			if err != nil || inner.Kind != wire.KindOutput || inner.Dev != 0 {
+				return nil
+			}
+			inner.Dev = 1
+			return []*wire.Frame{wire.EncodeRelay(f.Dev, inner)}
+		}},
+		// Device 0's session pushes an activation onto its direct ring
+		// edge to device 2 through the coordinator.
+		{"ring-direct-edge", "ring", func(f *wire.Frame) []*wire.Frame {
+			if f.Kind != wire.KindLosses || f.Dev != 0 {
+				return nil
+			}
+			out := wire.EncodeTensor(wire.KindOutput, 0, f.Step, tensor.New(3, 3, 8, 8))
+			return []*wire.Frame{wire.EncodeRelay(2, out), f}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := transport.NewLoopback()
+			addrs := startWorkers(t, inner, 3, WorkerConfig{Sessions: 1, Rejoin: true, Dial: inner})
+			net := &forgeNet{Network: inner, forge: tc.forge}
+			_, err := Run(net, addrs, distill.NewTinyWorkbench(distill.DefaultTinyConfig()), batches, Config{
+				Plan: hybridPlan(), DPU: true, LR: 0.05, Momentum: 0.9, Topology: tc.topology,
+				Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 6),
+				MaxRestarts: 2, JoinTimeout: 5 * time.Second,
+			})
+			if !net.fired.Load() {
+				t.Fatal("the forged envelope was never sent")
+			}
+			if err == nil || !strings.Contains(err.Error(), "not a relayed edge") {
+				t.Fatalf("forged relay: got %v, want the coordinator's relayed-edge refusal", err)
+			}
+		})
+	}
+}

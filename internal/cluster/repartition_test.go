@@ -189,7 +189,7 @@ func TestRepartitionPersistentPeerDelayBitIdentical(t *testing.T) {
 	// a persistently slow interconnect rather than a slow device.
 	delay := transport.NewChaos(inner, transport.Fault{
 		Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpSend,
-			Kind: wire.KindPeerInput, Step: transport.AnyStep, Count: 1},
+			Kind: wire.KindOutput, Step: transport.AnyStep, Count: 1},
 		Action: transport.ActDelay, Delay: 3 * time.Millisecond, Repeat: true,
 	})
 	cfg := WorkerConfig{Sessions: 1, Rejoin: true, Dial: delay}

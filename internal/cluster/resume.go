@@ -204,6 +204,7 @@ func resumeSetup(net transport.Network, dir string, led *ledger.Ledger, man *led
 		JoinTimeout:       rc.JoinTimeout,
 		MaxRestarts:       maxRestarts,
 		HeartbeatInterval: rc.HeartbeatInterval,
+		RetryBudget:       time.Duration(man.Assign.Run.RetryBudgetMillis) * time.Millisecond,
 		Logf:              rc.Logf,
 		Fsync:             rc.Fsync,
 		Repartition:       rc.Repartition,

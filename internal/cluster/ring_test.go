@@ -149,14 +149,14 @@ func TestRingRecoveryBitEquivalence(t *testing.T) {
 	}
 	kinds := map[string]wire.Kind{
 		"all-reduce":  wire.KindRingSegment,
-		"activations": wire.KindPeerInput,
+		"activations": wire.KindOutput,
 	}
 	for netName, mkNet := range transports {
 		for kindName, kind := range kinds {
 			for _, killStep := range []int32{0, steps / 2, steps - 1} {
 				// Exercise the barrier path under all-reduce kills and the
 				// DPU path under activation kills.
-				dpu := kind == wire.KindPeerInput
+				dpu := kind == wire.KindOutput
 				label := fmt.Sprintf("%s/%s/kill-step-%d", netName, kindName, killStep)
 				t.Run(label, func(t *testing.T) {
 					inner := mkNet()
@@ -208,7 +208,7 @@ func TestRingRecoveryFallsBackToSurvivingWorker(t *testing.T) {
 	// back to worker A for both devices.
 	chaos := transport.NewChaos(inner, transport.Fault{
 		Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpRecv,
-			Kind: wire.KindPeerInput, Step: 1, Count: 1},
+			Kind: wire.KindOutput, Step: 1, Count: 1},
 		Action: transport.ActKill,
 	})
 	addrA := startWorkers(t, inner, 1, WorkerConfig{Rejoin: true, Dial: chaos})[0]
@@ -256,8 +256,9 @@ func TestRingRecoveryBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestRingRejectsMisconfiguration: ring sessions need a dial network on
-// the worker, and unknown topologies are rejected up front.
+// TestRingRejectsMisconfiguration: a session with direct peer edges needs
+// a dial network on the worker, and unknown topologies are rejected up
+// front.
 func TestRingRejectsMisconfiguration(t *testing.T) {
 	batches := tinyBatches(2, 8)
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
@@ -276,7 +277,7 @@ func TestRingRejectsMisconfiguration(t *testing.T) {
 	}
 }
 
-// TestAssembleShards: the one assembly hub and ring share concatenates in
+// TestAssembleShards: the downstream device's assembly concatenates in
 // rank order, passes a lone shard through and reports unequal shards
 // instead of copying past them.
 func TestAssembleShards(t *testing.T) {

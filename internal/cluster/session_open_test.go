@@ -44,14 +44,23 @@ func (c *tapConn) Send(f *wire.Frame) error {
 	return c.Conn.Send(f)
 }
 
-// inputTraffic splits the tapped KindInput frames by destination: frames
-// and bytes addressed to devices of the plan's first group, and frames to
-// any later group.
-func (n *sendTap) inputTraffic(group0 []int) (g0Frames, g0Bytes, laterFrames int) {
+// activationTraffic splits the activations the coordinator forwarded —
+// KindOutput frames inside relay envelopes — by destination: frames and
+// bytes addressed to devices of the plan's first group, and frames to any
+// later group.
+func (n *sendTap) activationTraffic(t *testing.T, group0 []int) (g0Frames, g0Bytes, laterFrames int) {
+	t.Helper()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, f := range n.frames {
-		if f.Kind != wire.KindInput {
+		if f.Kind != wire.KindRelay {
+			continue
+		}
+		inner, err := wire.DecodeRelay(f)
+		if err != nil {
+			t.Fatalf("tapped relay envelope does not decode: %v", err)
+		}
+		if inner.Kind != wire.KindOutput {
 			continue
 		}
 		first := false
@@ -89,9 +98,9 @@ func (n *sendTap) assigns(t *testing.T) []*wire.Assign {
 
 // TestHubInputRecipeReadLocally: a hub run moves no batch over any
 // connection — group-0 devices regenerate the schedule from Config.Data,
-// so the coordinator sends them no KindInput frame at all — while the hub
-// still relays activations to the later group, and the run stays
-// bit-identical to the in-process engine. A recipe that does not
+// so the coordinator forwards them no activation at all — while the hub
+// relays each upstream member's activation shard to the later group, and
+// the run stays bit-identical to the in-process engine. A recipe that does not
 // reproduce the run's batches is rejected under hub exactly as under ring.
 func TestHubInputRecipeReadLocally(t *testing.T) {
 	leakCheck(t)
@@ -115,12 +124,12 @@ func TestHubInputRecipeReadLocally(t *testing.T) {
 	lossesBitIdentical(t, "hub data recipe", res, refRes)
 	weightsBitIdentical(t, "hub data recipe", w, ref)
 
-	g0Frames, g0Bytes, later := tap.inputTraffic(p.Groups[0].Devices)
+	g0Frames, g0Bytes, later := tap.activationTraffic(t, p.Groups[0].Devices)
 	if g0Frames != 0 {
-		t.Fatalf("coordinator fed group 0 %d input frames (%d bytes) despite the recipe", g0Frames, g0Bytes)
+		t.Fatalf("coordinator fed group 0 %d activation frames (%d bytes) despite the recipe", g0Frames, g0Bytes)
 	}
-	if later != steps {
-		t.Fatalf("hub relayed %d activations to the later group, want one per step (%d)", later, steps)
+	if want := steps * p.Groups[0].Split(); later != want {
+		t.Fatalf("hub relayed %d activations to the later group, want one per upstream member and step (%d)", later, want)
 	}
 	if assigns := tap.assigns(t); len(assigns) != 2 || assigns[0].Run.Data != recipe {
 		t.Fatalf("tapped %d assigns, want 2 naming the run's recipe", len(assigns))

@@ -2,9 +2,10 @@
 // processes: a coordinator maps a sched.Plan's devices onto workers over
 // a pluggable transport, opens each worker's session with one Assign
 // frame (model spec, seed parameters, the recipe the first group
-// regenerates its batches from), routes teacher-relay activations and intra-group
-// gradient all-reduce frames between pipeline stages, and streams back
-// per-block losses and the trained weights.
+// regenerates its batches from, which peer edges it relays), and collects
+// per-block losses and the trained weights while the devices exchange
+// teacher-relay activations and intra-group gradient all-reduce frames
+// among themselves.
 //
 // Every worker runs the exact engine.RunMember device loop the in-process
 // pipeline uses, behind a transport-backed engine.DeviceLink, and all
@@ -34,32 +35,38 @@
 // the only copy of the data a run keeps: no batch rides in an Assign or a
 // ledger manifest, and no per-step input frame exists.
 //
-// # Topologies: hub and peer-to-peer ring
+// # One data plane, two ways to carry its edges
 //
-// Config.Topology selects the data plane (wire codec v4). The default
-// "hub" routes every activation and gradient through the coordinator. "ring" gives the
-// workers direct links: each session's Assign carries the run's
-// placement directory and a unique epoch, the workers dial each other
-// (higher-ranked device's host dials the lower's, a PeerHello echo pins
-// (epoch, from, to) so a stale dial from a superseded attempt can never
-// wire into a fresh mesh), and then
+// Every session runs the same device link (ringLink) over one endpoint
+// per peer edge:
 //
-//   - stage-to-stage activations flow from every member of a group
-//     straight to every member of the next group (PeerInput frames,
-//     acknowledged per step so the sender's window matches the hub's
-//     pipeline-depth backpressure), and
+//   - stage-to-stage activations flow from every member of a group to
+//     every member of the next group (Output frames; under DPU each is
+//     acknowledged so a sender runs at most two steps ahead, without DPU
+//     the step barrier bounds it and no ack is sent), and
 //   - split groups average gradients with a ring collective: a direct
 //     reduce-scatter (each member sends each segment to its owner, the
 //     owner folds contributions in ascending rank order from a zeroed
-//     accumulator — the exact order the hub uses) followed by a ring
-//     all-gather (RingSegment frames; two-member groups exchange whole
-//     vectors instead).
+//     accumulator — the in-process engine's exact order) followed by a
+//     ring all-gather (RingSegment frames; two-member groups exchange
+//     whole vectors instead).
 //
-// The coordinator is demoted to a control plane — placement, loss
-// collection, the step barrier, snapshots. Coordinator traffic therefore
-// no longer scales with activation, gradient, or input size, while both
-// topologies stay bit-identical to the in-process pipeline and to each
-// other.
+// Each Assign carries the run's placement directory, a unique epoch and
+// the list of relayed edges; Config.Topology only decides that list.
+// Under "ring" it starts empty: the workers dial each other
+// (higher-ranked device's host dials the lower's, a PeerHello echo pins
+// (epoch, from, to) so a stale dial from a superseded attempt can never
+// wire into a fresh mesh), and only an edge whose link exhausted its
+// retry budget is relayed from the next attempt on. Under "hub" (the
+// default) every edge of the attempt's plan is relayed and no worker
+// dials. A relayed frame travels up its session's control link in a Relay
+// envelope; the coordinator checks that the session hosts the frame's
+// source and that the edge is relayed, and forwards it unopened.
+//
+// Either way the coordinator assembles and reduces nothing — its own work
+// is placement, loss collection, the step barrier and snapshots — and
+// both topologies are bit-identical to the in-process pipeline and to
+// each other.
 //
 // # Fault tolerance: one recovery model, the global cut
 //
@@ -85,7 +92,7 @@
 // cut. The worker rebuilds the replicas, restores them, and runs the same
 // device loop from cut+1.
 //
-// Nothing in flight is salvaged: a half-assembled gather or one side of a
+// Nothing in flight is salvaged: a half-assembled input or one side of a
 // ring collective dies with the attempt and is recomputed, because the
 // teacher relay makes every replayed step a pure function of the restored
 // state and the batches. A fresh attempt therefore never sees a

@@ -101,17 +101,17 @@ func TestChaosKillOnRecv(t *testing.T) {
 // TestChaosDelay: ActDelay injects latency but loses nothing.
 func TestChaosDelay(t *testing.T) {
 	client, server := chaosPair(t, Fault{
-		Trigger: Trigger{Conn: 0, Op: OpSend, Kind: wire.KindInput, Step: AnyStep, Count: 1},
+		Trigger: Trigger{Conn: 0, Op: OpSend, Kind: wire.KindOutput, Step: AnyStep, Count: 1},
 		Action:  ActDelay, Delay: 30 * time.Millisecond,
 	})
 	start := time.Now()
-	if err := client.Send(wire.EncodeTensor(wire.KindInput, 0, 0, tensor.Ones(2, 2))); err != nil {
+	if err := client.Send(wire.EncodeTensor(wire.KindOutput, 0, 0, tensor.Ones(2, 2))); err != nil {
 		t.Fatalf("delayed send: %v", err)
 	}
 	if d := time.Since(start); d < 30*time.Millisecond {
 		t.Fatalf("send returned after %v, want >= 30ms", d)
 	}
-	if f, err := server.Recv(); err != nil || f.Kind != wire.KindInput {
+	if f, err := server.Recv(); err != nil || f.Kind != wire.KindOutput {
 		t.Fatalf("delayed frame lost: %+v, %v", f, err)
 	}
 }
@@ -121,10 +121,10 @@ func TestChaosDelay(t *testing.T) {
 // mid-write.
 func TestChaosTruncate(t *testing.T) {
 	client, server := chaosPair(t, Fault{
-		Trigger: Trigger{Conn: 0, Op: OpSend, Kind: wire.KindInput, Step: AnyStep, Count: 1},
+		Trigger: Trigger{Conn: 0, Op: OpSend, Kind: wire.KindOutput, Step: AnyStep, Count: 1},
 		Action:  ActTruncate,
 	})
-	err := client.Send(wire.EncodeTensor(wire.KindInput, 0, 0, tensor.Ones(4, 4)))
+	err := client.Send(wire.EncodeTensor(wire.KindOutput, 0, 0, tensor.Ones(4, 4)))
 	if !errors.Is(err, ErrChaos) {
 		t.Fatalf("truncated send: got %v, want ErrChaos", err)
 	}

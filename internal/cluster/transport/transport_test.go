@@ -53,9 +53,9 @@ func exerciseNetwork(t *testing.T, net Network, addr string) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	payload := wire.EncodeTensor(wire.KindInput, 1, 0, tensor.Ones(2, 3, 4, 4))
+	payload := wire.EncodeTensor(wire.KindOutput, 1, 0, tensor.Ones(2, 3, 4, 4))
 	for i := 0; i < 50; i++ {
-		f := &wire.Frame{Kind: wire.KindInput, Dev: 1, Step: int32(i), Payload: payload.Payload}
+		f := &wire.Frame{Kind: wire.KindOutput, Dev: 1, Step: int32(i), Payload: payload.Payload}
 		if err := client.Send(f); err != nil {
 			t.Fatalf("client Send %d: %v", i, err)
 		}

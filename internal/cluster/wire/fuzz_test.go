@@ -27,7 +27,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(encodeSeed(EncodeSpans(SpanBatch{Dev: 1, Track: "dev1"})))
 	f.Add(encodeSeed(&Frame{Kind: KindRepartition, Dev: NoDev, Step: 3, Payload: EncodePlan(sampleAssign().Plan)}))
 	for _, inner := range []*Frame{
-		EncodeTensor(KindPeerInput, 1, 4, tensor.New(2, 3)),
+		EncodeTensor(KindOutput, 1, 4, tensor.New(2, 3)),
 		Control(KindPeerAck, 2, 4),
 		EncodeRingSegment(1, 4, RingGather, 1, []float32{1, -2}),
 		Control(KindStepGo, 1, 4), // not a peer frame: the envelope must refuse it
@@ -37,7 +37,7 @@ func FuzzReadFrame(f *testing.F) {
 	for _, retired := range retiredKinds {
 		f.Add(encodeSeed(&Frame{Kind: retired, Dev: NoDev, Step: NoStep}))
 	}
-	f.Add([]byte{Magic, Version, byte(KindInput), 0})
+	f.Add([]byte{Magic, Version, byte(KindOutput), 0})
 	f.Add([]byte{Magic, 1, byte(KindHello), 0}) // version skew: old peer
 
 	f.Add([]byte{})
@@ -60,8 +60,8 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// Kind-specific decoders must not panic on arbitrary payloads.
 		_, _ = DecodeAssign(&Frame{Kind: KindAssign, Payload: fr.Payload})
-		_, _ = DecodeTensor(&Frame{Kind: KindInput, Payload: fr.Payload})
-		_, _ = DecodeTensors(&Frame{Kind: KindGrads, Payload: fr.Payload})
+		_, _ = DecodeTensor(&Frame{Kind: KindOutput, Payload: fr.Payload})
+		_, _ = DecodeTensors(&Frame{Kind: KindFinalParams, Payload: fr.Payload})
 		_, _ = DecodeLosses(&Frame{Kind: KindLosses, Payload: fr.Payload})
 		_, _, _ = DecodeDeviceSnapshot(&Frame{Kind: KindSnapshot, Payload: fr.Payload})
 		_, _ = DecodePeerHello(&Frame{Kind: KindPeerHello, Payload: fr.Payload})
@@ -72,7 +72,7 @@ func FuzzReadFrame(f *testing.F) {
 		_, _ = DecodePlan(fr.Payload)
 		if inner, err := DecodeRelay(&Frame{Kind: KindRelay, Dev: fr.Dev, Step: fr.Step, Payload: fr.Payload}); err == nil {
 			switch inner.Kind {
-			case KindPeerInput, KindPeerAck, KindRingSegment:
+			case KindOutput, KindPeerAck, KindRingSegment:
 			default:
 				t.Fatalf("relay envelope let a %v frame through", inner.Kind)
 			}

@@ -83,10 +83,10 @@ type RunConfig struct {
 	// frames and survive connection loss by redial-and-replay, giving up
 	// once this much downtime elapses. 0 keeps links fail-fast.
 	RetryBudgetMillis int
-	// Topology selects the data plane: "" or "hub" routes activations and
-	// gradient reductions through the coordinator; "ring" moves them onto
-	// direct worker-to-worker links (the coordinator keeps only the
-	// control plane: placement, barriers, losses, snapshots).
+	// Topology records the run's data plane, "" or "hub" (every peer edge
+	// relayed) or "ring" (direct peer links), for the coordinator and its
+	// ledger manifest; workers route by the Assign's Relayed list and never
+	// read it.
 	Topology string
 	// Data is the run's batch schedule as a deterministic recipe. Sessions
 	// hosting first-group devices regenerate their batches from it — the
@@ -193,32 +193,31 @@ type Assign struct {
 	Run     RunConfig
 	Devices []int // device ranks hosted by the receiving worker
 	// Peers is the placement directory for the peer data plane: Peers[d]
-	// is the listen address of the worker hosting device d. Required
-	// (len == total devices) when Run.Topology is "ring"; empty for hub
-	// sessions.
+	// is the listen address of the worker hosting device d, one entry per
+	// device of the plan.
 	Peers []string
 	// Epoch stamps the run attempt the session belongs to. Peer handshakes
 	// carry it so a stale connection from a previous attempt (or a previous
 	// coordinator generation) can never wire into a new mesh.
 	Epoch    int64
 	Snapshot Snapshot
-	// Degraded lists peer edges demoted to hub-relayed routing, as
-	// flattened device-rank pairs [from0, to0, from1, to1, ...]. The mesh
-	// dials none of these pairs; whatever crosses them — activations, acks,
-	// ring segments — travels in KindRelay envelopes via the coordinator.
-	// Empty in the fault-free case.
-	Degraded []int
+	// Relayed lists the peer edges routed through the coordinator, as
+	// flattened device-rank pairs [from0, to0, from1, to1, ...]: every edge
+	// of the plan under the hub, the edges degraded so far under the ring.
+	// The mesh dials none of these pairs; whatever crosses them —
+	// activations, acks, ring segments — travels in KindRelay envelopes.
+	Relayed []int
 	// States restores the hosted devices before they run: empty when the
 	// attempt starts at the seed (Snapshot and a fresh optimizer are the
 	// whole state), otherwise exactly one entry per entry of Devices.
 	States []DeviceState
 }
 
-// DegradedEdges decodes the flattened Degraded list into pairs.
-func (a *Assign) DegradedEdges() [][2]int {
+// RelayedEdges decodes the flattened Relayed list into pairs.
+func (a *Assign) RelayedEdges() [][2]int {
 	var out [][2]int
-	for i := 0; i+1 < len(a.Degraded); i += 2 {
-		out = append(out, [2]int{a.Degraded[i], a.Degraded[i+1]})
+	for i := 0; i+1 < len(a.Relayed); i += 2 {
+		out = append(out, [2]int{a.Relayed[i], a.Relayed[i+1]})
 	}
 	return out
 }
@@ -267,7 +266,7 @@ func writeAssignBody(w *Writer, a *Assign) {
 	w.I64(a.Epoch)
 	writeSnapshotHalf(w, a.Snapshot.Teacher)
 	writeSnapshotHalf(w, a.Snapshot.Student)
-	w.I32s(a.Degraded)
+	w.I32s(a.Relayed)
 	w.U32(uint32(len(a.States)))
 	for _, st := range a.States {
 		w.I32(int32(st.Dev))
@@ -327,9 +326,9 @@ func readAssignBody(r *Reader) (*Assign, error) {
 	if a.Snapshot.Student, err = readSnapshotHalf(r); err != nil {
 		return nil, err
 	}
-	a.Degraded = r.I32s()
-	if len(a.Degraded)%2 != 0 {
-		return nil, fmt.Errorf("wire: degraded edge list has odd length %d", len(a.Degraded))
+	a.Relayed = r.I32s()
+	if len(a.Relayed)%2 != 0 {
+		return nil, fmt.Errorf("wire: relayed edge list has odd length %d", len(a.Relayed))
 	}
 	n := r.count(r.U32(), 16) // dev + step + two counted tensor lists
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -495,7 +494,7 @@ func readSnapshotHalf(r *Reader) ([][]*tensor.Tensor, error) {
 }
 
 // EncodeTensor packs a single tensor into a frame of the given kind
-// (KindInput or KindOutput).
+// (KindOutput).
 func EncodeTensor(kind Kind, dev, step int32, t *tensor.Tensor) *Frame {
 	w := NewWriter()
 	w.Tensor(t)
@@ -513,7 +512,7 @@ func DecodeTensor(f *Frame) (*tensor.Tensor, error) {
 }
 
 // EncodeTensors packs a tensor list into a frame of the given kind
-// (KindGrads, KindGradsReduced, or KindFinalParams).
+// (KindFinalParams).
 func EncodeTensors(kind Kind, dev, step int32, ts []*tensor.Tensor) *Frame {
 	w := NewWriter()
 	w.Tensors(ts)
@@ -634,7 +633,7 @@ func DecodeLinkDown(f *Frame) (from, to int, err error) {
 // relayHeader is the envelope's own prefix: inner kind byte + sending device.
 const relayHeader = 5
 
-// EncodeRelay wraps a peer frame for a degraded edge: Dev routes to the
+// EncodeRelay wraps a peer frame for a relayed edge: Dev routes to the
 // destination device, Step is the inner frame's, and the payload is the
 // inner kind byte, the sending device (the inner frame's Dev) and the inner
 // payload verbatim — the bytes the direct link would have carried.
@@ -658,7 +657,7 @@ func DecodeRelay(f *Frame) (*Frame, error) {
 		return nil, err
 	}
 	switch inner.Kind {
-	case KindPeerInput, KindPeerAck, KindRingSegment:
+	case KindOutput, KindPeerAck, KindRingSegment:
 	default:
 		return nil, fmt.Errorf("wire: relay envelope carries a %v frame", inner.Kind)
 	}

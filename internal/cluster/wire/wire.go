@@ -13,8 +13,8 @@
 //
 // A session has one way in (Assign) and its links one way to open or
 // resume (PeerHello, echoed; the coordinator is device NoDev). Frames a
-// peer link carries — PeerInput, PeerAck, RingSegment — cross a degraded
-// edge unchanged inside a Relay envelope that only the two ends interpret.
+// peer link carries — Output, PeerAck, RingSegment — cross a relayed edge
+// unchanged inside a Relay envelope that only the two ends interpret.
 package wire
 
 import (
@@ -64,8 +64,13 @@ const (
 	// made the data recipe the one copy of a run's data: the Assign lost
 	// its prestaged batch-input schedule (RunConfig.Data is required), and
 	// RunConfig's retry spec shrank to its budget (RetryBudgetMillis) — the
-	// backoff and ack interval run at the transport's defaults.
-	Version = 11
+	// backoff and ack interval run at the transport's defaults; version 12
+	// made the hub a ring with every edge relayed: the coordinator forwards
+	// Relay envelopes and never assembles or reduces, so the Input, Grads
+	// and GradsReduced kinds (bytes 3, 5, 6) are retired and PeerInput
+	// (byte 18) is folded into Output, the Assign's Degraded list became
+	// its Relayed list, and Peers is always filled.
+	Version = 12
 
 	headerLen = 16
 	// MaxPayload bounds a frame's payload so a corrupted or adversarial
@@ -89,19 +94,13 @@ const (
 	// and — when the attempt starts past the seed — the per-device restart
 	// states to install before replaying.
 	KindAssign
-	// KindInput carries a device's full-batch input activation for one
-	// step (the data batch for group 0, the relayed teacher activation
-	// otherwise).
-	KindInput
-	// KindOutput carries a device's boundary-activation shard for one
-	// step, flowing back to the coordinator for assembly.
+	_ // 3 was the Input kind, retired in version 12 (the coordinator relays, it never assembles)
+	// KindOutput carries a device's boundary-activation shard for one step
+	// to a member of the next group: over the peer link between them, or
+	// inside a Relay envelope across a relayed edge.
 	KindOutput
-	// KindGrads carries a member's flattened gradient tensors for one
-	// step of the intra-group all-reduce.
-	KindGrads
-	// KindGradsReduced carries the rank-ordered gradient mean back to a
-	// member.
-	KindGradsReduced
+	_ // 5 was the Grads kind, retired in version 12 (split groups reduce in RingSegment frames)
+	_ // 6 was the GradsReduced kind, retired in version 12
 	// KindStepDone signals a device finished its backward pass for one
 	// step (only sent when decoupled parameter update is disabled).
 	KindStepDone
@@ -134,17 +133,16 @@ const (
 	// accepting session echoes the frame back on the same connection to
 	// complete the handshake.
 	KindPeerHello
-	// KindPeerInput carries a device's boundary-activation shard for one
-	// step directly to a member of the next group (ring topology's
-	// replacement for the KindOutput → coordinator → KindInput relay).
-	KindPeerInput
+	_ // 18 was the PeerInput kind, folded into KindOutput in version 12
 	// KindRingSegment carries one segment of the decentralized gradient
 	// all-reduce between members of a split group: reduce-scatter
 	// contributions, all-gather rounds, and the two-member full-vector
 	// exchange.
 	KindRingSegment
-	// KindPeerAck acknowledges consumption of a peer-input frame so the
-	// sending device can bound its in-flight activation window.
+	// KindPeerAck acknowledges consumption of an Output frame so the
+	// sending device can bound its in-flight activation window (sent only
+	// under decoupled parameter update: without it the step barrier bounds
+	// every sender).
 	KindPeerAck
 	// KindSpans carries a batch of observability span events from a
 	// worker-hosted device track to the coordinator (sent at step
@@ -171,23 +169,24 @@ const (
 	// to degrade the broken edges to hub-relayed routing instead of
 	// consuming a restart-budget unit.
 	KindLinkDown
-	// KindRelay is the envelope a peer frame (PeerInput, PeerAck or
-	// RingSegment) crosses a degraded peer edge in: the sending session
+	// KindRelay is the envelope a peer frame (Output, PeerAck or
+	// RingSegment) crosses a relayed peer edge in: the sending session
 	// ships it up its control link, the coordinator forwards it verbatim by
-	// Dev — the destination device — and the hosting session unwraps it
-	// into the peer inbox the direct link would have filled.
+	// Dev — the destination device — once the header names an edge the
+	// attempt relays from a device that session hosts, and the hosting
+	// session unwraps it into the peer inbox a direct link would have
+	// filled.
 	KindRelay
 	// 27 was the RelayAck kind, retired in version 10 (a PeerAck in a Relay).
 )
 
 var kindNames = map[Kind]string{
-	KindHello: "hello", KindAssign: "assign", KindInput: "input",
-	KindOutput: "output", KindGrads: "grads", KindGradsReduced: "grads-reduced",
+	KindHello: "hello", KindAssign: "assign", KindOutput: "output",
 	KindStepDone: "step-done", KindStepGo: "step-go", KindLosses: "losses",
 	KindFinalParams: "final-params", KindDone: "done", KindDrain: "drain",
 	KindHeartbeat: "heartbeat", KindSnapshot: "snapshot",
-	KindPeerHello: "peer-hello", KindPeerInput: "peer-input",
-	KindRingSegment: "ring-segment", KindPeerAck: "peer-ack", KindSpans: "spans",
+	KindPeerHello: "peer-hello", KindRingSegment: "ring-segment",
+	KindPeerAck: "peer-ack", KindSpans: "spans",
 	KindRepartition: "repartition", KindLinkAck: "link-ack",
 	KindLinkDown: "link-down", KindRelay: "relay",
 }

@@ -72,7 +72,7 @@ func TestTensorRoundTripExact(t *testing.T) {
 			}
 			ts = tensor.Rand(rng, -10, 10, shape...)
 		}
-		f := EncodeTensor(KindInput, 0, int32(trial), ts)
+		f := EncodeTensor(KindOutput, 0, int32(trial), ts)
 		got, err := DecodeTensor(roundTripFrame(t, f))
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
@@ -95,7 +95,7 @@ func TestTensorsRoundTrip(t *testing.T) {
 		tensor.Rand(rng, -1, 1, 2, 3, 4),
 		tensor.Rand(rng, -1, 1, 1, 1, 1, 1),
 	}
-	got, err := DecodeTensors(roundTripFrame(t, EncodeTensors(KindGrads, 1, 2, ts)))
+	got, err := DecodeTensors(roundTripFrame(t, EncodeTensors(KindFinalParams, 1, 2, ts)))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestTensorsRoundTrip(t *testing.T) {
 		}
 	}
 	// An empty list round-trips too.
-	got, err = DecodeTensors(roundTripFrame(t, EncodeTensors(KindGrads, 1, 2, nil)))
+	got, err = DecodeTensors(roundTripFrame(t, EncodeTensors(KindFinalParams, 1, 2, nil)))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty tensor list: got %v, %v", got, err)
 	}
@@ -342,9 +342,10 @@ func TestResumeTruncatedPayloadRejected(t *testing.T) {
 	}
 }
 
-// retiredKinds are the kind bytes version 9 (Batch, Resume) and version 10
-// (SessionResume, RelayAck) retired; their numbers stay reserved.
-var retiredKinds = []Kind{13, 16, 24, 27}
+// retiredKinds are the kind bytes version 9 (Batch, Resume), version 10
+// (SessionResume, RelayAck) and version 12 (Input, Grads, GradsReduced,
+// PeerInput) retired; their numbers stay reserved.
+var retiredKinds = []Kind{13, 16, 24, 27, 3, 5, 6, 18}
 
 // TestRetiredKindsAreUnknown: a frame stamped with a retired kind byte —
 // a Resume from an un-upgraded coordinator that somehow shares our
@@ -357,10 +358,12 @@ func TestRetiredKindsAreUnknown(t *testing.T) {
 			t.Fatalf("retired kind %d: got %v, want an unknown-kind error", k, err)
 		}
 	}
-	if KindDrain != 12 || KindHeartbeat != 14 || KindSnapshot != 15 || KindPeerHello != 17 ||
-		KindLinkAck != 23 || KindLinkDown != 25 || KindRelay != 26 || len(kindNames) != 23 {
-		t.Fatalf("kinds around the retired gaps moved: drain=%d heartbeat=%d snapshot=%d peer-hello=%d link-ack=%d link-down=%d relay=%d (%d kinds)",
-			KindDrain, KindHeartbeat, KindSnapshot, KindPeerHello, KindLinkAck, KindLinkDown, KindRelay, len(kindNames))
+	if KindAssign != 2 || KindOutput != 4 || KindStepDone != 7 || KindDrain != 12 || KindHeartbeat != 14 ||
+		KindSnapshot != 15 || KindPeerHello != 17 || KindRingSegment != 19 ||
+		KindLinkAck != 23 || KindLinkDown != 25 || KindRelay != 26 || len(kindNames) != 19 {
+		t.Fatalf("kinds around the retired gaps moved: assign=%d output=%d step-done=%d drain=%d heartbeat=%d snapshot=%d peer-hello=%d ring-segment=%d link-ack=%d link-down=%d relay=%d (%d kinds)",
+			KindAssign, KindOutput, KindStepDone, KindDrain, KindHeartbeat, KindSnapshot, KindPeerHello,
+			KindRingSegment, KindLinkAck, KindLinkDown, KindRelay, len(kindNames))
 	}
 }
 
@@ -368,11 +371,12 @@ func TestRetiredKindsAreUnknown(t *testing.T) {
 // coordinator: its hello frame is stamped with an older codec version and
 // must be rejected with ErrVersion — a clean, diagnosable handshake
 // failure rather than a mis-decoded session setup (the v2→v3 transition
-// moved RunConfig's snapshot fields, and v10→v11 dropped the Assign's
-// input schedule and two retry fields, so a mis-decode would silently
-// scramble the session).
+// moved RunConfig's snapshot fields, v10→v11 dropped the Assign's input
+// schedule and two retry fields, and v11→v12 reassigned the Output kind
+// to peer activations and retired the hub's gather kinds, so a mis-decode
+// would silently scramble the session).
 func TestVersionSkewOldWorker(t *testing.T) {
-	for _, old := range []byte{1, 2, 3, 9, 10} {
+	for _, old := range []byte{1, 2, 3, 9, 10, 11} {
 		raw := encodeFrameBytes(t, Control(KindHello, NoDev, NoStep))
 		raw[1] = old
 		_, err := ReadFrame(bytes.NewReader(raw))
@@ -449,13 +453,13 @@ func TestPeerHelloRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRelayEnvelope: the envelope a peer frame crosses a degraded edge in
+// TestRelayEnvelope: the envelope a peer frame crosses a relayed edge in
 // routes by the destination device, keeps the inner step, and unwraps to
 // exactly the frame the direct link would have delivered — for the three
 // kinds a peer link carries, and no other.
 func TestRelayEnvelope(t *testing.T) {
 	for _, inner := range []*Frame{
-		EncodeTensor(KindPeerInput, 1, 4, tensor.Rand(rand.New(rand.NewSource(3)), -1, 1, 2, 3)),
+		EncodeTensor(KindOutput, 1, 4, tensor.Rand(rand.New(rand.NewSource(3)), -1, 1, 2, 3)),
 		Control(KindPeerAck, 2, 4),
 		EncodeRingSegment(1, 4, RingContrib, 1, []float32{1, float32(math.Copysign(0, -1))}),
 	} {
@@ -599,7 +603,7 @@ func encodeFrameBytes(t *testing.T, f *Frame) []byte {
 func TestTruncatedFrames(t *testing.T) {
 	frames := [][]byte{
 		encodeFrameBytes(t, EncodeAssign(sampleAssign())),
-		encodeFrameBytes(t, EncodeTensor(KindInput, 0, 0, tensor.Ones(2, 3))),
+		encodeFrameBytes(t, EncodeTensor(KindOutput, 0, 0, tensor.Ones(2, 3))),
 		encodeFrameBytes(t, EncodeLosses(0, 0, []float64{1, 2})),
 	}
 	for fi, full := range frames {
@@ -628,9 +632,9 @@ func TestTruncatedPayloads(t *testing.T) {
 			t.Fatalf("Assign payload truncated to %d bytes decoded successfully", n)
 		}
 	}
-	tf := EncodeTensor(KindInput, 0, 0, tensor.Ones(3, 3))
+	tf := EncodeTensor(KindOutput, 0, 0, tensor.Ones(3, 3))
 	for n := 0; n < len(tf.Payload); n++ {
-		if _, err := DecodeTensor(&Frame{Kind: KindInput, Payload: tf.Payload[:n]}); err == nil {
+		if _, err := DecodeTensor(&Frame{Kind: KindOutput, Payload: tf.Payload[:n]}); err == nil {
 			t.Fatalf("tensor payload truncated to %d bytes decoded successfully", n)
 		}
 	}
@@ -644,19 +648,19 @@ func TestZeroDimTensorRejected(t *testing.T) {
 	w.U32(2) // rank 2
 	w.U32(3)
 	w.U32(0) // zero dimension
-	if _, err := DecodeTensor(&Frame{Kind: KindInput, Payload: w.Bytes()}); err == nil {
+	if _, err := DecodeTensor(&Frame{Kind: KindOutput, Payload: w.Bytes()}); err == nil {
 		t.Fatal("zero-dimension tensor decoded successfully")
 	}
 	// Rank 0 is likewise rejected.
 	w = NewWriter()
 	w.U32(0)
-	if _, err := DecodeTensor(&Frame{Kind: KindInput, Payload: w.Bytes()}); err == nil {
+	if _, err := DecodeTensor(&Frame{Kind: KindOutput, Payload: w.Bytes()}); err == nil {
 		t.Fatal("rank-0 tensor decoded successfully")
 	}
 	// Absurd rank is rejected before any allocation.
 	w = NewWriter()
 	w.U32(1 << 20)
-	if _, err := DecodeTensor(&Frame{Kind: KindInput, Payload: w.Bytes()}); err == nil {
+	if _, err := DecodeTensor(&Frame{Kind: KindOutput, Payload: w.Bytes()}); err == nil {
 		t.Fatal("rank 2^20 tensor decoded successfully")
 	}
 }
@@ -669,7 +673,7 @@ func TestOversizedTensorRejected(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		w.U32(1 << 16)
 	}
-	if _, err := DecodeTensor(&Frame{Kind: KindInput, Payload: w.Bytes()}); err == nil {
+	if _, err := DecodeTensor(&Frame{Kind: KindOutput, Payload: w.Bytes()}); err == nil {
 		t.Fatal("2^64-element tensor decoded successfully")
 	}
 }
@@ -761,7 +765,7 @@ func TestForgedCountsRejected(t *testing.T) {
 	}
 	w = NewWriter()
 	w.U32(0xFFFFFFF0) // tensor-list count
-	if _, err := DecodeTensors(&Frame{Kind: KindGrads, Payload: w.Bytes()}); err == nil {
+	if _, err := DecodeTensors(&Frame{Kind: KindFinalParams, Payload: w.Bytes()}); err == nil {
 		t.Fatal("forged tensor count accepted")
 	}
 }
@@ -779,7 +783,7 @@ func TestStreamOfFrames(t *testing.T) {
 	want := []*Frame{
 		Control(KindHello, NoDev, NoStep),
 		EncodeLosses(1, 0, []float64{0.5}),
-		EncodeTensor(KindInput, 2, 1, tensor.Ones(1, 2)),
+		EncodeTensor(KindOutput, 2, 1, tensor.Ones(1, 2)),
 		Control(KindDrain, NoDev, NoStep),
 	}
 	for _, f := range want {

@@ -29,8 +29,9 @@ type WorkerConfig struct {
 	// replacement. Without it every accepted session counts, successful
 	// or not.
 	Rejoin bool
-	// Dial is the network used to dial sibling workers for the peer data
-	// plane. Required for ring-topology sessions; hub sessions never dial
+	// Dial is the network used to dial sibling workers for the direct peer
+	// edges of a session. Needed only when an Assign names some edge direct
+	// (a ring run); under the hub every edge is relayed and nothing dials
 	// out. Tests meter or chaos-wrap it independently of the listener.
 	Dial transport.Network
 	// TraceDir, when set, enables span tracing for every session this
@@ -58,12 +59,13 @@ type WorkerConfig struct {
 
 // Worker hosts pipeline devices for a coordinator: it accepts a
 // connection, receives an Assign (plan, model spec, run config, hosted
-// device ranks, seed parameters and — on a restart — the per-device states
-// to restore and replay from), rebuilds one workbench replica per hosted
-// device, and drives each through engine.RunMember — the same device loop
-// the in-process pipeline uses — over a transport-backed DeviceLink. After
-// the last step it returns each group leader's trained student parameters
-// and drains back to accepting the next session.
+// device ranks, seed parameters, which peer edges are relayed and — on a
+// restart — the per-device states to restore and replay from), rebuilds
+// one workbench replica per hosted device, wires its peer endpoints, and
+// drives each through engine.RunMember — the same device loop the
+// in-process pipeline uses — over a ringLink. After the last step it
+// returns each group leader's trained student parameters and drains back
+// to accepting the next session.
 //
 // Sessions are served concurrently: after a restart a surviving worker
 // can host a dead sibling's devices in a second session beside its own,
@@ -166,9 +168,8 @@ func (w *Worker) logf(format string, args ...any) {
 type hostedDevice struct {
 	rank   int32
 	member engine.Member
-	link   *clusterLink
-	ring   *ringLink // ring-topology wrapper; nil in hub sessions
-	start  int       // first step to run (restored step + 1, else 0)
+	link   *ringLink
+	start  int // first step to run (restored step + 1, else 0)
 }
 
 // serveConn performs the shared accept handshake — a synchronous Hello,
@@ -335,22 +336,16 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	w.logf("assigned %d device(s) of plan %q, %d restored from the coordinator's cut: %s",
 		len(devices), assign.Plan.Name, len(assign.States), assign.Plan.Describe())
 
-	// Become reachable: register the hosted devices so a resumed control
-	// link — and, under the ring, sibling sessions' dials — find this
-	// session. Ring topology then establishes the peer mesh before any
-	// device loop runs, and wraps each device's link so activations and
-	// gradient reductions travel worker-to-worker.
+	// Become reachable and wire the peer endpoints before any device loop
+	// runs: a resumed control link and sibling sessions' dials find this
+	// session through the host registry.
 	m := newMesh(links, assign.Peers, control)
 	defer func() { m.close(err == nil) }()
 	defer w.unregisterHosts(m, assign.Devices)
-	if assign.Run.Topology == "ring" {
-		if err := w.establishMesh(m, assign, devices); err != nil {
-			return err
-		}
-		w.logf("peer mesh established for devices %v (epoch %d)", assign.Devices, assign.Epoch)
-	} else {
-		w.registerHosts(m, assign.Devices)
+	if err := w.establishMesh(m, assign, devices); err != nil {
+		return err
 	}
+	w.logf("peer mesh established for devices %v (epoch %d)", assign.Devices, assign.Epoch)
 	// failAll wakes every device loop of the session, whichever inbox it is
 	// blocked on: a device must not outlive its session, nor a sibling.
 	failAll := func(err error) {
@@ -394,8 +389,8 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 				routerErr <- superseded
 				return
 			case f.Kind == wire.KindRelay:
-				// A peer frame that crossed a degraded edge: it belongs in
-				// the peer inbox the direct link would have filled.
+				// A peer frame that crossed a relayed edge: it belongs in
+				// the peer inbox a direct link would have filled.
 				if err := m.unwrap(f); err != nil {
 					failAll(err)
 					routerErr <- err
@@ -491,11 +486,7 @@ func (w *Worker) spanSink(collect *obs.Collector) func(track string, spans []obs
 // suffices. All panics are contained to an error.
 func runDevice(d *hostedDevice, steps int, out *outbox) (err error) {
 	defer recoverSession(&err)
-	var link engine.DeviceLink = d.link
-	if d.ring != nil {
-		link = d.ring
-	}
-	engine.RunMemberFrom(d.member, d.start, steps, link)
+	engine.RunMemberFrom(d.member, d.start, steps, d.link)
 	// Spans drain at every FinishStep; this catches a zero-step session's
 	// (or a future post-loop instrumentation's) leftovers.
 	d.link.flushSpans()
@@ -570,15 +561,14 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 			pairs[bi] = wb.Pairs[b]
 			opts[bi] = nn.NewSGD(assign.Run.LR, assign.Run.Momentum, 0)
 		}
+		members, prev, next := peerSets(assign.Plan, rank)
 		d := &hostedDevice{
 			rank: int32(rank),
 			member: engine.Member{Group: gi, Rank: j, GroupSize: group.Split(),
 				Pairs: pairs, Opts: opts},
-			link: &clusterLink{dev: int32(rank),
-				firstGroup: gi == 0,
-				lastGroup:  gi == len(assign.Plan.Groups)-1,
-				dpu:        assign.Run.DPU,
-				in:         newInbox(), out: out},
+			link: &ringLink{clusterLink: &clusterLink{dev: int32(rank),
+				dpu: assign.Run.DPU, in: newInbox(), out: out},
+				rank: j, k: group.Split(), group: members, prev: prev, next: next},
 		}
 		if tracer != nil {
 			d.link.trace = tracer.NewTrack(fmt.Sprintf("dev%d", rank))
@@ -606,31 +596,28 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 	return devices, nil
 }
 
-// establishMesh wires a ring session's peer data plane: it registers the
-// hosted devices so sibling dials can find them, dials every pair whose
-// lower-ranked device lives elsewhere (higher rank dials lower — pairs on
-// the same worker, or even the same session, dial through the network
-// identically), waits for the inbound half, and wraps each hosted device
-// in a ringLink over its endpoints. Degraded pairs never dial: their
+// establishMesh wires a session's peer data plane: it registers the
+// hosted devices so sibling dials can find them, dials every direct pair
+// whose lower-ranked device lives elsewhere (higher rank dials lower —
+// pairs on the same worker, or even the same session, dial through the
+// network identically), waits for the inbound half, and hands each hosted
+// device's ringLink its endpoints. Relayed pairs never dial: their
 // endpoints cross the coordinator instead.
 func (w *Worker) establishMesh(m *mesh, assign *wire.Assign, devices []*hostedDevice) error {
-	if w.cfg.Dial == nil {
-		return fmt.Errorf("cluster: ring session needs a dial network (WorkerConfig.Dial)")
-	}
 	if nDev := assign.Plan.NumDevices(); len(assign.Peers) != nDev {
-		return fmt.Errorf("cluster: ring assign names %d peer addresses for %d devices", len(assign.Peers), nDev)
+		return fmt.Errorf("cluster: assign names %d peer addresses for %d devices", len(assign.Peers), nDev)
 	}
-	degraded := make(map[pairKey]bool)
-	for _, e := range assign.DegradedEdges() {
-		degraded[pairKey{e[0], e[1]}] = true
-		degraded[pairKey{e[1], e[0]}] = true
+	relayed := make(map[pairKey]bool)
+	for _, e := range assign.RelayedEdges() {
+		relayed[pairKey{e[0], e[1]}] = true
+		relayed[pairKey{e[1], e[0]}] = true
 	}
 	var dials []pairKey
 	for _, d := range devices {
 		local := int(d.rank)
 		for _, remote := range peerRemotes(assign.Plan, local) {
 			switch {
-			case degraded[pairKey{local, remote}]:
+			case relayed[pairKey{local, remote}]:
 				m.relay(local, remote)
 			case local > remote:
 				dials = append(dials, pairKey{local, remote})
@@ -638,6 +625,9 @@ func (w *Worker) establishMesh(m *mesh, assign *wire.Assign, devices []*hostedDe
 				m.pending[pairKey{local, remote}] = true
 			}
 		}
+	}
+	if len(dials) > 0 && w.cfg.Dial == nil {
+		return fmt.Errorf("cluster: session with direct peer edges needs a dial network (WorkerConfig.Dial)")
 	}
 	// Register before dialing out: two sessions establishing their meshes
 	// concurrently must each find the other's hosts already routable, or
@@ -653,10 +643,7 @@ func (w *Worker) establishMesh(m *mesh, assign *wire.Assign, devices []*hostedDe
 		return err
 	}
 	for _, d := range devices {
-		group, prev, next := peerSets(assign.Plan, int(d.rank))
-		d.ring = &ringLink{clusterLink: d.link,
-			rank: d.member.Rank, k: d.member.GroupSize,
-			group: group, prev: prev, next: next, peers: m.peers(int(d.rank))}
+		d.link.peers = m.peers(int(d.rank))
 	}
 	return nil
 }
@@ -742,6 +729,3 @@ func findDevice(devices []*hostedDevice, rank int32) *hostedDevice {
 	}
 	return nil
 }
-
-var _ engine.DeviceLink = (*clusterLink)(nil)
-var _ engine.StepFinisher = (*clusterLink)(nil)
