@@ -253,10 +253,18 @@ func BenchmarkAttentionTrainStep(b *testing.B) {
 
 // BenchmarkDWConvTrainStep and BenchmarkReLUTrainStep time the depthwise
 // conv and the ReLU of the depthwise-separable student at the conv_inproc
-// geometry of `go run ./benchmark`. Both run the same code on every
+// geometry of `go run ./benchmark`; the depthwise conv also at the
+// cluster workloads' [16,6,8,8], where each 8-wide row is one AVX block
+// whose lanes all meet a border. Both run the same code on every
 // backend, so they are timed once.
 func BenchmarkDWConvTrainStep(b *testing.B) {
-	benchTrainStep(b, NewDWConv2d(rand.New(rand.NewSource(1)), 16, 3, 1, 1, false), 16, 16, 16, 16)
+	for _, s := range []struct {
+		name       string
+		n, c, h, w int
+	}{{"conv_inproc", 16, 16, 16, 16}, {"cluster", 16, 6, 8, 8}} {
+		l := NewDWConv2d(rand.New(rand.NewSource(1)), s.c, 3, 1, 1, false)
+		b.Run(s.name, func(b *testing.B) { benchTrainStep(b, l, s.n, s.c, s.h, s.w) })
+	}
 }
 
 func BenchmarkReLUTrainStep(b *testing.B) {

@@ -3,13 +3,30 @@ package tensor
 import "fmt"
 
 // Depthwise convolution (channel multiplier 1): channel c of an NCHW input
-// is convolved with its own K×K filter w[c]. The kernels work in row runs:
-// for one output row and one kernel tap, the output columns whose input
-// column falls inside the image form one contiguous run (tapRun), computed
-// once per call, and the inner loop walks that run over plain row slices
-// with no per-element bounds test. The one shape the repository's models
-// use, 3×3 at stride 1, has an unrolled nine-tap kernel for the interior
-// of every row whose three input rows are inside the image.
+// is convolved with its own K×K filter w[c].
+//
+// At stride 1 with AVX (useAVX) the forward pass and the input gradient
+// run in vector lanes (dwconv_amd64.s), one call per plane: each of eight
+// lanes owns one output column (forward) or one input column (input
+// gradient) and runs exactly the scalar sequence below for it, over whole
+// rows, border columns and a ragged last block included. Borders are
+// masks from a small per-call table on the stack (dwLaneMasks), not
+// loops: every load goes through VMASKMOVPS, so no lane reads the float
+// before a row or the one after it, a lane past the row's end is never
+// stored, and a term the contract skips — a padding tap, an exactly-zero
+// gradient — has its product ANDed to +0 before the add. That is exact:
+// an output starts from +0 and so does a dx pixel, a sum of floats that
+// starts at +0 can never be −0 under round-to-nearest, and s + (+0) is s
+// for every other s, NaN and infinities included. The weight gradient
+// stays scalar, in its order below: a 3×3 kernel runs its nine taps'
+// chains in one sweep of each gradient row (dwWeightRow3), other sizes
+// one tap run at a time (dwWeightRow).
+//
+// Everywhere else — without AVX, and at stride > 1 — the kernels work in
+// row runs: for one output row and one kernel tap, the output columns
+// whose input column falls inside the image form one contiguous run
+// (tapRun), computed once per call, and the inner loop walks that run
+// over plain row slices with no per-element bounds test.
 //
 // Accumulation order is part of the contract — the engine's equivalence
 // suites compare runs bit for bit — and is that of the direct six-deep
@@ -23,6 +40,9 @@ import "fmt"
 //     output column) order, which for one output row is descending kj;
 //   - an output position whose gradient is exactly zero (either sign)
 //     contributes nothing at all, not even a signed zero or a NaN.
+//
+// Each product is one rounded multiply and each sum one rounded add; no
+// multiply-add is fused.
 
 // checkDWConv validates a depthwise convolution's operands and returns
 // its geometry; the kernel is square (kh == kw).
@@ -84,37 +104,19 @@ func dwTapRuns(g convGeom, buf []int) (lo, hi []int) {
 	return lo, hi
 }
 
-// dwInterior3 reports the output columns [l,r) on which a 3×3 stride-1
-// kernel has all three of its columns inside the image; rows qualify when
-// their three input rows do. The unrolled kernels run there.
-func dwInterior3(g convGeom, lo, hi []int) (l, r int, ok bool) {
-	if g.kh != 3 || g.kw != 3 || g.stride != 1 {
-		return 0, 0, false
-	}
-	l, r = lo[0], hi[2] // runs shift left as kj grows
-	return l, r, l < r
-}
-
 func dwConvForward(od, wd, xd []float32, g convGeom) {
+	if dwForwardLanes(od, wd, xd, g) {
+		return
+	}
 	var buf [16]int
 	lo, hi := dwTapRuns(g, buf[:])
-	l3, r3, fast3 := dwInterior3(g, lo, hi)
 	for plane := 0; plane < g.n*g.c; plane++ {
 		xp := xd[plane*g.h*g.w : (plane+1)*g.h*g.w]
 		op := od[plane*g.oh*g.ow : (plane+1)*g.oh*g.ow]
 		ci := plane % g.c
 		wk := wd[ci*g.kh*g.kw : (ci+1)*g.kh*g.kw]
 		for oi := 0; oi < g.oh; oi++ {
-			orow := op[oi*g.ow : (oi+1)*g.ow]
-			ih0 := oi*g.stride - g.pad
-			if fast3 && ih0 >= 0 && ih0+3 <= g.h {
-				x3 := xp[ih0*g.w:]
-				dwForwardEdge3(orow, x3, g.w, g.pad, 0, l3, wk)
-				dwForwardRow3(orow[l3:r3], x3[l3-g.pad:], g.w, wk)
-				dwForwardEdge3(orow, x3, g.w, g.pad, r3, g.ow, wk)
-			} else {
-				dwForwardRow(orow, xp, wk, g, lo, hi, ih0)
-			}
+			dwForwardRow(op[oi*g.ow:(oi+1)*g.ow], xp, wk, g, lo, hi, oi*g.stride-g.pad)
 		}
 	}
 }
@@ -151,55 +153,13 @@ func dwForwardRow(orow, xp, wk []float32, g convGeom, lo, hi []int, ih0 int) {
 	}
 }
 
-// dwForwardRow3 is the 3×3 stride-1 interior: o[j] is the full nine-tap
-// sum over the window whose top-left input element is x[j]; x's rows are
-// w apart.
-func dwForwardRow3(o, x []float32, w int, wk []float32) {
-	n := len(o)
-	r0, r1, r2 := x[:n+2], x[w:w+n+2], x[2*w:2*w+n+2]
-	w00, w01, w02 := wk[0], wk[1], wk[2]
-	w10, w11, w12 := wk[3], wk[4], wk[5]
-	w20, w21, w22 := wk[6], wk[7], wk[8]
-	for j := range o {
-		_, _, _ = r0[j+2], r1[j+2], r2[j+2]
-		var s float32
-		s += r0[j] * w00
-		s += r0[j+1] * w01
-		s += r0[j+2] * w02
-		s += r1[j] * w10
-		s += r1[j+1] * w11
-		s += r1[j+2] * w12
-		s += r2[j] * w20
-		s += r2[j+1] * w21
-		s += r2[j+2] * w22
-		o[j] = s
-	}
-}
-
-// dwForwardEdge3 computes the border columns [a,b) of a row dwForwardRow3
-// computes the interior of, element by element: x starts at the row under
-// kernel row 0, all three kernel rows are inside the image, and only the
-// window's columns need clipping. A tap run there is a column or two
-// long, too short to pay for itself.
-func dwForwardEdge3(orow, x []float32, w, pad, a, b int, wk []float32) {
-	for oj := a; oj < b; oj++ {
-		iw0 := oj - pad
-		kj0, kj1 := max(0, -iw0), min(3, w-iw0)
-		var s float32
-		for ki := 0; ki < 3; ki++ {
-			for kj := kj0; kj < kj1; kj++ {
-				s += x[ki*w+iw0+kj] * wk[3*ki+kj]
-			}
-		}
-		orow[oj] = s
-	}
-}
-
 func dwConvBackward(dxd, dwd, gd, wd, xd []float32, g convGeom) {
 	var buf [16]int
 	lo, hi := dwTapRuns(g, buf[:])
-	l3, r3, fast3 := dwInterior3(g, lo, hi)
-	clear(dxd)
+	lanes := dwInputGradLanes(dxd, gd, wd, g)
+	if !lanes {
+		clear(dxd)
+	}
 	for plane := 0; plane < g.n*g.c; plane++ {
 		xp := xd[plane*g.h*g.w : (plane+1)*g.h*g.w]
 		dxp := dxd[plane*g.h*g.w : (plane+1)*g.h*g.w]
@@ -210,21 +170,25 @@ func dwConvBackward(dxd, dwd, gd, wd, xd []float32, g convGeom) {
 		for oi := 0; oi < g.oh; oi++ {
 			grow := gp[oi*g.ow : (oi+1)*g.ow]
 			ih0 := oi*g.stride - g.pad
-			if fast3 && ih0 >= 0 && ih0+3 <= g.h {
-				x3, dx3 := xp[ih0*g.w:], dxp[ih0*g.w:]
-				dwBackwardEdge3(grow, x3, dx3, g.w, g.pad, 0, l3, wk, dwk)
-				dwBackwardRow3(grow[l3:r3], x3[l3-g.pad:], dx3[l3-g.pad:], g.w, wk, dwk)
-				dwBackwardEdge3(grow, x3, dx3, g.w, g.pad, r3, g.ow, wk, dwk)
-			} else {
+			switch {
+			case !lanes:
 				dwBackwardRow(grow, xp, dxp, wk, dwk, g, lo, hi, ih0)
+			case g.kh != 3:
+				dwWeightRow(grow, xp, dwk, g, lo, hi, ih0)
+			case ih0 >= 0 && ih0+3 <= g.h:
+				x3 := xp[ih0*g.w:]
+				dwWeightRow3(grow, x3[:g.w], x3[g.w:2*g.w], x3[2*g.w:3*g.w], g.pad, (*[9]float32)(dwk))
+			default:
+				dwWeightBorder3(grow, xp, dwk, g, ih0)
 			}
 		}
 	}
 }
 
-// dwBackwardRow scatters one gradient row. Kernel columns run right to
-// left so that an input pixel reached from several output columns of this
-// row receives them in ascending column order.
+// dwBackwardRow scatters one gradient row into the input and weight
+// gradients. Kernel columns run right to left so that an input pixel
+// reached from several output columns of this row receives them in
+// ascending column order.
 func dwBackwardRow(grow, xp, dxp, wk, dwk []float32, g convGeom, lo, hi []int, ih0 int) {
 	for ki := 0; ki < g.kh; ki++ {
 		ih := ih0 + ki
@@ -264,51 +228,87 @@ func dwBackwardRow(grow, xp, dxp, wk, dwk []float32, g convGeom, lo, hi []int, i
 	}
 }
 
-// dwBackwardRow3 is the 3×3 stride-1 interior of one gradient row: gs[j]
-// scatters over the window whose top-left element is x[j] / dx[j]; rows
-// are w apart. One kernel row per sweep keeps the three tap accumulators
-// and three weights in registers; a dx pixel is only ever touched by the
-// sweep of its own row, in ascending j.
-func dwBackwardRow3(gs, x, dx []float32, w int, wk, dwk []float32) {
-	n := len(gs)
-	for ki := 0; ki < 3; ki++ {
-		xr, dr := x[ki*w:ki*w+n+2], dx[ki*w:ki*w+n+2]
-		wr, dwr := wk[3*ki:3*ki+3], dwk[3*ki:3*ki+3]
-		w0, w1, w2 := wr[0], wr[1], wr[2]
-		a0, a1, a2 := dwr[0], dwr[1], dwr[2]
-		for j, gv := range gs {
-			if gv == 0 {
+// dwWeightRow adds one gradient row's terms to a stride-1 weight
+// gradient, one tap run at a time, leaving the input gradient to the
+// vector lanes.
+func dwWeightRow(grow, xp, dwk []float32, g convGeom, lo, hi []int, ih0 int) {
+	for ki := 0; ki < g.kh; ki++ {
+		ih := ih0 + ki
+		if ih < 0 || ih >= g.h {
+			continue
+		}
+		xrow := xp[ih*g.w : (ih+1)*g.w]
+		for kj := 0; kj < g.kw; kj++ {
+			if lo[kj] == hi[kj] {
 				continue
 			}
-			_, _ = xr[j+2], dr[j+2]
-			a0 += gv * xr[j]
-			dr[j] += gv * w0
-			a1 += gv * xr[j+1]
-			dr[j+1] += gv * w1
-			a2 += gv * xr[j+2]
-			dr[j+2] += gv * w2
+			gs := grow[lo[kj]:hi[kj]]
+			xs := xrow[lo[kj]-g.pad+kj:][:len(gs)]
+			acc := dwk[ki*g.kw+kj]
+			for j, gv := range gs {
+				if gv != 0 {
+					acc += gv * xs[j]
+				}
+			}
+			dwk[ki*g.kw+kj] = acc
 		}
-		dwr[0], dwr[1], dwr[2] = a0, a1, a2
 	}
 }
 
-// dwBackwardEdge3 scatters the border columns [a,b) of a row
-// dwBackwardRow3 scatters the interior of; see dwForwardEdge3. This is the
-// direct loop with its tests hoisted, so its order needs no argument.
-func dwBackwardEdge3(grow, x, dx []float32, w, pad, a, b int, wk, dwk []float32) {
-	for oj := a; oj < b; oj++ {
-		gv := grow[oj]
+// dwWeightRow3 is dwWeightRow for a 3×3 kernel whose input rows x0, x1
+// and x2 are inside the image: one sweep of the gradient row feeds all
+// nine taps' sums, each its own accumulator in a register, so no tap's
+// add waits on another's. A tap whose input column falls in the padding
+// is skipped, column by column.
+func dwWeightRow3(grow, x0, x1, x2 []float32, pad int, sum *[9]float32) {
+	n := len(x0)
+	x1, x2 = x1[:n], x2[:n]
+	a0, a1, a2 := sum[0], sum[1], sum[2]
+	a3, a4, a5 := sum[3], sum[4], sum[5]
+	a6, a7, a8 := sum[6], sum[7], sum[8]
+	for oj, gv := range grow {
 		if gv == 0 {
 			continue
 		}
-		iw0 := oj - pad
-		kj0, kj1 := max(0, -iw0), min(3, w-iw0)
-		for ki := 0; ki < 3; ki++ {
-			for kj := kj0; kj < kj1; kj++ {
-				i := ki*w + iw0 + kj
-				dwk[3*ki+kj] += gv * x[i]
-				dx[i] += gv * wk[3*ki+kj]
-			}
+		i := oj - pad
+		if uint(i) < uint(n) {
+			a0 += gv * x0[i]
+			a3 += gv * x1[i]
+			a6 += gv * x2[i]
+		}
+		if i++; uint(i) < uint(n) {
+			a1 += gv * x0[i]
+			a4 += gv * x1[i]
+			a7 += gv * x2[i]
+		}
+		if i++; uint(i) < uint(n) {
+			a2 += gv * x0[i]
+			a5 += gv * x1[i]
+			a8 += gv * x2[i]
+		}
+	}
+	sum[0], sum[1], sum[2] = a0, a1, a2
+	sum[3], sum[4], sum[5] = a3, a4, a5
+	sum[6], sum[7], sum[8] = a6, a7, a8
+}
+
+// dwWeightBorder3 is dwWeightRow3 for a gradient row some of whose
+// kernel rows lie outside the image: such a row reads input row 0
+// instead, into a copy of the sums that is not kept.
+func dwWeightBorder3(grow, xp, dwk []float32, g convGeom, ih0 int) {
+	var x3 [3][]float32
+	var sum [9]float32
+	copy(sum[:], dwk)
+	for ki := range x3 {
+		x3[ki] = xp[:g.w]
+		if ih := ih0 + ki; ih >= 0 && ih < g.h {
+			x3[ki] = xp[ih*g.w : (ih+1)*g.w]
+		}
+	}
+	dwWeightRow3(grow, x3[0], x3[1], x3[2], g.pad, &sum)
+	for ki := range x3 {
+		if ih := ih0 + ki; ih >= 0 && ih < g.h {
+			copy(dwk[3*ki:3*ki+3], sum[3*ki:])
 		}
 	}
 }

@@ -97,56 +97,97 @@ var (
 	negInf  = float32(math.Inf(-1))
 )
 
-// TestDWConvMatchesScalarOracleBits pins the row-run depthwise kernels to
-// the loops they replaced, bit for bit: output, input gradient, and a
-// pre-seeded weight gradient, over strides, paddings (including padding
-// that reaches past the kernel, so whole taps and whole output positions
-// see only zeros), kernel sizes with and without the unrolled 3×3
-// interior, non-square images, kernels wider than the image, and
-// gradients holding exact zeros of both signs, NaN and ±Inf.
+// dwKernelPaths lists the values of useAVX the depthwise suites run
+// under: the AVX lanes where the CPU has them, and the row-run loops.
+func dwKernelPaths() []bool {
+	if useAVX {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// dwOracleImages are the image sizes of the oracle matrix, which also
+// seed FuzzDWConv: square and not, smaller than an AVX block, a whole
+// block, and past one.
+var dwOracleImages = []struct{ h, w int }{{8, 8}, {16, 16}, {5, 9}, {9, 4}, {3, 5}, {1, 7}, {2, 2}}
+
+// dwConvCase is one depthwise convolution's operands: seed is what the
+// weight gradient holds before the backward pass adds to it.
+type dwConvCase struct {
+	x, w, grad, seed *Tensor
+	stride, pad      int
+}
+
+// newDWConvCase draws a case's values from rng: gradients with exact
+// zeros of both signs and, with special, every operand sprinkled with
+// signed zeros, infinities and NaN. The weights take NaN and +Inf too,
+// so a padding tap's product (+0 times the weight) is NaN unless the
+// kernel skips it.
+func newDWConvCase(rng *rand.Rand, n, c, h, w, k, stride, pad int, special bool) dwConvCase {
+	d := dwConvCase{x: Rand(rng, -2, 2, n, c, h, w), w: Rand(rng, -1, 1, c, 1, k, k), stride: stride, pad: pad}
+	g := checkDWConv("test", d.w, d.x, stride, pad)
+	d.grad = Rand(rng, -1, 1, g.n, g.c, g.oh, g.ow)
+	d.seed = Rand(rng, -1, 1, c, 1, k, k)
+	sprinkle(rng, d.grad, 4, 0, negZero)
+	if special {
+		sprinkle(rng, d.x, 6, 0, negZero, posInf, nan32, negInf)
+		sprinkle(rng, d.w, 5, 0, negZero, negInf, nan32, posInf)
+		sprinkle(rng, d.grad, 6, nan32, posInf, negInf)
+		sprinkle(rng, d.seed, 4, negZero, nan32)
+	}
+	return d
+}
+
+// check compares DWConvForwardInto and DWConvBackwardInto with the
+// oracle loops on every kernel path and returns the first difference.
+// Outputs start as a sentinel, so an element no path writes shows too.
+func (d dwConvCase) check() string {
+	g := checkDWConv("test", d.w, d.x, d.stride, d.pad)
+	want := New(g.n, g.c, g.oh, g.ow)
+	dwConvForwardOracle(want.data, d.w.data, d.x.data, g)
+	wantDX, wantDW := New(d.x.shape...), d.seed.Clone()
+	dwConvBackwardOracle(wantDX.data, wantDW.data, d.grad.data, d.w.data, d.x.data, g)
+	defer func(prev bool) { useAVX = prev }(useAVX)
+	for _, asm := range dwKernelPaths() {
+		useAVX = asm
+		got := Full(7, g.n, g.c, g.oh, g.ow)
+		DWConvForwardInto(got, d.w, d.x, d.stride, d.pad)
+		if diff := bitsDiff(got, want); diff != "" {
+			return fmt.Sprintf("asm=%v forward: %s", asm, diff)
+		}
+		gotDX, gotDW := Full(7, d.x.shape...), d.seed.Clone()
+		DWConvBackwardInto(gotDX, gotDW, d.grad, d.w, d.x, d.stride, d.pad)
+		if diff := bitsDiff(gotDX, wantDX); diff != "" {
+			return fmt.Sprintf("asm=%v dx: %s", asm, diff)
+		}
+		if diff := bitsDiff(gotDW, wantDW); diff != "" {
+			return fmt.Sprintf("asm=%v dW: %s", asm, diff)
+		}
+	}
+	return ""
+}
+
+// TestDWConvMatchesScalarOracleBits pins the depthwise kernels — the AVX
+// lanes and the row-run loops — to the loops they replaced, bit for bit:
+// output, input gradient, and a pre-seeded weight gradient, over
+// strides, paddings (including padding that reaches past the kernel, so
+// whole taps and whole output positions see only zeros), kernel sizes,
+// non-square images, kernels wider than the image, and operands holding
+// exact zeros of both signs, NaN and ±Inf.
 func TestDWConvMatchesScalarOracleBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	images := []struct{ h, w int }{{8, 8}, {16, 16}, {5, 9}, {9, 4}, {3, 5}, {1, 7}, {2, 2}}
 	checked := 0
 	for _, k := range []int{1, 3, 5, 7} {
 		for _, stride := range []int{1, 2, 3} {
 			for _, pad := range []int{0, 1, 2, k, k + 2} {
-				for _, im := range images {
+				for _, im := range dwOracleImages {
 					if ConvOutSize(im.h, k, stride, pad) <= 0 || ConvOutSize(im.w, k, stride, pad) <= 0 {
 						continue
 					}
 					for _, special := range []bool{false, true} {
-						name := fmt.Sprintf("k%d/s%d/p%d/%dx%d/special=%v", k, stride, pad, im.h, im.w, special)
-						x := Rand(rng, -2, 2, 2, 3, im.h, im.w)
-						w := Rand(rng, -1, 1, 3, 1, k, k)
-						g := checkDWConv("test", w, x, stride, pad)
-						grad := Rand(rng, -1, 1, g.n, g.c, g.oh, g.ow)
-						seed := Rand(rng, -1, 1, 3, 1, k, k)
-						sprinkle(rng, grad, 4, 0, negZero)
-						if special {
-							sprinkle(rng, x, 6, 0, negZero, posInf, nan32, negInf)
-							sprinkle(rng, w, 5, 0, negZero, negInf)
-							sprinkle(rng, grad, 6, nan32, posInf, negInf)
-							sprinkle(rng, seed, 4, negZero, nan32)
-						}
-
-						want := New(g.n, g.c, g.oh, g.ow)
-						dwConvForwardOracle(want.data, w.data, x.data, g)
-						got := Full(7, g.n, g.c, g.oh, g.ow) // recycled scratch: must be overwritten
-						DWConvForwardInto(got, w, x, stride, pad)
-						if diff := bitsDiff(got, want); diff != "" {
-							t.Errorf("%s forward: %s", name, diff)
-						}
-
-						wantDX, wantDW := New(x.shape...), seed.Clone()
-						dwConvBackwardOracle(wantDX.data, wantDW.data, grad.data, w.data, x.data, g)
-						gotDX, gotDW := Full(7, x.shape...), seed.Clone()
-						DWConvBackwardInto(gotDX, gotDW, grad, w, x, stride, pad)
-						if diff := bitsDiff(gotDX, wantDX); diff != "" {
-							t.Errorf("%s dx: %s", name, diff)
-						}
-						if diff := bitsDiff(gotDW, wantDW); diff != "" {
-							t.Errorf("%s dW: %s", name, diff)
+						d := newDWConvCase(rng, 2, 3, im.h, im.w, k, stride, pad, special)
+						if diff := d.check(); diff != "" {
+							t.Errorf("k%d/s%d/p%d/%dx%d/special=%v %s", k, stride, pad, im.h, im.w, special, diff)
 						}
 						checked++
 					}
@@ -160,7 +201,8 @@ func TestDWConvMatchesScalarOracleBits(t *testing.T) {
 }
 
 // TestDWConvZeroGradientContributesNothing isolates the skip: with x all
-// NaN and every gradient an exact zero, nothing may reach dx or dW.
+// NaN and every gradient an exact zero, nothing may reach dx or dW, on
+// either kernel path.
 func TestDWConvZeroGradientContributesNothing(t *testing.T) {
 	x := Full(nan32, 1, 2, 6, 6)
 	w := Full(posInf, 2, 1, 3, 3)
@@ -170,16 +212,20 @@ func TestDWConvZeroGradientContributesNothing(t *testing.T) {
 			grad.data[i] = negZero
 		}
 	}
-	dx, dw := Full(1, 1, 2, 6, 6), Full(negZero, 2, 1, 3, 3)
-	DWConvBackwardInto(dx, dw, grad, w, x, 1, 1)
-	for i, v := range dx.data {
-		if math.Float32bits(v) != 0 {
-			t.Fatalf("dx[%d] = %v, want +0", i, v)
+	defer func(prev bool) { useAVX = prev }(useAVX)
+	for _, asm := range dwKernelPaths() {
+		useAVX = asm
+		dx, dw := Full(1, 1, 2, 6, 6), Full(negZero, 2, 1, 3, 3)
+		DWConvBackwardInto(dx, dw, grad, w, x, 1, 1)
+		for i, v := range dx.data {
+			if math.Float32bits(v) != 0 {
+				t.Fatalf("asm=%v dx[%d] = %v, want +0", asm, i, v)
+			}
 		}
-	}
-	for i, v := range dw.data {
-		if math.Float32bits(v) != math.Float32bits(negZero) {
-			t.Fatalf("dW[%d] = %v, want the -0 it was seeded with", i, v)
+		for i, v := range dw.data {
+			if math.Float32bits(v) != math.Float32bits(negZero) {
+				t.Fatalf("asm=%v dW[%d] = %v, want the -0 it was seeded with", asm, i, v)
+			}
 		}
 	}
 }
@@ -188,16 +234,51 @@ func TestDWConvZeroGradientContributesNothing(t *testing.T) {
 // oracle's sum starts from +0, so every output is +0 — a kernel that
 // seeds the sum with the first product instead would return -0.
 func TestDWConvSumStartsFromPositiveZero(t *testing.T) {
-	for _, k := range []int{3, 5} {
-		x, w := Full(negZero, 1, 2, 7, 7), Full(1, 2, 1, k, k)
-		out := Full(7, 1, 2, 7, 7)
-		DWConvForwardInto(out, w, x, 1, k/2)
-		for i, v := range out.data {
-			if math.Float32bits(v) != 0 {
-				t.Fatalf("k=%d out[%d] = %v (%#08x), want +0", k, i, v, math.Float32bits(v))
+	defer func(prev bool) { useAVX = prev }(useAVX)
+	for _, asm := range dwKernelPaths() {
+		useAVX = asm
+		for _, k := range []int{3, 5} {
+			x, w := Full(negZero, 1, 2, 7, 7), Full(1, 2, 1, k, k)
+			out := Full(7, 1, 2, 7, 7)
+			DWConvForwardInto(out, w, x, 1, k/2)
+			for i, v := range out.data {
+				if math.Float32bits(v) != 0 {
+					t.Fatalf("asm=%v k=%d out[%d] = %v (%#08x), want +0", asm, k, i, v, math.Float32bits(v))
+				}
 			}
 		}
 	}
+}
+
+// FuzzDWConv is the depthwise kernels' generative oracle: an input names
+// a geometry — up to 2 images of 3 channels, images up to 20×20, kernel
+// 1, 3, 5 or 7, stride 1–3, padding up to K+2 — and a seed for the
+// values, and forward, input gradient and a pre-seeded weight gradient
+// must equal the oracle loops' bit for bit (bitsDiff: NaN payloads
+// aside) with the AVX lanes on and off. The committed seeds are the
+// oracle matrix's images and the models' 3×3 pad-1 geometry, with and
+// without special values.
+//
+//	go test -run '^$' -fuzz '^FuzzDWConv$' -fuzztime 20s ./internal/tensor/
+func FuzzDWConv(f *testing.F) {
+	for i, im := range dwOracleImages {
+		f.Add(uint8(1), uint8(2), uint8(im.h-1), uint8(im.w-1), uint8(1), uint8(0), uint8(1), false, int64(i))
+		f.Add(uint8(0), uint8(0), uint8(im.h-1), uint8(im.w-1), uint8(i), uint8(i), uint8(i), i%2 == 0, int64(i))
+	}
+	f.Add(uint8(1), uint8(2), uint8(15), uint8(15), uint8(1), uint8(0), uint8(1), true, int64(16))
+	f.Add(uint8(1), uint8(2), uint8(7), uint8(7), uint8(1), uint8(0), uint8(1), true, int64(8))
+	f.Fuzz(func(t *testing.T, n, c, h, w, k, stride, pad uint8, special bool, seed int64) {
+		kk := 2*int(k%4) + 1
+		hh, ww, s, p := 1+int(h%20), 1+int(w%20), 1+int(stride%3), int(pad)%(kk+3)
+		if ConvOutSize(hh, kk, s, p) <= 0 || ConvOutSize(ww, kk, s, p) <= 0 {
+			t.Skip("empty output")
+		}
+		d := newDWConvCase(rand.New(rand.NewSource(seed)), 1+int(n%2), 1+int(c%3), hh, ww, kk, s, p, special)
+		if diff := d.check(); diff != "" {
+			t.Fatalf("n=%d c=%d %dx%d k%d s%d p%d special=%v seed=%d: %s",
+				d.x.shape[0], d.x.shape[1], hh, ww, kk, s, p, special, seed, diff)
+		}
+	})
 }
 
 func TestDWConvShapePanics(t *testing.T) {

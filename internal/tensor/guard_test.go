@@ -31,6 +31,27 @@ func guarded(t *testing.T, n int) []float32 {
 	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[data-4*n])), n)
 }
 
+// guardedFront returns n floats that start right after a PROT_NONE page,
+// so a read of even one float before their start faults. The mapping is
+// released when t ends.
+func guardedFront(t *testing.T, n int) []float32 {
+	page := syscall.Getpagesize()
+	data := (4*n + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, page+data, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatalf("mmap: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := syscall.Munmap(mem); err != nil {
+			t.Errorf("munmap: %v", err)
+		}
+	})
+	if err := syscall.Mprotect(mem[:page], syscall.PROT_NONE); err != nil {
+		t.Fatalf("mprotect: %v", err)
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[page])), n)
+}
+
 // guardedCopy returns x's values in a guarded tensor of x's shape.
 func guardedCopy(t *testing.T, x *Tensor) *Tensor {
 	g := FromSlice(guarded(t, len(x.data)), x.shape...)
@@ -171,6 +192,65 @@ func TestTranscendReadsStayInsideOperands(t *testing.T) {
 			k.kernel(src, src)
 			if diff := bitsMismatch(in, src, want); diff != "" {
 				t.Fatalf("%s n=%d in place: %s", k.name, n, diff)
+			}
+		}
+	}
+}
+
+// TestDWConvReadsStayInsideOperands runs the depthwise AVX lanes with x,
+// w, grad, out and dx each ending flush against an unmapped page, and
+// then with x and grad starting right after one instead: a lane reads
+// one float before a row at kj = 0 with pad 1 and past it at the last
+// tap, so a load that is not masked off at the first or last row faults,
+// as does a store past the last row of out or dx. Every width 1–17 puts
+// a row's end at every lane of a block and past one; heights 1–4 and
+// pads 0–2 leave rows whose kernel rows are clipped at the top, the
+// bottom and both. The results must equal the row-run loops' bit for
+// bit.
+func TestDWConvReadsStayInsideOperands(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX: the row-run loops run, and Go bounds-checks them")
+	}
+	defer func(prev bool) { useAVX = prev }(useAVX)
+	rng := rand.New(rand.NewSource(35))
+	for _, k := range []int{1, 3, 5} {
+		for pad := 0; pad <= 2; pad++ {
+			for h := 1; h <= 4; h++ {
+				for w := 1; w <= 17; w++ {
+					if ConvOutSize(h, k, 1, pad) <= 0 || ConvOutSize(w, k, 1, pad) <= 0 {
+						continue
+					}
+					d := newDWConvCase(rng, 1, 2, h, w, k, 1, pad, false)
+					useAVX = false
+					want := New(d.grad.shape...)
+					DWConvForwardInto(want, d.w, d.x, 1, pad)
+					wantDX, wantDW := New(d.x.shape...), d.seed.Clone()
+					DWConvBackwardInto(wantDX, wantDW, d.grad, d.w, d.x, 1, pad)
+					useAVX = true
+					for _, front := range []bool{false, true} {
+						label := fmt.Sprintf("k%d pad %d %dx%d front=%v", k, pad, h, w, front)
+						x, grad := guardedCopy(t, d.x), guardedCopy(t, d.grad)
+						if front {
+							x, grad = FromSlice(guardedFront(t, len(d.x.data)), d.x.shape...), FromSlice(guardedFront(t, len(d.grad.data)), d.grad.shape...)
+							copy(x.data, d.x.data)
+							copy(grad.data, d.grad.data)
+						}
+						wt := guardedCopy(t, d.w)
+						out := FromSlice(guarded(t, len(want.data)), want.shape...)
+						DWConvForwardInto(out, wt, x, 1, pad)
+						if diff := bitsDiff(out, want); diff != "" {
+							t.Fatalf("%s forward: %s", label, diff)
+						}
+						dx, dw := FromSlice(guarded(t, len(wantDX.data)), wantDX.shape...), guardedCopy(t, d.seed)
+						DWConvBackwardInto(dx, dw, grad, wt, x, 1, pad)
+						if diff := bitsDiff(dx, wantDX); diff != "" {
+							t.Fatalf("%s dx: %s", label, diff)
+						}
+						if diff := bitsDiff(dw, wantDW); diff != "" {
+							t.Fatalf("%s dW: %s", label, diff)
+						}
+					}
+				}
 			}
 		}
 	}
