@@ -191,7 +191,8 @@ func NewLinearFrom(t *testing.T, rng *rand.Rand) Layer {
 }
 
 // BenchmarkConvForward compares a realistic 3×3 Conv2d forward pass (the
-// fused conv GEMM, then the NCHW reshape and bias) on the serial and
+// fused conv GEMM, then one pass that moves each output plane to its NCHW
+// place and adds its bias) on the serial and
 // parallel backends across layer widths, over 8 images of 28×28 and of
 // 16×16. At 16×16 the output rows are whole 8-column panels, so the GEMM
 // reads its taps in place from a zero-bordered copy of the input; at
@@ -243,6 +244,32 @@ func BenchmarkConvTrainStep(b *testing.B) {
 	benchTrainStepBackends(b, func() Layer {
 		return NewConv2d(rand.New(rand.NewSource(1)), 32, 32, 3, 1, 1, true)
 	}, 8, 32, 14, 14)
+}
+
+// BenchmarkConvBlockStep times the tiny workbench's conv blocks as the
+// engine runs them, at the conv_inproc geometry of `go run ./benchmark`
+// ([16,16,16,16]) and the cluster workloads' ([16,6,8,8]): the teacher
+// block's evaluation forward (conv3×3 → BatchNorm → ReLU, the BatchNorm
+// and the ReLU folded into the conv's pass over its GEMM's output) and
+// the student block's training step (depthwise → conv1×1 with bias →
+// ReLU, forward and backward).
+func BenchmarkConvBlockStep(b *testing.B) {
+	for _, s := range []struct {
+		name     string
+		n, c, hw int
+	}{{"conv_inproc", 16, 16, 16}, {"cluster", 16, 6, 8}} {
+		rng := rand.New(rand.NewSource(1))
+		teacher := NewSequential(NewConv2d(rng, s.c, s.c, 3, 1, 1, false), NewBatchNorm2d(s.c), NewReLU())
+		student := NewSequential(NewDWConv2d(rng, s.c, 3, 1, 1, false), NewConv2d(rng, s.c, s.c, 1, 1, 0, true), NewReLU())
+		x := tensor.Rand(rng, -1, 1, s.n, s.c, s.hw, s.hw)
+		b.Run(s.name+"/teacher_eval", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				teacher.Forward(x, false)
+			}
+		})
+		b.Run(s.name+"/student_step", func(b *testing.B) { benchTrainStep(b, student, s.n, s.c, s.hw, s.hw) })
+	}
 }
 
 func BenchmarkAttentionTrainStep(b *testing.B) {

@@ -15,6 +15,13 @@ import (
 // or from a copy of it inside a zero border when it pads; other
 // forwards, and every weight gradient, pack the taps straight from the
 // input into the GEMM's panel layout.
+//
+// The GEMM leaves its result as [OutC, N·OH·OW] rows; one pass per output
+// plane (tensor.ChannelTailInto) moves it to its NCHW place and adds the
+// bias there. Inside a Sequential that pass also runs the evaluation-mode
+// BatchNorm2d and the ReLU that directly follow the conv (see
+// Sequential.Forward). The backward moves the output gradient back to
+// the GEMM's layout and sums each plane for the bias in one pass.
 type Conv2d struct {
 	InC, OutC, Kernel, Stride, Pad int
 	Weight                         *Param // [OutC, InC, K, K]
@@ -54,6 +61,16 @@ func (c *Conv2d) SetBackend(be tensor.Backend) { c.be = be }
 
 // Forward computes the convolution of an NCHW input.
 func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return c.forward(x, train, nil, nil)
+}
+
+// forward is Forward with the layers Sequential.Forward folds into it: an
+// evaluation-mode bn and a relu, either nil when absent. Each output
+// channel's planes go from the GEMM's [OutC, N·OH·OW] rows to their NCHW
+// place in one tensor.ChannelTailInto pass that also adds the bias and
+// runs bn's affine and relu's clamp, element by element the sequence the
+// three layers' own forwards run.
+func (c *Conv2d) forward(x *tensor.Tensor, train bool, bn *BatchNorm2d, relu *ReLU) *tensor.Tensor {
 	shape := x.Shape()
 	if len(shape) != 4 || shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2d expects [N,%d,H,W], got %v", c.InC, shape))
@@ -67,9 +84,25 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	flat := c.ar.Get(c.OutC, n*oh*ow)
 	be.ConvForwardInto(flat, wm, x, c.Kernel, c.Kernel, c.Stride, c.Pad) // [OutC, N*OH*OW]
 
-	out := flatToNCHW(c.ar, flat, n, c.OutC, oh, ow)
-	if c.Bias != nil {
-		addChannelBias(out, c.Bias.Value)
+	out := c.ar.Get(n, c.OutC, oh, ow)
+	if bn != nil {
+		bn.checkInput(out.Shape())
+	}
+	fd, od, spatial := flat.Data(), out.Data(), oh*ow
+	for o := 0; o < c.OutC; o++ {
+		t := tensor.ChannelTail{ReLU: relu != nil}
+		if c.Bias != nil {
+			t.AddBias, t.Bias = true, c.Bias.Value.Data()[o]
+		}
+		if bn != nil {
+			bn.foldEval(&t, o)
+		}
+		for i := 0; i < n; i++ {
+			tensor.ChannelTailInto(od[(i*c.OutC+o)*spatial:][:spatial], fd[(o*n+i)*spatial:][:spatial], t)
+		}
+	}
+	if relu != nil {
+		relu.keep(out, train)
 	}
 	if train {
 		c.lastInput = x
@@ -96,17 +129,17 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	spatial := c.inN * c.lastOutH * c.lastOutW
 
 	dFlat := ar.Get(c.OutC, spatial) // [OutC, N*OH*OW]
-	nchwToFlatInto(dFlat, grad, c.OutC)
+	var dBias []float32
+	if c.Bias != nil {
+		dBias = c.Bias.Grad.Data()
+	}
+	flattenGrad(dFlat.Data(), dBias, grad)
 
 	// dW = dFlat · im2col(x)ᵀ, gathered straight from the cached input
 	// and folded back to [OutC, InC, K, K].
 	dW := ar.Get(c.OutC, kk)
 	be.ConvGradWeightInto(dW, dFlat, c.lastInput, c.Kernel, c.Kernel, c.Stride, c.Pad)
 	be.Axpy(c.Weight.Grad, 1, dW.Reshape(c.Weight.Value.Shape()...))
-
-	if c.Bias != nil {
-		accumulateChannelBiasGrad(c.Bias.Grad, grad)
-	}
 
 	// dx = Col2Im(Wᵀ · dFlat).
 	wm := c.Weight.Value.Reshape(c.OutC, kk)
@@ -160,7 +193,11 @@ func (d *DWConv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := d.ar.Get(n, d.C, oh, ow)
 	tensor.DWConvForwardInto(out, d.Weight.Value, x, d.Stride, d.Pad)
 	if d.Bias != nil {
-		addChannelBias(out, d.Bias.Value)
+		od, spatial := out.Data(), oh*ow
+		for p := 0; p < n*d.C; p++ {
+			plane := od[p*spatial:][:spatial]
+			tensor.ChannelTailInto(plane, plane, tensor.ChannelTail{AddBias: true, Bias: d.Bias.Value.Data()[p%d.C]})
+		}
 	}
 	if train {
 		d.lastInput = x
@@ -182,7 +219,7 @@ func (d *DWConv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dx := d.ar.Get(n, d.C, h, w)
 	tensor.DWConvBackwardInto(dx, d.Weight.Grad, grad, d.Weight.Value, x, d.Stride, d.Pad)
 	if d.Bias != nil {
-		accumulateChannelBiasGrad(d.Bias.Grad, grad)
+		flattenGrad(nil, d.Bias.Grad.Data(), grad)
 	}
 	return dx
 }
@@ -206,61 +243,28 @@ func checkConvGrad(layer string, grad *tensor.Tensor, n, c, oh, ow int) {
 	}
 }
 
-// flatToNCHW rearranges [C, N*OH*OW] (im2col result layout) to NCHW.
-func flatToNCHW(ar *tensor.Arena, flat *tensor.Tensor, n, c, oh, ow int) *tensor.Tensor {
-	out := ar.Get(n, c, oh, ow)
-	fd, od := flat.Data(), out.Data()
-	spatial := oh * ow
+// flattenGrad is a conv's backward pass over its NCHW output gradient:
+// each (n, c) plane goes to its place in the [C, N·OH·OW] rows of flat,
+// and, where db is not nil, the plane's float32 sum, in ascending
+// position, is added to db[c], in ascending n. A nil flat skips the
+// relayout.
+func flattenGrad(flat, db []float32, grad *tensor.Tensor) {
+	s := grad.Shape()
+	n, c, spatial := s[0], s[1], s[2]*s[3]
+	gd := grad.Data()
 	for ci := 0; ci < c; ci++ {
-		rowBase := ci * n * spatial
 		for ni := 0; ni < n; ni++ {
-			copy(od[(ni*c+ci)*spatial:(ni*c+ci+1)*spatial], fd[rowBase+ni*spatial:rowBase+(ni+1)*spatial])
-		}
-	}
-	return out
-}
-
-// nchwToFlatInto rearranges NCHW into a preallocated [C, N*OH*OW] tensor,
-// overwriting every element.
-func nchwToFlatInto(out, x *tensor.Tensor, c int) {
-	n, oh, ow := x.Shape()[0], x.Shape()[2], x.Shape()[3]
-	spatial := oh * ow
-	xd, od := x.Data(), out.Data()
-	for ci := 0; ci < c; ci++ {
-		rowBase := ci * n * spatial
-		for ni := 0; ni < n; ni++ {
-			copy(od[rowBase+ni*spatial:rowBase+(ni+1)*spatial], xd[(ni*c+ci)*spatial:(ni*c+ci+1)*spatial])
-		}
-	}
-}
-
-func addChannelBias(x *tensor.Tensor, bias *tensor.Tensor) {
-	n, c := x.Shape()[0], x.Shape()[1]
-	spatial := x.Shape()[2] * x.Shape()[3]
-	xd, bd := x.Data(), bias.Data()
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			b := bd[ci]
-			base := (ni*c + ci) * spatial
-			for i := 0; i < spatial; i++ {
-				xd[base+i] += b
+			plane := gd[(ni*c+ci)*spatial:][:spatial]
+			if flat != nil {
+				copy(flat[(ci*n+ni)*spatial:][:spatial], plane)
 			}
-		}
-	}
-}
-
-func accumulateChannelBiasGrad(dst *tensor.Tensor, grad *tensor.Tensor) {
-	n, c := grad.Shape()[0], grad.Shape()[1]
-	spatial := grad.Shape()[2] * grad.Shape()[3]
-	gd, dd := grad.Data(), dst.Data()
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ni*c + ci) * spatial
-			var s float32
-			for i := 0; i < spatial; i++ {
-				s += gd[base+i]
+			if db != nil {
+				var sum float32
+				for _, v := range plane {
+					sum += v
+				}
+				db[ci] += sum
 			}
-			dd[ci] += s
 		}
 	}
 }

@@ -117,16 +117,6 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	}
 }
 
-func TestReLU6Clamps(t *testing.T) {
-	l := &ReLU{Cap: 6}
-	x := tensor.FromSlice([]float32{-3, 0, 2, 6, 9}, 5)
-	y := l.Forward(x, false)
-	want := tensor.FromSlice([]float32{0, 0, 2, 6, 6}, 5)
-	if !y.Equal(want) {
-		t.Fatalf("ReLU6 = %v, want %v", y, want)
-	}
-}
-
 func TestReLUNonNegativityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	l := NewReLU()

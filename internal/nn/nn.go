@@ -167,12 +167,40 @@ type Sequential struct {
 // NewSequential builds a Sequential from the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
-// Forward applies every layer in order.
+// Forward applies every layer in order. What directly follows a Conv2d
+// runs inside the conv's one pass over its GEMM's output (see
+// Conv2d.forward) rather than as passes of its own: a BatchNorm2d in an
+// evaluation forward (a training one needs the batch's statistics first),
+// then a ReLU. The results are those of the layers' own forwards, bit for
+// bit, and so are their caches.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	for i := 0; i < len(s.Layers); i++ {
+		c, ok := s.Layers[i].(*Conv2d)
+		if !ok {
+			x = s.Layers[i].Forward(x, train)
+			continue
+		}
+		bn, _ := s.layer(i + 1).(*BatchNorm2d)
+		if bn != nil && !train {
+			i++
+		} else {
+			bn = nil
+		}
+		relu, _ := s.layer(i + 1).(*ReLU)
+		if relu != nil {
+			i++
+		}
+		x = c.forward(x, train, bn, relu)
 	}
 	return x
+}
+
+// layer returns layer i, or nil past the last.
+func (s *Sequential) layer(i int) Layer {
+	if i < len(s.Layers) {
+		return s.Layers[i]
+	}
+	return nil
 }
 
 // Backward propagates gradients in reverse order.

@@ -9,7 +9,9 @@ import (
 
 // BatchNorm2d normalizes each channel over the (N, H, W) axes with learned
 // per-channel scale and shift, maintaining running statistics for
-// evaluation mode.
+// evaluation mode. Evaluation mode is an elementwise float64 affine per
+// channel, tensor.ChannelTailInto's BatchNorm step; right after a Conv2d
+// in a Sequential it runs inside the conv's pass over its output.
 type BatchNorm2d struct {
 	C        int
 	Eps      float64
@@ -40,71 +42,79 @@ func NewBatchNorm2d(c int) *BatchNorm2d {
 // updates running statistics; in evaluation mode it uses the running ones.
 func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	shape := x.Shape()
-	if len(shape) != 4 || shape[1] != b.C {
-		panic(fmt.Sprintf("nn: BatchNorm2d expects [N,%d,H,W], got %v", b.C, shape))
-	}
-	n, h, w := shape[0], shape[2], shape[3]
-	spatial := h * w
-	count := float64(n * spatial)
+	b.checkInput(shape)
+	n, spatial := shape[0], shape[2]*shape[3]
 	out := b.ar.Get(shape...)
 	xd, od := x.Data(), out.Data()
-	gd, bd := b.Gamma.Value.Data(), b.Beta.Value.Data()
-
-	var xhat *tensor.Tensor
-	var invStds []float64
-	if train {
-		xhat = b.ar.Get(shape...)
-		invStds = reuse(b.invStd, b.C)
+	if !train {
+		for ci := 0; ci < b.C; ci++ {
+			var t tensor.ChannelTail
+			b.foldEval(&t, ci)
+			for ni := 0; ni < n; ni++ {
+				base := (ni*b.C + ci) * spatial
+				tensor.ChannelTailInto(od[base:base+spatial], xd[base:base+spatial], t)
+			}
+		}
+		return out
 	}
 
+	count := float64(n * spatial)
+	gd, bd := b.Gamma.Value.Data(), b.Beta.Value.Data()
+	xhat := b.ar.Get(shape...)
+	invStds := reuse(b.invStd, b.C)
 	for ci := 0; ci < b.C; ci++ {
-		var mean, variance float64
-		if train {
-			var sum float64
-			for ni := 0; ni < n; ni++ {
-				base := (ni*b.C + ci) * spatial
-				for i := 0; i < spatial; i++ {
-					sum += float64(xd[base+i])
-				}
+		var sum float64
+		for ni := 0; ni < n; ni++ {
+			base := (ni*b.C + ci) * spatial
+			for i := 0; i < spatial; i++ {
+				sum += float64(xd[base+i])
 			}
-			mean = sum / count
-			var sq float64
-			for ni := 0; ni < n; ni++ {
-				base := (ni*b.C + ci) * spatial
-				for i := 0; i < spatial; i++ {
-					d := float64(xd[base+i]) - mean
-					sq += d * d
-				}
-			}
-			variance = sq / count
-			rm, rv := b.RunningMean.Data(), b.RunningVar.Data()
-			rm[ci] = float32((1-b.Momentum)*float64(rm[ci]) + b.Momentum*mean)
-			rv[ci] = float32((1-b.Momentum)*float64(rv[ci]) + b.Momentum*variance)
-		} else {
-			mean = float64(b.RunningMean.Data()[ci])
-			variance = float64(b.RunningVar.Data()[ci])
 		}
+		mean := sum / count
+		var sq float64
+		for ni := 0; ni < n; ni++ {
+			base := (ni*b.C + ci) * spatial
+			for i := 0; i < spatial; i++ {
+				d := float64(xd[base+i]) - mean
+				sq += d * d
+			}
+		}
+		variance := sq / count
+		rm, rv := b.RunningMean.Data(), b.RunningVar.Data()
+		rm[ci] = float32((1-b.Momentum)*float64(rm[ci]) + b.Momentum*mean)
+		rv[ci] = float32((1-b.Momentum)*float64(rv[ci]) + b.Momentum*variance)
 		invStd := 1 / math.Sqrt(variance+b.Eps)
-		if train {
-			invStds[ci] = invStd
-		}
+		invStds[ci] = invStd
 		g, bt := float64(gd[ci]), float64(bd[ci])
 		for ni := 0; ni < n; ni++ {
 			base := (ni*b.C + ci) * spatial
 			for i := 0; i < spatial; i++ {
 				xh := (float64(xd[base+i]) - mean) * invStd
-				if train {
-					xhat.Data()[base+i] = float32(xh)
-				}
+				xhat.Data()[base+i] = float32(xh)
 				od[base+i] = float32(g*xh + bt)
 			}
 		}
 	}
-	if train {
-		b.xhat, b.invStd = xhat, invStds
-		b.cached()
-	}
+	b.xhat, b.invStd = xhat, invStds
+	b.cached()
 	return out
+}
+
+// checkInput panics unless shape is an NCHW batch of the layer's C
+// channels.
+func (b *BatchNorm2d) checkInput(shape []int) {
+	if len(shape) != 4 || shape[1] != b.C {
+		panic(fmt.Sprintf("nn: BatchNorm2d expects [N,%d,H,W], got %v", b.C, shape))
+	}
+}
+
+// foldEval sets t's BatchNorm step to channel ci's evaluation-mode
+// affine, from the running statistics.
+func (b *BatchNorm2d) foldEval(t *tensor.ChannelTail, ci int) {
+	t.Norm = true
+	t.Mean = float64(b.RunningMean.Data()[ci])
+	t.InvStd = 1 / math.Sqrt(float64(b.RunningVar.Data()[ci])+b.Eps)
+	t.Gamma, t.Beta = float64(b.Gamma.Value.Data()[ci]), float64(b.Beta.Value.Data()[ci])
 }
 
 // Backward implements the standard batch-norm gradient.

@@ -196,7 +196,7 @@ func TestBackwardAfterArenaResetPanics(t *testing.T) {
 		{"GELU", NewGELU(), hidden},
 		{"MultiHeadAttention", NewMultiHeadAttention(rng, 4, 2), hidden},
 		{"Embedding", NewEmbedding(rng, 5, 3, 4), func() *tensor.Tensor { return tensor.New(2, 3) }},
-		{"MixedOp", NewMixedOp(NewReLU(), &ReLU{Cap: 6}), image},
+		{"MixedOp", NewMixedOp(NewReLU(), NewReLU()), image},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -4,8 +4,9 @@ package tensor
 
 // useAVX selects every AVX kernel: the GEMM microkernel for every
 // register tile, full or edge, the tanh and exp lanes
-// (transcend_amd64.s), and the stride-1 depthwise conv's forward and
-// input-gradient lanes (dwconv_amd64.s). It is set once, at start-up,
+// (transcend_amd64.s), the stride-1 depthwise conv's forward and
+// input-gradient lanes (dwconv_amd64.s), and the channel-tail and ReLU
+// gate lanes (tail_amd64.s). It is set once, at start-up,
 // from what the CPU and the OS support (hasAVX), so an amd64 host
 // without AVX runs the generic kernels as every other port does. It is a package variable (not a constant) so
 // the bit-equivalence suites can force the generic paths and pin the two

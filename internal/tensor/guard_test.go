@@ -255,3 +255,46 @@ func TestDWConvReadsStayInsideOperands(t *testing.T) {
 		}
 	}
 }
+
+// TestChannelTailReadsStayInsideOperands runs the channel-tail and ReLU
+// gate lanes under every mode with each operand — src and dst, and grad,
+// out and dst for the gate — ending flush against an unmapped page, at
+// lengths that leave every tail of 0–7 floats after the whole groups of
+// eight: a vector load or store past the last whole group faults. The
+// results must equal the scalar loops' bit for bit, apart and in place.
+func TestChannelTailReadsStayInsideOperands(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX: the scalar loops run, and Go bounds-checks them")
+	}
+	inputs := tailInputs(rand.New(rand.NewSource(36)), 4200)
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+		64, 256, 4097, 4098, 4099, 4100, 4101, 4102, 4103} {
+		for _, tc := range tailCases() {
+			src, dst := guarded(t, n), guarded(t, n)
+			copy(src, inputs)
+			_, _, want := tailBoth(src, tc)
+			ChannelTailInto(dst, src, tc)
+			if diff := bitsMismatch(src, dst, want); diff != "" {
+				t.Fatalf("%+v n=%d: %s", tc, n, diff)
+			}
+			in := append([]float32(nil), src...)
+			ChannelTailInto(src, src, tc)
+			if diff := bitsMismatch(in, src, want); diff != "" {
+				t.Fatalf("%+v n=%d in place: %s", tc, n, diff)
+			}
+		}
+		grad, out, dst := guarded(t, n), guarded(t, n), guarded(t, n)
+		copy(grad, inputs[n:])
+		channelTailGeneric(out, inputs[:n], ChannelTail{ReLU: true})
+		_, _, want := gateBoth(grad, out)
+		ReLUGateInto(dst, grad, out)
+		if diff := bitsMismatch(grad, dst, want); diff != "" {
+			t.Fatalf("ReLUGateInto n=%d: %s", n, diff)
+		}
+		in := append([]float32(nil), grad...)
+		ReLUGateInto(grad, grad, out)
+		if diff := bitsMismatch(in, grad, want); diff != "" {
+			t.Fatalf("ReLUGateInto n=%d in place: %s", n, diff)
+		}
+	}
+}
