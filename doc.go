@@ -74,10 +74,15 @@
 // distills its logits with KL divergence at a temperature
 // (distill.KLLoss — gradients scaled by T² in the standard Hinton
 // convention). The supporting ops live in internal/nn (Embedding,
-// MultiHeadAttention, LayerNorm, GELU, FeedForward, MeanPoolSeq,
-// max-subtracted SoftmaxLastDim and its backward), all with full
-// finite-difference-checked gradients and eval-forward cache
-// invalidation. GELU is float32 throughout, and its tanh and the
+// MultiHeadAttention, LayerNorm, GELU, FeedForward, MeanPoolSeq), all
+// with full finite-difference-checked gradients and eval-forward cache
+// invalidation; their row loops are internal/tensor row kernels
+// (tensor.LayerNormInto, the max-subtracted tensor.SoftmaxInto with
+// attention's 1/√dₕ folded in, tensor.GELUInto, their backwards, and
+// Linear's tensor.AddRowBias / AddColumnSums), each a scalar loop run bit
+// for bit in AVX lanes where AVX exists — a row's float64 sums one
+// ascending chain per lane, four rows at once. GELU is float32
+// throughout, and its tanh and the
 // softmax's exp are the float32 slice kernels tensor.TanhInto and
 // tensor.ExpInto — every product rounded explicitly, so no port fuses a
 // multiply-add and the bits depend on the input alone; 1.5 and 1 ULP,

@@ -316,3 +316,17 @@ func BenchmarkSoftmaxLastDim(b *testing.B) {
 		ar.Reset()
 	}
 }
+
+// BenchmarkLayerNormTrainStep and BenchmarkLinearTrainStep time the
+// transformer's other row kernels at the same geometry: a LayerNorm over
+// [16·32, 64] rows, and an attention projection, 64 → 64 with its bias
+// add and bias-gradient sums, on [16·32, 64].
+func BenchmarkLayerNormTrainStep(b *testing.B) {
+	benchTrainStep(b, NewLayerNorm(64), 16, 32, 64)
+}
+
+func BenchmarkLinearTrainStep(b *testing.B) {
+	benchTrainStepBackends(b, func() Layer {
+		return NewLinear(rand.New(rand.NewSource(1)), 64, 64, true)
+	}, 16*32, 64)
+}

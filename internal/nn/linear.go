@@ -9,7 +9,9 @@ import (
 
 // Linear is a fully connected layer: y = x·Wᵀ + b for x of shape [N, In].
 // All three of its GEMMs (TB forward, TA for dW, plain for dx) run on the
-// backend's one register-blocked packed engine, whatever their shape.
+// backend's one register-blocked packed engine, whatever their shape; the
+// bias add and the bias gradient's column sums are the row kernels
+// tensor.AddRowBias and tensor.AddColumnSums.
 type Linear struct {
 	In, Out int
 	Weight  *Param // [Out, In]
@@ -46,13 +48,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := l.ar.Get(n, l.Out)
 	backendOr(l.be).MatMulTBInto(out, x, l.Weight.Value)
 	if l.Bias != nil {
-		od, bd := out.Data(), l.Bias.Value.Data()
-		for i := 0; i < n; i++ {
-			row := od[i*l.Out : (i+1)*l.Out]
-			for j := range row {
-				row[j] += bd[j]
-			}
-		}
+		tensor.AddRowBias(out.Data(), l.Bias.Value.Data())
 	}
 	if train {
 		l.lastInput = x
@@ -73,13 +69,7 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	be.MatMulTAInto(dW, grad, l.lastInput)
 	be.Axpy(l.Weight.Grad, 1, dW)
 	if l.Bias != nil {
-		gd, bd := grad.Data(), l.Bias.Grad.Data()
-		for i := 0; i < n; i++ {
-			row := gd[i*l.Out : (i+1)*l.Out]
-			for j, v := range row {
-				bd[j] += v
-			}
-		}
+		tensor.AddColumnSums(l.Bias.Grad.Data(), grad.Data())
 	}
 	// dx = grad · W -> [N, In]
 	dx := l.ar.Get(n, l.In)

@@ -22,7 +22,7 @@ func MSELoss(ar *tensor.Arena, pred, target *tensor.Tensor) (float64, *tensor.Te
 	var loss float64
 	for i := range pd {
 		d := float64(pd[i]) - float64(td[i])
-		loss += d * d
+		loss += float64(d * d)
 		gd[i] = float32(2 * d / n)
 	}
 	return loss / n, grad
@@ -35,7 +35,7 @@ func MSELoss(ar *tensor.Arena, pred, target *tensor.Tensor) (float64, *tensor.Te
 // (T·(softmax(student/T) − softmax(teacher/T))/rows — the T² loss scale
 // and the 1/T logit scale leave one net factor of T). Teacher logits are
 // treated as constants. Softmax rows are max-subtracted with float64
-// accumulation, matching SoftmaxLastDim.
+// accumulation, matching tensor.SoftmaxInto.
 func KLDivLoss(ar *tensor.Arena, student, teacher *tensor.Tensor, temp float64) (float64, *tensor.Tensor) {
 	if !student.SameShape(teacher) {
 		panic(fmt.Sprintf("nn: KLDivLoss shape mismatch %v vs %v", student.Shape(), teacher.Shape()))
@@ -74,7 +74,7 @@ func KLDivLoss(ar *tensor.Arena, student, teacher *tensor.Tensor, temp float64) 
 		logProbs(td[r*c:(r+1)*c], lt)
 		for j := 0; j < c; j++ {
 			pt := math.Exp(lt[j])
-			loss += pt * (lt[j] - ls[j]) * temp * temp * invRows
+			loss += float64(pt * (lt[j] - ls[j]) * temp * temp * invRows)
 			gd[r*c+j] = float32(temp * (math.Exp(ls[j]) - pt) * invRows)
 		}
 	}

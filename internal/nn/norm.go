@@ -76,13 +76,13 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			base := (ni*b.C + ci) * spatial
 			for i := 0; i < spatial; i++ {
 				d := float64(xd[base+i]) - mean
-				sq += d * d
+				sq += float64(d * d)
 			}
 		}
 		variance := sq / count
 		rm, rv := b.RunningMean.Data(), b.RunningVar.Data()
-		rm[ci] = float32((1-b.Momentum)*float64(rm[ci]) + b.Momentum*mean)
-		rv[ci] = float32((1-b.Momentum)*float64(rv[ci]) + b.Momentum*variance)
+		rm[ci] = float32(float64((1-b.Momentum)*float64(rm[ci])) + float64(b.Momentum*mean))
+		rv[ci] = float32(float64((1-b.Momentum)*float64(rv[ci])) + float64(b.Momentum*variance))
 		invStd := 1 / math.Sqrt(variance+b.Eps)
 		invStds[ci] = invStd
 		g, bt := float64(gd[ci]), float64(bd[ci])
@@ -91,7 +91,7 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			for i := 0; i < spatial; i++ {
 				xh := (float64(xd[base+i]) - mean) * invStd
 				xhat.Data()[base+i] = float32(xh)
-				od[base+i] = float32(g*xh + bt)
+				od[base+i] = float32(float64(g*xh) + bt)
 			}
 		}
 	}
@@ -140,7 +140,7 @@ func (b *BatchNorm2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			for i := 0; i < spatial; i++ {
 				dy := float64(gd[base+i])
 				sumDy += dy
-				sumDyXhat += dy * float64(xh[base+i])
+				sumDyXhat += float64(dy * float64(xh[base+i]))
 			}
 		}
 		dGamma[ci] += float32(sumDyXhat)

@@ -36,14 +36,14 @@ func (s *SGD) Step(params []*Param) {
 		if s.Momentum != 0 {
 			vd := v.Data()
 			for i := range pd {
-				g := gd[i] + s.WeightDecay*pd[i]
-				vd[i] = s.Momentum*vd[i] + g
-				pd[i] -= s.LR * vd[i]
+				g := gd[i] + float32(s.WeightDecay*pd[i])
+				vd[i] = float32(s.Momentum*vd[i]) + g
+				pd[i] -= float32(s.LR * vd[i])
 			}
 		} else {
 			for i := range pd {
-				g := gd[i] + s.WeightDecay*pd[i]
-				pd[i] -= s.LR * g
+				g := gd[i] + float32(s.WeightDecay*pd[i])
+				pd[i] -= float32(s.LR * g)
 			}
 		}
 	}

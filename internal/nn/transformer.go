@@ -19,76 +19,12 @@ import (
 // Forward invalidates the training cache, and Backward validates the
 // cached sizes against the incoming gradient before touching them.
 
-// --- softmax -----------------------------------------------------------------
-
-// SoftmaxLastDim returns softmax over the last dimension, max-subtracted
-// per row: the numerics every softmax consumer in the package shares.
-// Each row is shifted by its maximum into the output, exponentiated in
-// place by tensor.ExpInto (float32, explicit roundings, terms under the
-// smallest normal flushed to zero), summed in float64 and scaled. The
-// output comes from ar (nil: plain allocation).
-func SoftmaxLastDim(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	shape := x.Shape()
-	if len(shape) == 0 {
-		panic("nn: SoftmaxLastDim on scalar tensor")
-	}
-	d := shape[len(shape)-1]
-	out := ar.Get(shape...)
-	xd, od := x.Data(), out.Data()
-	for r := 0; r < len(xd); r += d {
-		row, orow := xd[r:r+d], od[r:r+d]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		for j, v := range row {
-			orow[j] = v - maxv
-		}
-		tensor.ExpInto(orow, orow)
-		var sum float64
-		for _, e := range orow {
-			sum += float64(e)
-		}
-		inv := 1 / sum
-		for j, e := range orow {
-			orow[j] = float32(float64(e) * inv)
-		}
-	}
-	return out
-}
-
-// SoftmaxBackwardLastDim propagates a gradient through SoftmaxLastDim:
-// dLogits = probs ⊙ (grad - Σ_j grad_j·probs_j) per row, the row dot in
-// float64.
-func SoftmaxBackwardLastDim(ar *tensor.Arena, probs, grad *tensor.Tensor) *tensor.Tensor {
-	if !probs.SameShape(grad) {
-		panic(fmt.Sprintf("nn: SoftmaxBackwardLastDim shape mismatch %v vs %v", probs.Shape(), grad.Shape()))
-	}
-	shape := probs.Shape()
-	d := shape[len(shape)-1]
-	out := ar.Get(shape...)
-	pd, gd, od := probs.Data(), grad.Data(), out.Data()
-	for r := 0; r < len(pd); r += d {
-		prow, grow, orow := pd[r:r+d], gd[r:r+d], od[r:r+d]
-		var dot float64
-		for j, p := range prow {
-			dot += float64(grow[j]) * float64(p)
-		}
-		for j, p := range prow {
-			orow[j] = float32(float64(p) * (float64(grow[j]) - dot))
-		}
-	}
-	return out
-}
-
 // --- GELU --------------------------------------------------------------------
 
 // GELU is the tanh-approximated Gaussian error linear unit:
-// 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), evaluated in float32 with
-// every product rounded on its own and the tanh by tensor.TanhInto, so
-// its bits are the same on every architecture.
+// 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), tensor.GELUInto: evaluated
+// in float32 with every product rounded on its own and the tanh by
+// tensor.TanhInto, so its bits are the same on every architecture.
 type GELU struct {
 	stepMem
 	lastX []float32 // cached pre-activation, train forwards only
@@ -97,11 +33,6 @@ type GELU struct {
 
 // NewGELU returns a GELU activation.
 func NewGELU() *GELU { return &GELU{} }
-
-const (
-	geluC float32 = 0.7978845608028654 // √(2/π)
-	geluA float32 = 0.044715
-)
 
 // Forward applies the activation elementwise.
 func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -118,18 +49,12 @@ func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		g.lastX = nil
 	}
-	for i, v := range xd {
-		v3 := float32(float32(v*v) * v)
-		od[i] = float32(geluC * (v + float32(geluA*v3)))
-	}
-	tensor.TanhInto(th, od)
-	for i, v := range xd {
-		od[i] = float32(float32(0.5*v) * (1 + th[i]))
-	}
+	tensor.GELUInto(od, th, xd)
 	return out
 }
 
-// Backward multiplies by the activation derivative at the cached input.
+// Backward multiplies by the activation derivative at the cached input
+// (tensor.GELUBackwardInto, on the tanh the forward kept).
 func (g *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if g.lastX == nil {
 		panic("nn: GELU.Backward called before Forward(train=true)")
@@ -140,16 +65,7 @@ func (g *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: GELU.Backward grad has %d elements but cache has %d (stale forward?)", len(gd), len(g.lastX)))
 	}
 	out := g.ar.Get(grad.Shape()...)
-	od := out.Data()
-	for i, v := range g.lastX {
-		// 0.5·(1+t) + 0.5·x·(1−t²)·u′(x), u′ = √(2/π)·(1 + 3·0.044715·x²),
-		// with x·(1−t²) taken first: it is zero once the tanh saturates,
-		// before x² can overflow.
-		t := g.tanh[i]
-		w := float32(v * (1 - float32(t*t)))
-		w += float32(3 * geluA * float32(float32(w*v)*v))
-		od[i] = float32(gd[i] * (float32(0.5*(1+t)) + float32(0.5*geluC*w)))
-	}
+	tensor.GELUBackwardInto(out.Data(), gd, g.lastX, g.tanh)
 	return out
 }
 
@@ -159,7 +75,9 @@ func (g *GELU) Params() []*Param { return nil }
 // --- LayerNorm ---------------------------------------------------------------
 
 // LayerNorm normalizes over the last dimension (size Dim) with learned
-// gain and bias. Row statistics accumulate in float64.
+// gain and bias: tensor.LayerNormInto forward and
+// tensor.LayerNormBackwardInto backward, each row's statistics one
+// float64 chain in ascending column order.
 type LayerNorm struct {
 	Dim  int
 	Eps  float64
@@ -188,46 +106,19 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if shape[len(shape)-1] != l.Dim {
 		panic(fmt.Sprintf("nn: LayerNorm expects trailing dim %d, got %v", l.Dim, shape))
 	}
-	d := l.Dim
-	rows := x.Numel() / d
 	out := l.ar.Get(shape...)
-	xd, od := x.Data(), out.Data()
-	gd, bd := l.Gain.Value.Data(), l.Bias.Value.Data()
 	// Eval forwards invalidate the cache (see the package guard note).
 	l.xhat = nil
 	var xhat []float32
+	var invStd []float64
 	if train {
 		l.xhat = l.ar.Get(shape...)
 		xhat = l.xhat.Data()
-		l.invStd = reuse(l.invStd, rows)
+		l.invStd = reuse(l.invStd, x.Numel()/l.Dim)
+		invStd = l.invStd
 		l.cached()
 	}
-	for r := 0; r < rows; r++ {
-		row := xd[r*d : (r+1)*d]
-		var mean float64
-		for _, v := range row {
-			mean += float64(v)
-		}
-		mean /= float64(d)
-		var variance float64
-		for _, v := range row {
-			dv := float64(v) - mean
-			variance += dv * dv
-		}
-		variance /= float64(d)
-		s := 1 / math.Sqrt(variance+l.Eps)
-		orow := od[r*d : (r+1)*d]
-		for j, v := range row {
-			xh := (float64(v) - mean) * s
-			orow[j] = float32(xh*float64(gd[j]) + float64(bd[j]))
-			if train {
-				xhat[r*d+j] = float32(xh)
-			}
-		}
-		if train {
-			l.invStd[r] = s
-		}
-	}
+	tensor.LayerNormInto(out.Data(), xhat, invStd, x.Data(), l.Gain.Value.Data(), l.Bias.Value.Data(), l.Eps)
 	return out
 }
 
@@ -242,32 +133,8 @@ func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if len(xhat) != len(gd) {
 		panic(fmt.Sprintf("nn: LayerNorm.Backward grad has %d elements but cache has %d (stale forward?)", len(gd), len(xhat)))
 	}
-	d := l.Dim
-	rows := len(gd) / d
 	out := l.ar.Get(grad.Shape()...)
-	od := out.Data()
-	gaind := l.Gain.Value.Data()
-	dGain, dBias := l.Gain.Grad.Data(), l.Bias.Grad.Data()
-	for r := 0; r < rows; r++ {
-		grow := gd[r*d : (r+1)*d]
-		xrow := xhat[r*d : (r+1)*d]
-		var meanDxhat, meanDxhatXhat float64
-		for j, g := range grow {
-			dxh := float64(g) * float64(gaind[j])
-			meanDxhat += dxh
-			meanDxhatXhat += dxh * float64(xrow[j])
-			dGain[j] += float32(float64(g) * float64(xrow[j]))
-			dBias[j] += g
-		}
-		meanDxhat /= float64(d)
-		meanDxhatXhat /= float64(d)
-		s := l.invStd[r]
-		orow := od[r*d : (r+1)*d]
-		for j, g := range grow {
-			dxh := float64(g) * float64(gaind[j])
-			orow[j] = float32(s * (dxh - meanDxhat - float64(xrow[j])*meanDxhatXhat))
-		}
-	}
+	tensor.LayerNormBackwardInto(out.Data(), l.Gain.Grad.Data(), l.Bias.Grad.Data(), gd, xhat, l.Gain.Value.Data(), l.invStd)
 	return out
 }
 
@@ -414,7 +281,8 @@ func (f *FeedForward) Params() []*Param {
 // over [N, L, Dim] hidden states. Per-(sample, head) score and context
 // products run on the backend's batched GEMM entry points — the skinny
 // m ≈ L shapes the batched dispatch heuristic exists for — and the
-// softmax is the shared max-subtracted implementation.
+// softmax is tensor.SoftmaxInto over the scores in place, 1/√dₕ folded
+// into it.
 type MultiHeadAttention struct {
 	Dim, Heads     int
 	Wq, Wk, Wv, Wo *Linear
@@ -482,6 +350,9 @@ func mergeHeads(ar *tensor.Arena, x *tensor.Tensor, n, l, heads int) *tensor.Ten
 	return out
 }
 
+// attnScale is the scores' 1/√dₕ.
+func attnScale(dh int) float32 { return float32(1 / math.Sqrt(float64(dh))) }
+
 // Forward computes softmax(Q·Kᵀ/√dₕ)·V per head, then the output
 // projection.
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -496,10 +367,11 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 	kh := splitHeads(ar, a.Wk.Forward(x2, train), n, l, a.Heads)
 	vh := splitHeads(ar, a.Wv.Forward(x2, train), n, l, a.Heads)
 
-	scores := ar.Get(g, l, l)
-	be.MatMulTBBatchInto(scores, qh, kh)
-	be.Scale(scores, scores, float32(1/math.Sqrt(float64(dh))))
-	probs := SoftmaxLastDim(ar, scores)
+	// The scores become their softmax in place, 1/√dₕ folded into the
+	// kernel's max and shift passes.
+	probs := ar.Get(g, l, l)
+	be.MatMulTBBatchInto(probs, qh, kh)
+	tensor.SoftmaxInto(probs.Data(), probs.Data(), l, attnScale(dh))
 	ctx := ar.Get(g, l, dh)
 	be.MatMulBatchInto(ctx, probs, vh)
 	out := a.Wo.Forward(mergeHeads(ar, ctx, n, l, a.Heads), train)
@@ -533,11 +405,12 @@ func (a *MultiHeadAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dProbs, dV := ar.Get(g, l, l), ar.Get(g, l, dh)
 	be.MatMulTBBatchInto(dProbs, dCtx, a.vh)
 	be.MatMulTABatchInto(dV, a.probs, dCtx) // probsᵀ·dCtx
-	dScores := SoftmaxBackwardLastDim(ar, a.probs, dProbs)
-	be.Scale(dScores, dScores, float32(1/math.Sqrt(float64(dh))))
+	// dProbs becomes the scores' gradient in place, 1/√dₕ applied at
+	// the store.
+	tensor.SoftmaxBackwardInto(dProbs.Data(), a.probs.Data(), dProbs.Data(), l, attnScale(dh))
 	dQ, dK := ar.Get(g, l, dh), ar.Get(g, l, dh)
-	be.MatMulBatchInto(dQ, dScores, a.kh)
-	be.MatMulTABatchInto(dK, dScores, a.qh)
+	be.MatMulBatchInto(dQ, dProbs, a.kh)
+	be.MatMulTABatchInto(dK, dProbs, a.qh)
 
 	dx := a.Wq.Backward(mergeHeads(ar, dQ, n, l, a.Heads))
 	be.Add(dx, dx, a.Wk.Backward(mergeHeads(ar, dK, n, l, a.Heads)))

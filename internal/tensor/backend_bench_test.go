@@ -112,7 +112,8 @@ func BenchmarkAttnContextBatch(b *testing.B) {
 // (the scalar loop, which takes the tail and hosts without AVX, is
 // cheaper below |x| = 1, so the spread matters there), and 16·4·32·32
 // max-shifted attention scores. "tensor" is one call over all of them;
-// "row=32" is how the softmax calls ExpInto, once per 32-float row, and
+// "row=32" is one call per 32-float attention row, as the softmax called
+// it before it made one call over the whole tensor, and
 // "row=37" leaves a 5-float scalar tail on every call, so per-call and
 // tail costs show beside the whole-tensor rate. The throughput column is
 // 4 bytes per element.

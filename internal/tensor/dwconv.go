@@ -141,12 +141,12 @@ func dwForwardRow(orow, xp, wk []float32, g convGeom, lo, hi []int, ih0 int) {
 			if g.stride == 1 {
 				xs := xrow[xi:][:len(o)]
 				for j := range o {
-					o[j] += xs[j] * wv
+					o[j] += float32(xs[j] * wv)
 				}
 				continue
 			}
 			for j := range o {
-				o[j] += xrow[xi] * wv
+				o[j] += float32(xrow[xi] * wv)
 				xi += g.stride
 			}
 		}
@@ -211,14 +211,14 @@ func dwBackwardRow(grow, xp, dxp, wk, dwk []float32, g convGeom, lo, hi []int, i
 					if gv == 0 {
 						continue
 					}
-					acc += gv * xs[j]
-					ds[j] += gv * wv
+					acc += float32(gv * xs[j])
+					ds[j] += float32(gv * wv)
 				}
 			} else {
 				for _, gv := range gs {
 					if gv != 0 {
-						acc += gv * xrow[xi]
-						dxrow[xi] += gv * wv
+						acc += float32(gv * xrow[xi])
+						dxrow[xi] += float32(gv * wv)
 					}
 					xi += g.stride
 				}

@@ -362,7 +362,7 @@ func microGeneric(od []float32, ldo int, t *microOperands, pc, rows, w int, accu
 				s = orow[c]
 			}
 			for p := 0; p < pc; p++ {
-				s += arow[p*t.ps] * t.b[int(t.boff[p])+c]
+				s += float32(arow[p*t.ps] * t.b[int(t.boff[p])+c])
 			}
 			orow[c] = s
 		}

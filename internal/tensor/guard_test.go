@@ -298,3 +298,54 @@ func TestChannelTailReadsStayInsideOperands(t *testing.T) {
 		}
 	}
 }
+
+// guarded64 is guarded for float64s.
+func guarded64(t *testing.T, n int) []float64 {
+	return unsafe.Slice((*float64)(unsafe.Pointer(&guarded(t, 2*n)[0])), n)
+}
+
+// guardedRows returns c with every operand copied to memory that ends at
+// an unmapped page.
+func guardedRows(t *testing.T, c *rowOperands) *rowOperands {
+	g := *c
+	for _, p := range []*[]float32{&g.x, &g.grad, &g.xhat, &g.probs, &g.th, &g.gain, &g.bias, &g.dGain, &g.dBias} {
+		s := guarded(t, len(*p))
+		copy(s, *p)
+		*p = s
+	}
+	g.invStd = guarded64(t, len(c.invStd))
+	copy(g.invStd, c.invStd)
+	return &g
+}
+
+// TestRowKernelsReadsStayInsideOperands runs every row kernel's lanes
+// with each operand and each output ending flush against an unmapped
+// page: the per-column parameters (gain, bias, the gradient sums) as well
+// as the rows, at every row length of rowLengths and at row counts around
+// the groups of four. A row lane that gathers past the last row, or an
+// element lane that loads or stores past the last whole group of a row,
+// faults. The results must equal the scalar loops' bit for bit.
+func TestRowKernelsReadsStayInsideOperands(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX: the scalar loops run, and Go bounds-checks them")
+	}
+	rng := rand.New(rand.NewSource(54))
+	guardAlloc := func(t *testing.T) rowAlloc {
+		return rowAlloc{
+			f32: func(n int) []float32 { return guarded(t, n) },
+			f64: func(n int) []float64 { return guarded64(t, n) },
+		}
+	}
+	for _, d := range rowLengths {
+		for _, rows := range []int{1, 3, 4, 5, 8, 9} {
+			t.Run(fmt.Sprintf("d=%d/rows=%d", d, rows), func(t *testing.T) {
+				c := guardedRows(t, newRowOperands(rng, rows, d, rowMixes[1]))
+				for _, k := range rowKernels {
+					if diff := lanesAndGeneric(k, c, guardAlloc(t)); diff != "" {
+						t.Fatalf("%s: %s", k.name, diff)
+					}
+				}
+			})
+		}
+	}
+}

@@ -66,6 +66,6 @@ func scaleRange(dd, ad []float32, s float32, lo, hi int) {
 
 func axpyRange(dd, sd []float32, alpha float32, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		dd[i] += alpha * sd[i]
+		dd[i] += float32(alpha * sd[i])
 	}
 }

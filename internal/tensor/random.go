@@ -11,7 +11,7 @@ func Rand(rng *rand.Rand, lo, hi float32, shape ...int) *Tensor {
 	t := New(shape...)
 	span := hi - lo
 	for i := range t.data {
-		t.data[i] = lo + span*rng.Float32()
+		t.data[i] = lo + float32(span*rng.Float32())
 	}
 	return t
 }
@@ -20,7 +20,7 @@ func Rand(rng *rand.Rand, lo, hi float32, shape ...int) *Tensor {
 func Randn(rng *rand.Rand, mean, std float32, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.data {
-		t.data[i] = mean + std*float32(rng.NormFloat64())
+		t.data[i] = mean + float32(std*float32(rng.NormFloat64()))
 	}
 	return t
 }
