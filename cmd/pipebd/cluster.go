@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
+	"pipebd/internal/dataset"
 	"pipebd/internal/distill"
 	"pipebd/internal/engine"
 	"pipebd/internal/model"
@@ -17,27 +19,48 @@ import (
 	"pipebd/internal/sched"
 )
 
-// clusterOptions configures the multi-process training mode.
-type clusterOptions struct {
-	Workers  []string // worker addresses, in device-placement order
-	PlanName string   // tr | hybrid | ir
-	Model    string   // tiny (default) | transformer
-	Steps    int
-	Batch    int
-	Backend  string
-	// Topology selects how peer edges are carried: "ring" (default for
-	// the CLI) dials them worker-to-worker, "hub" (or empty) relays every
-	// edge through the coordinator.
-	Topology string
-	Verify   bool // re-run in-process and require bit-identical results
+// runOptions are the flags a fresh cluster run and a resumed one both
+// read.
+type runOptions struct {
 	// MaxRestarts enables fault tolerance: up to this many worker losses
-	// restart the run from its global cut instead of failing it.
+	// restart the run from its global cut instead of failing it. A resume
+	// reuses the manifest's budget at 0 and disables recovery below it.
 	MaxRestarts int
 	// Heartbeat asks workers for liveness beacons on this interval (the
 	// coordinator declares one dead after 4 silent intervals); 0 disables.
 	Heartbeat time.Duration
+	Verify    bool              // re-run in-process and require bit-identical results
+	Fsync     ledger.SyncPolicy // the ledger record-log durability tier
+	// Repartition arms the measurement-driven runtime repartitioner.
+	Repartition bool
+}
+
+func (o *runOptions) flags(fs *flag.FlagSet) {
+	fs.IntVar(&o.MaxRestarts, "max-restarts", 0, "survive up to N lost workers by restarting every device from the newest commonly snapshotted step (0: a lost worker fails the run); on resume, 0 reuses the manifest's budget and a negative value disables worker recovery")
+	fs.DurationVar(&o.Heartbeat, "cluster-heartbeat", 0, "worker heartbeat interval; a worker silent for 4 intervals is declared dead (0: disable silence detection)")
+	fs.BoolVar(&o.Verify, "verify", false, "require bit-identical match with the in-process pipeline")
+	fs.Func("fsync", "ledger record-log durability tier: none (page cache only — survives process death; the default), interval[:N] (fsync every N records, default 64), or always (fsync every record)", func(s string) (err error) {
+		o.Fsync, err = ledger.ParseSyncPolicy(s)
+		return err
+	})
+	fs.BoolVar(&o.Repartition, "repartition", false, "rebalance the pipeline placement mid-run from measured span timings — when observed per-block step times predict a better split, cut at a step boundary and re-place (weights stay bit-identical; only the boundaries between runs of unsplit groups move, so e.g. tr3 can shed a slow device and ir never repartitions)")
+}
+
+// clusterOptions configures the cluster mode: a fresh multi-process run.
+type clusterOptions struct {
+	runOptions
+	Workers  []string // worker addresses, in device-placement order
+	PlanName string   // tr | tr3 | hybrid | ir | dp3
+	Model    string   // tiny | transformer
+	Steps    int
+	Batch    int
+	Backend  string
+	// Topology selects how peer edges are carried: "ring" (the CLI
+	// default) dials them worker-to-worker, "hub" (or empty) relays every
+	// edge through the coordinator.
+	Topology string
 	// Ledger makes the run durable: the coordinator persists its state
-	// under this directory so a killed pipebd can restart with -resume.
+	// under this directory so a killed coordinator can be resumed.
 	Ledger string
 	// SnapInterval is the snapshot interval k (0: every step when fault
 	// tolerance is on).
@@ -63,32 +86,40 @@ type clusterOptions struct {
 	// TraceOut enables span tracing across the cluster and writes the
 	// collected timeline as Chrome trace-event JSON to this path, then
 	// prints the measured-vs-modeled utilization report.
-	TraceOut string
-	// NetStats prints the coordinator-side transport.Meter byte totals at
-	// run end (independent of tracing).
-	NetStats bool
-	// DebugAddr starts an HTTP debug listener (net/http/pprof plus a
-	// plain-text /metrics page) for the duration of the run.
-	DebugAddr string
-	// Fsync is the ledger record-log durability tier (needs Ledger).
-	Fsync ledger.SyncPolicy
-	// Repartition arms the measurement-driven runtime repartitioner.
-	Repartition bool
+	TraceOut  string
+	NetStats  bool   // print the coordinator's transport totals at run end
+	DebugAddr string // serve pprof and /metrics here for the run
+}
+
+func (o *clusterOptions) flags(fs *flag.FlagSet) {
+	o.runOptions.flags(fs)
+	fs.StringVar(&o.PlanName, "cluster-plan", "hybrid", "cluster schedule: tr|tr3|hybrid|ir|dp3")
+	fs.StringVar(&o.Model, "cluster-model", "tiny", "cluster workload: tiny (conv compression workbench) or transformer (encoder blocks with KL logit distillation)")
+	fs.IntVar(&o.Steps, "cluster-steps", 6, "cluster training steps")
+	fs.IntVar(&o.Batch, "cluster-batch", 8, "cluster global batch size")
+	fs.StringVar(&o.Topology, "topology", "ring", "how the cluster's peer edges are carried: ring (activations and all-reduce travel worker-to-worker; coordinator is control plane only) or hub (the coordinator relays every edge)")
+	backendFlag(fs, &o.Backend)
+	fs.DurationVar(&o.RetryBudget, "retry-budget", 0, "transient-fault absorption — a broken worker or peer link reconnects with exponential backoff (from 10 ms) and replays its missed frames for up to this long before the failure escalates (0: links fail on first break)")
+	fs.StringVar(&o.Ledger, "ledger", "", "persist the coordinator's run state under this directory so a killed coordinator can restart with pipebd resume")
+	fs.IntVar(&o.SnapInterval, "snapshot-interval", 0, "snapshot interval k — each group's rank-0 device snapshots every k-th step (0: every step when fault tolerance is on)")
+	fs.IntVar(&o.ChaosKills, "chaos-kills", 0, "inject N seeded worker-connection kills mid-run (self-test for -max-restarts; combine with -verify)")
+	fs.Int64Var(&o.ChaosSeed, "chaos-seed", 1, "seed for the -chaos-kills and -chaos-flaps schedules")
+	fs.IntVar(&o.ChaosFlaps, "chaos-flaps", 0, "inject N seeded transient link flaps mid-run (self-test for -retry-budget; combine with -verify)")
+	fs.DurationVar(&o.ChaosPart, "chaos-partition", 0, "inject one healing partition — a link breaks and its address stays unreachable for this duration, so the reconnect loop must back off until it heals (needs -retry-budget > the partition)")
+	fs.StringVar(&o.TraceOut, "trace-out", "", "trace every device's per-step spans, write a Chrome trace-event JSON file here (open in chrome://tracing or Perfetto), and print the measured-vs-modeled utilization report")
+	fs.BoolVar(&o.NetStats, "net-stats", false, "print the coordinator's transport byte/frame totals at run end")
+	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve net/http/pprof and a plain-text /metrics page on this address for the duration of the run")
 }
 
 // validate rejects option combinations before any socket is touched.
+// What the library checks itself (the snapshot policy, for one) it
+// checks before it dials, so it is not repeated here.
 func (o clusterOptions) validate() error {
 	if len(o.Workers) == 0 {
 		return fmt.Errorf("cluster mode needs at least one worker address")
 	}
 	if o.Steps <= 0 || o.Batch <= 0 {
 		return fmt.Errorf("cluster steps and batch must be positive (got %d, %d)", o.Steps, o.Batch)
-	}
-	if o.SnapInterval < 0 {
-		return fmt.Errorf("-snapshot-interval must be >= 0, got %d", o.SnapInterval)
-	}
-	if o.SnapInterval > 0 && o.MaxRestarts <= 0 && o.Ledger == "" {
-		return fmt.Errorf("-snapshot-interval needs -max-restarts or -ledger (snapshots exist for recovery)")
 	}
 	// A kill beyond the restart budget means the run is expected to die.
 	// That is a configuration mistake — unless a ledger makes the death
@@ -108,25 +139,34 @@ func (o clusterOptions) validate() error {
 	return nil
 }
 
-// resumeOptions configures pipebd -resume: everything that defines the
+// resumeOptions configures the resume mode: everything that defines the
 // run lives in the ledger manifest, so only operational overrides remain.
 type resumeOptions struct {
-	Dir         string   // ledger directory (required)
-	Workers     []string // override manifest worker addresses; nil reuses them
-	MaxRestarts int      // 0 reuses the manifest's budget
-	Heartbeat   time.Duration
-	Verify      bool
-	Fsync       ledger.SyncPolicy
-	Repartition bool
-	// Expect pins explicitly-requested run properties (plan name,
-	// topology, steps) against the manifest; nil checks nothing.
-	Expect *cluster.ResumeExpectation
+	runOptions
+	// expect pins run properties given on the command line against the
+	// manifest; zero fields are not checked.
+	expect cluster.ResumeExpectation
 }
 
-func (o resumeOptions) validate() error {
-	if o.Dir == "" {
-		return fmt.Errorf("-resume needs a ledger directory")
+func (o *resumeOptions) flags(fs *flag.FlagSet) {
+	o.runOptions.flags(fs)
+	const check = " the ledger's manifest must hold; resume fails on a mismatch"
+	fs.StringVar(&o.expect.PlanName, "cluster-plan", "", "the plan name"+check)
+	fs.StringVar(&o.expect.Model, "cluster-model", "", "the model"+check)
+	fs.StringVar(&o.expect.Topology, "topology", "", "the topology"+check)
+	fs.IntVar(&o.expect.Steps, "cluster-steps", 0, "the step count"+check)
+}
+
+// compactOptions is the compact mode, which has no flags.
+type compactOptions struct{}
+
+func (compactOptions) flags(*flag.FlagSet) {}
+
+func (compactOptions) run(args []string, stdout io.Writer) error {
+	if err := ledger.Compact(args[0]); err != nil {
+		return err
 	}
+	fmt.Fprintf(stdout, "pipebd: compacted ledger %s (resume with: pipebd resume %s)\n", args[0], args[0])
 	return nil
 }
 
@@ -184,21 +224,24 @@ func clusterPlan(name string) (sched.Plan, error) {
 	}
 }
 
-// runCluster trains the selected workbench (tiny compression by default,
-// transformer with -cluster-model transformer) across the given workers
-// and, with opts.Verify, proves the run bit-identical to the in-process
-// pipeline.
-func runCluster(stdout io.Writer, opts clusterOptions) error {
-	if err := opts.validate(); err != nil {
+// run trains the selected workbench (tiny compression by default,
+// transformer with -cluster-model transformer) across the workers and,
+// with -verify, proves the run bit-identical to the in-process pipeline.
+func (o *clusterOptions) run(args []string, stdout io.Writer) error {
+	o.Workers = strings.Split(args[0], ",")
+	if err := o.validate(); err != nil {
 		return err
 	}
-	plan, err := clusterPlan(opts.PlanName)
+	if err := useBackend(o.Backend); err != nil {
+		return err
+	}
+	plan, err := clusterPlan(o.PlanName)
 	if err != nil {
 		return err
 	}
 	nDev := plan.NumDevices()
 
-	spec, recipe, buildBench, costWL, err := clusterWorkload(opts.Model, opts.Steps, opts.Batch)
+	spec, recipe, buildBench, costWL, err := clusterWorkload(o.Model, o.Steps, o.Batch)
 	if err != nil {
 		return err
 	}
@@ -212,15 +255,15 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 
 	cfg := cluster.Config{
 		Plan: plan, DPU: true, LR: 0.05, Momentum: 0.9,
-		Backend: opts.Backend, Topology: opts.Topology, Spec: spec,
+		Backend: o.Backend, Topology: o.Topology, Spec: spec,
 		Data:              recipe,
-		MaxRestarts:       opts.MaxRestarts,
-		Snapshot:          cluster.SnapshotPolicy{Interval: opts.SnapInterval},
-		LedgerDir:         opts.Ledger,
-		Fsync:             opts.Fsync,
-		Repartition:       opts.Repartition,
-		RetryBudget:       opts.RetryBudget,
-		HeartbeatInterval: opts.Heartbeat,
+		MaxRestarts:       o.MaxRestarts,
+		Snapshot:          cluster.SnapshotPolicy{Interval: o.SnapInterval},
+		LedgerDir:         o.Ledger,
+		Fsync:             o.Fsync,
+		Repartition:       o.Repartition,
+		RetryBudget:       o.RetryBudget,
+		HeartbeatInterval: o.Heartbeat,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stdout, "pipebd: "+format+"\n", args...)
 		},
@@ -228,29 +271,24 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 	counters := obs.NewMetrics()
 	cfg.Metrics = counters
 	var collect *obs.Collector
-	if opts.TraceOut != "" {
+	if o.TraceOut != "" {
 		collect = obs.NewCollector()
 		cfg.Trace = true
 		cfg.TraceSink = collect.Add
 	}
 	var net transport.Network = transport.TCP{}
 	var chaos *transport.Chaos
-	var schedule []transport.Fault
-	if opts.ChaosKills > 0 {
-		schedule = append(schedule, transport.RandomKills(opts.ChaosSeed, len(opts.Workers), opts.Steps, opts.ChaosKills)...)
-	}
-	if opts.ChaosFlaps > 0 {
-		schedule = append(schedule, transport.RandomFlaps(opts.ChaosSeed, len(opts.Workers), opts.Steps, opts.ChaosFlaps)...)
-	}
-	if opts.ChaosPart > 0 {
+	schedule := append(transport.RandomKills(o.ChaosSeed, len(o.Workers), o.Steps, o.ChaosKills),
+		transport.RandomFlaps(o.ChaosSeed, len(o.Workers), o.Steps, o.ChaosFlaps)...)
+	if o.ChaosPart > 0 {
 		// One healing partition on the first dialed link, mid-run: the
 		// break itself looks like a flap, but redials keep failing until
 		// the blackhole lifts, so the reconnect loop must outlast it.
 		schedule = append(schedule, transport.Fault{
 			Trigger: transport.Trigger{Conn: 0, Op: transport.OpRecv,
-				Kind: wire.KindLosses, Step: int32(opts.Steps / 2), Count: 1},
+				Kind: wire.KindLosses, Step: int32(o.Steps / 2), Count: 1},
 			Action: transport.ActPartition,
-			Delay:  opts.ChaosPart,
+			Delay:  o.ChaosPart,
 		})
 	}
 	if len(schedule) > 0 {
@@ -265,45 +303,27 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 	// coordinator's sockets — the control plane's share of the traffic
 	// (ring runs move tensors worker-to-worker; those bytes show up on
 	// the workers' own -net-stats meters, not here).
-	var meter *transport.Meter
-	if opts.NetStats || opts.DebugAddr != "" {
-		meter = transport.NewMeter(net)
-		net = meter
-	}
-	if opts.DebugAddr != "" {
-		srv, err := obs.StartDebugServer(opts.DebugAddr, func(w io.Writer) {
-			counters.Render(w)
-			writeMeterTotals(w, "coordinator control plane", meter.Totals())
-		})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stdout, "pipebd: debug server on http://%s (/metrics, /debug/pprof/)\n", srv.Addr())
+	net, closeMeter, err := observe(stdout, "pipebd: ", net, "coordinator control plane", o.NetStats, o.DebugAddr, counters)
+	if err != nil {
+		return err
 	}
 	w := buildBench()
-	topo := opts.Topology
-	if topo == "" {
-		topo = "hub"
-	}
 	fmt.Fprintf(stdout, "pipebd: cluster run: plan %s (%s), model %s, %d device(s) on %d worker(s), %d steps, batch %d, dpu=%v, topology=%s, max-restarts=%d\n",
-		plan.Name, plan.Describe(), spec.Name, nDev, len(opts.Workers), opts.Steps, opts.Batch, cfg.DPU, topo, opts.MaxRestarts)
-	if opts.Ledger != "" {
-		fmt.Fprintf(stdout, "pipebd: durable run: ledger at %s (restart a killed coordinator with: pipebd -resume %s)\n",
-			opts.Ledger, opts.Ledger)
+		plan.Name, plan.Describe(), spec.Name, nDev, len(o.Workers), o.Steps, o.Batch, cfg.DPU, o.Topology, o.MaxRestarts)
+	if o.Ledger != "" {
+		fmt.Fprintf(stdout, "pipebd: durable run: ledger at %s (restart a killed coordinator with: pipebd resume %s)\n",
+			o.Ledger, o.Ledger)
 	}
 	start := time.Now()
-	res, err := cluster.Run(net, opts.Workers, w, batches, cfg)
-	if opts.NetStats && meter != nil {
-		// Byte totals print even when the run failed — partial traffic is
-		// often exactly what a failure post-mortem needs.
-		writeMeterTotals(stdout, "pipebd: net: coordinator control plane", meter.Totals())
-	}
+	res, err := cluster.Run(net, o.Workers, w, batches, cfg)
+	// Byte totals print even when the run failed — partial traffic is
+	// often exactly what a failure post-mortem needs.
+	closeMeter()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "pipebd: cluster run finished in %v\n", time.Since(start).Round(time.Millisecond))
-	if opts.Repartition {
+	if o.Repartition {
 		fmt.Fprintf(stdout, "pipebd: repartitions executed: %d\n", counters.Counter("repartitions").Load())
 	}
 	if cfg.RetryBudget > 0 {
@@ -311,7 +331,7 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 			counters.Counter("link_faults_absorbed").Load(),
 			counters.Counter("link_frames_replayed").Load(),
 			counters.Counter("degrades").Load(),
-			counters.Counter("recoveries").Load(), opts.MaxRestarts)
+			counters.Counter("recoveries").Load(), o.MaxRestarts)
 	}
 	if chaos != nil {
 		if unfired := chaos.Unfired(); len(unfired) > 0 {
@@ -321,37 +341,41 @@ func runCluster(stdout io.Writer, opts clusterOptions) error {
 			return fmt.Errorf("chaos self-test invalid: %d scheduled fault(s) never fired (%v); pick a different -chaos-seed or fewer workers", len(unfired), unfired)
 		}
 	}
+	if collect != nil {
+		// Worker-side drops are counted on the workers (their metrics and
+		// trace dumps); the coordinator's own track reports here.
+		collect.AddDropped(counters.Counter("spans_dropped").Load())
+		if err := writeTraceReport(stdout, o.TraceOut, collect,
+			plan, cfg.DPU, nDev, o.Steps, o.Batch, costWL); err != nil {
+			return err
+		}
+	}
+	return finish(stdout, res, w, o.Verify, func() (*distill.Workbench, []dataset.Batch, engine.Config, error) {
+		return buildBench(), batches, engine.Config{Plan: plan, DPU: cfg.DPU, LR: cfg.LR, Momentum: cfg.Momentum}, nil
+	})
+}
+
+// finish prints a finished run's final per-block losses and, with
+// verify, requires its loss trajectory and trained student weights to
+// match bit for bit the in-process pipeline that reference builds — the
+// CLI face of the cluster's equivalence guarantee, shared by cluster and
+// resume.
+func finish(stdout io.Writer, res engine.Result, w *distill.Workbench, verify bool,
+	reference func() (*distill.Workbench, []dataset.Batch, engine.Config, error)) error {
 	final := res.FinalLoss()
 	parts := make([]string, len(final))
 	for b, l := range final {
 		parts[b] = fmt.Sprintf("B%d=%.6g", b, l)
 	}
 	fmt.Fprintf(stdout, "pipebd: final per-block losses: %s\n", strings.Join(parts, " "))
-
-	if collect != nil {
-		// Worker-side drops are counted on the workers (their metrics and
-		// trace dumps); the coordinator's own track reports here.
-		collect.AddDropped(counters.Counter("spans_dropped").Load())
-		if err := writeTraceReport(stdout, opts.TraceOut, collect,
-			plan, cfg.DPU, nDev, opts.Steps, opts.Batch, costWL); err != nil {
-			return err
-		}
-	}
-
-	if !opts.Verify {
+	if !verify {
 		return nil
 	}
-	ref := buildBench()
-	refRes := engine.RunPipelined(ref, batches, engine.Config{
-		Plan: plan, DPU: cfg.DPU, LR: cfg.LR, Momentum: cfg.Momentum})
-	return verifyBitIdentical(stdout, res, w, refRes, ref)
-}
-
-// verifyBitIdentical requires a run's loss trajectory and trained student
-// weights to match an in-process reference bit-for-bit — the CLI face of
-// the cluster's equivalence guarantee, shared by -cluster -verify and
-// -resume -verify.
-func verifyBitIdentical(stdout io.Writer, res engine.Result, w *distill.Workbench, refRes engine.Result, ref *distill.Workbench) error {
+	ref, batches, cfg, err := reference()
+	if err != nil {
+		return err
+	}
+	refRes := engine.RunPipelined(ref, batches, cfg)
 	for b := range refRes.Loss {
 		for s := range refRes.Loss[b] {
 			if refRes.Loss[b][s] != res.Loss[b][s] {
@@ -373,62 +397,53 @@ func verifyBitIdentical(stdout io.Writer, res engine.Result, w *distill.Workbenc
 	return nil
 }
 
-// runResume restarts a killed coordinator from its ledger directory: the
+// run restarts a killed coordinator from its ledger directory: the
 // manifest supplies the plan, model, hyperparameters, data recipe, and
-// worker addresses; the record log supplies the crash-time cut. With
-// opts.Verify the finished run is additionally checked bit-identical
-// against a fresh in-process pipeline built from the same manifest.
-func runResume(stdout io.Writer, opts resumeOptions) error {
-	if err := opts.validate(); err != nil {
-		return err
+// worker addresses (unless args name others); the record log supplies
+// the crash-time cut. With -verify the finished run is additionally
+// checked bit-identical against a fresh in-process pipeline built from
+// the same manifest.
+func (o *resumeOptions) run(args []string, stdout io.Writer) error {
+	dir := args[0]
+	var workers []string
+	if len(args) > 1 {
+		workers = strings.Split(args[1], ",")
 	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(stdout, "pipebd: "+format+"\n", args...)
-	}
-	fmt.Fprintf(stdout, "pipebd: resuming coordinator from ledger %s\n", opts.Dir)
+	fmt.Fprintf(stdout, "pipebd: resuming coordinator from ledger %s\n", dir)
 	start := time.Now()
-	res, w, err := cluster.ResumeRun(transport.TCP{}, opts.Dir, cluster.ResumeConfig{
-		Addrs:             opts.Workers,
-		MaxRestarts:       opts.MaxRestarts,
-		HeartbeatInterval: opts.Heartbeat,
-		Logf:              logf,
-		Fsync:             opts.Fsync,
-		Repartition:       opts.Repartition,
-		Expect:            opts.Expect,
+	res, w, err := cluster.ResumeRun(transport.TCP{}, dir, cluster.ResumeConfig{
+		Addrs:             workers,
+		MaxRestarts:       o.MaxRestarts,
+		HeartbeatInterval: o.Heartbeat,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(stdout, "pipebd: "+format+"\n", args...)
+		},
+		Fsync:       o.Fsync,
+		Repartition: o.Repartition,
+		Expect:      &o.expect,
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "pipebd: resumed run finished in %v\n", time.Since(start).Round(time.Millisecond))
-	final := res.FinalLoss()
-	parts := make([]string, len(final))
-	for b, l := range final {
-		parts[b] = fmt.Sprintf("B%d=%.6g", b, l)
-	}
-	fmt.Fprintf(stdout, "pipebd: final per-block losses: %s\n", strings.Join(parts, " "))
-	if !opts.Verify {
-		return nil
-	}
-	// The manifest pins everything the reference needs; re-read it so the
-	// comparison cannot drift from what was actually resumed.
-	led, man, _, err := ledger.Open(opts.Dir)
-	if err != nil {
-		return err
-	}
-	led.Close()
-	ref, err := cluster.BuildWorkbench(man.Assign.Spec)
-	if err != nil {
-		return err
-	}
-	if err := cluster.InstallSnapshot(ref, man.Assign.Snapshot); err != nil {
-		return err
-	}
-	batches, err := man.Assign.Run.Data.Batches()
-	if err != nil {
-		return err
-	}
-	refRes := engine.RunPipelined(ref, batches[:man.Assign.Run.Steps], engine.Config{
-		Plan: man.Assign.Plan, DPU: man.Assign.Run.DPU,
-		LR: man.Assign.Run.LR, Momentum: man.Assign.Run.Momentum})
-	return verifyBitIdentical(stdout, res, w, refRes, ref)
+	return finish(stdout, res, w, o.Verify, func() (ref *distill.Workbench, batches []dataset.Batch, cfg engine.Config, err error) {
+		// The manifest pins everything the reference needs; re-read it so
+		// the comparison cannot drift from what was actually resumed.
+		led, man, _, err := ledger.Open(dir)
+		if err != nil {
+			return
+		}
+		led.Close()
+		if ref, err = cluster.BuildWorkbench(man.Assign.Spec); err != nil {
+			return
+		}
+		if err = cluster.InstallSnapshot(ref, man.Assign.Snapshot); err != nil {
+			return
+		}
+		if batches, err = man.Assign.Run.Data.Batches(); err != nil {
+			return
+		}
+		run := man.Assign.Run
+		return ref, batches[:run.Steps], engine.Config{Plan: man.Assign.Plan, DPU: run.DPU, LR: run.LR, Momentum: run.Momentum}, nil
+	})
 }

@@ -1,160 +1,226 @@
-// Command pipebd regenerates the tables and figures of "Pipe-BD:
-// Pipelined Parallel Blockwise Distillation" (DATE 2023) on the analytic
-// multi-GPU simulator.
+// Command pipebd reproduces "Pipe-BD: Pipelined Parallel Blockwise
+// Distillation" (DATE 2023). One binary carries the paper's workflow —
+// profile the blocks, plan a schedule, train, draw what ran — as one
+// subcommand per mode, each with its own flags:
 //
-// Usage:
+//	pipebd exp fig4                      # one table or figure on the analytic simulator
+//	pipebd exp                           # every table and figure
+//	pipebd exp fig4 -system 2080ti       # alternative hardware
+//	pipebd exp table2 -quick             # truncated epochs, skip the accuracy proxy
+//	pipebd exp table2 -backend parallel  # multi-core numeric engine
+//	pipebd profile -workload nas-imagenet   # per-block prices, the TR and AHD plans
+//	pipebd gantt -strategy TR+DPU -steps 3  # a simulated schedule as a Gantt chart
+//	pipebd gantt -in run.json               # a measured run's Chrome trace, same chart
+//	pipebd worker -listen 127.0.0.1:7710 -sessions 1 -rejoin
+//	pipebd cluster 127.0.0.1:7710,127.0.0.1:7711 -cluster-plan hybrid -verify
+//	pipebd resume /tmp/run1 -verify
+//	pipebd compact /tmp/run1
 //
-//	pipebd -exp fig4                 # one experiment
-//	pipebd -exp all                  # everything
-//	pipebd -exp fig4 -system 2080ti  # alternative hardware
-//	pipebd -exp table2 -quick        # truncated epochs, skip accuracy proxy
-//	pipebd -exp table2 -backend parallel # multi-core numeric engine
+// A flag belongs to the modes that read it: given to any other mode it
+// fails to parse. Flags and positional arguments may interleave, and
+// "pipebd MODE -h" lists the mode's flags.
 //
-// Cluster mode trains the numeric workbench across pipebd-worker
-// processes instead of running experiments:
+// exp regenerates the paper's tables and figures; table2 also trains the
+// real float32 engine for its accuracy proxy. -backend selects the tensor
+// compute backend of every numeric run ("serial" is the single-threaded
+// reference, "parallel" row-partitions GEMMs across a pool sized by
+// GOMAXPROCS); backends are bit-identical by contract, so only
+// wall-clock depends on the choice.
 //
-//	pipebd -cluster 127.0.0.1:7710,127.0.0.1:7711 -cluster-plan hybrid
-//	pipebd -cluster 127.0.0.1:7710 -cluster-plan tr -verify
-//	pipebd -cluster 127.0.0.1:7710,127.0.0.1:7711 \
+// profile is the paper's profiling step: it prices a workload block by
+// block (sched.Price, the table the planners search) alone, split two
+// ways and split over every device, and prints the schedules plain
+// teacher relaying and automatic hybrid distribution choose. gantt draws
+// any schedule of the ladder (-out also writes it as a Chrome trace), or
+// with -in the trace of a measured run (cluster -trace-out, worker
+// -trace-dir), with the same chart.
+//
+// cluster trains the numeric workbench across worker processes (pipebd
+// worker) and, with -verify, re-runs the same schedule in-process and
+// requires the loss trajectory and trained weights to match bit for bit:
+//
+//	pipebd cluster 127.0.0.1:7710 -cluster-plan tr -verify
+//	pipebd cluster 127.0.0.1:7710,127.0.0.1:7711 \
 //	    -max-restarts 2 -chaos-kills 1 -chaos-seed 7 -verify
 //
-// -verify re-runs the same schedule in-process and requires the cluster's
-// loss trajectory and trained weights to match bit-for-bit.
+// -topology says how the one data plane — forwarded activations and
+// gradient all-reduces — is carried: "ring" (the default) dials every
+// peer edge worker to worker, leaving the coordinator a control plane;
+// "hub" relays every edge through the coordinator, which forwards the
+// frames unopened. Under both the first stage regenerates its batches
+// from the run's data recipe, and both are bit-identical to the
+// in-process pipeline.
 //
-// -topology selects how the cluster's one data plane — forwarded
-// activations and gradient all-reduces exchanged between the devices —
-// is carried. The default "ring" gives the workers direct peer-to-peer
-// connections, leaving the coordinator a control plane (placement, loss
-// collection, the step barrier, snapshots); "hub" relays every peer edge
-// through the coordinator, which forwards the frames unopened. Under both,
-// the first pipeline stage regenerates its batches locally from the run's
-// data recipe — no batch crosses a connection — and both are
-// bit-identical to the in-process pipeline, and therefore to each other.
+// Fault tolerance has three tiers (package cluster says how each works).
+// -retry-budget D lets a broken link reconnect and replay its missed
+// frames, and degrades a peer edge that stays down to hub relay.
+// -max-restarts N restarts every device from the newest step all of them
+// snapshotted when a worker is lost or silent past -cluster-heartbeat.
+// -ledger DIR makes the run durable, so the coordinator itself can die:
 //
-// -max-restarts N enables fault tolerance: when a worker connection dies
-// (or goes silent past -cluster-heartbeat), the coordinator supersedes
-// every session and restarts every device, on the re-joined or surviving
-// workers, from the newest step all of them had snapshotted and
-// accounted for — the result stays bit-identical, which the chaos flags
-// prove by injecting seeded kills under -verify.
+//	pipebd cluster 127.0.0.1:7710,127.0.0.1:7711 -ledger /tmp/run1
+//	# ... the coordinator dies mid-run (crash, OOM, kill -9) ...
+//	pipebd resume /tmp/run1 -verify
 //
-// -retry-budget D adds a cheaper tier below restarts: a broken worker or
-// peer link first tries to reconnect (exponential backoff from 10 ms)
-// and replay its missed frames, absorbing transient flaps without
-// touching the restart budget; a peer link that stays down past the
-// budget while its workers remain alive is degraded to hub relay through
-// the coordinator instead of cutting the run. Self-test
-// with -chaos-flaps N (seeded transient breaks) and -chaos-partition D
-// (a healing blackhole the reconnect loop must outlast) under -verify.
+// resume re-places every device on the manifest's workers (or on the
+// addresses given after the directory; start workers with -rejoin) and
+// finishes bit-identical to an uninterrupted run; -cluster-plan,
+// -cluster-model, -cluster-steps and -topology given to resume are
+// checked against the manifest. compact rewrites a ledger's record log as
+// one checkpoint per plan generation, which resumes bit-identically too.
+// -snapshot-interval k trades snapshot traffic for replay length.
+// -repartition moves the boundaries between runs of unsplit groups
+// mid-run when measured block times predict a better split. The chaos
+// flags (-chaos-kills, -chaos-flaps, -chaos-partition) inject seeded
+// faults for -verify to prove the recovery bit-identical.
 //
-// -ledger DIR makes the run durable: the coordinator persists a manifest
-// and an append-only record of its recovery state, so the coordinator
-// process itself can be killed and restarted:
-//
-//	pipebd -cluster 127.0.0.1:7710,127.0.0.1:7711 -ledger /tmp/run1
-//	# ... pipebd dies mid-run (crash, OOM, kill -9) ...
-//	pipebd -resume /tmp/run1 -verify
-//
-// The resumed run re-places every device on the workers (start them with
-// -rejoin so a dropped session does not consume their budget) exactly as
-// a fresh run or a live restart does — one handshake and one session-open
-// frame per worker, carrying each device's state at the persisted cut —
-// and finishes bit-identical to an uninterrupted run. -snapshot-interval k
-// trades snapshot traffic for replay length (each group's rank-0 device
-// snapshots every k-th step; the other members of a split group are
-// bit-identical replicas and ship nothing).
-//
-// -compact-ledger DIR rewrites a ledger's append-only record log as one
-// checkpoint record per plan generation holding only what a resume still
-// needs, bounding the log's growth; a compacted ledger — including one a
-// mid-run repartition split into generations — resumes bit-identically.
-//
-// Observability (cluster mode): -trace-out run.json makes every worker
-// record per-step spans (teacher/student forward, backward, update,
-// all-reduce phases, peer sends and ack waits, snapshot writes) and ship
-// them to the coordinator at step boundaries; the collected timeline is
-// written as Chrome trace-event JSON (load it in chrome://tracing or
-// https://ui.perfetto.dev) and summarized as a measured utilization
-// report printed side-by-side with the cost model's prediction of the
-// same schedule. -net-stats prints the coordinator's transport byte
-// totals even with tracing off; -debug-addr HOST:PORT serves
-// net/http/pprof plus a plain-text /metrics page (steps completed,
-// recoveries, snapshots, ledger records/bytes, transport totals) for the
-// duration of the run. Tracing is off unless asked for and costs nothing
-// when disabled.
-//
-// The -backend flag selects the tensor compute backend for every numeric
-// (real float32 training) portion of the experiments, and in cluster mode
-// the backend every worker session runs (the Assign names it): "serial"
-// is the single-threaded reference, "parallel" row-partitions GEMMs
-// across a bounded worker pool sized by GOMAXPROCS.
-// Backends are bit-identical by contract, so results never depend on the
-// choice — only wall-clock does.
+// Observability: -trace-out FILE records every device's per-step spans,
+// writes them as Chrome trace-event JSON (chrome://tracing or
+// https://ui.perfetto.dev) and prints measured utilization beside the
+// cost model's prediction of the same schedule. -net-stats prints the
+// transport totals a process's meter saw (the coordinator's control
+// plane, a worker's direct peer links); -debug-addr HOST:PORT serves
+// net/http/pprof and a plain-text /metrics page while the mode runs.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
-	"pipebd/internal/cluster"
-	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/experiments"
 	"pipebd/internal/hw"
+	"pipebd/internal/model"
 	"pipebd/internal/tensor"
 )
 
-// clusterModeFlags are the flags only a cluster run reads; the value says
-// whether a -resume reads the flag too.
-var clusterModeFlags = map[string]bool{
-	"cluster-plan":      true,
-	"cluster-model":     true,
-	"cluster-steps":     true,
-	"topology":          true,
-	"max-restarts":      true,
-	"cluster-heartbeat": true,
-	"fsync":             true,
-	"repartition":       true,
-	"verify":            true,
-	"cluster-batch":     false,
-	"retry-budget":      false,
-	"ledger":            false,
-	"snapshot-interval": false,
-	"chaos-kills":       false,
-	"chaos-seed":        false,
-	"chaos-flaps":       false,
-	"chaos-partition":   false,
-	"trace-out":         false,
-	"net-stats":         false,
-	"debug-addr":        false,
+// A command is one mode's options: flags binds them to the mode's own
+// flag set, and run executes the mode on its positional arguments.
+type command interface {
+	flags(fs *flag.FlagSet)
+	run(args []string, stdout io.Writer) error
 }
 
-// checkModeFlags rejects explicitly set cluster-mode flags in a mode that
-// would silently ignore them: experiment mode reads none of them, and a
-// -resume without -cluster only those marked in clusterModeFlags. The
-// error names every offending flag, in sorted order.
-func checkModeFlags(explicit map[string]bool, cluster, resume bool) error {
-	if cluster {
-		return nil
+// mode is one subcommand: its synopsis, how many positional arguments it
+// takes, and the options it parses its flags into.
+type mode struct {
+	name, args, summary string
+	min, max            int
+	new                 func() command
+}
+
+var modes = []mode{
+	{"exp", "[NAME]", "regenerate the paper's tables and figures on the analytic simulator: " + strings.Join(expNames(), "|") + "|all (default all)",
+		0, 1, func() command { return &expOptions{} }},
+	{"profile", "", "price a workload block by block and print the TR and AHD plans",
+		0, 0, func() command { return &profileOptions{} }},
+	{"gantt", "", "draw a simulated schedule, or with -in a measured run's Chrome trace, as a Gantt chart",
+		0, 0, func() command { return &ganttOptions{} }},
+	{"cluster", "ADDR[,ADDR...]", "train the numeric workbench across the worker processes at these addresses",
+		1, 1, func() command { return &clusterOptions{} }},
+	{"resume", "DIR [ADDR[,ADDR...]]", "restart a killed coordinator from its ledger directory, optionally on other workers",
+		1, 2, func() command { return &resumeOptions{} }},
+	{"compact", "DIR", "rewrite a ledger's record log as one checkpoint per plan generation",
+		1, 1, func() command { return compactOptions{} }},
+	{"worker", "", "host pipeline devices for a cluster or resume coordinator",
+		0, 0, func() command { return &workerOptions{} }},
+}
+
+func main() {
+	c, args, err := parse(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	var stray []string
-	needs := "-cluster or -resume"
-	for name, resumeReads := range clusterModeFlags {
-		if !explicit[name] || resume && resumeReads {
-			continue
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
+		os.Exit(2)
+	}
+	if err := c.run(args, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// flagSet builds the mode's flag set, bound to a fresh command.
+func (m mode) flagSet() (*flag.FlagSet, command) {
+	fs := flag.NewFlagSet("pipebd "+m.name, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c := m.new()
+	c.flags(fs)
+	return fs, c
+}
+
+// parseFlags parses args with fs, letting flags and positional arguments
+// interleave, and returns the positional ones.
+func parseFlags(fs *flag.FlagSet, args []string) ([]string, error) {
+	var pos []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return nil, err
 		}
-		stray = append(stray, "-"+name)
-		if !resumeReads {
-			needs = "-cluster"
+		if fs.NArg() == 0 {
+			return pos, nil
 		}
+		pos, args = append(pos, fs.Arg(0)), fs.Args()[1:]
 	}
-	if len(stray) == 0 {
-		return nil
+}
+
+// parse selects the mode args[0] names and parses the rest with that
+// mode's flag set. -h prints the usage to stdout and returns
+// flag.ErrHelp.
+func parse(args []string, stdout io.Writer) (command, []string, error) {
+	i := slices.IndexFunc(modes, func(m mode) bool { return len(args) > 0 && m.name == args[0] })
+	if i < 0 {
+		usage := "usage: pipebd MODE [flags] [args]; pipebd MODE -h lists a mode's flags\n\nmodes:\n"
+		for _, m := range modes {
+			usage += fmt.Sprintf("  %-8s %-21s %s\n", m.name, m.args, m.summary)
+		}
+		if len(args) == 1 && slices.Contains([]string{"help", "-h", "-help", "--help"}, args[0]) {
+			fmt.Fprint(stdout, usage)
+			return nil, nil, flag.ErrHelp
+		}
+		return nil, nil, errors.New(usage)
 	}
-	sort.Strings(stray)
-	return fmt.Errorf("%s: set without %s", strings.Join(stray, ", "), needs)
+	m := modes[i]
+	fs, c := m.flagSet()
+	pos, err := parseFlags(fs, args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(stdout, "usage: pipebd %s [flags] %s\n%s\n\nflags:\n", m.name, m.args, m.summary)
+		fs.SetOutput(stdout)
+		fs.PrintDefaults()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(pos) < m.min || len(pos) > m.max {
+		return nil, nil, fmt.Errorf("usage: pipebd %s [flags] %s (got arguments %q)", m.name, m.args, pos)
+	}
+	return c, pos, nil
+}
+
+// systemFlags are -system and -batch, shared by every mode that prices or
+// simulates a workload on a system preset.
+type systemFlags struct {
+	system string
+	batch  int
+}
+
+func (f *systemFlags) bind(fs *flag.FlagSet) {
+	fs.StringVar(&f.system, "system", "a6000", "system preset: a6000|2080ti")
+	fs.IntVar(&f.batch, "batch", 256, "global batch size")
+}
+
+// lookup resolves -system and rejects a -batch the system cannot share.
+func (f systemFlags) lookup() (hw.System, error) {
+	sys, err := hw.Preset(f.system)
+	if err == nil {
+		err = checkBatch(f.batch, sys)
+	}
+	return sys, err
 }
 
 // checkBatch rejects a global batch the system cannot share: every
@@ -166,7 +232,42 @@ func checkBatch(batch int, sys hw.System) error {
 	return nil
 }
 
-// experimentTable registers every -exp name, in the order "all" prints
+// workloadFlags add -workload to systemFlags.
+type workloadFlags struct {
+	systemFlags
+	workload string
+}
+
+func (f *workloadFlags) bind(fs *flag.FlagSet, workload string) {
+	fs.StringVar(&f.workload, "workload", workload,
+		"workload: nas-cifar10|nas-imagenet|compression-cifar10|compression-imagenet|transformer-tokens")
+	f.systemFlags.bind(fs)
+}
+
+func (f workloadFlags) lookup() (model.Workload, hw.System, error) {
+	w, err := model.ByName(f.workload)
+	if err != nil {
+		return model.Workload{}, hw.System{}, err
+	}
+	sys, err := f.systemFlags.lookup()
+	return w, sys, err
+}
+
+// useBackend makes the named -backend the process's tensor backend.
+func useBackend(name string) error {
+	be, ok := tensor.Lookup(name)
+	if !ok {
+		return fmt.Errorf("unknown backend %q (want %s)", name, strings.Join(tensor.Backends(), " or "))
+	}
+	tensor.SetDefault(be)
+	return nil
+}
+
+func backendFlag(fs *flag.FlagSet, name *string) {
+	fs.StringVar(name, "backend", "serial", "tensor compute backend: "+strings.Join(tensor.Backends(), "|"))
+}
+
+// experimentTable registers every exp name, in the order "all" prints
 // them: an experiment renders its text table and, where the figure has
 // one, the ASCII chart -chart appends.
 var experimentTable = []struct {
@@ -174,193 +275,76 @@ var experimentTable = []struct {
 	run  func(sys hw.System, o experiments.Options, quick bool) (table, chart string)
 }{
 	{"table1", func(hw.System, experiments.Options, bool) (string, string) { return experiments.Table1(), "" }},
-	{"fig2", func(sys hw.System, o experiments.Options, _ bool) (string, string) {
-		rows := experiments.Fig2(sys, o)
-		return experiments.FormatFig2(rows), experiments.ChartFig2(rows)
-	}},
-	{"fig4", func(sys hw.System, o experiments.Options, _ bool) (string, string) {
-		rows := experiments.Fig4(sys, o)
-		return experiments.FormatFig4(rows), experiments.ChartFig4(rows)
-	}},
+	{"fig2", figure(experiments.Fig2, experiments.FormatFig2, experiments.ChartFig2)},
+	{"fig4", figure(experiments.Fig4, experiments.FormatFig4, experiments.ChartFig4)},
 	{"fig5", func(_ hw.System, o experiments.Options, _ bool) (string, string) {
 		return experiments.FormatFig5(experiments.Fig5(o)), ""
 	}},
-	{"fig6", func(sys hw.System, o experiments.Options, _ bool) (string, string) {
-		rows := experiments.Fig6(sys, o)
-		return experiments.FormatFig6(rows), experiments.ChartFig6(rows)
-	}},
-	{"fig7", func(sys hw.System, o experiments.Options, _ bool) (string, string) {
-		rows := experiments.Fig7(sys, o)
-		return experiments.FormatFig7(rows), experiments.ChartFig7(rows)
-	}},
+	{"fig6", figure(experiments.Fig6, experiments.FormatFig6, experiments.ChartFig6)},
+	{"fig7", figure(experiments.Fig7, experiments.FormatFig7, experiments.ChartFig7)},
 	{"table2", func(sys hw.System, o experiments.Options, quick bool) (string, string) {
 		return experiments.FormatTable2(experiments.Table2(sys, o, quick)), ""
 	}},
 }
 
-func main() {
-	expNames := make([]string, len(experimentTable))
+// figure is the entry of a figure that has a chart.
+func figure[R any](run func(hw.System, experiments.Options) R, format, chart func(R) string) func(hw.System, experiments.Options, bool) (string, string) {
+	return func(sys hw.System, o experiments.Options, _ bool) (string, string) {
+		rows := run(sys, o)
+		return format(rows), chart(rows)
+	}
+}
+
+func expNames() []string {
+	names := make([]string, len(experimentTable))
 	for i, e := range experimentTable {
-		expNames[i] = e.name
+		names[i] = e.name
 	}
-	exp := flag.String("exp", "all", "experiment: "+strings.Join(expNames, "|")+"|all")
-	system := flag.String("system", "a6000", "system preset: a6000|2080ti")
-	batch := flag.Int("batch", 256, "global batch size")
-	quick := flag.Bool("quick", false, "truncate epochs to 40 steps and skip the accuracy proxy")
-	chart := flag.Bool("chart", false, "append ASCII charts to figure output")
-	backend := flag.String("backend", "serial", "tensor compute backend: "+strings.Join(tensor.Backends(), "|"))
-	clusterAddrs := flag.String("cluster", "", "comma-separated pipebd-worker addresses; enables cluster training mode")
-	clusterPlanName := flag.String("cluster-plan", "hybrid", "cluster schedule: tr|tr3|hybrid|ir|dp3")
-	clusterModel := flag.String("cluster-model", "tiny", "cluster workload: tiny (conv compression workbench) or transformer (encoder blocks with KL logit distillation)")
-	clusterSteps := flag.Int("cluster-steps", 6, "cluster training steps")
-	clusterBatch := flag.Int("cluster-batch", 8, "cluster global batch size")
-	clusterTopology := flag.String("topology", "ring", "how the cluster's peer edges are carried: ring (activations and all-reduce travel worker-to-worker; coordinator is control plane only) or hub (the coordinator relays every edge)")
-	maxRestarts := flag.Int("max-restarts", 0, "cluster mode: survive up to N lost workers by restarting every device from the newest commonly snapshotted step (0: a lost worker fails the run); with -resume, 0 reuses the manifest's budget and a negative value disables worker recovery")
-	clusterHeartbeat := flag.Duration("cluster-heartbeat", 0, "cluster mode: worker heartbeat interval; a worker silent for 4 intervals is declared dead (0: disable silence detection)")
-	retryBudget := flag.Duration("retry-budget", 0, "cluster mode: transient-fault absorption — a broken worker or peer link reconnects with exponential backoff (from 10 ms) and replays its missed frames for up to this long before the failure escalates (0: links fail on first break, classic behavior)")
-	ledgerDir := flag.String("ledger", "", "cluster mode: persist the coordinator's run state under this directory so a killed pipebd can restart with -resume")
-	snapInterval := flag.Int("snapshot-interval", 0, "cluster mode: snapshot interval k — each group's rank-0 device snapshots every k-th step (0: every step when fault tolerance is on)")
-	fsync := flag.String("fsync", "none", "ledger record-log durability tier: none (page cache only — survives process death), interval[:N] (fsync every N records, default 64), or always (fsync every record); needs -ledger or -resume")
-	repartition := flag.Bool("repartition", false, "cluster mode: rebalance the pipeline placement mid-run from measured span timings — when observed per-block step times predict a better split, cut at a step boundary and re-place (weights stay bit-identical; any plan is accepted, but only the boundaries between runs of unsplit groups move, so e.g. tr3 can shed a slow device and ir never repartitions)")
-	resumeDir := flag.String("resume", "", "restart a killed coordinator from this ledger directory (plan, model, batches, and workers come from the manifest; -cluster overrides the worker addresses; explicitly-set -cluster-plan/-topology/-cluster-steps become checked expectations against the manifest)")
-	compactDir := flag.String("compact-ledger", "", "rewrite this ledger directory's record log as one checkpoint per plan generation holding only what a resume still needs, then exit")
-	chaosKills := flag.Int("chaos-kills", 0, "cluster mode: inject N seeded worker-connection kills mid-run (self-test for -max-restarts; combine with -verify)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "cluster mode: seed for the -chaos-kills and -chaos-flaps schedules")
-	chaosFlaps := flag.Int("chaos-flaps", 0, "cluster mode: inject N seeded transient link flaps mid-run (self-test for -retry-budget; combine with -verify)")
-	chaosPartition := flag.Duration("chaos-partition", 0, "cluster mode: inject one healing partition — a link breaks and its address stays unreachable for this duration, so the reconnect loop must back off until it heals (needs -retry-budget > the partition)")
-	verify := flag.Bool("verify", false, "cluster mode: require bit-identical match with the in-process pipeline")
-	traceOut := flag.String("trace-out", "", "cluster mode: trace every device's per-step spans, write a Chrome trace-event JSON file here (open in chrome://tracing or Perfetto), and print the measured-vs-modeled utilization report")
-	netStats := flag.Bool("net-stats", false, "cluster mode: print the coordinator's transport byte/frame totals at run end")
-	debugAddr := flag.String("debug-addr", "", "cluster mode: serve net/http/pprof and a plain-text /metrics page on this address for the duration of the run")
-	flag.Parse()
+	return names
+}
 
-	if be, ok := tensor.Lookup(*backend); ok {
-		tensor.SetDefault(be)
-	} else {
-		fmt.Fprintf(os.Stderr, "pipebd: unknown backend %q (want %s)\n", *backend, strings.Join(tensor.Backends(), " or "))
-		os.Exit(2)
-	}
+// expOptions are the exp mode's flags.
+type expOptions struct {
+	systemFlags
+	quick, chart bool
+	backend      string
+}
 
-	// Flags set explicitly on the command line, as opposed to resting at
-	// their defaults: one the selected mode never reads is an error, and a
-	// -resume alongside e.g. -cluster-plan tr means the user *expects* the
-	// ledger to hold that plan — a silent mismatch would resume a different
-	// run than intended.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := checkModeFlags(explicit, *clusterAddrs != "", *resumeDir != ""); err != nil {
-		fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
-		os.Exit(2)
-	}
-	fsyncPolicy, err := ledger.ParseSyncPolicy(*fsync)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
-		os.Exit(2)
-	}
+func (o *expOptions) flags(fs *flag.FlagSet) {
+	o.bind(fs)
+	fs.BoolVar(&o.quick, "quick", false, "truncate epochs to 40 steps and skip the accuracy proxy")
+	fs.BoolVar(&o.chart, "chart", false, "append ASCII charts to figure output")
+	backendFlag(fs, &o.backend)
+}
 
-	if *compactDir != "" {
-		if err := ledger.Compact(*compactDir); err != nil {
-			fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("pipebd: compacted ledger %s (resume with: pipebd -resume %s)\n", *compactDir, *compactDir)
-		return
+func (o *expOptions) run(args []string, stdout io.Writer) error {
+	name := "all"
+	if len(args) > 0 {
+		name = args[0]
 	}
-
-	if *resumeDir != "" {
-		opts := resumeOptions{
-			Dir:         *resumeDir,
-			MaxRestarts: *maxRestarts,
-			Heartbeat:   *clusterHeartbeat,
-			Verify:      *verify,
-			Fsync:       fsyncPolicy,
-			Repartition: *repartition,
-		}
-		if *clusterAddrs != "" {
-			opts.Workers = strings.Split(*clusterAddrs, ",")
-		}
-		if explicit["cluster-plan"] || explicit["topology"] || explicit["cluster-steps"] || explicit["cluster-model"] {
-			opts.Expect = &cluster.ResumeExpectation{}
-			if explicit["cluster-plan"] {
-				opts.Expect.PlanName = *clusterPlanName
-			}
-			if explicit["topology"] {
-				opts.Expect.Topology = *clusterTopology
-			}
-			if explicit["cluster-steps"] {
-				opts.Expect.Steps = *clusterSteps
-			}
-			if explicit["cluster-model"] {
-				opts.Expect.Model = *clusterModel
-			}
-		}
-		if err := runResume(os.Stdout, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if name != "all" && !slices.Contains(expNames(), name) {
+		return fmt.Errorf("unknown experiment %q", name)
 	}
-
-	if *clusterAddrs != "" {
-		opts := clusterOptions{
-			Workers:      strings.Split(*clusterAddrs, ","),
-			PlanName:     *clusterPlanName,
-			Model:        *clusterModel,
-			Steps:        *clusterSteps,
-			Batch:        *clusterBatch,
-			Backend:      *backend,
-			Topology:     *clusterTopology,
-			Verify:       *verify,
-			MaxRestarts:  *maxRestarts,
-			Heartbeat:    *clusterHeartbeat,
-			Ledger:       *ledgerDir,
-			SnapInterval: *snapInterval,
-			ChaosKills:   *chaosKills,
-			ChaosSeed:    *chaosSeed,
-			ChaosFlaps:   *chaosFlaps,
-			ChaosPart:    *chaosPartition,
-			RetryBudget:  *retryBudget,
-			TraceOut:     *traceOut,
-			NetStats:     *netStats,
-			DebugAddr:    *debugAddr,
-			Fsync:        fsyncPolicy,
-			Repartition:  *repartition,
-		}
-		if err := runCluster(os.Stdout, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	sys, err := hw.Preset(*system)
+	sys, err := o.lookup()
 	if err == nil {
-		err = checkBatch(*batch, sys)
+		err = useBackend(o.backend)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pipebd: %v\n", err)
-		os.Exit(2)
+		return err
 	}
-
-	opts := experiments.Options{Batch: *batch}
-	if *quick {
+	opts := experiments.Options{Batch: o.batch}
+	if o.quick {
 		opts.MaxSteps = 40
 	}
-
-	ran := false
 	for _, e := range experimentTable {
-		if *exp != e.name && *exp != "all" {
+		if name != e.name && name != "all" {
 			continue
 		}
-		table, ascii := e.run(sys, opts, *quick)
-		fmt.Println(table)
-		if *chart && ascii != "" {
-			fmt.Println(ascii)
+		table, ascii := e.run(sys, opts, o.quick)
+		fmt.Fprintln(stdout, table)
+		if o.chart && ascii != "" {
+			fmt.Fprintln(stdout, ascii)
 		}
-		ran = true
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "pipebd: unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
+	return nil
 }

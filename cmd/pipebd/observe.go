@@ -26,6 +26,39 @@ import (
 	"pipebd/internal/sched"
 )
 
+// observe is the -net-stats and -debug-addr wiring of the cluster and
+// worker modes. When either flag asks for one it wraps net in the
+// transport.Meter they read and starts the debug server, which serves the
+// mode's counters and the meter's totals; the returned func prints the
+// -net-stats line and stops the server. role names the traffic the meter
+// sees; prefix starts every line the mode prints.
+func observe(stdout io.Writer, prefix string, net transport.Network, role string, netStats bool, debugAddr string, counters *obs.Metrics) (transport.Network, func(), error) {
+	if !netStats && debugAddr == "" {
+		return net, func() {}, nil
+	}
+	meter := transport.NewMeter(net)
+	var debug *obs.DebugServer
+	if debugAddr != "" {
+		var err error
+		debug, err = obs.StartDebugServer(debugAddr, func(w io.Writer) {
+			counters.Render(w)
+			writeMeterTotals(w, role, meter.Totals())
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintf(stdout, "%sdebug server on http://%s (/metrics, /debug/pprof/)\n", prefix, debug.Addr())
+	}
+	return meter, func() {
+		if netStats {
+			writeMeterTotals(stdout, prefix+"net: "+role, meter.Totals())
+		}
+		if debug != nil {
+			debug.Close()
+		}
+	}, nil
+}
+
 // writeMeterTotals prints one transport.Meter's role-attributed byte and
 // frame totals on a single line.
 func writeMeterTotals(w io.Writer, role string, t transport.Totals) {

@@ -17,14 +17,35 @@ import (
 	"pipebd/internal/sched"
 )
 
-func TestNewWorkerFlagErrors(t *testing.T) {
+// workerApp is a started worker and its observability teardown.
+type workerApp struct {
+	*cluster.Worker
+	finish func()
+}
+
+// newWorker parses args as main does and starts the worker mode's
+// worker without serving it.
+func newWorker(args []string, stdout io.Writer) (*workerApp, error) {
+	c, _, err := parse(args, stdout)
+	if err != nil {
+		return nil, err
+	}
+	w, finish, err := c.(*workerOptions).start(stdout)
+	if err != nil {
+		return nil, err
+	}
+	return &workerApp{w, finish}, nil
+}
+
+func TestWorkerFlagErrors(t *testing.T) {
 	cases := [][]string{
-		{"-listen"},              // missing value
-		{"-sessions", "-1"},      // negative sessions
-		{"-workers", "4"},        // retired flag
-		{"-backend", "parallel"}, // retired flag: the Assign names the backend
-		{"extra-arg"},            // positional junk
-		{"-listen", "notaport"},  // unbindable address
+		{"worker", "-listen"},              // missing value
+		{"worker", "-sessions", "-1"},      // negative sessions
+		{"worker", "-slowdown", "0"},       // no throttle below 1
+		{"worker", "-workers", "4"},        // retired flag
+		{"worker", "-backend", "parallel"}, // retired flag: the Assign names the backend
+		{"worker", "extra-arg"},            // positional junk
+		{"worker", "-listen", "notaport"},  // unbindable address
 	}
 	for _, args := range cases {
 		if w, err := newWorker(args, &strings.Builder{}); err == nil {
@@ -72,11 +93,11 @@ func trainOnce(t *testing.T, net transport.Network, addr string) {
 	}
 }
 
-// TestWorkerEndToEndTCP boots the binary's worker (flag parsing included)
+// TestWorkerEndToEndTCP boots the worker mode (flag parsing included)
 // on an ephemeral TCP port and trains one session against it.
 func TestWorkerEndToEndTCP(t *testing.T) {
 	var out strings.Builder
-	w, err := newWorker([]string{"-listen", "127.0.0.1:0", "-sessions", "1", "-quiet"}, &out)
+	w, err := newWorker([]string{"worker", "-listen", "127.0.0.1:0", "-sessions", "1", "-quiet"}, &out)
 	if err != nil {
 		t.Fatalf("newWorker: %v", err)
 	}
@@ -93,7 +114,7 @@ func TestWorkerEndToEndTCP(t *testing.T) {
 	}
 }
 
-// TestWorkerLoopbackSmoke runs the same worker server the binary wraps
+// TestWorkerLoopbackSmoke runs the same worker server the worker mode wraps
 // over the in-memory loopback transport: one session, no sockets.
 func TestWorkerLoopbackSmoke(t *testing.T) {
 	net := transport.NewLoopback()
@@ -112,7 +133,7 @@ func TestWorkerLoopbackSmoke(t *testing.T) {
 	}
 }
 
-// TestWorkerObservabilityFlags drives the binary's worker with every
+// TestWorkerObservabilityFlags drives the worker mode with every
 // observability flag at once: a ring session against it must leave a
 // Chrome trace dump in -trace-dir, the -debug-addr /metrics page must
 // serve the session counters, and -net-stats must print the peer
@@ -121,7 +142,7 @@ func TestWorkerLoopbackSmoke(t *testing.T) {
 func TestWorkerObservabilityFlags(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	w, err := newWorker([]string{"-listen", "127.0.0.1:0", "-sessions", "1", "-quiet",
+	w, err := newWorker([]string{"worker", "-listen", "127.0.0.1:0", "-sessions", "1", "-quiet",
 		"-trace-dir", dir, "-net-stats", "-debug-addr", "127.0.0.1:0"}, &out)
 	if err != nil {
 		t.Fatalf("newWorker: %v", err)
@@ -180,13 +201,13 @@ func TestWorkerObservabilityFlags(t *testing.T) {
 	}
 }
 
-// TestHelpPrintsUsage: -h must print flag documentation and surface
-// flag.ErrHelp (main exits 0 on it).
-func TestHelpPrintsUsage(t *testing.T) {
+// TestWorkerHelpPrintsUsage: -h must print flag documentation and
+// surface flag.ErrHelp (main exits 0 on it).
+func TestWorkerHelpPrintsUsage(t *testing.T) {
 	var out strings.Builder
-	_, err := newWorker([]string{"-h"}, &out)
+	_, err := newWorker([]string{"worker", "-h"}, &out)
 	if !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("newWorker(-h): got %v, want flag.ErrHelp", err)
+		t.Fatalf("worker -h: got %v, want flag.ErrHelp", err)
 	}
 	if !strings.Contains(out.String(), "-listen") {
 		t.Fatalf("-h output missing flag docs:\n%s", out.String())

@@ -64,7 +64,7 @@
 // Blockwise distillation is workload-agnostic, and the repository proves
 // it with a second model family shaped nothing like the conv nets: a
 // DistilBERT-style miniature transformer (distill.NewTransformerWorkbench,
-// cmd/pipebd -cluster-model transformer). Each block is one encoder
+// the cluster mode's -cluster-model transformer). Each block is one encoder
 // layer — multi-head self-attention and a feed-forward MLP as residuals,
 // each followed by LayerNorm — where the student keeps the teacher's
 // hidden width (so block-boundary activations align for the per-block
@@ -107,9 +107,10 @@
 // # Cluster execution
 //
 // The internal/cluster subsystem runs the same pipelined schedule across
-// worker processes: a coordinator (cmd/pipebd -cluster) maps a plan's
-// devices onto pipebd-worker processes over a pluggable transport
-// (in-memory loopback or length-prefixed TCP), broadcasts the model spec,
+// worker processes: a coordinator (pipebd cluster ADDR,...) maps a
+// plan's devices onto worker processes (pipebd worker) over a pluggable
+// transport (in-memory loopback or length-prefixed TCP), broadcasts the
+// model spec,
 // seed parameters, and the data recipe, and routes teacher-relay activations and
 // intra-group gradient all-reduce frames between stages. Workers drive
 // the identical engine.RunMember device loop behind a transport-backed
@@ -129,7 +130,7 @@
 // between the devices, and split groups average gradients with a
 // reduce-scatter + ring all-gather that folds contributions in the
 // in-process engine's exact ascending-rank order. The two topologies
-// (cluster.Config.Topology, cmd/pipebd -topology) only say how its peer
+// (cluster.Config.Topology, the cluster mode's -topology) only say how its peer
 // edges are carried. "ring" — the CLI default — has the workers dial each
 // other from a coordinator-distributed placement directory
 // (epoch-guarded so stale dials from a superseded attempt never join a
@@ -144,7 +145,7 @@
 // Failures are handled in three tiers, each strictly cheaper than the
 // next, and every tier preserves bit-identity.
 //
-// Tier 1, absorb (cluster.Config.RetryBudget, cmd/pipebd -retry-budget):
+// Tier 1, absorb (cluster.Config.RetryBudget, the cluster mode's -retry-budget):
 // every control and peer connection is wrapped in a resumable stream (transport.Resumable) — both sides count received
 // frames, the sender buffers its unacknowledged tail, and a broken link
 // redials with exponential backoff, re-opens with the hello that opened
@@ -193,13 +194,13 @@
 // # Durable runs
 //
 // The coordinator itself stops being a single point of failure when a
-// run is durable (cluster.Config.LedgerDir, cmd/pipebd -ledger): the
+// run is durable (cluster.Config.LedgerDir, the cluster mode's -ledger): the
 // internal/cluster/ledger package persists the run's manifest (plan,
 // model spec, hyperparameters, data recipe, seed weights) via atomic rename
 // and what the global cut is computed from — snapshots, loss rows,
 // barrier releases, repartition cuts; nothing in flight — to an
-// append-only, CRC-framed record log. cluster.ResumeRun (cmd/pipebd
-// -resume) restarts a killed coordinator from that ledger: it replays
+// append-only, CRC-framed record log. cluster.ResumeRun (pipebd resume DIR)
+// restarts a killed coordinator from that ledger: it replays
 // the log up to the last complete record (a tail torn by the kill is
 // truncated away) to recover the cut, hands it to the same attempt
 // driver a live restart uses, and finishes the run bit-identical to an
@@ -213,7 +214,7 @@
 //
 // A run whose placement turns out wrong — one device measurably slower
 // than the plan was priced for — can rebalance itself mid-run
-// (cluster.Config.Repartition, cmd/pipebd -repartition). The
+// (cluster.Config.Repartition, the cluster mode's -repartition). The
 // coordinator folds the span batches workers already ship into measured
 // per-block compute costs (obs.StepAggregator; transport waits
 // excluded), re-runs the plan search under those prices (sched.Replan),
@@ -230,8 +231,8 @@
 // records, so durable runs resume across plan generations:
 // cluster.ResumeRun replays each superseded generation under the plan
 // that produced it and remaps the carry across the recorded boundary.
-// pipebd-worker -slowdown N provides a reproducible bit-identical
-// straggler for exercising the controller.
+// A worker started with -slowdown 4 (pipebd worker -slowdown 4) is a
+// reproducible bit-identical straggler for exercising the controller.
 //
 // # Observability
 //
@@ -240,20 +241,21 @@
 // record per-step spans (forwards, backwards, updates, all-reduce phases,
 // peer sends and ack waits, snapshot writes, ledger appends) on
 // per-goroutine tracks, and the simulator's tracks record the same spans
-// in virtual time, so one Gantt (internal/trace, cmd/pipebd-trace -in)
+// in virtual time, so one Gantt (internal/trace, pipebd gantt -in FILE)
 // and one Chrome exporter draw a modelled schedule and a measured run
 // alike. Tracing is off by default and near-free when
 // disabled — one nil check plus one atomic load per site, no allocation
 // — guarded by TestDisabledTracingOverhead.
 // Cluster workers ship span batches to the coordinator at step
 // boundaries over a dedicated wire frame (codec v5) or dump locally
-// (pipebd-worker -trace-dir). Exports: Chrome trace-event JSON (pipebd
-// -trace-out, loadable in chrome://tracing or Perfetto) and a measured
-// utilization report printed side-by-side with the cost model's
-// prediction of the same schedule — the measured-vs-modeled comparison
-// that now also feeds the runtime repartitioner. Both CLIs also expose
-// -net-stats (transport.Meter role-attributed byte totals) and
-// -debug-addr (net/http/pprof plus a plain-text /metrics counter page).
+// (pipebd worker -trace-dir DIR). Exports: Chrome trace-event JSON (the
+// cluster mode's -trace-out, loadable in chrome://tracing or Perfetto)
+// and a measured utilization report printed side-by-side with the cost
+// model's prediction of the same schedule — the measured-vs-modeled
+// comparison that now also feeds the runtime repartitioner. The cluster
+// and worker modes also expose -net-stats (transport.Meter
+// role-attributed byte totals) and -debug-addr (net/http/pprof plus a
+// plain-text /metrics counter page).
 // Shared test helpers (the goroutine-leak assertion) live in
 // internal/testutil.
 //

@@ -70,12 +70,13 @@ type Config struct {
 	// needs.
 	MaxRestarts int
 	// Snapshot tunes the recovery-snapshot traffic when fault tolerance
-	// is on (MaxRestarts > 0 or LedgerDir set): Interval k makes each
-	// group's rank-0 device snapshot every k-th step (a restart replays up
-	// to k steps instead of one); the members of a split group are
-	// bit-identical replicas, so one copy stands for the group. The zero
-	// policy means every step. Configuring a non-zero policy without fault
-	// tolerance is an error.
+	// is on, which any of four things turns on: MaxRestarts > 0, a
+	// LedgerDir, Repartition, or a ring run with a RetryBudget. Interval k
+	// makes each group's rank-0 device snapshot every k-th step (a restart
+	// replays up to k steps instead of one); the members of a split group
+	// are bit-identical replicas, so one copy stands for the group. The
+	// zero policy means every step. Configuring a non-zero policy without
+	// fault tolerance is an error.
 	Snapshot SnapshotPolicy
 	// LedgerDir, when set, makes the run durable: the coordinator
 	// persists its manifest and what the global cut is computed from
@@ -446,7 +447,7 @@ func effectivePolicy(p wire.SnapshotPolicy, ft bool) (wire.SnapshotPolicy, error
 	}
 	if !ft {
 		if p.Interval > 0 {
-			return wire.SnapshotPolicy{}, fmt.Errorf("cluster: snapshot policy %+v needs fault tolerance (MaxRestarts > 0 or LedgerDir)", p)
+			return wire.SnapshotPolicy{}, fmt.Errorf("cluster: snapshot policy %+v needs fault tolerance (MaxRestarts > 0, LedgerDir, Repartition, or a ring run with RetryBudget)", p)
 		}
 		return wire.SnapshotPolicy{}, nil
 	}

@@ -47,7 +47,7 @@ type ResumeConfig struct {
 // ResumeExpectation states the run a caller intends to resume. Zero
 // fields are not checked. It guards the operational gap the manifest
 // cannot close by itself: the manifest always wins on *what* runs (plan,
-// spec, topology), so a caller pointing -resume at the wrong ledger
+// spec, topology), so a caller pointing pipebd resume at the wrong ledger
 // directory would otherwise quietly train a different model.
 type ResumeExpectation struct {
 	// PlanName must match the manifest plan's name, e.g. "tr".

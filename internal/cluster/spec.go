@@ -87,7 +87,7 @@
 //
 // On a death the attempt fails fast, every session is superseded, and the
 // driver re-places every device — dialing each slot's own worker first (a
-// restarted pipebd-worker -rejoin), then the survivors, which can host
+// restarted pipebd worker -rejoin), then the survivors, which can host
 // several sessions — with the Assign carrying the group's state at the
 // cut. The worker rebuilds the replicas, restores them, and runs the same
 // device loop from cut+1.

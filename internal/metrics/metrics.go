@@ -73,17 +73,6 @@ func (r Report) FigTwoBreakdown() (load, teacher, student, idle float64) {
 	return load / n, teacher / n, student / n, idle / n
 }
 
-// PeakMemory returns the maximum peak memory over all ranks.
-func (r Report) PeakMemory() int64 {
-	var m int64
-	for _, rank := range r.Ranks {
-		if rank.PeakMemBytes > m {
-			m = rank.PeakMemBytes
-		}
-	}
-	return m
-}
-
 // Speedup returns base.EpochTime / r.EpochTime: how much faster r is than
 // the baseline.
 func (r Report) Speedup(base Report) float64 {

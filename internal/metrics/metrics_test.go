@@ -60,12 +60,6 @@ func TestFigTwoBreakdown(t *testing.T) {
 	}
 }
 
-func TestPeakMemory(t *testing.T) {
-	if got := sampleReport().PeakMemory(); got != 300 {
-		t.Fatalf("PeakMemory = %d, want 300", got)
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	base := Report{EpochTime: 30}
 	fast := Report{EpochTime: 10}
