@@ -220,17 +220,18 @@
 // excluded), re-runs the plan search under those prices (sched.Replan),
 // and, when the predicted improvement clears a threshold with
 // hysteresis, executes a planned global cut at a synchronous step
-// boundary: workers are told the session is superseded, the carry
-// regroups at block boundaries onto the new placement, and the run
-// resumes on the rebalanced plan via the same snapshot machinery ring
-// recovery uses — without consuming the restart budget. Every plan is
+// boundary: workers are told the session is superseded, the run's
+// restart state (ledger.Account) regroups at block boundaries onto the
+// new placement, and the run resumes on the rebalanced plan via the same
+// snapshot machinery ring recovery uses — without consuming the restart
+// budget. Every plan is
 // accepted, but the re-plan keeps each split group's members, shares and
 // blocks and moves only the boundaries between runs of unsplit groups:
 // that relocates work without reordering or regrouping any float fold,
 // so the bit-identity pin survives. Cuts append to the ledger as repartition
 // records, so durable runs resume across plan generations:
-// cluster.ResumeRun replays each superseded generation under the plan
-// that produced it and remaps the carry across the recorded boundary.
+// cluster.ResumeRun replays the log through the same account, which
+// performs each recorded remap as the live run did.
 // A worker started with -slowdown 4 (pipebd worker -slowdown 4) is a
 // reproducible bit-identical straggler for exercising the controller.
 //

@@ -226,37 +226,32 @@ type devPlace struct {
 	j  int // rank within the group
 }
 
-// devState is the coordinator's per-device account: where the device
-// lives in the plan and the high-water marks of what it has reported.
-// Frames from one device arrive in step order on a single connection and
-// an attempt starts every device just past the cut, so "step <= seen" is
-// a duplicate — a protocol error — and the minimum of the loss and
-// barrier marks over all devices bounds the global cut. Mutable fields
-// are guarded by run.mu; place is immutable.
+// devState is an attempt's session state of one device: where it lives
+// in the plan, its newest barrier arrival, and whether it is done. What
+// it has accounted for is the account's (ledger.Account.Marks). Frames
+// from one device arrive in step order on a single connection and an
+// attempt starts every device just past the cut, so a step at or below a
+// mark is a duplicate — a protocol error. Mutable fields are guarded by
+// run.mu; place is immutable.
 type devState struct {
-	place devPlace
-
-	snapStep    int // last step the device snapshotted; -1 = none
-	lossSeen    int
-	barrierSeen int
-	done        bool
+	place   devPlace
+	arrived int
+	done    bool
 }
 
-// run is the mutable state of one attempt.
+// run is the session state of one attempt; the restart state it changes
+// is the driver's account.
 type run struct {
-	co       *Coordinator
-	plan     sched.Plan
-	nb       int
-	steps    int
-	nDev     int
-	workb    *distill.Workbench
-	addrs    []string
-	runCfg   wire.RunConfig
-	ft       bool           // fault tolerance enabled (MaxRestarts > 0 or durable)
-	seedSnap wire.Snapshot  // the run's seed params, immutable; shared by every attempt
-	epoch    int64          // attempt epoch, stamped into every Assign
-	repart   *repartitioner // drive-loop repartition controller; nil when disabled
-	carry    *runCarry      // the cut this attempt started from; nil = attempt zero
+	co         *Coordinator
+	acct       *ledger.Account // the driver's; guarded by mu and the closed fence
+	plan       sched.Plan      // the account's plan when the attempt started
+	workb      *distill.Workbench
+	addrs      []string
+	assign     wire.Assign    // the driver's setup with the attempt's plan, epoch, relayed edges and peers
+	cut        int            // the cut the attempt starts from; -1 = the seed
+	superseded bool           // see driver.superseded
+	repart     *repartitioner // drive-loop repartition controller; nil when disabled
+	led        *ledger.Ledger // durable-run store, owned by the driver; nil for in-memory runs
 
 	// tracer/coTrack instrument the coordinator's own control-plane work
 	// (ledger appends) when Config.Trace is on; teardown drains the track
@@ -264,26 +259,19 @@ type run struct {
 	tracer  *obs.Tracer
 	coTrack *obs.Track
 
-	// The attempt's relayed peer edges, installed by the driver before
-	// placement and immutable after: flattened pairs for every Assign, and
-	// both orientations of each for the relay check.
-	relayed []int
-	relays  map[[2]int]bool
+	// Both orientations of the attempt's relayed peer edges (the assign
+	// lists each once), for the relay check; immutable after placement.
+	relays map[[2]int]bool
 
-	mu          sync.Mutex
-	linkDowns   [][2]int            // peer edges reported down this attempt
-	led         *ledger.Ledger      // durable-run store, owned by the driver; nil for in-memory runs
-	peerDir     []string            // device rank → hosting worker address
-	histG       []map[int]histEntry // ft: [gi] step → restart state (group-identical), back to the cut
-	peers       []*peerConn         // live worker sessions; dead ones are fully closed and dropped
-	byDev       map[int]*peerConn   // device rank → live peer (absent once dead)
-	devs        map[int]*devState   // device rank → account (map itself immutable)
-	groupParams [][]*tensor.Tensor  // [gi] workbench student params, flattened
-	barrier     map[int]int         // step → devices arrived (no-DPU only)
-	losses      [][][]float64       // [gi][j*nb+bi][step]
-	done        int
-	closed      bool // teardown ran; stale readers must touch nothing
-	finished    chan struct{}
+	mu        sync.Mutex
+	linkDowns [][2]int          // peer edges reported down this attempt
+	peers     []*peerConn       // live worker sessions; dead ones are fully closed and dropped
+	byDev     map[int]*peerConn // device rank → live peer (absent once dead)
+	devs      map[int]*devState // device rank → session state (map itself immutable)
+	barrier   map[int]int       // step → devices arrived (no-DPU only)
+	done      int
+	closed    bool // teardown ran; stale readers must touch nothing
+	finished  chan struct{}
 
 	failOnce sync.Once
 	firstErr error
@@ -305,17 +293,19 @@ func (c *Coordinator) Run(w *distill.Workbench, batches []dataset.Batch, addrs [
 	if err := validateDataRecipe(c.cfg.Data, batches); err != nil {
 		return engine.Result{}, err
 	}
-	d := &driver{c: c, w: w, steps: len(batches), addrs: addrs, seed: CaptureSnapshot(w)}
+	d, err := c.newDriver(w, CaptureSnapshot(w), len(batches), addrs)
+	if err != nil {
+		return engine.Result{}, err
+	}
 	return d.drive()
 }
 
 // createLedger creates a fresh run's durable store — the manifest is the
-// first attempt's setup — and applies the configured fsync durability
-// tier.
-func (c *Coordinator) createLedger(r *run) (*ledger.Ledger, error) {
+// run's setup — and applies the configured fsync durability tier.
+func (c *Coordinator) createLedger(setup wire.Assign, addrs []string) (*ledger.Ledger, error) {
 	led, err := ledger.Create(c.cfg.LedgerDir, &ledger.Manifest{
-		Assign:      wire.Assign{Plan: r.plan, Spec: c.cfg.Spec, Run: r.runCfg, Snapshot: r.seedSnap},
-		Addrs:       r.addrs,
+		Assign:      setup,
+		Addrs:       addrs,
 		MaxRestarts: c.cfg.MaxRestarts,
 	})
 	if err != nil {
@@ -347,12 +337,30 @@ func (c *Coordinator) execute(r *run) (engine.Result, error) {
 	return r.result(), nil
 }
 
-// newRun validates the configuration and builds one attempt's state of a
-// steps-long run. seed is the run's starting weights (see driver.seed).
-func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, steps int, addrs []string) (*run, error) {
+// newDriver validates the configuration and sets up what every attempt
+// of a steps-long run shares: the setup Assign, whose snapshot is seed
+// (see driver.setup), and the account built from it.
+func (c *Coordinator) newDriver(w *distill.Workbench, seed wire.Snapshot, steps int, addrs []string) (*driver, error) {
+	policy, err := effectivePolicy(c.cfg.Snapshot, c.faultTolerant())
+	if err != nil {
+		return nil, err
+	}
 	plan := c.cfg.Plan
-	nDev := plan.NumDevices()
-	if err := plan.Validate(nDev, w.NumBlocks()); err != nil {
+	setup := wire.Assign{Plan: plan, Spec: c.cfg.Spec, Snapshot: seed,
+		Run: wire.RunConfig{DPU: c.cfg.DPU, LR: c.cfg.LR, Momentum: c.cfg.Momentum,
+			Steps: steps, Backend: c.cfg.Backend,
+			Snap:              policy,
+			HeartbeatMillis:   int(c.cfg.HeartbeatInterval / time.Millisecond),
+			RetryBudgetMillis: int(c.cfg.RetryBudget / time.Millisecond),
+			Topology:          c.cfg.Topology,
+			// The repartitioner's measurements are the workers' span batches,
+			// so a repartition-enabled run ships spans even when the caller
+			// did not ask for a trace.
+			Trace: c.cfg.Trace || c.cfg.Repartition,
+			Data:  c.cfg.Data}}
+	// The account checks the plan against the seed's blocks.
+	acct, err := ledger.NewAccount(&setup)
+	if err != nil {
 		return nil, err
 	}
 	if len(addrs) == 0 {
@@ -371,69 +379,20 @@ func (c *Coordinator) newRun(w *distill.Workbench, seed wire.Snapshot, steps int
 	default:
 		return nil, fmt.Errorf("cluster: unknown topology %q (want \"hub\" or \"ring\")", c.cfg.Topology)
 	}
-	// Repartitioning implies fault tolerance: the planned cut restarts
-	// from the same snapshot history recovery uses. So does retry on a
-	// ring run: degrading a persistently severed peer edge to relay
-	// restarts the attempt from the global cut too (the degrade itself is
-	// budget-free).
-	ft := c.cfg.MaxRestarts > 0 || c.cfg.LedgerDir != "" || c.cfg.Repartition ||
+	if c.cfg.Trace && c.cfg.TraceSink == nil {
+		return nil, fmt.Errorf("cluster: Config.Trace needs a TraceSink to deliver span batches to")
+	}
+	return &driver{c: c, w: w, addrs: addrs, setup: setup, acct: acct}, nil
+}
+
+// faultTolerant reports whether the run keeps restart state. Repartitioning
+// implies it: the planned cut restarts from the same snapshots recovery
+// uses. So does retry on a ring run: degrading a persistently severed
+// peer edge to relay restarts the attempt from the global cut too (the
+// degrade itself is budget-free).
+func (c *Coordinator) faultTolerant() bool {
+	return c.cfg.MaxRestarts > 0 || c.cfg.LedgerDir != "" || c.cfg.Repartition ||
 		(c.cfg.Topology == "ring" && c.cfg.RetryBudget > 0)
-	policy, err := effectivePolicy(c.cfg.Snapshot, ft)
-	if err != nil {
-		return nil, err
-	}
-	r := &run{
-		co: c, plan: plan, nb: w.NumBlocks(), steps: steps, nDev: nDev,
-		byDev: make(map[int]*peerConn), devs: make(map[int]*devState),
-		workb: w, addrs: addrs,
-		ft:       ft,
-		barrier:  make(map[int]int),
-		losses:   make([][][]float64, len(plan.Groups)),
-		finished: make(chan struct{}),
-		failed:   make(chan struct{}),
-	}
-	if r.ft {
-		r.histG = make([]map[int]histEntry, len(plan.Groups))
-		for gi := range r.histG {
-			r.histG[gi] = make(map[int]histEntry)
-		}
-	}
-	if c.cfg.Trace {
-		if c.cfg.TraceSink == nil {
-			return nil, fmt.Errorf("cluster: Config.Trace needs a TraceSink to deliver span batches to")
-		}
-		r.tracer = obs.NewTracer(true)
-		r.coTrack = r.tracer.NewTrack("coordinator")
-	}
-	r.seedSnap = seed
-	r.runCfg = wire.RunConfig{DPU: c.cfg.DPU, LR: c.cfg.LR, Momentum: c.cfg.Momentum,
-		Steps: r.steps, Backend: c.cfg.Backend,
-		Snap:              policy,
-		HeartbeatMillis:   int(c.cfg.HeartbeatInterval / time.Millisecond),
-		RetryBudgetMillis: int(c.cfg.RetryBudget / time.Millisecond),
-		Topology:          c.cfg.Topology,
-		// The repartitioner's measurements are the workers' span batches,
-		// so a repartition-enabled run ships spans even when the caller
-		// did not ask for a trace.
-		Trace: c.cfg.Trace || c.cfg.Repartition,
-		Data:  c.cfg.Data}
-	r.groupParams = make([][]*tensor.Tensor, len(plan.Groups))
-	for gi, g := range plan.Groups {
-		r.losses[gi] = make([][]float64, len(g.Blocks)*g.Split())
-		for i := range r.losses[gi] {
-			r.losses[gi][i] = make([]float64, r.steps)
-		}
-		for _, b := range g.Blocks {
-			for _, p := range w.Pairs[b].Student.Params() {
-				r.groupParams[gi] = append(r.groupParams[gi], p.Value)
-			}
-		}
-		for j, d := range g.Devices {
-			r.devs[d] = &devState{place: devPlace{gi: gi, j: j},
-				snapStep: -1, lossSeen: -1, barrierSeen: -1}
-		}
-	}
-	return r, nil
 }
 
 // effectivePolicy resolves the configured snapshot policy against the
@@ -483,7 +442,7 @@ func (r *run) logRecord(rec *ledger.Record) {
 // live host of its devices. Runs before start, while the attempt is still
 // single-threaded.
 func (r *run) attach(conn transport.Conn, addr string, devices []int) {
-	links := linkPolicy{epoch: r.epoch, net: r.co.net, budget: r.co.cfg.RetryBudget,
+	links := linkPolicy{epoch: r.assign.Epoch, net: r.co.net, budget: r.co.cfg.RetryBudget,
 		logf: r.co.logf, metrics: r.co.cfg.Metrics}
 	// The control link's far end is any device the session hosts: a redial
 	// finds the session in the worker's registry by it.
@@ -774,7 +733,7 @@ func (r *run) teardown() {
 // Every state-mutating branch re-checks r.closed under r.mu and drops
 // the frame once teardown ran: reader goroutines can outlive their run
 // (teardown closes connections but does not join them), and some state —
-// the coordinator's workbench, the carried loss matrix, the ledger — is shared
+// the coordinator's workbench, the account, the ledger — is shared
 // with the next attempt, which owns a different mutex. The closed
 // flag flips inside teardown's critical section on the driver goroutine,
 // so any write a reader commits before it is ordered before the next
@@ -829,9 +788,9 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		return r.onLosses(ds, step, vals)
+		return r.onLosses(dev, ds, step, vals)
 	case wire.KindSnapshot:
-		if !r.ft {
+		if !r.co.faultTolerant() {
 			return nil // stray snapshot from a session we did not ask to send them
 		}
 		params, velocity, err := wire.DecodeDeviceSnapshot(f)
@@ -874,7 +833,7 @@ func (r *run) handle(p *peerConn, f *wire.Frame) error {
 		}
 		ds.done = true
 		r.done++
-		if r.done == r.nDev {
+		if r.done == len(r.devs) {
 			close(r.finished)
 		}
 		return nil
@@ -898,12 +857,15 @@ func (r *run) onStepDone(ds *devState, step int) error {
 	if r.closed {
 		return nil
 	}
-	if step <= ds.barrierSeen {
+	if err := r.acct.CheckStep(step); err != nil {
+		return fmt.Errorf("cluster: step-done from group %d rank %d: %w", ds.place.gi, ds.place.j, err)
+	}
+	if step <= ds.arrived {
 		return duplicate(ds, "step-done", step)
 	}
-	ds.barrierSeen = step
+	ds.arrived = step
 	r.barrier[step]++
-	if r.barrier[step] == r.nDev {
+	if r.barrier[step] == len(r.devs) {
 		delete(r.barrier, step)
 		// Only the release is persisted: it implies every device's arrival,
 		// and an unreleased barrier means no device completed the step, so
@@ -920,24 +882,23 @@ func (r *run) onStepDone(ds *devState, step int) error {
 
 // onLosses records a member's per-block losses; the report that completes
 // a step for the whole first group counts it in steps_completed.
-func (r *run) onLosses(ds *devState, step int, vals []float64) error {
+func (r *run) onLosses(dev int, ds *devState, step int, vals []float64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil
 	}
-	if step <= ds.lossSeen {
+	if seen, _ := r.acct.Marks(dev); step <= seen {
 		return duplicate(ds, "losses", step)
 	}
-	place := ds.place
-	if err := r.commitLocked(ledger.Losses(r.plan.Groups[place.gi].Devices[place.j], step, vals)); err != nil {
+	if err := r.commitLocked(ledger.Losses(dev, step, vals)); err != nil {
 		return err
 	}
-	if place.gi == 0 {
+	if ds.place.gi == 0 {
 		// Devices report each step once, in order, so the step's last
 		// reporter is the one that finds every sibling at or past it.
 		for _, d := range r.plan.Groups[0].Devices {
-			if r.devs[d].lossSeen < step {
+			if seen, _ := r.acct.Marks(d); seen < step {
 				return nil
 			}
 		}
@@ -946,41 +907,17 @@ func (r *run) onLosses(ds *devState, step int, vals []float64) error {
 	return nil
 }
 
-func (r *run) checkLosses(ds *devState, step int, vals []float64) error {
-	if nbg := len(r.plan.Groups[ds.place.gi].Blocks); len(vals) != nbg {
-		return fmt.Errorf("cluster: group %d rank %d reported %d losses, want %d", ds.place.gi, ds.place.j, len(vals), nbg)
-	}
-	if step < 0 || step >= r.steps {
-		return fmt.Errorf("cluster: loss report for step %d of %d", step, r.steps)
-	}
-	return nil
-}
-
-// recordLossesLocked fills one device's loss row and advances its mark (a
-// restarted coordinator re-logs the rows it replays, bit-identically, so a
-// ledger replay may see a step twice).
-func (r *run) recordLossesLocked(ds *devState, step int, vals []float64) {
-	nbg := len(vals)
-	for bi, v := range vals {
-		r.losses[ds.place.gi][ds.place.j*nbg+bi][step] = v
-	}
-	if step > ds.lossSeen {
-		ds.lossSeen = step
-	}
-}
-
-// onSnapshot persists a group's post-step restart state and records it in
-// the group's history. Replicas are bit-identical after every step, so the
-// one copy rank 0 ships stands for the whole group; whether a snapshotted
-// step can be the cut is decided by cutLocked from every device's loss and
-// barrier marks, never by the snapshot alone.
+// onSnapshot commits a group's post-step restart state. Replicas are
+// bit-identical after every step, so the one copy rank 0 ships stands
+// for the whole group; whether a snapshotted step can be the cut is the
+// account's call from every device's marks, never the snapshot's alone.
 func (r *run) onSnapshot(dev int, ds *devState, step int, params, velocity []*tensor.Tensor) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil
 	}
-	if step <= ds.snapStep {
+	if _, seen := r.acct.Marks(dev); step <= seen {
 		return duplicate(ds, "snapshot", step)
 	}
 	if err := r.commitLocked(ledger.DevSnapshot(dev, step, params, velocity)); err != nil {
@@ -990,36 +927,15 @@ func (r *run) onSnapshot(dev int, ds *devState, step int, params, velocity []*te
 	return nil
 }
 
-// commitLocked is how a live arm changes the state a restart is computed
-// from: the record is applied — validated, marked, recorded, exactly as a
+// commitLocked is how a live arm changes the run's restart state: the
+// record is applied to the account — checked and recorded exactly as a
 // ledger replay would — and then persisted, so the log only ever holds
 // records its own replay accepts.
 func (r *run) commitLocked(rec *ledger.Record) error {
-	if err := r.applyRecordLocked(rec); err != nil {
-		return err
+	if err := r.acct.Apply(rec); err != nil {
+		return fmt.Errorf("cluster: %v record: %w", rec.Type, err)
 	}
 	r.logRecord(rec)
-	return nil
-}
-
-// checkSnapshot validates a snapshot record against the plan: only rank 0
-// of a group snapshots, and the tensors must match what the group trains.
-func (r *run) checkSnapshot(dev int, place devPlace, params, velocity []*tensor.Tensor) error {
-	gi := place.gi
-	if place.j != 0 {
-		return fmt.Errorf("cluster: snapshot from device %d, rank %d of group %d (only rank 0 snapshots)", dev, place.j, gi)
-	}
-	expect := r.groupParams[gi]
-	if len(params) != len(expect) {
-		return fmt.Errorf("cluster: device %d snapshot has %d params, group %d trains %d",
-			dev, len(params), gi, len(expect))
-	}
-	for i, t := range params {
-		if !t.SameShape(expect[i]) || !velocity[i].SameShape(expect[i]) {
-			return fmt.Errorf("cluster: device %d snapshot param %d shape %v/%v, want %v",
-				dev, i, t.Shape(), velocity[i].Shape(), expect[i].Shape())
-		}
-	}
 	return nil
 }
 
@@ -1056,9 +972,9 @@ func (r *run) onFinalParams(place devPlace, params []*tensor.Tensor) error {
 // through the same helper (and therefore the same float64 evaluation
 // order) as engine.RunPipelined.
 func (r *run) result() engine.Result {
-	res := engine.Result{Loss: make([][]float64, r.nb)}
+	res := engine.Result{Loss: make([][]float64, r.workb.NumBlocks())}
 	for gi, g := range r.plan.Groups {
-		merged := engine.MergeGroupLosses(r.losses[gi], len(g.Blocks), g.Split(), r.steps)
+		merged := engine.MergeGroupLosses(r.acct.Losses()[gi], len(g.Blocks), g.Split(), r.assign.Run.Steps)
 		for bi, b := range g.Blocks {
 			res.Loss[b] = merged[bi]
 		}

@@ -7,14 +7,16 @@ package cluster
 // (place): dial a worker for each placement slot, build the peer
 // directory from who answered, open each session with one Assign frame.
 // Each attempt is a fresh set of sessions (fresh epoch, fresh
-// connections, fresh peer meshes under the ring) started at a global cut:
-// the highest step for which every group holds snapshot parameters and
-// every device's losses (and, without DPU, its barrier arrival) are
-// already accounted at the coordinator; -1 is the seed, where attempt
-// zero starts with no restart states to install. Anything that supersedes
-// an attempt — a lost worker, a peer edge degrading to relay, a
-// planned repartition, a coordinator restarted from its ledger — rewinds
-// every device to that cut and starts the next attempt there. The teacher
+// connections, fresh peer meshes under the ring) started at the global
+// cut of the run's ledger.Account, which every attempt shares and every
+// record — live, or replayed by a resume — is applied to: the newest step
+// every group snapshotted and every device accounted for; -1 is the seed,
+// where attempt zero starts with no restart states to install. Anything
+// that supersedes an attempt — a lost worker, a peer edge degrading to
+// relay, a planned repartition, a coordinator restarted from its ledger —
+// rewinds the account, and every device, to that cut and starts the next
+// attempt there; a repartition also remaps the account onto its plan. The
+// teacher
 // relay makes each replayed step a pure function of the restored state
 // and the batches, so the trajectory stays bit-identical to a fault-free
 // run. One rule covers every plan because it never asks which in-flight
@@ -31,15 +33,8 @@ import (
 	"pipebd/internal/cluster/wire"
 	"pipebd/internal/distill"
 	"pipebd/internal/engine"
-	"pipebd/internal/tensor"
+	"pipebd/internal/obs"
 )
-
-// histEntry is one group's restart state after a step: the snapshotted
-// student parameters and optimizer velocities (bit-identical across the
-// group's members).
-type histEntry struct {
-	params, velocity []*tensor.Tensor
-}
 
 // workerLostError marks a worker-connection loss in an attempt; the
 // driver catches it and restarts from the global cut (budget permitting)
@@ -49,58 +44,58 @@ type workerLostError struct{ cause error }
 func (e workerLostError) Error() string { return e.cause.Error() }
 func (e workerLostError) Unwrap() error { return e.cause }
 
-// runCarry is the state one attempt hands the next: the global cut, the
-// group parameters at that cut (nil when the cut is the seed), the loss
-// matrix holding the completed prefix's rows, and the peer edges the
-// failed attempt reported persistently down (for the driver's degrade
-// classification).
-type runCarry struct {
-	cut       int
-	params    [][]*tensor.Tensor
-	velocity  [][]*tensor.Tensor
-	losses    [][][]float64
-	linkDowns [][2]int
-}
-
-// driver threads one run through its attempts. A fresh run sets the first
-// five fields; a resumed one also hands over the open ledger and the carry
-// its record log replayed to.
+// driver threads one run through its attempts and holds what they share.
+// newDriver sets the first five fields; a resume also replays its record
+// log into acct and hands over the open ledger and superseded.
 type driver struct {
 	c     *Coordinator
 	w     *distill.Workbench
-	steps int
 	addrs []string
-	// seed is the run's starting weights, captured once: group leaders
-	// install trained weights into w as they finish, which an attempt that
-	// is later superseded may already have done.
-	seed wire.Snapshot
+	// setup is the Assign every session opens from before its attempt
+	// fills in the plan, devices, peers, epoch, relayed edges and states;
+	// a durable run's manifest holds it. Its Snapshot is the run's seed
+	// weights, captured once: group leaders install trained weights into w
+	// as they finish, which an attempt that is later superseded may
+	// already have done.
+	setup wire.Assign
+	// acct is the run's restart state. An attempt's handlers apply records
+	// to it under the attempt's lock, and teardown's closed fence orders
+	// every such write before the next attempt reads it.
+	acct *ledger.Account
 	led  *ledger.Ledger // durable-run store shared by every attempt; nil for in-memory runs
 	rp   *repartitioner // nil when repartitioning is off
-	// carry is where the next attempt starts. nil is attempt zero of a
-	// fresh run, which starts at the seed and waits for each slot's own
-	// worker; any carry means sessions were superseded (restart or resume),
-	// so a slot whose worker is gone may land on a survivor.
-	carry    *runCarry
-	degraded [][2]int // ring edges degraded to relay, accumulated across attempts
+	// superseded is set once sessions were superseded (a restart or a
+	// resume), so a slot whose worker is gone may land on a survivor.
+	// Attempt zero of a fresh run waits for each slot's own worker.
+	superseded bool
+	degraded   [][2]int // ring edges degraded to relay, accumulated across attempts
 }
 
 // drive runs attempts until one completes or the restart budget is spent.
 // Two kinds of supersession restart the loop: worker losses (retried
 // against the restart budget, or budget-free when only a peer edge is
 // severed and it can degrade to relay) and planned repartitions
-// (deliberate, budget-free — the carry is remapped onto the measured
-// re-plan and the run resumes on the new placement). Protocol errors fail
-// the run immediately. drive owns the ledger — handed over or created by
-// attempt zero — and closes it on return.
+// (deliberate, budget-free — the account remaps its state onto the
+// measured re-plan and the run resumes on the new placement). Every
+// attempt starts at the account's rewound cut. Protocol errors fail the
+// run immediately. drive owns the ledger — handed over, or created here
+// with the setup as its manifest — and closes it on return.
 func (d *driver) drive() (engine.Result, error) {
 	c := d.c
+	if d.led == nil && c.cfg.LedgerDir != "" {
+		led, err := c.createLedger(d.setup, d.addrs)
+		if err != nil {
+			return engine.Result{}, err
+		}
+		d.led = led
+	}
 	defer func() {
 		if d.led != nil {
 			d.led.Close()
 		}
 	}()
 	if c.cfg.Repartition {
-		d.rp = newRepartitioner(c.cfg.Plan)
+		d.rp = newRepartitioner(d.acct.Plan())
 	}
 	// Epochs only need to be unique per attempt within the workers'
 	// lifetime, so stale peer dials from a superseded attempt (or a
@@ -108,44 +103,47 @@ func (d *driver) drive() (engine.Result, error) {
 	epochBase := time.Now().UnixNano()
 	restarts := 0
 	for attempt := 0; ; attempt++ {
-		res, next, err := d.attempt(epochBase + int64(attempt))
+		res, linkDowns, err := d.attempt(epochBase + int64(attempt))
 		if err == nil {
 			return res, nil
 		}
+		d.superseded = true
 		var pr *plannedRepartition
 		if errors.As(err, &pr) {
-			// The cut the carry captured is authoritative (snapshots may
-			// have advanced it past the decision's); the ledger records
-			// it with the new plan so a killed coordinator resumes onto
-			// the right placement generation.
-			d.carry = remapCarry(next, c.cfg.Plan, pr.plan, d.w)
+			// The account's cut is authoritative (snapshots may have
+			// advanced it past the decision's). The record carries it with
+			// the new plan and, like every record, is applied and then
+			// appended, so a killed coordinator resumes onto the right
+			// placement generation.
+			rec := ledger.Repartition(d.acct.Cut(), wire.EncodePlan(pr.plan))
+			if aerr := d.acct.Apply(rec); aerr != nil {
+				return engine.Result{}, fmt.Errorf("cluster: %v record: %w", rec.Type, aerr)
+			}
 			if d.led != nil {
-				if lerr := d.led.Append(ledger.Repartition(d.carry.cut, wire.EncodePlan(pr.plan))); lerr != nil {
+				if lerr := d.led.Append(rec); lerr != nil {
 					return engine.Result{}, lerr
 				}
 			}
-			c.cfg.Plan = pr.plan
 			c.cfg.Metrics.Add("repartitions", 1)
-			c.logf("repartitioning after step %d: %v", d.carry.cut, err)
+			c.logf("repartitioning after step %d: %v", rec.Step, err)
 			continue
 		}
 		var lost workerLostError
 		if !errors.As(err, &lost) {
 			return engine.Result{}, err
 		}
-		if len(next.linkDowns) > 0 && c.cfg.RetryBudget > 0 && c.workersAlive(d.addrs) {
+		cut := d.acct.Cut()
+		if len(linkDowns) > 0 && c.cfg.RetryBudget > 0 && c.workersAlive(d.addrs) {
 			// Tier 2, graceful degradation: every worker is reachable but
 			// one or more peer edges are persistently severed (a healing
 			// partition that never healed). Relay just the broken edges
 			// through the coordinator — bit-identical, since the same frames
 			// reach the same inboxes in the same order — and restart from
 			// the global cut without consuming the restart budget.
-			d.degraded = mergeEdges(d.degraded, next.linkDowns)
-			d.carry = next
+			d.degraded = mergeEdges(d.degraded, linkDowns)
 			c.cfg.Metrics.Add("degrades", 1)
 			c.logf("degrading peer link(s) %v to relay; ring resumes from step %d on the remaining direct edges",
-				next.linkDowns, next.cut+1)
-			next.linkDowns = nil // consumed: a retry from this carry must not degrade again
+				linkDowns, cut+1)
 			continue
 		}
 		if restarts >= c.cfg.MaxRestarts {
@@ -153,9 +151,8 @@ func (d *driver) drive() (engine.Result, error) {
 		}
 		restarts++
 		c.cfg.Metrics.Add("recoveries", 1)
-		d.carry = next
 		c.logf("attempt lost a worker (%v); restarting every device from step %d (restart %d of %d)",
-			err, next.cut+1, restarts, c.cfg.MaxRestarts)
+			err, cut+1, restarts, c.cfg.MaxRestarts)
 	}
 }
 
@@ -193,41 +190,56 @@ func (c *Coordinator) workersAlive(addrs []string) bool {
 	return true
 }
 
-// attempt executes one attempt end to end and, on failure, captures the
-// carry the next attempt restarts from.
-func (d *driver) attempt(epoch int64) (engine.Result, *runCarry, error) {
-	c := d.c
-	r, err := c.newRun(d.w, d.seed, d.steps, d.addrs)
-	if err != nil {
-		return engine.Result{}, nil, err
+// attempt executes one attempt end to end and, on failure, also returns
+// the peer edges it saw reported persistently down (for the driver's
+// degrade classification).
+func (d *driver) attempt(epoch int64) (engine.Result, [][2]int, error) {
+	r := d.newRun(epoch)
+	defer r.teardown()
+	err := r.place()
+	var res engine.Result
+	if err == nil {
+		res, err = d.c.execute(r)
 	}
-	if d.led == nil && c.cfg.LedgerDir != "" {
-		// Attempt zero of a fresh durable run: its setup is the manifest.
-		if d.led, err = c.createLedger(r); err != nil {
-			return engine.Result{}, nil, err
+	if err != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return engine.Result{}, r.linkDowns, err
+	}
+	return res, nil, nil
+}
+
+// newRun rewinds the account and builds an attempt at its cut: every
+// device restarts just past it, under the account's plan.
+func (d *driver) newRun(epoch int64) *run {
+	c := d.c
+	cut := d.acct.Rewind()
+	plan := d.acct.Plan()
+	r := &run{
+		co: c, acct: d.acct, plan: plan, workb: d.w, addrs: d.addrs, assign: d.setup,
+		cut: cut, superseded: d.superseded, repart: d.rp, led: d.led,
+		byDev: make(map[int]*peerConn), devs: make(map[int]*devState),
+		barrier:  make(map[int]int),
+		finished: make(chan struct{}),
+		failed:   make(chan struct{}),
+	}
+	r.assign.Plan, r.assign.Epoch = plan, epoch
+	for gi, g := range plan.Groups {
+		for j, dev := range g.Devices {
+			r.devs[dev] = &devState{place: devPlace{gi: gi, j: j}, arrived: cut}
 		}
 	}
-	r.led = d.led
 	r.setRelayed(d.degraded)
-	r.epoch = epoch
+	if c.cfg.Trace {
+		r.tracer = obs.NewTracer(true)
+		r.coTrack = r.tracer.NewTrack("coordinator")
+	}
 	if d.rp != nil {
 		// Fresh placement (or fresh hosting), fresh measurements; the
 		// applied-fingerprint set persists across attempts.
 		d.rp.resetMeasurements()
-		r.repart = d.rp
 	}
-	defer r.teardown()
-	r.installCarry(d.carry)
-	var res engine.Result
-	if err = r.place(); err == nil {
-		res, err = c.execute(r)
-	}
-	if err != nil {
-		// When placement failed nothing ran, and the captured cut is the
-		// one this attempt was meant to start from.
-		return engine.Result{}, r.captureCarry(), err
-	}
-	return res, nil, nil
+	return r
 }
 
 // setRelayed installs the attempt's routing: under the hub every peer
@@ -240,123 +252,9 @@ func (r *run) setRelayed(degraded [][2]int) {
 	}
 	r.relays = make(map[[2]int]bool, 2*len(edges))
 	for _, e := range edges {
-		r.relayed = append(r.relayed, e[0], e[1])
+		r.assign.Relayed = append(r.assign.Relayed, e[0], e[1])
 		r.relays[e] = true
 		r.relays[[2]int{e[1], e[0]}] = true
-	}
-}
-
-// installCarry rewinds a fresh run's state to a previous attempt's global
-// cut: every device restarts at cut+1 with the carried group parameters,
-// and the loss matrix keeps the rows the completed prefix already
-// produced (replayed rows are rewritten bit-identically). A nil carry is
-// attempt zero.
-func (r *run) installCarry(c *runCarry) {
-	if c == nil {
-		return
-	}
-	r.carry = c
-	r.losses = c.losses
-	for _, ds := range r.devs {
-		ds.snapStep = c.cut
-		ds.lossSeen = c.cut
-		ds.barrierSeen = c.cut
-	}
-	if c.cut >= 0 && r.histG != nil {
-		// Seed the history with the cut itself: a second failure before
-		// the first new snapshot must restart here again, not regress.
-		for gi := range r.histG {
-			r.histG[gi][c.cut] = histEntry{params: c.params[gi], velocity: c.velocity[gi]}
-		}
-	}
-}
-
-// captureCarry snapshots what a failed attempt proved: the global cut and
-// the group parameters held for it, plus the loss rows of the completed
-// prefix.
-func (r *run) captureCarry() *runCarry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.carryLocked(r.cutLocked())
-	c.linkDowns = r.linkDowns
-	return c
-}
-
-// carryLocked builds the carry for a cut every group's history covers
-// (or -1, the seed).
-func (r *run) carryLocked(cut int) *runCarry {
-	c := &runCarry{cut: cut, losses: r.losses,
-		params:   make([][]*tensor.Tensor, len(r.plan.Groups)),
-		velocity: make([][]*tensor.Tensor, len(r.plan.Groups))}
-	if cut >= 0 {
-		for gi := range r.histG {
-			e := r.histG[gi][cut]
-			c.params[gi], c.velocity[gi] = e.params, e.velocity
-		}
-	}
-	return c
-}
-
-// cutLocked returns the global cut: the highest step that is both covered
-// by every group's held restart state and fully accounted for by every
-// device; -1 means the seed. Devices send their step's losses before the
-// snapshot covering it on the same connection, so any loss row the cut
-// claims is already recorded.
-func (r *run) cutLocked() int {
-	acct := r.steps - 1
-	for _, ds := range r.devs {
-		// A device has accounted for a step once its loss row is recorded
-		// and — under the global barrier — its arrival was counted.
-		a := ds.lossSeen
-		if !r.co.cfg.DPU && ds.barrierSeen < a {
-			a = ds.barrierSeen
-		}
-		if a < acct {
-			acct = a
-		}
-	}
-	return r.coveredLocked(acct)
-}
-
-// coveredLocked returns the highest step at or below from for which every
-// group holds restart state; -1 when there is none (or no history is
-// kept: runs without fault tolerance can only restart from the seed).
-func (r *run) coveredLocked(from int) int {
-	if r.histG == nil {
-		return -1
-	}
-	for s := from; s >= 0; s-- {
-		all := true
-		for _, h := range r.histG {
-			if _, ok := h[s]; !ok {
-				all = false
-				break
-			}
-		}
-		if all {
-			return s
-		}
-	}
-	return -1
-}
-
-// recordHistLocked stores one group's restart state for a step and drops
-// entries the advancing cut has obsoleted. A ledger replay can present a
-// step twice (a restart re-snapshots the steps it replays); the copies are
-// bit-identical, so the later one simply replaces the earlier.
-func (r *run) recordHistLocked(gi, step int, params, velocity []*tensor.Tensor) {
-	if r.histG == nil {
-		return
-	}
-	r.histG[gi][step] = histEntry{params: params, velocity: velocity}
-	if cut := r.cutLocked(); cut > 0 {
-		for _, h := range r.histG {
-			for s := range h {
-				if s < cut {
-					delete(h, s)
-				}
-			}
-		}
 	}
 }
 
@@ -370,7 +268,7 @@ func (r *run) recordHistLocked(gi, step int, params, velocity []*tensor.Tensor) 
 // until the actual placement is known, because every Assign must carry the
 // final peer directory before any ring worker starts dialing its mesh.
 func (r *run) place() error {
-	placement := PlaceDevices(r.nDev, len(r.addrs))
+	placement := PlaceDevices(len(r.devs), len(r.addrs))
 	type held struct {
 		conn    transport.Conn
 		addr    string
@@ -389,7 +287,7 @@ func (r *run) place() error {
 			continue
 		}
 		candidates := []string{addr}
-		if r.carry != nil {
+		if r.superseded {
 			for _, a := range r.addrs {
 				if a != addr {
 					candidates = append(candidates, a)
@@ -402,10 +300,10 @@ func (r *run) place() error {
 		}
 		holds = append(holds, held{conn, actual, placement[i]})
 	}
-	r.peerDir = make([]string, r.nDev)
+	r.assign.Peers = make([]string, len(r.devs))
 	for _, h := range holds {
 		for _, d := range h.devices {
-			r.peerDir[d] = h.addr
+			r.assign.Peers[d] = h.addr
 		}
 	}
 	for _, h := range holds {
@@ -423,21 +321,18 @@ func (r *run) place() error {
 }
 
 // sessionOpen encodes the Assign that opens a session for a set of
-// devices. Past the seed it carries the group parameters at this attempt's
+// devices. Past the seed it carries each device's state at this attempt's
 // cut; at the seed there is nothing to restore — the Assign's snapshot and
 // a fresh optimizer are the state.
 func (r *run) sessionOpen(devices []int) *wire.Frame {
-	a := &wire.Assign{Plan: r.plan, Spec: r.co.cfg.Spec,
-		Run: r.runCfg, Devices: devices, Snapshot: r.seedSnap,
-		Peers: r.peerDir, Epoch: r.epoch, Relayed: r.relayed}
-	if c := r.carry; c != nil && c.cut >= 0 {
+	a := r.assign
+	a.Devices = devices
+	if r.cut >= 0 {
 		for _, d := range devices {
-			gi := r.devs[d].place.gi
-			a.States = append(a.States, wire.DeviceState{Dev: d, Step: c.cut,
-				Params: c.params[gi], Velocity: c.velocity[gi]})
+			a.States = append(a.States, r.acct.State(d, r.cut))
 		}
 	}
-	return wire.EncodeAssign(a)
+	return wire.EncodeAssign(&a)
 }
 
 // dialWorker finds a worker among the candidates that accepts a

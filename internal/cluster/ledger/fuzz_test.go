@@ -7,12 +7,15 @@ import (
 	"testing"
 
 	"pipebd/internal/cluster/wire"
+	"pipebd/internal/sched"
 )
 
 // FuzzReplayLog drives the record-log parser with arbitrary bytes:
 // replay must never panic, must stop at the first incomplete record, and
 // whatever it accepted must re-encode to bytes the parser accepts again
-// (the round-trip property on surviving records).
+// (the round-trip property on surviving records). Every accepted record
+// is then applied to the account of sampleManifest's run, which may
+// refuse it but must never panic.
 func FuzzReplayLog(f *testing.F) {
 	seedRecs := sampleRecords(rand.New(rand.NewSource(21)))
 	var log []byte
@@ -33,6 +36,13 @@ func FuzzReplayLog(f *testing.F) {
 		// replay must stop at it, not decode or skip it.
 		f.Add(append(frameRecord(t, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}), log...))
 	}
+	// A repartition onto a plan with a block the run does not have.
+	misfit, err := Repartition(1, wire.EncodePlan(sched.Plan{Name: "misfit",
+		Groups: []sched.Group{{Devices: []int{0}, Blocks: []int{0, 1, 2, 9}}}})).encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frameRecord(TypeRepartition, misfit))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, good := replayLog(data)
 		if good > len(data) || good < 0 {
@@ -56,6 +66,14 @@ func FuzzReplayLog(f *testing.F) {
 			t.Fatalf("round trip: %d records (%d torn), want %d clean",
 				len(rep2.Records), rep2.TornBytes, len(rep.Records))
 		}
+		acct, err := NewAccount(&sampleManifest().Assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range rep.Records {
+			acct.Apply(rec)
+		}
+		acct.Rewind()
 	})
 }
 

@@ -8,6 +8,12 @@
 // device to the newest step all groups snapshotted and all devices
 // accounted for, and everything after it is recomputed.
 //
+// The package also defines how that cut is computed. Account applies the
+// records — the live coordinator commits each one through it before
+// appending it, and a resume and Compact replay the log through it — and
+// is the one place the cut, the rewind to it and a repartition's remap
+// are written.
+//
 // Crash semantics: every record carries a CRC over its payload, so a
 // coordinator killed mid-append leaves at most one torn record at the
 // tail. Open tolerates that — it replays the log up to the last complete

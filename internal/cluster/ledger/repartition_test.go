@@ -61,6 +61,8 @@ func TestRepartitionRecordRoundTrip(t *testing.T) {
 
 // unsplitManifest is a repartition-shaped manifest: an all-unsplit
 // three-group plan, every boundary of which the repartitioner may move.
+// Its seed snapshot gives blocks 0, 2 and 3 one [3] tensor each and block
+// 1 none, so every group of either plan snapshots one [3] tensor.
 func unsplitManifest() *Manifest {
 	m := sampleManifest()
 	m.Assign.Plan = sched.Plan{Name: "lopsided", Groups: []sched.Group{
@@ -68,6 +70,8 @@ func unsplitManifest() *Manifest {
 		{Devices: []int{1}, Blocks: []int{2}},
 		{Devices: []int{2}, Blocks: []int{3}},
 	}}
+	m.Assign.Snapshot.Student[2] = []*tensor.Tensor{tensor.New(3)}
+	m.Assign.Snapshot.Student[3] = []*tensor.Tensor{tensor.New(3)}
 	return m
 }
 

@@ -32,10 +32,8 @@ import (
 	"sync"
 
 	"pipebd/internal/cluster/wire"
-	"pipebd/internal/distill"
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
-	"pipebd/internal/tensor"
 )
 
 // The controller's settings. Enabling it (Config.Repartition) forces
@@ -56,7 +54,7 @@ const (
 
 // plannedRepartition is the typed "error" a run fails with when the
 // controller triggers: the drive loop recognizes it as a deliberate
-// supersession — capture the carry, remap it to the new plan, restart —
+// supersession — remap the account onto the new plan, restart —
 // rather than a failure, and teardown flushes outboxes so every session
 // sees its Repartition frame.
 type plannedRepartition struct {
@@ -158,9 +156,8 @@ func (rp *repartitioner) measuredBlockCosts(current sched.Plan) (map[int][]float
 // cut to every session (wire v6 Repartition frames, flushed by the
 // graceful teardown) and fail the attempt with the typed error the drive
 // loop converts into a restart on the new plan. The cut itself is
-// whatever global step boundary the carry capture lands on; requiring a
-// committed cut here (>= 0, before the last step) keeps the restart
-// meaningful.
+// whatever the account's cut has reached by then; requiring a committed
+// cut here (>= 0, before the last step) keeps the restart meaningful.
 func (r *run) triggerRepartition(plan sched.Plan, eval sched.ReplanEval) {
 	rp := r.repart
 	r.mu.Lock()
@@ -168,8 +165,8 @@ func (r *run) triggerRepartition(plan sched.Plan, eval sched.ReplanEval) {
 		r.mu.Unlock()
 		return
 	}
-	cut := r.cutLocked()
-	if cut < 0 || cut >= r.steps-1 {
+	cut := r.acct.Cut()
+	if cut < 0 || cut >= r.assign.Run.Steps-1 {
 		r.mu.Unlock()
 		return // no committed boundary yet (or nothing left to rebalance); retry on the next batch
 	}
@@ -182,50 +179,4 @@ func (r *run) triggerRepartition(plan sched.Plan, eval sched.ReplanEval) {
 	}
 	r.mu.Unlock()
 	r.fail(&plannedRepartition{cut: cut, plan: plan, eval: eval})
-}
-
-// remapCarry reshapes a captured carry from the old plan's grouping to
-// the new plan's. Both plans cover the same blocks in order and train
-// each block on equally many members, so each group's flattened
-// parameter/velocity lists (one copy per group) split cleanly at block
-// boundaries (parameter counts from the workbench) and each group's loss
-// rows — member j's row of its bi-th block at j*len(Blocks)+bi — are
-// exactly its blocks' rows; the remap moves slices between groups
-// without copying or recombining any tensor.
-func remapCarry(c *runCarry, oldPlan, newPlan sched.Plan, w *distill.Workbench) *runCarry {
-	nb := w.NumBlocks()
-	paramsB := make([][]*tensor.Tensor, nb)
-	velB := make([][]*tensor.Tensor, nb)
-	lossB := make([][][]float64, nb) // block -> one row per member
-	for gi, g := range oldPlan.Groups {
-		pi := 0
-		for bi, b := range g.Blocks {
-			n := len(w.StudentParams(b))
-			if c.cut >= 0 {
-				paramsB[b] = c.params[gi][pi : pi+n]
-				velB[b] = c.velocity[gi][pi : pi+n]
-			}
-			pi += n
-			for j := range g.Devices {
-				lossB[b] = append(lossB[b], c.losses[gi][j*len(g.Blocks)+bi])
-			}
-		}
-	}
-	out := &runCarry{cut: c.cut,
-		params:   make([][]*tensor.Tensor, len(newPlan.Groups)),
-		velocity: make([][]*tensor.Tensor, len(newPlan.Groups)),
-		losses:   make([][][]float64, len(newPlan.Groups))}
-	for gi, g := range newPlan.Groups {
-		out.losses[gi] = make([][]float64, len(g.Blocks)*g.Split())
-		for bi, b := range g.Blocks {
-			if c.cut >= 0 {
-				out.params[gi] = append(out.params[gi], paramsB[b]...)
-				out.velocity[gi] = append(out.velocity[gi], velB[b]...)
-			}
-			for j, row := range lossB[b] {
-				out.losses[gi][j*len(g.Blocks)+bi] = row
-			}
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pipebd/internal/cluster/ledger"
@@ -109,23 +110,19 @@ func validateManifest(dir string, man *ledger.Manifest, exp *ResumeExpectation) 
 
 // ResumeRun restarts a killed coordinator from its on-disk ledger: it
 // reloads the manifest, rebuilds the coordinator's workbench from the
-// model spec and seed snapshot, replays the record log to recover the
-// global cut the crashed coordinator had reached — the newest step every
-// group snapshotted and every device accounted for — and hands that cut
-// to the same attempt driver a live restart uses: every device is
-// re-placed on the still-running workers, its state at the cut riding in
-// the Assign, and the run is driven to completion. The returned losses and
-// the returned workbench's trained student weights are bit-identical to
-// what the uninterrupted run — and therefore the fault-free
-// engine.RunPipelined — would have produced, for either topology and any
-// snapshot interval.
-//
-// A repartitioned log replays generation by generation: each superseded
-// generation's records rebuild the snapshot history under *its* plan,
-// the carry at the recorded cut is remapped onto the next recorded plan
-// (block boundaries move between devices; no tensor is recombined), and
-// the final generation is driven to completion under the log's last
-// plan.
+// model spec and seed snapshot, and replays the whole record log in one
+// pass through the run's account — the same applier the live coordinator
+// commits through, repartition records included — to recover the global
+// cut the crashed coordinator had reached: the newest step every group
+// snapshotted and every device accounted for. The account then drives
+// the same attempt driver a live restart uses: every device is re-placed
+// on the still-running workers under the log's last plan, its state at
+// the cut riding in the Assign, and the run is driven to completion. A
+// record the account refuses fails the resume, naming the record, before
+// a worker is dialed. The returned losses and the returned workbench's
+// trained student weights are bit-identical to what the uninterrupted
+// run — and therefore the fault-free engine.RunPipelined — would have
+// produced, for either topology and any snapshot interval.
 //
 // The resumed run keeps appending to the same ledger, so a resume that is
 // itself killed can be resumed again.
@@ -134,48 +131,52 @@ func ResumeRun(net transport.Network, dir string, rc ResumeConfig) (engine.Resul
 	if err != nil {
 		return engine.Result{}, nil, err
 	}
-	c, w, addrs, err := resumeSetup(net, dir, led, man, rc)
-	var restart *runCarry
-	var gens int
-	if err == nil {
-		restart, gens, err = c.replayLog(w, man, rep, addrs)
-	}
+	d, err := resumeSetup(net, dir, led, man, rep, rc)
 	if err != nil {
 		led.Close()
 		return engine.Result{}, nil, err
 	}
-	topo := c.cfg.Topology
+	gens := 1
+	for i, rec := range rep.Records {
+		if rec.Type == ledger.TypeRepartition {
+			gens++
+		}
+		if err := d.acct.Apply(rec); err != nil {
+			led.Close()
+			return engine.Result{}, nil, fmt.Errorf("ledger %s: record %d (%v): %w", dir, i, rec.Type, err)
+		}
+	}
+	d.led, d.superseded = led, true
+	topo := d.c.cfg.Topology
 	if topo == "" {
 		topo = "hub"
 	}
-	c.logf("ledger %s: restored %d records (%d torn bytes dropped, %d plan generation(s)); %s restart under plan %q from step %d",
-		dir, len(rep.Records), rep.TornBytes, gens, topo, c.cfg.Plan.Name, restart.cut+1)
-	d := &driver{c: c, w: w, steps: man.Assign.Run.Steps, addrs: addrs, seed: man.Assign.Snapshot,
-		led: led, carry: restart}
+	d.c.logf("ledger %s: restored %d records (%d torn bytes dropped, %d plan generation(s)); %s restart under plan %q from step %d",
+		dir, len(rep.Records), rep.TornBytes, gens, topo, d.acct.Plan().Name, d.acct.Cut()+1)
 	res, err := d.drive()
 	if err != nil {
 		return engine.Result{}, nil, err
 	}
-	return res, w, nil
+	return res, d.w, nil
 }
 
 // resumeSetup validates the manifest against the caller's expectation and
 // rebuilds what ResumeRun drives with: the coordinator (configured from
-// the manifest plus the resume's operational knobs), the seed workbench,
-// and the worker addresses.
-func resumeSetup(net transport.Network, dir string, led *ledger.Ledger, man *ledger.Manifest, rc ResumeConfig) (*Coordinator, *distill.Workbench, []string, error) {
+// the manifest plus the resume's operational knobs) and its driver, with
+// the seed workbench and a fresh account.
+func resumeSetup(net transport.Network, dir string, led *ledger.Ledger, man *ledger.Manifest, rep *ledger.Replay, rc ResumeConfig) (*driver, error) {
 	if err := validateManifest(dir, man, rc.Expect); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if err := led.SetSync(rc.Fsync); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	w, err := BuildWorkbench(man.Assign.Spec)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if err := InstallSnapshot(w, man.Assign.Snapshot); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	addrs := rc.Addrs
 	if len(addrs) == 0 {
@@ -207,126 +208,14 @@ func resumeSetup(net transport.Network, dir string, led *ledger.Ledger, man *led
 		RetryBudget:       time.Duration(man.Assign.Run.RetryBudgetMillis) * time.Millisecond,
 		Logf:              rc.Logf,
 		Fsync:             rc.Fsync,
-		Repartition:       rc.Repartition,
+		// A run that repartitioned keeps the controller armed whether or
+		// not the caller re-asked for it.
+		Repartition: rc.Repartition || slices.ContainsFunc(rep.Records, func(rec *ledger.Record) bool {
+			return rec.Type == ledger.TypeRepartition
+		}),
 	}
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = time.Duration(man.Assign.Run.HeartbeatMillis) * time.Millisecond
 	}
-	return NewCoordinator(net, cfg), w, addrs, nil
-}
-
-// replayLog recovers the restart carry from a ledger's record log. Each
-// plan generation (the log splits at its repartition records; compacted
-// checkpoints never straddle one) is replayed into a detached scratch
-// run under its own plan: a superseded generation contributes the carry
-// at its recorded cut, remapped onto the next plan — which also becomes
-// c.cfg.Plan — and the final generation the accounted global cut, exactly
-// what a live attempt failing at that point would have captured. It also
-// reports how many generations the log spans.
-func (c *Coordinator) replayLog(w *distill.Workbench, man *ledger.Manifest, rep *ledger.Replay, addrs []string) (*runCarry, int, error) {
-	var carry *runCarry
-	recs := rep.Records
-	for gens := 1; ; gens++ {
-		n := 0
-		for n < len(recs) && recs[n].Type != ledger.TypeRepartition {
-			n++
-		}
-		if n < len(recs) {
-			// The original run repartitioned, so the resumed run keeps the
-			// controller armed whether or not the caller re-asked for it.
-			c.cfg.Repartition = true
-		}
-		scratch, err := c.newRun(w, man.Assign.Snapshot, man.Assign.Run.Steps, addrs)
-		if err != nil {
-			return nil, 0, err
-		}
-		scratch.installCarry(carry)
-		if err := scratch.replayRecords(recs[:n]); err != nil {
-			return nil, 0, err
-		}
-		if n == len(recs) {
-			return scratch.captureCarry(), gens, nil
-		}
-		cut := recs[n]
-		newPlan, err := wire.DecodePlan(cut.Payload)
-		if err != nil {
-			return nil, 0, fmt.Errorf("cluster: repartition record (cut after step %d): %w", cut.Step, err)
-		}
-		// The recorded step itself when every group's replayed history
-		// covers it, else the highest earlier covered step (a torn tail can
-		// lose snapshots the live cut held; replaying a few extra steps
-		// under the next plan is bit-identical anyway), else the seed.
-		carry = remapCarry(scratch.carryAt(cut.Step), c.cfg.Plan, newPlan, w)
-		c.cfg.Plan = newPlan
-		recs = recs[n+1:]
-	}
-}
-
-// carryAt builds the carry at the highest step at or below step that
-// every group's history covers (-1: the seed).
-func (r *run) carryAt(step int) *runCarry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.carryLocked(r.coveredLocked(step))
-}
-
-// replayRecords replays one generation's records through the applier the
-// live handlers commit theirs with.
-func (r *run) replayRecords(recs []*ledger.Record) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, rec := range recs {
-		if err := r.applyRecordLocked(rec); err != nil {
-			return fmt.Errorf("cluster: ledger record %d (%v): %w", i, rec.Type, err)
-		}
-	}
-	return nil
-}
-
-// applyRecordLocked is the one place the state a restart is computed from
-// changes, for a record a device just reported as for one read back from
-// the ledger: a snapshot enters its group's history, a loss row the matrix,
-// a barrier release every device's mark.
-func (r *run) applyRecordLocked(rec *ledger.Record) error {
-	switch rec.Type {
-	case ledger.TypeDevSnapshot:
-		ds, ok := r.devs[rec.Dev]
-		if !ok {
-			return fmt.Errorf("unknown device %d", rec.Dev)
-		}
-		if err := r.checkSnapshot(rec.Dev, ds.place, rec.Params, rec.Velocity); err != nil {
-			return err
-		}
-		if rec.Step > ds.snapStep {
-			ds.snapStep = rec.Step
-		}
-		r.recordHistLocked(ds.place.gi, rec.Step, rec.Params, rec.Velocity)
-	case ledger.TypeLosses:
-		ds, ok := r.devs[rec.Dev]
-		if !ok {
-			return fmt.Errorf("unknown device %d", rec.Dev)
-		}
-		if err := r.checkLosses(ds, rec.Step, rec.Losses); err != nil {
-			return err
-		}
-		r.recordLossesLocked(ds, rec.Step, rec.Losses)
-	case ledger.TypeBarrier:
-		// A released step was reached by every device.
-		for _, ds := range r.devs {
-			if rec.Step > ds.barrierSeen {
-				ds.barrierSeen = rec.Step
-			}
-		}
-	case ledger.TypeCheckpoint:
-		// A compacted log: the children preserve their original order, so
-		// replaying them is replaying the valid sub-history Compact kept.
-		for _, child := range rec.Children {
-			if err := r.applyRecordLocked(child); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("unsupported record")
-	}
-	return nil
+	return NewCoordinator(net, cfg).newDriver(w, man.Assign.Snapshot, man.Assign.Run.Steps, addrs)
 }

@@ -126,3 +126,46 @@ func TestResumeRejectsInconsistentManifest(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeAndCompactRefuseMisfitRepartition: a repartition record is
+// checked like every other record. A plan with a block the run does not
+// have, another device count, or a block on another number of members
+// cannot take the run's state: ResumeRun and ledger.Compact refuse the
+// record by its index, with no panic and before a worker is dialed.
+func TestResumeAndCompactRefuseMisfitRepartition(t *testing.T) {
+	cases := []struct {
+		name string
+		plan sched.Plan
+	}{
+		{"unknown block", plan("misfit", g([]int{0}, []int{0, 1, 2, 9}))},
+		{"device count", plan("misfit", g([]int{0, 1, 2, 3}, []int{0, 1, 2, 3}))},
+		{"member count", plan("misfit", g([]int{0}, []int{0, 1}), g([]int{1, 2}, []int{2, 3}))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := expectTestLedger(t, 4)
+			led, _, _, err := ledger.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range []*ledger.Record{ledger.Barrier(0), ledger.Repartition(1, wire.EncodePlan(tc.plan))} {
+				if err := led.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			led.Close()
+			const want = "record 1 (repartition)"
+			net := &dialCounter{Network: transport.NewLoopback()}
+			_, _, err = ResumeRun(net, dir, ResumeConfig{JoinTimeout: 200 * time.Millisecond})
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("ResumeRun: got %v, want an error naming %q", err, want)
+			}
+			if n := net.dials.Load(); n != 0 {
+				t.Fatalf("ResumeRun dialed %d times before refusing the record", n)
+			}
+			if err := ledger.Compact(dir); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Compact: got %v, want an error naming %q", err, want)
+			}
+		})
+	}
+}

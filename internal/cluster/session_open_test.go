@@ -374,17 +374,21 @@ func TestPlacementFreshRunWaitsForOwnWorker(t *testing.T) {
 }
 
 // TestNonRank0SnapshotIsProtocolError: only rank 0 of a group snapshots,
-// so a snapshot frame from a replica — or such a record in a ledger — is
-// a protocol error, not a duplicate to fold away; rank 0's own is accepted.
+// so a snapshot frame from a replica — or such a record applied to the
+// run's account, as a resume replays it — is a protocol error, not a
+// duplicate to fold away; rank 0's own is accepted.
 func TestNonRank0SnapshotIsProtocolError(t *testing.T) {
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	c := NewCoordinator(transport.NewLoopback(), Config{Plan: hybridPlan(), DPU: true,
 		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8), MaxRestarts: 1})
-	r, err := c.newRun(w, CaptureSnapshot(w), 2, []string{"x"})
+	seed := CaptureSnapshot(w)
+	d, err := c.newDriver(w, seed, 2, []string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := r.groupParams[0] // hybridPlan: devices 0 and 1 both train group 0
+	r := d.newRun(0)
+	// hybridPlan: devices 0 and 1 both train group 0, blocks 0 and 1.
+	params := append(append([]*tensor.Tensor(nil), seed.Student[0]...), seed.Student[1]...)
 	vels := make([]*tensor.Tensor, len(params))
 	for i, p := range params {
 		vels[i] = tensor.New(p.Shape()...)
@@ -397,8 +401,45 @@ func TestNonRank0SnapshotIsProtocolError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "only rank 0 snapshots") {
 		t.Fatalf("rank-1 snapshot frame: got %v, want a protocol error", err)
 	}
-	err = r.replayRecords([]*ledger.Record{ledger.DevSnapshot(1, 0, params, vels)})
+	err = d.acct.Apply(ledger.DevSnapshot(1, 0, params, vels))
 	if err == nil || !strings.Contains(err.Error(), "only rank 0 snapshots") {
 		t.Fatalf("rank-1 snapshot record: got %v, want a replay error", err)
+	}
+}
+
+// TestStepsOutsideTheRunAreRefused: a barrier arrival, like every record
+// the account applies, names a step in [0, steps). A StepDone past the
+// last step is a protocol error that leaves no barrier count behind, and
+// a snapshot, barrier or loss record outside the run is refused.
+func TestStepsOutsideTheRunAreRefused(t *testing.T) {
+	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	c := NewCoordinator(transport.NewLoopback(), Config{Plan: hybridPlan(),
+		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8), MaxRestarts: 1})
+	seed := CaptureSnapshot(w)
+	d, err := c.newDriver(w, seed, 2, []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := d.newRun(0)
+	peer := &peerConn{addr: "x"}
+	for _, step := range []int32{2, 1 << 20} {
+		err := r.handle(peer, wire.Control(wire.KindStepDone, 0, step))
+		if err == nil || !strings.Contains(err.Error(), "outside the run's 2 steps") {
+			t.Fatalf("step-done for step %d of 2: got %v, want a range error", step, err)
+		}
+	}
+	if len(r.barrier) != 0 {
+		t.Fatalf("refused arrivals left barrier counts %v", r.barrier)
+	}
+	// hybridPlan: device 2 is rank 0 of group 1, blocks 2 and 3.
+	params := append(append([]*tensor.Tensor(nil), seed.Student[2]...), seed.Student[3]...)
+	for _, rec := range []*ledger.Record{
+		ledger.DevSnapshot(2, 99, params, params),
+		ledger.Barrier(-7),
+		ledger.Losses(2, 2, []float64{1, 2}),
+	} {
+		if err := d.acct.Apply(rec); err == nil || !strings.Contains(err.Error(), "outside the run's 2 steps") {
+			t.Fatalf("%v record at step %d: got %v, want a range error", rec.Type, rec.Step, err)
+		}
 	}
 }
