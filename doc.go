@@ -43,12 +43,17 @@
 // implementations ship: "serial", the single-threaded reference, and
 // "parallel", which row-partitions the GEMM family (and im2col/col2im and
 // elementwise ops) across a process-wide bounded worker pool sized by
-// GOMAXPROCS. Every GEMM runs one microkernel that finds each row of B
-// through an offset table: in a packed panel, in a small row-major B
-// read in place, or — for a stride-1 convolution whose output rows are
-// whole 8-column panels — as a kernel tap read in place from the input
-// (zero-bordered first when the convolution pads), so the teacher's
-// convolutions pack no im2col panels. Backends are bit-identical by contract — parallel
+// GOMAXPROCS. Every GEMM runs one microkernel, two adjacent 8-column
+// panels per call, that finds each row of B through an offset table: in
+// a packed panel, in a small row-major B read in place, or — for a
+// stride-1 convolution whose output rows are whole 8-column panels — as
+// a kernel tap read in place from the input (zero-bordered first when the
+// convolution pads), so the teacher's convolutions pack no im2col
+// panels. Which kernels run is the host's tier, probed once at start-up:
+// AVX-512 lanes for the GEMM and AVX lanes for the rest where the CPU has
+// them, AVX lanes on an AVX2-only host, portable Go elsewhere; no flag
+// selects it, and every tier computes the same bits. Backends are
+// bit-identical by contract — parallel
 // partitioning only ever splits along dimensions that keep each output
 // element's floating-point accumulation sequence intact — so the
 // engine's bit-equivalence guarantees hold on every backend, and backend

@@ -16,11 +16,13 @@ import (
 // evaluation loop, a ReLU that keeps a []bool mask, and the backward's
 // relayout (nchwToFlatInto) and bias sums (accumulateChannelBiasGrad).
 
-// tensorUseAVX is the tensor package's useAVX, so these oracles can run
-// the layers with the AVX lanes on and off.
+// tensorTier is the tensor package's kernel tier (tensor.tier, a
+// kernelTier: 0 generic, 1 AVX, 2 AVX-512), so these oracles can run the
+// layers on every tier the host has: from generic up to the tier it
+// starts at.
 //
-//go:linkname tensorUseAVX pipebd/internal/tensor.useAVX
-var tensorUseAVX bool
+//go:linkname tensorTier pipebd/internal/tensor.tier
+var tensorTier uint8
 
 // flatToNCHW rearranges [C, N*OH*OW] (im2col result layout) to NCHW.
 func flatToNCHW(flat *tensor.Tensor, n, c, oh, ow int) *tensor.Tensor {
@@ -307,8 +309,8 @@ func specialInput(rng *rand.Rand, shape ...int) *tensor.Tensor {
 }
 
 // TestConvTailMatchesUnfusedBits runs every block of tailBlocks fused and
-// as the unfused oracle, with the AVX lanes on and off, at output planes
-// of whole groups of eight floats (8×8, 16×16) and ragged ones (5×5,
+// as the unfused oracle, on every kernel tier the host has, at output
+// planes of whole groups of eight floats (8×8, 16×16) and ragged ones (5×5,
 // 7×9), through the teacher's warm-up (a training forward, then an
 // evaluation one on its output) and a training step (a training forward
 // and a backward), with specials in inputs, parameters, running
@@ -316,19 +318,16 @@ func specialInput(rng *rand.Rand, shape ...int) *tensor.Tensor {
 // gradient and the running statistics must match bit for bit, NaN
 // payloads included.
 func TestConvTailMatchesUnfusedBits(t *testing.T) {
-	defer func(prev bool) { tensorUseAVX = prev }(tensorUseAVX)
-	lanes := []bool{false}
-	if tensorUseAVX {
-		lanes = append(lanes, true)
-	}
+	defer func(prev uint8) { tensorTier = prev }(tensorTier)
+	host := tensorTier
 	shapes := []struct{ n, inC, c, h, w int }{
 		{2, 3, 5, 8, 8}, {1, 4, 16, 16, 16}, {2, 4, 3, 5, 5}, {3, 3, 4, 7, 9},
 	}
-	for _, avx := range lanes {
-		tensorUseAVX = avx
+	for tier := uint8(0); tier <= host; tier++ {
+		tensorTier = tier
 		for _, blk := range tailBlocks {
 			for si, s := range shapes {
-				label := fmt.Sprintf("%s %+v avx=%v", blk.name, s, avx)
+				label := fmt.Sprintf("%s %+v tier=%d", blk.name, s, tier)
 				seed := int64(100*si + len(blk.name))
 				fused := blk.build(tailKit{rng: rand.New(rand.NewSource(seed))}, s.inC, s.c)
 				oracle := blk.build(tailKit{oracle: true, rng: rand.New(rand.NewSource(seed))}, s.inC, s.c)

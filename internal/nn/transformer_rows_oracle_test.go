@@ -419,8 +419,8 @@ func encoderKit(seed int64, dim, heads, ff int, mix saltMix, oracle bool) Layer 
 }
 
 // TestTransformerRowsMatchUnfusedBits runs an encoder layer on the row
-// kernels and on the loops they replaced, with the AVX lanes on and off:
-// a training step (forward, backward) and then an evaluation forward.
+// kernels and on the loops they replaced, on every kernel tier the host
+// has: a training step (forward, backward) and then an evaluation forward.
 // The geometries give LayerNorm, softmax and Linear rows of 32, 64 and
 // 256 floats and every ragged length 1–17, at row counts that are not a
 // multiple of the lanes' group of four; each runs on ordinary values,
@@ -431,21 +431,18 @@ func encoderKit(seed int64, dim, heads, ff int, mix saltMix, oracle bool) Layer 
 // match bit for bit, NaN payloads included; so must a lone LayerNorm's
 // and a lone Linear's.
 func TestTransformerRowsMatchUnfusedBits(t *testing.T) {
-	defer func(prev bool) { tensorUseAVX = prev }(tensorUseAVX)
-	lanes := []bool{false}
-	if tensorUseAVX {
-		lanes = append(lanes, true)
-	}
+	defer func(prev uint8) { tensorTier = prev }(tensorTier)
+	host := tensorTier
 	type geom struct{ n, l, dim, heads, ff int }
 	geoms := []geom{{2, 32, 64, 4, 256}, {1, 32, 32, 2, 64}}
 	for d := 1; d <= 17; d++ {
 		geoms = append(geoms, geom{3, 1 + (d*7)%17, d, 1, 1 + (d*5)%17})
 	}
-	for _, avx := range lanes {
-		tensorUseAVX = avx
+	for tier := uint8(0); tier <= host; tier++ {
+		tensorTier = tier
 		for gi, g := range geoms {
 			for mi, mix := range saltMixes {
-				label := fmt.Sprintf("%+v %s avx=%v", g, mix.name, avx)
+				label := fmt.Sprintf("%+v %s tier=%d", g, mix.name, tier)
 				seed := int64(300 + 10*gi + mi)
 				got := encoderKit(seed, g.dim, g.heads, g.ff, mix, false)
 				want := encoderKit(seed, g.dim, g.heads, g.ff, mix, true)
@@ -476,7 +473,7 @@ func TestTransformerRowsMatchUnfusedBits(t *testing.T) {
 		}
 		for _, s := range []struct{ n, l, dim int }{{16, 32, 64}, {3, 5, 17}, {1, 9, 13}, {2, 7, 1}} {
 			for mi, mix := range saltMixes {
-				label := fmt.Sprintf("LayerNorm %+v %s avx=%v", s, mix.name, avx)
+				label := fmt.Sprintf("LayerNorm %+v %s tier=%d", s, mix.name, tier)
 				rng := rand.New(rand.NewSource(int64(400 + s.dim + mi)))
 				got, ref := NewLayerNorm(s.dim), NewLayerNorm(s.dim)
 				for _, p := range []*Param{got.Gain, got.Bias} {
@@ -506,7 +503,7 @@ func TestTransformerRowsMatchUnfusedBits(t *testing.T) {
 		}
 		for _, s := range []struct{ n, in, out int }{{512, 64, 256}, {13, 9, 17}, {5, 3, 1}, {7, 16, 8}} {
 			for mi, mix := range saltMixes {
-				label := fmt.Sprintf("Linear %+v %s avx=%v", s, mix.name, avx)
+				label := fmt.Sprintf("Linear %+v %s tier=%d", s, mix.name, tier)
 				seed := int64(s.n + s.out + mi)
 				got, ref := NewLinear(rand.New(rand.NewSource(seed)), s.in, s.out, true), NewLinear(rand.New(rand.NewSource(seed)), s.in, s.out, true)
 				rng := rand.New(rand.NewSource(seed + 1))

@@ -5,7 +5,7 @@ import "fmt"
 // Depthwise convolution (channel multiplier 1): channel c of an NCHW input
 // is convolved with its own K×K filter w[c].
 //
-// At stride 1 with AVX (useAVX) the forward pass and the input gradient
+// At stride 1 from tierAVX up the forward pass and the input gradient
 // run in vector lanes (dwconv_amd64.s), one call per plane: each of eight
 // lanes owns one output column (forward) or one input column (input
 // gradient) and runs exactly the scalar sequence below for it, over whole

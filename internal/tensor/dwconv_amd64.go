@@ -55,7 +55,7 @@ func laneRange(m []int32, from, n int) {
 // one call per plane, and reports whether it did: it declines without
 // AVX and at stride > 1, where the row-run loops run.
 func dwForwardLanes(od, wd, xd []float32, g convGeom) bool {
-	if !useAVX || g.stride != 1 {
+	if tier == tierGeneric || g.stride != 1 {
 		return false
 	}
 	var buf [dwMaskStack]int32
@@ -75,7 +75,7 @@ func dwForwardLanes(od, wd, xd []float32, g convGeom) bool {
 // overwrites dxd through dwInputGradAVX and leaves the weight gradient to
 // its caller.
 func dwInputGradLanes(dxd, gd, wd []float32, g convGeom) bool {
-	if !useAVX || g.stride != 1 {
+	if tier == tierGeneric || g.stride != 1 {
 		return false
 	}
 	var buf [dwMaskStack]int32

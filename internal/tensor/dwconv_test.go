@@ -97,15 +97,6 @@ var (
 	negInf  = float32(math.Inf(-1))
 )
 
-// dwKernelPaths lists the values of useAVX the depthwise suites run
-// under: the AVX lanes where the CPU has them, and the row-run loops.
-func dwKernelPaths() []bool {
-	if useAVX {
-		return []bool{true, false}
-	}
-	return []bool{false}
-}
-
 // dwOracleImages are the image sizes of the oracle matrix, which also
 // seed FuzzDWConv: square and not, smaller than an AVX block, a whole
 // block, and past one.
@@ -147,21 +138,21 @@ func (d dwConvCase) check() string {
 	dwConvForwardOracle(want.data, d.w.data, d.x.data, g)
 	wantDX, wantDW := New(d.x.shape...), d.seed.Clone()
 	dwConvBackwardOracle(wantDX.data, wantDW.data, d.grad.data, d.w.data, d.x.data, g)
-	defer func(prev bool) { useAVX = prev }(useAVX)
-	for _, asm := range dwKernelPaths() {
-		useAVX = asm
+	defer func(prev kernelTier) { tier = prev }(tier)
+	for _, k := range allTiers() {
+		tier = k
 		got := Full(7, g.n, g.c, g.oh, g.ow)
 		DWConvForwardInto(got, d.w, d.x, d.stride, d.pad)
 		if diff := bitsDiff(got, want); diff != "" {
-			return fmt.Sprintf("asm=%v forward: %s", asm, diff)
+			return fmt.Sprintf("tier=%v forward: %s", k, diff)
 		}
 		gotDX, gotDW := Full(7, d.x.shape...), d.seed.Clone()
 		DWConvBackwardInto(gotDX, gotDW, d.grad, d.w, d.x, d.stride, d.pad)
 		if diff := bitsDiff(gotDX, wantDX); diff != "" {
-			return fmt.Sprintf("asm=%v dx: %s", asm, diff)
+			return fmt.Sprintf("tier=%v dx: %s", k, diff)
 		}
 		if diff := bitsDiff(gotDW, wantDW); diff != "" {
-			return fmt.Sprintf("asm=%v dW: %s", asm, diff)
+			return fmt.Sprintf("tier=%v dW: %s", k, diff)
 		}
 	}
 	return ""
@@ -212,19 +203,19 @@ func TestDWConvZeroGradientContributesNothing(t *testing.T) {
 			grad.data[i] = negZero
 		}
 	}
-	defer func(prev bool) { useAVX = prev }(useAVX)
-	for _, asm := range dwKernelPaths() {
-		useAVX = asm
+	defer func(prev kernelTier) { tier = prev }(tier)
+	for _, k := range allTiers() {
+		tier = k
 		dx, dw := Full(1, 1, 2, 6, 6), Full(negZero, 2, 1, 3, 3)
 		DWConvBackwardInto(dx, dw, grad, w, x, 1, 1)
 		for i, v := range dx.data {
 			if math.Float32bits(v) != 0 {
-				t.Fatalf("asm=%v dx[%d] = %v, want +0", asm, i, v)
+				t.Fatalf("tier=%v dx[%d] = %v, want +0", k, i, v)
 			}
 		}
 		for i, v := range dw.data {
 			if math.Float32bits(v) != math.Float32bits(negZero) {
-				t.Fatalf("asm=%v dW[%d] = %v, want the -0 it was seeded with", asm, i, v)
+				t.Fatalf("tier=%v dW[%d] = %v, want the -0 it was seeded with", k, i, v)
 			}
 		}
 	}
@@ -234,16 +225,16 @@ func TestDWConvZeroGradientContributesNothing(t *testing.T) {
 // oracle's sum starts from +0, so every output is +0 — a kernel that
 // seeds the sum with the first product instead would return -0.
 func TestDWConvSumStartsFromPositiveZero(t *testing.T) {
-	defer func(prev bool) { useAVX = prev }(useAVX)
-	for _, asm := range dwKernelPaths() {
-		useAVX = asm
+	defer func(prev kernelTier) { tier = prev }(tier)
+	for _, tk := range allTiers() {
+		tier = tk
 		for _, k := range []int{3, 5} {
 			x, w := Full(negZero, 1, 2, 7, 7), Full(1, 2, 1, k, k)
 			out := Full(7, 1, 2, 7, 7)
 			DWConvForwardInto(out, w, x, 1, k/2)
 			for i, v := range out.data {
 				if math.Float32bits(v) != 0 {
-					t.Fatalf("asm=%v k=%d out[%d] = %v (%#08x), want +0", asm, k, i, v, math.Float32bits(v))
+					t.Fatalf("tier=%v k=%d out[%d] = %v (%#08x), want +0", tk, k, i, v, math.Float32bits(v))
 				}
 			}
 		}

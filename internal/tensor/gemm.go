@@ -27,33 +27,37 @@ import "sync"
 //   - A is never packed: every row tile reads it in place, mrTile rows
 //     (fewer in a ragged last tile) at stride k, or for MatMulTA that
 //     many contiguous floats per term at stride m.
-//   - The microkernel computes a rows×w register tile (at most
-//     mrTile×nrTile), adding terms for every output element in
-//     ascending-p order. kcBlock splits the reduction so the active A
-//     rows and B panel stay cache resident; between blocks the tile is
+//   - The microkernel computes a rows×w register tile of two adjacent
+//     panels (at most mrTile×2·nrTile), adding terms for every output
+//     element in ascending-p order; the second panel's rows lie pair
+//     floats past the first's (microOperands), and a lone trailing panel
+//     passes pair 0. kcBlock splits the reduction so the active A rows
+//     and B panels stay cache resident; between blocks the tile is
 //     spilled to the output and reloaded, which does not change any
 //     intermediate rounding. An edge tile (fewer than mrTile rows or
-//     nrTile columns left) is bounded by its rows and w, not by zero
+//     2·nrTile columns left) is bounded by its rows and w, not by zero
 //     padding: it reads A rows < rows only and loads and stores only its
 //     rows×w corner of the output, where it lies. Its B lanes past w are
-//     a packed panel's zero padding, since B is read in place only in
-//     whole panels.
+//     a packed panel's zero padding, or a lone panel read twice, since B
+//     is read in place only in whole panels.
 //
 // Bit-equivalence contract: for every output element the sequence of
 // floating-point operations — one multiply and one add per p, terms in
 // ascending-p order starting from zero — is identical across the
-// generic microkernel and the AVX microkernel (gemm_amd64.s, which
-// vectorizes across output columns so each lane is exactly the scalar
-// sequence, with a separate multiply and add — never a fused
-// multiply-add), and equal to the textbook loops the tests hold it to.
+// kernels of every tier (kernelTier: the generic microkernel, and the
+// AVX and AVX-512 microkernels of gemm_amd64.s, which vectorize across
+// output columns so each lane is exactly the scalar sequence, with a
+// separate multiply and add — never a fused multiply-add), and equal to
+// the textbook loops the tests hold it to.
 // Packing and bordering only move values, and an in-place read moves
 // none: either way the kernel multiplies the same operand values in the
 // same order. The serial and parallel backends therefore stay
 // bit-identical, and so does the one shape-only decision left: B packed
 // or read in place.
 const (
-	// mrTile × nrTile is the register tile: 8 output rows × 8 output
-	// columns (one AVX vector per row) per microkernel invocation.
+	// mrTile × nrTile is a panel's share of the register tile: 8 output
+	// rows × 8 output columns, one AVX vector per row. A microkernel
+	// invocation covers two panels, one AVX-512 vector per row.
 	mrTile = 8
 	nrTile = 8
 
@@ -67,16 +71,42 @@ const (
 	// microkernel reads in place instead of from packed panels
 	// (bInPlace), set from BenchmarkGemmInPlaceB's sweep of layouts AB and
 	// TA at m ∈ {32, 512}, n ∈ {16, 64, 256}, k ∈ {16, …, 512} (2-vCPU
-	// AVX2 Xeon, serial, best of 3; in-place/packed time, the pack
-	// included). Up to 2¹² floats in place wins or ties: median 0.88 over
-	// 32 shapes, down to 0.54 at m = 32 (TA 32×32×16; AB 32×16×64 0.55),
-	// the worst 1.11 (AB 32×64×16) and 1.17 (TA 512×16×16). Above it the
-	// median is 0.99 and the losses grow (AB 32×512×16 and 32×256×256
-	// 1.31, TA 512×64×256 1.30, TA 512×512×16 1.23): rows at a
+	// AVX-512 Xeon, the 8×16 tierAVX512 kernel, serial, best of 6;
+	// in-place/packed time, the pack included). Up to 2¹² floats in place
+	// wins or ties: median 0.88 over 32 shapes, down to 0.58 (TA
+	// 32×16×256; TA 32×64×64 0.64), the worst 1.09 (TA 512×16×16) and
+	// 1.06 (AB 512×16×64). Above it the median is 0.92, but the losses
+	// fall on the large-m shapes (AB 512×256×64 1.20 — xfmr_inproc's own
+	// dX — AB 512×512×16 1.18, TA 512×512×16 1.05): rows at a
 	// power-of-two stride share cache sets, and a B past L1 is streamed
 	// from L2 once per row tile. Both sides are bit-identical.
 	inPlaceBMax = 1 << 12
 )
+
+// kernelTier names a set of kernels: the portable Go loops, the AVX
+// lanes (the 8-wide GEMM microkernel and every row, tail, transcendental
+// and depthwise kernel in *_amd64.s), or those lanes with the GEMM
+// microkernel in AVX-512 lanes, 16 wide. Every tier computes the same
+// bits.
+type kernelTier uint8
+
+const (
+	tierGeneric kernelTier = iota
+	tierAVX
+	tierAVX512
+)
+
+func (k kernelTier) String() string {
+	return [...]string{"generic", "AVX", "AVX-512"}[k]
+}
+
+// tier selects the kernels every call runs. It is set once, at start-up,
+// from what the CPU and the OS support (hostTier), so a host without AVX
+// runs the generic kernels as every port without assembly does, and a
+// host without AVX-512 the AVX ones; nothing else selects it. It is a
+// package variable (not a constant) so the bit-equivalence suites can
+// force a lower tier and pin every tier identical.
+var tier = hostTier()
 
 // packArenas recycles B's buffers across GEMM calls and goroutines: each
 // call that packs B, or borders a conv input, borrows an Arena (see
@@ -130,17 +160,22 @@ type gemmOperands struct {
 
 // microOperands is what the microkernel reads for one tile, wherever it
 // lies: A element (r, p) is a[r*rs+p*ps] and row p of B is the nrTile
-// floats from b[boff[p]]. Read in place, a row-major A is (rs k, ps 1)
-// and a MatMulTA A (rs 1, ps m). The offset table describes each of B's
-// three sources (bRows): a packed panel, rows p·nrTile; a row-major B,
-// rows p·n; a stride-1 conv's input, tap p = (c, ki, kj) at (c·Hp +
-// ki)·Wp + kj. Every table ascends, so its last entry bounds what a tile
-// reads.
+// floats from b[boff[p]] in the first panel and from b[boff[p]+pair] in
+// the second. Read in place, a row-major A is (rs k, ps 1) and a
+// MatMulTA A (rs 1, ps m). The offset table describes each of B's three
+// sources (bRows): a packed panel, rows p·nrTile; a row-major B, rows
+// p·n; a stride-1 conv's input, tap p = (c, ki, kj) at (c·Hp + ki)·Wp +
+// kj. Every table ascends, so its last entry bounds what a tile reads.
+// pair is the distance between the two panels' starts (bPanel): k·nrTile
+// between packed panels, nrTile in a row-major B, and in a conv input
+// nrTile within an output row or the step to the next row's (or next
+// image's) first panel; 0 for a lone panel.
 type microOperands struct {
 	a      []float32
 	rs, ps int
 	b      []float32
 	boff   []int32
+	pair   int
 }
 
 // bInPlace reports whether the microkernel reads o's B where it lies
@@ -226,8 +261,10 @@ func (o *gemmOperands) packPanels(bp []float32, lo, hi int) {
 // tiles computes flat row tiles [lo, hi) — tile f is row tile
 // f%tilesOf(m) of instance f/tilesOf(m) — reading B from b: its packed
 // panels, or when inPlace, B where it lies (o.b, or a padded conv's
-// zero-bordered copy of it). A is read in place. A row tile is one
-// goroutine's, so every output element's accumulation is too.
+// zero-bordered copy of it). A is read in place. Each kernel call covers
+// a pair of panels, the trailing one alone when their count is odd. A
+// row tile is one goroutine's, so every output element's accumulation
+// is too.
 func (o *gemmOperands) tiles(b []float32, inPlace bool, lo, hi int) {
 	m, k, n := o.m, o.k, o.n
 	tiles, pans := tilesOf(m), panelsOf(n)
@@ -246,10 +283,13 @@ func (o *gemmOperands) tiles(b []float32, inPlace bool, lo, hi int) {
 			}
 			t.boff = boff[:p1-p0]
 			o.aTile(&t, q, i0, p0)
-			for pan := 0; pan < pans; pan++ {
-				j0 := pan * nrTile
-				t.b = b[o.bPanel(inPlace, q, pan):]
-				microKernel(od[j0:], n, &t, p1-p0, rows, min(nrTile, n-j0), p0 > 0)
+			for pan := 0; pan < pans; pan += 2 {
+				j0, at := pan*nrTile, o.bPanel(inPlace, q, pan)
+				t.b, t.pair = b[at:], 0
+				if pan+1 < pans {
+					t.pair = o.bPanel(inPlace, q, pan+1) - at
+				}
+				microKernel(od[j0:], n, &t, p1-p0, rows, min(2*nrTile, n-j0), p0 > 0)
 			}
 		}
 	}
@@ -348,21 +388,22 @@ func packBPanelsTB(bp, bd []float32, k, n, pan0, pan1 int) {
 
 // --- microkernels ------------------------------------------------------------
 
-// microGeneric computes a rows×w output tile from the operands t
-// describes in pure Go: the portable kernel, full tiles and edge tiles
-// alike. The per-element loop is the canonical accumulation sequence
-// (ascending p, one multiply and one add per term).
+// microGeneric computes a rows×w output tile of a panel pair from the
+// operands t describes in pure Go: the portable kernel, full tiles and
+// edge tiles alike. The per-element loop is the canonical accumulation
+// sequence (ascending p, one multiply and one add per term).
 func microGeneric(od []float32, ldo int, t *microOperands, pc, rows, w int, accumulate bool) {
 	for r := 0; r < rows; r++ {
 		orow := od[r*ldo : r*ldo+w]
 		arow := t.a[r*t.rs:]
 		for c := range orow {
+			b := t.b[c/nrTile*t.pair+c%nrTile:]
 			var s float32
 			if accumulate {
 				s = orow[c]
 			}
 			for p := 0; p < pc; p++ {
-				s += float32(arow[p*t.ps] * t.b[int(t.boff[p])+c])
+				s += float32(arow[p*t.ps] * b[t.boff[p]])
 			}
 			orow[c] = s
 		}

@@ -1,9 +1,9 @@
-// AVX microkernel for the packed GEMM engine (see gemm.go), and the
-// CPUID/XGETBV probe that decides at start-up whether it may run.
+// GEMM microkernels for the packed GEMM engine (see gemm.go), and the
+// CPUID/XGETBV probes that pick one of them at start-up (hostTier).
 //
-// Computes a rows×w output tile (1 ≤ rows, w ≤ 8) from A read through
-// strides and B through a table of row offsets, both in floats
-// (microOperands in gemm.go):
+// Each computes a rows×w output tile from A read through strides and B
+// through a table of row offsets, both in floats (microOperands in
+// gemm.go):
 //
 //	out[r][c] (+)= sum over p of a[r*rs + p*ps] * b[boff[p] + c]
 //
@@ -11,33 +11,44 @@
 // boff[p] is p·8 in a packed B panel, p·n in a row-major B read in place,
 // and (c·Hp + ki)·Wp + kj for tap p = (c, ki, kj) of a stride-1 conv's
 // input read in place: one addressing mode for all three.
+// microKernelAVX covers one 8-wide panel (1 ≤ rows, w ≤ 8);
+// microKernelAVX512 two adjacent ones (1 ≤ rows ≤ 8, 1 ≤ w ≤ 16), the
+// second panel's row p at b[boff[p] + pair], so columns 8–15 read
+// b[boff[p] + pair + c - 8]. pair is the distance between the two
+// panels' starts: k·8 for packed panels, 8 for a row-major B read in
+// place, and in a conv input 8 within an output row or the step to the
+// next row's (or image's) first panel; a lone trailing panel passes 0.
 //
-// Register plan: Y0..Y7 hold the accumulator tile (one 8-wide vector per
-// output row), Y8 the current B row, Y9 the broadcast A value and then
-// its product, Y10 an edge tile's column mask. AX and R10 point at A
-// rows 0 and 4 of the current term, and R11 and R12 hold rs and 3·rs in
-// bytes, so rows 1–3 and 5–7 are one scaled index away; each term
-// advances AX and R10 by ps (R13, in bytes) and loads its B row from BX
-// plus its offset (R14), read from the table through DX and the term
-// counter CX. DI and R9 point at output rows 0 and 4, SI and R8 hold ldo
-// and 3·ldo in bytes. Each vector lane owns one output column, so the per-element
-// operation sequence — multiply then add, terms in ascending-p order — is
-// exactly the scalar reference sequence and the tile is bit-identical to
-// microGeneric, whatever the strides. The multiply and the add are
-// separate instructions, each rounding once: a fused multiply-add would
-// round once per term and break that. VMULPS takes the broadcast A value
-// as its first source and VADDPS the accumulator, matching the operand
-// roles of the compiled Go kernels so NaN propagation agrees too.
+// Register plan (microKernelAVX; microKernelAVX512 the same in Z
+// registers): Y0..Y7 hold the accumulator tile (one vector per output
+// row), Y8 the current B row, Y9 the broadcast A value and then its
+// product, Y10 an edge tile's column mask (K1 in microKernelAVX512). AX
+// and R10 point at A rows 0 and 4 of the current term, and R11 and R12
+// hold rs and 3·rs in bytes, so rows 1–3 and 5–7 are one scaled index
+// away; each term advances AX and R10 by ps (R13, in bytes) and loads its
+// B row from BX (and R15, the second panel) plus its offset (R14), read
+// from the table through DX and the term counter CX. DI and R9 point at
+// output rows 0 and 4, SI and R8 hold ldo and 3·ldo in bytes. Each vector
+// lane owns one output column, so the per-element operation sequence —
+// multiply then add, terms in ascending-p order — is exactly the scalar
+// reference sequence and the tile is bit-identical to microGeneric,
+// whatever the strides. The multiply and the add are separate
+// instructions, each rounding once: a fused multiply-add would round
+// once per term and break that. VMULPS takes the broadcast A value as its
+// first source and VADDPS the accumulator, matching the operand roles of
+// the compiled Go kernels so NaN propagation agrees too.
 //
-// A full 8×8 tile loads and stores its rows with VMOVUPS. An edge tile
-// touches only its own rows×w corner, in place: its reduction loop
-// accumulates rows 0..rows-1 alone, so A rows past the tile are never
-// read, and it loads and stores those rows through VMASKMOVPS under a
-// mask of the first w lanes, which neither reads nor writes — nor faults
-// on — the lanes past w. B is always read a whole 8 floats a row: a
-// panel narrower than 8 columns is packed and zero-padded (gemm.go).
-// R14 is scratch in ABI0: it loads the edge mask, then each term's
-// offset.
+// microKernelAVX loads and stores a full 8×8 tile's rows with VMOVUPS.
+// An edge tile, and every microKernelAVX512 tile, touches only its own
+// rows×w corner, in place: its reduction loop accumulates rows
+// 0..rows-1 alone, so A rows past the tile are never read, and it loads
+// and stores those rows under a mask of the first w lanes (VMASKMOVPS,
+// or VMOVUPS under the opmask K1), which neither reads nor writes — nor
+// faults on — the lanes past w. B is always read a whole 8 floats a row
+// and panel: a panel narrower than 8 columns is packed and zero-padded
+// (gemm.go). R14 is scratch in ABI0: it loads the edge mask, then each
+// term's offset. R15 is too, as long as no global data is touched after
+// it is set, and microKernelAVX512 touches none.
 
 #include "textflag.h"
 
@@ -60,6 +71,34 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func hasAVX512() bool
+TEXT ·hasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7              // the highest leaf
+	JLT  noavx512
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x08000000, CX     // OSXSAVE (bit 27): XGETBV may run
+	JEQ  noavx512
+	XORL CX, CX
+	XGETBV                   // XCR0: XMM, YMM, opmask, ZMM0–15 upper halves, ZMM16–31 (bits 1, 2, 5, 6, 7)
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  noavx512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x30000, BX        // AVX512F (bit 16) and AVX512DQ (bit 17, VINSERTF32X8)
+	CMPL BX, $0x30000
+	JNE  noavx512
+	MOVB $1, ret+0(FP)
+	RET
+noavx512:
+	MOVB $0, ret+0(FP)
+	RET
+
 // edgeMask is eight all-ones lanes, then eight zero lanes: the eight
 // from lane 8-w on are the VMASKMOVPS mask of an edge tile's first w
 // columns.
@@ -74,13 +113,17 @@ DATA edgeMask<>+56(SB)/8, $0
 GLOBL edgeMask<>(SB), RODATA|NOPTR, $64
 
 // row accumulates the A value at addr (a[r][p]) into accumulator acc:
-// broadcast, multiply by the B row, add.
+// broadcast, multiply by the B row, add. zrow is the same in Z registers.
 #define row(addr, acc) \
 	VBROADCASTSS addr, Y9;   \
 	VMULPS       Y8, Y9, Y9; \
 	VADDPS       Y9, acc, acc
+#define zrow(addr, acc) \
+	VBROADCASTSS addr, Z9;   \
+	VMULPS       Z8, Z9, Z9; \
+	VADDPS       Z9, acc, acc
 
-// rowsN is one term of output rows 0..N-1.
+// rowsN is one term of output rows 0..N-1; zrowsN the same in Z registers.
 #define rows1 row((AX), Y0)
 #define rows2 rows1; row((AX)(R11*1), Y1)
 #define rows3 rows2; row((AX)(R11*2), Y2)
@@ -89,33 +132,52 @@ GLOBL edgeMask<>(SB), RODATA|NOPTR, $64
 #define rows6 rows5; row((R10)(R11*1), Y5)
 #define rows7 rows6; row((R10)(R11*2), Y6)
 #define rows8 rows7; row((R10)(R12*1), Y7)
+#define zrows1 zrow((AX), Z0)
+#define zrows2 zrows1; zrow((AX)(R11*1), Z1)
+#define zrows3 zrows2; zrow((AX)(R11*2), Z2)
+#define zrows4 zrows3; zrow((AX)(R12*1), Z3)
+#define zrows5 zrows4; zrow((R10), Z4)
+#define zrows6 zrows5; zrow((R10)(R11*1), Z5)
+#define zrows7 zrows6; zrow((R10)(R11*2), Z6)
+#define zrows8 zrows7; zrow((R10)(R12*1), Z7)
 
-// terms runs the reduction loop at label: pc terms, each the B row and
-// then the A values of body's rows. CX counts up from -pc to 0 and DX
+// brow loads the term's B row of one panel into Y8; zbrow loads the rows
+// of both panels of a pair into Z8, the second into lanes 8–15.
+#define brow VMOVUPS (BX)(R14*4), Y8
+#define zbrow \
+	VMOVUPS      (BX)(R14*4), Y8; \
+	VINSERTF32X8 $1, (R15)(R14*4), Z8, Z8
+
+// terms runs the reduction loop at label: pc terms, each the B row (load)
+// and then the A values of body's rows. CX counts up from -pc to 0 and DX
 // points just past the pc offsets, so (DX)(CX*4) is the term's offset.
-#define terms(label, body) \
+#define terms(label, load, body) \
 label:                       \
 	MOVLQSX (DX)(CX*4), R14; \
-	VMOVUPS (BX)(R14*4), Y8; \
+	load;                    \
 	body;                    \
 	ADDQ    R13, AX;         \
 	ADDQ    R13, R10;        \
 	INCQ    CX;              \
 	JNZ     label
 
-// counter sets up the terms loop's counter (see terms).
+// counter sets up the terms loop's counter from the term count pc in CX
+// (see terms).
 #define counter \
-	MOVQ pc+56(FP), CX; \
 	LEAQ (DX)(CX*4), DX; \
 	NEGQ CX
 
 // edge moves an edge tile's output row k-1 from src to dst under the
 // column mask, unless the tile has fewer than k rows (CX): then the
-// moves end at label.
+// moves end at label. zedge is the same under the opmask K1.
 #define edge(k, label, src, dst) \
 	CMPQ       CX, $k;           \
 	JLT        label;            \
 	VMASKMOVPS src, Y10, dst
+#define zedge(k, label, src, dst) \
+	CMPQ    CX, $k; \
+	JLT     label;  \
+	VMOVUPS src, K1, dst
 
 // func microKernelAVX(out *float32, ldo int, a *float32, rs, ps int, b *float32, boff *int32, pc, rows, w int, accumulate bool)
 TEXT ·microKernelAVX(SB), NOSPLIT, $0-81
@@ -149,6 +211,7 @@ TEXT ·microKernelAVX(SB), NOSPLIT, $0-81
 	CMPQ rows+64(FP), $8
 	JNE  edgetile
 
+	MOVQ pc+56(FP), CX
 	counter
 	CMPB accumulate+80(FP), $0
 	JEQ  ploop
@@ -161,7 +224,7 @@ TEXT ·microKernelAVX(SB), NOSPLIT, $0-81
 	VMOVUPS (R9)(SI*2), Y6
 	VMOVUPS (R9)(R8*1), Y7
 
-	terms(ploop, rows8)
+	terms(ploop, brow, rows8)
 
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, (DI)(SI*1)
@@ -193,6 +256,7 @@ edgetile:
 	edge(8, edispatch, (R9)(R8*1), Y7)
 
 edispatch:
+	MOVQ pc+56(FP), CX
 	counter
 	CMPQ rows+64(FP), $4
 	JLT  e1to3
@@ -202,25 +266,25 @@ edispatch:
 	JEQ  e6
 	CMPQ rows+64(FP), $8
 	JLT  e7
-	terms(e8, rows8)
+	terms(e8, brow, rows8)
 	JMP  estore
-	terms(e7, rows7)
+	terms(e7, brow, rows7)
 	JMP  estore
-	terms(e6, rows6)
+	terms(e6, brow, rows6)
 	JMP  estore
-	terms(e5, rows5)
+	terms(e5, brow, rows5)
 	JMP  estore
-	terms(e4, rows4)
+	terms(e4, brow, rows4)
 	JMP  estore
 e1to3:
 	CMPQ rows+64(FP), $2
 	JLT  e1
 	JEQ  e2
-	terms(e3, rows3)
+	terms(e3, brow, rows3)
 	JMP  estore
-	terms(e2, rows2)
+	terms(e2, brow, rows2)
 	JMP  estore
-	terms(e1, rows1)
+	terms(e1, brow, rows1)
 
 estore:
 	MOVQ rows+64(FP), CX
@@ -234,5 +298,98 @@ estore:
 	edge(8, edone, Y7, (R9)(R8*1))
 
 edone:
+	VZEROUPPER
+	RET
+
+// func microKernelAVX512(out *float32, ldo int, a *float32, rs, ps int, b *float32, boff *int32, pair, pc, rows, w int, accumulate bool)
+TEXT ·microKernelAVX512(SB), NOSPLIT, $0-89
+	MOVQ out+0(FP), DI
+	MOVQ ldo+8(FP), SI
+	MOVQ a+16(FP), AX
+	MOVQ rs+24(FP), R11
+	MOVQ ps+32(FP), R13
+	MOVQ b+40(FP), BX
+	MOVQ boff+48(FP), DX
+	MOVQ pair+56(FP), R15
+
+	SHLQ $2, SI              // output row stride in bytes
+	LEAQ (SI)(SI*2), R8      // 3 output rows
+	LEAQ (DI)(SI*4), R9      // output row 4
+	SHLQ $2, R11             // A row stride in bytes
+	LEAQ (R11)(R11*2), R12   // 3 A rows
+	LEAQ (AX)(R11*4), R10    // A row 4
+	SHLQ $2, R13             // A term stride in bytes
+	LEAQ (BX)(R15*4), R15    // the pair's second panel
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+	MOVQ  w+80(FP), CX
+	MOVL  $1, R14
+	SHLL  CX, R14
+	DECL  R14                // lanes [0, w), w ≤ 16
+	KMOVW R14, K1
+	MOVQ  rows+72(FP), CX
+
+	CMPB accumulate+88(FP), $0
+	JEQ  zdispatch
+	VMOVUPS (DI), K1, Z0     // resume: load the tile's spilled rows
+	zedge(2, zdispatch, (DI)(SI*1), Z1)
+	zedge(3, zdispatch, (DI)(SI*2), Z2)
+	zedge(4, zdispatch, (DI)(R8*1), Z3)
+	zedge(5, zdispatch, (R9), Z4)
+	zedge(6, zdispatch, (R9)(SI*1), Z5)
+	zedge(7, zdispatch, (R9)(SI*2), Z6)
+	zedge(8, zdispatch, (R9)(R8*1), Z7)
+
+zdispatch:
+	MOVQ pc+64(FP), CX
+	counter
+	CMPQ rows+72(FP), $4
+	JLT  z1to3
+	JEQ  z4
+	CMPQ rows+72(FP), $6
+	JLT  z5
+	JEQ  z6
+	CMPQ rows+72(FP), $8
+	JLT  z7
+	terms(z8, zbrow, zrows8)
+	JMP  zstore
+	terms(z7, zbrow, zrows7)
+	JMP  zstore
+	terms(z6, zbrow, zrows6)
+	JMP  zstore
+	terms(z5, zbrow, zrows5)
+	JMP  zstore
+	terms(z4, zbrow, zrows4)
+	JMP  zstore
+z1to3:
+	CMPQ rows+72(FP), $2
+	JLT  z1
+	JEQ  z2
+	terms(z3, zbrow, zrows3)
+	JMP  zstore
+	terms(z2, zbrow, zrows2)
+	JMP  zstore
+	terms(z1, zbrow, zrows1)
+
+zstore:
+	MOVQ rows+72(FP), CX
+	VMOVUPS Z0, K1, (DI)
+	zedge(2, zdone, Z1, (DI)(SI*1))
+	zedge(3, zdone, Z2, (DI)(SI*2))
+	zedge(4, zdone, Z3, (DI)(R8*1))
+	zedge(5, zdone, Z4, (R9))
+	zedge(6, zdone, Z5, (R9)(SI*1))
+	zedge(7, zdone, Z6, (R9)(SI*2))
+	zedge(8, zdone, Z7, (R9)(R8*1))
+
+zdone:
 	VZEROUPPER
 	RET

@@ -17,7 +17,7 @@ const gemmFuzzMaxMACs = 10 << 20
 // and the conv geometry; every GEMM entry point of that layout — MatMul,
 // MatMulTA, MatMulTB and their batched forms, or the fused conv forward
 // and weight-gradient GEMMs — then runs serially and on a pool, on the
-// assembly and the generic microkernel, and each result must equal the
+// microkernel of every tier the host has, and each result must equal the
 // reference kernels bit for bit (bitsDiff: NaN payloads aside). Outputs
 // start as a sentinel, so an element no path writes shows too. The
 // committed seeds are adversarialShapes under every layout, row counts
@@ -97,13 +97,10 @@ func checkGemm(t *testing.T, pool *Pool, layout gemmLayout, g, m, k, n int, seed
 	if want == nil {
 		t.Skip("over the fuzz work bound")
 	}
-	asmModes := []bool{false}
-	if useAVX {
-		asmModes = append(asmModes, true)
-	}
-	defer func(prev bool) { useAVX = prev }(useAVX)
-	for _, asm := range asmModes {
-		useAVX = asm
+	tiers := hostTiers(t)
+	defer func(prev kernelTier) { tier = prev }(tier)
+	for _, tk := range tiers {
+		tier = tk
 		for _, p := range []*Pool{nil, pool} {
 			for _, c := range calls {
 				out := New(want.shape...)
@@ -112,8 +109,8 @@ func checkGemm(t *testing.T, pool *Pool, layout gemmLayout, g, m, k, n int, seed
 				}
 				c.run(p, out)
 				if diff := bitsDiff(out, want); diff != "" {
-					t.Fatalf("%s layout=%d g=%d m=%d k=%d n=%d seed=%d asm=%v pooled=%v: %s",
-						c.name, layout, g, m, k, n, seed, asm, p != nil, diff)
+					t.Fatalf("%s layout=%d g=%d m=%d k=%d n=%d seed=%d tier=%v pooled=%v: %s",
+						c.name, layout, g, m, k, n, seed, tk, p != nil, diff)
 				}
 			}
 		}

@@ -2,12 +2,11 @@
 
 package tensor
 
-// useAVX mirrors the amd64 toggle so shared tests compile; without
-// assembly kernels it stays false.
-var useAVX = false
+// hostTier is tierGeneric: this port has no assembly kernels.
+func hostTier() kernelTier { return tierGeneric }
 
-// microKernel computes one rows×w tile from the operands t describes,
-// using the portable generic kernel.
+// microKernel computes one rows×w tile of a panel pair from the
+// operands t describes, using the portable generic kernel.
 func microKernel(od []float32, ldo int, t *microOperands, pc, rows, w int, accumulate bool) {
 	microGeneric(od, ldo, t, pc, rows, w, accumulate)
 }

@@ -102,17 +102,47 @@ func fillAdversarial(rng *rand.Rand, t *Tensor, which int) {
 	}
 }
 
+// allTiers lists the kernel tiers this host can run, generic first: the
+// tiers every bit-equivalence suite iterates.
+func allTiers() []kernelTier {
+	var tiers []kernelTier
+	for k := tierGeneric; k <= hostTier(); k++ {
+		tiers = append(tiers, k)
+	}
+	return tiers
+}
+
+// hostTiers is allTiers, logged, so a run shows which tiers it covered.
+func hostTiers(t testing.TB) []kernelTier {
+	tiers := allTiers()
+	t.Logf("kernel tiers: %v", tiers)
+	return tiers
+}
+
+// TestKernelTierProbe: calls run at the host's tier, as the start-up
+// probe chose it and every suite that lowers it restores it, and the
+// probe answers the same every time.
+func TestKernelTierProbe(t *testing.T) {
+	host := hostTier()
+	if tier != host {
+		t.Fatalf("tier %v at the start of the test, the host's is %v", tier, host)
+	}
+	for range 3 {
+		if k := hostTier(); k != host {
+			t.Fatalf("the probe said %v, then %v", host, k)
+		}
+	}
+	t.Logf("host kernel tier: %v", host)
+}
+
 // TestPackedKernelsMatchReferenceBits is the satellite bit-equivalence
-// suite: the packed engine (assembly and generic microkernels, serial
-// and pooled schedules) must reproduce the reference kernels
-// exactly on every adversarial shape and value class.
+// suite: the packed engine (the microkernel of every tier, serial and
+// pooled schedules) must reproduce the reference kernels exactly on
+// every adversarial shape and value class.
 func TestPackedKernelsMatchReferenceBits(t *testing.T) {
 	pools := []*Pool{nil, NewPool(3)}
-	asmModes := []bool{false}
-	if useAVX { // true exactly where an assembly microkernel is built
-		asmModes = append(asmModes, true)
-	}
-	defer func(prev bool) { useAVX = prev }(useAVX)
+	tiers := hostTiers(t)
+	defer func(prev kernelTier) { tier = prev }(tier)
 	rng := rand.New(rand.NewSource(99))
 	for _, s := range adversarialShapes {
 		for which := 0; which < 3; which++ {
@@ -130,11 +160,11 @@ func TestPackedKernelsMatchReferenceBits(t *testing.T) {
 			refTB := New(s.m, s.n)
 			matMulTBRowsRef(refTB.data, a.data, bT.data, s.k, s.n, 0, s.m)
 
-			for _, asm := range asmModes {
-				useAVX = asm
+			for _, k := range tiers {
+				tier = k
 				for _, pool := range pools {
-					label := fmt.Sprintf("m=%d k=%d n=%d specials=%d asm=%v pooled=%v",
-						s.m, s.k, s.n, which, asm, pool != nil)
+					label := fmt.Sprintf("m=%d k=%d n=%d specials=%d tier=%v pooled=%v",
+						s.m, s.k, s.n, which, k, pool != nil)
 					if diff := bitsDiff(packedMatMul(pool, layoutAB, a, b, s.m, s.n), ref); diff != "" {
 						t.Errorf("MatMul packed != reference (%s): %s", label, diff)
 					}
@@ -166,47 +196,81 @@ func rowOffsets(pc, step int) []int32 {
 	return boff
 }
 
+// tileWidth is the widest tile the microkernel computes: a panel pair.
+const tileWidth = 2 * nrTile
+
+// packedPair lays B element (p, c) of a tile of pc terms, bv[p*tileWidth+c],
+// out as two packed panels, the second pc·nrTile floats after the first.
+func packedPair(bv []float32, pc int) microOperands {
+	b := make([]float32, 2*pc*nrTile)
+	for p := 0; p < pc; p++ {
+		copy(b[p*nrTile:(p+1)*nrTile], bv[p*tileWidth:])
+		copy(b[(pc+p)*nrTile:(pc+p+1)*nrTile], bv[p*tileWidth+nrTile:])
+	}
+	return microOperands{b: b, boff: rowOffsets(pc, nrTile), pair: pc * nrTile}
+}
+
+// lone is d as the engine hands a tile of one panel, w ≤ nrTile, to the
+// microkernel: pair 0, the second panel's lanes reading the first's.
+func lone(d microOperands, w int) *microOperands {
+	if w <= nrTile {
+		d.pair = 0
+	}
+	return &d
+}
+
 // tileDescriptions lays a tile's operands — A element (r, p) at
-// av[p*mrTile+r] and B element (p, c) at bv[p*nrTile+c], for pc terms —
-// out every way the engine hands them to the microkernel: A in place as
-// rows longer than the tile (rs > pc), or as the leading columns of a
-// wider [pc, m] operand (ps = m); B as a packed panel, in place as the
-// leading columns of a wider [pc, n] operand (offsets p·n), or as a conv
-// input's tap rows, whose offsets ascend in uneven steps (row q+1 starts
-// 9 + q%3·5 + q%7 floats after row q, as kernel columns, rows and
-// channels step by 1, Wp and a plane). Every float of
-// an in-place operand outside the tile holds fill.
+// av[p*mrTile+r] and B element (p, c) at bv[p*tileWidth+c], for pc terms
+// — out every way the engine hands them to the microkernel: A in place
+// as rows longer than the tile (rs > pc), or as the leading columns of a
+// wider [pc, m] operand (ps = m); B as a pair of packed panels (pair
+// pc·nrTile), in place as the leading columns of a wider [pc, n] operand
+// (offsets p·n, pair nrTile), or as a conv input's tap rows, whose
+// offsets ascend in uneven steps (row q+1 starts 2·nrTile+3 + q%3·5 +
+// q%7 floats after row q, as kernel columns, rows and channels step by
+// 1, Wp and a plane) with the second panel across an output row (pair
+// nrTile+2, the padded-row step of a pad-1 conv from the last panel of
+// one output row to the first of the next). Every float of an in-place
+// operand outside the tile holds fill.
 func tileDescriptions(av, bv []float32, pc int, fill float32) []tileDescription {
-	const gap = 3 // floats of fill past the tile in each row or column
-	rs, m, n := pc+gap, mrTile+gap, nrTile+gap
+	const gap = 3            // floats of fill past the tile in each row or column
+	const cross = nrTile + 2 // the conv pair's distance between its panels
+	rs, m, n := pc+gap, mrTile+gap, tileWidth+gap
 	taps := make([]int32, pc)
 	for p := 1; p < pc; p++ {
-		taps[p] = taps[p-1] + int32(nrTile+1+(p-1)%3*5+(p-1)%7)
+		taps[p] = taps[p-1] + int32(tileWidth+3+(p-1)%3*5+(p-1)%7)
 	}
 	rowA, colA := Full(fill, mrTile*rs).data, Full(fill, pc*m).data
-	rowB, tapB := Full(fill, pc*n).data, Full(fill, int(taps[pc-1])+nrTile+gap).data
+	rowB, tapB := Full(fill, pc*n).data, Full(fill, int(taps[pc-1])+cross+nrTile+gap).data
 	for p := 0; p < pc; p++ {
 		for r := 0; r < mrTile; r++ {
 			rowA[r*rs+p], colA[p*m+r] = av[p*mrTile+r], av[p*mrTile+r]
 		}
-		copy(rowB[p*n:p*n+nrTile], bv[p*nrTile:])
-		copy(tapB[taps[p]:int(taps[p])+nrTile], bv[p*nrTile:])
+		row := bv[p*tileWidth : (p+1)*tileWidth]
+		copy(rowB[p*n:p*n+tileWidth], row)
+		copy(tapB[taps[p]:int(taps[p])+nrTile], row[:nrTile])
+		copy(tapB[int(taps[p])+cross:int(taps[p])+cross+nrTile], row[nrTile:])
 	}
 	as := []struct {
 		name   string
 		a      []float32
 		rs, ps int
 	}{{"row-major A", rowA, rs, 1}, {"column A", colA, 1, m}}
+	packed := packedPair(bv, pc)
 	bs := []struct {
 		name string
-		b    []float32
-		boff []int32
-	}{{"packed B", bv, rowOffsets(pc, nrTile)}, {"row-major B", rowB, rowOffsets(pc, n)}, {"tap-table B", tapB, taps}}
+		b    microOperands
+	}{
+		{"packed B", packed},
+		{"row-major B", microOperands{b: rowB, boff: rowOffsets(pc, n), pair: nrTile}},
+		{"tap-table B", microOperands{b: tapB, boff: taps, pair: cross}},
+	}
 	var ds []tileDescription
 	for _, a := range as {
 		for _, b := range bs {
-			ds = append(ds, tileDescription{a.name + ", " + b.name,
-				microOperands{a: a.a, rs: a.rs, ps: a.ps, b: b.b, boff: b.boff}})
+			ops := b.b
+			ops.a, ops.rs, ops.ps = a.a, a.rs, a.ps
+			ds = append(ds, tileDescription{a.name + ", " + b.name, ops})
 		}
 	}
 	return ds
@@ -216,27 +280,26 @@ func tileDescriptions(av, bv []float32, pc int, fill float32) []tileDescription 
 // else, and its kept lanes read nothing but the tile's operands. The
 // output is a view whose row stride leaves a gap of sentinel NaNs after
 // each row's w columns, with a full sentinel row below the last; every
-// edge shape, fresh and resumed, under every operand description
-// (tileDescriptions), on the assembly and the generic kernel, must match
-// the generic kernel's corner on packed operands and leave every sentinel
-// alone. The packed operands' pad lanes hold random values, not the zeros
-// the packers write, and every float of an in-place operand outside the
-// tile holds a sentinel, so a kept lane that reads either shows too.
+// edge shape of a panel pair, fresh and resumed, under every operand
+// description (tileDescriptions; a lone panel when w ≤ nrTile), on the
+// kernel of every tier, must match the generic kernel's corner on packed
+// operands and leave every sentinel alone. The packed operands' pad
+// lanes hold random values, not the zeros the packers write, and every
+// float of an in-place operand outside the tile holds a sentinel, so a
+// kept lane that reads either shows too.
 func TestEdgeTileGuardBand(t *testing.T) {
-	asmModes := []bool{false}
-	if useAVX {
-		asmModes = append(asmModes, true)
-	}
-	defer func(prev bool) { useAVX = prev }(useAVX)
+	tiers := hostTiers(t)
+	defer func(prev kernelTier) { tier = prev }(tier)
 	sentinel := math.Float32frombits(0x7fc0dead)
-	const pc, ldo = 37, nrTile + 3
+	const pc, ldo = 37, tileWidth + 3
 	rng := rand.New(rand.NewSource(5))
-	av, bv := Rand(rng, -2, 2, pc*mrTile).data, Rand(rng, -2, 2, pc*nrTile).data
-	packed := microOperands{a: av, rs: 1, ps: mrTile, b: bv, boff: rowOffsets(pc, nrTile)}
+	av, bv := Rand(rng, -2, 2, pc*mrTile).data, Rand(rng, -2, 2, pc*tileWidth).data
+	packed := packedPair(bv, pc)
+	packed.a, packed.rs, packed.ps = av, 1, mrTile
 	descs := tileDescriptions(av, bv, pc, sentinel)
 	for rows := 1; rows <= mrTile; rows++ {
-		for w := 1; w <= nrTile; w++ {
-			if rows == mrTile && w == nrTile {
+		for w := 1; w <= tileWidth; w++ {
+			if rows == mrTile && w == tileWidth {
 				continue // a full tile, not an edge
 			}
 			for _, acc := range []bool{false, true} {
@@ -250,16 +313,16 @@ func TestEdgeTileGuardBand(t *testing.T) {
 					}
 				}
 				start := append([]float32(nil), want...)
-				microGeneric(want, ldo, &packed, pc, rows, w, acc)
+				microGeneric(want, ldo, lone(packed, w), pc, rows, w, acc)
 				for _, d := range descs {
-					for _, asm := range asmModes {
-						useAVX = asm
+					for _, k := range tiers {
+						tier = k
 						got := append([]float32(nil), start...)
-						microKernel(got, ldo, &d.ops, pc, rows, w, acc)
+						microKernel(got, ldo, lone(d.ops, w), pc, rows, w, acc)
 						for i := range got {
 							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-								t.Fatalf("rows=%d w=%d accumulate=%v %s asm=%v: element (%d,%d) = %v (%#08x), want %v (%#08x)",
-									rows, w, acc, d.name, asm, i/ldo, i%ldo, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+								t.Fatalf("rows=%d w=%d accumulate=%v %s tier=%v: element (%d,%d) = %v (%#08x), want %v (%#08x)",
+									rows, w, acc, d.name, k, i/ldo, i%ldo, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 							}
 						}
 					}
@@ -273,42 +336,42 @@ func TestEdgeTileGuardBand(t *testing.T) {
 // so microKernel indexes the last A, B and output float a tile touches
 // before it runs. A description one float short of any of them must
 // panic — B's through the last entry of its offset table, which is the
-// furthest row only because every table ascends — on the assembly and
-// the generic kernel alike. The operands are views of longer buffers, so
-// a kernel that runs anyway reads memory that exists.
+// furthest row only because every table ascends, in the second panel of
+// a pair and in a lone panel — on the kernel of every tier. The operands
+// are views of longer buffers, so a kernel that runs anyway reads memory
+// that exists.
 func TestMicroKernelGuardsOperandEnds(t *testing.T) {
-	asmModes := []bool{false}
-	if useAVX {
-		asmModes = append(asmModes, true)
-	}
-	defer func(prev bool) { useAVX = prev }(useAVX)
-	const pc, ldo = 9, nrTile + 2
+	tiers := hostTiers(t)
+	defer func(prev kernelTier) { tier = prev }(tier)
+	const pc, ldo = 9, tileWidth + 2
 	taps := make([]int32, pc)
 	for p := range taps {
-		taps[p] = int32(p*nrTile*3 + p%2)
+		taps[p] = int32(p*tileWidth*3 + p%2)
 	}
-	aLen, bLen, oLen := (mrTile-1)*pc+pc, int(taps[pc-1])+nrTile, (mrTile-1)*ldo+nrTile
-	a, b, out := make([]float32, aLen+64), make([]float32, bLen+64), make([]float32, oLen+64)
-	for short := range 3 {
-		la, lb, lo := aLen, bLen, oLen
-		switch short {
-		case 0:
-			la--
-		case 1:
-			lb--
-		case 2:
-			lo--
-		}
-		ops := microOperands{a: a[:la:la], rs: pc, ps: 1, b: b[:lb:lb], boff: taps}
-		for _, asm := range asmModes {
-			useAVX = asm
-			panicked := func() (p bool) {
-				defer func() { p = recover() != nil }()
-				microKernel(out[:lo:lo], ldo, &ops, pc, mrTile, nrTile, false)
-				return false
-			}()
-			if !panicked {
-				t.Errorf("operand %q one float short, asm=%v: the kernel ran", "ABO"[short:short+1], asm)
+	for _, tile := range []struct{ w, pair int }{{nrTile, 0}, {tileWidth, nrTile + 2}} {
+		aLen, bLen, oLen := (mrTile-1)*pc+pc, int(taps[pc-1])+tile.pair+nrTile, (mrTile-1)*ldo+tile.w
+		a, b, out := make([]float32, aLen+64), make([]float32, bLen+64), make([]float32, oLen+64)
+		for short := range 3 {
+			la, lb, lo := aLen, bLen, oLen
+			switch short {
+			case 0:
+				la--
+			case 1:
+				lb--
+			case 2:
+				lo--
+			}
+			ops := microOperands{a: a[:la:la], rs: pc, ps: 1, b: b[:lb:lb], boff: taps, pair: tile.pair}
+			for _, k := range tiers {
+				tier = k
+				panicked := func() (p bool) {
+					defer func() { p = recover() != nil }()
+					microKernel(out[:lo:lo], ldo, &ops, pc, mrTile, tile.w, false)
+					return false
+				}()
+				if !panicked {
+					t.Errorf("operand %q one float short, w=%d pair=%d tier=%v: the kernel ran", "ABO"[short:short+1], tile.w, tile.pair, k)
+				}
 			}
 		}
 	}
@@ -328,27 +391,32 @@ func firstSourceNaN(x, y, r float32) float32 {
 }
 
 // TestMicroKernelMatchesGenericBits pins microKernel, the one entry for
-// full and edge tiles, to microGeneric and the assembly kernel to the
-// operand roles its header promises, under every operand description
-// (tileDescriptions; the floats outside an in-place tile hold a NaN of
-// their own). A, B and the resumed output carry quiet NaNs whose
-// payloads name their operand and position, and every rows×w tile, fresh
-// and resumed, at reduction depths 1, 2, 7 and kcBlock, must match
-// microGeneric on packed operands in every bit but a NaN's payload
-// (bitsDiff's carve-out) — the kernel under test and microGeneric reading
-// through the description alike. The payloads are checked against an
-// explicit model instead, indexed through the same strides: when two NaNs
-// meet, x86 keeps the first source's, so the kernel must multiply with
-// the broadcast A value first and add with the accumulator first — the
-// roles the default build's compiled Go kernels take. Under -race the
-// compiler may order the generic kernel's add the other way, which is why
-// the roles are pinned to the model and not to microGeneric.
+// full and edge tiles, to microGeneric and the assembly kernels to the
+// operand roles their header promises, on every tier and under every
+// operand description (tileDescriptions: each pair distance — packed
+// panels k·nrTile apart, a row-major B's nrTile, a conv pair across an
+// output row — and a lone panel when w ≤ nrTile; the floats outside an
+// in-place tile hold a NaN of their own). A, B and the resumed output
+// carry quiet NaNs whose payloads name their operand and position, and
+// every rows×w tile up to a panel pair, fresh and resumed, at reduction
+// depths 1, 2, 7 and kcBlock, must match microGeneric on packed operands
+// in every bit but a NaN's payload (bitsDiff's carve-out) — the kernel
+// under test and microGeneric reading through the description alike.
+// The payloads are checked against an explicit model instead, indexed
+// through the same strides: when two NaNs meet, x86 keeps the first
+// source's, so the kernel must multiply with the broadcast A value first
+// and add with the accumulator first — the roles the default build's
+// compiled Go kernels take. Under -race the compiler may order the
+// generic kernel's add the other way, which is why the roles are pinned
+// to the model and not to microGeneric.
 func TestMicroKernelMatchesGenericBits(t *testing.T) {
+	tiers := hostTiers(t)
+	defer func(prev kernelTier) { tier = prev }(tier)
 	qnan := func(tag, i int) float32 { return math.Float32frombits(0x7fc00000 | uint32(tag)<<16 | uint32(i)&0xffff) }
 	rng := rand.New(rand.NewSource(11))
-	const ldo = nrTile + 1
+	const ldo = tileWidth + 1
 	for _, pc := range []int{1, 2, 7, kcBlock} {
-		av, bv := Rand(rng, -2, 2, pc*mrTile).data, Rand(rng, -2, 2, pc*nrTile).data
+		av, bv := Rand(rng, -2, 2, pc*mrTile).data, Rand(rng, -2, 2, pc*tileWidth).data
 		for i := range av {
 			if rng.Intn(5) == 0 {
 				av[i] = qnan(1, i)
@@ -359,10 +427,11 @@ func TestMicroKernelMatchesGenericBits(t *testing.T) {
 				bv[i] = qnan(2, i)
 			}
 		}
-		packed := microOperands{a: av, rs: 1, ps: mrTile, b: bv, boff: rowOffsets(pc, nrTile)}
+		packed := packedPair(bv, pc)
+		packed.a, packed.rs, packed.ps = av, 1, mrTile
 		descs := tileDescriptions(av, bv, pc, qnan(4, 0xdead))
 		for rows := 1; rows <= mrTile; rows++ {
-			for w := 1; w <= nrTile; w++ {
+			for w := 1; w <= tileWidth; w++ {
 				for _, acc := range []bool{false, true} {
 					start := Rand(rng, -2, 2, mrTile*ldo)
 					for i := range start.data {
@@ -371,22 +440,16 @@ func TestMicroKernelMatchesGenericBits(t *testing.T) {
 						}
 					}
 					gen := start.Clone()
-					microGeneric(gen.data, ldo, &packed, pc, rows, w, acc)
+					microGeneric(gen.data, ldo, lone(packed, w), pc, rows, w, acc)
 					for _, d := range descs {
-						label := fmt.Sprintf("pc=%d rows=%d w=%d accumulate=%v %s asm=%v", pc, rows, w, acc, d.name, useAVX)
-						strided, got, roles := start.Clone(), start.Clone(), start.Clone()
-						microGeneric(strided.data, ldo, &d.ops, pc, rows, w, acc)
+						o := lone(d.ops, w)
+						strided := start.Clone()
+						microGeneric(strided.data, ldo, o, pc, rows, w, acc)
 						if diff := bitsDiff(strided, gen); diff != "" {
-							t.Fatalf("%s: microGeneric through the description != on packed operands: %s", label, diff)
+							t.Fatalf("pc=%d rows=%d w=%d accumulate=%v %s: microGeneric through the description != on packed operands: %s",
+								pc, rows, w, acc, d.name, diff)
 						}
-						microKernel(got.data, ldo, &d.ops, pc, rows, w, acc)
-						if diff := bitsDiff(got, gen); diff != "" {
-							t.Fatalf("%s: microkernel != microGeneric: %s", label, diff)
-						}
-						if !useAVX {
-							continue
-						}
-						o := d.ops
+						roles := start.Clone()
 						for r := 0; r < rows; r++ {
 							for c := 0; c < w; c++ {
 								var s float32
@@ -394,17 +457,29 @@ func TestMicroKernelMatchesGenericBits(t *testing.T) {
 									s = roles.data[r*ldo+c]
 								}
 								for p := 0; p < pc; p++ {
-									a, b := o.a[r*o.rs+p*o.ps], o.b[int(o.boff[p])+c]
+									a, b := o.a[r*o.rs+p*o.ps], o.b[int(o.boff[p])+c/nrTile*o.pair+c%nrTile]
 									prod := firstSourceNaN(a, b, a*b)
 									s = firstSourceNaN(s, prod, s+prod)
 								}
 								roles.data[r*ldo+c] = s
 							}
 						}
-						for i := range got.data {
-							if g, want := math.Float32bits(got.data[i]), math.Float32bits(roles.data[i]); g != want {
-								t.Fatalf("%s: element (%d,%d) = %#08x, want %#08x by the operand roles",
-									label, i/ldo, i%ldo, g, want)
+						for _, k := range tiers {
+							tier = k
+							label := fmt.Sprintf("pc=%d rows=%d w=%d accumulate=%v %s tier=%v", pc, rows, w, acc, d.name, k)
+							got := start.Clone()
+							microKernel(got.data, ldo, o, pc, rows, w, acc)
+							if diff := bitsDiff(got, gen); diff != "" {
+								t.Fatalf("%s: microkernel != microGeneric: %s", label, diff)
+							}
+							if k == tierGeneric {
+								continue
+							}
+							for i := range got.data {
+								if g, want := math.Float32bits(got.data[i]), math.Float32bits(roles.data[i]); g != want {
+									t.Fatalf("%s: element (%d,%d) = %#08x, want %#08x by the operand roles",
+										label, i/ldo, i%ldo, g, want)
+								}
 							}
 						}
 					}

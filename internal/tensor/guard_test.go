@@ -59,22 +59,40 @@ func guardedCopy(t *testing.T, x *Tensor) *Tensor {
 	return g
 }
 
-// TestGemmReadsStayInsideOperands runs every layout through the AVX
-// kernel with each operand — A, B and the output — ending flush against
-// an unmapped page, so a read one float past an operand's end faults. Go
-// cannot bounds-check the assembly, so this is what shows that the
-// in-place reads stay inside the operand they describe, and the writes
-// inside the output: an edge tile reads A rows < rows only and moves only
-// its rows×w corner of the output. The shapes put B on both sides of
-// inPlaceBMax with whole tiles, leave ragged rows and columns
+// TestGemmReadsStayInsideOperands runs every layout through the
+// assembly kernel of every tier the host has with each operand — A, B
+// and the output — ending flush against an unmapped page, so a read one
+// float past an operand's end faults. Go cannot bounds-check the
+// assembly, so this is what shows that the in-place reads stay inside
+// the operand they describe, and the writes inside the output: an edge
+// tile reads A rows < rows only and moves only its rows×w corner of the
+// output, its masked lanes past w never faulting. The shapes put B on
+// both sides of inPlaceBMax with whole tiles, end B with the second
+// panel of a pair and with a lone panel, leave ragged rows and columns
 // (raggedShapes: every row count short of a tile, and outputs that end
 // mid-panel), and span several kcBlocks with B in place and packed;
 // every result must equal the reference kernels' bit for bit, serially
-// and on a pool.
+// and on a pool. Then every rows×w tile of a panel pair runs with its
+// output's last row and B's last row of its last panel flush against the
+// page.
 func TestGemmReadsStayInsideOperands(t *testing.T) {
-	if !useAVX {
+	var tiers []kernelTier
+	for _, k := range hostTiers(t) {
+		if k != tierGeneric {
+			tiers = append(tiers, k)
+		}
+	}
+	if len(tiers) == 0 {
 		t.Skip("no AVX: the generic kernel runs, and Go bounds-checks it")
 	}
+	defer func(prev kernelTier) { tier = prev }(tier)
+	for _, k := range tiers {
+		tier = k
+		t.Run(k.String(), gemmReadsStayInsideOperands)
+	}
+}
+
+func gemmReadsStayInsideOperands(t *testing.T) {
 	pool := NewPool(2)
 	rng := rand.New(rand.NewSource(31))
 	kAt := inPlaceBMax / 64 // k at which k·n reaches the bound for n = 64
@@ -89,6 +107,7 @@ func TestGemmReadsStayInsideOperands(t *testing.T) {
 		{1, 13, 40, 21, false},            // ragged rows and columns
 		{3, 21, 33, 16, true},             // ragged rows, B in place
 		{1, 24, 35, 19, false},            // whole row tiles, ragged columns
+		{1, 16, 40, 24, true},             // B in place ends with a lone panel
 		{1, 16, kcBlock + 8, 8, true},     // two kcBlocks, B in place
 		{1, 9, kcBlock + 8, 8, true},      // the same with a ragged row tile
 		{1, 16, 2*kcBlock + 8, 16, false}, // three kcBlocks, B packed
@@ -118,6 +137,36 @@ func TestGemmReadsStayInsideOperands(t *testing.T) {
 				gemm(p, o)
 				if diff := bitsDiff(out, want); diff != "" {
 					t.Fatalf("%s: %s", label, diff)
+				}
+			}
+		}
+	}
+
+	// Tile by tile: the output's last row ends at its w-th float, so the
+	// lanes the mask drops lie on the page; B ends with the last row of
+	// the pair's second panel (the conv pair's distance, across an output
+	// row), or of a lone panel when w ≤ nrTile; A ends with its last row.
+	const pc, pair = 5, nrTile + 2
+	for rows := 1; rows <= mrTile; rows++ {
+		for w := 1; w <= tileWidth; w++ {
+			for _, acc := range []bool{false, true} {
+				d := microOperands{boff: rowOffsets(pc, tileWidth+3), pair: pair, rs: pc, ps: 1}
+				if w <= nrTile {
+					d.pair = 0
+				}
+				d.a = guarded(t, (rows-1)*pc+pc)
+				d.b = guarded(t, int(d.boff[pc-1])+d.pair+nrTile)
+				copy(d.a, Rand(rng, -2, 2, len(d.a)).data)
+				copy(d.b, Rand(rng, -2, 2, len(d.b)).data)
+				const ldo = tileWidth + 5
+				start := Rand(rng, -2, 2, (rows-1)*ldo+w).data
+				want := append([]float32(nil), start...)
+				microGeneric(want, ldo, &d, pc, rows, w, acc)
+				got := guarded(t, len(start))
+				copy(got, start)
+				microKernel(got, ldo, &d, pc, rows, w, acc)
+				if diff := bitsDiff(FromSlice(got, len(got)), FromSlice(want, len(want))); diff != "" {
+					t.Fatalf("tile rows=%d w=%d accumulate=%v pair=%d: %s", rows, w, acc, d.pair, diff)
 				}
 			}
 		}
@@ -174,7 +223,7 @@ func TestGemmReadsStayInsideOperands(t *testing.T) {
 // eight: a vector load or store past the last whole group faults. The
 // results must equal the scalar loop's bit for bit, apart and in place.
 func TestTranscendReadsStayInsideOperands(t *testing.T) {
-	if !useAVX {
+	if tier == tierGeneric {
 		t.Skip("no AVX: the scalar loop runs, and Go bounds-checks it")
 	}
 	inputs := transcendInputs(rand.New(rand.NewSource(32)), 4096)
@@ -208,10 +257,11 @@ func TestTranscendReadsStayInsideOperands(t *testing.T) {
 // bottom and both. The results must equal the row-run loops' bit for
 // bit.
 func TestDWConvReadsStayInsideOperands(t *testing.T) {
-	if !useAVX {
+	lanes := tier
+	if lanes == tierGeneric {
 		t.Skip("no AVX: the row-run loops run, and Go bounds-checks them")
 	}
-	defer func(prev bool) { useAVX = prev }(useAVX)
+	defer func() { tier = lanes }()
 	rng := rand.New(rand.NewSource(35))
 	for _, k := range []int{1, 3, 5} {
 		for pad := 0; pad <= 2; pad++ {
@@ -221,12 +271,12 @@ func TestDWConvReadsStayInsideOperands(t *testing.T) {
 						continue
 					}
 					d := newDWConvCase(rng, 1, 2, h, w, k, 1, pad, false)
-					useAVX = false
+					tier = tierGeneric
 					want := New(d.grad.shape...)
 					DWConvForwardInto(want, d.w, d.x, 1, pad)
 					wantDX, wantDW := New(d.x.shape...), d.seed.Clone()
 					DWConvBackwardInto(wantDX, wantDW, d.grad, d.w, d.x, 1, pad)
-					useAVX = true
+					tier = lanes
 					for _, front := range []bool{false, true} {
 						label := fmt.Sprintf("k%d pad %d %dx%d front=%v", k, pad, h, w, front)
 						x, grad := guardedCopy(t, d.x), guardedCopy(t, d.grad)
@@ -263,7 +313,7 @@ func TestDWConvReadsStayInsideOperands(t *testing.T) {
 // eight: a vector load or store past the last whole group faults. The
 // results must equal the scalar loops' bit for bit, apart and in place.
 func TestChannelTailReadsStayInsideOperands(t *testing.T) {
-	if !useAVX {
+	if tier == tierGeneric {
 		t.Skip("no AVX: the scalar loops run, and Go bounds-checks them")
 	}
 	inputs := tailInputs(rand.New(rand.NewSource(36)), 4200)
@@ -326,7 +376,7 @@ func guardedRows(t *testing.T, c *rowOperands) *rowOperands {
 // element lane that loads or stores past the last whole group of a row,
 // faults. The results must equal the scalar loops' bit for bit.
 func TestRowKernelsReadsStayInsideOperands(t *testing.T) {
-	if !useAVX {
+	if tier == tierGeneric {
 		t.Skip("no AVX: the scalar loops run, and Go bounds-checks them")
 	}
 	rng := rand.New(rand.NewSource(54))

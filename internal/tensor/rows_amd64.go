@@ -59,7 +59,7 @@ func addColumnSumsAVX(dst, x *float32, rows, d, cols int)
 // rowGroups returns how many whole groups of four rows a row-lane kernel
 // takes: none without AVX.
 func rowGroups(rows int) int {
-	if !useAVX {
+	if tier == tierGeneric {
 		return 0
 	}
 	return rows / 4
@@ -69,7 +69,7 @@ func rowGroups(rows int) int {
 // lane kernel of width w takes: none without AVX or without rows. A flat
 // kernel (GELU's) is one row.
 func laneCols(rows, d, w int) int {
-	if !useAVX || rows == 0 {
+	if tier == tierGeneric || rows == 0 {
 		return 0
 	}
 	return d &^ (w - 1)

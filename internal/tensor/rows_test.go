@@ -187,11 +187,11 @@ var rowKernels = []rowKernel{
 // lanesAndGeneric runs k with the AVX lanes on and with the scalar loops
 // alone, and names the first output bit that differs.
 func lanesAndGeneric(k rowKernel, c *rowOperands, a rowAlloc) string {
-	lanes := useAVX
-	defer func() { useAVX = lanes }()
-	useAVX = false
+	lanes := tier
+	defer func() { tier = lanes }()
+	tier = tierGeneric
 	want := k.run(c, plainAlloc)
-	useAVX = lanes
+	tier = lanes
 	got := k.run(c, a)
 	if len(got) != len(want) {
 		return fmt.Sprintf("%d outputs, the scalar loops give %d", len(got), len(want))

@@ -24,7 +24,7 @@ func reluGateAVX(dst, grad, out *float32, n int)
 // without AVX.
 func channelTailLanes(dst, src []float32, t ChannelTail) int {
 	n := len(src) &^ 7
-	if !useAVX || n == 0 {
+	if tier == tierGeneric || n == 0 {
 		return 0
 	}
 	mode := 0
@@ -44,7 +44,7 @@ func channelTailLanes(dst, src []float32, t ChannelTail) int {
 // reluGateLanes is channelTailLanes for ReLUGateInto.
 func reluGateLanes(dst, grad, out []float32) int {
 	n := len(grad) &^ 7
-	if !useAVX || n == 0 {
+	if tier == tierGeneric || n == 0 {
 		return 0
 	}
 	reluGateAVX(&dst[0], &grad[0], &out[0], n)

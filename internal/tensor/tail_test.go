@@ -67,24 +67,24 @@ func tailInputs(rng *rand.Rand, n int) []float32 {
 // tailBoth runs ChannelTailInto on src with the lanes (where the host
 // has them), in place with the lanes, and with the scalar loop alone.
 func tailBoth(src []float32, tc ChannelTail) (vector, inPlace, scalar []float32) {
-	defer func(prev bool) { useAVX = prev }(useAVX)
+	defer func(prev kernelTier) { tier = prev }(tier)
 	vector, scalar = make([]float32, len(src)), make([]float32, len(src))
 	inPlace = append([]float32(nil), src...)
 	ChannelTailInto(vector, src, tc)
 	ChannelTailInto(inPlace, inPlace, tc)
-	useAVX = false
+	tier = tierGeneric
 	ChannelTailInto(scalar, src, tc)
 	return vector, inPlace, scalar
 }
 
 // gateBoth is tailBoth for ReLUGateInto, in place into grad.
 func gateBoth(grad, out []float32) (vector, inPlace, scalar []float32) {
-	defer func(prev bool) { useAVX = prev }(useAVX)
+	defer func(prev kernelTier) { tier = prev }(tier)
 	vector, scalar = make([]float32, len(grad)), make([]float32, len(grad))
 	inPlace = append([]float32(nil), grad...)
 	ReLUGateInto(vector, grad, out)
 	ReLUGateInto(inPlace, inPlace, out)
-	useAVX = false
+	tier = tierGeneric
 	ReLUGateInto(scalar, grad, out)
 	return vector, inPlace, scalar
 }
@@ -96,7 +96,7 @@ func gateBoth(grad, out []float32) (vector, inPlace, scalar []float32) {
 // apart from src and dst == src. The gate's out operand is the ReLU of a
 // second input stream, with NaNs and zeros of both signs of its own.
 func TestChannelTailAVXMatchesGenericBits(t *testing.T) {
-	if !useAVX {
+	if tier == tierGeneric {
 		t.Skip("no AVX: the scalar loops are the only path")
 	}
 	inputs := tailInputs(rand.New(rand.NewSource(36)), 40)

@@ -72,7 +72,7 @@ func expAVX(dst, src *float32, n int, k *[8 * kSlots]float32)
 // through tanhAVX and returns how many it wrote: none without AVX.
 func tanhLanes(dst, src []float32) int {
 	n := len(src) &^ 7
-	if !useAVX || n == 0 {
+	if tier == tierGeneric || n == 0 {
 		return 0
 	}
 	tanhAVX(&dst[0], &src[0], n, &transcendK)
@@ -82,7 +82,7 @@ func tanhLanes(dst, src []float32) int {
 // expLanes is tanhLanes for ExpInto.
 func expLanes(dst, src []float32) int {
 	n := len(src) &^ 7
-	if !useAVX || n == 0 {
+	if tier == tierGeneric || n == 0 {
 		return 0
 	}
 	expAVX(&dst[0], &src[0], n, &transcendK)

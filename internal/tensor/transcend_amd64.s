@@ -8,7 +8,7 @@
 // a lane computes both sides and a compare mask selects (VBLENDVPS,
 // VANDNPS). ldexp32 stays an integer add on the exponent field; AVX1 has
 // no 256-bit integer ops, so the shift and add run on the two 128-bit
-// halves and the probe that gates these kernels is hasAVX alone.
+// halves and these kernels need nothing past tierAVX (hasAVX).
 //
 // Constants come from transcendK (transcend_amd64.go): slot i holds one
 // constant eight times, at byte offset 32·i from R8, and is read as a

@@ -432,18 +432,19 @@ func bitsMismatch(in, got, want []float32) string {
 // take every sign, exponent and high mantissa bit pattern, the low
 // mantissa byte rotating.
 func TestTranscendAVXMatchesGenericBits(t *testing.T) {
-	if !useAVX {
+	lanes := tier
+	if lanes == tierGeneric {
 		t.Skip("no AVX: the scalar loop is the only path")
 	}
-	defer func(prev bool) { useAVX = prev }(useAVX)
+	defer func() { tier = lanes }()
 	inputs := transcendInputs(rand.New(rand.NewSource(30)), 37)
 	both := func(k func(dst, src []float32), src []float32) (vector, scalar, inPlace []float32) {
 		vector, scalar = make([]float32, len(src)), make([]float32, len(src))
 		inPlace = append([]float32(nil), src...)
-		useAVX = true
+		tier = lanes
 		k(vector, src)
 		k(inPlace, inPlace)
-		useAVX = false
+		tier = tierGeneric
 		k(scalar, src)
 		return vector, scalar, inPlace
 	}
