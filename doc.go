@@ -156,11 +156,10 @@
 // redials with exponential backoff, re-opens with the hello that opened
 // it (epoch and device pair, now marked resume and carrying the dialer's
 // high-water mark; the coordinator's end is "no device"), and replays
-// exactly the missed frames. Transient
-// flaps and healing partitions cost milliseconds and consume no restart
-// budget; the heartbeat monitor treats a reconnecting link as alive, so
-// a flap outlasting the heartbeat timeout is not mistaken for a dead
-// worker.
+// exactly the missed frames. Transient flaps and healing partitions cost
+// milliseconds and consume no restart budget; the coordinator's heartbeat
+// rule treats a reconnecting link as alive, so a flap outlasting the
+// heartbeat timeout is not mistaken for a dead worker.
 //
 // Tier 2, degrade: a peer link persistently down past the retry budget
 // whose workers both still answer a liveness probe is routed through

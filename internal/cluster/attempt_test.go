@@ -1,0 +1,245 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"pipebd/internal/cluster/ledger"
+	"pipebd/internal/cluster/wire"
+	"pipebd/internal/distill"
+	"pipebd/internal/obs"
+	"pipebd/internal/tensor"
+)
+
+// twoSessionCore places attempt zero of a two-step hybridPlan run on two
+// sessions — devices 0 and 1 on session 0, device 2 on session 1 — heard
+// from at t0, with the given heartbeat interval.
+func twoSessionCore(t *testing.T, cfg Config, t0 time.Time) (*driver, *attemptCore, wire.Snapshot) {
+	t.Helper()
+	d, core, seed := placedCore(t, cfg, 2)
+	core.place(t0, []session{{addr: "a", devices: []int{0, 1}}, {addr: "b", devices: []int{2}}}, nil)
+	return d, core, seed
+}
+
+// TestHeartbeatRuleInVirtualTime drives the core's heartbeat rule with
+// synthetic tick times: a session is declared dead only past
+// heartbeatMisses intervals of silence, a session whose link is
+// reconnecting is exempt, and any event from a session refreshes it. No
+// socket and no wall clock is involved.
+func TestHeartbeatRuleInVirtualTime(t *testing.T) {
+	const hb = 10 * time.Millisecond
+	t0 := time.Unix(1000, 0)
+	at := func(d time.Duration) time.Time { return t0.Add(d) }
+	tick := func(d time.Duration, reconnecting ...bool) event {
+		return event{kind: evTick, at: at(d), reconnecting: reconnecting}
+	}
+	// dead checks that effs close exactly session sess and fail the
+	// attempt with a worker-lost heartbeat timeout.
+	dead := func(t *testing.T, effs []effect, sess int) {
+		t.Helper()
+		var lost workerLostError
+		if len(effs) != 2 || effs[0].kind != efClose || effs[0].sess != sess ||
+			!errors.As(failure(effs), &lost) || !strings.Contains(lost.Error(), "heartbeat timeout after 40ms") {
+			t.Fatalf("got effects %+v, want session %d closed and a heartbeat-timeout worker loss", effs, sess)
+		}
+	}
+	cfg := Config{DPU: true, MaxRestarts: 1, HeartbeatInterval: hb}
+
+	t.Run("dead only past four intervals", func(t *testing.T) {
+		_, core, _ := twoSessionCore(t, cfg, t0)
+		if effs := core.step(tick(heartbeatMisses * hb)); len(effs) != 0 {
+			t.Fatalf("silent for exactly four intervals: got %+v, want nothing", effs)
+		}
+		dead(t, core.step(tick(heartbeatMisses*hb+time.Nanosecond)), 0)
+		if effs := core.step(tick(time.Hour)); effs != nil {
+			t.Fatalf("a failed attempt emitted %+v", effs)
+		}
+	})
+	t.Run("reconnecting link is exempt", func(t *testing.T) {
+		_, core, _ := twoSessionCore(t, cfg, t0)
+		if effs := core.step(tick(10*hb, true, true)); len(effs) != 0 {
+			t.Fatalf("reconnecting sessions after ten intervals: got %+v, want nothing", effs)
+		}
+		// The exemption restarts the silence clock at the tick.
+		if effs := core.step(tick(14 * hb)); len(effs) != 0 {
+			t.Fatalf("four intervals after the exempt tick: got %+v, want nothing", effs)
+		}
+		dead(t, core.step(tick(14*hb+time.Nanosecond, true, false)), 1)
+	})
+	t.Run("an event refreshes its session", func(t *testing.T) {
+		_, core, _ := twoSessionCore(t, cfg, t0)
+		for _, sess := range []int{0, 1} {
+			core.step(frameEvent(sess, at(3*hb), wire.Control(wire.KindHeartbeat, wire.NoDev, wire.NoStep)))
+		}
+		if effs := core.step(tick(7 * hb)); len(effs) != 0 {
+			t.Fatalf("four intervals after both sessions spoke: got %+v, want nothing", effs)
+		}
+		// A relay the reader forwarded also counts as hearing session 1.
+		core.step(event{kind: evFrame, at: at(5 * hb), sess: 1, frame: wire.KindRelay})
+		dead(t, core.step(tick(7*hb+time.Nanosecond)), 0)
+	})
+	t.Run("no heartbeat, no rule", func(t *testing.T) {
+		_, core, _ := twoSessionCore(t, Config{DPU: true, MaxRestarts: 1}, t0)
+		if effs := core.step(tick(time.Hour)); len(effs) != 0 {
+			t.Fatalf("an hour of silence without a heartbeat interval: got %+v", effs)
+		}
+	})
+}
+
+// TestPanicInStepFailsTheAttempt: a panic while the core handles an
+// event — here installing final parameters into a workbench that is not
+// there — fails the attempt with an error instead of ending the
+// coordinator process.
+func TestPanicInStepFailsTheAttempt(t *testing.T) {
+	d, _, seed := placedCore(t, Config{DPU: true}, 2)
+	r := d.newRun(1)
+	r.core.place(time.Time{}, []session{{addr: "x", devices: []int{0, 1, 2}}}, nil)
+	r.core.workb = nil
+	f := wire.EncodeTensors(wire.KindFinalParams, 0, wire.NoStep, seed.Student[0])
+	if err := failure(r.step(frameEvent(0, time.Time{}, f))); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("a panicking step: got %v, want the attempt failed with the panic", err)
+	}
+}
+
+// TestSubMillisecondHeartbeatRefused: the workers receive the interval in
+// whole milliseconds, so one under a millisecond would reach them as 0 —
+// no beacon at all — while the coordinator still declared silence after
+// four intervals. newDriver refuses it (and so does a resume, which
+// builds its driver the same way); a whole millisecond is accepted.
+func TestSubMillisecondHeartbeatRefused(t *testing.T) {
+	placedCore(t, Config{DPU: true, MaxRestarts: 1, HeartbeatInterval: time.Millisecond}, 2)
+	err := newDriverErr(Config{DPU: true, MaxRestarts: 1, HeartbeatInterval: 500 * time.Microsecond})
+	if err == nil || !strings.Contains(err.Error(), "HeartbeatInterval 500µs") {
+		t.Fatalf("a 500µs heartbeat: got %v, want a refusal naming HeartbeatInterval", err)
+	}
+}
+
+// TestSubMillisecondRetryBudgetRefused: a retry budget under a millisecond
+// would make the coordinator's links resumable and the workers' (which
+// receive whole milliseconds) fail-fast; newDriver refuses it.
+func TestSubMillisecondRetryBudgetRefused(t *testing.T) {
+	err := newDriverErr(Config{DPU: true, Topology: "ring", RetryBudget: 999 * time.Microsecond})
+	if err == nil || !strings.Contains(err.Error(), "RetryBudget 999µs") {
+		t.Fatalf("a 999µs retry budget: got %v, want a refusal naming RetryBudget", err)
+	}
+}
+
+// newDriverErr is the error newDriver returns for a two-step hybridPlan
+// run under cfg.
+func newDriverErr(cfg Config) error {
+	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	cfg.Plan, cfg.LR, cfg.Spec, cfg.Data = hybridPlan(), 0.05, TinySpec(distill.DefaultTinyConfig()), tinyData(2, 8)
+	_, err := NewCoordinator(nil, cfg).newDriver(w, CaptureSnapshot(w), 2, []string{"x"})
+	return err
+}
+
+// fuzzInput hands out the fuzzer's bytes one small number at a time; past
+// the end every number is 0.
+type fuzzInput []byte
+
+func (in *fuzzInput) next(n int) int {
+	if len(*in) == 0 {
+		return 0
+	}
+	b := (*in)[0]
+	*in = (*in)[1:]
+	return int(b) % n
+}
+
+// FuzzAttemptCore feeds the attempt core arbitrary sequences of decoded
+// frames from any device and session, connection losses, link-downs and
+// heartbeat ticks. The core must never panic, must emit nothing once it
+// has finished or failed (and nothing after its own finish or fail
+// effect), must name only sessions that exist, and every record it hands
+// the shell must be one ledger.Account.Apply accepted: a second account
+// applying the same records in the same order accepts them all.
+func FuzzAttemptCore(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 4, 0, 0, 0, 1, 4, 0, 1, 0, 1, 4, 0, 2, 0, 1, 5, 0, 0, 0, 2})
+	f.Add([]byte{0, 9, 0, 0, 0, 0, 9, 0, 1, 0, 0, 9, 1, 2, 0, 0, 12, 0, 0, 0, 200})
+	f.Add([]byte("\x01\x06\x00\x00\x00\x00\x01\x06\x01\x02\x01\x00\x0b\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzInput(data)
+		dpu := in.next(2) == 1
+		t0 := time.Unix(0, 0)
+		d, core, seed := twoSessionCore(t, Config{DPU: dpu, MaxRestarts: 1, HeartbeatInterval: time.Millisecond}, t0)
+		core.rp = newRepartitioner(core.plan)
+		shadow, err := ledger.NewAccount(&d.setup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// groupParams is what device dev's group trains, or — with wrong —
+		// one tensor short.
+		groupParams := func(dev int, wrong bool) []*tensor.Tensor {
+			var out []*tensor.Tensor
+			for _, b := range core.plan.Groups[core.devs[max(0, min(dev, 2))].gi].Blocks {
+				out = append(out, seed.Student[b]...)
+			}
+			if wrong {
+				out = out[1:]
+			}
+			return out
+		}
+		kinds := []wire.Kind{wire.KindHello, wire.KindHeartbeat, wire.KindRelay, wire.KindLinkDown,
+			wire.KindStepDone, wire.KindLosses, wire.KindSnapshot, wire.KindSpans, wire.KindFinalParams,
+			wire.KindDone, wire.KindOutput}
+		now := t0
+		over := false
+		for len(in) > 0 {
+			now = now.Add(time.Duration(in.next(256)) * 100 * time.Microsecond)
+			ev := event{kind: evFrame, at: now, sess: in.next(2)}
+			switch op := in.next(len(kinds) + 3); {
+			case op == len(kinds):
+				ev.kind, ev.err = evLost, fmt.Errorf("connection reset")
+			case op == len(kinds)+1:
+				ev.kind, ev.reconnecting = evTick, []bool{in.next(2) == 1, in.next(2) == 1}
+			case op == len(kinds)+2:
+				ev.err = fmt.Errorf("payload does not decode")
+			default:
+				ev.frame = kinds[op]
+				ev.dev, ev.step = in.next(5)-1, in.next(5)-1
+				wrong := in.next(4) == 0
+				switch ev.frame {
+				case wire.KindLinkDown:
+					ev.link = [2]int{ev.dev, ev.step}
+				case wire.KindLosses:
+					ev.losses = make([]float64, in.next(4))
+				case wire.KindSnapshot:
+					ev.params, ev.velocity = groupParams(ev.dev, wrong), groupParams(ev.dev, false)
+				case wire.KindFinalParams:
+					ev.params = groupParams(ev.dev, wrong)
+				case wire.KindSpans:
+					ev.spans.Track = fmt.Sprintf("dev%d", ev.dev)
+					for range in.next(4) {
+						name := []string{"teacher_fwd", "student_fwd", "student_bwd", "sgd_update"}[in.next(4)]
+						ev.spans.Spans = append(ev.spans.Spans, obs.Span{Name: name, Cat: obs.CatStudentFwd,
+							Start: 0, Dur: int64(1 + in.next(256)*int(time.Microsecond))})
+					}
+				}
+			}
+			effs := core.step(ev)
+			if over && effs != nil {
+				t.Fatalf("the core emitted %+v after it finished or failed", effs)
+			}
+			for i, e := range effs {
+				switch e.kind {
+				case efFinish, efFail:
+					over = true
+					if i != len(effs)-1 {
+						t.Fatalf("effects %+v go on past the attempt's end", effs)
+					}
+				case efRecord:
+					if err := shadow.Apply(e.rec); err != nil {
+						t.Fatalf("the core emitted a %v record its account should have refused: %v", e.rec.Type, err)
+					}
+				}
+				if (e.kind == efSend || e.kind == efClose) && (e.sess < 0 || e.sess >= len(core.sessions)) {
+					t.Fatalf("effect %+v names no session", e)
+				}
+			}
+		}
+	})
+}

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pipebd/internal/cluster/ledger"
@@ -17,7 +15,6 @@ import (
 	"pipebd/internal/engine"
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
-	"pipebd/internal/tensor"
 )
 
 // SnapshotPolicy is the cluster-facing alias of the wire-level snapshot
@@ -102,7 +99,8 @@ type Config struct {
 	// HeartbeatInterval asks each worker to emit a liveness beacon this
 	// often; a worker from which nothing — beacon or data — arrives for
 	// four intervals is declared dead. Zero disables silence detection;
-	// connection errors still trigger recovery.
+	// connection errors still trigger recovery. The workers receive whole
+	// milliseconds, so a nonzero interval under one is refused.
 	HeartbeatInterval time.Duration
 	// RetryBudget enables transient-fault absorption on every session
 	// link: a broken connection — control or peer — redials with
@@ -115,7 +113,8 @@ type Config struct {
 	// degraded to relay (ring runs, budget-free), anything else falls
 	// through to a budget-counted restart. Zero disables it; ring runs
 	// with a budget force fault tolerance on (degrades restart from the
-	// global cut). Only whole milliseconds reach the workers.
+	// global cut). Only whole milliseconds reach the workers, so a nonzero
+	// budget under one is refused.
 	RetryBudget time.Duration
 	// Trace asks every worker session to record per-step span events and
 	// ship them to the coordinator at step boundaries (wire.KindSpans).
@@ -156,15 +155,9 @@ type Config struct {
 // ring — and it forwards their envelopes by destination device, reading
 // only the header that proves the sender may use the edge.
 //
-// With MaxRestarts > 0 the coordinator is also the recovery authority,
-// under one rule for every topology (see driver.go): it keeps each
-// group's post-step snapshots (parameters + optimizer velocities) back to
-// the global cut, and when a worker dies it supersedes every session and
-// restarts every device from that cut — the same placement, with the
-// group's state at the cut riding in the Assign. Because every replayed
-// step is a pure function of the restored state and the batches, the
-// run's losses and trained weights remain bit-identical to a fault-free
-// run.
+// With MaxRestarts > 0 it is also the recovery authority: when a worker
+// dies it restarts every device from the global cut, bit-identically
+// (see the package doc and driver.go).
 type Coordinator struct {
 	net transport.Network
 	cfg Config
@@ -174,10 +167,6 @@ type Coordinator struct {
 func NewCoordinator(net transport.Network, cfg Config) *Coordinator {
 	return &Coordinator{net: net, cfg: cfg}
 }
-
-// heartbeatMisses is how many heartbeat intervals of silence declare a
-// worker dead.
-const heartbeatMisses = 4
 
 // Run is shorthand for NewCoordinator(net, cfg).Run(w, batches, addrs).
 func Run(net transport.Network, addrs []string, w *distill.Workbench, batches []dataset.Batch, cfg Config) (engine.Result, error) {
@@ -207,75 +196,35 @@ func PlaceDevices(nDev, nWorkers int) [][]int {
 	return out
 }
 
-// peerConn is the coordinator's handle on one joined worker session: its
-// end of the control link, plus what the run tracks per session.
+// peerConn is the coordinator's end of one joined worker session's
+// control link.
 type peerConn struct {
 	*endpoint
-	addr    string
-	devices []int
-
-	lastHeard atomic.Int64 // unix nanos of the last inbound frame
-	hbLost    atomic.Bool  // set by the heartbeat monitor before it kills the conn
+	addr string
 }
 
-func (p *peerConn) touch() { p.lastHeard.Store(time.Now().UnixNano()) }
-
-// devPlace locates a device rank within the plan.
-type devPlace struct {
-	gi int // group index
-	j  int // rank within the group
-}
-
-// devState is an attempt's session state of one device: where it lives
-// in the plan, its newest barrier arrival, and whether it is done. What
-// it has accounted for is the account's (ledger.Account.Marks). Frames
-// from one device arrive in step order on a single connection and an
-// attempt starts every device just past the cut, so a step at or below a
-// mark is a duplicate — a protocol error. Mutable fields are guarded by
-// run.mu; place is immutable.
-type devState struct {
-	place   devPlace
-	arrived int
-	done    bool
-}
-
-// run is the session state of one attempt; the restart state it changes
-// is the driver's account.
+// run is the shell of one attempt: its sessions, the goroutines that read
+// them and the loop that feeds its core. What the attempt decides — and
+// the restart state it changes, the driver's account — is the core's.
 type run struct {
 	co         *Coordinator
-	acct       *ledger.Account // the driver's; guarded by mu and the closed fence
-	plan       sched.Plan      // the account's plan when the attempt started
-	workb      *distill.Workbench
+	core       *attemptCore
 	addrs      []string
 	assign     wire.Assign    // the driver's setup with the attempt's plan, epoch, relayed edges and peers
 	cut        int            // the cut the attempt starts from; -1 = the seed
 	superseded bool           // see driver.superseded
-	repart     *repartitioner // drive-loop repartition controller; nil when disabled
 	led        *ledger.Ledger // durable-run store, owned by the driver; nil for in-memory runs
-
-	// tracer/coTrack instrument the coordinator's own control-plane work
-	// (ledger appends) when Config.Trace is on; teardown drains the track
-	// into Config.TraceSink. Per-attempt, like the rest of the run state.
-	tracer  *obs.Tracer
+	// coTrack instruments the coordinator's own control-plane work (ledger
+	// appends) when Config.Trace is on; teardown drains it into
+	// Config.TraceSink.
 	coTrack *obs.Track
 
-	// Both orientations of the attempt's relayed peer edges (the assign
-	// lists each once), for the relay check; immutable after placement.
-	relays map[[2]int]bool
-
-	mu        sync.Mutex
-	linkDowns [][2]int          // peer edges reported down this attempt
-	peers     []*peerConn       // live worker sessions; dead ones are fully closed and dropped
-	byDev     map[int]*peerConn // device rank → live peer (absent once dead)
-	devs      map[int]*devState // device rank → session state (map itself immutable)
-	barrier   map[int]int       // step → devices arrived (no-DPU only)
-	done      int
-	closed    bool // teardown ran; stale readers must touch nothing
-	finished  chan struct{}
-
-	failOnce sync.Once
-	firstErr error
-	failed   chan struct{}
+	// peers[i] is session i's control link; peers and routes are fixed
+	// once the attempt is placed, so the readers use them unguarded.
+	peers   []*peerConn
+	routes  *routes
+	stop    chan struct{} // closed by teardown: a reader still delivering gives up
+	readers sync.WaitGroup
 }
 
 // Run executes the pipelined plan across the workers at addrs and
@@ -318,25 +267,6 @@ func (c *Coordinator) createLedger(setup wire.Assign, addrs []string) (*ledger.L
 	return led, nil
 }
 
-// execute drives a placed attempt to completion: start the readers and
-// monitor, wait for every device's Done, then drain the sessions
-// gracefully.
-func (c *Coordinator) execute(r *run) (engine.Result, error) {
-	r.start()
-	select {
-	case <-r.finished:
-	case <-r.failed:
-		return engine.Result{}, r.firstErr
-	}
-	// Graceful drain: every device reported Done, all frames consumed.
-	r.mu.Lock()
-	for _, p := range r.peers {
-		p.out.Enqueue(wire.Control(wire.KindDrain, wire.NoDev, wire.NoStep))
-	}
-	r.mu.Unlock()
-	return r.result(), nil
-}
-
 // newDriver validates the configuration and sets up what every attempt
 // of a steps-long run shares: the setup Assign, whose snapshot is seed
 // (see driver.setup), and the account built from it.
@@ -344,6 +274,13 @@ func (c *Coordinator) newDriver(w *distill.Workbench, seed wire.Snapshot, steps 
 	policy, err := effectivePolicy(c.cfg.Snapshot, c.faultTolerant())
 	if err != nil {
 		return nil, err
+	}
+	// The workers receive both in whole milliseconds: under one, a worker
+	// would send no beacon, or run fail-fast links against resumable ones.
+	for name, d := range map[string]time.Duration{"HeartbeatInterval": c.cfg.HeartbeatInterval, "RetryBudget": c.cfg.RetryBudget} {
+		if d > 0 && d < time.Millisecond {
+			return nil, fmt.Errorf("cluster: %s %v is under the millisecond the workers count it in", name, d)
+		}
 	}
 	plan := c.cfg.Plan
 	setup := wire.Assign{Plan: plan, Spec: c.cfg.Spec, Snapshot: seed,
@@ -416,43 +353,26 @@ func effectivePolicy(p wire.SnapshotPolicy, ft bool) (wire.SnapshotPolicy, error
 	return p, nil
 }
 
-// logRecord appends one record to the run's ledger; a durable run that
-// cannot persist its state must fail rather than silently lose the
-// resume guarantee. Callers hold r.mu, so the log's record order matches
-// the mutation order exactly.
-func (r *run) logRecord(rec *ledger.Record) {
+// logRecord appends one record the core applied to the run's ledger; a
+// durable run that cannot persist its state must fail rather than
+// silently lose the resume guarantee. The loop appends in the order the
+// core applied, so the log replays to the same account.
+func (r *run) logRecord(rec *ledger.Record) error {
 	if r.led == nil {
-		return
+		return nil
 	}
 	sp := r.coTrack.Begin(obs.CatLedger, "ledger_append")
 	err := r.led.Append(rec)
 	sp.End()
 	if err != nil {
-		r.fail(err)
-		return
+		return err
 	}
 	if m := r.co.cfg.Metrics; m != nil {
 		recs, bytes := r.led.Written()
 		m.Set("ledger_records", recs)
 		m.Set("ledger_bytes", bytes)
 	}
-}
-
-// attach registers a freshly opened session (Assign already sent) as the
-// live host of its devices. Runs before start, while the attempt is still
-// single-threaded.
-func (r *run) attach(conn transport.Conn, addr string, devices []int) {
-	links := linkPolicy{epoch: r.assign.Epoch, net: r.co.net, budget: r.co.cfg.RetryBudget,
-		logf: r.co.logf, metrics: r.co.cfg.Metrics}
-	// The control link's far end is any device the session hosts: a redial
-	// finds the session in the worker's registry by it.
-	p := &peerConn{addr: addr, devices: devices, endpoint: links.endpoint(conn,
-		int(wire.NoDev), devices[0], fmt.Sprintf("worker %s control link", addr), addr)}
-	p.touch()
-	r.peers = append(r.peers, p)
-	for _, d := range devices {
-		r.byDev[d] = p
-	}
+	return nil
 }
 
 func (c *Coordinator) joinTimeout() time.Duration {
@@ -464,28 +384,15 @@ func (c *Coordinator) joinTimeout() time.Duration {
 
 // recvDeadline bounds a single handshake Recv by the join deadline: a
 // TCP connect can succeed against a silent or busy peer (listen backlog)
-// long before anything speaks, and Conn has no deadline of its own. On
-// timeout the connection is closed, which unblocks the pending Recv; the
-// spawned goroutine then drains into the buffered channel and exits.
+// long before anything speaks, and Conn has no deadline of its own. At the
+// deadline the connection is closed, which unblocks the pending Recv.
 func recvDeadline(conn transport.Conn, deadline time.Time) (*wire.Frame, error) {
-	type result struct {
-		f   *wire.Frame
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		f, err := conn.Recv()
-		ch <- result{f, err}
-	}()
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		return res.f, res.err
-	case <-timer.C:
-		conn.Close()
+	timer := time.AfterFunc(time.Until(deadline), func() { conn.Close() })
+	f, err := conn.Recv()
+	if !timer.Stop() {
 		return nil, fmt.Errorf("cluster: no handshake before join deadline")
 	}
+	return f, err
 }
 
 // dialHello opens the one handshake every connection to a worker starts
@@ -507,95 +414,133 @@ func dialHello(net transport.Network, addr string, deadline time.Time) (transpor
 	return conn, nil
 }
 
-// start launches the per-peer readers and — when configured — the
-// heartbeat monitor.
-func (r *run) start() {
-	r.mu.Lock()
-	peers := append([]*peerConn(nil), r.peers...)
-	r.mu.Unlock()
-	for _, p := range peers {
-		r.startReader(p)
+// execute is the attempt's loop, on the driver goroutine: it starts a
+// reader per session, then hands the core every event — decoded frames,
+// connection losses, heartbeat ticks — one at a time and carries out the
+// effects in order, until one finishes or fails the attempt.
+func (r *run) execute() (engine.Result, error) {
+	// One buffered event per reader: a reader hands its event over and goes
+	// back to Recv without waiting for the loop to take it.
+	events := make(chan event, len(r.peers))
+	for i, p := range r.peers {
+		r.readers.Add(1)
+		go r.read(i, p, events)
 	}
-	if r.co.cfg.HeartbeatInterval > 0 {
-		go r.monitorHeartbeats()
+	var tick <-chan time.Time
+	if hb := r.co.cfg.HeartbeatInterval; hb > 0 {
+		t := time.NewTicker(max(hb, 5*time.Millisecond))
+		defer t.Stop()
+		tick = t.C
+	}
+	for {
+		var ev event
+		select {
+		case ev = <-events:
+		case now := <-tick:
+			ev = event{kind: evTick, at: now, reconnecting: make([]bool, len(r.peers))}
+			for i, p := range r.peers {
+				ev.reconnecting[i] = p.res != nil && p.res.Reconnecting()
+			}
+		}
+		for _, e := range r.step(ev) {
+			switch e.kind {
+			case efSend:
+				r.peers[e.sess].out.Enqueue(e.frame)
+			case efRecord:
+				if err := r.logRecord(e.rec); err != nil {
+					return engine.Result{}, err
+				}
+			case efClose:
+				r.peers[e.sess].close(false)
+			case efFinish:
+				return r.core.result(), nil
+			case efFail:
+				return engine.Result{}, e.err
+			}
+		}
 	}
 }
 
-// startReader consumes one peer's inbound frames until the connection
-// dies. A connection error during a live run is a worker death: it goes
-// through handlePeerFailure, which fails the attempt with the typed error
-// the driver restarts from. Protocol errors are never recovered — they
-// mean a bug, not a crash.
-func (r *run) startReader(p *peerConn) {
-	go func() {
-		// A panic while handling a malformed-but-decodable frame must
-		// fail the run, not crash the coordinator process.
-		defer func() {
-			if rec := recover(); rec != nil {
-				r.fail(fmt.Errorf("cluster: handling frames from worker %s panicked: %v", p.addr, rec))
-			}
-		}()
-		for {
-			f, err := p.conn.Recv()
-			if err != nil {
-				select {
-				case <-r.finished: // normal teardown
-				case <-r.failed:
-				default:
-					if p.hbLost.Load() {
-						err = fmt.Errorf("heartbeat timeout after %v (%w)", heartbeatMisses*r.co.cfg.HeartbeatInterval, err)
-					}
-					r.handlePeerFailure(p, fmt.Errorf("cluster: worker %s: %w", p.addr, err))
-				}
-				return
-			}
-			p.touch()
-			if err := r.handle(p, f); err != nil {
-				r.fail(err)
-				return
-			}
+// step runs the core on one event. A panic while handling a
+// malformed-but-decodable frame fails the attempt, not the coordinator
+// process.
+func (r *run) step(ev event) (effs []effect) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			effs = []effect{{kind: efFail, err: fmt.Errorf("cluster: handling an event of session %d panicked: %v", ev.sess, rec)}}
 		}
 	}()
+	return r.core.step(ev)
 }
 
-// monitorHeartbeats kills connections that have gone silent for longer
-// than heartbeatMisses intervals; the reader's Recv then errors and the
-// normal failure/recovery path takes over.
-func (r *run) monitorHeartbeats() {
-	tick := r.co.cfg.HeartbeatInterval
-	timeout := heartbeatMisses * tick
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
+// read delivers one session's inbound frames to the loop until its
+// connection dies. Payloads decode here, so readers for different workers
+// decode concurrently. A relay envelope never enters the loop: the reader
+// checks it against the attempt's routes and forwards it unopened — which
+// is what keeps a relayed edge bit-identical to a direct link — and only
+// tells the loop, at most once per heartbeat interval, that the session
+// is alive.
+func (r *run) read(sess int, p *peerConn, events chan<- event) {
+	defer r.readers.Done()
+	var told time.Time // when this reader last handed the loop an event
 	for {
-		select {
-		case <-r.finished:
-			return
-		case <-r.failed:
-			return
-		case <-ticker.C:
-			r.mu.Lock()
-			peers := append([]*peerConn(nil), r.peers...)
-			r.mu.Unlock()
-			for _, p := range peers {
-				if p.res != nil && p.res.Reconnecting() {
-					// The link flapped and is being absorbed: silence is
-					// expected, not death. If the reconnect budget runs out
-					// the Recv turns terminal and the failure path runs; if
-					// it heals, replayed heartbeats refresh lastHeard.
-					p.touch()
+		f, err := p.conn.Recv()
+		at := time.Now()
+		var ev event
+		switch {
+		case err != nil:
+			ev = event{kind: evLost, at: at, sess: sess, err: fmt.Errorf("cluster: worker %s: %w", p.addr, err)}
+		case f.Kind == wire.KindRelay:
+			to, ferr := r.routes.forward(sess, p.addr, f)
+			if ferr == nil {
+				r.peers[to].out.Enqueue(f)
+				if hb := r.co.cfg.HeartbeatInterval; hb == 0 || at.Sub(told) < hb {
 					continue
 				}
-				heard := time.Unix(0, p.lastHeard.Load())
-				if time.Since(heard) > timeout && p.hbLost.CompareAndSwap(false, true) {
-					r.co.logf("worker %s silent for over %v, declaring it dead", p.addr, timeout)
-					p.conn.Close()
-				}
+			}
+			ev = event{kind: evFrame, at: at, sess: sess, frame: f.Kind, err: ferr}
+		default:
+			ev = frameEvent(sess, at, f)
+			if f.Kind == wire.KindSpans && ev.err == nil && r.co.cfg.Trace {
+				r.co.cfg.TraceSink(ev.spans.Track, ev.spans.Spans)
 			}
 		}
+		select {
+		case events <- ev:
+			told = at
+		case <-r.stop:
+			return
+		}
+		if err != nil {
+			return
+		}
 	}
+}
+
+// teardown ends the attempt's sessions and joins their readers. On the
+// graceful path — every device done, or a planned repartition, whose
+// Repartition frames every session must receive — the outboxes flush
+// before the connections close; after a failure they are killed, so a
+// peer that died with a full transport window cannot leak its outbox
+// writer (and block Run) forever.
+func (r *run) teardown(err error) {
+	if r.coTrack != nil {
+		if spans := r.coTrack.Drain(); len(spans) > 0 {
+			r.co.cfg.TraceSink(r.coTrack.Name(), spans)
+		}
+		// The track lives for one attempt and drains only here, so its
+		// drop count is this attempt's.
+		r.co.cfg.Metrics.Add("spans_dropped", r.coTrack.Dropped())
+	}
+	var pr *plannedRepartition
+	graceful := err == nil || errors.As(err, &pr)
+	for i, p := range r.peers {
+		if r.core.sessions[i].live {
+			p.close(graceful)
+		}
+	}
+	close(r.stop)
+	r.readers.Wait()
 }
 
 // validateDataRecipe proves Config.Data regenerates the exact batches
@@ -626,360 +571,6 @@ func validateDataRecipe(ds wire.DataSpec, batches []dataset.Batch) error {
 		}
 	}
 	return nil
-}
-
-func (r *run) fail(err error) {
-	r.failOnce.Do(func() {
-		r.firstErr = err
-		close(r.failed)
-	})
-}
-
-// onLinkDown records a worker's report that a peer link exhausted its
-// reconnect budget and fails the attempt immediately with the typed
-// worker-lost error: the driver then classifies the failure —
-// degrade the edge to relay when every worker is still alive
-// (budget-free), or fall through to a budget-counted restart.
-func (r *run) onLinkDown(p *peerConn, from, to int) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.linkDowns = append(r.linkDowns, [2]int{from, to})
-	r.mu.Unlock()
-	r.co.cfg.Metrics.Add("peer_links_down", 1)
-	r.co.logf("worker %s reports peer link %d<->%d down (reconnect budget exhausted)", p.addr, from, to)
-	r.fail(workerLostError{cause: fmt.Errorf("peer link %d<->%d persistently down", from, to)})
-}
-
-// handlePeerFailure retires a dead peer and fails the attempt with the
-// typed worker-lost error, which the driver turns into a restart of every
-// device from the global cut (budget permitting): the dead worker's
-// in-flight exchanges — a half-assembled input, one side of a ring
-// collective — are abandoned with the attempt rather than replayed
-// one-sided. It runs once per peer, on the dead peer's reader goroutine.
-func (r *run) handlePeerFailure(p *peerConn, cause error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	for i, q := range r.peers {
-		if q == p {
-			r.peers = append(r.peers[:i], r.peers[i+1:]...)
-			break
-		}
-	}
-	allDone := true
-	for _, d := range p.devices {
-		delete(r.byDev, d)
-		if !r.devs[d].done {
-			allDone = false
-		}
-	}
-	r.mu.Unlock()
-
-	p.close(false)
-
-	if allDone {
-		// Every hosted device already completed; the lost connection
-		// cannot affect the result.
-		r.co.logf("worker %s dropped after finishing devices %v; no recovery needed", p.addr, p.devices)
-		return
-	}
-	r.fail(workerLostError{cause: cause})
-}
-
-// teardown closes every session (endpoint.close): after a failure a peer
-// that died with a full transport window must not leak the outbox writer
-// (and block Run) forever; on the graceful path the final Drain frames
-// must reach the workers.
-func (r *run) teardown() {
-	r.mu.Lock()
-	r.closed = true
-	peers := append([]*peerConn(nil), r.peers...)
-	r.mu.Unlock()
-	if r.coTrack != nil {
-		if spans := r.coTrack.Drain(); len(spans) > 0 {
-			r.co.cfg.TraceSink(r.coTrack.Name(), spans)
-		}
-		// The track lives for one attempt and drains only here, so its
-		// drop count is this attempt's.
-		r.co.cfg.Metrics.Add("spans_dropped", r.coTrack.Dropped())
-	}
-	graceful := true
-	select {
-	case <-r.failed:
-		// A planned repartition supersedes the attempt deliberately:
-		// flush the outboxes so every session receives its Repartition
-		// frame before the connection closes. Real failures kill the
-		// outboxes — a dead worker is not reading.
-		var pr *plannedRepartition
-		graceful = errors.As(r.firstErr, &pr)
-	default:
-	}
-	for _, p := range peers {
-		p.close(graceful)
-	}
-}
-
-// handle processes one inbound frame on the owning peer's reader
-// goroutine. Payload decoding happens here, outside the session lock, so
-// readers for different workers decode concurrently; only the counters,
-// records and forwarding run under r.mu (r.devs' map structure and the
-// relayed edges are immutable once readers start).
-//
-// Every state-mutating branch re-checks r.closed under r.mu and drops
-// the frame once teardown ran: reader goroutines can outlive their run
-// (teardown closes connections but does not join them), and some state —
-// the coordinator's workbench, the account, the ledger — is shared
-// with the next attempt, which owns a different mutex. The closed
-// flag flips inside teardown's critical section on the driver goroutine,
-// so any write a reader commits before it is ordered before the next
-// attempt's reads, and any reader arriving after it observes closed and
-// touches nothing.
-func (r *run) handle(p *peerConn, f *wire.Frame) error {
-	dev := int(f.Dev)
-	ds, ok := r.devs[dev]
-	if !ok && f.Kind != wire.KindHello && f.Kind != wire.KindHeartbeat && f.Kind != wire.KindLinkDown {
-		return fmt.Errorf("cluster: worker %s sent %v for unknown device %d", p.addr, f.Kind, f.Dev)
-	}
-	step := int(f.Step)
-	switch f.Kind {
-	case wire.KindHello, wire.KindHeartbeat:
-		return nil // heartbeats already refreshed lastHeard; late hellos are harmless
-	case wire.KindLinkDown:
-		from, to, err := wire.DecodeLinkDown(f)
-		if err != nil {
-			return err
-		}
-		r.onLinkDown(p, from, to)
-		return nil
-	case wire.KindRelay:
-		// A peer frame crossing a relayed edge: the envelope routes by Dev
-		// and its contents are opaque to the coordinator — forwarding the
-		// payload verbatim is what keeps a relayed edge bit-identical to a
-		// direct link. Only its header is read (DecodeRelay copies nothing):
-		// the sending session must host the inner frame's source, and the
-		// edge must be one this attempt relays.
-		inner, err := wire.DecodeRelay(f)
-		if err != nil {
-			return err
-		}
-		from := int(inner.Dev)
-		if !slices.Contains(p.devices, from) || !r.relays[[2]int{from, dev}] {
-			return fmt.Errorf("cluster: worker %s relayed %v from device %d to device %d, not a relayed edge from a device it hosts",
-				p.addr, inner.Kind, from, dev)
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.closed {
-			return nil
-		}
-		if q := r.byDev[dev]; q != nil {
-			q.out.Enqueue(f)
-		}
-		return nil
-	case wire.KindStepDone:
-		return r.onStepDone(ds, step)
-	case wire.KindLosses:
-		vals, err := wire.DecodeLosses(f)
-		if err != nil {
-			return err
-		}
-		return r.onLosses(dev, ds, step, vals)
-	case wire.KindSnapshot:
-		if !r.co.faultTolerant() {
-			return nil // stray snapshot from a session we did not ask to send them
-		}
-		params, velocity, err := wire.DecodeDeviceSnapshot(f)
-		if err != nil {
-			return err
-		}
-		return r.onSnapshot(dev, ds, step, params, velocity)
-	case wire.KindSpans:
-		if !r.co.cfg.Trace && r.repart == nil {
-			return nil // stray batch from a session we did not ask to trace
-		}
-		b, err := wire.DecodeSpans(f)
-		if err != nil {
-			return err
-		}
-		// Sink delivery and repartition aggregation happen here on the
-		// reader goroutine, outside r.mu — span batches never contend
-		// with the data plane.
-		if r.co.cfg.Trace {
-			r.co.cfg.TraceSink(b.Track, b.Spans)
-		}
-		if r.repart != nil {
-			r.observeSpans(b.Track, b.Spans)
-		}
-		return nil
-	case wire.KindFinalParams:
-		params, err := wire.DecodeTensors(f)
-		if err != nil {
-			return err
-		}
-		return r.onFinalParams(ds.place, params)
-	case wire.KindDone:
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.closed {
-			return nil
-		}
-		if ds.done {
-			return duplicate(ds, "done", step)
-		}
-		ds.done = true
-		r.done++
-		if r.done == len(r.devs) {
-			close(r.finished)
-		}
-		return nil
-	default:
-		return fmt.Errorf("cluster: worker %s sent unexpected %v frame", p.addr, f.Kind)
-	}
-}
-
-// duplicate is the protocol error for a frame the device already sent: an
-// attempt starts every device just past the cut, and the resumable links
-// replay exactly the frames a flap lost, so nothing legitimate repeats.
-func duplicate(ds *devState, what string, step int) error {
-	return fmt.Errorf("cluster: duplicate %s from group %d rank %d step %d", what, ds.place.gi, ds.place.j, step)
-}
-
-// onStepDone counts the global no-DPU barrier; the arrival that completes
-// a step persists the release and sends every device its StepGo.
-func (r *run) onStepDone(ds *devState, step int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	if err := r.acct.CheckStep(step); err != nil {
-		return fmt.Errorf("cluster: step-done from group %d rank %d: %w", ds.place.gi, ds.place.j, err)
-	}
-	if step <= ds.arrived {
-		return duplicate(ds, "step-done", step)
-	}
-	ds.arrived = step
-	r.barrier[step]++
-	if r.barrier[step] == len(r.devs) {
-		delete(r.barrier, step)
-		// Only the release is persisted: it implies every device's arrival,
-		// and an unreleased barrier means no device completed the step, so
-		// every device re-arrives after a restart.
-		if err := r.commitLocked(ledger.Barrier(step)); err != nil {
-			return err
-		}
-		for d, p := range r.byDev {
-			p.out.Enqueue(wire.Control(wire.KindStepGo, int32(d), int32(step)))
-		}
-	}
-	return nil
-}
-
-// onLosses records a member's per-block losses; the report that completes
-// a step for the whole first group counts it in steps_completed.
-func (r *run) onLosses(dev int, ds *devState, step int, vals []float64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	if seen, _ := r.acct.Marks(dev); step <= seen {
-		return duplicate(ds, "losses", step)
-	}
-	if err := r.commitLocked(ledger.Losses(dev, step, vals)); err != nil {
-		return err
-	}
-	if ds.place.gi == 0 {
-		// Devices report each step once, in order, so the step's last
-		// reporter is the one that finds every sibling at or past it.
-		for _, d := range r.plan.Groups[0].Devices {
-			if seen, _ := r.acct.Marks(d); seen < step {
-				return nil
-			}
-		}
-		r.co.cfg.Metrics.Add("steps_completed", 1)
-	}
-	return nil
-}
-
-// onSnapshot commits a group's post-step restart state. Replicas are
-// bit-identical after every step, so the one copy rank 0 ships stands
-// for the whole group; whether a snapshotted step can be the cut is the
-// account's call from every device's marks, never the snapshot's alone.
-func (r *run) onSnapshot(dev int, ds *devState, step int, params, velocity []*tensor.Tensor) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	if _, seen := r.acct.Marks(dev); step <= seen {
-		return duplicate(ds, "snapshot", step)
-	}
-	if err := r.commitLocked(ledger.DevSnapshot(dev, step, params, velocity)); err != nil {
-		return err
-	}
-	r.co.cfg.Metrics.Add("snapshots", 1)
-	return nil
-}
-
-// commitLocked is how a live arm changes the run's restart state: the
-// record is applied to the account — checked and recorded exactly as a
-// ledger replay would — and then persisted, so the log only ever holds
-// records its own replay accepts.
-func (r *run) commitLocked(rec *ledger.Record) error {
-	if err := r.acct.Apply(rec); err != nil {
-		return fmt.Errorf("cluster: %v record: %w", rec.Type, err)
-	}
-	r.logRecord(rec)
-	return nil
-}
-
-// onFinalParams installs a group leader's trained student parameters
-// into the coordinator's workbench.
-func (r *run) onFinalParams(place devPlace, params []*tensor.Tensor) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	if place.j != 0 {
-		return fmt.Errorf("cluster: final params from non-leader rank %d of group %d", place.j, place.gi)
-	}
-	var dst []*tensor.Tensor
-	for _, b := range r.plan.Groups[place.gi].Blocks {
-		for _, p := range r.workb.Pairs[b].Student.Params() {
-			dst = append(dst, p.Value)
-		}
-	}
-	if len(params) != len(dst) {
-		return fmt.Errorf("cluster: group %d returned %d trained params, workbench wants %d", place.gi, len(params), len(dst))
-	}
-	for i, t := range params {
-		if !t.SameShape(dst[i]) {
-			return fmt.Errorf("cluster: group %d trained param %d shape %v, want %v", place.gi, i, t.Shape(), dst[i].Shape())
-		}
-		dst[i].CopyFrom(t)
-	}
-	return nil
-}
-
-// result merges the per-member loss rows into the per-block trajectory,
-// through the same helper (and therefore the same float64 evaluation
-// order) as engine.RunPipelined.
-func (r *run) result() engine.Result {
-	res := engine.Result{Loss: make([][]float64, r.workb.NumBlocks())}
-	for gi, g := range r.plan.Groups {
-		merged := engine.MergeGroupLosses(r.acct.Losses()[gi], len(g.Blocks), g.Split(), r.assign.Run.Steps)
-		for bi, b := range g.Blocks {
-			res.Loss[b] = merged[bi]
-		}
-	}
-	return res
 }
 
 func (c *Coordinator) logf(format string, args ...any) {

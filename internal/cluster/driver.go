@@ -16,16 +16,16 @@ package cluster
 // relay, a planned repartition, a coordinator restarted from its ledger —
 // rewinds the account, and every device, to that cut and starts the next
 // attempt there; a repartition also remaps the account onto its plan. The
-// teacher
-// relay makes each replayed step a pure function of the restored state
-// and the batches, so the trajectory stays bit-identical to a fault-free
-// run. One rule covers every plan because it never asks which in-flight
-// exchange a dead worker left half-done: a ring collective cannot be
-// replayed one-sided, whether its edges are direct or relayed.
+// teacher relay makes each replayed step a pure function of the restored
+// state and the batches, so the trajectory stays bit-identical to a
+// fault-free run. One rule covers every plan because it never asks which
+// in-flight exchange a dead worker left half-done: a ring collective
+// cannot be replayed one-sided, whether its edges are direct or relayed.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"pipebd/internal/cluster/ledger"
@@ -58,9 +58,8 @@ type driver struct {
 	// as they finish, which an attempt that is later superseded may
 	// already have done.
 	setup wire.Assign
-	// acct is the run's restart state. An attempt's handlers apply records
-	// to it under the attempt's lock, and teardown's closed fence orders
-	// every such write before the next attempt reads it.
+	// acct is the run's restart state. Only the running attempt's core
+	// applies records to it, on the driver goroutine.
 	acct *ledger.Account
 	led  *ledger.Ledger // durable-run store shared by every attempt; nil for in-memory runs
 	rp   *repartitioner // nil when repartitioning is off
@@ -160,14 +159,7 @@ func (d *driver) drive() (engine.Result, error) {
 // (both orientations name the same link).
 func mergeEdges(have, add [][2]int) [][2]int {
 	for _, e := range add {
-		dup := false
-		for _, h := range have {
-			if (h[0] == e[0] && h[1] == e[1]) || (h[0] == e[1] && h[1] == e[0]) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.ContainsFunc(have, func(h [2]int) bool { return h == e || h == [2]int{e[1], e[0]} }) {
 			have = append(have, e)
 		}
 	}
@@ -192,47 +184,49 @@ func (c *Coordinator) workersAlive(addrs []string) bool {
 
 // attempt executes one attempt end to end and, on failure, also returns
 // the peer edges it saw reported persistently down (for the driver's
-// degrade classification).
+// degrade classification). The loop runs on this goroutine and teardown
+// joins the readers before it returns, so every write the attempt made to
+// the account is done before the next attempt reads it.
 func (d *driver) attempt(epoch int64) (engine.Result, [][2]int, error) {
 	r := d.newRun(epoch)
-	defer r.teardown()
 	err := r.place()
 	var res engine.Result
 	if err == nil {
-		res, err = d.c.execute(r)
+		res, err = r.execute()
 	}
-	if err != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return engine.Result{}, r.linkDowns, err
-	}
-	return res, nil, nil
+	r.teardown(err)
+	return res, r.core.linkDowns, err
 }
 
 // newRun rewinds the account and builds an attempt at its cut: every
-// device restarts just past it, under the account's plan.
+// device restarts just past it, under the account's plan. Under the hub
+// every peer edge of the attempt's own plan is relayed (a repartition
+// changes the edges), under the ring only the edges degraded so far.
 func (d *driver) newRun(epoch int64) *run {
 	c := d.c
 	cut := d.acct.Rewind()
 	plan := d.acct.Plan()
-	r := &run{
-		co: c, acct: d.acct, plan: plan, workb: d.w, addrs: d.addrs, assign: d.setup,
-		cut: cut, superseded: d.superseded, repart: d.rp, led: d.led,
-		byDev: make(map[int]*peerConn), devs: make(map[int]*devState),
-		barrier:  make(map[int]int),
-		finished: make(chan struct{}),
-		failed:   make(chan struct{}),
+	relayed := d.degraded
+	if c.cfg.Topology != "ring" {
+		relayed = planEdges(plan)
 	}
+	r := &run{co: c, addrs: d.addrs, assign: d.setup, cut: cut, superseded: d.superseded, led: d.led,
+		stop: make(chan struct{}),
+		core: &attemptCore{acct: d.acct, plan: plan, steps: d.setup.Run.Steps, workb: d.w,
+			snapshots: c.faultTolerant(), heartbeat: c.cfg.HeartbeatInterval, rp: d.rp,
+			logf: c.logf, metrics: c.cfg.Metrics,
+			devs: make([]devState, plan.NumDevices()), barrier: make(map[int]int)}}
 	r.assign.Plan, r.assign.Epoch = plan, epoch
+	for _, e := range relayed {
+		r.assign.Relayed = append(r.assign.Relayed, e[0], e[1])
+	}
 	for gi, g := range plan.Groups {
 		for j, dev := range g.Devices {
-			r.devs[dev] = &devState{place: devPlace{gi: gi, j: j}, arrived: cut}
+			r.core.devs[dev] = devState{gi: gi, j: j, arrived: cut}
 		}
 	}
-	r.setRelayed(d.degraded)
 	if c.cfg.Trace {
-		r.tracer = obs.NewTracer(true)
-		r.coTrack = r.tracer.NewTrack("coordinator")
+		r.coTrack = obs.NewTracer(true).NewTrack("coordinator")
 	}
 	if d.rp != nil {
 		// Fresh placement (or fresh hosting), fresh measurements; the
@@ -240,22 +234,6 @@ func (d *driver) newRun(epoch int64) *run {
 		d.rp.resetMeasurements()
 	}
 	return r
-}
-
-// setRelayed installs the attempt's routing: under the hub every peer
-// edge of the attempt's own plan is relayed (a repartition changes the
-// edges), under the ring only the edges degraded so far.
-func (r *run) setRelayed(degraded [][2]int) {
-	edges := degraded
-	if r.co.cfg.Topology != "ring" {
-		edges = planEdges(r.plan)
-	}
-	r.relays = make(map[[2]int]bool, 2*len(edges))
-	for _, e := range edges {
-		r.assign.Relayed = append(r.assign.Relayed, e[0], e[1])
-		r.relays[e] = true
-		r.relays[[2]int{e[1], e[0]}] = true
-	}
 }
 
 // place opens this attempt's sessions: each placement slot is dialed
@@ -268,7 +246,7 @@ func (r *run) setRelayed(degraded [][2]int) {
 // until the actual placement is known, because every Assign must carry the
 // final peer directory before any ring worker starts dialing its mesh.
 func (r *run) place() error {
-	placement := PlaceDevices(len(r.devs), len(r.addrs))
+	placement := PlaceDevices(len(r.core.devs), len(r.addrs))
 	type held struct {
 		conn    transport.Conn
 		addr    string
@@ -300,7 +278,7 @@ func (r *run) place() error {
 		}
 		holds = append(holds, held{conn, actual, placement[i]})
 	}
-	r.assign.Peers = make([]string, len(r.devs))
+	r.assign.Peers = make([]string, len(r.core.devs))
 	for _, h := range holds {
 		for _, d := range h.devices {
 			r.assign.Peers[d] = h.addr
@@ -313,10 +291,18 @@ func (r *run) place() error {
 			return bail(workerLostError{cause: fmt.Errorf("cluster: worker %s assign: %w", h.addr, err)})
 		}
 	}
-	for _, h := range holds {
-		r.attach(h.conn, h.addr, h.devices)
+	links := linkPolicy{epoch: r.assign.Epoch, net: r.co.net, budget: r.co.cfg.RetryBudget,
+		logf: r.co.logf, metrics: r.co.cfg.Metrics}
+	sessions := make([]session, len(holds))
+	for i, h := range holds {
+		// The control link's far end is any device the session hosts: a
+		// redial finds the session in the worker's registry by it.
+		r.peers = append(r.peers, &peerConn{addr: h.addr, endpoint: links.endpoint(h.conn,
+			int(wire.NoDev), h.devices[0], fmt.Sprintf("worker %s control link", h.addr), h.addr)})
+		sessions[i] = session{addr: h.addr, devices: h.devices}
 		r.co.logf("worker %s hosting devices %v", h.addr, h.devices)
 	}
+	r.routes = r.core.place(time.Now(), sessions, r.assign.RelayedEdges())
 	return nil
 }
 
@@ -329,7 +315,7 @@ func (r *run) sessionOpen(devices []int) *wire.Frame {
 	a.Devices = devices
 	if r.cut >= 0 {
 		for _, d := range devices {
-			a.States = append(a.States, r.acct.State(d, r.cut))
+			a.States = append(a.States, r.core.acct.State(d, r.cut))
 		}
 	}
 	return wire.EncodeAssign(&a)

@@ -94,11 +94,12 @@ func newOutbox(send func(*wire.Frame) error) *outbox {
 	return o
 }
 
-// Enqueue queues a frame for sending; it never blocks.
+// Enqueue queues a frame for sending; it never blocks. A frame enqueued
+// after Close is dropped without failing the outbox: a late frame — a
+// relay racing a graceful teardown — must not cancel the flush of what
+// was queued before it.
 func (o *outbox) Enqueue(f *wire.Frame) {
-	if err := o.q.Push(f); err != nil {
-		o.fail(err)
-	}
+	_ = o.q.Push(f) // fails only once Close has begun
 }
 
 // Close flushes queued frames and stops the writer.
@@ -283,94 +284,4 @@ func (p linkPolicy) endpoint(conn transport.Conn, local, remote int, name, addr 
 	}
 	ep.out = newOutbox(ep.conn.Send)
 	return ep
-}
-
-// clusterLink is a device's control plane over the worker's connection to
-// the coordinator: losses, barrier arrivals, snapshots and span batches
-// leave through the session's shared outbox, barrier releases arrive
-// through the device's inbox. The data plane — activations and the
-// gradient all-reduce — is ringLink's, over peer endpoints.
-type clusterLink struct {
-	dev int32
-	dpu bool
-	in  *inbox
-	out *outbox
-	// snapshot, when set, encodes the device's post-step recovery state
-	// (student params + optimizer velocities); FinishStep ships it to the
-	// coordinator after every step the session's snapshot policy covers,
-	// so a restart can resume from the newest commonly covered step.
-	snapshot func(step int) *wire.Frame
-	snap     wire.SnapshotPolicy
-
-	// trace, when non-nil, is the device's span track; FinishStep drains
-	// it at each step boundary so span batches travel with (not instead
-	// of) the session's regular traffic. shipSpans routes drained batches
-	// to the coordinator over KindSpans frames; sink receives them on the
-	// worker side (local trace dumps, worker metrics) together with how
-	// many spans the track dropped since the previous flush. Both may be
-	// active.
-	trace     *obs.Track
-	shipSpans bool
-	sink      func(track string, spans []obs.Span, dropped int64)
-	dropped   int64 // the track's drop count as of the last flush
-}
-
-// flushSpans drains the device's span buffer and routes the batch to the
-// configured consumers. Called at step boundaries and once after the
-// loop, on the device's own goroutine — Drain and Begin never race.
-func (l *clusterLink) flushSpans() {
-	if l.trace == nil {
-		return
-	}
-	spans := l.trace.Drain()
-	dropped := l.trace.Dropped() - l.dropped
-	l.dropped += dropped
-	if len(spans) == 0 && dropped == 0 {
-		return
-	}
-	if l.sink != nil {
-		l.sink(l.trace.Name(), spans, dropped)
-	}
-	if l.shipSpans && len(spans) > 0 {
-		l.out.Enqueue(wire.EncodeSpans(wire.SpanBatch{Dev: l.dev, Track: l.trace.Name(), Spans: spans}))
-	}
-}
-
-func (l *clusterLink) recv(kind wire.Kind, step int) *wire.Frame {
-	f, err := l.in.next(kind)
-	if err != nil {
-		sessionFail("cluster: dev %d waiting for %v frame of step %d: %w", l.dev, kind, step, err)
-	}
-	if int(f.Step) != step {
-		sessionFail("cluster: dev %d got %v frame for step %d, want %d", l.dev, kind, f.Step, step)
-	}
-	return f
-}
-
-func (l *clusterLink) ReportLosses(step int, losses []float64) {
-	l.out.Enqueue(wire.EncodeLosses(l.dev, int32(step), losses))
-}
-
-func (l *clusterLink) StepBarrier(step int) {
-	if l.dpu {
-		return
-	}
-	l.out.Enqueue(wire.Control(wire.KindStepDone, l.dev, int32(step)))
-	l.recv(wire.KindStepGo, step)
-}
-
-// FinishStep implements engine.StepFinisher: once the step's updates are
-// installed, the device's state is exactly "trained through step" — the
-// snapshot the coordinator needs to restart this device bit-identically.
-// The policy's interval gates emission: with interval k only every k-th
-// step ships, trading k-fold less snapshot traffic for up to k replayed
-// steps on recovery.
-func (l *clusterLink) FinishStep(step int) {
-	if l.snapshot != nil && l.snap.Covers(step) {
-		r := l.trace.Begin(obs.CatSnapshot, "snapshot_write")
-		f := l.snapshot(step)
-		r.End()
-		l.out.Enqueue(f)
-	}
-	l.flushSpans()
 }

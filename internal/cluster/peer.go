@@ -321,13 +321,37 @@ func planEdges(plan sched.Plan) [][2]int {
 	return out
 }
 
-// ringLink implements engine.DeviceLink over a session's peer endpoints:
-// stage-to-stage activations and the intra-group all-reduce travel device
-// to device — directly or relayed, which is not visible from here — while
-// the control plane (loss reports, the global step barrier, recovery
-// snapshots) stays on the embedded coordinator link.
+// ringLink implements engine.DeviceLink for one hosted device. Its data
+// plane runs over the session's peer endpoints: stage-to-stage
+// activations and the intra-group all-reduce travel device to device —
+// directly or relayed, which is not visible from here. Its control plane
+// runs over the session's link to the coordinator: losses, barrier
+// arrivals, snapshots and span batches leave through the shared control
+// outbox, and barrier releases arrive through the device's inbox.
 type ringLink struct {
-	*clusterLink
+	dev int32
+	dpu bool
+	in  *inbox
+	out *outbox
+	// snapshot, when set, encodes the device's post-step recovery state
+	// (student params + optimizer velocities); FinishStep ships it to the
+	// coordinator after every step the session's snapshot policy covers,
+	// so a restart can resume from the newest commonly covered step.
+	snapshot func(step int) *wire.Frame
+	snap     wire.SnapshotPolicy
+
+	// trace, when non-nil, is the device's span track; FinishStep drains
+	// it at each step boundary so span batches travel with (not instead
+	// of) the session's regular traffic. shipSpans routes drained batches
+	// to the coordinator over KindSpans frames; sink receives them on the
+	// worker side (local trace dumps, worker metrics) together with how
+	// many spans the track dropped since the previous flush. Both may be
+	// active.
+	trace     *obs.Track
+	shipSpans bool
+	sink      func(track string, spans []obs.Span, dropped int64)
+	dropped   int64 // the track's drop count as of the last flush
+
 	rank  int
 	k     int
 	group []int // own group's device ranks in rank order
@@ -349,6 +373,59 @@ type ringLink struct {
 	flat   []float32
 	acc    []float32
 	segOff []int
+}
+
+// flushSpans drains the device's span buffer and routes the batch to the
+// configured consumers. Called at step boundaries and once after the
+// loop, on the device's own goroutine — Drain and Begin never race.
+func (l *ringLink) flushSpans() {
+	if l.trace == nil {
+		return
+	}
+	spans := l.trace.Drain()
+	dropped := l.trace.Dropped() - l.dropped
+	l.dropped += dropped
+	if len(spans) == 0 && dropped == 0 {
+		return
+	}
+	if l.sink != nil {
+		l.sink(l.trace.Name(), spans, dropped)
+	}
+	if l.shipSpans && len(spans) > 0 {
+		l.out.Enqueue(wire.EncodeSpans(wire.SpanBatch{Dev: l.dev, Track: l.trace.Name(), Spans: spans}))
+	}
+}
+
+func (l *ringLink) ReportLosses(step int, losses []float64) {
+	l.out.Enqueue(wire.EncodeLosses(l.dev, int32(step), losses))
+}
+
+func (l *ringLink) StepBarrier(step int) {
+	if l.dpu {
+		return
+	}
+	l.out.Enqueue(wire.Control(wire.KindStepDone, l.dev, int32(step)))
+	if f, err := l.in.next(wire.KindStepGo); err != nil {
+		sessionFail("cluster: dev %d waiting for the release of step %d: %w", l.dev, step, err)
+	} else if int(f.Step) != step {
+		sessionFail("cluster: dev %d got the release of step %d, want %d", l.dev, f.Step, step)
+	}
+}
+
+// FinishStep implements engine.StepFinisher: once the step's updates are
+// installed, the device's state is exactly "trained through step" — the
+// snapshot the coordinator needs to restart this device bit-identically.
+// The policy's interval gates emission: with interval k only every k-th
+// step ships, trading k-fold less snapshot traffic for up to k replayed
+// steps on recovery.
+func (l *ringLink) FinishStep(step int) {
+	if l.snapshot != nil && l.snap.Covers(step) {
+		r := l.trace.Begin(obs.CatSnapshot, "snapshot_write")
+		f := l.snapshot(step)
+		r.End()
+		l.out.Enqueue(f)
+	}
+	l.flushSpans()
 }
 
 func (l *ringLink) recvPeer(remote int, kind wire.Kind, step int) *wire.Frame {

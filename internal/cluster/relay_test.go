@@ -281,3 +281,31 @@ func TestRelayRefusesForgedEdges(t *testing.T) {
 		})
 	}
 }
+
+// TestLateFrameDoesNotCancelTheFlush: a graceful close sends everything
+// queued before it, even when a frame arrives after the close began — a
+// relay envelope a reader forwards while the attempt tears down, such as
+// the last step's peer ack landing after every device reported Done. The
+// late frame is dropped; before, it poisoned the outbox and the flush
+// dropped the session's Drain, so the worker counted a completed run as
+// a failed session.
+func TestLateFrameDoesNotCancelTheFlush(t *testing.T) {
+	release := make(chan struct{})
+	var sent []wire.Kind
+	o := newOutbox(func(f *wire.Frame) error {
+		if f.Kind == wire.KindStepGo {
+			<-release // hold the writer on the first frame
+		}
+		sent = append(sent, f.Kind)
+		return nil
+	})
+	o.Enqueue(wire.Control(wire.KindStepGo, 0, 0))
+	o.Enqueue(wire.Control(wire.KindDrain, wire.NoDev, wire.NoStep))
+	o.q.Close() // the first half of Close: no frame is queued after this
+	o.Enqueue(wire.Control(wire.KindRelay, 0, 0))
+	close(release)
+	o.Close()
+	if len(sent) != 2 || sent[1] != wire.KindDrain || o.Err() != nil {
+		t.Fatalf("flush sent %v (outbox error %v), want the step release and the drain", sent, o.Err())
+	}
+}

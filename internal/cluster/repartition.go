@@ -29,9 +29,7 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
-	"pipebd/internal/cluster/wire"
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
 )
@@ -71,10 +69,9 @@ func (e *plannedRepartition) Error() string {
 // repartitioner is the drive-loop-scoped controller state. It outlives
 // individual attempts: the applied-fingerprint set must persist across
 // repartitions (termination), while measurements reset every attempt.
+// The running attempt's core feeds it (attemptCore.observeSpans).
 type repartitioner struct {
-	agg *obs.StepAggregator
-
-	mu      sync.Mutex
+	agg     *obs.StepAggregator
 	streak  int
 	applied map[string]bool // partition fingerprints already run
 }
@@ -91,29 +88,13 @@ func newRepartitioner(initial sched.Plan) *repartitioner {
 // hosting it — changed, so old timings no longer describe the run).
 func (rp *repartitioner) resetMeasurements() {
 	rp.agg.Reset()
-	rp.mu.Lock()
 	rp.streak = 0
-	rp.mu.Unlock()
-}
-
-// observeSpans folds one device's step span batch and evaluates whether
-// to trigger a repartition. Called from handle on a reader goroutine.
-func (r *run) observeSpans(track string, spans []obs.Span) {
-	rp := r.repart
-	rp.agg.Add(track, spans)
-	plan, eval, ok := rp.evaluate(r.plan)
-	if !ok {
-		return
-	}
-	r.triggerRepartition(plan, eval)
 }
 
 // evaluate folds the current measurements into a proposal and advances
 // the hysteresis streak. ok is true when the streak just reached
 // repartitionHysteresis — the caller should execute the cut.
 func (rp *repartitioner) evaluate(current sched.Plan) (sched.Plan, sched.ReplanEval, bool) {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
 	busy, ok := rp.measuredBlockCosts(current)
 	if !ok {
 		return sched.Plan{}, sched.ReplanEval{}, false
@@ -150,33 +131,4 @@ func (rp *repartitioner) measuredBlockCosts(current sched.Plan) (map[int][]float
 		}
 	}
 	return busy, true
-}
-
-// triggerRepartition executes a qualified proposal: announce the planned
-// cut to every session (wire v6 Repartition frames, flushed by the
-// graceful teardown) and fail the attempt with the typed error the drive
-// loop converts into a restart on the new plan. The cut itself is
-// whatever the account's cut has reached by then; requiring a committed
-// cut here (>= 0, before the last step) keeps the restart meaningful.
-func (r *run) triggerRepartition(plan sched.Plan, eval sched.ReplanEval) {
-	rp := r.repart
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	cut := r.acct.Cut()
-	if cut < 0 || cut >= r.assign.Run.Steps-1 {
-		r.mu.Unlock()
-		return // no committed boundary yet (or nothing left to rebalance); retry on the next batch
-	}
-	rp.mu.Lock()
-	rp.applied[sched.Fingerprint(plan)] = true
-	rp.streak = 0
-	rp.mu.Unlock()
-	for _, p := range r.peers {
-		p.out.Enqueue(wire.EncodeRepartition(int32(cut), plan))
-	}
-	r.mu.Unlock()
-	r.fail(&plannedRepartition{cut: cut, plan: plan, eval: eval})
 }

@@ -373,31 +373,49 @@ func TestPlacementFreshRunWaitsForOwnWorker(t *testing.T) {
 	}
 }
 
+// placedCore builds attempt zero's core of a steps-long run under cfg and
+// places it on one session, "x", hosting every device of hybridPlan.
+func placedCore(t *testing.T, cfg Config, steps int) (*driver, *attemptCore, wire.Snapshot) {
+	t.Helper()
+	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	seed := CaptureSnapshot(w)
+	cfg.Plan, cfg.LR, cfg.Spec, cfg.Data = hybridPlan(), 0.05, TinySpec(distill.DefaultTinyConfig()), tinyData(steps, 8)
+	d, err := NewCoordinator(transport.NewLoopback(), cfg).newDriver(w, seed, steps, []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := d.newRun(0).core
+	core.place(time.Time{}, []session{{addr: "x", devices: []int{0, 1, 2}}}, nil)
+	return d, core, seed
+}
+
+// failure is the error effs fail the attempt with, or nil.
+func failure(effs []effect) error {
+	for _, e := range effs {
+		if e.kind == efFail {
+			return e.err
+		}
+	}
+	return nil
+}
+
 // TestNonRank0SnapshotIsProtocolError: only rank 0 of a group snapshots,
 // so a snapshot frame from a replica — or such a record applied to the
 // run's account, as a resume replays it — is a protocol error, not a
 // duplicate to fold away; rank 0's own is accepted.
 func TestNonRank0SnapshotIsProtocolError(t *testing.T) {
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	c := NewCoordinator(transport.NewLoopback(), Config{Plan: hybridPlan(), DPU: true,
-		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8), MaxRestarts: 1})
-	seed := CaptureSnapshot(w)
-	d, err := c.newDriver(w, seed, 2, []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := d.newRun(0)
 	// hybridPlan: devices 0 and 1 both train group 0, blocks 0 and 1.
+	d, core, seed := placedCore(t, Config{DPU: true, MaxRestarts: 1}, 2)
 	params := append(append([]*tensor.Tensor(nil), seed.Student[0]...), seed.Student[1]...)
 	vels := make([]*tensor.Tensor, len(params))
 	for i, p := range params {
 		vels[i] = tensor.New(p.Shape()...)
 	}
-	peer := &peerConn{addr: "x"}
-	if err := r.handle(peer, wire.EncodeDeviceSnapshot(0, 0, params, vels)); err != nil {
-		t.Fatalf("rank-0 snapshot rejected: %v", err)
+	effs := core.step(frameEvent(0, time.Time{}, wire.EncodeDeviceSnapshot(0, 0, params, vels)))
+	if len(effs) != 1 || effs[0].kind != efRecord || effs[0].rec.Type != ledger.TypeDevSnapshot {
+		t.Fatalf("rank-0 snapshot: got effects %+v, want its record", effs)
 	}
-	err = r.handle(peer, wire.EncodeDeviceSnapshot(1, 0, params, vels))
+	err := failure(core.step(frameEvent(0, time.Time{}, wire.EncodeDeviceSnapshot(1, 0, params, vels))))
 	if err == nil || !strings.Contains(err.Error(), "only rank 0 snapshots") {
 		t.Fatalf("rank-1 snapshot frame: got %v, want a protocol error", err)
 	}
@@ -412,25 +430,20 @@ func TestNonRank0SnapshotIsProtocolError(t *testing.T) {
 // last step is a protocol error that leaves no barrier count behind, and
 // a snapshot, barrier or loss record outside the run is refused.
 func TestStepsOutsideTheRunAreRefused(t *testing.T) {
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	c := NewCoordinator(transport.NewLoopback(), Config{Plan: hybridPlan(),
-		LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8), MaxRestarts: 1})
-	seed := CaptureSnapshot(w)
-	d, err := c.newDriver(w, seed, 2, []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := d.newRun(0)
-	peer := &peerConn{addr: "x"}
 	for _, step := range []int32{2, 1 << 20} {
-		err := r.handle(peer, wire.Control(wire.KindStepDone, 0, step))
+		d, core, _ := placedCore(t, Config{MaxRestarts: 1}, 2)
+		err := failure(core.step(frameEvent(0, time.Time{}, wire.Control(wire.KindStepDone, 0, step))))
 		if err == nil || !strings.Contains(err.Error(), "outside the run's 2 steps") {
 			t.Fatalf("step-done for step %d of 2: got %v, want a range error", step, err)
 		}
+		if len(core.barrier) != 0 {
+			t.Fatalf("refused arrivals left barrier counts %v", core.barrier)
+		}
+		if d.acct.Cut() != -1 {
+			t.Fatalf("a refused arrival moved the cut to %d", d.acct.Cut())
+		}
 	}
-	if len(r.barrier) != 0 {
-		t.Fatalf("refused arrivals left barrier counts %v", r.barrier)
-	}
+	d, _, seed := placedCore(t, Config{MaxRestarts: 1}, 2)
 	// hybridPlan: device 2 is rank 0 of group 1, blocks 2 and 3.
 	params := append(append([]*tensor.Tensor(nil), seed.Student[2]...), seed.Student[3]...)
 	for _, rec := range []*ledger.Record{

@@ -68,6 +68,22 @@
 // both topologies are bit-identical to the in-process pipeline and to
 // each other.
 //
+// # One goroutine decides
+//
+// An attempt's decisions are one pure state machine, attemptCore.step
+// (attempt.go): an event in, effects out. The core owns the barrier
+// counts and done marks, every record applied to the run's
+// ledger.Account, loss, snapshot, final-parameter and Done handling, the
+// classification of lost sessions and downed links, the heartbeat rule
+// and the repartitioner's streak; it holds no socket, lock or clock. In
+// the shell (coordinator.go) one reader per session decodes and stamps
+// frames, and the attempt's loop on the driver goroutine feeds the core
+// those events and heartbeat ticks one at a time and carries out the
+// effects. The loop's return orders every account write before the next
+// attempt reads it. Relay envelopes bypass the loop: a reader checks each
+// against the core's route table and forwards it at once, because under
+// the hub every activation and all-reduce frame crosses the coordinator.
+//
 // # Fault tolerance: one recovery model, the global cut
 //
 // With Config.MaxRestarts > 0 a run survives worker loss, under one rule

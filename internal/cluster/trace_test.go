@@ -223,7 +223,7 @@ func TestSpanLossIsCounted(t *testing.T) {
 	collect := obs.NewCollector()
 	worker := NewWorker(nil, WorkerConfig{Metrics: metrics})
 	track := obs.NewTracer(true).NewTrack("dev0")
-	link := &clusterLink{trace: track, sink: worker.spanSink(collect)}
+	link := &ringLink{trace: track, sink: worker.spanSink(collect)}
 
 	track.Begin(obs.CatWait, "kept").End()
 	link.flushSpans()

@@ -444,8 +444,8 @@ func (r *Resumable) Retire() {
 }
 
 // Reconnecting reports whether the link is currently down with
-// absorption still in progress (heartbeat monitors skip silence checks
-// while it is true).
+// absorption still in progress (a heartbeat rule should not count
+// silence against the link while it is true).
 func (r *Resumable) Reconnecting() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -356,16 +356,12 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	}
 
 	// Router: demux inbound frames to device inboxes until the
-	// coordinator drains the session or the connection dies.
-	drained := make(chan struct{})
-	routerErr := make(chan error, 1)
-	go func() {
+	// coordinator drains the session (nil) or the session ends otherwise.
+	route := func() error {
 		for {
 			f, err := control.conn.Recv()
 			if err != nil {
-				failAll(fmt.Errorf("cluster: session connection lost: %w", err))
-				routerErr <- err
-				return
+				return fmt.Errorf("cluster: session connection lost: %w", err)
 			}
 			switch {
 			case f.Kind == wire.KindDrain:
@@ -374,9 +370,7 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 					// imminent close is deliberate, not a fault to absorb.
 					control.res.Retire()
 				}
-				close(drained)
-				routerErr <- nil
-				return
+				return nil
 			case f.Kind == wire.KindRepartition:
 				// Planned supersession: the coordinator is cutting this
 				// placement at a committed step boundary and will re-place
@@ -384,17 +378,12 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 				// failure (device loops unwind, nothing more is sent) but the
 				// cause is deliberate; with Rejoin set the worker stays up to
 				// accept its slice of the new placement.
-				superseded := fmt.Errorf("cluster: session superseded by repartition (cut after step %d)", f.Step)
-				failAll(superseded)
-				routerErr <- superseded
-				return
+				return fmt.Errorf("cluster: session superseded by repartition (cut after step %d)", f.Step)
 			case f.Kind == wire.KindRelay:
 				// A peer frame that crossed a relayed edge: it belongs in
 				// the peer inbox a direct link would have filled.
 				if err := m.unwrap(f); err != nil {
-					failAll(err)
-					routerErr <- err
-					return
+					return err
 				}
 			case f.Dev == wire.NoDev:
 				// Broadcast: every hosted device gets it.
@@ -404,14 +393,19 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 			default:
 				d := findDevice(devices, f.Dev)
 				if d == nil {
-					err := fmt.Errorf("cluster: frame %v for device %d not hosted here", f.Kind, f.Dev)
-					failAll(err)
-					routerErr <- err
-					return
+					return fmt.Errorf("cluster: frame %v for device %d not hosted here", f.Kind, f.Dev)
 				}
 				d.link.in.put(f)
 			}
 		}
+	}
+	routerErr := make(chan error, 1)
+	go func() {
+		err := route()
+		if err != nil {
+			failAll(err)
+		}
+		routerErr <- err
 	}()
 
 	// Run every hosted device loop. A device that fails (transport loss
@@ -443,7 +437,6 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	if err := <-routerErr; err != nil {
 		return err
 	}
-	<-drained
 	for _, d := range devices {
 		w.cfg.Metrics.Add("device_steps", int64(assign.Run.Steps-d.start))
 	}
@@ -566,8 +559,7 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 			rank: int32(rank),
 			member: engine.Member{Group: gi, Rank: j, GroupSize: group.Split(),
 				Pairs: pairs, Opts: opts},
-			link: &ringLink{clusterLink: &clusterLink{dev: int32(rank),
-				dpu: assign.Run.DPU, in: newInbox(), out: out},
+			link: &ringLink{dev: int32(rank), dpu: assign.Run.DPU, in: newInbox(), out: out,
 				rank: j, k: group.Split(), group: members, prev: prev, next: next},
 		}
 		if tracer != nil {

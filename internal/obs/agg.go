@@ -3,9 +3,9 @@ package obs
 import "sync"
 
 // Span-batch aggregation for the runtime repartitioner. Workers ship one
-// KindSpans batch per device per finished step (clusterLink.FinishStep
-// flushes the device track), so each Add call folds exactly one measured
-// step into the device's running statistics. The aggregator extracts the
+// KindSpans batch per device per finished step (the cluster package's
+// ringLink.FinishStep flushes the device track), so each Add call folds
+// exactly one measured step into the device's running statistics. The aggregator extracts the
 // per-block compute cost — the signal the measured re-plan prices with —
 // and reports running means.
 
