@@ -237,7 +237,10 @@
 // cluster.ResumeRun replays the log through the same account, which
 // performs each recorded remap as the live run did.
 // A worker started with -slowdown 4 (pipebd worker -slowdown 4) is a
-// reproducible bit-identical straggler for exercising the controller.
+// reproducible bit-identical straggler for exercising the controller. The
+// controller's suites use a costed one instead: its kernels advance a
+// clock (an obs.Clock) that the hosted devices' spans read, so what the
+// controller measures, and decides, is a function of shapes and rates.
 //
 // # Observability
 //

@@ -188,9 +188,9 @@ func TestRecoveryFallsBackToSurvivingWorker(t *testing.T) {
 
 // TestHeartbeatTimeoutDetectsSilentWorker: a worker that accepts the
 // session and then goes silent — no heartbeats, no data, but a healthy
-// connection — is declared dead by the heartbeat monitor and the restart
-// places its device on the live worker; the run still matches the
-// fault-free trajectory bit-for-bit.
+// connection — is declared dead by the attempt core's heartbeat rule and
+// the restart places its device on the live worker; the run still
+// matches the fault-free trajectory bit-for-bit.
 func TestHeartbeatTimeoutDetectsSilentWorker(t *testing.T) {
 	leakCheck(t)
 	batches := tinyBatches(3, 8)
@@ -238,7 +238,7 @@ func TestHeartbeatTimeoutDetectsSilentWorker(t *testing.T) {
 		t.Fatalf("run failed: %v\nlog:\n%s", err, logs())
 	}
 	if !strings.Contains(logs(), "silent for over") {
-		t.Fatalf("heartbeat monitor never fired; log:\n%s", logs())
+		t.Fatalf("heartbeat rule never fired; log:\n%s", logs())
 	}
 	// The silent listener refuses the re-join, so finishing means worker A
 	// hosted the silent worker's device too.

@@ -29,6 +29,7 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
@@ -62,8 +63,8 @@ type plannedRepartition struct {
 }
 
 func (e *plannedRepartition) Error() string {
-	return fmt.Sprintf("cluster: planned repartition after step %d to %s (measured bottleneck %.2fms, predicted %.2fms, %.0f%% better)",
-		e.cut, e.plan.Describe(), e.eval.Current/1e6, e.eval.Proposed/1e6, 100*e.eval.Improvement())
+	return fmt.Sprintf("cluster: planned repartition after step %d to %s (measured bottleneck %v, predicted %v, %.0f%% better)",
+		e.cut, e.plan.Describe(), time.Duration(e.eval.Current), time.Duration(e.eval.Proposed), 100*e.eval.Improvement())
 }
 
 // repartitioner is the drive-loop-scoped controller state. It outlives

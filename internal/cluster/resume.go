@@ -7,7 +7,6 @@ import (
 
 	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/cluster/transport"
-	"pipebd/internal/cluster/wire"
 	"pipebd/internal/distill"
 	"pipebd/internal/engine"
 )
@@ -61,8 +60,6 @@ type ResumeExpectation struct {
 	// Model must match the manifest spec's registry name, e.g. "tiny" or
 	// "transformer".
 	Model string
-	// Spec, when non-nil, must match the manifest's model spec exactly.
-	Spec *wire.ModelSpec
 }
 
 // validateManifest rejects a self-inconsistent manifest (a plan that
@@ -100,10 +97,6 @@ func validateManifest(dir string, man *ledger.Manifest, exp *ResumeExpectation) 
 	if exp.Model != "" && exp.Model != man.Assign.Spec.Name {
 		return fmt.Errorf("ledger %s holds model %q, not %q — resume inherits the model from the manifest; drop the override or point at the right ledger",
 			dir, man.Assign.Spec.Name, exp.Model)
-	}
-	if exp.Spec != nil && *exp.Spec != man.Assign.Spec {
-		return fmt.Errorf("ledger %s holds model %+v, not the expected %+v — resume inherits the model from the manifest; drop the override or point at the right ledger",
-			dir, man.Assign.Spec, *exp.Spec)
 	}
 	return nil
 }

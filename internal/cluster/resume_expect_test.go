@@ -37,15 +37,13 @@ func expectTestLedger(t *testing.T, steps int) string {
 	return dir
 }
 
-// TestResumeExpectationMismatches is the satellite mismatch matrix: a
-// caller resuming with explicit expectations about the run (plan name,
-// topology, step count, model spec) must get a clear diagnostic when the
+// TestResumeExpectationMismatches is the mismatch matrix: a caller
+// resuming with explicit expectations about the run (plan name, topology,
+// step count, model name) must get a clear diagnostic when the
 // ledger holds a different run, instead of silently training it.
 func TestResumeExpectationMismatches(t *testing.T) {
 	const steps = 4
 	dir := expectTestLedger(t, steps)
-	wrongSpec := TinySpec(distill.DefaultTinyConfig())
-	wrongSpec.Seed++
 	cases := []struct {
 		name   string
 		expect ResumeExpectation
@@ -54,7 +52,7 @@ func TestResumeExpectationMismatches(t *testing.T) {
 		{"plan", ResumeExpectation{PlanName: "tr"}, `holds plan "hybrid"`},
 		{"topology", ResumeExpectation{Topology: "hub"}, "holds a ring-topology run, not hub"},
 		{"steps", ResumeExpectation{Steps: steps + 3}, "holds a 4-step run, not 7"},
-		{"spec", ResumeExpectation{Spec: &wrongSpec}, "holds model"},
+		{"model", ResumeExpectation{Model: "transformer"}, `holds model "tiny", not "transformer"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,8 +69,7 @@ func TestResumeExpectationMismatches(t *testing.T) {
 	// Matching expectations pass validation: the resume proceeds to dial
 	// the (dead) manifest address and fails there instead — proving the
 	// gate, not the network, decided the cases above.
-	good := ResumeExpectation{PlanName: "hybrid", Topology: "ring", Steps: steps,
-		Spec: func() *wire.ModelSpec { s := TinySpec(distill.DefaultTinyConfig()); return &s }()}
+	good := ResumeExpectation{PlanName: "hybrid", Topology: "ring", Steps: steps, Model: "tiny"}
 	_, _, err := ResumeRun(transport.NewLoopback(), dir,
 		ResumeConfig{Expect: &good, JoinTimeout: 200 * time.Millisecond})
 	if err == nil {

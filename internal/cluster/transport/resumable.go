@@ -221,6 +221,7 @@ func (r *Resumable) trimLocked(acked int64) {
 	rest := r.buf[drop:]
 	r.buf = append(r.buf[:0:0], rest...) // reallocate so acked frames free
 	r.ackBase = acked
+	r.cond.Broadcast()
 }
 
 // sendAck ships the cumulative received count; a failure here is just

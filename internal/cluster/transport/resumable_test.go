@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,24 +105,35 @@ func resumeHello(from, to int, recvd int64) wire.PeerHello {
 	return wire.PeerHello{Epoch: 1, From: from, To: to, Resume: true, Recvd: recvd}
 }
 
+// waitLink blocks until cond, read under r.mu, holds. r.cond wakes it at
+// every change of the link's state; it fails the test with what after
+// five seconds.
+func waitLink(t *testing.T, r *Resumable, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	wake := time.AfterFunc(time.Until(deadline), func() {
+		r.mu.Lock()
+		r.cond.Broadcast()
+		r.mu.Unlock()
+	})
+	defer wake.Stop()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for !cond() {
+		if !time.Now().Before(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		r.cond.Wait()
+	}
+}
+
 // breakLink closes the current underlying connection of r, simulating a
 // transport fault; both sides observe a broken stream.
 func breakLink(t *testing.T, r *Resumable) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r.mu.Lock()
-		c := r.conn
-		r.mu.Unlock()
-		if c != nil {
-			c.Close()
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("breakLink: link never came back up")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	var c Conn
+	waitLink(t, r, "the link to come back up", func() bool { c = r.conn; return c != nil })
+	c.Close()
 }
 
 func seqFrame(i int) *wire.Frame {
@@ -130,7 +142,10 @@ func seqFrame(i int) *wire.Frame {
 
 // TestResumableReplaysThroughBreaks: a bidirectional stream survives
 // repeated connection loss bit-identically — every frame arrives exactly
-// once, in order, on both sides.
+// once, in order, on both sides. Each break comes once a's receiver has
+// seen the break's frame count: both senders hold at that frame until the
+// link is broken, so a's receiver is waiting on the broken connection and
+// a, the side that redials, always notices.
 func TestResumableReplaysThroughBreaks(t *testing.T) {
 	var absorbs atomic.Int64
 	h := newResumableHarness(t,
@@ -139,21 +154,39 @@ func TestResumableReplaysThroughBreaks(t *testing.T) {
 		ResumableOptions{Name: "b"})
 
 	const n = 60
+	breaks := []int{15, 30, 45}
+	release := make([]chan struct{}, len(breaks))
+	for j := range release {
+		release[j] = make(chan struct{})
+	}
+	released := 0
+	defer func() {
+		for _, c := range release[released:] {
+			close(c)
+		}
+	}()
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	send := func(r *Resumable) {
 		defer wg.Done()
-		for i := 0; i < n; i++ {
+		for i, j := 0, 0; i < n; i++ {
+			if j < len(breaks) && i == breaks[j] {
+				<-release[j]
+				j++
+			}
 			if err := r.Send(seqFrame(i)); err != nil {
 				errs <- fmt.Errorf("send %d: %w", i, err)
 				return
 			}
-			time.Sleep(time.Millisecond / 2)
 		}
 	}
+	seen := make(chan struct{}, len(breaks)) // a's receiver reached a break
 	recv := func(r *Resumable, label string) {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
+			if r == h.a && slices.Contains(breaks, i) {
+				seen <- struct{}{}
+			}
 			f, err := r.Recv()
 			if err != nil {
 				errs <- fmt.Errorf("%s recv %d: %w", label, i, err)
@@ -171,17 +204,23 @@ func TestResumableReplaysThroughBreaks(t *testing.T) {
 	go recv(h.a, "a")
 	go recv(h.b, "b")
 
-	for i := 0; i < 3; i++ {
-		time.Sleep(8 * time.Millisecond)
+	for range breaks {
+		select {
+		case <-seen:
+		case err := <-errs:
+			t.Fatal(err)
+		}
 		breakLink(t, h.a)
+		close(release[released])
+		released++
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-	if absorbs.Load() == 0 {
-		t.Error("no fault was absorbed despite forced breaks")
+	if n := absorbs.Load(); n != int64(len(breaks)) {
+		t.Errorf("absorbed %d faults, want one per break (%d)", n, len(breaks))
 	}
 }
 
@@ -227,12 +266,11 @@ func TestResumableReconnecting(t *testing.T) {
 	}
 	breakLink(t, h.a)
 	// The link heals on its own; once it does, the flag clears.
-	deadline := time.Now().Add(5 * time.Second)
-	for h.a.Reconnecting() || h.b.Reconnecting() {
-		if time.Now().After(deadline) {
-			t.Fatal("link never healed")
+	for _, r := range []*Resumable{h.a, h.b} {
+		waitLink(t, r, r.name+" to heal", func() bool { return r.conn != nil || r.err != nil || r.closed })
+		if r.Reconnecting() {
+			t.Fatalf("%s reports reconnecting after healing", r.name)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if err := h.a.Send(seqFrame(1)); err != nil {
 		t.Fatalf("post-heal send: %v", err)
@@ -263,14 +301,20 @@ func TestResumableRetire(t *testing.T) {
 	}
 }
 
-// TestResumableAcksBoundReplay: with acks flowing, a break late in the
-// stream replays only the unacked tail, not the whole history.
+// TestResumableAcksBoundReplay: the receiver acks every AckEvery frames,
+// and the sender, reading those acks, trims its replay buffer to the
+// unacked tail, so the buffer of a long-lived link stays bounded and a
+// break late in the stream replays only that tail.
 func TestResumableAcksBoundReplay(t *testing.T) {
+	const ackEvery = 2
 	var replayed atomic.Int64
 	h := newResumableHarness(t,
-		RetryPolicy{Backoff: 2 * time.Millisecond, Budget: 5 * time.Second, AckEvery: 2},
+		RetryPolicy{Backoff: 2 * time.Millisecond, Budget: 5 * time.Second, AckEvery: ackEvery},
 		ResumableOptions{Name: "a", OnAbsorb: func(n int) { replayed.Add(int64(n)) }},
 		ResumableOptions{Name: "b"})
+	// The sender reads: its Recv consumes the acks (no application frame
+	// comes back) and returns when the harness closes the link.
+	go h.a.Recv()
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := h.a.Send(seqFrame(i)); err != nil {
@@ -280,8 +324,8 @@ func TestResumableAcksBoundReplay(t *testing.T) {
 			t.Fatalf("recv %d: %v, %v", i, f, err)
 		}
 	}
-	// Give the last ack a moment to land, then break and heal.
-	time.Sleep(20 * time.Millisecond)
+	waitLink(t, h.a, fmt.Sprintf("the sender's unacked buffer to shrink to AckEvery (%d) frames", ackEvery),
+		func() bool { return len(h.a.buf) <= ackEvery })
 	breakLink(t, h.a)
 	if err := h.a.Send(seqFrame(n)); err != nil {
 		t.Fatalf("post-break send: %v", err)
@@ -289,7 +333,7 @@ func TestResumableAcksBoundReplay(t *testing.T) {
 	if f, err := h.b.Recv(); err != nil || int(f.Step) != n {
 		t.Fatalf("post-break recv: %v, %v", f, err)
 	}
-	if r := replayed.Load(); r > 8 {
-		t.Fatalf("replayed %d frames; acks should have trimmed the buffer (want <= 8)", r)
+	if r := replayed.Load(); r > ackEvery+1 {
+		t.Fatalf("replayed %d frames; acks should have trimmed the buffer (want <= %d)", r, ackEvery+1)
 	}
 }

@@ -50,10 +50,10 @@ type WorkerConfig struct {
 	Logf func(format string, args ...any)
 	// Backend, when non-nil, overrides the compute backend for every
 	// device this worker hosts, taking precedence over the backend the
-	// Assign names. Used to model heterogeneous clusters — e.g. wrapping
-	// the assigned backend in tensor.NewThrottled makes this worker a
-	// bit-identical compute straggler the repartitioner can shed load
-	// from.
+	// Assign names. Used to model heterogeneous clusters: a backend that
+	// is also an obs.Clock (the repartition suites' costed one) clocks
+	// the hosted devices' spans; tensor.NewThrottled (pipebd worker
+	// -slowdown) is a real, wall-clock straggler.
 	Backend tensor.Backend
 }
 
@@ -564,6 +564,10 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 		}
 		if tracer != nil {
 			d.link.trace = tracer.NewTrack(fmt.Sprintf("dev%d", rank))
+			// A backend that keeps time (a costed one) clocks the spans.
+			if clock, ok := backend.(obs.Clock); ok {
+				d.link.trace.SetClock(clock)
+			}
 			d.link.shipSpans = assign.Run.Trace
 			d.link.sink = sink
 			d.member.Trace = d.link.trace

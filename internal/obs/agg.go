@@ -23,17 +23,17 @@ const (
 type DeviceStats struct {
 	// Steps is how many complete step batches have been folded in.
 	Steps int
-	// BlockBusy is the mean per-hosted-block compute time in nanoseconds:
-	// teacher forward + student forward + student backward, plus an equal
-	// share of the step's optimizer update (the update span covers every
-	// hosted block at once). Index i is the device's i-th block in plan
-	// order.
+	// BlockBusy is the mean per-hosted-block compute time in nanoseconds
+	// of the device track's clock: teacher forward + student forward +
+	// student backward, plus an equal share of the step's optimizer update
+	// (the update span covers every hosted block at once). Index i is the
+	// device's i-th block in plan order.
 	BlockBusy []float64
 }
 
 // StepAggregator folds per-step span batches into per-device statistics.
-// Safe for concurrent use: coordinator reader goroutines call Add while
-// the repartition controller snapshots Stats.
+// Safe for concurrent use, though in a cluster run only the attempt core
+// calls Add and Stats, both on the coordinator's driver goroutine.
 type StepAggregator struct {
 	mu   sync.Mutex
 	devs map[string]*devAgg

@@ -60,9 +60,9 @@ func (c Category) String() string {
 }
 
 // Span is one timed region on a track, in nanoseconds. A measured span's
-// Start is wall-clock time since the Unix epoch, so spans from different
-// processes on one machine share a timeline; a simulated span's Start is
-// virtual time since the simulation began.
+// Start reads its track's Clock, by default wall time since the Unix
+// epoch, so spans of processes on one machine share a timeline; a
+// simulated span's Start is virtual time since the simulation began.
 type Span struct {
 	Name  string
 	Cat   Category
@@ -117,12 +117,16 @@ func (t *Tracer) Tracks() []*Track {
 	return append([]*Track(nil), t.tracks...)
 }
 
+// Clock is a track's time source: nanoseconds on a monotonic timeline.
+type Clock interface{ Now() int64 }
+
 // Track is a per-goroutine span recorder. One goroutine appends (the
 // device loop that owns it); Drain/Spans may be called from any
 // goroutine.
 type Track struct {
 	tracer  *Tracer
 	name    string
+	clock   Clock // nil: the wall clock
 	mu      sync.Mutex
 	spans   []Span
 	dropped int64
@@ -134,6 +138,22 @@ func (tk *Track) Name() string {
 		return ""
 	}
 	return tk.name
+}
+
+// SetClock makes the track's spans read c instead of the wall clock. Call
+// it before the track's first Begin.
+func (tk *Track) SetClock(c Clock) {
+	if tk != nil {
+		tk.clock = c
+	}
+}
+
+// now is the one time reading every span takes.
+func (tk *Track) now() int64 {
+	if tk.clock != nil {
+		return tk.clock.Now()
+	}
+	return time.Now().UnixNano()
 }
 
 // Region is an in-flight span handle returned by Begin. The zero value
@@ -151,7 +171,7 @@ func (tk *Track) Begin(cat Category, name string) Region {
 	if tk == nil || !tk.tracer.enabled.Load() {
 		return Region{}
 	}
-	return Region{tk: tk, name: name, cat: cat, start: time.Now().UnixNano()}
+	return Region{tk: tk, name: name, cat: cat, start: tk.now()}
 }
 
 // End closes the span and records it.
@@ -159,7 +179,7 @@ func (r Region) End() {
 	if r.tk == nil {
 		return
 	}
-	dur := time.Now().UnixNano() - r.start
+	dur := r.tk.now() - r.start
 	r.tk.record(Span{Name: r.name, Cat: r.cat, Start: r.start, Dur: dur})
 }
 

@@ -10,16 +10,22 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"pipebd/internal/testutil"
 )
 
+// handClock is a Clock the test moves by hand.
+type handClock struct{ ns int64 }
+
+func (c *handClock) Now() int64 { return c.ns }
+
 func TestTrackRecordsAndDrains(t *testing.T) {
 	tr := NewTracer(true)
 	tk := tr.NewTrack("dev0")
+	clock := &handClock{ns: 5000}
+	tk.SetClock(clock)
 	r := tk.Begin(CatStudentFwd, "student_fwd")
-	time.Sleep(time.Millisecond)
+	clock.ns += 1_000_000
 	r.End()
 	tk.Begin(CatSnapshot, "snapshot").End()
 	spans := tk.Drain()
@@ -29,8 +35,8 @@ func TestTrackRecordsAndDrains(t *testing.T) {
 	if spans[0].Name != "student_fwd" || spans[0].Cat != CatStudentFwd {
 		t.Fatalf("bad span: %+v", spans[0])
 	}
-	if spans[0].Dur <= 0 {
-		t.Fatalf("non-positive duration: %d", spans[0].Dur)
+	if spans[0].Start != 5000 || spans[0].Dur != 1_000_000 {
+		t.Fatalf("span read %d+%d ns off its track's clock, want 5000+1000000", spans[0].Start, spans[0].Dur)
 	}
 	if got := tk.Drain(); got != nil {
 		t.Fatalf("second drain returned %d spans", len(got))

@@ -9,11 +9,12 @@ import (
 // inner backend untouched — so it is bit-identical to the inner backend
 // by construction — and then sleeps proportionally to the time the
 // kernel took, multiplying the device's effective compute time by the
-// slowdown factor. It exists to exercise the runtime repartitioner and
-// heterogeneity-sensitive scheduling against a reproducible slow rank:
-// unlike a transport delay, the injected cost scales with the work the
-// device hosts, so moving blocks off the throttled device genuinely
-// shrinks its step time.
+// slowdown factor. It is the real, wall-clock slow rank (pipebd worker
+// -slowdown): unlike a transport delay, the injected cost scales with the
+// work the device hosts, so moving blocks off the throttled device
+// genuinely shrinks its step time. The repartition suites use a costed
+// backend instead, which charges each kernel to a virtual clock the
+// device's spans read, so what they measure is not host noise.
 type Throttled struct {
 	inner  Backend
 	factor int
