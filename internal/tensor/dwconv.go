@@ -17,9 +17,14 @@ import "fmt"
 // gradient — has its product ANDed to +0 before the add. That is exact:
 // an output starts from +0 and so does a dx pixel, a sum of floats that
 // starts at +0 can never be −0 under round-to-nearest, and s + (+0) is s
-// for every other s, NaN and infinities included. The weight gradient
-// stays scalar, in its order below: a 3×3 kernel runs its nine taps'
-// chains in one sweep of each gradient row (dwWeightRow3), other sizes
+// for every other s, NaN and infinities included.
+//
+// The weight gradient of a 3×3 kernel at stride 1 runs in lanes too, one
+// call per image and group of channels: each lane owns one tap of one
+// channel's sums and runs its chain in the order below, and the group's
+// channels, independent chains, run side by side. Its sums are seeded
+// from dW and can hold −0, so a term the contract skips is not ANDed to
+// +0 but never added: the add itself is masked. Other kernel sizes add
 // one tap run at a time (dwWeightRow).
 //
 // Everywhere else — without AVX, and at stride > 1 — the kernels work in
@@ -154,12 +159,15 @@ func dwForwardRow(orow, xp, wk []float32, g convGeom, lo, hi []int, ih0 int) {
 }
 
 func dwConvBackward(dxd, dwd, gd, wd, xd []float32, g convGeom) {
-	var buf [16]int
-	lo, hi := dwTapRuns(g, buf[:])
 	lanes := dwInputGradLanes(dxd, gd, wd, g)
+	if lanes && dwWeightLanes(dwd, gd, xd, g) {
+		return
+	}
 	if !lanes {
 		clear(dxd)
 	}
+	var buf [16]int
+	lo, hi := dwTapRuns(g, buf[:])
 	for plane := 0; plane < g.n*g.c; plane++ {
 		xp := xd[plane*g.h*g.w : (plane+1)*g.h*g.w]
 		dxp := dxd[plane*g.h*g.w : (plane+1)*g.h*g.w]
@@ -170,16 +178,10 @@ func dwConvBackward(dxd, dwd, gd, wd, xd []float32, g convGeom) {
 		for oi := 0; oi < g.oh; oi++ {
 			grow := gp[oi*g.ow : (oi+1)*g.ow]
 			ih0 := oi*g.stride - g.pad
-			switch {
-			case !lanes:
-				dwBackwardRow(grow, xp, dxp, wk, dwk, g, lo, hi, ih0)
-			case g.kh != 3:
+			if lanes {
 				dwWeightRow(grow, xp, dwk, g, lo, hi, ih0)
-			case ih0 >= 0 && ih0+3 <= g.h:
-				x3 := xp[ih0*g.w:]
-				dwWeightRow3(grow, x3[:g.w], x3[g.w:2*g.w], x3[2*g.w:3*g.w], g.pad, (*[9]float32)(dwk))
-			default:
-				dwWeightBorder3(grow, xp, dwk, g, ih0)
+			} else {
+				dwBackwardRow(grow, xp, dxp, wk, dwk, g, lo, hi, ih0)
 			}
 		}
 	}
@@ -229,8 +231,8 @@ func dwBackwardRow(grow, xp, dxp, wk, dwk []float32, g convGeom, lo, hi []int, i
 }
 
 // dwWeightRow adds one gradient row's terms to a stride-1 weight
-// gradient, one tap run at a time, leaving the input gradient to the
-// vector lanes.
+// gradient of a kernel other than 3×3, one tap run at a time, leaving
+// the input gradient to the vector lanes.
 func dwWeightRow(grow, xp, dwk []float32, g convGeom, lo, hi []int, ih0 int) {
 	for ki := 0; ki < g.kh; ki++ {
 		ih := ih0 + ki
@@ -251,64 +253,6 @@ func dwWeightRow(grow, xp, dwk []float32, g convGeom, lo, hi []int, ih0 int) {
 				}
 			}
 			dwk[ki*g.kw+kj] = acc
-		}
-	}
-}
-
-// dwWeightRow3 is dwWeightRow for a 3×3 kernel whose input rows x0, x1
-// and x2 are inside the image: one sweep of the gradient row feeds all
-// nine taps' sums, each its own accumulator in a register, so no tap's
-// add waits on another's. A tap whose input column falls in the padding
-// is skipped, column by column.
-func dwWeightRow3(grow, x0, x1, x2 []float32, pad int, sum *[9]float32) {
-	n := len(x0)
-	x1, x2 = x1[:n], x2[:n]
-	a0, a1, a2 := sum[0], sum[1], sum[2]
-	a3, a4, a5 := sum[3], sum[4], sum[5]
-	a6, a7, a8 := sum[6], sum[7], sum[8]
-	for oj, gv := range grow {
-		if gv == 0 {
-			continue
-		}
-		i := oj - pad
-		if uint(i) < uint(n) {
-			a0 += gv * x0[i]
-			a3 += gv * x1[i]
-			a6 += gv * x2[i]
-		}
-		if i++; uint(i) < uint(n) {
-			a1 += gv * x0[i]
-			a4 += gv * x1[i]
-			a7 += gv * x2[i]
-		}
-		if i++; uint(i) < uint(n) {
-			a2 += gv * x0[i]
-			a5 += gv * x1[i]
-			a8 += gv * x2[i]
-		}
-	}
-	sum[0], sum[1], sum[2] = a0, a1, a2
-	sum[3], sum[4], sum[5] = a3, a4, a5
-	sum[6], sum[7], sum[8] = a6, a7, a8
-}
-
-// dwWeightBorder3 is dwWeightRow3 for a gradient row some of whose
-// kernel rows lie outside the image: such a row reads input row 0
-// instead, into a copy of the sums that is not kept.
-func dwWeightBorder3(grow, xp, dwk []float32, g convGeom, ih0 int) {
-	var x3 [3][]float32
-	var sum [9]float32
-	copy(sum[:], dwk)
-	for ki := range x3 {
-		x3[ki] = xp[:g.w]
-		if ih := ih0 + ki; ih >= 0 && ih < g.h {
-			x3[ki] = xp[ih*g.w : (ih+1)*g.w]
-		}
-	}
-	dwWeightRow3(grow, x3[0], x3[1], x3[2], g.pad, &sum)
-	for ki := range x3 {
-		if ih := ih0 + ki; ih >= 0 && ih < g.h {
-			copy(dwk[3*ki:3*ki+3], sum[3*ki:])
 		}
 	}
 }

@@ -102,6 +102,12 @@ var (
 // block, and past one.
 var dwOracleImages = []struct{ h, w int }{{8, 8}, {16, 16}, {5, 9}, {9, 4}, {3, 5}, {1, 7}, {2, 2}}
 
+// dwOracleChannels are the channel counts the oracle matrix cycles
+// through: a weight-gradient call covers a group of up to dwGroupAVX512
+// (4) or dwGroupAVX (3) channels, and these leave every remainder after
+// whole groups, none at all included, on both tiers.
+var dwOracleChannels = []int{1, 2, 3, 4, 5, 6, 7, 8}
+
 // dwConvCase is one depthwise convolution's operands: seed is what the
 // weight gradient holds before the backward pass adds to it.
 type dwConvCase struct {
@@ -158,13 +164,14 @@ func (d dwConvCase) check() string {
 	return ""
 }
 
-// TestDWConvMatchesScalarOracleBits pins the depthwise kernels — the AVX
-// lanes and the row-run loops — to the loops they replaced, bit for bit:
-// output, input gradient, and a pre-seeded weight gradient, over
-// strides, paddings (including padding that reaches past the kernel, so
-// whole taps and whole output positions see only zeros), kernel sizes,
-// non-square images, kernels wider than the image, and operands holding
-// exact zeros of both signs, NaN and ±Inf.
+// TestDWConvMatchesScalarOracleBits pins the depthwise kernels — the
+// vector lanes of every tier and the row-run loops — to the loops they
+// replaced, bit for bit: output, input gradient, and a pre-seeded weight
+// gradient, over strides, paddings (including padding that reaches past
+// the kernel, so whole taps and whole output positions see only zeros),
+// kernel sizes, non-square images, kernels wider than the image, channel
+// counts that leave every remainder of the weight gradient's channel
+// groups, and operands holding exact zeros of both signs, NaN and ±Inf.
 func TestDWConvMatchesScalarOracleBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	checked := 0
@@ -176,9 +183,10 @@ func TestDWConvMatchesScalarOracleBits(t *testing.T) {
 						continue
 					}
 					for _, special := range []bool{false, true} {
-						d := newDWConvCase(rng, 2, 3, im.h, im.w, k, stride, pad, special)
+						c := dwOracleChannels[checked%len(dwOracleChannels)]
+						d := newDWConvCase(rng, 2, c, im.h, im.w, k, stride, pad, special)
 						if diff := d.check(); diff != "" {
-							t.Errorf("k%d/s%d/p%d/%dx%d/special=%v %s", k, stride, pad, im.h, im.w, special, diff)
+							t.Errorf("k%d/s%d/p%d/%dx%d/c%d/special=%v %s", k, stride, pad, im.h, im.w, c, special, diff)
 						}
 						checked++
 					}
@@ -193,7 +201,7 @@ func TestDWConvMatchesScalarOracleBits(t *testing.T) {
 
 // TestDWConvZeroGradientContributesNothing isolates the skip: with x all
 // NaN and every gradient an exact zero, nothing may reach dx or dW, on
-// either kernel path.
+// any tier.
 func TestDWConvZeroGradientContributesNothing(t *testing.T) {
 	x := Full(nan32, 1, 2, 6, 6)
 	w := Full(posInf, 2, 1, 3, 3)
@@ -221,6 +229,64 @@ func TestDWConvZeroGradientContributesNothing(t *testing.T) {
 	}
 }
 
+// TestDWConvWeightGradKeepsSeedWhereNoTermLands: a weight-gradient tap
+// that no pixel inside the image reaches adds no term at all, so a sum
+// seeded with -0 stays -0 — not -0 + +0, which is +0. Images one row or
+// one column high, padded by 1, leave such taps beside taps that do add
+// (with a 3×3 kernel, kernel rows 0 and 2 of a one-row image); the 2×2
+// and pad-2 images are reached everywhere and check the added bits. The
+// gradients are nonzero and x holds NaN and ±Inf, on five channels (a
+// whole group of four and one more) of two images.
+func TestDWConvWeightGradKeepsSeedWhereNoTermLands(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	defer func(prev kernelTier) { tier = prev }(tier)
+	unreached := 0
+	for _, c := range []struct{ h, w, pad int }{{1, 1, 1}, {1, 3, 1}, {3, 1, 1}, {1, 9, 1}, {2, 2, 1}, {1, 1, 2}, {2, 2, 2}} {
+		x := Rand(rng, -2, 2, 2, 5, c.h, c.w)
+		for i := range x.data {
+			x.data[i] = [...]float32{nan32, posInf, negInf, x.data[i]}[i%4]
+		}
+		w := Rand(rng, -1, 1, 5, 1, 3, 3)
+		g := checkDWConv("test", w, x, 1, c.pad)
+		grad := Rand(rng, 0.5, 1, g.n, g.c, g.oh, g.ow)
+		want := Full(negZero, w.shape...)
+		dwConvBackwardOracle(New(x.shape...).data, want.data, grad.data, w.data, x.data, g)
+		for _, k := range allTiers() {
+			tier = k
+			dw := Full(negZero, w.shape...)
+			DWConvBackwardInto(New(x.shape...), dw, grad, w, x, 1, c.pad)
+			if diff := bitsDiff(dw, want); diff != "" {
+				t.Fatalf("tier=%v %dx%d pad %d: %s", k, c.h, c.w, c.pad, diff)
+			}
+			for i, v := range dw.data {
+				ki, kj := i%9/3, i%3
+				if dwTapReached(ki, g.pad, g.h, g.oh) && dwTapReached(kj, g.pad, g.w, g.ow) {
+					continue
+				}
+				unreached++
+				if math.Float32bits(v) != math.Float32bits(negZero) {
+					t.Fatalf("tier=%v %dx%d pad %d: tap (%d,%d) of channel %d = %v (%#08x), no pixel reaches it, want the -0 it was seeded with",
+						k, c.h, c.w, c.pad, ki, kj, i/9, v, math.Float32bits(v))
+				}
+			}
+		}
+	}
+	if unreached == 0 {
+		t.Fatal("every tap is reached in every case; the test shows nothing")
+	}
+}
+
+// dwTapReached reports whether kernel offset k lands inside an image
+// dimension of n pixels at some of its on stride-1 output positions.
+func dwTapReached(k, pad, n, on int) bool {
+	for o := range on {
+		if i := o - pad + k; i >= 0 && i < n {
+			return true
+		}
+	}
+	return false
+}
+
 // TestDWConvSumStartsFromPositiveZero: every product is -0, and the
 // oracle's sum starts from +0, so every output is +0 — a kernel that
 // seeds the sum with the first product instead would return -0.
@@ -242,29 +308,34 @@ func TestDWConvSumStartsFromPositiveZero(t *testing.T) {
 }
 
 // FuzzDWConv is the depthwise kernels' generative oracle: an input names
-// a geometry — up to 2 images of 3 channels, images up to 20×20, kernel
-// 1, 3, 5 or 7, stride 1–3, padding up to K+2 — and a seed for the
-// values, and forward, input gradient and a pre-seeded weight gradient
-// must equal the oracle loops' bit for bit (bitsDiff: NaN payloads
-// aside) with the AVX lanes on and off. The committed seeds are the
-// oracle matrix's images and the models' 3×3 pad-1 geometry, with and
-// without special values.
+// a geometry — up to 2 images of 1–9 channels, images up to 20×20,
+// kernel 1, 3, 5 or 7, stride 1–3, padding up to K+2 — and a seed for
+// the values, and forward, input gradient and a pre-seeded weight
+// gradient must equal the oracle loops' bit for bit (bitsDiff: NaN
+// payloads aside) on every tier. The committed seeds are the oracle
+// matrix's images on 3 channels and on 1–7, and the models' 3×3 pad-1
+// planes on two images, with and without special values: 16×16 on 8
+// channels (whole groups of four under AVX-512, as conv_inproc's 16
+// are), 8×8 on the cluster workloads' 6, and block 0's 16×16 on 3.
 //
 //	go test -run '^$' -fuzz '^FuzzDWConv$' -fuzztime 20s ./internal/tensor/
 func FuzzDWConv(f *testing.F) {
 	for i, im := range dwOracleImages {
 		f.Add(uint8(1), uint8(2), uint8(im.h-1), uint8(im.w-1), uint8(1), uint8(0), uint8(1), false, int64(i))
-		f.Add(uint8(0), uint8(0), uint8(im.h-1), uint8(im.w-1), uint8(i), uint8(i), uint8(i), i%2 == 0, int64(i))
+		f.Add(uint8(0), uint8(i), uint8(im.h-1), uint8(im.w-1), uint8(i), uint8(i), uint8(i), i%2 == 0, int64(i))
 	}
-	f.Add(uint8(1), uint8(2), uint8(15), uint8(15), uint8(1), uint8(0), uint8(1), true, int64(16))
-	f.Add(uint8(1), uint8(2), uint8(7), uint8(7), uint8(1), uint8(0), uint8(1), true, int64(8))
+	for _, m := range []struct{ c, hw uint8 }{{8, 16}, {6, 8}, {3, 16}} {
+		for _, special := range []bool{false, true} {
+			f.Add(uint8(1), m.c-1, m.hw-1, m.hw-1, uint8(1), uint8(0), uint8(1), special, int64(m.c)*int64(m.hw))
+		}
+	}
 	f.Fuzz(func(t *testing.T, n, c, h, w, k, stride, pad uint8, special bool, seed int64) {
 		kk := 2*int(k%4) + 1
 		hh, ww, s, p := 1+int(h%20), 1+int(w%20), 1+int(stride%3), int(pad)%(kk+3)
 		if ConvOutSize(hh, kk, s, p) <= 0 || ConvOutSize(ww, kk, s, p) <= 0 {
 			t.Skip("empty output")
 		}
-		d := newDWConvCase(rand.New(rand.NewSource(seed)), 1+int(n%2), 1+int(c%3), hh, ww, kk, s, p, special)
+		d := newDWConvCase(rand.New(rand.NewSource(seed)), 1+int(n%2), 1+int(c%9), hh, ww, kk, s, p, special)
 		if diff := d.check(); diff != "" {
 			t.Fatalf("n=%d c=%d %dx%d k%d s%d p%d special=%v seed=%d: %s",
 				d.x.shape[0], d.x.shape[1], hh, ww, kk, s, p, special, seed, diff)
@@ -295,5 +366,36 @@ func TestDWConvShapePanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// BenchmarkDWConvTiers times the depthwise 3×3 pad-1 convolution of the
+// depthwise-separable students, forward and backward (input and weight
+// gradient), on every kernel tier the host has: conv_inproc's [16,16,16,16]
+// and the cluster workloads' [16,6,8,8].
+//
+//	go test -run '^$' -bench DWConvTiers -benchtime 0.2s -count 3 ./internal/tensor/
+func BenchmarkDWConvTiers(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	defer func(prev kernelTier) { tier = prev }(tier)
+	for _, k := range hostTiers(b) {
+		for _, s := range []struct{ n, c, hw int }{{16, 16, 16}, {16, 6, 8}} {
+			x, w := Rand(rng, -1, 1, s.n, s.c, s.hw, s.hw), Rand(rng, -1, 1, s.c, 1, 3, 3)
+			out, grad := New(x.shape...), Rand(rng, -1, 1, x.shape...)
+			dx, dw := New(x.shape...), New(w.shape...)
+			name := fmt.Sprintf("%v/%dx%dx%dx%d", k, s.n, s.c, s.hw, s.hw)
+			b.Run(name+"/fwd", func(b *testing.B) {
+				tier = k
+				for i := 0; i < b.N; i++ {
+					DWConvForwardInto(out, w, x, 1, 1)
+				}
+			})
+			b.Run(name+"/bwd", func(b *testing.B) {
+				tier = k
+				for i := 0; i < b.N; i++ {
+					DWConvBackwardInto(dx, dw, grad, w, x, 1, 1)
+				}
+			})
+		}
 	}
 }

@@ -246,22 +246,36 @@ func TestTranscendReadsStayInsideOperands(t *testing.T) {
 	}
 }
 
-// TestDWConvReadsStayInsideOperands runs the depthwise AVX lanes with x,
-// w, grad, out and dx each ending flush against an unmapped page, and
-// then with x and grad starting right after one instead: a lane reads
-// one float before a row at kj = 0 with pad 1 and past it at the last
-// tap, so a load that is not masked off at the first or last row faults,
-// as does a store past the last row of out or dx. Every width 1–17 puts
-// a row's end at every lane of a block and past one; heights 1–4 and
-// pads 0–2 leave rows whose kernel rows are clipped at the top, the
-// bottom and both. The results must equal the row-run loops' bit for
-// bit.
+// TestDWConvReadsStayInsideOperands runs the depthwise lanes of every
+// vector tier the host has with x, w, grad, out, dx and dW each ending
+// flush against an unmapped page, and then with x, w, grad and dW
+// starting right after one instead: a lane reads one float before a row
+// at kj = 0 with pad 1 and past it at the last tap, so a load that is
+// not masked off at the first or last row faults, as does a store past
+// the last row of out or dx. Every width 1–17 puts a row's end at every
+// lane of a block and past one; heights 1–4 and pads 0–2 leave rows
+// whose kernel rows are clipped at the top, the bottom and both. The
+// weight gradient's channel groups read and write whole sums of nine
+// taps: channels 1–5 start the first group's sums at the page and end
+// the last group's, ragged or whole, at it. The results must equal the
+// row-run loops' bit for bit.
 func TestDWConvReadsStayInsideOperands(t *testing.T) {
-	lanes := tier
-	if lanes == tierGeneric {
+	var tiers []kernelTier
+	for _, k := range hostTiers(t) {
+		if k != tierGeneric {
+			tiers = append(tiers, k)
+		}
+	}
+	if len(tiers) == 0 {
 		t.Skip("no AVX: the row-run loops run, and Go bounds-checks them")
 	}
-	defer func() { tier = lanes }()
+	defer func(prev kernelTier) { tier = prev }(tier)
+	for _, k := range tiers {
+		t.Run(k.String(), func(t *testing.T) { dwConvReadsStayInsideOperands(t, k) })
+	}
+}
+
+func dwConvReadsStayInsideOperands(t *testing.T, lanes kernelTier) {
 	rng := rand.New(rand.NewSource(35))
 	for _, k := range []int{1, 3, 5} {
 		for pad := 0; pad <= 2; pad++ {
@@ -270,37 +284,51 @@ func TestDWConvReadsStayInsideOperands(t *testing.T) {
 					if ConvOutSize(h, k, 1, pad) <= 0 || ConvOutSize(w, k, 1, pad) <= 0 {
 						continue
 					}
-					d := newDWConvCase(rng, 1, 2, h, w, k, 1, pad, false)
-					tier = tierGeneric
-					want := New(d.grad.shape...)
-					DWConvForwardInto(want, d.w, d.x, 1, pad)
-					wantDX, wantDW := New(d.x.shape...), d.seed.Clone()
-					DWConvBackwardInto(wantDX, wantDW, d.grad, d.w, d.x, 1, pad)
-					tier = lanes
-					for _, front := range []bool{false, true} {
-						label := fmt.Sprintf("k%d pad %d %dx%d front=%v", k, pad, h, w, front)
-						x, grad := guardedCopy(t, d.x), guardedCopy(t, d.grad)
-						if front {
-							x, grad = FromSlice(guardedFront(t, len(d.x.data)), d.x.shape...), FromSlice(guardedFront(t, len(d.grad.data)), d.grad.shape...)
-							copy(x.data, d.x.data)
-							copy(grad.data, d.grad.data)
-						}
-						wt := guardedCopy(t, d.w)
-						out := FromSlice(guarded(t, len(want.data)), want.shape...)
-						DWConvForwardInto(out, wt, x, 1, pad)
-						if diff := bitsDiff(out, want); diff != "" {
-							t.Fatalf("%s forward: %s", label, diff)
-						}
-						dx, dw := FromSlice(guarded(t, len(wantDX.data)), wantDX.shape...), guardedCopy(t, d.seed)
-						DWConvBackwardInto(dx, dw, grad, wt, x, 1, pad)
-						if diff := bitsDiff(dx, wantDX); diff != "" {
-							t.Fatalf("%s dx: %s", label, diff)
-						}
-						if diff := bitsDiff(dw, wantDW); diff != "" {
-							t.Fatalf("%s dW: %s", label, diff)
-						}
-					}
+					// One subtest per image, so its pages are unmapped
+					// before the next one maps more.
+					t.Run(fmt.Sprintf("k%d/pad%d/%dx%d", k, pad, h, w), func(t *testing.T) {
+						dwImageReadsStayInsideOperands(t, rng, lanes, k, pad, h, w)
+					})
 				}
+			}
+		}
+	}
+}
+
+func dwImageReadsStayInsideOperands(t *testing.T, rng *rand.Rand, lanes kernelTier, k, pad, h, w int) {
+	// front copies x's values into a tensor of its shape that starts
+	// right after an unmapped page.
+	front := func(x *Tensor) *Tensor {
+		g := FromSlice(guardedFront(t, len(x.data)), x.shape...)
+		copy(g.data, x.data)
+		return g
+	}
+	for c := 1; c <= 5; c++ {
+		d := newDWConvCase(rng, 1, c, h, w, k, 1, pad, false)
+		tier = tierGeneric
+		want := New(d.grad.shape...)
+		DWConvForwardInto(want, d.w, d.x, 1, pad)
+		wantDX, wantDW := New(d.x.shape...), d.seed.Clone()
+		DWConvBackwardInto(wantDX, wantDW, d.grad, d.w, d.x, 1, pad)
+		tier = lanes
+		for _, atFront := range []bool{false, true} {
+			label := fmt.Sprintf("k%d pad %d %dx%d c%d front=%v", k, pad, h, w, c, atFront)
+			x, grad, wt, dw := guardedCopy(t, d.x), guardedCopy(t, d.grad), guardedCopy(t, d.w), guardedCopy(t, d.seed)
+			if atFront {
+				x, grad, wt, dw = front(d.x), front(d.grad), front(d.w), front(d.seed)
+			}
+			out := FromSlice(guarded(t, len(want.data)), want.shape...)
+			DWConvForwardInto(out, wt, x, 1, pad)
+			if diff := bitsDiff(out, want); diff != "" {
+				t.Fatalf("%s forward: %s", label, diff)
+			}
+			dx := FromSlice(guarded(t, len(wantDX.data)), wantDX.shape...)
+			DWConvBackwardInto(dx, dw, grad, wt, x, 1, pad)
+			if diff := bitsDiff(dx, wantDX); diff != "" {
+				t.Fatalf("%s dx: %s", label, diff)
+			}
+			if diff := bitsDiff(dw, wantDW); diff != "" {
+				t.Fatalf("%s dW: %s", label, diff)
 			}
 		}
 	}
