@@ -106,8 +106,8 @@
 // over the pool. The transformer workload
 // passes through every layer above unchanged: serial, parallel, hub,
 // and ring runs are bit-identical, pinned by the transformer
-// equivalence suites in internal/engine and internal/cluster and the
-// cluster-transformer CI job.
+// equivalence suites in internal/engine, FuzzClusterRun's transformer
+// draws in internal/cluster and the cluster-transformer CI job.
 //
 // # Cluster execution
 //
@@ -186,7 +186,15 @@
 // deterministic, seeded fault schedules (connection kills, transient
 // flaps, healing or persistent partitions, latency spikes, delays,
 // truncated frames) to prove all three tiers, both in the test suites
-// and from the CLI (-chaos-kills, -chaos-flaps, -chaos-partition).
+// and from the CLI (-chaos-kills, -chaos-flaps, -chaos-partition). The
+// frame-triggered faults — kills inside or past the restart budget,
+// flaps, truncation, a coordinator crash and its resume — are drawn by
+// one generative check, FuzzClusterRun in internal/cluster: a uint64
+// seed draws the run and its faults, and every draw must end with the
+// in-process engine's losses and weights and exactly the restarts its
+// kills call for (go test -run 'FuzzClusterRun/<corpus file>'
+// ./internal/cluster/ replays a committed seed). The wall-clock faults
+// (heartbeat silence, partition windows) keep hand-written suites.
 //
 // Snapshot traffic is one snapshot per group — the members of a split
 // group are bit-identical replicas, so only rank 0 snapshots and a

@@ -9,7 +9,6 @@ import (
 
 	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/cluster/wire"
-	"pipebd/internal/distill"
 	"pipebd/internal/obs"
 	"pipebd/internal/tensor"
 )
@@ -130,8 +129,9 @@ func TestSubMillisecondRetryBudgetRefused(t *testing.T) {
 // newDriverErr is the error newDriver returns for a two-step hybridPlan
 // run under cfg.
 func newDriverErr(cfg Config) error {
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	cfg.Plan, cfg.LR, cfg.Spec, cfg.Data = hybridPlan(), 0.05, TinySpec(distill.DefaultTinyConfig()), tinyData(2, 8)
+	s := runSpec{plan: hybridPlan(), steps: 2, batch: 8}
+	w, base := s.workbench(), s.config()
+	cfg.Plan, cfg.LR, cfg.Spec, cfg.Data = base.Plan, base.LR, base.Spec, base.Data
 	_, err := NewCoordinator(nil, cfg).newDriver(w, CaptureSnapshot(w), 2, []string{"x"})
 	return err
 }

@@ -9,80 +9,94 @@ import (
 
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
-	"pipebd/internal/distill"
-	"pipebd/internal/engine"
 	"pipebd/internal/tensor"
 )
 
-// peerFrame is one peer frame seen on a tapped connection: a frame of a
-// direct peer link, or the frame a relay envelope carries.
-type peerFrame struct {
-	recv     bool // received by the dialing side (else sent by it)
-	kind     wire.Kind
-	from, to int
-	step     int
-}
-
-// peerTap wraps a Network so a test sees, in order, every peer frame that
-// crosses a connection it dialed. Wrapping the workers' dial network
-// shows the direct links; wrapping the coordinator's shows the relayed
-// edges, each frame twice — received from its source's session, sent to
-// its destination's.
-type peerTap struct {
+// tap wraps a Network so a test sees, in order, every frame crossing a
+// connection it dialed, sent or received by the dialing side. Wrapping
+// the workers' dial network shows the direct peer links; wrapping the
+// coordinator's shows the control links, each relayed peer frame twice —
+// received from its source's session, sent to its destination's.
+type tap struct {
 	transport.Network
 	mu     sync.Mutex
-	frames []peerFrame
+	frames []tapped
 }
 
-func (n *peerTap) Dial(addr string) (transport.Conn, error) {
+type tapped struct {
+	recv bool // received by the dialing side, else sent by it
+	*wire.Frame
+}
+
+// peerFrame is one peer frame the tap saw: a direct link's, or the one a
+// relay envelope carries to the envelope's device (to; -1 when direct).
+type peerFrame struct {
+	recv           bool
+	kind           wire.Kind
+	from, to, step int
+}
+
+func (n *tap) Dial(addr string) (transport.Conn, error) {
 	c, err := n.Network.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &peerTapConn{Conn: c, tap: n}, nil
+	return &tapConn{Conn: c, tap: n}, nil
 }
 
-func (n *peerTap) note(recv bool, f *wire.Frame) {
-	pf := peerFrame{recv: recv, kind: f.Kind, from: int(f.Dev), to: -1, step: int(f.Step)}
-	switch f.Kind {
-	case wire.KindRelay:
-		inner, err := wire.DecodeRelay(f)
-		if err != nil {
-			return
-		}
-		pf.kind, pf.from, pf.to = inner.Kind, int(inner.Dev), int(f.Dev)
-	case wire.KindOutput, wire.KindPeerAck, wire.KindRingSegment:
-	default:
-		return
-	}
+func (n *tap) note(recv bool, f *wire.Frame) {
 	n.mu.Lock()
-	n.frames = append(n.frames, pf)
+	n.frames = append(n.frames, tapped{recv, f})
 	n.mu.Unlock()
 }
 
-func (n *peerTap) count(kind wire.Kind) int {
+// sent lists the frames of kind the dialing side sent.
+func (n *tap) sent(kind wire.Kind) []*wire.Frame {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	c := 0
+	var out []*wire.Frame
 	for _, f := range n.frames {
-		if f.kind == kind {
-			c++
+		if !f.recv && f.Kind == kind {
+			out = append(out, f.Frame)
 		}
 	}
-	return c
+	return out
 }
 
-type peerTapConn struct {
+// peer lists the peer frames the tap saw, in order.
+func (n *tap) peer() []peerFrame {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var out []peerFrame
+	for _, f := range n.frames {
+		pf := peerFrame{recv: f.recv, kind: f.Kind, from: int(f.Dev), to: -1, step: int(f.Step)}
+		switch f.Kind {
+		case wire.KindRelay:
+			inner, err := wire.DecodeRelay(f.Frame)
+			if err != nil {
+				continue
+			}
+			pf.kind, pf.from, pf.to = inner.Kind, int(inner.Dev), int(f.Dev)
+		case wire.KindOutput, wire.KindPeerAck, wire.KindRingSegment:
+		default:
+			continue
+		}
+		out = append(out, pf)
+	}
+	return out
+}
+
+type tapConn struct {
 	transport.Conn
-	tap *peerTap
+	tap *tap
 }
 
-func (c *peerTapConn) Send(f *wire.Frame) error {
+func (c *tapConn) Send(f *wire.Frame) error {
 	c.tap.note(false, f)
 	return c.Conn.Send(f)
 }
 
-func (c *peerTapConn) Recv() (*wire.Frame, error) {
+func (c *tapConn) Recv() (*wire.Frame, error) {
 	f, err := c.Conn.Recv()
 	if err == nil {
 		c.tap.note(true, f)
@@ -97,34 +111,31 @@ func (c *peerTapConn) Recv() (*wire.Frame, error) {
 // ones on the direct links.
 func TestPeerAcksOnlyUnderDPU(t *testing.T) {
 	leakCheck(t)
-	const steps = 5
-	batches := tinyBatches(steps, 6)
-	p := hybridPlan()
 	for _, topology := range []string{"hub", "ring"} {
 		for _, dpu := range []bool{false, true} {
-			ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-			refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: dpu, LR: 0.05, Momentum: 0.9})
-
+			s := runSpec{plan: hybridPlan(), dpu: dpu, steps: 5, batch: 6}
 			inner := transport.NewLoopback()
-			tap := &peerTap{Network: inner}
+			tap := &tap{Network: inner}
 			coordNet, dial := transport.Network(inner), transport.Network(tap)
 			if topology == "hub" {
 				coordNet, dial = tap, inner
 			}
 			addrs := startWorkers(t, inner, 3, WorkerConfig{Sessions: 1, Dial: dial})
-			w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-			res, err := Run(coordNet, addrs, w, batches, Config{Plan: p, DPU: dpu,
-				LR: 0.05, Momentum: 0.9, Topology: topology,
-				Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 6)})
+			cfg := s.config()
+			cfg.Topology = topology
+			res, w, err := s.run(coordNet, addrs, cfg)
 			if err != nil {
 				t.Fatalf("%s dpu=%v: %v", topology, dpu, err)
 			}
-			lossesBitIdentical(t, topology, res, refRes)
-			weightsBitIdentical(t, topology, w, ref)
-			if tap.count(wire.KindOutput) == 0 {
+			s.check(t, res, w)
+			count := map[wire.Kind]int{}
+			for _, f := range tap.peer() {
+				count[f.kind]++
+			}
+			if count[wire.KindOutput] == 0 {
 				t.Fatalf("%s dpu=%v: the tap saw no activation, so it counts nothing", topology, dpu)
 			}
-			acks := tap.count(wire.KindPeerAck)
+			acks := count[wire.KindPeerAck]
 			if !dpu && acks != 0 {
 				t.Fatalf("%s run without DPU sent %d peer acks, want none", topology, acks)
 			}
@@ -143,30 +154,22 @@ func TestPeerAcksOnlyUnderDPU(t *testing.T) {
 func TestHubRelayedAcksBoundTheWindow(t *testing.T) {
 	leakCheck(t)
 	const steps = 8
-	batches := tinyBatches(steps, 6)
-	p := plan("tr-2dev", g([]int{0}, []int{0, 1}), g([]int{1}, []int{2, 3}))
-	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
-
+	s := runSpec{plan: trPlan(), dpu: true, steps: steps, batch: 6}
 	inner := transport.NewLoopback()
-	fast := startWorkers(t, inner, 1, WorkerConfig{Sessions: 1})
-	slow := startWorkers(t, inner, 1, WorkerConfig{Sessions: 1, Backend: tensor.NewThrottled(tensor.Default(), 8)})
-	tap := &peerTap{Network: inner}
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	res, err := Run(tap, append(fast, slow...), w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Topology: "hub",
-		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 6)})
+	addrs := startWorkersMixed(t, inner, []WorkerConfig{{Sessions: 1},
+		{Sessions: 1, Backend: tensor.NewThrottled(tensor.Default(), 8)}})
+	tap := &tap{Network: inner}
+	cfg := s.config()
+	cfg.Topology = "hub"
+	res, w, err := s.run(tap, addrs, cfg)
 	if err != nil {
 		t.Fatalf("hub run with a slow consumer: %v", err)
 	}
-	lossesBitIdentical(t, "slow consumer", res, refRes)
-	weightsBitIdentical(t, "slow consumer", w, ref)
+	s.check(t, res, w)
 
-	tap.mu.Lock()
-	defer tap.mu.Unlock()
 	acked := -1
 	outputs := 0
-	for _, f := range tap.frames {
+	for _, f := range tap.peer() {
 		if !f.recv {
 			continue
 		}
@@ -233,8 +236,7 @@ func (c *forgeConn) Recv() (*wire.Frame, error) {
 // a protocol error naming the edge.
 func TestRelayRefusesForgedEdges(t *testing.T) {
 	leakCheck(t)
-	const steps = 4
-	batches := tinyBatches(steps, 6)
+	s := runSpec{plan: hybridPlan(), dpu: true, steps: 4, batch: 6}
 	cases := []struct {
 		name, topology string
 		forge          func(f *wire.Frame) []*wire.Frame
@@ -267,11 +269,9 @@ func TestRelayRefusesForgedEdges(t *testing.T) {
 			inner := transport.NewLoopback()
 			addrs := startWorkers(t, inner, 3, WorkerConfig{Sessions: 1, Rejoin: true, Dial: inner})
 			net := &forgeNet{Network: inner, forge: tc.forge}
-			_, err := Run(net, addrs, distill.NewTinyWorkbench(distill.DefaultTinyConfig()), batches, Config{
-				Plan: hybridPlan(), DPU: true, LR: 0.05, Momentum: 0.9, Topology: tc.topology,
-				Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, 6),
-				MaxRestarts: 2, JoinTimeout: 5 * time.Second,
-			})
+			cfg := s.config()
+			cfg.Topology, cfg.MaxRestarts, cfg.JoinTimeout = tc.topology, 2, 5*time.Second
+			_, _, err := s.run(net, addrs, cfg)
 			if !net.fired.Load() {
 				t.Fatal("the forged envelope was never sent")
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,8 +11,6 @@ import (
 	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
-	"pipebd/internal/distill"
-	"pipebd/internal/engine"
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
 	"pipebd/internal/tensor"
@@ -25,39 +22,6 @@ import (
 // it.
 func lopsidedPlan() sched.Plan {
 	return plan("lopsided", g([]int{0}, []int{0, 1}), g([]int{1}, []int{2}), g([]int{2}, []int{3}))
-}
-
-// startWorkersMixed is startWorkers with one config per worker, for
-// heterogeneous clusters (e.g. one throttled straggler among fast
-// siblings).
-func startWorkersMixed(t *testing.T, net transport.Network, cfgs []WorkerConfig) []string {
-	t.Helper()
-	addrs := make([]string, len(cfgs))
-	workers := make([]*Worker, len(cfgs))
-	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
-		lis, err := net.Listen(listenAddr(net))
-		if err != nil {
-			t.Fatalf("worker %d listen: %v", i, err)
-		}
-		w := NewWorker(lis, cfg)
-		addrs[i] = w.Addr()
-		workers[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Serve(); err != nil {
-				t.Errorf("worker serve: %v", err)
-			}
-		}()
-	}
-	t.Cleanup(func() {
-		for _, w := range workers {
-			w.Close()
-		}
-		wg.Wait()
-	})
-	return addrs
 }
 
 // costed is the repartition suites' compute straggler: it passes every
@@ -181,29 +145,17 @@ func TestRepartitionShedsStraggler(t *testing.T) {
 		{"hybrid-hub", "hub", hybrid, []int64{1, 1, 4, 1}, shedHybrid},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			const steps, batch = 12, 4
-			batches := tinyBatches(steps, batch)
-			ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-			refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: c.plan, DPU: true, LR: 0.05, Momentum: 0.9})
-
+			s := runSpec{plan: c.plan, dpu: true, steps: 12, batch: 4}
 			net := transport.NewLoopback()
 			addrs := startWorkersMixed(t, net, costedWorkers(net, c.rates...))
 			counters := obs.NewMetrics()
 			logf, logs := captureLog()
-			w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-			res, err := Run(net, addrs, w, batches, Config{
-				Plan: c.plan, DPU: true, LR: 0.05, Momentum: 0.9,
-				Topology: c.topo, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, batch),
-				Repartition: true,
-				Metrics:     counters, Logf: logf,
-				JoinTimeout: 10 * time.Second,
-			})
+			res, w, err := s.run(net, addrs, repartitionConfig(s, c.topo, counters, logf))
 			if err != nil {
 				t.Fatalf("%s straggler run: %v\nlog:\n%s", c.name, err, logs())
 			}
 			wantRepartitions(t, counters, logs, c.want)
-			lossesBitIdentical(t, c.name+" straggler repartition", res, refRes)
-			weightsBitIdentical(t, c.name+" straggler repartition", w, ref)
+			s.check(t, res, w)
 		})
 	}
 }
@@ -219,6 +171,13 @@ const (
 	shedLopsided = "to dev0: B0 | dev1: B1 | dev2: B2-B3 (measured bottleneck 672.984µs, predicted 448.656µs, 33% better)"
 	shedHybrid   = "to dev0-1: B0 (2-way DP) | dev2: B1 | dev3: B2-B3 (measured bottleneck 897.312µs, predicted 560.82µs, 38% better)"
 )
+
+// repartitionConfig is s's Config with the repartitioner armed.
+func repartitionConfig(s runSpec, topology string, counters *obs.Metrics, logf func(string, ...any)) Config {
+	cfg := s.config()
+	cfg.Topology, cfg.Repartition, cfg.Metrics, cfg.Logf = topology, true, counters, logf
+	return cfg
+}
 
 // wantRepartitions asserts that the run repartitioned once per decision
 // in want, each the log's text from the target plan through the predicted
@@ -241,30 +200,17 @@ func wantRepartitions(t *testing.T, counters *obs.Metrics, logs func() string, w
 // and the run stays bit-identical.
 func TestRepartitionHybridPlanStaysPut(t *testing.T) {
 	leakCheck(t)
-	const steps, batch = 8, 4
-	batches := tinyBatches(steps, batch)
-	p := hybridPlan()
-	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
-
+	s := runSpec{plan: hybridPlan(), dpu: true, steps: 8, batch: 4}
 	net := transport.NewLoopback()
 	addrs := startWorkersMixed(t, net, costedWorkers(net, 4, 1, 1))
 	counters := obs.NewMetrics()
 	logf, logs := captureLog()
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	res, err := Run(net, addrs, w, batches, Config{
-		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, batch),
-		Repartition: true,
-		Metrics:     counters, Logf: logf,
-		JoinTimeout: 10 * time.Second,
-	})
+	res, w, err := s.run(net, addrs, repartitionConfig(s, "ring", counters, logf))
 	if err != nil {
 		t.Fatalf("hybrid run: %v", err)
 	}
 	wantRepartitions(t, counters, logs)
-	lossesBitIdentical(t, "hybrid under repartitioner", res, refRes)
-	weightsBitIdentical(t, "hybrid under repartitioner", w, ref)
+	s.check(t, res, w)
 }
 
 // TestRepartitionPersistentPeerDelayBitIdentical pins down the boundary
@@ -276,37 +222,26 @@ func TestRepartitionHybridPlanStaysPut(t *testing.T) {
 // the machinery armed.
 func TestRepartitionPersistentPeerDelayBitIdentical(t *testing.T) {
 	leakCheck(t)
-	const steps, batch = 6, 4
-	batches := tinyBatches(steps, batch)
-	p := lopsidedPlan()
-	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
-
+	s := runSpec{plan: lopsidedPlan(), dpu: true, steps: 6, batch: 4}
 	inner := transport.NewLoopback()
-	// Every peer activation send on every worker-to-worker link stalls:
-	// a persistently slow interconnect rather than a slow device.
+	// Every peer activation on every worker-to-worker link stalls: a
+	// persistently slow interconnect rather than a slow device. A link's
+	// dialer is its downstream end, which receives the activations.
 	delay := transport.NewChaos(inner, transport.Fault{
-		Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpSend,
+		Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpRecv,
 			Kind: wire.KindOutput, Step: transport.AnyStep, Count: 1},
 		Action: transport.ActDelay, Delay: 3 * time.Millisecond, Repeat: true,
 	})
 	addrs := startWorkersMixed(t, inner, costedWorkers(delay, 1, 1, 1))
 	counters := obs.NewMetrics()
 	logf, logs := captureLog()
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	res, err := Run(inner, addrs, w, batches, Config{
-		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, batch),
-		Repartition: true,
-		Metrics:     counters, Logf: logf,
-		JoinTimeout: 10 * time.Second,
-	})
+	res, w, err := s.run(inner, addrs, repartitionConfig(s, "ring", counters, logf))
 	if err != nil {
 		t.Fatalf("peer-delay run: %v", err)
 	}
+	allFired(t, delay)
 	wantRepartitions(t, counters, logs)
-	lossesBitIdentical(t, "peer delay under repartitioner", res, refRes)
-	weightsBitIdentical(t, "peer delay under repartitioner", w, ref)
+	s.check(t, res, w)
 }
 
 // crashAfterRepartition is the coordinator network of the kill-and-resume
@@ -338,6 +273,30 @@ func (n *crashAfterRepartition) Dial(addr string) (transport.Conn, error) {
 	return n.Network.Dial(addr)
 }
 
+// crashAfterRepartitionRun is the crashed run both kill-and-resume tests
+// resume: a durable ring run of the lopsided plan sheds its straggler's
+// block and then loses its coordinator, failing with the injected fault.
+// It returns the run's spec, network, ledger directory and log.
+func crashAfterRepartitionRun(t *testing.T) (runSpec, transport.Network, string, func() string) {
+	t.Helper()
+	s := runSpec{plan: lopsidedPlan(), dpu: true, steps: 12, batch: 4}
+	inner := transport.NewLoopback()
+	addrs := startWorkersMixed(t, inner, costedWorkers(inner, 4, 1, 1))
+	dir := filepath.Join(t.TempDir(), "ledger")
+	counters := obs.NewMetrics()
+	logf, logs := captureLog()
+	cfg := repartitionConfig(s, "ring", counters, logf)
+	cfg.LedgerDir = dir
+	crash := newCrashAfterRepartition(inner, counters)
+	_, _, err := s.run(crash, addrs, cfg)
+	wantRepartitions(t, counters, logs, shedLopsided)
+	if !errors.Is(err, transport.ErrChaos) {
+		t.Fatalf("the rigged run got %v, want the injected coordinator crash\nlog:\n%s", err, logs())
+	}
+	allFired(t, crash.chaos)
+	return s, inner, dir, logs
+}
+
 // TestRepartitionCoordinatorKillResume crosses the two recovery planes:
 // a durable ring run repartitions away from a straggler mid-run, then
 // the coordinator is killed under the new placement, and ResumeRun must restore
@@ -346,33 +305,7 @@ func (n *crashAfterRepartition) Dial(addr string) (transport.Conn, error) {
 // re-plan, and finishing bit-identically under the new placement.
 func TestRepartitionCoordinatorKillResume(t *testing.T) {
 	leakCheck(t)
-	const steps, batch = 12, 4
-	batches := tinyBatches(steps, batch)
-	p := lopsidedPlan()
-	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
-
-	inner := transport.NewLoopback()
-	addrs := startWorkersMixed(t, inner, costedWorkers(inner, 4, 1, 1))
-	dir := filepath.Join(t.TempDir(), "ledger")
-	counters := obs.NewMetrics()
-	logf, logs := captureLog()
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	_, err := Run(newCrashAfterRepartition(inner, counters), addrs, w, batches, Config{
-		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, batch),
-		Repartition: true,
-		LedgerDir:   dir,
-		Metrics:     counters, Logf: logf,
-		JoinTimeout: 10 * time.Second,
-	})
-	wantRepartitions(t, counters, logs, shedLopsided)
-	if err == nil {
-		t.Fatal("rigged run finished despite the injected coordinator crash")
-	}
-	if !errors.Is(err, transport.ErrChaos) {
-		t.Fatalf("crash should surface the injected fault: %v\nlog:\n%s", err, logs())
-	}
+	s, inner, dir, logs := crashAfterRepartitionRun(t)
 	// The crashed run must have recorded the cut: the ledger now spans
 	// two plan generations.
 	led, _, rep, err := ledger.Open(dir)
@@ -398,8 +331,7 @@ func TestRepartitionCoordinatorKillResume(t *testing.T) {
 	if !strings.Contains(rlogs(), "plan generation(s)") {
 		t.Fatalf("resume log missing the generation restore line:\n%s", rlogs())
 	}
-	lossesBitIdentical(t, "resume across repartition", res, refRes)
-	weightsBitIdentical(t, "resume across repartition", w2, ref)
+	s.check(t, res, w2)
 }
 
 // TestRepartitionCompactedLedgerResume extends the compaction acceptance
@@ -410,30 +342,7 @@ func TestRepartitionCoordinatorKillResume(t *testing.T) {
 // bit-identically to the fault-free in-process pipeline.
 func TestRepartitionCompactedLedgerResume(t *testing.T) {
 	leakCheck(t)
-	const steps, batch = 12, 4
-	batches := tinyBatches(steps, batch)
-	p := lopsidedPlan()
-	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
-
-	inner := transport.NewLoopback()
-	addrs := startWorkersMixed(t, inner, costedWorkers(inner, 4, 1, 1))
-	dir := filepath.Join(t.TempDir(), "ledger")
-	counters := obs.NewMetrics()
-	logf, logs := captureLog()
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	_, err := Run(newCrashAfterRepartition(inner, counters), addrs, w, batches, Config{
-		Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-		Topology: "ring", Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(steps, batch),
-		Repartition: true,
-		LedgerDir:   dir,
-		Metrics:     counters, Logf: logf,
-		JoinTimeout: 10 * time.Second,
-	})
-	wantRepartitions(t, counters, logs, shedLopsided)
-	if err == nil {
-		t.Fatal("rigged run finished despite the injected coordinator crash")
-	}
+	s, inner, dir, _ := crashAfterRepartitionRun(t)
 
 	if err := ledger.Compact(dir); err != nil {
 		t.Fatalf("compacting repartitioned ledger: %v", err)
@@ -461,6 +370,5 @@ func TestRepartitionCompactedLedgerResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume from compacted repartitioned ledger failed: %v", err)
 	}
-	lossesBitIdentical(t, "compacted resume across repartition", res, refRes)
-	weightsBitIdentical(t, "compacted resume across repartition", w2, ref)
+	s.check(t, res, w2)
 }

@@ -9,7 +9,6 @@ import (
 	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
-	"pipebd/internal/distill"
 	"pipebd/internal/sched"
 )
 
@@ -19,14 +18,14 @@ import (
 func expectTestLedger(t *testing.T, steps int) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ledger")
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	s := runSpec{plan: hybridPlan(), steps: steps, batch: 6}
 	led, err := ledger.Create(dir, &ledger.Manifest{
 		Assign: wire.Assign{
-			Plan: hybridPlan(),
-			Spec: TinySpec(distill.DefaultTinyConfig()),
+			Plan: s.plan,
+			Spec: s.modelSpec(),
 			Run: wire.RunConfig{LR: 0.05, Momentum: 0.9, Steps: steps,
-				Topology: "ring", Snap: wire.SnapshotPolicy{Interval: 1}, Data: tinyData(steps, 6)},
-			Snapshot: CaptureSnapshot(w),
+				Topology: "ring", Snap: wire.SnapshotPolicy{Interval: 1}, Data: s.data()},
+			Snapshot: CaptureSnapshot(s.workbench()),
 		},
 		Addrs: []string{"127.0.0.1:1"},
 	})
@@ -85,19 +84,21 @@ func TestResumeExpectationMismatches(t *testing.T) {
 // the run's only copy of its batches — cannot feed its steps, is corrupt
 // provenance, not an operational mismatch: resume refuses it up front.
 func TestResumeRejectsInconsistentManifest(t *testing.T) {
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	s := runSpec{plan: hybridPlan(), steps: 3, batch: 6}
 	bad := hybridPlan()
 	bad.Groups[1].Blocks = []int{2} // plan now covers 3 of the snapshot's 4 blocks
-	noClasses := tinyData(3, 6)
+	noClasses := s.data()
 	noClasses.Classes = 0
+	short := s.data()
+	short.N = 2 * s.batch
 	cases := []struct {
 		name string
 		plan sched.Plan
 		data wire.DataSpec
 		want string
 	}{
-		{"plan", bad, tinyData(3, 6), "does not fit its own seed snapshot"},
-		{"short recipe", hybridPlan(), tinyData(2, 6), "recipe yields 2 batches for 3 steps"},
+		{"plan", bad, s.data(), "does not fit its own seed snapshot"},
+		{"short recipe", hybridPlan(), short, "recipe yields 2 batches for 3 steps"},
 		{"malformed recipe", hybridPlan(), noClasses, "manifest data recipe"},
 	}
 	for _, tc := range cases {
@@ -106,9 +107,9 @@ func TestResumeRejectsInconsistentManifest(t *testing.T) {
 			led, err := ledger.Create(dir, &ledger.Manifest{
 				Assign: wire.Assign{
 					Plan:     tc.plan,
-					Spec:     TinySpec(distill.DefaultTinyConfig()),
+					Spec:     s.modelSpec(),
 					Run:      wire.RunConfig{LR: 0.05, Momentum: 0.9, Steps: 3, Topology: "ring", Data: tc.data},
-					Snapshot: CaptureSnapshot(w),
+					Snapshot: CaptureSnapshot(s.workbench()),
 				},
 				Addrs: []string{"127.0.0.1:1"},
 			})

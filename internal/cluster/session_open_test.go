@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,91 +11,9 @@ import (
 	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
-	"pipebd/internal/distill"
-	"pipebd/internal/engine"
 	"pipebd/internal/obs"
 	"pipebd/internal/tensor"
 )
-
-// sendTap wraps a Network so a test sees every frame its dialing side —
-// the coordinator — sends.
-type sendTap struct {
-	transport.Network
-	mu     sync.Mutex
-	frames []*wire.Frame
-}
-
-func (n *sendTap) Dial(addr string) (transport.Conn, error) {
-	c, err := n.Network.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &tapConn{Conn: c, tap: n}, nil
-}
-
-type tapConn struct {
-	transport.Conn
-	tap *sendTap
-}
-
-func (c *tapConn) Send(f *wire.Frame) error {
-	c.tap.mu.Lock()
-	c.tap.frames = append(c.tap.frames, f)
-	c.tap.mu.Unlock()
-	return c.Conn.Send(f)
-}
-
-// activationTraffic splits the activations the coordinator forwarded —
-// KindOutput frames inside relay envelopes — by destination: frames and
-// bytes addressed to devices of the plan's first group, and frames to any
-// later group.
-func (n *sendTap) activationTraffic(t *testing.T, group0 []int) (g0Frames, g0Bytes, laterFrames int) {
-	t.Helper()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, f := range n.frames {
-		if f.Kind != wire.KindRelay {
-			continue
-		}
-		inner, err := wire.DecodeRelay(f)
-		if err != nil {
-			t.Fatalf("tapped relay envelope does not decode: %v", err)
-		}
-		if inner.Kind != wire.KindOutput {
-			continue
-		}
-		first := false
-		for _, d := range group0 {
-			first = first || int(f.Dev) == d
-		}
-		if first {
-			g0Frames++
-			g0Bytes += 16 + len(f.Payload)
-		} else {
-			laterFrames++
-		}
-	}
-	return g0Frames, g0Bytes, laterFrames
-}
-
-// assigns returns the decoded session-open frames the coordinator sent.
-func (n *sendTap) assigns(t *testing.T) []*wire.Assign {
-	t.Helper()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var out []*wire.Assign
-	for _, f := range n.frames {
-		if f.Kind != wire.KindAssign {
-			continue
-		}
-		a, err := wire.DecodeAssign(f)
-		if err != nil {
-			t.Fatalf("tapped assign does not decode: %v", err)
-		}
-		out = append(out, a)
-	}
-	return out
-}
 
 // TestHubInputRecipeReadLocally: a hub run moves no batch over any
 // connection — group-0 devices regenerate the schedule from Config.Data,
@@ -104,42 +23,46 @@ func (n *sendTap) assigns(t *testing.T) []*wire.Assign {
 // reproduce the run's batches is rejected under hub exactly as under ring.
 func TestHubInputRecipeReadLocally(t *testing.T) {
 	leakCheck(t)
-	const steps, batch = 5, 8
-	batches := tinyBatches(steps, batch)
-	tiny := distill.DefaultTinyConfig()
-	recipe := tinyData(steps, batch)
-	p := hybridPlan()
-	ref := distill.NewTinyWorkbench(tiny)
-	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
-
+	const steps = 5
+	s := runSpec{plan: hybridPlan(), dpu: true, steps: steps, batch: 8}
+	p, recipe := s.plan, s.data()
 	inner := transport.NewLoopback()
 	addrs := startWorkers(t, inner, 2, WorkerConfig{Sessions: 1})
-	tap := &sendTap{Network: inner}
-	w := distill.NewTinyWorkbench(tiny)
-	res, err := Run(tap, addrs, w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Topology: "hub", Data: recipe, Spec: TinySpec(tiny)})
+	tap := &tap{Network: inner}
+	cfg := s.config()
+	cfg.Topology = "hub"
+	res, w, err := s.run(tap, addrs, cfg)
 	if err != nil {
 		t.Fatalf("hub data-recipe run: %v", err)
 	}
-	lossesBitIdentical(t, "hub data recipe", res, refRes)
-	weightsBitIdentical(t, "hub data recipe", w, ref)
+	s.check(t, res, w)
 
-	g0Frames, g0Bytes, later := tap.activationTraffic(t, p.Groups[0].Devices)
-	if g0Frames != 0 {
-		t.Fatalf("coordinator fed group 0 %d activation frames (%d bytes) despite the recipe", g0Frames, g0Bytes)
+	g0, later := 0, 0
+	for _, f := range tap.peer() {
+		if !f.recv && f.kind == wire.KindOutput && slices.Contains(p.Groups[0].Devices, f.to) {
+			g0++
+		} else if !f.recv && f.kind == wire.KindOutput {
+			later++
+		}
+	}
+	if g0 != 0 {
+		t.Fatalf("coordinator fed group 0 %d activation frames despite the recipe", g0)
 	}
 	if want := steps * p.Groups[0].Split(); later != want {
 		t.Fatalf("hub relayed %d activations to the later group, want one per upstream member and step (%d)", later, want)
 	}
-	if assigns := tap.assigns(t); len(assigns) != 2 || assigns[0].Run.Data != recipe {
-		t.Fatalf("tapped %d assigns, want 2 naming the run's recipe", len(assigns))
+	assigns := tap.sent(wire.KindAssign)
+	if len(assigns) != 2 {
+		t.Fatalf("tapped %d assigns, want 2", len(assigns))
+	}
+	for _, f := range assigns {
+		if a, err := wire.DecodeAssign(f); err != nil || a.Run.Data != recipe {
+			t.Fatalf("tapped assign (%v) does not name the run's recipe", err)
+		}
 	}
 
-	bad := recipe
-	bad.Seed = 8
-	_, err = Run(transport.NewLoopback(), []string{"unused"}, distill.NewTinyWorkbench(tiny), batches,
-		Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9,
-			Topology: "hub", Data: bad, Spec: TinySpec(tiny)})
+	cfg.Data.Seed = 8
+	_, _, err = s.run(transport.NewLoopback(), []string{"unused"}, cfg)
 	if err == nil || !strings.Contains(err.Error(), "Config.Data") {
 		t.Fatalf("bad recipe under hub: got %v, want the Config.Data validation error", err)
 	}
@@ -162,8 +85,10 @@ func (n *dialCounter) Dial(addr string) (transport.Conn, error) {
 func TestRunRequiresDataRecipe(t *testing.T) {
 	net := &dialCounter{Network: transport.NewLoopback()}
 	addrs := startWorkers(t, net.Network, 2, WorkerConfig{Sessions: 1})
-	_, err := Run(net, addrs, distill.NewTinyWorkbench(distill.DefaultTinyConfig()), tinyBatches(2, 8),
-		Config{Plan: hybridPlan(), DPU: true, LR: 0.05, Spec: TinySpec(distill.DefaultTinyConfig())})
+	s := runSpec{plan: hybridPlan(), dpu: true, steps: 2, batch: 8}
+	cfg := s.config()
+	cfg.Data = wire.DataSpec{}
+	_, _, err := s.run(net, addrs, cfg)
 	if err == nil || !strings.Contains(err.Error(), "Config.Data is required") {
 		t.Fatalf("run without a recipe: got %v, want an error naming Config.Data", err)
 	}
@@ -189,16 +114,19 @@ func TestHubInputShortScheduleRefused(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- worker.Serve() }()
 
-	tiny := distill.DefaultTinyConfig()
-	malformed := tinyData(3, 8)
+	s := runSpec{plan: trPlan(), dpu: true, steps: 3, batch: 8}
+	malformed := s.data()
 	malformed.Classes = 0
-	for _, tc := range []struct {
+	short := s.data()
+	short.N = s.batch // one batch for three steps
+	cases := []struct {
 		data wire.DataSpec
 		want string
 	}{
-		{tinyData(1, 8), "recipe yields 1 batches for 3 steps"}, // one batch for three steps
+		{short, "recipe yields 1 batches for 3 steps"},
 		{malformed, "assign data recipe: wire: data recipe batch 8 and classes 0 must be positive"},
-	} {
+	}
+	for _, tc := range cases {
 		conn, err := net.Dial(worker.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -207,10 +135,10 @@ func TestHubInputShortScheduleRefused(t *testing.T) {
 			t.Fatalf("handshake: %v, %v", hello, err)
 		}
 		refused := &wire.Assign{
-			Plan:    plan("tr-2dev", g([]int{0}, []int{0, 1}), g([]int{1}, []int{2, 3})),
-			Spec:    TinySpec(tiny),
+			Plan:    s.plan,
+			Spec:    s.modelSpec(),
 			Run:     wire.RunConfig{DPU: true, LR: 0.05, Steps: 3, Topology: "hub", Data: tc.data},
-			Devices: []int{0, 1}, Snapshot: CaptureSnapshot(distill.NewTinyWorkbench(tiny)),
+			Devices: []int{0, 1}, Snapshot: CaptureSnapshot(s.workbench()),
 		}
 		if err := conn.Send(wire.EncodeAssign(refused)); err != nil {
 			t.Fatal(err)
@@ -220,14 +148,18 @@ func TestHubInputShortScheduleRefused(t *testing.T) {
 			t.Fatalf("refused session sent %v", f.Kind)
 		}
 		conn.Close()
+	}
+	// Sessions: 2 without Rejoin: the refused sessions spend the budget,
+	// so Serve returns once both refusals are logged. (The worker may
+	// close a refused connection before it logs why, so the log is read
+	// only then.)
+	if err := <-served; err != nil {
+		t.Fatalf("worker serve: %v", err)
+	}
+	for _, tc := range cases {
 		if !strings.Contains(logs(), tc.want) {
 			t.Fatalf("recipe %+v was not refused at session start; log:\n%s", tc.data, logs())
 		}
-	}
-	// Sessions: 2 without Rejoin: the refused sessions spend the budget,
-	// so Serve returns once both refusals are logged.
-	if err := <-served; err != nil {
-		t.Fatalf("worker serve: %v", err)
 	}
 	if n := metrics.Counter("device_steps").Load(); n != 0 {
 		t.Fatalf("refused sessions still ran %d device steps", n)
@@ -264,18 +196,12 @@ func TestProbeSpendsNoSessionSlot(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	batches := tinyBatches(3, 8)
-	p := plan("one-dev", g([]int{0}, []int{0, 1, 2, 3}))
-	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	res, err := Run(net, []string{worker.Addr()}, w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8)})
+	s := runSpec{plan: plan("one-dev", g([]int{0}, []int{0, 1, 2, 3})), dpu: true, steps: 3, batch: 8}
+	res, w, err := s.run(net, []string{worker.Addr()}, s.config())
 	if err != nil {
 		t.Fatalf("session after the probe: %v", err)
 	}
-	lossesBitIdentical(t, "after probe", res, refRes)
-	weightsBitIdentical(t, "after probe", w, ref)
+	s.check(t, res, w)
 	select {
 	case err := <-served:
 		if err != nil {
@@ -347,13 +273,8 @@ func TestPlacementFreshRunWaitsForOwnWorker(t *testing.T) {
 		serve("worker-a", metricsA)
 	}()
 
-	batches := tinyBatches(3, 8)
-	p := plan("tr-2dev", g([]int{0}, []int{0, 1}), g([]int{1}, []int{2, 3}))
-	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	res, err := Run(net, []string{"worker-a", "worker-b"}, w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8)})
+	s := runSpec{plan: trPlan(), dpu: true, steps: 3, batch: 8}
+	res, w, err := s.run(net, []string{"worker-a", "worker-b"}, s.config())
 	<-started
 	// Close before waiting: a worker the placement skipped would otherwise
 	// wait on its session budget and hang the test instead of failing it.
@@ -366,8 +287,7 @@ func TestPlacementFreshRunWaitsForOwnWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run with a late worker: %v", err)
 	}
-	lossesBitIdentical(t, "late worker", res, refRes)
-	weightsBitIdentical(t, "late worker", w, ref)
+	s.check(t, res, w)
 	if a, b := metricsA.Counter("sessions_started").Load(), metricsB.Counter("sessions_started").Load(); a != 1 || b != 1 {
 		t.Fatalf("sessions started: worker A %d, worker B %d — want 1 and 1 (a slot landed on another slot's worker)", a, b)
 	}
@@ -377,9 +297,11 @@ func TestPlacementFreshRunWaitsForOwnWorker(t *testing.T) {
 // places it on one session, "x", hosting every device of hybridPlan.
 func placedCore(t *testing.T, cfg Config, steps int) (*driver, *attemptCore, wire.Snapshot) {
 	t.Helper()
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+	s := runSpec{plan: hybridPlan(), steps: steps, batch: 8}
+	w := s.workbench()
 	seed := CaptureSnapshot(w)
-	cfg.Plan, cfg.LR, cfg.Spec, cfg.Data = hybridPlan(), 0.05, TinySpec(distill.DefaultTinyConfig()), tinyData(steps, 8)
+	base := s.config()
+	cfg.Plan, cfg.LR, cfg.Spec, cfg.Data = base.Plan, base.LR, base.Spec, base.Data
 	d, err := NewCoordinator(transport.NewLoopback(), cfg).newDriver(w, seed, steps, []string{"x"})
 	if err != nil {
 		t.Fatal(err)

@@ -11,9 +11,9 @@
 // pipeline uses, behind a transport-backed engine.DeviceLink, and all
 // floats cross the wire bit-exactly — so a cluster run reproduces
 // engine.RunPipelined's training trajectory bit-for-bit, on loopback and
-// TCP alike. The equivalence suite pins this, extending the paper's "no
-// modification to the mathematical formulation" claim across process
-// boundaries.
+// TCP alike. FuzzClusterRun pins this (see below), extending the
+// paper's "no modification to the mathematical formulation" claim across
+// process boundaries.
 //
 // # One way into a session
 //
@@ -114,9 +114,12 @@
 // state and the batches. A fresh attempt therefore never sees a
 // frame twice, and a duplicate is a protocol error. The result: a run that
 // loses workers produces losses and trained weights bit-identical to a
-// fault-free run — pinned by the recovery suites under a deterministic
-// transport.Chaos fault schedule on loopback and TCP, hub and ring, with
-// and without DPU.
+// fault-free run — pinned by FuzzClusterRun, whose seeds draw the run
+// (model, plan, DPU, hub or ring, loopback or TCP, workers, snapshot
+// policy, durability) and a deterministic, frame-triggered
+// transport.Chaos schedule of kills, flaps, truncations and coordinator
+// crashes; go test -run 'FuzzClusterRun/<corpus file>' ./internal/cluster/
+// replays one of its committed seeds.
 //
 // # Snapshot policy
 //

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,9 +11,8 @@ import (
 
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
-	"pipebd/internal/distill"
-	"pipebd/internal/engine"
 	"pipebd/internal/obs"
+	"pipebd/internal/sched"
 )
 
 // TestRingTracingShipsSpans is the cluster half of the observability
@@ -22,29 +22,20 @@ import (
 // waits — and recording it all changes nothing about the trajectory.
 func TestRingTracingShipsSpans(t *testing.T) {
 	leakCheck(t)
-	batches := tinyBatches(4, 12)
 	// dp3: a 3-way split group (true reduce-scatter + all-gather ring)
 	// feeding a single-device tail.
-	p := plan("dp3", g([]int{0, 1, 2}, []int{0, 1}), g([]int{3}, []int{2, 3}))
-	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	refRes := engine.RunPipelined(ref, batches, engine.Config{Plan: p, DPU: true, LR: 0.05, Momentum: 0.9})
-
+	s := runSpec{plan: dp3Plan(), dpu: true, steps: 4, batch: 12}
 	net := transport.NewLoopback()
-	addrs := ringWorkers(t, net, 3, WorkerConfig{Sessions: 1})
+	addrs := startWorkers(t, net, 3, WorkerConfig{Sessions: 1, Dial: net})
 	collect := obs.NewCollector()
 	metrics := obs.NewMetrics()
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	res, err := Run(net, addrs, w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(4, 12),
-		Trace:     true,
-		TraceSink: collect.Add,
-		Metrics:   metrics})
+	cfg := s.config()
+	cfg.Topology, cfg.Trace, cfg.TraceSink, cfg.Metrics = "ring", true, collect.Add, metrics
+	res, w, err := s.run(net, addrs, cfg)
 	if err != nil {
 		t.Fatalf("traced ring run: %v", err)
 	}
-	lossesBitIdentical(t, "traced ring", res, refRes)
-	weightsBitIdentical(t, "traced ring", w, ref)
+	s.check(t, res, w)
 
 	names, byTrack := collect.Tracks()
 	for _, want := range []string{"dev0", "dev1", "dev2", "dev3"} {
@@ -75,8 +66,8 @@ func TestRingTracingShipsSpans(t *testing.T) {
 			t.Fatalf("track dev3 missing span %q (saw %v)", span, seen["dev3"])
 		}
 	}
-	if v := metrics.Counter("steps_completed").Load(); v != int64(len(batches)) {
-		t.Fatalf("steps_completed = %d, want %d", v, len(batches))
+	if v := metrics.Counter("steps_completed").Load(); v != int64(s.steps) {
+		t.Fatalf("steps_completed = %d, want %d", v, s.steps)
 	}
 }
 
@@ -86,21 +77,14 @@ func TestRingTracingShipsSpans(t *testing.T) {
 // byte counters live.
 func TestHubTracingAndCoordinatorTrack(t *testing.T) {
 	leakCheck(t)
-	batches := tinyBatches(3, 8)
-	p := hybridPlan()
+	s := runSpec{plan: hybridPlan(), dpu: true, steps: 3, batch: 8}
 	net := transport.NewLoopback()
 	addrs := startWorkers(t, net, 2, WorkerConfig{Sessions: 1})
 	collect := obs.NewCollector()
 	metrics := obs.NewMetrics()
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	_, err := Run(net, addrs, w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9,
-		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8),
-		LedgerDir: filepath.Join(t.TempDir(), "led"),
-		Trace:     true,
-		TraceSink: collect.Add,
-		Metrics:   metrics})
-	if err != nil {
+	cfg := s.config()
+	cfg.LedgerDir, cfg.Trace, cfg.TraceSink, cfg.Metrics = filepath.Join(t.TempDir(), "led"), true, collect.Add, metrics
+	if _, _, err := s.run(net, addrs, cfg); err != nil {
 		t.Fatalf("traced hub run: %v", err)
 	}
 	_, byTrack := collect.Tracks()
@@ -126,6 +110,12 @@ func TestHubTracingAndCoordinatorTrack(t *testing.T) {
 	}
 }
 
+// dp3Plan is a three-way split group (the true reduce-scatter and
+// all-gather ring) feeding a single-device tail.
+func dp3Plan() sched.Plan {
+	return plan("dp3", g([]int{0, 1, 2}, []int{0, 1}), g([]int{3}, []int{2, 3}))
+}
+
 func hasSpan(spans []obs.Span, name string) bool {
 	for _, s := range spans {
 		if s.Name == name {
@@ -138,10 +128,10 @@ func hasSpan(spans []obs.Span, name string) bool {
 // TestTraceWithoutSinkRejected: asking for spans with nowhere to deliver
 // them is a configuration error, caught before any session starts.
 func TestTraceWithoutSinkRejected(t *testing.T) {
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	_, err := Run(transport.NewLoopback(), []string{"x"}, w, tinyBatches(2, 8),
-		Config{Plan: hybridPlan(), DPU: true, LR: 0.05,
-			Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(2, 8), Trace: true})
+	s := runSpec{plan: hybridPlan(), dpu: true, steps: 2, batch: 8}
+	cfg := s.config()
+	cfg.Trace = true
+	_, _, err := s.run(transport.NewLoopback(), []string{"x"}, cfg)
 	if err == nil || !strings.Contains(err.Error(), "TraceSink") {
 		t.Fatalf("got %v, want TraceSink configuration error", err)
 	}
@@ -154,8 +144,7 @@ func TestTraceWithoutSinkRejected(t *testing.T) {
 // time.
 func TestWorkerTraceDirDump(t *testing.T) {
 	leakCheck(t)
-	batches := tinyBatches(3, 8)
-	p := hybridPlan()
+	s := runSpec{plan: hybridPlan(), dpu: true, steps: 3, batch: 8}
 	dir := t.TempDir()
 	metrics := obs.NewMetrics()
 	net := transport.NewLoopback()
@@ -167,10 +156,9 @@ func TestWorkerTraceDirDump(t *testing.T) {
 		TraceDir: dir, Metrics: metrics})
 	served := make(chan error, 1)
 	go func() { served <- worker.Serve() }()
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	_, runErr := Run(net, []string{worker.Addr()}, w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(3, 8)})
+	cfg := s.config()
+	cfg.Topology = "ring"
+	_, _, runErr := s.run(net, []string{worker.Addr()}, cfg)
 	worker.Close()
 	// Serve returns only after its one session did, and the session writes
 	// the dump before it returns — so the file is complete from here on.
@@ -253,14 +241,9 @@ func TestSpanLossIsCounted(t *testing.T) {
 // across a chaos kill and ring restart.
 func TestMeterConcurrentRingTraffic(t *testing.T) {
 	leakCheck(t)
-	batches := tinyBatches(5, 12)
-	p := plan("dp3", g([]int{0, 1, 2}, []int{0, 1}), g([]int{3}, []int{2, 3}))
+	s := runSpec{plan: dp3Plan(), dpu: true, steps: 5, batch: 12}
 	inner := transport.NewLoopback()
-	chaos := transport.NewChaos(inner, transport.Fault{
-		Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpRecv,
-			Kind: wire.KindRingSegment, Step: 2, Count: 1},
-		Action: transport.ActKill,
-	})
+	chaos := transport.NewChaos(inner, recvFault(wire.KindRingSegment, 2, transport.ActKill))
 	peerMeter := transport.NewMeter(chaos)
 	coordMeter := transport.NewMeter(inner)
 
@@ -283,7 +266,7 @@ func TestMeterConcurrentRingTraffic(t *testing.T) {
 			cur := peerMeter.Totals()
 			if cur.SentBytes < last.SentBytes || cur.RecvBytes < last.RecvBytes ||
 				cur.SentFrames < last.SentFrames || cur.RecvFrames < last.RecvFrames {
-				violation = errMeterRegressed
+				violation = errors.New("meter totals went backwards")
 				return
 			}
 			last = cur
@@ -291,16 +274,16 @@ func TestMeterConcurrentRingTraffic(t *testing.T) {
 	}()
 
 	addrs := startWorkers(t, inner, 3, WorkerConfig{Rejoin: true, Sessions: 1, Dial: peerMeter})
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	_, err := Run(coordMeter, addrs, w, batches, Config{Plan: p, DPU: true,
-		LR: 0.05, Momentum: 0.9, Topology: "ring",
-		Spec: TinySpec(distill.DefaultTinyConfig()), Data: tinyData(5, 12),
-		MaxRestarts: 2})
+	cfg := s.config()
+	cfg.Topology, cfg.MaxRestarts = "ring", 2
+	res, w, err := s.run(coordMeter, addrs, cfg)
 	close(stop)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("metered chaos ring run: %v", err)
 	}
+	allFired(t, chaos)
+	s.check(t, res, w)
 	if violation != nil {
 		t.Fatal(violation)
 	}
@@ -316,9 +299,3 @@ func TestMeterConcurrentRingTraffic(t *testing.T) {
 			pt.SentFrames, ct.SentFrames)
 	}
 }
-
-var errMeterRegressed = &meterRegression{}
-
-type meterRegression struct{}
-
-func (*meterRegression) Error() string { return "meter totals went backwards" }

@@ -110,7 +110,10 @@ func TestTrajectoryDigests(t *testing.T) {
 				}
 				return w
 			}
-			batches := mustBatches(sh.data)
+			batches, err := sh.data.Batches()
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg := engine.Config{Plan: sh.plan, DPU: sh.dpu, LR: 0.05, Momentum: 0.9}
 			rows := map[string]string{}
 			for _, procs := range []int{1, 4} {

@@ -103,8 +103,8 @@ type ResumableOptions struct {
 	Name string
 	// Logf receives absorption progress lines; nil is silent.
 	Logf func(format string, args ...any)
-	// OnAbsorb fires after every successful reconnect with the number of
-	// frames replayed (metrics hook).
+	// OnAbsorb fires after every successful reconnect, before the replay,
+	// with the number of frames to replay (metrics hook).
 	OnAbsorb func(replayed int)
 }
 
@@ -393,17 +393,20 @@ func (r *Resumable) install(conn Conn, peerRecvd int64, echo func(recvd int64) *
 	replay := r.buf
 	r.cond.Broadcast()
 	r.mu.Unlock()
+	// The fault is absorbed once the link is back, before the replay: a
+	// break that cuts the replay short is the next fault, so both ends of
+	// the link count one absorption per break.
+	if r.logf != nil {
+		r.logf("transport: %s absorbed a fault: reconnected, replaying %d frame(s)", r.name, len(replay))
+	}
+	if r.onAbsorb != nil {
+		r.onAbsorb(len(replay))
+	}
 	for _, f := range replay {
 		if err := conn.Send(f); err != nil {
 			r.linkBroke(conn, err)
 			return true // installed; the new break restarts absorption
 		}
-	}
-	if r.logf != nil {
-		r.logf("transport: %s absorbed a fault: reconnected, %d frame(s) replayed", r.name, len(replay))
-	}
-	if r.onAbsorb != nil {
-		r.onAbsorb(len(replay))
 	}
 	return true
 }

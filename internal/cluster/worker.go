@@ -483,6 +483,15 @@ func runDevice(d *hostedDevice, steps int, out *outbox) (err error) {
 	// Spans drain at every FinishStep; this catches a zero-step session's
 	// (or a future post-loop instrumentation's) leftovers.
 	d.link.flushSpans()
+	// A relayed edge's frames reach the control link through the edge's
+	// own outbox. Flush them first, so the Done below cannot overtake a
+	// frame a peer still waits for: the coordinator takes a session whose
+	// devices are all done as safe to lose.
+	for _, ep := range d.link.peers {
+		if ep.conn == nil {
+			ep.out.Close()
+		}
+	}
 	if d.member.Rank == 0 {
 		var params []*tensor.Tensor
 		for _, pair := range d.member.Pairs {

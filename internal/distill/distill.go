@@ -102,8 +102,23 @@ func NewWorkbench(build func() []Pair) *Workbench {
 	return &Workbench{Pairs: build(), build: build}
 }
 
-// Replica returns a fresh workbench with bit-identical initial weights.
-func (w *Workbench) Replica() *Workbench { return NewWorkbench(w.build) }
+// Replica returns an independent workbench holding w's current weights:
+// built afresh, so it shares no tensor with w, then given every teacher
+// and student parameter of w. A replica of a workbench whose weights
+// moved off its construction (trained, or loaded) starts where w stands.
+func (w *Workbench) Replica() *Workbench {
+	r := NewWorkbench(w.build)
+	copyParams := func(dst, src []*nn.Param) {
+		for i, p := range dst {
+			p.Value.CopyFrom(src[i].Value)
+		}
+	}
+	for b, p := range w.Pairs {
+		copyParams(r.Pairs[b].Teacher.Params(), p.Teacher.Params())
+		copyParams(r.Pairs[b].Student.Params(), p.Student.Params())
+	}
+	return r
+}
 
 // SetBackend routes every teacher and student block's compute through be.
 // Backends are bit-identical by contract, so this changes throughput,

@@ -23,11 +23,12 @@ func TestTinyWorkbenchReproducible(t *testing.T) {
 
 func TestReplicaIsIndependentCopy(t *testing.T) {
 	w := NewTinyWorkbench(DefaultTinyConfig())
+	w.StudentParams(0)[0].Value.Data()[0] += 0.5 // moved off its construction
 	r := w.Replica()
 	p0 := w.StudentParams(0)[0]
 	r0 := r.StudentParams(0)[0]
 	if !p0.Value.Equal(r0.Value) {
-		t.Fatal("replica must start bit-identical")
+		t.Fatal("replica must start bit-identical to the workbench's current weights")
 	}
 	p0.Value.Data()[0] += 1
 	if p0.Value.Equal(r0.Value) {

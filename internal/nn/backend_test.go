@@ -217,17 +217,30 @@ func BenchmarkConvForward(b *testing.B) {
 
 // benchTrainStep times a full forward+backward step of l, the unit of
 // work runMember executes per block, on an input (and an output gradient)
-// of the given shape.
+// of the given shape. Like the engine's device loop, l draws its tensors
+// from an arena reset before every step, so a step reuses the last one's
+// memory instead of allocating (and clearing) its own.
 func benchTrainStep(b *testing.B, l Layer, shape ...int) {
 	x := tensor.Rand(rand.New(rand.NewSource(2)), -1, 1, shape...)
 	grad := tensor.Rand(rand.New(rand.NewSource(3)), -1, 1, shape...)
+	ar := withArena(b, l)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ar.Reset()
 		l.Forward(x, true)
 		ZeroGrads(l.Params())
 		l.Backward(grad)
 	}
+}
+
+// withArena makes l draw its tensors from a fresh arena for the rest of
+// the benchmark and detaches it when the benchmark ends.
+func withArena(b *testing.B, l Layer) *tensor.Arena {
+	ar := tensor.NewArena()
+	ApplyArena(l, ar)
+	b.Cleanup(func() { ApplyArena(l, nil) })
+	return ar
 }
 
 // benchTrainStepBackends runs benchTrainStep on a fresh layer per backend.
@@ -263,8 +276,10 @@ func BenchmarkConvBlockStep(b *testing.B) {
 		student := NewSequential(NewDWConv2d(rng, s.c, 3, 1, 1, false), NewConv2d(rng, s.c, s.c, 1, 1, 0, true), NewReLU())
 		x := tensor.Rand(rng, -1, 1, s.n, s.c, s.hw, s.hw)
 		b.Run(s.name+"/teacher_eval", func(b *testing.B) {
+			ar := withArena(b, teacher)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				ar.Reset()
 				teacher.Forward(x, false)
 			}
 		})

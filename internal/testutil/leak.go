@@ -27,7 +27,7 @@ func LeakCheck(t *testing.T) {
 					before, runtime.NumGoroutine(), buf[:n])
 				return
 			}
-			time.Sleep(10 * time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 	})
 }
