@@ -98,6 +98,22 @@ func TestWorkerSurvivesPoisonedSession(t *testing.T) {
 	s.check(t, res, w)
 }
 
+// TestWorkerServesSequentialSessions: one worker serves its session
+// budget's coordinator sessions back to back (join, drain, rejoin), each
+// from scratch.
+func TestWorkerServesSequentialSessions(t *testing.T) {
+	s := runSpec{plan: trPlan(), dpu: true, steps: 3, batch: 8}
+	net := transport.NewLoopback()
+	addrs := startWorkers(t, net, 1, WorkerConfig{Sessions: 2})
+	for i := 0; i < 2; i++ {
+		res, w, err := s.run(net, addrs, s.config())
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		s.check(t, res, w)
+	}
+}
+
 // TestCoordinatorHandshakeTimeout: a TCP peer that accepts connections
 // (listen backlog) but never speaks must not hang the join past the
 // configured window.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"pipebd/internal/cluster/transport"
@@ -15,10 +16,10 @@ import (
 // The hand-written equivalence, recovery, budget, crash-and-resume,
 // compaction, flap and transformer matrices this package once spelled out
 // are FuzzClusterRun draws now. Each of their cases names the committed
-// corpus seed that reproduces it; the run happens once, under
-// FuzzClusterRun/<file>, and the case's test checks that the seed still
-// draws the case, so a change to drawRun that moves a seed off its case
-// fails by name.
+// corpus seed that reproduces it, and the case's subtest checks that the
+// seed still draws the case — so a change to drawRun that moves a seed off
+// its case fails by name — and then plays the draw, so
+// `go test -run TestRecoveryBitEquivalence` still runs recoveries.
 
 // corpusCase is one case of a replaced suite: the corpus file whose draw
 // reproduces it and the traits (see traits) that draw must have.
@@ -26,13 +27,20 @@ type corpusCase struct {
 	name, file, want string
 }
 
-// checkCorpusCases checks the cases corpusCases lists under t's name, one
-// subtest each, named for the case or else for its corpus file.
+// passed holds the seeds a case played and passed in this process, each
+// with the case's name: FuzzClusterRun's replay of the committed corpus
+// does not play them a second time.
+var passed sync.Map
+
+// checkCorpusCases plays the cases corpusCases lists under t's name, one
+// subtest each, named for the case or else for its corpus file; a corpus
+// file two of them share plays once.
 func checkCorpusCases(t *testing.T) {
 	cases, ok := corpusCases[t.Name()]
 	if !ok {
 		t.Fatalf("corpusCases lists no case of %s", t.Name())
 	}
+	played := map[string]string{}
 	for _, c := range cases {
 		t.Run(cmp.Or(c.name, c.file), func(t *testing.T) {
 			seed, err := corpusSeed(c.file)
@@ -46,6 +54,18 @@ func checkCorpusCases(t *testing.T) {
 					t.Fatalf("corpus file %s no longer draws %q (lacks %q):\n%s", c.file, c.want, want, d)
 				}
 			}
+			if name, ok := played[c.file]; ok {
+				t.Logf("played as %s", name)
+				return
+			}
+			played[c.file] = t.Name()
+			// Registered first, so it runs after the draw's own cleanups.
+			t.Cleanup(func() {
+				if !t.Failed() {
+					passed.Store(seed, t.Name())
+				}
+			})
+			d.play(t)
 		})
 	}
 }
@@ -80,13 +100,7 @@ func (d clusterDraw) traits() map[string]bool {
 		fmt.Sprintf("groups=%d", len(groups)): true, fmt.Sprintf("workers=%d", d.workers): true,
 		fmt.Sprintf("budget=%d", gen0.budget): true}
 	at := func(step int32) string {
-		switch int(step) {
-		case 0:
-			return "first"
-		case d.steps - 1:
-			return "last"
-		}
-		return "mid"
+		return cmp.Or(map[int32]string{0: "first", int32(d.steps - 1): "last"}[step], "mid")
 	}
 	kinds := map[wire.Kind]string{wire.KindLosses: "losses", wire.KindRelay: "relay", wire.KindOutput: "output",
 		wire.KindRingSegment: "segment", wire.KindStepGo: "stepgo"}
@@ -98,7 +112,7 @@ func (d clusterDraw) traits() map[string]bool {
 			case i > 0 && f.Action == transport.ActKill:
 				tr["resume-kill"] = tr["resume-kill"] || !gen.crash
 			case i > 0 && f.Action == transport.ActFlap:
-				tr["resume-flap"] = true
+				tr["resume-flap"], tr["resume-"+link+"-flap"] = true, true
 			case f.Action == transport.ActKill:
 				tr[link+"-kill"], tr[kinds[f.Kind]+"-kill"], tr[kinds[f.Kind]+"-kill@"+at(f.Step)] = true, true, true
 				if !f.peer {
@@ -137,7 +151,6 @@ func TestPeerDeathMidGatherFailsCleanly(t *testing.T)      { checkCorpusCases(t)
 func TestRecoveryBitEquivalence(t *testing.T)              { checkCorpusCases(t) }
 func TestRecoveryBudgetExhausted(t *testing.T)             { checkCorpusCases(t) }
 func TestRecoveryKillSplitGroupWorker(t *testing.T)        { checkCorpusCases(t) }
-func TestRecoverySeededSchedule(t *testing.T)              { checkCorpusCases(t) }
 func TestRecoveryTruncatedFrame(t *testing.T)              { checkCorpusCases(t) }
 func TestResumeOfCompletedRun(t *testing.T)                { checkCorpusCases(t) }
 func TestResumedRunSurvivesWorkerLoss(t *testing.T)        { checkCorpusCases(t) }
@@ -153,7 +166,6 @@ func TestRingRecoveryBudgetExhausted(t *testing.T)         { checkCorpusCases(t)
 func TestRingResumeKeepsRetryBudget(t *testing.T)          { checkCorpusCases(t) }
 func TestRingResumeOfCompletedRun(t *testing.T)            { checkCorpusCases(t) }
 func TestRingTransformerDataRecipe(t *testing.T)           { checkCorpusCases(t) }
-func TestWorkerServesSequentialSessions(t *testing.T)      { checkCorpusCases(t) }
 func TestClusterSnapshotOverridesDrift(t *testing.T)       { checkCorpusCases(t) }
 
 // corpusCases lists, by suite, the cases FuzzClusterRun's corpus
@@ -219,12 +231,8 @@ var corpusCases = map[string][]corpusCase{
 		{"dpu=true/interval-2/kill-conn-0", "hub-loopback-crash-7f69f", "hub crash hybrid dpu interval=2 split-worker-kill"},
 		{"dpu=true/interval-2/kill-conn-1", "hub-loopback-crash-7f69f", "hub crash hybrid dpu interval=2 tail-worker-kill"},
 	},
-	"TestDoubleCrashResume": {
-		{"", "hub-loopback-double-crash-20860", "hub double-crash"},
-	},
-	"TestPeerDeathMidGatherFailsCleanly": {
-		{"", "hub-loopback-exhausted-b1575", "hub exhausted budget=0 relay-kill split"},
-	},
+	"TestDoubleCrashResume":              {{"", "hub-loopback-double-crash-20860", "hub double-crash"}},
+	"TestPeerDeathMidGatherFailsCleanly": {{"", "hub-loopback-exhausted-b1575", "hub exhausted budget=0 relay-kill split"}},
 	"TestRecoveryBitEquivalence": {
 		{"loopback/dpu=false/kill-step-0", "hub-loopback-kill-57d64", "hub recovers split control-kill loopback no-dpu losses-kill@first"},
 		{"loopback/dpu=false/kill-step-2", "hub-loopback-kill-2b8dc0", "hub recovers split control-kill loopback no-dpu losses-kill@mid"},
@@ -239,27 +247,12 @@ var corpusCases = map[string][]corpusCase{
 		{"tcp/dpu=true/kill-step-2", "hub-tcp-kill-5a173", "hub recovers split control-kill tcp dpu losses-kill@mid"},
 		{"tcp/dpu=true/kill-step-4", "hub-tcp-kill-a00b0", "hub recovers split control-kill tcp dpu losses-kill@last"},
 	},
-	"TestRecoveryBudgetExhausted": {
-		{"", "hub-loopback-exhausted-9470b", "hub exhausted budget=1"},
-	},
-	"TestRecoveryKillSplitGroupWorker": {
-		{"", "hub-loopback-kill-33c14", "hub split-worker-kill recovers"},
-	},
-	"TestRecoverySeededSchedule": {
-		{"", "hub-loopback-kill-33c14", "hub control-kill losses-kill recovers dpu hybrid"},
-	},
-	"TestRecoveryTruncatedFrame": {
-		{"", "hub-loopback-truncate-c19", "hub truncate"},
-	},
-	"TestResumeOfCompletedRun": {
-		{"", "hub-loopback-completed-resume-923c2", "hub completed-resume"},
-	},
-	"TestResumedRunSurvivesWorkerLoss": {
-		{"", "hub-loopback-crash-312bc", "crash resume-kill"},
-	},
-	"TestRingBitEquivalenceTCP": {
-		{"", "ring-tcp-xfmr-clean-2c8f", "ring tcp dpu hybrid workers=3 clean"},
-	},
+	"TestRecoveryBudgetExhausted":      {{"", "hub-loopback-exhausted-9470b", "hub exhausted budget=1"}},
+	"TestRecoveryKillSplitGroupWorker": {{"", "hub-loopback-kill-33c14", "hub split-worker-kill recovers"}},
+	"TestRecoveryTruncatedFrame":       {{"", "hub-loopback-truncate-c19", "hub truncate"}},
+	"TestResumeOfCompletedRun":         {{"", "hub-loopback-completed-resume-923c2", "hub completed-resume"}},
+	"TestResumedRunSurvivesWorkerLoss": {{"", "hub-loopback-crash-312bc", "crash resume-kill"}},
+	"TestRingBitEquivalenceTCP":        {{"", "ring-tcp-xfmr-clean-2c8f", "ring tcp dpu hybrid workers=3 clean"}},
 	"TestRingCoordinatorKillResume": {
 		{"interval-1/kill-step-0", "ring-loopback-crash-23c45b", "ring crash interval=1 dpu crash@first"},
 		{"interval-1/kill-step-2", "ring-loopback-crash-1188b", "ring crash interval=1 dpu crash@mid"},
@@ -268,12 +261,8 @@ var corpusCases = map[string][]corpusCase{
 		{"interval-2/kill-step-2", "ring-loopback-crash-178828", "ring crash interval=2 no-dpu crash@mid"},
 		{"interval-2/kill-step-4", "ring-loopback-crash-2cc37", "ring crash interval=2 no-dpu crash@last"},
 	},
-	"TestRingDataRecipe": {
-		{"", "ring-loopback-clean-cb1b5", "ring dpu hybrid workers=3 clean"},
-	},
-	"TestRingDoubleCrashResume": {
-		{"", "ring-loopback-double-crash-d5a5d", "ring double-crash"},
-	},
+	"TestRingDataRecipe":        {{"", "ring-loopback-clean-cb1b5", "ring dpu hybrid workers=3 clean"}},
+	"TestRingDoubleCrashResume": {{"", "ring-loopback-double-crash-d5a5d", "ring double-crash"}},
 	"TestRingFlapAbsorbedBitEquivalence": {
 		{"loopback/activations/flap-step-0", "ring-loopback-flap-2c6a1e", "ring peer-flap dpu loopback output-flap@first"},
 		{"loopback/activations/flap-step-2", "ring-loopback-flap-176863", "ring peer-flap dpu loopback output-flap@mid"},
@@ -306,9 +295,7 @@ var corpusCases = map[string][]corpusCase{
 		{"tcp/hub-control/flap-step-2", "hub-tcp-flap-21f333", "hub control-flap no-dpu tcp stepgo-flap@mid"},
 		{"tcp/hub-control/flap-step-4", "hub-tcp-flap-c8465", "hub control-flap no-dpu tcp stepgo-flap@last"},
 	},
-	"TestRingFlapTransformerAbsorbed": {
-		{"", "ring-loopback-xfmr-flap-6def6", "transformer ring output-flap segment-flap"},
-	},
+	"TestRingFlapTransformerAbsorbed": {{"", "ring-loopback-xfmr-flap-6def6", "transformer ring output-flap segment-flap"}},
 	"TestRingMatchesPipelinedAcrossPlans": {
 		{"tr-2dev/dpu=false/workers=1", "ring-loopback-clean-8fc9a", "ring loopback clean tr groups=2 no-dpu workers=1"},
 		{"tr-2dev/dpu=false/workers=2", "ring-loopback-clean-6f4c7", "ring loopback clean tr groups=2 no-dpu workers=2"},
@@ -349,25 +336,16 @@ var corpusCases = map[string][]corpusCase{
 		{"tcp/all-reduce/kill-step-2", "ring-tcp-kill-a74fa", "ring recovers split peer-kill tcp no-dpu segment-kill@mid"},
 		{"tcp/all-reduce/kill-step-4", "ring-tcp-kill-1660bf", "ring recovers split peer-kill tcp no-dpu segment-kill@last"},
 	},
-	"TestRingRecoveryBudgetExhausted": {
-		{"", "ring-loopback-exhausted-31ae1", "ring exhausted budget=1"},
-	},
+	"TestRingRecoveryBudgetExhausted": {{"", "ring-loopback-exhausted-31ae1", "ring exhausted budget=1"}},
 	"TestRingResumeKeepsRetryBudget": {
-		{"", "ring-loopback-completed-resume-1d3c9a", "ring completed-resume resume-flap"},
+		{"control", "ring-loopback-completed-resume-1d3c9a", "ring completed-resume resume-control-flap"},
+		{"peer", "ring-loopback-completed-resume-81b1", "ring completed-resume resume-peer-flap"},
 	},
-	"TestRingResumeOfCompletedRun": {
-		{"", "ring-loopback-completed-resume-b5b21", "ring completed-resume"},
-	},
-	"TestRingTransformerDataRecipe": {
-		{"", "ring-loopback-xfmr-clean-fb274", "transformer ring loopback dpu hybrid workers=3 clean"},
-	},
+	"TestRingResumeOfCompletedRun":  {{"", "ring-loopback-completed-resume-b5b21", "ring completed-resume"}},
+	"TestRingTransformerDataRecipe": {{"", "ring-loopback-xfmr-clean-fb274", "transformer ring loopback dpu hybrid workers=3 clean"}},
 	"TestSnapshotPolicyEdgeCases": {
 		{"interval-longer-than-run", "ring-loopback-double-crash-d5a5d", "crash interval>steps"},
 		{"dedup-ships-one-snapshot-per-group", "hub-loopback-clean-22319", "unsuperseded split interval=2"},
-	},
-	// Each worker serves the finished run's session and then the resume's.
-	"TestWorkerServesSequentialSessions": {
-		{"", "hub-loopback-completed-resume-923c2", "completed-resume"},
 	},
 	// The workers train from the coordinator's drifted seed weights, not
 	// the spec's initialization; so does a resume, from its manifest's.

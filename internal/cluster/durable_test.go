@@ -43,7 +43,6 @@ func TestSnapshotPolicyEdgeCases(t *testing.T) {
 			t.Fatalf("zero policy without fault tolerance resolved to %+v (%v)", p, err)
 		}
 	})
-
 }
 
 // TestHubLedgerHoldsOnlyCutRecords pins what the single recovery model

@@ -95,3 +95,24 @@ func TestHeartbeatTimeoutDetectsSilentWorker(t *testing.T) {
 	}
 	s.check(t, res, w)
 }
+
+// TestRecoverySeededSchedule drives the CLI's scenario generator end to
+// end: a transport.RandomKills schedule (what -chaos-kills draws) must
+// fire and recover to the engine's bits.
+func TestRecoverySeededSchedule(t *testing.T) {
+	leakCheck(t)
+	s := runSpec{plan: hybridPlan(), dpu: true, steps: 6, batch: 8}
+	inner := transport.NewLoopback()
+	addrs := startWorkers(t, inner, 2, WorkerConfig{Sessions: 1, Rejoin: true})
+	schedule := transport.RandomKills(7, len(addrs), s.steps, 1)
+	chaos := transport.NewChaos(inner, schedule...)
+	logf, logs := captureLog()
+	cfg := s.config()
+	cfg.MaxRestarts, cfg.Logf = len(schedule), logf
+	res, w, err := s.run(chaos, addrs, cfg)
+	if err != nil {
+		t.Fatalf("seeded chaos run failed (schedule %v): %v\nlog:\n%s", schedule, err, logs())
+	}
+	allFired(t, chaos)
+	s.check(t, res, w)
+}

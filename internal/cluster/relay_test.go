@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
+	"pipebd/internal/engine"
 	"pipebd/internal/tensor"
 )
 
@@ -307,5 +309,44 @@ func TestLateFrameDoesNotCancelTheFlush(t *testing.T) {
 	o.Close()
 	if len(sent) != 2 || sent[1] != wire.KindDrain || o.Err() != nil {
 		t.Fatalf("flush sent %v (outbox error %v), want the step release and the drain", sent, o.Err())
+	}
+}
+
+// TestDoneFollowsRelayedFrames: a device's Done reaches the control link
+// after every frame its relayed edges still hold. The coordinator takes a
+// session whose devices are all done as safe to lose, so a relayed frame
+// queued behind the Done would be lost with it. The relayed edge's writer
+// is held until the control link carries a Done or 10 ms pass.
+func TestDoneFollowsRelayedFrames(t *testing.T) {
+	var sent []wire.Kind
+	done := make(chan struct{})
+	control := newOutbox(func(f *wire.Frame) error {
+		sent = append(sent, f.Kind)
+		if f.Kind == wire.KindDone {
+			close(done)
+		}
+		return nil
+	})
+	hold := time.NewTimer(10 * time.Millisecond)
+	defer hold.Stop()
+	edge := &endpoint{in: newInbox(), out: newOutbox(func(f *wire.Frame) error {
+		select {
+		case <-done:
+		case <-hold.C:
+		}
+		control.Enqueue(wire.EncodeRelay(0, f))
+		return nil
+	})}
+	defer edge.out.Close()
+	edge.out.Enqueue(wire.Control(wire.KindPeerAck, 1, 2))
+	d := &hostedDevice{rank: 1, member: engine.Member{Group: 1, Rank: 1, GroupSize: 2},
+		link: &ringLink{dev: 1, peers: map[int]*endpoint{0: edge}}, start: 3}
+	if err := runDevice(d, 3, control); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	control.Close()
+	if want := []wire.Kind{wire.KindRelay, wire.KindDone}; !slices.Equal(sent, want) {
+		t.Fatalf("the control link carried %v, want %v", sent, want)
 	}
 }

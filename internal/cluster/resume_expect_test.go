@@ -12,25 +12,25 @@ import (
 	"pipebd/internal/sched"
 )
 
-// expectTestLedger writes a minimal valid ledger for a hybrid-plan ring
-// run, returning its directory. Only the manifest matters: every case
+// manifestLedger writes a ledger holding just the manifest of a ring run
+// of plan over steps, fed by data, returning its directory. Every case
 // below must fail validation before a single worker is dialed.
-func expectTestLedger(t *testing.T, steps int) string {
+func manifestLedger(t *testing.T, p sched.Plan, data wire.DataSpec, steps int) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ledger")
-	s := runSpec{plan: hybridPlan(), steps: steps, batch: 6}
+	s := runSpec{plan: p, steps: steps}
 	led, err := ledger.Create(dir, &ledger.Manifest{
 		Assign: wire.Assign{
 			Plan: s.plan,
 			Spec: s.modelSpec(),
 			Run: wire.RunConfig{LR: 0.05, Momentum: 0.9, Steps: steps,
-				Topology: "ring", Snap: wire.SnapshotPolicy{Interval: 1}, Data: s.data()},
+				Topology: "ring", Snap: wire.SnapshotPolicy{Interval: 1}, Data: data},
 			Snapshot: CaptureSnapshot(s.workbench()),
 		},
 		Addrs: []string{"127.0.0.1:1"},
 	})
 	if err != nil {
-		t.Fatalf("creating expectation-test ledger: %v", err)
+		t.Fatalf("creating the manifest's ledger: %v", err)
 	}
 	led.Close()
 	return dir
@@ -42,7 +42,7 @@ func expectTestLedger(t *testing.T, steps int) string {
 // ledger holds a different run, instead of silently training it.
 func TestResumeExpectationMismatches(t *testing.T) {
 	const steps = 4
-	dir := expectTestLedger(t, steps)
+	dir := manifestLedger(t, hybridPlan(), runSpec{steps: steps, batch: 6}.data(), steps)
 	cases := []struct {
 		name   string
 		expect ResumeExpectation
@@ -103,21 +103,7 @@ func TestResumeRejectsInconsistentManifest(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "ledger")
-			led, err := ledger.Create(dir, &ledger.Manifest{
-				Assign: wire.Assign{
-					Plan:     tc.plan,
-					Spec:     s.modelSpec(),
-					Run:      wire.RunConfig{LR: 0.05, Momentum: 0.9, Steps: 3, Topology: "ring", Data: tc.data},
-					Snapshot: CaptureSnapshot(s.workbench()),
-				},
-				Addrs: []string{"127.0.0.1:1"},
-			})
-			if err != nil {
-				t.Fatalf("creating inconsistent-manifest ledger: %v", err)
-			}
-			led.Close()
-			_, _, err = ResumeRun(transport.NewLoopback(), dir, ResumeConfig{})
+			_, _, err := ResumeRun(transport.NewLoopback(), manifestLedger(t, tc.plan, tc.data, s.steps), ResumeConfig{})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("inconsistent manifest: got %v, want a refusal containing %q", err, tc.want)
 			}
@@ -141,7 +127,7 @@ func TestResumeAndCompactRefuseMisfitRepartition(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := expectTestLedger(t, 4)
+			dir := manifestLedger(t, hybridPlan(), runSpec{steps: 4, batch: 6}.data(), 4)
 			led, _, _, err := ledger.Open(dir)
 			if err != nil {
 				t.Fatal(err)

@@ -104,15 +104,9 @@ func TestRunRequiresDataRecipe(t *testing.T) {
 func TestHubInputShortScheduleRefused(t *testing.T) {
 	leakCheck(t)
 	net := transport.NewLoopback()
-	lis, err := net.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
 	logf, logs := captureLog()
 	metrics := obs.NewMetrics()
-	worker := NewWorker(lis, WorkerConfig{Sessions: 2, Logf: logf, Metrics: metrics})
-	served := make(chan error, 1)
-	go func() { served <- worker.Serve() }()
+	worker, served := serveWorker(t, net, WorkerConfig{Sessions: 2, Logf: logf, Metrics: metrics})
 
 	s := runSpec{plan: trPlan(), dpu: true, steps: 3, batch: 8}
 	malformed := s.data()
@@ -174,13 +168,7 @@ func TestHubInputShortScheduleRefused(t *testing.T) {
 func TestProbeSpendsNoSessionSlot(t *testing.T) {
 	leakCheck(t)
 	net := transport.NewLoopback()
-	lis, err := net.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	worker := NewWorker(lis, WorkerConfig{Sessions: 1})
-	served := make(chan error, 1)
-	go func() { served <- worker.Serve() }()
+	worker, served := serveWorker(t, net, WorkerConfig{Sessions: 1})
 
 	probe, err := net.Dial(worker.Addr())
 	if err != nil {

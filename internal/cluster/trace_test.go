@@ -43,27 +43,20 @@ func TestRingTracingShipsSpans(t *testing.T) {
 			t.Fatalf("no spans collected for track %s (have %v)", want, names)
 		}
 	}
-	seen := map[string]map[string]bool{}
-	for tr, spans := range byTrack {
-		seen[tr] = map[string]bool{}
-		for _, s := range spans {
-			seen[tr][s.Name] = true
-		}
-	}
 	// Split-group members run the full taxonomy; the tail device relays
 	// nothing onward and reduces nothing.
 	for _, tr := range []string{"dev0", "dev1", "dev2"} {
 		for _, span := range []string{"teacher_fwd", "student_fwd", "student_bwd",
 			"sgd_update", "send_output", "peer_ack_wait", "allreduce",
 			"reduce_scatter", "all_gather"} {
-			if !seen[tr][span] {
-				t.Fatalf("track %s missing span %q (saw %v)", tr, span, seen[tr])
+			if !hasSpan(byTrack[tr], span) {
+				t.Fatalf("track %s missing span %q", tr, span)
 			}
 		}
 	}
 	for _, span := range []string{"teacher_fwd", "student_fwd", "student_bwd", "recv_act"} {
-		if !seen["dev3"][span] {
-			t.Fatalf("track dev3 missing span %q (saw %v)", span, seen["dev3"])
+		if !hasSpan(byTrack["dev3"], span) {
+			t.Fatalf("track dev3 missing span %q", span)
 		}
 	}
 	if v := metrics.Counter("steps_completed").Load(); v != int64(s.steps) {
@@ -148,14 +141,7 @@ func TestWorkerTraceDirDump(t *testing.T) {
 	dir := t.TempDir()
 	metrics := obs.NewMetrics()
 	net := transport.NewLoopback()
-	lis, err := net.Listen("")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	worker := NewWorker(lis, WorkerConfig{Sessions: 1, Dial: net,
-		TraceDir: dir, Metrics: metrics})
-	served := make(chan error, 1)
-	go func() { served <- worker.Serve() }()
+	worker, served := serveWorker(t, net, WorkerConfig{Sessions: 1, Dial: net, TraceDir: dir, Metrics: metrics})
 	cfg := s.config()
 	cfg.Topology = "ring"
 	_, _, runErr := s.run(net, []string{worker.Addr()}, cfg)

@@ -20,6 +20,7 @@ import (
 type resumableHarness struct {
 	a, b *Resumable // a dials, b accepts
 	lis  Listener
+	wrap func(Conn) Conn // when set, wraps every connection a redials
 }
 
 func newResumableHarness(t *testing.T, policy RetryPolicy, aOpts, bOpts ResumableOptions) *resumableHarness {
@@ -62,6 +63,9 @@ func newResumableHarness(t *testing.T, policy RetryPolicy, aOpts, bOpts Resumabl
 		if err != nil {
 			c.Close()
 			return nil, 0, err
+		}
+		if h.wrap != nil {
+			return h.wrap(c), echo.Recvd, nil
 		}
 		return c, echo.Recvd, nil
 	}
@@ -221,6 +225,74 @@ func TestResumableReplaysThroughBreaks(t *testing.T) {
 	}
 	if n := absorbs.Load(); n != int64(len(breaks)) {
 		t.Errorf("absorbed %d faults, want one per break (%d)", n, len(breaks))
+	}
+}
+
+// failFirstSend is a connection whose first Send breaks it.
+type failFirstSend struct {
+	Conn
+	once sync.Once
+}
+
+func (c *failFirstSend) Send(f *wire.Frame) error {
+	var err error
+	c.once.Do(func() {
+		c.Conn.Close()
+		err = errors.New("injected break")
+	})
+	if err != nil {
+		return err
+	}
+	return c.Conn.Send(f)
+}
+
+// TestResumableCountsABreakMidReplay: a break that cuts a resume's replay
+// short is one more fault, and both ends count it: each reports one
+// absorption per break, once the link is back and before its replay, with
+// the number of frames it is about to replay. Here a's first redial breaks
+// on the first frame it replays, so a absorbs twice, replaying one frame
+// each time, and b, which has nothing to replay, adopts twice.
+func TestResumableCountsABreakMidReplay(t *testing.T) {
+	absorbed := map[string]chan int{"a": make(chan int, 4), "b": make(chan int, 4)}
+	opts := func(name string) ResumableOptions {
+		return ResumableOptions{Name: name, OnAbsorb: func(n int) { absorbed[name] <- n }}
+	}
+	h := newResumableHarness(t, RetryPolicy{Backoff: 2 * time.Millisecond, Budget: 5 * time.Second, AckEvery: 4},
+		opts("a"), opts("b"))
+	// a's reader notices the breaks (no frame comes back); b reads nothing
+	// yet, so the frame stays unreceived and a replays it.
+	go h.a.Recv()
+	if err := h.a.Send(seqFrame(0)); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	var first sync.Once
+	h.wrap = func(c Conn) Conn {
+		first.Do(func() { c = &failFirstSend{Conn: c} })
+		return c
+	}
+	breakLink(t, h.a)
+	deadline := time.NewTimer(5 * time.Second)
+	defer deadline.Stop()
+	for _, want := range []struct {
+		end      string
+		replayed int
+	}{{"a", 1}, {"a", 1}, {"b", 0}, {"b", 0}} {
+		select {
+		case n := <-absorbed[want.end]:
+			if n != want.replayed {
+				t.Fatalf("%s absorbed a fault replaying %d frame(s), want %d", want.end, n, want.replayed)
+			}
+		case <-deadline.C:
+			t.Fatalf("%s absorbed fewer faults than the two breaks", want.end)
+		}
+	}
+	if f, err := h.b.Recv(); err != nil || f.Step != 0 {
+		t.Fatalf("recv after the breaks: %v, %v", f, err)
+	}
+	for end, ch := range absorbed {
+		if len(ch) > 0 {
+			t.Fatalf("%s absorbed more faults than the two breaks", end)
+		}
 	}
 }
 
