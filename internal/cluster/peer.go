@@ -70,7 +70,10 @@ type mesh struct {
 	eps     map[pairKey]*endpoint
 	pending map[pairKey]bool // endpoints accept must still deliver
 	closed  bool
-	readers sync.WaitGroup
+	// orphaned: the session's control link is gone, so no peer still to
+	// dial in or to be dialed will ever matter.
+	orphaned bool
+	readers  sync.WaitGroup
 }
 
 func newMesh(links linkPolicy, dir []string, control *endpoint) *mesh {
@@ -207,6 +210,12 @@ func (m *mesh) dialPeer(local, remote int, deadline time.Time) error {
 			return fmt.Errorf("cluster: peer link %d->%d to %s not established before deadline (last error: %v)",
 				local, remote, addr, err)
 		}
+		m.mu.Lock()
+		orphaned := m.orphaned
+		m.mu.Unlock()
+		if orphaned {
+			return fmt.Errorf("cluster: control link lost while dialing peer link %d->%d", local, remote)
+		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
@@ -222,7 +231,7 @@ func (m *mesh) waitAccepted(deadline time.Time) error {
 	defer timer.Stop()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.pending) > 0 && !m.closed && time.Now().Before(deadline) {
+	for len(m.pending) > 0 && !m.closed && !m.orphaned && time.Now().Before(deadline) {
 		m.cond.Wait()
 	}
 	if len(m.pending) > 0 {
@@ -230,9 +239,22 @@ func (m *mesh) waitAccepted(deadline time.Time) error {
 		for k := range m.pending {
 			missing = append(missing, k)
 		}
+		if m.orphaned {
+			return fmt.Errorf("cluster: control link lost while peer links %v were to dial in", missing)
+		}
 		return fmt.Errorf("cluster: peer links %v never dialed in before deadline", missing)
 	}
 	return nil
+}
+
+// orphan marks the session's control link gone — a coordinator that
+// superseded the attempt closed it — so that mesh establishment stops
+// waiting out its deadline for peers that will never come.
+func (m *mesh) orphan() {
+	m.mu.Lock()
+	m.orphaned = true
+	m.cond.Broadcast()
+	m.mu.Unlock()
 }
 
 // peers returns device local's endpoints by remote device.

@@ -366,3 +366,42 @@ func TestStepsOutsideTheRunAreRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestSupersededSessionStopsWaitingForPeers: a session whose control link
+// closes while it still waits for a peer to dial in — an attempt the
+// coordinator superseded before every worker took its Assign — ends at
+// once instead of waiting out meshTimeout, and Serve returns.
+func TestSupersededSessionStopsWaitingForPeers(t *testing.T) {
+	leakCheck(t)
+	net := transport.NewLoopback()
+	logf, logs := captureLog()
+	worker, served := serveWorker(t, net, WorkerConfig{Sessions: 1, Dial: net, Logf: logf})
+	conn, err := net.Dial(worker.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hello, err := conn.Recv(); err != nil || hello.Kind != wire.KindHello {
+		t.Fatalf("handshake: %v, %v", hello, err)
+	}
+	// Device 0 waits for device 1 to dial in; device 1's Assign never
+	// leaves the coordinator.
+	s := runSpec{plan: trPlan(), dpu: true, steps: 3, batch: 8}
+	assign := &wire.Assign{Epoch: 1, Plan: s.plan, Spec: s.modelSpec(),
+		Run:     wire.RunConfig{DPU: true, LR: 0.05, Steps: s.steps, Topology: "ring", Data: s.data()},
+		Devices: []int{0}, Peers: []string{worker.Addr(), "never-assigned"}, Snapshot: CaptureSnapshot(s.workbench())}
+	if err := conn.Send(wire.EncodeAssign(assign)); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("worker serve: %v", err)
+		}
+	case <-time.After(meshTimeout / 2):
+		t.Fatalf("the session still waited for its peer %v after its control link closed; log:\n%s", meshTimeout/2, logs())
+	}
+	if !strings.Contains(logs(), "control link lost while") {
+		t.Fatalf("the session did not fail on its lost control link; log:\n%s", logs())
+	}
+}

@@ -83,6 +83,7 @@ type Worker struct {
 	hostMu   sync.Mutex
 	hostCond *sync.Cond
 	hosts    map[hostKey]*mesh
+	closing  bool // Close was called: no connection waits for its session
 }
 
 // hostKey identifies one hosted device within one run attempt.
@@ -102,8 +103,15 @@ func NewWorker(lis transport.Listener, cfg WorkerConfig) *Worker {
 func (w *Worker) Addr() string { return w.lis.Addr() }
 
 // Close stops the listener; a blocked Serve returns after in-flight
-// sessions finish.
-func (w *Worker) Close() error { return w.lis.Close() }
+// sessions finish. A peer connection still waiting for its session to
+// register — one a superseded session dialed late — stops waiting.
+func (w *Worker) Close() error {
+	w.hostMu.Lock()
+	w.closing = true
+	w.hostCond.Broadcast()
+	w.hostMu.Unlock()
+	return w.lis.Close()
+}
 
 // Serve accepts and runs coordinator sessions until the listener closes
 // (returning nil) or the configured session count is reached — counting
@@ -237,7 +245,7 @@ func (w *Worker) awaitHost(epoch int64, dev int, wait time.Duration) (*mesh, err
 		if m := w.hosts[hostKey{epoch, dev}]; m != nil {
 			return m, nil
 		}
-		if !time.Now().Before(deadline) {
+		if !time.Now().Before(deadline) || w.closing {
 			return nil, fmt.Errorf("no session hosts device %d under epoch %d", dev, epoch)
 		}
 		w.hostCond.Wait()
@@ -342,10 +350,6 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	m := newMesh(links, assign.Peers, control)
 	defer func() { m.close(err == nil) }()
 	defer w.unregisterHosts(m, assign.Devices)
-	if err := w.establishMesh(m, assign, devices); err != nil {
-		return err
-	}
-	w.logf("peer mesh established for devices %v (epoch %d)", assign.Devices, assign.Epoch)
 	// failAll wakes every device loop of the session, whichever inbox it is
 	// blocked on: a device must not outlive its session, nor a sibling.
 	failAll := func(err error) {
@@ -357,11 +361,23 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 
 	// Router: demux inbound frames to device inboxes until the
 	// coordinator drains the session (nil) or the session ends otherwise.
+	// It reads before the mesh is up, so that a coordinator that superseded
+	// this attempt, closing the link, stops a session still waiting for its
+	// peers instead of leaving it to wait out meshTimeout; the first frame
+	// waits for the mesh (a relayed one needs its edge).
+	meshUp := make(chan bool, 1)
 	route := func() error {
+		up := false
 		for {
 			f, err := control.conn.Recv()
 			if err != nil {
+				m.orphan()
 				return fmt.Errorf("cluster: session connection lost: %w", err)
+			}
+			if !up {
+				if up = <-meshUp; !up {
+					return fmt.Errorf("cluster: session ended before its peer mesh was up")
+				}
 			}
 			switch {
 			case f.Kind == wire.KindDrain:
@@ -407,6 +423,12 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 		}
 		routerErr <- err
 	}()
+	err = w.establishMesh(m, assign, devices)
+	meshUp <- err == nil
+	if err != nil {
+		return err
+	}
+	w.logf("peer mesh established for devices %v (epoch %d)", assign.Devices, assign.Epoch)
 
 	// Run every hosted device loop. A device that fails (transport loss
 	// or a panic on a decodable-but-invalid frame) poisons only this
