@@ -153,7 +153,7 @@
 // Tier 1, absorb (cluster.Config.RetryBudget, the cluster mode's -retry-budget):
 // every control and peer connection is wrapped in a resumable stream (transport.Resumable) — both sides count received
 // frames, the sender buffers its unacknowledged tail, and a broken link
-// redials with exponential backoff, re-opens with the hello that opened
+// redials with backoff (10 ms, doubling to 50 ms), re-opens with the hello that opened
 // it (epoch and device pair, now marked resume and carrying the dialer's
 // high-water mark; the coordinator's end is "no device"), and replays
 // exactly the missed frames. Transient flaps and healing partitions cost
@@ -193,8 +193,11 @@
 // seed draws the run and its faults, and every draw must end with the
 // in-process engine's losses and weights and exactly the restarts its
 // kills call for (go test -run 'FuzzClusterRun/<corpus file>'
-// ./internal/cluster/ replays a committed seed). The wall-clock faults
-// (heartbeat silence, partition windows) keep hand-written suites.
+// ./internal/cluster/ replays a committed seed). The timed faults
+// (heartbeat silence, retry budgets, partition and delay windows) keep
+// hand-written suites on a manual clock: every wait of the cluster reads
+// the clock its transport carries (transport.Clock, the wall clock in
+// production), so each suite pins the exact instant its timeout fires.
 //
 // Snapshot traffic is one snapshot per group — the members of a split
 // group are bit-identical replicas, so only rank 0 snapshots and a

@@ -38,7 +38,7 @@ const (
 // for stay zero.
 type event struct {
 	kind eventKind
-	at   time.Time
+	at   int64 // an instant of the run's clock
 	sess int
 	err  error
 
@@ -54,7 +54,7 @@ type event struct {
 
 // frameEvent decodes one inbound frame into the event the core handles. A
 // payload that does not decode becomes the event's err, a protocol error.
-func frameEvent(sess int, at time.Time, f *wire.Frame) event {
+func frameEvent(sess int, at int64, f *wire.Frame) event {
 	ev := event{kind: evFrame, at: at, sess: sess, frame: f.Kind, dev: int(f.Dev), step: int(f.Step)}
 	switch f.Kind {
 	case wire.KindLinkDown:
@@ -109,7 +109,7 @@ type session struct {
 	addr    string
 	devices []int
 	live    bool
-	heard   time.Time
+	heard   int64
 }
 
 // routes is an attempt's relay table, immutable once the attempt is
@@ -164,7 +164,7 @@ type attemptCore struct {
 
 // place records the attempt's sessions, heard from at at, and returns
 // its route table over the relayed edges.
-func (a *attemptCore) place(at time.Time, sessions []session, relayed [][2]int) *routes {
+func (a *attemptCore) place(at int64, sessions []session, relayed [][2]int) *routes {
 	a.sessions = sessions
 	rt := &routes{relayed: make(map[[2]int]bool, 2*len(relayed)), host: make([]int, len(a.devs))}
 	for i := range sessions {
@@ -280,7 +280,7 @@ func (a *attemptCore) broadcast(f *wire.Frame) {
 // heartbeatMisses intervals is lost. A session whose link is absorbing a
 // flap is exempt — silence is expected there, and if the reconnect
 // budget runs out its reader reports the loss.
-func (a *attemptCore) tick(at time.Time, reconnecting []bool) {
+func (a *attemptCore) tick(at int64, reconnecting []bool) {
 	if a.heartbeat <= 0 {
 		return
 	}
@@ -291,8 +291,8 @@ func (a *attemptCore) tick(at time.Time, reconnecting []bool) {
 		case !s.live:
 		case i < len(reconnecting) && reconnecting[i]:
 			s.heard = at
-		case at.Sub(s.heard) > timeout:
-			a.logf("worker %s silent for over %v, declaring it dead", s.addr, timeout)
+		case time.Duration(at-s.heard) > timeout:
+			a.logf("worker %s silent for %v (over %v), declaring it dead", s.addr, time.Duration(at-s.heard), timeout)
 			a.lost(i, fmt.Errorf("cluster: worker %s: heartbeat timeout after %v", s.addr, timeout))
 			if a.over {
 				return

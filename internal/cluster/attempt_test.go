@@ -16,7 +16,7 @@ import (
 // twoSessionCore places attempt zero of a two-step hybridPlan run on two
 // sessions — devices 0 and 1 on session 0, device 2 on session 1 — heard
 // from at t0, with the given heartbeat interval.
-func twoSessionCore(t *testing.T, cfg Config, t0 time.Time) (*driver, *attemptCore, wire.Snapshot) {
+func twoSessionCore(t *testing.T, cfg Config, t0 int64) (*driver, *attemptCore, wire.Snapshot) {
 	t.Helper()
 	d, core, seed := placedCore(t, cfg, 2)
 	core.place(t0, []session{{addr: "a", devices: []int{0, 1}}, {addr: "b", devices: []int{2}}}, nil)
@@ -30,8 +30,8 @@ func twoSessionCore(t *testing.T, cfg Config, t0 time.Time) (*driver, *attemptCo
 // socket and no wall clock is involved.
 func TestHeartbeatRuleInVirtualTime(t *testing.T) {
 	const hb = 10 * time.Millisecond
-	t0 := time.Unix(1000, 0)
-	at := func(d time.Duration) time.Time { return t0.Add(d) }
+	t0 := int64(1000 * time.Second)
+	at := func(d time.Duration) int64 { return t0 + int64(d) }
 	tick := func(d time.Duration, reconnecting ...bool) event {
 		return event{kind: evTick, at: at(d), reconnecting: reconnecting}
 	}
@@ -95,10 +95,10 @@ func TestHeartbeatRuleInVirtualTime(t *testing.T) {
 func TestPanicInStepFailsTheAttempt(t *testing.T) {
 	d, _, seed := placedCore(t, Config{DPU: true}, 2)
 	r := d.newRun(1)
-	r.core.place(time.Time{}, []session{{addr: "x", devices: []int{0, 1, 2}}}, nil)
+	r.core.place(0, []session{{addr: "x", devices: []int{0, 1, 2}}}, nil)
 	r.core.workb = nil
 	f := wire.EncodeTensors(wire.KindFinalParams, 0, wire.NoStep, seed.Student[0])
-	if err := failure(r.step(frameEvent(0, time.Time{}, f))); err == nil || !strings.Contains(err.Error(), "panicked") {
+	if err := failure(r.step(frameEvent(0, 0, f))); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("a panicking step: got %v, want the attempt failed with the panic", err)
 	}
 }
@@ -164,8 +164,7 @@ func FuzzAttemptCore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
 		dpu := in.next(2) == 1
-		t0 := time.Unix(0, 0)
-		d, core, seed := twoSessionCore(t, Config{DPU: dpu, MaxRestarts: 1, HeartbeatInterval: time.Millisecond}, t0)
+		d, core, seed := twoSessionCore(t, Config{DPU: dpu, MaxRestarts: 1, HeartbeatInterval: time.Millisecond}, 0)
 		core.rp = newRepartitioner(core.plan)
 		shadow, err := ledger.NewAccount(&d.setup)
 		if err != nil {
@@ -186,10 +185,10 @@ func FuzzAttemptCore(f *testing.F) {
 		kinds := []wire.Kind{wire.KindHello, wire.KindHeartbeat, wire.KindRelay, wire.KindLinkDown,
 			wire.KindStepDone, wire.KindLosses, wire.KindSnapshot, wire.KindSpans, wire.KindFinalParams,
 			wire.KindDone, wire.KindOutput}
-		now := t0
+		now := int64(0)
 		over := false
 		for len(in) > 0 {
-			now = now.Add(time.Duration(in.next(256)) * 100 * time.Microsecond)
+			now += int64(in.next(256)) * int64(100*time.Microsecond)
 			ev := event{kind: evFrame, at: now, sess: in.next(2)}
 			switch op := in.next(len(kinds) + 3); {
 			case op == len(kinds):

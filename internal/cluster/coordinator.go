@@ -104,7 +104,7 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// RetryBudget enables transient-fault absorption on every session
 	// link: a broken connection — control or peer — redials with
-	// exponential backoff (from the transport's 10 ms) for up to this
+	// backoff (the transport's 10 ms, doubling to 50 ms) for up to this
 	// much downtime, re-handshakes against the peer's high-water mark,
 	// and replays exactly the unacked frames, so a link flap is invisible
 	// to the run (no restart consumed, results bit-identical). A link
@@ -159,13 +159,14 @@ type Config struct {
 // dies it restarts every device from the global cut, bit-identically
 // (see the package doc and driver.go).
 type Coordinator struct {
-	net transport.Network
-	cfg Config
+	net   transport.Network
+	clock transport.Clock // the network's: every wait of the run reads it
+	cfg   Config
 }
 
 // NewCoordinator returns a coordinator that dials workers over net.
 func NewCoordinator(net transport.Network, cfg Config) *Coordinator {
-	return &Coordinator{net: net, cfg: cfg}
+	return &Coordinator{net: net, clock: transport.ClockOf(net), cfg: cfg}
 }
 
 // Run is shorthand for NewCoordinator(net, cfg).Run(w, batches, addrs).
@@ -382,28 +383,28 @@ func (c *Coordinator) joinTimeout() time.Duration {
 	return 10 * time.Second
 }
 
-// recvDeadline bounds a single handshake Recv by the join deadline: a
+// recvDeadline bounds a single handshake Recv by a deadline on clock: a
 // TCP connect can succeed against a silent or busy peer (listen backlog)
 // long before anything speaks, and Conn has no deadline of its own. At the
 // deadline the connection is closed, which unblocks the pending Recv.
-func recvDeadline(conn transport.Conn, deadline time.Time) (*wire.Frame, error) {
-	timer := time.AfterFunc(time.Until(deadline), func() { conn.Close() })
+func recvDeadline(conn transport.Conn, clock transport.Clock, deadline int64) (*wire.Frame, error) {
+	stop := clock.AfterFunc(time.Duration(deadline-clock.Now()), func() { conn.Close() })
 	f, err := conn.Recv()
-	if !timer.Stop() {
+	if !stop() {
 		return nil, fmt.Errorf("cluster: no handshake before join deadline")
 	}
 	return f, err
 }
 
 // dialHello opens the one handshake every connection to a worker starts
-// with: dial, then the worker's Hello, bounded by the deadline. The caller
-// owns the returned connection.
-func dialHello(net transport.Network, addr string, deadline time.Time) (transport.Conn, error) {
+// with: dial, then the worker's Hello, bounded by the deadline on clock.
+// The caller owns the returned connection.
+func dialHello(net transport.Network, clock transport.Clock, addr string, deadline int64) (transport.Conn, error) {
 	conn, err := net.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	hello, err := recvDeadline(conn, deadline)
+	hello, err := recvDeadline(conn, clock, deadline)
 	if err == nil && hello.Kind != wire.KindHello {
 		err = fmt.Errorf("worker %s sent %v, want hello", addr, hello.Kind)
 	}
@@ -426,11 +427,18 @@ func (r *run) execute() (engine.Result, error) {
 		r.readers.Add(1)
 		go r.read(i, p, events)
 	}
-	var tick <-chan time.Time
+	// The heartbeat tick hands the loop its instant and sleeps again once
+	// the loop took it, so the rule sees every tick.
+	tick := make(chan int64)
 	if hb := r.co.cfg.HeartbeatInterval; hb > 0 {
-		t := time.NewTicker(max(hb, 5*time.Millisecond))
-		defer t.Stop()
-		tick = t.C
+		go func() {
+			for transport.Sleep(r.co.clock, max(hb, 5*time.Millisecond), r.stop) {
+				select {
+				case tick <- r.co.clock.Now():
+				case <-r.stop:
+				}
+			}
+		}()
 	}
 	for {
 		var ev event
@@ -482,10 +490,10 @@ func (r *run) step(ev event) (effs []effect) {
 // is alive.
 func (r *run) read(sess int, p *peerConn, events chan<- event) {
 	defer r.readers.Done()
-	var told time.Time // when this reader last handed the loop an event
+	var told int64 // when this reader last handed the loop an event
 	for {
 		f, err := p.conn.Recv()
-		at := time.Now()
+		at := r.co.clock.Now()
 		var ev event
 		switch {
 		case err != nil:
@@ -494,7 +502,7 @@ func (r *run) read(sess int, p *peerConn, events chan<- event) {
 			to, ferr := r.routes.forward(sess, p.addr, f)
 			if ferr == nil {
 				r.peers[to].out.Enqueue(f)
-				if hb := r.co.cfg.HeartbeatInterval; hb == 0 || at.Sub(told) < hb {
+				if hb := r.co.cfg.HeartbeatInterval; hb == 0 || time.Duration(at-told) < hb {
 					continue
 				}
 			}

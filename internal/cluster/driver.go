@@ -172,7 +172,7 @@ func mergeEdges(have, add [][2]int) [][2]int {
 // right after the hello; a worker counts no session for them.
 func (c *Coordinator) workersAlive(addrs []string) bool {
 	for _, addr := range addrs {
-		conn, err := dialHello(c.net, addr, time.Now().Add(c.joinTimeout()))
+		conn, err := dialHello(c.net, c.clock, addr, transport.Deadline(c.clock, c.joinTimeout()))
 		if err != nil {
 			c.logf("liveness probe: worker %s did not handshake (%v); not degradable", addr, err)
 			return false
@@ -237,9 +237,9 @@ func (d *driver) newRun(epoch int64) *run {
 }
 
 // place opens this attempt's sessions: each placement slot is dialed
-// fresh — its configured worker first and, on a restart, the others as
-// fallback (workers with Rejoin stay up to accept replacements and can
-// host several sessions). Attempt zero of a fresh run waits for the slot's
+// fresh, in turn until the join deadline — its configured worker first
+// and, on a restart, the others as fallback (workers with Rejoin stay up
+// to accept replacements and can host several sessions). Attempt zero of a fresh run waits for the slot's
 // own worker alone: workers may still be starting, and a fallback would
 // put two slots on whichever came up first and leave the other process
 // waiting on its session budget forever. All connections are held open
@@ -272,11 +272,21 @@ func (r *run) place() error {
 				}
 			}
 		}
-		conn, actual, err := r.dialWorker(candidates, time.Now().Add(r.co.joinTimeout()))
+		h := held{devices: placement[i]}
+		deadline := transport.Deadline(r.co.clock, r.co.joinTimeout())
+		err := transport.Retry(r.co.clock, deadline, nil, func() (err error) {
+			for _, h.addr = range candidates {
+				if h.conn, err = dialHello(r.co.net, r.co.clock, h.addr, deadline); err == nil {
+					return nil
+				}
+			}
+			return err
+		})
 		if err != nil {
-			return bail(err)
+			return bail(fmt.Errorf("cluster: no worker of %v accepted the placement within %v (last error: %v)",
+				candidates, r.co.joinTimeout(), err))
 		}
-		holds = append(holds, held{conn, actual, placement[i]})
+		holds = append(holds, h)
 	}
 	r.assign.Peers = make([]string, len(r.core.devs))
 	for _, h := range holds {
@@ -291,7 +301,7 @@ func (r *run) place() error {
 			return bail(workerLostError{cause: fmt.Errorf("cluster: worker %s assign: %w", h.addr, err)})
 		}
 	}
-	links := linkPolicy{epoch: r.assign.Epoch, net: r.co.net, budget: r.co.cfg.RetryBudget,
+	links := linkPolicy{epoch: r.assign.Epoch, net: r.co.net, clock: r.co.clock, budget: r.co.cfg.RetryBudget,
 		logf: r.co.logf, metrics: r.co.cfg.Metrics}
 	sessions := make([]session, len(holds))
 	for i, h := range holds {
@@ -302,7 +312,7 @@ func (r *run) place() error {
 		sessions[i] = session{addr: h.addr, devices: h.devices}
 		r.co.logf("worker %s hosting devices %v", h.addr, h.devices)
 	}
-	r.routes = r.core.place(time.Now(), sessions, r.assign.RelayedEdges())
+	r.routes = r.core.place(r.co.clock.Now(), sessions, r.assign.RelayedEdges())
 	return nil
 }
 
@@ -319,26 +329,4 @@ func (r *run) sessionOpen(devices []int) *wire.Frame {
 		}
 	}
 	return wire.EncodeAssign(&a)
-}
-
-// dialWorker finds a worker among the candidates that accepts a
-// connection and presents its hello, cycling until the deadline. The
-// caller owns the returned connection and sends the session's Assign on
-// it.
-func (r *run) dialWorker(candidates []string, deadline time.Time) (transport.Conn, string, error) {
-	var lastErr error
-	for {
-		for _, addr := range candidates {
-			conn, err := dialHello(r.co.net, addr, deadline)
-			if err == nil {
-				return conn, addr, nil
-			}
-			lastErr = err
-		}
-		if time.Now().After(deadline) {
-			return nil, "", fmt.Errorf("cluster: no worker of %v accepted the placement within %v (last error: %v)",
-				candidates, r.co.joinTimeout(), lastErr)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 }

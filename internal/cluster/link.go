@@ -220,11 +220,12 @@ func (ep *endpoint) close(graceful bool) {
 
 // linkPolicy is what the links of one end of a session share: the attempt
 // epoch their hellos carry, the network that dials (and redials) the ones
-// this end owns, and the transient-fault absorption wiring, all zero when
-// the session has no retry budget.
+// this end owns, the clock their deadlines read, and the transient-fault
+// absorption wiring, all zero when the session has no retry budget.
 type linkPolicy struct {
 	epoch   int64
 	net     transport.Network
+	clock   transport.Clock
 	budget  time.Duration // reconnect budget; 0 keeps every link fail-fast
 	logf    func(format string, args ...any)
 	metrics *obs.Metrics
@@ -235,8 +236,8 @@ type linkPolicy struct {
 // h.To picked the connection up. It returns the raw connection and the
 // echo's count of frames the far side had received (zero on a fresh link),
 // which bounds a resume's replay to exactly what the break swallowed.
-func (p linkPolicy) open(addr string, h wire.PeerHello, deadline time.Time) (transport.Conn, int64, error) {
-	conn, err := dialHello(p.net, addr, deadline)
+func (p linkPolicy) open(addr string, h wire.PeerHello, deadline int64) (transport.Conn, int64, error) {
+	conn, err := dialHello(p.net, p.clock, addr, deadline)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -244,7 +245,7 @@ func (p linkPolicy) open(addr string, h wire.PeerHello, deadline time.Time) (tra
 	var echo wire.PeerHello
 	if err == nil {
 		var f *wire.Frame
-		if f, err = recvDeadline(conn, deadline); err == nil {
+		if f, err = recvDeadline(conn, p.clock, deadline); err == nil {
 			echo, err = wire.DecodePeerHello(f)
 		}
 	}
@@ -268,7 +269,7 @@ func (p linkPolicy) endpoint(conn transport.Conn, local, remote int, name, addr 
 	ep := &endpoint{conn: conn}
 	if p.budget > 0 {
 		policy := transport.RetryPolicy{Budget: p.budget}
-		opts := transport.ResumableOptions{Name: name, Logf: p.logf,
+		opts := transport.ResumableOptions{Name: name, Logf: p.logf, Clock: p.clock,
 			OnAbsorb: func(replayed int) {
 				p.metrics.Add("link_faults_absorbed", 1)
 				p.metrics.Add("link_frames_replayed", int64(replayed))
@@ -276,7 +277,7 @@ func (p linkPolicy) endpoint(conn transport.Conn, local, remote int, name, addr 
 		if addr != "" {
 			opts.Redial = func(recvd int64) (transport.Conn, int64, error) {
 				return p.open(addr, wire.PeerHello{Epoch: p.epoch, From: local, To: remote, Resume: true, Recvd: recvd},
-					time.Now().Add(policy.Budget))
+					transport.Deadline(p.clock, policy.Budget))
 			}
 		}
 		ep.res = transport.NewResumable(conn, policy, opts)

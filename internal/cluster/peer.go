@@ -64,22 +64,46 @@ type mesh struct {
 	linkPolicy
 	dir     []string  // peers directory: device rank -> worker address
 	control *endpoint // the session's link to the coordinator
+	dials   []pairKey // the direct links this session dials
+
+	// failed closes when fail first runs — the session's control link or a
+	// device is gone — so no peer still to dial in or to be dialed matters.
+	failed chan struct{}
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	eps     map[pairKey]*endpoint
 	pending map[pairKey]bool // endpoints accept must still deliver
 	closed  bool
-	// orphaned: the session's control link is gone, so no peer still to
-	// dial in or to be dialed will ever matter.
-	orphaned bool
-	readers  sync.WaitGroup
+	err     error // why the mesh failed: every endpoint, present or still to come, fails with it
+	readers sync.WaitGroup
 }
 
-func newMesh(links linkPolicy, dir []string, control *endpoint) *mesh {
-	m := &mesh{linkPolicy: links, dir: dir, control: control,
+// newMesh lays out the peer edges of a session's hosted devices: a
+// relayed edge gets its endpoint at once; a direct one is a link the
+// session dials (higher rank dials lower — pairs on the same worker, or
+// even the same session, dial through the network identically) or one
+// it waits for.
+func newMesh(links linkPolicy, assign *wire.Assign, control *endpoint) *mesh {
+	m := &mesh{linkPolicy: links, dir: assign.Peers, control: control, failed: make(chan struct{}),
 		eps: make(map[pairKey]*endpoint), pending: make(map[pairKey]bool)}
 	m.cond = sync.NewCond(&m.mu)
+	relayed := make(map[pairKey]bool)
+	for _, e := range assign.RelayedEdges() {
+		relayed[pairKey{e[0], e[1]}], relayed[pairKey{e[1], e[0]}] = true, true
+	}
+	for _, local := range assign.Devices {
+		for _, remote := range peerRemotes(assign.Plan, local) {
+			switch key := (pairKey{local, remote}); {
+			case relayed[key]:
+				m.relay(local, remote)
+			case local > remote:
+				m.dials = append(m.dials, key)
+			default:
+				m.pending[key] = true
+			}
+		}
+	}
 	return m
 }
 
@@ -93,7 +117,7 @@ func newMesh(links linkPolicy, dir []string, control *endpoint) *mesh {
 // blocks). Callers hold m.mu.
 func (m *mesh) install(conn transport.Conn, local, remote int, addr string) {
 	ep := m.endpoint(conn, local, remote, fmt.Sprintf("peer link %d<->%d", local, remote), addr)
-	ep.in = newInbox()
+	ep.in = m.inbox()
 	m.eps[pairKey{local, remote}] = ep
 	m.readers.Add(1)
 	go func() {
@@ -114,12 +138,22 @@ func (m *mesh) install(conn transport.Conn, local, remote int, addr string) {
 	}()
 }
 
+// inbox makes an endpoint's inbox, failed already if the mesh failed.
+// Callers hold m.mu.
+func (m *mesh) inbox() *inbox {
+	b := newInbox()
+	if m.err != nil {
+		b.fail(m.err)
+	}
+	return b
+}
+
 // relay installs the (local, remote) endpoint of a relayed edge: no
 // connection of its own, an outbox that wraps each frame for the
 // coordinator to forward, and an inbox the session's router fills.
 func (m *mesh) relay(local, remote int) {
 	control := m.control.out
-	m.eps[pairKey{local, remote}] = &endpoint{in: newInbox(),
+	m.eps[pairKey{local, remote}] = &endpoint{in: m.inbox(),
 		out: newOutbox(func(f *wire.Frame) error {
 			control.Enqueue(wire.EncodeRelay(int32(remote), f))
 			return nil
@@ -191,70 +225,53 @@ func (m *mesh) accept(h wire.PeerHello, conn transport.Conn) error {
 }
 
 // dialPeer establishes the outbound half of one pair, retrying until the
-// deadline — the remote session may not have received its Assign yet.
-func (m *mesh) dialPeer(local, remote int, deadline time.Time) error {
+// deadline — the remote session may not have received its Assign yet — or
+// until the session fails.
+func (m *mesh) dialPeer(local, remote int, deadline int64) error {
 	addr := m.dir[remote]
-	for {
-		conn, _, err := m.open(addr, wire.PeerHello{Epoch: m.epoch, From: local, To: remote}, deadline)
-		if err == nil {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			if m.closed {
-				conn.Close()
-				return fmt.Errorf("cluster: mesh closed")
-			}
-			m.install(conn, local, remote, addr)
-			return nil
-		}
-		if time.Now().After(deadline) {
+	var conn transport.Conn
+	err := transport.Retry(m.clock, deadline, m.failed, func() (err error) {
+		conn, _, err = m.open(addr, wire.PeerHello{Epoch: m.epoch, From: local, To: remote}, deadline)
+		return err
+	})
+	if err != nil {
+		select {
+		case <-m.failed:
+			return fmt.Errorf("cluster: session failed while dialing peer link %d->%d: %w", local, remote, m.err)
+		default:
 			return fmt.Errorf("cluster: peer link %d->%d to %s not established before deadline (last error: %v)",
 				local, remote, addr, err)
 		}
-		m.mu.Lock()
-		orphaned := m.orphaned
-		m.mu.Unlock()
-		if orphaned {
-			return fmt.Errorf("cluster: control link lost while dialing peer link %d->%d", local, remote)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		conn.Close()
+		return fmt.Errorf("cluster: mesh closed")
+	}
+	m.install(conn, local, remote, addr)
+	return nil
 }
 
 // waitAccepted blocks until every expected inbound endpoint was delivered
 // by the worker's accept path, or the deadline passes.
-func (m *mesh) waitAccepted(deadline time.Time) error {
-	timer := time.AfterFunc(time.Until(deadline), func() {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	defer timer.Stop()
+func (m *mesh) waitAccepted(deadline int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.pending) > 0 && !m.closed && !m.orphaned && time.Now().Before(deadline) {
-		m.cond.Wait()
-	}
+	transport.WaitCond(m.clock, m.cond, deadline, func() bool {
+		return len(m.pending) == 0 || m.closed || m.err != nil
+	})
 	if len(m.pending) > 0 {
 		missing := make([]pairKey, 0, len(m.pending))
 		for k := range m.pending {
 			missing = append(missing, k)
 		}
-		if m.orphaned {
-			return fmt.Errorf("cluster: control link lost while peer links %v were to dial in", missing)
+		if m.err != nil {
+			return fmt.Errorf("cluster: session failed while peer links %v were to dial in: %w", missing, m.err)
 		}
 		return fmt.Errorf("cluster: peer links %v never dialed in before deadline", missing)
 	}
 	return nil
-}
-
-// orphan marks the session's control link gone — a coordinator that
-// superseded the attempt closed it — so that mesh establishment stops
-// waiting out its deadline for peers that will never come.
-func (m *mesh) orphan() {
-	m.mu.Lock()
-	m.orphaned = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
 }
 
 // peers returns device local's endpoints by remote device.
@@ -270,12 +287,19 @@ func (m *mesh) peers(local int) map[int]*endpoint {
 	return out
 }
 
-// fail wakes every peer endpoint's waiters: a dead session or device must
-// not leave a sibling device blocked on a peer frame that will never
-// arrive.
+// fail wakes every peer endpoint's waiters, fails the endpoints the mesh
+// has yet to make, and stops its establishment: a dead session or device
+// must not leave a sibling device blocked on a peer frame that will never
+// arrive, nor a session superseded before its mesh was up waiting out its
+// deadline for peers that will never come.
 func (m *mesh) fail(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.err == nil {
+		m.err = err
+		close(m.failed)
+		m.cond.Broadcast()
+	}
 	for _, ep := range m.eps {
 		ep.in.fail(err)
 	}

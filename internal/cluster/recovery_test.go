@@ -1,13 +1,17 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
+	"pipebd/internal/distill"
+	"pipebd/internal/engine"
 	"pipebd/internal/obs"
+	"pipebd/internal/testutil"
 )
 
 // TestRecoveryFallsBackToSurvivingWorker: when the dead worker cannot be
@@ -44,13 +48,19 @@ func TestRecoveryFallsBackToSurvivingWorker(t *testing.T) {
 
 // TestHeartbeatTimeoutDetectsSilentWorker: a worker that accepts the
 // session and then goes silent — no heartbeats, no data, but a healthy
-// connection — is declared dead by the attempt core's heartbeat rule and
-// the restart places its device on the live worker; the run still
-// matches the fault-free trajectory bit-for-bit.
+// connection — is declared dead by the attempt core's heartbeat rule, and
+// the restart places its device on the live worker; the run still matches
+// the fault-free trajectory bit-for-bit. Every wait runs on a manual
+// clock, so the instant is exact: the ticks at 125, 250, 375 and 500 ms
+// see at most four intervals of silence, the tick at 625 ms declares it.
+// The silent worker holds the first slot, so the rule judges it first
+// whenever the live worker's beacons reach the coordinator.
 func TestHeartbeatTimeoutDetectsSilentWorker(t *testing.T) {
 	leakCheck(t)
+	const hb = 125 * time.Millisecond
 	s := runSpec{plan: trPlan(), dpu: true, steps: 3, batch: 8}
-	net := transport.NewLoopback()
+	net, clock := transport.NewLoopback(), &testutil.ManualClock{}
+	net.Clock = clock
 	addrA := startWorkers(t, net, 1, WorkerConfig{})[0]
 
 	// A fake worker that handshakes and then plays dead: it accepts one
@@ -79,21 +89,35 @@ func TestHeartbeatTimeoutDetectsSilentWorker(t *testing.T) {
 	logf, logs := captureLog()
 	counters := obs.NewMetrics()
 	cfg := s.config()
-	cfg.MaxRestarts, cfg.JoinTimeout, cfg.HeartbeatInterval = 1, 5*time.Second, 125*time.Millisecond
+	cfg.MaxRestarts, cfg.HeartbeatInterval = 1, hb
 	cfg.Logf, cfg.Metrics = logf, counters
-	res, w, err := s.run(net, []string{addrA, silentLis.Addr()}, cfg)
-	if err != nil {
-		t.Fatalf("run failed: %v\nlog:\n%s", err, logs())
+	type outcome struct {
+		res engine.Result
+		w   *distill.Workbench
+		err error
 	}
-	if !strings.Contains(logs(), "silent for over") {
-		t.Fatalf("heartbeat rule never fired; log:\n%s", logs())
+	done := make(chan outcome, 1)
+	go func() {
+		res, w, err := s.run(net, []string{silentLis.Addr(), addrA}, cfg)
+		done <- outcome{res, w, err}
+	}()
+	for range heartbeatMisses + 1 {
+		clock.WaitArmed(t, 2) // the coordinator's next tick and the live worker's beacon
+		clock.Advance(hb)
+	}
+	out := testutil.Await(t, done, "the run's end")
+	if out.err != nil {
+		t.Fatalf("run failed: %v\nlog:\n%s", out.err, logs())
+	}
+	if want := fmt.Sprintf("worker %s silent for 625ms (over 500ms)", silentLis.Addr()); !strings.Contains(logs(), want) {
+		t.Fatalf("log lacks %q; log:\n%s", want, logs())
 	}
 	// The silent listener refuses the re-join, so finishing means worker A
 	// hosted the silent worker's device too.
 	if n := counters.Counter("recoveries").Load(); n != 1 {
 		t.Fatalf("run consumed %d restart(s), want 1; log:\n%s", n, logs())
 	}
-	s.check(t, res, w)
+	s.check(t, out.res, out.w)
 }
 
 // TestRecoverySeededSchedule drives the CLI's scenario generator end to

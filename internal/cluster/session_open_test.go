@@ -11,8 +11,11 @@ import (
 	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
+	"pipebd/internal/distill"
+	"pipebd/internal/engine"
 	"pipebd/internal/obs"
 	"pipebd/internal/tensor"
+	"pipebd/internal/testutil"
 )
 
 // TestHubInputRecipeReadLocally: a hub run moves no batch over any
@@ -295,7 +298,7 @@ func placedCore(t *testing.T, cfg Config, steps int) (*driver, *attemptCore, wir
 		t.Fatal(err)
 	}
 	core := d.newRun(0).core
-	core.place(time.Time{}, []session{{addr: "x", devices: []int{0, 1, 2}}}, nil)
+	core.place(0, []session{{addr: "x", devices: []int{0, 1, 2}}}, nil)
 	return d, core, seed
 }
 
@@ -321,11 +324,11 @@ func TestNonRank0SnapshotIsProtocolError(t *testing.T) {
 	for i, p := range params {
 		vels[i] = tensor.New(p.Shape()...)
 	}
-	effs := core.step(frameEvent(0, time.Time{}, wire.EncodeDeviceSnapshot(0, 0, params, vels)))
+	effs := core.step(frameEvent(0, 0, wire.EncodeDeviceSnapshot(0, 0, params, vels)))
 	if len(effs) != 1 || effs[0].kind != efRecord || effs[0].rec.Type != ledger.TypeDevSnapshot {
 		t.Fatalf("rank-0 snapshot: got effects %+v, want its record", effs)
 	}
-	err := failure(core.step(frameEvent(0, time.Time{}, wire.EncodeDeviceSnapshot(1, 0, params, vels))))
+	err := failure(core.step(frameEvent(0, 0, wire.EncodeDeviceSnapshot(1, 0, params, vels))))
 	if err == nil || !strings.Contains(err.Error(), "only rank 0 snapshots") {
 		t.Fatalf("rank-1 snapshot frame: got %v, want a protocol error", err)
 	}
@@ -342,7 +345,7 @@ func TestNonRank0SnapshotIsProtocolError(t *testing.T) {
 func TestStepsOutsideTheRunAreRefused(t *testing.T) {
 	for _, step := range []int32{2, 1 << 20} {
 		d, core, _ := placedCore(t, Config{MaxRestarts: 1}, 2)
-		err := failure(core.step(frameEvent(0, time.Time{}, wire.Control(wire.KindStepDone, 0, step))))
+		err := failure(core.step(frameEvent(0, 0, wire.Control(wire.KindStepDone, 0, step))))
 		if err == nil || !strings.Contains(err.Error(), "outside the run's 2 steps") {
 			t.Fatalf("step-done for step %d of 2: got %v, want a range error", step, err)
 		}
@@ -370,10 +373,12 @@ func TestStepsOutsideTheRunAreRefused(t *testing.T) {
 // TestSupersededSessionStopsWaitingForPeers: a session whose control link
 // closes while it still waits for a peer to dial in — an attempt the
 // coordinator superseded before every worker took its Assign — ends at
-// once instead of waiting out meshTimeout, and Serve returns.
+// once instead of waiting out meshTimeout, and Serve returns. The
+// worker's clock never moves, so no deadline can end the wait for it.
 func TestSupersededSessionStopsWaitingForPeers(t *testing.T) {
 	leakCheck(t)
 	net := transport.NewLoopback()
+	net.Clock = &testutil.ManualClock{}
 	logf, logs := captureLog()
 	worker, served := serveWorker(t, net, WorkerConfig{Sessions: 1, Dial: net, Logf: logf})
 	conn, err := net.Dial(worker.Addr())
@@ -398,10 +403,55 @@ func TestSupersededSessionStopsWaitingForPeers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("worker serve: %v", err)
 		}
-	case <-time.After(meshTimeout / 2):
-		t.Fatalf("the session still waited for its peer %v after its control link closed; log:\n%s", meshTimeout/2, logs())
+	case <-time.After(10 * time.Second): // of wall time, a hang guard
+		t.Fatalf("the session still waited for its peer after its control link closed; log:\n%s", logs())
 	}
-	if !strings.Contains(logs(), "control link lost while") {
+	if !strings.Contains(logs(), "session failed while peer links") {
 		t.Fatalf("the session did not fail on its lost control link; log:\n%s", logs())
 	}
+}
+
+// TestPlacementFindsALateWorker: a worker that starts listening at 6 s of
+// the 10 s JoinTimeout is placed by the coordinator's next dial, at
+// 6.02 s (its backoff stops growing at 50 ms), and the run completes with
+// the clock not moved again.
+func TestPlacementFindsALateWorker(t *testing.T) {
+	leakCheck(t)
+	s := runSpec{plan: trPlan(), dpu: true, steps: 3, batch: 8}
+	net, clock := transport.NewLoopback(), &testutil.ManualClock{}
+	net.Clock = clock
+	type outcome struct {
+		res engine.Result
+		w   *distill.Workbench
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, w, err := s.run(net, []string{"late-worker"}, s.config())
+		done <- outcome{res, w, err}
+	}()
+	for clock.Now() < int64(6*time.Second) {
+		clock.WaitArmed(t, 1) // the placement's next dial
+		clock.Advance(10 * time.Millisecond)
+	}
+	lis, err := net.Listen("late-worker")
+	if err != nil {
+		t.Fatalf("worker listen: %v", err)
+	}
+	w := NewWorker(lis, WorkerConfig{Sessions: 1})
+	served := make(chan error, 1)
+	go func() { served <- w.Serve() }()
+	clock.WaitArmed(t, 1)
+	clock.Advance(20 * time.Millisecond)
+	out := testutil.Await(t, done, "run placed on the late worker")
+	if out.err != nil {
+		t.Fatalf("run failed: %v", out.err)
+	}
+	if err := testutil.Await(t, served, "worker's return after its session"); err != nil {
+		t.Fatalf("worker serve: %v", err)
+	}
+	if now := time.Duration(clock.Now()); now != 6020*time.Millisecond {
+		t.Fatalf("the run ended at %v on the clock, want 6.02s", now)
+	}
+	s.check(t, out.res, out.w)
 }

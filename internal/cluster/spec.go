@@ -84,6 +84,13 @@
 // against the core's route table and forwards it at once, because under
 // the hub every activation and all-reduce frame crosses the coordinator.
 //
+// # One clock
+//
+// Every wait of a run — deadlines, retries, heartbeats, chaos windows —
+// reads the transport.Clock of the coordinator's Network or the worker's
+// Listener (the wall clock in production; a test gives a Loopback a manual
+// one), through transport.Retry, WaitCond and Sleep, so nothing polls.
+//
 // # Fault tolerance: one recovery model, the global cut
 //
 // With Config.MaxRestarts > 0 a run survives worker loss, under one rule

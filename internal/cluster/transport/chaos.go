@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -40,8 +41,10 @@ const (
 	// matched Recv drops the received frame, modeling a crash before
 	// delivery.
 	ActKill Action = iota
-	// ActDelay sleeps for Fault.Delay before letting the operation
-	// proceed — pure latency, no data loss.
+	// ActDelay waits Fault.Delay on the network's clock before letting
+	// the operation proceed — pure latency, no data loss. With a
+	// Fault.Window every later frame crossing the connection within the
+	// window waits Delay too: a congestion burst, not one slow frame.
 	ActDelay
 	// ActTruncate (send only) delivers a frame whose payload was cut in
 	// half — the peer decodes a structurally broken message — and then
@@ -50,9 +53,7 @@ const (
 	// ActFlap closes the connection exactly like ActKill but models a
 	// transient link fault rather than a process crash: redialing the
 	// same address succeeds immediately, so a resumable link absorbs the
-	// flap by reconnect-and-replay. (ActKill semantics are untouched;
-	// the distinct action exists so schedules and logs say what they
-	// mean.)
+	// flap by reconnect-and-replay.
 	ActFlap
 	// ActPartition closes the connection and blackholes its dialed
 	// address for Fault.Delay: every Chaos.Dial of that address fails
@@ -60,28 +61,10 @@ const (
 	// healing — or persistent — network partition in front of a
 	// reconnecting link.
 	ActPartition
-	// ActSpike opens a latency window: the matched frame and every later
-	// frame crossing this connection within Fault.Window sleep
-	// Fault.Delay each — a congestion burst rather than a single slow
-	// frame.
-	ActSpike
 )
 
 func (a Action) String() string {
-	switch a {
-	case ActKill:
-		return "kill"
-	case ActDelay:
-		return "delay"
-	case ActFlap:
-		return "flap"
-	case ActPartition:
-		return "partition"
-	case ActSpike:
-		return "spike"
-	default:
-		return "truncate"
-	}
+	return [...]string{"kill", "delay", "truncate", "flap", "partition"}[a]
 }
 
 // AnyStep is the Trigger.Step wildcard. (wire.NoStep is a real step value
@@ -117,11 +100,11 @@ type Trigger struct {
 type Fault struct {
 	Trigger
 	Action Action
-	// Delay is the sleep of ActDelay and ActSpike, and the partition
-	// duration of ActPartition (<= 0 partitions forever).
+	// Delay is the wait of ActDelay and the partition duration of
+	// ActPartition (<= 0 partitions forever). Delays and windows run on
+	// the wrapped network's clock.
 	Delay time.Duration
-	// Window is the duration of an ActSpike latency burst after its
-	// trigger fires.
+	// Window is how long after it fires an ActDelay delays every frame.
 	Window time.Duration
 	// Repeat re-arms the fault after it fires, so it injects on every
 	// matching frame from the Count-th on — a persistent perturbation
@@ -160,9 +143,9 @@ type Chaos struct {
 	mu     sync.Mutex
 	faults []*chaosFault
 	dials  int
-	// heal maps blackholed addresses (ActPartition) to when dialing them
-	// works again; the zero time means the partition never heals.
-	heal map[string]time.Time
+	// heal maps blackholed addresses (ActPartition) to the instant dialing
+	// them works again; a partition that never heals maps to MaxInt64.
+	heal map[string]int64
 }
 
 type chaosFault struct {
@@ -173,7 +156,7 @@ type chaosFault struct {
 
 // NewChaos wraps inner with the given fault schedule.
 func NewChaos(inner Network, schedule ...Fault) *Chaos {
-	c := &Chaos{inner: inner, heal: make(map[string]time.Time)}
+	c := &Chaos{inner: inner, heal: make(map[string]int64)}
 	for _, f := range schedule {
 		c.faults = append(c.faults, &chaosFault{Fault: f})
 	}
@@ -181,21 +164,10 @@ func NewChaos(inner Network, schedule ...Fault) *Chaos {
 }
 
 // RandomFlaps derives n transient link-flap faults from a seed, shaped
-// like RandomKills: each closes a random dialed connection on receipt of
-// a loss report for a random step. Under a resumable link every flap
-// should be absorbed — reconnected and replayed — without consuming any
-// restart budget.
+// like RandomKills. Under a resumable link every flap should be absorbed —
+// reconnected and replayed — without consuming any restart budget.
 func RandomFlaps(seed int64, conns, steps, n int) []Fault {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Fault, n)
-	for i := range out {
-		out[i] = Fault{
-			Trigger: Trigger{Conn: rng.Intn(conns), Op: OpRecv,
-				Kind: wire.KindLosses, Step: rng.Int31n(int32(steps)), Count: 1},
-			Action: ActFlap,
-		}
-	}
-	return out
+	return randomFaults(seed, conns, steps, n, ActFlap)
 }
 
 // RandomKills derives n kill faults from a seed: each closes a random
@@ -204,17 +176,23 @@ func RandomFlaps(seed int64, conns, steps, n int) []Fault {
 // every step, so a kill always lands mid-run — after join, before drain —
 // which is the window recovery must handle.
 func RandomKills(seed int64, conns, steps, n int) []Fault {
+	return randomFaults(seed, conns, steps, n, ActKill)
+}
+
+func randomFaults(seed int64, conns, steps, n int, act Action) []Fault {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Fault, n)
 	for i := range out {
 		out[i] = Fault{
 			Trigger: Trigger{Conn: rng.Intn(conns), Op: OpRecv,
 				Kind: wire.KindLosses, Step: rng.Int31n(int32(steps)), Count: 1},
-			Action: ActKill,
+			Action: act,
 		}
 	}
 	return out
 }
+
+func (c *Chaos) clock() Clock { return ClockOf(c.inner) }
 
 // Listen passes through to the wrapped network.
 func (c *Chaos) Listen(addr string) (Listener, error) { return c.inner.Listen(addr) }
@@ -225,7 +203,7 @@ func (c *Chaos) Listen(addr string) (Listener, error) { return c.inner.Listen(ad
 func (c *Chaos) Dial(addr string) (Conn, error) {
 	c.mu.Lock()
 	if until, ok := c.heal[addr]; ok {
-		if until.IsZero() || time.Now().Before(until) {
+		if c.clock().Now() < until {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("%w: address %s partitioned", ErrChaos, addr)
 		}
@@ -279,25 +257,48 @@ type chaosConn struct {
 	mu     sync.Mutex
 	faults []*chaosFault
 	killed bool
-	// Active ActSpike window: frames crossing before spikeUntil sleep
-	// spikeDelay each.
-	spikeUntil time.Time
-	spikeDelay time.Duration
+	// Open delay window: frames crossing before delayUntil (an instant on
+	// the clock; 0 when none opened) wait delay each.
+	delayUntil int64
+	delay      time.Duration
 }
 
-// match reports the armed fault (if any) fired by a frame crossing in
-// direction op, advancing per-fault match counts. Fault state lives under
-// the Chaos-wide mutex, not the per-connection one: an AnyConn fault is
+// cross runs a frame crossing in direction op through the schedule: it
+// waits out a delay on the clock and returns the fault that ends the
+// connection, if one fired.
+func (cc *chaosConn) cross(op Op, f *wire.Frame) *chaosFault {
+	fl, wait := cc.match(op, f)
+	if fl != nil {
+		cc.chaos.logf("chaos: %v fired on %v frame (dev %d step %d)", fl.Fault, f.Kind, f.Dev, f.Step)
+	}
+	if wait > 0 {
+		Sleep(cc.chaos.clock(), wait, nil)
+	}
+	if fl == nil || fl.Action == ActDelay {
+		return nil
+	}
+	return fl
+}
+
+// match returns the armed fault (if any) fired by a frame crossing in
+// direction op, advancing per-fault match counts, and what the frame
+// waits: a fired delay's, or an open delay window's. It applies what a
+// fault does to the connection: an ended connection, a delay's window, a
+// partition's blackhole for Dial to honor. Fault state lives under the
+// Chaos-wide mutex, not the per-connection one: an AnyConn fault is
 // shared by every dialed connection, and frames of the same kind and step
 // can cross several of them concurrently (ring segments fan out), so
 // firing must be serialized globally or one fault could kill two
 // connections.
-func (cc *chaosConn) match(op Op, f *wire.Frame) *chaosFault {
+func (cc *chaosConn) match(op Op, f *wire.Frame) (*chaosFault, time.Duration) {
 	if cc.dead() {
-		return nil
+		return nil, 0
 	}
+	now := cc.chaos.clock().Now()
 	cc.chaos.mu.Lock()
 	defer cc.chaos.mu.Unlock()
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
 	for _, fl := range cc.faults {
 		if (fl.fired && !fl.Repeat) || fl.Op != op {
 			continue
@@ -309,47 +310,27 @@ func (cc *chaosConn) match(op Op, f *wire.Frame) *chaosFault {
 			continue
 		}
 		fl.matches++
-		want := fl.Count
-		if want < 1 {
-			want = 1
-		}
-		if fl.matches < want {
+		if fl.matches < max(fl.Count, 1) {
 			continue
 		}
 		fl.fired = true
 		switch fl.Action {
-		case ActKill, ActTruncate, ActFlap, ActPartition:
-			cc.mu.Lock()
-			cc.killed = true
-			cc.mu.Unlock()
-		case ActSpike:
-			cc.mu.Lock()
-			cc.spikeUntil = time.Now().Add(fl.Window)
-			cc.spikeDelay = fl.Delay
-			cc.mu.Unlock()
-		}
-		if fl.Action == ActPartition {
-			// chaos.mu is held: record the blackhole for Dial to honor.
-			var until time.Time // zero: never heals
+		case ActDelay:
+			cc.delayUntil, cc.delay = now+int64(fl.Window), fl.Delay
+			return fl, fl.Delay
+		case ActPartition:
+			cc.chaos.heal[cc.addr] = math.MaxInt64
 			if fl.Delay > 0 {
-				until = time.Now().Add(fl.Delay)
+				cc.chaos.heal[cc.addr] = now + int64(fl.Delay)
 			}
-			cc.chaos.heal[cc.addr] = until
 		}
-		return fl
+		cc.killed = true
+		return fl, 0
 	}
-	return nil
-}
-
-// spikePause sleeps if an ActSpike latency window is active.
-func (cc *chaosConn) spikePause() {
-	cc.mu.Lock()
-	d := cc.spikeDelay
-	active := !cc.spikeUntil.IsZero() && time.Now().Before(cc.spikeUntil)
-	cc.mu.Unlock()
-	if active {
-		time.Sleep(d)
+	if now < cc.delayUntil {
+		return nil, cc.delay
 	}
+	return nil, 0
 }
 
 func (cc *chaosConn) dead() bool {
@@ -358,41 +339,28 @@ func (cc *chaosConn) dead() bool {
 	return cc.killed
 }
 
+// Send writes f unless a fault ends the connection first: a kill, flap or
+// partition loses the frame, a truncation delivers half its payload — the
+// peer decodes a structurally broken message.
 func (cc *chaosConn) Send(f *wire.Frame) error {
 	if cc.dead() {
 		return fmt.Errorf("%w: connection killed", ErrChaos)
 	}
-	fl := cc.match(OpSend, f)
+	fl := cc.cross(OpSend, f)
 	if fl == nil {
-		cc.spikePause()
 		return cc.inner.Send(f)
 	}
-	cc.chaos.logf("chaos: %v fired on %v frame (dev %d step %d)", fl.Fault, f.Kind, f.Dev, f.Step)
-	switch fl.Action {
-	case ActDelay:
-		time.Sleep(fl.Delay)
-		return cc.inner.Send(f)
-	case ActSpike:
-		time.Sleep(fl.Delay)
-		return cc.inner.Send(f)
-	case ActFlap:
-		cc.inner.Close()
-		return fmt.Errorf("%w: link flapped on send", ErrChaos)
-	case ActPartition:
-		cc.inner.Close()
-		return fmt.Errorf("%w: link partitioned on send", ErrChaos)
-	case ActTruncate:
-		mangled := &wire.Frame{Kind: f.Kind, Dev: f.Dev, Step: f.Step,
-			Payload: f.Payload[:len(f.Payload)/2]}
-		_ = cc.inner.Send(mangled)
-		cc.inner.Close()
-		return fmt.Errorf("%w: frame truncated mid-write", ErrChaos)
-	default: // ActKill: the frame is lost
-		cc.inner.Close()
-		return fmt.Errorf("%w: connection killed on send", ErrChaos)
+	if fl.Action == ActTruncate {
+		_ = cc.inner.Send(&wire.Frame{Kind: f.Kind, Dev: f.Dev, Step: f.Step, Payload: f.Payload[:len(f.Payload)/2]})
 	}
+	cc.inner.Close()
+	return fmt.Errorf("%w: %v on send", ErrChaos, fl.Action)
 }
 
+// Recv reads the next frame unless a fault ends the connection on it: the
+// frame is then dropped with the connection, as if the peer crashed before
+// it was delivered, and a resumable link must get it back by replay. (A
+// truncation, meaningless on receipt, acts as a kill.)
 func (cc *chaosConn) Recv() (*wire.Frame, error) {
 	if cc.dead() {
 		return nil, fmt.Errorf("%w: connection killed", ErrChaos)
@@ -401,30 +369,11 @@ func (cc *chaosConn) Recv() (*wire.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	fl := cc.match(OpRecv, f)
-	if fl == nil {
-		cc.spikePause()
-		return f, nil
-	}
-	cc.chaos.logf("chaos: %v fired on %v frame (dev %d step %d)", fl.Fault, f.Kind, f.Dev, f.Step)
-	switch fl.Action {
-	case ActDelay, ActSpike:
-		time.Sleep(fl.Delay)
-		return f, nil
-	case ActFlap:
-		// The received frame is dropped with the connection: a resumable
-		// link must get it back via replay, never from this stream.
+	if fl := cc.cross(OpRecv, f); fl != nil {
 		cc.inner.Close()
-		return nil, fmt.Errorf("%w: link flapped on recv", ErrChaos)
-	case ActPartition:
-		cc.inner.Close()
-		return nil, fmt.Errorf("%w: link partitioned on recv", ErrChaos)
+		return nil, fmt.Errorf("%w: %v on recv", ErrChaos, fl.Action)
 	}
-	// ActKill (and ActTruncate, nonsensical on recv, treated as kill):
-	// the received frame is dropped, as if the peer crashed before it
-	// was delivered.
-	cc.inner.Close()
-	return nil, fmt.Errorf("%w: connection killed on recv", ErrChaos)
+	return f, nil
 }
 
 func (cc *chaosConn) Close() error { return cc.inner.Close() }

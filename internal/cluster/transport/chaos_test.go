@@ -10,13 +10,22 @@ import (
 
 	"pipebd/internal/cluster/wire"
 	"pipebd/internal/tensor"
+	"pipebd/internal/testutil"
 )
 
-// chaosPair dials through a Chaos wrapper over loopback and returns both
-// ends plus a cleanup-registered listener.
-func chaosPair(t *testing.T, faults ...Fault) (client, server Conn) {
+// manualLoopback returns a loopback network on a manual clock: Chaos's
+// delays and windows over it move only when a test advances the clock.
+func manualLoopback() (*Loopback, *testutil.ManualClock) {
+	net, clock := NewLoopback(), &testutil.ManualClock{}
+	net.Clock = clock
+	return net, clock
+}
+
+// chaosPair dials through a Chaos wrapper over a manual-clock loopback
+// and returns both ends and the clock; the listener closes at cleanup.
+func chaosPair(t *testing.T, faults ...Fault) (client, server Conn, clock *testutil.ManualClock) {
 	t.Helper()
-	inner := NewLoopback()
+	inner, clock := manualLoopback()
 	lis, err := inner.Listen("")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -35,14 +44,14 @@ func chaosPair(t *testing.T, faults ...Fault) (client, server Conn) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	return c, <-accepted
+	return c, <-accepted, clock
 }
 
 // TestChaosKillOnSend: the fated frame is lost, the op errors with
 // ErrChaos, and the peer observes a broken stream. Frames before the
 // trigger pass untouched.
 func TestChaosKillOnSend(t *testing.T) {
-	client, server := chaosPair(t, Fault{
+	client, server, _ := chaosPair(t, Fault{
 		Trigger: Trigger{Conn: 0, Op: OpSend, Kind: wire.KindLosses, Step: 2, Count: 1},
 		Action:  ActKill,
 	})
@@ -78,7 +87,7 @@ func TestChaosKillOnSend(t *testing.T) {
 // TestChaosKillOnRecv: the frame that would have been delivered is
 // dropped and the reader sees ErrChaos.
 func TestChaosKillOnRecv(t *testing.T) {
-	client, server := chaosPair(t, Fault{
+	client, server, _ := chaosPair(t, Fault{
 		Trigger: Trigger{Conn: 0, Op: OpRecv, Kind: wire.KindStepGo, Step: AnyStep, Count: 2},
 		Action:  ActKill,
 	})
@@ -98,18 +107,25 @@ func TestChaosKillOnRecv(t *testing.T) {
 	}
 }
 
-// TestChaosDelay: ActDelay injects latency but loses nothing.
+// TestChaosDelay: ActDelay injects latency but loses nothing: the send
+// returns exactly when the delay has passed on the network's clock.
 func TestChaosDelay(t *testing.T) {
-	client, server := chaosPair(t, Fault{
+	client, server, clock := chaosPair(t, Fault{
 		Trigger: Trigger{Conn: 0, Op: OpSend, Kind: wire.KindOutput, Step: AnyStep, Count: 1},
 		Action:  ActDelay, Delay: 30 * time.Millisecond,
 	})
-	start := time.Now()
-	if err := client.Send(wire.EncodeTensor(wire.KindOutput, 0, 0, tensor.Ones(2, 2))); err != nil {
-		t.Fatalf("delayed send: %v", err)
+	sent := make(chan error, 1)
+	go func() { sent <- client.Send(wire.EncodeTensor(wire.KindOutput, 0, 0, tensor.Ones(2, 2))) }()
+	clock.WaitArmed(t, 1)
+	clock.Advance(30*time.Millisecond - 1)
+	select {
+	case err := <-sent:
+		t.Fatalf("send returned a nanosecond before its 30ms delay: %v", err)
+	default:
 	}
-	if d := time.Since(start); d < 30*time.Millisecond {
-		t.Fatalf("send returned after %v, want >= 30ms", d)
+	clock.Advance(1)
+	if err := testutil.Await(t, sent, "return of the delayed send"); err != nil {
+		t.Fatalf("delayed send: %v", err)
 	}
 	if f, err := server.Recv(); err != nil || f.Kind != wire.KindOutput {
 		t.Fatalf("delayed frame lost: %+v, %v", f, err)
@@ -120,7 +136,7 @@ func TestChaosDelay(t *testing.T) {
 // payload no longer decodes) and the sender's connection dies — a crash
 // mid-write.
 func TestChaosTruncate(t *testing.T) {
-	client, server := chaosPair(t, Fault{
+	client, server, _ := chaosPair(t, Fault{
 		Trigger: Trigger{Conn: 0, Op: OpSend, Kind: wire.KindOutput, Step: AnyStep, Count: 1},
 		Action:  ActTruncate,
 	})
@@ -296,9 +312,9 @@ func TestChaosFlapAllowsRedial(t *testing.T) {
 
 // TestChaosPartitionHeals: a partition kills the connection AND
 // blackholes the address for the fault's duration; dialing fails until
-// the partition heals, then succeeds.
+// the partition heals, at exactly its Delay on the clock, then succeeds.
 func TestChaosPartitionHeals(t *testing.T) {
-	inner := NewLoopback()
+	inner, clock := manualLoopback()
 	lis, err := inner.Listen("")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -331,10 +347,11 @@ func TestChaosPartitionHeals(t *testing.T) {
 	if err := conn.Send(wire.EncodeLosses(0, 0, []float64{1})); !errors.Is(err, ErrChaos) {
 		t.Fatalf("partition send: got %v, want ErrChaos", err)
 	}
+	clock.Advance(60*time.Millisecond - 1)
 	if _, err := net.Dial(lis.Addr()); !errors.Is(err, ErrChaos) {
-		t.Fatalf("dial inside partition: got %v, want ErrChaos", err)
+		t.Fatalf("dial a nanosecond before the partition heals: got %v, want ErrChaos", err)
 	}
-	time.Sleep(80 * time.Millisecond)
+	clock.Advance(1)
 	healed, err := net.Dial(lis.Addr())
 	if err != nil {
 		t.Fatalf("dial after heal: %v", err)
@@ -345,7 +362,7 @@ func TestChaosPartitionHeals(t *testing.T) {
 // TestChaosPartitionPersistent: Delay <= 0 never heals — the degrade
 // tier's scenario.
 func TestChaosPartitionPersistent(t *testing.T) {
-	inner := NewLoopback()
+	inner, clock := manualLoopback()
 	lis, err := inner.Listen("")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -371,36 +388,45 @@ func TestChaosPartitionPersistent(t *testing.T) {
 	if err := conn.Send(wire.Control(wire.KindHello, wire.NoDev, wire.NoStep)); !errors.Is(err, ErrChaos) {
 		t.Fatalf("partition send: got %v, want ErrChaos", err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	clock.Advance(1000 * time.Hour)
 	if _, err := net.Dial(lis.Addr()); !errors.Is(err, ErrChaos) {
 		t.Fatalf("dial into persistent partition: got %v, want ErrChaos", err)
 	}
 }
 
-// TestChaosSpikeWindow: the matched frame and everything after it inside
-// the window are delayed; frames after the window pass at full speed.
+// TestChaosSpikeWindow: a delay with a window is a latency spike: the
+// matched frame and everything after it inside the window wait the delay
+// each, on the clock; a frame at the window's end passes at once.
 func TestChaosSpikeWindow(t *testing.T) {
-	client, server := chaosPair(t, Fault{
+	const delay, window = 15 * time.Millisecond, 200 * time.Millisecond
+	client, server, clock := chaosPair(t, Fault{
 		Trigger: Trigger{Conn: 0, Op: OpSend, Kind: wire.KindLosses, Step: 0, Count: 1},
-		Action:  ActSpike,
-		Delay:   15 * time.Millisecond,
-		Window:  200 * time.Millisecond,
+		Action:  ActDelay, Delay: delay, Window: window,
 	})
 	defer client.Close()
 	defer server.Close()
-	start := time.Now()
-	for s := int32(0); s < 3; s++ {
-		if err := client.Send(wire.EncodeLosses(0, s, []float64{1})); err != nil {
+	sent := make(chan error)
+	go func() {
+		for s := int32(0); s < 3; s++ {
+			sent <- client.Send(wire.EncodeLosses(0, s, []float64{1}))
+		}
+	}()
+	for s := 1; s <= 3; s++ {
+		clock.WaitArmed(t, 1)
+		clock.Advance(delay)
+		if err := testutil.Await(t, sent, "return of a send in the spike"); err != nil {
 			t.Fatalf("send %d: %v", s, err)
 		}
-	}
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Fatalf("3 frames inside the spike window took only %v, want >= 45ms of injected latency", elapsed)
-	}
-	for s := int32(0); s < 3; s++ {
-		if _, err := server.Recv(); err != nil {
-			t.Fatalf("recv %d: %v", s, err)
+		if f, err := server.Recv(); err != nil || int(f.Step) != s-1 {
+			t.Fatalf("recv %d: %v, %v", s, f, err)
 		}
+	}
+	clock.Advance(window - 3*delay)
+	if err := client.Send(wire.EncodeLosses(0, 3, []float64{1})); err != nil {
+		t.Fatalf("send after the window: %v", err)
+	}
+	if f, err := server.Recv(); err != nil || f.Step != 3 || time.Duration(clock.Now()) != window {
+		t.Fatalf("recv after the window: %v, %v at %v, want step 3 at %v", f, err, time.Duration(clock.Now()), window)
 	}
 }
 

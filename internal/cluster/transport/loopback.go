@@ -20,12 +20,18 @@ type Loopback struct {
 	mu        sync.Mutex
 	listeners map[string]*loopListener
 	next      int
+	// Clock, when set before the first Listen or Dial, is the clock of the
+	// network and its listeners: every coordinator dialing over it and
+	// worker listening on it waits on it. Nil is the wall clock.
+	Clock Clock
 }
 
 // NewLoopback returns an empty in-memory network.
 func NewLoopback() *Loopback {
 	return &Loopback{listeners: make(map[string]*loopListener)}
 }
+
+func (n *Loopback) clock() Clock { return n.Clock }
 
 // Listen binds a listener. An empty addr (or ":0") allocates a fresh
 // "loop-N" address, reported by Addr.
@@ -87,6 +93,8 @@ func (l *loopListener) Accept() (Conn, error) {
 }
 
 func (l *loopListener) Addr() string { return l.addr }
+
+func (l *loopListener) clock() Clock { return l.net.Clock }
 
 func (l *loopListener) Close() error {
 	l.mu.Lock()

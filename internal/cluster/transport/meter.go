@@ -68,6 +68,8 @@ func frameBytes(f *wire.Frame) int64 { return 16 + int64(len(f.Payload)) }
 // Listen passes through to the wrapped network.
 func (m *Meter) Listen(addr string) (Listener, error) { return m.inner.Listen(addr) }
 
+func (m *Meter) clock() Clock { return ClockOf(m.inner) }
+
 // Dial connects through the wrapped network and meters the connection.
 func (m *Meter) Dial(addr string) (Conn, error) {
 	conn, err := m.inner.Dial(addr)

@@ -15,30 +15,16 @@ import (
 // persistently dead link from a transient hiccup the layer absorbed.
 var ErrLinkDown = errors.New("transport: link down (reconnect budget exhausted)")
 
-// RetryPolicy governs how a Resumable absorbs connection loss: redial
-// (or await adoption) with exponential backoff starting at Backoff,
-// declare the link terminally down after Budget of downtime, and ack
-// every AckEvery received frames so the far side can trim its replay
-// buffer. The zero value of Backoff and AckEvery take defaults; Budget
-// must be positive for absorption to be meaningful.
+// RetryPolicy governs how a Resumable absorbs connection loss: the
+// redialing side retries with Retry's backoff, and either side declares
+// the link terminally down after Budget (positive) of downtime.
 type RetryPolicy struct {
-	Backoff  time.Duration
-	Budget   time.Duration
-	AckEvery int
+	Budget time.Duration
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Backoff <= 0 {
-		p.Backoff = 10 * time.Millisecond
-	}
-	if p.Budget <= 0 {
-		p.Budget = time.Second
-	}
-	if p.AckEvery <= 0 {
-		p.AckEvery = 8
-	}
-	return p
-}
+// ackEvery is how many received frames a Resumable acknowledges at once,
+// so the far side can trim its replay buffer.
+const ackEvery = 8
 
 // RedialFunc re-establishes a broken link: it dials the peer, performs
 // the resume hello carrying recvd (the local count of application
@@ -65,9 +51,11 @@ type RedialFunc func(recvd int64) (Conn, int64, error)
 // hello and re-attaches the fresh connection with Adopt, whose echo is
 // the same hello carrying its own count; control links and peer links
 // resume alike. Like the Conn it wraps, each direction must be driven by
-// at most one goroutine.
+// at most one goroutine, and a break is noticed by Recv: a link whose
+// connection may break needs a reader, as every cluster link has.
 type Resumable struct {
-	policy   RetryPolicy
+	budget   time.Duration
+	clock    Clock
 	redial   RedialFunc // nil on the accepting side
 	name     string
 	logf     func(format string, args ...any)
@@ -80,10 +68,9 @@ type Resumable struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	conn    Conn  // nil while the link is down
-	err     error // terminal; set at most once
-	closed  bool
-	closeCh chan struct{} // closed on Close or terminal error
+	conn    Conn          // nil while the link is down
+	err     error         // terminal, ErrClosed after Close; set at most once
+	closeCh chan struct{} // closed with err
 
 	sent     int64         // application frames appended to the stream
 	ackBase  int64         // frames the peer has confirmed receiving
@@ -92,7 +79,7 @@ type Resumable struct {
 	sinceAck int           // received frames since the last ack sent
 	retired  bool          // teardown expected: the next break is terminal
 
-	downTimer *time.Timer // accepting side: terminal deadline while down
+	downStop func() bool // accepting side: stops the terminal deadline armed while down
 }
 
 // ResumableOptions carries the optional wiring of a Resumable.
@@ -106,6 +93,8 @@ type ResumableOptions struct {
 	// OnAbsorb fires after every successful reconnect, before the replay,
 	// with the number of frames to replay (metrics hook).
 	OnAbsorb func(replayed int)
+	// Clock runs the backoff and the budget; nil is Wall.
+	Clock Clock
 }
 
 // NewResumable wraps an established connection. Call it only after the
@@ -113,7 +102,8 @@ type ResumableOptions struct {
 // stream begins.
 func NewResumable(conn Conn, policy RetryPolicy, opts ResumableOptions) *Resumable {
 	r := &Resumable{
-		policy:   policy.withDefaults(),
+		budget:   policy.Budget,
+		clock:    opts.Clock,
 		redial:   opts.Redial,
 		name:     opts.Name,
 		logf:     opts.Logf,
@@ -124,6 +114,9 @@ func NewResumable(conn Conn, policy RetryPolicy, opts ResumableOptions) *Resumab
 	if r.name == "" {
 		r.name = "link"
 	}
+	if r.clock == nil {
+		r.clock = Wall
+	}
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
@@ -131,28 +124,23 @@ func NewResumable(conn Conn, policy RetryPolicy, opts ResumableOptions) *Resumab
 // Send appends one application frame to the stream. It never fails on a
 // transient break — the frame is buffered and replayed after reconnect —
 // and only returns an error once the link is terminally down or closed.
+// A failed write does not take the link down: the connection may still
+// hold frames the peer sent before it closed (a Drain, say), so the break
+// is the reader's to declare once it has read them.
 func (r *Resumable) Send(f *wire.Frame) error {
 	r.sendMu.Lock()
 	defer r.sendMu.Unlock()
 	r.mu.Lock()
-	if r.err != nil {
-		err := r.err
+	if err := r.err; err != nil {
 		r.mu.Unlock()
 		return err
-	}
-	if r.closed {
-		r.mu.Unlock()
-		return ErrClosed
 	}
 	r.buf = append(r.buf, f)
 	r.sent++
 	conn := r.conn
 	r.mu.Unlock()
-	if conn == nil {
-		return nil // down: buffered for replay
-	}
-	if err := conn.Send(f); err != nil {
-		r.linkBroke(conn, err)
+	if conn != nil {
+		_ = conn.Send(f) // on failure the frame waits in buf for the replay
 	}
 	return nil
 }
@@ -163,17 +151,12 @@ func (r *Resumable) Send(f *wire.Frame) error {
 func (r *Resumable) Recv() (*wire.Frame, error) {
 	for {
 		r.mu.Lock()
-		for r.conn == nil && r.err == nil && !r.closed {
+		for r.conn == nil && r.err == nil {
 			r.cond.Wait()
 		}
-		if r.err != nil {
-			err := r.err
+		if err := r.err; err != nil {
 			r.mu.Unlock()
 			return nil, err
-		}
-		if r.closed {
-			r.mu.Unlock()
-			return nil, ErrClosed
 		}
 		conn := r.conn
 		r.mu.Unlock()
@@ -199,7 +182,7 @@ func (r *Resumable) Recv() (*wire.Frame, error) {
 		}
 		r.recvd++
 		r.sinceAck++
-		needAck := r.sinceAck >= r.policy.AckEvery
+		needAck := r.sinceAck >= ackEvery
 		if needAck {
 			r.sinceAck = 0
 		}
@@ -224,28 +207,27 @@ func (r *Resumable) trimLocked(acked int64) {
 	r.cond.Broadcast()
 }
 
-// sendAck ships the cumulative received count; a failure here is just
-// another link break.
+// sendAck ships the cumulative received count. Like Send it leaves a
+// failed write to the reader; a lost ack costs nothing, as the resume
+// handshake carries a fresher count.
 func (r *Resumable) sendAck(recvd int64) {
 	r.sendMu.Lock()
 	defer r.sendMu.Unlock()
 	r.mu.Lock()
 	conn := r.conn
 	r.mu.Unlock()
-	if conn == nil {
-		return // down: the resume handshake carries a fresher count anyway
-	}
-	if err := conn.Send(wire.EncodeLinkAck(recvd)); err != nil {
-		r.linkBroke(conn, err)
+	if conn != nil {
+		_ = conn.Send(wire.EncodeLinkAck(recvd))
 	}
 }
 
 // linkBroke transitions the link into the down state (once per
-// connection): the redial owner starts its reconnect loop, the accepting
-// side arms the terminal deadline and waits for adoption.
+// connection, when its reader fails): the redial owner starts its
+// reconnect loop, the accepting side arms the terminal deadline and waits
+// for adoption.
 func (r *Resumable) linkBroke(conn Conn, cause error) {
 	r.mu.Lock()
-	if r.closed || r.err != nil || r.conn != conn {
+	if r.err != nil || r.conn != conn {
 		r.mu.Unlock()
 		return
 	}
@@ -258,12 +240,7 @@ func (r *Resumable) linkBroke(conn Conn, cause error) {
 		return
 	}
 	redial := r.redial
-	if redial == nil && r.downTimer == nil {
-		r.downTimer = time.AfterFunc(r.policy.Budget, func() {
-			r.die(fmt.Errorf("transport: %s not re-adopted within %v (last error: %v): %w",
-				r.name, r.policy.Budget, cause, ErrLinkDown))
-		})
-	}
+	r.armDownLocked(cause)
 	r.mu.Unlock()
 	conn.Close()
 	if r.logf != nil {
@@ -274,82 +251,71 @@ func (r *Resumable) linkBroke(conn Conn, cause error) {
 	}
 }
 
-// reconnectLoop redials with exponential backoff until the budget
-// elapses, then declares the link terminally down.
+// armDownLocked starts the accepting side's terminal deadline, unless one
+// is counting down or the link is past absorbing: a link not re-adopted
+// within the budget dies. Callers hold r.mu.
+func (r *Resumable) armDownLocked(cause error) {
+	if r.redial != nil || r.downStop != nil || r.retired || r.err != nil {
+		return
+	}
+	r.downStop = r.clock.AfterFunc(r.budget, func() {
+		r.die(fmt.Errorf("transport: %s not re-adopted within %v (last error: %v): %w",
+			r.name, r.budget, cause, ErrLinkDown))
+	})
+}
+
+// reconnectLoop redials until a connection is back or the budget
+// elapses, then declares the link terminally down. A redial that lands
+// after the link closed or died is discarded by install.
 func (r *Resumable) reconnectLoop(cause error) {
-	deadline := time.Now().Add(r.policy.Budget)
-	backoff := r.policy.Backoff
-	for {
+	err := Retry(r.clock, Deadline(r.clock, r.budget), r.closeCh, func() error {
 		r.mu.Lock()
-		if r.closed || r.err != nil || r.conn != nil || r.retired {
+		if r.err != nil || r.conn != nil || r.retired {
 			r.mu.Unlock()
-			return
+			return nil // nothing left to absorb
 		}
-		recvd := r.recvd
-		redial := r.redial
+		recvd, redial := r.recvd, r.redial
 		r.mu.Unlock()
 		conn, peerRecvd, err := redial(recvd)
 		if err == nil {
-			if r.install(conn, peerRecvd, nil) {
-				return
-			}
-			continue // raced with Close or a concurrent break
+			r.install(conn, peerRecvd, nil)
 		}
-		if !time.Now().Before(deadline) {
-			r.die(fmt.Errorf("transport: %s reconnect budget %v exhausted (dial: %v; broke: %v): %w",
-				r.name, r.policy.Budget, err, cause, ErrLinkDown))
-			return
-		}
-		wait := backoff
-		if remaining := time.Until(deadline); wait > remaining {
-			wait = remaining
-		}
-		select {
-		case <-time.After(wait):
-		case <-r.closeCh:
-			return
-		}
-		backoff *= 2
+		return err
+	})
+	if err != nil {
+		r.die(fmt.Errorf("transport: %s reconnect budget %v exhausted (dial: %v; broke: %v): %w",
+			r.name, r.budget, err, cause, ErrLinkDown))
 	}
 }
 
 // Adopt re-attaches a fresh connection on the accepting side: the peer
 // redialed and its resume handshake reported peerRecvd application
-// frames received. echo, when non-nil, builds the handshake reply from
-// this side's own received count; it is sent on the raw connection
-// before any replay, completing the handshake the dialer is waiting on.
+// frames received. echo builds the handshake reply from this side's own
+// received count; it is sent on the raw connection before any replay,
+// completing the handshake the dialer is waiting on.
 func (r *Resumable) Adopt(conn Conn, peerRecvd int64, echo func(recvd int64) *wire.Frame) error {
-	if r.install(conn, peerRecvd, echo) {
-		return nil
-	}
-	r.mu.Lock()
-	err := r.err
-	r.mu.Unlock()
-	if err == nil {
-		err = ErrClosed
-	}
-	return err
+	return r.install(conn, peerRecvd, echo)
 }
 
-// install swaps conn in as the live connection and replays every
-// buffered frame past peerRecvd. It reports whether the connection was
-// accepted; a false return means the link closed or died first and conn
-// was discarded.
-func (r *Resumable) install(conn Conn, peerRecvd int64, echo func(recvd int64) *wire.Frame) bool {
+// install swaps conn in as the live connection — after the echo, when
+// there is one — and replays every buffered frame past peerRecvd. An error
+// means conn was discarded: the link had ended, ended now over a
+// peerRecvd outside the window, or the echo failed and the link is still
+// down.
+func (r *Resumable) install(conn Conn, peerRecvd int64, echo func(recvd int64) *wire.Frame) error {
 	r.sendMu.Lock()
 	defer r.sendMu.Unlock()
 	r.mu.Lock()
-	if r.closed || r.err != nil {
-		r.mu.Unlock()
-		conn.Close()
-		return false
+	err := r.err
+	if err == nil && (peerRecvd < r.ackBase || peerRecvd > r.sent) {
+		err = fmt.Errorf("transport: %s resume reports %d frames received, outside acked window [%d, %d]: %w",
+			r.name, peerRecvd, r.ackBase, r.sent, ErrLinkDown)
+		defer r.die(err)
 	}
-	if peerRecvd < r.ackBase || peerRecvd > r.sent {
+	if err != nil {
 		r.mu.Unlock()
 		conn.Close()
-		r.die(fmt.Errorf("transport: %s resume reports %d frames received, outside acked window [%d, %d]: %w",
-			r.name, peerRecvd, r.ackBase, r.sent, ErrLinkDown))
-		return false
+		return err
 	}
 	// Detach any still-installed connection first (the peer noticed the
 	// break before we did): once detached, frames still draining from it
@@ -366,29 +332,21 @@ func (r *Resumable) install(conn Conn, peerRecvd int64, echo func(recvd int64) *
 	if echo != nil {
 		if err := conn.Send(echo(recvd)); err != nil {
 			conn.Close()
-			// Still down; re-arm the terminal deadline for the next attempt.
+			// Still down: count down to the next adoption.
 			r.mu.Lock()
-			if !r.closed && r.err == nil && r.redial == nil && r.downTimer == nil && !r.retired {
-				r.downTimer = time.AfterFunc(r.policy.Budget, func() {
-					r.die(fmt.Errorf("transport: %s not re-adopted within %v (echo failed: %v): %w",
-						r.name, r.policy.Budget, err, ErrLinkDown))
-				})
-			}
+			r.armDownLocked(fmt.Errorf("echo failed: %w", err))
 			r.mu.Unlock()
-			return false
+			return err
 		}
 	}
 	r.mu.Lock()
-	if r.closed || r.err != nil {
+	if err := r.err; err != nil {
 		r.mu.Unlock()
 		conn.Close()
-		return false
+		return err
 	}
 	r.conn = conn
-	if r.downTimer != nil {
-		r.downTimer.Stop()
-		r.downTimer = nil
-	}
+	r.stopDownLocked()
 	r.sinceAck = 0
 	replay := r.buf
 	r.cond.Broadcast()
@@ -403,31 +361,42 @@ func (r *Resumable) install(conn Conn, peerRecvd int64, echo func(recvd int64) *
 		r.onAbsorb(len(replay))
 	}
 	for _, f := range replay {
-		if err := conn.Send(f); err != nil {
-			r.linkBroke(conn, err)
-			return true // installed; the new break restarts absorption
+		if conn.Send(f) != nil {
+			break // installed; the reader declares the new break
 		}
 	}
+	return nil
+}
+
+// die ends the link with a terminal error and logs it.
+func (r *Resumable) die(err error) {
+	r.mu.Lock()
+	ended := r.endLocked(err)
+	r.mu.Unlock()
+	if ended && r.logf != nil {
+		r.logf("transport: %s terminally down: %v", r.name, err)
+	}
+}
+
+// endLocked records the terminal error, unless the link already has one,
+// and wakes every waiter. Callers hold r.mu.
+func (r *Resumable) endLocked(err error) bool {
+	if r.err != nil {
+		return false
+	}
+	r.err = err
+	r.stopDownLocked()
+	close(r.closeCh)
+	r.cond.Broadcast()
 	return true
 }
 
-// die records the terminal error and wakes every waiter.
-func (r *Resumable) die(err error) {
-	r.mu.Lock()
-	if r.closed || r.err != nil {
-		r.mu.Unlock()
-		return
-	}
-	r.err = err
-	if r.downTimer != nil {
-		r.downTimer.Stop()
-		r.downTimer = nil
-	}
-	close(r.closeCh)
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	if r.logf != nil {
-		r.logf("transport: %s terminally down: %v", r.name, err)
+// stopDownLocked stops the terminal deadline, if one is counting down.
+// Callers hold r.mu.
+func (r *Resumable) stopDownLocked() {
+	if r.downStop != nil {
+		r.downStop()
+		r.downStop = nil
 	}
 }
 
@@ -440,7 +409,7 @@ func (r *Resumable) Retire() {
 	r.mu.Lock()
 	r.retired = true
 	r.redial = nil
-	down := r.conn == nil && r.err == nil && !r.closed
+	down := r.conn == nil && r.err == nil
 	r.mu.Unlock()
 	if down {
 		r.die(fmt.Errorf("transport: %s retired while down", r.name))
@@ -453,28 +422,16 @@ func (r *Resumable) Retire() {
 func (r *Resumable) Reconnecting() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.conn == nil && r.err == nil && !r.closed
+	return r.conn == nil && r.err == nil
 }
 
 // Close tears the link down locally: the current connection closes, the
 // reconnect machinery stops, and pending Send/Recv return ErrClosed.
 func (r *Resumable) Close() error {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
 	conn := r.conn
 	r.conn = nil
-	if r.downTimer != nil {
-		r.downTimer.Stop()
-		r.downTimer = nil
-	}
-	if r.err == nil {
-		close(r.closeCh)
-	}
-	r.cond.Broadcast()
+	r.endLocked(ErrClosed)
 	r.mu.Unlock()
 	if conn != nil {
 		return conn.Close()

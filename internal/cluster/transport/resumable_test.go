@@ -11,19 +11,22 @@ import (
 	"time"
 
 	"pipebd/internal/cluster/wire"
+	"pipebd/internal/testutil"
 )
 
 // resumableHarness wires two Resumables over a loopback listener the way
 // the cluster does: the dialer side owns redial with a resume PeerHello
 // (here the coordinator's, From NoDev), the acceptor side adopts redialed
-// connections and echoes the hello with its own receive count.
+// connections and echoes the hello with its own receive count. Both run
+// on a manual clock: backoff and budget move only when a test advances it.
 type resumableHarness struct {
-	a, b *Resumable // a dials, b accepts
-	lis  Listener
-	wrap func(Conn) Conn // when set, wraps every connection a redials
+	a, b  *Resumable // a dials, b accepts
+	lis   Listener
+	clock *testutil.ManualClock
+	wrap  func(Conn) Conn // when set, wraps every connection a redials
 }
 
-func newResumableHarness(t *testing.T, policy RetryPolicy, aOpts, bOpts ResumableOptions) *resumableHarness {
+func newResumableHarness(t *testing.T, budget time.Duration, aOpts, bOpts ResumableOptions) *resumableHarness {
 	t.Helper()
 	net := NewLoopback()
 	lis, err := net.Listen("")
@@ -44,7 +47,9 @@ func newResumableHarness(t *testing.T, policy RetryPolicy, aOpts, bOpts Resumabl
 	}
 	rawB := <-accepted
 
-	h := &resumableHarness{lis: lis}
+	h := &resumableHarness{lis: lis, clock: &testutil.ManualClock{}}
+	aOpts.Clock, bOpts.Clock = h.clock, h.clock
+	policy := RetryPolicy{Budget: budget}
 	aOpts.Redial = func(recvd int64) (Conn, int64, error) {
 		c, err := net.Dial(lis.Addr())
 		if err != nil {
@@ -111,23 +116,13 @@ func resumeHello(from, to int, recvd int64) wire.PeerHello {
 
 // waitLink blocks until cond, read under r.mu, holds. r.cond wakes it at
 // every change of the link's state; it fails the test with what after
-// five seconds.
+// five seconds of wall time.
 func waitLink(t *testing.T, r *Resumable, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	wake := time.AfterFunc(time.Until(deadline), func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer wake.Stop()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for !cond() {
-		if !time.Now().Before(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		r.cond.Wait()
+	if !WaitCond(Wall, r.cond, Deadline(Wall, 5*time.Second), cond) {
+		t.Fatalf("timed out waiting for %s", what)
 	}
 }
 
@@ -152,10 +147,8 @@ func seqFrame(i int) *wire.Frame {
 // a, the side that redials, always notices.
 func TestResumableReplaysThroughBreaks(t *testing.T) {
 	var absorbs atomic.Int64
-	h := newResumableHarness(t,
-		RetryPolicy{Backoff: 2 * time.Millisecond, Budget: 5 * time.Second, AckEvery: 4},
-		ResumableOptions{Name: "a", OnAbsorb: func(int) { absorbs.Add(1) }},
-		ResumableOptions{Name: "b"})
+	h := newResumableHarness(t, 5*time.Second,
+		ResumableOptions{Name: "a", OnAbsorb: func(int) { absorbs.Add(1) }}, ResumableOptions{Name: "b"})
 
 	const n = 60
 	breaks := []int{15, 30, 45}
@@ -257,8 +250,7 @@ func TestResumableCountsABreakMidReplay(t *testing.T) {
 	opts := func(name string) ResumableOptions {
 		return ResumableOptions{Name: name, OnAbsorb: func(n int) { absorbed[name] <- n }}
 	}
-	h := newResumableHarness(t, RetryPolicy{Backoff: 2 * time.Millisecond, Budget: 5 * time.Second, AckEvery: 4},
-		opts("a"), opts("b"))
+	h := newResumableHarness(t, 5*time.Second, opts("a"), opts("b"))
 	// a's reader notices the breaks (no frame comes back); b reads nothing
 	// yet, so the frame stays unreceived and a replays it.
 	go h.a.Recv()
@@ -296,37 +288,78 @@ func TestResumableCountsABreakMidReplay(t *testing.T) {
 	}
 }
 
-// TestResumableDialerBudgetExhausted: when every redial fails, the
-// dialer side turns terminal with ErrLinkDown within the budget, and
-// the un-adopted acceptor side does the same.
+// TestResumableDialerBudgetExhausted: when every redial fails, both ends
+// turn terminal with ErrLinkDown at exactly the budget on their clock —
+// the dialer after redials at 0, 10, 30 and 70 ms (its backoff clipped to
+// the deadline) fails the last at 80, and the acceptor's deadline fires at
+// 80 — and not an instant before.
 func TestResumableDialerBudgetExhausted(t *testing.T) {
-	h := newResumableHarness(t,
-		RetryPolicy{Backoff: 2 * time.Millisecond, Budget: 80 * time.Millisecond, AckEvery: 4},
-		ResumableOptions{Name: "a"}, ResumableOptions{Name: "b"})
+	const budget = 80 * time.Millisecond
+	h := newResumableHarness(t, budget, ResumableOptions{Name: "a"}, ResumableOptions{Name: "b"})
 	h.lis.Close() // all redials now fail
-	breakLink(t, h.a)
-
-	start := time.Now()
-	if _, err := h.a.Recv(); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("dialer Recv: got %v, want ErrLinkDown", err)
+	errs := map[*Resumable]chan error{h.a: make(chan error, 1), h.b: make(chan error, 1)}
+	for r, ch := range errs {
+		go func() {
+			_, err := r.Recv()
+			ch <- err
+		}()
 	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("terminal error took %v", elapsed)
+	breakLink(t, h.a)
+	for _, step := range []time.Duration{10, 20, 40, 10} {
+		// Armed: the acceptor's deadline and the dialer's next backoff.
+		h.clock.WaitArmed(t, 2)
+		for r, ch := range errs {
+			select {
+			case err := <-ch:
+				t.Fatalf("%s ended at %v, before the %v budget: %v", r.name, time.Duration(h.clock.Now()), budget, err)
+			default:
+			}
+		}
+		h.clock.Advance(step * time.Millisecond)
+	}
+	for r, ch := range errs {
+		if err := testutil.Await(t, ch, r.name+"'s Recv at the budget"); !errors.Is(err, ErrLinkDown) {
+			t.Fatalf("%s Recv: got %v, want ErrLinkDown", r.name, err)
+		}
+	}
+	if now := time.Duration(h.clock.Now()); now != budget {
+		t.Fatalf("the link died at %v, want exactly the budget %v", now, budget)
 	}
 	if err := h.a.Send(seqFrame(0)); !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("post-terminal Send: got %v, want ErrLinkDown", err)
 	}
-	if _, err := h.b.Recv(); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("acceptor Recv: got %v, want ErrLinkDown", err)
+}
+
+// TestResumableReadsPastAFailedWrite: a write that fails because the peer
+// closed does not take the link down while the connection still holds
+// what the peer sent before closing. A worker session whose ack or beacon
+// hits the coordinator's close after the run's Drain still reads that
+// Drain, instead of waiting out its budget for an adoption that never
+// comes. The clock never moves, so a link that waited would never return.
+func TestResumableReadsPastAFailedWrite(t *testing.T) {
+	h := newResumableHarness(t, time.Second, ResumableOptions{Name: "a"}, ResumableOptions{Name: "b"})
+	h.a.Retire()
+	if err := h.a.Send(seqFrame(0)); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	h.a.Close()
+	if err := h.b.Send(seqFrame(1)); err != nil {
+		t.Fatalf("a send to a closed peer failed the stream: %v", err)
+	}
+	got := make(chan *wire.Frame, 1)
+	go func() {
+		f, _ := h.b.Recv()
+		got <- f
+	}()
+	if f := testutil.Await(t, got, "frame for b after its failed write (it waits for an adoption?)"); f == nil || f.Step != 0 {
+		t.Fatalf("after its failed write b received %v, want the frame a sent before closing", f)
 	}
 }
 
 // TestResumableReconnecting: the down state is visible while absorption
 // is in progress, and clears after adoption.
 func TestResumableReconnecting(t *testing.T) {
-	h := newResumableHarness(t,
-		RetryPolicy{Backoff: 2 * time.Millisecond, Budget: 5 * time.Second, AckEvery: 4},
-		ResumableOptions{Name: "a"}, ResumableOptions{Name: "b"})
+	h := newResumableHarness(t, 5*time.Second, ResumableOptions{Name: "a"}, ResumableOptions{Name: "b"})
 	if h.a.Reconnecting() {
 		t.Fatal("fresh link reports reconnecting")
 	}
@@ -336,10 +369,11 @@ func TestResumableReconnecting(t *testing.T) {
 	if f, err := h.b.Recv(); err != nil || f.Step != 0 {
 		t.Fatalf("recv: %v, %v", f, err)
 	}
+	go h.a.Recv() // a's reader notices the break; no frame comes back
 	breakLink(t, h.a)
 	// The link heals on its own; once it does, the flag clears.
 	for _, r := range []*Resumable{h.a, h.b} {
-		waitLink(t, r, r.name+" to heal", func() bool { return r.conn != nil || r.err != nil || r.closed })
+		waitLink(t, r, r.name+" to heal", func() bool { return r.conn != nil || r.err != nil })
 		if r.Reconnecting() {
 			t.Fatalf("%s reports reconnecting after healing", r.name)
 		}
@@ -353,37 +387,34 @@ func TestResumableReconnecting(t *testing.T) {
 }
 
 // TestResumableRetire: after Retire a peer close is a plain terminal
-// error, immediately — no reconnect, no ErrLinkDown, no budget wait.
+// error, immediately — no reconnect, no ErrLinkDown, no budget wait (the
+// clock never moves).
 func TestResumableRetire(t *testing.T) {
-	h := newResumableHarness(t,
-		RetryPolicy{Backoff: 2 * time.Millisecond, Budget: 10 * time.Second, AckEvery: 4},
-		ResumableOptions{Name: "a"}, ResumableOptions{Name: "b"})
+	h := newResumableHarness(t, 10*time.Second, ResumableOptions{Name: "a"}, ResumableOptions{Name: "b"})
 	h.b.Retire()
-	start := time.Now()
 	h.a.Close() // deliberate teardown: b sees EOF
-	_, err := h.b.Recv()
+	recvd := make(chan error, 1)
+	go func() {
+		_, err := h.b.Recv()
+		recvd <- err
+	}()
+	err := testutil.Await(t, recvd, "retired Recv's return")
 	if err == nil || errors.Is(err, ErrLinkDown) {
 		t.Fatalf("retired Recv: got %v, want a plain terminal error", err)
 	}
 	if !errors.Is(err, io.EOF) && !errors.Is(err, ErrClosed) {
 		t.Fatalf("retired Recv: got %v, want the peer-close error", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("retired teardown took %v (waited for a budget?)", elapsed)
-	}
 }
 
-// TestResumableAcksBoundReplay: the receiver acks every AckEvery frames,
+// TestResumableAcksBoundReplay: the receiver acks every ackEvery frames,
 // and the sender, reading those acks, trims its replay buffer to the
 // unacked tail, so the buffer of a long-lived link stays bounded and a
 // break late in the stream replays only that tail.
 func TestResumableAcksBoundReplay(t *testing.T) {
-	const ackEvery = 2
 	var replayed atomic.Int64
-	h := newResumableHarness(t,
-		RetryPolicy{Backoff: 2 * time.Millisecond, Budget: 5 * time.Second, AckEvery: ackEvery},
-		ResumableOptions{Name: "a", OnAbsorb: func(n int) { replayed.Add(int64(n)) }},
-		ResumableOptions{Name: "b"})
+	h := newResumableHarness(t, 5*time.Second,
+		ResumableOptions{Name: "a", OnAbsorb: func(n int) { replayed.Add(int64(n)) }}, ResumableOptions{Name: "b"})
 	// The sender reads: its Recv consumes the acks (no application frame
 	// comes back) and returns when the harness closes the link.
 	go h.a.Recv()
@@ -396,7 +427,7 @@ func TestResumableAcksBoundReplay(t *testing.T) {
 			t.Fatalf("recv %d: %v, %v", i, f, err)
 		}
 	}
-	waitLink(t, h.a, fmt.Sprintf("the sender's unacked buffer to shrink to AckEvery (%d) frames", ackEvery),
+	waitLink(t, h.a, fmt.Sprintf("the sender's unacked buffer to shrink to ackEvery (%d) frames", ackEvery),
 		func() bool { return len(h.a.buf) <= ackEvery })
 	breakLink(t, h.a)
 	if err := h.a.Send(seqFrame(n)); err != nil {

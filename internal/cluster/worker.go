@@ -72,8 +72,9 @@ type WorkerConfig struct {
 // and a superseded session may still be unwinding when its replacement
 // arrives.
 type Worker struct {
-	lis transport.Listener
-	cfg WorkerConfig
+	lis   transport.Listener
+	clock transport.Clock // the listener's: every wait of the worker reads it
+	cfg   WorkerConfig
 
 	// hosts routes accepted hello connections — a peer link, or any link
 	// being resumed — to the session hosting the target device. Every
@@ -94,7 +95,7 @@ type hostKey struct {
 
 // NewWorker wraps a bound listener in a worker server.
 func NewWorker(lis transport.Listener, cfg WorkerConfig) *Worker {
-	w := &Worker{lis: lis, cfg: cfg, hosts: make(map[hostKey]*mesh)}
+	w := &Worker{lis: lis, clock: transport.ClockOf(lis), cfg: cfg, hosts: make(map[hostKey]*mesh)}
 	w.hostCond = sync.NewCond(&w.hostMu)
 	return w
 }
@@ -224,32 +225,17 @@ func (w *Worker) acceptPeerConn(conn transport.Conn, first *wire.Frame) error {
 	if h.Resume {
 		wait = 0
 	}
-	m, err := w.awaitHost(h.Epoch, h.To, wait)
-	if err != nil {
-		return fmt.Errorf("cluster: link %d->%d: %w", h.From, h.To, err)
+	key := hostKey{h.Epoch, h.To}
+	w.hostMu.Lock()
+	transport.WaitCond(w.clock, w.hostCond, transport.Deadline(w.clock, wait), func() bool {
+		return w.hosts[key] != nil || w.closing
+	})
+	m := w.hosts[key]
+	w.hostMu.Unlock()
+	if m == nil {
+		return fmt.Errorf("cluster: link %d->%d: no session hosts device %d under epoch %d", h.From, h.To, h.To, h.Epoch)
 	}
 	return m.accept(h, conn)
-}
-
-func (w *Worker) awaitHost(epoch int64, dev int, wait time.Duration) (*mesh, error) {
-	deadline := time.Now().Add(wait)
-	timer := time.AfterFunc(wait, func() {
-		w.hostMu.Lock()
-		w.hostCond.Broadcast()
-		w.hostMu.Unlock()
-	})
-	defer timer.Stop()
-	w.hostMu.Lock()
-	defer w.hostMu.Unlock()
-	for {
-		if m := w.hosts[hostKey{epoch, dev}]; m != nil {
-			return m, nil
-		}
-		if !time.Now().Before(deadline) || w.closing {
-			return nil, fmt.Errorf("no session hosts device %d under epoch %d", dev, epoch)
-		}
-		w.hostCond.Wait()
-	}
 }
 
 func (w *Worker) registerHosts(m *mesh, devices []int) {
@@ -284,7 +270,7 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	// replays; frame counting starts after the Assign, identically on both
 	// sides. It closes gracefully whatever the session's fate: its last
 	// words — a LinkDown report, the Done frames — are the coordinator's.
-	links := linkPolicy{epoch: assign.Epoch, net: w.cfg.Dial,
+	links := linkPolicy{epoch: assign.Epoch, net: w.cfg.Dial, clock: w.clock,
 		budget: time.Duration(assign.Run.RetryBudgetMillis) * time.Millisecond,
 		logf:   w.logf, metrics: w.cfg.Metrics}
 	control := links.endpoint(conn, assign.Devices[0], int(wire.NoDev),
@@ -297,18 +283,10 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	// declared dead during its own setup would burn a restart for nothing.
 	hbStop := make(chan struct{})
 	defer close(hbStop)
-	if assign.Run.HeartbeatMillis > 0 {
-		interval := time.Duration(assign.Run.HeartbeatMillis) * time.Millisecond
+	if interval := time.Duration(assign.Run.HeartbeatMillis) * time.Millisecond; interval > 0 {
 		go func() {
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-hbStop:
-					return
-				case <-ticker.C:
-					out.Enqueue(wire.Control(wire.KindHeartbeat, wire.NoDev, wire.NoStep))
-				}
+			for transport.Sleep(w.clock, interval, hbStop) {
+				out.Enqueue(wire.Control(wire.KindHeartbeat, wire.NoDev, wire.NoStep))
 			}
 		}()
 	}
@@ -347,7 +325,7 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	// Become reachable and wire the peer endpoints before any device loop
 	// runs: a resumed control link and sibling sessions' dials find this
 	// session through the host registry.
-	m := newMesh(links, assign.Peers, control)
+	m := newMesh(links, assign, control)
 	defer func() { m.close(err == nil) }()
 	defer w.unregisterHosts(m, assign.Devices)
 	// failAll wakes every device loop of the session, whichever inbox it is
@@ -361,23 +339,15 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 
 	// Router: demux inbound frames to device inboxes until the
 	// coordinator drains the session (nil) or the session ends otherwise.
-	// It reads before the mesh is up, so that a coordinator that superseded
-	// this attempt, closing the link, stops a session still waiting for its
-	// peers instead of leaving it to wait out meshTimeout; the first frame
-	// waits for the mesh (a relayed one needs its edge).
-	meshUp := make(chan bool, 1)
+	// It reads before the direct peer links are up (the relayed edges' are
+	// there from newMesh), so that a coordinator that superseded this
+	// attempt, closing the link, stops a session still waiting for its
+	// peers instead of leaving it to wait out meshTimeout.
 	route := func() error {
-		up := false
 		for {
 			f, err := control.conn.Recv()
 			if err != nil {
-				m.orphan()
 				return fmt.Errorf("cluster: session connection lost: %w", err)
-			}
-			if !up {
-				if up = <-meshUp; !up {
-					return fmt.Errorf("cluster: session ended before its peer mesh was up")
-				}
 			}
 			switch {
 			case f.Kind == wire.KindDrain:
@@ -423,9 +393,7 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 		}
 		routerErr <- err
 	}()
-	err = w.establishMesh(m, assign, devices)
-	meshUp <- err == nil
-	if err != nil {
+	if err = w.establishMesh(m, assign, devices); err != nil {
 		return err
 	}
 	w.logf("peer mesh established for devices %v (epoch %d)", assign.Devices, assign.Epoch)
@@ -623,45 +591,23 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 	return devices, nil
 }
 
-// establishMesh wires a session's peer data plane: it registers the
-// hosted devices so sibling dials can find them, dials every direct pair
-// whose lower-ranked device lives elsewhere (higher rank dials lower —
-// pairs on the same worker, or even the same session, dial through the
-// network identically), waits for the inbound half, and hands each hosted
-// device's ringLink its endpoints. Relayed pairs never dial: their
-// endpoints cross the coordinator instead.
+// establishMesh wires a session's direct peer links: it registers the
+// hosted devices so sibling dials can find them, dials the pairs the
+// session owes, waits for the inbound half, and hands each hosted
+// device's ringLink its endpoints.
 func (w *Worker) establishMesh(m *mesh, assign *wire.Assign, devices []*hostedDevice) error {
 	if nDev := assign.Plan.NumDevices(); len(assign.Peers) != nDev {
 		return fmt.Errorf("cluster: assign names %d peer addresses for %d devices", len(assign.Peers), nDev)
 	}
-	relayed := make(map[pairKey]bool)
-	for _, e := range assign.RelayedEdges() {
-		relayed[pairKey{e[0], e[1]}] = true
-		relayed[pairKey{e[1], e[0]}] = true
-	}
-	var dials []pairKey
-	for _, d := range devices {
-		local := int(d.rank)
-		for _, remote := range peerRemotes(assign.Plan, local) {
-			switch {
-			case relayed[pairKey{local, remote}]:
-				m.relay(local, remote)
-			case local > remote:
-				dials = append(dials, pairKey{local, remote})
-			default:
-				m.pending[pairKey{local, remote}] = true
-			}
-		}
-	}
-	if len(dials) > 0 && w.cfg.Dial == nil {
+	if len(m.dials) > 0 && w.cfg.Dial == nil {
 		return fmt.Errorf("cluster: session with direct peer edges needs a dial network (WorkerConfig.Dial)")
 	}
 	// Register before dialing out: two sessions establishing their meshes
 	// concurrently must each find the other's hosts already routable, or
 	// the dial phases could mutually time out.
 	w.registerHosts(m, assign.Devices)
-	deadline := time.Now().Add(meshTimeout)
-	for _, dl := range dials {
+	deadline := transport.Deadline(w.clock, meshTimeout)
+	for _, dl := range m.dials {
 		if err := m.dialPeer(dl.local, dl.remote, deadline); err != nil {
 			return err
 		}

@@ -22,6 +22,8 @@ var testOnly = map[string]string{
 	"cluster/transport.NewLoopback": "constructor of Loopback",
 	"cluster/transport.Meter.Reset": "tests zero a meter between phases of one session",
 	"testutil.LeakCheck":            "goroutine-leak guard deferred by the concurrency tests",
+	"testutil.ManualClock":          "the clock the cluster's timeout tests advance by hand",
+	"testutil.Await":                "wall-time hang guard on a manual-clock test's channel receive",
 	"tensor.FromSlice":              "fixture constructor: tests build tensors from literal data",
 	"tensor.Tensor.At":              "fixture accessor: tests read one element by index",
 	"tensor.Tensor.Set":             "fixture accessor: tests write one element by index",
