@@ -161,15 +161,16 @@ func TestRepartitionShedsStraggler(t *testing.T) {
 }
 
 // The decisions the cost model gives. At rate 1 a tiny block at batch 4
-// costs 112,164 ns (B1-B3; the teacher's 3x3 conv alone is 1536 outputs x
-// 54 = 82,944 multiply-adds) and B0, on 3 input channels, half that. On
-// the lopsided plan a 4x dev0 measures 4 x (56,082 + 112,164) = 672,984
-// ns, and shedding B1, priced at its 4x cost of 448,656 ns, predicts a
-// third better. On hybrid4 a 4x dev2 measures 4 x 2 x 112,164 = 897,312
-// ns, and handing B2 to dev3 predicts 448,656 + 112,164 = 560,820 ns.
+// costs 110,628 ns (B1-B3; the teacher's 3x3 conv alone is 1536 outputs x
+// 54 = 82,944 multiply-adds; the student's 1x1 input gradient is a conv,
+// so no Col2Im is charged) and B0, on 3 input channels, half that. On
+// the lopsided plan a 4x dev0 measures 4 x (55,314 + 110,628) = 663,768
+// ns, and shedding B1, priced at its 4x cost of 442,512 ns, predicts a
+// third better. On hybrid4 a 4x dev2 measures 4 x 2 x 110,628 = 885,024
+// ns, and handing B2 to dev3 predicts 442,512 + 110,628 = 553,140 ns.
 const (
-	shedLopsided = "to dev0: B0 | dev1: B1 | dev2: B2-B3 (measured bottleneck 672.984µs, predicted 448.656µs, 33% better)"
-	shedHybrid   = "to dev0-1: B0 (2-way DP) | dev2: B1 | dev3: B2-B3 (measured bottleneck 897.312µs, predicted 560.82µs, 38% better)"
+	shedLopsided = "to dev0: B0 | dev1: B1 | dev2: B2-B3 (measured bottleneck 663.768µs, predicted 442.512µs, 33% better)"
+	shedHybrid   = "to dev0-1: B0 (2-way DP) | dev2: B1 | dev3: B2-B3 (measured bottleneck 885.024µs, predicted 553.14µs, 38% better)"
 )
 
 // repartitionConfig is s's Config with the repartitioner armed.

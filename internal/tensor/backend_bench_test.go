@@ -156,9 +156,10 @@ func benchRows(b *testing.B, kernel func(dst, src []float32), src []float32, row
 // BenchmarkConvGemmSkinny times the ring workloads' m = 6 conv GEMMs: 6
 // output channels over 8 images of 8×8, forward, weight gradient (dW)
 // and column gradient (dX) of the 3×3 convolutions on 3 and 6 input
-// channels and of the 6-channel 1×1 pointwise convolution. Every tile of
-// the forward and dW GEMMs is an edge tile (m = 6 is short of one 8-row
-// tile); the 1×1 dW's 6 output columns are one edge panel.
+// channels and of the 6-channel 1×1 pointwise convolution, whose dX is
+// the input gradient itself: a 1×1 conv of the NCHW gradient by Wᵀ.
+// Every tile of the forward and dW GEMMs is an edge tile (m = 6 is short
+// of one 8-row tile); the 1×1 dW's 6 output columns are one edge panel.
 func BenchmarkConvGemmSkinny(b *testing.B) {
 	const n, oc, hw = 8, 6, 8
 	rng := rand.New(rand.NewSource(12))
@@ -171,7 +172,7 @@ func BenchmarkConvGemmSkinny(b *testing.B) {
 		x := tensor.Rand(rng, -1, 1, n, c.inC, hw, hw)
 		w := tensor.Rand(rng, -1, 1, oc, taps)
 		grad := tensor.Rand(rng, -1, 1, oc, cols)
-		out, dW, dCols := tensor.New(oc, cols), tensor.New(oc, taps), tensor.New(taps, cols)
+		out, dW, dCols := tensor.New(n, oc, hw, hw), tensor.New(oc, taps), tensor.New(taps, cols)
 		macs := oc * taps * cols
 		benchBackends(b, c.name+"/fwd", macs, func(be tensor.Backend) {
 			be.ConvForwardInto(out, w, x, c.kernel, c.kernel, 1, pad)
@@ -179,6 +180,13 @@ func BenchmarkConvGemmSkinny(b *testing.B) {
 		benchBackends(b, c.name+"/dW", macs, func(be tensor.Backend) {
 			be.ConvGradWeightInto(dW, grad, x, c.kernel, c.kernel, 1, pad)
 		})
+		if c.kernel == 1 {
+			wt, gradN, dx := tensor.Rand(rng, -1, 1, c.inC, oc), tensor.Rand(rng, -1, 1, n, oc, hw, hw), tensor.New(n, c.inC, hw, hw)
+			benchBackends(b, c.name+"/dX", macs, func(be tensor.Backend) {
+				be.ConvForwardInto(dx, wt, gradN, 1, 1, 1, 0)
+			})
+			continue
+		}
 		benchBackends(b, c.name+"/dX", macs, func(be tensor.Backend) {
 			be.MatMulTAInto(dCols, w, grad)
 		})
@@ -201,7 +209,7 @@ func BenchmarkConvGemmInproc(b *testing.B) {
 			x := tensor.Rand(rng, -1, 1, n, inC, hw, hw)
 			w := tensor.Rand(rng, -1, 1, oc, taps)
 			grad := tensor.Rand(rng, -1, 1, oc, cols)
-			out, dW := tensor.New(oc, cols), tensor.New(oc, taps)
+			out, dW := tensor.New(n, oc, hw, hw), tensor.New(oc, taps)
 			macs := oc * taps * cols
 			name := fmt.Sprintf("conv%dx%d_n%d", kernel, kernel, n)
 			benchBackends(b, name+"/fwd", macs, func(be tensor.Backend) {

@@ -99,7 +99,7 @@ func TestGemmBackendParityConcurrentCallers(t *testing.T) {
 	ga, gb := Rand(rng, -1, 1, 16, 16, 8), Rand(rng, -1, 1, 16, 8, 16)
 	add(New(16, 16, 16), func(be Backend, out *Tensor) { be.MatMulBatchInto(out, ga, gb) })
 	x, w := Rand(rng, -1, 1, 4, 6, 8, 8), Rand(rng, -1, 1, 6, 6*3*3)
-	add(New(6, 4*8*8), func(be Backend, out *Tensor) { be.ConvForwardInto(out, w, x, 3, 3, 1, 1) })
+	add(New(4, 6, 8, 8), func(be Backend, out *Tensor) { be.ConvForwardInto(out, w, x, 3, 3, 1, 1) })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -366,9 +366,9 @@ func TestSerialGemmsDoNotAllocate(t *testing.T) {
 		cases["MatMulTABatchInto "+label] = func() { Serial{}.MatMulTABatchInto(out, aT, b) }
 		cases["MatMulTBBatchInto "+label] = func() { Serial{}.MatMulTBBatchInto(out, a, bT) }
 	}
-	x, w, y := r(4, 6, 8, 8), r(6, 6*3*3), New(6, 4*8*8)
+	x, w, y, g := r(4, 6, 8, 8), r(6, 6*3*3), New(4, 6, 8, 8), r(6, 4*8*8)
 	cases["ConvForwardInto"] = func() { Serial{}.ConvForwardInto(y, w, x, 3, 3, 1, 1) }
-	cases["ConvGradWeightInto"] = func() { Serial{}.ConvGradWeightInto(w, y, x, 3, 3, 1, 1) }
+	cases["ConvGradWeightInto"] = func() { Serial{}.ConvGradWeightInto(w, g, x, 3, 3, 1, 1) }
 	for name, call := range cases {
 		call() // size the arena
 		if got := testing.AllocsPerRun(20, call); got != 0 {
@@ -387,7 +387,7 @@ func TestArenasSurviveCollections(t *testing.T) {
 	// borrow is a buffer for B: A is read in place, and so is a small
 	// row-major B, which borrows nothing.
 	a, b, out := Randn(rng, 0, 1, 64, 96), Randn(rng, 0, 1, 96, 128), New(64, 128)
-	w, x, y := Randn(rng, 0, 1, 6, 27), Randn(rng, 0, 1, 8, 3, 16, 16), New(6, 8*16*16)
+	w, x, y := Randn(rng, 0, 1, 6, 27), Randn(rng, 0, 1, 8, 3, 16, 16), New(8, 6, 16, 16)
 	if o := matMulOperands("TestArenasSurviveCollections", layoutAB, 2, out, a, b); o.bInPlace() {
 		t.Fatal("the GEMM reads B in place: it no longer borrows a pack buffer")
 	}

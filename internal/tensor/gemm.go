@@ -27,6 +27,11 @@ import "sync"
 //   - A is never packed: every row tile reads it in place, mrTile rows
 //     (fewer in a ragged last tile) at stride k, or for MatMulTA that
 //     many contiguous floats per term at stride m.
+//   - A conv forward is a batch of N GEMMs, one per image, that share
+//     A: instance q multiplies the weights (A instance stride 0) by
+//     image q's column matrix, so its [OutC, OH·OW] output block is
+//     image q's NCHW slice and the result lands in NCHW as it is
+//     computed. Every other call's instances lie back to back.
 //   - The microkernel computes a rows×w register tile of two adjacent
 //     panels (at most mrTile×2·nrTile), adding terms for every output
 //     element in ascending-p order; the second panel's rows lie pair
@@ -139,10 +144,13 @@ const (
 )
 
 // gemmOperands describes one call: out = A·B for each of g instances of
-// one m×k×n shape, laid out back to back with the instance outermost (g
-// = 1 for the 2-D and conv calls). It is a value, so the serial path
-// carries it on the stack and packs through its methods without
-// allocating.
+// one m×k×n shape, the instance outermost (g = 1 for the 2-D calls and
+// the conv weight gradient). Instance q's A starts at q·as, its B at
+// q·bs and its m·n output block at q·m·n: a batch lies back to back (as
+// m·k, bs k·n), and a conv forward's images share the weights (as 0; bs
+// C·H·W, and conv is one image's geometry). It is a value, so the
+// serial path carries it on the stack and packs through its methods
+// without allocating.
 //
 // A batch (g > 1) is the batched entry points' form: attention's
 // per-(sample, head) score and context GEMMs are skinny (m ≈ sequence
@@ -154,6 +162,7 @@ const (
 type gemmOperands struct {
 	out, a, b  []float32
 	g, m, k, n int
+	as, bs     int // instance strides of A and B
 	layout     gemmLayout
 	conv       convGeom // the im2col layouts' geometry; b is its NCHW input
 }
@@ -168,8 +177,8 @@ type gemmOperands struct {
 // kj. Every table ascends, so its last entry bounds what a tile reads.
 // pair is the distance between the two panels' starts (bPanel): k·nrTile
 // between packed panels, nrTile in a row-major B, and in a conv input
-// nrTile within an output row or the step to the next row's (or next
-// image's) first panel; 0 for a lone panel.
+// nrTile within an output row or the step to the next row's first panel;
+// 0 for a lone panel.
 type microOperands struct {
 	a      []float32
 	rs, ps int
@@ -197,7 +206,7 @@ func (o *gemmOperands) bInPlace() bool {
 
 // bPrep returns what a call fills before its tiles run, in units of
 // unitLen floats: the g·panelsOf(n) panels of a packed B, or, for a
-// padded conv read in place, the input's n·C planes copied inside their
+// padded conv read in place, the input's N·C planes copied inside their
 // zero border; nothing when B is read as it lies.
 func (o *gemmOperands) bPrep(inPlace bool) (units, unitLen int) {
 	switch {
@@ -205,7 +214,7 @@ func (o *gemmOperands) bPrep(inPlace bool) (units, unitLen int) {
 		return o.g * panelsOf(o.n), o.k * nrTile
 	case o.layout == layoutConv && o.conv.pad > 0:
 		hp, wp := o.conv.padded()
-		return o.conv.n * o.conv.c, hp * wp
+		return o.g * o.conv.c, hp * wp
 	}
 	return 0, 0
 }
@@ -222,7 +231,7 @@ func (o *gemmOperands) prepB(buf []float32, inPlace bool, lo, hi int) {
 
 // packB packs panels [pan0, pan1) of instance q's B into bp.
 func (o *gemmOperands) packB(bp []float32, q, pan0, pan1 int) {
-	b := o.b[q*o.k*o.n:]
+	b := o.b[q*o.bs:]
 	switch o.layout {
 	case layoutTB:
 		packBPanelsTB(bp, b, o.k, o.n, pan0, pan1)
@@ -238,7 +247,7 @@ func (o *gemmOperands) packB(bp []float32, q, pan0, pan1 int) {
 // aTile points t at row i0 × reduction index p0 of instance q's A, in
 // place.
 func (o *gemmOperands) aTile(t *microOperands, q, i0, p0 int) {
-	a := o.a[q*o.m*o.k:]
+	a := o.a[q*o.as:]
 	if o.layout == layoutTA {
 		t.a, t.rs, t.ps = a[p0*o.m+i0:], 1, o.m
 	} else {
@@ -321,7 +330,7 @@ func (o *gemmOperands) bRows(boff []int32, inPlace bool, p0 int) {
 
 // bPanel returns where panel pan of instance q starts in what tiles reads
 // B from. A conv panel is 8 consecutive output positions of one output
-// row (oi) of one image (ni), so it starts at its first position's tap
+// row (oi) of image q, so it starts at its first position's tap
 // (0, 0, 0).
 func (o *gemmOperands) bPanel(inPlace bool, q, pan int) int {
 	j0 := pan * nrTile
@@ -331,10 +340,9 @@ func (o *gemmOperands) bPanel(inPlace bool, q, pan int) int {
 	case o.layout == layoutConv:
 		g := o.conv
 		hp, wp := g.padded()
-		ni, oi, oj := j0/(g.oh*g.ow), j0/g.ow%g.oh, j0%g.ow
-		return (ni*g.c*hp+oi)*wp + oj
+		return (q*g.c*hp+j0/g.ow)*wp + j0%g.ow
 	}
-	return q*o.k*o.n + j0
+	return q*o.bs + j0
 }
 
 // --- operand packing ---------------------------------------------------------

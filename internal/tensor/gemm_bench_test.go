@@ -73,7 +73,7 @@ func BenchmarkGemmTiers(b *testing.B) {
 	const n, c, hw = 16, 16, 16
 	x := Rand(rng, -1, 1, n, c, hw, hw)
 	w, grad := Rand(rng, -1, 1, c, c*9), Rand(rng, -1, 1, c, n*hw*hw)
-	out, dW := New(c, n*hw*hw), New(c, c*9)
+	out, dW := New(n, c, hw, hw), New(c, c*9)
 	calls = append(calls,
 		call{"conv3x3_n16/fwd", c * c * 9 * n * hw * hw,
 			convOperands("BenchmarkGemmTiers", layoutConv, out, w, x, 3, 3, 1, 1)},

@@ -188,8 +188,8 @@ func matMulRef(layout gemmLayout, g, m, k, n int, a, b []float32) *Tensor {
 // and a width likewise from n/24, and a kernel kk, stride and padding
 // from the seed's residues (1, 3 or 5 by seed%3, stride 1 or 2 by
 // seed/3%2, pad seed/6 modulo kk/2+2) — and builds the layout's
-// reference on the materialized column matrix and the fused entry point
-// that must reproduce it. Stride-1 output widths reach 8, 16 and 24, so
+// reference on the materialized column matrix (the forward's reordered
+// to NCHW) and the fused entry point that must reproduce it. Stride-1 output widths reach 8, 16 and 24, so
 // forwards read in place at every width they do in a workload.
 func convCalls(rng *rand.Rand, layout gemmLayout, which, g, m, k, n int, seed int64) (*Tensor, []gemmCall) {
 	u := uint64(seed)
@@ -208,9 +208,9 @@ func convCalls(rng *rand.Rand, layout gemmLayout, which, g, m, k, n int, seed in
 	if layout == layoutConv {
 		wgt := New(m, K)
 		fillAdversarial(rng, wgt, which+1)
-		want := New(m, S)
-		matMulRowsRef(want.data, wgt.data, cols.data, K, S, 0, m)
-		return want, []gemmCall{{fmt.Sprintf("ConvForwardInto k%d s%d p%d", kk, stride, pad),
+		flat := New(m, S)
+		matMulRowsRef(flat.data, wgt.data, cols.data, K, S, 0, m)
+		return nchwOf(flat, g, oh, ow), []gemmCall{{fmt.Sprintf("ConvForwardInto k%d s%d p%d", kk, stride, pad),
 			func(pool *Pool, out *Tensor) { backendOf(pool).ConvForwardInto(out, wgt, x, kk, kk, stride, pad) }}}
 	}
 	grad := New(m, S)

@@ -524,9 +524,23 @@ var convGeometries = []struct{ n, c, h, w, k, stride, pad, outC int }{
 	{1, 2, 3, 3, 3, 1, 1, 3}, // output smaller than one panel
 }
 
+// nchwOf reorders a conv GEMM's [m, N·OH·OW] rows to NCHW [N, m, OH, OW],
+// the forward's output layout.
+func nchwOf(flat *Tensor, n, oh, ow int) *Tensor {
+	m, spatial := flat.shape[0], oh*ow
+	out := New(n, m, oh, ow)
+	for o := 0; o < m; o++ {
+		for i := 0; i < n; i++ {
+			copy(out.data[(i*m+o)*spatial:][:spatial], flat.data[(o*n+i)*spatial:][:spatial])
+		}
+	}
+	return out
+}
+
 // TestFusedConvGemmMatchesMaterialized pins the fused conv GEMMs
 // (forward and weight-gradient) bit-for-bit to materialize-then-GEMM on
-// every geometry, for both backends and with specials in the input.
+// every geometry, for both backends and with specials in the input; the
+// forward's reference is reordered to NCHW.
 func TestFusedConvGemmMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	backends := []Backend{Serial{}, NewParallel(3)}
@@ -542,13 +556,14 @@ func TestFusedConvGemmMatchesMaterialized(t *testing.T) {
 		cols := New(K, S)
 		Serial{}.Im2ColInto(cols, x, cse.k, cse.k, cse.stride, cse.pad)
 
-		wantFwd := New(cse.outC, S)
-		matMulRowsRef(wantFwd.data, w.data, cols.data, K, S, 0, cse.outC)
+		flat := New(cse.outC, S)
+		matMulRowsRef(flat.data, w.data, cols.data, K, S, 0, cse.outC)
+		wantFwd := nchwOf(flat, cse.n, oh, ow)
 		wantDW := New(cse.outC, K)
 		matMulTBRowsRef(wantDW.data, grad.data, cols.data, S, K, 0, cse.outC)
 
 		for _, be := range backends {
-			fwd := New(cse.outC, S)
+			fwd := New(cse.n, cse.outC, oh, ow)
 			be.ConvForwardInto(fwd, w, x, cse.k, cse.k, cse.stride, cse.pad)
 			if diff := bitsDiff(fwd, wantFwd); diff != "" {
 				t.Errorf("%s ConvForwardInto != materialized (case %d): %s", be.Name(), gi, diff)
@@ -595,7 +610,7 @@ func TestFusedConvReadsInPlace(t *testing.T) {
 		if layout == layoutConvT {
 			return convOperands("TestFusedConvReadsInPlace", layout, New(g.m, K), New(g.m, S), x, g.k, g.k, g.stride, g.pad)
 		}
-		return convOperands("TestFusedConvReadsInPlace", layout, New(g.m, S), New(g.m, K), x, g.k, g.k, g.stride, g.pad)
+		return convOperands("TestFusedConvReadsInPlace", layout, New(g.n, g.m, ow, ow), New(g.m, K), x, g.k, g.k, g.stride, g.pad)
 	}
 	for _, g := range census {
 		o := operands(layoutConv, g)
@@ -641,10 +656,11 @@ func TestFusedConvBordersEveryCall(t *testing.T) {
 		K, S := g.c*9, g.n*g.hw*g.hw
 		cols := New(K, S)
 		Serial{}.Im2ColInto(cols, x, 3, 3, 1, 1)
-		want := New(g.m, S)
-		matMulRowsRef(want.data, w.data, cols.data, K, S, 0, g.m)
+		flat := New(g.m, S)
+		matMulRowsRef(flat.data, w.data, cols.data, K, S, 0, g.m)
+		want := nchwOf(flat, g.n, g.hw, g.hw)
 		for _, p := range []*Pool{nil, pool} {
-			out := New(g.m, S)
+			out := New(g.n, g.m, g.hw, g.hw)
 			backendOf(p).ConvForwardInto(out, w, nan, 3, 3, 1, 1)
 			packArenas.mu.Lock()
 			for _, ar := range packArenas.kept {

@@ -172,18 +172,20 @@ func gemmReadsStayInsideOperands(t *testing.T) {
 		}
 	}
 
-	// The fused conv layouts read their A — the weights, or the output
-	// gradient — in place too: 6 rows leave one ragged tile, 16 none. A
-	// stride-1 forward at output width 8 or 16 reads its B in place: with
-	// pad 1 from a bordered copy, with pad 0 from x itself, whose last
-	// panel's last tap then ends at x's last float and the page after it.
-	// At ow 9 the forward packs.
+	// The conv forward is a batch of per-image GEMMs that share their A,
+	// the weights (instance stride 0): 6 rows leave one ragged tile, 16
+	// none. It writes NCHW, so the output's last image's last plane ends
+	// at the page. A stride-1 forward at output width 8 or 16 reads image
+	// q's B in place: with pad 1 from a bordered copy, with pad 0 from x
+	// itself, whose last image's last plane then ends at the page under
+	// the last panel's last tap. At ow 9 the forward packs each image's
+	// panels. The weight gradient reads the output gradient in place as A.
 	for _, c := range []struct {
 		hw, k, pad int
 		inPlace    bool
 	}{
 		{9, 3, 1, false}, {8, 3, 1, true}, {16, 3, 1, true},
-		{10, 3, 0, true}, {18, 3, 0, true}, {16, 1, 0, true}, {8, 1, 0, true},
+		{10, 3, 0, true}, {18, 3, 0, true}, {16, 1, 0, true}, {8, 1, 0, true}, {9, 1, 0, false},
 	} {
 		x := Rand(rng, -2, 2, 2, 3, c.hw, c.hw)
 		ow := ConvOutSize(c.hw, c.k, 1, c.pad)
@@ -194,13 +196,14 @@ func gemmReadsStayInsideOperands(t *testing.T) {
 		for _, m := range []int{6, 16} {
 			label := fmt.Sprintf("%d×%d k%d pad %d m=%d", c.hw, c.hw, c.k, c.pad, m)
 			w, grad := Rand(rng, -2, 2, m, K), Rand(rng, -2, 2, m, S)
-			wantFwd, wantDW := New(m, S), New(m, K)
-			matMulRowsRef(wantFwd.data, w.data, cols.data, K, S, 0, m)
+			flat, wantDW := New(m, S), New(m, K)
+			matMulRowsRef(flat.data, w.data, cols.data, K, S, 0, m)
 			matMulTBRowsRef(wantDW.data, grad.data, cols.data, S, K, 0, m)
+			wantFwd := nchwOf(flat, 2, ow, ow)
 			gw, ggrad := guardedCopy(t, w), guardedCopy(t, grad)
-			fwd := FromSlice(guarded(t, m*S), m, S)
-			if o := convOperands("TestGemmReadsStayInsideOperands", layoutConv, fwd, gw, gx, c.k, c.k, 1, c.pad); o.bInPlace() != c.inPlace {
-				t.Fatalf("%s: forward B read in place = %v, the case wants %v", label, o.bInPlace(), c.inPlace)
+			fwd := FromSlice(guarded(t, m*S), 2, m, ow, ow)
+			if o := convOperands("TestGemmReadsStayInsideOperands", layoutConv, fwd, gw, gx, c.k, c.k, 1, c.pad); o.bInPlace() != c.inPlace || o.as != 0 {
+				t.Fatalf("%s: forward B read in place = %v, A stride %d; the case wants %v, 0", label, o.bInPlace(), o.as, c.inPlace)
 			}
 			for _, p := range []*Pool{nil, pool} {
 				backendOf(p).ConvForwardInto(fwd, gw, gx, c.k, c.k, 1, c.pad)
@@ -212,6 +215,35 @@ func gemmReadsStayInsideOperands(t *testing.T) {
 				if diff := bitsDiff(dw, wantDW); diff != "" {
 					t.Fatalf("ConvGradWeightInto %s pooled=%v: %s", label, p != nil, diff)
 				}
+			}
+		}
+	}
+
+	// A 1×1, stride-1, unpadded conv's input gradient is the forward of
+	// its NCHW gradient by Wᵀ: the gradient (read in place at a width of
+	// whole panels, packed at 9), Wᵀ and dx each end at the page, and dx
+	// must equal the column route, Col2Im of Wᵀ·grad, bit for bit.
+	for _, c := range []struct{ n, outC, inC, hw int }{{2, 16, 16, 16}, {2, 6, 6, 8}, {2, 6, 3, 8}, {2, 16, 5, 9}} {
+		w := Rand(rng, -2, 2, c.outC, c.inC)
+		grad := Rand(rng, -2, 2, c.n, c.outC, c.hw, c.hw)
+		S := c.n * c.hw * c.hw
+		dFlat, dCols := New(c.outC, S), New(c.inC, S)
+		Serial{}.Im2ColInto(dFlat, grad, 1, 1, 1, 0)
+		matMulTARowsRef(dCols.data, w.data, dFlat.data, c.outC, c.inC, S, 0, c.inC)
+		want := New(c.n, c.inC, c.hw, c.hw)
+		Serial{}.Col2ImInto(want, dCols, 1, 1, 1, 0)
+		wt := FromSlice(guarded(t, c.inC*c.outC), c.inC, c.outC)
+		for o := 0; o < c.outC; o++ {
+			for ci := 0; ci < c.inC; ci++ {
+				wt.data[ci*c.outC+o] = w.data[o*c.inC+ci]
+			}
+		}
+		ggrad := guardedCopy(t, grad)
+		for _, p := range []*Pool{nil, pool} {
+			dx := FromSlice(guarded(t, len(want.data)), want.shape...)
+			backendOf(p).ConvForwardInto(dx, wt, ggrad, 1, 1, 1, 0)
+			if diff := bitsDiff(dx, want); diff != "" {
+				t.Fatalf("1×1 input gradient %+v pooled=%v: %s", c, p != nil, diff)
 			}
 		}
 	}

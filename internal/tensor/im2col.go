@@ -95,28 +95,38 @@ func (g convGeom) at(xd []float32, p, j int) float32 {
 	return xd[((ni*g.c+ci)*g.h+ih)*g.w+iw]
 }
 
-// convOperands validates a fused conv GEMM call and describes it: out =
-// a·cols for layoutConv (a: [OutC, K], out: [OutC, S]) or a·colsᵀ for
-// layoutConvT (a: the output gradient [OutC, S], out: [OutC, K]), where
-// cols is the [K, S] column matrix of x.
+// convOperands validates a fused conv GEMM call and describes it. For
+// layoutConv, out = a·cols image by image (a: [OutC, K], out: [N, OutC,
+// OH, OW]): a batch of N GEMMs that share a, instance q reading image
+// q's planes, its [OutC, OH·OW] block image q's slice of out. For
+// layoutConvT, out = a·colsᵀ in one GEMM (a: the output gradient [OutC,
+// S], out: [OutC, K]). cols is the [K, S] column matrix of x.
 func convOperands(op string, layout gemmLayout, out, a, x *Tensor, kh, kw, stride, pad int) gemmOperands {
 	n, c, oh, ow := im2ColDims(x, kh, kw, stride, pad)
 	g := convGeom{n: n, c: c, h: x.shape[2], w: x.shape[3], oh: oh, ow: ow,
 		kh: kh, kw: kw, stride: stride, pad: pad}
-	k, cols := g.colRows(), g.colCols()
+	k := g.colRows()
 	if layout == layoutConvT {
 		// The dW GEMM reduces over the S output positions; its output
 		// columns are the K kernel taps.
-		k, cols = cols, k
+		k = g.colCols()
 	}
 	if len(a.shape) != 2 || a.shape[1] != k {
 		panic(fmt.Sprintf("tensor: %s operand shape %v, want [*, %d]", op, a.shape, k))
 	}
 	m := a.shape[0]
-	if len(out.shape) != 2 || out.shape[0] != m || out.shape[1] != cols {
-		panic(fmt.Sprintf("tensor: %s output shape %v, want [%d %d]", op, out.shape, m, cols))
+	if layout == layoutConvT {
+		if len(out.shape) != 2 || out.shape[0] != m || out.shape[1] != g.colRows() {
+			panic(fmt.Sprintf("tensor: %s output shape %v, want [%d %d]", op, out.shape, m, g.colRows()))
+		}
+		return gemmOperands{out: out.data, a: a.data, b: x.data, g: 1, m: m, k: k, n: g.colRows(), layout: layout, conv: g}
 	}
-	return gemmOperands{out: out.data, a: a.data, b: x.data, g: 1, m: m, k: k, n: cols, layout: layout, conv: g}
+	if len(out.shape) != 4 || out.shape[0] != n || out.shape[1] != m || out.shape[2] != oh || out.shape[3] != ow {
+		panic(fmt.Sprintf("tensor: %s output shape %v, want [%d %d %d %d]", op, out.shape, n, m, oh, ow))
+	}
+	g.n = 1
+	return gemmOperands{out: out.data, a: a.data, b: x.data, g: n, m: m, k: k, n: oh * ow,
+		bs: c * g.h * g.w, layout: layout, conv: g}
 }
 
 // padPlanes copies input planes [lo, hi) — plane ni·C + c of an NCHW x —

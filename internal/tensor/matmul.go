@@ -36,5 +36,6 @@ func matMulOperands(op string, layout gemmLayout, rank int, out, a, b *Tensor) g
 	if out.shape[lead] != m || out.shape[lead+1] != n || lead == 1 && out.shape[0] != g {
 		panic(fmt.Sprintf("tensor: %s output shape %v for %v x %v", op, out.shape, a.shape, b.shape))
 	}
-	return gemmOperands{out: out.data, a: a.data, b: b.data, g: g, m: m, k: k, n: n, layout: layout}
+	return gemmOperands{out: out.data, a: a.data, b: b.data, g: g, m: m, k: k, n: n,
+		as: m * k, bs: k * n, layout: layout}
 }

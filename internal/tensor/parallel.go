@@ -83,7 +83,8 @@ func (p *Parallel) MatMulTBBatchInto(out, a, b *Tensor) {
 
 // ConvForwardInto implements Backend: the zero-bordered copy of the input
 // is partitioned across its planes, or the fused im2col pack across
-// column panels, and the GEMM across row tiles.
+// (image, column panel) pairs, and the per-image GEMMs across (image, row
+// tile) pairs.
 func (p *Parallel) ConvForwardInto(out, w, x *Tensor, kh, kw, stride, pad int) {
 	gemm(p.pool, convOperands("ConvForwardInto", layoutConv, out, w, x, kh, kw, stride, pad))
 }

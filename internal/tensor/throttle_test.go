@@ -50,7 +50,7 @@ func TestThrottledBitIdentical(t *testing.T) {
 	}
 	kw2 := Rand(rng, -1, 1, outC, c*k*k)
 	grad := Rand(rng, -1, 1, outC, n*oh*ow)
-	fwdT, fwdS := New(outC, n*oh*ow), New(outC, n*oh*ow)
+	fwdT, fwdS := New(n, outC, oh, ow), New(n, outC, oh, ow)
 	th.ConvForwardInto(fwdT, kw2, x, k, k, stride, pad)
 	inner.ConvForwardInto(fwdS, kw2, x, k, k, stride, pad)
 	if !fwdT.Equal(fwdS) {
