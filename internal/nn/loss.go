@@ -11,21 +11,17 @@ import (
 // with the gradient with respect to pred. This is the per-block
 // distillation loss L(Δoutput) from the paper: the student output is
 // regressed onto the teacher's output activation. Like every loss here it
-// takes the gradient tensor from ar (nil: plain allocation).
+// takes the gradient tensor from ar (nil: plain allocation). It is
+// tensor.MSEInto: the gradient float32(2·d/n) elementwise, and the float64
+// sum of d² in four interleaved partial sums (element j to sum j mod 4),
+// combined as (s0+s1)+(s2+s3), then the elements past the last whole
+// group of four in order.
 func MSELoss(ar *tensor.Arena, pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	if !pred.SameShape(target) {
 		panic(fmt.Sprintf("nn: MSELoss shape mismatch %v vs %v", pred.Shape(), target.Shape()))
 	}
-	n := float64(pred.Numel())
 	grad := ar.Get(pred.Shape()...)
-	pd, td, gd := pred.Data(), target.Data(), grad.Data()
-	var loss float64
-	for i := range pd {
-		d := float64(pd[i]) - float64(td[i])
-		loss += float64(d * d)
-		gd[i] = float32(2 * d / n)
-	}
-	return loss / n, grad
+	return tensor.MSEInto(grad.Data(), pred.Data(), target.Data()), grad
 }
 
 // KLDivLoss is the temperature-scaled knowledge-distillation loss of

@@ -7,7 +7,8 @@ import (
 
 // Row kernels: the transformer's per-row loops — LayerNorm forward and
 // backward, the max-subtracted softmax and its backward, GELU and its
-// backward, and a Linear layer's bias add and bias-gradient sums.
+// backward, and a Linear layer's bias add and bias-gradient sums — and
+// the conv blocks' distillation loss, the mean squared error.
 //
 // The scalar loops (the …Generic functions) are the contract. Two kinds
 // of vector lanes run them on amd64 with AVX (rows_amd64.s), each bit for
@@ -26,6 +27,12 @@ import (
 //     multiply-add anywhere. A column sum (a bias gradient) is one lane
 //     per column, rows ascending. A kernel takes the whole groups of
 //     columns of every row; the scalar loop takes the ragged columns.
+//   - Sum lanes run a float64 sum over a whole tensor (MSEInto's) in the
+//     declared four-lane order: element j goes to partial sum j mod 4,
+//     each an ascending chain; the partial sums combine as
+//     (s0 + s1) + (s2 + s3), and the elements past the last whole group
+//     of four follow in order. The scalar loop is that order too, so the
+//     lanes take the whole groups and it takes the rest.
 //
 // Every product the loops add is wrapped in an explicit conversion, which
 // the language defines as a rounding point, so no port contracts it into
@@ -449,4 +456,46 @@ func addColumnSumsGeneric(dst, x []float32, lo int) {
 			dst[lo+j] = addFirst(v, dst[lo+j])
 		}
 	}
+}
+
+// --- squared error -------------------------------------------------------------
+
+// MSEInto returns the mean squared error of pred against target and
+// writes its gradient with respect to pred to grad: with n = len(pred)
+// and, per element, d = float64(pred) − float64(target),
+//
+//	grad = float32(2·d / n)
+//	loss = Σ float64(d·d) / n
+//
+// the sum in the declared four-lane order: partial sum s_k adds the
+// elements j < n &^ 3 with j mod 4 = k, ascending; then
+// (s0 + s1) + (s2 + s3); then the elements from n &^ 3 on, in order. The
+// gradient never reads the sum. grad may not share memory with pred or
+// target.
+func MSEInto(grad, pred, target []float32) float64 {
+	mustLen("MSEInto", "target", len(target), len(pred))
+	mustLen("MSEInto", "grad", len(grad), len(pred))
+	n := float64(len(pred))
+	var s [4]float64
+	j := mseLanes(&s, grad, pred, target, n)
+	return mseGeneric(&s, grad, pred, target, n, j) / n
+}
+
+// mseGeneric adds elements lo… (lo a multiple of 4) to the partial sums
+// s, writes their gradient, and returns the whole sum in the declared
+// order.
+func mseGeneric(s *[4]float64, grad, pred, target []float32, n float64, lo int) float64 {
+	whole := len(pred) &^ 3
+	for j := lo; j < whole; j++ {
+		d := float64(pred[j]) - float64(target[j])
+		s[j&3] = addFirst(s[j&3], float64(d*d))
+		grad[j] = float32(2 * d / n)
+	}
+	sum := addFirst(addFirst(s[0], s[1]), addFirst(s[2], s[3]))
+	for j := whole; j < len(pred); j++ {
+		d := float64(pred[j]) - float64(target[j])
+		sum = addFirst(sum, float64(d*d))
+		grad[j] = float32(2 * d / n)
+	}
+	return sum
 }

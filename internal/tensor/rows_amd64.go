@@ -56,6 +56,13 @@ func addRowBiasAVX(x, bias *float32, rows, d, cols int)
 //go:noescape
 func addColumnSumsAVX(dst, x *float32, rows, d, cols int)
 
+// mseAVX adds the first n elements' squared differences to the four
+// partial sums at s, element j to s[j mod 4], and writes their gradient;
+// n is a positive multiple of 4.
+//
+//go:noescape
+func mseAVX(s *float64, grad, pred, target *float32, n int, fn float64)
+
 // rowGroups returns how many whole groups of four rows a row-lane kernel
 // takes: none without AVX.
 func rowGroups(rows int) int {
@@ -235,4 +242,15 @@ func addColumnSumsLanes(dst, x []float32) int {
 	}
 	addColumnSumsAVX(&dst[0], &x[0], len(x)/d, d, cols)
 	return cols
+}
+
+// mseLanes runs the whole groups of four of MSEInto's elements and
+// returns how many it took.
+func mseLanes(s *[4]float64, grad, pred, target []float32, n float64) int {
+	k := laneCols(1, len(pred), 4)
+	if k == 0 {
+		return 0
+	}
+	mseAVX(&s[0], &grad[0], &pred[0], &target[0], k, n)
+	return k
 }

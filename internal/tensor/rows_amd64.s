@@ -11,6 +11,10 @@
 // float32 lanes or, where the loop widens to float64, four float64 lanes
 // (VCVTPS2PD from memory, VCVTPD2PS back).
 //
+// Sum lanes: a float64 sum over a whole tensor runs four partial sums,
+// one per lane of a YMM accumulator, element j in lane j mod 4 — the
+// order rows.go declares, which its scalar loop follows too.
+//
 // Every Go operation is one instruction, and no multiply-add is fused:
 // each lane's result is the scalar loop's, bit for bit. Where both
 // operands of an add or a multiply are NaN, x86 returns the first
@@ -652,5 +656,36 @@ ocol:
 	ADDQ    DX, SI
 	DECQ    BX
 	JNZ     orow
+	VZEROUPPER
+	RET
+
+// func mseAVX(s *float64, grad, pred, target *float32, n int, fn float64)
+//
+// Y0 the four partial sums, Y15 n. 2·d is d + d, exact as the product is.
+TEXT ·mseAVX(SB), NOSPLIT, $0-48
+	MOVQ         s+0(FP), DI
+	MOVQ         grad+8(FP), R8
+	MOVQ         pred+16(FP), SI
+	MOVQ         target+24(FP), R9
+	MOVQ         n+32(FP), CX
+	SHLQ         $2, CX
+	VBROADCASTSD fn+40(FP), Y15
+	VMOVUPD      (DI), Y0
+	XORQ         AX, AX
+
+mse:
+	VCVTPS2PD  (SI)(AX*1), Y1
+	VCVTPS2PD  (R9)(AX*1), Y2
+	VSUBPD     Y2, Y1, Y1  // d = float64(p) - float64(t)
+	VMULPD     Y1, Y1, Y2
+	VADDPD     Y2, Y0, Y0  // s[j&3] += float64(d*d)
+	VADDPD     Y1, Y1, Y1  // float32(2*d / n)
+	VDIVPD     Y15, Y1, Y1
+	VCVTPD2PSY Y1, X1
+	VMOVUPS    X1, (R8)(AX*1)
+	ADDQ       $16, AX
+	CMPQ       AX, CX
+	JLT        mse
+	VMOVUPD    Y0, (DI)
 	VZEROUPPER
 	RET

@@ -36,3 +36,5 @@ func geluBackwardLanes(dx, grad, x, th []float32) int { return 0 }
 func addRowBiasLanes(x, bias []float32) int { return 0 }
 
 func addColumnSumsLanes(dst, x []float32) int { return 0 }
+
+func mseLanes(s *[4]float64, grad, pred, target []float32, n float64) int { return 0 }

@@ -182,7 +182,26 @@ var rowKernels = []rowKernel{
 		AddColumnSums(dst, c.grad)
 		return bits32(nil, dst)
 	}},
+	// MSEInto reduces the whole tensor, not rows: it runs on every length
+	// of mseLengths the case holds and on the whole case, the lanes'
+	// partial sums ending at each lane of a group of four.
+	{"MSEInto", func(c *rowOperands, a rowAlloc) []uint64 {
+		var out []uint64
+		for _, n := range append(mseLengths, len(c.x)) {
+			if n > len(c.x) {
+				continue
+			}
+			grad := a.f32(n)
+			loss := MSEInto(grad, c.x[len(c.x)-n:], c.xhat[len(c.x)-n:])
+			out = append(bits32(out, grad), math.Float64bits(loss))
+		}
+		return out
+	}},
 }
+
+// mseLengths are the lengths MSEInto's suites run short of a whole case:
+// none, every ragged length 1–17 and the row lengths 32, 64 and 256.
+var mseLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 32, 64, 256}
 
 // lanesAndGeneric runs k with the AVX lanes on and with the scalar loops
 // alone, and names the first output bit that differs.
@@ -240,6 +259,39 @@ func TestRowKernelsMatchGenericBits(t *testing.T) {
 	}
 }
 
+// TestMSEIntoSumsInDeclaredOrder holds MSEInto, on every tier the host
+// has, to its stated order, written out here as the doc states it: four
+// partial sums of interleaved elements, (s0+s1)+(s2+s3), then the ragged
+// elements. The values are wide, so a sum taken in any other order (one
+// ascending chain, the partial sums combined another way, the tail added
+// first) moves the loss.
+func TestMSEIntoSumsInDeclaredOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	defer func(prev kernelTier) { tier = prev }(tier)
+	for _, n := range append(mseLengths[1:], 1023) {
+		c := newRowOperands(rng, n, 1, rowMixes[3])
+		pred, target := c.x, c.xhat
+		var s [4]float64
+		whole := n &^ 3
+		for j := 0; j < whole; j++ {
+			d := float64(pred[j]) - float64(target[j])
+			s[j%4] += float64(d * d)
+		}
+		sum := (s[0] + s[1]) + (s[2] + s[3])
+		for j := whole; j < n; j++ {
+			d := float64(pred[j]) - float64(target[j])
+			sum += float64(d * d)
+		}
+		want := sum / float64(n)
+		for _, tk := range hostTiers(t) {
+			tier = tk
+			if got := MSEInto(make([]float32, n), pred, target); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d tier=%v: loss %v, the declared order gives %v", n, tk, got, want)
+			}
+		}
+	}
+}
+
 // FuzzRowKernels checks every row kernel's lanes against its scalar loops
 // on fuzzed bit patterns: the data fills every operand in turn, at a
 // fuzzed row count and length.
@@ -289,12 +341,16 @@ func FuzzRowKernels(f *testing.F) {
 // of `go run ./benchmark`: LayerNorm over [16·32, 64], the attention
 // softmax over [16·4·32, 32] scaled by 1/√16, GELU over the teacher MLP's
 // [16·32, 256], and a Linear's bias add and bias-gradient sums on the same
-// [16·32, 256].
+// [16·32, 256]; and MSEInto, the conv blocks' loss, over conv_inproc's
+// [16,16,16,16] activations (65,536 floats) and over 1,536 floats (a
+// [4,6,8,8] activation), where a call's fixed costs show.
 func BenchmarkRowKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(53))
 	ln := newRowOperands(rng, 16*32, 64, rowMixes[0])
 	sm := newRowOperands(rng, 16*4*32, 32, rowMixes[0])
 	ff := newRowOperands(rng, 16*32, 256, rowMixes[0])
+	mse := newRowOperands(rng, 16*16, 16*16, rowMixes[0])
+	mseGrad := make([]float32, len(mse.x))
 	out, xhat := make([]float32, len(ff.x)), make([]float32, len(ff.x))
 	th, inv := make([]float32, len(ff.x)), make([]float64, 16*4*32)
 	dGain, dBias := make([]float32, 256), make([]float32, 256)
@@ -314,6 +370,8 @@ func BenchmarkRowKernels(b *testing.B) {
 		{"GELUBackward", func() { GELUBackwardInto(out, ff.grad, ff.x, ff.th) }},
 		{"AddRowBias", func() { copy(out, ff.x); AddRowBias(out, ff.bias) }},
 		{"AddColumnSums", func() { AddColumnSums(dBias, ff.grad) }},
+		{"MSE/65536", func() { MSEInto(mseGrad, mse.x, mse.xhat) }},
+		{"MSE/1536", func() { MSEInto(mseGrad[:1536], mse.x[:1536], mse.xhat[:1536]) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
