@@ -46,32 +46,32 @@ func KLDivLoss(ar *tensor.Arena, student, teacher *tensor.Tensor, temp float64) 
 	sd, td, gd := student.Data(), teacher.Data(), grad.Data()
 	invRows := 1 / float64(rows)
 	var loss float64
-	logProbs := func(d []float32, lp []float64) {
-		maxv := d[0]
+	// stats returns a row's maximum and the log of its softmax sum; each
+	// log-prob is then float64(v−max)/T − logSum, computed where it is
+	// read, so no row buffer is needed.
+	stats := func(d []float32) (maxv float32, logSum float64) {
+		maxv = d[0]
 		for _, v := range d[1:] {
 			if v > maxv {
 				maxv = v
 			}
 		}
 		var sum float64
-		for j, v := range d {
-			lp[j] = float64(v-maxv) / temp
-			sum += math.Exp(lp[j])
+		for _, v := range d {
+			sum += math.Exp(float64(v-maxv) / temp)
 		}
-		logSum := math.Log(sum)
-		for j := range lp {
-			lp[j] -= logSum
-		}
+		return maxv, math.Log(sum)
 	}
-	ls := make([]float64, c)
-	lt := make([]float64, c)
 	for r := 0; r < rows; r++ {
-		logProbs(sd[r*c:(r+1)*c], ls)
-		logProbs(td[r*c:(r+1)*c], lt)
-		for j := 0; j < c; j++ {
-			pt := math.Exp(lt[j])
-			loss += float64(pt * (lt[j] - ls[j]) * temp * temp * invRows)
-			gd[r*c+j] = float32(temp * (math.Exp(ls[j]) - pt) * invRows)
+		srow, trow, grow := sd[r*c:(r+1)*c], td[r*c:(r+1)*c], gd[r*c:(r+1)*c]
+		maxS, logSumS := stats(srow)
+		maxT, logSumT := stats(trow)
+		for j, v := range srow {
+			ls := float64(v-maxS)/temp - logSumS
+			lt := float64(trow[j]-maxT)/temp - logSumT
+			pt := math.Exp(lt)
+			loss += float64(pt * (lt - ls) * temp * temp * invRows)
+			grow[j] = float32(temp * (math.Exp(ls) - pt) * invRows)
 		}
 	}
 	return loss, grad

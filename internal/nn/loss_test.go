@@ -77,6 +77,22 @@ func TestMSELossGradientNumerically(t *testing.T) {
 	}
 }
 
+// TestKLDivLossDoesNotAllocate: with the gradient taken from an arena,
+// the transformer's last-block loss allocates nothing per call.
+func TestKLDivLossDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	student, teacher := tensor.Rand(rng, -3, 3, 16, 8), tensor.Rand(rng, -3, 3, 16, 8)
+	ar := tensor.NewArena()
+	call := func() {
+		ar.Reset()
+		KLDivLoss(ar, student, teacher, 2)
+	}
+	call()
+	if got := testing.AllocsPerRun(20, call); got != 0 {
+		t.Fatalf("KLDivLoss allocates %v times per call, want 0", got)
+	}
+}
+
 func TestAccuracy(t *testing.T) {
 	logits := tensor.FromSlice([]float32{
 		1, 5, 0,
