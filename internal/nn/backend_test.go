@@ -266,7 +266,8 @@ func BenchmarkConvTrainStep(b *testing.B) {
 // and the ReLU folded into the conv's pass over its GEMM's output) and
 // the student block's training step (depthwise → conv1×1 with bias →
 // ReLU, forward and backward), and within that step the conv1×1's input
-// gradient, a conv of the NCHW gradient by Wᵀ (pw_dx).
+// gradient, a conv of the NCHW gradient by Wᵀ (pw_dx), and its weight
+// gradient, the [OutC, N·HW] gradient times x's transpose (pw_dw).
 func BenchmarkConvBlockStep(b *testing.B) {
 	for _, s := range []struct {
 		name     string
@@ -282,6 +283,13 @@ func BenchmarkConvBlockStep(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tensor.Default().ConvForwardInto(dx, wt, grad, 1, 1, 1, 0)
+			}
+		})
+		flat, dw := tensor.Rand(rng, -1, 1, s.c, s.n*s.hw*s.hw), tensor.New(s.c, s.c)
+		b.Run(s.name+"/pw_dw", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tensor.Default().ConvGradWeightInto(dw, flat, x, 1, 1, 1, 0)
 			}
 		})
 		b.Run(s.name+"/teacher_eval", func(b *testing.B) {

@@ -25,7 +25,9 @@ import (
 // The committed seeds are conv_inproc's [16,16,16,16] and the cluster
 // workloads' [16,6,8,8], each 3×3 pad 1 and 1×1, block 0's 3 input
 // channels, and ragged output widths that pack (9 at stride 1, and
-// stride 2).
+// stride 2); and 1×1 convs of C 3, 6 and 16 channels over 64, 256 and
+// 49 positions, whose weight gradient packs x in 8×8 transposes: partial
+// and whole panels, and a ragged position past the last whole group.
 //
 //	go test -run '^$' -fuzz '^FuzzConv$' -fuzztime 20s ./internal/tensor/
 func FuzzConv(f *testing.F) {
@@ -33,6 +35,9 @@ func FuzzConv(f *testing.F) {
 		{16, 16, 16, 16, 3, 1, 1}, {16, 16, 16, 16, 1, 1, 0},
 		{16, 6, 6, 8, 3, 1, 1}, {16, 6, 6, 8, 1, 1, 0}, {16, 3, 6, 8, 3, 1, 1},
 		{2, 5, 7, 9, 3, 1, 1}, {3, 4, 9, 9, 1, 1, 0}, {2, 3, 5, 11, 3, 2, 1},
+		{2, 3, 6, 8, 1, 1, 0}, {2, 3, 6, 16, 1, 1, 0}, {2, 3, 6, 7, 1, 1, 0},
+		{2, 6, 6, 16, 1, 1, 0}, {2, 6, 6, 7, 1, 1, 0},
+		{2, 16, 16, 8, 1, 1, 0}, {2, 16, 16, 7, 1, 1, 0},
 	} {
 		f.Add(s.n-1, s.c-1, s.outC-1, s.hw-1, s.hw-1, s.k/2, s.stride-1, s.pad, int64(s.hw)*int64(s.c))
 	}

@@ -75,3 +75,45 @@ func microKernel(od []float32, ldo int, t *microOperands, pc, rows, w int, accum
 		microKernelAVX(&od[nrTile], ldo, &t.a[0], t.rs, t.ps, &t.b[t.pair], &t.boff[0], pc, rows, w-nrTile, accumulate)
 	}
 }
+
+// transposeAVX is the 1×1 weight-gradient pack's kernel (gemm_amd64.s):
+// tiles 8×8 transposes, tile t writing dst[64t:64t+64] from floats
+// 8t…8t+7 of src's rows c < w, hw floats apart; lanes c ≥ w are zero.
+//
+//go:noescape
+func transposeAVX(dst, src *float32, hw, tiles, w int)
+
+// transposeLanes packs a panel of a 1×1, stride-1, unpadded conv's dW
+// operand (see transposePanel) on the vector tiers: each image's whole
+// groups of 8 positions through transposeAVX, the rest through
+// transposeTail. It reports false, packing nothing, without AVX.
+func transposeLanes(dst, xd []float32, g convGeom, j0, w int) bool {
+	hw := g.h * g.w
+	tiles := hw / nrTile
+	if tier == tierGeneric || tiles == 0 {
+		return false
+	}
+	for ni := 0; ni < g.n; ni++ {
+		src := xd[(ni*g.c+j0)*hw:]
+		d := dst[ni*hw*nrTile : (ni+1)*hw*nrTile]
+		// The last float of src the kernel reads, so a description that
+		// overruns x panics here; d's slice holds the tiles' 64 floats each.
+		_ = src[(w-1)*hw+tiles*nrTile-1]
+		transposeAVX(&d[0], &src[0], hw, tiles, w)
+		transposeTail(d, src, hw, w, tiles*nrTile)
+	}
+	return true
+}
+
+// transposeTail writes one image's panel rows from position lo on for a
+// 1×1 conv: row p holds src[c·hw + p] in lane c < w, zero past w — the
+// positions past the vector kernel's last whole group of 8.
+func transposeTail(dst, src []float32, hw, w, lo int) {
+	for p := lo; p < hw; p++ {
+		d := dst[p*nrTile : (p+1)*nrTile]
+		for c := range w {
+			d[c] = src[c*hw+p]
+		}
+		clear(d[w:])
+	}
+}

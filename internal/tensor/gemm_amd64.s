@@ -393,3 +393,114 @@ zstore:
 zdone:
 	VZEROUPPER
 	RET
+
+// func transposeAVX(dst, src *float32, hw, tiles, w int)
+//
+// The 1×1 weight-gradient pack (transposeLanes in gemm_amd64.go): tile t
+// takes floats 8t…8t+7 of rows c < w of src, hw floats apart, and writes
+// their transpose to the 64 floats of dst from 64t — dst row i is
+// position 8t+i, its lane c row c, lanes c ≥ w zero. Rows 0–7 load into
+// Y0–Y7 (rows ≥ w are zero registers, never loads), then three rounds of
+// shuffles transpose them: VUNPCKLPS/VUNPCKHPS interleave row pairs,
+// VSHUFPS gathers four rows' elements per 128-bit half, and VPERM2F128
+// joins the halves. Only bits move. SI, R8 and R9 point at rows 0, 3 and
+// 6 of the current tile, DX holds the row stride in bytes.
+TEXT ·transposeAVX(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ hw+16(FP), DX
+	SHLQ $2, DX
+	MOVQ tiles+24(FP), CX
+	MOVQ w+32(FP), BX
+	LEAQ (SI)(DX*2), R8
+	ADDQ DX, R8
+	LEAQ (R8)(DX*2), R9
+	ADDQ DX, R9
+
+ttile:
+	VMOVUPS (SI), Y0
+	CMPQ    BX, $8
+	JEQ     tfull
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	VXORPS  Y4, Y4, Y4
+	VXORPS  Y5, Y5, Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	CMPQ    BX, $2
+	JLT     tloaded
+	VMOVUPS (SI)(DX*1), Y1
+	CMPQ    BX, $3
+	JLT     tloaded
+	VMOVUPS (SI)(DX*2), Y2
+	CMPQ    BX, $4
+	JLT     tloaded
+	VMOVUPS (R8), Y3
+	CMPQ    BX, $5
+	JLT     tloaded
+	VMOVUPS (R8)(DX*1), Y4
+	CMPQ    BX, $6
+	JLT     tloaded
+	VMOVUPS (R8)(DX*2), Y5
+	CMPQ    BX, $7
+	JLT     tloaded
+	VMOVUPS (R9), Y6
+	JMP     tloaded
+
+tfull:
+	VMOVUPS (SI)(DX*1), Y1
+	VMOVUPS (SI)(DX*2), Y2
+	VMOVUPS (R8), Y3
+	VMOVUPS (R8)(DX*1), Y4
+	VMOVUPS (R8)(DX*2), Y5
+	VMOVUPS (R9), Y6
+	VMOVUPS (R9)(DX*1), Y7
+
+tloaded:
+	// Rows a…h: Y8 = a0 b0 a1 b1 | a4 b4 a5 b5, Y9 = a2 b2 a3 b3 | a6 b6 a7 b7,
+	// and so on for c/d, e/f and g/h.
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y15
+
+	// Y0 = a0 b0 c0 d0 | a4 b4 c4 d4, Y1 the same at 1 | 5, … Y4–Y7 for e–h.
+	VSHUFPS $0x44, Y10, Y8, Y0
+	VSHUFPS $0xEE, Y10, Y8, Y1
+	VSHUFPS $0x44, Y11, Y9, Y2
+	VSHUFPS $0xEE, Y11, Y9, Y3
+	VSHUFPS $0x44, Y14, Y12, Y4
+	VSHUFPS $0xEE, Y14, Y12, Y5
+	VSHUFPS $0x44, Y15, Y13, Y6
+	VSHUFPS $0xEE, Y15, Y13, Y7
+
+	// Position i: the low halves for 0–3, the high halves for 4–7.
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+	VMOVUPS    Y8, (DI)
+	VMOVUPS    Y9, 32(DI)
+	VMOVUPS    Y10, 64(DI)
+	VMOVUPS    Y11, 96(DI)
+	VMOVUPS    Y12, 128(DI)
+	VMOVUPS    Y13, 160(DI)
+	VMOVUPS    Y14, 192(DI)
+	VMOVUPS    Y15, 224(DI)
+	ADDQ       $256, DI
+	ADDQ       $32, SI
+	ADDQ       $32, R8
+	ADDQ       $32, R9
+	DECQ       CX
+	JNZ        ttile
+	VZEROUPPER
+	RET

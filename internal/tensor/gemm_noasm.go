@@ -10,3 +10,7 @@ func hostTier() kernelTier { return tierGeneric }
 func microKernel(od []float32, ldo int, t *microOperands, pc, rows, w int, accumulate bool) {
 	microGeneric(od, ldo, t, pc, rows, w, accumulate)
 }
+
+// transposeLanes reports false: without the vector kernel the pack's
+// loop takes every conv.
+func transposeLanes(dst, xd []float32, g convGeom, j0, w int) bool { return false }

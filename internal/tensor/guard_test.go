@@ -219,6 +219,28 @@ func gemmReadsStayInsideOperands(t *testing.T) {
 		}
 	}
 
+	// A 1×1, stride-1, unpadded conv's weight gradient packs x in 8×8
+	// transposes: x's last image's last channel plane ends at the page
+	// under the last tile of the last panel, whole (C 16) or partial (C 6,
+	// whose rows past the sixth must not be read), at 8×8 positions and
+	// at 7×7, whose one position past the tiles the loop takes.
+	for _, c := range []struct{ c, hw int }{{16, 8}, {6, 8}, {16, 7}, {6, 7}} {
+		const n, m = 2, 6
+		x := Rand(rng, -2, 2, n, c.c, c.hw, c.hw)
+		S := n * c.hw * c.hw
+		cols, grad, want := New(c.c, S), Rand(rng, -2, 2, m, S), New(m, c.c)
+		Serial{}.Im2ColInto(cols, x, 1, 1, 1, 0)
+		matMulTBRowsRef(want.data, grad.data, cols.data, S, c.c, 0, m)
+		gx, ggrad := guardedCopy(t, x), guardedCopy(t, grad)
+		for _, p := range []*Pool{nil, pool} {
+			dw := FromSlice(guarded(t, m*c.c), m, c.c)
+			backendOf(p).ConvGradWeightInto(dw, ggrad, gx, 1, 1, 1, 0)
+			if diff := bitsDiff(dw, want); diff != "" {
+				t.Fatalf("1×1 weight gradient %+v pooled=%v: %s", c, p != nil, diff)
+			}
+		}
+	}
+
 	// A 1×1, stride-1, unpadded conv's input gradient is the forward of
 	// its NCHW gradient by Wᵀ: the gradient (read in place at a width of
 	// whole panels, packed at 9), Wᵀ and dx each end at the page, and dx

@@ -215,20 +215,33 @@ func gatherRun(dst, src []float32, stride int) {
 }
 
 // im2colPackPanelsT packs panels of the column matrix's transpose-as-TB
-// operand for the dW GEMM: panel row j is kernel tap j, element (p, c) is
-// the column-matrix value at (tap j0+c, output position p). Equivalent to
-// packBPanelsTB over a materialized column matrix.
+// operand for the dW GEMM: panel row p is output position p, element
+// (p, c) the column-matrix value at (tap j0+c, output position p).
+// Equivalent to packBPanelsTB over a materialized column matrix.
 //
-// The panel is filled one output row (ow positions, ow*nrTile floats) at
-// a time: within it, tap c's valid positions are one run (tapRun, decoded
-// once per panel) read contiguously from the input row and written down
-// lane c of a zeroed block.
+// The GEMM reduces over the positions, and both its operands keep them
+// contiguous, so one operand must be transposed whatever the layout: the
+// pack is that transpose. For a 1×1, stride-1, unpadded conv (every
+// weight gradient the workloads take) panel j is x's channels 8j…8j+7,
+// image by image, transposed: on the vector tiers 8×8 register
+// transposes do the whole groups of 8 positions (transposeLanes), a
+// partial panel's missing channels zero registers.
+//
+// Every other conv, and every conv on the generic tier, is filled one
+// output row (ow positions, ow*nrTile floats) at a time: within it, tap
+// c's valid positions are one run (tapRun, decoded once per panel) read
+// contiguously from the input row and written down lane c of a zeroed
+// block.
 func im2colPackPanelsT(bp, xd []float32, g convGeom, pan0, pan1 int) {
 	K, S := g.colRows(), g.colCols()
+	pointwise := g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
 	for pan := pan0; pan < pan1; pan++ {
 		j0 := pan * nrTile
 		w := min(nrTile, K-j0)
 		dst := bp[pan*S*nrTile : (pan+1)*S*nrTile]
+		if pointwise && transposeLanes(dst, xd, g, j0, w) {
+			continue
+		}
 		// Decode the panel's kernel taps once: ki is the tap's kernel row,
 		// off its input offset from (image, row ih, column 0) at the start
 		// of its run [lo,hi).

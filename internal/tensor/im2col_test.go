@@ -273,3 +273,46 @@ func TestFusedPackRowRunsMatchScalarOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestWeightGradPackTransposeMatchesLoop pins the 1×1 weight-gradient
+// pack's 8×8 register transposes to the pack's loop on the generic tier,
+// bit for bit with NaN payloads: every channel count 1–9, so a panel ends
+// at each lane, and 16 and 17; planes of whole groups of 8 positions,
+// planes with a ragged tail past them (9, 49) and a plane too small for
+// one (7); one image and several. The packed buffer starts full of a NaN,
+// so a lane left unwritten shows.
+func TestWeightGradPackTransposeMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	lanes := hostTiers(t)[1:]
+	defer func(prev kernelTier) { tier = prev }(tier)
+	for _, n := range []int{1, 3} {
+		for _, c := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17} {
+			for _, hw := range [][2]int{{2, 4}, {3, 3}, {4, 4}, {7, 7}, {8, 8}, {1, 7}, {16, 16}} {
+				g := convGeom{n: n, c: c, h: hw[0], w: hw[1], oh: hw[0], ow: hw[1], kh: 1, kw: 1, stride: 1}
+				x := make([]float32, n*c*hw[0]*hw[1])
+				for i := range x {
+					x[i] = math.Float32frombits(rng.Uint32())
+				}
+				pack := func(tk kernelTier) []float32 {
+					tier = tk
+					bp := make([]float32, packedBLen(g.colCols(), g.colRows()))
+					for i := range bp {
+						bp[i] = math.Float32frombits(0x7fc0dead)
+					}
+					im2colPackPanelsT(bp, x, g, 0, panelsOf(g.colRows()))
+					return bp
+				}
+				want := pack(tierGeneric)
+				for _, tk := range lanes {
+					got := pack(tk)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("n=%d c=%d %dx%d tier=%v: float %d is %#08x, the loop packs %#08x",
+								n, c, hw[0], hw[1], tk, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
