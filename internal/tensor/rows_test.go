@@ -262,30 +262,53 @@ func TestRowKernelsMatchGenericBits(t *testing.T) {
 // TestMSEIntoSumsInDeclaredOrder holds MSEInto, on every tier the host
 // has, to its stated order, written out here as the doc states it: four
 // partial sums of interleaved elements, (s0+s1)+(s2+s3), then the ragged
-// elements. The values are wide, so a sum taken in any other order (one
-// ascending chain, the partial sums combined another way, the tail added
-// first) moves the loss.
+// elements. Wide random cases run at every length of mseLengths and at
+// 1023; and a constructed case tells the orders apart for certain: d0² is
+// 9·2⁵⁰, whose float64 ulp is 2, and every other d² is 0 or 1, so a 1
+// added to the large sum alone rounds away (ties to even) while 1 + 1
+// added to it as one partial sum does not. One ascending chain, or the
+// partial sums combined another way, gives another loss.
 func TestMSEIntoSumsInDeclaredOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(57))
-	defer func(prev kernelTier) { tier = prev }(tier)
-	for _, n := range append(mseLengths[1:], 1023) {
-		c := newRowOperands(rng, n, 1, rowMixes[3])
-		pred, target := c.x, c.xhat
+	declared := func(pred, target []float32) float64 {
 		var s [4]float64
-		whole := n &^ 3
+		whole := len(pred) &^ 3
 		for j := 0; j < whole; j++ {
 			d := float64(pred[j]) - float64(target[j])
 			s[j%4] += float64(d * d)
 		}
 		sum := (s[0] + s[1]) + (s[2] + s[3])
-		for j := whole; j < n; j++ {
+		for j := whole; j < len(pred); j++ {
 			d := float64(pred[j]) - float64(target[j])
 			sum += float64(d * d)
 		}
-		want := sum / float64(n)
-		for _, tk := range hostTiers(t) {
-			tier = tk
-			if got := MSEInto(make([]float32, n), pred, target); math.Float64bits(got) != math.Float64bits(want) {
+		return sum / float64(len(pred))
+	}
+	type mseCase struct{ pred, target []float32 }
+	var cases []mseCase
+	rng := rand.New(rand.NewSource(57))
+	for _, n := range append(mseLengths[1:], 1023) {
+		c := newRowOperands(rng, n, 1, rowMixes[3])
+		cases = append(cases, mseCase{c.x, c.xhat})
+	}
+	wide := []float32{3 << 25, 0, 1, 1, 0, 0, 1, 1, 1}
+	for n := 4; n <= len(wide); n++ {
+		pred, target := wide[:n], make([]float32, n)
+		var chain float64
+		for _, v := range pred {
+			chain += float64(v) * float64(v)
+		}
+		if chain/float64(n) == declared(pred, target) {
+			t.Fatalf("the constructed case at n=%d does not tell the declared order from one chain", n)
+		}
+		cases = append(cases, mseCase{pred, target})
+	}
+	defer func(prev kernelTier) { tier = prev }(tier)
+	for _, tk := range hostTiers(t) {
+		tier = tk
+		for _, c := range cases {
+			n := len(c.pred)
+			want := declared(c.pred, c.target)
+			if got := MSEInto(make([]float32, n), c.pred, c.target); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("n=%d tier=%v: loss %v, the declared order gives %v", n, tk, got, want)
 			}
 		}
@@ -294,7 +317,8 @@ func TestMSEIntoSumsInDeclaredOrder(t *testing.T) {
 
 // FuzzRowKernels checks every row kernel's lanes against its scalar loops
 // on fuzzed bit patterns: the data fills every operand in turn, at a
-// fuzzed row count and length.
+// fuzzed row count and length. MSEInto runs over the whole case and
+// every length of mseLengths it holds; the last seed holds them all.
 func FuzzRowKernels(f *testing.F) {
 	edges := rowEdges()
 	seed := make([]byte, 4*len(edges))
@@ -304,6 +328,7 @@ func FuzzRowKernels(f *testing.F) {
 	f.Add(seed, uint8(5), uint8(32), math.Float32bits(0.25))
 	f.Add(seed[8:], uint8(8), uint8(9), math.Float32bits(1))
 	f.Add(seed[4:], uint8(3), uint8(64), math.Float32bits(-0.5))
+	f.Add(seed[12:], uint8(4), uint8(63), math.Float32bits(2))
 	f.Fuzz(func(t *testing.T, data []byte, rowsB, dB uint8, scale uint32) {
 		if len(data) < 4 {
 			return
