@@ -23,7 +23,11 @@ import "sync"
 //     kj from the panel's start. A conv that pads is read from a copy of
 //     its input inside a zero border (Hp×Wp planes, padPlanes); a 1×1
 //     conv reads the input itself. Every other conv B is packed
-//     (im2colPackPanels, im2colPackPanelsT).
+//     (im2colPackPanels, im2colPackPanelsT). The weight gradient's B is
+//     always packed: it reduces over output positions, which both its
+//     operands hold contiguously, so one of them must be transposed in
+//     any layout, and the pack is that transpose — for a 1×1, stride-1,
+//     unpadded conv, 8×8 register transposes of x on the vector tiers.
 //   - A is never packed: every row tile reads it in place, mrTile rows
 //     (fewer in a ragged last tile) at stride k, or for MatMulTA that
 //     many contiguous floats per term at stride m.

@@ -83,10 +83,11 @@ func microKernel(od []float32, ldo int, t *microOperands, pc, rows, w int, accum
 //go:noescape
 func transposeAVX(dst, src *float32, hw, tiles, w int)
 
-// transposeLanes packs a panel of a 1×1, stride-1, unpadded conv's dW
-// operand (see transposePanel) on the vector tiers: each image's whole
-// groups of 8 positions through transposeAVX, the rest through
-// transposeTail. It reports false, packing nothing, without AVX.
+// transposeLanes packs panel j0/8 of a 1×1, stride-1, unpadded conv's dW
+// operand (see im2colPackPanelsT) into dst on the vector tiers: each
+// image's whole groups of 8 positions through transposeAVX, the rest
+// through transposeTail. It reports false, packing nothing, without AVX
+// or when a plane holds fewer than 8 positions.
 func transposeLanes(dst, xd []float32, g convGeom, j0, w int) bool {
 	hw := g.h * g.w
 	tiles := hw / nrTile

@@ -227,8 +227,8 @@ func gatherRun(dst, src []float32, stride int) {
 // transposes do the whole groups of 8 positions (transposeLanes), a
 // partial panel's missing channels zero registers.
 //
-// Every other conv, and every conv on the generic tier, is filled one
-// output row (ow positions, ow*nrTile floats) at a time: within it, tap
+// Every other conv, and a 1×1 one the lanes decline (the generic tier, a
+// plane under 8 positions), is filled one output row (ow positions, ow*nrTile floats) at a time: within it, tap
 // c's valid positions are one run (tapRun, decoded once per panel) read
 // contiguously from the input row and written down lane c of a zeroed
 // block.
