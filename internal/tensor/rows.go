@@ -10,7 +10,7 @@ import (
 // backward, and a Linear layer's bias add and bias-gradient sums — and
 // the conv blocks' distillation loss, the mean squared error.
 //
-// The scalar loops (the …Generic functions) are the contract. Two kinds
+// The scalar loops (the …Generic functions) are the contract. Three kinds
 // of vector lanes run them on amd64 with AVX (rows_amd64.s), each bit for
 // bit:
 //
@@ -458,7 +458,7 @@ func addColumnSumsGeneric(dst, x []float32, lo int) {
 	}
 }
 
-// --- squared error -------------------------------------------------------------
+// --- squared error -----------------------------------------------------------
 
 // MSEInto returns the mean squared error of pred against target and
 // writes its gradient with respect to pred to grad: with n = len(pred)
