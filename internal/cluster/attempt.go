@@ -244,8 +244,8 @@ func (a *attemptCore) handle(ev event) error {
 		}
 		a.metrics.Add("snapshots", 1)
 	case wire.KindSpans:
-		if a.rp != nil {
-			a.observeSpans(ev.spans.Track, ev.spans.Spans)
+		if a.rp != nil && step != int(wire.NoStep) {
+			return a.onSpans(dev, ds, step, ev.spans.Spans)
 		}
 	case wire.KindFinalParams:
 		return a.onFinalParams(ds, ev.params)
@@ -432,28 +432,39 @@ func (a *attemptCore) onFinalParams(ds *devState, params []*tensor.Tensor) error
 	return nil
 }
 
-// observeSpans folds one device's step span batch into the
-// repartitioner and, when a proposal qualifies and the account has a
-// committed cut to restart from (>= 0, before the last step), executes
-// it: announce the planned cut to every session (wire v6 Repartition
-// frames, flushed by the graceful teardown) and fail the attempt with the
-// typed error the drive loop converts into a restart on the new plan.
-// Without a usable cut the proposal waits for the next batch.
-func (a *attemptCore) observeSpans(track string, spans []obs.Span) {
-	rp := a.rp
-	rp.agg.Add(track, spans)
-	plan, eval, ok := rp.evaluate(a.plan)
+// onSpans hands one device's measured step to the repartitioner and,
+// when that completes a step every device has measured, has it evaluate
+// the step. A proposal that qualifies while the account has a cut to
+// restart from (>= 0, before the last step) is executed: announce the
+// cut to every session (wire v6 Repartition frames, flushed by the
+// graceful teardown) and fail the attempt with the typed error the drive
+// loop turns into a restart on the new plan; without a usable cut it
+// waits for the next step. A device sends a step's losses, snapshot and
+// spans in that order on one session, so the cut is the newest step at
+// or before the evaluated one that every group snapshotted.
+func (a *attemptCore) onSpans(dev int, ds *devState, step int, spans []obs.Span) error {
+	if err := a.acct.CheckStep(step); err != nil {
+		return fmt.Errorf("cluster: spans from group %d rank %d: %w", ds.gi, ds.j, err)
+	}
+	busy := obs.BlockBusy(spans)
+	if nb := len(a.plan.Groups[ds.gi].Blocks); len(busy) != nb {
+		return fmt.Errorf("cluster: spans of step %d from group %d rank %d measure %d blocks, not its %d", step, ds.gi, ds.j, len(busy), nb)
+	}
+	done, err := a.rp.add(dev, step, busy)
+	if done == nil {
+		return err
+	}
+	plan, eval, ok := a.rp.evaluate(a.plan, done)
 	if !ok {
-		return
+		return nil
 	}
 	cut := a.acct.Cut()
 	if cut < 0 || cut >= a.steps-1 {
-		return
+		return nil
 	}
-	rp.applied[sched.Fingerprint(plan)] = true
-	rp.streak = 0
+	a.rp.applied[sched.Fingerprint(plan)] = true
 	a.broadcast(wire.EncodeRepartition(int32(cut), plan))
-	a.fail(&plannedRepartition{cut: cut, plan: plan, eval: eval})
+	return &plannedRepartition{cut: cut, plan: plan, eval: eval}
 }
 
 // result merges the per-member loss rows into the per-block trajectory,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"pipebd/internal/cluster/ledger"
 	"pipebd/internal/cluster/wire"
 	"pipebd/internal/obs"
+	"pipebd/internal/sched"
 	"pipebd/internal/tensor"
 )
 
@@ -136,6 +138,62 @@ func newDriverErr(cfg Config) error {
 	return err
 }
 
+// TestSpansOutOfTurnFailTheAttempt: a span batch must measure its
+// device's blocks at the device's next step of the run. A skipped,
+// repeated or out-of-run step, or a batch measuring another block count,
+// is a protocol error; the trailing flush (NoStep) is ignored; and once
+// every device has measured step 0 the repartitioner moves on to step 1.
+func TestSpansOutOfTurnFailTheAttempt(t *testing.T) {
+	// batch is device dev's span batch of step, measuring blocks blocks,
+	// on its session (devices 0 and 1 share session 0).
+	batch := func(dev, step, blocks int) event {
+		var spans []obs.Span
+		for range blocks {
+			for _, name := range []string{"teacher_fwd", "student_fwd", "student_bwd"} {
+				spans = append(spans, obs.Span{Name: name, Dur: 10})
+			}
+		}
+		return event{kind: evFrame, frame: wire.KindSpans, sess: dev / 2, dev: dev, step: step,
+			spans: wire.SpanBatch{Spans: append(spans, obs.Span{Name: "sgd_update", Dur: 1})}}
+	}
+	armed := func(t *testing.T) *attemptCore {
+		_, core, _ := twoSessionCore(t, Config{DPU: true, MaxRestarts: 1}, 0)
+		core.rp = newRepartitioner(map[string]bool{sched.Fingerprint(core.plan): true}, len(core.devs), 0)
+		return core
+	}
+	for _, c := range []struct {
+		name   string
+		events []event
+		want   string
+	}{
+		{"skipped", []event{batch(0, 1, 2)}, "spans of step 1 from device 0, whose next step is 0"},
+		{"repeated", []event{batch(0, 0, 2), batch(0, 0, 2)}, "spans of step 0 from device 0, whose next step is 1"},
+		{"past the run", []event{batch(2, 2, 2)}, "step 2 outside the run's 2 steps"},
+		{"one block short", []event{batch(1, 0, 1)}, "measure 1 blocks, not its 2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			core := armed(t)
+			var err error
+			for _, ev := range c.events {
+				err = failure(core.step(ev))
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("got %v, want the attempt failed with %q", err, c.want)
+			}
+		})
+	}
+	core := armed(t)
+	for _, ev := range []event{batch(0, int(wire.NoStep), 0), batch(0, 0, 2), batch(1, 0, 2), batch(2, 0, 2), batch(2, 1, 2)} {
+		if effs := core.step(ev); len(effs) != 0 {
+			t.Fatalf("in-turn batch of device %d step %d: got %+v", ev.dev, ev.step, effs)
+		}
+	}
+	if core.rp.from != 1 || len(core.rp.queue[2]) != 1 {
+		t.Fatalf("after every device measured step 0 and device 2 step 1: from %d, device 2 holds %d steps, want 1 and 1",
+			core.rp.from, len(core.rp.queue[2]))
+	}
+}
+
 // fuzzInput hands out the fuzzer's bytes one small number at a time; past
 // the end every number is 0.
 type fuzzInput []byte
@@ -155,17 +213,32 @@ func (in *fuzzInput) next(n int) int {
 // has finished or failed (and nothing after its own finish or fail
 // effect), must name only sessions that exist, and every record it hands
 // the shell must be one ledger.Account.Apply accepted: a second account
-// applying the same records in the same order accepts them all.
+// applying the same records in the same order accepts them all. Span
+// batches measure the device's blocks (or one block too few) at drawn
+// steps — in order, repeated, before the attempt's first step or past the
+// run: a live device's batch of any step but its next fails the attempt,
+// and the repartitioner holds only steps of the run, never one every
+// device has measured.
 func FuzzAttemptCore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 4, 0, 0, 0, 1, 4, 0, 1, 0, 1, 4, 0, 2, 0, 1, 5, 0, 0, 0, 2})
 	f.Add([]byte{0, 9, 0, 0, 0, 0, 9, 0, 1, 0, 0, 9, 1, 2, 0, 0, 12, 0, 0, 0, 200})
 	f.Add([]byte("\x01\x06\x00\x00\x00\x00\x01\x06\x01\x02\x01\x00\x0b\x00\x00\x00"))
+	// Every device measures steps 0 and 1, each step completing on device
+	// 2's batch: [dpu, first step], then per batch [time, session, op,
+	// device+1, step+1, not wrong, three span durations per block].
+	all := []byte{0, 0}
+	for step := range 2 {
+		for dev, sess := range []byte{0, 0, 1} {
+			all = append(all, 0, sess, 7, byte(dev+1), byte(step+1), 1, 3, 5, 7, 2, 4, 6)
+		}
+	}
+	f.Add(all)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
 		dpu := in.next(2) == 1
 		d, core, seed := twoSessionCore(t, Config{DPU: dpu, MaxRestarts: 1, HeartbeatInterval: time.Millisecond}, 0)
-		core.rp = newRepartitioner(core.plan)
+		core.rp = newRepartitioner(map[string]bool{sched.Fingerprint(core.plan): true}, len(core.devs), in.next(2))
 		shadow, err := ledger.NewAccount(&d.setup)
 		if err != nil {
 			t.Fatal(err)
@@ -211,15 +284,37 @@ func FuzzAttemptCore(f *testing.F) {
 				case wire.KindFinalParams:
 					ev.params = groupParams(ev.dev, wrong)
 				case wire.KindSpans:
-					ev.spans.Track = fmt.Sprintf("dev%d", ev.dev)
-					for range in.next(4) {
-						name := []string{"teacher_fwd", "student_fwd", "student_bwd", "sgd_update"}[in.next(4)]
-						ev.spans.Spans = append(ev.spans.Spans, obs.Span{Name: name, Cat: obs.CatStudentFwd,
-							Start: 0, Dur: int64(1 + in.next(256)*int(time.Microsecond))})
+					nb := len(core.plan.Groups[core.devs[max(0, min(ev.dev, 2))].gi].Blocks)
+					if wrong {
+						nb--
 					}
+					for range nb {
+						for _, name := range []string{"teacher_fwd", "student_fwd", "student_bwd"} {
+							ev.spans.Spans = append(ev.spans.Spans, obs.Span{Name: name, Dur: int64(1 + in.next(256)*int(time.Microsecond))})
+						}
+					}
+					ev.spans.Spans = append(ev.spans.Spans, obs.Span{Name: "sgd_update", Dur: 1})
 				}
 			}
+			// A live device's batch of any step but its next is a
+			// protocol error.
+			rp, next := core.rp, -1
+			if ev.kind == evFrame && ev.frame == wire.KindSpans && ev.err == nil && core.sessions[ev.sess].live &&
+				ev.dev >= 0 && ev.dev < len(core.devs) && ev.step != int(wire.NoStep) {
+				next = rp.from + len(rp.queue[ev.dev])
+			}
 			effs := core.step(ev)
+			if next >= 0 && ev.step != next && !over && failure(effs) == nil {
+				t.Fatalf("spans of step %d from device %d, whose next step is %d, did not fail the attempt", ev.step, ev.dev, next)
+			}
+			if !slices.ContainsFunc(rp.queue, func(q [][]float64) bool { return len(q) == 0 }) {
+				t.Fatalf("the repartitioner holds a step every device measured: %d", rp.from)
+			}
+			for d, q := range rp.queue {
+				if rp.from+len(q) > core.steps {
+					t.Fatalf("device %d has steps %d-%d of a %d-step run pending", d, rp.from, rp.from+len(q)-1, core.steps)
+				}
+			}
 			if over && effs != nil {
 				t.Fatalf("the core emitted %+v after it finished or failed", effs)
 			}

@@ -34,6 +34,7 @@ import (
 	"pipebd/internal/distill"
 	"pipebd/internal/engine"
 	"pipebd/internal/obs"
+	"pipebd/internal/sched"
 )
 
 // workerLostError marks a worker-connection loss in an attempt; the
@@ -62,7 +63,9 @@ type driver struct {
 	// applies records to it, on the driver goroutine.
 	acct *ledger.Account
 	led  *ledger.Ledger // durable-run store shared by every attempt; nil for in-memory runs
-	rp   *repartitioner // nil when repartitioning is off
+	// applied is the repartitioner's set of partition fingerprints
+	// already run; nil when repartitioning is off.
+	applied map[string]bool
 	// superseded is set once sessions were superseded (a restart or a
 	// resume), so a slot whose worker is gone may land on a survivor.
 	// Attempt zero of a fresh run waits for each slot's own worker.
@@ -94,7 +97,7 @@ func (d *driver) drive() (engine.Result, error) {
 		}
 	}()
 	if c.cfg.Repartition {
-		d.rp = newRepartitioner(d.acct.Plan())
+		d.applied = map[string]bool{sched.Fingerprint(d.acct.Plan()): true}
 	}
 	// Epochs only need to be unique per attempt within the workers'
 	// lifetime, so stale peer dials from a superseded attempt (or a
@@ -213,7 +216,7 @@ func (d *driver) newRun(epoch int64) *run {
 	r := &run{co: c, addrs: d.addrs, assign: d.setup, cut: cut, superseded: d.superseded, led: d.led,
 		stop: make(chan struct{}),
 		core: &attemptCore{acct: d.acct, plan: plan, steps: d.setup.Run.Steps, workb: d.w,
-			snapshots: c.faultTolerant(), heartbeat: c.cfg.HeartbeatInterval, rp: d.rp,
+			snapshots: c.faultTolerant(), heartbeat: c.cfg.HeartbeatInterval,
 			logf: c.logf, metrics: c.cfg.Metrics,
 			devs: make([]devState, plan.NumDevices()), barrier: make(map[int]int)}}
 	r.assign.Plan, r.assign.Epoch = plan, epoch
@@ -228,10 +231,10 @@ func (d *driver) newRun(epoch int64) *run {
 	if c.cfg.Trace {
 		r.coTrack = obs.NewTracer(true).NewTrack("coordinator")
 	}
-	if d.rp != nil {
+	if d.applied != nil {
 		// Fresh placement (or fresh hosting), fresh measurements; the
 		// applied-fingerprint set persists across attempts.
-		d.rp.resetMeasurements()
+		r.core.rp = newRepartitioner(d.applied, plan.NumDevices(), cut+1)
 	}
 	return r
 }

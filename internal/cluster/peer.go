@@ -421,10 +421,11 @@ type ringLink struct {
 	segOff []int
 }
 
-// flushSpans drains the device's span buffer and routes the batch to the
-// configured consumers. Called at step boundaries and once after the
-// loop, on the device's own goroutine — Drain and Begin never race.
-func (l *ringLink) flushSpans() {
+// flushSpans drains the device's span buffer and routes the batch, which
+// measures step, to the configured consumers. Called at step boundaries
+// and once after the loop (step NoStep), on the device's own goroutine —
+// Drain and Begin never race.
+func (l *ringLink) flushSpans(step int32) {
 	if l.trace == nil {
 		return
 	}
@@ -438,7 +439,7 @@ func (l *ringLink) flushSpans() {
 		l.sink(l.trace.Name(), spans, dropped)
 	}
 	if l.shipSpans && len(spans) > 0 {
-		l.out.Enqueue(wire.EncodeSpans(wire.SpanBatch{Dev: l.dev, Track: l.trace.Name(), Spans: spans}))
+		l.out.Enqueue(wire.EncodeSpans(wire.SpanBatch{Dev: l.dev, Step: step, Track: l.trace.Name(), Spans: spans}))
 	}
 }
 
@@ -471,7 +472,7 @@ func (l *ringLink) FinishStep(step int) {
 		r.End()
 		l.out.Enqueue(f)
 	}
-	l.flushSpans()
+	l.flushSpans(int32(step))
 }
 
 func (l *ringLink) recvPeer(remote int, kind wire.Kind, step int) *wire.Frame {

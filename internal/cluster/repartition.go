@@ -1,37 +1,38 @@
 package cluster
 
 // Measurement-driven dynamic repartitioning: the coordinator folds the
-// span batches workers already ship (wire v5) into per-device measured
-// per-block step times, re-searches the placement under those prices
-// (sched.Replan), and — when the predicted improvement clears a threshold
-// for enough consecutive evaluations — executes a planned global cut at a
-// synchronous step boundary through the same attempt driver every
-// recovery uses (driver.go), then resumes on the new placement.
+// span batches workers already ship (wire v5), one per device and step,
+// into measured per-block step times, re-searches the placement under
+// their means (sched.Replan) and, once the proposal's measured gain
+// clears a threshold above its noise, executes a planned global cut at a
+// synchronous step boundary through the attempt driver every recovery
+// uses (driver.go), then resumes on the new placement.
 //
-// The bit-identity contract survives because the re-plan moves only the
-// boundaries between runs of unsplit groups: each block's training
-// trajectory is a pure function of its input activations (the
-// deterministic frozen teacher chain) and its own optimizer state, and a
-// split group keeps its members, shares and blocks, so no float fold is
-// reordered or regrouped. A plan with nothing movable (every group split,
-// or one unsplit group between split ones) simply never repartitions. The
-// win is wall-clock only — exactly the paper's framing of scheduling as
-// acceleration "without modifying the mathematical formulation".
+// Bit-identity survives because the re-plan moves only the boundaries
+// between runs of unsplit groups: a block's trajectory is a function of
+// its input activations (the frozen teacher chain) and its own optimizer
+// state, and a split group keeps its members, shares and blocks, so no
+// float fold is reordered. A plan with nothing movable never
+// repartitions. The win is wall-clock only, "without modifying the
+// mathematical formulation", as the paper frames scheduling.
 //
-// Conservativeness: a block that moves is priced at what it cost where it
-// ran. For the move that matters — shedding blocks off a straggler — the
-// moved blocks' costs were measured on the slow device, so the predicted
-// bottleneck of the new placement overestimates and the realized
-// improvement is at least the predicted one. Moves in the optimistic
-// direction are guarded by the threshold, the hysteresis streak, and the
-// applied-fingerprint set (a partition never repeats, so the controller
-// terminates and cannot oscillate).
+// The decision is taken once per step every device has measured, from
+// steps up to it only, so it and its cut are functions of the spans, not
+// of the order frames arrive in. Each such step prices the placement and
+// the standing proposal from its own block costs: one paired sample of
+// the improvement, in which a moved block's noise sits on both sides and
+// cancels. The proposal qualifies when the samples' mean, repartitionZ
+// standard errors down, clears repartitionThreshold. A moved block is
+// priced at what it cost where it ran, so shedding a straggler's blocks
+// is predicted conservatively, and a partition never repeats (the
+// applied-fingerprint set), so the controller terminates.
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
-	"pipebd/internal/obs"
 	"pipebd/internal/sched"
 )
 
@@ -39,23 +40,18 @@ import (
 // fault tolerance on (snapshots are the cut mechanism) and makes workers
 // ship span batches even when Config.Trace is off.
 const (
-	// repartitionThreshold is the least predicted relative step-time
-	// improvement a proposal must clear.
+	// repartitionThreshold is the least relative step-time improvement a
+	// proposal must clear.
 	repartitionThreshold = 0.1
-	// repartitionHysteresis is how many consecutive qualifying evaluations
-	// (one per measured step batch) must agree before the cut executes; a
-	// non-qualifying evaluation resets the streak.
-	repartitionHysteresis = 3
-	// repartitionWarmup is how many measured steps every device must have
-	// contributed before proposals are evaluated.
-	repartitionWarmup = 3
+	// repartitionZ is how many standard errors below the samples' mean
+	// the improvement is taken at.
+	repartitionZ = 3
 )
 
 // plannedRepartition is the typed "error" a run fails with when the
-// controller triggers: the drive loop recognizes it as a deliberate
-// supersession — remap the account onto the new plan, restart —
-// rather than a failure, and teardown flushes outboxes so every session
-// sees its Repartition frame.
+// controller triggers: the drive loop takes it as a deliberate
+// supersession (remap the account onto the new plan, restart), and
+// teardown flushes outboxes so every session sees its Repartition frame.
 type plannedRepartition struct {
 	cut  int
 	plan sched.Plan
@@ -67,69 +63,73 @@ func (e *plannedRepartition) Error() string {
 		e.cut, e.plan.Describe(), time.Duration(e.eval.Current), time.Duration(e.eval.Proposed), 100*e.eval.Improvement())
 }
 
-// repartitioner is the drive-loop-scoped controller state. It outlives
-// individual attempts: the applied-fingerprint set must persist across
-// repartitions (termination), while measurements reset every attempt.
-// The running attempt's core feeds it (attemptCore.observeSpans).
+// repartitioner is one attempt's controller state, fed by its core
+// (attemptCore.onSpans). The applied-fingerprint set is the drive loop's
+// and outlives the attempt; the measurements start afresh with each.
 type repartitioner struct {
-	agg     *obs.StepAggregator
-	streak  int
-	applied map[string]bool // partition fingerprints already run
+	applied  map[string]bool   // partition fingerprints already run
+	from     int               // the oldest step some device has not measured
+	queue    [][][]float64     // device → its per-block busy of steps from, from+1, ...
+	mean     map[int][]float64 // device → its per-block busy's mean over the evaluated steps
+	n        float64           // evaluated steps
+	proposal string            // the standing proposal's fingerprint
+	// The proposal's paired improvement samples, by Welford's update:
+	// their count, mean and summed squared deviation.
+	k, gain, m2 float64
 }
 
-func newRepartitioner(initial sched.Plan) *repartitioner {
-	return &repartitioner{
-		agg:     obs.NewStepAggregator(),
-		applied: map[string]bool{sched.Fingerprint(initial): true},
+// newRepartitioner measures an attempt whose devices run from step first.
+func newRepartitioner(applied map[string]bool, devices, first int) *repartitioner {
+	return &repartitioner{applied: applied, from: first, queue: make([][][]float64, devices), mean: map[int][]float64{}}
+}
+
+// add queues device dev's busy of step, which must be the device's next,
+// and returns every device's busy of the step it completes, if it does.
+func (rp *repartitioner) add(dev, step int, busy []float64) (map[int][]float64, error) {
+	if next := rp.from + len(rp.queue[dev]); step != next {
+		return nil, fmt.Errorf("cluster: spans of step %d from device %d, whose next step is %d", step, dev, next)
 	}
-}
-
-// resetMeasurements discards span statistics and the qualification
-// streak; called at every attempt start (the placement — or the worker
-// hosting it — changed, so old timings no longer describe the run).
-func (rp *repartitioner) resetMeasurements() {
-	rp.agg.Reset()
-	rp.streak = 0
-}
-
-// evaluate folds the current measurements into a proposal and advances
-// the hysteresis streak. ok is true when the streak just reached
-// repartitionHysteresis — the caller should execute the cut.
-func (rp *repartitioner) evaluate(current sched.Plan) (sched.Plan, sched.ReplanEval, bool) {
-	busy, ok := rp.measuredBlockCosts(current)
-	if !ok {
-		return sched.Plan{}, sched.ReplanEval{}, false
+	rp.queue[dev] = append(rp.queue[dev], busy)
+	if slices.ContainsFunc(rp.queue, func(q [][]float64) bool { return len(q) == 0 }) {
+		return nil, nil
 	}
-	plan, eval, err := sched.Replan(current, busy)
+	done := make(map[int][]float64, len(rp.queue))
+	for d, q := range rp.queue {
+		done[d], rp.queue[d] = q[0], q[1:]
+	}
+	rp.from++
+	return done, nil
+}
+
+// evaluate folds one completed step into the means, re-plans from them,
+// and samples the proposal's improvement on the step's own costs. ok is
+// true when the proposal qualifies — the caller should execute the cut.
+// The bound wants three samples: fewer say nothing of their spread.
+func (rp *repartitioner) evaluate(current sched.Plan, busy map[int][]float64) (sched.Plan, sched.ReplanEval, bool) {
+	rp.n++
+	for d, b := range busy {
+		if rp.mean[d] == nil {
+			rp.mean[d] = make([]float64, len(b))
+		}
+		for i, v := range b {
+			rp.mean[d][i] += (v - rp.mean[d][i]) / rp.n
+		}
+	}
+	plan, eval, err := sched.Replan(current, rp.mean)
 	if err != nil {
-		// A device's hosted block count disagrees with the plan: its
-		// measurements predate the current placement.
 		return sched.Plan{}, sched.ReplanEval{}, false
 	}
-	if eval.Improvement() < repartitionThreshold || rp.applied[sched.Fingerprint(plan)] {
-		rp.streak = 0
-		return sched.Plan{}, sched.ReplanEval{}, false
+	if fp := sched.Fingerprint(plan); fp != rp.proposal {
+		rp.proposal, rp.k, rp.gain, rp.m2 = fp, 0, 0, 0
 	}
-	rp.streak++
-	if rp.streak < repartitionHysteresis {
+	step, _ := sched.Reprice(current, plan, busy)
+	x := step.Improvement()
+	rp.k++
+	d := x - rp.gain
+	rp.gain += d / rp.k
+	rp.m2 += d * (x - rp.gain)
+	if rp.applied[rp.proposal] || rp.k < 3 || rp.gain-repartitionZ*math.Sqrt(rp.m2/(rp.k-1)/rp.k) < repartitionThreshold {
 		return sched.Plan{}, sched.ReplanEval{}, false
 	}
 	return plan, eval, true
-}
-
-// measuredBlockCosts returns every device's measured per-block costs,
-// keyed by rank. ok is false until every device has warmed up.
-func (rp *repartitioner) measuredBlockCosts(current sched.Plan) (map[int][]float64, bool) {
-	stats := rp.agg.Stats()
-	busy := make(map[int][]float64)
-	for _, g := range current.Groups {
-		for _, d := range g.Devices {
-			st, ok := stats[fmt.Sprintf("dev%d", d)]
-			if !ok || st.Steps < repartitionWarmup {
-				return nil, false
-			}
-			busy[d] = st.BlockBusy
-		}
-	}
-	return busy, true
 }

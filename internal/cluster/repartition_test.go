@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,93 +32,122 @@ func lopsidedPlan() sched.Plan {
 // kernel to the real backend untouched, so it is bit-identical by
 // construction, and then advances its own clock by the kernel's
 // multiply-adds (GEMM and conv: output elements × inner dimension) or
-// elements (elementwise, im2col, col2im) times rate. As an obs.Clock it
-// clocks the spans of the devices its worker hosts, so a block's
-// measured cost is a pure function of its shapes and its worker's rate.
+// elements (elementwise, im2col, col2im) times rate. With probability
+// pause a kernel call also stalls for costedPause, a draw keyed on the
+// worker's seed and the bits of the kernel's output rather than on a
+// stream: a step replayed after a cut draws the same stalls, so a whole
+// run, cut included, replays from its seeds. As an obs.Clock it clocks
+// the spans of the devices its worker hosts, so a block's measured cost
+// is a pure function of its shapes, its worker's rate and seed, and the
+// run's values.
 type costed struct {
 	tensor.Backend
-	rate int64
-	ns   *atomic.Int64
+	rate  int64
+	ns    *atomic.Int64
+	seed  uint64
+	pause float64
 }
+
+// costedPause is what one stall costs: about two tiny blocks' work at
+// rate 1.
+const costedPause = 200 * time.Microsecond
 
 func (c costed) Now() int64 { return c.ns.Load() }
 
-func (c costed) charge(work int) { c.ns.Add(int64(work) * c.rate) }
+// charge advances the clock by work at the worker's rate, plus a stall
+// when out's draw falls under pause.
+func (c costed) charge(work int, out *tensor.Tensor) {
+	ns := int64(work) * c.rate
+	if c.pause > 0 {
+		h := c.seed ^ 0x9e3779b97f4a7c15
+		for _, v := range out.Data() {
+			h = (h ^ uint64(math.Float32bits(v))) * 0x100000001b3
+		}
+		h ^= h >> 29
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 32
+		if float64(h>>11)/(1<<53) < c.pause {
+			ns += int64(costedPause)
+		}
+	}
+	c.ns.Add(ns)
+}
 
 func (c costed) MatMulInto(out, a, b *tensor.Tensor) {
 	c.Backend.MatMulInto(out, a, b)
-	c.charge(out.Numel() * a.Dim(1))
+	c.charge(out.Numel()*a.Dim(1), out)
 }
 
 func (c costed) MatMulTAInto(out, a, b *tensor.Tensor) {
 	c.Backend.MatMulTAInto(out, a, b)
-	c.charge(out.Numel() * a.Dim(0))
+	c.charge(out.Numel()*a.Dim(0), out)
 }
 
 func (c costed) MatMulTBInto(out, a, b *tensor.Tensor) {
 	c.Backend.MatMulTBInto(out, a, b)
-	c.charge(out.Numel() * a.Dim(1))
+	c.charge(out.Numel()*a.Dim(1), out)
 }
 
 func (c costed) MatMulBatchInto(out, a, b *tensor.Tensor) {
 	c.Backend.MatMulBatchInto(out, a, b)
-	c.charge(out.Numel() * a.Dim(2))
+	c.charge(out.Numel()*a.Dim(2), out)
 }
 
 func (c costed) MatMulTABatchInto(out, a, b *tensor.Tensor) {
 	c.Backend.MatMulTABatchInto(out, a, b)
-	c.charge(out.Numel() * a.Dim(1))
+	c.charge(out.Numel()*a.Dim(1), out)
 }
 
 func (c costed) MatMulTBBatchInto(out, a, b *tensor.Tensor) {
 	c.Backend.MatMulTBBatchInto(out, a, b)
-	c.charge(out.Numel() * a.Dim(2))
+	c.charge(out.Numel()*a.Dim(2), out)
 }
 
-func (c costed) Add(dst, a, b *tensor.Tensor) { c.Backend.Add(dst, a, b); c.charge(dst.Numel()) }
+func (c costed) Add(dst, a, b *tensor.Tensor) { c.Backend.Add(dst, a, b); c.charge(dst.Numel(), dst) }
 
-func (c costed) Sub(dst, a, b *tensor.Tensor) { c.Backend.Sub(dst, a, b); c.charge(dst.Numel()) }
+func (c costed) Sub(dst, a, b *tensor.Tensor) { c.Backend.Sub(dst, a, b); c.charge(dst.Numel(), dst) }
 
-func (c costed) Mul(dst, a, b *tensor.Tensor) { c.Backend.Mul(dst, a, b); c.charge(dst.Numel()) }
+func (c costed) Mul(dst, a, b *tensor.Tensor) { c.Backend.Mul(dst, a, b); c.charge(dst.Numel(), dst) }
 
 func (c costed) Scale(dst, a *tensor.Tensor, s float32) {
 	c.Backend.Scale(dst, a, s)
-	c.charge(dst.Numel())
+	c.charge(dst.Numel(), dst)
 }
 
 func (c costed) Axpy(dst *tensor.Tensor, alpha float32, src *tensor.Tensor) {
 	c.Backend.Axpy(dst, alpha, src)
-	c.charge(dst.Numel())
+	c.charge(dst.Numel(), dst)
 }
 
 func (c costed) Im2ColInto(out, x *tensor.Tensor, kh, kw, stride, pad int) {
 	c.Backend.Im2ColInto(out, x, kh, kw, stride, pad)
-	c.charge(out.Numel())
+	c.charge(out.Numel(), out)
 }
 
 func (c costed) Col2ImInto(out, cols *tensor.Tensor, kh, kw, stride, pad int) {
 	c.Backend.Col2ImInto(out, cols, kh, kw, stride, pad)
-	c.charge(cols.Numel())
+	c.charge(cols.Numel(), out)
 }
 
 func (c costed) ConvForwardInto(out, w, x *tensor.Tensor, kh, kw, stride, pad int) {
 	c.Backend.ConvForwardInto(out, w, x, kh, kw, stride, pad)
-	c.charge(out.Numel() * w.Dim(1))
+	c.charge(out.Numel()*w.Dim(1), out)
 }
 
 func (c costed) ConvGradWeightInto(out, grad, x *tensor.Tensor, kh, kw, stride, pad int) {
 	c.Backend.ConvGradWeightInto(out, grad, x, kh, kw, stride, pad)
-	c.charge(out.Numel() * grad.Dim(1))
+	c.charge(out.Numel()*grad.Dim(1), out)
 }
 
 // costedWorkers is one one-session rejoin-capable worker per rate, each
 // on its own costed backend: rates[i] is worker i's virtual nanoseconds
-// per multiply-add.
-func costedWorkers(dial transport.Network, rates ...int64) []WorkerConfig {
+// per multiply-add, and every worker stalls with probability pause per
+// kernel call, worker i drawing under seed+i.
+func costedWorkers(dial transport.Network, seed uint64, pause float64, rates ...int64) []WorkerConfig {
 	cfgs := make([]WorkerConfig, len(rates))
 	for i, rate := range rates {
 		cfgs[i] = WorkerConfig{Sessions: 1, Rejoin: true, Dial: dial,
-			Backend: costed{Backend: tensor.Default(), rate: rate, ns: new(atomic.Int64)}}
+			Backend: costed{Backend: tensor.Default(), rate: rate, ns: new(atomic.Int64), seed: seed + uint64(i), pause: pause}}
 	}
 	return cfgs
 }
@@ -147,7 +180,7 @@ func TestRepartitionShedsStraggler(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			s := runSpec{plan: c.plan, dpu: true, steps: 12, batch: 4}
 			net := transport.NewLoopback()
-			addrs := startWorkersMixed(t, net, costedWorkers(net, c.rates...))
+			addrs := startWorkersMixed(t, net, costedWorkers(net, 0, 0, c.rates...))
 			counters := obs.NewMetrics()
 			logf, logs := captureLog()
 			res, w, err := s.run(net, addrs, repartitionConfig(s, c.topo, counters, logf))
@@ -168,9 +201,11 @@ func TestRepartitionShedsStraggler(t *testing.T) {
 // ns, and shedding B1, priced at its 4x cost of 442,512 ns, predicts a
 // third better. On hybrid4 a 4x dev2 measures 4 x 2 x 110,628 = 885,024
 // ns, and handing B2 to dev3 predicts 442,512 + 110,628 = 553,140 ns.
+// Every step measures the same costs, so each paired sample is the same
+// and the third — step 2's — clears the bound: the cut follows step 2.
 const (
-	shedLopsided = "to dev0: B0 | dev1: B1 | dev2: B2-B3 (measured bottleneck 663.768µs, predicted 442.512µs, 33% better)"
-	shedHybrid   = "to dev0-1: B0 (2-way DP) | dev2: B1 | dev3: B2-B3 (measured bottleneck 885.024µs, predicted 553.14µs, 38% better)"
+	shedLopsided = "after step 2 to dev0: B0 | dev1: B1 | dev2: B2-B3 (measured bottleneck 663.768µs, predicted 442.512µs, 33% better)"
+	shedHybrid   = "after step 2 to dev0-1: B0 (2-way DP) | dev2: B1 | dev3: B2-B3 (measured bottleneck 885.024µs, predicted 553.14µs, 38% better)"
 )
 
 // repartitionConfig is s's Config with the repartitioner armed.
@@ -195,6 +230,86 @@ func wantRepartitions(t *testing.T, counters *obs.Metrics, logs func() string, w
 	}
 }
 
+// TestRepartitionDecidesAboveNoise draws runs of the lopsided plan on
+// workers that stall at random (costed's pauses): seeds × pause levels ×
+// {three equal workers, device 0's worker 4x slower}. Equal workers are
+// never cut. The straggler is cut exactly once, to the shed plan, after
+// the step the repartitioner decides when the run's span batches are
+// replayed in step order — the decision is a function of the spans, not
+// of the order they arrive in. Every run stays bit-identical. A failing
+// subtest's name is its draw.
+func TestRepartitionDecidesAboveNoise(t *testing.T) {
+	leakCheck(t)
+	s := runSpec{plan: lopsidedPlan(), dpu: true, steps: 12, batch: 4}
+	ref := s.reference()
+	for seed := range uint64(8) {
+		for _, pause := range []float64{0.002, 0.005, 0.01, 0.02, 0.05} {
+			for _, slow := range []int64{1, 4} {
+				t.Run(fmt.Sprintf("seed%d/pause%g/slow%d", seed, pause, slow), func(t *testing.T) {
+					net := transport.NewLoopback()
+					addrs := startWorkersMixed(t, net, costedWorkers(net, 16*seed, pause, slow, 1, 1))
+					counters := obs.NewMetrics()
+					logf, logs := captureLog()
+					cfg := repartitionConfig(s, "ring", counters, logf)
+					var mu sync.Mutex
+					arrived := make([][][]float64, 3) // device → its batches' block costs, in arrival order
+					cfg.Trace, cfg.TraceSink = true, func(track string, spans []obs.Span) {
+						var dev int
+						if _, err := fmt.Sscanf(track, "dev%d", &dev); err == nil {
+							mu.Lock()
+							arrived[dev] = append(arrived[dev], obs.BlockBusy(spans))
+							mu.Unlock()
+						}
+					}
+					res, w, err := s.run(net, addrs, cfg)
+					if err != nil {
+						t.Fatalf("run: %v\nlog:\n%s", err, logs())
+					}
+					cut := replayDecision(s.plan, arrived)
+					switch {
+					case slow == 1 && cut >= 0:
+						t.Fatalf("equal workers: the replayed spans decide a cut after step %d", cut)
+					case slow == 1:
+						wantRepartitions(t, counters, logs)
+					case cut < 0:
+						t.Fatalf("straggler: the replayed spans decide no cut; log:\n%s", logs())
+					default:
+						t.Logf("cut after step %d", cut)
+						wantRepartitions(t, counters, logs, fmt.Sprintf("after step %d to %s (", cut, shedLopsidedPlan))
+					}
+					if err := ref.diff(res, w); err != nil {
+						t.Fatalf("cluster run departs from engine.Run: %v", err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// shedLopsidedPlan is the placement a straggling device 0 is cut to.
+const shedLopsidedPlan = "dev0: B0 | dev1: B1 | dev2: B2-B3"
+
+// replayDecision feeds a fresh repartitioner of plan every device's
+// measured steps from 0 on, in step order, and returns the step after
+// which it executes a cut (every step is snapshotted), or -1. Each
+// device's batches arrive in step order; a cut run's second attempt
+// re-sends steps past the cut, but the replay stops at the cut.
+func replayDecision(plan sched.Plan, arrived [][][]float64) int {
+	rp := newRepartitioner(map[string]bool{sched.Fingerprint(plan): true}, len(arrived), 0)
+	for step := 0; ; step++ {
+		busy := make(map[int][]float64, len(arrived))
+		for d, steps := range arrived {
+			if step >= len(steps) {
+				return -1
+			}
+			busy[d] = steps[step]
+		}
+		if _, _, ok := rp.evaluate(plan, busy); ok {
+			return step
+		}
+	}
+}
+
 // TestRepartitionHybridPlanStaysPut: the CLI's hybrid plan — a split
 // group, then one unsplit group — has nothing the re-plan may move, so an
 // armed controller never fires, even with a straggler in the split group,
@@ -203,7 +318,7 @@ func TestRepartitionHybridPlanStaysPut(t *testing.T) {
 	leakCheck(t)
 	s := runSpec{plan: hybridPlan(), dpu: true, steps: 8, batch: 4}
 	net := transport.NewLoopback()
-	addrs := startWorkersMixed(t, net, costedWorkers(net, 4, 1, 1))
+	addrs := startWorkersMixed(t, net, costedWorkers(net, 0, 0, 4, 1, 1))
 	counters := obs.NewMetrics()
 	logf, logs := captureLog()
 	res, w, err := s.run(net, addrs, repartitionConfig(s, "ring", counters, logf))
@@ -233,7 +348,7 @@ func TestRepartitionPersistentPeerDelayBitIdentical(t *testing.T) {
 			Kind: wire.KindOutput, Step: transport.AnyStep, Count: 1},
 		Action: transport.ActDelay, Delay: 3 * time.Millisecond, Repeat: true,
 	})
-	addrs := startWorkersMixed(t, inner, costedWorkers(delay, 1, 1, 1))
+	addrs := startWorkersMixed(t, inner, costedWorkers(delay, 0, 0, 1, 1, 1))
 	counters := obs.NewMetrics()
 	logf, logs := captureLog()
 	res, w, err := s.run(inner, addrs, repartitionConfig(s, "ring", counters, logf))
@@ -245,85 +360,61 @@ func TestRepartitionPersistentPeerDelayBitIdentical(t *testing.T) {
 	s.check(t, res, w)
 }
 
-// crashAfterRepartition is the coordinator network of the kill-and-resume
-// tests: once the run has repartitioned, it kills the control connection
-// that delivers the next loss row, simulating a coordinator crash under
-// the new placement. The step the repartitioner fires after follows the
-// order frames arrive in, so a kill keyed on a fixed step could instead
-// land on a connection of the attempt the repartition superseded, and
-// crash nothing.
-type crashAfterRepartition struct {
-	transport.Network
-	chaos    *transport.Chaos
-	counters *obs.Metrics
-}
-
-func newCrashAfterRepartition(inner transport.Network, counters *obs.Metrics) *crashAfterRepartition {
-	return &crashAfterRepartition{Network: inner, counters: counters,
-		chaos: transport.NewChaos(inner, transport.Fault{
-			Trigger: transport.Trigger{Conn: transport.AnyConn, Op: transport.OpRecv,
-				Kind: wire.KindLosses, Step: transport.AnyStep, Count: 1},
-			Action: transport.ActKill,
-		})}
-}
-
-func (n *crashAfterRepartition) Dial(addr string) (transport.Conn, error) {
-	if n.counters.Counter("repartitions").Load() > 0 {
-		return n.chaos.Dial(addr)
-	}
-	return n.Network.Dial(addr)
-}
-
 // crashAfterRepartitionRun is the crashed run both kill-and-resume tests
-// resume: a durable ring run of the lopsided plan sheds its straggler's
-// block and then loses its coordinator, failing with the injected fault.
-// It returns the run's spec, network, ledger directory and log.
+// resume: a durable hub run of the lopsided plan sheds its straggler's
+// block after step 2 and then loses its coordinator, which the loss row
+// of step 6 from the new attempt's first session kills (connection 3:
+// the first attempt dialed 0-2), failing with the injected fault. Under
+// the hub no worker links to another, so the killed session's end cannot
+// fail a second session before the coordinator reads the kill. It checks
+// the ledger's repartition record and returns the run's spec, network,
+// ledger directory and log.
 func crashAfterRepartitionRun(t *testing.T) (runSpec, transport.Network, string, func() string) {
 	t.Helper()
 	s := runSpec{plan: lopsidedPlan(), dpu: true, steps: 12, batch: 4}
 	inner := transport.NewLoopback()
-	addrs := startWorkersMixed(t, inner, costedWorkers(inner, 4, 1, 1))
+	addrs := startWorkersMixed(t, inner, costedWorkers(inner, 0, 0, 4, 1, 1))
 	dir := filepath.Join(t.TempDir(), "ledger")
 	counters := obs.NewMetrics()
 	logf, logs := captureLog()
-	cfg := repartitionConfig(s, "ring", counters, logf)
+	cfg := repartitionConfig(s, "hub", counters, logf)
 	cfg.LedgerDir = dir
-	crash := newCrashAfterRepartition(inner, counters)
+	crash := transport.NewChaos(inner, transport.Fault{
+		Trigger: transport.Trigger{Conn: 3, Op: transport.OpRecv, Kind: wire.KindLosses, Step: 6, Count: 1},
+		Action:  transport.ActKill,
+	})
 	_, _, err := s.run(crash, addrs, cfg)
 	wantRepartitions(t, counters, logs, shedLopsided)
 	if !errors.Is(err, transport.ErrChaos) {
 		t.Fatalf("the rigged run got %v, want the injected coordinator crash\nlog:\n%s", err, logs())
 	}
-	allFired(t, crash.chaos)
+	allFired(t, crash)
+	led, _, rep, err := ledger.Open(dir)
+	if err != nil {
+		t.Fatalf("reopening crashed ledger: %v", err)
+	}
+	led.Close()
+	var cuts []int
+	for _, rec := range rep.Records {
+		if rec.Type == ledger.TypeRepartition {
+			cuts = append(cuts, rec.Step)
+		}
+	}
+	if !slices.Equal(cuts, []int{2}) {
+		t.Fatalf("crashed ledger holds repartition records at steps %v, want one at step 2; log:\n%s", cuts, logs())
+	}
 	return s, inner, dir, logs
 }
 
 // TestRepartitionCoordinatorKillResume crosses the two recovery planes:
-// a durable ring run repartitions away from a straggler mid-run, then
+// a durable run repartitions away from a straggler mid-run, then
 // the coordinator is killed under the new placement, and ResumeRun must restore
 // across the plan-generation boundary — replaying the first generation's
 // records under the original plan, remapping the carry onto the recorded
 // re-plan, and finishing bit-identically under the new placement.
 func TestRepartitionCoordinatorKillResume(t *testing.T) {
 	leakCheck(t)
-	s, inner, dir, logs := crashAfterRepartitionRun(t)
-	// The crashed run must have recorded the cut: the ledger now spans
-	// two plan generations.
-	led, _, rep, err := ledger.Open(dir)
-	if err != nil {
-		t.Fatalf("reopening crashed ledger: %v", err)
-	}
-	led.Close()
-	cuts := 0
-	for _, rec := range rep.Records {
-		if rec.Type == ledger.TypeRepartition {
-			cuts++
-		}
-	}
-	if cuts != 1 {
-		t.Fatalf("crashed ledger holds %d repartition records, want 1; log:\n%s", cuts, logs())
-	}
-
+	s, inner, dir, _ := crashAfterRepartitionRun(t)
 	rlogf, rlogs := captureLog()
 	res, w2, err := ResumeRun(inner, dir, ResumeConfig{JoinTimeout: 10 * time.Second, Logf: rlogf})
 	if err != nil {

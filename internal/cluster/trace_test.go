@@ -200,14 +200,14 @@ func TestSpanLossIsCounted(t *testing.T) {
 	link := &ringLink{trace: track, sink: worker.spanSink(collect)}
 
 	track.Begin(obs.CatWait, "kept").End()
-	link.flushSpans()
+	link.flushSpans(0)
 	if got := metrics.Counter("spans_dropped").Load(); got != 0 {
 		t.Fatalf("spans_dropped = %d before any overflow", got)
 	}
 	for track.Dropped() < 7 {
 		track.Begin(obs.CatWait, "flood").End()
 	}
-	link.flushSpans()
+	link.flushSpans(1)
 	if got := metrics.Counter("spans_dropped").Load(); got != 7 {
 		t.Fatalf("spans_dropped = %d after dropping 7 spans", got)
 	}
@@ -215,7 +215,7 @@ func TestSpanLossIsCounted(t *testing.T) {
 		t.Fatalf("collector summary %q does not report the 7 dropped spans", sum)
 	}
 	track.Begin(obs.CatWait, "kept").End()
-	link.flushSpans()
+	link.flushSpans(2)
 	if got := metrics.Counter("spans_dropped").Load(); got != 7 {
 		t.Fatalf("spans_dropped = %d after a flush with no new drops, want 7", got)
 	}

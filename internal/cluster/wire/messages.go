@@ -712,6 +712,7 @@ func DecodeRingSegment(f *Frame) (phase uint8, seg int, data []float32, err erro
 // in nanoseconds.
 type SpanBatch struct {
 	Dev   int32 // hosting device rank (NoDev for non-device tracks)
+	Step  int32 // the step the batch measures (NoStep for a trailing flush)
 	Track string
 	Spans []obs.Span
 }
@@ -727,7 +728,7 @@ func EncodeSpans(b SpanBatch) *Frame {
 		w.I64(s.Start)
 		w.I64(s.Dur)
 	}
-	return &Frame{Kind: KindSpans, Dev: b.Dev, Step: NoStep, Payload: w.Bytes()}
+	return &Frame{Kind: KindSpans, Dev: b.Dev, Step: b.Step, Payload: w.Bytes()}
 }
 
 // DecodeSpans unpacks a span-batch frame.
@@ -736,7 +737,7 @@ func DecodeSpans(f *Frame) (SpanBatch, error) {
 		return SpanBatch{}, fmt.Errorf("wire: expected %v frame, got %v", KindSpans, f.Kind)
 	}
 	r := NewReader(f.Payload)
-	b := SpanBatch{Dev: f.Dev, Track: r.String()}
+	b := SpanBatch{Dev: f.Dev, Step: f.Step, Track: r.String()}
 	n := r.count(r.U32(), 24) // name length + cat + start + dur
 	for i := 0; i < n && r.Err() == nil; i++ {
 		b.Spans = append(b.Spans, obs.Span{

@@ -390,7 +390,7 @@ func TestVersionSkewOldWorker(t *testing.T) {
 }
 
 func TestSpansRoundTrip(t *testing.T) {
-	b := SpanBatch{Dev: 2, Track: "dev2", Spans: []obs.Span{
+	b := SpanBatch{Dev: 2, Step: 5, Track: "dev2", Spans: []obs.Span{
 		{Name: "teacher_fwd", Cat: 1, Start: 1_000_000, Dur: 500},
 		{Name: "peer_ack_wait", Cat: 7, Start: 1_000_600, Dur: 90},
 		{Name: "allreduce", Cat: 6, Start: 1_000_700, Dur: 1200},
@@ -399,7 +399,7 @@ func TestSpansRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Dev != b.Dev || got.Track != b.Track || len(got.Spans) != len(b.Spans) {
+	if got.Dev != b.Dev || got.Step != b.Step || got.Track != b.Track || len(got.Spans) != len(b.Spans) {
 		t.Fatalf("batch mismatch: %+v vs %+v", got, b)
 	}
 	for i, s := range b.Spans {
@@ -409,11 +409,11 @@ func TestSpansRoundTrip(t *testing.T) {
 	}
 
 	// Empty batches are legal (a step with tracing enabled but no events).
-	empty, err := DecodeSpans(roundTripFrame(t, EncodeSpans(SpanBatch{Dev: NoDev, Track: "coord"})))
+	empty, err := DecodeSpans(roundTripFrame(t, EncodeSpans(SpanBatch{Dev: NoDev, Step: NoStep, Track: "coord"})))
 	if err != nil {
 		t.Fatalf("decode empty: %v", err)
 	}
-	if empty.Track != "coord" || len(empty.Spans) != 0 {
+	if empty.Step != NoStep || empty.Track != "coord" || len(empty.Spans) != 0 {
 		t.Fatalf("empty batch mismatch: %+v", empty)
 	}
 }

@@ -472,7 +472,7 @@ func runDevice(d *hostedDevice, steps int, out *outbox) (err error) {
 	engine.RunMemberFrom(d.member, d.start, steps, d.link)
 	// Spans drain at every FinishStep; this catches a zero-step session's
 	// (or a future post-loop instrumentation's) leftovers.
-	d.link.flushSpans()
+	d.link.flushSpans(wire.NoStep)
 	// A relayed edge's frames reach the control link through the edge's
 	// own outbox. Flush them first, so the Done below cannot overtake a
 	// frame a peer still waits for: the coordinator takes a session whose

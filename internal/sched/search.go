@@ -170,8 +170,8 @@ func (e ReplanEval) Improvement() float64 {
 }
 
 // Replan re-searches current's placement from measured per-block costs
-// (busy[d][i]: what device d's i-th block cost per step, as
-// obs.StepAggregator reports it). The proposal keeps every group's
+// (busy[d][i]: what device d's i-th block cost per step, as obs.BlockBusy
+// folds it from the device's spans). The proposal keeps every group's
 // members, in rank order, and shares, and every split group's blocks:
 // only the boundaries between runs of unsplit groups move. That is the
 // set of placements the synchronous engine switches between without
@@ -201,4 +201,18 @@ func Replan(current Plan, busy map[int][]float64) (Plan, ReplanEval, error) {
 	now, _ := price(current)
 	next.Name = "rebalanced"
 	return next, ReplanEval{Current: bottleneck(now), Proposed: bottleneck(cost)}, nil
+}
+
+// Reprice prices current and proposal from busy measured under current,
+// with Replan's prices: the runtime repartitioner compares a standing
+// proposal with the placement step by step, each step's costs pricing
+// both sides.
+func Reprice(current, proposal Plan, busy map[int][]float64) (ReplanEval, error) {
+	price, err := measured(current, busy)
+	if err != nil {
+		return ReplanEval{}, err
+	}
+	now, _ := price(current)
+	next, _ := price(proposal)
+	return ReplanEval{Current: bottleneck(now), Proposed: bottleneck(next)}, nil
 }
