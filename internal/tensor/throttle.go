@@ -7,7 +7,7 @@ import (
 
 // Throttled is a compute straggler: it delegates every kernel to an
 // inner backend untouched — so it is bit-identical to the inner backend
-// by construction — and then sleeps proportionally to the time the
+// by construction — and then waits proportionally to the time the
 // kernel took, multiplying the device's effective compute time by the
 // slowdown factor. It is the real, wall-clock slow rank (pipebd worker
 // -slowdown): unlike a transport delay, the injected cost scales with the
@@ -33,10 +33,25 @@ func NewThrottled(inner Backend, factor int) Throttled {
 // Name returns e.g. "serial+slow4".
 func (t Throttled) Name() string { return fmt.Sprintf("%s+slow%d", t.inner.Name(), t.factor) }
 
-// pace sleeps (factor-1)× the elapsed kernel time.
+// throttleSleep is both the shortest sleep pace takes and the margin it
+// spins out: a sleep costs at least the OS timer's granularity (measured
+// ~1.1 ms for any request under 1 ms, go1.24 on a 2-vCPU Linux VM), far
+// more than a kernel's few µs.
+const throttleSleep = time.Millisecond
+
+// pace holds the caller for (factor-1)× the elapsed kernel time, inside
+// the kernel's own spans, so each block's spans carry its own slowdown:
+// a wait of 2·throttleSleep or more sleeps all but its last
+// throttleSleep, and the rest is spun out on the clock.
 func (t Throttled) pace(start time.Time) {
-	if t.factor > 1 {
-		time.Sleep(time.Duration(t.factor-1) * time.Since(start))
+	if t.factor == 1 {
+		return
+	}
+	end := time.Now().Add(time.Duration(t.factor-1) * time.Since(start))
+	if d := time.Until(end) - throttleSleep; d >= throttleSleep {
+		time.Sleep(d)
+	}
+	for time.Now().Before(end) {
 	}
 }
 
