@@ -230,11 +230,13 @@
 // A run whose placement turns out wrong — one device measurably slower
 // than the plan was priced for — can rebalance itself mid-run
 // (cluster.Config.Repartition, the cluster mode's -repartition). The
-// coordinator folds the span batches workers already ship into measured
-// per-block compute costs (obs.StepAggregator; transport waits
-// excluded), re-runs the plan search under those prices (sched.Replan),
-// and, when the predicted improvement clears a threshold with
-// hysteresis, executes a planned global cut at a synchronous step
+// coordinator folds the span batch each device ships per step into
+// measured per-block compute costs (obs.BlockBusy; transport waits
+// excluded) and, once every device has measured a step, re-runs the plan
+// search under the means (sched.Replan) and prices the proposal against
+// the placement on that step's own costs (sched.Reprice). When the mean
+// of those paired improvements, three standard errors down, clears 10%,
+// it executes a planned global cut at a synchronous step
 // boundary: workers are told the session is superseded, the run's
 // restart state (ledger.Account) regroups at block boundaries onto the
 // new placement, and the run resumes on the rebalanced plan via the same
@@ -247,11 +249,12 @@
 // records, so durable runs resume across plan generations:
 // cluster.ResumeRun replays the log through the same account, which
 // performs each recorded remap as the live run did.
-// A worker started with -slowdown 4 (pipebd worker -slowdown 4) is a
+// A worker started with -slowdown 8 (pipebd worker -slowdown 8) is a
 // reproducible bit-identical straggler for exercising the controller. The
 // controller's suites use a costed one instead: its kernels advance a
-// clock (an obs.Clock) that the hosted devices' spans read, so what the
-// controller measures, and decides, is a function of shapes and rates.
+// clock (an obs.Clock) that the hosted devices' spans read, plus seeded
+// stalls keyed on each kernel's output, so what the controller measures,
+// and decides, is a function of shapes, rates and seeds.
 //
 // # Observability
 //
