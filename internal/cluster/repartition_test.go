@@ -360,16 +360,21 @@ func TestRepartitionPersistentPeerDelayBitIdentical(t *testing.T) {
 	s.check(t, res, w)
 }
 
+// crashTopologies are the topologies both kill-and-resume tests crash
+// and resume under: on the ring the killed session's workers link to the
+// others, whose sessions fail with it; on the hub none do.
+var crashTopologies = []string{"ring", "hub"}
+
 // crashAfterRepartitionRun is the crashed run both kill-and-resume tests
-// resume: a durable hub run of the lopsided plan sheds its straggler's
-// block after step 2 and then loses its coordinator, which the loss row
-// of step 6 from the new attempt's first session kills (connection 3:
-// the first attempt dialed 0-2), failing with the injected fault. Under
-// the hub no worker links to another, so the killed session's end cannot
-// fail a second session before the coordinator reads the kill. It checks
-// the ledger's repartition record and returns the run's spec, network,
-// ledger directory and log.
-func crashAfterRepartitionRun(t *testing.T) (runSpec, transport.Network, string, func() string) {
+// resume: a durable run of the lopsided plan over topo sheds its
+// straggler's block after step 2 and then loses its coordinator, which
+// the loss row of step 6 from the new attempt's first session kills
+// (connection 3: the first attempt dialed 0-2), failing with the injected
+// fault — on the ring too, where the killed session's end fails its
+// peers' sessions, because the coordinator reads the kill before its
+// worker sees the connection break. It checks the ledger's repartition
+// record and returns the run's spec, network, ledger directory and log.
+func crashAfterRepartitionRun(t *testing.T, topo string) (runSpec, transport.Network, string, func() string) {
 	t.Helper()
 	s := runSpec{plan: lopsidedPlan(), dpu: true, steps: 12, batch: 4}
 	inner := transport.NewLoopback()
@@ -377,7 +382,7 @@ func crashAfterRepartitionRun(t *testing.T) (runSpec, transport.Network, string,
 	dir := filepath.Join(t.TempDir(), "ledger")
 	counters := obs.NewMetrics()
 	logf, logs := captureLog()
-	cfg := repartitionConfig(s, "hub", counters, logf)
+	cfg := repartitionConfig(s, topo, counters, logf)
 	cfg.LedgerDir = dir
 	crash := transport.NewChaos(inner, transport.Fault{
 		Trigger: transport.Trigger{Conn: 3, Op: transport.OpRecv, Kind: wire.KindLosses, Step: 6, Count: 1},
@@ -413,17 +418,21 @@ func crashAfterRepartitionRun(t *testing.T) (runSpec, transport.Network, string,
 // records under the original plan, remapping the carry onto the recorded
 // re-plan, and finishing bit-identically under the new placement.
 func TestRepartitionCoordinatorKillResume(t *testing.T) {
-	leakCheck(t)
-	s, inner, dir, _ := crashAfterRepartitionRun(t)
-	rlogf, rlogs := captureLog()
-	res, w2, err := ResumeRun(inner, dir, ResumeConfig{JoinTimeout: 10 * time.Second, Logf: rlogf})
-	if err != nil {
-		t.Fatalf("resume across repartition failed: %v\nlog:\n%s", err, rlogs())
+	for _, topo := range crashTopologies {
+		t.Run(topo, func(t *testing.T) {
+			leakCheck(t)
+			s, inner, dir, _ := crashAfterRepartitionRun(t, topo)
+			rlogf, rlogs := captureLog()
+			res, w2, err := ResumeRun(inner, dir, ResumeConfig{JoinTimeout: 10 * time.Second, Logf: rlogf})
+			if err != nil {
+				t.Fatalf("resume across repartition failed: %v\nlog:\n%s", err, rlogs())
+			}
+			if !strings.Contains(rlogs(), "plan generation(s)") {
+				t.Fatalf("resume log missing the generation restore line:\n%s", rlogs())
+			}
+			s.check(t, res, w2)
+		})
 	}
-	if !strings.Contains(rlogs(), "plan generation(s)") {
-		t.Fatalf("resume log missing the generation restore line:\n%s", rlogs())
-	}
-	s.check(t, res, w2)
 }
 
 // TestRepartitionCompactedLedgerResume extends the compaction acceptance
@@ -433,34 +442,38 @@ func TestRepartitionCoordinatorKillResume(t *testing.T) {
 // them, and the resume across the generation boundary must still finish
 // bit-identically to the fault-free in-process pipeline.
 func TestRepartitionCompactedLedgerResume(t *testing.T) {
-	leakCheck(t)
-	s, inner, dir, _ := crashAfterRepartitionRun(t)
+	for _, topo := range crashTopologies {
+		t.Run(topo, func(t *testing.T) {
+			leakCheck(t)
+			s, inner, dir, _ := crashAfterRepartitionRun(t, topo)
 
-	if err := ledger.Compact(dir); err != nil {
-		t.Fatalf("compacting repartitioned ledger: %v", err)
-	}
-	led, _, rep, err := ledger.Open(dir)
-	if err != nil {
-		t.Fatalf("reopening compacted ledger: %v", err)
-	}
-	led.Close()
-	// One checkpoint per plan generation, the repartition record between.
-	if n := len(rep.Records); n != 3 {
-		t.Fatalf("compacted ledger holds %d records, want checkpoint/repartition/checkpoint", n)
-	}
-	for i, rec := range rep.Records {
-		want := ledger.TypeCheckpoint
-		if i%2 == 1 {
-			want = ledger.TypeRepartition
-		}
-		if rec.Type != want {
-			t.Fatalf("compacted record %d is %v, want %v", i, rec.Type, want)
-		}
-	}
+			if err := ledger.Compact(dir); err != nil {
+				t.Fatalf("compacting repartitioned ledger: %v", err)
+			}
+			led, _, rep, err := ledger.Open(dir)
+			if err != nil {
+				t.Fatalf("reopening compacted ledger: %v", err)
+			}
+			led.Close()
+			// One checkpoint per plan generation, the repartition record between.
+			if n := len(rep.Records); n != 3 {
+				t.Fatalf("compacted ledger holds %d records, want checkpoint/repartition/checkpoint", n)
+			}
+			for i, rec := range rep.Records {
+				want := ledger.TypeCheckpoint
+				if i%2 == 1 {
+					want = ledger.TypeRepartition
+				}
+				if rec.Type != want {
+					t.Fatalf("compacted record %d is %v, want %v", i, rec.Type, want)
+				}
+			}
 
-	res, w2, err := ResumeRun(inner, dir, ResumeConfig{JoinTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatalf("resume from compacted repartitioned ledger failed: %v", err)
+			res, w2, err := ResumeRun(inner, dir, ResumeConfig{JoinTimeout: 10 * time.Second})
+			if err != nil {
+				t.Fatalf("resume from compacted repartitioned ledger failed: %v", err)
+			}
+			s.check(t, res, w2)
+		})
 	}
-	s.check(t, res, w2)
 }

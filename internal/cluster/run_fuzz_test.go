@@ -268,8 +268,10 @@ const (
 // A run that finishes must match engine.Run of
 // sched.TeacherRelaying(plan, dpu) loss for loss and weight for weight; a
 // run whose budget runs out with no ledger must fail with an error
-// wrapping transport.ErrChaos (so must a crashing durable one, unless its
-// lost link can fail other sessions first). Every fault must fire, each
+// wrapping transport.ErrChaos (so must a crashing durable one, on the
+// ring too, where its lost link fails other sessions: the coordinator
+// reads a killed connection's fault before the worker at its other end
+// sees the break). Every fault must fire, each
 // generation must spend one restart per kill within its budget, a flap
 // none, and a durable run's ledger must hold what its snapshot policy
 // ships and nothing a resume replayed from inside its cut. A failure
@@ -573,8 +575,9 @@ func (d *clusterDraw) peerKinds() []wire.Kind {
 }
 
 // cascades reports whether a lost control link fails other sessions on
-// its own — a cut-off ring session breaks its peer links — so that the
-// coordinator may see their losses before the injected one.
+// its own: a cut-off ring session breaks its peer links. drawKills keeps
+// such runs inside their budget, which fixes what the committed seeds
+// draw; drawCrash runs them past it.
 func (d *clusterDraw) cascades() bool {
 	return d.topology == "ring" && d.sessions() > 1
 }
@@ -736,7 +739,7 @@ func (d *clusterDraw) run(inner transport.Network, peers *peerNet, addrs []strin
 				MaxRestarts: gen.restarts, Logf: logf})
 		}
 		switch {
-		case gen.crash && (err == nil || !errors.Is(err, transport.ErrChaos) && !d.cascades()):
+		case gen.crash && !errors.Is(err, transport.ErrChaos):
 			return fail("got %v, want an error wrapping the injected fault", err)
 		case !gen.crash && err != nil:
 			return fail("%v", err)

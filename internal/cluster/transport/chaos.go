@@ -39,7 +39,8 @@ const (
 	// ActKill closes the connection abruptly; the matched operation (and
 	// every later one) fails, and the peer observes a broken stream. A
 	// matched Recv drops the received frame, modeling a crash before
-	// delivery.
+	// delivery; its end sees the break first: the peer's stream breaks
+	// once this end closes the connection or operates on it again.
 	ActKill Action = iota
 	// ActDelay waits Fault.Delay on the network's clock before letting
 	// the operation proceed — pure latency, no data loss. With a
@@ -344,6 +345,7 @@ func (cc *chaosConn) dead() bool {
 // peer decodes a structurally broken message.
 func (cc *chaosConn) Send(f *wire.Frame) error {
 	if cc.dead() {
+		cc.inner.Close()
 		return fmt.Errorf("%w: connection killed", ErrChaos)
 	}
 	fl := cc.cross(OpSend, f)
@@ -360,9 +362,13 @@ func (cc *chaosConn) Send(f *wire.Frame) error {
 // Recv reads the next frame unless a fault ends the connection on it: the
 // frame is then dropped with the connection, as if the peer crashed before
 // it was delivered, and a resumable link must get it back by replay. (A
-// truncation, meaningless on receipt, acts as a kill.)
+// truncation, meaningless on receipt, acts as a kill.) The connection
+// closes at this end's next operation or Close, not here: whoever reads
+// it learns of the fault before the peer does, so a coordinator whose
+// read was killed sees that loss before any session it cascades into.
 func (cc *chaosConn) Recv() (*wire.Frame, error) {
 	if cc.dead() {
+		cc.inner.Close()
 		return nil, fmt.Errorf("%w: connection killed", ErrChaos)
 	}
 	f, err := cc.inner.Recv()
@@ -370,7 +376,6 @@ func (cc *chaosConn) Recv() (*wire.Frame, error) {
 		return nil, err
 	}
 	if fl := cc.cross(OpRecv, f); fl != nil {
-		cc.inner.Close()
 		return nil, fmt.Errorf("%w: %v on recv", ErrChaos, fl.Action)
 	}
 	return f, nil

@@ -85,7 +85,9 @@ func TestChaosKillOnSend(t *testing.T) {
 }
 
 // TestChaosKillOnRecv: the frame that would have been delivered is
-// dropped and the reader sees ErrChaos.
+// dropped and the reader sees ErrChaos. The reader learns of the kill
+// first: the peer's stream breaks once this end operates on the
+// connection again.
 func TestChaosKillOnRecv(t *testing.T) {
 	client, server, _ := chaosPair(t, Fault{
 		Trigger: Trigger{Conn: 0, Op: OpRecv, Kind: wire.KindStepGo, Step: AnyStep, Count: 2},
@@ -102,8 +104,14 @@ func TestChaosKillOnRecv(t *testing.T) {
 	if _, err := client.Recv(); !errors.Is(err, ErrChaos) {
 		t.Fatalf("second recv: got %v, want ErrChaos", err)
 	}
+	if err := server.Send(wire.Control(wire.KindStepGo, 0, 3)); err != nil {
+		t.Fatalf("peer send before the killed end reacted: %v", err)
+	}
 	if _, err := client.Recv(); !errors.Is(err, ErrChaos) {
 		t.Fatalf("post-kill recv: got %v, want ErrChaos", err)
+	}
+	if _, err := server.Recv(); err != io.EOF {
+		t.Fatalf("peer after the killed end's next op: got %v, want io.EOF", err)
 	}
 }
 
