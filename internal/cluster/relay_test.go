@@ -152,14 +152,17 @@ func TestPeerAcksOnlyUnderDPU(t *testing.T) {
 // each activation sender within ackWindow steps of its consumer. The
 // consumer's worker is throttled, so an unbounded sender would run ahead;
 // the coordinator relays everything, so it must receive the consumer's
-// ack of step s-ackWindow before the sender's activation of step s.
+// ack of step s-ackWindow before the sender's activation of step s. The
+// sender must also reach the window once — an activation relayed with
+// only step s-ackWindow acked — or the throttle slowed nothing and the
+// bound went untested.
 func TestHubRelayedAcksBoundTheWindow(t *testing.T) {
 	leakCheck(t)
 	const steps = 8
 	s := runSpec{plan: trPlan(), dpu: true, steps: steps, batch: 6}
 	inner := transport.NewLoopback()
 	addrs := startWorkersMixed(t, inner, []WorkerConfig{{Sessions: 1},
-		{Sessions: 1, Backend: tensor.NewThrottled(tensor.Default(), 8)}})
+		{Sessions: 1, Backend: tensor.NewThrottled(tensor.Default(), 32)}})
 	tap := &tap{Network: inner}
 	cfg := s.config()
 	cfg.Topology = "hub"
@@ -170,7 +173,7 @@ func TestHubRelayedAcksBoundTheWindow(t *testing.T) {
 	s.check(t, res, w)
 
 	acked := -1
-	outputs := 0
+	outputs, lead := 0, 0
 	for _, f := range tap.peer() {
 		if !f.recv {
 			continue
@@ -184,10 +187,14 @@ func TestHubRelayedAcksBoundTheWindow(t *testing.T) {
 				t.Fatalf("device %d sent the activation of step %d with only step %d acked (window %d)",
 					f.from, f.step, acked, ackWindow)
 			}
+			lead = max(lead, f.step-acked)
 		}
 	}
 	if outputs != steps {
 		t.Fatalf("coordinator received %d relayed activations, want %d", outputs, steps)
+	}
+	if lead != ackWindow {
+		t.Fatalf("the sender ran at most %d step(s) ahead of the consumer's acks, never the window of %d", lead, ackWindow)
 	}
 }
 

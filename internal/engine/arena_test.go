@@ -10,6 +10,7 @@ import (
 	"pipebd/internal/dataset"
 	"pipebd/internal/distill"
 	"pipebd/internal/nn"
+	"pipebd/internal/obs"
 	"pipebd/internal/sched"
 	"pipebd/internal/tensor"
 )
@@ -127,22 +128,56 @@ func TestPoisonedArenaBitIdentical(t *testing.T) {
 // TestBoundaryActivationOutlivesProducerStep: with the consumer slowed,
 // the tr2 producer runs the full relay depth ahead, recycling its arena
 // while earlier boundary activations still sit in the channel. The
-// in-process link must have copied them.
+// in-process link must have copied them. The run's spans show the
+// producer did get that far ahead (relayLead), or the throttle slowed
+// nothing and the copy went untested.
 func TestBoundaryActivationOutlivesProducerStep(t *testing.T) {
 	batches := tinyBatches(t, 8, 8)
 	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 	want := RunSequential(ref, batches, 0.05, 0.9)
 
 	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	slow := tensor.NewThrottled(tensor.Serial{}, 20)
+	slow := tensor.NewThrottled(tensor.Serial{}, 50)
 	for _, p := range w.Pairs[2:] {
 		nn.ApplyBackend(p.Teacher, slow)
 		nn.ApplyBackend(p.Student, slow)
 	}
-	got := RunPipelined(w, batches, Config{Plan: planTR2, DPU: true, LR: 0.05, Momentum: 0.9})
+	tr := obs.NewTracer(true)
+	got := RunPipelined(w, batches, Config{Plan: planTR2, DPU: true, LR: 0.05, Momentum: 0.9, Trace: tr})
 	if !lossesEqual(want, got) || !paramsEqual(t, ref, w, true, 0) {
 		t.Fatal("a slowed consumer read a boundary activation its producer had already recycled")
 	}
+	tracks := tr.Tracks()
+	if lead := relayLead(tracks[0].Drain(), tracks[1].Drain()); lead < relayDepth {
+		t.Fatalf("the producer ran at most %d step(s) ahead of its consumer, never the relay depth of %d", lead, relayDepth)
+	}
+}
+
+// relayLead is a lower bound on how many boundary activations ever sat in
+// the relay channel at once, from the producer's and the consumer's
+// spans: when the producer begins sending step s it has sent steps
+// 0..s-1, and the consumer can have taken only those whose receive began
+// earlier.
+func relayLead(producer, consumer []obs.Span) int {
+	var recvs []int64
+	for _, sp := range consumer {
+		if sp.Name == "recv_act" {
+			recvs = append(recvs, sp.Start)
+		}
+	}
+	lead, s := 0, 0
+	for _, sp := range producer {
+		if sp.Name != "send_output" {
+			continue
+		}
+		taken := 0
+		for taken < len(recvs) && recvs[taken] < sp.Start {
+			taken++
+		}
+		lead = max(lead, s-taken)
+		s++
+	}
+	return lead
 }
 
 // allocBytes is the heap allocated by f, on every goroutine.
