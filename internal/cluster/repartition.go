@@ -9,12 +9,10 @@ package cluster
 // uses (driver.go), then resumes on the new placement.
 //
 // Bit-identity survives because the re-plan moves only the boundaries
-// between runs of unsplit groups: a block's trajectory is a function of
-// its input activations (the frozen teacher chain) and its own optimizer
-// state, and a split group keeps its members, shares and blocks, so no
-// float fold is reordered. A plan with nothing movable never
-// repartitions. The win is wall-clock only, "without modifying the
-// mathematical formulation", as the paper frames scheduling.
+// between runs of unsplit groups (sched.Replan): no float fold is
+// reordered, and a plan with nothing movable never repartitions. The win
+// is wall-clock only, "without modifying the mathematical formulation",
+// as the paper frames scheduling.
 //
 // The decision is taken once per step every device has measured, from
 // steps up to it only, so it and its cut are functions of the spans, not
@@ -116,18 +114,20 @@ func (rp *repartitioner) evaluate(current sched.Plan, busy map[int][]float64) (s
 		}
 	}
 	plan, eval, err := sched.Replan(current, rp.mean)
+	var step sched.ReplanEval
+	if err == nil {
+		step, err = sched.Reprice(current, plan, busy)
+	}
 	if err != nil {
 		return sched.Plan{}, sched.ReplanEval{}, false
 	}
 	if fp := sched.Fingerprint(plan); fp != rp.proposal {
 		rp.proposal, rp.k, rp.gain, rp.m2 = fp, 0, 0, 0
 	}
-	step, _ := sched.Reprice(current, plan, busy)
-	x := step.Improvement()
 	rp.k++
-	d := x - rp.gain
+	d := step.Improvement() - rp.gain
 	rp.gain += d / rp.k
-	rp.m2 += d * (x - rp.gain)
+	rp.m2 += d * d * (rp.k - 1) / rp.k
 	if rp.applied[rp.proposal] || rp.k < 3 || rp.gain-repartitionZ*math.Sqrt(rp.m2/(rp.k-1)/rp.k) < repartitionThreshold {
 		return sched.Plan{}, sched.ReplanEval{}, false
 	}

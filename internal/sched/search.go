@@ -194,19 +194,19 @@ func Replan(current Plan, busy map[int][]float64) (Plan, ReplanEval, error) {
 		}
 		return Group{Devices: cur.Devices, Blocks: blocks, Shares: cur.Shares}, true
 	}
-	next, cost, ok := search(current.NumDevices(), current.NumBlocks(), keep, price)
+	next, _, ok := search(current.NumDevices(), current.NumBlocks(), keep, price)
 	if !ok {
 		return Plan{}, ReplanEval{}, fmt.Errorf("sched: plan %q is not a contiguous placement to re-plan", current.Name)
 	}
-	now, _ := price(current)
 	next.Name = "rebalanced"
-	return next, ReplanEval{Current: bottleneck(now), Proposed: bottleneck(cost)}, nil
+	eval, err := Reprice(current, next, busy)
+	return next, eval, err
 }
 
 // Reprice prices current and proposal from busy measured under current,
-// with Replan's prices: the runtime repartitioner compares a standing
+// as Replan prices them: the runtime repartitioner compares a standing
 // proposal with the placement step by step, each step's costs pricing
-// both sides.
+// both sides. It fails when busy does not cover every member's blocks.
 func Reprice(current, proposal Plan, busy map[int][]float64) (ReplanEval, error) {
 	price, err := measured(current, busy)
 	if err != nil {
