@@ -51,7 +51,7 @@ func (o *workerOptions) flags(fs *flag.FlagSet) {
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:7710", "TCP address to listen on (host:port; :0 picks a free port)")
 	fs.IntVar(&o.sessions, "sessions", 0, "coordinator sessions to serve before exiting (0: forever)")
 	fs.BoolVar(&o.rejoin, "rejoin", false, "only count successful sessions toward -sessions, so the worker survives dropped sessions and re-joins the coordinator's recovery")
-	fs.IntVar(&o.slowdown, "slowdown", 1, "throttle this worker's compute by the given factor (wait (N-1)x each kernel's duration) — a bit-identical straggler for exercising -repartition; 1 disables")
+	fs.IntVar(&o.slowdown, "slowdown", 1, "slow this worker's backend kernels (GEMMs, convolutions, elementwise) by the given factor, waiting (N-1)x each one's duration; depthwise, BatchNorm, ReLU, MSE and row kernels run at full speed, so the device slows by less — a bit-identical straggler for exercising -repartition; 1 disables")
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-session progress output")
 	fs.StringVar(&o.traceDir, "trace-dir", "", "trace every session's spans locally and dump each completed session as a Chrome trace JSON file in this directory")
 	fs.BoolVar(&o.netStats, "net-stats", false, "print the peer data-plane byte/frame totals when the worker exits")

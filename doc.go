@@ -95,11 +95,13 @@
 // eight lanes at a time where AVX exists, with the same bits as the
 // scalar loop that runs it elsewhere. The KL loss's log-softmax and MixedOp's α softmax stay on
 // float64 math.Exp / math.Log: at most 8 elements a row they are cold,
-// and math.Log has no kernel here. Token-sequence datasets
-// (dataset.NewTokens) are
-// deterministic and carry a wire.DataSpec recipe (Kind "tokens"), so
-// ring workers regenerate token batches locally exactly as they do
-// image batches. Attention's per-head GEMMs are skinny — m equals the
+// and math.Log has no kernel here. Synthetic data is a function of
+// (seed, sample): each sample's pixels or token ids, and its label, are
+// SplitMix64 draws keyed by the seed, the sample and the element
+// (dataset.ImageRows, dataset.TokenRows), so any row of any batch is
+// built alone. A wire.DataSpec recipe (Kind "" or "tokens") names a
+// run's data, and a first-stage worker builds each step's batch from it
+// when it consumes the step. Attention's per-head GEMMs are skinny — m equals the
 // sequence length — and run through the batched kernel entry points
 // (tensor.MatMulBatch and friends): one call for every instance pays
 // the packed engine's fixed costs once and spreads all their row tiles
@@ -126,10 +128,10 @@
 // sessions the same way: one dial-and-hello handshake per placement slot,
 // then one Assign frame per session, which past the seed also carries each
 // hosted device's state at the cut. Only the first pipeline stage touches
-// a batch, and it reads it locally, regenerated from the run's
-// deterministic dataset recipe (cluster.Config.Data, required): the
-// recipe is the one copy of the data the Assign and a durable run's
-// manifest carry. No per-step input frame exists.
+// a batch, and it builds each step's locally, into one reused buffer,
+// from the run's deterministic dataset recipe (cluster.Config.Data,
+// required): the recipe is the one copy of the data the Assign and a
+// durable run's manifest carry. No per-step input frame exists.
 //
 // There is one data plane: forwarded activations travel stage to stage
 // between the devices, and split groups average gradients with a
@@ -250,7 +252,10 @@
 // cluster.ResumeRun replays the log through the same account, which
 // performs each recorded remap as the live run did.
 // A worker started with -slowdown 8 (pipebd worker -slowdown 8) is a
-// reproducible bit-identical straggler for exercising the controller. The
+// reproducible bit-identical straggler for exercising the controller: its
+// backend kernels (GEMMs, convolutions, elementwise) take 8× as long, but
+// the depthwise conv, BatchNorm, ReLU, MSE and row kernels do not, so the
+// device slows by less than 8×. The
 // controller's suites use a costed one instead: its kernels advance a
 // clock (an obs.Clock) that the hosted devices' spans read, plus seeded
 // stalls keyed on each kernel's output, so what the controller measures,

@@ -10,7 +10,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pipebd/internal/dataset"
 	"pipebd/internal/distill"
@@ -20,7 +19,7 @@ import (
 
 func main() {
 	cfg := distill.DefaultSupernetConfig()
-	data := dataset.NewRandom(rand.New(rand.NewSource(5)), 200, 3, cfg.Height, cfg.Width, 4)
+	data := dataset.NewRandom(5, 200, 3, cfg.Height, cfg.Width, 4)
 	var batches []dataset.Batch
 	for epoch := 0; epoch < 10; epoch++ {
 		batches = append(batches, data.Batches(8)...)

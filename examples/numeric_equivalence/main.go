@@ -9,7 +9,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pipebd/internal/dataset"
 	"pipebd/internal/distill"
@@ -19,7 +18,7 @@ import (
 
 func main() {
 	cfg := distill.DefaultTinyConfig()
-	data := dataset.NewRandom(rand.New(rand.NewSource(7)), 160, 3, cfg.Height, cfg.Width, 4)
+	data := dataset.NewRandom(7, 160, 3, cfg.Height, cfg.Width, 4)
 	batches := data.Batches(8)
 	opts := engine.Config{LR: 0.05, Momentum: 0.9}
 	train := func(prog sched.Program) (*distill.Workbench, engine.Result) {

@@ -15,6 +15,7 @@ import (
 	"pipebd/internal/engine"
 	"pipebd/internal/obs"
 	"pipebd/internal/sched"
+	"pipebd/internal/tensor"
 )
 
 // SnapshotPolicy is the cluster-facing alias of the wire-level snapshot
@@ -42,9 +43,9 @@ type Config struct {
 	// exists — and the run is bit-identical to the in-process engine.
 	Topology string
 	// Data is the deterministic recipe of the run's batch schedule
-	// (wire.DataSpec), and it is required. Sessions hosting first-group
-	// devices regenerate their inputs from it locally — distributed data
-	// loading — so no batch crosses any connection, and a durable run's
+	// (wire.DataSpec), and it is required. First-group devices build each
+	// step's input from it locally — distributed data loading — so no
+	// batch crosses any connection, and a durable run's
 	// manifest stores the recipe, not the batches. Run validates before it
 	// dials a worker that the recipe reproduces the batches passed to it
 	// bit-exactly, keeping the bit-identity contract checkable.
@@ -555,23 +556,26 @@ func (r *run) teardown(err error) {
 // passed to Run: first-group workers source their inputs from the recipe, so a
 // recipe that drifted from the real schedule would silently train on
 // different data. The comparison is bit-exact, same as every other
-// equivalence contract in this package.
+// equivalence contract in this package, one batch at a time.
 func validateDataRecipe(ds wire.DataSpec, batches []dataset.Batch) error {
 	if ds == (wire.DataSpec{}) {
 		return fmt.Errorf("cluster: Config.Data is required: the first group's workers regenerate the run's batches from it")
 	}
-	gen, err := ds.Batches()
-	if err != nil {
+	if err := ds.Validate(); err != nil {
 		return fmt.Errorf("cluster: Config.Data: %w", err)
 	}
-	if len(gen) < len(batches) {
-		return fmt.Errorf("cluster: Config.Data regenerates %d batches, run has %d", len(gen), len(batches))
+	if ds.Steps() < len(batches) {
+		return fmt.Errorf("cluster: Config.Data regenerates %d batches, run has %d", ds.Steps(), len(batches))
 	}
+	gen := tensor.New(ds.BatchShape()...)
 	for i, b := range batches {
-		if !b.X.SameShape(gen[i].X) {
-			return fmt.Errorf("cluster: Config.Data batch %d has shape %v, run's has %v", i, gen[i].X.Shape(), b.X.Shape())
+		if !b.X.SameShape(gen) {
+			return fmt.Errorf("cluster: Config.Data batch %d has shape %v, run's has %v", i, gen.Shape(), b.X.Shape())
 		}
-		bd, gd := b.X.Data(), gen[i].X.Data()
+		if err := ds.BatchInto(i, gen, nil); err != nil {
+			return fmt.Errorf("cluster: Config.Data: %w", err)
+		}
+		bd, gd := b.X.Data(), gen.Data()
 		for j := range bd {
 			if math.Float32bits(bd[j]) != math.Float32bits(gd[j]) {
 				return fmt.Errorf("cluster: Config.Data does not reproduce the run's batches (step %d diverges)", i)

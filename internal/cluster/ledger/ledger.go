@@ -51,8 +51,11 @@ const (
 	// record log is unchanged. Version 5 follows wire codec v11's Assign
 	// body and drops the manifest's copy of the batches — the Assign's data
 	// recipe regenerates them — and its opaque Meta note; the record log
-	// is unchanged.
-	Version = 5
+	// is unchanged. Version 6 follows wire codec v13: the bytes are v5's,
+	// but the manifest's data recipe evaluates to different data (a
+	// function of seed and sample), so a v5 run resumed here would train
+	// its remaining steps on other batches than its first.
+	Version = 6
 
 	// ManifestName and LogName are the two files a ledger directory holds.
 	ManifestName = "MANIFEST"

@@ -244,9 +244,10 @@ func TestManifestErrors(t *testing.T) {
 
 	// Version skew, in both directions: a newer format, the v1 and v2
 	// formats whose record logs held kinds this version retired, v3 and v4,
-	// whose manifests embed Assign bodies this codec no longer reads, and
-	// v4's copy of the batches.
-	for _, v := range []byte{Version + 1, 1, 2, 3, 4} {
+	// whose manifests embed Assign bodies this codec no longer reads,
+	// v4's copy of the batches, and v5, whose data recipe evaluated to
+	// other data.
+	for _, v := range []byte{Version + 1, 1, 2, 3, 4, 5} {
 		skew := append([]byte(nil), good...)
 		skew[4] = v
 		reset(skew)

@@ -9,7 +9,6 @@ import (
 	"pipebd/internal/cluster/transport"
 	"pipebd/internal/cluster/wire"
 	"pipebd/internal/obs"
-	"pipebd/internal/tensor"
 )
 
 // sessionError escapes a device loop through panic/recover: the
@@ -39,25 +38,6 @@ func recoverSession(errp *error) {
 			*errp = fmt.Errorf("cluster: device loop panicked: %v", r)
 		}
 	}
-}
-
-// assembleShards concatenates a split group's boundary-activation shards
-// along dim 0 in rank order; a single shard is the batch.
-func assembleShards(parts []*tensor.Tensor) (*tensor.Tensor, error) {
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	per := parts[0].Numel()
-	shape := append([]int(nil), parts[0].Shape()...)
-	shape[0] *= len(parts)
-	full := tensor.New(shape...)
-	for j, p := range parts {
-		if p.Numel() != per {
-			return nil, fmt.Errorf("shard sizes differ: rank %d has %d elements, rank 0 %d", j, p.Numel(), per)
-		}
-		copy(full.Data()[j*per:(j+1)*per], p.Data())
-	}
-	return full, nil
 }
 
 // outbox decouples frame production from the connection: Enqueue never
@@ -177,7 +157,11 @@ func (b *inbox) next(kind wire.Kind) (*wire.Frame, error) {
 	if q := b.byKind[kind]; len(q) > 0 {
 		f := q[0]
 		q[0] = nil
+		// A drained queue keeps its array for the next put.
 		b.byKind[kind] = q[1:]
+		if len(q) == 1 {
+			b.byKind[kind] = q[:0]
+		}
 		return f, nil
 	}
 	return nil, b.err

@@ -405,10 +405,13 @@ type ringLink struct {
 	next  []int // next group's device ranks (nil for the last group)
 	// peers holds the endpoint to each remote device.
 	peers map[int]*endpoint
-	// inputs is the first group's batch schedule (inputs[s] is step s's
-	// full batch), regenerated from the run's data recipe; later groups
-	// receive theirs from prev.
-	inputs []*tensor.Tensor
+	// data is the run's recipe, from which a first-group device builds
+	// each step's batch; later groups receive theirs from prev. input is
+	// the one buffer every step's full batch lands in, and shards are its
+	// rows per previous-group rank (nil until the first shards arrive).
+	data   wire.DataSpec
+	input  *tensor.Tensor
+	shards []*tensor.Tensor
 
 	// Activation-forward flow control under DPU: a sender may run at most
 	// ackWindow steps ahead of the slowest downstream consumer's acks.
@@ -490,39 +493,60 @@ func (l *ringLink) recvPeer(remote int, kind wire.Kind, step int) *wire.Frame {
 	return f
 }
 
-// RecvInput returns the step's full-batch input. The first group reads it
-// from its local schedule — no wire traffic at all; sharing one tensor
-// across co-hosted members is safe for the same reason the in-process
-// pipeline hands every device the same batch: members only read their
-// shard. A later group assembles it from the previous group's members
-// (each sends its boundary-activation shard) in ascending previous-rank
-// order and, under DPU, acks each upstream endpoint.
+// RecvInput returns the step's full-batch input in the link's one input
+// buffer: the tensor is valid until the next RecvInput. The first group
+// builds it from the run's data recipe — no wire traffic at all; each
+// co-hosted member has its own link, so its own buffer. A later group
+// decodes the previous group's members' boundary-activation shards into
+// their rows, in ascending previous-rank order, and, under DPU, acks each
+// upstream endpoint.
 func (l *ringLink) RecvInput(step int) *tensor.Tensor {
 	if l.prev == nil {
-		if step >= len(l.inputs) {
-			sessionFail("cluster: dev %d asked for the input of step %d, schedule has %d", l.dev, step, len(l.inputs))
+		if l.input == nil {
+			l.input = tensor.New(l.data.BatchShape()...)
 		}
-		return l.inputs[step]
+		if err := l.data.BatchInto(step, l.input, nil); err != nil {
+			sessionFail("cluster: dev %d building the input of step %d: %w", l.dev, step, err)
+		}
+		return l.input
 	}
-	parts := make([]*tensor.Tensor, len(l.prev))
 	for i, pd := range l.prev {
 		f := l.recvPeer(pd, wire.KindOutput, step)
-		t, err := wire.DecodeTensor(f)
+		t, err := wire.DecodeTensorInto(f, l.shards[i])
 		if err != nil {
 			sessionFail("cluster: dev %d decoding peer input of step %d from device %d: %w", l.dev, step, pd, err)
 		}
-		parts[i] = t
-	}
-	full, err := assembleShards(parts)
-	if err != nil {
-		sessionFail("cluster: dev %d step %d upstream: %w", l.dev, step, err)
+		if t != l.shards[i] {
+			if err := l.placeShard(i, t); err != nil {
+				sessionFail("cluster: dev %d step %d upstream: %w", l.dev, step, err)
+			}
+		}
 	}
 	if l.dpu {
 		for _, pd := range l.prev {
 			l.peers[pd].out.Enqueue(wire.Control(wire.KindPeerAck, l.dev, int32(step)))
 		}
 	}
-	return full
+	return l.input
+}
+
+// placeShard copies previous-group rank i's shard, decoded apart because
+// its shape is not its rows' shape, into its rows. Rank 0's shard sizes a
+// new input buffer; a later rank's must hold as many elements.
+func (l *ringLink) placeShard(i int, t *tensor.Tensor) error {
+	if i == 0 {
+		shape := append([]int(nil), t.Shape()...)
+		shape[0] *= len(l.prev)
+		l.input = tensor.New(shape...)
+		per := t.Numel()
+		for j := range l.shards {
+			l.shards[j] = tensor.FromSlice(l.input.Data()[j*per:(j+1)*per], t.Shape()...)
+		}
+	} else if per := l.shards[0].Numel(); t.Numel() != per {
+		return fmt.Errorf("shard sizes differ: rank %d has %d elements, rank 0 %d", i, t.Numel(), per)
+	}
+	copy(l.shards[i].Data(), t.Data())
+	return nil
 }
 
 // SendOutput forwards the member's boundary activation (its shard when

@@ -124,14 +124,37 @@ func TestRingPersistentPartitionDegradesAllReduce(t *testing.T) {
 	allFired(t, coordNet)
 }
 
-// TestAssembleShards: the downstream device's assembly concatenates in
-// rank order, passes a lone shard through and reports unequal shards
-// instead of copying past them.
-func TestAssembleShards(t *testing.T) {
+// shardLink is a later-group link fed by prev previous-group devices
+// through in-memory inboxes.
+func shardLink(prev int) *ringLink {
+	l := &ringLink{dev: 9, prev: make([]int, prev), shards: make([]*tensor.Tensor, prev), peers: map[int]*endpoint{}}
+	for i := range l.prev {
+		l.prev[i] = i
+		l.peers[i] = &endpoint{in: newInbox()}
+	}
+	return l
+}
+
+// recvShards delivers shards[i] from previous rank i for step and
+// receives the step's input; a session failure comes back as the error.
+func recvShards(l *ringLink, step int, shards ...*tensor.Tensor) (in *tensor.Tensor, err error) {
+	defer recoverSession(&err)
+	for i, t := range shards {
+		l.peers[i].in.put(wire.EncodeTensor(wire.KindOutput, int32(i), int32(step), t))
+	}
+	return l.RecvInput(step), nil
+}
+
+// TestRecvInputDecodesShardsIntoPlace: a later group's input is its
+// upstream shards in rank order, decoded into one buffer every step
+// reuses; a lone shard is the batch, and unequal shards are reported
+// instead of copied past.
+func TestRecvInputDecodesShardsIntoPlace(t *testing.T) {
 	a, b := tensor.New(2, 3), tensor.New(2, 3)
 	a.Fill(1)
 	b.Fill(2)
-	full, err := assembleShards([]*tensor.Tensor{a, b})
+	l := shardLink(2)
+	full, err := recvShards(l, 0, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +166,51 @@ func TestAssembleShards(t *testing.T) {
 			t.Fatalf("element %d is %v, want %v: shards out of rank order", i, v, want)
 		}
 	}
-	if one, err := assembleShards([]*tensor.Tensor{a}); err != nil || one != a {
-		t.Fatal("a lone shard is the batch and must be returned as is")
+	b.Fill(3)
+	if next, err := recvShards(l, 1, a, b); err != nil || next != full || next.Data()[6] != 3 {
+		t.Fatalf("step 1: %v, fresh buffer %v: want step 0's buffer holding step 1's shards", err, next != full)
 	}
-	if _, err := assembleShards([]*tensor.Tensor{a, tensor.New(1, 3)}); err == nil || !strings.Contains(err.Error(), "shard sizes differ") {
+	if one, err := recvShards(shardLink(1), 0, a); err != nil || !one.Equal(a) {
+		t.Fatalf("a lone shard is the batch: got %v, %v", one, err)
+	}
+	if _, err := recvShards(l, 2, a, tensor.New(1, 3)); err == nil || !strings.Contains(err.Error(), "shard sizes differ") {
 		t.Fatalf("unequal shards: err = %v", err)
+	}
+}
+
+// TestWarmInputStepsAllocateNoInput: once warm, a first-group device
+// builds each step's batch and a later-group device decodes each step's
+// shards into the link's one input buffer, allocating nothing: no worker
+// holds more than one batch of input.
+func TestWarmInputStepsAllocateNoInput(t *testing.T) {
+	const runs = 20
+	ds := wire.DataSpec{Seed: 3, N: 4 * 8, C: 3, H: 8, W: 8, Classes: 4, Batch: 8}
+	first := &ringLink{data: ds}
+	first.RecvInput(0)
+	step := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		step = (step + 1) % ds.Steps()
+		first.RecvInput(step)
+	}); n != 0 {
+		t.Errorf("a warm first-group step allocates %v times", n)
+	}
+
+	later := shardLink(2)
+	frames := make([][2]*wire.Frame, runs+2)
+	for s := range frames {
+		for i := range frames[s] {
+			frames[s][i] = wire.EncodeTensor(wire.KindOutput, int32(i), int32(s), tensor.New(4, 6, 8, 8))
+		}
+	}
+	recv := func(s int) {
+		for i, f := range frames[s] {
+			later.peers[i].in.put(f)
+		}
+		later.RecvInput(s)
+	}
+	recv(0)
+	step = 0
+	if n := testing.AllocsPerRun(runs, func() { step++; recv(step) }); n != 0 {
+		t.Errorf("a warm later-group step allocates %v times", n)
 	}
 }

@@ -28,10 +28,10 @@
 // the slot's own.
 //
 // Only the first pipeline stage ever touches a batch, and under both
-// topologies it reads it locally: a session hosting first-group devices
-// regenerates the schedule from Config.Data's deterministic recipe
-// (wire.DataSpec) — bit-identically, validated against the run's actual
-// batches before any worker is dialed. The recipe is required, and it is
+// topologies it builds it locally: a first-group device builds each
+// step's batch from Config.Data's deterministic recipe (wire.DataSpec)
+// when it consumes the step — bit-identically, the recipe validated
+// against the run's actual batches before any worker is dialed. The recipe is required, and it is
 // the only copy of the data a run keeps: no batch rides in an Assign or a
 // ledger manifest, and no per-step input frame exists.
 //

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 
 	"pipebd/internal/tensor"
@@ -60,7 +62,17 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// Kind-specific decoders must not panic on arbitrary payloads.
 		_, _ = DecodeAssign(&Frame{Kind: KindAssign, Payload: fr.Payload})
-		_, _ = DecodeTensor(&Frame{Kind: KindOutput, Payload: fr.Payload})
+		if fresh, err := DecodeTensor(&Frame{Kind: KindOutput, Payload: fr.Payload}); err == nil {
+			// Decoding into a buffer of the tensor's shape fills that
+			// buffer, and into one of another shape a fresh tensor, with
+			// the bits a fresh decode gives.
+			for _, dst := range []*tensor.Tensor{tensor.Full(7, fresh.Shape()...), tensor.New(fresh.Numel() + 1)} {
+				got, err := DecodeTensorInto(&Frame{Kind: KindOutput, Payload: fr.Payload}, dst)
+				if err != nil || (got == dst) != dst.SameShape(fresh) || !sameBits(got.Data(), fresh.Data()) {
+					t.Fatalf("decoding into a %v buffer: %v, %v", dst.Shape(), got, err)
+				}
+			}
+		}
 		_, _ = DecodeTensors(&Frame{Kind: KindFinalParams, Payload: fr.Payload})
 		_, _ = DecodeLosses(&Frame{Kind: KindLosses, Payload: fr.Payload})
 		_, _, _ = DecodeDeviceSnapshot(&Frame{Kind: KindSnapshot, Payload: fr.Payload})
@@ -81,6 +93,66 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDataRecipe: any row range of any step of a valid recipe, built
+// alone, is the same rows of Batches bit for bit, and every value lies in
+// its range: image values in [-1, 1), token ids in [0, Vocab), labels in
+// [0, Classes). A recipe that fails Validate does not evaluate.
+func FuzzDataRecipe(f *testing.F) {
+	f.Add(int64(7), false, uint8(16), uint8(3), uint8(8), uint8(8), int16(4), uint8(8), uint8(0), int16(0), uint8(1), uint8(2), uint8(5))
+	f.Add(int64(-2), true, uint8(40), uint8(0), uint8(0), uint8(0), int16(8), uint8(16), uint8(32), int16(512), uint8(1), uint8(15), uint8(0))
+	f.Add(int64(3), false, uint8(9), uint8(1), uint8(1), uint8(2), int16(0), uint8(4), uint8(0), int16(0), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, tokens bool, n, c, h, w uint8, classes int16, batch, l uint8, vocab int16, step, lo, hi uint8) {
+		ds := DataSpec{Seed: seed, N: int(n), C: int(c) % 8, H: int(h) % 16, W: int(w) % 16, Classes: int(classes), Batch: int(batch) % 32}
+		if tokens {
+			ds.Kind, ds.L, ds.Vocab, ds.C, ds.H, ds.W = "tokens", int(l)%64, int(vocab), 0, 0, 0
+		}
+		batches, err := ds.Batches()
+		if ds.Validate() != nil {
+			if err == nil {
+				t.Fatalf("recipe %+v fails validation but evaluates", ds)
+			}
+			return
+		}
+		if err != nil || len(batches) != ds.Steps() {
+			t.Fatalf("recipe %+v: %d batches, %v; want %d", ds, len(batches), err, ds.Steps())
+		}
+		if len(batches) == 0 {
+			return
+		}
+		for _, b := range batches {
+			for _, v := range b.X.Data() {
+				if tokens && (v != float32(int(v)) || v < 0 || int(v) >= ds.Vocab) || !tokens && (v < -1 || v >= 1) {
+					t.Fatalf("recipe %+v: value %v out of range", ds, v)
+				}
+			}
+			for _, y := range b.Labels {
+				if y < 0 || y >= ds.Classes {
+					t.Fatalf("recipe %+v: label %d out of range", ds, y)
+				}
+			}
+		}
+		s := int(step) % len(batches)
+		r0, r1 := int(lo)%ds.Batch, int(hi)%ds.Batch
+		if r0 > r1 {
+			r0, r1 = r1, r0
+		}
+		r1++
+		per := batches[s].X.Numel() / ds.Batch
+		x, labels := make([]float32, (r1-r0)*per), make([]int, r1-r0)
+		ds.rowsInto(s, r0, x, labels)
+		if !sameBits(x, batches[s].X.Data()[r0*per:r1*per]) || !slices.Equal(labels, batches[s].Labels[r0:r1]) {
+			t.Fatalf("recipe %+v: rows %d-%d of step %d built alone differ from the batch's", ds, r0, r1-1, s)
+		}
+		if err := ds.BatchInto(len(batches), batches[0].X, nil); err == nil {
+			t.Fatalf("recipe %+v built a step past its last", ds)
+		}
+	})
+}
+
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
 func encodeSeed(fr *Frame) []byte {

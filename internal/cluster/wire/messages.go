@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pipebd/internal/dataset"
 	"pipebd/internal/obs"
@@ -88,9 +87,9 @@ type RunConfig struct {
 	// ledger manifest; workers route by the Assign's Relayed list and never
 	// read it.
 	Topology string
-	// Data is the run's batch schedule as a deterministic recipe. Sessions
-	// hosting first-group devices regenerate their batches from it — the
-	// only copy of the data a session ever receives. The coordinator
+	// Data is the run's batch schedule as a deterministic recipe.
+	// First-group devices build each step's batch from it — the only
+	// copy of the data a session ever receives. The coordinator
 	// validates at run start that the recipe reproduces the actual batches
 	// bit-exactly.
 	Data DataSpec
@@ -102,12 +101,12 @@ type RunConfig struct {
 }
 
 // DataSpec is a deterministic synthetic-dataset recipe split at Batch
-// samples each: Kind "" (images) regenerates
-// dataset.NewRandom(rand.NewSource(Seed), N, C, H, W, Classes), Kind
-// "tokens" (codec v7) regenerates dataset.NewTokens(rand.NewSource(Seed),
-// N, L, Vocab, Classes). Any process evaluating a recipe gets
-// bit-identical tensors, which is what lets workers source training
-// inputs without moving them over any wire.
+// samples each: Kind "" (images) is dataset.NewRandom(Seed, N, C, H, W,
+// Classes), Kind "tokens" (codec v7) dataset.NewTokens(Seed, N, L, Vocab,
+// Classes). Data is a function of (seed, sample), so any process builds
+// any step's batch alone (BatchInto), with bit-identical tensors, which
+// is what lets workers source training inputs without moving them over
+// any wire.
 type DataSpec struct {
 	Seed                int64
 	N, C, H, W, Classes int
@@ -152,27 +151,63 @@ func (ds DataSpec) Validate() error {
 	return nil
 }
 
-// Build evaluates the recipe into its synthetic dataset. The generators
-// draw from the seeded source in a fixed order, so every process gets
-// bit-identical data.
-func (ds DataSpec) Build() (*dataset.Synthetic, error) {
+// Steps is the number of whole batches the recipe yields, N/Batch: the
+// final partial batch is dropped, as dataset.Synthetic.Batches drops it.
+func (ds DataSpec) Steps() int { return ds.N / ds.Batch }
+
+// BatchShape is the shape of one batch's input tensor.
+func (ds DataSpec) BatchShape() []int {
+	if ds.Kind == "tokens" {
+		return []int{ds.Batch, ds.L}
+	}
+	return []int{ds.Batch, ds.C, ds.H, ds.W}
+}
+
+// BatchInto builds step's batch of the valid recipe into x, a tensor of
+// BatchShape, and its labels into labels unless nil; it allocates
+// nothing.
+func (ds DataSpec) BatchInto(step int, x *tensor.Tensor, labels []int) error {
+	if step < 0 || step >= ds.Steps() {
+		return fmt.Errorf("wire: data recipe has no step %d (%d steps)", step, ds.Steps())
+	}
+	s := x.Shape()
+	fits := len(s) == 4 && s[0] == ds.Batch && s[1] == ds.C && s[2] == ds.H && s[3] == ds.W
+	if ds.Kind == "tokens" {
+		fits = len(s) == 2 && s[0] == ds.Batch && s[1] == ds.L
+	}
+	if !fits || (labels != nil && len(labels) != ds.Batch) {
+		return fmt.Errorf("wire: a batch of %v with %d labels does not fit data recipe batch %v", s, len(labels), ds.BatchShape())
+	}
+	ds.rowsInto(step, 0, x.Data(), labels)
+	return nil
+}
+
+// rowsInto builds rows lo, lo+1, ... of step's batch: x takes len(x)/per
+// rows of per values each (C·H·W pixels or L ids), labels, unless nil,
+// their labels.
+func (ds DataSpec) rowsInto(step, lo int, x []float32, labels []int) {
+	first := step*ds.Batch + lo
+	if ds.Kind == "tokens" {
+		dataset.TokenRows(ds.Seed, first, ds.L, ds.Vocab, ds.Classes, x, labels)
+		return
+	}
+	dataset.ImageRows(ds.Seed, first, ds.C*ds.H*ds.W, ds.Classes, x, labels)
+}
+
+// Batches evaluates the recipe into its batch schedule, one BatchInto per
+// step.
+func (ds DataSpec) Batches() ([]dataset.Batch, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(ds.Seed))
-	if ds.Kind == "tokens" {
-		return dataset.NewTokens(rng, ds.N, ds.L, ds.Vocab, ds.Classes), nil
+	out := make([]dataset.Batch, ds.Steps())
+	for s := range out {
+		out[s] = dataset.Batch{X: tensor.New(ds.BatchShape()...), Labels: make([]int, ds.Batch)}
+		if err := ds.BatchInto(s, out[s].X, out[s].Labels); err != nil {
+			return nil, err
+		}
 	}
-	return dataset.NewRandom(rng, ds.N, ds.C, ds.H, ds.W, ds.Classes), nil
-}
-
-// Batches evaluates the recipe and splits it into its batch schedule.
-func (ds DataSpec) Batches() ([]dataset.Batch, error) {
-	s, err := ds.Build()
-	if err != nil {
-		return nil, err
-	}
-	return s.Batches(ds.Batch), nil
+	return out, nil
 }
 
 // Snapshot is a full parameter snapshot of a workbench, indexed
@@ -502,9 +537,14 @@ func EncodeTensor(kind Kind, dev, step int32, t *tensor.Tensor) *Frame {
 }
 
 // DecodeTensor unpacks a single-tensor frame.
-func DecodeTensor(f *Frame) (*tensor.Tensor, error) {
+func DecodeTensor(f *Frame) (*tensor.Tensor, error) { return DecodeTensorInto(f, nil) }
+
+// DecodeTensorInto unpacks a single-tensor frame into dst when the frame
+// holds a tensor of dst's shape, and into a fresh tensor otherwise
+// (Reader.TensorInto); it returns the tensor it filled.
+func DecodeTensorInto(f *Frame, dst *tensor.Tensor) (*tensor.Tensor, error) {
 	r := NewReader(f.Payload)
-	t := r.Tensor()
+	t := r.TensorInto(dst)
 	if err := r.Close(); err != nil {
 		return nil, err
 	}

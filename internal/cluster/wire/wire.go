@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"pipebd/internal/tensor"
 )
@@ -69,8 +70,11 @@ const (
 	// Relay envelopes and never assembles or reduces, so the Input, Grads
 	// and GradsReduced kinds (bytes 3, 5, 6) are retired and PeerInput
 	// (byte 18) is folded into Output, the Assign's Degraded list became
-	// its Relayed list, and Peers is always filled.
-	Version = 12
+	// its Relayed list, and Peers is always filled; version 13 changed
+	// what a data recipe evaluates to, not its bytes: a DataSpec's data
+	// became a function of (seed, sample), so a v12 worker would train
+	// the first group on other batches than this coordinator checked.
+	Version = 13
 
 	headerLen = 16
 	// MaxPayload bounds a frame's payload so a corrupted or adversarial
@@ -594,7 +598,13 @@ func (r *Reader) F64s() []float64 {
 // [1, 8] and every dimension positive (the engine has no zero-dimension
 // tensors, and tensor.New would panic on one — the codec turns that into
 // an error instead).
-func (r *Reader) Tensor() *tensor.Tensor {
+func (r *Reader) Tensor() *tensor.Tensor { return r.TensorInto(nil) }
+
+// TensorInto is Tensor decoding into dst when the encoded tensor has
+// dst's shape (dst may be nil); any other shape decodes into a fresh
+// tensor. A receiver that decodes one shape every step so reuses one
+// buffer.
+func (r *Reader) TensorInto(dst *tensor.Tensor) *tensor.Tensor {
 	rank := r.U32()
 	if r.err != nil {
 		return nil
@@ -603,26 +613,31 @@ func (r *Reader) Tensor() *tensor.Tensor {
 		r.fail("tensor rank %d outside [1, %d]", rank, maxRank)
 		return nil
 	}
-	shape := make([]int, rank)
+	// Errors format copies of shape, which keeps dims on the stack.
+	var dims [maxRank]int
+	shape := dims[:rank]
 	n := int64(1)
 	for i := range shape {
 		d := r.U32()
 		if d == 0 {
-			r.fail("tensor has zero dimension in shape %v", shape[:i+1])
+			r.fail("tensor has zero dimension in shape %v", append([]int(nil), shape[:i+1]...))
 			return nil
 		}
 		shape[i] = int(d)
 		n *= int64(d)
 		if n*4 > int64(MaxPayload) {
-			r.fail("tensor of shape %v exceeds payload limit", shape[:i+1])
+			r.fail("tensor of shape %v exceeds payload limit", append([]int(nil), shape[:i+1]...))
 			return nil
 		}
 	}
 	if int64(r.Remaining()) < n*4 {
-		r.fail("truncated tensor: shape %v needs %d bytes, %d remain: %w", shape, n*4, r.Remaining(), io.ErrUnexpectedEOF)
+		r.fail("truncated tensor: shape %v needs %d bytes, %d remain: %w", append([]int(nil), shape...), n*4, r.Remaining(), io.ErrUnexpectedEOF)
 		return nil
 	}
-	t := tensor.New(shape...)
+	t := dst
+	if t == nil || !slices.Equal(t.Shape(), shape) {
+		t = tensor.New(shape...)
+	}
 	data := t.Data()
 	// Bulk-decode the data section: one bounds check, then a tight loop.
 	raw := r.take(int(n) * 4)

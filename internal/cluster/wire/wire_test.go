@@ -199,7 +199,7 @@ func TestAssignRoundTrip(t *testing.T) {
 // TestDataSpecRejectsMalformedRecipes: a recipe arrives in an Assign or a
 // ledger manifest, so one no generator can evaluate — a non-positive
 // count, an unknown kind, a tensor past MaxPayload or past int's range —
-// must come back from Build and Batches as an error, never a panic that
+// must come back from Batches as an error, never a panic that
 // takes the worker process down with it.
 func TestDataSpecRejectsMalformedRecipes(t *testing.T) {
 	img := DataSpec{Seed: 7, N: 16, C: 3, H: 8, W: 8, Classes: 4, Batch: 8}
@@ -233,9 +233,6 @@ func TestDataSpecRejectsMalformedRecipes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if err := ds.Validate(); err == nil {
 				t.Fatalf("%+v validated", ds)
-			}
-			if _, err := ds.Build(); err == nil {
-				t.Fatalf("%+v built", ds)
 			}
 			if _, err := ds.Batches(); err == nil {
 				t.Fatalf("%+v evaluated", ds)
@@ -374,9 +371,11 @@ func TestRetiredKindsAreUnknown(t *testing.T) {
 // moved RunConfig's snapshot fields, v10→v11 dropped the Assign's input
 // schedule and two retry fields, and v11→v12 reassigned the Output kind
 // to peer activations and retired the hub's gather kinds, so a mis-decode
-// would silently scramble the session).
+// would silently scramble the session; v12→v13 decodes the same bytes
+// but evaluates the data recipe to other data, so a v12 worker would
+// silently train on other batches).
 func TestVersionSkewOldWorker(t *testing.T) {
-	for _, old := range []byte{1, 2, 3, 9, 10, 11} {
+	for _, old := range []byte{1, 2, 3, 9, 10, 11, 12} {
 		raw := encodeFrameBytes(t, Control(KindHello, NoDev, NoStep))
 		raw[1] = old
 		_, err := ReadFrame(bytes.NewReader(raw))

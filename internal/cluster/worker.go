@@ -521,7 +521,6 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 		backend = w.cfg.Backend
 	}
 	devices := make([]*hostedDevice, 0, len(assign.Devices))
-	var inputs []*tensor.Tensor // the first group's schedule, resolved once per session
 	for _, rank := range assign.Devices {
 		gi := assign.Plan.GroupOf(rank)
 		if gi < 0 {
@@ -559,7 +558,8 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 			member: engine.Member{Group: gi, Rank: j, GroupSize: group.Split(),
 				Pairs: pairs, Opts: opts},
 			link: &ringLink{dev: int32(rank), dpu: assign.Run.DPU, in: newInbox(), out: out,
-				rank: j, k: group.Split(), group: members, prev: prev, next: next},
+				rank: j, k: group.Split(), group: members, prev: prev, next: next,
+				shards: make([]*tensor.Tensor, len(prev))},
 		}
 		if tracer != nil {
 			d.link.trace = tracer.NewTrack(fmt.Sprintf("dev%d", rank))
@@ -579,12 +579,16 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 			d.link.snap = assign.Run.Snap
 		}
 		if gi == 0 {
-			if inputs == nil {
-				if inputs, err = group0Inputs(assign); err != nil {
-					return nil, err
-				}
+			// A malformed recipe, or one too short for the run's steps,
+			// fails the session here, not at a step.
+			ds := assign.Run.Data
+			if err := ds.Validate(); err != nil {
+				return nil, fmt.Errorf("cluster: assign data recipe: %w", err)
 			}
-			d.link.inputs = inputs
+			if ds.Steps() < assign.Run.Steps {
+				return nil, fmt.Errorf("cluster: assign data recipe yields %d batches for %d steps", ds.Steps(), assign.Run.Steps)
+			}
+			d.link.data = ds
 		}
 		devices = append(devices, d)
 	}
@@ -619,26 +623,6 @@ func (w *Worker) establishMesh(m *mesh, assign *wire.Assign, devices []*hostedDe
 		d.link.peers = m.peers(int(d.rank))
 	}
 	return nil
-}
-
-// group0Inputs regenerates the batch schedule a session's first-group
-// members read from the Assign's data recipe: bit-identical by the
-// recipe's determinism, and zero input bytes on any connection. A
-// malformed recipe, or one too short for the run's steps, fails the
-// session here rather than panicking or stalling later.
-func group0Inputs(assign *wire.Assign) ([]*tensor.Tensor, error) {
-	batches, err := assign.Run.Data.Batches()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: assign data recipe: %w", err)
-	}
-	if len(batches) < assign.Run.Steps {
-		return nil, fmt.Errorf("cluster: assign data recipe yields %d batches for %d steps", len(batches), assign.Run.Steps)
-	}
-	xs := make([]*tensor.Tensor, len(batches))
-	for i, b := range batches {
-		xs[i] = b.X
-	}
-	return xs, nil
 }
 
 // deviceSnapshotter returns the closure that captures a device's

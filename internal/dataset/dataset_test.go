@@ -1,7 +1,7 @@
 package dataset
 
 import (
-	"math/rand"
+	"math"
 	"testing"
 
 	"pipebd/internal/tensor"
@@ -46,8 +46,8 @@ func TestStepsPerEpoch(t *testing.T) {
 }
 
 func TestNewRandomDeterminism(t *testing.T) {
-	a := NewRandom(rand.New(rand.NewSource(5)), 10, 1, 4, 4, 3)
-	b := NewRandom(rand.New(rand.NewSource(5)), 10, 1, 4, 4, 3)
+	a := NewRandom(5, 10, 1, 4, 4, 3)
+	b := NewRandom(5, 10, 1, 4, 4, 3)
 	if !a.X.Equal(b.X) {
 		t.Fatal("same seed must give same data")
 	}
@@ -63,8 +63,38 @@ func TestNewRandomDeterminism(t *testing.T) {
 	}
 }
 
+// TestRowsAreAFunctionOfSeedAndSample: rows built alone, from any first
+// sample, are the whole dataset's rows bit for bit, and another seed
+// gives other data.
+func TestRowsAreAFunctionOfSeedAndSample(t *testing.T) {
+	const n, per, classes = 12, 2 * 3 * 3, 5
+	whole := NewRandom(4, n, 2, 3, 3, classes)
+	x, labels := make([]float32, 3*per), make([]int, 3)
+	ImageRows(4, 7, per, classes, x, labels)
+	for i, v := range x {
+		if math.Float32bits(v) != math.Float32bits(whole.X.Data()[7*per+i]) {
+			t.Fatalf("value %d of rows 7-9 built alone is %v, the dataset's %v", i, v, whole.X.Data()[7*per+i])
+		}
+	}
+	for r, l := range labels {
+		if l != whole.Labels[7+r] {
+			t.Fatalf("label of row %d built alone is %d, the dataset's %d", 7+r, l, whole.Labels[7+r])
+		}
+	}
+	if NewRandom(5, n, 2, 3, 3, classes).X.Equal(whole.X) {
+		t.Fatal("seeds 4 and 5 give the same data")
+	}
+	ids := make([]float32, n*per)
+	TokenRows(4, 0, per, 7, classes, ids, nil)
+	for _, v := range ids {
+		if v != float32(int(v)) || v < 0 || v >= 7 {
+			t.Fatalf("token id %v outside [0, 7)", v)
+		}
+	}
+}
+
 func TestBatchesDropLastAndDeterministic(t *testing.T) {
-	s := NewRandom(rand.New(rand.NewSource(6)), 10, 1, 2, 2, 2)
+	s := NewRandom(6, 10, 1, 2, 2, 2)
 	batches := s.Batches(4)
 	if len(batches) != 2 {
 		t.Fatalf("got %d batches, want 2 (drop-last)", len(batches))
@@ -89,7 +119,7 @@ func TestBatchesDropLastAndDeterministic(t *testing.T) {
 }
 
 func TestSliceIsolation(t *testing.T) {
-	s := NewRandom(rand.New(rand.NewSource(9)), 6, 2, 2, 2, 2)
+	s := NewRandom(9, 6, 2, 2, 2, 2)
 	b := s.slice(2, 4)
 	if b.Shape()[0] != 2 {
 		t.Fatalf("slice batch = %d, want 2", b.Shape()[0])

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -41,11 +40,11 @@ func families() []family {
 	return []family{
 		{"conv", func() *distill.Workbench { return distill.NewTinyWorkbench(conv) },
 			func(steps int) []dataset.Batch {
-				return dataset.NewRandom(rand.New(rand.NewSource(7)), steps*batch, 3, conv.Height, conv.Width, 4).Batches(batch)
+				return dataset.NewRandom(7, steps*batch, 3, conv.Height, conv.Width, 4).Batches(batch)
 			}},
 		{"transformer", func() *distill.Workbench { return distill.NewTransformerWorkbench(xfmr) },
 			func(steps int) []dataset.Batch {
-				return dataset.NewTokens(rand.New(rand.NewSource(7)), steps*batch, xfmr.SeqLen, xfmr.Vocab, xfmr.Classes).Batches(batch)
+				return tokenData(7, steps*batch, xfmr.SeqLen, xfmr.Vocab, xfmr.Classes).Batches(batch)
 			}},
 	}
 }

@@ -14,7 +14,7 @@ import (
 func tinyBatches(t *testing.T, n, batch int) []dataset.Batch {
 	t.Helper()
 	cfg := distill.DefaultTinyConfig()
-	data := dataset.NewRandom(rand.New(rand.NewSource(7)), n*batch, 3, cfg.Height, cfg.Width, 4)
+	data := dataset.NewRandom(7, n*batch, 3, cfg.Height, cfg.Width, 4)
 	return data.Batches(batch)
 }
 

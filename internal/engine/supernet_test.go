@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/rand"
 	"testing"
 
 	"pipebd/internal/dataset"
@@ -15,7 +14,7 @@ import (
 // bit for bit — same α trajectories, same derived architecture.
 func TestSupernetSearchBitEquivalence(t *testing.T) {
 	cfg := distill.DefaultSupernetConfig()
-	data := dataset.NewRandom(rand.New(rand.NewSource(3)), 48, 3, cfg.Height, cfg.Width, 4)
+	data := dataset.NewRandom(3, 48, 3, cfg.Height, cfg.Width, 4)
 	batches := data.Batches(8)
 
 	seq := distill.NewTinySupernetWorkbench(cfg)
@@ -51,7 +50,7 @@ func TestSupernetSearchBitEquivalence(t *testing.T) {
 // reduction tolerance of sequential search.
 func TestSupernetHybridGroupSearch(t *testing.T) {
 	cfg := distill.DefaultSupernetConfig()
-	data := dataset.NewRandom(rand.New(rand.NewSource(4)), 48, 3, cfg.Height, cfg.Width, 4)
+	data := dataset.NewRandom(4, 48, 3, cfg.Height, cfg.Width, 4)
 	batches := data.Batches(8)
 
 	seq := distill.NewTinySupernetWorkbench(cfg)

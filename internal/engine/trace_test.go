@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/rand"
 	"testing"
 
 	"pipebd/internal/dataset"
@@ -17,7 +16,7 @@ import (
 func TestRunPipelinedTracing(t *testing.T) {
 	tiny := distill.DefaultTinyConfig()
 	const steps, batch = 3, 8
-	data := dataset.NewRandom(rand.New(rand.NewSource(11)), steps*batch, 3, tiny.Height, tiny.Width, 4)
+	data := dataset.NewRandom(11, steps*batch, 3, tiny.Height, tiny.Width, 4)
 	batches := data.Batches(batch)
 	plan := sched.Plan{Name: "hybrid", Groups: []sched.Group{
 		{Devices: []int{0, 1}, Blocks: []int{0, 1}},

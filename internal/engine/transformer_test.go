@@ -17,10 +17,18 @@ import (
 // training trajectory. These tests pin that for encoder blocks with
 // batched-GEMM attention and KL logit distillation.
 
+// tokenData is n token sequences of length l: dataset.TokenRows'
+// samples 0 to n-1 under seed.
+func tokenData(seed int64, n, l, vocab, classes int) *dataset.Synthetic {
+	s := &dataset.Synthetic{X: tensor.New(n, l), Labels: make([]int, n), Classes: classes}
+	dataset.TokenRows(seed, 0, l, vocab, classes, s.X.Data(), s.Labels)
+	return s
+}
+
 func tokenBatches(t *testing.T, n, batch int) []dataset.Batch {
 	t.Helper()
 	cfg := distill.DefaultTransformerConfig()
-	data := dataset.NewTokens(rand.New(rand.NewSource(7)), n*batch, cfg.SeqLen, cfg.Vocab, cfg.Classes)
+	data := tokenData(7, n*batch, cfg.SeqLen, cfg.Vocab, cfg.Classes)
 	return data.Batches(batch)
 }
 
@@ -123,6 +131,20 @@ func TestTransformerTrainingReducesLoss(t *testing.T) {
 	}
 }
 
+// mathRandTokens is the token data the libm pins below were measured on:
+// one math/rand stream from seed, every id in order, then every label.
+func mathRandTokens(seed int64, n, l, vocab, classes int) *dataset.Synthetic {
+	rng := rand.New(rand.NewSource(seed))
+	s := &dataset.Synthetic{X: tensor.New(n, l), Labels: make([]int, n), Classes: classes}
+	for i := range s.X.Data() {
+		s.X.Data()[i] = float32(rng.Intn(vocab))
+	}
+	for i := range s.Labels {
+		s.Labels[i] = rng.Intn(classes)
+	}
+	return s
+}
+
 // TestTransformerConvergesAsWithLibm: the float32 tanh and exp kernels
 // under GELU and softmax are a different evaluation of the same
 // mathematics, not a different model. Sixty-four sequential steps of the
@@ -134,7 +156,7 @@ func TestTransformerConvergesAsWithLibm(t *testing.T) {
 	cfg := distill.TransformerConfig{Seed: 1, Blocks: 4, Dim: 64, Heads: 4, TeacherFF: 256,
 		StudentFF: 64, SeqLen: 32, Vocab: 512, Classes: 8, Temp: 2}
 	const steps, batch = 64, 16
-	data := dataset.NewTokens(rand.New(rand.NewSource(2)), steps*batch, cfg.SeqLen, cfg.Vocab, cfg.Classes)
+	data := mathRandTokens(2, steps*batch, cfg.SeqLen, cfg.Vocab, cfg.Classes)
 	res := RunSequential(distill.NewTransformerWorkbench(cfg), data.Batches(batch), 0.05, 0.9)
 	for b, want := range []float64{0.771980547, 0.237227493, 0.221574355, 0.0177579007} {
 		got := float64(res.Loss[b][steps-1])

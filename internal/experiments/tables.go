@@ -121,16 +121,11 @@ func accuracyProxy() (seq, pipeBD float64) {
 	cfg := distill.DefaultTinyConfig()
 	cfg.Classes = 4
 
-	rng := rand.New(rand.NewSource(1234))
-	makeBatches := func() []dataset.Batch {
-		data := dataset.NewRandom(rng, 240, 3, cfg.Height, cfg.Width, cfg.Classes)
-		var all []dataset.Batch
-		for epoch := 0; epoch < 8; epoch++ {
-			all = append(all, data.Batches(8)...)
-		}
-		return all
+	data := dataset.NewRandom(1234, 240, 3, cfg.Height, cfg.Width, cfg.Classes)
+	var batches []dataset.Batch
+	for epoch := 0; epoch < 8; epoch++ {
+		batches = append(batches, data.Batches(8)...)
 	}
-	batches := makeBatches()
 
 	wSeq := distill.NewTinyWorkbench(cfg)
 	engine.RunSequential(wSeq, batches, 0.03, 0.9)

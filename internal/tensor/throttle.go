@@ -7,12 +7,16 @@ import (
 
 // Throttled is a compute straggler: it delegates every kernel to an
 // inner backend untouched — so it is bit-identical to the inner backend
-// by construction — and then waits proportionally to the time the
-// kernel took, multiplying the device's effective compute time by the
-// slowdown factor. It is the real, wall-clock slow rank (pipebd worker
-// -slowdown): unlike a transport delay, the injected cost scales with the
-// work the device hosts, so moving blocks off the throttled device
-// genuinely shrinks its step time. The repartition suites use a costed
+// by construction — and then waits (factor−1)× the time the kernel took,
+// so each Backend kernel (GEMMs, im2col/col2im, the conv GEMMs and the
+// elementwise Add, Sub, Mul, Scale, Axpy) takes factor× as long. Work
+// outside the Backend — the depthwise conv, BatchNorm, ReLU, MSE, the row
+// kernels and the layers' glue — runs at full speed, so the device slows
+// by less than the factor: at 4, dev0 of tr3 at batch 8 measured ≈1.9×
+// its block compute at p50 (2-vCPU Linux VM). It is the real, wall-clock
+// slow rank (pipebd worker -slowdown): unlike a transport delay, the
+// injected cost scales with the work the device hosts, so moving blocks
+// off the throttled device genuinely shrinks its step time. The repartition suites use a costed
 // backend instead, which charges each kernel to a virtual clock the
 // device's spans read, so what they measure is not host noise.
 type Throttled struct {
@@ -21,8 +25,8 @@ type Throttled struct {
 }
 
 // NewThrottled wraps inner with a slowdown factor (>= 1; 1 is a
-// pass-through). A factor of f makes every kernel take about f times as
-// long.
+// pass-through). A factor of f makes every Backend kernel take about f
+// times as long.
 func NewThrottled(inner Backend, factor int) Throttled {
 	if factor < 1 {
 		panic(fmt.Sprintf("tensor: throttle factor %d < 1", factor))

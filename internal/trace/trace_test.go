@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -104,7 +103,7 @@ func TestMinWidth(t *testing.T) {
 // identical chart.
 func TestGanttDrawsAnEngineRun(t *testing.T) {
 	tiny := distill.DefaultTinyConfig()
-	data := dataset.NewRandom(rand.New(rand.NewSource(11)), 3*8, 3, tiny.Height, tiny.Width, 4)
+	data := dataset.NewRandom(11, 3*8, 3, tiny.Height, tiny.Width, 4)
 	plan := sched.Plan{Name: "hybrid", Groups: []sched.Group{
 		{Devices: []int{0, 1}, Blocks: []int{0, 1}},
 		{Devices: []int{2}, Blocks: []int{2, 3}},
