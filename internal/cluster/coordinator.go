@@ -572,7 +572,7 @@ func validateDataRecipe(ds wire.DataSpec, batches []dataset.Batch) error {
 		if !b.X.SameShape(gen) {
 			return fmt.Errorf("cluster: Config.Data batch %d has shape %v, run's has %v", i, gen.Shape(), b.X.Shape())
 		}
-		if err := ds.BatchInto(i, gen, nil); err != nil {
+		if err := ds.RowsInto(i, 0, gen, nil); err != nil {
 			return fmt.Errorf("cluster: Config.Data: %w", err)
 		}
 		bd, gd := b.X.Data(), gen.Data()

@@ -505,7 +505,7 @@ func (l *ringLink) RecvInput(step int) *tensor.Tensor {
 		if l.input == nil {
 			l.input = tensor.New(l.data.BatchShape()...)
 		}
-		if err := l.data.BatchInto(step, l.input, nil); err != nil {
+		if err := l.data.RowsInto(step, 0, l.input, nil); err != nil {
 			sessionFail("cluster: dev %d building the input of step %d: %w", l.dev, step, err)
 		}
 		return l.input

@@ -140,13 +140,18 @@ func FuzzDataRecipe(f *testing.F) {
 		}
 		r1++
 		per := batches[s].X.Numel() / ds.Batch
-		x, labels := make([]float32, (r1-r0)*per), make([]int, r1-r0)
-		ds.rowsInto(s, r0, x, labels)
-		if !sameBits(x, batches[s].X.Data()[r0*per:r1*per]) || !slices.Equal(labels, batches[s].Labels[r0:r1]) {
+		x, labels := tensor.New(r1-r0, per), make([]int, r1-r0)
+		if err := ds.RowsInto(s, r0, x, labels); err != nil {
+			t.Fatalf("recipe %+v: rows %d-%d of step %d: %v", ds, r0, r1-1, s, err)
+		}
+		if !sameBits(x.Data(), batches[s].X.Data()[r0*per:r1*per]) || !slices.Equal(labels, batches[s].Labels[r0:r1]) {
 			t.Fatalf("recipe %+v: rows %d-%d of step %d built alone differ from the batch's", ds, r0, r1-1, s)
 		}
-		if err := ds.BatchInto(len(batches), batches[0].X, nil); err == nil {
+		if err := ds.RowsInto(len(batches), 0, batches[0].X, nil); err == nil {
 			t.Fatalf("recipe %+v built a step past its last", ds)
+		}
+		if err := ds.RowsInto(s, ds.Batch-r1+r0+1, x, nil); err == nil {
+			t.Fatalf("recipe %+v built rows past its batch", ds)
 		}
 	})
 }

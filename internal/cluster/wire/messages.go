@@ -102,11 +102,11 @@ type RunConfig struct {
 
 // DataSpec is a deterministic synthetic-dataset recipe split at Batch
 // samples each: Kind "" (images) is dataset.NewRandom(Seed, N, C, H, W,
-// Classes), Kind "tokens" (codec v7) dataset.NewTokens(Seed, N, L, Vocab,
-// Classes). Data is a function of (seed, sample), so any process builds
-// any step's batch alone (BatchInto), with bit-identical tensors, which
-// is what lets workers source training inputs without moving them over
-// any wire.
+// Classes), Kind "tokens" (codec v7) N sequences of L ids below Vocab
+// (dataset.TokenRows). Data is a function of (seed, sample), so any
+// process builds any step's batch alone (RowsInto), with bit-identical
+// tensors, which is what lets workers source training inputs without
+// moving them over any wire.
 type DataSpec struct {
 	Seed                int64
 	N, C, H, W, Classes int
@@ -163,38 +163,27 @@ func (ds DataSpec) BatchShape() []int {
 	return []int{ds.Batch, ds.C, ds.H, ds.W}
 }
 
-// BatchInto builds step's batch of the valid recipe into x, a tensor of
-// BatchShape, and its labels into labels unless nil; it allocates
-// nothing.
-func (ds DataSpec) BatchInto(step int, x *tensor.Tensor, labels []int) error {
-	if step < 0 || step >= ds.Steps() {
-		return fmt.Errorf("wire: data recipe has no step %d (%d steps)", step, ds.Steps())
+// RowsInto builds rows lo, lo+1, ... of step's batch of the valid recipe
+// into x, one per index of its leading dimension, and their labels into
+// labels unless nil; it allocates nothing. With lo 0 and x of
+// BatchShape it builds the step's whole batch.
+func (ds DataSpec) RowsInto(step, lo int, x *tensor.Tensor, labels []int) error {
+	rows, per := x.Dim(0), ds.L
+	if ds.Kind != "tokens" {
+		per = ds.C * ds.H * ds.W
 	}
-	s := x.Shape()
-	fits := len(s) == 4 && s[0] == ds.Batch && s[1] == ds.C && s[2] == ds.H && s[3] == ds.W
-	if ds.Kind == "tokens" {
-		fits = len(s) == 2 && s[0] == ds.Batch && s[1] == ds.L
+	if step < 0 || step >= ds.Steps() || lo < 0 || lo+rows > ds.Batch || x.Numel() != rows*per || labels != nil && len(labels) != rows {
+		return fmt.Errorf("wire: data recipe has no rows %d-%d of %d values, %d labels, at step %d of %d", lo, lo+rows-1, per, len(labels), step, ds.Steps())
 	}
-	if !fits || (labels != nil && len(labels) != ds.Batch) {
-		return fmt.Errorf("wire: a batch of %v with %d labels does not fit data recipe batch %v", s, len(labels), ds.BatchShape())
+	if first := step*ds.Batch + lo; ds.Kind == "tokens" {
+		dataset.TokenRows(ds.Seed, first, per, ds.Vocab, ds.Classes, x.Data(), labels)
+	} else {
+		dataset.ImageRows(ds.Seed, first, per, ds.Classes, x.Data(), labels)
 	}
-	ds.rowsInto(step, 0, x.Data(), labels)
 	return nil
 }
 
-// rowsInto builds rows lo, lo+1, ... of step's batch: x takes len(x)/per
-// rows of per values each (C·H·W pixels or L ids), labels, unless nil,
-// their labels.
-func (ds DataSpec) rowsInto(step, lo int, x []float32, labels []int) {
-	first := step*ds.Batch + lo
-	if ds.Kind == "tokens" {
-		dataset.TokenRows(ds.Seed, first, ds.L, ds.Vocab, ds.Classes, x, labels)
-		return
-	}
-	dataset.ImageRows(ds.Seed, first, ds.C*ds.H*ds.W, ds.Classes, x, labels)
-}
-
-// Batches evaluates the recipe into its batch schedule, one BatchInto per
+// Batches evaluates the recipe into its batch schedule, one RowsInto per
 // step.
 func (ds DataSpec) Batches() ([]dataset.Batch, error) {
 	if err := ds.Validate(); err != nil {
@@ -203,7 +192,7 @@ func (ds DataSpec) Batches() ([]dataset.Batch, error) {
 	out := make([]dataset.Batch, ds.Steps())
 	for s := range out {
 		out[s] = dataset.Batch{X: tensor.New(ds.BatchShape()...), Labels: make([]int, ds.Batch)}
-		if err := ds.BatchInto(s, out[s].X, out[s].Labels); err != nil {
+		if err := ds.RowsInto(s, 0, out[s].X, out[s].Labels); err != nil {
 			return nil, err
 		}
 	}

@@ -594,15 +594,12 @@ func (r *Reader) F64s() []float64 {
 	return out
 }
 
-// Tensor reads a tensor, validating rank and dimensions: rank must be in
-// [1, 8] and every dimension positive (the engine has no zero-dimension
-// tensors, and tensor.New would panic on one — the codec turns that into
-// an error instead).
-func (r *Reader) Tensor() *tensor.Tensor { return r.TensorInto(nil) }
-
-// TensorInto is Tensor decoding into dst when the encoded tensor has
-// dst's shape (dst may be nil); any other shape decodes into a fresh
-// tensor. A receiver that decodes one shape every step so reuses one
+// TensorInto reads a tensor, validating rank and dimensions: rank must be
+// in [1, 8] and every dimension positive (the engine has no
+// zero-dimension tensors, and tensor.New would panic on one — the codec
+// turns that into an error instead). It decodes into dst when the encoded
+// tensor has dst's shape (dst may be nil), and into a fresh tensor
+// otherwise: a receiver that decodes one shape every step reuses one
 // buffer.
 func (r *Reader) TensorInto(dst *tensor.Tensor) *tensor.Tensor {
 	rank := r.U32()
@@ -656,7 +653,7 @@ func (r *Reader) Tensors() []*tensor.Tensor {
 	}
 	out := make([]*tensor.Tensor, n)
 	for i := range out {
-		out[i] = r.Tensor()
+		out[i] = r.TensorInto(nil)
 		if r.err != nil {
 			return nil
 		}
