@@ -57,8 +57,7 @@ func unit(x uint64) float32 {
 // [-1, 1), and labels, unless nil, their labels, uniform in [0, classes).
 func ImageRows(seed int64, first, per, classes int, x []float32, labels []int) {
 	for r := 0; r*per < len(x); r++ {
-		k := sampleKey(seed, first+r)
-		k += gamma
+		k := sampleKey(seed, first+r) + gamma
 		if labels != nil {
 			labels[r] = below(mix64(k), classes)
 		}
@@ -74,8 +73,7 @@ func ImageRows(seed int64, first, per, classes int, x []float32, labels []int) {
 // uniform in [0, vocab) and stored as float32 values.
 func TokenRows(seed int64, first, per, vocab, classes int, x []float32, labels []int) {
 	for r := 0; r*per < len(x); r++ {
-		k := sampleKey(seed, first+r)
-		k += gamma
+		k := sampleKey(seed, first+r) + gamma
 		if labels != nil {
 			labels[r] = below(mix64(k), classes)
 		}

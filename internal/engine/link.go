@@ -22,7 +22,8 @@ import (
 type DeviceLink interface {
 	// RecvInput returns the full-batch input of the given step: the data
 	// loader's batch for the first group, the relayed teacher activation
-	// otherwise. The device loop only reads the returned tensor.
+	// otherwise. The device loop only reads the returned tensor, which is
+	// valid until the next RecvInput.
 	RecvInput(step int) *tensor.Tensor
 	// SendOutput relays the device's boundary activation for the step
 	// toward the next group (the member's shard when the group is split;
