@@ -236,8 +236,9 @@
 // measured per-block compute costs (obs.BlockBusy; transport waits
 // excluded) and, once every device has measured a step, re-runs the plan
 // search under the means (sched.Replan) and prices the proposal against
-// the placement on that step's own costs (sched.Reprice). When the mean
-// of those paired improvements, three standard errors down, clears 10%,
+// the placement on that step's own costs (sched.Reprice). When the
+// 10%-trimmed mean of those paired improvements, three standard errors
+// down, clears 10%,
 // it executes a planned global cut at a synchronous step
 // boundary: workers are told the session is superseded, the run's
 // restart state (ledger.Account) regroups at block boundaries onto the

@@ -19,8 +19,10 @@ package cluster
 // of the order frames arrive in. Each such step prices the placement and
 // the standing proposal from its own block costs: one paired sample of
 // the improvement, in which a moved block's noise sits on both sides and
-// cancels. The proposal qualifies when the samples' mean, repartitionZ
-// standard errors down, clears repartitionThreshold. A moved block is
+// cancels. The proposal qualifies when the samples' trimmed mean,
+// repartitionZ standard errors down, clears repartitionThreshold: a step
+// whose moved block stalled, one in ten, does not veto a straggler's
+// cut. A moved block is
 // priced at what it cost where it ran, so shedding a straggler's blocks
 // is predicted conservatively, and a partition never repeats (the
 // applied-fingerprint set), so the controller terminates.
@@ -41,9 +43,12 @@ const (
 	// repartitionThreshold is the least relative step-time improvement a
 	// proposal must clear.
 	repartitionThreshold = 0.1
-	// repartitionZ is how many standard errors below the samples' mean
-	// the improvement is taken at.
+	// repartitionZ is how many standard errors below the samples'
+	// trimmed mean the improvement is taken at.
 	repartitionZ = 3
+	// repartitionTrim is the share of samples trimmed off each end of
+	// their sorted order before the mean: none under ten samples.
+	repartitionTrim = 0.1
 )
 
 // plannedRepartition is the typed "error" a run fails with when the
@@ -71,9 +76,7 @@ type repartitioner struct {
 	mean     map[int][]float64 // device → its per-block busy's mean over the evaluated steps
 	n        float64           // evaluated steps
 	proposal string            // the standing proposal's fingerprint
-	// The proposal's paired improvement samples, by Welford's update:
-	// their count, mean and summed squared deviation.
-	k, gain, m2 float64
+	samples  []float64         // its paired improvement samples, one per step
 }
 
 // newRepartitioner measures an attempt whose devices run from step first.
@@ -122,14 +125,31 @@ func (rp *repartitioner) evaluate(current sched.Plan, busy map[int][]float64) (s
 		return sched.Plan{}, sched.ReplanEval{}, false
 	}
 	if fp := sched.Fingerprint(plan); fp != rp.proposal {
-		rp.proposal, rp.k, rp.gain, rp.m2 = fp, 0, 0, 0
+		rp.proposal, rp.samples = fp, rp.samples[:0]
 	}
-	rp.k++
-	d := step.Improvement() - rp.gain
-	rp.gain += d / rp.k
-	rp.m2 += d * d * (rp.k - 1) / rp.k
-	if rp.applied[rp.proposal] || rp.k < 3 || rp.gain-repartitionZ*math.Sqrt(rp.m2/(rp.k-1)/rp.k) < repartitionThreshold {
+	rp.samples = append(rp.samples, step.Improvement())
+	if rp.applied[rp.proposal] || len(rp.samples) < 3 || lowerBound(rp.samples) < repartitionThreshold {
 		return sched.Plan{}, sched.ReplanEval{}, false
 	}
 	return plan, eval, true
+}
+
+// lowerBound is samples' repartitionTrim-trimmed mean less repartitionZ
+// of its standard errors, Yuen's: the winsorized samples' standard
+// deviation over (1 − 2·trim)·√k. Untrimmed, it is mean − Z·s/√k.
+func lowerBound(samples []float64) float64 {
+	y := slices.Sorted(slices.Values(samples))
+	k, h := len(y), int(repartitionTrim*float64(len(samples)))
+	var mean, wmean, ss float64
+	for i, v := range y {
+		if i >= h && i < k-h {
+			mean += v / float64(k-2*h)
+		}
+		y[i] = min(max(v, y[h]), y[k-1-h]) // winsorized
+		wmean += y[i] / float64(k)
+	}
+	for _, w := range y {
+		ss += (w - wmean) * (w - wmean)
+	}
+	return mean - repartitionZ*math.Sqrt(ss/float64(k-1)*float64(k))/float64(k-2*h)
 }

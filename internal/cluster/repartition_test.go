@@ -310,6 +310,25 @@ func replayDecision(plan sched.Plan, arrived [][][]float64) int {
 	}
 }
 
+// TestRepartitionBoundTrimsOneStall: under ten samples the bound is the
+// mean less three standard errors; from ten on, one step whose moved
+// block stalled (a sample of −0.54 among nine of 1/3, the straggler's
+// noiseless gain) is trimmed off, where the untrimmed bound, under 0, would
+// keep the straggler uncut.
+func TestRepartitionBoundTrimsOneStall(t *testing.T) {
+	samples := []float64{0.2, 0.3, 0.4, 0.5}
+	if got, want := lowerBound(samples), 0.35-3*math.Sqrt(0.05/3)/2; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("untrimmed bound %v, want mean − 3·SE = %v", got, want)
+	}
+	stalled := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3, 1.0 / 3, -0.54, 1.0 / 3, 1.0 / 3, 1.0 / 3, 1.0 / 3, 1.0 / 3}
+	if got := lowerBound(stalled[:9]); got >= repartitionThreshold {
+		t.Fatalf("nine samples, one stalled: bound %v clears %v untrimmed", got, repartitionThreshold)
+	}
+	if got := lowerBound(stalled); math.Abs(got-1.0/3) > 1e-12 {
+		t.Fatalf("ten samples, one stalled: bound %v, want the trimmed 1/3", got)
+	}
+}
+
 // TestRepartitionHybridPlanStaysPut: the CLI's hybrid plan — a split
 // group, then one unsplit group — has nothing the re-plan may move, so an
 // armed controller never fires, even with a straggler in the split group,
