@@ -60,9 +60,12 @@
 // choice (tensor.SetDefault, engine.Config.Backend, or cmd/pipebd's
 // -backend flag) is purely a throughput knob. Each device loop
 // draws every layer output, backward cache and gradient from a private
-// tensor.Arena it resets before each block's step, so steps after the
-// first allocate nothing but the activation that crosses to the next
-// device.
+// tensor.Arena it resets before each block's step, and the in-process
+// link relays each boundary activation in one of relayDepth+2 buffers
+// per boundary, which the consumer hands back at its next receive: the
+// loop allocates nothing in a steady-state step on either link, and the
+// in-process link nothing either. The cluster link still allocates its
+// frames (the encoded activation, losses, spans, snapshots) every step.
 //
 // # Transformer workload
 //

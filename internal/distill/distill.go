@@ -212,15 +212,35 @@ func NewTinyWorkbench(cfg TinyConfig) *Workbench {
 			}
 			pairs[b] = Pair{Teacher: teacher, Student: student}
 		}
-		// Freeze teacher batch norms with plausible running statistics
-		// so inference-mode teacher outputs are non-degenerate.
-		warm := tensor.Rand(rng, -1, 1, 8, 3, cfg.Height, cfg.Width)
-		x := warm
-		for _, p := range pairs {
-			_ = p.Teacher.Forward(x, true) // updates running stats
-			x = p.Teacher.Forward(x, false)
-		}
+		warmTeachers(rng, pairs, cfg.Height, cfg.Width)
 		return pairs
 	}
 	return NewWorkbench(build)
+}
+
+// warmArenas lends warmTeachers its memory, so a workbench built again —
+// a replica, a worker's next session — runs its warm-up in the buffers
+// the last build sized (see tensor.ArenaCache).
+var warmArenas tensor.ArenaCache
+
+// warmTeachers freezes the teachers' batch norms with plausible running
+// statistics, so that inference-mode teacher outputs are non-degenerate:
+// on a batch of 8 images drawn from rng, each teacher runs one training
+// forward, which updates them, then an inference forward whose output
+// feeds the next teacher. The forwards draw from an arena borrowed for
+// the call; the teachers allocate normally again afterwards.
+func warmTeachers(rng *rand.Rand, pairs []Pair, height, width int) {
+	ar := warmArenas.Get()
+	defer warmArenas.Put(ar)
+	// A fresh arena is at generation 0, which a detached layer reads too:
+	// one Reset makes a Backward after this call find its cache stale.
+	ar.Reset()
+	x := ar.Get(8, 3, height, width)
+	tensor.RandInto(x, rng, -1, 1)
+	for _, p := range pairs {
+		nn.ApplyArena(p.Teacher, ar)
+		_ = p.Teacher.Forward(x, true)
+		x = p.Teacher.Forward(x, false)
+		nn.ApplyArena(p.Teacher, nil)
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"pipebd/internal/nn"
-	"pipebd/internal/tensor"
 )
 
 // Miniature NAS workload: each student block is a differentiable supernet
@@ -65,12 +64,7 @@ func NewTinySupernetWorkbench(cfg SupernetConfig) *Workbench {
 			)
 			pairs[b] = Pair{Teacher: teacher, Student: student}
 		}
-		warm := tensor.Rand(rng, -1, 1, 8, 3, cfg.Height, cfg.Width)
-		x := warm
-		for _, p := range pairs {
-			_ = p.Teacher.Forward(x, true)
-			x = p.Teacher.Forward(x, false)
-		}
+		warmTeachers(rng, pairs, cfg.Height, cfg.Width)
 		return pairs
 	}
 	return NewWorkbench(build)

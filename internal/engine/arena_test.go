@@ -125,30 +125,56 @@ func TestPoisonedArenaBitIdentical(t *testing.T) {
 }
 
 // TestBoundaryActivationOutlivesProducerStep: with the consumer slowed,
-// the tr2 producer runs the full relay depth ahead, recycling its arena
-// while earlier boundary activations still sit in the channel. The
-// in-process link must have copied them. The run's spans show the
-// producer did get that far ahead (relayLead), or the throttle slowed
-// nothing and the copy went untested.
+// the producer runs the full relay depth ahead, recycling its arena while
+// earlier boundary activations still sit in the channel, and the consumer
+// hands each buffer back while the producer waits to fill one. Under
+// poison a handed-back buffer is NaN until refilled, so a consumer that
+// read one it had given back — or a producer that relayed its own arena's
+// memory — poisons the run; tr2 relays an unsplit producer's copy, hybrid
+// a split producer's assembly. The run's spans show the producer did get
+// that far ahead (relayLead), or the throttle slowed nothing and the
+// buffers went untested, and the boundary never made more than
+// relayDepth+2 buffers.
 func TestBoundaryActivationOutlivesProducerStep(t *testing.T) {
 	batches := tinyBatches(t, 8, 8)
-	ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	want := RunSequential(ref, batches, 0.05, 0.9)
+	for _, c := range []struct {
+		name string
+		p    sched.Plan
+	}{{"tr2", planTR2}, {"hybrid", planHybrid}} {
+		// The split group averages shard gradients in its own order: its
+		// reference is the same plan, unthrottled and unpoisoned.
+		ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+		cfg := Config{Plan: c.p, DPU: true, LR: 0.05, Momentum: 0.9}
+		want := RunPipelined(ref, batches, cfg)
+		if c.name == "tr2" {
+			ref = distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+			want = RunSequential(ref, batches, 0.05, 0.9)
+		}
 
-	w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
-	slow := tensor.NewThrottled(tensor.Serial{}, 50)
-	for _, p := range w.Pairs[2:] {
-		nn.ApplyBackend(p.Teacher, slow)
-		nn.ApplyBackend(p.Student, slow)
-	}
-	tr := obs.NewTracer(true)
-	got := RunPipelined(w, batches, Config{Plan: planTR2, DPU: true, LR: 0.05, Momentum: 0.9, Trace: tr})
-	if !lossesEqual(want, got) || !paramsEqual(t, ref, w, true, 0) {
-		t.Fatal("a slowed consumer read a boundary activation its producer had already recycled")
-	}
-	tracks := tr.Tracks()
-	if lead := relayLead(tracks[0].Drain(), tracks[1].Drain()); lead < relayDepth {
-		t.Fatalf("the producer ran at most %d step(s) ahead of its consumer, never the relay depth of %d", lead, relayDepth)
+		w := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
+		slow := tensor.NewThrottled(tensor.Serial{}, 50)
+		for _, p := range w.Pairs[2:] {
+			nn.ApplyBackend(p.Teacher, slow)
+			nn.ApplyBackend(p.Student, slow)
+		}
+		cfg.Trace = obs.NewTracer(true)
+		made := 0
+		relayMade = func(n int) { made = n }
+		poisonFreed = true
+		got := RunPipelined(w, batches, cfg)
+		poisonFreed, relayMade = false, nil
+		if !lossesEqual(want, got) || !paramsEqual(t, ref, w, true, 0) {
+			t.Fatalf("%s: a slowed consumer read a boundary activation from recycled memory", c.name)
+		}
+		tracks := cfg.Trace.Tracks()
+		consumer := c.p.Groups[1].Devices[0]
+		if lead := relayLead(tracks[0].Drain(), tracks[consumer].Drain()); lead < relayDepth {
+			t.Fatalf("%s: the producer ran at most %d step(s) ahead of its consumer, never the relay depth of %d", c.name, lead, relayDepth)
+		}
+		t.Logf("%s: the boundary made %d buffers", c.name, made)
+		if made > relayDepth+2 {
+			t.Errorf("%s: the boundary made %d buffers, over relayDepth+2 = %d", c.name, made, relayDepth+2)
+		}
 	}
 }
 
@@ -253,24 +279,28 @@ func (b oneKernel) ConvGradWeightInto(out, g, x *tensor.Tensor, kh, kw, stride, 
 }
 
 // TestSteadyStateStepAllocs: once the arenas are sized, a step allocates
-// only what cannot come from them — the boundary copy the in-process link
-// makes, Reshape headers, parameter lists, loss rows; the GEMM drivers
-// allocate nothing. The cost of one step is the difference between a
-// 17-step and a 1-step run of the same plan, which share their set-up.
+// only what cannot come from them — Reshape headers, parameter lists,
+// loss rows; the GEMM drivers allocate nothing, and a relayed activation
+// travels in one of its boundary's buffers. The cost of one step is the
+// difference between a 17-step and a 1-step run of the same plan, which
+// share their set-up. A full-length run sizes the arenas first: a
+// boundary makes its relayDepth+2 buffers only once the producer runs
+// that far ahead, which a 1-step run never does (a measured run that
+// still makes one costs each step 16 KB conv, 8 KB transformer).
 //
-// The bounds are per steady-state step, all devices together. The
-// boundary copy is 16·16·16·16·4 = 262 KB (conv) and 16·32·64·4 = 131 KB
-// (transformer), the rest measures 2-3 KB and 8-13 KB, every run. The
-// 35 KB and 36 KB left are what a leak may cost a step and pass; one
-// activation that stopped coming from an arena (262 KB, 131 KB) may not.
-// The old relative check, a steady step under a twentieth of a cold step
-// 0, needed the caches emptied to have a cold step and was never the
-// tighter of the two (a cold step 0 is 9-26 MB).
+// The bounds are per steady-state step, all devices together. What a
+// step allocates measures 1.5-2.5 KB (conv) and 8-13 KB (transformer),
+// every run; the 35 KB and 36 KB above that are what a leak may cost a
+// step and pass. One activation that stopped coming from an arena or a
+// relay buffer (262 KB conv, 131 KB transformer) may not. The old
+// relative check, a steady step under a twentieth of a cold step 0,
+// needed the caches emptied to have a cold step and was never the tighter
+// of the two (a cold step 0 is 9-26 MB).
 func TestSteadyStateStepAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	collect()
 	const steps = 17
-	bound := map[string]float64{"conv": 300e3, "transformer": 180e3}
+	bound := map[string]float64{"conv": 38e3, "transformer": 49e3}
 	for _, f := range families() {
 		for name, p := range map[string]sched.Plan{"tr2": planTR2, "hybrid": planHybrid} {
 			batches := f.batches(steps)
@@ -279,7 +309,7 @@ func TestSteadyStateStepAllocs(t *testing.T) {
 				w := f.bench()
 				return allocBytes(func() { RunPipelined(w, batches[:n], cfg) })
 			}
-			sizing := run(1) // the arenas this plan borrows now hold its shapes
+			sizing := run(steps) // the arenas this plan borrows now hold its shapes
 			perStep := (run(steps) - run(1)) / (steps - 1)
 			t.Logf("%s %s: sizing run %.0f B, steady-state step %.0f B", f.name, name, sizing, perStep)
 			if perStep > bound[f.name] {
@@ -315,4 +345,79 @@ func TestArenasSurviveCollections(t *testing.T) {
 				f.name, again, warm)
 		}
 	}
+}
+
+// TestSteadyStateRunAllocs: a warm run allocates the state that is the
+// run's own — the replicas' parameters with their gradients, the
+// optimizers' momentum — and a stated slack besides; every activation,
+// backward cache, relay buffer and teacher warm-up comes from an arena an
+// earlier run sized. The conv hybrid plan builds a replica (device 1's,
+// whose build warms its teachers up) and relays through a split
+// producer's assembly; the transformer tr2 plan caches GELU's input and
+// tanh on every student block.
+//
+// The slack is what the rest measures, 64-72 KB (conv) and 186 KB
+// (transformer), with some 60 KB of margin: each step's remainder (see
+// TestSteadyStateStepAllocs) 17 times, loss rows, the stages, LayerNorm's
+// per-row statistics. A teacher warm-up off its arena costs 2.7 MB,
+// GELU's caches off theirs 1 MB, a relay copy per step 2.2-4.5 MB. How
+// far a producer runs ahead is the scheduler's, so a warm run may still
+// make a relay buffer the first one did not need: the bound counts those
+// from what the boundary reports.
+func TestSteadyStateRunAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer func() { relayMade = nil }()
+	collect()
+	const steps = 17
+	slack := map[string]float64{"conv": 128e3, "transformer": 256e3}
+	fams := families()
+	for _, c := range []struct {
+		f    family
+		name string
+		p    sched.Plan
+	}{{fams[0], "hybrid", planHybrid}, {fams[1], "tr2", planTR2}} {
+		batches := c.f.batches(steps)
+		cfg := Config{Plan: c.p, DPU: true, LR: 0.05, Momentum: 0.9, Backend: oneKernel{mu: new(sync.Mutex)}}
+		made := 0
+		relayMade = func(n int) { made = n }
+		run := func() float64 {
+			w := c.f.bench()
+			return allocBytes(func() { RunPipelined(w, batches, cfg) })
+		}
+		run()
+		sized := made
+		got := run()
+
+		w := c.f.bench()
+		var replica, replicas, momentum float64
+		for _, p := range w.Pairs {
+			replica += 2 * (paramBytes(p.Teacher.Params()) + paramBytes(p.Student.Params()))
+		}
+		for _, g := range c.p.Groups {
+			replicas += float64(g.Split() - 1) // one per later rank: a device is in one group
+			for _, b := range g.Blocks {
+				momentum += float64(g.Split()) * paramBytes(w.Pairs[b].Student.Params())
+			}
+		}
+		x := batches[0].X
+		for _, b := range c.p.Groups[0].Blocks {
+			x = w.Pairs[b].Teacher.Forward(x, false)
+		}
+		relay := float64(max(0, made-sized)) * 4 * float64(x.Numel())
+		bound := replicas*replica + momentum + relay + slack[c.f.name]
+		t.Logf("%s %s: a warm run %.0f B, bound %.0f B: replicas %.0f B, momentum %.0f B, relay buffers beyond the first run's %.0f B",
+			c.f.name, c.name, got, bound, replicas*replica, momentum, relay)
+		if got > bound {
+			t.Errorf("%s %s: a warm run allocates %.0f B, over its own state and slack (%.0f B)", c.f.name, c.name, got, bound)
+		}
+	}
+}
+
+// paramBytes is the size of params' values.
+func paramBytes(params []*nn.Param) float64 {
+	var n int
+	for _, p := range params {
+		n += p.Value.Numel()
+	}
+	return 4 * float64(n)
 }

@@ -30,6 +30,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"pipebd/internal/dataset"
@@ -130,11 +131,12 @@ func attachArena(layers []nn.Layer, ar *tensor.Arena) {
 // block's working set, not the step's.
 type stepMemory struct{ block, carry *tensor.Arena }
 
-// blockArenas and carryArenas lend every step loop its pair for the run
-// and keep them for the life of the process (see tensor.ArenaCache): a
+// blockArenas and carryArenas lend every step loop its pair for the run,
+// and relayArenas every relayed stage the buffers of its input boundary;
+// all keep them for the life of the process (see tensor.ArenaCache): a
 // worker restarting a session or an experiment sweep sizes them once. One
 // cache per role: a carry arena never grows to a block's working set.
-var blockArenas, carryArenas tensor.ArenaCache
+var blockArenas, carryArenas, relayArenas tensor.ArenaCache
 
 // borrowStepMemory lends a loop its arenas and makes layers draw from the
 // block arena; done detaches them, so they allocate normally again, and
@@ -177,6 +179,10 @@ func (mem stepMemory) keep(out *tensor.Tensor) *tensor.Tensor {
 // poisonFreed, set by this package's tests only, fills every recycled
 // buffer with NaN.
 var poisonFreed bool
+
+// relayMade, set by this package's tests only, is told at the end of a run
+// how many buffers each relay boundary made.
+var relayMade func(made int)
 
 // relayDepth is how many boundary activations a stage may run ahead of
 // the stage it feeds (the pipeline depth), the in-process counterpart of
@@ -223,11 +229,63 @@ func (b *barrier) Await() {
 	b.mu.Unlock()
 }
 
+// boundary is the relay into one stage: the full-batch activations in
+// flight toward it and the buffers they travel in. The producer — the
+// stage before, the boundary's only sender — takes a buffer, fills it and
+// sends it; the consumer's member 0 hands it back at its next RecvInput,
+// once every member is done with it. A buffer is made only when none is
+// spare, so a boundary holds at most relayDepth+2: relayDepth in flight,
+// the one the consumer reads and the one the producer fills. The bound
+// needs the hand-back to come before the consumer takes the next
+// activation, which frees the producer's send.
+type boundary struct {
+	flight chan *tensor.Tensor // at most relayDepth activations in flight
+	spare  chan *tensor.Tensor // handed back; room for every buffer, so a hand-back never blocks
+	ar     *tensor.Arena       // where buffers are made, by the producer only
+	made   int
+	held   *tensor.Tensor // the consumer's input, until member 0 hands it back
+}
+
+func newBoundary() *boundary {
+	return &boundary{flight: make(chan *tensor.Tensor, relayDepth),
+		spare: make(chan *tensor.Tensor, relayDepth+2), ar: relayArenas.Get()}
+}
+
+// take returns a buffer for k shards shaped like shard: a spare one, or
+// one made in the boundary's arena when none is.
+func (b *boundary) take(shard *tensor.Tensor, k int) *tensor.Tensor {
+	select {
+	case t := <-b.spare:
+		return t
+	default:
+	}
+	if b.made == cap(b.spare) {
+		panic(fmt.Sprintf("engine: a relay boundary needs more than relayDepth+2 = %d buffers", b.made))
+	}
+	b.made++
+	var dims [8]int
+	shape := append(dims[:0], shard.Shape()...)
+	shape[0] *= k
+	return b.ar.Get(shape...)
+}
+
+// next hands the held input back and holds the next one. Only the
+// consumer's member 0 calls it, once no member reads the held input.
+func (b *boundary) next() {
+	if b.held != nil {
+		if poisonFreed {
+			b.held.Fill(float32(math.NaN()))
+		}
+		b.spare <- b.held
+	}
+	b.held = <-b.flight
+}
+
 // stageRuntime is the shared state of one stage's members.
 type stageRuntime struct {
 	sched.Stage
-	in  chan *tensor.Tensor // full-batch input activations; nil reads the loader's batches
-	out chan *tensor.Tensor // nil unless the next stage is relayed
+	in  *boundary // nil reads the loader's batches
+	out *boundary // nil unless the next stage is relayed
 
 	sync *barrier // intra-stage phases (assembly, all-reduce)
 
@@ -237,14 +295,12 @@ type stageRuntime struct {
 	grads  [][]*tensor.Tensor
 	losses [][]float64
 
-	// assembleMu latches the lazy allocation of assembled. It is
-	// per-stage state: independent stages — and independent concurrent
-	// runs — must never contend on a shared lock.
+	// assembleMu latches the lazy take of assembled. It is per-stage
+	// state: independent stages — and independent concurrent runs — must
+	// never contend on a shared lock.
 	assembleMu sync.Mutex
 	// assembled is the full-batch teacher output under construction.
 	assembled *tensor.Tensor
-	// assembledInput broadcasts the received input to the members.
-	assembledInput *tensor.Tensor
 }
 
 // RunPipelined trains the workbench by teacher relaying under cfg.Plan
@@ -320,7 +376,7 @@ func Run(w *distill.Workbench, batches []dataset.Batch, prog sched.Program, cfg 
 				sr.losses[i] = make([]float64, steps)
 			}
 			if st.Relayed {
-				sr.in = make(chan *tensor.Tensor, relayDepth)
+				sr.in = newBoundary()
 				prev.out = sr.in
 			}
 			for j, d := range st.Devices {
@@ -360,6 +416,14 @@ func Run(w *distill.Workbench, batches []dataset.Batch, prog sched.Program, cfg 
 		}(dev.phases)
 	}
 	wg.Wait()
+	for _, sr := range stages {
+		if sr.in != nil {
+			if relayMade != nil {
+				relayMade(sr.in.made)
+			}
+			relayArenas.Put(sr.in.ar)
+		}
+	}
 
 	// Assemble the loss trajectory per block (mean over members).
 	res := Result{Loss: make([][]float64, nb)}
@@ -403,14 +467,13 @@ func (gr *stageRuntime) assembleShard(shard *tensor.Tensor, j int) {
 	copy(gr.assembled.Data()[j*per:(j+1)*per], shard.Data())
 }
 
-// assemblyOnce lazily allocates the assembly buffer for this step.
+// assemblyOnce takes this step's assembly buffer from the boundary, for
+// whichever member comes first.
 func (gr *stageRuntime) assemblyOnce(shard *tensor.Tensor, k int) {
 	gr.assembleMu.Lock()
 	defer gr.assembleMu.Unlock()
 	if gr.assembled == nil {
-		shape := append([]int(nil), shard.Shape()...)
-		shape[0] *= k
-		gr.assembled = tensor.New(shape...)
+		gr.assembled = gr.out.take(shard, k)
 	}
 }
 

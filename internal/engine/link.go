@@ -30,7 +30,9 @@ type DeviceLink interface {
 	// links assemble shards in rank order). No-op for the last group.
 	// out belongs to the device loop's step memory and is valid only
 	// during the call: a link that delivers it later encodes or copies it
-	// before returning.
+	// before returning. The in-process link copies it into one of the
+	// boundary's relayDepth+2 buffers, which the next stage's rank 0
+	// hands back at its next RecvInput.
 	SendOutput(step int, out *tensor.Tensor)
 	// AllReduce replaces each gradient tensor's contents with the
 	// deterministic intra-group mean. Only called when the group has more
@@ -123,7 +125,9 @@ func RunMemberFrom(m Member, start, steps int, link DeviceLink) {
 // every stage it is a member of, in stage order. Every step reuses the
 // same shapes, so everything the device computes — batch shard, layer
 // outputs, backward caches, gradients, all-reduce temporaries — cycles
-// through mem: steady-state steps allocate only what the links bring in.
+// through mem: a steady-state step allocates nothing of the loop's own
+// on either link, and nothing at all in-process, where a relayed
+// activation travels in one of its boundary's buffers.
 func runDevice(phases [][]*memberRun, start, steps int, mem stepMemory) {
 	for _, stages := range phases {
 		for s := start; s < steps; s++ {
@@ -224,17 +228,16 @@ type memberLink struct {
 }
 
 func (l *memberLink) RecvInput(step int) *tensor.Tensor {
-	if l.st.in == nil {
+	st := l.st
+	if st.in == nil {
 		return l.batches[step].X
 	}
+	st.sync.Await() // no member reads the previous input any more
 	if l.j == 0 {
-		full := <-l.st.in
-		l.st.assembledInput = full
-		l.st.sync.Await()
-		return full
+		st.in.next()
 	}
-	l.st.sync.Await()
-	return l.st.assembledInput
+	st.sync.Await() // every member sees the new one
+	return st.in.held
 }
 
 func (l *memberLink) SendOutput(step int, out *tensor.Tensor) {
@@ -244,15 +247,17 @@ func (l *memberLink) SendOutput(step int, out *tensor.Tensor) {
 	}
 	if st.Split() == 1 {
 		// The consumer may be up to the relay depth behind, and out dies
-		// at this device's next step: hand over a copy the arena does not
-		// own.
-		st.out <- out.Clone()
+		// at this device's next step: hand over a copy in one of the
+		// boundary's buffers.
+		buf := st.out.take(out, 1)
+		buf.CopyFrom(out)
+		st.out.flight <- buf
 		return
 	}
 	st.assembleShard(out, l.j)
 	st.sync.Await()
 	if l.j == 0 {
-		st.out <- st.assembled
+		st.out.flight <- st.assembled
 		st.assembled = nil
 	}
 }

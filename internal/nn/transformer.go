@@ -27,8 +27,8 @@ import (
 // tensor.TanhInto, so its bits are the same on every architecture.
 type GELU struct {
 	stepMem
-	lastX []float32 // cached pre-activation, train forwards only
-	tanh  []float32 // the forward's tanh per element, same lifetime
+	lastX *tensor.Tensor // cached pre-activation; nil when no training forward is cached
+	tanh  *tensor.Tensor // the forward's tanh per element, same lifetime
 }
 
 // NewGELU returns a GELU activation.
@@ -41,13 +41,13 @@ func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// The tanh lands in the training cache, or in the output itself when
 	// there is no backward to keep it for.
 	th := od
+	g.lastX = nil
 	if train {
-		g.lastX = append(g.lastX[:0], xd...)
-		g.tanh = reuse(g.tanh, len(xd))
-		th = g.tanh
+		g.lastX = g.ar.Get(x.Shape()...)
+		copy(g.lastX.Data(), xd)
+		g.tanh = g.ar.Get(x.Shape()...)
+		th = g.tanh.Data()
 		g.cached()
-	} else {
-		g.lastX = nil
 	}
 	tensor.GELUInto(od, th, xd)
 	return out
@@ -60,12 +60,12 @@ func (g *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic("nn: GELU.Backward called before Forward(train=true)")
 	}
 	g.checkCache("GELU")
-	gd := grad.Data()
-	if len(g.lastX) != len(gd) {
-		panic(fmt.Sprintf("nn: GELU.Backward grad has %d elements but cache has %d (stale forward?)", len(gd), len(g.lastX)))
+	gd, xd := grad.Data(), g.lastX.Data()
+	if len(xd) != len(gd) {
+		panic(fmt.Sprintf("nn: GELU.Backward grad has %d elements but cache has %d (stale forward?)", len(gd), len(xd)))
 	}
 	out := g.ar.Get(grad.Shape()...)
-	tensor.GELUBackwardInto(out.Data(), gd, g.lastX, g.tanh)
+	tensor.GELUBackwardInto(out.Data(), gd, xd, g.tanh.Data())
 	return out
 }
 

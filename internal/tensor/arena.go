@@ -29,10 +29,12 @@ type Arena struct {
 
 // sizeClass holds every tensor of one element count the arena ever made:
 // in arena generation gen bufs[:used] are handed out, later all are free.
+// bufs[:dirty] may have been written since the last Poison.
 type sizeClass struct {
-	bufs []*Tensor
-	used int
-	gen  uint64
+	bufs  []*Tensor
+	used  int
+	gen   uint64
+	dirty int
 }
 
 // NewArena returns an empty arena.
@@ -59,6 +61,7 @@ func (a *Arena) Get(shape ...int) *Tensor {
 	}
 	t := c.bufs[c.used]
 	c.used++
+	c.dirty = max(c.dirty, c.used)
 	t.shape = append(t.shape[:0], shape...)
 	return t
 }
@@ -87,17 +90,21 @@ func (a *Arena) Generation() uint64 {
 }
 
 // Poison fills every free buffer with NaN, so that a kernel reading a
-// recycled buffer before writing it shows in the results. For tests.
+// recycled buffer before writing it shows in the results. For tests. A
+// buffer not handed out since the last Poison is NaN from it already, so
+// only the others are filled: a poisoned step costs what the step used,
+// not everything the arena holds.
 func (a *Arena) Poison() {
 	nan := float32(math.NaN())
 	for _, c := range a.classes {
-		free := c.bufs
+		free := 0
 		if c.gen == a.gen {
-			free = c.bufs[c.used:]
+			free = c.used
 		}
-		for _, t := range free {
+		for _, t := range c.bufs[free:max(free, c.dirty)] {
 			t.Fill(nan)
 		}
+		c.dirty = free
 	}
 }
 

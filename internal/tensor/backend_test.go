@@ -252,6 +252,31 @@ func TestParallelForConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPooledCallsDoNotAllocate: a pooled call recycles its job — the
+// cursor, the chunk count, what a worker runs — once the last runner that
+// took it has exited, so a warm call allocates nothing, and a recycled
+// job still visits every index exactly once.
+func TestPooledCallsDoNotAllocate(t *testing.T) {
+	pool := NewPool(2)
+	seen := make([]int, 1000)
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			seen[i]++
+		}
+	}
+	call := func() { pool.ParallelFor(len(seen), 16, body) }
+	call()
+	const runs = 100
+	if got := testing.AllocsPerRun(runs, call); got != 0 {
+		t.Errorf("a pooled ParallelFor allocates %v times a call once warm, want 0", got)
+	}
+	for i, c := range seen {
+		if c != runs+2 { // AllocsPerRun calls once more, untimed
+			t.Fatalf("index %d visited %d times in %d calls", i, c, runs+2)
+		}
+	}
+}
+
 // TestArenaReuse checks that a Get after a Reset returns the backing
 // array of the Get before it and that shape bookkeeping survives the
 // round trip.

@@ -463,9 +463,9 @@ func gemm(pool *Pool, o gemmOperands) {
 
 // gemmJob is what a call on a pool shares with the workers: a copy of its
 // operands, what the tiles read B from, and the loop bodies over them,
-// bound once per job. Jobs are recycled, so a pooled call allocates no
-// more than ParallelFor does; ParallelFor returns only once every body
-// has.
+// bound once per job. Jobs are recycled, as ParallelFor recycles its
+// own, so a pooled call allocates nothing; ParallelFor returns only once
+// every body has.
 type gemmJob struct {
 	o          gemmOperands
 	b          []float32

@@ -22,7 +22,7 @@ const chunksPerWorker = 4
 // pool. A Pool is safe for concurrent use by multiple goroutines.
 type Pool struct {
 	workers int
-	tasks   chan func()
+	tasks   chan *forJob
 	start   sync.Once
 }
 
@@ -32,7 +32,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers, tasks: make(chan func(), workers)}
+	return &Pool{workers: workers, tasks: make(chan *forJob, workers)}
 }
 
 // startWorkers spawns the long-lived workers (the submitting goroutine
@@ -41,18 +41,57 @@ func (p *Pool) startWorkers() {
 	p.start.Do(func() {
 		for i := 1; i < p.workers; i++ {
 			go func() {
-				for task := range p.tasks {
-					task()
+				for j := range p.tasks {
+					j.run()
+					j.release()
 				}
 			}()
 		}
 	})
 }
 
+// forJob is one ParallelFor call: its range, its cursor, the chunks left
+// to finish, and how many runners — the submitter and each worker it was
+// offered to — still hold it. A worker may dequeue a job after its range
+// has drained and only then find nothing left, so the job is recycled
+// when the last holder lets go, not when the call returns.
+type forJob struct {
+	body            func(lo, hi int)
+	n, size, chunks int
+	next            atomic.Int64
+	done            sync.WaitGroup
+	holders         atomic.Int32
+}
+
+// run takes chunks until the range is drained.
+func (j *forJob) run() {
+	for {
+		c := int(j.next.Add(1)) - 1
+		if c >= j.chunks {
+			return
+		}
+		lo := c * j.size
+		j.body(lo, min(lo+j.size, j.n))
+		j.done.Done()
+	}
+}
+
+// release drops one holder; the last one recycles the job.
+func (j *forJob) release() {
+	if j.holders.Add(-1) != 0 {
+		return
+	}
+	j.body = nil
+	forJobs.Put(j)
+}
+
+var forJobs = sync.Pool{New: func() any { return new(forJob) }}
+
 // ParallelFor partitions [0, n) into contiguous chunks of at least
 // minChunk indices and runs body on each. Chunks are disjoint, so body
 // may write its range without synchronization; ParallelFor returns only
-// after every chunk has completed. Small ranges run inline.
+// after every chunk has completed. Small ranges run inline. A call
+// allocates nothing once a finished call's job is there to recycle.
 func (p *Pool) ParallelFor(n, minChunk int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -76,36 +115,26 @@ func (p *Pool) ParallelFor(n, minChunk int, body func(lo, hi int)) {
 	}
 	p.startWorkers()
 
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(chunks)
-	runner := func() {
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * size
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
-			body(lo, hi)
-			wg.Done()
-		}
-	}
-	// Offer runners to idle workers without ever blocking; a runner that
-	// fires after the range is drained exits immediately.
+	j := forJobs.Get().(*forJob)
+	j.body, j.n, j.size, j.chunks = body, n, size, chunks
+	j.next.Store(0)
+	j.done.Add(chunks)
+	j.holders.Store(1)
+	// Offer the job to idle workers without ever blocking; a worker that
+	// takes it after the range is drained finds nothing left to run.
 submit:
 	for i := 1; i < p.workers && i < chunks; i++ {
+		j.holders.Add(1)
 		select {
-		case p.tasks <- runner:
+		case p.tasks <- j:
 		default:
+			j.holders.Add(-1)
 			break submit
 		}
 	}
-	runner()
-	wg.Wait()
+	j.run()
+	j.done.Wait()
+	j.release()
 }
 
 var (

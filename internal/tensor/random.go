@@ -9,11 +9,16 @@ import (
 // the provided source, which makes results reproducible across runs.
 func Rand(rng *rand.Rand, lo, hi float32, shape ...int) *Tensor {
 	t := New(shape...)
+	RandInto(t, rng, lo, hi)
+	return t
+}
+
+// RandInto is Rand into t: the same draws, in the same order.
+func RandInto(t *Tensor, rng *rand.Rand, lo, hi float32) {
 	span := hi - lo
 	for i := range t.data {
 		t.data[i] = lo + float32(span*rng.Float32())
 	}
-	return t
 }
 
 // Randn returns a tensor with elements drawn from N(mean, std²).
