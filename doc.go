@@ -178,7 +178,7 @@
 // Tier 3, global cut (cluster.Config.MaxRestarts): a genuinely lost
 // worker costs a restart, and hub and ring restart the same way. Each
 // group's rank-0 device streams a post-step snapshot (student parameters
-// + optimizer velocities) to the coordinator. When a worker's connection
+// + their velocities) to the coordinator. When a worker's connection
 // dies — or goes silent past the heartbeat timeout — the attempt fails
 // fast, every session is superseded, and the attempt driver re-places
 // every device on the re-joined or surviving workers, the Assign carrying

@@ -322,7 +322,7 @@ func (r *run) place() error {
 // sessionOpen encodes the Assign that opens a session for a set of
 // devices. Past the seed it carries each device's state at this attempt's
 // cut; at the seed there is nothing to restore — the Assign's snapshot and
-// a fresh optimizer are the state.
+// zero momentum are the state.
 func (r *run) sessionOpen(devices []int) *wire.Frame {
 	a := r.assign
 	a.Devices = devices

@@ -465,9 +465,9 @@ func DecodeAssign(f *Frame) (*Assign, error) {
 }
 
 // DeviceState is one device's recovery state: the step it completed last
-// and the student parameters plus optimizer velocities it held right
-// after that step's update (its GradTensors order: blocks in group order,
-// parameters in declaration order).
+// and the student parameters plus velocities it held right after that
+// step's update (blocks in group order, parameters in Params() order: the
+// order of the blocks' slabs).
 type DeviceState struct {
 	Dev      int
 	Step     int

@@ -484,10 +484,8 @@ func runDevice(d *hostedDevice, steps int, out *outbox) (err error) {
 	}
 	if d.member.Rank == 0 {
 		var params []*tensor.Tensor
-		for _, pair := range d.member.Pairs {
-			for _, p := range pair.Student.Params() {
-				params = append(params, p.Value)
-			}
+		for _, p := range d.studentParams() {
+			params = append(params, p.Value)
 		}
 		out.Enqueue(wire.EncodeTensors(wire.KindFinalParams, d.rank, wire.NoStep, params))
 	}
@@ -548,9 +546,9 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 		}
 		pairs := make([]distill.Pair, len(group.Blocks))
 		opts := make([]*nn.SGD, len(group.Blocks))
+		opt := nn.NewSGD(assign.Run.LR, assign.Run.Momentum, 0)
 		for bi, b := range group.Blocks {
-			pairs[bi] = wb.Pairs[b]
-			opts[bi] = nn.NewSGD(assign.Run.LR, assign.Run.Momentum, 0)
+			pairs[bi], opts[bi] = wb.Pairs[b], opt
 		}
 		members, prev, next := peerSets(assign.Plan, rank)
 		d := &hostedDevice{
@@ -626,21 +624,14 @@ func (w *Worker) establishMesh(m *mesh, assign *wire.Assign, devices []*hostedDe
 }
 
 // deviceSnapshotter returns the closure that captures a device's
-// post-step recovery state: every student parameter and its optimizer
-// velocity (zeros when momentum has not touched a parameter yet), in the
-// same flattened order the coordinator validates against.
+// post-step recovery state: every student parameter and its velocity, in
+// the same flattened order the coordinator validates against.
 func deviceSnapshotter(d *hostedDevice) func(step int) *wire.Frame {
 	return func(step int) *wire.Frame {
 		var params, vels []*tensor.Tensor
-		for bi, pair := range d.member.Pairs {
-			for _, p := range pair.Student.Params() {
-				params = append(params, p.Value)
-				v := d.member.Opts[bi].Velocity(p)
-				if v == nil {
-					v = tensor.New(p.Value.Shape()...)
-				}
-				vels = append(vels, v)
-			}
+		for _, p := range d.studentParams() {
+			params = append(params, p.Value)
+			vels = append(vels, p.Velocity)
 		}
 		// Encoding copies the data immediately, so sharing the live
 		// tensors here is safe: the next step's mutations happen after
@@ -650,17 +641,9 @@ func deviceSnapshotter(d *hostedDevice) func(step int) *wire.Frame {
 }
 
 // installDeviceState restores a restarted device to its snapshot: student
-// parameters and optimizer velocities as they were right after the
-// snapshot's step.
+// parameters and velocities as they were right after the snapshot's step.
 func installDeviceState(d *hostedDevice, st wire.DeviceState) error {
-	var params []*nn.Param
-	var opts []*nn.SGD
-	for bi, pair := range d.member.Pairs {
-		for _, p := range pair.Student.Params() {
-			params = append(params, p)
-			opts = append(opts, d.member.Opts[bi])
-		}
-	}
+	params := d.studentParams()
 	if len(st.Params) != len(params) {
 		return fmt.Errorf("cluster: restart state for device %d has %d params, replica has %d",
 			d.rank, len(st.Params), len(params))
@@ -671,11 +654,19 @@ func installDeviceState(d *hostedDevice, st wire.DeviceState) error {
 				d.rank, i, st.Params[i].Shape(), st.Velocity[i].Shape(), p.Value.Shape())
 		}
 		p.Value.CopyFrom(st.Params[i])
-		// The decoded velocity tensor is private to this frame; the
-		// optimizer takes ownership and mutates it in place from here on.
-		opts[i].SetVelocity(p, st.Velocity[i])
+		p.Velocity.CopyFrom(st.Velocity[i])
 	}
 	return nil
+}
+
+// studentParams lists the device's student parameters: blocks in group
+// order, each block's in Params() order.
+func (d *hostedDevice) studentParams() []*nn.Param {
+	var params []*nn.Param
+	for _, pair := range d.member.Pairs {
+		params = append(params, pair.Student.Params()...)
+	}
+	return params
 }
 
 func findDevice(devices []*hostedDevice, rank int32) *hostedDevice {

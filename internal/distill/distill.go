@@ -38,13 +38,23 @@ func KLLoss(temp float64) LossFunc {
 
 // Pair is one distillation unit: a frozen teacher block and the student
 // block trained to mimic it. Both consume the same input activation and
-// must produce outputs of identical shape.
+// must produce outputs of identical shape. Only the student trains, so
+// only it has training state: its Slabs.
 type Pair struct {
 	Teacher nn.Layer
 	Student nn.Layer
 	// Loss selects the per-block distillation loss; nil means MSE on the
 	// output activations, the pre-transformer default.
 	Loss LossFunc
+	// Slabs is nn.Pack of Student.Params(), made once by newPair: a run
+	// zeroes, reduces and copies a block's state a slab at a time.
+	Slabs nn.Slabs
+}
+
+// newPair pairs teacher with a complete student and packs the student's
+// parameters; every workbench constructor builds its pairs here.
+func newPair(teacher, student nn.Layer, loss LossFunc) Pair {
+	return Pair{Teacher: teacher, Student: student, Loss: loss, Slabs: nn.Pack(student.Params())}
 }
 
 // lossOf resolves a pair's loss function.
@@ -104,18 +114,17 @@ func NewWorkbench(build func() []Pair) *Workbench {
 
 // Replica returns an independent workbench holding w's current weights:
 // built afresh, so it shares no tensor with w, then given every teacher
-// and student parameter of w. A replica of a workbench whose weights
-// moved off its construction (trained, or loaded) starts where w stands.
+// parameter and student value slab of w. A replica of a workbench whose
+// weights moved off its construction (trained, or loaded) starts where w
+// stands, with zero momentum.
 func (w *Workbench) Replica() *Workbench {
 	r := NewWorkbench(w.build)
-	copyParams := func(dst, src []*nn.Param) {
-		for i, p := range dst {
-			p.Value.CopyFrom(src[i].Value)
-		}
-	}
 	for b, p := range w.Pairs {
-		copyParams(r.Pairs[b].Teacher.Params(), p.Teacher.Params())
-		copyParams(r.Pairs[b].Student.Params(), p.Student.Params())
+		src := p.Teacher.Params()
+		for i, t := range r.Pairs[b].Teacher.Params() {
+			t.Value.CopyFrom(src[i].Value)
+		}
+		r.Pairs[b].Slabs.Values.CopyFrom(p.Slabs.Values)
 	}
 	return r
 }
@@ -210,7 +219,7 @@ func NewTinyWorkbench(cfg TinyConfig) *Workbench {
 				teacher.Layers = append(teacher.Layers, tail(rng)...)
 				student.Layers = append(student.Layers, tail(rng)...)
 			}
-			pairs[b] = Pair{Teacher: teacher, Student: student}
+			pairs[b] = newPair(teacher, student, nil)
 		}
 		warmTeachers(rng, pairs, cfg.Height, cfg.Width)
 		return pairs

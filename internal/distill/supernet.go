@@ -62,7 +62,7 @@ func NewTinySupernetWorkbench(cfg SupernetConfig) *Workbench {
 				),
 				nn.NewReLU(),
 			)
-			pairs[b] = Pair{Teacher: teacher, Student: student}
+			pairs[b] = newPair(teacher, student, nil)
 		}
 		warmTeachers(rng, pairs, cfg.Height, cfg.Width)
 		return pairs

@@ -82,13 +82,13 @@ func NewTransformerWorkbench(cfg TransformerConfig) *Workbench {
 			}
 			teacher.Layers = append(teacher.Layers, encoderLayer(rng, cfg.Dim, cfg.Heads, cfg.TeacherFF)...)
 			student.Layers = append(student.Layers, encoderLayer(rng, cfg.Dim, cfg.Heads, cfg.StudentFF)...)
-			pair := Pair{Teacher: teacher, Student: student}
+			var loss LossFunc
 			if cfg.Classes > 0 && b == cfg.Blocks-1 {
 				teacher.Layers = append(teacher.Layers, nn.NewMeanPoolSeq(), nn.NewLinear(rng, cfg.Dim, cfg.Classes, true))
 				student.Layers = append(student.Layers, nn.NewMeanPoolSeq(), nn.NewLinear(rng, cfg.Dim, cfg.Classes, true))
-				pair.Loss = KLLoss(temp)
+				loss = KLLoss(temp)
 			}
-			pairs[b] = pair
+			pairs[b] = newPair(teacher, student, loss)
 		}
 		return pairs
 	}

@@ -131,17 +131,19 @@ func TestPoisonedArenaBitIdentical(t *testing.T) {
 // poison a handed-back buffer is NaN until refilled, so a consumer that
 // read one it had given back — or a producer that relayed its own arena's
 // memory — poisons the run; tr2 relays an unsplit producer's copy, hybrid
-// a split producer's assembly. The run's spans show the producer did get
-// that far ahead (relayLead), or the throttle slowed nothing and the
-// buffers went untested, and the boundary never made more than
-// relayDepth+2 buffers.
+// a split producer's assembly, split-consumer an unsplit producer's copy
+// to two members, of which only rank 0 hands buffers back. The run's
+// spans show the producer did get that far ahead (relayLead), or the
+// throttle slowed nothing and the buffers went untested, and the boundary
+// never made more than relayDepth+2 buffers.
 func TestBoundaryActivationOutlivesProducerStep(t *testing.T) {
 	batches := tinyBatches(t, 8, 8)
 	for _, c := range []struct {
 		name string
 		p    sched.Plan
-	}{{"tr2", planTR2}, {"hybrid", planHybrid}} {
-		// The split group averages shard gradients in its own order: its
+	}{{"tr2", planTR2}, {"hybrid", planHybrid},
+		{"split-consumer", plan(g([]int{0}, []int{0, 1}), g([]int{1, 2}, []int{2, 3}))}} {
+		// A split group averages shard gradients in its own order: its
 		// reference is the same plan, unthrottled and unpoisoned.
 		ref := distill.NewTinyWorkbench(distill.DefaultTinyConfig())
 		cfg := Config{Plan: c.p, DPU: true, LR: 0.05, Momentum: 0.9}
@@ -348,16 +350,17 @@ func TestArenasSurviveCollections(t *testing.T) {
 }
 
 // TestSteadyStateRunAllocs: a warm run allocates the state that is the
-// run's own — the replicas' parameters with their gradients, the
-// optimizers' momentum — and a stated slack besides; every activation,
-// backward cache, relay buffer and teacher warm-up comes from an arena an
-// earlier run sized. The conv hybrid plan builds a replica (device 1's,
-// whose build warms its teachers up) and relays through a split
-// producer's assembly; the transformer tr2 plan caches GELU's input and
-// tanh on every student block.
+// run's own — the replicas: every parameter's value as the build draws it,
+// and each student block's three slabs (values, gradients, momentum) — and
+// a stated slack besides; every activation, backward cache, relay buffer
+// and teacher warm-up comes from an arena an earlier run sized. The conv
+// hybrid plan builds a replica (device 1's, whose build warms its
+// teachers up) and relays through a split producer's assembly; the
+// transformer tr2 plan caches GELU's input and tanh on every student
+// block.
 //
-// The slack is what the rest measures, 64-72 KB (conv) and 186 KB
-// (transformer), with some 60 KB of margin: each step's remainder (see
+// The slack is what the rest measures, 57-59 KB (conv) and 146 KB
+// (transformer), with 70 and 110 KB of margin: each step's remainder (see
 // TestSteadyStateStepAllocs) 17 times, loss rows, the stages, LayerNorm's
 // per-row statistics. A teacher warm-up off its arena costs 2.7 MB,
 // GELU's caches off theirs 1 MB, a relay copy per step 2.2-4.5 MB. How
@@ -389,24 +392,22 @@ func TestSteadyStateRunAllocs(t *testing.T) {
 		got := run()
 
 		w := c.f.bench()
-		var replica, replicas, momentum float64
+		var replica, slabs, replicas float64
 		for _, p := range w.Pairs {
-			replica += 2 * (paramBytes(p.Teacher.Params()) + paramBytes(p.Student.Params()))
+			replica += paramBytes(p.Teacher.Params()) + paramBytes(p.Student.Params())
+			slabs += 3 * paramBytes(p.Student.Params())
 		}
 		for _, g := range c.p.Groups {
 			replicas += float64(g.Split() - 1) // one per later rank: a device is in one group
-			for _, b := range g.Blocks {
-				momentum += float64(g.Split()) * paramBytes(w.Pairs[b].Student.Params())
-			}
 		}
 		x := batches[0].X
 		for _, b := range c.p.Groups[0].Blocks {
 			x = w.Pairs[b].Teacher.Forward(x, false)
 		}
 		relay := float64(max(0, made-sized)) * 4 * float64(x.Numel())
-		bound := replicas*replica + momentum + relay + slack[c.f.name]
-		t.Logf("%s %s: a warm run %.0f B, bound %.0f B: replicas %.0f B, momentum %.0f B, relay buffers beyond the first run's %.0f B",
-			c.f.name, c.name, got, bound, replicas*replica, momentum, relay)
+		bound := replicas*(replica+slabs) + relay + slack[c.f.name]
+		t.Logf("%s %s: a warm run %.0f B, bound %.0f B: replicas' values %.0f B, their slabs %.0f B, relay buffers beyond the first run's %.0f B",
+			c.f.name, c.name, got, bound, replicas*replica, replicas*slabs, relay)
 		if got > bound {
 			t.Errorf("%s %s: a warm run allocates %.0f B, over its own state and slack (%.0f B)", c.f.name, c.name, got, bound)
 		}

@@ -90,13 +90,13 @@ func (r Result) FinalLoss() []float64 {
 
 // RunSequential trains every student block one step per batch in plain
 // program order — the reference semantics of blockwise distillation.
-// It mutates the workbench's student parameters.
+// It mutates the workbench's student parameters, from zero momentum.
 func RunSequential(w *distill.Workbench, batches []dataset.Batch, lr, momentum float32) Result {
 	nb := w.NumBlocks()
 	res := Result{Loss: make([][]float64, nb)}
-	opts := make([]*nn.SGD, nb)
+	opt := nn.NewSGD(lr, momentum, 0)
 	for b := 0; b < nb; b++ {
-		opts[b] = nn.NewSGD(lr, momentum, 0)
+		w.Pairs[b].Slabs.Velocity.Zero()
 		res.Loss[b] = make([]float64, len(batches))
 	}
 	mem, done := borrowStepMemory(Member{Pairs: w.Pairs}.layers())
@@ -106,10 +106,9 @@ func RunSequential(w *distill.Workbench, batches []dataset.Batch, lr, momentum f
 		x := batch.X
 		for b := 0; b < nb; b++ {
 			pair := w.Pairs[b]
-			params := pair.Student.Params()
-			nn.ZeroGrads(params)
+			pair.Slabs.Grads.Zero()
 			x, res.Loss[b][s] = mem.step(pair, x, nil)
-			opts[b].Step(params)
+			opt.Step(pair.Student.Params())
 		}
 	}
 	return res
@@ -289,8 +288,8 @@ type stageRuntime struct {
 
 	sync *barrier // intra-stage phases (assembly, all-reduce)
 
-	// grads[j] is member j's flattened gradient list (Member.GradTensors;
-	// nil in an unsplit stage, which reduces nothing), losses the stage's
+	// grads[j] is member j's gradient slabs, one per block (nil in an
+	// unsplit stage, which reduces nothing), losses the stage's
 	// [member*blocks+block][step] matrix.
 	grads  [][]*tensor.Tensor
 	losses [][]float64
@@ -317,7 +316,7 @@ func RunPipelined(w *distill.Workbench, batches []dataset.Batch, cfg Config) Res
 // itself, since no two devices may run one layer. Members of a split
 // stage apply the same updates, so rank 0's weights are the result. Run
 // returns the loss trajectory; the workbench's student parameters hold
-// the trained values.
+// the trained values. Every trained block starts from zero momentum.
 func Run(w *distill.Workbench, batches []dataset.Batch, prog sched.Program, cfg Config) Result {
 	nb, nDev, steps := w.NumBlocks(), prog.NumDevices(), len(batches)
 	if err := prog.Validate(nDev, nb); err != nil {
@@ -365,6 +364,7 @@ func Run(w *distill.Workbench, batches []dataset.Batch, prog sched.Program, cfg 
 			devs[d].trace = cfg.Trace.NewTrack(fmt.Sprintf("dev%d", d))
 		}
 	}
+	opt := nn.NewSGD(cfg.LR, cfg.Momentum, 0)
 	var stages []*stageRuntime
 	for pi, phase := range prog.Phases {
 		var prev *stageRuntime
@@ -388,8 +388,10 @@ func Run(w *distill.Workbench, batches []dataset.Batch, prog sched.Program, cfg 
 					m.Prefix = append(m.Prefix, pairOn(d, b).Teacher)
 				}
 				for _, b := range st.Blocks {
-					m.Pairs = append(m.Pairs, pairOn(d, b))
-					m.Opts = append(m.Opts, nn.NewSGD(cfg.LR, cfg.Momentum, 0))
+					pair := pairOn(d, b)
+					pair.Slabs.Velocity.Zero()
+					m.Pairs = append(m.Pairs, pair)
+					m.Opts = append(m.Opts, opt)
 				}
 				run := newMemberRun(m, &memberLink{st: sr, j: j, batches: batches, stepSync: stepSync})
 				sr.grads[j] = run.grads
@@ -478,25 +480,25 @@ func (gr *stageRuntime) assemblyOnce(shard *tensor.Tensor, k int) {
 }
 
 // averageGroupGradients implements a deterministic all-reduce: every
-// member sums all members' gradients in rank order into a private buffer,
-// scales by 1/k, and installs the result into its own gradient tensors
-// after a barrier. All replicas therefore apply bit-identical updates.
+// member sums all members' gradient slabs in rank order into a private
+// buffer, scales by 1/k, and installs the result into its own slabs after
+// a barrier. All replicas therefore apply bit-identical updates.
 func averageGroupGradients(gr *stageRuntime, j int, scratch *tensor.Arena) {
 	inv := 1 / float32(gr.Split())
 	// Phase 1: compute averaged gradients into private buffers.
 	avg := make([]*tensor.Tensor, len(gr.grads[j]))
-	for pi := range avg {
-		sum := scratch.GetZeroed(gr.grads[j][pi].Shape()...)
+	for bi := range avg {
+		sum := scratch.GetZeroed(gr.grads[j][bi].Shape()...)
 		for _, grads := range gr.grads {
-			tensor.AddInto(sum, grads[pi])
+			tensor.AddInto(sum, grads[bi])
 		}
 		tensor.ScaleInPlace(sum, inv)
-		avg[pi] = sum
+		avg[bi] = sum
 	}
 	gr.sync.Await() // everyone done reading raw gradients
 	// Phase 2: install.
-	for pi, g := range gr.grads[j] {
-		g.CopyFrom(avg[pi])
+	for bi, g := range gr.grads[j] {
+		g.CopyFrom(avg[bi])
 	}
 }
 

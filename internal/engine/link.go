@@ -36,9 +36,9 @@ type DeviceLink interface {
 	SendOutput(step int, out *tensor.Tensor)
 	// AllReduce replaces each gradient tensor's contents with the
 	// deterministic intra-group mean. Only called when the group has more
-	// than one member. grads is the member's flattened gradient list
-	// (blocks in group order, params in declaration order); scratch is
-	// the device loop's arena, for temporaries that die with the step.
+	// than one member. grads is the member's gradient slabs, one per
+	// block in group order (nn.Slabs); scratch is the device loop's arena,
+	// for temporaries that die with the step.
 	AllReduce(step int, grads []*tensor.Tensor, scratch *tensor.Arena)
 	// ReportLosses publishes the member's per-block losses for the step.
 	// The slice is reused between steps: implementations must copy.
@@ -77,20 +77,6 @@ type Member struct {
 	// loop (phase timings, communication waits, barrier time). A nil or
 	// disabled track costs one branch per phase — see internal/obs.
 	Trace *obs.Track
-}
-
-// GradTensors returns the member's flattened gradient list in the order
-// AllReduce expects: blocks in group order, parameters in declaration
-// order. The tensors are stable across steps (gradients are zeroed in
-// place), so the slice is collected once per run.
-func (m Member) GradTensors() []*tensor.Tensor {
-	var grads []*tensor.Tensor
-	for _, p := range m.Pairs {
-		for _, prm := range p.Student.Params() {
-			grads = append(grads, prm.Grad)
-		}
-	}
-	return grads
 }
 
 // layers returns every block the member runs, for attaching step memory.
@@ -145,7 +131,7 @@ type memberRun struct {
 	link     DeviceLink
 	finisher StepFinisher // nil when link is none
 	losses   []float64
-	grads    []*tensor.Tensor // nil unless the stage is split
+	grads    []*tensor.Tensor // the blocks' gradient slabs; nil unless the stage is split
 	// A loader-fed stage's receive is the measured data-loading time; a
 	// relayed stage waits on an activation, which is communication.
 	recvCat  obs.Category
@@ -157,7 +143,9 @@ func newMemberRun(m Member, link DeviceLink) *memberRun {
 		recvCat: obs.CatLoad, recvName: "recv_input"}
 	r.finisher, _ = link.(StepFinisher)
 	if m.GroupSize > 1 {
-		r.grads = m.GradTensors()
+		for _, p := range m.Pairs {
+			r.grads = append(r.grads, p.Slabs.Grads)
+		}
 	}
 	if m.Group > 0 {
 		r.recvCat, r.recvName = obs.CatComm, "recv_act"
@@ -179,7 +167,7 @@ func (m *memberRun) step(s int, mem stepMemory) {
 		x = mem.forward(teacher, x, tk)
 	}
 	for bi, pair := range m.Pairs {
-		nn.ZeroGrads(pair.Student.Params())
+		pair.Slabs.Grads.Zero()
 		// Teacher forward (line 10), student forward/backward against
 		// the teacher activation (lines 12-13).
 		x, m.losses[bi] = mem.step(pair, x, tk)

@@ -12,8 +12,8 @@ import (
 // through be.
 func convPair(t *testing.T, inC, outC, k, stride, pad int, be tensor.Backend) (*Conv2d, *Conv2d) {
 	t.Helper()
-	ref := NewConv2d(rand.New(rand.NewSource(11)), inC, outC, k, stride, pad, true)
-	par := NewConv2d(rand.New(rand.NewSource(11)), inC, outC, k, stride, pad, true)
+	ref := packed(NewConv2d(rand.New(rand.NewSource(11)), inC, outC, k, stride, pad, true))
+	par := packed(NewConv2d(rand.New(rand.NewSource(11)), inC, outC, k, stride, pad, true))
 	ApplyBackend(par, be)
 	return ref, par
 }
@@ -63,8 +63,8 @@ func TestConvBackendParity(t *testing.T) {
 func TestLinearBackendParity(t *testing.T) {
 	parallel := tensor.NewParallel(4)
 	for _, batch := range []int{1, 3, 7} {
-		ref := NewLinear(rand.New(rand.NewSource(21)), 13, 9, true)
-		par := NewLinear(rand.New(rand.NewSource(21)), 13, 9, true)
+		ref := packed(NewLinear(rand.New(rand.NewSource(21)), 13, 9, true))
+		par := packed(NewLinear(rand.New(rand.NewSource(21)), 13, 9, true))
 		ApplyBackend(par, parallel)
 		rng := rand.New(rand.NewSource(6))
 		for step := 0; step < 3; step++ {
@@ -131,7 +131,7 @@ func TestApplyBackendRecurses(t *testing.T) {
 // the next branch's scale would overwrite the accumulated gradient.
 // Asymmetric alphas ensure the corruption cannot cancel arithmetically.
 func TestMixedOpIdentityBranchBackward(t *testing.T) {
-	mix := NewMixedOp(NewSequential(), NewReLU())
+	mix := packed(NewMixedOp(NewSequential(), NewReLU()))
 	mix.Alpha.Value.Data()[0] = 1 // w0 != w1
 	x := tensor.Rand(rand.New(rand.NewSource(9)), -1, 1, 3, 4)
 	mix.Forward(x, true)
@@ -158,8 +158,8 @@ func TestMixedOpIdentityBranchBackward(t *testing.T) {
 // handling: Forward(train) → Forward(eval) → Backward must differentiate
 // the training batch, identically to a twin that never ran the eval pass.
 func TestConvEvalForwardPreservesBackwardCache(t *testing.T) {
-	ref := NewConv2d(rand.New(rand.NewSource(13)), 3, 4, 3, 1, 1, true)
-	probed := NewConv2d(rand.New(rand.NewSource(13)), 3, 4, 3, 1, 1, true)
+	ref := packed(NewConv2d(rand.New(rand.NewSource(13)), 3, 4, 3, 1, 1, true))
+	probed := packed(NewConv2d(rand.New(rand.NewSource(13)), 3, 4, 3, 1, 1, true))
 	rng := rand.New(rand.NewSource(14))
 	xTrain := tensor.Rand(rng, -1, 1, 2, 3, 6, 6)
 	xEval := tensor.Rand(rng, -1, 1, 5, 3, 6, 6) // different batch size too
@@ -223,6 +223,7 @@ func BenchmarkConvForward(b *testing.B) {
 func benchTrainStep(b *testing.B, l Layer, shape ...int) {
 	x := tensor.Rand(rand.New(rand.NewSource(2)), -1, 1, shape...)
 	grad := tensor.Rand(rand.New(rand.NewSource(3)), -1, 1, shape...)
+	packed(l)
 	ar := withArena(b, l)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -336,8 +336,8 @@ func TestConvTailMatchesUnfusedBits(t *testing.T) {
 			for si, s := range shapes {
 				label := fmt.Sprintf("%s %+v tier=%d", blk.name, s, tier)
 				seed := int64(100*si + len(blk.name))
-				fused := blk.build(tailKit{rng: rand.New(rand.NewSource(seed))}, s.inC, s.c)
-				oracle := blk.build(tailKit{oracle: true, rng: rand.New(rand.NewSource(seed))}, s.inC, s.c)
+				fused := packed(blk.build(tailKit{rng: rand.New(rand.NewSource(seed))}, s.inC, s.c))
+				oracle := packed(blk.build(tailKit{oracle: true, rng: rand.New(rand.NewSource(seed))}, s.inC, s.c))
 				rng := rand.New(rand.NewSource(seed + 1))
 
 				// Warm-up: a training forward, then an evaluation one.

@@ -21,10 +21,20 @@ func lossOf(l Layer, x, w *tensor.Tensor, train bool) float64 {
 	return s
 }
 
+// packed packs l's parameters, if it has any, as a trained block's are
+// (Pack), so that Backward has gradients to accumulate into; it returns l.
+func packed[L Layer](l L) L {
+	if params := l.Params(); len(params) > 0 {
+		Pack(params)
+	}
+	return l
+}
+
 // checkGradients verifies analytic input and parameter gradients of layer l
 // against central finite differences at input x.
 func checkGradients(t *testing.T, name string, l Layer, x *tensor.Tensor) {
 	t.Helper()
+	packed(l)
 	rng := rand.New(rand.NewSource(99))
 	out := l.Forward(x.Clone(), true)
 	w := tensor.Rand(rng, -1, 1, out.Shape()...)
@@ -198,7 +208,7 @@ func TestMeanPoolSeqGradients(t *testing.T) {
 func TestEmbeddingGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const vocab, seqLen, dim = 7, 3, 4
-	e := NewEmbedding(rng, vocab, seqLen, dim)
+	e := packed(NewEmbedding(rng, vocab, seqLen, dim))
 	ids := tensor.New(2, seqLen)
 	for i := range ids.Data() {
 		ids.Data()[i] = float32(rng.Intn(vocab))

@@ -176,6 +176,7 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 		"Flatten":   NewFlatten(),
 	}
 	for name, l := range layers {
+		packed(l)
 		func() {
 			defer func() {
 				if recover() == nil {

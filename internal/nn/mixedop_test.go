@@ -9,10 +9,10 @@ import (
 )
 
 func newTestMixedOp(rng *rand.Rand) *MixedOp {
-	return NewMixedOp(
+	return packed(NewMixedOp(
 		NewConv2d(rng, 3, 3, 3, 1, 1, false),
 		NewSequential(NewDWConv2d(rng, 3, 3, 1, 1, false), NewConv2d(rng, 3, 3, 1, 1, 0, false)),
-	)
+	))
 }
 
 func TestMixedOpUniformInit(t *testing.T) {
@@ -91,10 +91,10 @@ func TestMixedOpLearnsToPreferBetterBranch(t *testing.T) {
 	// parameters against it must shift probability onto branch 0.
 	rng := rand.New(rand.NewSource(7))
 	target := NewConv2d(rng, 3, 3, 3, 1, 1, false)
-	m := NewMixedOp(
+	m := packed(NewMixedOp(
 		NewConv2d(rng, 3, 3, 3, 1, 1, false),
 		NewConv2d(rng, 3, 3, 1, 1, 0, false), // 1x1 conv: weaker candidate
-	)
+	))
 	// Make branch 0 exactly the target (same weights), branch 1 cannot
 	// represent it.
 	m.Branches[0].(*Conv2d).Weight.Value.CopyFrom(target.Weight.Value)

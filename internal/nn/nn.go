@@ -9,6 +9,11 @@
 // backward pass deterministic, which the bit-equivalence experiments rely
 // on. A Layer must not be shared between goroutines during training.
 //
+// Training state. NewParam makes a parameter's value only, so a frozen
+// teacher carries no gradient or momentum. Before a trained block's first
+// Backward, Pack moves its values, gradients and momentum into three
+// slabs, one buffer each; SGD keeps nothing of its own and steps them.
+//
 // Lifetime. Every tensor a layer or loss allocates (outputs, gradients,
 // backward caches) comes from the arena attached with ApplyArena. With
 // none attached — the default — that is plain allocation and a returned
@@ -27,20 +32,45 @@ import (
 	"pipebd/internal/tensor"
 )
 
-// Param is a trainable tensor together with its gradient accumulator.
+// Param is a trainable tensor. Pack makes Value, Grad and Velocity views
+// into its block's slabs; a parameter never packed (a frozen teacher's)
+// has a value only.
 type Param struct {
-	Name  string
-	Value *tensor.Tensor
-	Grad  *tensor.Tensor
+	Name                  string
+	Value, Grad, Velocity *tensor.Tensor
 }
 
-// NewParam allocates a parameter with a zero gradient of matching shape.
-func NewParam(name string, value *tensor.Tensor) *Param {
-	return &Param{Name: name, Value: value, Grad: tensor.New(value.Shape()...)}
+// NewParam wraps value as a parameter, without gradient or momentum.
+func NewParam(name string, value *tensor.Tensor) *Param { return &Param{Name: name, Value: value} }
+
+// Slabs is a trained block's state: its parameters' values, gradients and
+// momentum, each one flat buffer holding the parameters' tensors end to
+// end in Params() order.
+type Slabs struct {
+	Values, Grads, Velocity *tensor.Tensor
 }
 
-// ZeroGrad clears the gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// Pack makes params' slabs, copies the values in, and points every Value,
+// Grad and Velocity at its span. params must hold at least one element.
+func Pack(params []*Param) Slabs {
+	n := 0
+	for _, p := range params {
+		n += p.Value.Numel()
+	}
+	s := Slabs{tensor.New(n), tensor.New(n), tensor.New(n)}
+	off := 0
+	for _, p := range params {
+		shape, end := p.Value.Shape(), off+p.Value.Numel()
+		view := func(slab *tensor.Tensor) *tensor.Tensor {
+			return tensor.FromSlice(slab.Data()[off:end:end], shape...)
+		}
+		value := view(s.Values)
+		value.CopyFrom(p.Value)
+		p.Value, p.Grad, p.Velocity = value, view(s.Grads), view(s.Velocity)
+		off = end
+	}
+	return s
+}
 
 // Layer is a differentiable module. Backward must be called after Forward
 // on the same input batch; it returns the gradient with respect to the
@@ -60,7 +90,7 @@ type Layer interface {
 // ZeroGrads clears the gradients of all params.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 }
 

@@ -8,8 +8,16 @@ import (
 	"pipebd/internal/tensor"
 )
 
+// trained returns a parameter holding value, packed as a trained block's
+// are, so it has a gradient and a velocity.
+func trained(value *tensor.Tensor) *Param {
+	p := NewParam("w", value)
+	Pack([]*Param{p})
+	return p
+}
+
 func TestSGDPlainStep(t *testing.T) {
-	p := NewParam("w", tensor.FromSlice([]float32{1, 2}, 2))
+	p := trained(tensor.FromSlice([]float32{1, 2}, 2))
 	p.Grad.CopyFrom(tensor.FromSlice([]float32{0.5, -0.5}, 2))
 	NewSGD(0.1, 0, 0).Step([]*Param{p})
 	want := tensor.FromSlice([]float32{0.95, 2.05}, 2)
@@ -19,7 +27,7 @@ func TestSGDPlainStep(t *testing.T) {
 }
 
 func TestSGDMomentumAccumulates(t *testing.T) {
-	p := NewParam("w", tensor.FromSlice([]float32{0}, 1))
+	p := trained(tensor.FromSlice([]float32{0}, 1))
 	opt := NewSGD(1, 0.9, 0)
 	// Constant gradient of 1: velocities 1, 1.9, 2.71...
 	p.Grad.Fill(1)
@@ -34,7 +42,7 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 }
 
 func TestSGDWeightDecayPullsTowardZero(t *testing.T) {
-	p := NewParam("w", tensor.FromSlice([]float32{10}, 1))
+	p := trained(tensor.FromSlice([]float32{10}, 1))
 	opt := NewSGD(0.1, 0, 0.5)
 	p.Grad.Zero()
 	opt.Step([]*Param{p})
@@ -47,7 +55,7 @@ func TestSGDWeightDecayPullsTowardZero(t *testing.T) {
 func TestSGDDeterminism(t *testing.T) {
 	run := func() *tensor.Tensor {
 		rng := rand.New(rand.NewSource(42))
-		p := NewParam("w", tensor.Rand(rng, -1, 1, 8))
+		p := trained(tensor.Rand(rng, -1, 1, 8))
 		opt := NewSGD(0.05, 0.9, 1e-4)
 		for step := 0; step < 20; step++ {
 			for i := range p.Grad.Data() {
@@ -65,7 +73,7 @@ func TestSGDDeterminism(t *testing.T) {
 func TestSGDConvergesOnQuadratic(t *testing.T) {
 	// Minimize f(w) = ||w - target||² by hand-computed gradients.
 	target := tensor.FromSlice([]float32{3, -2, 0.5}, 3)
-	p := NewParam("w", tensor.New(3))
+	p := trained(tensor.New(3))
 	opt := NewSGD(0.1, 0.9, 0)
 	for step := 0; step < 200; step++ {
 		// grad = 2(w - target)
@@ -82,12 +90,12 @@ func TestTrainingReducesLossEndToEnd(t *testing.T) {
 	// A small CNN should fit 16 random samples (memorization test): the
 	// loss after training must drop by a large factor.
 	rng := rand.New(rand.NewSource(7))
-	net := NewSequential(
+	net := packed(NewSequential(
 		NewConv2d(rng, 1, 4, 3, 1, 1, true),
 		NewReLU(),
 		NewFlatten(),
 		NewLinear(rng, 4*8*8, 4, true),
-	)
+	))
 	x := tensor.Rand(rng, -1, 1, 16, 1, 8, 8)
 	labels := make([]int, 16)
 	target := tensor.New(16, 4) // one-hot rows

@@ -107,6 +107,7 @@ func TestTransformerCachesInvalidatedByEvalForward(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
+		packed(c.layer)
 		t.Run(c.name, func(t *testing.T) {
 			x := c.input()
 			out := c.layer.Forward(x, true)
@@ -155,6 +156,7 @@ func TestConvBackwardGradShapeChecked(t *testing.T) {
 		"DWConv2d": NewDWConv2d(rng, 3, 3, 1, 1, true),
 	}
 	for name, l := range layers {
+		packed(l)
 		l.Forward(tensor.Rand(rng, -1, 1, 2, 3, 6, 6), true)
 		for _, bad := range [][]int{
 			{2, 3, 6, 5}, // narrower: used to mis-index silently
@@ -199,6 +201,7 @@ func TestBackwardAfterArenaResetPanics(t *testing.T) {
 		{"MixedOp", NewMixedOp(NewReLU(), NewReLU()), image},
 	}
 	for _, c := range cases {
+		packed(c.layer)
 		t.Run(c.name, func(t *testing.T) {
 			ar := tensor.NewArena()
 			ApplyArena(c.layer, ar)
@@ -225,7 +228,7 @@ func TestBackwardAfterArenaResetPanics(t *testing.T) {
 // draws nothing from the heap the second time round.
 func TestApplyArenaReachesNestedLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	block := NewSequential(
+	block := packed(NewSequential(
 		NewEmbedding(rng, 16, 6, 8),
 		NewResidual(NewMultiHeadAttention(rng, 8, 2)),
 		NewLayerNorm(8),
@@ -233,7 +236,7 @@ func TestApplyArenaReachesNestedLayers(t *testing.T) {
 		NewLayerNorm(8),
 		NewMeanPoolSeq(),
 		NewLinear(rng, 8, 4, true),
-	)
+	))
 	ar := tensor.NewArena()
 	ApplyArena(block, ar)
 	ids := tensor.New(4, 6)

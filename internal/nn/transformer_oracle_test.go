@@ -235,7 +235,7 @@ func (c *addCounter) Add(dst, a, b *tensor.Tensor) {
 // the process default whatever ApplyBackend had set, so a configured
 // backend (and anything timing it) never saw them.
 func TestResidualUsesConfiguredBackend(t *testing.T) {
-	build := func() *Residual { return NewResidual(NewLinear(rand.New(rand.NewSource(13)), 6, 6, true)) }
+	build := func() *Residual { return packed(NewResidual(NewLinear(rand.New(rand.NewSource(13)), 6, 6, true))) }
 	ref, res := build(), build()
 	be := &addCounter{Backend: tensor.Default()}
 	ApplyBackend(res, be)

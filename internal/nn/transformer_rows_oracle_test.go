@@ -412,10 +412,10 @@ func encoderKit(seed int64, dim, heads, ff int, mix saltMix, oracle bool) Layer 
 		mix.salt(rng, p.Value, mix.n)
 	}
 	if !oracle {
-		return NewSequential(NewResidual(mha), ln1, NewResidual(mlp), ln2)
+		return packed(NewSequential(NewResidual(mha), ln1, NewResidual(mlp), ln2))
 	}
 	ff1 := &oracleFF{FeedForward: mlp, w1: &oracleLinear{Linear: mlp.W1}, w2: &oracleLinear{Linear: mlp.W2}, act: &oracleGELU{}}
-	return NewSequential(NewResidual(newOracleMHA(mha)), &oracleLN{LayerNorm: ln1}, NewResidual(ff1), &oracleLN{LayerNorm: ln2})
+	return packed(NewSequential(NewResidual(newOracleMHA(mha)), &oracleLN{LayerNorm: ln1}, NewResidual(ff1), &oracleLN{LayerNorm: ln2}))
 }
 
 // TestTransformerRowsMatchUnfusedBits runs an encoder layer on the row
@@ -475,7 +475,7 @@ func TestTransformerRowsMatchUnfusedBits(t *testing.T) {
 			for mi, mix := range saltMixes {
 				label := fmt.Sprintf("LayerNorm %+v %s tier=%d", s, mix.name, tier)
 				rng := rand.New(rand.NewSource(int64(400 + s.dim + mi)))
-				got, ref := NewLayerNorm(s.dim), NewLayerNorm(s.dim)
+				got, ref := packed(NewLayerNorm(s.dim)), packed(NewLayerNorm(s.dim))
 				for _, p := range []*Param{got.Gain, got.Bias} {
 					p.Value.CopyFrom(mix.salt(rng, tensor.Rand(rng, -1.5, 1.5, s.dim), mix.n))
 				}
@@ -505,7 +505,7 @@ func TestTransformerRowsMatchUnfusedBits(t *testing.T) {
 			for mi, mix := range saltMixes {
 				label := fmt.Sprintf("Linear %+v %s tier=%d", s, mix.name, tier)
 				seed := int64(s.n + s.out + mi)
-				got, ref := NewLinear(rand.New(rand.NewSource(seed)), s.in, s.out, true), NewLinear(rand.New(rand.NewSource(seed)), s.in, s.out, true)
+				got, ref := packed(NewLinear(rand.New(rand.NewSource(seed)), s.in, s.out, true)), packed(NewLinear(rand.New(rand.NewSource(seed)), s.in, s.out, true))
 				rng := rand.New(rand.NewSource(seed + 1))
 				b := mix.salt(rng, tensor.Rand(rng, -1, 1, s.out), mix.n)
 				got.Bias.Value.CopyFrom(b)
