@@ -64,8 +64,19 @@
 // link relays each boundary activation in one of relayDepth+2 buffers
 // per boundary, which the consumer hands back at its next receive: the
 // loop allocates nothing in a steady-state step on either link, and the
-// in-process link nothing either. The cluster link still allocates its
-// frames (the encoded activation, losses, spans, snapshots) every step.
+// in-process link nothing either. Nor does a warm cluster step allocate a
+// frame: a worker encodes its activation, ring segments, losses, barrier
+// arrival, acks and snapshots into pooled buffers (wire.Frame.Release),
+// reads every frame into one, wraps a peer frame for a relayed edge by
+// reslicing its buffer, and the coordinator forwards a relay envelope
+// unopened. A pooled frame is released by its last holder: Send takes the
+// caller's reference, a frame enqueued to several outboxes holds one per
+// outbox, and whoever consumes a received frame releases it once read. A
+// frame nobody releases is garbage — a missed release costs an
+// allocation, never a wrong bit — and test binaries poison a released
+// buffer before its reuse. Span batches (tracing only), a resumable
+// link's acknowledgements and the coordinator's decoded snapshots still
+// allocate.
 //
 // # Transformer workload
 //

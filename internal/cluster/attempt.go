@@ -121,18 +121,18 @@ type routes struct {
 }
 
 // forward checks a relay envelope session sess sent and returns the
-// session its destination lives on. Only the envelope's header is read
-// (wire.DecodeRelay copies nothing): the sending session must host the
-// inner frame's source, and the edge must be one the attempt relays.
+// session its destination lives on. Only the envelope's header and prefix
+// are read (wire.RelayPrefix): the sending session must host the inner
+// frame's source, and the edge must be one the attempt relays.
 func (rt *routes) forward(sess int, addr string, f *wire.Frame) (int, error) {
-	inner, err := wire.DecodeRelay(f)
+	kind, dev, err := wire.RelayPrefix(f)
 	if err != nil {
 		return 0, err
 	}
-	from, to := int(inner.Dev), int(f.Dev)
+	from, to := int(dev), int(f.Dev)
 	if from < 0 || from >= len(rt.host) || rt.host[from] != sess || !rt.relayed[[2]int{from, to}] {
 		return 0, fmt.Errorf("cluster: worker %s relayed %v from device %d to device %d, not a relayed edge from a device it hosts",
-			addr, inner.Kind, from, to)
+			addr, kind, from, to)
 	}
 	return rt.host[to], nil
 }
@@ -366,7 +366,7 @@ func (a *attemptCore) onStepDone(ds *devState, step int) error {
 	}
 	for d, i := range a.host {
 		if a.sessions[i].live {
-			a.emit(effect{kind: efSend, sess: i, frame: wire.Control(wire.KindStepGo, int32(d), int32(step))})
+			a.emit(effect{kind: efSend, sess: i, frame: wire.PooledControl(wire.KindStepGo, int32(d), int32(step))})
 		}
 	}
 	return nil

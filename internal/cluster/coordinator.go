@@ -502,15 +502,16 @@ func (r *run) read(sess int, p *peerConn, events chan<- event) {
 		case f.Kind == wire.KindRelay:
 			to, ferr := r.routes.forward(sess, p.addr, f)
 			if ferr == nil {
-				r.peers[to].out.Enqueue(f)
+				r.peers[to].out.Enqueue(f) // released once written
 				if hb := r.co.cfg.HeartbeatInterval; hb == 0 || time.Duration(at-told) < hb {
 					continue
 				}
 			}
-			ev = event{kind: evFrame, at: at, sess: sess, frame: f.Kind, err: ferr}
+			ev = event{kind: evFrame, at: at, sess: sess, frame: wire.KindRelay, err: ferr}
 		default:
 			ev = frameEvent(sess, at, f)
-			if f.Kind == wire.KindSpans && ev.err == nil && r.co.cfg.Trace {
+			f.Release() // the event holds what it decoded
+			if ev.frame == wire.KindSpans && ev.err == nil && r.co.cfg.Trace {
 				r.co.cfg.TraceSink(ev.spans.Track, ev.spans.Spans)
 			}
 		}

@@ -64,7 +64,8 @@ func newOutbox(send func(*wire.Frame) error) *outbox {
 				return // closed and drained
 			}
 			if o.Err() != nil {
-				continue // drain without sending after a failure
+				f.Release() // drain without sending after a failure
+				continue
 			}
 			if err := send(f); err != nil {
 				o.fail(err)
@@ -74,12 +75,14 @@ func newOutbox(send func(*wire.Frame) error) *outbox {
 	return o
 }
 
-// Enqueue queues a frame for sending; it never blocks. A frame enqueued
-// after Close is dropped without failing the outbox: a late frame — a
-// relay racing a graceful teardown — must not cancel the flush of what
-// was queued before it.
+// Enqueue queues a frame for sending, with the caller's reference to it;
+// it never blocks. A frame enqueued after Close is dropped without
+// failing the outbox: a late frame — a relay racing a graceful teardown —
+// must not cancel the flush of what was queued before it.
 func (o *outbox) Enqueue(f *wire.Frame) {
-	_ = o.q.Push(f) // fails only once Close has begun
+	if o.q.Push(f) != nil { // fails only once Close has begun
+		f.Release()
+	}
 }
 
 // Close flushes queued frames and stops the writer.
@@ -117,7 +120,8 @@ func (o *outbox) Err() error {
 
 // inbox is one device's view of the session's inbound frames, demuxed by
 // kind. The worker's router goroutine fills it; the device loop pops the
-// kind it is waiting for. fail wakes all waiters with an error.
+// kind it is waiting for, and releases the frame once it has read it.
+// fail wakes all waiters with an error.
 type inbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -156,12 +160,11 @@ func (b *inbox) next(kind wire.Kind) (*wire.Frame, error) {
 	}
 	if q := b.byKind[kind]; len(q) > 0 {
 		f := q[0]
-		q[0] = nil
-		// A drained queue keeps its array for the next put.
-		b.byKind[kind] = q[1:]
-		if len(q) == 1 {
-			b.byKind[kind] = q[:0]
-		}
+		// The queue moves down its array, which the next put reuses: a
+		// kind holds at most a few steps' frames (FrameQueue's bound).
+		n := copy(q, q[1:])
+		q[n] = nil
+		b.byKind[kind] = q[:n]
 		return f, nil
 	}
 	return nil, b.err

@@ -155,25 +155,26 @@ func (m *mesh) relay(local, remote int) {
 	control := m.control.out
 	m.eps[pairKey{local, remote}] = &endpoint{in: m.inbox(),
 		out: newOutbox(func(f *wire.Frame) error {
-			control.Enqueue(wire.EncodeRelay(int32(remote), f))
+			control.Enqueue(wire.WrapRelay(int32(remote), f))
 			return nil
 		})}
 }
 
-// unwrap delivers a relayed peer frame off the control link into the
-// inbox of the relayed edge it crossed; a frame naming any other pair is
-// a protocol error.
+// unwrap delivers a relayed peer frame off the control link, with the
+// caller's reference, into the inbox of the relayed edge it crossed; a
+// frame naming any other pair is a protocol error.
 func (m *mesh) unwrap(f *wire.Frame) error {
-	inner, err := wire.DecodeRelay(f)
+	to := f.Dev // the envelope's; unwrapping may rewrite f in place
+	inner, err := wire.UnwrapRelay(f)
 	if err != nil {
 		return err
 	}
 	m.mu.Lock()
-	ep := m.eps[pairKey{int(f.Dev), int(inner.Dev)}]
+	ep := m.eps[pairKey{int(to), int(inner.Dev)}]
 	m.mu.Unlock()
 	if ep == nil || ep.conn != nil {
 		return fmt.Errorf("cluster: relayed %v from device %d to device %d crosses no relayed edge of this session",
-			inner.Kind, inner.Dev, f.Dev)
+			inner.Kind, inner.Dev, to)
 	}
 	ep.in.put(inner)
 	return nil
@@ -418,9 +419,11 @@ type ringLink struct {
 	nextAcked []int // per next-group member: highest acked step
 	ackInit   bool
 
-	// Reusable all-reduce buffers.
+	// Reusable all-reduce buffers: the flattened gradients, the owned
+	// segment's accumulator, and the one a received segment decodes into.
 	flat   []float32
 	acc    []float32
+	recv   []float32
 	segOff []int
 }
 
@@ -454,11 +457,15 @@ func (l *ringLink) StepBarrier(step int) {
 	if l.dpu {
 		return
 	}
-	l.out.Enqueue(wire.Control(wire.KindStepDone, l.dev, int32(step)))
-	if f, err := l.in.next(wire.KindStepGo); err != nil {
+	l.out.Enqueue(wire.PooledControl(wire.KindStepDone, l.dev, int32(step)))
+	f, err := l.in.next(wire.KindStepGo)
+	if err != nil {
 		sessionFail("cluster: dev %d waiting for the release of step %d: %w", l.dev, step, err)
-	} else if int(f.Step) != step {
-		sessionFail("cluster: dev %d got the release of step %d, want %d", l.dev, f.Step, step)
+	}
+	got := int(f.Step)
+	f.Release()
+	if got != step {
+		sessionFail("cluster: dev %d got the release of step %d, want %d", l.dev, got, step)
 	}
 }
 
@@ -478,6 +485,8 @@ func (l *ringLink) FinishStep(step int) {
 	l.flushSpans(int32(step))
 }
 
+// recvPeer returns the next frame of the given kind from a peer, which
+// must be the step's; the caller releases it once it has read it.
 func (l *ringLink) recvPeer(remote int, kind wire.Kind, step int) *wire.Frame {
 	ep := l.peers[remote]
 	if ep == nil {
@@ -513,6 +522,7 @@ func (l *ringLink) RecvInput(step int) *tensor.Tensor {
 	for i, pd := range l.prev {
 		f := l.recvPeer(pd, wire.KindOutput, step)
 		t, err := wire.DecodeTensorInto(f, l.shards[i])
+		f.Release()
 		if err != nil {
 			sessionFail("cluster: dev %d decoding peer input of step %d from device %d: %w", l.dev, step, pd, err)
 		}
@@ -524,7 +534,7 @@ func (l *ringLink) RecvInput(step int) *tensor.Tensor {
 	}
 	if l.dpu {
 		for _, pd := range l.prev {
-			l.peers[pd].out.Enqueue(wire.Control(wire.KindPeerAck, l.dev, int32(step)))
+			l.peers[pd].out.Enqueue(wire.PooledControl(wire.KindPeerAck, l.dev, int32(step)))
 		}
 	}
 	return l.input
@@ -550,10 +560,11 @@ func (l *ringLink) placeShard(i int, t *tensor.Tensor) error {
 }
 
 // SendOutput forwards the member's boundary activation (its shard when
-// the group is split) to every member of the next group. Under DPU it
-// first waits for the acks that keep the sender within ackWindow steps;
-// without DPU the global step barrier already holds every sender within a
-// step of its consumers, so no ack is sent or awaited.
+// the group is split) to every member of the next group: one encoded
+// frame, which every outbox holds a reference to. Under DPU it first
+// waits for the acks that keep the sender within ackWindow steps; without
+// DPU the global step barrier already holds every sender within a step of
+// its consumers, so no ack is sent or awaited.
 func (l *ringLink) SendOutput(step int, out *tensor.Tensor) {
 	if l.next == nil {
 		return
@@ -561,7 +572,10 @@ func (l *ringLink) SendOutput(step int, out *tensor.Tensor) {
 	if l.dpu {
 		l.awaitWindow(step)
 	}
-	f := wire.EncodeTensor(wire.KindOutput, l.dev, int32(step), out)
+	f := wire.PooledTensor(wire.KindOutput, l.dev, int32(step), out)
+	for range l.next[1:] {
+		f.Retain()
+	}
 	for _, nd := range l.next {
 		l.peers[nd].out.Enqueue(f)
 	}
@@ -592,10 +606,12 @@ func (l *ringLink) awaitWindow(step int) {
 			if err != nil {
 				sessionFail("cluster: dev %d waiting for ack from device %d: %w", l.dev, nd, err)
 			}
-			if int(f.Step) != l.nextAcked[i]+1 {
-				sessionFail("cluster: dev %d got ack for step %d from device %d, want %d", l.dev, f.Step, nd, l.nextAcked[i]+1)
+			acked := int(f.Step)
+			f.Release()
+			if acked != l.nextAcked[i]+1 {
+				sessionFail("cluster: dev %d got ack for step %d from device %d, want %d", l.dev, acked, nd, l.nextAcked[i]+1)
 			}
-			l.nextAcked[i] = int(f.Step)
+			l.nextAcked[i] = acked
 		}
 	}
 }
@@ -641,6 +657,7 @@ func (l *ringLink) AllReduce(step int, grads []*tensor.Tensor, scratch *tensor.A
 			maxSeg++
 		}
 		l.acc = make([]float32, maxSeg)
+		l.recv = make([]float32, total)
 	}
 	off := 0
 	for _, g := range grads {
@@ -669,7 +686,8 @@ func (l *ringLink) allReducePair(step int) {
 	other := l.group[1-l.rank]
 	l.peers[other].out.Enqueue(wire.EncodeRingSegment(l.dev, int32(step), wire.RingFull, 0, l.flat))
 	f := l.recvPeer(other, wire.KindRingSegment, step)
-	phase, seg, data, err := wire.DecodeRingSegment(f)
+	phase, seg, data, err := wire.DecodeRingSegment(f, l.recv)
+	f.Release()
 	if err != nil {
 		sessionFail("cluster: dev %d decoding ring frame of step %d: %w", l.dev, step, err)
 	}
@@ -719,7 +737,8 @@ func (l *ringLink) allReduceRing(step int) {
 			continue
 		}
 		f := l.recvPeer(l.group[r], wire.KindRingSegment, step)
-		phase, seg, data, err := wire.DecodeRingSegment(f)
+		phase, seg, data, err := wire.DecodeRingSegment(f, l.recv)
+		f.Release()
 		if err != nil {
 			sessionFail("cluster: dev %d decoding contribution of step %d: %w", l.dev, step, err)
 		}
@@ -749,7 +768,8 @@ func (l *ringLink) allReduceRing(step int) {
 			l.dev, int32(step), wire.RingGather, sendSeg, l.flat[l.segOff[sendSeg]:l.segOff[sendSeg+1]]))
 		recvSeg := (rank - 1 - t + k) % k
 		f := l.recvPeer(prevDev, wire.KindRingSegment, step)
-		phase, seg, data, err := wire.DecodeRingSegment(f)
+		phase, seg, data, err := wire.DecodeRingSegment(f, l.recv)
+		f.Release()
 		if err != nil {
 			sessionFail("cluster: dev %d decoding gather of step %d: %w", l.dev, step, err)
 		}

@@ -46,9 +46,12 @@ func (n *tap) Dial(addr string) (transport.Conn, error) {
 	return &tapConn{Conn: c, tap: n}, nil
 }
 
+// note records a copy of f: the frame itself is its holder's, released
+// (and, pooled, recycled) once sent or consumed.
 func (n *tap) note(recv bool, f *wire.Frame) {
+	cp := &wire.Frame{Kind: f.Kind, Dev: f.Dev, Step: f.Step, Payload: append([]byte(nil), f.Payload...)}
 	n.mu.Lock()
-	n.frames = append(n.frames, tapped{recv, f})
+	n.frames = append(n.frames, tapped{recv, cp})
 	n.mu.Unlock()
 }
 

@@ -342,7 +342,9 @@ func (cc *chaosConn) dead() bool {
 
 // Send writes f unless a fault ends the connection first: a kill, flap or
 // partition loses the frame, a truncation delivers half its payload — the
-// peer decodes a structurally broken message.
+// peer decodes a structurally broken message. A frame a fault catches
+// keeps the caller's reference for good: it is garbage, never recycled
+// under the half a truncation still delivers.
 func (cc *chaosConn) Send(f *wire.Frame) error {
 	if cc.dead() {
 		cc.inner.Close()

@@ -15,7 +15,7 @@ import (
 // run would, preserving bit-equivalence between the two.
 //
 // Frames must not be mutated after Send: the receiver observes the same
-// Frame value.
+// Frame value, and with it the sender's reference to a pooled frame.
 type Loopback struct {
 	mu        sync.Mutex
 	listeners map[string]*loopListener
@@ -121,7 +121,13 @@ type loopConn struct {
 	in, out *FrameQueue
 }
 
-func (c *loopConn) Send(f *wire.Frame) error { return c.out.Push(f) }
+func (c *loopConn) Send(f *wire.Frame) error {
+	if err := c.out.Push(f); err != nil {
+		f.Release()
+		return err
+	}
+	return nil
+}
 
 func (c *loopConn) Recv() (*wire.Frame, error) { return c.in.Pop() }
 

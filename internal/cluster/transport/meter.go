@@ -63,7 +63,7 @@ func (m *Meter) Reset() {
 // frameBytes is the on-wire size of a frame: the fixed header plus the
 // payload. This is exact for the TCP transport and the natural equivalent
 // for loopback (which never serializes).
-func frameBytes(f *wire.Frame) int64 { return 16 + int64(len(f.Payload)) }
+func frameBytes(f *wire.Frame) int64 { return wire.HeaderLen + int64(len(f.Payload)) }
 
 // Listen passes through to the wrapped network.
 func (m *Meter) Listen(addr string) (Listener, error) { return m.inner.Listen(addr) }
@@ -85,10 +85,11 @@ type meterConn struct {
 }
 
 func (mc *meterConn) Send(f *wire.Frame) error {
+	n := frameBytes(f) // before Send, which takes the reference
 	if err := mc.inner.Send(f); err != nil {
 		return err
 	}
-	mc.m.sentBytes.Add(frameBytes(f))
+	mc.m.sentBytes.Add(n)
 	mc.m.sentFrames.Add(1)
 	return nil
 }

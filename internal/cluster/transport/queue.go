@@ -11,11 +11,16 @@ import (
 // drains remaining frames after Close and then reports io.EOF. Unbounded
 // on purpose — the cluster session layer guarantees progress by never
 // blocking a sender, and bounds memory via the pipeline's flow-control
-// window rather than the queue. Safe for concurrent use.
+// window rather than the queue: under DPU an activation sender runs at
+// most its ack window of two steps ahead of its consumers, and without DPU
+// the step barrier holds every sender within one step, so the pooled
+// frames queued on a link are at most a few steps' worth. Safe for
+// concurrent use.
 type FrameQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	frames []*wire.Frame
+	frames []*wire.Frame // frames[head:] are queued
+	head   int
 	closed bool
 }
 
@@ -33,6 +38,13 @@ func (q *FrameQueue) Push(f *wire.Frame) error {
 	if q.closed {
 		return io.ErrClosedPipe
 	}
+	if q.head > 0 && len(q.frames) == cap(q.frames) {
+		// Full at the back, free at the front: move the queue down the
+		// array instead of growing it.
+		n := copy(q.frames, q.frames[q.head:])
+		clear(q.frames[n:])
+		q.frames, q.head = q.frames[:n], 0
+	}
 	q.frames = append(q.frames, f)
 	q.cond.Signal()
 	return nil
@@ -43,15 +55,19 @@ func (q *FrameQueue) Push(f *wire.Frame) error {
 func (q *FrameQueue) Pop() (*wire.Frame, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.frames) == 0 && !q.closed {
+	for q.head == len(q.frames) && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.frames) == 0 {
+	if q.head == len(q.frames) {
 		return nil, io.EOF
 	}
-	f := q.frames[0]
-	q.frames[0] = nil
-	q.frames = q.frames[1:]
+	f := q.frames[q.head]
+	q.frames[q.head] = nil
+	q.head++
+	if q.head == len(q.frames) {
+		// Drained: the next Push starts at the front of the same array.
+		q.frames, q.head = q.frames[:0], 0
+	}
 	return f, nil
 }
 

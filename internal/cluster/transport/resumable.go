@@ -126,7 +126,9 @@ func NewResumable(conn Conn, policy RetryPolicy, opts ResumableOptions) *Resumab
 // and only returns an error once the link is terminally down or closed.
 // A failed write does not take the link down: the connection may still
 // hold frames the peer sent before it closed (a Drain, say), so the break
-// is the reader's to declare once it has read them.
+// is the reader's to declare once it has read them. The caller's
+// reference to a pooled frame is held until the peer acknowledges the
+// frame (trimLocked releases it).
 func (r *Resumable) Send(f *wire.Frame) error {
 	r.sendMu.Lock()
 	defer r.sendMu.Unlock()
@@ -135,9 +137,12 @@ func (r *Resumable) Send(f *wire.Frame) error {
 		r.mu.Unlock()
 		return err
 	}
-	r.buf = append(r.buf, f)
+	r.buf = append(r.buf, f) // the caller's reference, held until acked
 	r.sent++
 	conn := r.conn
+	if conn != nil {
+		f.Retain() // conn.Send's
+	}
 	r.mu.Unlock()
 	if conn != nil {
 		_ = conn.Send(f) // on failure the frame waits in buf for the replay
@@ -171,6 +176,7 @@ func (r *Resumable) Recv() (*wire.Frame, error) {
 			// anything it carried past our reported high-water mark will be
 			// replayed on the new connection, so drop it uncounted.
 			r.mu.Unlock()
+			f.Release()
 			continue
 		}
 		if f.Kind == wire.KindLinkAck {
@@ -178,6 +184,7 @@ func (r *Resumable) Recv() (*wire.Frame, error) {
 				r.trimLocked(acked)
 			}
 			r.mu.Unlock()
+			f.Release()
 			continue
 		}
 		r.recvd++
@@ -195,14 +202,20 @@ func (r *Resumable) Recv() (*wire.Frame, error) {
 	}
 }
 
-// trimLocked drops buffered frames the peer confirmed receiving.
+// trimLocked releases the buffered frames the peer confirmed receiving
+// and moves the rest to the front of buf's array, which the next Send
+// appends to.
 func (r *Resumable) trimLocked(acked int64) {
 	drop := acked - r.ackBase
 	if drop <= 0 || drop > int64(len(r.buf)) {
 		return
 	}
-	rest := r.buf[drop:]
-	r.buf = append(r.buf[:0:0], rest...) // reallocate so acked frames free
+	for _, f := range r.buf[:drop] {
+		f.Release()
+	}
+	n := copy(r.buf, r.buf[drop:])
+	clear(r.buf[n:])
+	r.buf = r.buf[:n]
 	r.ackBase = acked
 	r.cond.Broadcast()
 }
@@ -348,7 +361,12 @@ func (r *Resumable) install(conn Conn, peerRecvd int64, echo func(recvd int64) *
 	r.conn = conn
 	r.stopDownLocked()
 	r.sinceAck = 0
-	replay := r.buf
+	// The replay holds its own reference to every frame it sends: an ack
+	// arriving meanwhile trims buf, and releases buf's.
+	replay := append([]*wire.Frame(nil), r.buf...)
+	for _, f := range replay {
+		f.Retain()
+	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	// The fault is absorbed once the link is back, before the replay: a
@@ -360,9 +378,13 @@ func (r *Resumable) install(conn Conn, peerRecvd int64, echo func(recvd int64) *
 	if r.onAbsorb != nil {
 		r.onAbsorb(len(replay))
 	}
-	for _, f := range replay {
+	for i, f := range replay {
 		if conn.Send(f) != nil {
-			break // installed; the reader declares the new break
+			// Installed; the reader declares the new break.
+			for _, f := range replay[i+1:] {
+				f.Release()
+			}
+			break
 		}
 	}
 	return nil

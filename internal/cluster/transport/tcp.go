@@ -10,7 +10,8 @@ import (
 )
 
 // TCP is the real multi-process Network: wire frames, already
-// length-prefixed by their header, stream over buffered TCP sockets.
+// length-prefixed by their header, stream over TCP sockets, each written
+// in one vectored write and read through a buffered reader.
 // TCP_NODELAY is left on (Go's default) so small control frames — step
 // barriers, loss reports — are not delayed behind Nagle batching.
 type TCP struct {
@@ -58,32 +59,36 @@ func (l *tcpListener) Addr() string { return l.l.Addr().String() }
 func (l *tcpListener) Close() error { return l.l.Close() }
 
 type tcpConn struct {
-	c  net.Conn
-	r  *bufio.Reader
-	mu sync.Mutex // serializes Send (header + payload must not interleave)
-	w  *bufio.Writer
+	c net.Conn
+	r *bufio.Reader
+
+	mu   sync.Mutex // serializes Send (header + payload must not interleave)
+	hdr  [wire.HeaderLen]byte
+	iov  [2][]byte
+	bufs net.Buffers // iov[:], which a write consumes
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
-	return &tcpConn{
-		c: c,
-		r: bufio.NewReaderSize(c, 1<<16),
-		w: bufio.NewWriterSize(c, 1<<16),
-	}
+	return &tcpConn{c: c, r: bufio.NewReaderSize(c, 1<<16)}
 }
 
+// Send writes the header and the payload in one vectored write, then
+// releases the caller's reference to f, written or not.
 func (c *tcpConn) Send(f *wire.Frame) error {
+	defer f.Release()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := wire.WriteFrame(c.w, f); err != nil {
+	if err := f.PutHeader(&c.hdr); err != nil {
 		return err
 	}
-	return c.w.Flush()
+	c.iov = [2][]byte{c.hdr[:], f.Payload}
+	c.bufs = c.iov[:]
+	_, err := c.bufs.WriteTo(c.c)
+	c.iov = [2][]byte{}
+	return err
 }
 
-func (c *tcpConn) Recv() (*wire.Frame, error) {
-	return wire.ReadFrame(c.r)
-}
+func (c *tcpConn) Recv() (*wire.Frame, error) { return wire.ReadFrame(c.r) }
 
 func (c *tcpConn) Close() error { return c.c.Close() }
 

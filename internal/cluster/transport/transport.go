@@ -15,7 +15,9 @@ import (
 
 // Conn is one end of an ordered, bidirectional frame stream. Send and
 // Recv may be called concurrently with each other, but each direction
-// must be driven by at most one goroutine at a time.
+// must be driven by at most one goroutine at a time. Send takes the
+// caller's reference to a pooled frame (wire.Frame.Release), whether or
+// not it succeeds; a frame Recv returns holds one reference, the caller's.
 type Conn interface {
 	// Send writes one frame. It may block on transport backpressure.
 	Send(f *wire.Frame) error

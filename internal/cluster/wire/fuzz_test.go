@@ -79,7 +79,18 @@ func FuzzReadFrame(f *testing.F) {
 		_, _ = DecodePeerHello(&Frame{Kind: KindPeerHello, Payload: fr.Payload})
 		_, _ = DecodeLinkAck(&Frame{Kind: KindLinkAck, Payload: fr.Payload})
 		_, _, _ = DecodeLinkDown(&Frame{Kind: KindLinkDown, Payload: fr.Payload})
-		_, _, _, _ = DecodeRingSegment(&Frame{Kind: KindRingSegment, Payload: fr.Payload})
+		if phase, seg, fresh, err := DecodeRingSegment(&Frame{Kind: KindRingSegment, Payload: fr.Payload}, nil); err == nil {
+			// Decoding into a buffer with the room fills that buffer, and
+			// into one without it a fresh slice, with the bits a fresh
+			// decode gives.
+			for _, dst := range [][]float32{make([]float32, len(fresh)+1), make([]float32, 0, max(len(fresh)-1, 0))} {
+				p2, s2, got, err := DecodeRingSegment(&Frame{Kind: KindRingSegment, Payload: fr.Payload}, dst)
+				inPlace := len(got) > 0 && cap(dst) > 0 && &got[0] == &dst[:1][0]
+				if err != nil || p2 != phase || s2 != seg || inPlace != (len(fresh) > 0 && cap(dst) >= len(fresh)) || !sameBits(got, fresh) {
+					t.Fatalf("decoding a ring segment into a buffer of capacity %d: in place %v, %v", cap(dst), inPlace, err)
+				}
+			}
+		}
 		_, _ = DecodeSpans(&Frame{Kind: KindSpans, Payload: fr.Payload})
 		_, _ = DecodePlan(fr.Payload)
 		if inner, err := DecodeRelay(&Frame{Kind: KindRelay, Dev: fr.Dev, Step: fr.Step, Payload: fr.Payload}); err == nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pipebd/internal/dataset"
@@ -558,11 +559,14 @@ func DecodeTensors(f *Frame) ([]*tensor.Tensor, error) {
 	return ts, nil
 }
 
-// EncodeLosses packs a device's per-block losses for one step.
+// EncodeLosses packs a device's per-block losses for one step into a
+// pooled frame (pool.go).
 func EncodeLosses(dev, step int32, losses []float64) *Frame {
-	w := NewWriter()
+	f := newPooled(KindLosses, dev, step, 4+8*len(losses))
+	w := Writer{buf: f.Payload}
 	w.F64s(losses)
-	return &Frame{Kind: KindLosses, Dev: dev, Step: step, Payload: w.Bytes()}
+	f.Payload = w.buf
+	return f
 }
 
 // DecodeLosses unpacks a losses frame.
@@ -674,24 +678,61 @@ func EncodeRelay(to int32, inner *Frame) *Frame {
 	return &Frame{Kind: KindRelay, Dev: to, Step: inner.Step, Payload: w.Bytes()}
 }
 
-// DecodeRelay unwraps a relay envelope into the peer frame it carries.
-// Only the three kinds a peer link carries may ride in one.
-func DecodeRelay(f *Frame) (*Frame, error) {
+// WrapRelay is EncodeRelay taking the caller's reference to inner. A
+// pooled peer frame already holds the envelope's prefix in its headroom,
+// so its envelope is a reslice of its own buffer — inner itself,
+// rewritten, when the caller is its only holder — and nothing is copied.
+func WrapRelay(to int32, inner *Frame) *Frame {
+	p := inner.pool
+	if p == nil || p.mem == nil || cap(inner.Payload) != len(p.mem)-headroom ||
+		Kind(p.mem[0]) != inner.Kind || int32(binary.LittleEndian.Uint32(p.mem[1:headroom])) != inner.Dev {
+		return EncodeRelay(to, inner)
+	}
+	return reshape(inner, KindRelay, to, p.mem[:headroom+len(inner.Payload)])
+}
+
+// RelayPrefix reads a relay envelope's prefix: the kind and sending
+// device of the peer frame inside. Only the three kinds a peer link
+// carries may ride in one.
+func RelayPrefix(f *Frame) (Kind, int32, error) {
 	if f.Kind != KindRelay {
-		return nil, fmt.Errorf("wire: expected %v frame, got %v", KindRelay, f.Kind)
+		return 0, 0, fmt.Errorf("wire: expected %v frame, got %v", KindRelay, f.Kind)
 	}
 	r := NewReader(f.Payload)
-	inner := &Frame{Kind: Kind(r.U8()), Dev: r.I32(), Step: f.Step}
+	kind, dev := Kind(r.U8()), r.I32()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	switch inner.Kind {
+	switch kind {
 	case KindOutput, KindPeerAck, KindRingSegment:
 	default:
-		return nil, fmt.Errorf("wire: relay envelope carries a %v frame", inner.Kind)
+		return 0, 0, fmt.Errorf("wire: relay envelope carries a %v frame", kind)
 	}
-	inner.Payload = f.Payload[relayHeader:]
-	return inner, nil
+	return kind, dev, nil
+}
+
+// DecodeRelay unwraps a relay envelope into the peer frame it carries,
+// whose payload aliases the envelope's.
+func DecodeRelay(f *Frame) (*Frame, error) {
+	kind, dev, err := RelayPrefix(f)
+	if err != nil {
+		return nil, err
+	}
+	return &Frame{Kind: kind, Dev: dev, Step: f.Step, Payload: f.Payload[relayHeader:]}, nil
+}
+
+// UnwrapRelay is DecodeRelay taking the caller's reference to f: a pooled
+// envelope becomes its inner frame in place when the caller is its only
+// holder, and a view of it otherwise. On error the caller keeps f.
+func UnwrapRelay(f *Frame) (*Frame, error) {
+	if f.pool == nil {
+		return DecodeRelay(f)
+	}
+	kind, dev, err := RelayPrefix(f)
+	if err != nil {
+		return nil, err
+	}
+	return reshape(f, kind, dev, f.Payload[relayHeader:]), nil
 }
 
 // Ring-all-reduce phases carried by KindRingSegment frames.
@@ -707,25 +748,29 @@ const (
 	RingFull uint8 = 2
 )
 
-// EncodeRingSegment packs one hop of the decentralized all-reduce: the
-// phase, the segment index, and the raw float32 slice.
+// EncodeRingSegment packs one hop of the decentralized all-reduce — the
+// phase, the segment index, and the raw float32 slice — into a pooled
+// frame (pool.go).
 func EncodeRingSegment(dev, step int32, phase uint8, seg int, data []float32) *Frame {
-	w := NewWriter()
+	f := newPooled(KindRingSegment, dev, step, 1+4+4+4*len(data))
+	w := Writer{buf: f.Payload}
 	w.U8(phase)
 	w.U32(uint32(seg))
 	w.F32s(data)
-	return &Frame{Kind: KindRingSegment, Dev: dev, Step: step, Payload: w.Bytes()}
+	f.Payload = w.buf
+	return f
 }
 
-// DecodeRingSegment unpacks a ring-all-reduce frame.
-func DecodeRingSegment(f *Frame) (phase uint8, seg int, data []float32, err error) {
+// DecodeRingSegment unpacks a ring-all-reduce frame, its data into dst
+// when dst has the capacity (Reader.F32s).
+func DecodeRingSegment(f *Frame, dst []float32) (phase uint8, seg int, data []float32, err error) {
 	if f.Kind != KindRingSegment {
 		return 0, 0, nil, fmt.Errorf("wire: expected %v frame, got %v", KindRingSegment, f.Kind)
 	}
 	r := NewReader(f.Payload)
 	phase = r.U8()
 	seg = int(r.U32())
-	data = r.F32s()
+	data = r.F32s(dst)
 	if err := r.Close(); err != nil {
 		return 0, 0, nil, err
 	}

@@ -76,7 +76,8 @@ const (
 	// the first group on other batches than this coordinator checked.
 	Version = 13
 
-	headerLen = 16
+	// HeaderLen is the size of a frame's fixed header.
+	HeaderLen = 16
 	// MaxPayload bounds a frame's payload so a corrupted or adversarial
 	// length prefix cannot trigger a giant allocation.
 	MaxPayload = 1 << 30
@@ -204,12 +205,15 @@ func (k Kind) String() string {
 
 // Frame is one wire message: a kind, the device rank and step it applies
 // to (NoDev / NoStep when not applicable), and an opaque payload decoded
-// by the kind-specific helpers.
+// by the kind-specific helpers. A frame may be pooled (pool.go): its
+// payload is then borrowed, valid until its last holder releases it.
 type Frame struct {
 	Kind    Kind
 	Dev     int32
 	Step    int32
 	Payload []byte
+
+	pool *pooled // nil for a frame nobody recycles
 }
 
 // NoDev and NoStep mark frames that are not scoped to a device or step.
@@ -222,12 +226,12 @@ const (
 // different codec version.
 var ErrVersion = errors.New("wire: version mismatch")
 
-// WriteFrame encodes f to w: 16-byte header followed by the payload.
-func WriteFrame(w io.Writer, f *Frame) error {
+// PutHeader encodes f's header into hdr; the payload follows it on the
+// wire.
+func (f *Frame) PutHeader(hdr *[HeaderLen]byte) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("wire: %v payload %d exceeds limit %d", f.Kind, len(f.Payload), MaxPayload)
 	}
-	var hdr [headerLen]byte
 	hdr[0] = Magic
 	hdr[1] = Version
 	hdr[2] = uint8(f.Kind)
@@ -235,49 +239,73 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(f.Dev))
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(f.Step))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(f.Payload)
-	return err
+	return nil
 }
 
 // ReadFrame decodes the next frame from r. Truncated input yields
 // io.EOF (clean end before a header) or io.ErrUnexpectedEOF; malformed
 // headers yield descriptive errors, and version mismatches wrap
-// ErrVersion.
+// ErrVersion. A payload of up to readChunk bytes lands in a pooled buffer
+// (the caller holds the frame's one reference), so a warm read allocates
+// nothing; a bigger one grows chunk by chunk as its bytes arrive.
 func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+	// The header is read into the smallest class's buffer, which a small
+	// frame's payload then reuses: a header array of ReadFrame's own would
+	// escape to the heap through r.
+	p := cache.get(0)
+	kind, dev, step, n, err := readHeader(r, p.mem[:HeaderLen])
+	if err == nil && classOf(n) == 0 {
+		return readPayloadInto(r, p.init(kind, dev, step), n)
+	}
+	cache.put(p)
+	switch {
+	case err != nil:
 		return nil, err
+	case n > readChunk:
+		payload, err := readPayload(r, n)
+		if err != nil {
+			return nil, err
+		}
+		return &Frame{Kind: kind, Dev: dev, Step: step, Payload: payload}, nil
 	}
-	if hdr[0] != Magic {
-		return nil, fmt.Errorf("wire: bad magic 0x%02x (not a pipebd frame)", hdr[0])
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+	return readPayloadInto(r, newPooled(kind, dev, step, n), n)
+}
+
+// readPayloadInto reads f's n-byte payload into its pooled buffer.
+func readPayloadInto(r io.Reader, f *Frame, n int) (*Frame, error) {
+	f.Payload = f.Payload[:n]
+	if _, err := io.ReadFull(r, f.Payload); err != nil {
+		f.Release()
 		return nil, truncated(err)
 	}
+	return f, nil
+}
+
+// readHeader reads and checks a frame header into hdr.
+func readHeader(r io.Reader, hdr []byte) (kind Kind, dev, step int32, n int, err error) {
+	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+		return 0, 0, 0, 0, err
+	}
+	if hdr[0] != Magic {
+		return 0, 0, 0, 0, fmt.Errorf("wire: bad magic 0x%02x (not a pipebd frame)", hdr[0])
+	}
+	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+		return 0, 0, 0, 0, truncated(err)
+	}
 	if hdr[1] != Version {
-		return nil, fmt.Errorf("%w: frame version %d, this codec speaks %d", ErrVersion, hdr[1], Version)
+		return 0, 0, 0, 0, fmt.Errorf("%w: frame version %d, this codec speaks %d", ErrVersion, hdr[1], Version)
 	}
-	kind := Kind(hdr[2])
+	kind = Kind(hdr[2])
 	if _, ok := kindNames[kind]; !ok {
-		return nil, fmt.Errorf("wire: unknown frame kind %d", hdr[2])
+		return 0, 0, 0, 0, fmt.Errorf("wire: unknown frame kind %d", hdr[2])
 	}
-	n := binary.LittleEndian.Uint32(hdr[12:16])
-	if n > MaxPayload {
-		return nil, fmt.Errorf("wire: %v payload %d exceeds limit %d", kind, n, MaxPayload)
+	size := binary.LittleEndian.Uint32(hdr[12:16])
+	if size > MaxPayload {
+		return 0, 0, 0, 0, fmt.Errorf("wire: %v payload %d exceeds limit %d", kind, size, MaxPayload)
 	}
-	payload, err := readPayload(r, int(n))
-	if err != nil {
-		return nil, err
-	}
-	return &Frame{
-		Kind:    kind,
-		Dev:     int32(binary.LittleEndian.Uint32(hdr[4:8])),
-		Step:    int32(binary.LittleEndian.Uint32(hdr[8:12])),
-		Payload: payload,
-	}, nil
+	dev = int32(binary.LittleEndian.Uint32(hdr[4:8]))
+	step = int32(binary.LittleEndian.Uint32(hdr[8:12]))
+	return kind, dev, step, int(size), nil
 }
 
 // readChunk bounds the buffer a frame header alone makes ReadFrame
@@ -286,7 +314,7 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 // or hostile header cannot cost MaxPayload bytes up front.
 const readChunk = 1 << 20
 
-// readPayload reads exactly n payload bytes from r.
+// readPayload reads exactly n payload bytes, more than readChunk, from r.
 func readPayload(r io.Reader, n int) ([]byte, error) {
 	buf := make([]byte, min(n, readChunk))
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -380,15 +408,27 @@ func (w *Writer) F64s(vs []float64) {
 	}
 }
 
+// grow extends the payload by n bytes and returns them, unzeroed when the
+// buffer already has the room (a pooled one, sized by its encoder): the
+// caller writes every byte.
+func (w *Writer) grow(n int) []byte {
+	off := len(w.buf)
+	if cap(w.buf)-off >= n {
+		w.buf = w.buf[:off+n]
+	} else {
+		w.buf = append(w.buf, make([]byte, n)...)
+	}
+	return w.buf[off:]
+}
+
 // F32s appends a count-prefixed float32 slice, bulk-encoded into a
 // pre-sized region like Tensor's data section — ring-all-reduce segments
 // are a per-step hot path.
 func (w *Writer) F32s(vs []float32) {
 	w.U32(uint32(len(vs)))
-	off := len(w.buf)
-	w.buf = append(w.buf, make([]byte, 4*len(vs))...)
+	raw := w.grow(4 * len(vs))
 	for i, v := range vs {
-		binary.LittleEndian.PutUint32(w.buf[off+4*i:], math.Float32bits(v))
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
 	}
 }
 
@@ -403,10 +443,9 @@ func (w *Writer) Tensor(t *tensor.Tensor) {
 		w.U32(uint32(d))
 	}
 	data := t.Data()
-	off := len(w.buf)
-	w.buf = append(w.buf, make([]byte, 4*len(data))...)
+	raw := w.grow(4 * len(data))
 	for i, v := range data {
-		binary.LittleEndian.PutUint32(w.buf[off+4*i:], math.Float32bits(v))
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
 	}
 }
 
@@ -564,8 +603,9 @@ func (r *Reader) I32s() []int {
 }
 
 // F32s reads a count-prefixed float32 slice with one bounds check and a
-// bulk decode loop.
-func (r *Reader) F32s() []float32 {
+// bulk decode loop, into dst when it has the capacity and into a fresh
+// slice otherwise: pass nil when the result must outlive dst's next use.
+func (r *Reader) F32s(dst []float32) []float32 {
 	n := r.count(r.U32(), 4)
 	if n == 0 {
 		return nil
@@ -574,7 +614,11 @@ func (r *Reader) F32s() []float32 {
 	if raw == nil {
 		return nil
 	}
-	out := make([]float32, n)
+	out := dst[:0]
+	if cap(out) < n {
+		out = make([]float32, n)
+	}
+	out = out[:n]
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}

@@ -17,6 +17,21 @@ import (
 	"pipebd/internal/tensor"
 )
 
+// WriteFrame encodes f to w: 16-byte header followed by the payload. The
+// codec's tests and fuzz seeds write frames with it; the TCP transport
+// writes header and payload in one vectored write of its own.
+func WriteFrame(w io.Writer, f *Frame) error {
+	var hdr [HeaderLen]byte
+	if err := f.PutHeader(&hdr); err != nil {
+		return err
+	}
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(f.Payload)
+	return err
+}
+
 func roundTripFrame(t *testing.T, f *Frame) *Frame {
 	t.Helper()
 	var buf bytes.Buffer
@@ -496,7 +511,7 @@ func TestRingSegmentRoundTrip(t *testing.T) {
 		if f.Dev != 2 || f.Step != 9 {
 			t.Fatalf("ring frame header: %+v", f)
 		}
-		gp, seg, got, err := DecodeRingSegment(f)
+		gp, seg, got, err := DecodeRingSegment(f, nil)
 		if err != nil {
 			t.Fatalf("phase %d decode: %v", phase, err)
 		}
@@ -510,11 +525,11 @@ func TestRingSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	// An empty segment round-trips (zero-length remainder slices are legal).
-	if _, _, got, err := DecodeRingSegment(roundTripFrame(t, EncodeRingSegment(0, 0, RingContrib, 0, nil))); err != nil || len(got) != 0 {
+	if _, _, got, err := DecodeRingSegment(roundTripFrame(t, EncodeRingSegment(0, 0, RingContrib, 0, nil)), nil); err != nil || len(got) != 0 {
 		t.Fatalf("empty segment: %v, %v", got, err)
 	}
 	// Unknown phases are rejected.
-	if _, _, _, err := DecodeRingSegment(EncodeRingSegment(0, 0, 9, 0, nil)); err == nil {
+	if _, _, _, err := DecodeRingSegment(EncodeRingSegment(0, 0, 9, 0, nil), nil); err == nil {
 		t.Fatal("unknown ring phase accepted")
 	}
 	// Forged counts error out instead of allocating.
@@ -522,7 +537,7 @@ func TestRingSegmentRoundTrip(t *testing.T) {
 	w.U8(RingContrib)
 	w.U32(0)
 	w.U32(0xFFFFFFF0)
-	if _, _, _, err := DecodeRingSegment(&Frame{Kind: KindRingSegment, Payload: w.Bytes()}); err == nil {
+	if _, _, _, err := DecodeRingSegment(&Frame{Kind: KindRingSegment, Payload: w.Bytes()}, nil); err == nil {
 		t.Fatal("forged segment count accepted")
 	}
 }

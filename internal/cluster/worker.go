@@ -179,6 +179,9 @@ type hostedDevice struct {
 	member engine.Member
 	link   *ringLink
 	start  int // first step to run (restored step + 1, else 0)
+	// params lists the student parameters: blocks in group order, each
+	// block's in Params() order. Collected once per session.
+	params []*nn.Param
 }
 
 // serveConn performs the shared accept handshake — a synchronous Hello,
@@ -337,57 +340,13 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 		m.fail(err)
 	}
 
-	// Router: demux inbound frames to device inboxes until the
-	// coordinator drains the session (nil) or the session ends otherwise.
-	// It reads before the direct peer links are up (the relayed edges' are
-	// there from newMesh), so that a coordinator that superseded this
-	// attempt, closing the link, stops a session still waiting for its
-	// peers instead of leaving it to wait out meshTimeout.
-	route := func() error {
-		for {
-			f, err := control.conn.Recv()
-			if err != nil {
-				return fmt.Errorf("cluster: session connection lost: %w", err)
-			}
-			switch {
-			case f.Kind == wire.KindDrain:
-				if control.res != nil {
-					// The coordinator is done with this session; its
-					// imminent close is deliberate, not a fault to absorb.
-					control.res.Retire()
-				}
-				return nil
-			case f.Kind == wire.KindRepartition:
-				// Planned supersession: the coordinator is cutting this
-				// placement at a committed step boundary and will re-place
-				// everything under a rebalanced plan. The session ends like a
-				// failure (device loops unwind, nothing more is sent) but the
-				// cause is deliberate; with Rejoin set the worker stays up to
-				// accept its slice of the new placement.
-				return fmt.Errorf("cluster: session superseded by repartition (cut after step %d)", f.Step)
-			case f.Kind == wire.KindRelay:
-				// A peer frame that crossed a relayed edge: it belongs in
-				// the peer inbox a direct link would have filled.
-				if err := m.unwrap(f); err != nil {
-					return err
-				}
-			case f.Dev == wire.NoDev:
-				// Broadcast: every hosted device gets it.
-				for _, d := range devices {
-					d.link.in.put(f)
-				}
-			default:
-				d := findDevice(devices, f.Dev)
-				if d == nil {
-					return fmt.Errorf("cluster: frame %v for device %d not hosted here", f.Kind, f.Dev)
-				}
-				d.link.in.put(f)
-			}
-		}
-	}
+	// The router reads before the direct peer links are up (the relayed
+	// edges' are there from newMesh), so that a coordinator that
+	// superseded this attempt, closing the link, stops a session still
+	// waiting for its peers instead of leaving it to wait out meshTimeout.
 	routerErr := make(chan error, 1)
 	go func() {
-		err := route()
+		err := route(control, m, devices)
 		if err != nil {
 			failAll(err)
 		}
@@ -445,6 +404,55 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	return nil
 }
 
+// route demuxes a session's inbound control frames into its device and
+// peer inboxes, each with a reference, until the coordinator drains the
+// session (nil) or the session ends otherwise.
+func route(control *endpoint, m *mesh, devices []*hostedDevice) error {
+	for {
+		f, err := control.conn.Recv()
+		if err != nil {
+			return fmt.Errorf("cluster: session connection lost: %w", err)
+		}
+		switch {
+		case f.Kind == wire.KindDrain:
+			if control.res != nil {
+				// The coordinator is done with this session; its
+				// imminent close is deliberate, not a fault to absorb.
+				control.res.Retire()
+			}
+			return nil
+		case f.Kind == wire.KindRepartition:
+			// Planned supersession: the coordinator is cutting this
+			// placement at a committed step boundary and will re-place
+			// everything under a rebalanced plan. The session ends like a
+			// failure (device loops unwind, nothing more is sent) but the
+			// cause is deliberate; with Rejoin set the worker stays up to
+			// accept its slice of the new placement.
+			return fmt.Errorf("cluster: session superseded by repartition (cut after step %d)", f.Step)
+		case f.Kind == wire.KindRelay:
+			// A peer frame that crossed a relayed edge: it belongs in
+			// the peer inbox a direct link would have filled.
+			if err := m.unwrap(f); err != nil {
+				return err
+			}
+		case f.Dev == wire.NoDev:
+			// Broadcast: every hosted device gets it.
+			for range devices[1:] {
+				f.Retain()
+			}
+			for _, d := range devices {
+				d.link.in.put(f)
+			}
+		default:
+			d := findDevice(devices, f.Dev)
+			if d == nil {
+				return fmt.Errorf("cluster: frame %v for device %d not hosted here", f.Kind, f.Dev)
+			}
+			d.link.in.put(f)
+		}
+	}
+}
+
 // spanSink returns the worker-side consumer of a session's drained span
 // batches: the session's trace-dump collector (nil without TraceDir) and
 // the worker's metrics, which is also where span loss becomes visible.
@@ -484,7 +492,7 @@ func runDevice(d *hostedDevice, steps int, out *outbox) (err error) {
 	}
 	if d.member.Rank == 0 {
 		var params []*tensor.Tensor
-		for _, p := range d.studentParams() {
+		for _, p := range d.params {
 			params = append(params, p.Value)
 		}
 		out.Enqueue(wire.EncodeTensors(wire.KindFinalParams, d.rank, wire.NoStep, params))
@@ -559,6 +567,9 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 				rank: j, k: group.Split(), group: members, prev: prev, next: next,
 				shards: make([]*tensor.Tensor, len(prev))},
 		}
+		for _, pair := range pairs {
+			d.params = append(d.params, pair.Student.Params()...)
+		}
 		if tracer != nil {
 			d.link.trace = tracer.NewTrack(fmt.Sprintf("dev%d", rank))
 			// A backend that keeps time (a costed one) clocks the spans.
@@ -627,23 +638,23 @@ func (w *Worker) establishMesh(m *mesh, assign *wire.Assign, devices []*hostedDe
 // post-step recovery state: every student parameter and its velocity, in
 // the same flattened order the coordinator validates against.
 func deviceSnapshotter(d *hostedDevice) func(step int) *wire.Frame {
+	var params, vels []*tensor.Tensor
+	for _, p := range d.params {
+		params = append(params, p.Value)
+		vels = append(vels, p.Velocity)
+	}
 	return func(step int) *wire.Frame {
-		var params, vels []*tensor.Tensor
-		for _, p := range d.studentParams() {
-			params = append(params, p.Value)
-			vels = append(vels, p.Velocity)
-		}
 		// Encoding copies the data immediately, so sharing the live
 		// tensors here is safe: the next step's mutations happen after
 		// this frame's bytes are fixed.
-		return wire.EncodeDeviceSnapshot(d.rank, int32(step), params, vels)
+		return wire.PooledDeviceSnapshot(d.rank, int32(step), params, vels)
 	}
 }
 
 // installDeviceState restores a restarted device to its snapshot: student
 // parameters and velocities as they were right after the snapshot's step.
 func installDeviceState(d *hostedDevice, st wire.DeviceState) error {
-	params := d.studentParams()
+	params := d.params
 	if len(st.Params) != len(params) {
 		return fmt.Errorf("cluster: restart state for device %d has %d params, replica has %d",
 			d.rank, len(st.Params), len(params))
@@ -657,16 +668,6 @@ func installDeviceState(d *hostedDevice, st wire.DeviceState) error {
 		p.Velocity.CopyFrom(st.Velocity[i])
 	}
 	return nil
-}
-
-// studentParams lists the device's student parameters: blocks in group
-// order, each block's in Params() order.
-func (d *hostedDevice) studentParams() []*nn.Param {
-	var params []*nn.Param
-	for _, pair := range d.member.Pairs {
-		params = append(params, pair.Student.Params()...)
-	}
-	return params
 }
 
 func findDevice(devices []*hostedDevice, rank int32) *hostedDevice {

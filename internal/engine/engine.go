@@ -95,9 +95,11 @@ func RunSequential(w *distill.Workbench, batches []dataset.Batch, lr, momentum f
 	nb := w.NumBlocks()
 	res := Result{Loss: make([][]float64, nb)}
 	opt := nn.NewSGD(lr, momentum, 0)
+	params := make([][]*nn.Param, nb)
 	for b := 0; b < nb; b++ {
 		w.Pairs[b].Slabs.Velocity.Zero()
 		res.Loss[b] = make([]float64, len(batches))
+		params[b] = w.Pairs[b].Student.Params()
 	}
 	mem, done := borrowStepMemory(Member{Pairs: w.Pairs}.layers())
 	defer done()
@@ -108,7 +110,7 @@ func RunSequential(w *distill.Workbench, batches []dataset.Batch, lr, momentum f
 			pair := w.Pairs[b]
 			pair.Slabs.Grads.Zero()
 			x, res.Loss[b][s] = mem.step(pair, x, nil)
-			opt.Step(pair.Student.Params())
+			opt.Step(params[b])
 		}
 	}
 	return res
@@ -514,7 +516,8 @@ func shardOf(full *tensor.Tensor, j, k int, scratch *tensor.Arena) *tensor.Tenso
 	}
 	per := shape[0] / k
 	elems := full.Numel() / shape[0]
-	out := scratch.Get(append([]int{per}, shape[1:]...)...)
+	var dims [8]int // the shard's shape, on the stack
+	out := scratch.Get(append(append(dims[:0], per), shape[1:]...)...)
 	copy(out.Data(), full.Data()[j*per*elems:(j+1)*per*elems])
 	return out
 }

@@ -131,6 +131,7 @@ type memberRun struct {
 	link     DeviceLink
 	finisher StepFinisher // nil when link is none
 	losses   []float64
+	params   [][]*nn.Param    // each block's student parameters, for its update
 	grads    []*tensor.Tensor // the blocks' gradient slabs; nil unless the stage is split
 	// A loader-fed stage's receive is the measured data-loading time; a
 	// relayed stage waits on an activation, which is communication.
@@ -142,6 +143,9 @@ func newMemberRun(m Member, link DeviceLink) *memberRun {
 	r := &memberRun{Member: m, link: link, losses: make([]float64, len(m.Pairs)),
 		recvCat: obs.CatLoad, recvName: "recv_input"}
 	r.finisher, _ = link.(StepFinisher)
+	for _, p := range m.Pairs {
+		r.params = append(r.params, p.Student.Params())
+	}
 	if m.GroupSize > 1 {
 		for _, p := range m.Pairs {
 			r.grads = append(r.grads, p.Slabs.Grads)
@@ -196,8 +200,8 @@ func (m *memberRun) step(s int, mem stepMemory) {
 	link.StepBarrier(s)
 	r.End()
 	r = tk.Begin(obs.CatUpdate, "sgd_update")
-	for bi, pair := range m.Pairs {
-		m.Opts[bi].Step(pair.Student.Params())
+	for bi, params := range m.params {
+		m.Opts[bi].Step(params)
 	}
 	r.End()
 	if m.finisher != nil {

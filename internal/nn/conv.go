@@ -32,6 +32,9 @@ type Conv2d struct {
 
 	be tensor.Backend // nil: process default
 	stepMem
+	// The weight's value and gradient as [OutC, InC·K·K] matrices: views,
+	// remade only when the parameter's storage moves (nn.Pack).
+	wm, gm *tensor.Tensor
 
 	// Backward cache. The fused conv GEMMs (ConvForwardInto /
 	// ConvGradWeightInto) gather kernel taps straight from the input, so
@@ -82,7 +85,7 @@ func (c *Conv2d) forward(x *tensor.Tensor, train bool, bn *BatchNorm2d, relu *Re
 	oh := tensor.ConvOutSize(h, c.Kernel, c.Stride, c.Pad)
 	ow := tensor.ConvOutSize(w, c.Kernel, c.Stride, c.Pad)
 
-	wm := c.Weight.Value.Reshape(c.OutC, c.InC*c.Kernel*c.Kernel)
+	wm := matrixView(&c.wm, c.Weight.Value, c.OutC)
 	out := c.ar.Get(n, c.OutC, oh, ow)
 	if bn != nil {
 		bn.checkInput(out.Shape())
@@ -141,7 +144,7 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// and folded back to [OutC, InC, K, K].
 	dW := ar.Get(c.OutC, kk)
 	be.ConvGradWeightInto(dW, dFlat, c.lastInput, c.Kernel, c.Kernel, c.Stride, c.Pad)
-	be.Axpy(c.Weight.Grad, 1, dW.Reshape(c.Weight.Value.Shape()...))
+	be.Axpy(matrixView(&c.gm, c.Weight.Grad, c.OutC), 1, dW)
 
 	dx := ar.Get(c.inN, c.InC, c.inH, c.inW)
 	if c.Kernel == 1 && c.Stride == 1 && c.Pad == 0 {
@@ -159,9 +162,18 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	// dx = Col2Im(Wᵀ · dFlat).
 	dCols := ar.Get(kk, spatial)
-	be.MatMulTAInto(dCols, c.Weight.Value.Reshape(c.OutC, kk), dFlat)
+	be.MatMulTAInto(dCols, matrixView(&c.wm, c.Weight.Value, c.OutC), dFlat)
 	be.Col2ImInto(dx, dCols, c.Kernel, c.Kernel, c.Stride, c.Pad)
 	return dx
+}
+
+// matrixView returns t as a matrix of the given rows, reusing *view while
+// it is one of t's storage.
+func matrixView(view **tensor.Tensor, t *tensor.Tensor, rows int) *tensor.Tensor {
+	if v := *view; v == nil || &v.Data()[0] != &t.Data()[0] {
+		*view = t.Reshape(rows, t.Numel()/rows)
+	}
+	return *view
 }
 
 // Params returns weight (and bias when present).
