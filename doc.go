@@ -188,13 +188,14 @@
 //
 // Tier 3, global cut (cluster.Config.MaxRestarts): a genuinely lost
 // worker costs a restart, and hub and ring restart the same way. Each
-// group's rank-0 device streams a post-step snapshot (student parameters
-// + their velocities) to the coordinator. When a worker's connection
-// dies — or goes silent past the heartbeat timeout — the attempt fails
-// fast, every session is superseded, and the attempt driver re-places
-// every device on the re-joined or surviving workers, the Assign carrying
-// the state at the global cut: the newest commonly snapshotted, fully
-// accounted step. Nothing in flight is salvaged (a lost worker strands a
+// group's rank-0 device streams a post-step snapshot (a value and a
+// velocity slab per student block) to the coordinator. When a worker's
+// connection dies — or goes silent past the heartbeat timeout — the
+// attempt fails fast, every session is superseded, and the attempt
+// driver re-places every device on the re-joined or surviving workers,
+// the Assign carrying each device's slabs at the global cut, the newest
+// commonly snapshotted, fully accounted step; the worker installs them a
+// slab per copy. Nothing in flight is salvaged (a lost worker strands a
 // ring collective and a half-assembled input, relayed or not);
 // replayed work is a pure function of the restored state and the
 // batches, so the recovered run's losses and trained weights stay

@@ -1,6 +1,8 @@
 package pipebd
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -19,6 +21,8 @@ var (
 	docTestName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	// testFuncDecl matches a top-level test function declaration.
 	testFuncDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	// docExample matches a path naming one example program.
+	docExample = regexp.MustCompile(`\bexamples/\w+`)
 )
 
 // TestDocsNameExistingTests fails naming every Test…, Benchmark… or
@@ -62,4 +66,42 @@ func TestDocsNameExistingTests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDocsNameExistingExamples fails naming every examples/<name> path
+// of namedTestDocs that is not a directory of this module holding a
+// package main: a reader runs it with `go run ./examples/<name>`, so a
+// renamed or deleted example must not leave a document pointing at it.
+func TestDocsNameExistingExamples(t *testing.T) {
+	for _, doc := range namedTestDocs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range docExample.FindAllString(string(src), -1) {
+			if !isMainPackage(t, dir) {
+				t.Errorf("%s names %s, which is not a directory holding a package main", doc, dir)
+			}
+		}
+	}
+}
+
+// isMainPackage reports whether dir holds a non-test Go file of package
+// main.
+func isMainPackage(t *testing.T, dir string) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly)
+		if err == nil && f.Name.Name == "main" {
+			return true
+		}
+	}
+	return false
 }

@@ -45,7 +45,7 @@ type event struct {
 	frame            wire.Kind
 	dev, step        int
 	losses           []float64
-	params, velocity []*tensor.Tensor // a snapshot's, or the final parameters
+	values, velocity []*tensor.Tensor // a snapshot's slabs, or the final value slabs
 	spans            wire.SpanBatch
 	link             [2]int // a link-down's edge
 
@@ -62,11 +62,11 @@ func frameEvent(sess int, at int64, f *wire.Frame) event {
 	case wire.KindLosses:
 		ev.losses, ev.err = wire.DecodeLosses(f)
 	case wire.KindSnapshot:
-		ev.params, ev.velocity, ev.err = wire.DecodeDeviceSnapshot(f)
+		ev.values, ev.velocity, ev.err = wire.DecodeDeviceSnapshot(f)
 	case wire.KindSpans:
 		ev.spans, ev.err = wire.DecodeSpans(f)
 	case wire.KindFinalParams:
-		ev.params, ev.err = wire.DecodeTensors(f)
+		ev.values, ev.err = wire.DecodeTensors(f)
 	}
 	return ev
 }
@@ -239,7 +239,7 @@ func (a *attemptCore) handle(ev event) error {
 		if _, seen := a.acct.Marks(dev); step <= seen {
 			return duplicate(ds, "snapshot", step)
 		}
-		if err := a.commit(ledger.DevSnapshot(dev, step, ev.params, ev.velocity)); err != nil {
+		if err := a.commit(ledger.DevSnapshot(dev, step, ev.values, ev.velocity)); err != nil {
 			return err
 		}
 		a.metrics.Add("snapshots", 1)
@@ -248,7 +248,7 @@ func (a *attemptCore) handle(ev event) error {
 			return a.onSpans(dev, ds, step, ev.spans.Spans)
 		}
 	case wire.KindFinalParams:
-		return a.onFinalParams(ds, ev.params)
+		return a.onFinalParams(ds, ev.values)
 	case wire.KindDone:
 		if ds.done {
 			return duplicate(ds, "done", step)
@@ -408,26 +408,22 @@ func (a *attemptCore) commit(rec *ledger.Record) error {
 	return nil
 }
 
-// onFinalParams installs a group leader's trained student parameters
-// into the coordinator's workbench.
-func (a *attemptCore) onFinalParams(ds *devState, params []*tensor.Tensor) error {
+// onFinalParams installs a group leader's trained value slabs, one per
+// block of its group, into the coordinator's workbench.
+func (a *attemptCore) onFinalParams(ds *devState, values []*tensor.Tensor) error {
 	if ds.j != 0 {
 		return fmt.Errorf("cluster: final params from non-leader rank %d of group %d", ds.j, ds.gi)
 	}
-	var dst []*tensor.Tensor
-	for _, b := range a.plan.Groups[ds.gi].Blocks {
-		for _, p := range a.workb.Pairs[b].Student.Params() {
-			dst = append(dst, p.Value)
-		}
+	blocks := a.plan.Groups[ds.gi].Blocks
+	if len(values) != len(blocks) {
+		return fmt.Errorf("cluster: group %d returned %d trained slabs for its %d blocks", ds.gi, len(values), len(blocks))
 	}
-	if len(params) != len(dst) {
-		return fmt.Errorf("cluster: group %d returned %d trained params, workbench wants %d", ds.gi, len(params), len(dst))
-	}
-	for i, t := range params {
-		if !t.SameShape(dst[i]) {
-			return fmt.Errorf("cluster: group %d trained param %d shape %v, want %v", ds.gi, i, t.Shape(), dst[i].Shape())
+	for i, b := range blocks {
+		dst := a.workb.Pairs[b].Slabs.Values
+		if !values[i].SameShape(dst) {
+			return fmt.Errorf("cluster: group %d trained slab %d shape %v, block %d's is %v", ds.gi, i, values[i].Shape(), b, dst.Shape())
 		}
-		dst[i].CopyFrom(t)
+		dst.CopyFrom(values[i])
 	}
 	return nil
 }

@@ -99,7 +99,7 @@ func TestPanicInStepFailsTheAttempt(t *testing.T) {
 	r := d.newRun(1)
 	r.core.place(0, []session{{addr: "x", devices: []int{0, 1, 2}}}, nil)
 	r.core.workb = nil
-	f := wire.EncodeTensors(wire.KindFinalParams, 0, wire.NoStep, seed.Student[0])
+	f := wire.EncodeTensors(wire.KindFinalParams, 0, wire.NoStep, seed.Student[:2])
 	if err := failure(r.step(frameEvent(0, 0, f))); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("a panicking step: got %v, want the attempt failed with the panic", err)
 	}
@@ -243,12 +243,12 @@ func FuzzAttemptCore(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// groupParams is what device dev's group trains, or — with wrong —
-		// one tensor short.
-		groupParams := func(dev int, wrong bool) []*tensor.Tensor {
+		// groupSlabs are the slabs device dev's group trains, or — with
+		// wrong — one slab short.
+		groupSlabs := func(dev int, wrong bool) []*tensor.Tensor {
 			var out []*tensor.Tensor
 			for _, b := range core.plan.Groups[core.devs[max(0, min(dev, 2))].gi].Blocks {
-				out = append(out, seed.Student[b]...)
+				out = append(out, seed.Student[b])
 			}
 			if wrong {
 				out = out[1:]
@@ -280,9 +280,9 @@ func FuzzAttemptCore(f *testing.F) {
 				case wire.KindLosses:
 					ev.losses = make([]float64, in.next(4))
 				case wire.KindSnapshot:
-					ev.params, ev.velocity = groupParams(ev.dev, wrong), groupParams(ev.dev, false)
+					ev.values, ev.velocity = groupSlabs(ev.dev, wrong), groupSlabs(ev.dev, false)
 				case wire.KindFinalParams:
-					ev.params = groupParams(ev.dev, wrong)
+					ev.values = groupSlabs(ev.dev, wrong)
 				case wire.KindSpans:
 					nb := len(core.plan.Groups[core.devs[max(0, min(ev.dev, 2))].gi].Blocks)
 					if wrong {

@@ -12,8 +12,9 @@ import (
 // computed. It applies every record type — live, as the coordinator
 // commits a record before appending it, or replayed from a log by a
 // resume or by Compact — and checks each against the current plan, the
-// step count and the seed snapshot's tensors. The teacher is frozen, so a
-// restart needs only each group's parameters and velocities at one step:
+// step count and the seed snapshot's slab lengths. The teacher is frozen,
+// so a restart needs only each group's value and velocity slabs at one
+// step:
 // the account keeps each group's snapshots back to the cut, the loss
 // matrix, every device's newest loss row, the newest barrier release and
 // the current plan. It does no I/O, and its decoded tensors are held by
@@ -21,9 +22,9 @@ import (
 type Account struct {
 	steps int
 	dpu   bool
-	// blocks holds each block's seed student tensors: what a snapshot of
-	// the block must carry, in count and shapes.
-	blocks [][]*tensor.Tensor
+	// slabs holds each block's slab length, the seed's: a snapshot of the
+	// block carries two slabs of that many values.
+	slabs []int
 
 	plan    sched.Plan
 	at      []place         // device → its group and rank under plan
@@ -36,8 +37,9 @@ type Account struct {
 type place struct{ gi, j int }
 
 // state is a group's restart state after a step, bit-identical across the
-// group's members.
-type state struct{ params, velocity []*tensor.Tensor }
+// group's members: one value and one velocity slab per block, in group
+// order.
+type state struct{ values, velocity []*tensor.Tensor }
 
 // NewAccount returns the account of a run that has not started: a's plan,
 // step count, DPU switch and seed snapshot; no record applied.
@@ -48,7 +50,10 @@ func NewAccount(a *wire.Assign) (*Account, error) {
 	if a.Run.Steps < 1 {
 		return nil, fmt.Errorf("ledger: a run of %d steps", a.Run.Steps)
 	}
-	acct := &Account{steps: a.Run.Steps, dpu: a.Run.DPU, blocks: a.Snapshot.Student}
+	acct := &Account{steps: a.Run.Steps, dpu: a.Run.DPU}
+	for _, slab := range a.Snapshot.Student {
+		acct.slabs = append(acct.slabs, slab.Numel())
+	}
 	acct.setPlan(a.Plan, -1)
 	for _, rows := range acct.losses {
 		for i := range rows {
@@ -169,7 +174,7 @@ func (a *Account) rewindTo(cut int) {
 // State is device dev's restart state at step, a step Rewind returned.
 func (a *Account) State(dev, step int) wire.DeviceState {
 	s := a.snaps[a.at[dev].gi][step]
-	return wire.DeviceState{Dev: dev, Step: step, Params: s.params, Velocity: s.velocity}
+	return wire.DeviceState{Dev: dev, Step: step, Values: s.values, Velocity: s.velocity}
 }
 
 // Apply changes the account by one record. A log may hold a step twice (a
@@ -187,10 +192,10 @@ func (a *Account) Apply(rec *Record) error {
 		if err != nil {
 			return err
 		}
-		if err := a.checkState(rec.Dev, p, rec.Params, rec.Velocity); err != nil {
+		if err := a.checkState(rec.Dev, p, rec.Values); err != nil {
 			return err
 		}
-		a.snaps[p.gi][rec.Step] = state{rec.Params, rec.Velocity}
+		a.snaps[p.gi][rec.Step] = state{rec.Values, rec.Velocity}
 		cut := a.Cut()
 		for _, h := range a.snaps {
 			for s := range h {
@@ -238,24 +243,21 @@ func (a *Account) device(dev int) (place, error) {
 }
 
 // checkState checks a snapshot against the plan: only rank 0 of a group
-// snapshots, and the tensors are the ones the group trains.
-func (a *Account) checkState(dev int, p place, params, velocity []*tensor.Tensor) error {
+// snapshots, and it holds one slab per block the group trains, of the
+// block's length. Its velocity slabs pair with its value slabs
+// (wire.Reader.State).
+func (a *Account) checkState(dev int, p place, values []*tensor.Tensor) error {
 	if p.j != 0 {
 		return fmt.Errorf("snapshot from device %d, rank %d of group %d (only rank 0 snapshots)", dev, p.j, p.gi)
 	}
-	n := 0
-	for _, b := range a.plan.Groups[p.gi].Blocks {
-		for _, want := range a.blocks[b] {
-			if n < len(params) && n < len(velocity) && (!params[n].SameShape(want) || !velocity[n].SameShape(want)) {
-				return fmt.Errorf("device %d snapshot param %d shape %v/%v, want %v",
-					dev, n, params[n].Shape(), velocity[n].Shape(), want.Shape())
-			}
-			n++
-		}
+	blocks := a.plan.Groups[p.gi].Blocks
+	if len(values) != len(blocks) {
+		return fmt.Errorf("device %d snapshot has %d slabs, group %d trains %d blocks", dev, len(values), p.gi, len(blocks))
 	}
-	if len(params) != n || len(velocity) != n {
-		return fmt.Errorf("device %d snapshot has %d params and %d velocities, group %d trains %d",
-			dev, len(params), len(velocity), p.gi, n)
+	for i, b := range blocks {
+		if shape := values[i].Shape(); len(shape) != 1 || shape[0] != a.slabs[b] {
+			return fmt.Errorf("device %d snapshot slab %d has shape %v, block %d's is [%d]", dev, i, shape, b, a.slabs[b])
+		}
 	}
 	return nil
 }
@@ -264,33 +266,30 @@ func (a *Account) checkState(dev int, p place, params, velocity []*tensor.Tensor
 // record's plan from the newest step at or below the recorded one that
 // every group covers (a torn log may have lost snapshots the live cut
 // held; replaying a few more steps is bit-identical). The new plan must
-// have the same devices and blocks, every block on as many members, so
-// each group's flattened tensors split cleanly at block boundaries and
-// each group's loss rows (member j's row of its bi-th block at
-// j*len(Blocks)+bi) are exactly its blocks' rows: the remap moves slices
-// between groups and copies or recombines no tensor.
+// have the same devices and blocks, every block on as many members, so a
+// group's state is its blocks' slabs and its loss rows (member j's row of
+// its bi-th block at j*len(Blocks)+bi) are exactly its blocks' rows: the
+// remap moves slabs and rows between groups, indexed by block, and copies
+// no tensor.
 func (a *Account) repartition(rec *Record) error {
 	next, err := wire.DecodePlan(rec.Payload)
 	if err != nil {
 		return err
 	}
-	if err := next.Validate(len(a.at), len(a.blocks)); err != nil {
+	if err := next.Validate(len(a.at), len(a.slabs)); err != nil {
 		return err
 	}
 	cut := a.covered(rec.Step)
-	nb := len(a.blocks)
-	params := make([][]*tensor.Tensor, nb)
-	velocity := make([][]*tensor.Tensor, nb)
+	nb := len(a.slabs)
+	values := make([]*tensor.Tensor, nb)
+	velocity := make([]*tensor.Tensor, nb)
 	rows := make([][][]float64, nb) // block → one row per member
 	for gi, g := range a.plan.Groups {
 		s := a.snaps[gi][cut]
-		pi := 0
 		for bi, b := range g.Blocks {
-			n := len(a.blocks[b])
 			if cut >= 0 {
-				params[b], velocity[b] = s.params[pi:pi+n], s.velocity[pi:pi+n]
+				values[b], velocity[b] = s.values[bi], s.velocity[bi]
 			}
-			pi += n
 			for j := range g.Devices {
 				rows[b] = append(rows[b], a.losses[gi][j*len(g.Blocks)+bi])
 			}
@@ -307,8 +306,8 @@ func (a *Account) repartition(rec *Record) error {
 	for gi, g := range next.Groups {
 		var s state
 		for bi, b := range g.Blocks {
-			s.params = append(s.params, params[b]...)
-			s.velocity = append(s.velocity, velocity[b]...)
+			s.values = append(s.values, values[b])
+			s.velocity = append(s.velocity, velocity[b])
 			for j, row := range rows[b] {
 				a.losses[gi][j*len(g.Blocks)+bi] = row
 			}

@@ -3,6 +3,7 @@ package ledger
 import (
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,10 +32,10 @@ func mustAccount(t *testing.T, m *Manifest, recs ...*Record) *Account {
 // with every mark moved back to it.
 func TestAccountRewindKeepsOnlyTheCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	m := unsplitManifest()
+	m, lop := unsplitManifest(), lopsidedPlan()
 	var recs []*Record
 	for step := 0; step < 3; step++ {
-		recs = append(recs, snap(t, rng, 0, step), snap(t, rng, 1, step), snap(t, rng, 2, step))
+		recs = append(recs, snap(rng, lop, 0, step), snap(rng, lop, 1, step), snap(rng, lop, 2, step))
 	}
 	// Device 1's loss rows stop at step 1, so step 2 is not accounted.
 	recs = append(recs,
@@ -50,8 +51,8 @@ func TestAccountRewindKeepsOnlyTheCut(t *testing.T) {
 	}
 	for dev := 0; dev < 3; dev++ {
 		st := acct.State(dev, 1)
-		if want := recs[3+dev]; st.Params[0] != want.Params[0] || st.Velocity[0] != want.Velocity[0] {
-			t.Fatalf("device %d restarts from tensors other than its step-1 snapshot's", dev)
+		if want := recs[3+dev]; !slices.Equal(st.Values, want.Values) || !slices.Equal(st.Velocity, want.Velocity) {
+			t.Fatalf("device %d restarts from slabs other than its step-1 snapshot's", dev)
 		}
 		if loss, snapped := acct.Marks(dev); loss != 1 || snapped != 1 {
 			t.Fatalf("device %d marks (%d, %d) after the rewind, want (1, 1)", dev, loss, snapped)
@@ -65,15 +66,15 @@ func TestAccountRewindKeepsOnlyTheCut(t *testing.T) {
 // TestAccountRepartitionAtTornCut: a repartition record whose step is
 // past the newest step every group covers (a torn log lost snapshots the
 // live cut held) remaps from the covered step, moving each block's
-// tensors and loss rows to the group that trains it under the new plan
+// slabs and loss rows to the group that trains it under the new plan
 // without copying them.
 func TestAccountRepartitionAtTornCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	m := unsplitManifest()
+	m, lop := unsplitManifest(), lopsidedPlan()
 	recs := []*Record{
-		snap(t, rng, 0, 0), snap(t, rng, 1, 0), snap(t, rng, 2, 0),
-		snap(t, rng, 0, 1), snap(t, rng, 1, 1), snap(t, rng, 2, 1),
-		snap(t, rng, 0, 2),
+		snap(rng, lop, 0, 0), snap(rng, lop, 1, 0), snap(rng, lop, 2, 0),
+		snap(rng, lop, 0, 1), snap(rng, lop, 1, 1), snap(rng, lop, 2, 1),
+		snap(rng, lop, 0, 2),
 		Losses(0, 1, []float64{0.5, 0.4}), Losses(1, 1, []float64{0.3}), Losses(2, 1, []float64{0.2}),
 	}
 	acct := mustAccount(t, m, recs...)
@@ -88,11 +89,17 @@ func TestAccountRepartitionAtTornCut(t *testing.T) {
 	if acct.Plan().Name != "rebalanced" {
 		t.Fatalf("plan %q after the repartition", acct.Plan().Name)
 	}
-	// Lopsided groups {B0,B1}, {B2}, {B3} become {B0}, {B1,B2}, {B3};
-	// block 1 trains no tensor, so device 1's step-1 state is block 2's.
-	for dev, from := range []*Record{recs[3], recs[4], recs[5]} {
-		if st := acct.State(dev, 1); st.Params[0] != from.Params[0] || st.Velocity[0] != from.Velocity[0] {
-			t.Fatalf("device %d's remapped state is not the step-1 tensors of its blocks", dev)
+	// Lopsided groups {B0,B1}, {B2}, {B3} become {B0}, {B1,B2}, {B3}:
+	// device 1's step-1 state is block 1's slabs from group 0's snapshot
+	// and block 2's from group 1's.
+	g0, g1, g2 := recs[3], recs[4], recs[5]
+	for dev, want := range [][2][]*tensor.Tensor{
+		{g0.Values[:1], g0.Velocity[:1]},
+		{{g0.Values[1], g1.Values[0]}, {g0.Velocity[1], g1.Velocity[0]}},
+		{g2.Values, g2.Velocity},
+	} {
+		if st := acct.State(dev, 1); !slices.Equal(st.Values, want[0]) || !slices.Equal(st.Velocity, want[1]) {
+			t.Fatalf("device %d's remapped state is not the step-1 slabs of its blocks", dev)
 		}
 	}
 	rows := acct.Losses()[1]
@@ -109,14 +116,10 @@ func TestAccountCutIsCompactHorizon(t *testing.T) {
 	m := sampleManifest()
 	m.Assign.Run.DPU = false
 	rng := rand.New(rand.NewSource(41))
-	// sampleManifest: group 0 (devices 0, 1) trains one [3] tensor, group
-	// 1 (device 2) one [2] tensor.
-	s0 := func(step int) *Record {
-		return DevSnapshot(0, step, []*tensor.Tensor{tensor.Rand(rng, -1, 1, 3)}, []*tensor.Tensor{tensor.New(3)})
-	}
-	s2 := func(step int) *Record {
-		return DevSnapshot(2, step, []*tensor.Tensor{tensor.Rand(rng, -1, 1, 2)}, []*tensor.Tensor{tensor.New(2)})
-	}
+	// sampleManifest: group 0 (devices 0, 1) trains blocks 0 and 1, group
+	// 1 (device 2) blocks 2 and 3.
+	s0 := func(step int) *Record { return snap(rng, m.Assign.Plan, 0, step) }
+	s2 := func(step int) *Record { return snap(rng, m.Assign.Plan, 1, step) }
 	var recs []*Record
 	for step := 0; step < 4; step++ {
 		recs = append(recs, Losses(0, step, []float64{1, 2}), Losses(2, step, []float64{3, 4}))
@@ -166,7 +169,7 @@ func TestAccountRefusesStepsOutsideTheRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	steps := sampleManifest().Assign.Run.Steps
 	for _, rec := range []*Record{
-		DevSnapshot(0, 99, []*tensor.Tensor{tensor.Rand(rng, -1, 1, 3)}, []*tensor.Tensor{tensor.New(3)}),
+		snap(rng, sampleManifest().Assign.Plan, 0, 99),
 		Barrier(-7),
 		Losses(2, steps, []float64{1, 2}),
 		Repartition(steps, wire.EncodePlan(sampleManifest().Assign.Plan)),
@@ -184,6 +187,38 @@ func TestAccountRefusesStepsOutsideTheRun(t *testing.T) {
 		if want := "record 1 (" + rec.Type.String() + ")"; err == nil || !strings.Contains(err.Error(), want) ||
 			!strings.Contains(err.Error(), "outside the run's") {
 			t.Fatalf("%v record at step %d: Compact returned %v, want a range error naming %q", rec.Type, rec.Step, err, want)
+		}
+	}
+}
+
+// TestAccountRefusesShortSlab: a snapshot whose slab is one element short
+// of its block's seed slab, or that holds one slab too few, is refused by
+// the live account and by a replay of a log that holds it (Compact
+// replays a log as a resume does).
+func TestAccountRefusesShortSlab(t *testing.T) {
+	m := sampleManifest()
+	good := snap(rand.New(rand.NewSource(47)), m.Assign.Plan, 1, 0)
+	for name, rec := range map[string]*Record{
+		"slab one element short": DevSnapshot(2, 0,
+			[]*tensor.Tensor{good.Values[0], tensor.New(slabLens[3] - 1)},
+			[]*tensor.Tensor{good.Velocity[0], tensor.New(slabLens[3] - 1)}),
+		"one slab short": DevSnapshot(2, 0, good.Values[:1], good.Velocity[:1]),
+	} {
+		acct, err := NewAccount(&m.Assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := acct.Apply(rec); err == nil {
+			t.Errorf("%s: the live account applied it", name)
+		}
+		dir := filepath.Join(t.TempDir(), "run")
+		led := mustCreate(t, dir, m)
+		if err := led.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		led.Close()
+		if err := Compact(dir); err == nil || !strings.Contains(err.Error(), "record 0 (dev-snapshot)") {
+			t.Errorf("%s: replaying a log that holds it returned %v, want a refusal of record 0", name, err)
 		}
 	}
 }

@@ -8,9 +8,11 @@ import (
 
 	"pipebd/internal/cluster/wire"
 	"pipebd/internal/sched"
+	"pipebd/internal/tensor"
 )
 
-// FuzzReplayLog drives the record-log parser with arbitrary bytes:
+// FuzzReplayLog drives the record-log parser with arbitrary bytes, from
+// seeds of sampleManifest's run (snapshots of a slab per block):
 // replay must never panic, must stop at the first incomplete record, and
 // whatever it accepted must re-encode to bytes the parser accepts again
 // (the round-trip property on surviving records). Every accepted record
@@ -43,6 +45,14 @@ func FuzzReplayLog(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(frameRecord(TypeRepartition, misfit))
+	// A snapshot whose second slab is one element short of its block's:
+	// replay reads it, the account refuses it.
+	short, err := DevSnapshot(2, 0, []*tensor.Tensor{tensor.New(slabLens[2]), tensor.New(slabLens[3] - 1)},
+		[]*tensor.Tensor{tensor.New(slabLens[2]), tensor.New(slabLens[3] - 1)}).encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(log, frameRecord(TypeDevSnapshot, short)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, good := replayLog(data)
 		if good > len(data) || good < 0 {

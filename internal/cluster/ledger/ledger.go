@@ -54,8 +54,11 @@ const (
 	// is unchanged. Version 6 follows wire codec v13: the bytes are v5's,
 	// but the manifest's data recipe evaluates to different data (a
 	// function of seed and sample), so a v5 run resumed here would train
-	// its remaining steps on other batches than its first.
-	Version = 6
+	// its remaining steps on other batches than its first. Version 7
+	// follows wire codec v14: a dev-snapshot record, like the manifest's
+	// seed student weights, holds one value slab and one velocity slab per
+	// block (nn.Slabs) where it held one tensor per parameter.
+	Version = 7
 
 	// ManifestName and LogName are the two files a ledger directory holds.
 	ManifestName = "MANIFEST"
@@ -165,8 +168,8 @@ type Manifest struct {
 type Type uint8
 
 const (
-	// TypeDevSnapshot is a rank-0 device's post-step restart state (student
-	// parameters + optimizer velocities), standing for its whole group.
+	// TypeDevSnapshot is a rank-0 device's post-step restart state (its
+	// blocks' value and velocity slabs), standing for its whole group.
 	TypeDevSnapshot Type = 1
 	// TypeLosses is one device's per-block loss row for one step.
 	TypeLosses Type = 6
@@ -205,16 +208,16 @@ type Record struct {
 	Dev  int // TypeDevSnapshot, TypeLosses
 	Step int // every type but TypeCheckpoint
 
-	Params   []*tensor.Tensor // TypeDevSnapshot: student parameters
-	Velocity []*tensor.Tensor // TypeDevSnapshot: optimizer velocities
+	Values   []*tensor.Tensor // TypeDevSnapshot: one value slab per block, in group order
+	Velocity []*tensor.Tensor // TypeDevSnapshot: one velocity slab per block, in group order
 	Payload  []byte           // TypeRepartition: the encoded plan
 	Losses   []float64        // TypeLosses
 	Children []*Record        // TypeCheckpoint: the consolidated records
 }
 
-// DevSnapshot builds a snapshot record.
-func DevSnapshot(dev, step int, params, velocity []*tensor.Tensor) *Record {
-	return &Record{Type: TypeDevSnapshot, Dev: dev, Step: step, Params: params, Velocity: velocity}
+// DevSnapshot builds a snapshot record of a device's slabs.
+func DevSnapshot(dev, step int, values, velocity []*tensor.Tensor) *Record {
+	return &Record{Type: TypeDevSnapshot, Dev: dev, Step: step, Values: values, Velocity: velocity}
 }
 
 // Losses builds a loss-row record.
@@ -239,8 +242,7 @@ func (rec *Record) encode() ([]byte, error) {
 	case TypeDevSnapshot:
 		w.I32(int32(rec.Dev))
 		w.I32(int32(rec.Step))
-		w.Tensors(rec.Params)
-		w.Tensors(rec.Velocity)
+		w.State(rec.Values, rec.Velocity)
 	case TypeLosses:
 		w.I32(int32(rec.Dev))
 		w.I32(int32(rec.Step))
@@ -278,8 +280,7 @@ func decodeRecord(t Type, payload []byte) (*Record, error) {
 	case TypeDevSnapshot:
 		rec.Dev = int(r.I32())
 		rec.Step = int(r.I32())
-		rec.Params = r.Tensors()
-		rec.Velocity = r.Tensors()
+		rec.Values, rec.Velocity = r.State()
 	case TypeLosses:
 		rec.Dev = int(r.I32())
 		rec.Step = int(r.I32())
@@ -310,9 +311,6 @@ func decodeRecord(t Type, payload []byte) (*Record, error) {
 	}
 	if err := r.Close(); err != nil {
 		return nil, err
-	}
-	if t == TypeDevSnapshot && len(rec.Params) != len(rec.Velocity) {
-		return nil, fmt.Errorf("ledger: %v record has %d params but %d velocities", t, len(rec.Params), len(rec.Velocity))
 	}
 	return rec, nil
 }

@@ -27,7 +27,8 @@ func sampleManifest() *Manifest {
 				Data: wire.DataSpec{Seed: 7, N: 16, C: 3, H: 2, W: 2, Classes: 4, Batch: 4}},
 			Snapshot: wire.Snapshot{
 				Teacher: [][]*tensor.Tensor{{tensor.Rand(rng, -1, 1, 2, 2)}, {}, {}, {}},
-				Student: [][]*tensor.Tensor{{tensor.Rand(rng, -1, 1, 3)}, {}, {}, {tensor.Rand(rng, -1, 1, 2)}},
+				Student: []*tensor.Tensor{tensor.Rand(rng, -1, 1, 3), tensor.Rand(rng, -1, 1, 4),
+					tensor.Rand(rng, -1, 1, 5), tensor.Rand(rng, -1, 1, 2)},
 			},
 		},
 		Addrs:       []string{"127.0.0.1:7710", "127.0.0.1:7711"},
@@ -35,15 +36,17 @@ func sampleManifest() *Manifest {
 	}
 }
 
+// sampleRecords is a log of sampleManifest's run; its snapshots hold each
+// group's slabs, one value and one velocity slab per block.
 func sampleRecords(rng *rand.Rand) []*Record {
 	return []*Record{
 		Losses(0, 0, []float64{0.5, 0.125}),
 		DevSnapshot(2, 0,
-			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 3), tensor.Rand(rng, -1, 1, 2, 2)},
-			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 3), tensor.New(2, 2)}),
+			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 5), tensor.Rand(rng, -1, 1, 2)},
+			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 5), tensor.New(2)}),
 		DevSnapshot(0, 1,
-			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 4)},
-			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 4)}),
+			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 3), tensor.Rand(rng, -1, 1, 4)},
+			[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 3), tensor.Rand(rng, -1, 1, 4)}),
 		Losses(1, 1, []float64{0.25, -1.5}),
 		Barrier(1),
 		Repartition(1, []byte{9, 9}),
@@ -90,7 +93,7 @@ func TestManifestAndRecordRoundTrip(t *testing.T) {
 	if len(got.Addrs) != 2 || got.Addrs[1] != m.Addrs[1] || got.MaxRestarts != 2 {
 		t.Fatalf("manifest fields mismatch: %+v", got)
 	}
-	if !got.Assign.Snapshot.Student[0][0].Equal(m.Assign.Snapshot.Student[0][0]) {
+	if !got.Assign.Snapshot.Student[0].Equal(m.Assign.Snapshot.Student[0]) {
 		t.Fatal("seed snapshot not bit-identical after round trip")
 	}
 	if len(rep.Records) != len(recs) {
@@ -104,9 +107,12 @@ func TestManifestAndRecordRoundTrip(t *testing.T) {
 		if string(r.Payload) != string(want.Payload) {
 			t.Fatalf("record %d payload differs", i)
 		}
-		for pi := range want.Params {
-			if !r.Params[pi].Equal(want.Params[pi]) || !r.Velocity[pi].Equal(want.Velocity[pi]) {
-				t.Fatalf("record %d tensor %d not bit-identical", i, pi)
+		if len(r.Values) != len(want.Values) || len(r.Velocity) != len(want.Velocity) {
+			t.Fatalf("record %d has %d/%d slabs, want %d/%d", i, len(r.Values), len(r.Velocity), len(want.Values), len(want.Velocity))
+		}
+		for b := range want.Values {
+			if !r.Values[b].Equal(want.Values[b]) || !r.Velocity[b].Equal(want.Velocity[b]) {
+				t.Fatalf("record %d slab %d not bit-identical", i, b)
 			}
 		}
 		for li := range want.Losses {
@@ -245,9 +251,10 @@ func TestManifestErrors(t *testing.T) {
 	// Version skew, in both directions: a newer format, the v1 and v2
 	// formats whose record logs held kinds this version retired, v3 and v4,
 	// whose manifests embed Assign bodies this codec no longer reads,
-	// v4's copy of the batches, and v5, whose data recipe evaluated to
-	// other data.
-	for _, v := range []byte{Version + 1, 1, 2, 3, 4, 5} {
+	// v4's copy of the batches, v5, whose data recipe evaluated to
+	// other data, and v6, whose snapshot records and seed student weights
+	// held one tensor per parameter where v7 holds one slab per block.
+	for _, v := range []byte{Version + 1, 1, 2, 3, 4, 5, 6} {
 		skew := append([]byte(nil), good...)
 		skew[4] = v
 		reset(skew)

@@ -61,18 +61,21 @@ func TestRepartitionRecordRoundTrip(t *testing.T) {
 
 // unsplitManifest is a repartition-shaped manifest: an all-unsplit
 // three-group plan, every boundary of which the repartitioner may move.
-// Its seed snapshot gives blocks 0, 2 and 3 one [3] tensor each and block
-// 1 none, so every group of either plan snapshots one [3] tensor.
+// Its seed snapshot is sampleManifest's, blocks of slabs [3], [4], [5]
+// and [2].
 func unsplitManifest() *Manifest {
 	m := sampleManifest()
-	m.Assign.Plan = sched.Plan{Name: "lopsided", Groups: []sched.Group{
+	m.Assign.Plan = lopsidedPlan()
+	return m
+}
+
+// lopsidedPlan is unsplitManifest's plan.
+func lopsidedPlan() sched.Plan {
+	return sched.Plan{Name: "lopsided", Groups: []sched.Group{
 		{Devices: []int{0}, Blocks: []int{0, 1}},
 		{Devices: []int{1}, Blocks: []int{2}},
 		{Devices: []int{2}, Blocks: []int{3}},
 	}}
-	m.Assign.Snapshot.Student[2] = []*tensor.Tensor{tensor.New(3)}
-	m.Assign.Snapshot.Student[3] = []*tensor.Tensor{tensor.New(3)}
-	return m
 }
 
 // rebalancedPlan is the plan the synthetic repartition cuts over to.
@@ -84,12 +87,19 @@ func rebalancedPlan() sched.Plan {
 	}}
 }
 
-// snap is group gi's snapshot; under both plans group gi is device gi.
-func snap(t *testing.T, rng *rand.Rand, gi, step int) *Record {
-	t.Helper()
-	return DevSnapshot(gi, step,
-		[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 3)},
-		[]*tensor.Tensor{tensor.Rand(rng, -1, 1, 3)})
+// slabLens are sampleManifest's slab lengths, block by block.
+var slabLens = []int{3, 4, 5, 2}
+
+// snap is group gi's snapshot under plan, from its rank 0: a value and a
+// velocity slab per block of the group.
+func snap(rng *rand.Rand, plan sched.Plan, gi, step int) *Record {
+	g := plan.Groups[gi]
+	var values, velocity []*tensor.Tensor
+	for _, b := range g.Blocks {
+		values = append(values, tensor.Rand(rng, -1, 1, slabLens[b]))
+		velocity = append(velocity, tensor.Rand(rng, -1, 1, slabLens[b]))
+	}
+	return DevSnapshot(g.Devices[0], step, values, velocity)
 }
 
 // TestCompactRepartitionedLogMidGeneration: a log cut mid-generation (the
@@ -101,6 +111,7 @@ func TestCompactRepartitionedLogMidGeneration(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
 	led := mustCreate(t, dir, unsplitManifest())
 	rng := rand.New(rand.NewSource(23))
+	lop, reb := lopsidedPlan(), rebalancedPlan()
 	repartPayload := wire.EncodePlan(rebalancedPlan())
 	recs := []*Record{
 		// Generation 0 under the lopsided plan: every group snapshots
@@ -109,13 +120,13 @@ func TestCompactRepartitionedLogMidGeneration(t *testing.T) {
 		// even though the recorded cut is after step 2, and even though
 		// device 2's loss rows stop at step 0 (a superseded generation's
 		// horizon mirrors the carry, not the ring's loss accounting).
-		snap(t, rng, 0, 0), snap(t, rng, 1, 0), snap(t, rng, 2, 0),
+		snap(rng, lop, 0, 0), snap(rng, lop, 1, 0), snap(rng, lop, 2, 0),
 		Losses(0, 0, []float64{0.5, 0.4}), Losses(1, 0, []float64{0.3}), Losses(2, 0, []float64{0.2}),
-		snap(t, rng, 0, 1), snap(t, rng, 1, 1), snap(t, rng, 2, 1),
-		snap(t, rng, 0, 2),
+		snap(rng, lop, 0, 1), snap(rng, lop, 1, 1), snap(rng, lop, 2, 1),
+		snap(rng, lop, 0, 2),
 		Repartition(2, repartPayload),
 		// Generation 1 under the rebalanced plan.
-		snap(t, rng, 0, 3), snap(t, rng, 1, 3), snap(t, rng, 2, 3),
+		snap(rng, reb, 0, 3), snap(rng, reb, 1, 3), snap(rng, reb, 2, 3),
 		Losses(0, 3, []float64{0.1}), Losses(1, 3, []float64{0.2, 0.3}), Losses(2, 3, []float64{0.4}),
 	}
 	for _, rec := range recs {
@@ -195,9 +206,10 @@ func TestCompactRepartitionedLogAtCutBoundary(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
 	led := mustCreate(t, dir, unsplitManifest())
 	rng := rand.New(rand.NewSource(29))
+	lop := lopsidedPlan()
 	recs := []*Record{
-		snap(t, rng, 0, 0), snap(t, rng, 1, 0), snap(t, rng, 2, 0),
-		snap(t, rng, 0, 1), snap(t, rng, 1, 1), snap(t, rng, 2, 1),
+		snap(rng, lop, 0, 0), snap(rng, lop, 1, 0), snap(rng, lop, 2, 0),
+		snap(rng, lop, 0, 1), snap(rng, lop, 1, 1), snap(rng, lop, 2, 1),
 		Losses(0, 1, []float64{0.5, 0.4}),
 		Repartition(1, wire.EncodePlan(rebalancedPlan())),
 	}

@@ -381,7 +381,7 @@ type ringLink struct {
 	in  *inbox
 	out *outbox
 	// snapshot, when set, encodes the device's post-step recovery state
-	// (student params + velocities); FinishStep ships it to the
+	// (its blocks' value and velocity slabs); FinishStep ships it to the
 	// coordinator after every step the session's snapshot policy covers,
 	// so a restart can resume from the newest commonly covered step.
 	snapshot func(step int) *wire.Frame

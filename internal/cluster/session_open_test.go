@@ -319,7 +319,7 @@ func failure(effs []effect) error {
 func TestNonRank0SnapshotIsProtocolError(t *testing.T) {
 	// hybridPlan: devices 0 and 1 both train group 0, blocks 0 and 1.
 	d, core, seed := placedCore(t, Config{DPU: true, MaxRestarts: 1}, 2)
-	params := append(append([]*tensor.Tensor(nil), seed.Student[0]...), seed.Student[1]...)
+	params := seed.Student[:2]
 	vels := make([]*tensor.Tensor, len(params))
 	for i, p := range params {
 		vels[i] = tensor.New(p.Shape()...)
@@ -358,7 +358,7 @@ func TestStepsOutsideTheRunAreRefused(t *testing.T) {
 	}
 	d, _, seed := placedCore(t, Config{MaxRestarts: 1}, 2)
 	// hybridPlan: device 2 is rank 0 of group 1, blocks 2 and 3.
-	params := append(append([]*tensor.Tensor(nil), seed.Student[2]...), seed.Student[3]...)
+	params := seed.Student[2:]
 	for _, rec := range []*ledger.Record{
 		ledger.DevSnapshot(2, 99, params, params),
 		ledger.Barrier(-7),

@@ -156,7 +156,6 @@ import (
 
 	"pipebd/internal/cluster/wire"
 	"pipebd/internal/distill"
-	"pipebd/internal/nn"
 	"pipebd/internal/tensor"
 )
 
@@ -181,7 +180,7 @@ func TransformerSpec(cfg distill.TransformerConfig) wire.ModelSpec {
 // BuildWorkbench reconstructs the workbench named by a spec. The
 // constructors are deterministic, so every process building the same spec
 // gets bit-identical initial weights (including the teacher's frozen
-// batch-norm statistics, which the parameter snapshot does not carry).
+// batch-norm statistics, which the seed snapshot does not carry).
 func BuildWorkbench(spec wire.ModelSpec) (*distill.Workbench, error) {
 	switch spec.Name {
 	case "tiny":
@@ -199,54 +198,50 @@ func BuildWorkbench(spec wire.ModelSpec) (*distill.Workbench, error) {
 	}
 }
 
-// CaptureSnapshot clones every teacher and student parameter of w — the
-// seed weights the coordinator broadcasts so worker replicas start from
-// the coordinator's exact state even if it has drifted from the spec's
-// initialization.
+// CaptureSnapshot clones w's seed weights — every teacher parameter and
+// every student block's value slab — which the coordinator broadcasts so
+// worker replicas start from the coordinator's exact state even if it has
+// drifted from the spec's initialization.
 func CaptureSnapshot(w *distill.Workbench) wire.Snapshot {
 	snap := wire.Snapshot{
 		Teacher: make([][]*tensor.Tensor, w.NumBlocks()),
-		Student: make([][]*tensor.Tensor, w.NumBlocks()),
+		Student: make([]*tensor.Tensor, w.NumBlocks()),
 	}
 	for b, pair := range w.Pairs {
 		for _, p := range pair.Teacher.Params() {
 			snap.Teacher[b] = append(snap.Teacher[b], p.Value.Clone())
 		}
-		for _, p := range pair.Student.Params() {
-			snap.Student[b] = append(snap.Student[b], p.Value.Clone())
-		}
+		snap.Student[b] = pair.Slabs.Values.Clone()
 	}
 	return snap
 }
 
-// InstallSnapshot copies snapshot values into w's parameters. Block and
-// parameter counts (and shapes) must match w's architecture.
+// InstallSnapshot copies snapshot values into w: the teacher parameter
+// by parameter, the student a value slab per block. Block and teacher
+// parameter counts, and every shape, must match w's architecture.
 func InstallSnapshot(w *distill.Workbench, snap wire.Snapshot) error {
 	if len(snap.Teacher) != w.NumBlocks() || len(snap.Student) != w.NumBlocks() {
 		return fmt.Errorf("cluster: snapshot has %d/%d blocks, workbench has %d",
 			len(snap.Teacher), len(snap.Student), w.NumBlocks())
 	}
-	install := func(b int, side string, got []*tensor.Tensor, params []*nn.Param) error {
-		if len(got) != len(params) {
-			return fmt.Errorf("cluster: snapshot block %d has %d %s params, workbench has %d",
-				b, len(got), side, len(params))
+	for b, pair := range w.Pairs {
+		params := pair.Teacher.Params()
+		if len(snap.Teacher[b]) != len(params) {
+			return fmt.Errorf("cluster: snapshot block %d has %d teacher params, workbench has %d",
+				b, len(snap.Teacher[b]), len(params))
 		}
-		for pi, t := range got {
+		for pi, t := range snap.Teacher[b] {
 			if !t.SameShape(params[pi].Value) {
-				return fmt.Errorf("cluster: snapshot block %d %s param %d shape %v, workbench wants %v",
-					b, side, pi, t.Shape(), params[pi].Value.Shape())
+				return fmt.Errorf("cluster: snapshot block %d teacher param %d shape %v, workbench wants %v",
+					b, pi, t.Shape(), params[pi].Value.Shape())
 			}
 			params[pi].Value.CopyFrom(t)
 		}
-		return nil
-	}
-	for b, pair := range w.Pairs {
-		if err := install(b, "teacher", snap.Teacher[b], pair.Teacher.Params()); err != nil {
-			return err
+		if slab := snap.Student[b]; !slab.SameShape(pair.Slabs.Values) {
+			return fmt.Errorf("cluster: snapshot block %d student slab shape %v, workbench wants %v",
+				b, slab.Shape(), pair.Slabs.Values.Shape())
 		}
-		if err := install(b, "student", snap.Student[b], pair.Student.Params()); err != nil {
-			return err
-		}
+		pair.Slabs.Values.CopyFrom(snap.Student[b])
 	}
 	return nil
 }

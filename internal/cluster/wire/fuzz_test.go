@@ -21,6 +21,14 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(encodeSeed(EncodeAssign(&Assign{})))
 	f.Add(encodeSeed(Control(KindHeartbeat, NoDev, NoStep)))
 	f.Add(encodeSeed(EncodeDeviceSnapshot(1, 2, nil, nil)))
+	// A snapshot as a group leader sends one, a value and a velocity slab
+	// per block; the group's final value slabs; and a snapshot whose
+	// velocity slab is one element short, which Reader.State refuses.
+	st := sampleResume().States[0]
+	f.Add(encodeSeed(EncodeDeviceSnapshot(int32(st.Dev), int32(st.Step), st.Values, st.Velocity)))
+	f.Add(encodeSeed(EncodeTensors(KindFinalParams, int32(st.Dev), NoStep, st.Values)))
+	f.Add(encodeSeed(EncodeDeviceSnapshot(int32(st.Dev), int32(st.Step), st.Values,
+		[]*tensor.Tensor{st.Velocity[0], tensor.New(st.Velocity[1].Numel() - 1)})))
 	f.Add(encodeSeed(EncodeAssign(sampleResume()))) // the session-open frame of a restart: n states
 	// A control-link resume: the coordinator's hello, from NoDev.
 	f.Add(encodeSeed(EncodePeerHello(PeerHello{Epoch: 7, From: int(NoDev), To: 2, Resume: true, Recvd: 41})))

@@ -12,7 +12,7 @@ import (
 
 // ModelSpec names a reproducible workbench constructor plus its sizing,
 // so a worker can rebuild a bit-identical replica of the coordinator's
-// model from the spec alone (the parameter snapshot then guards against
+// model from the spec alone (the Assign's seed snapshot then guards against
 // any drift in the coordinator's weights).
 //
 // The conv families use Channels/Height/Width; the transformer family
@@ -200,12 +200,13 @@ func (ds DataSpec) Batches() ([]dataset.Batch, error) {
 	return out, nil
 }
 
-// Snapshot is a full parameter snapshot of a workbench, indexed
-// [block][param] in declaration order, for the frozen teacher and the
-// trainable student separately.
+// Snapshot is a workbench's seed weights: the frozen teacher's
+// parameters indexed [block][param] in declaration order (a teacher has
+// no slabs), and each student block's value slab (nn.Slabs.Values), one
+// per block.
 type Snapshot struct {
 	Teacher [][]*tensor.Tensor
-	Student [][]*tensor.Tensor
+	Student []*tensor.Tensor
 }
 
 // Assign is the session-open message of every attempt, fresh or
@@ -234,7 +235,7 @@ type Assign struct {
 	Relayed []int
 	// States restores the hosted devices before they run: empty when the
 	// attempt starts at the seed (Snapshot and a fresh optimizer are the
-	// whole state), otherwise exactly one entry per entry of Devices.
+	// whole state), otherwise States[i] is device Devices[i]'s.
 	States []DeviceState
 }
 
@@ -289,15 +290,17 @@ func writeAssignBody(w *Writer, a *Assign) {
 		w.String(p)
 	}
 	w.I64(a.Epoch)
-	writeSnapshotHalf(w, a.Snapshot.Teacher)
-	writeSnapshotHalf(w, a.Snapshot.Student)
+	w.U32(uint32(len(a.Snapshot.Teacher)))
+	for _, params := range a.Snapshot.Teacher {
+		w.Tensors(params)
+	}
+	w.Tensors(a.Snapshot.Student)
 	w.I32s(a.Relayed)
 	w.U32(uint32(len(a.States)))
 	for _, st := range a.States {
 		w.I32(int32(st.Dev))
 		w.I32(int32(st.Step))
-		w.Tensors(st.Params)
-		w.Tensors(st.Velocity)
+		w.State(st.Values, st.Velocity)
 	}
 }
 
@@ -344,13 +347,11 @@ func readAssignBody(r *Reader) (*Assign, error) {
 		a.Peers = append(a.Peers, r.String())
 	}
 	a.Epoch = r.I64()
-	var err error
-	if a.Snapshot.Teacher, err = readSnapshotHalf(r); err != nil {
-		return nil, err
+	nb := r.count(r.U32(), 4)
+	for i := 0; i < nb && r.Err() == nil; i++ {
+		a.Snapshot.Teacher = append(a.Snapshot.Teacher, r.Tensors())
 	}
-	if a.Snapshot.Student, err = readSnapshotHalf(r); err != nil {
-		return nil, err
-	}
+	a.Snapshot.Student = r.Tensors()
 	a.Relayed = r.I32s()
 	if len(a.Relayed)%2 != 0 {
 		return nil, fmt.Errorf("wire: relayed edge list has odd length %d", len(a.Relayed))
@@ -358,12 +359,7 @@ func readAssignBody(r *Reader) (*Assign, error) {
 	n := r.count(r.U32(), 16) // dev + step + two counted tensor lists
 	for i := 0; i < n && r.Err() == nil; i++ {
 		st := DeviceState{Dev: int(r.I32()), Step: int(r.I32())}
-		st.Params = r.Tensors()
-		st.Velocity = r.Tensors()
-		if len(st.Params) != len(st.Velocity) {
-			return nil, fmt.Errorf("wire: restart state for device %d has %d params but %d velocities",
-				st.Dev, len(st.Params), len(st.Velocity))
-		}
+		st.Values, st.Velocity = r.State()
 		a.States = append(a.States, st)
 	}
 	return a, r.Err()
@@ -427,7 +423,7 @@ func EncodeAssign(a *Assign) *Frame {
 }
 
 // DecodeAssign unpacks an Assign frame, validating that restart states,
-// when present, match the assigned devices one-to-one.
+// when present, are the assigned devices', in order.
 func DecodeAssign(f *Frame) (*Assign, error) {
 	if f.Kind != KindAssign {
 		return nil, fmt.Errorf("wire: expected %v frame, got %v", KindAssign, f.Kind)
@@ -440,82 +436,76 @@ func DecodeAssign(f *Frame) (*Assign, error) {
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	if len(a.States) == 0 {
-		return a, nil
+	if len(a.States) != 0 && len(a.States) != len(a.Devices) {
+		return nil, fmt.Errorf("wire: assign has %d restart states for %d devices", len(a.States), len(a.Devices))
 	}
-	restored := make(map[int]bool, len(a.Devices))
-	for _, d := range a.Devices {
-		restored[d] = false
-	}
-	for _, st := range a.States {
-		done, hosted := restored[st.Dev]
-		if !hosted {
-			return nil, fmt.Errorf("wire: assign has a restart state for device %d, which it does not host", st.Dev)
-		}
-		if done {
-			return nil, fmt.Errorf("wire: assign has duplicate restart state for device %d", st.Dev)
-		}
-		restored[st.Dev] = true
-	}
-	for d, done := range restored {
-		if !done {
-			return nil, fmt.Errorf("wire: assign is missing restart state for device %d", d)
+	for i, st := range a.States {
+		if st.Dev != a.Devices[i] {
+			return nil, fmt.Errorf("wire: assign's restart state %d is device %d's, not device %d's", i, st.Dev, a.Devices[i])
 		}
 	}
 	return a, nil
 }
 
 // DeviceState is one device's recovery state: the step it completed last
-// and the student parameters plus velocities it held right after that
-// step's update (blocks in group order, parameters in Params() order: the
-// order of the blocks' slabs).
+// and, as they stood right after that step's update, the value and
+// momentum slabs (nn.Slabs) of its blocks, one each per block in group
+// order. Writer.State and Reader.State are its one codec.
 type DeviceState struct {
 	Dev      int
 	Step     int
-	Params   []*tensor.Tensor
+	Values   []*tensor.Tensor
 	Velocity []*tensor.Tensor
 }
 
-// EncodeDeviceSnapshot packs one device's post-step recovery state.
-func EncodeDeviceSnapshot(dev, step int32, params, velocity []*tensor.Tensor) *Frame {
-	w := NewWriter()
-	w.Tensors(params)
+// State appends a device state's slabs: the value slabs, then the
+// velocity slabs, each a counted tensor list. A snapshot frame, an
+// Assign's States and a ledger snapshot record all carry a state this
+// way.
+func (w *Writer) State(values, velocity []*tensor.Tensor) {
+	w.Tensors(values)
 	w.Tensors(velocity)
+}
+
+// State reads a device state written by Writer.State. It refuses one
+// whose velocity slabs do not pair with its value slabs one for one, in
+// count and in shape; whether the slabs fit the model is the reader's
+// caller's to check.
+func (r *Reader) State() (values, velocity []*tensor.Tensor) {
+	values, velocity = r.Tensors(), r.Tensors()
+	if r.err != nil {
+		return nil, nil
+	}
+	if len(values) != len(velocity) {
+		r.fail("state has %d value slabs but %d velocity slabs", len(values), len(velocity))
+		return nil, nil
+	}
+	for i, v := range values {
+		if !velocity[i].SameShape(v) {
+			r.fail("state slab %d has values %v but velocity %v", i, v.Shape(), velocity[i].Shape())
+			return nil, nil
+		}
+	}
+	return values, velocity
+}
+
+// EncodeDeviceSnapshot packs one device's post-step recovery state: its
+// value slabs and velocity slabs (Writer.State).
+func EncodeDeviceSnapshot(dev, step int32, values, velocity []*tensor.Tensor) *Frame {
+	w := NewWriter()
+	w.State(values, velocity)
 	return &Frame{Kind: KindSnapshot, Dev: dev, Step: step, Payload: w.Bytes()}
 }
 
-// DecodeDeviceSnapshot unpacks a snapshot frame into its parameter and
-// velocity lists. The two lists must have the same length.
-func DecodeDeviceSnapshot(f *Frame) (params, velocity []*tensor.Tensor, err error) {
+// DecodeDeviceSnapshot unpacks a snapshot frame into its value and
+// velocity slabs (Reader.State).
+func DecodeDeviceSnapshot(f *Frame) (values, velocity []*tensor.Tensor, err error) {
 	r := NewReader(f.Payload)
-	params = r.Tensors()
-	velocity = r.Tensors()
+	values, velocity = r.State()
 	if err := r.Close(); err != nil {
 		return nil, nil, err
 	}
-	if len(params) != len(velocity) {
-		return nil, nil, fmt.Errorf("wire: snapshot has %d params but %d velocities", len(params), len(velocity))
-	}
-	return params, velocity, nil
-}
-
-func writeSnapshotHalf(w *Writer, blocks [][]*tensor.Tensor) {
-	w.U32(uint32(len(blocks)))
-	for _, params := range blocks {
-		w.Tensors(params)
-	}
-}
-
-func readSnapshotHalf(r *Reader) ([][]*tensor.Tensor, error) {
-	n := r.count(r.U32(), 4)
-	out := make([][]*tensor.Tensor, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.Tensors())
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return out, r.Err()
+	return values, velocity, nil
 }
 
 // EncodeTensor packs a single tensor into a frame of the given kind
@@ -542,7 +532,8 @@ func DecodeTensorInto(f *Frame, dst *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // EncodeTensors packs a tensor list into a frame of the given kind
-// (KindFinalParams).
+// (KindFinalParams: a group leader's value slabs, one per block in group
+// order).
 func EncodeTensors(kind Kind, dev, step int32, ts []*tensor.Tensor) *Frame {
 	w := NewWriter()
 	w.Tensors(ts)

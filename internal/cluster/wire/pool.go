@@ -214,11 +214,10 @@ func PooledTensor(kind Kind, dev, step int32, t *tensor.Tensor) *Frame {
 }
 
 // PooledDeviceSnapshot is EncodeDeviceSnapshot into a pooled buffer.
-func PooledDeviceSnapshot(dev, step int32, params, velocity []*tensor.Tensor) *Frame {
-	f := newPooled(KindSnapshot, dev, step, tensorsBytes(params)+tensorsBytes(velocity))
+func PooledDeviceSnapshot(dev, step int32, values, velocity []*tensor.Tensor) *Frame {
+	f := newPooled(KindSnapshot, dev, step, tensorsBytes(values)+tensorsBytes(velocity))
 	w := Writer{buf: f.Payload}
-	w.Tensors(params)
-	w.Tensors(velocity)
+	w.State(values, velocity)
 	f.Payload = w.buf
 	return f
 }

@@ -1,6 +1,6 @@
 // Package wire is the compact binary codec of the cluster subsystem: a
-// framed, versioned message format carrying tensors, parameter and
-// gradient snapshots, loss reports, and control messages between the
+// framed, versioned message format carrying tensors, the student blocks'
+// state slabs, loss reports, and control messages between the
 // coordinator and worker processes.
 //
 // Every frame is a fixed 16-byte header (magic, version, kind, device
@@ -73,8 +73,14 @@ const (
 	// its Relayed list, and Peers is always filled; version 13 changed
 	// what a data recipe evaluates to, not its bytes: a DataSpec's data
 	// became a function of (seed, sample), so a v12 worker would train
-	// the first group on other batches than this coordinator checked.
-	Version = 13
+	// the first group on other batches than this coordinator checked;
+	// version 14 made a student block's slab the unit of its state: a
+	// snapshot frame, an Assign's restart states, its seed student weights
+	// and a final-params frame carry one value slab per block (plus one
+	// velocity slab per block where momentum is part of the state) in
+	// place of one tensor per parameter, and an Assign's restart states
+	// follow the order of its Devices.
+	Version = 14
 
 	// HeaderLen is the size of a frame's fixed header.
 	HeaderLen = 16
@@ -95,7 +101,7 @@ const (
 	// connects, announcing the worker is ready for an Assign.
 	KindHello Kind = iota + 1
 	// KindAssign opens every session, fresh or restarted: plan, model
-	// spec, run config, hosted device ranks, the seed parameter snapshot,
+	// spec, run config, hosted device ranks, the seed weights snapshot,
 	// and — when the attempt starts past the seed — the per-device restart
 	// states to install before replaying.
 	KindAssign
@@ -114,8 +120,8 @@ const (
 	KindStepGo
 	// KindLosses streams a device's per-block losses for one step.
 	KindLosses
-	// KindFinalParams carries a group leader's trained student
-	// parameters back to the coordinator after the last step.
+	// KindFinalParams carries a group leader's trained student value
+	// slabs, one per block, back to the coordinator after the last step.
 	KindFinalParams
 	// KindDone signals a device completed its run.
 	KindDone
@@ -128,8 +134,8 @@ const (
 	// rather than only on a connection error.
 	KindHeartbeat
 	// KindSnapshot carries one device's recovery state after it finished a
-	// step: the student parameters and optimizer velocities the device
-	// would need to replay the next step bit-identically.
+	// step: the value and velocity slabs of its student blocks, what the
+	// device would need to replay the next step bit-identically.
 	KindSnapshot
 	_ // 16 was the Resume kind, retired in version 9 (folded into KindAssign)
 	// KindPeerHello is the worker-to-worker handshake of the peer data

@@ -161,7 +161,7 @@ func sampleAssign() *Assign {
 		Epoch:   77,
 		Snapshot: Snapshot{
 			Teacher: [][]*tensor.Tensor{{tensor.Rand(rng, -1, 1, 2, 2)}, {}},
-			Student: [][]*tensor.Tensor{{tensor.Rand(rng, -1, 1, 3), tensor.Rand(rng, -1, 1, 1, 4)}, {tensor.Rand(rng, -1, 1, 2)}},
+			Student: []*tensor.Tensor{tensor.Rand(rng, -1, 1, 7), tensor.Rand(rng, -1, 1, 2)},
 		},
 	}
 }
@@ -196,11 +196,12 @@ func TestAssignRoundTrip(t *testing.T) {
 	if got.Epoch != 77 {
 		t.Fatalf("epoch mismatch: %d", got.Epoch)
 	}
-	for bi := range a.Snapshot.Student {
-		for pi := range a.Snapshot.Student[bi] {
-			if !got.Snapshot.Student[bi][pi].Equal(a.Snapshot.Student[bi][pi]) {
-				t.Fatalf("student snapshot block %d param %d differs", bi, pi)
-			}
+	if len(got.Snapshot.Student) != len(a.Snapshot.Student) {
+		t.Fatalf("student snapshot has %d slabs, want %d", len(got.Snapshot.Student), len(a.Snapshot.Student))
+	}
+	for b, slab := range a.Snapshot.Student {
+		if !got.Snapshot.Student[b].Equal(slab) {
+			t.Fatalf("student snapshot block %d slab differs", b)
 		}
 	}
 	if !got.Snapshot.Teacher[0][0].Equal(a.Snapshot.Teacher[0][0]) {
@@ -258,8 +259,8 @@ func TestDataSpecRejectsMalformedRecipes(t *testing.T) {
 
 func TestDeviceSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	params := []*tensor.Tensor{tensor.Rand(rng, -1, 1, 3, 2), tensor.Rand(rng, -1, 1, 4)}
-	vels := []*tensor.Tensor{tensor.Rand(rng, -1, 1, 3, 2), tensor.New(4)}
+	params := []*tensor.Tensor{tensor.Rand(rng, -1, 1, 6), tensor.Rand(rng, -1, 1, 4)}
+	vels := []*tensor.Tensor{tensor.Rand(rng, -1, 1, 6), tensor.New(4)}
 	f := roundTripFrame(t, EncodeDeviceSnapshot(2, 7, params, vels))
 	if f.Dev != 2 || f.Step != 7 {
 		t.Fatalf("snapshot header: %+v", f)
@@ -268,19 +269,35 @@ func TestDeviceSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	if len(gp) != len(params) || len(gv) != len(vels) {
+		t.Fatalf("decoded %d value and %d velocity slabs, want %d and %d", len(gp), len(gv), len(params), len(vels))
+	}
 	for i := range params {
 		if !gp[i].Equal(params[i]) || !gv[i].Equal(vels[i]) {
-			t.Fatalf("snapshot tensor %d differs", i)
+			t.Fatalf("snapshot slab %d differs", i)
 		}
 	}
 }
 
+// TestDeviceSnapshotCountMismatchRejected: Reader.State is the one check that a
+// state's velocity slabs pair with its value slabs, and every carrier of
+// a state reads through it: a snapshot frame and an Assign's restart
+// state both refuse a state one velocity slab short or one element off.
 func TestDeviceSnapshotCountMismatchRejected(t *testing.T) {
-	w := NewWriter()
-	w.Tensors([]*tensor.Tensor{tensor.Ones(2)})
-	w.Tensors(nil) // 1 param, 0 velocities
-	if _, _, err := DecodeDeviceSnapshot(&Frame{Kind: KindSnapshot, Payload: w.Bytes()}); err == nil {
-		t.Fatal("param/velocity count mismatch accepted")
+	for name, vels := range map[string][]*tensor.Tensor{
+		"one velocity slab short":   {tensor.New(3)},
+		"velocity one element long": {tensor.New(3), tensor.New(3)},
+		"velocity of another rank":  {tensor.New(3), tensor.New(1, 2)},
+	} {
+		values := []*tensor.Tensor{tensor.Ones(3), tensor.Ones(2)}
+		if _, _, err := DecodeDeviceSnapshot(EncodeDeviceSnapshot(0, 0, values, vels)); err == nil {
+			t.Errorf("%s: snapshot frame accepted", name)
+		}
+		a := sampleAssign()
+		a.States = []DeviceState{{Dev: 0, Values: values, Velocity: vels}, {Dev: 1, Values: values[:1], Velocity: values[:1]}}
+		if _, err := DecodeAssign(EncodeAssign(a)); err == nil {
+			t.Errorf("%s: assign restart state accepted", name)
+		}
 	}
 }
 
@@ -292,8 +309,8 @@ func sampleResume() *Assign {
 	for _, d := range res.Devices {
 		res.States = append(res.States, DeviceState{
 			Dev: d, Step: 3,
-			Params:   []*tensor.Tensor{tensor.Rand(rng, -1, 1, 3), tensor.Rand(rng, -1, 1, 1, 4)},
-			Velocity: []*tensor.Tensor{tensor.Rand(rng, -1, 1, 3), tensor.New(1, 4)},
+			Values:   []*tensor.Tensor{tensor.Rand(rng, -1, 1, 3), tensor.Rand(rng, -1, 1, 4)},
+			Velocity: []*tensor.Tensor{tensor.Rand(rng, -1, 1, 3), tensor.New(4)},
 		})
 	}
 	return res
@@ -316,9 +333,12 @@ func TestResumeRoundTrip(t *testing.T) {
 		if g.Dev != st.Dev || g.Step != st.Step {
 			t.Fatalf("state %d header: %+v vs %+v", i, g, st)
 		}
-		for pi := range st.Params {
-			if !g.Params[pi].Equal(st.Params[pi]) || !g.Velocity[pi].Equal(st.Velocity[pi]) {
-				t.Fatalf("state %d tensor %d differs", i, pi)
+		if len(g.Values) != len(st.Values) || len(g.Velocity) != len(st.Velocity) {
+			t.Fatalf("state %d has %d/%d slabs, want %d/%d", i, len(g.Values), len(g.Velocity), len(st.Values), len(st.Velocity))
+		}
+		for b := range st.Values {
+			if !g.Values[b].Equal(st.Values[b]) || !g.Velocity[b].Equal(st.Velocity[b]) {
+				t.Fatalf("state %d slab %d differs", i, b)
 			}
 		}
 	}
@@ -388,9 +408,11 @@ func TestRetiredKindsAreUnknown(t *testing.T) {
 // to peer activations and retired the hub's gather kinds, so a mis-decode
 // would silently scramble the session; v12→v13 decodes the same bytes
 // but evaluates the data recipe to other data, so a v12 worker would
-// silently train on other batches).
+// silently train on other batches; v13→v14 carries a restart state as one
+// slab per block where v13 carried one tensor per parameter, so a v13
+// worker would refuse or misplace every state).
 func TestVersionSkewOldWorker(t *testing.T) {
-	for _, old := range []byte{1, 2, 3, 9, 10, 11, 12} {
+	for _, old := range []byte{1, 2, 3, 9, 10, 11, 12, 13} {
 		raw := encodeFrameBytes(t, Control(KindHello, NoDev, NoStep))
 		raw[1] = old
 		_, err := ReadFrame(bytes.NewReader(raw))
@@ -693,17 +715,20 @@ func TestOversizedTensorRejected(t *testing.T) {
 }
 
 // TestCrossVersionRejected: frames stamped with a different codec version
-// are refused with ErrVersion, regardless of content.
+// are refused with ErrVersion, regardless of content — a v13 snapshot, a
+// list of per-parameter tensors, among them.
 func TestCrossVersionRejected(t *testing.T) {
-	raw := encodeFrameBytes(t, Control(KindHello, NoDev, NoStep))
-	raw[1] = Version + 1
-	_, err := ReadFrame(bytes.NewReader(raw))
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("version+1 frame: got %v, want ErrVersion", err)
-	}
-	raw[1] = 0
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-0 frame: got %v, want ErrVersion", err)
+	for _, f := range []*Frame{
+		Control(KindHello, NoDev, NoStep),
+		EncodeDeviceSnapshot(0, 3, []*tensor.Tensor{tensor.Ones(2, 3), tensor.Ones(3)}, []*tensor.Tensor{tensor.New(2, 3), tensor.New(3)}),
+	} {
+		raw := encodeFrameBytes(t, f)
+		for _, v := range []byte{Version + 1, 13, 0} {
+			raw[1] = v
+			if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
+				t.Fatalf("version-%d %v frame: got %v, want ErrVersion", v, f.Kind, err)
+			}
+		}
 	}
 }
 

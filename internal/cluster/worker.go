@@ -64,7 +64,7 @@ type WorkerConfig struct {
 // one workbench replica per hosted device, wires its peer endpoints, and
 // drives each through engine.RunMember — the same device loop the
 // in-process pipeline uses — over a ringLink. After the last step it
-// returns each group leader's trained student parameters and drains back
+// returns each group leader's trained value slabs and drains back
 // to accepting the next session.
 //
 // Sessions are served concurrently: after a restart a surviving worker
@@ -179,9 +179,6 @@ type hostedDevice struct {
 	member engine.Member
 	link   *ringLink
 	start  int // first step to run (restored step + 1, else 0)
-	// params lists the student parameters: blocks in group order, each
-	// block's in Params() order. Collected once per session.
-	params []*nn.Param
 }
 
 // serveConn performs the shared accept handshake — a synchronous Hello,
@@ -313,14 +310,13 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	if err != nil {
 		return err
 	}
-	// DecodeAssign guarantees the states, when present, name exactly the
-	// hosted devices.
-	for _, st := range assign.States {
-		d := findDevice(devices, int32(st.Dev))
-		if err := installDeviceState(d, st); err != nil {
+	// DecodeAssign guarantees the states, when present, are the hosted
+	// devices', in the order buildDevices built them.
+	for i, st := range assign.States {
+		if err := installDeviceState(devices[i], st); err != nil {
 			return err
 		}
-		d.start = st.Step + 1
+		devices[i].start = st.Step + 1
 	}
 	w.logf("assigned %d device(s) of plan %q, %d restored from the coordinator's cut: %s",
 		len(devices), assign.Plan.Name, len(assign.States), assign.Plan.Describe())
@@ -491,11 +487,8 @@ func runDevice(d *hostedDevice, steps int, out *outbox) (err error) {
 		}
 	}
 	if d.member.Rank == 0 {
-		var params []*tensor.Tensor
-		for _, p := range d.params {
-			params = append(params, p.Value)
-		}
-		out.Enqueue(wire.EncodeTensors(wire.KindFinalParams, d.rank, wire.NoStep, params))
+		values, _ := d.slabs()
+		out.Enqueue(wire.EncodeTensors(wire.KindFinalParams, d.rank, wire.NoStep, values))
 	}
 	out.Enqueue(wire.Control(wire.KindDone, d.rank, wire.NoStep))
 	return nil
@@ -567,9 +560,6 @@ func (w *Worker) buildDevices(assign *wire.Assign, out *outbox, tracer *obs.Trac
 				rank: j, k: group.Split(), group: members, prev: prev, next: next,
 				shards: make([]*tensor.Tensor, len(prev))},
 		}
-		for _, pair := range pairs {
-			d.params = append(d.params, pair.Student.Params()...)
-		}
 		if tracer != nil {
 			d.link.trace = tracer.NewTrack(fmt.Sprintf("dev%d", rank))
 			// A backend that keeps time (a costed one) clocks the spans.
@@ -634,38 +624,44 @@ func (w *Worker) establishMesh(m *mesh, assign *wire.Assign, devices []*hostedDe
 	return nil
 }
 
-// deviceSnapshotter returns the closure that captures a device's
-// post-step recovery state: every student parameter and its velocity, in
-// the same flattened order the coordinator validates against.
-func deviceSnapshotter(d *hostedDevice) func(step int) *wire.Frame {
-	var params, vels []*tensor.Tensor
-	for _, p := range d.params {
-		params = append(params, p.Value)
-		vels = append(vels, p.Velocity)
+// slabs lists the device's value and velocity slabs, one each per block
+// in group order: its restart state as the wire carries it.
+func (d *hostedDevice) slabs() (values, velocity []*tensor.Tensor) {
+	for _, p := range d.member.Pairs {
+		values = append(values, p.Slabs.Values)
+		velocity = append(velocity, p.Slabs.Velocity)
 	}
+	return values, velocity
+}
+
+// deviceSnapshotter returns the closure that captures a device's
+// post-step recovery state: its slabs, in the order the coordinator
+// checks them against.
+func deviceSnapshotter(d *hostedDevice) func(step int) *wire.Frame {
+	values, velocity := d.slabs()
 	return func(step int) *wire.Frame {
 		// Encoding copies the data immediately, so sharing the live
-		// tensors here is safe: the next step's mutations happen after
+		// slabs here is safe: the next step's mutations happen after
 		// this frame's bytes are fixed.
-		return wire.PooledDeviceSnapshot(d.rank, int32(step), params, vels)
+		return wire.PooledDeviceSnapshot(d.rank, int32(step), values, velocity)
 	}
 }
 
-// installDeviceState restores a restarted device to its snapshot: student
-// parameters and velocities as they were right after the snapshot's step.
+// installDeviceState restores a restarted device to its snapshot: each
+// block's value and velocity slabs as they were right after the
+// snapshot's step.
 func installDeviceState(d *hostedDevice, st wire.DeviceState) error {
-	params := d.params
-	if len(st.Params) != len(params) {
-		return fmt.Errorf("cluster: restart state for device %d has %d params, replica has %d",
-			d.rank, len(st.Params), len(params))
+	pairs := d.member.Pairs
+	if len(st.Values) != len(pairs) {
+		return fmt.Errorf("cluster: restart state for device %d has %d slabs for its %d blocks", d.rank, len(st.Values), len(pairs))
 	}
-	for i, p := range params {
-		if !st.Params[i].SameShape(p.Value) || !st.Velocity[i].SameShape(p.Value) {
-			return fmt.Errorf("cluster: restart state for device %d param %d shape %v/%v, want %v",
-				d.rank, i, st.Params[i].Shape(), st.Velocity[i].Shape(), p.Value.Shape())
+	for i, p := range pairs {
+		if !st.Values[i].SameShape(p.Slabs.Values) {
+			return fmt.Errorf("cluster: restart state for device %d slab %d shape %v, want %v",
+				d.rank, i, st.Values[i].Shape(), p.Slabs.Values.Shape())
 		}
-		p.Value.CopyFrom(st.Params[i])
-		p.Velocity.CopyFrom(st.Velocity[i])
+		p.Slabs.Values.CopyFrom(st.Values[i])
+		p.Slabs.Velocity.CopyFrom(st.Velocity[i])
 	}
 	return nil
 }

@@ -291,8 +291,9 @@ func (b oneKernel) ConvGradWeightInto(out, g, x *tensor.Tensor, kh, kw, stride, 
 // still makes one costs each step 16 KB conv, 8 KB transformer).
 //
 // The bounds are per steady-state step, all devices together. What a
-// step allocates measures 1.5-2.5 KB (conv) and 8-13 KB (transformer),
-// every run; the 35 KB and 36 KB above that are what a leak may cost a
+// step allocates measures 0.05-0.5 KB for either model (the transformer's
+// attention and feed-forward layers keep their reshaped views), every
+// run; the 35 KB and 36 KB above that are what a leak may cost a
 // step and pass. One activation that stopped coming from an arena or a
 // relay buffer (262 KB conv, 131 KB transformer) may not. The old
 // relative check, a steady step under a twentieth of a cold step 0,

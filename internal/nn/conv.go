@@ -85,7 +85,7 @@ func (c *Conv2d) forward(x *tensor.Tensor, train bool, bn *BatchNorm2d, relu *Re
 	oh := tensor.ConvOutSize(h, c.Kernel, c.Stride, c.Pad)
 	ow := tensor.ConvOutSize(w, c.Kernel, c.Stride, c.Pad)
 
-	wm := matrixView(&c.wm, c.Weight.Value, c.OutC)
+	wm := c.weightMatrix(&c.wm, c.Weight.Value)
 	out := c.ar.Get(n, c.OutC, oh, ow)
 	if bn != nil {
 		bn.checkInput(out.Shape())
@@ -144,7 +144,7 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// and folded back to [OutC, InC, K, K].
 	dW := ar.Get(c.OutC, kk)
 	be.ConvGradWeightInto(dW, dFlat, c.lastInput, c.Kernel, c.Kernel, c.Stride, c.Pad)
-	be.Axpy(matrixView(&c.gm, c.Weight.Grad, c.OutC), 1, dW)
+	be.Axpy(c.weightMatrix(&c.gm, c.Weight.Grad), 1, dW)
 
 	dx := ar.Get(c.inN, c.InC, c.inH, c.inW)
 	if c.Kernel == 1 && c.Stride == 1 && c.Pad == 0 {
@@ -162,18 +162,15 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	// dx = Col2Im(Wᵀ · dFlat).
 	dCols := ar.Get(kk, spatial)
-	be.MatMulTAInto(dCols, matrixView(&c.wm, c.Weight.Value, c.OutC), dFlat)
+	be.MatMulTAInto(dCols, c.weightMatrix(&c.wm, c.Weight.Value), dFlat)
 	be.Col2ImInto(dx, dCols, c.Kernel, c.Kernel, c.Stride, c.Pad)
 	return dx
 }
 
-// matrixView returns t as a matrix of the given rows, reusing *view while
-// it is one of t's storage.
-func matrixView(view **tensor.Tensor, t *tensor.Tensor, rows int) *tensor.Tensor {
-	if v := *view; v == nil || &v.Data()[0] != &t.Data()[0] {
-		*view = t.Reshape(rows, t.Numel()/rows)
-	}
-	return *view
+// weightMatrix returns the weight's value or gradient t as an [OutC,
+// InC·K·K] matrix through the kept view *view.
+func (c *Conv2d) weightMatrix(view **tensor.Tensor, t *tensor.Tensor) *tensor.Tensor {
+	return viewAs(view, t, c.OutC, t.Numel()/c.OutC)
 }
 
 // Params returns weight (and bias when present).

@@ -28,6 +28,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"pipebd/internal/tensor"
 )
@@ -169,6 +170,16 @@ func (m *stepMem) checkCache(layer string) {
 	if g := m.ar.Generation(); g != m.gen {
 		panic(fmt.Sprintf("nn: %s.Backward in arena generation %d but its cache is from generation %d (stale forward?)", layer, g, m.gen))
 	}
+}
+
+// viewAs returns t in the given shape, reusing *view while it is a view
+// of t's storage in that shape: a weight keeps its view until nn.Pack
+// moves it, an activation until its buffer or its batch changes.
+func viewAs(view **tensor.Tensor, t *tensor.Tensor, shape ...int) *tensor.Tensor {
+	if v := *view; v == nil || &v.Data()[0] != &t.Data()[0] || v.Numel() != t.Numel() || !slices.Equal(v.Shape(), shape) {
+		*view = t.Reshape(slices.Clone(shape)...)
+	}
+	return *view
 }
 
 // reuse returns buf with length n, reallocating only when it is too

@@ -237,6 +237,10 @@ type FeedForward struct {
 	Dim, Hidden int
 	W1, W2      *Linear
 	Act         *GELU
+
+	// Kept views (viewAs): the input and the gradient as rows, the
+	// output and the input gradient as [N, L, Dim].
+	xRows, gRows, out, dx *tensor.Tensor
 }
 
 // NewFeedForward builds the MLP with Xavier-initialized projections.
@@ -255,19 +259,17 @@ func (f *FeedForward) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(shape) != 3 || shape[2] != f.Dim {
 		panic(fmt.Sprintf("nn: FeedForward expects [N,L,%d], got %v", f.Dim, shape))
 	}
-	h := f.W1.Forward(x.Reshape(shape[0]*shape[1], f.Dim), train)
+	h := f.W1.Forward(viewAs(&f.xRows, x, shape[0]*shape[1], f.Dim), train)
 	h = f.Act.Forward(h, train)
-	out := f.W2.Forward(h, train)
-	return out.Reshape(shape[0], shape[1], f.Dim)
+	return viewAs(&f.out, f.W2.Forward(h, train), shape[0], shape[1], f.Dim)
 }
 
 // Backward propagates through both projections.
 func (f *FeedForward) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	shape := grad.Shape()
-	g := f.W2.Backward(grad.Reshape(shape[0]*shape[1], f.Dim))
+	g := f.W2.Backward(viewAs(&f.gRows, grad, shape[0]*shape[1], f.Dim))
 	g = f.Act.Backward(g)
-	g = f.W1.Backward(g)
-	return g.Reshape(shape[0], shape[1], f.Dim)
+	return viewAs(&f.dx, f.W1.Backward(g), shape[0], shape[1], f.Dim)
 }
 
 // Params returns both projections' parameters.
@@ -296,6 +298,9 @@ type MultiHeadAttention struct {
 	probs      *tensor.Tensor // [N·Heads, L, L]
 	lastN      int
 	lastL      int
+
+	// Kept views (viewAs), as FeedForward keeps them.
+	xRows, gRows, out, dx *tensor.Tensor
 }
 
 // NewMultiHeadAttention builds self-attention with heads | dim.
@@ -362,7 +367,7 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 	}
 	n, l, g, dh := shape[0], shape[1], shape[0]*a.Heads, a.Dim/a.Heads
 	be, ar := backendOr(a.be), a.ar
-	x2 := x.Reshape(n*l, a.Dim)
+	x2 := viewAs(&a.xRows, x, n*l, a.Dim)
 	qh := splitHeads(ar, a.Wq.Forward(x2, train), n, l, a.Heads)
 	kh := splitHeads(ar, a.Wk.Forward(x2, train), n, l, a.Heads)
 	vh := splitHeads(ar, a.Wv.Forward(x2, train), n, l, a.Heads)
@@ -383,7 +388,7 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 	} else {
 		a.qh, a.kh, a.vh, a.probs = nil, nil, nil, nil
 	}
-	return out.Reshape(n, l, a.Dim)
+	return viewAs(&a.out, out, n, l, a.Dim)
 }
 
 // Backward propagates through the attention product, softmax, scaling,
@@ -399,7 +404,7 @@ func (a *MultiHeadAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: MultiHeadAttention.Backward grad has %d elements but cache expects %d (stale forward?)", len(gd), n*l*a.Dim))
 	}
 	be, ar := backendOr(a.be), a.ar
-	dCtx2 := a.Wo.Backward(grad.Reshape(n*l, a.Dim))
+	dCtx2 := a.Wo.Backward(viewAs(&a.gRows, grad, n*l, a.Dim))
 	dCtx := splitHeads(ar, dCtx2, n, l, a.Heads) // [N·H, L, dh]
 
 	dProbs, dV := ar.Get(g, l, l), ar.Get(g, l, dh)
@@ -415,7 +420,7 @@ func (a *MultiHeadAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dx := a.Wq.Backward(mergeHeads(ar, dQ, n, l, a.Heads))
 	be.Add(dx, dx, a.Wk.Backward(mergeHeads(ar, dK, n, l, a.Heads)))
 	be.Add(dx, dx, a.Wv.Backward(mergeHeads(ar, dV, n, l, a.Heads)))
-	return dx.Reshape(n, l, a.Dim)
+	return viewAs(&a.dx, dx, n, l, a.Dim)
 }
 
 // Params returns all four projections' parameters.
