@@ -74,9 +74,15 @@
 // outbox, and whoever consumes a received frame releases it once read. A
 // frame nobody releases is garbage — a missed release costs an
 // allocation, never a wrong bit — and test binaries poison a released
-// buffer before its reuse. Span batches (tracing only), a resumable
-// link's acknowledgements and the coordinator's decoded snapshots still
-// allocate.
+// buffer before its reuse. A resumable link's acknowledgements are pooled
+// too, and a TCP connection reads through a buffer it takes from a
+// process-wide cache and gives back once its reads end. The coordinator
+// never decodes a snapshot: it holds a frame until the loop has carried
+// out the frame's effects, so a snapshot's bytes go from the frame into
+// the run's ledger.Account, which owns copies in buffers it recycles
+// below the cut, and onto the log through the ledger's one record buffer.
+// A warm durable step allocates nothing on the coordinator either; span
+// batches (tracing only) still allocate.
 //
 // # Transformer workload
 //

@@ -28,47 +28,57 @@ const heartbeatMisses = 4
 type eventKind uint8
 
 const (
-	evFrame eventKind = iota // a frame arrived; its payload is decoded, or err says why not
+	evFrame eventKind = iota // a frame arrived; its payload is decoded or held, or err says why not
 	evLost                   // the session's connection failed with err
 	evTick                   // a heartbeat tick
 )
 
 // event is one input of the core. A frame event carries the frame's
-// header and its decoded payload; the payload fields its kind has no use
-// for stay zero.
+// header and the frame itself, whose payload it decoded where the reader
+// may decode it; the payload fields its kind has no use for stay zero.
 type event struct {
 	kind eventKind
 	at   int64 // an instant of the run's clock
 	sess int
 	err  error
 
-	frame            wire.Kind
-	dev, step        int
-	losses           []float64
-	values, velocity []*tensor.Tensor // a snapshot's slabs, or the final value slabs
-	spans            wire.SpanBatch
-	link             [2]int // a link-down's edge
+	frame     wire.Kind
+	dev, step int
+	// f is the frame of a frame event, which the event holds until its
+	// effects are carried out: a losses report is decoded, and a
+	// snapshot's bytes copied, only then. nil for a relay the reader
+	// forwarded.
+	f      *wire.Frame
+	values []*tensor.Tensor // the final value slabs
+	spans  wire.SpanBatch
+	link   [2]int // a link-down's edge
 
 	reconnecting []bool // evTick: which sessions' links are absorbing a flap
 }
 
-// frameEvent decodes one inbound frame into the event the core handles. A
-// payload that does not decode becomes the event's err, a protocol error.
+// frameEvent makes one inbound frame the event the core handles, holding
+// the caller's reference to it, and decodes the payloads the core keeps
+// or the reader hands on: a link-down's edge, a span batch, the final
+// value slabs. A payload that does not decode becomes the event's err, a
+// protocol error.
 func frameEvent(sess int, at int64, f *wire.Frame) event {
-	ev := event{kind: evFrame, at: at, sess: sess, frame: f.Kind, dev: int(f.Dev), step: int(f.Step)}
+	ev := event{kind: evFrame, at: at, sess: sess, frame: f.Kind, dev: int(f.Dev), step: int(f.Step), f: f}
 	switch f.Kind {
 	case wire.KindLinkDown:
 		ev.link[0], ev.link[1], ev.err = wire.DecodeLinkDown(f)
-	case wire.KindLosses:
-		ev.losses, ev.err = wire.DecodeLosses(f)
-	case wire.KindSnapshot:
-		ev.values, ev.velocity, ev.err = wire.DecodeDeviceSnapshot(f)
 	case wire.KindSpans:
 		ev.spans, ev.err = wire.DecodeSpans(f)
 	case wire.KindFinalParams:
 		ev.values, ev.err = wire.DecodeTensors(f)
 	}
 	return ev
+}
+
+// release drops the event's reference to its frame.
+func (ev *event) release() {
+	if ev.f != nil {
+		ev.f.Release()
+	}
 }
 
 // effectKind is what the shell does for one effect.
@@ -159,7 +169,12 @@ type attemptCore struct {
 	done      int
 	linkDowns [][2]int // peer edges reported down this attempt
 	over      bool     // finished or failed: step emits nothing more
-	out       []effect
+	// out, rec and losses are reused from event to event: the shell
+	// carries out an event's effects, the record's append among them,
+	// before it hands the core the next event.
+	out    []effect
+	rec    ledger.Record
+	losses []float64
 }
 
 // place records the attempt's sessions, heard from at at, and returns
@@ -186,7 +201,7 @@ func (a *attemptCore) step(ev event) []effect {
 	if a.over {
 		return nil
 	}
-	a.out = nil
+	a.out = a.out[:0]
 	if err := a.handle(ev); err != nil {
 		a.fail(err)
 	}
@@ -231,7 +246,12 @@ func (a *attemptCore) handle(ev event) error {
 	case wire.KindStepDone:
 		return a.onStepDone(ds, step)
 	case wire.KindLosses:
-		return a.onLosses(dev, ds, step, ev.losses)
+		vals, err := wire.DecodeLosses(ev.f, a.losses)
+		if err != nil {
+			return err
+		}
+		a.losses = vals
+		return a.onLosses(dev, ds, step, vals)
 	case wire.KindSnapshot:
 		if !a.snapshots {
 			return nil // stray snapshot from a session we did not ask to send them
@@ -239,7 +259,8 @@ func (a *attemptCore) handle(ev event) error {
 		if _, seen := a.acct.Marks(dev); step <= seen {
 			return duplicate(ds, "snapshot", step)
 		}
-		if err := a.commit(ledger.DevSnapshot(dev, step, ev.values, ev.velocity)); err != nil {
+		// The record holds the frame's bytes, which the account copies.
+		if err := a.commit(ledger.Record{Type: ledger.TypeDevSnapshot, Dev: dev, Step: step, State: ev.f.Payload}); err != nil {
 			return err
 		}
 		a.metrics.Add("snapshots", 1)
@@ -361,7 +382,7 @@ func (a *attemptCore) onStepDone(ds *devState, step int) error {
 	// Only the release is persisted: it implies every device's arrival,
 	// and an unreleased barrier means no device completed the step, so
 	// every device re-arrives after a restart.
-	if err := a.commit(ledger.Barrier(step)); err != nil {
+	if err := a.commit(*ledger.Barrier(step)); err != nil {
 		return err
 	}
 	for d, i := range a.host {
@@ -378,7 +399,7 @@ func (a *attemptCore) onLosses(dev int, ds *devState, step int, vals []float64) 
 	if seen, _ := a.acct.Marks(dev); step <= seen {
 		return duplicate(ds, "losses", step)
 	}
-	if err := a.commit(ledger.Losses(dev, step, vals)); err != nil {
+	if err := a.commit(*ledger.Losses(dev, step, vals)); err != nil {
 		return err
 	}
 	if ds.gi == 0 {
@@ -399,12 +420,14 @@ func (a *attemptCore) onLosses(dev int, ds *devState, step int, vals []float64) 
 // replay would — and only then handed to the shell to persist, so the log
 // only ever holds records its own replay accepts. Whether a snapshotted
 // step can be the cut is the account's call from every device's marks,
-// never the snapshot's alone.
-func (a *attemptCore) commit(rec *ledger.Record) error {
-	if err := a.acct.Apply(rec); err != nil {
+// never the snapshot's alone. The record is the core's own, which the
+// next event's overwrites.
+func (a *attemptCore) commit(rec ledger.Record) error {
+	a.rec = rec
+	if err := a.acct.Apply(&a.rec); err != nil {
 		return fmt.Errorf("cluster: %v record: %w", rec.Type, err)
 	}
-	a.emit(effect{kind: efRecord, rec: rec})
+	a.emit(effect{kind: efRecord, rec: &a.rec})
 	return nil
 }
 

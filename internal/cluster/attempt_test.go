@@ -278,9 +278,9 @@ func FuzzAttemptCore(f *testing.F) {
 				case wire.KindLinkDown:
 					ev.link = [2]int{ev.dev, ev.step}
 				case wire.KindLosses:
-					ev.losses = make([]float64, in.next(4))
+					ev.f = wire.EncodeLosses(int32(ev.dev), int32(ev.step), make([]float64, in.next(4)))
 				case wire.KindSnapshot:
-					ev.values, ev.velocity = groupSlabs(ev.dev, wrong), groupSlabs(ev.dev, false)
+					ev.f = wire.EncodeDeviceSnapshot(int32(ev.dev), int32(ev.step), groupSlabs(ev.dev, wrong), groupSlabs(ev.dev, false))
 				case wire.KindFinalParams:
 					ev.values = groupSlabs(ev.dev, wrong)
 				case wire.KindSpans:

@@ -417,9 +417,9 @@ func dialHello(net transport.Network, clock transport.Clock, addr string, deadli
 }
 
 // execute is the attempt's loop, on the driver goroutine: it starts a
-// reader per session, then hands the core every event — decoded frames,
-// connection losses, heartbeat ticks — one at a time and carries out the
-// effects in order, until one finishes or fails the attempt.
+// reader per session, then handles every event — frames, connection
+// losses, heartbeat ticks — one at a time, until one finishes or fails
+// the attempt.
 func (r *run) execute() (engine.Result, error) {
 	// One buffered event per reader: a reader hands its event over and goes
 	// back to Recv without waiting for the loop to take it.
@@ -441,33 +441,45 @@ func (r *run) execute() (engine.Result, error) {
 			}
 		}()
 	}
+	reconnecting := make([]bool, len(r.peers)) // every tick's
 	for {
 		var ev event
 		select {
 		case ev = <-events:
 		case now := <-tick:
-			ev = event{kind: evTick, at: now, reconnecting: make([]bool, len(r.peers))}
+			ev = event{kind: evTick, at: now, reconnecting: reconnecting}
 			for i, p := range r.peers {
-				ev.reconnecting[i] = p.res != nil && p.res.Reconnecting()
+				reconnecting[i] = p.res != nil && p.res.Reconnecting()
 			}
 		}
-		for _, e := range r.step(ev) {
-			switch e.kind {
-			case efSend:
-				r.peers[e.sess].out.Enqueue(e.frame)
-			case efRecord:
-				if err := r.logRecord(e.rec); err != nil {
-					return engine.Result{}, err
-				}
-			case efClose:
-				r.peers[e.sess].close(false)
-			case efFinish:
-				return r.core.result(), nil
-			case efFail:
-				return engine.Result{}, e.err
-			}
+		if res, done, err := r.handle(ev); done {
+			return res, err
 		}
 	}
+}
+
+// handle hands the core one event and carries out its effects in order,
+// then releases the event's frame; done says the attempt ended, with res
+// or err.
+func (r *run) handle(ev event) (res engine.Result, done bool, err error) {
+	defer ev.release()
+	for _, e := range r.step(ev) {
+		switch e.kind {
+		case efSend:
+			r.peers[e.sess].out.Enqueue(e.frame)
+		case efRecord:
+			if err := r.logRecord(e.rec); err != nil {
+				return engine.Result{}, true, err
+			}
+		case efClose:
+			r.peers[e.sess].close(false)
+		case efFinish:
+			return r.core.result(), true, nil
+		case efFail:
+			return engine.Result{}, true, e.err
+		}
+	}
+	return engine.Result{}, false, nil
 }
 
 // step runs the core on one event. A panic while handling a
@@ -483,8 +495,10 @@ func (r *run) step(ev event) (effs []effect) {
 }
 
 // read delivers one session's inbound frames to the loop until its
-// connection dies. Payloads decode here, so readers for different workers
-// decode concurrently. A relay envelope never enters the loop: the reader
+// connection dies. What the core keeps of a payload decodes here, so
+// readers for different workers decode concurrently; a losses report and
+// a snapshot reach the loop in their frame (frameEvent). A relay envelope
+// never enters the loop: the reader
 // checks it against the attempt's routes and forwards it unopened — which
 // is what keeps a relayed edge bit-identical to a direct link — and only
 // tells the loop, at most once per heartbeat interval, that the session
@@ -509,8 +523,7 @@ func (r *run) read(sess int, p *peerConn, events chan<- event) {
 			}
 			ev = event{kind: evFrame, at: at, sess: sess, frame: wire.KindRelay, err: ferr}
 		default:
-			ev = frameEvent(sess, at, f)
-			f.Release() // the event holds what it decoded
+			ev = frameEvent(sess, at, f) // the loop releases f
 			if ev.frame == wire.KindSpans && ev.err == nil && r.co.cfg.Trace {
 				r.co.cfg.TraceSink(ev.spans.Track, ev.spans.Spans)
 			}
@@ -519,6 +532,7 @@ func (r *run) read(sess int, p *peerConn, events chan<- event) {
 		case events <- ev:
 			told = at
 		case <-r.stop:
+			ev.release()
 			return
 		}
 		if err != nil {

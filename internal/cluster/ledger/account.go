@@ -17,8 +17,10 @@ import (
 // step:
 // the account keeps each group's snapshots back to the cut, the loss
 // matrix, every device's newest loss row, the newest barrier release and
-// the current plan. It does no I/O, and its decoded tensors are held by
-// reference, never cloned. It is not safe for concurrent use.
+// the current plan. A snapshot stays encoded: the account checks its
+// tensor headers, keeps a copy of its bytes in a buffer it recycles once
+// the step falls below the cut, and decodes it only for a restart (State)
+// or a repartition. It does no I/O and is not safe for concurrent use.
 type Account struct {
 	steps int
 	dpu   bool
@@ -27,19 +29,15 @@ type Account struct {
 	slabs []int
 
 	plan    sched.Plan
-	at      []place         // device → its group and rank under plan
-	loss    []int           // device → newest step with a recorded loss row
-	release int             // newest released barrier step
-	snaps   []map[int]state // [gi] step → the group's restart state, back to the cut
-	losses  [][][]float64   // [gi][j*len(Blocks)+bi][step]
+	at      []place          // device → its group and rank under plan
+	loss    []int            // device → newest step with a recorded loss row
+	release int              // newest released barrier step
+	snaps   []map[int][]byte // [gi] step → the group's restart state, encoded, back to the cut
+	free    [][]byte         // buffers of snapshots that fell below the cut
+	losses  [][][]float64    // [gi][j*len(Blocks)+bi][step]
 }
 
 type place struct{ gi, j int }
-
-// state is a group's restart state after a step, bit-identical across the
-// group's members: one value and one velocity slab per block, in group
-// order.
-type state struct{ values, velocity []*tensor.Tensor }
 
 // NewAccount returns the account of a run that has not started: a's plan,
 // step count, DPU switch and seed snapshot; no record applied.
@@ -70,10 +68,10 @@ func (a *Account) setPlan(plan sched.Plan, cut int) {
 	a.plan = plan
 	a.at = make([]place, n)
 	a.loss = make([]int, n)
-	a.snaps = make([]map[int]state, len(plan.Groups))
+	a.snaps = make([]map[int][]byte, len(plan.Groups))
 	a.losses = make([][][]float64, len(plan.Groups))
 	for gi, g := range plan.Groups {
-		a.snaps[gi] = map[int]state{}
+		a.snaps[gi] = map[int][]byte{}
 		a.losses[gi] = make([][]float64, len(g.Blocks)*g.Split())
 		for j, d := range g.Devices {
 			a.at[d] = place{gi, j}
@@ -161,7 +159,7 @@ func (a *Account) rewindTo(cut int) {
 	for _, h := range a.snaps {
 		for s := range h {
 			if s != cut {
-				delete(h, s)
+				a.drop(h, s)
 			}
 		}
 	}
@@ -171,10 +169,41 @@ func (a *Account) rewindTo(cut int) {
 	a.release = cut
 }
 
-// State is device dev's restart state at step, a step Rewind returned.
+// drop forgets group history h's snapshot of step and keeps its buffer.
+func (a *Account) drop(h map[int][]byte, step int) {
+	a.free = append(a.free, h[step])
+	delete(h, step)
+}
+
+// buffer returns an empty buffer with room for n bytes: a recycled one
+// when one is big enough.
+func (a *Account) buffer(n int) []byte {
+	for i, b := range a.free {
+		if cap(b) >= n {
+			last := len(a.free) - 1
+			a.free[i], a.free[last] = a.free[last], nil
+			a.free = a.free[:last]
+			return b[:0]
+		}
+	}
+	return make([]byte, 0, n)
+}
+
+// State is device dev's restart state at step, a step Rewind returned,
+// decoded into fresh tensors.
 func (a *Account) State(dev, step int) wire.DeviceState {
-	s := a.snaps[a.at[dev].gi][step]
-	return wire.DeviceState{Dev: dev, Step: step, Values: s.values, Velocity: s.velocity}
+	values, velocity := decodeState(a.snaps[a.at[dev].gi][step])
+	return wire.DeviceState{Dev: dev, Step: step, Values: values, Velocity: velocity}
+}
+
+// decodeState decodes a state Apply checked, so it cannot fail.
+func decodeState(enc []byte) (values, velocity []*tensor.Tensor) {
+	r := wire.NewReader(enc)
+	values, velocity = r.State()
+	if err := r.Close(); err != nil {
+		panic(fmt.Sprintf("ledger: a checked snapshot does not decode: %v", err))
+	}
+	return values, velocity
 }
 
 // Apply changes the account by one record. A log may hold a step twice (a
@@ -192,15 +221,19 @@ func (a *Account) Apply(rec *Record) error {
 		if err != nil {
 			return err
 		}
-		if err := a.checkState(rec.Dev, p, rec.Values); err != nil {
+		if err := a.checkState(rec.Dev, p, rec.State); err != nil {
 			return err
 		}
-		a.snaps[p.gi][rec.Step] = state{rec.Values, rec.Velocity}
+		h := a.snaps[p.gi]
+		if _, ok := h[rec.Step]; ok {
+			a.drop(h, rec.Step)
+		}
+		h[rec.Step] = append(a.buffer(len(rec.State)), rec.State...)
 		cut := a.Cut()
 		for _, h := range a.snaps {
 			for s := range h {
 				if s < cut {
-					delete(h, s)
+					a.drop(h, s)
 				}
 			}
 		}
@@ -242,22 +275,32 @@ func (a *Account) device(dev int) (place, error) {
 	return a.at[dev], nil
 }
 
-// checkState checks a snapshot against the plan: only rank 0 of a group
-// snapshots, and it holds one slab per block the group trains, of the
-// block's length. Its velocity slabs pair with its value slabs
-// (wire.Reader.State).
-func (a *Account) checkState(dev int, p place, values []*tensor.Tensor) error {
+// checkState checks an encoded snapshot against the plan by its tensor
+// headers (wire.Reader.StateBytes), decoding no float: only rank 0 of a
+// group snapshots, and it holds one value and one velocity slab per block
+// the group trains, each a vector of the block's length.
+func (a *Account) checkState(dev int, p place, state []byte) error {
 	if p.j != 0 {
 		return fmt.Errorf("snapshot from device %d, rank %d of group %d (only rank 0 snapshots)", dev, p.j, p.gi)
 	}
 	blocks := a.plan.Groups[p.gi].Blocks
-	if len(values) != len(blocks) {
-		return fmt.Errorf("device %d snapshot has %d slabs, group %d trains %d blocks", dev, len(values), p.gi, len(blocks))
-	}
-	for i, b := range blocks {
-		if shape := values[i].Shape(); len(shape) != 1 || shape[0] != a.slabs[b] {
-			return fmt.Errorf("device %d snapshot slab %d has shape %v, block %d's is [%d]", dev, i, shape, b, a.slabs[b])
+	n, bad, badRank, badLen := 0, -1, 0, 0
+	r := wire.NewReader(state)
+	r.StateBytes(func(i, rank, numel int) {
+		n++
+		if bad < 0 && i < len(blocks) && (rank != 1 || numel != a.slabs[blocks[i]]) {
+			bad, badRank, badLen = i, rank, numel
 		}
+	})
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("device %d snapshot: %w", dev, err)
+	}
+	if n != len(blocks) {
+		return fmt.Errorf("device %d snapshot has %d slabs, group %d trains %d blocks", dev, n, p.gi, len(blocks))
+	}
+	if bad >= 0 {
+		return fmt.Errorf("device %d snapshot slab %d is of rank %d with %d values, block %d's is a vector of %d",
+			dev, bad, badRank, badLen, blocks[bad], a.slabs[blocks[bad]])
 	}
 	return nil
 }
@@ -269,8 +312,8 @@ func (a *Account) checkState(dev int, p place, values []*tensor.Tensor) error {
 // have the same devices and blocks, every block on as many members, so a
 // group's state is its blocks' slabs and its loss rows (member j's row of
 // its bi-th block at j*len(Blocks)+bi) are exactly its blocks' rows: the
-// remap moves slabs and rows between groups, indexed by block, and copies
-// no tensor.
+// remap decodes the cut's states, moves slabs and rows between groups,
+// indexed by block, and encodes each new group's state.
 func (a *Account) repartition(rec *Record) error {
 	next, err := wire.DecodePlan(rec.Payload)
 	if err != nil {
@@ -285,10 +328,13 @@ func (a *Account) repartition(rec *Record) error {
 	velocity := make([]*tensor.Tensor, nb)
 	rows := make([][][]float64, nb) // block → one row per member
 	for gi, g := range a.plan.Groups {
-		s := a.snaps[gi][cut]
+		var vals, vels []*tensor.Tensor
+		if cut >= 0 {
+			vals, vels = decodeState(a.snaps[gi][cut])
+		}
 		for bi, b := range g.Blocks {
 			if cut >= 0 {
-				values[b], velocity[b] = s.values[bi], s.velocity[bi]
+				values[b], velocity[b] = vals[bi], vels[bi]
 			}
 			for j := range g.Devices {
 				rows[b] = append(rows[b], a.losses[gi][j*len(g.Blocks)+bi])
@@ -304,16 +350,18 @@ func (a *Account) repartition(rec *Record) error {
 	}
 	a.setPlan(next, cut)
 	for gi, g := range next.Groups {
-		var s state
+		var vals, vels []*tensor.Tensor
 		for bi, b := range g.Blocks {
-			s.values = append(s.values, values[b])
-			s.velocity = append(s.velocity, velocity[b])
+			vals = append(vals, values[b])
+			vels = append(vels, velocity[b])
 			for j, row := range rows[b] {
 				a.losses[gi][j*len(g.Blocks)+bi] = row
 			}
 		}
 		if cut >= 0 {
-			a.snaps[gi][cut] = s
+			w := wire.NewWriter()
+			w.State(vals, vels)
+			a.snaps[gi][cut] = w.Bytes()
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -26,10 +27,23 @@ func mustAccount(t *testing.T, m *Manifest, recs ...*Record) *Account {
 	return acct
 }
 
+// sameSlabs reports whether two slab lists are equal, slab for slab and
+// bit for bit.
+func sameSlabs(got, want []*tensor.Tensor) bool {
+	return slices.EqualFunc(got, want, func(g, w *tensor.Tensor) bool { return sameBits(g, w) })
+}
+
+// sameBits reports whether two tensors have one shape and the same bits.
+func sameBits(a, b *tensor.Tensor) bool {
+	return a.SameShape(b) && slices.EqualFunc(a.Data(), b.Data(), func(x, y float32) bool {
+		return math.Float32bits(x) == math.Float32bits(y)
+	})
+}
+
 // TestAccountRewindKeepsOnlyTheCut: a worker-loss restart rewinds to the
 // cut — the newest step every group snapshotted and every device
-// accounted — and keeps that step's snapshots alone, held by reference,
-// with every mark moved back to it.
+// accounted — and keeps that step's snapshots alone, with every mark
+// moved back to it.
 func TestAccountRewindKeepsOnlyTheCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	m, lop := unsplitManifest(), lopsidedPlan()
@@ -51,7 +65,8 @@ func TestAccountRewindKeepsOnlyTheCut(t *testing.T) {
 	}
 	for dev := 0; dev < 3; dev++ {
 		st := acct.State(dev, 1)
-		if want := recs[3+dev]; !slices.Equal(st.Values, want.Values) || !slices.Equal(st.Velocity, want.Velocity) {
+		values, velocity := decodeState(recs[3+dev].State)
+		if !sameSlabs(st.Values, values) || !sameSlabs(st.Velocity, velocity) {
 			t.Fatalf("device %d restarts from slabs other than its step-1 snapshot's", dev)
 		}
 		if loss, snapped := acct.Marks(dev); loss != 1 || snapped != 1 {
@@ -66,8 +81,8 @@ func TestAccountRewindKeepsOnlyTheCut(t *testing.T) {
 // TestAccountRepartitionAtTornCut: a repartition record whose step is
 // past the newest step every group covers (a torn log lost snapshots the
 // live cut held) remaps from the covered step, moving each block's
-// slabs and loss rows to the group that trains it under the new plan
-// without copying them.
+// slabs and loss rows to the group that trains it under the new plan,
+// the rows without copying them.
 func TestAccountRepartitionAtTornCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	m, lop := unsplitManifest(), lopsidedPlan()
@@ -92,13 +107,16 @@ func TestAccountRepartitionAtTornCut(t *testing.T) {
 	// Lopsided groups {B0,B1}, {B2}, {B3} become {B0}, {B1,B2}, {B3}:
 	// device 1's step-1 state is block 1's slabs from group 0's snapshot
 	// and block 2's from group 1's.
-	g0, g1, g2 := recs[3], recs[4], recs[5]
+	var g [3][2][]*tensor.Tensor
+	for i := range g {
+		g[i][0], g[i][1] = decodeState(recs[3+i].State)
+	}
 	for dev, want := range [][2][]*tensor.Tensor{
-		{g0.Values[:1], g0.Velocity[:1]},
-		{{g0.Values[1], g1.Values[0]}, {g0.Velocity[1], g1.Velocity[0]}},
-		{g2.Values, g2.Velocity},
+		{g[0][0][:1], g[0][1][:1]},
+		{{g[0][0][1], g[1][0][0]}, {g[0][1][1], g[1][1][0]}},
+		g[2],
 	} {
-		if st := acct.State(dev, 1); !slices.Equal(st.Values, want[0]) || !slices.Equal(st.Velocity, want[1]) {
+		if st := acct.State(dev, 1); !sameSlabs(st.Values, want[0]) || !sameSlabs(st.Velocity, want[1]) {
 			t.Fatalf("device %d's remapped state is not the step-1 slabs of its blocks", dev)
 		}
 	}
@@ -197,12 +215,14 @@ func TestAccountRefusesStepsOutsideTheRun(t *testing.T) {
 // replays a log as a resume does).
 func TestAccountRefusesShortSlab(t *testing.T) {
 	m := sampleManifest()
-	good := snap(rand.New(rand.NewSource(47)), m.Assign.Plan, 1, 0)
+	values, velocity := decodeState(snap(rand.New(rand.NewSource(47)), m.Assign.Plan, 1, 0).State)
 	for name, rec := range map[string]*Record{
 		"slab one element short": DevSnapshot(2, 0,
-			[]*tensor.Tensor{good.Values[0], tensor.New(slabLens[3] - 1)},
-			[]*tensor.Tensor{good.Velocity[0], tensor.New(slabLens[3] - 1)}),
-		"one slab short": DevSnapshot(2, 0, good.Values[:1], good.Velocity[:1]),
+			[]*tensor.Tensor{values[0], tensor.New(slabLens[3] - 1)},
+			[]*tensor.Tensor{velocity[0], tensor.New(slabLens[3] - 1)}),
+		"one slab short": DevSnapshot(2, 0, values[:1], velocity[:1]),
+		"a slab of rank 2": DevSnapshot(2, 0, []*tensor.Tensor{values[0], tensor.New(1, slabLens[3])},
+			[]*tensor.Tensor{velocity[0], tensor.New(1, slabLens[3])}),
 	} {
 		acct, err := NewAccount(&m.Assign)
 		if err != nil {

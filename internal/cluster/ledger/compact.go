@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"pipebd/internal/cluster/wire"
 )
 
 // Checkpoint builds a consolidated-prefix record.
@@ -87,17 +89,15 @@ func Compact(dir string) error {
 	}
 	endGeneration()
 
-	var raw []byte
+	var w wire.Writer
 	for _, rec := range out {
-		payload, err := rec.encode()
-		if err != nil {
+		if err := appendRecord(&w, rec); err != nil {
 			return err
 		}
-		raw = append(raw, frameRecord(rec.Type, payload)...)
 	}
 	logPath := filepath.Join(dir, LogName)
 	tmp := logPath + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	if err := os.WriteFile(tmp, w.Bytes(), 0o644); err != nil {
 		return fmt.Errorf("ledger: writing compacted log: %w", err)
 	}
 	if err := os.Rename(tmp, logPath); err != nil {

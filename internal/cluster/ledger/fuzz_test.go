@@ -1,9 +1,12 @@
 package ledger
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pipebd/internal/cluster/wire"
@@ -15,19 +18,13 @@ import (
 // seeds of sampleManifest's run (snapshots of a slab per block):
 // replay must never panic, must stop at the first incomplete record, and
 // whatever it accepted must re-encode to bytes the parser accepts again
-// (the round-trip property on surviving records). Every accepted record
-// is then applied to the account of sampleManifest's run, which may
-// refuse it but must never panic.
+// (the round-trip property on surviving records). A snapshot it accepted
+// by its tensor headers must decode with wire.Reader.State. Every accepted
+// record is then applied to the account of sampleManifest's run, which
+// may refuse it but must never panic.
 func FuzzReplayLog(f *testing.F) {
-	seedRecs := sampleRecords(rand.New(rand.NewSource(21)))
-	var log []byte
-	for _, rec := range seedRecs {
-		payload, err := rec.encode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		log = append(log, frameRecord(rec.Type, payload)...)
-	}
+	// Clipped: every seed below that extends log gets an array of its own.
+	log := slices.Clip(frameRecords(f, sampleRecords(rand.New(rand.NewSource(21)))...))
 	f.Add(log)
 	f.Add(log[:len(log)-3])         // torn tail
 	f.Add([]byte{recMagic, 0xFF})   // unknown type
@@ -39,20 +36,34 @@ func FuzzReplayLog(f *testing.F) {
 		f.Add(append(frameRecord(t, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}), log...))
 	}
 	// A repartition onto a plan with a block the run does not have.
-	misfit, err := Repartition(1, wire.EncodePlan(sched.Plan{Name: "misfit",
-		Groups: []sched.Group{{Devices: []int{0}, Blocks: []int{0, 1, 2, 9}}}})).encode()
-	if err != nil {
-		f.Fatal(err)
+	f.Add(frameRecords(f, Repartition(1, wire.EncodePlan(sched.Plan{Name: "misfit",
+		Groups: []sched.Group{{Devices: []int{0}, Blocks: []int{0, 1, 2, 9}}}}))))
+	// Snapshots replay reads — the header walk accepts them — and the
+	// account refuses: a second slab one element short of its block's,
+	// and a second slab of rank 2.
+	f.Add(append(log, frameRecords(f, DevSnapshot(2, 0, []*tensor.Tensor{tensor.New(slabLens[2]), tensor.New(slabLens[3] - 1)},
+		[]*tensor.Tensor{tensor.New(slabLens[2]), tensor.New(slabLens[3] - 1)}))...))
+	f.Add(append(log, frameRecords(f, DevSnapshot(2, 0, []*tensor.Tensor{tensor.New(slabLens[2]), tensor.New(1, slabLens[3])},
+		[]*tensor.Tensor{tensor.New(slabLens[2]), tensor.New(1, slabLens[3])}))...))
+	// Snapshots replay stops at, as Reader.State refuses them: a velocity
+	// slab one element short, a state cut short, and a state without its
+	// velocity list.
+	values := []*tensor.Tensor{tensor.New(slabLens[2]), tensor.New(slabLens[3])}
+	state := func(lists ...[]*tensor.Tensor) []byte {
+		var w wire.Writer
+		for _, l := range lists {
+			w.Tensors(l)
+		}
+		return w.Bytes()
 	}
-	f.Add(frameRecord(TypeRepartition, misfit))
-	// A snapshot whose second slab is one element short of its block's:
-	// replay reads it, the account refuses it.
-	short, err := DevSnapshot(2, 0, []*tensor.Tensor{tensor.New(slabLens[2]), tensor.New(slabLens[3] - 1)},
-		[]*tensor.Tensor{tensor.New(slabLens[2]), tensor.New(slabLens[3] - 1)}).encode()
-	if err != nil {
-		f.Fatal(err)
+	good := state(values, values)
+	for _, enc := range [][]byte{
+		state(values, []*tensor.Tensor{tensor.New(slabLens[2]), tensor.New(slabLens[3] - 1)}),
+		good[:len(good)-3],
+		state(values),
+	} {
+		f.Add(append(log, frameRecords(f, &Record{Type: TypeDevSnapshot, Dev: 2, State: enc})...))
 	}
-	f.Add(append(log, frameRecord(TypeDevSnapshot, short)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, good := replayLog(data)
 		if good > len(data) || good < 0 {
@@ -63,18 +74,28 @@ func FuzzReplayLog(f *testing.F) {
 		}
 		// Re-encode every accepted record; the result must replay cleanly
 		// to the same count.
-		var re []byte
+		var w wire.Writer
 		for _, rec := range rep.Records {
-			payload, err := rec.encode()
-			if err != nil {
+			if err := appendRecord(&w, rec); err != nil {
 				t.Fatalf("re-encode of replayed %v record failed: %v", rec.Type, err)
 			}
-			re = append(re, frameRecord(rec.Type, payload)...)
 		}
-		rep2, _ := replayLog(re)
+		rep2, _ := replayLog(w.Bytes())
 		if len(rep2.Records) != len(rep.Records) || rep2.TornBytes != 0 {
 			t.Fatalf("round trip: %d records (%d torn), want %d clean",
 				len(rep2.Records), rep2.TornBytes, len(rep.Records))
+		}
+		for _, rec := range rep.Records {
+			for _, r := range append([]*Record{rec}, rec.Children...) {
+				if r.Type != TypeDevSnapshot {
+					continue
+				}
+				st := wire.NewReader(r.State)
+				st.State()
+				if err := st.Close(); err != nil {
+					t.Fatalf("replay accepted a snapshot that does not decode: %v", err)
+				}
+			}
 		}
 		acct, err := NewAccount(&sampleManifest().Assign)
 		if err != nil {
@@ -85,6 +106,27 @@ func FuzzReplayLog(f *testing.F) {
 		}
 		acct.Rewind()
 	})
+}
+
+// frameRecords frames recs as the log holds them.
+func frameRecords(tb testing.TB, recs ...*Record) []byte {
+	tb.Helper()
+	var w wire.Writer
+	for _, rec := range recs {
+		if err := appendRecord(&w, rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return w.Bytes()
+}
+
+// frameRecord frames a payload of type t as the log holds a record,
+// whether or not the payload decodes.
+func frameRecord(t Type, payload []byte) []byte {
+	buf := []byte{recMagic, uint8(t)}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
 }
 
 // retiredTypes are the record kinds later versions dropped: input, output,

@@ -208,16 +208,23 @@ type Record struct {
 	Dev  int // TypeDevSnapshot, TypeLosses
 	Step int // every type but TypeCheckpoint
 
-	Values   []*tensor.Tensor // TypeDevSnapshot: one value slab per block, in group order
-	Velocity []*tensor.Tensor // TypeDevSnapshot: one velocity slab per block, in group order
-	Payload  []byte           // TypeRepartition: the encoded plan
-	Losses   []float64        // TypeLosses
-	Children []*Record        // TypeCheckpoint: the consolidated records
+	// State is a TypeDevSnapshot's slabs as wire.Writer.State encodes
+	// them: one value slab per block in group order, then one velocity
+	// slab per block. The record does not own the bytes: the live
+	// coordinator's are a snapshot frame's payload, a replayed record's
+	// the log's.
+	State    []byte
+	Payload  []byte    // TypeRepartition: the encoded plan
+	Losses   []float64 // TypeLosses
+	Children []*Record // TypeCheckpoint: the consolidated records
 }
 
-// DevSnapshot builds a snapshot record of a device's slabs.
+// DevSnapshot builds a snapshot record of a device's slabs, which it
+// encodes.
 func DevSnapshot(dev, step int, values, velocity []*tensor.Tensor) *Record {
-	return &Record{Type: TypeDevSnapshot, Dev: dev, Step: step, Values: values, Velocity: velocity}
+	w := wire.NewWriter()
+	w.State(values, velocity)
+	return &Record{Type: TypeDevSnapshot, Dev: dev, Step: step, State: w.Bytes()}
 }
 
 // Losses builds a loss-row record.
@@ -236,13 +243,20 @@ func Repartition(step int, payload []byte) *Record {
 	return &Record{Type: TypeRepartition, Step: step, Payload: payload}
 }
 
-func (rec *Record) encode() ([]byte, error) {
-	w := wire.NewWriter()
+// appendRecord appends rec to w in the log's framing: magic, type,
+// payload length u32, the payload's CRC-32, then the payload. A
+// checkpoint's payload nests each child framed the same way, as a blob.
+func appendRecord(w *wire.Writer, rec *Record) error {
+	head := len(w.Bytes())
+	w.U8(recMagic)
+	w.U8(uint8(rec.Type))
+	w.U32(0) // length and checksum, filled in below
+	w.U32(0)
 	switch rec.Type {
 	case TypeDevSnapshot:
 		w.I32(int32(rec.Dev))
 		w.I32(int32(rec.Step))
-		w.State(rec.Values, rec.Velocity)
+		w.Raw(rec.State)
 	case TypeLosses:
 		w.I32(int32(rec.Dev))
 		w.I32(int32(rec.Step))
@@ -253,26 +267,35 @@ func (rec *Record) encode() ([]byte, error) {
 		w.U32(uint32(len(rec.Children)))
 		for _, c := range rec.Children {
 			if c.Type == TypeCheckpoint {
-				return nil, fmt.Errorf("ledger: checkpoint records cannot nest")
+				return fmt.Errorf("ledger: checkpoint records cannot nest")
 			}
-			payload, err := c.encode()
-			if err != nil {
-				return nil, err
+			at := len(w.Bytes())
+			w.U32(0) // the blob's length
+			if err := appendRecord(w, c); err != nil {
+				return err
 			}
-			w.Blob(frameRecord(c.Type, payload))
+			buf := w.Bytes()
+			binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 		}
 	case TypeRepartition:
 		w.I32(int32(rec.Step))
 		w.Blob(rec.Payload)
 	default:
-		return nil, fmt.Errorf("ledger: cannot encode record %v", rec.Type)
+		return fmt.Errorf("ledger: cannot encode record %v", rec.Type)
 	}
-	if len(w.Bytes()) > wire.MaxPayload {
-		return nil, fmt.Errorf("ledger: %v record payload %d exceeds limit %d", rec.Type, len(w.Bytes()), wire.MaxPayload)
+	buf := w.Bytes()
+	payload := buf[head+recHeaderLen:]
+	if len(payload) > wire.MaxPayload {
+		return fmt.Errorf("ledger: %v record payload %d exceeds limit %d", rec.Type, len(payload), wire.MaxPayload)
 	}
-	return w.Bytes(), nil
+	binary.LittleEndian.PutUint32(buf[head+2:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[head+6:], crc32.Update(0, crc32.IEEETable, payload))
+	return nil
 }
 
+// decodeRecord decodes a record's payload. A snapshot's state stays
+// encoded: its tensor headers are checked (wire.Reader.StateBytes), and
+// its State aliases payload.
 func decodeRecord(t Type, payload []byte) (*Record, error) {
 	r := wire.NewReader(payload)
 	rec := &Record{Type: t}
@@ -280,11 +303,11 @@ func decodeRecord(t Type, payload []byte) (*Record, error) {
 	case TypeDevSnapshot:
 		rec.Dev = int(r.I32())
 		rec.Step = int(r.I32())
-		rec.Values, rec.Velocity = r.State()
+		rec.State = r.StateBytes(nil)
 	case TypeLosses:
 		rec.Dev = int(r.I32())
 		rec.Step = int(r.I32())
-		rec.Losses = r.F64s()
+		rec.Losses = r.F64s(nil)
 	case TypeBarrier:
 		rec.Step = int(r.I32())
 	case TypeCheckpoint:
@@ -337,7 +360,8 @@ type Ledger struct {
 	recs     int64 // records appended through this handle
 	bytes    int64 // framed bytes appended through this handle
 	sync     SyncPolicy
-	unsynced int64 // records written since the last fsync
+	unsynced int64       // records written since the last fsync
+	w        wire.Writer // frames the record Append writes
 }
 
 // SetSync installs the record-log durability tier for subsequent Appends.
@@ -501,18 +525,6 @@ func replayLog(raw []byte) (*Replay, int) {
 	return rep, off
 }
 
-// frameRecord wraps an encoded record payload in the log framing:
-// magic, type, length, checksum.
-func frameRecord(t Type, payload []byte) []byte {
-	buf := make([]byte, recHeaderLen+len(payload))
-	buf[0] = recMagic
-	buf[1] = uint8(t)
-	binary.LittleEndian.PutUint32(buf[2:6], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[6:10], crc32.ChecksumIEEE(payload))
-	copy(buf[recHeaderLen:], payload)
-	return buf
-}
-
 // parseRecord decodes one record from the head of raw, returning nil when
 // raw does not start with a complete, checksummed, decodable record.
 func parseRecord(raw []byte) (*Record, int) {
@@ -545,17 +557,20 @@ func parseRecord(raw []byte) (*Record, int) {
 // Open then recovers the longest consistent prefix either way, because
 // fsync ordering guarantees no record is durable before its
 // predecessors.
+//
+// The record is framed in one buffer the ledger keeps, which the next
+// Append reuses, and reaches the log in one write.
 func (l *Ledger) Append(rec *Record) error {
-	payload, err := rec.encode()
-	if err != nil {
-		return err
-	}
-	buf := frameRecord(rec.Type, payload)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return fmt.Errorf("ledger: append after close")
 	}
+	l.w.Reset()
+	if err := appendRecord(&l.w, rec); err != nil {
+		return err
+	}
+	buf := l.w.Bytes()
 	if _, err := l.f.Write(buf); err != nil {
 		return fmt.Errorf("ledger: appending %v record: %w", rec.Type, err)
 	}

@@ -1,7 +1,10 @@
 package ledger
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -107,13 +110,8 @@ func TestManifestAndRecordRoundTrip(t *testing.T) {
 		if string(r.Payload) != string(want.Payload) {
 			t.Fatalf("record %d payload differs", i)
 		}
-		if len(r.Values) != len(want.Values) || len(r.Velocity) != len(want.Velocity) {
-			t.Fatalf("record %d has %d/%d slabs, want %d/%d", i, len(r.Values), len(r.Velocity), len(want.Values), len(want.Velocity))
-		}
-		for b := range want.Values {
-			if !r.Values[b].Equal(want.Values[b]) || !r.Velocity[b].Equal(want.Velocity[b]) {
-				t.Fatalf("record %d slab %d not bit-identical", i, b)
-			}
+		if !bytes.Equal(r.State, want.State) {
+			t.Fatalf("record %d's slabs are not bit-identical", i)
 		}
 		for li := range want.Losses {
 			if r.Losses[li] != want.Losses[li] {
@@ -473,5 +471,85 @@ func TestSyncedAppendKeepsLogIdentical(t *testing.T) {
 	interval := write(SyncPolicy{Mode: SyncInterval, Every: 3})
 	if string(none) != string(always) || string(none) != string(interval) {
 		t.Fatal("sync policy changed the on-disk log bytes")
+	}
+}
+
+// TestWarmAppendAllocatesNothing: once warm, a step's records — every
+// device's loss row, each group's snapshot and the barrier release —
+// allocate nothing on their way into the run's account and onto its log:
+// the account checks a snapshot by its tensor headers and copies it into
+// a buffer it recycled, and Append frames each record in the ledger's one
+// buffer.
+func TestWarmAppendAllocatesNothing(t *testing.T) {
+	const warm, runs = 4, 20
+	m := sampleManifest()
+	m.Assign.Run.DPU = false
+	m.Assign.Run.Steps = warm + runs + 1
+	led := mustCreate(t, filepath.Join(t.TempDir(), "run"), m)
+	defer led.Close()
+	acct, err := NewAccount(&m.Assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(54))
+	// sampleManifest: group 0 (devices 0, 1) trains blocks 0 and 1, group
+	// 1 (device 2) blocks 2 and 3.
+	snaps := []*Record{snap(rng, m.Assign.Plan, 0, 0), snap(rng, m.Assign.Plan, 1, 0)}
+	losses, barrier := Losses(0, 0, []float64{0.5, 0.25}), Barrier(0)
+	record := func(rec *Record) {
+		if err := acct.Apply(rec); err != nil {
+			t.Fatalf("apply %v: %v", rec.Type, err)
+		}
+		if err := led.Append(rec); err != nil {
+			t.Fatalf("append %v: %v", rec.Type, err)
+		}
+	}
+	step := -1
+	run := func() {
+		step++
+		for dev := range 3 {
+			losses.Dev, losses.Step = dev, step
+			record(losses)
+		}
+		for _, s := range snaps {
+			s.Step = step
+			record(s)
+		}
+		barrier.Step = step
+		record(barrier)
+	}
+	for range warm {
+		run()
+	}
+	if n := testing.AllocsPerRun(runs, run); n != 0 {
+		t.Errorf("a warm step's records allocate %v times", n)
+	}
+	if cut := acct.Cut(); cut != step {
+		t.Errorf("the cut is step %d after step %d", cut, step)
+	}
+}
+
+// TestRecordLogBytesArePinned: the record log's bytes are part of the
+// on-disk format (Version), so a log of every record kind, a checkpoint
+// among them, hashes to the digest the version's first code wrote.
+func TestRecordLogBytesArePinned(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	led := mustCreate(t, dir, sampleManifest())
+	recs := sampleRecords(rand.New(rand.NewSource(21)))
+	for _, rec := range append(recs, Checkpoint(recs[:5])) {
+		if err := led.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, LogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "cbc1c6844e5cb4ed5c89884ac918104b1d76ed2dc6b993a7031d867c06b99264"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+		t.Fatalf("the log's %d bytes hash to %s, want %s: a format change needs a new Version", len(raw), got, want)
 	}
 }

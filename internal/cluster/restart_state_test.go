@@ -26,6 +26,18 @@ func throughBytes(t *testing.T, f *wire.Frame) *wire.Frame {
 	return got
 }
 
+// decodeState decodes a payload that holds one device state and nothing
+// else.
+func decodeState(t *testing.T, payload []byte) (values, velocity []*tensor.Tensor) {
+	t.Helper()
+	r := wire.NewReader(payload)
+	values, velocity = r.State()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return values, velocity
+}
+
 // hostDevice builds the replica a worker would host for a's only device.
 func hostDevice(t *testing.T, a *wire.Assign) *hostedDevice {
 	t.Helper()
@@ -68,12 +80,10 @@ func TestRestartStateCrossesEveryCarrier(t *testing.T) {
 		}
 	}
 
-	vals, vels, err := wire.DecodeDeviceSnapshot(throughBytes(t, deviceSnapshotter(src)(step)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := throughBytes(t, deviceSnapshotter(src)(step))
+	vals, vels := decodeState(t, frame.Payload)
 	carries("the snapshot frame", vals, vels)
-	rec := ledger.DevSnapshot(dev, step, vals, vels)
+	rec := &ledger.Record{Type: ledger.TypeDevSnapshot, Dev: dev, Step: step, State: frame.Payload}
 	live, err := ledger.NewAccount(assign)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +113,8 @@ func TestRestartStateCrossesEveryCarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rep.Records {
-		carries("the replayed record", r.Values, r.Velocity)
+		vals, vels := decodeState(t, r.State)
+		carries("the replayed record", vals, vels)
 		if err := replayed.Apply(r); err != nil {
 			t.Fatalf("replay: %v", err)
 		}

@@ -455,3 +455,36 @@ func TestPlacementFindsALateWorker(t *testing.T) {
 	}
 	s.check(t, out.res, out.w)
 }
+
+// TestRouterReadsToTheCloseAfterDrain: after a Drain the worker's router
+// reads on until the coordinator closes the control link, and only then
+// returns nil, so the link's reading side ends on an error — which is
+// what hands a TCP connection's read buffer back to its cache.
+func TestRouterReadsToTheCloseAfterDrain(t *testing.T) {
+	net := transport.NewLoopback()
+	lis, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	coord, err := net.Dial(lis.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := lis.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []wire.Kind{wire.KindDrain, wire.KindHeartbeat} {
+		if err := coord.Send(wire.Control(kind, wire.NoDev, wire.NoStep)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coord.Close()
+	if err := route(&endpoint{conn: conn}, nil, nil); err != nil {
+		t.Fatalf("a drained session's router returned %v", err)
+	}
+	if f, err := conn.Recv(); err == nil {
+		t.Fatalf("the router returned with a %v frame unread", f.Kind)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -438,5 +440,49 @@ func TestResumableAcksBoundReplay(t *testing.T) {
 	}
 	if r := replayed.Load(); r > ackEvery+1 {
 		t.Fatalf("replayed %d frames; acks should have trimmed the buffer (want <= %d)", r, ackEvery+1)
+	}
+}
+
+// TestWarmAckRoundTripAllocatesNothing: once warm, a round of ackEvery
+// frames over a resumable loopback link — sent and buffered, received,
+// acknowledged in a pooled LinkAck, and trimmed from the sender's buffer
+// by the ack — allocates nothing.
+func TestWarmAckRoundTripAllocatesNothing(t *testing.T) {
+	// A blocked goroutine waits in a record the runtime caches per
+	// processor, and drops with the processor when GOMAXPROCS shrinks
+	// (AllocsPerRun sets it to 1) or a collection runs; the warm-up runs
+	// where the measurement does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	h := newResumableHarness(t, 5*time.Second, ResumableOptions{Name: "a"}, ResumableOptions{Name: "b"})
+	go h.a.Recv() // consumes the acks; returns when the harness closes the link
+	sent := 0
+	round := func() {
+		for range ackEvery {
+			if err := h.a.Send(seqFrame(sent)); err != nil {
+				t.Fatalf("send %d: %v", sent, err)
+			}
+			f, err := h.b.Recv()
+			if err != nil || int(f.Step) != sent {
+				t.Fatalf("recv %d: %v, %v", sent, f, err)
+			}
+			f.Release()
+			sent++
+		}
+		for {
+			h.a.mu.Lock()
+			unacked := len(h.a.buf)
+			h.a.mu.Unlock()
+			if unacked == 0 {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	for range 4 {
+		round()
+	}
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Errorf("a warm round of %d frames and their ack allocates %v times", ackEvery, n)
 	}
 }

@@ -11,9 +11,12 @@ import (
 
 // TCP is the real multi-process Network: wire frames, already
 // length-prefixed by their header, stream over TCP sockets, each written
-// in one vectored write and read through a buffered reader.
-// TCP_NODELAY is left on (Go's default) so small control frames — step
-// barriers, loss reports — are not delayed behind Nagle batching.
+// in one vectored write and read through a 64 KiB buffered reader. The
+// reader is pooled: a connection takes one from a process-wide cache and
+// gives it back once its Recv has failed, so a warm connection allocates
+// no read buffer. TCP_NODELAY is left on (Go's default) so small control
+// frames — step barriers, loss reports — are not delayed behind Nagle
+// batching.
 type TCP struct {
 	// DialTimeout bounds a single Dial attempt; zero means 5 seconds.
 	DialTimeout time.Duration
@@ -60,7 +63,11 @@ func (l *tcpListener) Close() error { return l.l.Close() }
 
 type tcpConn struct {
 	c net.Conn
-	r *bufio.Reader
+	// r and rerr belong to the reading side, which one goroutine drives:
+	// once a Recv fails, r goes back to the cache and every later Recv
+	// returns rerr.
+	r    *bufio.Reader
+	rerr error
 
 	mu   sync.Mutex // serializes Send (header + payload must not interleave)
 	hdr  [wire.HeaderLen]byte
@@ -69,8 +76,20 @@ type tcpConn struct {
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
-	return &tcpConn{c: c, r: bufio.NewReaderSize(c, 1<<16)}
+	select {
+	case br := <-readers:
+		br.Reset(c)
+		return &tcpConn{c: c, r: br}
+	default:
+		return &tcpConn{c: c, r: bufio.NewReaderSize(c, 1<<16)}
+	}
 }
+
+// readers caches the buffered readers of connections whose reading side
+// is done, up to 64 (4 MiB). Like wire's frame cache it holds them
+// strongly: a garbage collection between two runs does not empty it, as
+// it would a sync.Pool.
+var readers = make(chan *bufio.Reader, 64)
 
 // Send writes the header and the payload in one vectored write, then
 // releases the caller's reference to f, written or not.
@@ -88,8 +107,27 @@ func (c *tcpConn) Send(f *wire.Frame) error {
 	return err
 }
 
-func (c *tcpConn) Recv() (*wire.Frame, error) { return wire.ReadFrame(c.r) }
+// Recv reads the next frame. Its first error ends the reading side: the
+// buffered reader goes back to the cache, and every later Recv returns
+// the same error.
+func (c *tcpConn) Recv() (*wire.Frame, error) {
+	if c.r == nil {
+		return nil, c.rerr
+	}
+	f, err := wire.ReadFrame(c.r)
+	if err != nil {
+		c.r.Reset(nil) // keeps the buffer, drops the connection
+		select {
+		case readers <- c.r:
+		default:
+		}
+		c.r, c.rerr = nil, err
+	}
+	return f, err
+}
 
+// Close closes the socket, which fails a Recv blocked on it. It leaves the
+// buffered reader to that Recv: a Close may race it.
 func (c *tcpConn) Close() error { return c.c.Close() }
 
 var (

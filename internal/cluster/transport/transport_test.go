@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bufio"
 	"io"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -206,5 +209,82 @@ func TestTCPRejectsGarbagePeer(t *testing.T) {
 	defer client.Close()
 	if _, err := client.Recv(); err == nil {
 		t.Fatal("garbage bytes decoded as a frame")
+	}
+}
+
+// TestTCPReadBuffersAreReused: a TCP connection reads through a 64 KiB
+// buffered reader from the process-wide cache, which takes it back once
+// the connection's Recv has failed and keeps it through a garbage
+// collection: opening and closing a warm connection pair allocates no
+// read buffer.
+func TestTCPReadBuffersAreReused(t *testing.T) {
+	lis, err := TCP{}.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer lis.Close()
+	// cycle opens a pair, sends a frame each way and closes it as a
+	// session ends: each side's reader sees the close.
+	cycle := func() (used [2]*bufio.Reader) {
+		client, err := TCP{}.Dial(lis.Addr())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		server, err := lis.Accept()
+		if err != nil {
+			t.Fatalf("Accept: %v", err)
+		}
+		ends := [2]*tcpConn{client.(*tcpConn), server.(*tcpConn)}
+		for i, c := range ends {
+			used[i] = c.r
+			if err := c.Send(wire.PooledControl(wire.KindHeartbeat, wire.NoDev, wire.NoStep)); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+		}
+		for _, c := range ends {
+			f, err := c.Recv()
+			if err != nil {
+				t.Fatalf("Recv: %v", err)
+			}
+			f.Release()
+		}
+		client.Close()
+		for _, c := range ends {
+			if _, err := c.Recv(); err == nil {
+				t.Fatal("Recv after the pair closed returned a frame")
+			}
+			if c.r != nil {
+				t.Fatal("a connection kept its buffered reader after its Recv failed")
+			}
+			if _, err := c.Recv(); err == nil {
+				t.Fatal("a second Recv after the first failed returned a frame")
+			}
+		}
+		server.Close()
+		return used
+	}
+	cycle()
+	runtime.GC()
+	var before, after runtime.MemStats
+	const pairs = 10
+	runtime.ReadMemStats(&before)
+	for range pairs {
+		// The warm readers sit in the cache, which hands out what it holds.
+		var cached []*bufio.Reader
+		for len(readers) > 0 {
+			cached = append(cached, <-readers)
+		}
+		for _, r := range cached {
+			readers <- r
+		}
+		for _, r := range cycle() {
+			if !slices.Contains(cached, r) {
+				t.Fatal("a warm connection read through a buffered reader the cache did not hold")
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perPair := (after.TotalAlloc - before.TotalAlloc) / pairs; perPair >= 1<<16 {
+		t.Errorf("a warm connection pair allocates %d bytes, a read buffer's worth", perPair)
 	}
 }

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
 	"pipebd/internal/cluster/transport"
@@ -230,6 +232,7 @@ func (ws *warmSession) close() {
 	if graceful {
 		<-ws.ran
 		ws.coord.Send(wire.Control(wire.KindDrain, wire.NoDev, wire.NoStep))
+		ws.coord.Close() // the router reads to this close
 		if err := <-ws.routed; err != nil {
 			ws.t.Errorf("router: %v", err)
 		}
@@ -238,4 +241,107 @@ func (ws *warmSession) close() {
 	ws.control.close(graceful)
 	ws.coord.Close()
 	ws.w.Close()
+}
+
+// TestWarmCoordinatorEventsAllocateNothing: once warm, the coordinator's
+// loop handles each event of a durable step without allocating, its
+// ledger append included: a losses report, a group leader's snapshot —
+// which stays encoded from the frame to the log, the account keeping a
+// copy in a recycled buffer — and a step-done that completes the barrier
+// and sends every device its StepGo. The loop runs on an attempt whose
+// only session hosts every device of hybridPlan, its ledger in a temp
+// dir; the session's outbox drops what it is handed.
+func TestWarmCoordinatorEventsAllocateNothing(t *testing.T) {
+	leakCheck(t)
+	// See TestWarmWorkerStepAllocatesNothing: the warm-up runs where the
+	// measurement does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const warm, runs = 4, 20
+	s := runSpec{plan: hybridPlan(), steps: warm + runs + 1, batch: 8}
+	cfg := s.config()
+	cfg.LedgerDir = filepath.Join(t.TempDir(), "ledger")
+	w := s.workbench()
+	d, err := NewCoordinator(transport.NewLoopback(), cfg).newDriver(w, CaptureSnapshot(w), s.steps, []string{"w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := d.c.createLedger(d.setup, d.addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	r := d.newRun(1)
+	r.led = led
+	var dropped atomic.Int64
+	out := newOutbox(func(f *wire.Frame) error {
+		f.Release()
+		dropped.Add(1)
+		return nil
+	})
+	defer out.Close()
+	r.peers = []*peerConn{{endpoint: &endpoint{out: out}, addr: "w"}}
+	r.core.place(0, []session{{addr: "w", devices: []int{0, 1, 2}}}, nil)
+
+	// hybridPlan: devices 0 and 1 train blocks 0 and 1, device 2 blocks 2
+	// and 3; devices 0 and 2 lead their groups and snapshot.
+	leaders := []int{0, 2}
+	values, velocity := make([][]*tensor.Tensor, 3), make([][]*tensor.Tensor, 3)
+	for _, dev := range leaders {
+		for _, b := range s.plan.Groups[s.plan.GroupOf(dev)].Blocks {
+			values[dev] = append(values[dev], d.setup.Snapshot.Student[b])
+			velocity[dev] = append(velocity[dev], tensor.New(d.setup.Snapshot.Student[b].Numel()))
+		}
+	}
+	lossRow := []float64{0.5, 0.25}
+	handle := func(f *wire.Frame) {
+		if _, done, err := r.handle(frameEvent(0, 0, f)); done {
+			t.Fatalf("the attempt ended on a %v frame: %v", f.Kind, err)
+		}
+	}
+	// Each event kind runs its own steps in order; the losses and the
+	// releases lead, so each snapshot moves the cut and frees the buffer
+	// of the snapshot before it.
+	var next [3]int32
+	losses := func() {
+		for dev := range int32(3) {
+			handle(wire.EncodeLosses(dev, next[0], lossRow))
+		}
+		next[0]++
+	}
+	barrier := func() {
+		for dev := range int32(3) {
+			handle(wire.PooledControl(wire.KindStepDone, dev, next[1]))
+		}
+		next[1]++
+		// The outbox drops the StepGo frames before the next step.
+		for dropped.Load() < 3*int64(next[1]) {
+			runtime.Gosched()
+		}
+	}
+	snapshot := func() {
+		for _, dev := range leaders {
+			handle(wire.PooledDeviceSnapshot(int32(dev), next[2], values[dev], velocity[dev]))
+		}
+		next[2]++
+	}
+	for range warm {
+		losses()
+		barrier()
+		snapshot()
+	}
+	for _, ev := range []struct {
+		name string
+		run  func()
+	}{{"losses report", losses}, {"step-done completing the barrier", barrier}, {"snapshot", snapshot}} {
+		if n := testing.AllocsPerRun(runs, ev.run); n != 0 {
+			t.Errorf("a warm %s allocates %v times", ev.name, n)
+		}
+	}
+	if cut := d.acct.Cut(); cut != s.steps-1 {
+		t.Errorf("the cut is step %d after %d steps", cut, s.steps)
+	}
+	if recs, _ := led.Written(); recs != int64(6*s.steps) {
+		t.Errorf("the ledger holds %d records of %d steps, want 6 a step", recs, s.steps)
+	}
 }

@@ -82,8 +82,8 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 		_, _ = DecodeTensors(&Frame{Kind: KindFinalParams, Payload: fr.Payload})
-		_, _ = DecodeLosses(&Frame{Kind: KindLosses, Payload: fr.Payload})
-		_, _, _ = DecodeDeviceSnapshot(&Frame{Kind: KindSnapshot, Payload: fr.Payload})
+		_, _ = DecodeLosses(&Frame{Kind: KindLosses, Payload: fr.Payload}, nil)
+		checkStateWalk(t, fr.Payload)
 		_, _ = DecodePeerHello(&Frame{Kind: KindPeerHello, Payload: fr.Payload})
 		_, _ = DecodeLinkAck(&Frame{Kind: KindLinkAck, Payload: fr.Payload})
 		_, _, _ = DecodeLinkDown(&Frame{Kind: KindLinkDown, Payload: fr.Payload})
@@ -112,6 +112,66 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzStateWalk is the differential of the two ways a device state is
+// read: for any payload, the header walk (StateBytes) accepts exactly when
+// Reader.State decodes, returns the whole payload when it does, and
+// reports the decoded value slabs' ranks and element counts.
+func FuzzStateWalk(f *testing.F) {
+	st := sampleResume().States[0]
+	state := func(values, velocity []*tensor.Tensor) []byte {
+		w := NewWriter()
+		w.State(values, velocity)
+		return w.Bytes()
+	}
+	good := state(st.Values, st.Velocity)
+	f.Add(good)
+	f.Add(state(nil, nil))
+	// A velocity slab one element short.
+	f.Add(state(st.Values, []*tensor.Tensor{st.Velocity[0], tensor.New(st.Velocity[1].Numel() - 1)}))
+	// A slab of rank 2, paired and unpaired.
+	square := []*tensor.Tensor{tensor.New(2, 2)}
+	f.Add(state(square, square))
+	f.Add(state(square, []*tensor.Tensor{tensor.New(4)}))
+	// A truncated payload.
+	f.Add(good[:len(good)-5])
+	// A missing velocity list.
+	w := NewWriter()
+	w.Tensors(st.Values)
+	f.Add(w.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) { checkStateWalk(t, data) })
+}
+
+// checkStateWalk holds the header walk to Reader.State on one payload.
+func checkStateWalk(t *testing.T, payload []byte) {
+	t.Helper()
+	values, _, err := decodeState(payload)
+	var seen [][2]int
+	r := NewReader(payload)
+	walked := r.StateBytes(func(i, rank, n int) {
+		if i != len(seen) {
+			t.Fatalf("the walk reported slab %d after %d slabs", i, len(seen))
+		}
+		seen = append(seen, [2]int{rank, n})
+	})
+	if walkErr := r.Close(); (walkErr == nil) != (err == nil) {
+		t.Fatalf("Reader.State: %v; the header walk: %v", err, walkErr)
+	}
+	if err != nil {
+		return
+	}
+	if !bytes.Equal(walked, payload) {
+		t.Fatalf("the walk returned %d of the state's %d bytes", len(walked), len(payload))
+	}
+	if len(seen) != len(values) {
+		t.Fatalf("the walk reported %d slabs, State decoded %d", len(seen), len(values))
+	}
+	for i, v := range values {
+		if want := [2]int{len(v.Shape()), v.Numel()}; seen[i] != want {
+			t.Fatalf("slab %d: the walk reported rank and size %v, State decoded %v", i, seen[i], v.Shape())
+		}
+	}
 }
 
 // FuzzDataRecipe: any row range of any step of a valid recipe, built

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"pipebd/internal/dataset"
 	"pipebd/internal/obs"
@@ -489,23 +490,60 @@ func (r *Reader) State() (values, velocity []*tensor.Tensor) {
 	return values, velocity
 }
 
+// StateBytes reads past a device state written by Writer.State and
+// returns its bytes, which alias the payload. It accepts exactly the
+// states State decodes, and decodes no float: it reads every tensor's
+// header, checks that its data is there, and pairs each velocity slab's
+// header with its value slab's. each, when not nil, is called with every
+// value slab's index, rank and element count once its pair checked out;
+// a walk that fails may have called it for the slabs before the failure.
+func (r *Reader) StateBytes(each func(i, rank, n int)) []byte {
+	start := r.pos
+	nv := r.skipTensors()
+	mid := r.pos
+	nw := r.skipTensors()
+	if r.err != nil {
+		return nil
+	}
+	if nv != nw {
+		r.fail("state has %d value slabs but %d velocity slabs", nv, nw)
+		return nil
+	}
+	values, velocity := Reader{buf: r.buf[:mid], pos: start + 4}, Reader{buf: r.buf, pos: mid + 4}
+	for i := range nv {
+		var vd, wd [maxRank]int
+		vs, vraw := values.tensorHeader(&vd)
+		ws, _ := velocity.tensorHeader(&wd)
+		if !slices.Equal(vs, ws) {
+			r.fail("state slab %d has values %v but velocity %v", i, append([]int(nil), vs...), append([]int(nil), ws...))
+			return nil
+		}
+		if each != nil {
+			each(i, len(vs), len(vraw)/4)
+		}
+	}
+	return r.buf[start:r.pos]
+}
+
+// skipTensors reads past a counted tensor list, checking it as Tensors
+// does, and returns its count.
+func (r *Reader) skipTensors() int {
+	n := r.count(r.U32(), 12)
+	for range n {
+		var dims [maxRank]int
+		if _, raw := r.tensorHeader(&dims); raw == nil {
+			return 0
+		}
+	}
+	return n
+}
+
 // EncodeDeviceSnapshot packs one device's post-step recovery state: its
 // value slabs and velocity slabs (Writer.State).
 func EncodeDeviceSnapshot(dev, step int32, values, velocity []*tensor.Tensor) *Frame {
 	w := NewWriter()
 	w.State(values, velocity)
 	return &Frame{Kind: KindSnapshot, Dev: dev, Step: step, Payload: w.Bytes()}
-}
-
-// DecodeDeviceSnapshot unpacks a snapshot frame into its value and
-// velocity slabs (Reader.State).
-func DecodeDeviceSnapshot(f *Frame) (values, velocity []*tensor.Tensor, err error) {
-	r := NewReader(f.Payload)
-	values, velocity = r.State()
-	if err := r.Close(); err != nil {
-		return nil, nil, err
-	}
-	return values, velocity, nil
 }
 
 // EncodeTensor packs a single tensor into a frame of the given kind
@@ -560,10 +598,11 @@ func EncodeLosses(dev, step int32, losses []float64) *Frame {
 	return f
 }
 
-// DecodeLosses unpacks a losses frame.
-func DecodeLosses(f *Frame) ([]float64, error) {
+// DecodeLosses unpacks a losses frame, into dst when it has the capacity
+// (Reader.F64s).
+func DecodeLosses(f *Frame, dst []float64) ([]float64, error) {
 	r := NewReader(f.Payload)
-	v := r.F64s()
+	v := r.F64s(dst)
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
@@ -611,12 +650,15 @@ func DecodePeerHello(f *Frame) (PeerHello, error) {
 	return h, nil
 }
 
-// EncodeLinkAck packs a resumable-link acknowledgement: the cumulative
-// count of application frames received on the link.
+// EncodeLinkAck packs a resumable-link acknowledgement, the cumulative
+// count of application frames received on the link, into a pooled frame
+// (pool.go).
 func EncodeLinkAck(recvd int64) *Frame {
-	w := NewWriter()
+	f := newPooled(KindLinkAck, NoDev, NoStep, 8)
+	w := Writer{buf: f.Payload}
 	w.I64(recvd)
-	return &Frame{Kind: KindLinkAck, Dev: NoDev, Step: NoStep, Payload: w.Bytes()}
+	f.Payload = w.buf
+	return f
 }
 
 // DecodeLinkAck unpacks a link acknowledgement.

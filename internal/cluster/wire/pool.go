@@ -19,8 +19,8 @@ import (
 // what it needs. A frame nobody releases is garbage, as an unpooled frame
 // always is: a missed release costs an allocation, never a wrong bit.
 //
-// ReadFrame, EncodeLosses, EncodeRingSegment and the Pooled… encoders
-// make pooled frames. Every other encoder — EncodeTensor,
+// ReadFrame, EncodeLosses, EncodeRingSegment, EncodeLinkAck and the
+// Pooled… encoders make pooled frames. Every other encoder — EncodeTensor,
 // EncodeDeviceSnapshot and Control among them, whose frames a caller may
 // send again and again — makes a plain frame, to which Retain and Release
 // do nothing.

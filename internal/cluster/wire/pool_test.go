@@ -77,7 +77,7 @@ func TestPooledFrameRecyclesAtLastRelease(t *testing.T) {
 	if g != f || &g.Payload[0] != &payload[0] {
 		t.Fatal("the next frame of the class did not reuse the released one")
 	}
-	if d, err := DecodeLosses(g); err != nil || d[2] != 6 {
+	if d, err := DecodeLosses(g, nil); err != nil || d[2] != 6 {
 		t.Fatalf("the reused frame decodes to %v, %v", d, err)
 	}
 	g.Release()

@@ -346,7 +346,8 @@ func truncated(err error) error {
 
 // --- payload primitives ------------------------------------------------------
 
-// Writer accumulates a little-endian payload.
+// Writer accumulates a little-endian payload. The zero value is an empty
+// writer.
 type Writer struct{ buf []byte }
 
 // NewWriter returns an empty payload writer.
@@ -354,6 +355,14 @@ func NewWriter() *Writer { return &Writer{} }
 
 // Bytes returns the accumulated payload.
 func (w *Writer) Bytes() []byte { return w.buf }
+
+// Reset empties the writer and keeps its buffer, which the next payload
+// reuses: the bytes Bytes returned before are overwritten.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
+// Raw appends b as it is, with no length prefix: bytes another Writer
+// encoded, such as a device state (State).
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
 // U8 appends a byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -631,13 +640,18 @@ func (r *Reader) F32s(dst []float32) []float32 {
 	return out
 }
 
-// F64s reads a count-prefixed float64 slice.
-func (r *Reader) F64s() []float64 {
+// F64s reads a count-prefixed float64 slice, into dst when it has the
+// capacity and into a fresh slice otherwise, as F32s does.
+func (r *Reader) F64s(dst []float64) []float64 {
 	n := r.count(r.U32(), 8)
 	if n == 0 {
 		return nil
 	}
-	out := make([]float64, n)
+	out := dst[:0]
+	if cap(out) < n {
+		out = make([]float64, n)
+	}
+	out = out[:n]
 	for i := range out {
 		out[i] = r.F64()
 	}
@@ -652,33 +666,9 @@ func (r *Reader) F64s() []float64 {
 // otherwise: a receiver that decodes one shape every step reuses one
 // buffer.
 func (r *Reader) TensorInto(dst *tensor.Tensor) *tensor.Tensor {
-	rank := r.U32()
-	if r.err != nil {
-		return nil
-	}
-	if rank == 0 || rank > maxRank {
-		r.fail("tensor rank %d outside [1, %d]", rank, maxRank)
-		return nil
-	}
-	// Errors format copies of shape, which keeps dims on the stack.
 	var dims [maxRank]int
-	shape := dims[:rank]
-	n := int64(1)
-	for i := range shape {
-		d := r.U32()
-		if d == 0 {
-			r.fail("tensor has zero dimension in shape %v", append([]int(nil), shape[:i+1]...))
-			return nil
-		}
-		shape[i] = int(d)
-		n *= int64(d)
-		if n*4 > int64(MaxPayload) {
-			r.fail("tensor of shape %v exceeds payload limit", append([]int(nil), shape[:i+1]...))
-			return nil
-		}
-	}
-	if int64(r.Remaining()) < n*4 {
-		r.fail("truncated tensor: shape %v needs %d bytes, %d remain: %w", append([]int(nil), shape...), n*4, r.Remaining(), io.ErrUnexpectedEOF)
+	shape, raw := r.tensorHeader(&dims)
+	if raw == nil {
 		return nil
 	}
 	t := dst
@@ -687,11 +677,47 @@ func (r *Reader) TensorInto(dst *tensor.Tensor) *tensor.Tensor {
 	}
 	data := t.Data()
 	// Bulk-decode the data section: one bounds check, then a tight loop.
-	raw := r.take(int(n) * 4)
 	for i := range data {
 		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return t
+}
+
+// tensorHeader reads a tensor's rank and dimensions into dims, checks
+// them, and takes the data section behind them: it returns the shape, a
+// slice of dims, and the raw data, or a nil data section once the reader
+// has failed. TensorInto and StateBytes read every tensor through it, so
+// they accept the same tensors.
+func (r *Reader) tensorHeader(dims *[maxRank]int) (shape []int, raw []byte) {
+	rank := r.U32()
+	if r.err != nil {
+		return nil, nil
+	}
+	if rank == 0 || rank > maxRank {
+		r.fail("tensor rank %d outside [1, %d]", rank, maxRank)
+		return nil, nil
+	}
+	// Errors format copies of shape, which keeps dims on the stack.
+	shape = dims[:rank]
+	n := int64(1)
+	for i := range shape {
+		d := r.U32()
+		if d == 0 {
+			r.fail("tensor has zero dimension in shape %v", append([]int(nil), shape[:i+1]...))
+			return nil, nil
+		}
+		shape[i] = int(d)
+		n *= int64(d)
+		if n*4 > int64(MaxPayload) {
+			r.fail("tensor of shape %v exceeds payload limit", append([]int(nil), shape[:i+1]...))
+			return nil, nil
+		}
+	}
+	if int64(r.Remaining()) < n*4 {
+		r.fail("truncated tensor: shape %v needs %d bytes, %d remain: %w", append([]int(nil), shape...), n*4, r.Remaining(), io.ErrUnexpectedEOF)
+		return nil, nil
+	}
+	return shape, r.take(int(n) * 4)
 }
 
 // Tensors reads a count-prefixed tensor list.

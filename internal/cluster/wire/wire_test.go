@@ -131,7 +131,7 @@ func TestTensorsRoundTrip(t *testing.T) {
 
 func TestLossesRoundTrip(t *testing.T) {
 	vals := []float64{0.25, -3.5, math.Pi, 0}
-	got, err := DecodeLosses(roundTripFrame(t, EncodeLosses(2, 9, vals)))
+	got, err := DecodeLosses(roundTripFrame(t, EncodeLosses(2, 9, vals)), nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -257,6 +257,14 @@ func TestDataSpecRejectsMalformedRecipes(t *testing.T) {
 	}
 }
 
+// decodeState reads a payload that holds one device state and nothing
+// else.
+func decodeState(payload []byte) (values, velocity []*tensor.Tensor, err error) {
+	r := NewReader(payload)
+	values, velocity = r.State()
+	return values, velocity, r.Close()
+}
+
 func TestDeviceSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	params := []*tensor.Tensor{tensor.Rand(rng, -1, 1, 6), tensor.Rand(rng, -1, 1, 4)}
@@ -265,7 +273,7 @@ func TestDeviceSnapshotRoundTrip(t *testing.T) {
 	if f.Dev != 2 || f.Step != 7 {
 		t.Fatalf("snapshot header: %+v", f)
 	}
-	gp, gv, err := DecodeDeviceSnapshot(f)
+	gp, gv, err := decodeState(f.Payload)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -290,8 +298,12 @@ func TestDeviceSnapshotCountMismatchRejected(t *testing.T) {
 		"velocity of another rank":  {tensor.New(3), tensor.New(1, 2)},
 	} {
 		values := []*tensor.Tensor{tensor.Ones(3), tensor.Ones(2)}
-		if _, _, err := DecodeDeviceSnapshot(EncodeDeviceSnapshot(0, 0, values, vels)); err == nil {
+		f := EncodeDeviceSnapshot(0, 0, values, vels)
+		if _, _, err := decodeState(f.Payload); err == nil {
 			t.Errorf("%s: snapshot frame accepted", name)
+		}
+		if r := NewReader(f.Payload); r.StateBytes(nil) != nil || r.Close() == nil {
+			t.Errorf("%s: the header walk accepted the snapshot frame", name)
 		}
 		a := sampleAssign()
 		a.States = []DeviceState{{Dev: 0, Values: values, Velocity: vels}, {Dev: 1, Values: values[:1], Velocity: values[:1]}}
@@ -789,7 +801,7 @@ func TestPayloadBufferGrowsWithArrivingBytes(t *testing.T) {
 func TestTrailingBytesRejected(t *testing.T) {
 	f := EncodeLosses(0, 0, []float64{1})
 	f.Payload = append(f.Payload, 0xAB)
-	if _, err := DecodeLosses(f); err == nil {
+	if _, err := DecodeLosses(f, nil); err == nil {
 		t.Fatal("trailing payload byte accepted")
 	}
 }
@@ -799,7 +811,7 @@ func TestTrailingBytesRejected(t *testing.T) {
 func TestForgedCountsRejected(t *testing.T) {
 	w := NewWriter()
 	w.U32(0xFFFFFFF0) // losses count
-	if _, err := DecodeLosses(&Frame{Kind: KindLosses, Payload: w.Bytes()}); err == nil {
+	if _, err := DecodeLosses(&Frame{Kind: KindLosses, Payload: w.Bytes()}, nil); err == nil {
 		t.Fatal("forged losses count accepted")
 	}
 	w = NewWriter()

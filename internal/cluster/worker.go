@@ -402,7 +402,7 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 
 // route demuxes a session's inbound control frames into its device and
 // peer inboxes, each with a reference, until the coordinator drains the
-// session (nil) or the session ends otherwise.
+// session and closes its link (nil) or the session ends otherwise.
 func route(control *endpoint, m *mesh, devices []*hostedDevice) error {
 	for {
 		f, err := control.conn.Recv()
@@ -411,12 +411,23 @@ func route(control *endpoint, m *mesh, devices []*hostedDevice) error {
 		}
 		switch {
 		case f.Kind == wire.KindDrain:
+			f.Release()
 			if control.res != nil {
 				// The coordinator is done with this session; its
 				// imminent close is deliberate, not a fault to absorb.
 				control.res.Retire()
 			}
-			return nil
+			// The coordinator closes the link right after its Drain.
+			// Reading on to that close ends the reading side as every
+			// link's ends, on an error, which hands the connection's read
+			// buffer back (transport.TCP).
+			for {
+				f, err := control.conn.Recv()
+				if err != nil {
+					return nil
+				}
+				f.Release()
+			}
 		case f.Kind == wire.KindRepartition:
 			// Planned supersession: the coordinator is cutting this
 			// placement at a committed step boundary and will re-place
