@@ -172,7 +172,9 @@ func mergeEdges(have, add [][2]int) [][2]int {
 // workersAlive probes every worker address with a dial-and-hello
 // handshake, distinguishing a severed peer edge (all workers fine,
 // degradable) from a dead worker (restart). Probe connections are closed
-// right after the hello; a worker counts no session for them.
+// right after the hello, and read to the error that close gives, which
+// hands a TCP connection's read buffer back; a worker counts no session
+// for them.
 func (c *Coordinator) workersAlive(addrs []string) bool {
 	for _, addr := range addrs {
 		conn, err := dialHello(c.net, c.clock, addr, transport.Deadline(c.clock, c.joinTimeout()))
@@ -181,8 +183,24 @@ func (c *Coordinator) workersAlive(addrs []string) bool {
 			return false
 		}
 		conn.Close()
+		recvToError(conn)
 	}
 	return true
+}
+
+// recvToError reads conn to its first error, releasing every frame it
+// returns first. The caller knows the error comes: conn is closed, or
+// its far end closes it. A connection's reading side ends on that error,
+// which hands a TCP connection's read buffer back to the cache
+// (transport.TCP).
+func recvToError(conn transport.Conn) {
+	for {
+		f, err := conn.Recv()
+		if err != nil {
+			return
+		}
+		f.Release()
+	}
 }
 
 // attempt executes one attempt end to end and, on failure, also returns

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -456,35 +457,103 @@ func TestPlacementFindsALateWorker(t *testing.T) {
 	s.check(t, out.res, out.w)
 }
 
-// TestRouterReadsToTheCloseAfterDrain: after a Drain the worker's router
-// reads on until the coordinator closes the control link, and only then
-// returns nil, so the link's reading side ends on an error — which is
-// what hands a TCP connection's read buffer back to its cache.
+// TestRouterReadsToTheCloseAfterDrain: after a Drain, and after a
+// Repartition, the worker's router reads on until the coordinator closes
+// the control link, and only then returns — nil after a Drain, the
+// supersession error after a Repartition, which it has failed the
+// session's devices with first — so the link's reading side ends on an
+// error, which is what hands a TCP connection's read buffer back to its
+// cache.
 func TestRouterReadsToTheCloseAfterDrain(t *testing.T) {
-	net := transport.NewLoopback()
-	lis, err := net.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	coord, err := net.Dial(lis.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := lis.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []wire.Kind{wire.KindDrain, wire.KindHeartbeat} {
-		if err := coord.Send(wire.Control(kind, wire.NoDev, wire.NoStep)); err != nil {
+	for _, ending := range []*wire.Frame{
+		wire.Control(wire.KindDrain, wire.NoDev, wire.NoStep),
+		wire.EncodeRepartition(3, hybridPlan()),
+	} {
+		net := transport.NewLoopback()
+		lis, err := net.Listen("")
+		if err != nil {
 			t.Fatal(err)
 		}
+		coord, err := net.Dial(lis.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := lis.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []*wire.Frame{ending, wire.Control(wire.KindHeartbeat, wire.NoDev, wire.NoStep)} {
+			if err := coord.Send(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		coord.Close()
+		var failed error
+		err = route(&endpoint{conn: conn}, nil, nil, func(err error) { failed = err })
+		if ending.Kind == wire.KindDrain && (err != nil || failed != nil) {
+			t.Fatalf("a drained session's router returned %v and failed its devices with %v", err, failed)
+		}
+		if ending.Kind == wire.KindRepartition && (err == nil || failed != err) {
+			t.Fatalf("a superseded session's router returned %v and failed its devices with %v", err, failed)
+		}
+		if f, err := conn.Recv(); err == nil {
+			t.Fatalf("after a %v the router returned with a %v frame unread", ending.Kind, f.Kind)
+		}
+		lis.Close()
 	}
-	coord.Close()
-	if err := route(&endpoint{conn: conn}, nil, nil); err != nil {
-		t.Fatalf("a drained session's router returned %v", err)
+}
+
+// TestLivenessProbeHandsBackItsReadBuffer: a warm liveness probe over TCP
+// — dial, the worker's hello, close — reads its closed connection to the
+// error, which hands the connection's 64 KiB read buffer back to the
+// transport's cache, so a warm probe allocates less than one.
+func TestLivenessProbeHandsBackItsReadBuffer(t *testing.T) {
+	lis, err := transport.TCP{}.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if f, err := conn.Recv(); err == nil {
-		t.Fatalf("the router returned with a %v frame unread", f.Kind)
+	// The worker's end of each probe: a hello, then a read to the close,
+	// as a worker's handshake does; served reports the end of its reading
+	// side, so the next probe finds its buffer back in the cache too.
+	served := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			if err := conn.Send(wire.Control(wire.KindHello, wire.NoDev, wire.NoStep)); err != nil {
+				t.Error(err)
+			}
+			recvToError(conn)
+			conn.Close()
+			served <- struct{}{}
+		}
+	}()
+	defer func() {
+		lis.Close()
+		wg.Wait()
+	}()
+	c := NewCoordinator(transport.TCP{}, Config{})
+	probe := func() {
+		if !c.workersAlive([]string{lis.Addr()}) {
+			t.Fatal("the liveness probe found its worker dead")
+		}
+		<-served
+	}
+	probe()
+	runtime.GC()
+	const probes = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range probes {
+		probe()
+	}
+	runtime.ReadMemStats(&after)
+	if perProbe := (after.TotalAlloc - before.TotalAlloc) / probes; perProbe >= 1<<16 {
+		t.Errorf("a warm liveness probe allocates %d bytes, a read buffer's worth", perProbe)
 	}
 }

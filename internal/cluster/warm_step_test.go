@@ -136,7 +136,7 @@ func openWarmSession(t *testing.T, s runSpec, topology string) *warmSession {
 		t.Fatal(err)
 	}
 	ws.m = newMesh(links, assign, ws.control)
-	go func() { ws.routed <- route(ws.control, ws.m, devices) }()
+	go func() { ws.routed <- route(ws.control, ws.m, devices, func(err error) { ws.failed <- err }) }()
 	if err := w.establishMesh(ws.m, assign, devices); err != nil {
 		t.Fatal(err)
 	}

@@ -342,7 +342,7 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	// waiting for its peers instead of leaving it to wait out meshTimeout.
 	routerErr := make(chan error, 1)
 	go func() {
-		err := route(control, m, devices)
+		err := route(control, m, devices, failAll)
 		if err != nil {
 			failAll(err)
 		}
@@ -402,8 +402,11 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 
 // route demuxes a session's inbound control frames into its device and
 // peer inboxes, each with a reference, until the coordinator drains the
-// session and closes its link (nil) or the session ends otherwise.
-func route(control *endpoint, m *mesh, devices []*hostedDevice) error {
+// session (nil) or supersedes it by a repartition, or the session ends
+// otherwise. The coordinator closes the link right after either frame,
+// and route reads on to that close (endLink); a repartition first fails
+// the session's devices through fail, so they unwind meanwhile.
+func route(control *endpoint, m *mesh, devices []*hostedDevice, fail func(error)) error {
 	for {
 		f, err := control.conn.Recv()
 		if err != nil {
@@ -412,22 +415,8 @@ func route(control *endpoint, m *mesh, devices []*hostedDevice) error {
 		switch {
 		case f.Kind == wire.KindDrain:
 			f.Release()
-			if control.res != nil {
-				// The coordinator is done with this session; its
-				// imminent close is deliberate, not a fault to absorb.
-				control.res.Retire()
-			}
-			// The coordinator closes the link right after its Drain.
-			// Reading on to that close ends the reading side as every
-			// link's ends, on an error, which hands the connection's read
-			// buffer back (transport.TCP).
-			for {
-				f, err := control.conn.Recv()
-				if err != nil {
-					return nil
-				}
-				f.Release()
-			}
+			endLink(control)
+			return nil
 		case f.Kind == wire.KindRepartition:
 			// Planned supersession: the coordinator is cutting this
 			// placement at a committed step boundary and will re-place
@@ -435,7 +424,11 @@ func route(control *endpoint, m *mesh, devices []*hostedDevice) error {
 			// failure (device loops unwind, nothing more is sent) but the
 			// cause is deliberate; with Rejoin set the worker stays up to
 			// accept its slice of the new placement.
-			return fmt.Errorf("cluster: session superseded by repartition (cut after step %d)", f.Step)
+			err := fmt.Errorf("cluster: session superseded by repartition (cut after step %d)", f.Step)
+			f.Release()
+			fail(err)
+			endLink(control)
+			return err
 		case f.Kind == wire.KindRelay:
 			// A peer frame that crossed a relayed edge: it belongs in
 			// the peer inbox a direct link would have filled.
@@ -458,6 +451,18 @@ func route(control *endpoint, m *mesh, devices []*hostedDevice) error {
 			d.link.in.put(f)
 		}
 	}
+}
+
+// endLink waits out a control link the coordinator is done with: it
+// closes the link right after its Drain or Repartition, a close that is
+// deliberate, not a fault to absorb. Reading on to it ends the reading
+// side as every link's ends, on an error, which hands the connection's
+// read buffer back (transport.TCP).
+func endLink(control *endpoint) {
+	if control.res != nil {
+		control.res.Retire()
+	}
+	recvToError(control.conn)
 }
 
 // spanSink returns the worker-side consumer of a session's drained span

@@ -6,26 +6,33 @@ import "fmt"
 // is convolved with its own K×K filter w[c].
 //
 // At stride 1 from tierAVX up the forward pass and the input gradient
-// run in vector lanes (dwconv_amd64.s), one call per plane: each of eight
-// lanes owns one output column (forward) or one input column (input
-// gradient) and runs exactly the scalar sequence below for it, over whole
-// rows, border columns and a ragged last block included. Borders are
-// masks from a small per-call table on the stack (dwLaneMasks), not
-// loops: every load goes through VMASKMOVPS, so no lane reads the float
+// run in vector lanes (dwconv_amd64.s), one call per plane: each lane
+// owns one output column (forward) or one input column (input gradient)
+// and runs exactly the scalar sequence below for it, over whole rows,
+// border columns and a ragged last block included. On tierAVX512 a 3×3
+// kernel runs 16 lanes to a ZMM and four rows at a time, each row's sums
+// a chain of their own, and loads each source row's taps once for every
+// row of the four that reads them; otherwise one row runs at a time in
+// eight lanes. Borders are masks, not loops: no lane reads the float
 // before a row or the one after it, a lane past the row's end is never
 // stored, and a term the contract skips — a padding tap, an exactly-zero
-// gradient — has its product ANDed to +0 before the add. That is exact:
-// an output starts from +0 and so does a dx pixel, a sum of floats that
-// starts at +0 can never be −0 under round-to-nearest, and s + (+0) is s
-// for every other s, NaN and infinities included.
+// gradient — adds nothing. In eight lanes its product is ANDed to +0
+// before the add. That is exact: an output starts from +0 and so does a
+// dx pixel, a sum of floats that starts at +0 can never be −0 under
+// round-to-nearest, and s + (+0) is s for every other s, NaN and
+// infinities included. In 16 the add itself is masked.
 //
-// The weight gradient of a 3×3 kernel at stride 1 runs in lanes too, one
-// call per image and group of channels: each lane owns one tap of one
-// channel's sums and runs its chain in the order below, and the group's
-// channels, independent chains, run side by side. Its sums are seeded
-// from dW and can hold −0, so a term the contract skips is not ANDed to
-// +0 but never added: the add itself is masked. Other kernel sizes add
-// one tap run at a time (dwWeightRow).
+// The weight gradient of a 3×3 kernel at stride 1 runs in lanes too,
+// one call per image and group of channels, images ascending: each lane
+// owns one sum and runs its chain in the order below, and the group's
+// other sums, independent chains, run beside it. On tierAVX512 a lane is
+// one channel of one tap's sum, sixteen channels to a group, its
+// operands a channels-last copy of the group's input and gradient planes
+// made per image in a buffer borrowed from packArenas; on tierAVX a lane
+// is one tap of one channel, three channels to a group, read in place.
+// Its sums are seeded from dW and can hold −0, so a term the contract
+// skips is not ANDed to +0 but never added. Other kernel sizes add one
+// tap run at a time (dwWeightRow).
 //
 // Everywhere else — without AVX, and at stride > 1 — the kernels work in
 // row runs: for one output row and one kernel tap, the output columns

@@ -99,14 +99,15 @@ var (
 
 // dwOracleImages are the image sizes of the oracle matrix, which also
 // seed FuzzDWConv: square and not, smaller than an AVX block, a whole
-// block, and past one.
-var dwOracleImages = []struct{ h, w int }{{8, 8}, {16, 16}, {5, 9}, {9, 4}, {3, 5}, {1, 7}, {2, 2}}
+// block, and past one; rows past one AVX-512 block (17, 31, 33); and
+// heights that leave every remainder of its tiles of four rows.
+var dwOracleImages = []struct{ h, w int }{{8, 8}, {16, 16}, {5, 9}, {9, 4}, {3, 5}, {1, 7}, {2, 2}, {6, 17}, {7, 31}, {4, 33}}
 
 // dwOracleChannels are the channel counts the oracle matrix cycles
-// through: a weight-gradient call covers a group of up to dwGroupAVX512
-// (4) or dwGroupAVX (3) channels, and these leave every remainder after
-// whole groups, none at all included, on both tiers.
-var dwOracleChannels = []int{1, 2, 3, 4, 5, 6, 7, 8}
+// through: a weight-gradient call covers a group of up to 16 channels
+// on tierAVX512 and dwGroupAVX (3) on tierAVX, and these leave every
+// remainder after whole groups, none at all included, on both tiers.
+var dwOracleChannels = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
 
 // dwConvCase is one depthwise convolution's operands: seed is what the
 // weight gradient holds before the backward pass adds to it.
@@ -236,7 +237,8 @@ func TestDWConvZeroGradientContributesNothing(t *testing.T) {
 // (with a 3×3 kernel, kernel rows 0 and 2 of a one-row image); the 2×2
 // and pad-2 images are reached everywhere and check the added bits. The
 // gradients are nonzero and x holds NaN and ±Inf, on five channels (a
-// whole group of four and one more) of two images.
+// ragged group of 16 under AVX-512, a whole group of three and a ragged
+// one under AVX) of two images.
 func TestDWConvWeightGradKeepsSeedWhereNoTermLands(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	defer func(prev kernelTier) { tier = prev }(tier)
@@ -308,14 +310,14 @@ func TestDWConvSumStartsFromPositiveZero(t *testing.T) {
 }
 
 // FuzzDWConv is the depthwise kernels' generative oracle: an input names
-// a geometry — up to 2 images of 1–9 channels, images up to 20×20,
-// kernel 1, 3, 5 or 7, stride 1–3, padding up to K+2 — and a seed for
-// the values, and forward, input gradient and a pre-seeded weight
-// gradient must equal the oracle loops' bit for bit (bitsDiff: NaN
-// payloads aside) on every tier. The committed seeds are the oracle
-// matrix's images on 3 channels and on 1–7, and the models' 3×3 pad-1
-// planes on two images, with and without special values: 16×16 on 8
-// channels (whole groups of four under AVX-512, as conv_inproc's 16
+// a geometry — up to 2 images of 1–17 channels, images up to 20 high and
+// 40 wide, kernel 1, 3, 5 or 7, stride 1–3, padding up to K+2 — and a
+// seed for the values, and forward, input gradient and a pre-seeded
+// weight gradient must equal the oracle loops' bit for bit (bitsDiff:
+// NaN payloads aside) on every tier. The committed seeds are the oracle
+// matrix's images on 3 channels and on 1–10, and the models' 3×3 pad-1
+// planes on two images, with and without special values: 16×16 on 16
+// channels (one whole AVX-512 weight-gradient group, as conv_inproc's
 // are), 8×8 on the cluster workloads' 6, and block 0's 16×16 on 3.
 //
 //	go test -run '^$' -fuzz '^FuzzDWConv$' -fuzztime 20s ./internal/tensor/
@@ -324,23 +326,51 @@ func FuzzDWConv(f *testing.F) {
 		f.Add(uint8(1), uint8(2), uint8(im.h-1), uint8(im.w-1), uint8(1), uint8(0), uint8(1), false, int64(i))
 		f.Add(uint8(0), uint8(i), uint8(im.h-1), uint8(im.w-1), uint8(i), uint8(i), uint8(i), i%2 == 0, int64(i))
 	}
-	for _, m := range []struct{ c, hw uint8 }{{8, 16}, {6, 8}, {3, 16}} {
+	for _, m := range []struct{ c, hw uint8 }{{16, 16}, {6, 8}, {3, 16}} {
 		for _, special := range []bool{false, true} {
 			f.Add(uint8(1), m.c-1, m.hw-1, m.hw-1, uint8(1), uint8(0), uint8(1), special, int64(m.c)*int64(m.hw))
 		}
 	}
 	f.Fuzz(func(t *testing.T, n, c, h, w, k, stride, pad uint8, special bool, seed int64) {
 		kk := 2*int(k%4) + 1
-		hh, ww, s, p := 1+int(h%20), 1+int(w%20), 1+int(stride%3), int(pad)%(kk+3)
+		hh, ww, s, p := 1+int(h%20), 1+int(w%40), 1+int(stride%3), int(pad)%(kk+3)
 		if ConvOutSize(hh, kk, s, p) <= 0 || ConvOutSize(ww, kk, s, p) <= 0 {
 			t.Skip("empty output")
 		}
-		d := newDWConvCase(rand.New(rand.NewSource(seed)), 1+int(n%2), 1+int(c%9), hh, ww, kk, s, p, special)
+		d := newDWConvCase(rand.New(rand.NewSource(seed)), 1+int(n%2), 1+int(c%17), hh, ww, kk, s, p, special)
 		if diff := d.check(); diff != "" {
 			t.Fatalf("n=%d c=%d %dx%d k%d s%d p%d special=%v seed=%d: %s",
 				d.x.shape[0], d.x.shape[1], hh, ww, kk, s, p, special, seed, diff)
 		}
 	})
+}
+
+// TestDWConvCallsDoNotAllocate: a warm depthwise call allocates nothing
+// on any tier — the lane masks ride the stack and the weight gradient's
+// channels-last staging comes from packArenas — at conv_inproc's
+// [16,16,16,16] and block-0 [8,3,16,16] and the cluster workloads'
+// [16,6,8,8].
+func TestDWConvCallsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	defer func(prev kernelTier) { tier = prev }(tier)
+	for _, k := range hostTiers(t) {
+		tier = k
+		for _, s := range []struct{ n, c, hw int }{{16, 16, 16}, {8, 3, 16}, {16, 6, 8}} {
+			x, w := Rand(rng, -1, 1, s.n, s.c, s.hw, s.hw), Rand(rng, -1, 1, s.c, 1, 3, 3)
+			out, grad := New(x.shape...), Rand(rng, -1, 1, x.shape...)
+			dx, dw := New(x.shape...), New(w.shape...)
+			calls := map[string]func(){
+				"DWConvForwardInto":  func() { DWConvForwardInto(out, w, x, 1, 1) },
+				"DWConvBackwardInto": func() { DWConvBackwardInto(dx, dw, grad, w, x, 1, 1) },
+			}
+			for name, call := range calls {
+				call() // size the arena
+				if got := testing.AllocsPerRun(10, call); got != 0 {
+					t.Errorf("tier=%v %v %s allocates %v times a call once warm, want 0", k, x.shape, name, got)
+				}
+			}
+		}
+	}
 }
 
 func TestDWConvShapePanics(t *testing.T) {
@@ -370,19 +400,22 @@ func TestDWConvShapePanics(t *testing.T) {
 }
 
 // BenchmarkDWConvTiers times the depthwise 3×3 pad-1 convolution of the
-// depthwise-separable students, forward and backward (input and weight
-// gradient), on every kernel tier the host has: conv_inproc's [16,16,16,16]
-// and the cluster workloads' [16,6,8,8].
+// depthwise-separable students on every kernel tier the host has, at
+// conv_inproc's [16,16,16,16] and block-0 [8,3,16,16] and the cluster
+// workloads' [16,6,8,8]: forward, backward, and on the vector tiers the
+// backward's two kernels alone, the input gradient (dx) and the weight
+// gradient (dW).
 //
 //	go test -run '^$' -bench DWConvTiers -benchtime 0.2s -count 3 ./internal/tensor/
 func BenchmarkDWConvTiers(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	defer func(prev kernelTier) { tier = prev }(tier)
 	for _, k := range hostTiers(b) {
-		for _, s := range []struct{ n, c, hw int }{{16, 16, 16}, {16, 6, 8}} {
+		for _, s := range []struct{ n, c, hw int }{{16, 16, 16}, {8, 3, 16}, {16, 6, 8}} {
 			x, w := Rand(rng, -1, 1, s.n, s.c, s.hw, s.hw), Rand(rng, -1, 1, s.c, 1, 3, 3)
 			out, grad := New(x.shape...), Rand(rng, -1, 1, x.shape...)
 			dx, dw := New(x.shape...), New(w.shape...)
+			g := checkDWConv("BenchmarkDWConvTiers", w, x, 1, 1)
 			name := fmt.Sprintf("%v/%dx%dx%dx%d", k, s.n, s.c, s.hw, s.hw)
 			b.Run(name+"/fwd", func(b *testing.B) {
 				tier = k
@@ -394,6 +427,21 @@ func BenchmarkDWConvTiers(b *testing.B) {
 				tier = k
 				for i := 0; i < b.N; i++ {
 					DWConvBackwardInto(dx, dw, grad, w, x, 1, 1)
+				}
+			})
+			if k == tierGeneric {
+				continue // one loop computes both gradients
+			}
+			b.Run(name+"/dx", func(b *testing.B) {
+				tier = k
+				for i := 0; i < b.N; i++ {
+					dwInputGradLanes(dx.data, grad.data, w.data, g)
+				}
+			})
+			b.Run(name+"/dW", func(b *testing.B) {
+				tier = k
+				for i := 0; i < b.N; i++ {
+					dwWeightLanes(dw.data, grad.data, x.data, g)
 				}
 			})
 		}

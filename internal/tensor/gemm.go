@@ -95,8 +95,8 @@ const (
 // kernelTier names a set of kernels: the portable Go loops, the AVX
 // lanes (the 8-wide GEMM microkernel and every row, tail, transcendental
 // and depthwise kernel in *_amd64.s), or those lanes with the GEMM
-// microkernel in AVX-512 lanes, 16 wide. Every tier computes the same
-// bits.
+// microkernel and the 3×3 depthwise conv in AVX-512 lanes, 16 wide.
+// Every tier computes the same bits.
 type kernelTier uint8
 
 const (

@@ -306,13 +306,17 @@ func TestTranscendReadsStayInsideOperands(t *testing.T) {
 // starting right after one instead: a lane reads one float before a row
 // at kj = 0 with pad 1 and past it at the last tap, so a load that is
 // not masked off at the first or last row faults, as does a store past
-// the last row of out or dx. Every width 1–17 puts a row's end at every
-// lane of a block and past one; heights 1–4 and pads 0–2 leave rows
-// whose kernel rows are clipped at the top, the bottom and both. The
-// weight gradient's channel groups read and write whole sums of nine
-// taps: channels 1–5 start the first group's sums at the page and end
-// the last group's, ragged or whole, at it. The results must equal the
-// row-run loops' bit for bit.
+// the last row of out or dx. Every width 1–17 and 31–33 (dwGuardWidths)
+// puts a row's end at every lane of a block and past one; heights 1–9
+// and pads 0–2 leave rows whose kernel rows are clipped at the top, the
+// bottom and both, and every remainder of the 16-lane kernels' tiles of
+// four rows (3×3 only: other kernels run the 8-lane ones on both tiers,
+// at heights 1–4 and widths 1–17). The AVX weight gradient's channel
+// groups read and write whole sums of nine taps: channels 1–5 start the
+// first group's sums at the page and end the last group's, ragged or
+// whole, at it; the AVX-512 one stages the group's planes of x and grad,
+// the last ending at the page. The results must equal the row-run
+// loops' bit for bit.
 func TestDWConvReadsStayInsideOperands(t *testing.T) {
 	var tiers []kernelTier
 	for _, k := range hostTiers(t) {
@@ -333,8 +337,11 @@ func dwConvReadsStayInsideOperands(t *testing.T, lanes kernelTier) {
 	rng := rand.New(rand.NewSource(35))
 	for _, k := range []int{1, 3, 5} {
 		for pad := 0; pad <= 2; pad++ {
-			for h := 1; h <= 4; h++ {
-				for w := 1; w <= 17; w++ {
+			for h := 1; h <= 9; h++ {
+				for _, w := range dwGuardWidths {
+					if k != 3 && (h > 4 || w > 17) {
+						continue // the AVX kernels, 3×3 only on tierAVX512
+					}
 					if ConvOutSize(h, k, 1, pad) <= 0 || ConvOutSize(w, k, 1, pad) <= 0 {
 						continue
 					}
@@ -481,3 +488,7 @@ func TestRowKernelsReadsStayInsideOperands(t *testing.T) {
 		}
 	}
 }
+
+// dwGuardWidths end a row at every lane of a 16-lane block and past one,
+// and at both sides of the second block's end.
+var dwGuardWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33}
