@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"pipebd/internal/cluster"
@@ -264,10 +265,9 @@ func (o *clusterOptions) run(args []string, stdout io.Writer) error {
 		Repartition:       o.Repartition,
 		RetryBudget:       o.RetryBudget,
 		HeartbeatInterval: o.Heartbeat,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(stdout, "pipebd: "+format+"\n", args...)
-		},
 	}
+	decided := newDecisions(stdout)
+	cfg.OnEvent = decided.record
 	counters := obs.NewMetrics()
 	cfg.Metrics = counters
 	var collect *obs.Collector
@@ -296,7 +296,7 @@ func (o *clusterOptions) run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "pipebd: chaos schedule: %v\n", f)
 		}
 		chaos = transport.NewChaos(net, schedule...)
-		chaos.Logf = cfg.Logf
+		chaos.Logf = decided.logf
 		net = chaos
 	}
 	// The meter wraps outermost so it sees exactly what crosses the
@@ -323,16 +323,7 @@ func (o *clusterOptions) run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "pipebd: cluster run finished in %v\n", time.Since(start).Round(time.Millisecond))
-	if o.Repartition {
-		fmt.Fprintf(stdout, "pipebd: repartitions executed: %d\n", counters.Counter("repartitions").Load())
-	}
-	if cfg.RetryBudget > 0 {
-		fmt.Fprintf(stdout, "pipebd: link faults absorbed: %d (%d frame(s) replayed), links degraded to hub relay: %d, restarts consumed: %d of %d\n",
-			counters.Counter("link_faults_absorbed").Load(),
-			counters.Counter("link_frames_replayed").Load(),
-			counters.Counter("degrades").Load(),
-			counters.Counter("recoveries").Load(), o.MaxRestarts)
-	}
+	decided.summary(o.Repartition, cfg.RetryBudget > 0, o.MaxRestarts)
 	if chaos != nil {
 		if unfired := chaos.Unfired(); len(unfired) > 0 {
 			// A kill that never fired (e.g. aimed at a worker the plan never
@@ -411,29 +402,34 @@ func (o *resumeOptions) run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "pipebd: resuming coordinator from ledger %s\n", dir)
 	start := time.Now()
+	decided := newDecisions(stdout)
 	res, w, err := cluster.ResumeRun(transport.TCP{}, dir, cluster.ResumeConfig{
 		Addrs:             workers,
 		MaxRestarts:       o.MaxRestarts,
 		HeartbeatInterval: o.Heartbeat,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(stdout, "pipebd: "+format+"\n", args...)
-		},
-		Fsync:       o.Fsync,
-		Repartition: o.Repartition,
-		Expect:      &o.expect,
+		OnEvent:           decided.record,
+		Fsync:             o.Fsync,
+		Repartition:       o.Repartition,
+		Expect:            &o.expect,
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "pipebd: resumed run finished in %v\n", time.Since(start).Round(time.Millisecond))
+	// The manifest pins the resumed run's retry and restart budgets and
+	// everything the reference needs; re-read it so neither the summary
+	// nor the comparison can drift from what was actually resumed.
+	led, man, _, err := ledger.Open(dir)
+	if err != nil {
+		return err
+	}
+	led.Close()
+	maxRestarts := o.MaxRestarts
+	if maxRestarts == 0 {
+		maxRestarts = man.MaxRestarts
+	}
+	decided.summary(o.Repartition, man.Assign.Run.RetryBudgetMillis > 0, max(maxRestarts, 0))
 	return finish(stdout, res, w, o.Verify, func() (ref *distill.Workbench, batches []dataset.Batch, cfg engine.Config, err error) {
-		// The manifest pins everything the reference needs; re-read it so
-		// the comparison cannot drift from what was actually resumed.
-		led, man, _, err := ledger.Open(dir)
-		if err != nil {
-			return
-		}
-		led.Close()
 		if ref, err = cluster.BuildWorkbench(man.Assign.Spec); err != nil {
 			return
 		}
@@ -446,4 +442,50 @@ func (o *resumeOptions) run(args []string, stdout io.Writer) error {
 		run := man.Assign.Run
 		return ref, batches[:run.Steps], engine.Config{Plan: man.Assign.Plan, DPU: run.DPU, LR: run.LR, Momentum: run.Momentum}, nil
 	})
+}
+
+// decisions prints a coordinator's decisions as they come, one
+// "pipebd: " line each, and counts them by kind for the summary that
+// closes a cluster or resume run. Its record is a Config.OnEvent, called
+// from link goroutines too, so every line it prints goes out whole.
+type decisions struct {
+	out      io.Writer
+	mu       sync.Mutex
+	n        map[cluster.EventKind]int
+	replayed int
+}
+
+func newDecisions(out io.Writer) *decisions {
+	return &decisions{out: out, n: map[cluster.EventKind]int{}}
+}
+
+func (d *decisions) record(ev cluster.Event) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.n[ev.Kind]++
+	d.replayed += ev.Replayed
+	fmt.Fprintf(d.out, "pipebd: %v\n", ev)
+}
+
+// logf prints one line among the decisions.
+func (d *decisions) logf(format string, args ...any) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	fmt.Fprintf(d.out, "pipebd: "+format+"\n", args...)
+}
+
+// summary prints what a finished run decided: with the repartitioner
+// armed (or once it cut), the repartitions executed; with a retry
+// budget, the control-link faults absorbed, the links degraded and the
+// restarts consumed of maxRestarts.
+func (d *decisions) summary(repartition, retry bool, maxRestarts int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if repartition || d.n[cluster.EventRepartition] > 0 {
+		fmt.Fprintf(d.out, "pipebd: repartitions executed: %d\n", d.n[cluster.EventRepartition])
+	}
+	if retry {
+		fmt.Fprintf(d.out, "pipebd: link faults absorbed: %d (%d frame(s) replayed), links degraded to hub relay: %d, restarts consumed: %d of %d\n",
+			d.n[cluster.EventAbsorbed], d.replayed, d.n[cluster.EventDegrade], d.n[cluster.EventRestart], maxRestarts)
+	}
 }

@@ -264,7 +264,8 @@ func TestClusterCrashThenResumeEndToEnd(t *testing.T) {
 }
 
 // TestCompactThenResumeEndToEnd: the ledger of a crashed run, compacted,
-// still resumes bit-identically.
+// still resumes bit-identically, and the resumed run's summary counts the
+// repartitions its armed controller executed, as a cluster run's does.
 func TestCompactThenResumeEndToEnd(t *testing.T) {
 	addrs := startTCPWorkers(t, 2)
 	dir := crashDurableRun(t, addrs)
@@ -279,8 +280,10 @@ func TestCompactThenResumeEndToEnd(t *testing.T) {
 	if err := run([]string{"resume", dir, "-repartition", "-verify"}, &out); err != nil {
 		t.Fatalf("resume of compacted ledger failed: %v\noutput:\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "verify OK") {
-		t.Fatalf("verify did not report success; output:\n%s", out.String())
+	for _, want := range []string{"pipebd: repartitions executed: 0\n", "verify OK"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("resume did not print %q; output:\n%s", want, out.String())
+		}
 	}
 }
 

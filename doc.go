@@ -304,7 +304,14 @@
 // comparison that now also feeds the runtime repartitioner. The cluster
 // and worker modes also expose -net-stats (transport.Meter
 // role-attributed byte totals) and -debug-addr (net/http/pprof plus a
-// plain-text /metrics counter page).
+// plain-text /metrics counter page). Every decision a coordinator makes —
+// a placement, an absorbed flap, a peer link reported down, a worker
+// declared dead or dropped once finished, a degrade, a restart, a
+// repartition, a resume from its ledger — is one cluster.Event value,
+// handed to cluster.Config.OnEvent (cluster.ResumeConfig.OnEvent) and
+// counted in Config.Metrics: the cluster and resume modes print each as
+// one line and count their closing summary from the events, and the
+// suites assert on the events' fields, never on log text.
 // Shared test helpers (the goroutine-leak assertion) live in
 // internal/testutil.
 //

@@ -33,6 +33,55 @@ var (
 // patterns do.
 func TestDocsNameExistingTests(t *testing.T) {
 	var declared []string
+	for _, d := range testDecls(t) {
+		declared = append(declared, d.name)
+	}
+	for _, doc := range namedTestDocs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range docTestName.FindAllString(string(src), -1) {
+			if !slices.ContainsFunc(declared, func(d string) bool { return strings.HasPrefix(d, name) }) {
+				t.Errorf("%s names %s, which no _test.go declares", doc, name)
+			}
+		}
+	}
+}
+
+// ciFuzzLine matches a CI command that fuzzes one target, capturing the
+// target's name and its package directory.
+var ciFuzzLine = regexp.MustCompile(`-fuzz '\^(Fuzz\w*)\$'.* (\./\S*)`)
+
+// TestEveryFuzzTargetIsFuzzedInCI fails naming every Fuzz… function of
+// the module that no `-fuzz '^Name$' … ./its/package/` command of the CI
+// workflow runs: a target only its seed corpus exercises finds nothing
+// new.
+func TestEveryFuzzTargetIsFuzzedInCI(t *testing.T) {
+	src, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzed := map[testDecl]bool{}
+	for _, m := range ciFuzzLine.FindAllStringSubmatch(string(src), -1) {
+		fuzzed[testDecl{m[1], filepath.Clean(m[2])}] = true
+	}
+	for _, d := range testDecls(t) {
+		if strings.HasPrefix(d.name, "Fuzz") && !fuzzed[d] {
+			t.Errorf("no -fuzz command of ci.yml fuzzes %s of ./%s", d.name, d.dir)
+		}
+	}
+}
+
+// testDecl is a test, benchmark or fuzz function and the directory of
+// its package.
+type testDecl struct{ name, dir string }
+
+// testDecls lists every test, benchmark and fuzz function declared in a
+// _test.go file of the module.
+func testDecls(t *testing.T) []testDecl {
+	t.Helper()
+	var decls []testDecl
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -48,24 +97,14 @@ func TestDocsNameExistingTests(t *testing.T) {
 			return err
 		}
 		for _, m := range testFuncDecl.FindAllStringSubmatch(string(src), -1) {
-			declared = append(declared, m[1])
+			decls = append(decls, testDecl{m[1], filepath.Dir(path)})
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range namedTestDocs {
-		src, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range docTestName.FindAllString(string(src), -1) {
-			if !slices.ContainsFunc(declared, func(d string) bool { return strings.HasPrefix(d, name) }) {
-				t.Errorf("%s names %s, which no _test.go declares", doc, name)
-			}
-		}
-	}
+	return decls
 }
 
 // TestDocsNameExistingExamples fails naming every examples/<name> path

@@ -90,6 +90,7 @@ const (
 	efClose                    // close session sess: its worker is lost
 	efFinish                   // every device is done: return the result
 	efFail                     // end the attempt with err
+	efEvent                    // report the decision ev (Coordinator.emit)
 )
 
 type effect struct {
@@ -98,6 +99,7 @@ type effect struct {
 	frame *wire.Frame
 	rec   *ledger.Record
 	err   error
+	ev    *Event // allocated per decision, which a warm step makes none of
 }
 
 // devState is an attempt's session state of one device: where it lives
@@ -159,16 +161,14 @@ type attemptCore struct {
 	snapshots bool               // fault tolerance is on: snapshot frames are restart state
 	heartbeat time.Duration      // 0 disables silence detection
 	rp        *repartitioner     // nil when repartitioning is off
-	logf      func(format string, args ...any)
 	metrics   *obs.Metrics
 
-	sessions  []session
-	host      []int      // device rank → session index
-	devs      []devState // by device rank
-	barrier   map[int]int
-	done      int
-	linkDowns [][2]int // peer edges reported down this attempt
-	over      bool     // finished or failed: step emits nothing more
+	sessions []session
+	host     []int      // device rank → session index
+	devs     []devState // by device rank
+	barrier  map[int]int
+	done     int
+	over     bool // finished or failed: step emits nothing more
 	// out, rec and losses are reused from event to event: the shell
 	// carries out an event's effects, the record's append among them,
 	// before it hands the core the next event.
@@ -313,7 +313,7 @@ func (a *attemptCore) tick(at int64, reconnecting []bool) {
 		case i < len(reconnecting) && reconnecting[i]:
 			s.heard = at
 		case time.Duration(at-s.heard) > timeout:
-			a.logf("worker %s silent for %v (over %v), declaring it dead", s.addr, time.Duration(at-s.heard), timeout)
+			a.emit(effect{kind: efEvent, ev: &Event{Kind: EventSilent, Worker: s.addr, Silence: time.Duration(at - s.heard), Timeout: timeout}})
 			a.lost(i, fmt.Errorf("cluster: worker %s: heartbeat timeout after %v", s.addr, timeout))
 			if a.over {
 				return
@@ -342,7 +342,7 @@ func (a *attemptCore) lost(i int, cause error) {
 			return
 		}
 	}
-	a.logf("worker %s dropped after finishing devices %v; no recovery needed", s.addr, s.devices)
+	a.emit(effect{kind: efEvent, ev: &Event{Kind: EventDropped, Worker: s.addr, Devices: s.devices}})
 }
 
 // linkDown records a worker's report that a peer link exhausted its
@@ -351,10 +351,9 @@ func (a *attemptCore) lost(i int, cause error) {
 // relay when every worker is still alive (budget-free), or fall through
 // to a budget-counted restart.
 func (a *attemptCore) linkDown(s *session, edge [2]int) error {
-	a.linkDowns = append(a.linkDowns, edge)
-	a.metrics.Add("peer_links_down", 1)
-	a.logf("worker %s reports peer link %d<->%d down (reconnect budget exhausted)", s.addr, edge[0], edge[1])
-	return workerLostError{cause: fmt.Errorf("peer link %d<->%d persistently down", edge[0], edge[1])}
+	down := [][2]int{edge}
+	a.emit(effect{kind: efEvent, ev: &Event{Kind: EventLinkDown, Worker: s.addr, Edges: down}})
+	return workerLostError{cause: fmt.Errorf("peer link %d<->%d persistently down", edge[0], edge[1]), down: down}
 }
 
 // duplicate is the protocol error for a frame the device already sent: an
@@ -483,7 +482,7 @@ func (a *attemptCore) onSpans(dev int, ds *devState, step int, spans []obs.Span)
 	}
 	a.rp.applied[sched.Fingerprint(plan)] = true
 	a.broadcast(wire.EncodeRepartition(int32(cut), plan))
-	return &plannedRepartition{cut: cut, plan: plan, eval: eval}
+	return &plannedRepartition{Event{Kind: EventRepartition, Step: cut, Plan: plan, Eval: eval}}
 }
 
 // result merges the per-member loss rows into the per-block trajectory,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -37,14 +38,16 @@ func TestHeartbeatRuleInVirtualTime(t *testing.T) {
 	tick := func(d time.Duration, reconnecting ...bool) event {
 		return event{kind: evTick, at: at(d), reconnecting: reconnecting}
 	}
-	// dead checks that effs close exactly session sess and fail the
-	// attempt with a worker-lost heartbeat timeout.
-	dead := func(t *testing.T, effs []effect, sess int) {
+	// dead checks that effs report session sess silent for silence,
+	// close it, and fail the attempt with a worker-lost heartbeat timeout.
+	dead := func(t *testing.T, effs []effect, sess int, silence time.Duration) {
 		t.Helper()
 		var lost workerLostError
-		if len(effs) != 2 || effs[0].kind != efClose || effs[0].sess != sess ||
+		want := Event{Kind: EventSilent, Worker: []string{"a", "b"}[sess], Silence: silence, Timeout: heartbeatMisses * hb}
+		if len(effs) != 3 || effs[0].kind != efEvent || !reflect.DeepEqual(*effs[0].ev, want) ||
+			effs[1].kind != efClose || effs[1].sess != sess ||
 			!errors.As(failure(effs), &lost) || !strings.Contains(lost.Error(), "heartbeat timeout after 40ms") {
-			t.Fatalf("got effects %+v, want session %d closed and a heartbeat-timeout worker loss", effs, sess)
+			t.Fatalf("got effects %+v, want %v, session %d closed and a heartbeat-timeout worker loss", effs, want, sess)
 		}
 	}
 	cfg := Config{DPU: true, MaxRestarts: 1, HeartbeatInterval: hb}
@@ -54,7 +57,7 @@ func TestHeartbeatRuleInVirtualTime(t *testing.T) {
 		if effs := core.step(tick(heartbeatMisses * hb)); len(effs) != 0 {
 			t.Fatalf("silent for exactly four intervals: got %+v, want nothing", effs)
 		}
-		dead(t, core.step(tick(heartbeatMisses*hb+time.Nanosecond)), 0)
+		dead(t, core.step(tick(heartbeatMisses*hb+time.Nanosecond)), 0, heartbeatMisses*hb+time.Nanosecond)
 		if effs := core.step(tick(time.Hour)); effs != nil {
 			t.Fatalf("a failed attempt emitted %+v", effs)
 		}
@@ -68,7 +71,7 @@ func TestHeartbeatRuleInVirtualTime(t *testing.T) {
 		if effs := core.step(tick(14 * hb)); len(effs) != 0 {
 			t.Fatalf("four intervals after the exempt tick: got %+v, want nothing", effs)
 		}
-		dead(t, core.step(tick(14*hb+time.Nanosecond, true, false)), 1)
+		dead(t, core.step(tick(14*hb+time.Nanosecond, true, false)), 1, 4*hb+time.Nanosecond)
 	})
 	t.Run("an event refreshes its session", func(t *testing.T) {
 		_, core, _ := twoSessionCore(t, cfg, t0)
@@ -80,7 +83,7 @@ func TestHeartbeatRuleInVirtualTime(t *testing.T) {
 		}
 		// A relay the reader forwarded also counts as hearing session 1.
 		core.step(event{kind: evFrame, at: at(5 * hb), sess: 1, frame: wire.KindRelay})
-		dead(t, core.step(tick(7*hb+time.Nanosecond)), 0)
+		dead(t, core.step(tick(7*hb+time.Nanosecond)), 0, 4*hb+time.Nanosecond)
 	})
 	t.Run("no heartbeat, no rule", func(t *testing.T) {
 		_, core, _ := twoSessionCore(t, Config{DPU: true, MaxRestarts: 1}, t0)
@@ -218,7 +221,10 @@ func (in *fuzzInput) next(n int) int {
 // steps — in order, repeated, before the attempt's first step or past the
 // run: a live device's batch of any step but its next fails the attempt,
 // and the repartitioner holds only steps of the run, never one every
-// device has measured.
+// device has measured. The decisions it reports are exact: every session
+// a tick's heartbeat rule kills yields one silent event carrying its
+// silence in virtual time, a reconnecting session none, and every
+// link-down a live session reports one event naming its edge.
 func FuzzAttemptCore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 4, 0, 0, 0, 1, 4, 0, 1, 0, 1, 4, 0, 2, 0, 1, 5, 0, 0, 0, 2})
@@ -234,6 +240,10 @@ func FuzzAttemptCore(f *testing.F) {
 		}
 	}
 	f.Add(all)
+	// Session 1 reports link 1<->2 down; a tick 6 ms in, session 0's link
+	// reconnecting, kills session 1 alone: [time, session, op, ...].
+	f.Add([]byte{0, 0, 0, 1, 3, 2, 3, 1})
+	f.Add([]byte{0, 0, 60, 0, 12, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
 		dpu := in.next(2) == 1
@@ -303,7 +313,10 @@ func FuzzAttemptCore(f *testing.F) {
 				ev.dev >= 0 && ev.dev < len(core.devs) && ev.step != int(wire.NoStep) {
 				next = rp.from + len(rp.queue[ev.dev])
 			}
+			heard := []int64{core.sessions[0].heard, core.sessions[1].heard}
+			linkDown := !over && ev.kind == evFrame && ev.frame == wire.KindLinkDown && ev.err == nil && core.sessions[ev.sess].live
 			effs := core.step(ev)
+			checkDecisions(t, ev, effs, heard, linkDown)
 			if next >= 0 && ev.step != next && !over && failure(effs) == nil {
 				t.Fatalf("spans of step %d from device %d, whose next step is %d, did not fail the attempt", ev.step, ev.dev, next)
 			}
@@ -336,4 +349,47 @@ func FuzzAttemptCore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkDecisions checks the decisions among the effects of event ev on
+// twoSessionCore's sessions "a" and "b", which were last heard from at
+// heard: a session the event closes is reported silent exactly when ev is
+// a tick, silent for exactly the time since it was heard — more than
+// heartbeatMisses of FuzzAttemptCore's 1 ms intervals — and not
+// reconnecting; and linkDown, a link-down the core accepted, is reported
+// once with its edge.
+func checkDecisions(t *testing.T, ev event, effs []effect, heard []int64, linkDown bool) {
+	t.Helper()
+	silent := map[int]int{}
+	var closed []int
+	downs := 0
+	for _, e := range effs {
+		switch {
+		case e.kind == efClose:
+			closed = append(closed, e.sess)
+		case e.kind != efEvent:
+		case e.ev.Kind == EventSilent:
+			i := slices.Index([]string{"a", "b"}, e.ev.Worker)
+			silent[i]++
+			if ev.kind != evTick || e.ev.Silence != time.Duration(ev.at-heard[i]) ||
+				e.ev.Timeout != heartbeatMisses*time.Millisecond || e.ev.Silence <= e.ev.Timeout ||
+				i < len(ev.reconnecting) && ev.reconnecting[i] {
+				t.Fatalf("event %+v at %d reported %v (heard at %d)", ev, ev.at, e.ev, heard[i])
+			}
+		case e.ev.Kind == EventLinkDown:
+			downs++
+			if !linkDown || !slices.Equal(e.ev.Edges, [][2]int{ev.link}) || e.ev.Worker != []string{"a", "b"}[ev.sess] {
+				t.Fatalf("event %+v reported %v", ev, e.ev)
+			}
+		}
+	}
+	for _, i := range closed {
+		if ev.kind == evTick && silent[i] != 1 {
+			t.Fatalf("tick at %d killed session %d with %d silent event(s)", ev.at, i, silent[i])
+		}
+	}
+	if len(silent) > len(closed) || linkDown && downs != 1 {
+		t.Fatalf("event %+v: %d session(s) reported silent, %d closed; %d link-down event(s), accepted %v",
+			ev, len(silent), len(closed), downs, linkDown)
+	}
 }

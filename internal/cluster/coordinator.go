@@ -129,13 +129,18 @@ type Config struct {
 	// use (obs.Collector.Add qualifies). Required when Trace is set.
 	TraceSink func(track string, spans []obs.Span)
 	// Metrics, when non-nil, receives the coordinator's operational
-	// counters: steps completed, snapshots installed, worker recoveries
-	// ("recoveries": restarts consumed from MaxRestarts), ledger
-	// records/bytes, and — with Trace — the coordinator-track spans lost
-	// to a full buffer ("spans_dropped").
+	// counters: "steps_completed", "snapshots" installed, the ledger's
+	// "ledger_records" and "ledger_bytes", with Trace the coordinator-track
+	// spans lost to a full buffer ("spans_dropped"), and one per decision
+	// event: EventRestart adds to "recoveries" (restarts consumed from
+	// MaxRestarts), EventDegrade to "degrades", EventRepartition to
+	// "repartitions", EventLinkDown to "peer_links_down" and EventAbsorbed
+	// to "link_faults_absorbed" and its frames to "link_frames_replayed".
 	Metrics *obs.Metrics
-	// Logf receives progress lines; nil is silent.
-	Logf func(format string, args ...any)
+	// OnEvent, when set, receives every decision the coordinator makes,
+	// each as one Event of a kind EventKind lists. Absorbs arrive from
+	// link goroutines, so it must be safe for concurrent use.
+	OnEvent func(Event)
 }
 
 // Coordinator drives a cluster run: it places the plan's devices on the
@@ -477,6 +482,8 @@ func (r *run) handle(ev event) (res engine.Result, done bool, err error) {
 			return r.core.result(), true, nil
 		case efFail:
 			return engine.Result{}, true, e.err
+		case efEvent:
+			r.co.emit(*e.ev)
 		}
 	}
 	return engine.Result{}, false, nil
@@ -598,10 +605,4 @@ func validateDataRecipe(ds wire.DataSpec, batches []dataset.Batch) error {
 		}
 	}
 	return nil
-}
-
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
 }

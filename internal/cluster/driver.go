@@ -37,10 +37,14 @@ import (
 	"pipebd/internal/sched"
 )
 
-// workerLostError marks a worker-connection loss in an attempt; the
-// driver catches it and restarts from the global cut (budget permitting)
-// instead of failing the run.
-type workerLostError struct{ cause error }
+// workerLostError marks a worker-connection loss in an attempt, or a
+// peer edge a worker reported down — an attempt fails on the first; the
+// driver catches it and degrades the edge or restarts from the global
+// cut (budget permitting) instead of failing the run.
+type workerLostError struct {
+	cause error
+	down  [][2]int // the edge reported down, if that is the loss
+}
 
 func (e workerLostError) Error() string { return e.cause.Error() }
 func (e workerLostError) Unwrap() error { return e.cause }
@@ -105,7 +109,7 @@ func (d *driver) drive() (engine.Result, error) {
 	epochBase := time.Now().UnixNano()
 	restarts := 0
 	for attempt := 0; ; attempt++ {
-		res, linkDowns, err := d.attempt(epochBase + int64(attempt))
+		res, err := d.attempt(epochBase + int64(attempt))
 		if err == nil {
 			return res, nil
 		}
@@ -117,7 +121,7 @@ func (d *driver) drive() (engine.Result, error) {
 			// the new plan and, like every record, is applied and then
 			// appended, so a killed coordinator resumes onto the right
 			// placement generation.
-			rec := ledger.Repartition(d.acct.Cut(), wire.EncodePlan(pr.plan))
+			rec := ledger.Repartition(d.acct.Cut(), wire.EncodePlan(pr.Plan))
 			if aerr := d.acct.Apply(rec); aerr != nil {
 				return engine.Result{}, fmt.Errorf("cluster: %v record: %w", rec.Type, aerr)
 			}
@@ -126,8 +130,8 @@ func (d *driver) drive() (engine.Result, error) {
 					return engine.Result{}, lerr
 				}
 			}
-			c.cfg.Metrics.Add("repartitions", 1)
-			c.logf("repartitioning after step %d: %v", rec.Step, err)
+			pr.Step = rec.Step
+			c.emit(pr.Event)
 			continue
 		}
 		var lost workerLostError
@@ -135,26 +139,22 @@ func (d *driver) drive() (engine.Result, error) {
 			return engine.Result{}, err
 		}
 		cut := d.acct.Cut()
-		if len(linkDowns) > 0 && c.cfg.RetryBudget > 0 && c.workersAlive(d.addrs) {
+		if len(lost.down) > 0 && c.cfg.RetryBudget > 0 && c.workersAlive(d.addrs) {
 			// Tier 2, graceful degradation: every worker is reachable but
-			// one or more peer edges are persistently severed (a healing
-			// partition that never healed). Relay just the broken edges
+			// a peer edge is persistently severed (a healing partition
+			// that never healed). Relay just the broken edges
 			// through the coordinator — bit-identical, since the same frames
 			// reach the same inboxes in the same order — and restart from
 			// the global cut without consuming the restart budget.
-			d.degraded = mergeEdges(d.degraded, linkDowns)
-			c.cfg.Metrics.Add("degrades", 1)
-			c.logf("degrading peer link(s) %v to relay; ring resumes from step %d on the remaining direct edges",
-				linkDowns, cut+1)
+			d.degraded = mergeEdges(d.degraded, lost.down)
+			c.emit(Event{Kind: EventDegrade, Edges: lost.down, Step: cut + 1})
 			continue
 		}
 		if restarts >= c.cfg.MaxRestarts {
 			return engine.Result{}, err
 		}
 		restarts++
-		c.cfg.Metrics.Add("recoveries", 1)
-		c.logf("attempt lost a worker (%v); restarting every device from step %d (restart %d of %d)",
-			err, cut+1, restarts, c.cfg.MaxRestarts)
+		c.emit(Event{Kind: EventRestart, Cause: err, Step: cut + 1, Restart: restarts, MaxRestarts: c.cfg.MaxRestarts})
 	}
 }
 
@@ -179,7 +179,6 @@ func (c *Coordinator) workersAlive(addrs []string) bool {
 	for _, addr := range addrs {
 		conn, err := dialHello(c.net, c.clock, addr, transport.Deadline(c.clock, c.joinTimeout()))
 		if err != nil {
-			c.logf("liveness probe: worker %s did not handshake (%v); not degradable", addr, err)
 			return false
 		}
 		conn.Close()
@@ -203,12 +202,11 @@ func recvToError(conn transport.Conn) {
 	}
 }
 
-// attempt executes one attempt end to end and, on failure, also returns
-// the peer edges it saw reported persistently down (for the driver's
-// degrade classification). The loop runs on this goroutine and teardown
-// joins the readers before it returns, so every write the attempt made to
-// the account is done before the next attempt reads it.
-func (d *driver) attempt(epoch int64) (engine.Result, [][2]int, error) {
+// attempt executes one attempt end to end. The loop runs on this
+// goroutine and teardown joins the readers before it returns, so every
+// write the attempt made to the account is done before the next attempt
+// reads it.
+func (d *driver) attempt(epoch int64) (engine.Result, error) {
 	r := d.newRun(epoch)
 	err := r.place()
 	var res engine.Result
@@ -216,7 +214,7 @@ func (d *driver) attempt(epoch int64) (engine.Result, [][2]int, error) {
 		res, err = r.execute()
 	}
 	r.teardown(err)
-	return res, r.core.linkDowns, err
+	return res, err
 }
 
 // newRun rewinds the account and builds an attempt at its cut: every
@@ -234,8 +232,7 @@ func (d *driver) newRun(epoch int64) *run {
 	r := &run{co: c, addrs: d.addrs, assign: d.setup, cut: cut, superseded: d.superseded, led: d.led,
 		stop: make(chan struct{}),
 		core: &attemptCore{acct: d.acct, plan: plan, steps: d.setup.Run.Steps, workb: d.w,
-			snapshots: c.faultTolerant(), heartbeat: c.cfg.HeartbeatInterval,
-			logf: c.logf, metrics: c.cfg.Metrics,
+			snapshots: c.faultTolerant(), heartbeat: c.cfg.HeartbeatInterval, metrics: c.cfg.Metrics,
 			devs: make([]devState, plan.NumDevices()), barrier: make(map[int]int)}}
 	r.assign.Plan, r.assign.Epoch = plan, epoch
 	for _, e := range relayed {
@@ -282,7 +279,7 @@ func (r *run) place() error {
 	}
 	for i, addr := range r.addrs {
 		if len(placement[i]) == 0 {
-			r.co.logf("worker %s: no devices to place, skipping", addr)
+			r.co.emit(Event{Kind: EventPlaced, Worker: addr})
 			continue
 		}
 		candidates := []string{addr}
@@ -323,7 +320,9 @@ func (r *run) place() error {
 		}
 	}
 	links := linkPolicy{epoch: r.assign.Epoch, net: r.co.net, clock: r.co.clock, budget: r.co.cfg.RetryBudget,
-		logf: r.co.logf, metrics: r.co.cfg.Metrics}
+		absorbed: func(addr string, replayed int) {
+			r.co.emit(Event{Kind: EventAbsorbed, Worker: addr, Replayed: replayed})
+		}}
 	sessions := make([]session, len(holds))
 	for i, h := range holds {
 		// The control link's far end is any device the session hosts: a
@@ -331,7 +330,7 @@ func (r *run) place() error {
 		r.peers = append(r.peers, &peerConn{addr: h.addr, endpoint: links.endpoint(h.conn,
 			int(wire.NoDev), h.devices[0], fmt.Sprintf("worker %s control link", h.addr), h.addr)})
 		sessions[i] = session{addr: h.addr, devices: h.devices}
-		r.co.logf("worker %s hosting devices %v", h.addr, h.devices)
+		r.co.emit(Event{Kind: EventPlaced, Worker: h.addr, Devices: h.devices})
 	}
 	r.routes = r.core.place(r.co.clock.Now(), sessions, r.assign.RelayedEdges())
 	return nil

@@ -208,14 +208,17 @@ func (ep *endpoint) close(graceful bool) {
 // linkPolicy is what the links of one end of a session share: the attempt
 // epoch their hellos carry, the network that dials (and redials) the ones
 // this end owns, the clock their deadlines read, and the transient-fault
-// absorption wiring, all zero when the session has no retry budget.
+// absorption wiring, all zero when the session has no retry budget:
+// absorbed hears of every fault a link this end dialed to addr (or, with
+// addr "", accepted) absorbed, with the frames it replays.
 type linkPolicy struct {
-	epoch   int64
-	net     transport.Network
-	clock   transport.Clock
-	budget  time.Duration // reconnect budget; 0 keeps every link fail-fast
-	logf    func(format string, args ...any)
-	metrics *obs.Metrics
+	epoch    int64
+	net      transport.Network
+	clock    transport.Clock
+	budget   time.Duration // reconnect budget; 0 keeps every link fail-fast
+	logf     func(format string, args ...any)
+	metrics  *obs.Metrics
+	absorbed func(addr string, replayed int)
 }
 
 // open performs the one handshake that opens or resumes a link: dial, the
@@ -257,10 +260,7 @@ func (p linkPolicy) endpoint(conn transport.Conn, local, remote int, name, addr 
 	if p.budget > 0 {
 		policy := transport.RetryPolicy{Budget: p.budget}
 		opts := transport.ResumableOptions{Name: name, Logf: p.logf, Clock: p.clock,
-			OnAbsorb: func(replayed int) {
-				p.metrics.Add("link_faults_absorbed", 1)
-				p.metrics.Add("link_frames_replayed", int64(replayed))
-			}}
+			OnAbsorb: func(replayed int) { p.absorbed(addr, replayed) }}
 		if addr != "" {
 			opts.Redial = func(recvd int64) (transport.Conn, int64, error) {
 				return p.open(addr, wire.PeerHello{Epoch: p.epoch, From: local, To: remote, Resume: true, Recvd: recvd},

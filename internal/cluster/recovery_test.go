@@ -1,8 +1,7 @@
 package cluster
 
 import (
-	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
@@ -29,20 +28,18 @@ func TestRecoveryFallsBackToSurvivingWorker(t *testing.T) {
 	lost := recvFault(wire.KindLosses, 1, transport.ActPartition) // Delay 0: addrB never answers a dial again
 	lost.Conn = 1
 	chaos := transport.NewChaos(inner, lost)
-	logf, logs := captureLog()
+	events := &eventLog{}
 	counters := obs.NewMetrics()
 	cfg := s.config()
-	cfg.MaxRestarts, cfg.Logf, cfg.Metrics = 1, logf, counters
+	cfg.MaxRestarts, cfg.OnEvent, cfg.Metrics = 1, events.add, counters
 	res, w, err := s.run(chaos, []string{addrA, addrB}, cfg)
 	if err != nil {
-		t.Fatalf("run failed: %v\nlog:\n%s", err, logs())
+		t.Fatalf("run failed: %v\nevents:\n%v", err, events)
 	}
 	allFired(t, chaos)
 	// addrB is unreachable, so finishing at all means worker A hosted both
 	// devices of the restart.
-	if n := counters.Counter("recoveries").Load(); n != 1 {
-		t.Fatalf("run consumed %d restart(s), want 1; log:\n%s", n, logs())
-	}
+	wantRestarts(t, counters, events, 1)
 	s.check(t, res, w)
 }
 
@@ -86,11 +83,11 @@ func TestHeartbeatTimeoutDetectsSilentWorker(t *testing.T) {
 	}()
 	t.Cleanup(func() { silentLis.Close(); <-silentDone })
 
-	logf, logs := captureLog()
+	events := &eventLog{}
 	counters := obs.NewMetrics()
 	cfg := s.config()
 	cfg.MaxRestarts, cfg.HeartbeatInterval = 1, hb
-	cfg.Logf, cfg.Metrics = logf, counters
+	cfg.OnEvent, cfg.Metrics = events.add, counters
 	type outcome struct {
 		res engine.Result
 		w   *distill.Workbench
@@ -107,16 +104,15 @@ func TestHeartbeatTimeoutDetectsSilentWorker(t *testing.T) {
 	}
 	out := testutil.Await(t, done, "the run's end")
 	if out.err != nil {
-		t.Fatalf("run failed: %v\nlog:\n%s", out.err, logs())
+		t.Fatalf("run failed: %v\nevents:\n%v", out.err, events)
 	}
-	if want := fmt.Sprintf("worker %s silent for 625ms (over 500ms)", silentLis.Addr()); !strings.Contains(logs(), want) {
-		t.Fatalf("log lacks %q; log:\n%s", want, logs())
+	want := Event{Kind: EventSilent, Worker: silentLis.Addr(), Silence: 625 * time.Millisecond, Timeout: 500 * time.Millisecond}
+	if got := events.of(EventSilent); len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("silence decisions %+v, want only %+v", got, want)
 	}
 	// The silent listener refuses the re-join, so finishing means worker A
 	// hosted the silent worker's device too.
-	if n := counters.Counter("recoveries").Load(); n != 1 {
-		t.Fatalf("run consumed %d restart(s), want 1; log:\n%s", n, logs())
-	}
+	wantRestarts(t, counters, events, 1)
 	s.check(t, out.res, out.w)
 }
 
@@ -130,13 +126,22 @@ func TestRecoverySeededSchedule(t *testing.T) {
 	addrs := startWorkers(t, inner, 2, WorkerConfig{Sessions: 1, Rejoin: true})
 	schedule := transport.RandomKills(7, len(addrs), s.steps, 1)
 	chaos := transport.NewChaos(inner, schedule...)
-	logf, logs := captureLog()
+	events := &eventLog{}
 	cfg := s.config()
-	cfg.MaxRestarts, cfg.Logf = len(schedule), logf
+	cfg.MaxRestarts, cfg.OnEvent = len(schedule), events.add
 	res, w, err := s.run(chaos, addrs, cfg)
 	if err != nil {
-		t.Fatalf("seeded chaos run failed (schedule %v): %v\nlog:\n%s", schedule, err, logs())
+		t.Fatalf("seeded chaos run failed (schedule %v): %v\nevents:\n%v", schedule, err, events)
 	}
 	allFired(t, chaos)
 	s.check(t, res, w)
+}
+
+// wantRestarts asserts that the run restarted n times, by its decisions
+// and by the counter they add to.
+func wantRestarts(t *testing.T, counters *obs.Metrics, events *eventLog, n int) {
+	t.Helper()
+	if got, counted := len(events.of(EventRestart)), counters.Counter("recoveries").Load(); got != n || counted != int64(n) {
+		t.Fatalf("run restarted %d time(s) (counted %d), want %d; events:\n%v", got, counted, n, events)
+	}
 }

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"pipebd/internal/sched"
 )
@@ -52,19 +51,13 @@ const (
 )
 
 // plannedRepartition is the typed "error" a run fails with when the
-// controller triggers: the drive loop takes it as a deliberate
-// supersession (remap the account onto the new plan, restart), and
-// teardown flushes outboxes so every session sees its Repartition frame.
-type plannedRepartition struct {
-	cut  int
-	plan sched.Plan
-	eval sched.ReplanEval
-}
+// controller triggers, its decision: the drive loop takes it as a
+// deliberate supersession (remap the account onto the new plan, restart,
+// report the decision), and teardown flushes outboxes so every session
+// sees its Repartition frame.
+type plannedRepartition struct{ Event }
 
-func (e *plannedRepartition) Error() string {
-	return fmt.Sprintf("cluster: planned repartition after step %d to %s (measured bottleneck %v, predicted %v, %.0f%% better)",
-		e.cut, e.plan.Describe(), time.Duration(e.eval.Current), time.Duration(e.eval.Proposed), 100*e.eval.Improvement())
-}
+func (e *plannedRepartition) Error() string { return e.String() }
 
 // repartitioner is one attempt's controller state, fed by its core
 // (attemptCore.onSpans). The applied-fingerprint set is the drive loop's

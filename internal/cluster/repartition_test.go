@@ -6,7 +6,6 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,7 +169,7 @@ func TestRepartitionShedsStraggler(t *testing.T) {
 		topo  string
 		plan  sched.Plan
 		rates []int64 // per worker; worker i hosts the device of rank i
-		want  string
+		want  Event
 	}{
 		{"ring", "ring", lopsidedPlan(), []int64{4, 1, 1}, shedLopsided},
 		{"hub", "hub", lopsidedPlan(), []int64{4, 1, 1}, shedLopsided},
@@ -181,13 +180,12 @@ func TestRepartitionShedsStraggler(t *testing.T) {
 			s := runSpec{plan: c.plan, dpu: true, steps: 12, batch: 4}
 			net := transport.NewLoopback()
 			addrs := startWorkersMixed(t, net, costedWorkers(net, 0, 0, c.rates...))
-			counters := obs.NewMetrics()
-			logf, logs := captureLog()
-			res, w, err := s.run(net, addrs, repartitionConfig(s, c.topo, counters, logf))
+			counters, events := obs.NewMetrics(), &eventLog{}
+			res, w, err := s.run(net, addrs, repartitionConfig(s, c.topo, counters, events))
 			if err != nil {
-				t.Fatalf("%s straggler run: %v\nlog:\n%s", c.name, err, logs())
+				t.Fatalf("%s straggler run: %v\nevents:\n%v", c.name, err, events)
 			}
-			wantRepartitions(t, counters, logs, c.want)
+			wantRepartitions(t, counters, events, c.want)
 			s.check(t, res, w)
 		})
 	}
@@ -203,29 +201,36 @@ func TestRepartitionShedsStraggler(t *testing.T) {
 // ns, and handing B2 to dev3 predicts 442,512 + 110,628 = 553,140 ns.
 // Every step measures the same costs, so each paired sample is the same
 // and the third — step 2's — clears the bound: the cut follows step 2.
-const (
-	shedLopsided = "after step 2 to dev0: B0 | dev1: B1 | dev2: B2-B3 (measured bottleneck 663.768µs, predicted 442.512µs, 33% better)"
-	shedHybrid   = "after step 2 to dev0-1: B0 (2-way DP) | dev2: B1 | dev3: B2-B3 (measured bottleneck 885.024µs, predicted 553.14µs, 38% better)"
+var (
+	shedLopsided = Event{Kind: EventRepartition, Step: 2, Plan: shedLopsidedPlan,
+		Eval: sched.ReplanEval{Current: 663_768, Proposed: 442_512}}
+	shedHybrid = Event{Kind: EventRepartition, Step: 2,
+		Plan: plan("", g([]int{0, 1}, []int{0}), g([]int{2}, []int{1}), g([]int{3}, []int{2, 3})),
+		Eval: sched.ReplanEval{Current: 885_024, Proposed: 553_140}}
 )
 
 // repartitionConfig is s's Config with the repartitioner armed.
-func repartitionConfig(s runSpec, topology string, counters *obs.Metrics, logf func(string, ...any)) Config {
+func repartitionConfig(s runSpec, topology string, counters *obs.Metrics, events *eventLog) Config {
 	cfg := s.config()
-	cfg.Topology, cfg.Repartition, cfg.Metrics, cfg.Logf = topology, true, counters, logf
+	cfg.Topology, cfg.Repartition, cfg.Metrics, cfg.OnEvent = topology, true, counters, events.add
 	return cfg
 }
 
 // wantRepartitions asserts that the run repartitioned once per decision
-// in want, each the log's text from the target plan through the predicted
-// gain, and never otherwise.
-func wantRepartitions(t *testing.T, counters *obs.Metrics, logs func() string, want ...string) {
+// in want, and never otherwise: each cut after want's step onto a plan
+// that places blocks as want's does and, where want has an evaluation,
+// with exactly its measured and predicted bottlenecks.
+func wantRepartitions(t *testing.T, counters *obs.Metrics, events *eventLog, want ...Event) {
 	t.Helper()
-	if n := counters.Counter("repartitions").Load(); n != int64(len(want)) {
-		t.Fatalf("repartitioned %d time(s), want %d; log:\n%s", n, len(want), logs())
+	got := events.of(EventRepartition)
+	if n := counters.Counter("repartitions").Load(); len(got) != len(want) || n != int64(len(want)) {
+		t.Fatalf("repartitioned %d time(s) (counted %d), want %d; events:\n%v", len(got), n, len(want), events)
 	}
-	for _, w := range want {
-		if !strings.Contains(logs(), w) {
-			t.Fatalf("no repartition %s; log:\n%s", w, logs())
+	for i, w := range want {
+		g := got[i]
+		if g.Step != w.Step || g.Plan.Describe() != w.Plan.Describe() || w.Eval != (sched.ReplanEval{}) && g.Eval != w.Eval {
+			t.Fatalf("repartition %d cut after step %d to %s (%+v), want after step %d to %s (%+v)",
+				i, g.Step, g.Plan.Describe(), g.Eval, w.Step, w.Plan.Describe(), w.Eval)
 		}
 	}
 }
@@ -248,9 +253,8 @@ func TestRepartitionDecidesAboveNoise(t *testing.T) {
 				t.Run(fmt.Sprintf("seed%d/pause%g/slow%d", seed, pause, slow), func(t *testing.T) {
 					net := transport.NewLoopback()
 					addrs := startWorkersMixed(t, net, costedWorkers(net, 16*seed, pause, slow, 1, 1))
-					counters := obs.NewMetrics()
-					logf, logs := captureLog()
-					cfg := repartitionConfig(s, "ring", counters, logf)
+					counters, events := obs.NewMetrics(), &eventLog{}
+					cfg := repartitionConfig(s, "ring", counters, events)
 					var mu sync.Mutex
 					arrived := make([][][]float64, 3) // device → its batches' block costs, in arrival order
 					cfg.Trace, cfg.TraceSink = true, func(track string, spans []obs.Span) {
@@ -263,19 +267,19 @@ func TestRepartitionDecidesAboveNoise(t *testing.T) {
 					}
 					res, w, err := s.run(net, addrs, cfg)
 					if err != nil {
-						t.Fatalf("run: %v\nlog:\n%s", err, logs())
+						t.Fatalf("run: %v\nevents:\n%v", err, events)
 					}
 					cut := replayDecision(s.plan, arrived)
 					switch {
 					case slow == 1 && cut >= 0:
 						t.Fatalf("equal workers: the replayed spans decide a cut after step %d", cut)
 					case slow == 1:
-						wantRepartitions(t, counters, logs)
+						wantRepartitions(t, counters, events)
 					case cut < 0:
-						t.Fatalf("straggler: the replayed spans decide no cut; log:\n%s", logs())
+						t.Fatalf("straggler: the replayed spans decide no cut; events:\n%v", events)
 					default:
 						t.Logf("cut after step %d", cut)
-						wantRepartitions(t, counters, logs, fmt.Sprintf("after step %d to %s (", cut, shedLopsidedPlan))
+						wantRepartitions(t, counters, events, Event{Kind: EventRepartition, Step: cut, Plan: shedLopsidedPlan})
 					}
 					if err := ref.diff(res, w); err != nil {
 						t.Fatalf("cluster run departs from engine.Run: %v", err)
@@ -287,7 +291,7 @@ func TestRepartitionDecidesAboveNoise(t *testing.T) {
 }
 
 // shedLopsidedPlan is the placement a straggling device 0 is cut to.
-const shedLopsidedPlan = "dev0: B0 | dev1: B1 | dev2: B2-B3"
+var shedLopsidedPlan = plan("", g([]int{0}, []int{0}), g([]int{1}, []int{1}), g([]int{2}, []int{2, 3}))
 
 // replayDecision feeds a fresh repartitioner of plan every device's
 // measured steps from 0 on, in step order, and returns the step after
@@ -338,13 +342,12 @@ func TestRepartitionHybridPlanStaysPut(t *testing.T) {
 	s := runSpec{plan: hybridPlan(), dpu: true, steps: 8, batch: 4}
 	net := transport.NewLoopback()
 	addrs := startWorkersMixed(t, net, costedWorkers(net, 0, 0, 4, 1, 1))
-	counters := obs.NewMetrics()
-	logf, logs := captureLog()
-	res, w, err := s.run(net, addrs, repartitionConfig(s, "ring", counters, logf))
+	counters, events := obs.NewMetrics(), &eventLog{}
+	res, w, err := s.run(net, addrs, repartitionConfig(s, "ring", counters, events))
 	if err != nil {
 		t.Fatalf("hybrid run: %v", err)
 	}
-	wantRepartitions(t, counters, logs)
+	wantRepartitions(t, counters, events)
 	s.check(t, res, w)
 }
 
@@ -368,14 +371,13 @@ func TestRepartitionPersistentPeerDelayBitIdentical(t *testing.T) {
 		Action: transport.ActDelay, Delay: 3 * time.Millisecond, Repeat: true,
 	})
 	addrs := startWorkersMixed(t, inner, costedWorkers(delay, 0, 0, 1, 1, 1))
-	counters := obs.NewMetrics()
-	logf, logs := captureLog()
-	res, w, err := s.run(inner, addrs, repartitionConfig(s, "ring", counters, logf))
+	counters, events := obs.NewMetrics(), &eventLog{}
+	res, w, err := s.run(inner, addrs, repartitionConfig(s, "ring", counters, events))
 	if err != nil {
 		t.Fatalf("peer-delay run: %v", err)
 	}
 	allFired(t, delay)
-	wantRepartitions(t, counters, logs)
+	wantRepartitions(t, counters, events)
 	s.check(t, res, w)
 }
 
@@ -392,25 +394,24 @@ var crashTopologies = []string{"ring", "hub"}
 // fault — on the ring too, where the killed session's end fails its
 // peers' sessions, because the coordinator reads the kill before its
 // worker sees the connection break. It checks the ledger's repartition
-// record and returns the run's spec, network, ledger directory and log.
-func crashAfterRepartitionRun(t *testing.T, topo string) (runSpec, transport.Network, string, func() string) {
+// record and returns the run's spec, network and ledger directory.
+func crashAfterRepartitionRun(t *testing.T, topo string) (runSpec, transport.Network, string) {
 	t.Helper()
 	s := runSpec{plan: lopsidedPlan(), dpu: true, steps: 12, batch: 4}
 	inner := transport.NewLoopback()
 	addrs := startWorkersMixed(t, inner, costedWorkers(inner, 0, 0, 4, 1, 1))
 	dir := filepath.Join(t.TempDir(), "ledger")
-	counters := obs.NewMetrics()
-	logf, logs := captureLog()
-	cfg := repartitionConfig(s, topo, counters, logf)
+	counters, events := obs.NewMetrics(), &eventLog{}
+	cfg := repartitionConfig(s, topo, counters, events)
 	cfg.LedgerDir = dir
 	crash := transport.NewChaos(inner, transport.Fault{
 		Trigger: transport.Trigger{Conn: 3, Op: transport.OpRecv, Kind: wire.KindLosses, Step: 6, Count: 1},
 		Action:  transport.ActKill,
 	})
 	_, _, err := s.run(crash, addrs, cfg)
-	wantRepartitions(t, counters, logs, shedLopsided)
+	wantRepartitions(t, counters, events, shedLopsided)
 	if !errors.Is(err, transport.ErrChaos) {
-		t.Fatalf("the rigged run got %v, want the injected coordinator crash\nlog:\n%s", err, logs())
+		t.Fatalf("the rigged run got %v, want the injected coordinator crash\nevents:\n%v", err, events)
 	}
 	allFired(t, crash)
 	led, _, rep, err := ledger.Open(dir)
@@ -425,9 +426,9 @@ func crashAfterRepartitionRun(t *testing.T, topo string) (runSpec, transport.Net
 		}
 	}
 	if !slices.Equal(cuts, []int{2}) {
-		t.Fatalf("crashed ledger holds repartition records at steps %v, want one at step 2; log:\n%s", cuts, logs())
+		t.Fatalf("crashed ledger holds repartition records at steps %v, want one at step 2; events:\n%v", cuts, events)
 	}
-	return s, inner, dir, logs
+	return s, inner, dir
 }
 
 // TestRepartitionCoordinatorKillResume crosses the two recovery planes:
@@ -440,14 +441,17 @@ func TestRepartitionCoordinatorKillResume(t *testing.T) {
 	for _, topo := range crashTopologies {
 		t.Run(topo, func(t *testing.T) {
 			leakCheck(t)
-			s, inner, dir, _ := crashAfterRepartitionRun(t, topo)
-			rlogf, rlogs := captureLog()
-			res, w2, err := ResumeRun(inner, dir, ResumeConfig{JoinTimeout: 10 * time.Second, Logf: rlogf})
+			s, inner, dir := crashAfterRepartitionRun(t, topo)
+			events := &eventLog{}
+			res, w2, err := ResumeRun(inner, dir, ResumeConfig{JoinTimeout: 10 * time.Second, OnEvent: events.add})
 			if err != nil {
-				t.Fatalf("resume across repartition failed: %v\nlog:\n%s", err, rlogs())
+				t.Fatalf("resume across repartition failed: %v\nevents:\n%v", err, events)
 			}
-			if !strings.Contains(rlogs(), "plan generation(s)") {
-				t.Fatalf("resume log missing the generation restore line:\n%s", rlogs())
+			resumed := events.of(EventResumed)
+			if len(resumed) != 1 || resumed[0].Generations != 2 || resumed[0].Topology != topo ||
+				resumed[0].Plan.Describe() != shedLopsidedPlan.Describe() {
+				t.Fatalf("resumed %+v, want once, from two plan generations of a %s run, onto %s",
+					resumed, topo, shedLopsidedPlan.Describe())
 			}
 			s.check(t, res, w2)
 		})
@@ -464,7 +468,7 @@ func TestRepartitionCompactedLedgerResume(t *testing.T) {
 	for _, topo := range crashTopologies {
 		t.Run(topo, func(t *testing.T) {
 			leakCheck(t)
-			s, inner, dir, _ := crashAfterRepartitionRun(t, topo)
+			s, inner, dir := crashAfterRepartitionRun(t, topo)
 
 			if err := ledger.Compact(dir); err != nil {
 				t.Fatalf("compacting repartitioned ledger: %v", err)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -29,8 +30,9 @@ type ResumeConfig struct {
 	// HeartbeatInterval configures silence detection (see
 	// Config.HeartbeatInterval); zero reuses the manifest's interval.
 	HeartbeatInterval time.Duration
-	// Logf receives progress lines; nil is silent.
-	Logf func(format string, args ...any)
+	// OnEvent receives the resumed run's decisions, EventResumed first
+	// (see Config.OnEvent).
+	OnEvent func(Event)
 	// Fsync is the resumed run's record-log durability tier (the ledger is
 	// re-opened with it); the zero policy is SyncNone, matching Config.
 	Fsync ledger.SyncPolicy
@@ -140,12 +142,8 @@ func ResumeRun(net transport.Network, dir string, rc ResumeConfig) (engine.Resul
 		}
 	}
 	d.led, d.superseded = led, true
-	topo := d.c.cfg.Topology
-	if topo == "" {
-		topo = "hub"
-	}
-	d.c.logf("ledger %s: restored %d records (%d torn bytes dropped, %d plan generation(s)); %s restart under plan %q from step %d",
-		dir, len(rep.Records), rep.TornBytes, gens, topo, d.acct.Plan().Name, d.acct.Cut()+1)
+	d.c.emit(Event{Kind: EventResumed, Ledger: dir, Records: len(rep.Records), TornBytes: rep.TornBytes,
+		Generations: gens, Topology: cmp.Or(d.c.cfg.Topology, "hub"), Plan: d.acct.Plan(), Step: d.acct.Cut() + 1})
 	res, err := d.drive()
 	if err != nil {
 		return engine.Result{}, nil, err
@@ -199,7 +197,7 @@ func resumeSetup(net transport.Network, dir string, led *ledger.Ledger, man *led
 		MaxRestarts:       maxRestarts,
 		HeartbeatInterval: rc.HeartbeatInterval,
 		RetryBudget:       time.Duration(man.Assign.Run.RetryBudgetMillis) * time.Millisecond,
-		Logf:              rc.Logf,
+		OnEvent:           rc.OnEvent,
 		Fsync:             rc.Fsync,
 		// A run that repartitioned keeps the controller armed whether or
 		// not the caller re-asked for it.

@@ -29,16 +29,16 @@ func TestRingRecoveryFallsBackToSurvivingWorker(t *testing.T) {
 	chaos := transport.NewChaos(inner, recvFault(wire.KindOutput, 1, transport.ActKill))
 	addrA := startWorkers(t, inner, 1, WorkerConfig{Rejoin: true, Dial: chaos})[0]
 	addrB := startWorkers(t, inner, 1, WorkerConfig{Sessions: 1, Dial: chaos})[0]
-	logf, logs := captureLog()
+	events := &eventLog{}
 	cfg := s.config()
-	cfg.Topology, cfg.MaxRestarts, cfg.Logf = "ring", 2, logf
+	cfg.Topology, cfg.MaxRestarts, cfg.OnEvent = "ring", 2, events.add
 	res, w, err := s.run(inner, []string{addrA, addrB}, cfg)
 	if err != nil {
-		t.Fatalf("ring fallback run failed: %v\nlog:\n%s", err, logs())
+		t.Fatalf("ring fallback run failed: %v\nevents:\n%v", err, events)
 	}
 	allFired(t, chaos)
-	if !strings.Contains(logs(), "restarting every device from step") {
-		t.Fatalf("kill did not trigger a ring restart; log:\n%s", logs())
+	if len(events.of(EventRestart)) == 0 {
+		t.Fatalf("kill did not trigger a ring restart; events:\n%v", events)
 	}
 	s.check(t, res, w)
 }
@@ -72,19 +72,20 @@ func degradeRun(t *testing.T, s runSpec, inner, coordNet transport.Network, n in
 	chaos := transport.NewChaos(inner, partition)
 	counters := obs.NewMetrics()
 	addrs := startWorkers(t, inner, n, WorkerConfig{Sessions: 1, Rejoin: true, Dial: chaos, Metrics: counters})
-	logf, logs := captureLog()
+	events := &eventLog{}
 	cfg := s.config()
-	cfg.Topology, cfg.RetryBudget, cfg.Metrics, cfg.Logf = "ring", shortRetry, counters, logf
+	cfg.Topology, cfg.RetryBudget, cfg.Metrics, cfg.OnEvent = "ring", shortRetry, counters, events.add
 	res, w, err := s.run(coordNet, addrs, cfg)
 	if err != nil {
-		t.Fatalf("ring run with a persistent partition failed: %v\nlog:\n%s", err, logs())
+		t.Fatalf("ring run with a persistent partition failed: %v\nevents:\n%v", err, events)
 	}
 	allFired(t, chaos)
-	if !strings.Contains(logs(), "degrading peer link") || counters.Counter("degrades").Load() == 0 {
-		t.Fatalf("persistent partition did not engage the degrade tier; log:\n%s", logs())
+	degrades := events.of(EventDegrade)
+	if len(degrades) == 0 || counters.Counter("degrades").Load() != int64(len(degrades)) {
+		t.Fatalf("persistent partition did not engage the degrade tier (counted %d); events:\n%v", counters.Counter("degrades").Load(), events)
 	}
-	if strings.Contains(logs(), "restarting every device from step") {
-		t.Fatalf("degrade consumed a restart; log:\n%s", logs())
+	if len(events.of(EventRestart)) > 0 {
+		t.Fatalf("degrade consumed a restart; events:\n%v", events)
 	}
 	s.check(t, res, w)
 }

@@ -216,6 +216,44 @@ func captureLog() (func(string, ...any), func() string) {
 	return logf, read
 }
 
+// eventLog collects a coordinator's decisions; its add is an OnEvent,
+// safe for concurrent use.
+type eventLog struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+func (l *eventLog) add(ev Event) {
+	l.mu.Lock()
+	l.evs = append(l.evs, ev)
+	l.mu.Unlock()
+}
+
+// of returns the events of kind, in the order they came.
+func (l *eventLog) of(kind EventKind) []Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []Event
+	for _, ev := range l.evs {
+		if ev.Kind == kind {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// String renders every event as the line pipebd prints, for a failure
+// message.
+func (l *eventLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var b strings.Builder
+	for _, ev := range l.evs {
+		fmt.Fprintln(&b, ev)
+	}
+	return b.String()
+}
+
 func g(devs, blocks []int) sched.Group { return sched.Group{Devices: devs, Blocks: blocks} }
 
 func plan(name string, groups ...sched.Group) sched.Plan {
@@ -640,8 +678,8 @@ func (d clusterDraw) play(t *testing.T) {
 		panic(fmt.Sprintf("FuzzClusterRun: no result within %v\n%s\n\n%s", drawDeadline, d, stacks))
 	})
 	t.Cleanup(func() { hung.Stop() })
-	coordMetrics, workerMetrics := obs.NewMetrics(), obs.NewMetrics()
-	logs := make([]func() string, len(d.gens))
+	workerMetrics := obs.NewMetrics()
+	logs := make([]*eventLog, len(d.gens))
 	t.Cleanup(func() {
 		if t.Failed() {
 			return
@@ -658,7 +696,7 @@ func (d clusterDraw) play(t *testing.T) {
 	peer := &peerNet{}
 	addrs := startWorkers(t, inner, d.workers, WorkerConfig{Rejoin: true, Dial: peer, Metrics: workerMetrics})
 	dir := filepath.Join(t.TempDir(), "ledger")
-	if err := d.run(inner, peer, addrs, dir, coordMetrics, logs); err != nil {
+	if err := d.run(inner, peer, addrs, dir, logs); err != nil {
 		t.Fatalf("%v\n%s", err, d)
 	}
 }
@@ -697,15 +735,14 @@ func (n *peerNet) Dial(addr string) (transport.Conn, error)       { return n.Loa
 
 // run plays the draw's generations, each dialing through fresh chaos
 // networks.
-func (d *clusterDraw) run(inner transport.Network, peers *peerNet, addrs []string, dir string,
-	metrics *obs.Metrics, logs []func() string) error {
+func (d *clusterDraw) run(inner transport.Network, peers *peerNet, addrs []string, dir string, logs []*eventLog) error {
 	ref := d.reference()
 	var before ledgerState
 	for i, gen := range d.gens {
-		logf, read := captureLog()
-		logs[i] = read
+		events := &eventLog{}
+		logs[i] = events
 		fail := func(format string, args ...any) error {
-			return fmt.Errorf("generation %d: %s\nlog:\n%s", i, fmt.Sprintf(format, args...), read())
+			return fmt.Errorf("generation %d: %s\nevents:\n%v", i, fmt.Sprintf(format, args...), events)
 		}
 		start, err := 0, error(nil)
 		if gen.compact {
@@ -732,11 +769,11 @@ func (d *clusterDraw) run(inner transport.Network, peers *peerNet, addrs []strin
 			if d.durable {
 				cfg.LedgerDir = dir
 			}
-			cfg.Metrics, cfg.Logf = metrics, logf
+			cfg.OnEvent = events.add
 			res, w, err = d.runSpec.run(coord, addrs, cfg)
 		} else {
 			res, w, err = ResumeRun(coord, dir, ResumeConfig{JoinTimeout: 10 * time.Second,
-				MaxRestarts: gen.restarts, Logf: logf})
+				MaxRestarts: gen.restarts, OnEvent: events.add})
 		}
 		switch {
 		case gen.crash && !errors.Is(err, transport.ErrChaos):
@@ -751,12 +788,17 @@ func (d *clusterDraw) run(inner transport.Network, peers *peerNet, addrs []strin
 		if unfired := append(coord.Unfired(), peer.Unfired()...); len(unfired) > 0 {
 			return fail("faults never fired: %v", unfired)
 		}
-		n := strings.Count(read(), "restarting every device from step")
-		if n != gen.recoveries() || i == 0 && metrics.Counter("recoveries").Load() != int64(n) {
-			return fail("restarted %d time(s) (counted %d), want %d", n, metrics.Counter("recoveries").Load(), gen.recoveries())
+		restarts := events.of(EventRestart)
+		if len(restarts) != gen.recoveries() {
+			return fail("restarted %d time(s), want %d", len(restarts), gen.recoveries())
 		}
-		if strings.Contains(read(), "degrading peer link") {
-			return fail("degraded a peer link")
+		for k, ev := range restarts {
+			if ev.Restart != k+1 || ev.MaxRestarts != gen.budget {
+				return fail("restart %d counts itself restart %d of %d, want of %d", k+1, ev.Restart, ev.MaxRestarts, gen.budget)
+			}
+		}
+		if n := len(events.of(EventDegrade)); n > 0 {
+			return fail("degraded a peer link %d time(s)", n)
 		}
 		if d.durable {
 			if err := d.checkLedger(dir, i, before); err != nil {
@@ -770,7 +812,7 @@ func (d *clusterDraw) run(inner transport.Network, peers *peerNet, addrs []strin
 // checkAbsorbed checks the flaps absorbed: each end of a link counts
 // one, so the coordinator counts each control flap once and the workers
 // each control flap once and each peer flap twice.
-func (d *clusterDraw) checkAbsorbed(workers *obs.Metrics, logs []func() string) error {
+func (d *clusterDraw) checkAbsorbed(workers *obs.Metrics, logs []*eventLog) error {
 	want := 0
 	for i, gen := range d.gens {
 		control, peer := gen.controlFlaps(), gen.count(transport.ActFlap, true)
@@ -778,7 +820,7 @@ func (d *clusterDraw) checkAbsorbed(workers *obs.Metrics, logs []func() string) 
 		if logs[i] == nil {
 			continue
 		}
-		if n := strings.Count(logs[i](), "absorbed a fault"); n != control {
+		if n := len(logs[i].of(EventAbsorbed)); n != control {
 			return fmt.Errorf("generation %d's coordinator absorbed %d link fault(s), want %d", i, n, control)
 		}
 	}

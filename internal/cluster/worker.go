@@ -272,7 +272,10 @@ func (w *Worker) serveSession(conn transport.Conn, first *wire.Frame) (err error
 	// words — a LinkDown report, the Done frames — are the coordinator's.
 	links := linkPolicy{epoch: assign.Epoch, net: w.cfg.Dial, clock: w.clock,
 		budget: time.Duration(assign.Run.RetryBudgetMillis) * time.Millisecond,
-		logf:   w.logf, metrics: w.cfg.Metrics}
+		logf:   w.logf, metrics: w.cfg.Metrics, absorbed: func(_ string, replayed int) {
+			w.cfg.Metrics.Add("link_faults_absorbed", 1)
+			w.cfg.Metrics.Add("link_frames_replayed", int64(replayed))
+		}}
 	control := links.endpoint(conn, assign.Devices[0], int(wire.NoDev),
 		fmt.Sprintf("session %v control link", assign.Devices), "")
 	defer control.close(true)
